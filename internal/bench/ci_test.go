@@ -124,7 +124,6 @@ func TestRunCISmoke(t *testing.T) {
 	for _, name := range []string{
 		"freeze_ingest_speedup", "match_indexed_speedup", "match_frozen_gain",
 		"match_sharded_speedup", "match_adaptive_speedup", "plan_cache_speedup",
-		"parsat_steal_speedup",
 		"refreeze_speedup", "incr_validate_speedup",
 	} {
 		m, ok := r.Get(name)

@@ -1,11 +1,13 @@
 // Package cluster provides the simulated distributed runtime underneath
-// ParSat and ParImp (Section V-B): a coordinator with a priority queue of
-// work units, p workers, and an asynchronous reliable broadcast of monotone
-// Eq deltas.
+// ParSat and ParImp (Section V-B): per-worker work deques for p workers and
+// an asynchronous reliable broadcast of monotone Eq deltas.
 //
 // Substitution note (see DESIGN.md): the paper deploys on a 20-machine
 // cluster; here workers are goroutines and the broadcast is a shared
 // append-only operation log that every worker applies from its own cursor.
+// The paper's coordinator queue W is realised as one Deque per worker,
+// seeded by striping the rank-ordered units, plus stealing (core's worker
+// pool); split sub-units go to the front of the splitter's own deque.
 // This preserves the coordination structure the paper evaluates — dynamic
 // workload assignment, straggler splitting, early-termination flags, and
 // asynchronous monotone state exchange — while remaining a single process.
@@ -74,10 +76,12 @@ func (l *Log) Appends() int {
 	return l.appends
 }
 
-// Queue is the coordinator's priority queue of work units: a binary
+// Queue is the paper's coordinator queue W taken literally: a binary
 // min-heap on (rank, insertion sequence) — stable FIFO within a rank —
 // with PushFront used for split sub-units ("add Li to the front of W").
-// It is used only by the coordinator goroutine, so it is not synchronized.
+// It is not synchronized. The engines schedule from Deques (core's worker
+// pool), not from this; the only caller is the benchmark module's
+// cluster.queue_pushpop_ns probe, and the type goes when that probe does.
 type Queue[T any] struct {
 	items []queueItem[T]
 	seq   uint64
@@ -168,8 +172,8 @@ func (q *Queue[T]) Pop() (T, bool) {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Deque is a synchronized double-ended work queue, one per worker in the
-// work-stealing executor. The owning worker pushes split sub-units to the
+// Deque is a synchronized double-ended work queue, one per worker of core's
+// worker pool. The owning worker pushes split sub-units to the
 // front and pops from the front (depth-first locality: a split branch reuses
 // the caches its parent just warmed), while idle workers steal from the
 // back, taking the work the owner would reach last. A mutex per deque is

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -45,30 +47,94 @@ func assertGoroutineBaseline(t *testing.T, before int) {
 	}
 }
 
-// TestParPreCanceled pins the entry check on both engines and executors: a
-// context canceled before the call returns ErrCanceled without starting.
+// TestParPreCanceled pins the entry check on both engines: a context
+// canceled before the call returns ErrCanceled without starting — no group
+// is simulated, no unit is built or run.
 func TestParPreCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(4)
 	target := gfd.MustNew("t", q6(), nil, []gfd.Literal{gfd.Const(0, "fresh", "x")})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, stealing := range []bool{false, true} {
-		opt := DefaultParOptions(2)
-		opt.Stealing = stealing
+	opt := DefaultParOptions(2)
+	opt.Ctx = ctx
+	opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started under a pre-canceled context") }
+	if res := ParSat(set, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
+		t.Fatalf("ParSat: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
+	}
+	if res := ParImp(set, target, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
+		t.Fatalf("ParImp: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
+	}
+	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph)
+	eng.testHookGroupSim = func(int) { t.Error("a group was simulated under a pre-canceled context") }
+	if _, _, _, _, err := eng.run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("engine run: err = %v, want ErrCanceled", err)
+	}
+	if len(eng.units) != 0 {
+		t.Fatalf("%d units built under a pre-canceled context", len(eng.units))
+	}
+	assertGoroutineBaseline(t, before)
+}
+
+// manualDeadline is a context whose deadline fires when the test says so,
+// standing in for a timer without a wall-clock wait.
+type manualDeadline struct {
+	context.Context
+	done  chan struct{}
+	fired atomic.Bool
+}
+
+func (c *manualDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *manualDeadline) Err() error {
+	if c.fired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *manualDeadline) fire() {
+	if c.fired.CompareAndSwap(false, true) {
+		close(c.done)
+	}
+}
+
+// TestParDeadlineDuringBuildUnits fires the deadline from inside the
+// simulation pre-pass: the run must end there with the deadline error —
+// no unit built, none run — instead of first looking at the context once
+// the work phase starts. With one worker the pre-pass must stop at the very
+// next group.
+func TestParDeadlineDuringBuildUnits(t *testing.T) {
+	before := runtime.NumGoroutine()
+	set := satSet(12)
+	for _, workers := range []int{1, 4} {
+		ctx := &manualDeadline{Context: context.Background(), done: make(chan struct{})}
+		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
-		if res := ParSat(set, opt); !errors.Is(res.Err, ErrCanceled) {
-			t.Fatalf("stealing=%v: ParSat.Err = %v, want ErrCanceled", stealing, res.Err)
+		opt.PerGFD = true // one group per GFD: 12 simulation tasks
+		opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started after the deadline fired in buildUnits") }
+		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph)
+		var simulated atomic.Int64
+		eng.testHookGroupSim = func(int) {
+			simulated.Add(1)
+			ctx.fire()
 		}
-		if res := ParImp(set, target, opt); !errors.Is(res.Err, ErrCanceled) {
-			t.Fatalf("stealing=%v: ParImp.Err = %v, want ErrCanceled", stealing, res.Err)
+		_, _, _, stats, err := eng.run()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("p=%d: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		if n := simulated.Load(); n < 1 || n > int64(workers) {
+			t.Fatalf("p=%d: %d groups simulated; each worker must stop at its first poll after the deadline", workers, n)
+		}
+		if len(eng.units) != 0 || stats.UnitsRun != 0 {
+			t.Fatalf("p=%d: units built=%d run=%d after a deadline during buildUnits", workers, len(eng.units), stats.UnitsRun)
 		}
 	}
 	assertGoroutineBaseline(t, before)
 }
 
 // TestParSatCancelMidFlight cancels from inside the first work unit, under
-// every algorithm variant and both executors: the run must come back with
+// every algorithm variant: the run must come back with
 // ErrCanceled — abandoned units can never conclude as a SATISFIABLE answer
 // — and leave no goroutine behind.
 func TestParSatCancelMidFlight(t *testing.T) {
@@ -167,8 +233,8 @@ func revalidateCancelFixture() (*gfd.Set, *graph.Delta, []Violation) {
 }
 
 // TestRevalidateCancel covers the revalidation paths: pre-canceled and
-// canceled-from-the-first-task contexts return ErrCanceled from both the
-// sequential loop and the work-stealing pool.
+// canceled-from-the-first-task contexts return ErrCanceled from a
+// one-worker and a four-worker pool.
 func TestRevalidateCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set, d, prev := revalidateCancelFixture()

@@ -21,7 +21,7 @@ type Stats struct {
 	Dropped      int // matches whose antecedent became permanently false
 	UnitsRun     int // work units executed (parallel runs)
 	UnitsSplit   int // sub-units produced by straggler splitting
-	UnitsStolen  int // units taken from another worker's deque (stealing runs)
+	UnitsStolen  int // units taken from another worker's deque
 	Broadcasts   int // delta broadcasts between workers
 	DeltaOps     int // total Eq operations shipped in broadcasts
 	// GroupsShared counts pattern groups with ≥2 member GFDs: patterns that

@@ -84,30 +84,22 @@ func TestWitnessModelIsSigmaBounded(t *testing.T) {
 }
 
 func TestAblationAgreement(t *testing.T) {
-	// Every ablation combination returns the same answer on mixed
-	// workloads (satisfiable and not).
+	// Every Pipeline × Splitting combination (the paper's np / nb variants)
+	// returns SeqSat's answer on mixed workloads (satisfiable and not), with
+	// one worker and with several.
 	for seed := int64(0); seed < 3; seed++ {
 		for _, conflicts := range []int{0, 1} {
 			g := gen.New(gen.Config{N: 25, K: 4, L: 3, Seed: seed, Conflicts: conflicts})
 			set := g.Set()
 			want := SeqSat(set).Satisfiable
-			for pipeline := 0; pipeline < 2; pipeline++ {
-				for split := 0; split < 2; split++ {
-					for dep := 0; dep < 2; dep++ {
-						for sim := 0; sim < 2; sim++ {
-							opt := ParOptions{
-								Workers:    3,
-								TTL:        time.Millisecond,
-								Pipeline:   pipeline == 1,
-								Splitting:  split == 1,
-								DepOrder:   dep == 1,
-								Simulation: sim == 1,
-							}
-							got := ParSat(set, opt)
-							if got.Satisfiable != want {
-								t.Fatalf("seed=%d conflicts=%d opts=%+v: ParSat=%v want %v",
-									seed, conflicts, opt, got.Satisfiable, want)
-							}
+			for _, workers := range []int{1, 3} {
+				for _, pipeline := range []bool{false, true} {
+					for _, split := range []bool{false, true} {
+						opt := ParOptions{Workers: workers, TTL: time.Millisecond, Pipeline: pipeline, Splitting: split}
+						got := ParSat(set, opt)
+						if got.Err != nil || got.Satisfiable != want {
+							t.Fatalf("seed=%d conflicts=%d opts=%+v: ParSat=%v (err %v) want %v",
+								seed, conflicts, opt, got.Satisfiable, got.Err, want)
 						}
 					}
 				}

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"runtime/debug"
-	"sort"
-	"sync"
+	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -18,13 +18,17 @@ import (
 )
 
 // ParOptions configures ParSat and ParImp. The zero value is not useful;
-// start from DefaultParOptions.
+// start from DefaultParOptions. Two of the paper's devices are not options
+// because nothing is gained by turning them off: work units are always
+// ranked by the dependency graph of Section V-B, and pattern candidates
+// always pass the graph-simulation pre-filter (the multi-query optimization
+// device; a pattern that fails simulation has no match and yields no unit).
 type ParOptions struct {
-	// Workers is p, the number of parallel workers.
+	// Workers is p, the number of parallel workers (at least 1).
 	Workers int
 	// TTL is the straggler threshold: a unit whose matching exceeds TTL is
-	// split and its untried branches returned to the coordinator
-	// (Section V-B, unit splitting). Ignored when Splitting is false.
+	// split and its untried branches go back to the pool as units of their
+	// own (Section V-B, unit splitting). Ignored when Splitting is false.
 	TTL time.Duration
 	// Pipeline runs match generation and attribute checking in separate
 	// goroutines per unit (pipelined parallelism); when false, the worker
@@ -34,26 +38,6 @@ type ParOptions struct {
 	// Splitting enables TTL-based work-unit splitting; false is the
 	// ParSat_nb / ParImp_nb ablation.
 	Splitting bool
-	// DepOrder orders the work-unit queue topologically by the dependency
-	// graph of Section V-B; false uses arrival order (an extra ablation
-	// beyond the paper's variants).
-	DepOrder bool
-	// Stealing selects the shard-aware work-stealing executor: each worker
-	// owns a double-ended queue seeded with a stripe of the rank-ordered
-	// units, TTL-split straggler branches are pushed onto the owner's own
-	// deque (depth-first, cache-warm) instead of round-tripping through the
-	// coordinator, and idle workers first steal from the back of peer deques
-	// and then block on a condition variable until work appears or the run
-	// quiesces — no polling, no sleeps. False is the single-global-queue
-	// coordinator (kept as the comparison baseline for the scheduling
-	// benchmarks; both executors decide identically on every input).
-	Stealing bool
-	// Simulation enables the graph-simulation pre-filter on pattern
-	// candidates (the paper's multi-query optimization device). The
-	// relation is computed over graph's label-keyed adjacency index and
-	// seeded through the per-node degree/label signature, so both the seq
-	// and parallel variants pick the indexed path up transparently.
-	Simulation bool
 	// Plans, when non-nil, is the compiled-plan cache the run resolves each
 	// GFD pattern through: pivot selection, variable orders and label
 	// resolution are computed once per (pattern, snapshot epoch) and reused
@@ -78,10 +62,6 @@ type ParOptions struct {
 	// fixpoint is order-independent — so this exists as the ablation baseline
 	// for the multi_gfd_speedup benchmark and the equivalence tests.
 	PerGFD bool
-	// unitDepCap bounds the number of units for which the quadratic
-	// unit-level dependency graph is built; beyond it the coarser GFD-level
-	// topological order ranks units. 0 means the default.
-	unitDepCap int
 	// testHookUnitStart, when non-nil, runs at the top of every work unit —
 	// the seam the panic-isolation tests use to detonate inside a worker.
 	testHookUnitStart func(gfd int, pivot graph.NodeID)
@@ -91,17 +71,17 @@ type ParOptions struct {
 // unless stated otherwise: all optimizations on.
 func DefaultParOptions(workers int) ParOptions {
 	return ParOptions{
-		Workers:    workers,
-		TTL:        100 * time.Millisecond,
-		Pipeline:   true,
-		Splitting:  true,
-		DepOrder:   true,
-		Stealing:   true,
-		Simulation: true,
+		Workers:   workers,
+		TTL:       100 * time.Millisecond,
+		Pipeline:  true,
+		Splitting: true,
 	}
 }
 
-const defaultUnitDepCap = 2500
+// unitDepCap bounds the number of units for which the quadratic unit-level
+// dependency graph is built; beyond it the coarser GFD-level topological
+// order ranks units.
+const unitDepCap = 2500
 
 // unit is a pivoted work unit (Q[z], group), optionally carrying a partial
 // match seed when it was split off a straggler. Units are per pattern
@@ -112,50 +92,27 @@ type unit struct {
 	grp   int // index into parEngine.groups
 	pivot graph.NodeID
 	seed  match.Assignment
+	rank  int // scheduling priority of an initial unit, lower first (rankUnits)
 }
 
-// outcome codes reported by workers to the coordinator.
-type outcomeKind int
-
-const (
-	evDone outcomeKind = iota
-	evConflict
-	evGoal
-	evSplit
-	evFinalized
-	// evCanceled is injected by the context watcher so a coordinator blocked
-	// on the event channel observes cancellation promptly.
-	evCanceled
-	// evPanic is emitted after a worker (or producer) panic was recovered
-	// and recorded; the coordinator fails the run with the recorded error.
-	evPanic
-)
-
-type cevent struct {
-	kind   outcomeKind
-	worker int
-	splits []unit
-	// cursor is the worker's log position at finalize time.
-	cursor int
+// halt is a run's answer-bearing early termination — a conflict (UNSAT, or
+// implication by conflict) or the implication goal — as opposed to a failure.
+// The worker that finds it returns it from its task, so it travels through
+// the pool's first-failure-wins slot: siblings stop, and a conflict found
+// before a cancellation is still the legitimate answer.
+type halt struct {
+	con  *eq.Conflict
+	goal bool
 }
 
-type wmsgKind int
+func (h *halt) Error() string { return "core: run halted with an answer" }
 
-const (
-	wmAssign wmsgKind = iota
-	wmFinalize
-	wmStop
-)
-
-type wmsg struct {
-	kind  wmsgKind
-	units []unit
-}
-
-// parEngine runs the coordinator/worker protocol shared by ParSat and
-// ParImp. The canonical graph is replicated conceptually at each worker;
-// being immutable it is shared read-only. Each worker owns an Eq replica and
-// a pending index; deltas are exchanged through a cluster.Log.
+// parEngine runs the worker protocol shared by ParSat and ParImp. The
+// canonical graph is replicated conceptually at each worker; being immutable
+// it is shared read-only. Each worker owns an Eq replica and a pending
+// index; deltas are exchanged through a cluster.Log. Every fan-out — the
+// simulation pre-pass, the work phase, each finalize round — runs on the
+// package's worker pool (pool.go).
 type parEngine struct {
 	opt    ParOptions
 	set    *gfd.Set
@@ -170,209 +127,35 @@ type parEngine struct {
 	groups       []gfd.Group
 	sharedGroups int
 
-	sims     []*match.Sim
+	sims     []*match.Sim // nil where simulation failed: no match, no units
 	pivotVar []pattern.Var
 	orders   [][]pattern.Var
 	plans    []*match.Plan
 	units    []unit
-	ranks    []int
 
-	log     *cluster.Log
-	steal   *stealState[unit] // non-nil on work-stealing runs
-	stopped atomic.Bool
+	ctx  context.Context // never nil: Background when ParOptions.Ctx is nil
+	log  *cluster.Log
+	pool *pool[unit] // the work phase's pool; sized once, here, for all phases
 
-	// ctx is the run's context (never nil once run() starts; Background
-	// when ParOptions.Ctx is nil). events is the coordinator's channel,
-	// stored so recordPanic can reach the coordinator from any goroutine.
-	ctx    context.Context
-	events chan cevent
-	// failMu guards fail, the first run-ending failure (a worker panic).
-	failMu sync.Mutex
-	fail   error
+	// testHookGroupSim, when non-nil, runs before each group's simulation —
+	// the seam the cancellation tests use to observe and interrupt the
+	// pre-pass (kept off ParOptions: it is engine plumbing, not an option).
+	testHookGroupSim func(grp int)
 }
 
-// recordPanic converts a recovered panic into the run's failure: first one
-// wins, siblings are told to stop (flag + condvar wake), and the coordinator
-// is notified. The event send can block only while the coordinator is still
-// draining (finishRun drains until every worker has exited, and the sender's
-// goroutine exit strictly follows this send), so it never deadlocks.
-func (e *parEngine) recordPanic(worker int, v any) {
-	e.setPanic(worker, v)
-	e.events <- cevent{kind: evPanic, worker: worker}
-}
-
-// setPanic is the coordinator-free half of recordPanic: record the failure
-// and stop the siblings without touching e.events. Goroutines that run
-// before the coordinator exists (the buildUnits simulation pool) use it
-// directly; run() checks failure() before spawning anything.
-func (e *parEngine) setPanic(worker int, v any) {
-	pe := &PanicError{Worker: worker, Value: v, Stack: debug.Stack()}
-	e.failMu.Lock()
-	if e.fail == nil {
-		e.fail = pe
-	}
-	e.failMu.Unlock()
-	e.stopped.Store(true)
-	if st := e.steal; st != nil {
-		st.wake()
-	}
-}
-
-// failure returns the error the run must end with, if any: a recorded
-// worker panic wins over plain context cancellation. Coordinators call it
-// both on failure events and before concluding quiescent success, so a
-// worker that abandoned units because stopped was set can never be
-// mistaken for a worker that finished them.
-func (e *parEngine) failure() error {
-	e.failMu.Lock()
-	f := e.fail
-	e.failMu.Unlock()
-	if f != nil {
-		return f
-	}
-	if err := e.ctx.Err(); err != nil {
-		return canceledErr(err)
-	}
-	return nil
-}
-
-// watchCancel spawns the goroutine that propagates context cancellation
-// into the run: set the stop flag, wake condvar-blocked idle workers, and
-// nudge the coordinator off its event-channel read. The returned stop
-// function (always non-nil) releases the watcher; a context that can never
-// fire needs no goroutine at all.
-func (e *parEngine) watchCancel() func() {
-	if e.ctx.Done() == nil {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-e.ctx.Done():
-			e.stopped.Store(true)
-			if st := e.steal; st != nil {
-				st.wake()
-			}
-			select {
-			case e.events <- cevent{kind: evCanceled}:
-			case <-stop:
-			}
-		case <-stop:
-		}
-	}()
-	return func() { close(stop) }
-}
-
-// stealState is the scheduling state shared by the work-stealing executor's
-// workers: one deque per worker, a count of units still queued or in
-// flight, and a condition variable idle workers block on (with a push
-// sequence number so a wakeup between a worker's empty scan and its wait
-// is never lost). There is no busy-polling: a worker that finds every
-// deque empty sleeps until a split pushes new work, the last unit
-// completes, or the run is stopped. It is generic over the unit type so the
-// same executor schedules both the reasoning engines (ParSat/ParImp units)
-// and incremental revalidation (per-GFD rescope tasks, revalidate.go).
-type stealState[T any] struct {
-	deques  []*cluster.Deque[T]
-	pending atomic.Int64
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     uint64 // bumped under mu by every wake
-}
-
-func newStealState[T any](p int) *stealState[T] {
-	st := &stealState[T]{deques: make([]*cluster.Deque[T], p)}
-	for i := range st.deques {
-		st.deques[i] = cluster.NewDeque[T]()
-	}
-	st.cond = sync.NewCond(&st.mu)
-	return st
-}
-
-// wake bumps the sequence number and wakes every waiter.
-func (st *stealState[T]) wake() {
-	st.mu.Lock()
-	st.seq++
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// addWork makes units available on the owner's deque front (depth-first:
-// split branches run on the arrays their parent just warmed). pending is
-// raised before the push so no thief can complete the new work and drive
-// pending to zero while it is still being published.
-func (st *stealState[T]) addWork(owner int, units []T) {
-	st.pending.Add(int64(len(units)))
-	st.deques[owner].PushFront(units...)
-	st.wake()
-}
-
-// finishUnit retires one unit; the last one wakes the waiters so they can
-// observe quiescence.
-func (st *stealState[T]) finishUnit() {
-	if st.pending.Add(-1) == 0 {
-		st.wake()
-	}
-}
-
-// grab returns a unit from worker id's own deque front, else from the back
-// of the first non-empty peer deque (scanning from the next worker up, so
-// victims spread); steals increment *stolen.
-func (st *stealState[T]) grab(id int, stolen *int) (T, bool) {
-	if u, ok := st.deques[id].PopFront(); ok {
-		return u, true
-	}
-	p := len(st.deques)
-	for i := 1; i < p; i++ {
-		if u, ok := st.deques[(id+i)%p].PopBack(); ok {
-			*stolen++
-			return u, true
-		}
-	}
-	var zero T
-	return zero, false
-}
-
-// take returns the next unit for worker id, blocking while every deque is
-// empty but units are still in flight (their splits may yet publish new
-// work). It returns ok=false on global quiescence or when stopped reports
-// true. The sequence-number handshake with wake closes the scan-then-sleep
-// race: a push between the empty scan and the wait bumps seq, so the wait
-// is skipped.
-func (st *stealState[T]) take(id int, stopped func() bool, stolen *int) (T, bool) {
-	var zero T
-	for {
-		if stopped() {
-			return zero, false
-		}
-		if u, ok := st.grab(id, stolen); ok {
-			return u, true
-		}
-		st.mu.Lock()
-		seq := st.seq
-		st.mu.Unlock()
-		if u, ok := st.grab(id, stolen); ok {
-			return u, true
-		}
-		if st.pending.Load() == 0 {
-			return zero, false
-		}
-		st.mu.Lock()
-		for st.seq == seq && st.pending.Load() > 0 && !stopped() {
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-	}
+func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader) *parEngine {
+	pl := newPool[unit](opt.Ctx, opt.Workers)
+	return &parEngine{opt: opt, set: set, g: g, ctx: pl.ctx, log: cluster.NewLog(), pool: pl}
 }
 
 // buildUnits enumerates the work units of Σ on g: one per (pattern group,
 // pivot candidate). GFDs with structurally equal patterns share one group —
 // one simulation relation, one plan, one set of units — and their X → Y
 // conclusions fan out per match in handleMatch. The pivot variable is the
-// most selective pivot among the pattern's components; candidates come from
-// the simulation pre-filter when enabled (a pattern that fails simulation
-// has no matches and yields no units), else from the label index.
-func (e *parEngine) buildUnits() {
+// most selective pivot among the pattern's components, and its candidates
+// are the nodes the simulation pre-filter kept. A non-nil error is the
+// pre-pass's cancellation or panic; no unit has run then.
+func (e *parEngine) buildUnits() error {
 	e.groups = grouping(e.set, e.opt.PerGFD)
 	n := len(e.groups)
 	for _, grp := range e.groups {
@@ -386,46 +169,25 @@ func (e *parEngine) buildUnits() {
 	e.plans = make([]*match.Plan, n)
 	// The simulation pre-filter is per-group independent; computing it
 	// serially would be a p-independent startup phase capping the speedup
-	// (Amdahl), so it is spread over the same p workers.
-	simFailed := make([]bool, n)
-	if e.opt.Simulation {
-		p := e.opt.Workers
-		if p < 1 {
-			p = 1
+	// (Amdahl), so it is spread over the same p workers. The context is
+	// polled between groups: on a large Σ this pass is a sizeable share of
+	// the run, and a deadline must not wait it out.
+	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(_, i int) error {
+		if err := e.ctx.Err(); err != nil {
+			return canceledErr(err)
 		}
-		jobs := make(chan int, n)
-		for i := 0; i < n; i++ {
-			jobs <- i
+		if h := e.testHookGroupSim; h != nil {
+			h(i)
 		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Panic isolation: this pool runs before the coordinator
-				// and its event channel exist, so a panic in Simulate is
-				// recorded directly and surfaces when run() checks
-				// failure() — not as a process crash.
-				defer func() {
-					if r := recover(); r != nil {
-						e.setPanic(w, r)
-					}
-				}()
-				for i := range jobs {
-					if sim := match.Simulate(e.groups[i].Pattern, e.g); sim != nil {
-						e.sims[i] = sim
-					} else {
-						simFailed[i] = true
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
+		e.sims[i] = match.Simulate(e.groups[i].Pattern, e.g)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i, grp := range e.groups {
-		p := grp.Pattern
-		if e.opt.Simulation && simFailed[i] {
+		sim := e.sims[i]
+		if sim == nil {
 			continue // no match anywhere: no units
 		}
 		// Plan the group once: pivots, per-pivot orders and resolved label IDs
@@ -433,17 +195,16 @@ func (e *parEngine) buildUnits() {
 		// Options.Plans cache, by later runs against the same snapshot).
 		var plan *match.Plan
 		if e.opt.Plans != nil {
-			plan = e.opt.Plans.Get(p, e.g)
+			plan = e.opt.Plans.Get(grp.Pattern, e.g)
 		} else {
-			plan = match.CompilePlan(p, e.g)
+			plan = match.CompilePlan(grp.Pattern, e.g)
 		}
 		e.plans[i] = plan
 		pivots := plan.Pivots()
 		best := pivots[0]
-		bestSize := e.candCount(i, best)
 		for _, pv := range pivots[1:] {
-			if s := e.candCount(i, pv); s < bestSize {
-				best, bestSize = pv, s
+			if sim.Count(pv) < sim.Count(best) {
+				best = pv
 			}
 		}
 		e.pivotVar[i] = best
@@ -452,45 +213,23 @@ func (e *parEngine) buildUnits() {
 		// plan).
 		e.orders[i] = plan.OrderFor(best)
 
-		for _, z := range e.candidatesFor(i, best) {
+		for _, z := range sim.Nodes(best) { // already ascending
 			e.units = append(e.units, unit{grp: i, pivot: z})
 		}
 	}
+	// Ranking builds the (up to quadratic) unit dependency graph; last poll
+	// before it.
+	if err := e.ctx.Err(); err != nil {
+		return canceledErr(err)
+	}
 	e.rankUnits()
+	return nil
 }
 
-func (e *parEngine) candCount(i int, v pattern.Var) int {
-	if e.sims[i] != nil {
-		return e.sims[i].Count(v)
-	}
-	return e.g.LabelFrequency(e.groups[i].Pattern.Label(v))
-}
-
-func (e *parEngine) candidatesFor(i int, v pattern.Var) []graph.NodeID {
-	if e.sims[i] != nil {
-		return e.sims[i].Nodes(v) // already ascending
-	}
-	// CandidateNodes returns a fresh copy, so sorting in place is safe.
-	out := e.g.CandidateNodes(e.groups[i].Pattern.Label(v))
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// rankUnits assigns queue priorities: topological order over the unit
+// rankUnits assigns unit priorities: topological order over the unit
 // dependency graph when small enough (with high-priority units first),
 // otherwise the GFD-level topological order.
 func (e *parEngine) rankUnits() {
-	e.ranks = make([]int, len(e.units))
-	if !e.opt.DepOrder {
-		for i := range e.ranks {
-			e.ranks[i] = i
-		}
-		return
-	}
-	cap := e.opt.unitDepCap
-	if cap == 0 {
-		cap = defaultUnitDepCap
-	}
 	isHigh := func(gi int) bool {
 		if e.high != nil {
 			return e.high(gi)
@@ -513,7 +252,7 @@ func (e *parEngine) rankUnits() {
 		}
 		groupHigh[rep[gi]] = hi
 	}
-	if len(e.units) <= cap {
+	if len(e.units) <= unitDepCap {
 		it := depgraph.NewInteraction(e.set)
 		dunits := make([]depgraph.Unit, len(e.units))
 		for i, u := range e.units {
@@ -526,7 +265,9 @@ func (e *parEngine) rankUnits() {
 			}
 		}
 		adj := depgraph.UnitDeps(dunits, it, e.g, radii)
-		e.ranks = depgraph.UnitPriorities(dunits, adj, e.set, func(u depgraph.Unit) bool { return groupHigh[u.GFD] })
+		for i, r := range depgraph.UnitPriorities(dunits, adj, e.set, func(u depgraph.Unit) bool { return groupHigh[u.GFD] }) {
+			e.units[i].rank = r
+		}
 		return
 	}
 	// Coarse ranking: position of the unit's representative GFD in the
@@ -547,7 +288,7 @@ func (e *parEngine) rankUnits() {
 		}
 	}
 	for i, u := range e.units {
-		e.ranks[i] = pos[rep[u.grp]]
+		e.units[i].rank = pos[rep[u.grp]]
 	}
 }
 
@@ -557,375 +298,96 @@ func (e *parEngine) rankUnits() {
 // early termination), and aggregate stats. A non-nil error means the run
 // ended without an answer — cancellation (ErrCanceled or the context's
 // deadline error) or a worker panic (*PanicError) — with stats covering the
-// work completed up to that point. The scheduling strategy is selected by
-// Options.Stealing; both executors share the unit semantics, the broadcast
-// log and the finalize protocol, and decide identically.
+// work completed up to that point.
+//
+// The paper's coordinator queue W is realised by the pool: the rank-ordered
+// units are striped across the per-worker deques, so every deque front holds
+// its worker's highest-priority share and the blended execution order
+// approximates one global priority queue; TTL-split straggler branches go
+// onto the splitter's own deque front — local, immediately runnable, and
+// stealable by an idle peer. Once every unit has retired, finalize rounds
+// run as fork/join phases on the same kind of pool.
 func (e *parEngine) run() (con *eq.Conflict, goalHit bool, final *eq.Eq, stats Stats, err error) {
-	e.failMu.Lock()
-	ferr := e.fail
-	e.failMu.Unlock()
-	if ferr != nil {
-		// A buildUnits pool goroutine panicked before the coordinator
-		// existed; fail the run with its PanicError instead of running on
-		// partial units. (failure() is unusable here: e.ctx is not set yet.)
-		return nil, false, nil, Stats{}, ferr
+	if err := e.buildUnits(); err != nil {
+		return nil, false, nil, Stats{}, err
 	}
-	e.ctx = e.opt.Ctx
-	if e.ctx == nil {
-		e.ctx = context.Background()
+	slices.SortStableFunc(e.units, func(a, b unit) int { return cmp.Compare(a.rank, b.rank) })
+	workers := make([]*parWorker, e.pool.size())
+	for i := range workers {
+		workers[i] = newParWorker(i, e)
 	}
-	if cerr := e.ctx.Err(); cerr != nil {
-		return nil, false, nil, Stats{}, canceledErr(cerr)
-	}
-	if e.opt.Stealing {
-		return e.runStealing()
-	}
-	return e.runCentral()
-}
-
-// spawnWorkers builds the shared worker/channel plumbing. entry is each
-// worker goroutine's body.
-func (e *parEngine) spawnWorkers(p int, entry func(*parWorker)) (events chan cevent, assign []chan wmsg, workers []*parWorker, wg *sync.WaitGroup) {
-	events = make(chan cevent, 16*p+len(e.units)+16)
-	assign = make([]chan wmsg, p)
-	workers = make([]*parWorker, p)
-	wg = &sync.WaitGroup{}
-	e.events = events
-	for i := 0; i < p; i++ {
-		assign[i] = make(chan wmsg, 8)
-		workers[i] = newParWorker(i, e, events, assign[i])
-		wg.Add(1)
-		go func(w *parWorker) {
-			defer wg.Done()
-			// Panic isolation: a panic anywhere in this worker's unit
-			// execution (e.g. a stale-overlay read) is recovered here,
-			// recorded as the run's *PanicError, and stops the siblings —
-			// the run fails cleanly instead of crashing the process. The
-			// recover runs before wg.Done (defers are LIFO), so finishRun
-			// is still draining events when recordPanic sends.
-			defer func() {
-				if r := recover(); r != nil {
-					e.recordPanic(w.id, r)
-				}
-			}()
-			entry(w)
-		}(workers[i])
-	}
-	return events, assign, workers, wg
-}
-
-// finishRun stops every worker, drains stray events so none blocks on its
-// way out, and aggregates stats.
-func (e *parEngine) finishRun(events chan cevent, assign []chan wmsg, workers []*parWorker, wg *sync.WaitGroup,
-	c *eq.Conflict, goal bool, fin *eq.Eq, err error) (*eq.Conflict, bool, *eq.Eq, Stats, error) {
-	e.stopped.Store(true)
-	if e.steal != nil {
-		e.steal.wake()
-	}
-	for i := range assign {
-		assign[i] <- wmsg{kind: wmStop}
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-events:
-			continue
-		case <-done:
-		}
-		break
-	}
-	var st Stats
-	for _, w := range workers {
-		st.Add(w.enf.stats)
-	}
-	st.Broadcasts = e.log.Appends()
-	st.DeltaOps = e.log.Len()
-	st.GroupsShared = e.sharedGroups
-	return c, goal, fin, st, err
-}
-
-// runCentral is the single-global-queue executor: the coordinator owns a
-// priority queue of every unit, feeds idle workers in small batches, and
-// receives split sub-units back over the event channel. Kept as the
-// scheduling baseline the work-stealing executor is benchmarked against.
-func (e *parEngine) runCentral() (con *eq.Conflict, goalHit bool, final *eq.Eq, stats Stats, err error) {
-	p := e.opt.Workers
-	if p < 1 {
-		p = 1
-	}
-	e.log = cluster.NewLog()
-	events, assign, workers, wg := e.spawnWorkers(p, func(w *parWorker) { w.loop() })
-	defer e.watchCancel()()
-
-	// Coordinator.
-	queue := cluster.NewQueue[unit]()
-	for i, u := range e.units {
-		queue.Push(e.ranks[i], u)
-	}
-	idle := make([]bool, p)
-	for i := range idle {
-		idle[i] = true
-	}
-	// Batch size: units are assigned in small batches (Section V-B) so the
-	// coordinator round-trip is paid once per batch, not once per unit.
-	batch := len(e.units) / (8 * p)
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > 64 {
-		batch = 64
-	}
-	feed := func() {
-		for i := 0; i < p; i++ {
-			if !idle[i] {
-				continue
-			}
-			var us []unit
-			for len(us) < batch {
-				u, ok := queue.Pop()
-				if !ok {
-					break
-				}
-				us = append(us, u)
-			}
-			if len(us) == 0 {
-				return
-			}
-			idle[i] = false
-			assign[i] <- wmsg{kind: wmAssign, units: us}
-		}
-	}
-	allIdle := func() bool {
-		for _, b := range idle {
-			if !b {
-				return false
-			}
-		}
-		return true
-	}
-	finish := func(c *eq.Conflict, goal bool, fin *eq.Eq) (*eq.Conflict, bool, *eq.Eq, Stats, error) {
-		return e.finishRun(events, assign, workers, wg, c, goal, fin, nil)
-	}
-	fail := func(err error) (*eq.Conflict, bool, *eq.Eq, Stats, error) {
-		return e.finishRun(events, assign, workers, wg, nil, false, nil, err)
-	}
-
-	feed()
-	// Main loop: dispatch until the queue drains and every worker idles,
-	// then run finalize rounds until the broadcast log is quiescent. Every
-	// quiescence conclusion re-checks failure() first: once stopped is set a
-	// worker abandons its remaining units, so an apparently idle fleet may
-	// hold an incomplete run that must surface as an error, never as an
-	// answer.
-	finalizing := false
-	finalizeReplies := 0
-	finalizeBase := 0
-	for {
-		if !finalizing && queue.Len() == 0 && allIdle() {
-			if err := e.failure(); err != nil {
-				return fail(err)
-			}
-			finalizing = true
-			finalizeReplies = 0
-			finalizeBase = e.log.Len()
-			for i := 0; i < p; i++ {
-				assign[i] <- wmsg{kind: wmFinalize}
-			}
-		}
-		ev := <-events
-		switch ev.kind {
-		case evCanceled, evPanic:
-			return fail(e.failure())
-		case evConflict:
-			return finish(workers[ev.worker].enf.conflict(), false, nil)
-		case evGoal:
-			return finish(nil, true, nil)
-		case evSplit:
-			queue.PushFront(ev.splits...)
-			if finalizing {
-				// A split during finalize cannot happen (no units running),
-				// but guard anyway.
-				finalizing = false
-			}
-			feed()
-		case evDone:
-			idle[ev.worker] = true
-			feed()
-		case evFinalized:
-			finalizeReplies++
-			if finalizeReplies == p {
-				if e.log.Len() == finalizeBase && queue.Len() == 0 {
-					// Quiescent: no conflict, goal not reached. Every worker
-					// has applied the whole log, so worker 0's relation is
-					// the converged global Eq.
-					return finish(nil, false, workers[0].enf.eq)
-				}
-				// New ops appeared during the round (drains fired): repeat.
-				finalizing = false
-			}
-		}
-	}
-}
-
-// runStealing is the shard-aware work-stealing executor. The rank-ordered
-// units are striped round-robin across per-worker deques; each worker pops
-// its own front, steals from peers' backs when dry, and blocks on the
-// condition variable otherwise. TTL-split straggler branches go onto the
-// splitter's own deque front — local, immediately runnable, and stealable
-// by an idle peer — instead of round-tripping through a coordinator. The
-// run()-side goroutine only handles lifecycle: early termination and the
-// finalize rounds once every unit has retired.
-func (e *parEngine) runStealing() (con *eq.Conflict, goalHit bool, final *eq.Eq, stats Stats, err error) {
-	p := e.opt.Workers
-	if p < 1 {
-		p = 1
-	}
-	e.log = cluster.NewLog()
-	st := newStealState[unit](p)
-	e.steal = st
-
-	// Seed: stripe units across deques in global rank order, so every
-	// worker's deque front holds its highest-priority share and the blended
-	// execution order approximates the central queue's.
-	idx := make([]int, len(e.units))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return e.ranks[idx[a]] < e.ranks[idx[b]] })
-	st.pending.Store(int64(len(e.units)))
-	for j, i := range idx {
-		st.deques[j%p].PushBack(e.units[i])
-	}
-
-	events, assign, workers, wg := e.spawnWorkers(p, func(w *parWorker) {
-		w.workPhase()
-		w.events <- cevent{kind: evDone, worker: w.id}
-		w.loop()
+	err = e.pool.run(e.units, func(id int, u unit) error {
+		workers[id].runUnit(u)
+		return workers[id].halted
 	})
-	defer e.watchCancel()()
-	finish := func(c *eq.Conflict, goal bool, fin *eq.Eq) (*eq.Conflict, bool, *eq.Eq, Stats, error) {
-		return e.finishRun(events, assign, workers, wg, c, goal, fin, nil)
+	if err == nil {
+		final, err = e.finalize(workers)
 	}
-	fail := func(err error) (*eq.Conflict, bool, *eq.Eq, Stats, error) {
-		return e.finishRun(events, assign, workers, wg, nil, false, nil, err)
+	for i, w := range workers {
+		w.enf.stats.UnitsStolen = e.pool.stolen[i]
+		stats.Add(w.enf.stats)
 	}
+	stats.Broadcasts = e.log.Appends()
+	stats.DeltaOps = e.log.Len()
+	stats.GroupsShared = e.sharedGroups
+	var h *halt
+	if errors.As(err, &h) {
+		return h.con, h.goal, nil, stats, nil
+	}
+	return nil, false, final, stats, err
+}
 
-	beginFinalize := func() int {
+// finalize runs rounds of one task per Eq replica — apply the whole
+// broadcast log, drain, broadcast what fired — until a round leaves the log
+// unchanged. Every replica has then applied the whole log, so worker 0's
+// relation is the converged global Eq. Each round is bounded by Eq's
+// monotone growth over a finite term set.
+func (e *parEngine) finalize(workers []*parWorker) (*eq.Eq, error) {
+	ids := indexes(len(workers))
+	rounds := newPool[int](e.ctx, len(workers))
+	for {
 		base := e.log.Len()
-		for i := range assign {
-			assign[i] <- wmsg{kind: wmFinalize}
+		err := rounds.run(ids, func(_, i int) error {
+			workers[i].finalize()
+			return workers[i].halted
+		})
+		if err != nil {
+			return nil, err
 		}
-		return base
-	}
-	phaseDone := 0
-	finalizeReplies := 0
-	finalizeBase := 0
-	for {
-		ev := <-events
-		switch ev.kind {
-		case evCanceled, evPanic:
-			return fail(e.failure())
-		case evConflict:
-			return finish(workers[ev.worker].enf.conflict(), false, nil)
-		case evGoal:
-			return finish(nil, true, nil)
-		case evDone:
-			phaseDone++
-			if phaseDone == p {
-				// Every worker left the work phase — either every unit retired
-				// (splits included: a split raises pending before its parent's
-				// retirement can lower it) or the run was stopped and units
-				// were abandoned. Only the former may proceed to finalize; the
-				// latter must surface as the run's failure.
-				if err := e.failure(); err != nil {
-					return fail(err)
-				}
-				finalizeReplies = 0
-				finalizeBase = beginFinalize()
-			}
-		case evFinalized:
-			finalizeReplies++
-			if finalizeReplies == p {
-				if e.log.Len() == finalizeBase {
-					return finish(nil, false, workers[0].enf.eq)
-				}
-				finalizeReplies = 0
-				finalizeBase = beginFinalize()
-			}
+		if e.log.Len() == base {
+			return workers[0].enf.eq, nil
 		}
 	}
-}
-
-// workPhase consumes units until global quiescence or stop.
-func (w *parWorker) workPhase() {
-	for {
-		u, ok := w.take()
-		if !ok {
-			return
-		}
-		w.runUnit(u)
-		w.eng.steal.finishUnit()
-	}
-}
-
-// take returns the next unit to run via the shared work-stealing state,
-// charging steals to the worker's stats.
-func (w *parWorker) take() (unit, bool) {
-	return w.eng.steal.take(w.id, w.eng.stopped.Load, &w.enf.stats.UnitsStolen)
 }
 
 // parWorker is one worker P_i: an Eq replica, a pending index, and a cursor
-// into the broadcast log.
+// into the broadcast log. halted is set (once) when this replica reached a
+// conflict or the goal; the task in progress then winds down and returns it.
 type parWorker struct {
 	id     int
 	eng    *parEngine
 	enf    *enforcer
 	cursor int
-	events chan<- cevent
-	inbox  <-chan wmsg
+	halted error
 }
 
-func newParWorker(id int, eng *parEngine, events chan<- cevent, inbox <-chan wmsg) *parWorker {
+func newParWorker(id int, eng *parEngine) *parWorker {
 	var base *eq.Eq
 	if eng.baseEq != nil {
 		base = eng.baseEq.Clone()
 	}
-	return &parWorker{id: id, eng: eng, enf: newEnforcer(base), events: events, inbox: inbox}
+	return &parWorker{id: id, eng: eng, enf: newEnforcer(base)}
 }
 
-func (w *parWorker) loop() {
-	for msg := range w.inbox {
-		switch msg.kind {
-		case wmStop:
-			return
-		case wmFinalize:
-			if !w.finalize() {
-				// Conflict or goal already reported; keep consuming until
-				// stop arrives.
-				continue
-			}
-			w.events <- cevent{kind: evFinalized, worker: w.id, cursor: w.cursor}
-		case wmAssign:
-			for _, u := range msg.units {
-				if w.eng.stopped.Load() {
-					break
-				}
-				w.runUnit(u)
-			}
-			if w.eng.stopped.Load() {
-				continue
-			}
-			w.events <- cevent{kind: evDone, worker: w.id}
-		}
-	}
+// conflicted records the replica's conflict as the worker's halt and
+// reports false, the "stop" value of the methods below.
+func (w *parWorker) conflicted() bool {
+	w.halted = &halt{con: w.enf.conflict()}
+	return false
 }
 
 // catchUp applies the broadcast log tail and drains re-checks; it reports
-// false when a conflict or the goal emerged (and emits the event).
+// false when a conflict or the goal emerged.
 func (w *parWorker) catchUp() bool {
 	if w.eng.log.Len() <= w.cursor {
 		return true
@@ -933,8 +395,7 @@ func (w *parWorker) catchUp() bool {
 	tail, cur := w.eng.log.ReadFrom(w.cursor)
 	w.cursor = cur
 	if !w.enf.applyRemote(tail) {
-		w.events <- cevent{kind: evConflict, worker: w.id}
-		return false
+		return w.conflicted()
 	}
 	return w.checkGoal()
 }
@@ -950,7 +411,7 @@ func (w *parWorker) broadcast() {
 func (w *parWorker) checkGoal() bool {
 	if w.eng.goal != nil && w.eng.goal(w.enf.eq) {
 		w.broadcast()
-		w.events <- cevent{kind: evGoal, worker: w.id}
+		w.halted = &halt{goal: true}
 		return false
 	}
 	return true
@@ -958,15 +419,15 @@ func (w *parWorker) checkGoal() bool {
 
 // finalize applies the whole log and drains until locally stable,
 // broadcasting anything new that fires.
-func (w *parWorker) finalize() bool {
+func (w *parWorker) finalize() {
 	for {
 		before := w.cursor
 		if !w.catchUp() {
-			return false
+			return
 		}
 		w.broadcast()
 		if w.cursor == before && w.eng.log.Len() <= w.cursor {
-			return true
+			return
 		}
 	}
 }
@@ -999,14 +460,10 @@ func (w *parWorker) runUnit(u unit) {
 	// candidate is generated from an assigned neighbor's adjacency and the
 	// search never leaves the neighborhood. The (shared, read-only)
 	// simulation relation prunes candidates further without per-unit
-	// allocation.
-	var filter func(pattern.Var, graph.NodeID) bool
-	if sim := eng.sims[u.grp]; sim != nil {
-		filter = sim.Has
-	}
-	// The run's context rides into the enumeration so even one huge unit
-	// stops within a bounded number of frame expansions after cancellation.
-	s := match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: filter, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
+	// allocation. The run's context rides into the enumeration so even one
+	// huge unit stops within a bounded number of frame expansions after
+	// cancellation.
+	s := match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: eng.sims[u.grp].Has, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
 
 	if eng.opt.Pipeline {
 		w.runPipelined(u, s)
@@ -1025,13 +482,11 @@ func (w *parWorker) handleMatch(grp int, h match.Assignment) bool {
 	members := w.eng.groups[grp].Members
 	for _, mi := range members {
 		if !w.enf.offer(w.eng.set.GFDs[mi], h) {
-			w.events <- cevent{kind: evConflict, worker: w.id}
-			return false
+			return w.conflicted()
 		}
 	}
 	if !w.enf.drain() {
-		w.events <- cevent{kind: evConflict, worker: w.id}
-		return false
+		return w.conflicted()
 	}
 	w.enf.stats.MatchesReused += len(members) - 1
 	w.broadcast()
@@ -1043,7 +498,8 @@ func (w *parWorker) handleMatch(grp int, h match.Assignment) bool {
 
 // runPipelined streams matches from a producer goroutine into the checking
 // loop (HomMatch ∥ CheckAttr of Fig. 3). The producer owns the search and
-// performs TTL splitting; split seeds flow to the coordinator immediately.
+// performs TTL splitting; the split seeds are pushed to the pool when the
+// unit ends.
 //
 // Units that yield only a couple of matches are handled inline: the
 // producer goroutine is spawned lazily once the unit proves non-trivial, so
@@ -1053,7 +509,7 @@ func (w *parWorker) runPipelined(u unit, s *match.Search) {
 	const inlineBudget = 2
 	start := time.Now()
 	for i := 0; i < inlineBudget; i++ {
-		if w.eng.stopped.Load() {
+		if w.eng.pool.stopping() {
 			return
 		}
 		h, ok := s.Next()
@@ -1082,11 +538,11 @@ func (w *parWorker) runPipelined(u unit, s *match.Search) {
 		// it would crash the process.
 		defer func() {
 			if r := recover(); r != nil {
-				w.eng.recordPanic(w.id, r)
+				w.eng.pool.panicked(w.id, r)
 			}
 		}()
 		for {
-			if stop.Load() || w.eng.stopped.Load() {
+			if stop.Load() || w.eng.pool.stopping() {
 				return
 			}
 			if w.eng.opt.Splitting && w.eng.opt.TTL > 0 && time.Since(start) > w.eng.opt.TTL {
@@ -1127,7 +583,7 @@ func (w *parWorker) runPhased(u unit, s *match.Search) {
 	var split []match.Assignment
 	start := time.Now()
 	for {
-		if w.eng.stopped.Load() {
+		if w.eng.pool.stopping() {
 			return
 		}
 		if w.eng.opt.Splitting && w.eng.opt.TTL > 0 && time.Since(start) > w.eng.opt.TTL {
@@ -1143,7 +599,7 @@ func (w *parWorker) runPhased(u unit, s *match.Search) {
 		all = append(all, h)
 	}
 	for _, h := range all {
-		if w.eng.stopped.Load() {
+		if w.eng.pool.stopping() {
 			return
 		}
 		if !w.handleMatch(u.grp, h) {
@@ -1154,7 +610,7 @@ func (w *parWorker) runPhased(u unit, s *match.Search) {
 }
 
 func (w *parWorker) emitSplits(u unit, seeds []match.Assignment) {
-	if len(seeds) == 0 || w.eng.stopped.Load() {
+	if len(seeds) == 0 || w.eng.pool.stopping() {
 		return
 	}
 	units := make([]unit, len(seeds))
@@ -1162,12 +618,7 @@ func (w *parWorker) emitSplits(u unit, seeds []match.Assignment) {
 		units[i] = unit{grp: u.grp, pivot: u.pivot, seed: sd}
 	}
 	w.enf.stats.UnitsSplit += len(units)
-	if st := w.eng.steal; st != nil {
-		// Work stealing: split branches stay on the splitter's own deque,
-		// runnable immediately and stealable by idle peers — no coordinator
-		// round-trip.
-		st.addWork(w.id, units)
-		return
-	}
-	w.events <- cevent{kind: evSplit, worker: w.id, splits: units}
+	// Split branches stay on the splitter's own deque: runnable immediately,
+	// stealable by idle peers.
+	w.eng.pool.push(w.id, units)
 }

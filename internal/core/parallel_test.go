@@ -11,34 +11,17 @@ import (
 )
 
 // variantOptions enumerates the paper's algorithm variants: full ParSat/
-// ParImp, the np (no pipelining) and nb (no splitting) ablations, plus the
-// no-dependency-order ablation, across worker counts — each under both the
-// central-queue and the work-stealing executor.
+// ParImp and the np (no pipelining) and nb (no splitting) ablations.
 func variantOptions(workers int) map[string]ParOptions {
-	mk := func(pipeline, split, dep bool) ParOptions {
-		return ParOptions{
-			Workers:    workers,
-			TTL:        5 * time.Millisecond,
-			Pipeline:   pipeline,
-			Splitting:  split,
-			DepOrder:   dep,
-			Simulation: true,
-		}
+	mk := func(pipeline, split bool) ParOptions {
+		return ParOptions{Workers: workers, TTL: 5 * time.Millisecond, Pipeline: pipeline, Splitting: split}
 	}
-	out := map[string]ParOptions{
-		"full":    mk(true, true, true),
-		"np":      mk(false, true, true),
-		"nb":      mk(true, false, true),
-		"noorder": mk(true, true, false),
+	return map[string]ParOptions{
+		"full": mk(true, true),
+		"np":   mk(false, true),
+		"nb":   mk(true, false),
+		"npnb": mk(false, false),
 	}
-	// Snapshot the base names first: inserting while ranging over the map
-	// may (per spec) produce or skip the new entries.
-	for _, name := range []string{"full", "np", "nb", "noorder"} {
-		opt := out[name]
-		opt.Stealing = true
-		out["steal-"+name] = opt
-	}
-	return out
 }
 
 func TestParSatAgreesOnPaperExamples(t *testing.T) {
@@ -151,14 +134,11 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 		} else {
 			unsatSeen++
 		}
-		for _, stealing := range []bool{true, false} {
-			opt := DefaultParOptions(3)
-			opt.TTL = 2 * time.Millisecond
-			opt.Stealing = stealing
-			got := ParSat(set, opt)
-			if got.Satisfiable != want.Satisfiable {
-				t.Errorf("trial %d (stealing=%v): ParSat=%v SeqSat=%v\n%s", trial, stealing, got.Satisfiable, want.Satisfiable, set)
-			}
+		opt := DefaultParOptions(3)
+		opt.TTL = 2 * time.Millisecond
+		got := ParSat(set, opt)
+		if got.Satisfiable != want.Satisfiable {
+			t.Errorf("trial %d: ParSat=%v SeqSat=%v\n%s", trial, got.Satisfiable, want.Satisfiable, set)
 		}
 	}
 	if satSeen == 0 || unsatSeen == 0 {
@@ -179,14 +159,11 @@ func TestParImpAgreesOnRandomInstances(t *testing.T) {
 		} else {
 			notSeen++
 		}
-		for _, stealing := range []bool{true, false} {
-			opt := DefaultParOptions(3)
-			opt.TTL = 2 * time.Millisecond
-			opt.Stealing = stealing
-			got := ParImp(set, phi, opt)
-			if got.Implied != want.Implied {
-				t.Errorf("trial %d (stealing=%v): ParImp=%v SeqImp=%v\nΣ:\n%sφ: %s", trial, stealing, got.Implied, want.Implied, set, phi)
-			}
+		opt := DefaultParOptions(3)
+		opt.TTL = 2 * time.Millisecond
+		got := ParImp(set, phi, opt)
+		if got.Implied != want.Implied {
+			t.Errorf("trial %d: ParImp=%v SeqImp=%v\nΣ:\n%sφ: %s", trial, got.Implied, want.Implied, set, phi)
 		}
 	}
 	if impSeen == 0 || notSeen == 0 {
@@ -252,11 +229,10 @@ func TestSplittingProducesSubUnits(t *testing.T) {
 }
 
 // TestStragglerSplitBranchesRequeued is the TTL straggler-splitting
-// contract, checked on both executors: with a tiny TTL every unit splits,
-// the carved-off branches must be re-enqueued and run (a quiescent run
-// executes the original units plus every split branch, so UnitsRun exceeds
-// UnitsSplit), and the verdict must equal SeqSat's with a witness that is
-// still a model.
+// contract: with a tiny TTL every unit splits, the carved-off branches must
+// be pushed back to the pool and run (a quiescent run executes the original
+// units plus every split branch, so UnitsRun exceeds UnitsSplit), and the
+// verdict must equal SeqSat's with a witness that is still a model.
 func TestStragglerSplitBranchesRequeued(t *testing.T) {
 	mkWide := func(name string, val string) *gfd.GFD {
 		p := pattern.New()
@@ -272,57 +248,50 @@ func TestStragglerSplitBranchesRequeued(t *testing.T) {
 		set.Add(mkWide(fmt.Sprintf("w%d", i), "1"))
 	}
 	want := SeqSat(set)
-	for _, stealing := range []bool{true, false} {
-		name := map[bool]string{true: "stealing", false: "central"}[stealing]
-		for _, workers := range []int{1, 4} {
-			opt := DefaultParOptions(workers)
-			opt.Stealing = stealing
-			opt.TTL = 1 * time.Nanosecond // force a split at every check
-			res := ParSat(set, opt)
-			ctx := fmt.Sprintf("%s/p=%d", name, workers)
-			if res.Satisfiable != want.Satisfiable {
-				t.Fatalf("%s: ParSat=%v, SeqSat=%v", ctx, res.Satisfiable, want.Satisfiable)
-			}
-			if res.Model == nil || !IsModel(res.Model, set) {
-				t.Fatalf("%s: witness under aggressive splitting is not a model", ctx)
-			}
-			if res.Stats.UnitsSplit == 0 {
-				t.Fatalf("%s: TTL=1ns produced no splits; the splitting path went untested", ctx)
-			}
-			// Quiescence means every re-enqueued branch ran: total executions
-			// are the original units plus each split branch exactly once.
-			if res.Stats.UnitsRun <= res.Stats.UnitsSplit {
-				t.Fatalf("%s: UnitsRun=%d not above UnitsSplit=%d; split branches were dropped",
-					ctx, res.Stats.UnitsRun, res.Stats.UnitsSplit)
-			}
+	for _, workers := range []int{1, 4} {
+		opt := DefaultParOptions(workers)
+		opt.TTL = 1 * time.Nanosecond // force a split at every check
+		res := ParSat(set, opt)
+		ctx := fmt.Sprintf("p=%d", workers)
+		if res.Satisfiable != want.Satisfiable {
+			t.Fatalf("%s: ParSat=%v, SeqSat=%v", ctx, res.Satisfiable, want.Satisfiable)
+		}
+		if res.Model == nil || !IsModel(res.Model, set) {
+			t.Fatalf("%s: witness under aggressive splitting is not a model", ctx)
+		}
+		if res.Stats.UnitsSplit == 0 {
+			t.Fatalf("%s: TTL=1ns produced no splits; the splitting path went untested", ctx)
+		}
+		// Quiescence means every re-enqueued branch ran: total executions
+		// are the original units plus each split branch exactly once.
+		if res.Stats.UnitsRun <= res.Stats.UnitsSplit {
+			t.Fatalf("%s: UnitsRun=%d not above UnitsSplit=%d; split branches were dropped",
+				ctx, res.Stats.UnitsRun, res.Stats.UnitsSplit)
 		}
 	}
 }
 
-// TestStealingMatchesCentralStats sanity-checks the stealing executor's
-// bookkeeping on a quiescent run: both executors enforce the same matches
-// (Church–Rosser: identical converged relation), and the stealing run's
-// per-unit accounting is self-consistent.
+// TestStealingMatchesCentralStats sanity-checks the executor's bookkeeping
+// on a quiescent run against SeqSat: both enforce the same matches
+// (Church–Rosser: identical converged relation), and the per-unit steal
+// accounting is self-consistent.
 func TestStealingMatchesCentralStats(t *testing.T) {
 	phi5 := gfd.MustNew("phi5", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "0")})
 	phi7 := gfd.MustNew("phi7", q6(), nil, []gfd.Literal{gfd.Const(0, "A", "0"), gfd.Const(1, "B", "1")})
 	set := gfd.NewSet(phi5, phi7)
-	central := DefaultParOptions(4)
-	central.Stealing = false
-	stealing := DefaultParOptions(4)
-	rc := ParSat(set, central)
-	rs := ParSat(set, stealing)
-	if rc.Satisfiable != rs.Satisfiable {
-		t.Fatalf("executors disagree: central=%v stealing=%v", rc.Satisfiable, rs.Satisfiable)
+	seq := SeqSat(set)
+	par := ParSat(set, DefaultParOptions(4))
+	if par.Err != nil {
+		t.Fatalf("ParSat: %v", par.Err)
 	}
-	if rc.Stats.Enforcements != rs.Stats.Enforcements {
-		t.Fatalf("enforcement counts diverge on a quiescent run: central=%d stealing=%d",
-			rc.Stats.Enforcements, rs.Stats.Enforcements)
+	if seq.Satisfiable != par.Satisfiable {
+		t.Fatalf("engines disagree: SeqSat=%v ParSat=%v", seq.Satisfiable, par.Satisfiable)
 	}
-	if rs.Stats.UnitsStolen < 0 || rs.Stats.UnitsStolen > rs.Stats.UnitsRun {
-		t.Fatalf("stolen units %d out of range (run %d)", rs.Stats.UnitsStolen, rs.Stats.UnitsRun)
+	if seq.Stats.Enforcements != par.Stats.Enforcements {
+		t.Fatalf("enforcement counts diverge on a quiescent run: SeqSat=%d ParSat=%d",
+			seq.Stats.Enforcements, par.Stats.Enforcements)
 	}
-	if rc.Stats.UnitsStolen != 0 {
-		t.Fatalf("central executor reported %d stolen units", rc.Stats.UnitsStolen)
+	if par.Stats.UnitsStolen < 0 || par.Stats.UnitsStolen > par.Stats.UnitsRun {
+		t.Fatalf("stolen units %d out of range (run %d)", par.Stats.UnitsStolen, par.Stats.UnitsRun)
 	}
 }

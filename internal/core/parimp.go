@@ -19,17 +19,12 @@ func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	if cp.YDeduced(cp.EqX) {
 		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
 	}
-	eng := &parEngine{
-		opt:    opt,
-		set:    set,
-		g:      cp.Graph,
-		baseEq: cp.EqX,
-		goal:   func(e *eq.Eq) bool { return cp.YDeduced(e) },
-	}
+	eng := newParEngine(opt, set, cp.Graph)
+	eng.baseEq = cp.EqX
+	eng.goal = func(e *eq.Eq) bool { return cp.YDeduced(e) }
 	// Highest unit priority for GFDs whose antecedent X_ψ is subsumed by
 	// Eq_X — they fire immediately on G^X_Q (Section VI-C(a)).
 	eng.high = func(gi int) bool { return xSubsumedByEqX(set.GFDs[gi], cp.EqX) }
-	eng.buildUnits()
 	con, goalHit, _, stats, err := eng.run()
 	switch {
 	case err != nil:

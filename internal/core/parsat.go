@@ -8,8 +8,8 @@ import (
 
 // ParSat decides the satisfiability of Σ with p parallel workers
 // (Section V-B). It is parallel scalable relative to SeqSat: work units —
-// one per (pattern, pivot candidate) — are assigned dynamically from a
-// dependency-ordered priority queue, stragglers are split on a TTL, and
+// one per (pattern, pivot candidate) — are assigned dynamically in
+// dependency order by the worker pool, stragglers are split on a TTL, and
 // workers exchange monotone Eq deltas asynchronously. The outcome equals
 // SeqSat's on every input (Church–Rosser).
 func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
@@ -19,9 +19,7 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 		return &SatResult{Satisfiable: true, Model: m}
 	}
 	cs := canon.BuildSigma(set)
-	eng := &parEngine{opt: opt, set: set, g: cs.Graph}
-	eng.buildUnits()
-	con, _, final, stats, err := eng.run()
+	con, _, final, stats, err := newParEngine(opt, set, cs.Graph).run()
 	if err != nil {
 		return &SatResult{Err: err, Stats: stats}
 	}

@@ -14,9 +14,7 @@ package core
 
 import (
 	"context"
-	"runtime/debug"
 	"sort"
-	"sync"
 
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -26,9 +24,9 @@ import (
 
 // RevalidateOptions configures Revalidate.
 type RevalidateOptions struct {
-	// Workers fans the per-GFD revalidation tasks out over the same
-	// work-stealing executor the reasoning engines use (per-worker deques,
-	// idle workers steal from peer backs); <= 1 runs sequentially.
+	// Workers fans the per-group revalidation tasks out over the same worker
+	// pool the reasoning engines use (per-worker deques, idle workers steal
+	// from peer backs); <= 1 is one worker.
 	Workers int
 	// Plans, when non-nil, resolves each GFD pattern through the compiled
 	// plan cache (pivot/order/label resolution computed once per pattern
@@ -38,10 +36,10 @@ type RevalidateOptions struct {
 	Plans *match.PlanCache
 	// Ctx, when non-nil, cancels the revalidation cooperatively: checked
 	// between groups, inside each group's re-enumeration (match.Options.Ctx),
-	// and by condvar-blocked idle workers on the parallel path. A cancelled
-	// call returns ErrCanceled (or the context's deadline error) with the
-	// stats of the work it finished; the violations slice is meaningless
-	// then. Nil runs without cancellation.
+	// and by condvar-blocked idle workers. A cancelled call returns
+	// ErrCanceled (or the context's deadline error) with the stats of the
+	// work it finished; the violations slice is meaningless then. Nil runs
+	// without cancellation.
 	Ctx context.Context
 	// PerGFD disables shared multi-GFD evaluation: every GFD is revalidated
 	// independently even when several share one pattern structure. Results
@@ -91,19 +89,20 @@ func (s *RevalidateStats) add(other RevalidateStats) {
 //
 // A non-nil error means the call ended without a result: cancellation
 // through Options.Ctx (ErrCanceled or the context's deadline error) or a
-// panic inside a parallel worker (*PanicError). Stats still covers the work
-// completed; the violations slice is nil.
+// panic inside a worker (*PanicError). Stats still covers the work completed;
+// the violations slice is nil.
 func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
 	var stats RevalidateStats
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Bucket Σ by pattern structure: one neighborhood lookup and one
 	// (scoped) re-enumeration serve every GFD sharing the structure, with
 	// per-member literal checks fanned out at each match.
 	groups := grouping(set, opt.PerGFD)
 	n := len(groups)
+	// One task per group on the package's worker pool, which owns failure
+	// isolation and cancellation (first error wins, a panic becomes a
+	// *PanicError, abandoned tasks surface as the canceled error).
+	pl := newPool[int](opt.Ctx, min(opt.Workers, n))
+	ctx := pl.ctx // never nil
 	stats.GFDs = set.Len()
 	stats.Groups = n
 	prevBy := make(map[*gfd.GFD][]Violation, set.Len())
@@ -152,99 +151,14 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 		}
 		return nil
 	}
-	workers := opt.Workers
-	if workers > n {
-		workers = n
+	perStats := make([]RevalidateStats, pl.size())
+	err := pl.run(indexes(n), func(w, gi int) error { return run(gi, &perStats[w]) })
+	for w, s := range perStats {
+		s.UnitsStolen = pl.stolen[w]
+		stats.add(s)
 	}
-	if workers <= 1 {
-		for gi := 0; gi < n; gi++ {
-			if err := run(gi, &stats); err != nil {
-				return nil, stats, err
-			}
-		}
-	} else {
-		st := newStealState[int](workers)
-		st.pending.Store(int64(n))
-		for gi := 0; gi < n; gi++ {
-			st.deques[gi%workers].PushBack(gi)
-		}
-		perStats := make([]RevalidateStats, workers)
-		// First failure wins: a worker that errors (or recovers a panic)
-		// records it and wakes the condvar so idle peers observe stop
-		// instead of sleeping on it.
-		var failMu sync.Mutex
-		var fail error
-		setFail := func(err error) {
-			failMu.Lock()
-			if fail == nil {
-				fail = err
-			}
-			failMu.Unlock()
-			st.wake()
-		}
-		stop := func() bool {
-			failMu.Lock()
-			failed := fail != nil
-			failMu.Unlock()
-			return failed || ctx.Err() != nil
-		}
-		// Workers blocked in the condvar re-check stop only when woken;
-		// propagate context cancellation into a wake.
-		var watchStop chan struct{}
-		if ctx.Done() != nil {
-			watchStop = make(chan struct{})
-			go func() {
-				select {
-				case <-ctx.Done():
-					st.wake()
-				case <-watchStop:
-				}
-			}()
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				// Panic isolation, mirroring the reasoning engines: a panic
-				// in one revalidation task fails the call with the stack
-				// instead of crashing the process.
-				defer func() {
-					if r := recover(); r != nil {
-						setFail(&PanicError{Worker: id, Value: r, Stack: debug.Stack()})
-					}
-				}()
-				for {
-					gi, ok := st.take(id, stop, &perStats[id].UnitsStolen)
-					if !ok {
-						return
-					}
-					if err := run(gi, &perStats[id]); err != nil {
-						setFail(err)
-						return
-					}
-					st.finishUnit()
-				}
-			}(w)
-		}
-		wg.Wait()
-		if watchStop != nil {
-			close(watchStop)
-		}
-		for _, s := range perStats {
-			stats.add(s)
-		}
-		failMu.Lock()
-		err := fail
-		failMu.Unlock()
-		if err == nil && st.pending.Load() != 0 {
-			// Tasks were abandoned; the only way take reports quiescence
-			// with work outstanding is the stop predicate, i.e. the context.
-			err = canceledErr(ctx.Err())
-		}
-		if err != nil {
-			return nil, stats, err
-		}
+	if err != nil {
+		return nil, stats, err
 	}
 	var out []Violation
 	for _, vs := range results {

@@ -211,8 +211,9 @@ func TestRevalidateStolenUnits(t *testing.T) {
 		}
 		stolen += stats.UnitsStolen
 	}
-	// Stealing is timing-dependent (on a single-core runner every worker may
-	// drain its own stripe before idling), so the count is reported rather
-	// than asserted; the equality checks above are the contract.
+	// How much gets stolen is timing-dependent (on a single-core runner every
+	// worker may drain its own stripe before idling), so the count is
+	// reported rather than asserted; the equality checks above are the
+	// contract.
 	t.Logf("units stolen across 8 contended runs: %d", stolen)
 }

@@ -69,8 +69,8 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 }
 
 // TestGroupedSatImpMatchPerGFD pins that ParSat and ParImp return the same
-// answers with shared group evaluation as with the per-GFD ablation, under
-// both executors, on sets where every pattern shape carries several GFDs.
+// answers with shared group evaluation as with the per-GFD ablation, on sets
+// where every pattern shape carries several GFDs.
 // The sequential algorithms are the oracle.
 func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 	groupsShared := 0
@@ -81,29 +81,26 @@ func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 			wantSat := SeqSat(set).Satisfiable
 			phi := gr.ImpliedGFD(set)
 			wantImp := SeqImp(set, phi).Implied
-			for _, stealing := range []bool{false, true} {
-				for _, perGFD := range []bool{false, true} {
-					opt := DefaultParOptions(4)
-					opt.Stealing = stealing
-					opt.PerGFD = perGFD
-					name := fmt.Sprintf("seed=%d conflicts=%d stealing=%v perGFD=%v", seed, conflicts, stealing, perGFD)
-					sr := ParSat(set, opt)
-					if sr.Err != nil {
-						t.Fatalf("%s: ParSat: %v", name, sr.Err)
-					}
-					if sr.Satisfiable != wantSat {
-						t.Fatalf("%s: ParSat=%v, SeqSat=%v", name, sr.Satisfiable, wantSat)
-					}
-					if !perGFD {
-						groupsShared += sr.Stats.GroupsShared
-					}
-					ir := ParImp(set, phi, opt)
-					if ir.Err != nil {
-						t.Fatalf("%s: ParImp: %v", name, ir.Err)
-					}
-					if ir.Implied != wantImp {
-						t.Fatalf("%s: ParImp=%v, SeqImp=%v", name, ir.Implied, wantImp)
-					}
+			for _, perGFD := range []bool{false, true} {
+				opt := DefaultParOptions(4)
+				opt.PerGFD = perGFD
+				name := fmt.Sprintf("seed=%d conflicts=%d perGFD=%v", seed, conflicts, perGFD)
+				sr := ParSat(set, opt)
+				if sr.Err != nil {
+					t.Fatalf("%s: ParSat: %v", name, sr.Err)
+				}
+				if sr.Satisfiable != wantSat {
+					t.Fatalf("%s: ParSat=%v, SeqSat=%v", name, sr.Satisfiable, wantSat)
+				}
+				if !perGFD {
+					groupsShared += sr.Stats.GroupsShared
+				}
+				ir := ParImp(set, phi, opt)
+				if ir.Err != nil {
+					t.Fatalf("%s: ParImp: %v", name, ir.Err)
+				}
+				if ir.Implied != wantImp {
+					t.Fatalf("%s: ParImp=%v, SeqImp=%v", name, ir.Implied, wantImp)
 				}
 			}
 		}

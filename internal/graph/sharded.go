@@ -14,8 +14,8 @@
 //
 // The layer exists for parallel execution: per-shard candidate enumeration
 // lets match fan a root pivot's candidate set out across workers
-// (match.FindAllSharded), the execution layer's work-stealing mode keeps
-// split branches local to a worker, and a future distributed deployment
+// (match.FindAllSharded), the execution layer's worker pool keeps split
+// branches local to a worker, and a future distributed deployment
 // would ship one Shard per machine — the fragmentation the paper runs on 20
 // machines.
 package graph

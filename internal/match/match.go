@@ -764,7 +764,7 @@ func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
 // branch only. It returns nil when there is nothing to split.
 //
 // This implements the paper's straggler handling: a unit exceeding its TTL
-// ships Split() seeds to the coordinator as new work units and finishes only
+// hands Split() seeds back to the scheduler as new work units and finishes only
 // its current subtree.
 func (s *Search) Split() []Assignment {
 	if s.done {

@@ -14,7 +14,7 @@ import (
 var GoroPkgs = "internal/core,internal/match"
 
 // GoroIsolate enforces the worker-isolation contract from the parallel
-// engine (parallel.go): a panic in a worker goroutine must become a
+// engine (core/pool.go): a panic in a worker goroutine must become a
 // PanicError on the run, never a process crash, and every goroutine must
 // have a join or release path (WaitGroup.Done, a channel send/close/receive,
 // a condvar) so the run cannot orphan it. For every `go` statement in the

@@ -11,12 +11,12 @@ import (
 	"repro/tools/gfdlint/internal/lint"
 )
 
-// LockDiscipline enforces the locking rules the work-stealing executor
-// (core/parallel.go, cluster.Deque) relies on:
+// LockDiscipline enforces the locking rules the worker pool
+// (core/pool.go, cluster.Deque) relies on:
 //
 //   - sync.Cond.Wait must be called directly inside a for loop that
 //     re-checks the wait condition — an `if` guard misses spurious wakeups
-//     and the scan-then-sleep race the executor's seq handshake closes.
+//     and the scan-then-sleep race the pool's seq handshake closes.
 //   - a sync.Mutex/RWMutex locked in a function must be released on every
 //     path: a `return` while the lock is held (and no defer-unlock is
 //     registered) is reported, as is falling off the end of the function
@@ -45,7 +45,7 @@ func runLockDiscipline(pass *lint.Pass) {
 				return true
 			}
 			if !waitDirectlyInFor(stack) {
-				pass.Reportf(call.Pos(), "sync.Cond.Wait must run in a for loop re-checking its condition (spurious wakeups; see the executor's seq handshake in core/parallel.go)")
+				pass.Reportf(call.Pos(), "sync.Cond.Wait must run in a for loop re-checking its condition (spurious wakeups; see the pool's seq handshake in core/pool.go)")
 			}
 			return true
 		})

@@ -127,6 +127,22 @@ func pollsThroughHelper(ctx context.Context) int {
 	}
 }
 
+// The helper is a method of a generic type, reached through an
+// instantiation: the summary must resolve it to its declaration.
+type rounds[T any] struct{ ctx context.Context }
+
+func (r *rounds[T]) run() bool { return r.ctx.Err() != nil }
+
+func pollsThroughGenericMethod(r *rounds[int]) int {
+	n := 0
+	for {
+		if r.run() {
+			return n
+		}
+		n = work(n)
+	}
+}
+
 // A stop-named flag Load is the engine's lock-free cancellation check.
 func stopFlagLoop() int {
 	n := 0

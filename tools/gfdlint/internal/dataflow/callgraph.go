@@ -95,11 +95,13 @@ func (cg *CallGraph) ResolveCall(call *ast.CallExpr) *FuncNode {
 		return cg.byLit[fun]
 	case *ast.Ident:
 		if fn, ok := cg.Info.Uses[fun].(*types.Func); ok {
-			return cg.byObj[fn]
+			return cg.byObj[fn.Origin()]
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := cg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return cg.byObj[fn]
+			// Origin: a method reached through an instantiated generic type
+			// (pool[int].run) is a distinct object from its declaration.
+			return cg.byObj[fn.Origin()]
 		}
 	}
 	return nil
