@@ -72,13 +72,10 @@ func BenchmarkFig5SequentialTable(b *testing.B) {
 func benchVaryPSat(b *testing.B, prof *dataset.Profile) {
 	set := benchSet(b, prof, 2*benchN, 6, 5)
 	for _, p := range []int{4, 12, 20} {
-		for _, variant := range []string{"full", "np", "nb"} {
+		for _, variant := range []string{"full", "nb"} {
 			opt := parOpt(p)
-			switch variant {
-			case "np":
-				opt.Pipeline = false
-			case "nb":
-				opt.Splitting = false
+			if variant == "nb" {
+				opt.TTL = 0 // no unit splitting
 			}
 			b.Run(fmt.Sprintf("%s/p=%d", variant, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -92,13 +89,10 @@ func benchVaryPSat(b *testing.B, prof *dataset.Profile) {
 func benchVaryPImp(b *testing.B, prof *dataset.Profile) {
 	set, phi := benchImp(b, prof, 2*benchN, 6, 5)
 	for _, p := range []int{4, 12, 20} {
-		for _, variant := range []string{"full", "np", "nb"} {
+		for _, variant := range []string{"full", "nb"} {
 			opt := parOpt(p)
-			switch variant {
-			case "np":
-				opt.Pipeline = false
-			case "nb":
-				opt.Splitting = false
+			if variant == "nb" {
+				opt.TTL = 0 // no unit splitting
 			}
 			b.Run(fmt.Sprintf("%s/p=%d", variant, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -272,16 +266,15 @@ func benchMatchWorkload(b *testing.B) (*graph.Graph, []*pattern.Pattern) {
 
 // benchMatch fully enumerates every pattern's homomorphisms against the
 // given representation of the workload graph. Full enumeration (rather
-// than a match cap) keeps the modes comparable: all explore exactly the
-// same search tree, so the measured difference is pure per-trial filtering
-// cost.
-func benchMatch(b *testing.B, g graph.Reader, ps []*pattern.Pattern, scan bool) {
+// than a match cap) keeps the representations comparable: both explore
+// exactly the same search tree, so the measured difference is pure
+// per-trial filtering cost.
+func benchMatch(b *testing.B, g graph.Reader, ps []*pattern.Pattern) {
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			s := match.NewSearch(p, g, match.Options{Scan: scan})
-			total += s.CountAll()
+			total += match.NewSearch(p, g, match.Options{}).CountAll()
 		}
 	}
 	if total == 0 {
@@ -293,7 +286,7 @@ func benchMatch(b *testing.B, g graph.Reader, ps []*pattern.Pattern, scan bool) 
 // graph's label-keyed adjacency index with signature pruning.
 func BenchmarkMatchIndexed(b *testing.B) {
 	g, ps := benchMatchWorkload(b)
-	benchMatch(b, g, ps, false)
+	benchMatch(b, g, ps)
 }
 
 // BenchmarkMatchFrozen runs the identical enumeration on the frozen CSR
@@ -303,15 +296,7 @@ func BenchmarkMatchIndexed(b *testing.B) {
 func BenchmarkMatchFrozen(b *testing.B) {
 	g, ps := benchMatchWorkload(b)
 	f := g.Frozen()
-	benchMatch(b, f, ps, false)
-}
-
-// BenchmarkMatchScan is the before-measurement: the same enumeration forced
-// down the pre-index path (linear filtering of raw Out/In slices, linear
-// HasEdge). Compare with BenchmarkMatchIndexed for the index speedup.
-func BenchmarkMatchScan(b *testing.B) {
-	g, ps := benchMatchWorkload(b)
-	benchMatch(b, g, ps, true)
+	benchMatch(b, f, ps)
 }
 
 // BenchmarkMatchSharded fans the same enumeration out per shard of the

@@ -1,0 +1,147 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bin is the gfdreason binary TestMain builds once for every test here.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "gfdreason-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(dir, "gfdreason")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// Inputs small enough to decide by eye.
+const (
+	// Every n node gets k = 1: satisfiable.
+	sigmaSat = "gfd one\nvar x n\nthen x.k = \"1\"\nend\n"
+	// ... and k = 2 as well: the two rules conflict on x.k.
+	sigmaUnsat = sigmaSat + "gfd two\nvar x n\nthen x.k = \"2\"\nend\n"
+	// Follows from sigmaSat; nothing in sigmaSat speaks about x.j.
+	targetImplied    = "gfd t\nvar x n\nthen x.k = \"1\"\nend\n"
+	targetNotImplied = "gfd t\nvar x n\nthen x.j = \"1\"\nend\n"
+	graphClean       = "node 0 n k=1\nnode 1 m k=7\n"
+	graphDirty       = "node 0 n k=1\nnode 1 n k=7\n"
+	sigmaDupVar      = "gfd g\nvar x a\nvar x b\nend\n"
+	sigmaNoVars      = "gfd g\nend\n"
+)
+
+// gfdreason runs the built binary and returns stdout, stderr and the exit
+// code.
+func gfdreason(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("gfdreason %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return stdout.String(), stderr.String(), code
+}
+
+func write(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.txt")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// engines are the flag sets selecting each sat/imp engine configuration.
+var engines = [][]string{{"-p", "1"}, {"-p", "4"}, {"-seq"}}
+
+// argv assembles "cmd engine-flags files...".
+func argv(cmd string, eng []string, files ...string) []string {
+	return append(append([]string{cmd}, eng...), files...)
+}
+
+func TestSat(t *testing.T) {
+	sat, unsat := write(t, sigmaSat), write(t, sigmaUnsat)
+	for _, eng := range engines {
+		out, _, code := gfdreason(t, argv("sat", eng, sat)...)
+		if code != 0 || out != "SATISFIABLE\n" {
+			t.Errorf("sat %v: exit %d, stdout %q; want 0, SATISFIABLE", eng, code, out)
+		}
+		out, _, code = gfdreason(t, argv("sat", eng, unsat)...)
+		if code != 1 || !strings.HasPrefix(out, "UNSATISFIABLE: ") || !strings.Contains(out, "k") {
+			t.Errorf("sat %v on the conflicting set: exit %d, stdout %q; want 1, UNSATISFIABLE naming attribute k", eng, code, out)
+		}
+	}
+}
+
+func TestImp(t *testing.T) {
+	sigma, yes, no := write(t, sigmaSat), write(t, targetImplied), write(t, targetNotImplied)
+	for _, eng := range append(engines, []string{"-baseline"}) {
+		out, _, code := gfdreason(t, argv("imp", eng, sigma, yes)...)
+		if code != 0 || !strings.HasPrefix(out, "IMPLIED (") {
+			t.Errorf("imp %v: exit %d, stdout %q; want 0, IMPLIED", eng, code, out)
+		}
+		out, _, code = gfdreason(t, argv("imp", eng, sigma, no)...)
+		if code != 1 || out != "NOT-IMPLIED\n" {
+			t.Errorf("imp %v on the unrelated target: exit %d, stdout %q; want 1, NOT-IMPLIED", eng, code, out)
+		}
+	}
+}
+
+func TestCheck(t *testing.T) {
+	sigma := write(t, sigmaSat)
+	out, _, code := gfdreason(t, "check", sigma, write(t, graphClean))
+	if code != 0 || !strings.HasPrefix(out, "CLEAN") {
+		t.Errorf("check on the clean graph: exit %d, stdout %q; want 0, CLEAN", code, out)
+	}
+	out, _, code = gfdreason(t, "check", sigma, write(t, graphDirty))
+	if code != 1 || out != "violation of one at [1]\n" {
+		t.Errorf("check on the dirty graph: exit %d, stdout %q; want 1 and the violation at node 1", code, out)
+	}
+}
+
+// TestMalformedSigma pins that outside input the parser must refuse — a
+// repeated variable name, a pattern with no variables — is a one-line parse
+// error with exit 2 on every engine, never a goroutine trace.
+func TestMalformedSigma(t *testing.T) {
+	for name, content := range map[string]string{"duplicate var": sigmaDupVar, "no variables": sigmaNoVars} {
+		path := write(t, content)
+		for _, eng := range engines {
+			out, errOut, code := gfdreason(t, argv("sat", eng, path)...)
+			if code != 2 || out != "" {
+				t.Errorf("%s, sat %v: exit %d, stdout %q; want 2 and no verdict", name, eng, code, out)
+			}
+			if !strings.HasPrefix(errOut, "parse ") || strings.Count(errOut, "\n") != 1 || strings.Contains(errOut, "goroutine") {
+				t.Errorf("%s, sat %v: stderr %q; want one \"parse ...\" line", name, eng, errOut)
+			}
+		}
+	}
+}
+
+func TestTimeout(t *testing.T) {
+	out, errOut, code := gfdreason(t, "sat", "-timeout", "1ns", write(t, sigmaSat))
+	if code != 3 || out != "" || !strings.HasPrefix(errOut, "timeout: ") {
+		t.Errorf("sat -timeout 1ns: exit %d, stdout %q, stderr %q; want 3, no verdict, a timeout note", code, out, errOut)
+	}
+}

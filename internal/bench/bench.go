@@ -180,6 +180,12 @@ func parOpt(workers int) core.ParOptions {
 	return opt
 }
 
+// noSplit is opt with unit splitting off (TTL = 0): the paper's _nb series.
+func noSplit(opt core.ParOptions) core.ParOptions {
+	opt.TTL = 0
+	return opt
+}
+
 // Fig5 reproduces the sequential-running-time table: SeqSat, SeqImp and
 // ParImpRDF on the three datasets' GFDs.
 func Fig5(cfg Config) *Report {
@@ -208,7 +214,8 @@ func Fig5(cfg Config) *Report {
 // workersSweep is the p axis of Exp-1 (Figures 6(a)-(d)).
 var workersSweep = []int{4, 8, 12, 16, 20}
 
-// varyPSat reproduces Fig 6(a)/(b): ParSat and its np/nb ablations vs p.
+// varyPSat reproduces Fig 6(a)/(b): ParSat with and without unit splitting
+// (the paper's _nb series) vs p.
 // The vary-p figures double the workload scale: parallel speedup needs
 // enough matching work per worker to amortize coordination.
 func varyPSat(cfg Config, name string, prof *dataset.Profile) *Report {
@@ -218,22 +225,18 @@ func varyPSat(cfg Config, name string, prof *dataset.Profile) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying p, satisfiability, %s GFDs (ms)", prof.Name),
-		Header: []string{"p", "ParSat", "ParSat_np", "ParSat_nb"},
+		Header: []string{"p", "ParSat", "ParSat_nb"},
 	}
 	for _, p := range workersSweep {
 		full := parOpt(p)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(p),
 			ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, np) })),
 			ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })),
 		})
 	}
-	r.Notes = append(r.Notes, "paper shape: ParSat ~3.2-3.7x faster from p=4 to 20; full beats np and nb")
+	r.Notes = append(r.Notes, "paper shape: ParSat ~3.2-3.7x faster from p=4 to 20; full beats nb")
 	return r
 }
 
@@ -243,7 +246,8 @@ func Fig6a(cfg Config) *Report { return varyPSat(cfg, "Fig6a", dataset.DBpedia()
 // Fig6b is ParSat vs p on YAGO2 GFDs.
 func Fig6b(cfg Config) *Report { return varyPSat(cfg, "Fig6b", dataset.YAGO2()) }
 
-// varyPImp reproduces Fig 6(c)/(d): ParImp and ablations vs p.
+// varyPImp reproduces Fig 6(c)/(d): ParImp with and without unit splitting
+// vs p.
 func varyPImp(cfg Config, name string, prof *dataset.Profile) *Report {
 	cfg = cfg.withDefaults()
 	// Implication runs on the small canonical graph G^X_Q, so matching
@@ -253,18 +257,14 @@ func varyPImp(cfg Config, name string, prof *dataset.Profile) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying p, implication, %s GFDs (ms)", prof.Name),
-		Header: []string{"p", "ParImp", "ParImp_np", "ParImp_nb"},
+		Header: []string{"p", "ParImp", "ParImp_nb"},
 	}
 	for _, p := range workersSweep {
 		full := parOpt(p)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(p),
 			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, np) })),
 			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })),
 		})
 	}
@@ -288,21 +288,17 @@ func Fig6e(cfg Config) *Report {
 	r := &Report{
 		Name:   "Fig6e",
 		Title:  "Varying |Σ|, satisfiability, synthetic GFDs (ms)",
-		Header: []string{"|Σ|", "SeqSat", "ParSat", "ParSat_np", "ParSat_nb"},
+		Header: []string{"|Σ|", "SeqSat", "ParSat", "ParSat_nb"},
 	}
 	for _, n := range sigmaSweep {
 		g := gen.New(gen.Config{N: cfg.scaled(n), K: 6, L: 5, Seed: cfg.Seed})
 		set := g.Set()
 		full := parOpt(4)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(cfg.scaled(n)),
 			ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
 			ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, np) })),
 			ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })),
 		})
 	}
@@ -316,21 +312,17 @@ func Fig6f(cfg Config) *Report {
 	r := &Report{
 		Name:   "Fig6f",
 		Title:  "Varying |Σ|, implication, synthetic GFDs (ms)",
-		Header: []string{"|Σ|", "SeqImp", "ParImp", "ParImp_np", "ParImp_nb", "ParImpRDF"},
+		Header: []string{"|Σ|", "SeqImp", "ParImp", "ParImp_nb", "ParImpRDF"},
 	}
 	for _, n := range sigmaSweep {
 		g := gen.New(gen.Config{N: cfg.scaled(n), K: 6, L: 5, WildcardRate: 0.4, Seed: cfg.Seed})
 		set, phi := g.ImpInstance(6)
 		full := parOpt(4)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(cfg.scaled(n)),
 			ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
 			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, np) })),
 			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })),
 			ms(medianTime(cfg.Reps, func() { rdfchase.Implies(set, phi) })),
 		})
@@ -352,7 +344,7 @@ func varyK(cfg Config, name string, imp bool) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying k (pattern size), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"k", "Seq", "Par", "Par_np", "Par_nb"},
+		Header: []string{"k", "Seq", "Par", "Par_nb"},
 	}
 	n := cfg.scaled(5000)
 	for _, k := range kSweep {
@@ -367,22 +359,17 @@ func varyK(cfg Config, name string, imp bool) *Report {
 			set = g.Set()
 		}
 		full := parOpt(4)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		row := []string{fmt.Sprint(k)}
 		if imp {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
 				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, np) })),
 				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })))
 		} else {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
 				ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, np) })),
 				ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })))
 		}
 		r.Rows = append(r.Rows, row)
@@ -410,7 +397,7 @@ func varyL(cfg Config, name string, imp bool) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying l (literals), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"l", "Seq", "Par", "Par_np", "Par_nb"},
+		Header: []string{"l", "Seq", "Par", "Par_nb"},
 	}
 	n := cfg.scaled(5000)
 	for _, l := range lSweep {
@@ -425,22 +412,17 @@ func varyL(cfg Config, name string, imp bool) *Report {
 			set = g.Set()
 		}
 		full := parOpt(4)
-		np := full
-		np.Pipeline = false
-		nb := full
-		nb.Splitting = false
+		nb := noSplit(full)
 		row := []string{fmt.Sprint(l)}
 		if imp {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
 				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, np) })),
 				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })))
 		} else {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
 				ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, np) })),
 				ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })))
 		}
 		r.Rows = append(r.Rows, row)
@@ -478,7 +460,7 @@ func varyTTL(cfg Config, name string, imp bool) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying TTL, %s, DBpedia GFDs (ms)", mode),
-		Header: []string{"TTL(ms)", "Par", "Par_np", "splits"},
+		Header: []string{"TTL(ms)", "Par", "splits"},
 	}
 	g := gen.New(gen.Config{N: cfg.scaled(5000), K: 6, L: 3, Profile: dataset.DBpedia(), Seed: cfg.Seed})
 	var (
@@ -493,20 +475,16 @@ func varyTTL(cfg Config, name string, imp bool) *Report {
 	for _, ttl := range ttlSweep {
 		full := parOpt(4)
 		full.TTL = ttl
-		np := full
-		np.Pipeline = false
 		var splits int
-		var tFull, tNp time.Duration
+		var tFull time.Duration
 		if imp {
 			tFull = medianTime(cfg.Reps, func() { splits = core.ParImp(set, phi, full).Stats.UnitsSplit })
-			tNp = medianTime(cfg.Reps, func() { core.ParImp(set, phi, np) })
 		} else {
 			tFull = medianTime(cfg.Reps, func() { splits = core.ParSat(set, full).Stats.UnitsSplit })
-			tNp = medianTime(cfg.Reps, func() { core.ParSat(set, np) })
 		}
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%.2f", float64(ttl.Microseconds())/1000),
-			ms(tFull), ms(tNp), fmt.Sprint(splits),
+			ms(tFull), fmt.Sprint(splits),
 		})
 	}
 	r.Notes = append(r.Notes,
@@ -521,20 +499,19 @@ func Fig6k(cfg Config) *Report { return varyTTL(cfg, "Fig6k", false) }
 // Fig6l is Exp-4 varying TTL for implication.
 func Fig6l(cfg Config) *Report { return varyTTL(cfg, "Fig6l", true) }
 
-// MatchIndex measures the matching hot path across the three modes —
-// frozen CSR snapshot, mutable indexed graph, and the pre-index scan mode
-// (match.Options.Scan) — across edge densities: DenseGraph data graphs
-// plus the generator-schema triangle patterns whose closing edge rejects
-// most partial assignments. This is the repo's own experiment (not a paper
-// figure) validating the two-representation storage layer; the root
-// BenchmarkMatchIndexed/Frozen/Scan triple measures the same workload
-// under `go test -bench`.
+// MatchIndex measures the matching hot path on the two graph
+// representations — frozen CSR snapshot and mutable indexed graph — across
+// edge densities: DenseGraph data graphs plus the generator-schema triangle
+// patterns whose closing edge rejects most partial assignments. This is the
+// repo's own experiment (not a paper figure) validating the
+// two-representation storage layer; the root BenchmarkMatchIndexed/Frozen
+// pair measures the same workload under `go test -bench`.
 func MatchIndex(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	r := &Report{
 		Name:   "MatchIndex",
-		Title:  "Frozen vs indexed vs scan-mode pattern matching, label-dense graphs (ms)",
-		Header: []string{"degree", "frozen", "indexed", "scan", "scan/idx", "idx/frz"},
+		Title:  "Frozen vs indexed pattern matching, label-dense graphs (ms)",
+		Header: []string{"degree", "frozen", "indexed", "idx/frz"},
 	}
 	for _, deg := range []int{16, 32, 64} {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: cfg.Seed})
@@ -544,33 +521,26 @@ func MatchIndex(cfg Config) *Report {
 		if len(ps) == 0 {
 			// A schema without triangles (possible for unusual seeds) would
 			// time empty loops and report a vacuous speedup; say so instead.
-			r.Rows = append(r.Rows, []string{fmt.Sprint(deg), "-", "-", "-", "-", "no triangles"})
+			r.Rows = append(r.Rows, []string{fmt.Sprint(deg), "-", "-", "no triangles"})
 			continue
 		}
-		run := func(data graph.Reader, scan bool) time.Duration {
+		run := func(data graph.Reader) time.Duration {
 			return medianTime(cfg.Reps, func() {
 				for _, p := range ps {
-					s := match.NewSearch(p, data, match.Options{Scan: scan})
-					s.CountAll()
+					match.NewSearch(p, data, match.Options{}).CountAll()
 				}
 			})
 		}
-		frozen, indexed, scan := run(f, false), run(g, false), run(g, true)
-		ratio := func(a, b time.Duration) string {
-			if b == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1fx", float64(a)/float64(b))
+		frozen, indexed := run(f), run(g)
+		ratio := "-"
+		if frozen != 0 {
+			ratio = fmt.Sprintf("%.1fx", float64(indexed)/float64(frozen))
 		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprint(deg), ms(frozen), ms(indexed), ms(scan),
-			ratio(scan, indexed), ratio(indexed, frozen),
-		})
+		r.Rows = append(r.Rows, []string{fmt.Sprint(deg), ms(frozen), ms(indexed), ratio})
 	}
 	r.Notes = append(r.Notes,
-		"scan = pre-index path: raw Out/In filtering, linear HasEdge, no signature pruning",
 		"frozen = the same search on the CSR snapshot (Builder.Freeze of the same graph)",
-		"full enumeration (no cap): all modes explore the identical search tree")
+		"full enumeration (no cap): both representations explore the identical search tree")
 	return r
 }
 
@@ -698,12 +668,11 @@ func Incremental(cfg Config) *Report {
 	return r
 }
 
-// Adaptive reports the two comparisons the adaptive matching layer claims,
-// at report scale: the kernel picker (gallop/bitset/merge per frame) against
-// the merge-only ablation on the skewed hub triangle, and the warm
-// compiled-plan cache against per-query planning on the repeated-query
-// workload. The CI gate tracks the same two ratios (match_adaptive_speedup,
-// plan_cache_speedup) on the same workloads.
+// Adaptive reports the adaptive matching layer at report scale: the time of
+// the kernel picker (gallop/bitset/merge per frame) on the skewed hub
+// triangle, and the warm compiled-plan cache against per-query planning on
+// the repeated-query workload. The CI suite tracks the same numbers
+// (match_adaptive_ms, plan_cache_speedup) on the same workloads.
 func Adaptive(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	r := &Report{
@@ -722,10 +691,8 @@ func Adaptive(cfg Config) *Report {
 	af, ap := AdaptiveWorkload(cfg.Seed)
 	count := match.NewSearch(ap, af, match.Options{}).CountAll()
 	adaptiveT := minTime(reps, func() { match.NewSearch(ap, af, match.Options{}).CountAll() })
-	mergeT := minTime(cfg.Reps, func() { match.NewSearch(ap, af, match.Options{MergeOnly: true}).CountAll() })
 	r.Rows = append(r.Rows, []string{
-		"kernels (merge-only vs adaptive)", ms(mergeT), ms(adaptiveT), ratio(mergeT, adaptiveT),
-		fmt.Sprintf("%d", count),
+		"kernels (hub triangle)", "-", ms(adaptiveT), "-", fmt.Sprintf("%d", count),
 	})
 
 	pf, pps, err := PlanWorkload(cfg.Seed)
@@ -742,7 +709,7 @@ func Adaptive(cfg Config) *Report {
 		fmt.Sprintf("%d", planCount),
 	})
 	r.Notes = append(r.Notes,
-		"kernels row: same triangle enumeration with the gallop/bitset paths disabled vs the per-frame picker",
+		"kernels row: the skewed triangle enumeration under the per-frame kernel picker (no baseline column)",
 		"plans row: per-query planning vs PlanCache.Get per query against a warm cache (probe cost included)")
 	return r
 }
@@ -750,24 +717,18 @@ func Adaptive(cfg Config) *Report {
 // MultiGFD is the repo's own shared-evaluation experiment (not a paper
 // figure): grouped multi-GFD validation — each distinct pattern structure
 // enumerated once, literal checks fanned out per member through the
-// compiled evaluator — against the per-GFD ablation, on the shared
-// validation workload (~8 GFDs per schema triangle, half of them rebuilt
-// structurally equal pattern values). Times ride with allocation counts:
-// the grouped path's steady state interns attribute keys into scratch
-// slots instead of re-walking attribute maps per GFD. The CI gate tracks
-// the same ratio (multi_gfd_speedup) on the same workload.
+// compiled evaluator — on the shared validation workload (~8 GFDs per
+// schema triangle, half of them rebuilt structurally equal pattern values).
+// The time rides with the allocation count: the steady state interns
+// attribute keys into scratch slots instead of re-walking attribute maps
+// per GFD. The CI suite tracks the same numbers (multi_gfd_grouped_ms,
+// multi_gfd_grouped_allocs) on the same workload.
 func MultiGFD(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	r := &Report{
 		Name:   "MultiGFD",
-		Title:  "shared multi-GFD evaluation vs the per-GFD ablation",
-		Header: []string{"comparison", "per-GFD", "grouped", "speedup", "sharing"},
-	}
-	ratio := func(a, b time.Duration) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(a)/float64(b))
+		Title:  "shared multi-GFD evaluation",
+		Header: []string{"workload", "ms", "allocs/op", "sharing"},
 	}
 	set, f, err := MultiGFDWorkload(cfg.Seed)
 	if err != nil {
@@ -780,28 +741,14 @@ func MultiGFD(cfg Config) *Report {
 		r.Notes = append(r.Notes, fmt.Sprintf("validation failed: %v", verr))
 		return r
 	}
-	reps := 4*cfg.Reps + 3
-	perT := minTime(cfg.Reps, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{PerGFD: true}) })
-	grpT := minTime(reps, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{}) })
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("violations (%d GFDs)", set.Len()), ms(perT), ms(grpT), ratio(perT, grpT),
-		fmt.Sprintf("%d groups, %d shared, %d reused", st.Groups, st.SharedGFDs, st.MatchesReused),
-	})
-	perA := allocsPerOp(cfg.Reps, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{PerGFD: true}) })
+	grpT := minTime(4*cfg.Reps+3, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{}) })
 	grpA := allocsPerOp(cfg.Reps, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{}) })
 	r.Rows = append(r.Rows, []string{
-		"allocs/op", fmt.Sprintf("%.0f", perA), fmt.Sprintf("%.0f", grpA),
-		func() string {
-			if grpA == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1fx", perA/grpA)
-		}(), "-",
+		fmt.Sprintf("violations (%d GFDs)", set.Len()), ms(grpT), fmt.Sprintf("%.0f", grpA),
+		fmt.Sprintf("%d groups, %d shared, %d reused", st.Groups, st.SharedGFDs, st.MatchesReused),
 	})
 	r.Notes = append(r.Notes,
-		"grouped = ViolationsOpts default: one enumeration per pattern structure, compiled literal fan-out",
-		"per-GFD = VerifyOptions.PerGFD ablation: every GFD enumerated independently",
-		"both paths return identical violation lists (checked by the CI gate and the equivalence tests)")
+		"one enumeration per pattern structure, compiled literal fan-out per member GFD")
 	return r
 }
 

@@ -361,26 +361,6 @@ func MultiGFDWorkload(seed int64) (*gfd.Set, *graph.Frozen, error) {
 	return nil, nil, fmt.Errorf("no shared multi-GFD workload within seeds [%d,%d)", seed, seed+16)
 }
 
-// sameViolations reports whether two violation lists agree violation for
-// violation — GFD identity and match bindings, in order. The multi-GFD gate
-// only times code paths this check has proven equivalent.
-func sameViolations(a, b []core.Violation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].GFD != b[i].GFD || len(a[i].Match) != len(b[i].Match) {
-			return false
-		}
-		for j := range a[i].Match {
-			if a[i].Match[j] != b[i].Match[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // allocsPerOp measures steady-state heap allocations per call of f. One
 // warm-up call runs first so lazily built structures (plans, compiled
 // literal programs, scratch) are excluded — the steady state is what the
@@ -419,13 +399,13 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 }
 
 // RunCI measures the CI metric suite: freeze-vs-incremental bulk ingest on
-// the 100k-edge hub-heavy graph, the matching hot path across the
-// three modes (frozen CSR, mutable indexed, pre-index scan) on the
-// label-dense triangle workload, the sharded parallel fan-out against the
-// flat single-threaded enumeration of the same workload, the adaptive
-// intersection kernels against the merge-only ablation on the skewed hub
-// workload, the warm plan cache against per-query planning, ParSat's
-// absolute time and cancellation latency, the incremental re-freeze
+// the 100k-edge hub-heavy graph, the matching hot path on both
+// representations (frozen CSR, mutable indexed) on the label-dense triangle
+// workload, the sharded parallel fan-out against the flat single-threaded
+// enumeration of the same workload, the adaptive intersection kernels on the
+// skewed hub workload, the warm plan cache against per-query planning,
+// grouped multi-GFD validation, ParSat's absolute time and cancellation
+// latency, the incremental re-freeze
 // against a from-scratch rebuild of the same final state, incremental
 // revalidation against full re-validation after a
 // small delta, and the persistence metrics (snapshot load vs
@@ -467,20 +447,17 @@ func RunCI(cfg Config) (*CIReport, error) {
 		return report, fmt.Errorf("cannot measure match metrics: %v", err)
 	}
 	f := g.Frozen()
-	matchAll := func(data graph.Reader, scan bool) time.Duration {
+	matchAll := func(data graph.Reader) time.Duration {
 		return medianTime(cfg.Reps, func() {
 			for _, p := range ps {
-				s := match.NewSearch(p, data, match.Options{Scan: scan})
-				s.CountAll()
+				match.NewSearch(p, data, match.Options{}).CountAll()
 			}
 		})
 	}
-	frozen, indexed, scan := matchAll(f, false), matchAll(g, false), matchAll(g, true)
-	gauge("match_indexed_speedup", scan, indexed)
+	frozen, indexed := matchAll(f), matchAll(g)
 	gauge("match_frozen_gain", indexed, frozen)
 	info("match_frozen_ms", frozen)
 	info("match_indexed_ms", indexed)
-	info("match_scan_ms", scan)
 	infoAllocs("match_frozen_allocs", allocsPerOp(cfg.Reps, func() {
 		for _, p := range ps {
 			match.NewSearch(p, f, match.Options{}).CountAll()
@@ -508,24 +485,14 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// long as one rep runs clean — and gets extra reps to make that likely.
 	incrReps := 4*cfg.Reps + 3
 
-	// Adaptive intersection kernels vs the merge-only ablation on the
-	// skewed-operand triangle: both sides enumerate the same matches
-	// (checked below — a gate comparing different answers measures
-	// nothing), single-threaded over the same snapshot, so the ratio is
-	// machine-independent and its baseline floor enforces that the kernel
-	// picker keeps beating the plain merge where the skew says it must.
+	// The intersection kernels on the skewed-operand triangle, where the
+	// picker gallops a handful of candidates through hub adjacency runs.
 	af, ap := AdaptiveWorkload(cfg.Seed)
-	countTriangles := func(opts match.Options) int {
-		return match.NewSearch(ap, af, opts).CountAll()
+	countTriangles := func() int { return match.NewSearch(ap, af, match.Options{}).CountAll() }
+	if countTriangles() == 0 {
+		return report, fmt.Errorf("adaptive workload broken: the hub triangle has no match")
 	}
-	if a, m := countTriangles(match.Options{}), countTriangles(match.Options{MergeOnly: true}); a != m || a == 0 {
-		return report, fmt.Errorf("adaptive workload broken: adaptive found %d matches, merge-only %d", a, m)
-	}
-	adaptiveT := minTime(incrReps, func() { countTriangles(match.Options{}) })
-	mergeT := minTime(cfg.Reps, func() { countTriangles(match.Options{MergeOnly: true}) })
-	gauge("match_adaptive_speedup", mergeT, adaptiveT)
-	info("match_adaptive_ms", adaptiveT)
-	info("match_merge_only_ms", mergeT)
+	info("match_adaptive_ms", minTime(incrReps, func() { countTriangles() }))
 
 	// Warm plan cache vs per-query planning on the repeated-query workload.
 	// The warm loop includes the per-query cache probe — the cost a real
@@ -627,42 +594,25 @@ func RunCI(cfg Config) (*CIReport, error) {
 	info("incr_validate_ms", incrValT)
 	info("full_validate_ms", fullValT)
 
-	// Shared multi-GFD evaluation vs the per-GFD ablation: ~8 GFDs per
-	// pattern structure, so the grouped path enumerates each pattern once
-	// where the ablation enumerates it eight times. Both sides are
-	// single-threaded and deterministic over the same snapshot, making the
-	// ratio machine-independent; the equal-results check proves the two
-	// paths agree violation for violation before anything is timed.
+	// Shared multi-GFD evaluation: ~8 GFDs per pattern structure, each
+	// structure enumerated once.
 	mset, mg, err := MultiGFDWorkload(cfg.Seed)
 	if err != nil {
 		return report, fmt.Errorf("cannot build the multi-GFD workload: %v", err)
 	}
 	bg := context.Background()
-	grouped, gst, gerr := core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
-	ablation, _, aerr := core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{PerGFD: true})
-	if gerr != nil || aerr != nil {
-		return report, fmt.Errorf("multi-GFD workload failed: grouped %v, per-GFD %v", gerr, aerr)
-	}
-	if !sameViolations(grouped, ablation) {
-		return report, fmt.Errorf("multi-GFD workload broken: grouped found %d violations, per-GFD %d — paths disagree", len(grouped), len(ablation))
+	_, gst, gerr := core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
+	if gerr != nil {
+		return report, fmt.Errorf("multi-GFD workload failed: %v", gerr)
 	}
 	if gst.SharedGFDs == 0 {
 		return report, fmt.Errorf("multi-GFD workload vacuous: no GFD shared a pattern group (%d groups over %d GFDs)", gst.Groups, mset.Len())
 	}
-	perGFDT := minTime(cfg.Reps, func() {
-		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{PerGFD: true})
-	})
-	groupedT := minTime(incrReps, func() {
-		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
-	})
-	gauge("multi_gfd_speedup", perGFDT, groupedT)
-	info("multi_gfd_grouped_ms", groupedT)
-	info("multi_gfd_pergfd_ms", perGFDT)
-	infoAllocs("multi_gfd_grouped_allocs", allocsPerOp(cfg.Reps, func() {
+	info("multi_gfd_grouped_ms", minTime(incrReps, func() {
 		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
 	}))
-	infoAllocs("multi_gfd_pergfd_allocs", allocsPerOp(cfg.Reps, func() {
-		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{PerGFD: true})
+	infoAllocs("multi_gfd_grouped_allocs", allocsPerOp(cfg.Reps, func() {
+		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
 	}))
 
 	// Snapshot load vs the same rebuild-from-edges the freeze metric timed:

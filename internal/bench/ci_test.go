@@ -112,7 +112,9 @@ func TestCIReportRoundTrip(t *testing.T) {
 
 // TestRunCISmoke runs the real metric suite at a single rep and checks the
 // invariants the CI gate depends on: all gating metrics present and
-// positive.
+// positive, and every entry of the checked-in baseline — informational ones
+// too, which CompareCI skips before its missing-metric check — naming a
+// metric the suite still emits.
 func TestRunCISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark suite in -short mode")
@@ -122,9 +124,9 @@ func TestRunCISmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"freeze_ingest_speedup", "match_indexed_speedup", "match_frozen_gain",
-		"match_sharded_speedup", "match_adaptive_speedup", "plan_cache_speedup",
-		"refreeze_speedup", "incr_validate_speedup",
+		"freeze_ingest_speedup", "match_frozen_gain", "match_sharded_speedup",
+		"plan_cache_speedup", "refreeze_speedup", "incr_validate_speedup",
+		"snapshot_load_speedup", "compact_refreeze_speedup",
 	} {
 		m, ok := r.Get(name)
 		if !ok {
@@ -135,6 +137,18 @@ func TestRunCISmoke(t *testing.T) {
 		}
 		if m.Value <= 0 {
 			t.Fatalf("gating metric %s not positive: %v", name, m.Value)
+		}
+	}
+	baseline, err := ReadCIReport("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range baseline.Metrics {
+		m, ok := r.Get(b.Name)
+		if !ok {
+			t.Errorf("BENCH_baseline.json names %s, which RunCI no longer emits", b.Name)
+		} else if m.Informational != b.Informational {
+			t.Errorf("%s: baseline informational=%v, RunCI informational=%v", b.Name, b.Informational, m.Informational)
 		}
 	}
 	if out := r.Format(); !strings.Contains(out, "freeze_ingest_speedup") {

@@ -19,11 +19,10 @@ import (
 // caller gave up" from "the time budget ran out".
 var ErrCanceled = errors.New("core: run canceled")
 
-// PanicError is a panic raised inside one parallel worker (or its pipelined
-// match producer), recovered at the goroutine boundary and converted into a
-// run-level failure: the run's siblings are canceled, the run returns this
-// error, and the process stays alive. Stack is the panicking goroutine's
-// stack at recovery time.
+// PanicError is a panic raised inside one parallel worker, recovered at the
+// goroutine boundary and converted into a run-level failure: the run's
+// siblings are canceled, the run returns this error, and the process stays
+// alive. Stack is the panicking goroutine's stack at recovery time.
 type PanicError struct {
 	Worker int    // id of the worker the panic was recovered on
 	Value  any    // the value passed to panic

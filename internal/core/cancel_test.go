@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
+	"repro/internal/pattern"
 )
 
 // satSet builds a known-satisfiable set with one unit of work per GFD: the
@@ -29,8 +30,8 @@ func satSet(n int) *gfd.Set {
 }
 
 // assertGoroutineBaseline retries until the goroutine count settles back to
-// the pre-run baseline: a canceled or panicked run must not strand workers,
-// watchers, or pipelined producers.
+// the pre-run baseline: a canceled or panicked run must not strand workers
+// or watchers.
 func assertGoroutineBaseline(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -106,12 +107,26 @@ func (c *manualDeadline) fire() {
 // next group.
 func TestParDeadlineDuringBuildUnits(t *testing.T) {
 	before := runtime.NumGoroutine()
-	set := satSet(12)
+	// 12 structurally distinct patterns (paths of 2..13 variables), so Σ has
+	// 12 pattern groups and the pre-pass 12 simulation tasks.
+	set := gfd.NewSet()
+	for i := 0; i < 12; i++ {
+		p := pattern.New()
+		last := p.AddVar("x0", "n")
+		for j := 1; j <= i+1; j++ {
+			next := p.AddVar(fmt.Sprintf("x%d", j), "n")
+			p.AddEdge(last, next, "e")
+			last = next
+		}
+		set.Add(gfd.MustNew(fmt.Sprintf("path%d", i), p, nil, []gfd.Literal{gfd.Const(0, fmt.Sprintf("k%d", i), "v")}))
+	}
+	if n := len(set.Groups()); n != 12 {
+		t.Fatalf("workload broken: %d pattern groups, want 12", n)
+	}
 	for _, workers := range []int{1, 4} {
 		ctx := &manualDeadline{Context: context.Background(), done: make(chan struct{})}
 		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
-		opt.PerGFD = true // one group per GFD: 12 simulation tasks
 		opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started after the deadline fired in buildUnits") }
 		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph)
 		var simulated atomic.Int64

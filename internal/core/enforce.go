@@ -26,7 +26,7 @@ type Stats struct {
 	DeltaOps     int // total Eq operations shipped in broadcasts
 	// GroupsShared counts pattern groups with ≥2 member GFDs: patterns that
 	// were enumerated once on behalf of several rules (shared multi-GFD
-	// evaluation; 0 under ParOptions.PerGFD).
+	// evaluation).
 	GroupsShared int
 	// MatchesReused counts match deliveries beyond the first per enumerated
 	// match: each enumerated match of an m-member group enforces m rules,

@@ -84,27 +84,33 @@ func TestWitnessModelIsSigmaBounded(t *testing.T) {
 }
 
 func TestAblationAgreement(t *testing.T) {
-	// Every Pipeline × Splitting combination (the paper's np / nb variants)
-	// returns SeqSat's answer on mixed workloads (satisfiable and not), with
-	// one worker and with several.
+	// With and without unit splitting (TTL 0 is the paper's nb variant; the
+	// tiny TTL splits every unit at every match), with one worker and with
+	// several, ParSat returns SeqSat's answer on mixed workloads (satisfiable
+	// and not).
+	splits := 0
 	for seed := int64(0); seed < 3; seed++ {
 		for _, conflicts := range []int{0, 1} {
 			g := gen.New(gen.Config{N: 25, K: 4, L: 3, Seed: seed, Conflicts: conflicts})
 			set := g.Set()
 			want := SeqSat(set).Satisfiable
 			for _, workers := range []int{1, 3} {
-				for _, pipeline := range []bool{false, true} {
-					for _, split := range []bool{false, true} {
-						opt := ParOptions{Workers: workers, TTL: time.Millisecond, Pipeline: pipeline, Splitting: split}
-						got := ParSat(set, opt)
-						if got.Err != nil || got.Satisfiable != want {
-							t.Fatalf("seed=%d conflicts=%d opts=%+v: ParSat=%v (err %v) want %v",
-								seed, conflicts, opt, got.Satisfiable, got.Err, want)
-						}
+				for vname, opt := range variantOptions(workers) {
+					got := ParSat(set, opt)
+					if got.Err != nil || got.Satisfiable != want {
+						t.Fatalf("seed=%d conflicts=%d p=%d %s: ParSat=%v (err %v) want %v",
+							seed, conflicts, workers, vname, got.Satisfiable, got.Err, want)
 					}
+					if opt.TTL == 0 && got.Stats.UnitsSplit != 0 {
+						t.Fatalf("seed=%d conflicts=%d p=%d: TTL 0 split %d units", seed, conflicts, workers, got.Stats.UnitsSplit)
+					}
+					splits += got.Stats.UnitsSplit
 				}
 			}
 		}
+	}
+	if splits == 0 {
+		t.Fatal("the tiny-TTL variant never split a unit; the splitting path went untested")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -26,18 +25,11 @@ import (
 type ParOptions struct {
 	// Workers is p, the number of parallel workers (at least 1).
 	Workers int
-	// TTL is the straggler threshold: a unit whose matching exceeds TTL is
-	// split and its untried branches go back to the pool as units of their
-	// own (Section V-B, unit splitting). Ignored when Splitting is false.
+	// TTL is the straggler threshold: a unit that has spent more than TTL
+	// matching and checking is split, and its untried branches go back to
+	// the pool as units of their own (Section V-B, unit splitting). TTL <= 0
+	// never splits — the paper's ParSat_nb / ParImp_nb series.
 	TTL time.Duration
-	// Pipeline runs match generation and attribute checking in separate
-	// goroutines per unit (pipelined parallelism); when false, the worker
-	// first enumerates all matches of the unit, then checks them — the
-	// paper's ParSat_np / ParImp_np ablation.
-	Pipeline bool
-	// Splitting enables TTL-based work-unit splitting; false is the
-	// ParSat_nb / ParImp_nb ablation.
-	Splitting bool
 	// Plans, when non-nil, is the compiled-plan cache the run resolves each
 	// GFD pattern through: pivot selection, variable orders and label
 	// resolution are computed once per (pattern, snapshot epoch) and reused
@@ -55,27 +47,15 @@ type ParOptions struct {
 	// context.DeadlineExceeded when a deadline fired) in the result's Err
 	// field; it never leaks a goroutine. Nil runs without cancellation.
 	Ctx context.Context
-	// PerGFD disables shared multi-GFD evaluation: every GFD gets its own
-	// pattern group (and therefore its own work units and enumerations) even
-	// when several GFDs share one pattern structure. The answer is identical
-	// either way — the offered (rule, match) multiset is the same and the
-	// fixpoint is order-independent — so this exists as the ablation baseline
-	// for the multi_gfd_speedup benchmark and the equivalence tests.
-	PerGFD bool
 	// testHookUnitStart, when non-nil, runs at the top of every work unit —
 	// the seam the panic-isolation tests use to detonate inside a worker.
 	testHookUnitStart func(gfd int, pivot graph.NodeID)
 }
 
 // DefaultParOptions returns the configuration used by the experiments
-// unless stated otherwise: all optimizations on.
+// unless stated otherwise.
 func DefaultParOptions(workers int) ParOptions {
-	return ParOptions{
-		Workers:   workers,
-		TTL:       100 * time.Millisecond,
-		Pipeline:  true,
-		Splitting: true,
-	}
+	return ParOptions{Workers: workers, TTL: 100 * time.Millisecond}
 }
 
 // unitDepCap bounds the number of units for which the quadratic unit-level
@@ -121,9 +101,9 @@ type parEngine struct {
 	goal   func(*eq.Eq) bool // nil for satisfiability; Y ⊆ Eq_H for implication
 	high   func(int) bool    // GFD indexes with the highest unit priority
 
-	// groups buckets Σ by pattern structure (singletons under PerGFD); the
-	// per-group arrays below are aligned with it. sharedGroups counts the
-	// multi-member groups for Stats.GroupsShared.
+	// groups buckets Σ by pattern structure; the per-group arrays below are
+	// aligned with it. sharedGroups counts the multi-member groups for
+	// Stats.GroupsShared.
 	groups       []gfd.Group
 	sharedGroups int
 
@@ -156,7 +136,7 @@ func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader) *parEngine {
 // are the nodes the simulation pre-filter kept. A non-nil error is the
 // pre-pass's cancellation or panic; no unit has run then.
 func (e *parEngine) buildUnits() error {
-	e.groups = grouping(e.set, e.opt.PerGFD)
+	e.groups = e.set.Groups()
 	n := len(e.groups)
 	for _, grp := range e.groups {
 		if len(grp.Members) > 1 {
@@ -432,9 +412,11 @@ func (w *parWorker) finalize() {
 	}
 }
 
-// runUnit executes one work unit: pivoted (optionally pipelined) matching
-// with TTL splitting, enforcing every member GFD of the unit's pattern
-// group at each match.
+// runUnit executes one work unit: pivoted matching with TTL splitting,
+// enforcing every member GFD of the unit's pattern group at each match.
+// Matching and checking alternate on the worker's own goroutine: each match
+// is enforced as soon as it is found (so a conflict or the goal stops the
+// unit mid-enumeration), and the parallelism is across units.
 func (w *parWorker) runUnit(u unit) {
 	w.enf.stats.UnitsRun++
 	eng := w.eng
@@ -465,11 +447,25 @@ func (w *parWorker) runUnit(u unit) {
 	// cancellation.
 	s := match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: eng.sims[u.grp].Has, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
 
-	if eng.opt.Pipeline {
-		w.runPipelined(u, s)
-	} else {
-		w.runPhased(u, s)
+	var split []match.Assignment
+	start := time.Now()
+	for {
+		if eng.pool.stopping() {
+			return
+		}
+		if eng.opt.TTL > 0 && time.Since(start) > eng.opt.TTL {
+			split = append(split, s.Split()...)
+			start = time.Now()
+		}
+		h, ok := s.Next()
+		if !ok {
+			break
+		}
+		if !w.handleMatch(u.grp, h) {
+			return
+		}
 	}
+	w.emitSplits(u, split)
 }
 
 // handleMatch offers h to every member GFD of pattern group grp — this is
@@ -494,119 +490,6 @@ func (w *parWorker) handleMatch(grp int, h match.Assignment) bool {
 		return false
 	}
 	return w.catchUp()
-}
-
-// runPipelined streams matches from a producer goroutine into the checking
-// loop (HomMatch ∥ CheckAttr of Fig. 3). The producer owns the search and
-// performs TTL splitting; the split seeds are pushed to the pool when the
-// unit ends.
-//
-// Units that yield only a couple of matches are handled inline: the
-// producer goroutine is spawned lazily once the unit proves non-trivial, so
-// pipelining's per-unit cost is only paid where overlapping generation and
-// checking can actually help.
-func (w *parWorker) runPipelined(u unit, s *match.Search) {
-	const inlineBudget = 2
-	start := time.Now()
-	for i := 0; i < inlineBudget; i++ {
-		if w.eng.pool.stopping() {
-			return
-		}
-		h, ok := s.Next()
-		if !ok {
-			return
-		}
-		if !w.handleMatch(u.grp, h) {
-			return
-		}
-	}
-
-	matches := make(chan match.Assignment, 64)
-	// prodStop releases a producer blocked on a send if the consumer loop
-	// below exits abnormally (a panic unwinding through this frame): without
-	// it the producer goroutine would block forever once the channel buffer
-	// fills with no reader left. The normal path drains matches to the close,
-	// so closing prodStop afterwards is a no-op.
-	prodStop := make(chan struct{})
-	defer close(prodStop)
-	var stop atomic.Bool
-	var split []match.Assignment
-	go func() {
-		defer close(matches)
-		// The producer is its own goroutine, outside the worker's recover
-		// guard: a panic inside the search (s.Next) must be recorded here or
-		// it would crash the process.
-		defer func() {
-			if r := recover(); r != nil {
-				w.eng.pool.panicked(w.id, r)
-			}
-		}()
-		for {
-			if stop.Load() || w.eng.pool.stopping() {
-				return
-			}
-			if w.eng.opt.Splitting && w.eng.opt.TTL > 0 && time.Since(start) > w.eng.opt.TTL {
-				if seeds := s.Split(); len(seeds) > 0 {
-					split = append(split, seeds...)
-				}
-				start = time.Now()
-			}
-			h, ok := s.Next()
-			if !ok {
-				return
-			}
-			select {
-			case matches <- h:
-			case <-prodStop:
-				return
-			}
-		}
-	}()
-	ok := true
-	for h := range matches {
-		if ok {
-			if !w.handleMatch(u.grp, h) {
-				ok = false
-				stop.Store(true)
-				// Keep draining so the producer can exit.
-			}
-		}
-	}
-	w.emitSplits(u, split)
-}
-
-// runPhased is the np ablation: enumerate every match of the unit first,
-// then check them one by one. TTL splitting still applies during the
-// enumeration phase (the two optimizations are independent).
-func (w *parWorker) runPhased(u unit, s *match.Search) {
-	var all []match.Assignment
-	var split []match.Assignment
-	start := time.Now()
-	for {
-		if w.eng.pool.stopping() {
-			return
-		}
-		if w.eng.opt.Splitting && w.eng.opt.TTL > 0 && time.Since(start) > w.eng.opt.TTL {
-			if seeds := s.Split(); len(seeds) > 0 {
-				split = append(split, seeds...)
-			}
-			start = time.Now()
-		}
-		h, ok := s.Next()
-		if !ok {
-			break
-		}
-		all = append(all, h)
-	}
-	for _, h := range all {
-		if w.eng.pool.stopping() {
-			return
-		}
-		if !w.handleMatch(u.grp, h) {
-			return
-		}
-	}
-	w.emitSplits(u, split)
 }
 
 func (w *parWorker) emitSplits(u unit, seeds []match.Assignment) {

@@ -3,24 +3,47 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gfd"
+	"repro/internal/gfdio"
 	"repro/internal/pattern"
 )
 
-// variantOptions enumerates the paper's algorithm variants: full ParSat/
-// ParImp and the np (no pipelining) and nb (no splitting) ablations.
+// variantOptions enumerates the unit-splitting regimes: none (TTL 0, the
+// paper's ParSat_nb / ParImp_nb) and a TTL so small that every unit is
+// split at every match it enumerates, so split seeds, the deque pushes and
+// the re-run of carved-off branches are all on the tested path.
 func variantOptions(workers int) map[string]ParOptions {
-	mk := func(pipeline, split bool) ParOptions {
-		return ParOptions{Workers: workers, TTL: 5 * time.Millisecond, Pipeline: pipeline, Splitting: split}
-	}
 	return map[string]ParOptions{
-		"full": mk(true, true),
-		"np":   mk(false, true),
-		"nb":   mk(true, false),
-		"npnb": mk(false, false),
+		"nb":    {Workers: workers},
+		"split": {Workers: workers, TTL: time.Nanosecond},
+	}
+}
+
+// TestParSatZeroVariablePattern is the regression test for the rule file
+// "gfd g / end": it used to parse, and ParSat and ParImp then died with an
+// index out of range at pivots[0] in buildUnits. A pattern without variables
+// is now refused at construction, so no Σ that reaches the engines lacks a
+// pivot; the smallest rule they do accept — one wildcard variable, no
+// literals — runs at every p.
+func TestParSatZeroVariablePattern(t *testing.T) {
+	if _, err := gfdio.ReadGFDs(strings.NewReader("gfd g\nend\n")); err == nil {
+		t.Fatal("a GFD without variables parsed; buildUnits has no pivot for it")
+	}
+	set, err := gfdio.ReadGFDs(strings.NewReader("gfd g\nvar x _\nend\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		if res := ParSat(set, DefaultParOptions(p)); res.Err != nil || !res.Satisfiable {
+			t.Errorf("p=%d: ParSat = %v (err %v), want satisfiable", p, res.Satisfiable, res.Err)
+		}
+		if res := ParImp(set, set.GFDs[0], DefaultParOptions(p)); res.Err != nil || !res.Implied {
+			t.Errorf("p=%d: ParImp = %v (err %v), want implied", p, res.Implied, res.Err)
+		}
 	}
 }
 

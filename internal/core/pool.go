@@ -94,7 +94,7 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 			// stops the siblings instead of crashing the process.
 			defer func() {
 				if r := recover(); r != nil {
-					pl.panicked(id, r)
+					pl.fail(&PanicError{Worker: id, Value: r, Stack: debug.Stack()})
 				}
 			}()
 			for {
@@ -147,13 +147,6 @@ func (pl *pool[T]) fail(err error) {
 	}
 	pl.mu.Unlock()
 	pl.stop()
-}
-
-// panicked fails the run with a panic recovered on worker's behalf —
-// by the pool's own guard, or by a goroutine a task spawned (the pipelined
-// match producer).
-func (pl *pool[T]) panicked(worker int, v any) {
-	pl.fail(&PanicError{Worker: worker, Value: v, Stack: debug.Stack()})
 }
 
 // stopping reports whether the run is ending early; long tasks poll it.

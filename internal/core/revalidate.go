@@ -41,11 +41,6 @@ type RevalidateOptions struct {
 	// work it finished; the violations slice is meaningless then. Nil runs
 	// without cancellation.
 	Ctx context.Context
-	// PerGFD disables shared multi-GFD evaluation: every GFD is revalidated
-	// independently even when several share one pattern structure. Results
-	// are identical either way (the equivalence tests pin it); this is the
-	// ablation baseline.
-	PerGFD bool
 	// testHookGFDStart, when non-nil, runs as each revalidation task starts,
 	// receiving the task's representative GFD index — the seam the
 	// panic-isolation tests use to detonate inside a worker.
@@ -57,7 +52,7 @@ type RevalidateOptions struct {
 // the delta scoping saved.
 type RevalidateStats struct {
 	GFDs          int // GFDs revalidated
-	Groups        int // pattern groups revalidated (== GFDs under PerGFD)
+	Groups        int // pattern groups revalidated
 	Scoped        int // groups whose re-enumeration was hood-scoped
 	Full          int // groups re-enumerated in full (disconnected patterns)
 	Kept          int // prior violations carried over unexamined
@@ -96,7 +91,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 	// Bucket Σ by pattern structure: one neighborhood lookup and one
 	// (scoped) re-enumeration serve every GFD sharing the structure, with
 	// per-member literal checks fanned out at each match.
-	groups := grouping(set, opt.PerGFD)
+	groups := set.Groups()
 	n := len(groups)
 	// One task per group on the package's worker pool, which owns failure
 	// isolation and cancellation (first error wins, a panic becomes a

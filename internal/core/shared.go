@@ -18,11 +18,6 @@ import (
 
 // VerifyOptions configures ViolationsOpts.
 type VerifyOptions struct {
-	// PerGFD disables shared multi-GFD evaluation and checks every GFD
-	// independently: the ablation baseline for the multi_gfd_speedup
-	// benchmark and the grouped-equivalence tests. Results are identical
-	// either way; only the work layout changes.
-	PerGFD bool
 	// Plans, when non-nil, resolves each group's pattern through the
 	// compiled-plan cache, sharing planning work across calls on the same
 	// snapshot epoch.
@@ -30,7 +25,7 @@ type VerifyOptions struct {
 }
 
 // VerifyStats reports how much enumeration work the grouped evaluation
-// shared (all zero when PerGFD is set).
+// shared.
 type VerifyStats struct {
 	// Groups is the number of structurally distinct patterns in Σ.
 	Groups int
@@ -44,19 +39,6 @@ type VerifyStats struct {
 	// PrefixFamilies counts sets of distinct patterns that additionally
 	// shared a common search prefix (see match.EnumerateGrouped).
 	PrefixFamilies int
-}
-
-// grouping buckets Σ by pattern structure — or into per-GFD singletons
-// under a PerGFD ablation flag.
-func grouping(set *gfd.Set, perGFD bool) []gfd.Group {
-	if perGFD {
-		gs := make([]gfd.Group, set.Len())
-		for i, phi := range set.GFDs {
-			gs[i] = gfd.Group{Pattern: phi.Pattern, Members: []int{i}}
-		}
-		return gs
-	}
-	return set.Groups()
 }
 
 // literalSpecs translates gfd literals into the match-level form the
@@ -97,13 +79,9 @@ func compileGroupLiterals(set *gfd.Set, grp gfd.Group, pl *match.Plan) *match.Li
 }
 
 // ViolationsOpts is ViolationsCtx with explicit evaluation options and
-// sharing statistics. The violation list is identical to the per-GFD
-// evaluation, violation for violation, in Σ-then-enumeration order.
+// sharing statistics. The violation list is what checking each GFD on its
+// own would give, violation for violation, in Σ-then-enumeration order.
 func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt VerifyOptions) ([]Violation, VerifyStats, error) {
-	if opt.PerGFD {
-		out, err := violationsPerGFD(ctx, g, set, opt.Plans)
-		return out, VerifyStats{}, err
-	}
 	groups := set.Groups()
 	st := VerifyStats{Groups: len(groups)}
 
@@ -123,14 +101,14 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 		}
 	}
 
-	perGFD := make([][]Violation, set.Len())
+	byGFD := make([][]Violation, set.Len())
 	enumSt, err := match.EnumerateGrouped(ctx, g, pgs, func(gi int, h match.Assignment) bool {
 		grp := groups[gi]
 		prog, scr := progs[gi], scratch[gi]
 		scr.Begin()
 		for i, mi := range grp.Members {
 			if prog.Violates(i, g, h, scr) {
-				perGFD[mi] = append(perGFD[mi], Violation{GFD: set.GFDs[mi], Match: h})
+				byGFD[mi] = append(byGFD[mi], Violation{GFD: set.GFDs[mi], Match: h})
 			}
 		}
 		st.MatchesReused += len(grp.Members) - 1
@@ -141,40 +119,11 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 	// Assemble in Σ order; within a GFD the grouped enumeration already
 	// delivered matches in the standalone enumeration order.
 	var out []Violation
-	for i := range perGFD {
-		out = append(out, perGFD[i]...)
+	for i := range byGFD {
+		out = append(out, byGFD[i]...)
 	}
 	if err != nil {
 		return out, st, canceledErr(err)
 	}
 	return out, st, nil
-}
-
-// violationsPerGFD is the ungrouped ablation: every GFD enumerated and
-// checked independently (the pre-sharing code path).
-func violationsPerGFD(ctx context.Context, g graph.Reader, set *gfd.Set, plans *match.PlanCache) ([]Violation, error) {
-	var out []Violation
-	for _, phi := range set.GFDs {
-		if err := ctx.Err(); err != nil {
-			return out, canceledErr(err)
-		}
-		var pl *match.Plan
-		if plans != nil {
-			pl = plans.Get(phi.Pattern, g)
-		}
-		s := match.NewSearch(phi.Pattern, g, match.Options{Plan: pl, Ctx: ctx})
-		for {
-			h, ok := s.Next()
-			if !ok {
-				if err := s.Err(); err != nil {
-					return out, canceledErr(err)
-				}
-				break
-			}
-			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
-				out = append(out, Violation{GFD: phi, Match: h})
-			}
-		}
-	}
-	return out, nil
 }

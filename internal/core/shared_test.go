@@ -4,19 +4,67 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/gfd"
 	"repro/internal/graph"
+	"repro/internal/match"
+	"repro/internal/oracle"
 )
+
+// violationsOneByOne is the order reference for the grouped evaluation: Σ
+// walked GFD by GFD, each pattern enumerated by a search of its own, the
+// literals read straight off the graph — no groups, no prefix families, no
+// compiled literal program.
+func violationsOneByOne(g graph.Reader, set *gfd.Set) []Violation {
+	var out []Violation
+	for _, phi := range set.GFDs {
+		s := match.NewSearch(phi.Pattern, g, match.Options{})
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
+				out = append(out, Violation{GFD: phi, Match: h})
+			}
+		}
+	}
+	return out
+}
+
+// violationKeys renders a violation list as sorted "GFD index, match" keys,
+// so two lists can be compared as sets.
+func violationKeys(set *gfd.Set, vs []Violation) []string {
+	index := make(map[*gfd.GFD]int, set.Len())
+	for i, phi := range set.GFDs {
+		index[phi] = i
+	}
+	keys := make([]string, len(vs))
+	for i, v := range vs {
+		keys[i] = fmt.Sprint(index[v.GFD], v.Match)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// sameAsOracle reports whether got is, as a set, exactly what the
+// brute-force oracle finds on g.
+func sameAsOracle(g graph.Reader, set *gfd.Set, got []Violation) bool {
+	var want []Violation
+	for _, v := range oracle.Violations(g, set) {
+		want = append(want, Violation{GFD: v.GFD, Match: v.Match})
+	}
+	return slices.Equal(violationKeys(set, got), violationKeys(set, want))
+}
 
 // TestGroupedViolationsMatchPerGFD is the shared-evaluation equivalence
 // property for validation: on generated sets with duplicated and
-// prefix-overlapping patterns, grouped evaluation must reproduce the
-// per-GFD ablation violation for violation, in order, on every storage
-// tier. It also pins that sharing actually happened — a grouping that
-// degenerates to singletons would pass equivalence vacuously.
+// prefix-overlapping patterns, grouped evaluation must reproduce checking
+// each GFD on its own (violationsOneByOne) violation for violation, in
+// order, and the brute-force oracle as a set, on every storage tier. It
+// also pins that sharing actually happened — a grouping that degenerates to
+// singletons would pass equivalence vacuously.
 func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	ctx := context.Background()
 	sharedGFDs, reused, total := 0, 0, 0
@@ -41,16 +89,15 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 			{"overlay", d.Overlay()},
 		}
 		for _, tier := range tiers {
-			per, _, err := ViolationsOpts(ctx, tier.data, set, VerifyOptions{PerGFD: true})
-			if err != nil {
-				t.Fatalf("seed=%d %s: per-GFD: %v", seed, tier.name, err)
-			}
 			grouped, gst, err := ViolationsOpts(ctx, tier.data, set, VerifyOptions{})
 			if err != nil {
 				t.Fatalf("seed=%d %s: grouped: %v", seed, tier.name, err)
 			}
-			if !violationsEqual(grouped, per) {
-				t.Fatalf("seed=%d %s: grouped %d violations != per-GFD %d", seed, tier.name, len(grouped), len(per))
+			if per := violationsOneByOne(tier.data, set); !violationsEqual(grouped, per) {
+				t.Fatalf("seed=%d %s: grouped %d violations != one-by-one %d", seed, tier.name, len(grouped), len(per))
+			}
+			if !sameAsOracle(tier.data, set, grouped) {
+				t.Fatalf("seed=%d %s: grouped violations differ from the oracle's", seed, tier.name)
 			}
 			if gst.Groups >= set.Len() {
 				t.Fatalf("seed=%d %s: %d groups for %d GFDs; no sharing", seed, tier.name, gst.Groups, set.Len())
@@ -68,10 +115,9 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	}
 }
 
-// TestGroupedSatImpMatchPerGFD pins that ParSat and ParImp return the same
-// answers with shared group evaluation as with the per-GFD ablation, on sets
-// where every pattern shape carries several GFDs.
-// The sequential algorithms are the oracle.
+// TestGroupedSatImpMatchPerGFD pins that ParSat and ParImp, which enumerate
+// once per pattern group, return the answers of SeqSat and SeqImp, which
+// walk Σ GFD by GFD, on sets where every pattern shape carries several GFDs.
 func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 	groupsShared := 0
 	for seed := int64(0); seed < 3; seed++ {
@@ -81,27 +127,22 @@ func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 			wantSat := SeqSat(set).Satisfiable
 			phi := gr.ImpliedGFD(set)
 			wantImp := SeqImp(set, phi).Implied
-			for _, perGFD := range []bool{false, true} {
-				opt := DefaultParOptions(4)
-				opt.PerGFD = perGFD
-				name := fmt.Sprintf("seed=%d conflicts=%d perGFD=%v", seed, conflicts, perGFD)
-				sr := ParSat(set, opt)
-				if sr.Err != nil {
-					t.Fatalf("%s: ParSat: %v", name, sr.Err)
-				}
-				if sr.Satisfiable != wantSat {
-					t.Fatalf("%s: ParSat=%v, SeqSat=%v", name, sr.Satisfiable, wantSat)
-				}
-				if !perGFD {
-					groupsShared += sr.Stats.GroupsShared
-				}
-				ir := ParImp(set, phi, opt)
-				if ir.Err != nil {
-					t.Fatalf("%s: ParImp: %v", name, ir.Err)
-				}
-				if ir.Implied != wantImp {
-					t.Fatalf("%s: ParImp=%v, SeqImp=%v", name, ir.Implied, wantImp)
-				}
+			opt := DefaultParOptions(4)
+			name := fmt.Sprintf("seed=%d conflicts=%d", seed, conflicts)
+			sr := ParSat(set, opt)
+			if sr.Err != nil {
+				t.Fatalf("%s: ParSat: %v", name, sr.Err)
+			}
+			if sr.Satisfiable != wantSat {
+				t.Fatalf("%s: ParSat=%v, SeqSat=%v", name, sr.Satisfiable, wantSat)
+			}
+			groupsShared += sr.Stats.GroupsShared
+			ir := ParImp(set, phi, opt)
+			if ir.Err != nil {
+				t.Fatalf("%s: ParImp: %v", name, ir.Err)
+			}
+			if ir.Implied != wantImp {
+				t.Fatalf("%s: ParImp=%v, SeqImp=%v", name, ir.Implied, wantImp)
 			}
 		}
 	}
@@ -113,8 +154,9 @@ func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 // TestGroupedRevalidateMatchesPerGFD pins incremental revalidation: after a
 // random update stream over a perturbed graph, grouped revalidation (one
 // neighborhood and one scoped enumeration per pattern group, carry-over
-// scattered per member) must equal the per-GFD ablation and the full
-// recomputation exactly — sequentially and in parallel.
+// scattered per member) must equal Violations(updated, Σ), the full
+// recomputation, exactly — sequentially and in parallel — and that
+// recomputation must be the oracle's violation set.
 func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 	reused, total := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
@@ -130,19 +172,15 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 		prev := Violations(base, set)
 		d := gr.DenseDelta(base, 40)
 		want := Violations(d.Overlay(), set)
-		per, _, err := RevalidateDelta(set, d, prev, RevalidateOptions{PerGFD: true})
-		if err != nil {
-			t.Fatalf("seed=%d: per-GFD revalidate: %v", seed, err)
-		}
-		if !violationsEqual(per, want) {
-			t.Fatalf("seed=%d: per-GFD revalidate diverges from full recompute", seed)
+		if !sameAsOracle(d.Overlay(), set, want) {
+			t.Fatalf("seed=%d: full recompute differs from the oracle's violation set", seed)
 		}
 		grouped, gst, err := RevalidateDelta(set, d, prev, RevalidateOptions{})
 		if err != nil {
 			t.Fatalf("seed=%d: grouped revalidate: %v", seed, err)
 		}
-		if !violationsEqual(grouped, per) {
-			t.Fatalf("seed=%d: grouped %d violations != per-GFD %d", seed, len(grouped), len(per))
+		if !violationsEqual(grouped, want) {
+			t.Fatalf("seed=%d: grouped %d violations != full recompute %d", seed, len(grouped), len(want))
 		}
 		if gst.Groups >= set.Len() {
 			t.Fatalf("seed=%d: %d groups for %d GFDs; no sharing", seed, gst.Groups, set.Len())
@@ -151,7 +189,7 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: grouped parallel revalidate: %v", seed, err)
 		}
-		if !violationsEqual(groupedPar, per) {
+		if !violationsEqual(groupedPar, want) {
 			t.Fatalf("seed=%d: grouped parallel revalidate diverges", seed)
 		}
 		reused += gst.MatchesReused

@@ -70,9 +70,13 @@ type GFD struct {
 	Y       []Literal // consequent; empty means trivially satisfied
 }
 
-// New constructs a GFD and validates that every literal references declared
-// variables.
+// New constructs a GFD and validates that the pattern has at least one
+// variable (an empty pattern has no pivot to build work units from) and
+// that every literal references declared variables.
 func New(name string, p *pattern.Pattern, x, y []Literal) (*GFD, error) {
+	if p.NumVars() == 0 {
+		return nil, fmt.Errorf("gfd %s: pattern has no variables", name)
+	}
 	g := &GFD{Name: name, Pattern: p, X: x, Y: y}
 	for _, l := range append(append([]Literal{}, x...), y...) {
 		if int(l.X) < 0 || int(l.X) >= p.NumVars() {
@@ -102,9 +106,6 @@ func MustNew(name string, p *pattern.Pattern, x, y []Literal) *GFD {
 // contradicting constant literals on a reserved attribute of the first
 // variable, following the paper's syntactic-sugar reading.
 func NewFalse(name string, p *pattern.Pattern, x []Literal) (*GFD, error) {
-	if p.NumVars() == 0 {
-		return nil, fmt.Errorf("gfd %s: false-GFD needs at least one variable", name)
-	}
 	y := []Literal{Const(0, FalseAttr, FalseConst0), Const(0, FalseAttr, FalseConst1)}
 	return New(name, p, x, y)
 }

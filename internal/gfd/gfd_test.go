@@ -28,6 +28,15 @@ func TestNewValidatesVariables(t *testing.T) {
 	}
 }
 
+// A pattern without variables has no pivot: the parallel engines cannot
+// build a work unit for it, so it is refused at construction.
+func TestNewRejectsEmptyPattern(t *testing.T) {
+	_, err := New("empty", pattern.New(), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "no variables") {
+		t.Errorf("New on a zero-variable pattern: err = %v, want a \"no variables\" error", err)
+	}
+}
+
 func TestFalseDesugaring(t *testing.T) {
 	phi, err := NewFalse("f", edgeP(), nil)
 	if err != nil {

@@ -176,6 +176,9 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 			if !inBlock || len(fields) != 3 {
 				return nil, fmt.Errorf("line %d: bad var statement", lineNo)
 			}
+			if pat.VarByName(fields[1]) != pattern.InvalidVar {
+				return nil, fmt.Errorf("line %d: duplicate variable %q", lineNo, fields[1])
+			}
 			pat.AddVar(fields[1], fields[2])
 		case "edge":
 			if !inBlock || len(fields) != 4 {

@@ -160,12 +160,18 @@ func TestReadGFDsErrors(t *testing.T) {
 		"gfd a\nvar x p\nwhen y.A = \"1\"\nend",     // undeclared var
 		"gfd a\nvar x p\nedge x y e\nend",           // undeclared edge endpoint
 		"gfd a\nvar x p",                            // unterminated
+		"gfd a\nvar x p\nvar x q\nend",              // duplicate variable
+		"gfd a\nend",                                // no variables
 		"gfd a\nvar x p\nthen x.A = notquoted\nend", // bad rhs: neither quote nor term... actually a term "notquoted" lacks a dot
 	}
 	for _, c := range cases {
 		if _, err := ReadGFDs(strings.NewReader(c)); err == nil {
 			t.Errorf("no error for %q", c)
 		}
+	}
+	_, err := ReadGFDs(strings.NewReader("gfd a\nvar x p\nvar x q\nend"))
+	if want := `line 3: duplicate variable "x"`; err == nil || err.Error() != want {
+		t.Errorf("repeated var: err = %v, want %s", err, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // TestSearchCanceledBeforeStart pins the entry check: a search handed an
@@ -61,19 +62,24 @@ func (c *countdownCtx) Err() error {
 // call scanning far more than ctxCheckEvery candidates must notice a cancel
 // that fires mid-scan, without waiting for the scan to end.
 func TestSearchCancelMidScan(t *testing.T) {
-	// ~3x ctxCheckEvery isolated candidates and no edges: one Next call
-	// scans them all and would return ok=false with no error — unless the
-	// in-loop check fires first. Scan mode keeps the doomed candidates in
-	// the frame (the indexed path's signature pruning would drop them all
-	// before the loop ever ran).
+	// ~3x ctxCheckEvery root candidates that each dead-end one frame down:
+	// every "n" node has an e-edge (so signature pruning keeps it in the
+	// root frame), but only to an "m" node, which y's label rejects. One
+	// Next call walks them all and would return ok=false with no error —
+	// unless the in-loop check fires first.
 	g := graph.New()
+	sink := g.AddNode("m")
 	for i := 0; i < 3*ctxCheckEvery; i++ {
-		g.AddNode("n")
+		g.AddEdge(g.AddNode("n"), sink, "e")
+	}
+	p := edgePattern("n", "n", "e")
+	if got := oracle.Matches(p, g); len(got) != 0 {
+		t.Fatalf("workload broken: the oracle finds %d matches, want none", len(got))
 	}
 	ctx := &countdownCtx{Context: context.Background(), polls: 1}
-	s := NewSearch(edgePattern("n", "n", "e"), g, Options{Ctx: ctx, Scan: true})
+	s := NewSearch(p, g, Options{Ctx: ctx})
 	if _, ok := s.Next(); ok {
-		t.Fatal("edgeless graph produced a match")
+		t.Fatal("dead-end graph produced a match")
 	}
 	if err := s.Err(); err != context.Canceled {
 		t.Fatalf("Err = %v, want the mid-scan cancel", err)

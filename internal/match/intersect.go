@@ -127,16 +127,6 @@ func intersectBitset(base []graph.NodeID, bs graph.Bitset) []graph.NodeID {
 	return kept
 }
 
-// intersect is the frame-verification entry point: the adaptive picker,
-// unless the search was pinned to the plain merge (Options.MergeOnly, the
-// ablation baseline the CI speedup ratio measures against).
-func (s *Search) intersect(base, list []graph.NodeID) []graph.NodeID {
-	if s.mergeOnly {
-		return intersectSorted(base, list)
-	}
-	return intersectAdaptive(base, list)
-}
-
 // expandFrom appends to base the members of run (an assigned neighbor's
 // label-filtered adjacency) that can match v, i.e. run filtered by v's
 // node label. The kernel is picked from the operand cardinalities:
@@ -158,13 +148,13 @@ func (s *Search) expandFrom(v pattern.Var, base, run []graph.NodeID) []graph.Nod
 	if want == graph.AnyLabel {
 		return append(base, run...)
 	}
-	if f := s.vars[v].freq; !s.mergeOnly && f*gallopRatio < len(run) {
+	if f := s.vars[v].freq; f*gallopRatio < len(run) {
 		start := len(base)
 		base = s.g.AppendCandidates(base, s.p.Label(v))
 		kept := intersectGallopList(base[start:], run)
 		return base[:start+len(kept)]
 	}
-	if bs := s.vars[v].cand; bs != nil && !s.mergeOnly {
+	if bs := s.vars[v].cand; bs != nil {
 		for _, n := range run {
 			if bs.Test(n) {
 				base = append(base, n)

@@ -4,9 +4,9 @@
 // map to the same data node, and data nodes may be reused across matches).
 //
 // The search is exposed as a resumable iterator so the parallel algorithms
-// can (a) pipeline match generation with attribute checking and (b) split a
-// straggling work unit into sub-units carved from untried branches of the
-// search tree (Section V-B, "unit splitting").
+// can (a) check each match's attributes as soon as it is generated and (b)
+// split a straggling work unit into sub-units carved from untried branches
+// of the search tree (Section V-B, "unit splitting").
 package match
 
 import (
@@ -46,13 +46,10 @@ func (a Assignment) Complete() bool {
 // pattern into a graph, following a fixed variable order. The zero value is
 // not usable; construct with NewSearch.
 type Search struct {
-	p     *pattern.Pattern
-	g     graph.Reader
-	order []pattern.Var
-	// restrict, when non-nil for a variable, limits its candidates to the
-	// given node set (the d_Q-neighborhood of the unit's pivot).
-	restrict map[pattern.Var]map[graph.NodeID]bool
-	filter   func(pattern.Var, graph.NodeID) bool
+	p      *pattern.Pattern
+	g      graph.Reader
+	order  []pattern.Var
+	filter func(pattern.Var, graph.NodeID) bool
 	// rootCands, when non-nil, replaces the label-index candidate pull for
 	// the first open variable (the root frame): the shard fan-out partitions
 	// the root candidate set this way. All downstream pruning still applies.
@@ -60,8 +57,6 @@ type Search struct {
 	// rootPruned marks rootCands as already signature-pruned (a Plan's
 	// precomputed root frame), so candidates() skips re-pruning it.
 	rootPruned bool
-	scan       bool
-	mergeOnly  bool
 	// vars holds per-variable pre-resolved label IDs so the inner loops
 	// never hash a string: pattern edge labels aligned with p.Out/p.In, and
 	// the variable's pruning signature.
@@ -88,12 +83,6 @@ type frame struct {
 	v     pattern.Var
 	cands []graph.NodeID
 	idx   int // next candidate to try
-	// verified marks a frame whose candidates were already filtered against
-	// the variable's label and every pattern edge bound at push time (the
-	// bound set cannot change while the frame iterates, so the per-frame
-	// filter is exhaustive and Next skips per-candidate consistency). Scan
-	// mode never verifies, reproducing the pre-index per-candidate checks.
-	verified bool
 }
 
 // varIndex is one pattern variable's label IDs resolved against the data
@@ -145,13 +134,11 @@ type Options struct {
 	// Seed pre-assigns variables (e.g. the pivot, or a partial match from a
 	// split unit). Seeded variables must form a prefix of Order.
 	Seed Assignment
-	// Restrict limits candidates per variable.
-	Restrict map[pattern.Var]map[graph.NodeID]bool
 	// RootCandidates, when non-nil, is the base candidate list for the first
 	// open variable in Order, replacing the graph's label index for that one
 	// frame. The list must be ascending and label-consistent with the
 	// variable (e.g. one shard's slice of the label index); signature
-	// pruning, Filter and Restrict still apply on top. Running one search
+	// pruning and Filter still apply on top. Running one search
 	// per part of a partition of the root candidate set enumerates exactly
 	// the full match set, partitioned — the basis of the sharded fan-out.
 	// Ignored when a Seed is present: a seeded search generates its first
@@ -161,12 +148,6 @@ type Options struct {
 	// Filter, when non-nil, limits candidates further (e.g. to a simulation
 	// relation) without allocating per-search sets.
 	Filter func(pattern.Var, graph.NodeID) bool
-	// Scan disables the graph's label-keyed adjacency index and signature
-	// pruning, generating candidates by filtering raw Out/In edge slices and
-	// testing edges by linear scan — the pre-index code path. It exists for
-	// the indexed-vs-scan equivalence tests and benchmarks; production
-	// callers leave it false.
-	Scan bool
 	// Plan, when non-nil, supplies the precompiled planning artifacts
 	// (resolved label IDs, default order, pre-pruned root candidates) from
 	// CompilePlan/PlanCache.Get, skipping per-search planning. The plan
@@ -174,11 +155,6 @@ type Options struct {
 	// same contents; NewSearch panics on a mismatch (see Plan.validFor) —
 	// a stale plan must never silently serve a new snapshot epoch.
 	Plan *Plan
-	// MergeOnly pins every intersection to the linear merge and disables
-	// the gallop/bitset candidate paths: the ablation baseline for the
-	// adaptive-kernel equivalence tests and the match_adaptive_speedup CI
-	// ratio. Production callers leave it false.
-	MergeOnly bool
 	// Ctx, when non-nil, makes the enumeration cooperatively cancelable:
 	// Next polls the context once every ctxCheckEvery frame expansions —
 	// cheap enough to be left on in the engines, frequent enough that even
@@ -241,11 +217,8 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 		p:         p,
 		g:         g,
 		order:     order,
-		restrict:  opts.Restrict,
 		filter:    opts.Filter,
 		rootCands: opts.RootCandidates,
-		scan:      opts.Scan,
-		mergeOnly: opts.MergeOnly,
 		ctx:       opts.Ctx,
 		ctxLeft:   ctxCheckEvery,
 		assign:    NewAssignment(p.NumVars()),
@@ -258,9 +231,8 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 	}
 	// An unseeded, unpartitioned search following the plan's default order
 	// can reuse the plan's precomputed root frame: the label pull plus
-	// signature pruning that otherwise dominates a short query. Scan mode
-	// is excluded (it deliberately skips signature pruning).
-	if pl != nil && !opts.Scan && opts.Seed == nil && s.rootCands == nil &&
+	// signature pruning that otherwise dominates a short query.
+	if pl != nil && opts.Seed == nil && s.rootCands == nil &&
 		len(order) > 0 && len(pl.defaultOrder) > 0 && order[0] == pl.defaultOrder[0] {
 		if root := pl.root(); root != nil {
 			s.rootCands = root
@@ -341,12 +313,10 @@ func (s *Search) Next() (Assignment, bool) {
 			s.retractTop()
 			continue
 		}
-		cand := top.cands[top.idx]
+		// Frames hold only verified candidates (see candidates), so the
+		// next one is taken as is.
+		s.assign[top.v] = top.cands[top.idx]
 		top.idx++
-		if !top.verified && !s.consistent(top.v, cand) {
-			continue
-		}
-		s.assign[top.v] = cand
 		if len(s.stack) == s.openDepth {
 			return s.assign.Clone(), true
 		}
@@ -403,8 +373,7 @@ func (s *Search) push() {
 	if d < len(s.scratch) {
 		buf = s.scratch[d][:0]
 	}
-	cands, verified := s.candidates(v, buf)
-	s.stack = append(s.stack, frame{v: v, cands: cands, verified: verified})
+	s.stack = append(s.stack, frame{v: v, cands: s.candidates(v, buf)})
 }
 
 func (s *Search) retractTop() {
@@ -426,12 +395,13 @@ func (s *Search) pop() {
 // assignment: generated from an assigned pattern-neighbor's indexed
 // adjacency when one exists (cheap — only edges carrying the pattern edge's
 // label are visited), else from the label index; pruned by the variable's
-// degree/label signature; filtered by restriction. All filtering compacts
-// buf in place, so steady-state backtracking reuses the per-depth scratch
-// buffer without allocating. With Options.Scan the neighbor expansion
-// filters the raw edge slices instead and the signature pruning is skipped,
-// reproducing the pre-index path.
-func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.NodeID, verified bool) {
+// degree/label signature; then filtered against every pattern edge whose
+// other endpoint is bound. The bound set is frozen while the frame iterates
+// (deeper frames pop before this frame advances), so the returned list is
+// fully verified and Next assigns from it without a per-candidate check.
+// All filtering compacts buf in place, so steady-state backtracking reuses
+// the per-depth scratch buffer without allocating.
+func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) []graph.NodeID {
 	label := s.p.Label(v)
 	base := buf
 	// genIn/genEi record the pattern edge the candidates are generated
@@ -446,17 +416,8 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.No
 	for ei, e := range s.p.In(v) {
 		if u := s.assign[e.From]; u != graph.InvalidNode {
 			needDedup = e.Label == graph.Wildcard
-			if s.scan {
-				for _, ge := range s.g.Out(u) {
-					if (e.Label == graph.Wildcard || ge.Label == e.Label) && pattern.LabelMatches(label, s.g.Label(ge.To)) {
-						base = append(base, ge.To)
-					}
-				}
-			} else {
-				base = s.expandFrom(v, base, s.g.OutByLabelID(u, s.vars[v].inIDs[ei]))
-				genIn, genEi = true, ei
-			}
-			gen = true
+			base = s.expandFrom(v, base, s.g.OutByLabelID(u, s.vars[v].inIDs[ei]))
+			gen, genIn, genEi = true, true, ei
 			break
 		}
 	}
@@ -464,17 +425,8 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.No
 		for ei, e := range s.p.Out(v) {
 			if u := s.assign[e.To]; u != graph.InvalidNode {
 				needDedup = e.Label == graph.Wildcard
-				if s.scan {
-					for _, ge := range s.g.In(u) {
-						if (e.Label == graph.Wildcard || ge.Label == e.Label) && pattern.LabelMatches(label, s.g.Label(ge.From)) {
-							base = append(base, ge.From)
-						}
-					}
-				} else {
-					base = s.expandFrom(v, base, s.g.InByLabelID(u, s.vars[v].outIDs[ei]))
-					genIn, genEi = false, ei
-				}
-				gen = true
+				base = s.expandFrom(v, base, s.g.InByLabelID(u, s.vars[v].outIDs[ei]))
+				gen, genIn, genEi = true, false, ei
 				break
 			}
 		}
@@ -491,7 +443,7 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.No
 		} else {
 			base = s.g.AppendCandidates(base, label)
 		}
-		if !s.scan && !prePruned && (len(s.vars[v].sigOut) > 0 || len(s.vars[v].sigIn) > 0) {
+		if !prePruned && (len(s.vars[v].sigOut) > 0 || len(s.vars[v].sigIn) > 0) {
 			// Signature pruning: drop nodes whose out/in edge labels cannot
 			// cover v's pattern edges. Sound (never drops a real match) and
 			// applied only to unconstrained label-index sets — neighbor
@@ -506,16 +458,9 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.No
 			base = kept
 		}
 	}
-	if !s.scan {
-		// Filter by every remaining pattern edge whose other endpoint is
-		// bound. The bound set is frozen while this frame iterates (deeper
-		// frames pop before this frame advances), so doing it here —
-		// list-at-a-time, with the neighbor's label-filtered adjacency
-		// resolved once instead of per candidate — makes the frame fully
-		// verified: Next skips per-candidate consistency entirely.
-		base = s.filterBoundEdges(v, base, genIn, genEi)
-		verified = true
-	}
+	// List-at-a-time, with each bound neighbor's label-filtered adjacency
+	// resolved once instead of per candidate.
+	base = s.filterBoundEdges(v, base, genIn, genEi)
 	if s.filter != nil {
 		kept := base[:0]
 		for _, n := range base {
@@ -525,28 +470,13 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) (cands []graph.No
 		}
 		base = kept
 	}
-	if s.restrict != nil && s.restrict[v] != nil {
-		allowed := s.restrict[v]
-		kept := base[:0]
-		for _, n := range base {
-			if allowed[n] {
-				kept = append(kept, n)
-			}
-		}
-		base = kept
+	if needDedup {
+		// Candidate lists are ascending (sorted adjacency, filters preserve
+		// order), so duplicates are adjacent. Label-index candidates and
+		// exact-label adjacency lists are unique by construction.
+		base = dedupSorted(base)
 	}
-	if !needDedup {
-		// Label-index candidates and exact-label adjacency lists are unique
-		// by construction, and the filters above only remove elements; only
-		// wildcard-edge expansion can introduce duplicates.
-		return base, verified
-	}
-	if !s.scan {
-		// Indexed candidate lists are ascending (sorted adjacency, filters
-		// preserve order), so duplicates are adjacent.
-		return dedupSorted(base), verified
-	}
-	return dedup(base), verified
+	return base
 }
 
 // dedupSorted compacts an ascending slice in place, O(n) and
@@ -586,7 +516,7 @@ func intersectSorted(base, list []graph.NodeID) []graph.NodeID {
 // generating edge genEi. Each edge's constraint is one sorted-list
 // intersection with the bound neighbor's label-filtered adjacency —
 // resolved once per edge, with the kernel (merge or gallop) picked from
-// the operand lengths by s.intersect.
+// the operand lengths by intersectAdaptive.
 func (s *Search) filterBoundEdges(v pattern.Var, base []graph.NodeID, genIn bool, genEi int) []graph.NodeID {
 	for ei, e := range s.p.Out(v) {
 		if (genEi == ei && !genIn) || len(base) == 0 {
@@ -608,7 +538,7 @@ func (s *Search) filterBoundEdges(v pattern.Var, base []graph.NodeID, genIn bool
 		if u == graph.InvalidNode {
 			continue
 		}
-		base = s.intersect(base, s.g.InByLabelID(u, id))
+		base = intersectAdaptive(base, s.g.InByLabelID(u, id))
 	}
 	for ei, e := range s.p.In(v) {
 		if (genEi == ei && genIn) || len(base) == 0 {
@@ -621,47 +551,9 @@ func (s *Search) filterBoundEdges(v pattern.Var, base []graph.NodeID, genIn bool
 		if u == graph.InvalidNode {
 			continue
 		}
-		base = s.intersect(base, s.g.OutByLabelID(u, s.vars[v].inIDs[ei]))
+		base = intersectAdaptive(base, s.g.OutByLabelID(u, s.vars[v].inIDs[ei]))
 	}
 	return base
-}
-
-// dedupScanMax is the slice length up to which dedup uses a quadratic scan
-// instead of allocating a map: candidate sets in the innermost expansion
-// loop are usually small, and the scan keeps them allocation-free (a map
-// costs an allocation plus a hash per element, which the cache-resident
-// quadratic scan undercuts well past a dozen entries).
-const dedupScanMax = 32
-
-func dedup(ids []graph.NodeID) []graph.NodeID {
-	if len(ids) <= 1 {
-		return ids
-	}
-	if len(ids) <= dedupScanMax {
-		out := ids[:0]
-		for _, id := range ids {
-			dup := false
-			for _, kept := range out {
-				if kept == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	seen := make(map[graph.NodeID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // resolveEdgeLabels maps pattern edges to their data-graph label IDs,
@@ -689,41 +581,27 @@ func (s *Search) covers(v pattern.Var, n graph.NodeID) bool {
 // entries; the hash set remains the asymptotic guarantee for hub nodes.
 const hasEdgeListMax = 64
 
-// hasEdge tests a data edge. The indexed path scans the (short)
-// label-filtered adjacency list, falling back to the integer-keyed hash set
-// for fat lists; scan mode walks the raw out-edge slice like the pre-index
-// implementation did.
-func (s *Search) hasEdge(from, to graph.NodeID, label string, id graph.LabelID) bool {
-	if !s.scan {
-		list := s.g.OutByLabelID(from, id)
-		if len(list) <= hasEdgeListMax {
-			for _, t := range list {
-				if t == to {
-					return true
-				}
+// hasEdge tests a data edge by scanning the (short) label-filtered
+// adjacency list, falling back to the integer-keyed hash set for fat lists.
+func (s *Search) hasEdge(from, to graph.NodeID, id graph.LabelID) bool {
+	list := s.g.OutByLabelID(from, id)
+	if len(list) <= hasEdgeListMax {
+		for _, t := range list {
+			if t == to {
+				return true
 			}
-			return false
 		}
-		return s.g.HasEdgeID(from, to, id)
+		return false
 	}
-	for _, e := range s.g.Out(from) {
-		if e.To == to && (label == graph.Wildcard || e.Label == label) {
-			return true
-		}
-	}
-	return false
+	return s.g.HasEdgeID(from, to, id)
 }
 
 // consistent checks that mapping v→n preserves v's label and every pattern
-// edge between v and an already-assigned variable (including self-loops and
-// edges to seeded variables). It is the per-candidate path for scan mode
-// and seed validation; indexed frames are pre-verified by candidates().
+// edge between v and an already-assigned variable (including self-loops).
+// It validates the seed; open frames are verified list-at-a-time by
+// candidates().
 func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
-	if s.scan {
-		if !pattern.LabelMatches(s.p.Label(v), s.g.Label(n)) {
-			return false
-		}
-	} else if want := s.vars[v].labelID; want != graph.AnyLabel && want != s.g.LabelIDOf(n) {
+	if want := s.vars[v].labelID; want != graph.AnyLabel && want != s.g.LabelIDOf(n) {
 		return false
 	}
 	for ei, e := range s.p.Out(v) {
@@ -737,7 +615,7 @@ func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
 				continue
 			}
 		}
-		if !s.hasEdge(n, target, e.Label, s.vars[v].outIDs[ei]) {
+		if !s.hasEdge(n, target, s.vars[v].outIDs[ei]) {
 			return false
 		}
 	}
@@ -750,7 +628,7 @@ func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
 		if src == graph.InvalidNode {
 			continue
 		}
-		if !s.hasEdge(src, n, e.Label, s.vars[v].inIDs[ei]) {
+		if !s.hasEdge(src, n, s.vars[v].inIDs[ei]) {
 			return false
 		}
 	}
@@ -827,29 +705,4 @@ func FindAll(p *pattern.Pattern, g graph.Reader) []Assignment {
 		}
 		out = append(out, h)
 	}
-}
-
-// PivotRestriction builds the candidate restriction for a unit pivoted at
-// node z matching variable pv: every variable of pv's component is confined
-// to the d_Q-neighborhood of z, where d_Q is the pattern radius at pv. Other
-// components are unrestricted.
-func PivotRestriction(p *pattern.Pattern, g graph.Reader, pv pattern.Var, z graph.NodeID) map[pattern.Var]map[graph.NodeID]bool {
-	hood := g.Neighborhood(z, p.Radius(pv))
-	restrict := make(map[pattern.Var]map[graph.NodeID]bool)
-	for _, comp := range p.Components() {
-		has := false
-		for _, v := range comp {
-			if v == pv {
-				has = true
-				break
-			}
-		}
-		if !has {
-			continue
-		}
-		for _, v := range comp {
-			restrict[v] = hood
-		}
-	}
-	return restrict
 }

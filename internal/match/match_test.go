@@ -179,23 +179,30 @@ func TestDisconnectedPatternCrossProduct(t *testing.T) {
 	}
 }
 
+// TestPivotRestrictionConfinesMatches pins the property the parallel engine's
+// work units rely on instead of an explicit candidate restriction: a search
+// seeded at a pivot, following a pivot-first order, generates every further
+// candidate from an assigned neighbor's adjacency and so never leaves the
+// pivot's d_Q-neighborhood.
 func TestPivotRestrictionConfinesMatches(t *testing.T) {
 	// Two disjoint triangles; pivoting in one must not match the other.
 	g := triangleData()
 	off := g.DisjointUnion(triangleData())
 	p := edgePattern("n", "n", "e")
-	restrict := PivotRestriction(p, g, 0, off) // pivot x at second triangle's node
+	hood := g.Neighborhood(off, p.Radius(0)) // pivot x at second triangle's node
 	seed := NewAssignment(2)
 	seed[0] = off
-	s := NewSearch(p, g, Options{Seed: seed, Order: []pattern.Var{0, 1}, Restrict: restrict})
+	s := NewSearch(p, g, Options{Seed: seed, Order: PivotedOrder(p, []pattern.Var{0})})
 	n := 0
 	for {
 		h, ok := s.Next()
 		if !ok {
 			break
 		}
-		if h[1] < off {
-			t.Errorf("match escaped the pivot neighborhood: %v", h)
+		for _, v := range h {
+			if !hood[v] || v < off {
+				t.Errorf("match escaped the pivot neighborhood: %v", h)
+			}
 		}
 		n++
 	}
