@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/gfdio"
+	"repro/internal/graph"
 )
 
 // bin is the gfdreason binary TestMain builds once for every test here.
@@ -143,5 +146,128 @@ func TestTimeout(t *testing.T) {
 	out, errOut, code := gfdreason(t, "sat", "-timeout", "1ns", write(t, sigmaSat))
 	if code != 3 || out != "" || !strings.HasPrefix(errOut, "timeout: ") {
 		t.Errorf("sat -timeout 1ns: exit %d, stdout %q, stderr %q; want 3, no verdict, a timeout note", code, out, errOut)
+	}
+}
+
+// storeFixture converts graphDirty to a binary store with the snapshot
+// command and logs three ops against it through graph.OpenWAL (an attribute
+// set, a node add and that node's attribute): node 1's violation is
+// repaired and a new violating node 2 is added. It returns the rule file,
+// the store and the log.
+func storeFixture(t *testing.T) (sigma, store, wal string) {
+	t.Helper()
+	dir := t.TempDir()
+	sigma, store, wal = write(t, sigmaSat), filepath.Join(dir, "store.snap"), filepath.Join(dir, "updates.wal")
+	out, _, code := gfdreason(t, "snapshot", write(t, graphDirty), store)
+	if code != 0 || !strings.HasPrefix(out, "wrote "+store+": 2 nodes (2 live), 0 edges") {
+		t.Fatalf("snapshot: exit %d, stdout %q", code, out)
+	}
+	f, err := os.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := gfdio.ReadAnyGraph(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := graph.OpenWAL(wal, graph.NewDelta(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetAttr(1, "k", "1")
+	l.AddNodeWithAttrs("n", map[string]string{"k": "9"})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sigma, store, wal
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestStoreCheckAndRecover drives the store commands end to end: the binary
+// store checks like the text it came from, check -wal sees the logged
+// updates without touching store or log, and the image recover writes checks
+// to the same violation lines.
+func TestStoreCheckAndRecover(t *testing.T) {
+	sigma, store, wal := storeFixture(t)
+	out, _, code := gfdreason(t, "check", sigma, store)
+	if code != 1 || out != "violation of one at [1]\n" {
+		t.Errorf("check on the store: exit %d, stdout %q; want the text graph's answer", code, out)
+	}
+	storeBefore, walBefore := mustRead(t, store), mustRead(t, wal)
+	overlaid, _, code := gfdreason(t, "check", "-wal", wal, sigma, store)
+	if code != 1 || overlaid != "violation of one at [2]\n" {
+		t.Errorf("check -wal: exit %d, stdout %q; want only the logged node 2 violating", code, overlaid)
+	}
+	if !bytes.Equal(mustRead(t, store), storeBefore) || !bytes.Equal(mustRead(t, wal), walBefore) {
+		t.Error("check -wal modified the store or the log")
+	}
+	next := filepath.Join(t.TempDir(), "next.snap")
+	out, _, code = gfdreason(t, "recover", "-o", next, store, wal)
+	if code != 0 || !strings.HasPrefix(out, "replayed 3 ops over "+store) || !strings.Contains(out, "wrote "+next+": 3 nodes (3 live)") {
+		t.Errorf("recover -o: exit %d, stdout %q", code, out)
+	}
+	if !bytes.Equal(mustRead(t, store), storeBefore) {
+		t.Error("recover -o rewrote the input store")
+	}
+	folded, _, code := gfdreason(t, "check", sigma, next)
+	if code != 1 || folded != overlaid {
+		t.Errorf("check on the recovered image: exit %d, stdout %q; want check -wal's %q", code, folded, overlaid)
+	}
+}
+
+// TestRecoverMissingLog pins that a mistyped log path is a usage error that
+// leaves the store untouched, not an empty replay that rewrites it.
+func TestRecoverMissingLog(t *testing.T) {
+	_, store, wal := storeFixture(t)
+	before := mustRead(t, store)
+	out, errOut, code := gfdreason(t, "recover", store, wal+".typo")
+	if code != 2 || out != "" || !strings.HasPrefix(errOut, "recover ") {
+		t.Errorf("recover with a missing log: exit %d, stdout %q, stderr %q; want 2 and a recover error", code, out, errOut)
+	}
+	if !bytes.Equal(mustRead(t, store), before) {
+		t.Error("recover with a missing log rewrote the store")
+	}
+}
+
+// TestTornLogTail pins the torn-tail split between the two commands: check
+// -wal validates the complete records, says so on stderr and leaves the log
+// alone (a writer may still be appending); recover is the one that
+// truncates.
+func TestTornLogTail(t *testing.T) {
+	sigma, store, wal := storeFixture(t)
+	whole := mustRead(t, wal)
+	torn := append(append([]byte(nil), whole...), 0x2a, 0x00, 0x00)
+	if err := os.WriteFile(wal, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := gfdreason(t, "check", "-wal", wal, sigma, store)
+	if code != 1 || out != "violation of one at [2]\n" {
+		t.Errorf("check -wal over a torn log: exit %d, stdout %q; want both complete ops applied", code, out)
+	}
+	if !strings.Contains(errOut, "torn tail; checking the 3 complete ops") {
+		t.Errorf("check -wal over a torn log: stderr %q lacks the torn-tail note", errOut)
+	}
+	if !bytes.Equal(mustRead(t, wal), torn) {
+		t.Error("check -wal truncated the log; only recover may")
+	}
+	_, errOut, code = gfdreason(t, "recover", store, wal)
+	if code != 0 || !strings.Contains(errOut, fmt.Sprintf("torn tail; truncated to %d bytes", len(whole))) {
+		t.Errorf("recover over a torn log: exit %d, stderr %q; want the truncation note", code, errOut)
+	}
+	if !bytes.Equal(mustRead(t, wal), whole) {
+		t.Error("recover did not truncate the log to its last complete record")
+	}
+	out, _, code = gfdreason(t, "check", sigma, store)
+	if code != 1 || out != "violation of one at [2]\n" {
+		t.Errorf("check on the store recover rewrote in place: exit %d, stdout %q", code, out)
 	}
 }

@@ -184,7 +184,7 @@ func RefreezeWorkload(seed int64) (base *graph.Frozen, mkDelta func() *graph.Del
 	var adds []triple
 	for len(adds) < RefreezeOps-RefreezeOps/2 {
 		t := triple{graph.NodeID(rng.Intn(IngestNodes)), graph.NodeID(rng.Intn(IngestNodes)), lab[rng.Intn(len(lab))]}
-		if !base.HasEdge(t.from, t.to, t.lab) {
+		if !graph.HasEdge(base, t.from, t.to, t.lab) {
 			adds = append(adds, t)
 		}
 	}

@@ -113,7 +113,7 @@ func CompactWorkload(seed int64) (deadBase, compacted *graph.Frozen, remap graph
 	for len(churn.addFrom) < RefreezeOps-RefreezeOps/2 {
 		u, v := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
 		l := lab[rng.Intn(len(lab))]
-		if deadBase.HasEdge(u, v, l) {
+		if graph.HasEdge(deadBase, u, v, l) {
 			continue
 		}
 		churn.addFrom = append(churn.addFrom, u)

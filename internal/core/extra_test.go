@@ -75,8 +75,12 @@ func TestWitnessModelIsSigmaBounded(t *testing.T) {
 	if !res.Satisfiable {
 		t.Fatal("setup: unsat")
 	}
-	if res.Model.Size() > 20*set.Size() {
-		t.Errorf("witness size %d not Σ-bounded (|Σ| = %d)", res.Model.Size(), set.Size())
+	size := res.Model.NumNodes() + res.Model.NumEdges()
+	for v := 0; v < res.Model.NumNodes(); v++ {
+		size += len(res.Model.Attrs(graph.NodeID(v)))
+	}
+	if size > 20*set.Size() {
+		t.Errorf("witness size %d not Σ-bounded (|Σ| = %d)", size, set.Size())
 	}
 	if !IsModel(res.Model, set) {
 		t.Fatal("witness is not a model")

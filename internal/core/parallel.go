@@ -30,15 +30,6 @@ type ParOptions struct {
 	// the pool as units of their own (Section V-B, unit splitting). TTL <= 0
 	// never splits — the paper's ParSat_nb / ParImp_nb series.
 	TTL time.Duration
-	// Plans, when non-nil, is the compiled-plan cache the run resolves each
-	// GFD pattern through: pivot selection, variable orders and label
-	// resolution are computed once per (pattern, snapshot epoch) and reused
-	// across runs against the same snapshot. A nil cache still compiles one
-	// plan per GFD per run (shared by all of that GFD's work units); the
-	// cache only adds cross-run reuse, which requires an epoch-carrying
-	// snapshot reader (mutable canonical graphs are planned per run either
-	// way).
-	Plans *match.PlanCache
 	// Ctx, when non-nil, cancels the run cooperatively: workers check it at
 	// unit boundaries, idle workers blocked on the steal condition variable
 	// are woken, and in-flight match enumerations stop within a bounded
@@ -171,14 +162,8 @@ func (e *parEngine) buildUnits() error {
 			continue // no match anywhere: no units
 		}
 		// Plan the group once: pivots, per-pivot orders and resolved label IDs
-		// are shared by every work unit (and, through an epoch-checked
-		// Options.Plans cache, by later runs against the same snapshot).
-		var plan *match.Plan
-		if e.opt.Plans != nil {
-			plan = e.opt.Plans.Get(grp.Pattern, e.g)
-		} else {
-			plan = match.CompilePlan(grp.Pattern, e.g)
-		}
+		// are shared by every work unit.
+		plan := match.CompilePlan(grp.Pattern, e.g)
 		e.plans[i] = plan
 		pivots := plan.Pivots()
 		best := pivots[0]

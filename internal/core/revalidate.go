@@ -28,12 +28,6 @@ type RevalidateOptions struct {
 	// pool the reasoning engines use (per-worker deques, idle workers steal
 	// from peer backs); <= 1 is one worker.
 	Workers int
-	// Plans, when non-nil, resolves each GFD pattern through the compiled
-	// plan cache (pivot/order/label resolution computed once per pattern
-	// per snapshot epoch). Most effective when revalidating repeatedly
-	// against the same epoch-carrying snapshot; a fresh Overlay per call
-	// carries a fresh epoch and is planned per call.
-	Plans *match.PlanCache
 	// Ctx, when non-nil, cancels the revalidation cooperatively: checked
 	// between groups, inside each group's re-enumeration (match.Options.Ctx),
 	// and by condvar-blocked idle workers. A cancelled call returns
@@ -137,7 +131,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
-		vs, err := revalidateGroup(set, groups[gi], updated, hoods, prevBy, opt.Plans, opt.Ctx, st)
+		vs, err := revalidateGroup(set, groups[gi], updated, hoods, prevBy, opt.Ctx, st)
 		if err != nil {
 			return err
 		}
@@ -178,19 +172,14 @@ func RevalidateDelta(set *gfd.Set, d *graph.Delta, prev []Violation, opt Revalid
 // combinations whose root component lies arbitrarily far from the delta.
 // It returns one violation slice per group member, aligned with
 // grp.Members.
-func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods map[int]map[graph.NodeID]bool, prevBy map[*gfd.GFD][]Violation, plans *match.PlanCache, ctx context.Context, st *RevalidateStats) ([][]Violation, error) {
+func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods map[int]map[graph.NodeID]bool, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats) ([][]Violation, error) {
 	p := grp.Pattern
 	out := make([][]Violation, len(grp.Members))
-	var plan *match.Plan
 	order := match.DefaultOrder(p)
-	if plans != nil {
-		plan = plans.Get(p, updated)
-		order = plan.DefaultOrder()
-	}
 	if len(order) == 0 {
 		return out, nil
 	}
-	prog := compileGroupLiterals(set, grp, plan)
+	prog := compileGroupLiterals(set, grp, nil)
 	scr := prog.NewScratch()
 	emit := func(h match.Assignment) {
 		st.Reenumerated++
@@ -204,7 +193,7 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 	}
 	if !p.Connected() {
 		st.Full++
-		s := match.NewSearch(p, updated, match.Options{Plan: plan, Ctx: ctx})
+		s := match.NewSearch(p, updated, match.Options{Ctx: ctx})
 		for {
 			h, ok := s.Next()
 			if !ok {
@@ -228,7 +217,7 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 		}
 	}
 	if cands := match.ScopedRootCandidates(p, updated, order, hood); len(cands) > 0 {
-		s := match.NewSearch(p, updated, match.Options{RootCandidates: cands, Plan: plan, Ctx: ctx})
+		s := match.NewSearch(p, updated, match.Options{RootCandidates: cands, Ctx: ctx})
 		for {
 			h, ok := s.Next()
 			if !ok {

@@ -134,7 +134,7 @@ func TestSampleFrozenEquivalence(t *testing.T) {
 			if fmt.Sprint(g.Attrs(id)) != fmt.Sprint(f.Attrs(id)) {
 				t.Fatalf("cfg %+v: attrs of %d diverge", cfg, v)
 			}
-			mo, fo := g.OutByLabel(id, graph.Wildcard), f.OutByLabel(id, graph.Wildcard)
+			mo, fo := g.OutByLabelID(id, graph.AnyLabel), f.OutByLabelID(id, graph.AnyLabel)
 			if fmt.Sprint(mo) != fmt.Sprint(fo) {
 				t.Fatalf("cfg %+v: adjacency of %d diverges: %v vs %v", cfg, v, mo, fo)
 			}
@@ -159,7 +159,7 @@ func TestSampleShardedEquivalence(t *testing.T) {
 	}
 	for v := 0; v < f.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		mo, so := f.OutByLabel(id, graph.Wildcard), s.OutByLabel(id, graph.Wildcard)
+		mo, so := f.OutByLabelID(id, graph.AnyLabel), s.OutByLabelID(id, graph.AnyLabel)
 		if fmt.Sprint(mo) != fmt.Sprint(so) {
 			t.Fatalf("adjacency of %d diverges: %v vs %v", v, mo, so)
 		}

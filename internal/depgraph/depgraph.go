@@ -307,7 +307,7 @@ func UnitDeps(units []Unit, it *Interaction, g graph.Reader, radii []int) [][]in
 		return f
 	}
 	for i, u := range units {
-		hood := g.Neighborhood(u.Pivot, radii[u.GFD])
+		hood := graph.Neighborhood(g, u.Pivot, radii[u.GFD])
 		for z := range hood {
 			for _, j := range byPivot[z] {
 				if j != i && feeds(u.GFD, units[j].GFD) {

@@ -731,7 +731,7 @@ func (g *Generator) MutateDelta(d graph.Mutator, n int) {
 	aliveTarget := func(label string) (graph.NodeID, bool) {
 		targets, ok := candCache[label]
 		if !ok {
-			targets = base.CandidateNodes(label)
+			targets = graph.CandidateNodes(base, label)
 			candCache[label] = targets
 		}
 		for try := 0; try < 8 && len(targets) > 0; try++ {

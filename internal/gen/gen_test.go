@@ -167,12 +167,12 @@ func assertSameGraph(t *testing.T, ctx string, g *graph.Graph, f graph.Reader) {
 		if fmt.Sprint(g.Attrs(id)) != fmt.Sprint(f.Attrs(id)) {
 			t.Fatalf("%s: attrs of %d diverge: %v vs %v", ctx, v, g.Attrs(id), f.Attrs(id))
 		}
-		mo, fo := g.OutByLabel(id, graph.Wildcard), f.OutByLabel(id, graph.Wildcard)
+		mo, fo := g.OutByLabelID(id, graph.AnyLabel), f.OutByLabelID(id, graph.AnyLabel)
 		if fmt.Sprint(mo) != fmt.Sprint(fo) {
 			t.Fatalf("%s: adjacency of %d diverges: %v vs %v", ctx, v, mo, fo)
 		}
 		for _, e := range g.Out(id) {
-			if !f.HasEdge(e.From, e.To, e.Label) {
+			if !graph.HasEdge(f, e.From, e.To, e.Label) {
 				t.Fatalf("%s: frozen misses edge %v", ctx, e)
 			}
 		}
@@ -248,9 +248,9 @@ func TestMutateDeltaDeterminism(t *testing.T) {
 	// boundary, and the delta itself is untouched by the merge.
 	nf := base1.Refreeze(d1)
 	o = d1.Overlay()
-	if nf.NumEdges() != o.NumEdges() || nf.NumNodes() != o.NumNodes() || nf.Size() != o.Size() {
+	if nf.NumEdges() != o.NumEdges() || nf.NumNodes() != o.NumNodes() || nf.LiveNodes() != o.LiveNodes() {
 		t.Fatalf("refreeze disagrees with overlay: (%d,%d,%d) vs (%d,%d,%d)",
-			nf.NumNodes(), nf.NumEdges(), nf.Size(), o.NumNodes(), o.NumEdges(), o.Size())
+			nf.NumNodes(), nf.NumEdges(), nf.LiveNodes(), o.NumNodes(), o.NumEdges(), o.LiveNodes())
 	}
 }
 

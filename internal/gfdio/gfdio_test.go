@@ -29,7 +29,7 @@ func TestReadGraph(t *testing.T) {
 	if v, _ := g.Attr(0, "name"); v != "alice" {
 		t.Errorf("attr lost: %q", v)
 	}
-	if !g.HasEdge(1, 2, "lives") {
+	if !graph.HasEdge(g, 1, 2, "lives") {
 		t.Error("edge lost")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // TestSnapshotRoundTrip pins the gfdio snapshot path: text → frozen →
@@ -28,7 +30,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if v, ok := loaded.Attr(0, "name"); !ok || v != "alice" {
 		t.Errorf("attr lost through the image: %q %v", v, ok)
 	}
-	if !loaded.HasEdge(0, 1, "knows") || loaded.HasEdge(1, 0, "knows") {
+	if !graph.HasEdge(loaded, 0, 1, "knows") || graph.HasEdge(loaded, 1, 0, "knows") {
 		t.Error("edges diverge through the image")
 	}
 }

@@ -108,14 +108,6 @@ func (f *Frozen) CandidateBitset(label string) Bitset {
 	})
 }
 
-// CandidateBitset delegates to the underlying snapshot: the sharded view's
-// full-graph candidate set is the Frozen's. (Per-Shard candidate queries
-// are owned-range-only and deliberately have no bitset — a full-graph
-// bitset would widen a Shard's answers.)
-func (s *Sharded) CandidateBitset(label string) Bitset {
-	return s.f.CandidateBitset(label)
-}
-
 // CandidateBitset returns a bitset over the overlay's candidate set, or nil
 // below the build thresholds. When the delta leaves the label's population
 // untouched — no added node carries it and no base node died — the base

@@ -155,9 +155,9 @@ func TestChainedRefreezeTombstoneAccounting(t *testing.T) {
 			}
 		}
 		for _, l := range []string{"a", "b", "c"} {
-			for _, v := range f.NodesByLabel(l) {
+			for _, v := range f.nodesWithLabel(l) {
 				if !f.Alive(v) {
-					t.Fatalf("%s: NodesByLabel(%q) lists dead node %d", stage, l, v)
+					t.Fatalf("%s: label run %q lists dead node %d", stage, l, v)
 				}
 				inLabelRuns++
 			}
@@ -210,10 +210,10 @@ func TestCompactSharded(t *testing.T) {
 		t.Fatalf("resharded node count %d, want %d", s.NumNodes(), cf.NumNodes())
 	}
 	var want []NodeID
-	for _, v := range f.CandidateNodes(Wildcard) {
+	for _, v := range CandidateNodes(f, Wildcard) {
 		want = append(want, remap.Of(v))
 	}
-	if !idsEqual(s.CandidateNodes(Wildcard), want) {
+	if !idsEqual(CandidateNodes(s, Wildcard), want) {
 		t.Fatalf("resharded candidates diverge from remapped originals")
 	}
 }

@@ -697,20 +697,6 @@ func (o *Overlay) Attrs(v NodeID) map[string]string {
 	return o.base.Attrs(v)
 }
 
-// Size returns |G| counting live nodes, edges, attributes and their values.
-func (o *Overlay) Size() int {
-	s := o.LiveNodes() + o.NumEdges()
-	for v := 0; v < o.d.baseN(); v++ {
-		if o.d.alive(NodeID(v)) {
-			s += len(o.Attrs(NodeID(v)))
-		}
-	}
-	for i := range o.d.nodes {
-		s += len(o.d.nodes[i].Attrs)
-	}
-	return s
-}
-
 // edgeLabelName resolves an interned edge-label ID back to its name.
 func (o *Overlay) edgeLabelName(id LabelID) string {
 	if i := int(id) - len(o.base.labelNames); i >= 0 {
@@ -732,23 +718,6 @@ func (o *Overlay) Out(v NodeID) []Edge {
 		name := o.edgeLabelName(id)
 		for _, t := range r.lists[i] {
 			es = append(es, Edge{From: v, To: t, Label: name})
-		}
-	}
-	return es
-}
-
-// In returns the incoming edges of v, synthesized per call.
-func (o *Overlay) In(v NodeID) []Edge {
-	o.check()
-	r := o.in[v]
-	if r == nil {
-		return o.base.In(v)
-	}
-	es := make([]Edge, 0, r.total)
-	for i, id := range r.labels {
-		name := o.edgeLabelName(id)
-		for _, s := range r.lists[i] {
-			es = append(es, Edge{From: s, To: v, Label: name})
 		}
 	}
 	return es
@@ -807,14 +776,9 @@ func (o *Overlay) Labels() []string {
 	return ls
 }
 
-// HasEdge reports whether edge (from,to) with the given label exists, with
-// Wildcard matching any label.
-func (o *Overlay) HasEdge(from, to NodeID, label string) bool {
-	return o.HasEdgeID(from, to, o.EdgeLabelID(label))
-}
-
-// HasEdgeID is HasEdge with a pre-resolved label ID: a binary search in the
-// merged row for touched nodes, the base probe otherwise.
+// HasEdgeID reports whether edge (from,to) with the given label ID exists:
+// a binary search in the merged row for touched nodes, the base probe
+// otherwise.
 func (o *Overlay) HasEdgeID(from, to NodeID, id LabelID) bool {
 	o.check()
 	if id == NoLabel {
@@ -826,13 +790,8 @@ func (o *Overlay) HasEdgeID(from, to NodeID, id LabelID) bool {
 	return o.base.HasEdgeID(from, to, id)
 }
 
-// OutByLabel returns the targets of v's outgoing edges carrying the given
-// label, with the Reader contract's ordering and aliasing semantics.
-func (o *Overlay) OutByLabel(v NodeID, label string) []NodeID {
-	return o.OutByLabelID(v, o.EdgeLabelID(label))
-}
-
-// OutByLabelID is OutByLabel with a pre-resolved label ID.
+// OutByLabelID returns the targets of v's outgoing edges carrying the label
+// (ascending; the merged row for touched nodes, the base row otherwise).
 func (o *Overlay) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	o.check()
 	if r := o.out[v]; r != nil {
@@ -841,26 +800,13 @@ func (o *Overlay) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	return o.base.OutByLabelID(v, id)
 }
 
-// InByLabel returns the sources of v's incoming edges carrying the label.
-func (o *Overlay) InByLabel(v NodeID, label string) []NodeID {
-	return o.InByLabelID(v, o.EdgeLabelID(label))
-}
-
-// InByLabelID is InByLabel with a pre-resolved label ID.
+// InByLabelID returns the sources of v's incoming edges carrying the label.
 func (o *Overlay) InByLabelID(v NodeID, id LabelID) []NodeID {
 	o.check()
 	if r := o.in[v]; r != nil {
 		return r.endpoints(id)
 	}
 	return o.base.InByLabelID(v, id)
-}
-
-// NodesByLabel returns a fresh copy of the nodes carrying exactly the given
-// label: the base run minus tombstones, then the added nodes (whose IDs all
-// exceed the base space, keeping the list ascending).
-func (o *Overlay) NodesByLabel(label string) []NodeID {
-	o.check()
-	return o.appendLabelRun(nil, label)
 }
 
 // appendLabelRun appends the overlay's exact-label node run into dst.
@@ -878,14 +824,8 @@ func (o *Overlay) appendLabelRun(dst []NodeID, label string) []NodeID {
 	return append(dst, o.d.addedByLabel[label]...)
 }
 
-// CandidateNodes returns the nodes a pattern node with the given label may
-// match, as a fresh copy owned by the caller.
-func (o *Overlay) CandidateNodes(label string) []NodeID {
-	return o.AppendCandidates(nil, label)
-}
-
-// AppendCandidates appends CandidateNodes(label) into dst without any other
-// allocation.
+// AppendCandidates appends the overlay's candidates for the label into dst:
+// all live nodes for the wildcard, else the exact-label run.
 func (o *Overlay) AppendCandidates(dst []NodeID, label string) []NodeID {
 	o.check()
 	if label == Wildcard {
@@ -918,13 +858,8 @@ func (o *Overlay) LabelFrequency(label string) int {
 	return n
 }
 
-// Covers reports whether node v's adjacency covers the signature; see
-// Graph.Covers.
-func (o *Overlay) Covers(v NodeID, sig Signature) bool {
-	return o.CoversIDs(v, o.ResolveLabels(sig.Out), o.ResolveLabels(sig.In))
-}
-
-// CoversIDs is Covers with pre-resolved label IDs.
+// CoversIDs reports whether node v's adjacency covers the resolved
+// signature; see Graph.CoversIDs.
 func (o *Overlay) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
 	if !o.d.valid(v) {
 		return false
@@ -940,16 +875,6 @@ func (o *Overlay) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
 		}
 	}
 	return true
-}
-
-// Neighborhood returns the nodes within d undirected hops of v.
-func (o *Overlay) Neighborhood(v NodeID, d int) map[NodeID]bool {
-	return neighborhood(o, v, d)
-}
-
-// UndirectedDistance returns the undirected hop distance between u and v.
-func (o *Overlay) UndirectedDistance(u, v NodeID) int {
-	return undirectedDistance(o, u, v)
 }
 
 // String summarizes the overlay for logs.

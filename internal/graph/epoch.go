@@ -35,10 +35,6 @@ type EpochView interface {
 // Epoch returns the snapshot's construction token (see EpochView).
 func (f *Frozen) Epoch() uint64 { return f.epoch }
 
-// Epoch returns the underlying Frozen's epoch: the sharded view is an
-// access-path decoration, not a different snapshot.
-func (s *Sharded) Epoch() uint64 { return s.f.epoch }
-
 // Epoch returns the overlay's construction token. Each Delta.Overlay call
 // mints a fresh epoch: the overlay's contents are pinned to the delta
 // version it captured, and a later overlay of the same delta is a

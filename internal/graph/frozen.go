@@ -433,15 +433,6 @@ func (f *Frozen) Attrs(v NodeID) map[string]string {
 	return f.nodes[v].Attrs
 }
 
-// Size returns |G| counting live nodes, edges, attributes and their values.
-func (f *Frozen) Size() int {
-	s := len(f.nodes) - f.deadCount + f.edges
-	for i := range f.nodes {
-		s += len(f.nodes[i].Attrs)
-	}
-	return s
-}
-
 // Out returns the outgoing edges of v. The slice is synthesized per call
 // (labels re-materialized as strings); hot paths use OutByLabelID.
 func (f *Frozen) Out(v NodeID) []Edge {
@@ -449,33 +440,13 @@ func (f *Frozen) Out(v NodeID) []Edge {
 		return nil
 	}
 	es := make([]Edge, 0, f.out.off[v+1]-f.out.off[v])
-	f.synthesize(&f.out, v, func(l string, t NodeID) {
-		es = append(es, Edge{From: v, To: t, Label: l})
-	})
-	return es
-}
-
-// In returns the incoming edges of v, synthesized per call like Out.
-func (f *Frozen) In(v NodeID) []Edge {
-	if !f.valid(v) {
-		return nil
-	}
-	es := make([]Edge, 0, f.in.off[v+1]-f.in.off[v])
-	f.synthesize(&f.in, v, func(l string, t NodeID) {
-		es = append(es, Edge{From: t, To: v, Label: l})
-	})
-	return es
-}
-
-// synthesize walks one node's directory runs, handing each (label string,
-// endpoint) pair to emit.
-func (f *Frozen) synthesize(d *csrDir, v NodeID, emit func(string, NodeID)) {
-	d.forEachRun(v, func(id LabelID, targets []NodeID) {
+	f.out.forEachRun(v, func(id LabelID, targets []NodeID) {
 		name := f.labelNames[id]
 		for _, t := range targets {
-			emit(name, t)
+			es = append(es, Edge{From: v, To: t, Label: name})
 		}
 	})
+	return es
 }
 
 // EdgeLabelID resolves an edge label to its interned ID: AnyLabel for the
@@ -524,14 +495,9 @@ func (f *Frozen) Labels() []string {
 	return ls
 }
 
-// HasEdge reports whether edge (from,to) with the given label exists, with
-// Wildcard matching any label.
-func (f *Frozen) HasEdge(from, to NodeID, label string) bool {
-	return f.HasEdgeID(from, to, f.EdgeLabelID(label))
-}
-
-// HasEdgeID is HasEdge with a pre-resolved label ID: binary search within
-// from's label run, O(log deg), no hashing.
+// HasEdgeID reports whether edge (from,to) with the given label ID exists,
+// AnyLabel matching any label: binary search within from's label run,
+// O(log deg), no hashing.
 func (f *Frozen) HasEdgeID(from, to NodeID, id LabelID) bool {
 	if !f.valid(from) || id == NoLabel {
 		return false
@@ -539,14 +505,9 @@ func (f *Frozen) HasEdgeID(from, to NodeID, id LabelID) bool {
 	return f.out.has(from, to, id)
 }
 
-// OutByLabel returns the targets of v's outgoing edges carrying the given
-// label, in ascending NodeID order, with Graph.OutByLabel's wildcard and
+// OutByLabelID returns the targets of v's outgoing edges carrying the given
+// label, in ascending NodeID order, with Graph.OutByLabelID's AnyLabel and
 // aliasing semantics.
-func (f *Frozen) OutByLabel(v NodeID, label string) []NodeID {
-	return f.OutByLabelID(v, f.EdgeLabelID(label))
-}
-
-// OutByLabelID is OutByLabel with a pre-resolved label ID.
 func (f *Frozen) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	if !f.valid(v) {
 		return nil
@@ -554,13 +515,8 @@ func (f *Frozen) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	return f.out.byLabel(v, id)
 }
 
-// InByLabel returns the sources of v's incoming edges carrying the given
-// label, with the same semantics as OutByLabel.
-func (f *Frozen) InByLabel(v NodeID, label string) []NodeID {
-	return f.InByLabelID(v, f.EdgeLabelID(label))
-}
-
-// InByLabelID is InByLabel with a pre-resolved label ID.
+// InByLabelID returns the sources of v's incoming edges carrying the given
+// label, with the same semantics as OutByLabelID.
 func (f *Frozen) InByLabelID(v NodeID, id LabelID) []NodeID {
 	if !f.valid(v) {
 		return nil
@@ -578,26 +534,9 @@ func (f *Frozen) nodesWithLabel(label string) []NodeID {
 	return f.byLabelNodes[f.byLabelOff[id]:f.byLabelOff[id+1]]
 }
 
-// NodesByLabel returns the IDs of nodes carrying exactly the given label,
-// as a fresh copy owned by the caller (see Reader's contract). It does not
-// apply wildcard semantics; see CandidateNodes.
-func (f *Frozen) NodesByLabel(label string) []NodeID {
-	run := f.nodesWithLabel(label)
-	if run == nil {
-		return nil
-	}
-	return append([]NodeID(nil), run...)
-}
-
-// CandidateNodes returns the nodes a pattern node with the given label may
-// match, as a fresh copy owned by the caller: all nodes for the wildcard,
-// else the nodes with that exact label.
-func (f *Frozen) CandidateNodes(label string) []NodeID {
-	return f.AppendCandidates(nil, label)
-}
-
-// AppendCandidates appends CandidateNodes(label) into dst without any other
-// allocation.
+// AppendCandidates appends the nodes a pattern node with the given label
+// may match into dst: all live nodes for the wildcard, else the nodes with
+// that exact label.
 func (f *Frozen) AppendCandidates(dst []NodeID, label string) []NodeID {
 	if label == Wildcard {
 		for i := range f.nodes {
@@ -620,13 +559,8 @@ func (f *Frozen) LabelFrequency(label string) int {
 	return len(f.nodesWithLabel(label))
 }
 
-// Covers reports whether node v's adjacency covers the signature; see
-// Graph.Covers.
-func (f *Frozen) Covers(v NodeID, sig Signature) bool {
-	return f.CoversIDs(v, f.ResolveLabels(sig.Out), f.ResolveLabels(sig.In))
-}
-
-// CoversIDs is Covers with pre-resolved label IDs. Each probe is a binary
+// CoversIDs reports whether node v's adjacency covers the resolved
+// signature; see Graph.CoversIDs. Each probe is a binary
 // search over v's label directory, O(|sig| log deg) total.
 func (f *Frozen) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
 	if !f.valid(v) {
@@ -643,16 +577,4 @@ func (f *Frozen) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
 		}
 	}
 	return true
-}
-
-// Neighborhood returns the set of nodes within d hops of v, treating edges
-// as undirected; see Graph.Neighborhood.
-func (f *Frozen) Neighborhood(v NodeID, d int) map[NodeID]bool {
-	return neighborhood(f, v, d)
-}
-
-// UndirectedDistance returns the number of hops between u and v ignoring
-// edge direction, or -1 if disconnected; see Graph.UndirectedDistance.
-func (f *Frozen) UndirectedDistance(u, v NodeID) int {
-	return undirectedDistance(f, u, v)
 }

@@ -153,7 +153,7 @@ type edgeKey struct {
 	label    LabelID
 }
 
-// pair keys the (from,to) edge-existence set backing wildcard HasEdge.
+// pair keys the (from,to) edge-existence set backing wildcard HasEdgeID.
 type pair struct{ from, to NodeID }
 
 // Graph is a mutable directed labeled property graph. The zero value is not
@@ -163,7 +163,7 @@ type Graph struct {
 	out   [][]Edge // adjacency by source
 	in    [][]Edge // adjacency by target
 	// outIdx/inIdx are the per-node label-keyed adjacency indexes behind
-	// OutByLabel/InByLabel, maintained incrementally by AddEdge.
+	// OutByLabelID/InByLabelID, maintained incrementally by AddEdge.
 	outIdx []labelAdj
 	inIdx  []labelAdj
 	// labelIDs/labelNames intern edge labels to dense LabelIDs;
@@ -173,7 +173,7 @@ type Graph struct {
 	labelNames   []string
 	nodeLabelIDs map[string]LabelID
 	nodeLabelOf  []LabelID
-	// edgeSet/pairSet answer HasEdge in O(1): exact (from,label,to)
+	// edgeSet/pairSet answer HasEdgeID in O(1): exact (from,label,to)
 	// membership and label-oblivious (from,to) membership respectively.
 	edgeSet map[edgeKey]struct{}
 	pairSet map[pair]struct{}
@@ -433,18 +433,9 @@ func (g *Graph) NumEdges() int { return g.edges }
 // Out returns the outgoing edges of v. Callers must not mutate the slice.
 func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
 
-// In returns the incoming edges of v. Callers must not mutate the slice.
-func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
-
-// HasEdge reports whether edge (from,to) with the given label exists.
-// A Wildcard label argument matches any edge label. The test is a single
-// hash probe (O(1)) against the edge set maintained by AddEdge.
-func (g *Graph) HasEdge(from, to NodeID, label string) bool {
-	return g.HasEdgeID(from, to, g.EdgeLabelID(label))
-}
-
-// HasEdgeID is HasEdge with a pre-resolved label ID: one integer-keyed hash
-// probe, no string hashing.
+// HasEdgeID reports whether edge (from,to) with the given label ID exists
+// (AnyLabel matches any label): one integer-keyed hash probe (O(1)) against
+// the edge set maintained by AddEdge, no string hashing.
 func (g *Graph) HasEdgeID(from, to NodeID, id LabelID) bool {
 	switch id {
 	case AnyLabel:
@@ -457,16 +448,11 @@ func (g *Graph) HasEdgeID(from, to NodeID, id LabelID) bool {
 	return ok
 }
 
-// OutByLabel returns the targets of v's outgoing edges carrying the given
-// label, in ascending NodeID order. A Wildcard label returns the targets of
-// all outgoing edges; that list can repeat a target when parallel edges
-// differ only in label, so callers that need a set must dedup. Callers must
-// not mutate the slice.
-func (g *Graph) OutByLabel(v NodeID, label string) []NodeID {
-	return g.OutByLabelID(v, g.EdgeLabelID(label))
-}
-
-// OutByLabelID is OutByLabel with a pre-resolved label ID.
+// OutByLabelID returns the targets of v's outgoing edges carrying the given
+// label, in ascending NodeID order. AnyLabel returns the targets of all
+// outgoing edges; that list can repeat a target when parallel edges differ
+// only in label, so callers that need a set must dedup. Callers must not
+// mutate the slice.
 func (g *Graph) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	if !g.valid(v) {
 		return nil
@@ -474,13 +460,8 @@ func (g *Graph) OutByLabelID(v NodeID, id LabelID) []NodeID {
 	return g.outIdx[v].endpoints(id)
 }
 
-// InByLabel returns the sources of v's incoming edges carrying the given
-// label, with the same Wildcard and aliasing semantics as OutByLabel.
-func (g *Graph) InByLabel(v NodeID, label string) []NodeID {
-	return g.InByLabelID(v, g.EdgeLabelID(label))
-}
-
-// InByLabelID is InByLabel with a pre-resolved label ID.
+// InByLabelID returns the sources of v's incoming edges carrying the given
+// label, with the same AnyLabel and aliasing semantics as OutByLabelID.
 func (g *Graph) InByLabelID(v NodeID, id LabelID) []NodeID {
 	if !g.valid(v) {
 		return nil
@@ -488,29 +469,10 @@ func (g *Graph) InByLabelID(v NodeID, id LabelID) []NodeID {
 	return g.inIdx[v].endpoints(id)
 }
 
-// NodesByLabel returns the IDs of nodes carrying exactly the given label,
-// in ascending order. Like CandidateNodes — and unlike earlier revisions,
-// which aliased the internal label index — the returned slice is always a
-// fresh copy owned by the caller, so callers may sort or compact it in
-// place (the Reader contract). It does not apply wildcard semantics; see
-// CandidateNodes. Allocation-sensitive paths use AppendCandidates instead.
-func (g *Graph) NodesByLabel(label string) []NodeID {
-	if g.byLabel[label] == nil {
-		return nil
-	}
-	return append([]NodeID(nil), g.byLabel[label]...)
-}
-
-// CandidateNodes returns the nodes a pattern node with the given label may
-// match: all nodes for the wildcard, else the nodes with that exact label.
-// The returned slice is always a fresh copy owned by the caller, never the
-// graph's internal label index, so callers may sort or compact it in place.
-func (g *Graph) CandidateNodes(label string) []NodeID {
-	return g.AppendCandidates(nil, label)
-}
-
-// AppendCandidates appends CandidateNodes(label) into dst without any other
-// allocation: the hot-path variant for callers that recycle a buffer.
+// AppendCandidates appends the nodes a pattern node with the given label
+// may match into dst: all live nodes for the wildcard, else the nodes with
+// that exact label, ascending. The graph's label index is copied, never
+// handed out, so callers may sort or compact the result in place.
 func (g *Graph) AppendCandidates(dst []NodeID, label string) []NodeID {
 	if label == Wildcard {
 		for i := range g.nodes {
@@ -538,7 +500,7 @@ func (g *Graph) LabelFrequency(label string) int {
 // the node must carry at least one outgoing (resp. incoming) edge each. A
 // Wildcard entry requires an edge of any label. A pattern variable's
 // signature is derived from its pattern edges (see pattern.Signature); a
-// data node failing Covers cannot participate in any homomorphism at that
+// data node failing CoversIDs cannot participate in any homomorphism at that
 // variable, because homomorphisms may collapse same-labeled pattern edges
 // onto one data edge but can never invent a missing edge label.
 type Signature struct {
@@ -546,18 +508,10 @@ type Signature struct {
 	In  []string
 }
 
-// Covers reports whether node v's adjacency covers the signature: for every
-// label in sig.Out there is at least one outgoing edge with that label (any
-// label for Wildcard), and symmetrically for sig.In. Each probe is one index
-// lookup, so the whole check is O(|sig|). Hot paths resolve the signature
-// once with ResolveLabels and call CoversIDs instead.
-func (g *Graph) Covers(v NodeID, sig Signature) bool {
-	return g.CoversIDs(v, g.ResolveLabels(sig.Out), g.ResolveLabels(sig.In))
-}
-
-// CoversIDs is Covers with pre-resolved label IDs: integer-only probes, no
-// string hashing. It is the single implementation of the signature-cover
-// rule; Covers and the match/simulation pruning paths all route here.
+// CoversIDs reports whether node v's adjacency covers a signature resolved
+// with ResolveLabels: for every ID in outIDs there is at least one outgoing
+// edge with that label (any label for AnyLabel), and symmetrically for
+// inIDs. Each probe is one index lookup, so the whole check is O(|sig|).
 func (g *Graph) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
 	if !g.valid(v) {
 		return false
@@ -599,16 +553,6 @@ func (g *Graph) Labels() []string {
 	return ls
 }
 
-// Size returns |G| counting live nodes, edges, attributes and their values,
-// the measure used by the Σ-bounded small model property.
-func (g *Graph) Size() int {
-	s := len(g.nodes) - g.deadCount + g.edges
-	for i := range g.nodes {
-		s += len(g.nodes[i].Attrs)
-	}
-	return s
-}
-
 // Clone returns a deep copy of g, tombstones included.
 func (g *Graph) Clone() *Graph {
 	c := New()
@@ -632,20 +576,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// Neighborhood returns the set of nodes within d hops of v, treating edges
-// as undirected (the d_Q-neighborhood of Section V-B). The result includes v
-// itself. Membership is returned as a map for O(1) containment tests.
-func (g *Graph) Neighborhood(v NodeID, d int) map[NodeID]bool {
-	return neighborhood(g, v, d)
-}
-
-// UndirectedDistance returns the number of hops between u and v ignoring
-// edge direction, or -1 if disconnected. Used when building the work-unit
-// dependency graph ("pivots within d_Q1 hops").
-func (g *Graph) UndirectedDistance(u, v NodeID) int {
-	return undirectedDistance(g, u, v)
 }
 
 // Subgraph returns the induced subgraph on the given node set, together with

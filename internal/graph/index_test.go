@@ -63,7 +63,7 @@ func TestOutByLabelTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sortedIDs(g.OutByLabel(tc.v, tc.label))
+			got := sortedIDs(outByLabel(g, tc.v, tc.label))
 			if !idsEqual(got, sortedIDs(tc.want)) {
 				t.Errorf("OutByLabel(%d, %q) = %v, want %v", tc.v, tc.label, got, tc.want)
 			}
@@ -88,7 +88,7 @@ func TestInByLabelTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sortedIDs(g.InByLabel(tc.v, tc.label))
+			got := sortedIDs(inByLabel(g, tc.v, tc.label))
 			if !idsEqual(got, sortedIDs(tc.want)) {
 				t.Errorf("InByLabel(%d, %q) = %v, want %v", tc.v, tc.label, got, tc.want)
 			}
@@ -118,7 +118,7 @@ func TestHasEdgeIndexTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := g.HasEdge(tc.from, tc.to, tc.label); got != tc.want {
+			if got := HasEdge(g, tc.from, tc.to, tc.label); got != tc.want {
 				t.Errorf("HasEdge(%d, %d, %q) = %v, want %v", tc.from, tc.to, tc.label, got, tc.want)
 			}
 		})
@@ -147,7 +147,7 @@ func TestCoversTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := g.Covers(tc.v, tc.sig); got != tc.want {
+			if got := covers(g, tc.v, tc.sig); got != tc.want {
 				t.Errorf("Covers(%d, %+v) = %v, want %v", tc.v, tc.sig, got, tc.want)
 			}
 		})
@@ -156,7 +156,7 @@ func TestCoversTable(t *testing.T) {
 
 func TestCandidateNodesReturnsCopy(t *testing.T) {
 	g := buildIndexed(t)
-	cands := g.CandidateNodes("person")
+	cands := CandidateNodes(g, "person")
 	if len(cands) != 3 {
 		t.Fatalf("CandidateNodes = %v, want 3 nodes", cands)
 	}
@@ -164,7 +164,7 @@ func TestCandidateNodesReturnsCopy(t *testing.T) {
 	for i := range cands {
 		cands[i] = InvalidNode
 	}
-	again := g.CandidateNodes("person")
+	again := CandidateNodes(g, "person")
 	if !idsEqual(sortedIDs(again), []NodeID{0, 1, 2}) {
 		t.Fatalf("label index corrupted through CandidateNodes: %v", again)
 	}
@@ -181,7 +181,7 @@ func checkIndexConsistency(t *testing.T, g *Graph) {
 		for _, e := range g.Out(id) {
 			labels[e.Label] = true
 		}
-		for _, e := range g.In(id) {
+		for _, e := range inEdges(g, id) {
 			labels[e.Label] = true
 		}
 		for l := range labels {
@@ -191,30 +191,30 @@ func checkIndexConsistency(t *testing.T, g *Graph) {
 					wantOut = append(wantOut, e.To)
 				}
 			}
-			if got := sortedIDs(g.OutByLabel(id, l)); !idsEqual(got, sortedIDs(wantOut)) {
+			if got := sortedIDs(outByLabel(g, id, l)); !idsEqual(got, sortedIDs(wantOut)) {
 				t.Errorf("node %d label %q: OutByLabel = %v, scan = %v", v, l, got, wantOut)
 			}
 			wantIn := []NodeID{}
-			for _, e := range g.In(id) {
+			for _, e := range inEdges(g, id) {
 				if l == Wildcard || e.Label == l {
 					wantIn = append(wantIn, e.From)
 				}
 			}
-			if got := sortedIDs(g.InByLabel(id, l)); !idsEqual(got, sortedIDs(wantIn)) {
+			if got := sortedIDs(inByLabel(g, id, l)); !idsEqual(got, sortedIDs(wantIn)) {
 				t.Errorf("node %d label %q: InByLabel = %v, scan = %v", v, l, got, wantIn)
 			}
 		}
 		for _, e := range g.Out(id) {
-			if !g.HasEdge(e.From, e.To, e.Label) {
+			if !HasEdge(g, e.From, e.To, e.Label) {
 				t.Errorf("HasEdge misses raw edge %+v", e)
 			}
-			if !g.HasEdge(e.From, e.To, Wildcard) {
+			if !HasEdge(g, e.From, e.To, Wildcard) {
 				t.Errorf("wildcard HasEdge misses raw edge %+v", e)
 			}
-			if !g.Covers(e.From, Signature{Out: []string{e.Label}}) {
+			if !covers(g, e.From, Signature{Out: []string{e.Label}}) {
 				t.Errorf("Covers misses out label of raw edge %+v", e)
 			}
-			if !g.Covers(e.To, Signature{In: []string{e.Label}}) {
+			if !covers(g, e.To, Signature{In: []string{e.Label}}) {
 				t.Errorf("Covers misses in label of raw edge %+v", e)
 			}
 		}
@@ -227,10 +227,10 @@ func TestIndexConsistencyAfterClone(t *testing.T) {
 	checkIndexConsistency(t, c)
 	// Mutating the clone must not leak into the original's index.
 	c.AddEdge(2, 1, "new")
-	if g.HasEdge(2, 1, "new") {
+	if HasEdge(g, 2, 1, "new") {
 		t.Error("clone mutation visible in original's edge set")
 	}
-	if len(g.OutByLabel(2, "new")) != 0 {
+	if len(outByLabel(g, 2, "new")) != 0 {
 		t.Error("clone mutation visible in original's adjacency index")
 	}
 	checkIndexConsistency(t, g)
@@ -240,14 +240,14 @@ func TestIndexConsistencyAfterSubgraph(t *testing.T) {
 	g := buildIndexed(t)
 	sub, remap := g.Subgraph(map[NodeID]bool{0: true, 1: true})
 	checkIndexConsistency(t, sub)
-	if !sub.HasEdge(remap[0], remap[1], "knows") {
+	if !HasEdge(sub, remap[0], remap[1], "knows") {
 		t.Error("subgraph lost kept edge from index view")
 	}
-	if sub.HasEdge(remap[1], remap[1], "knows") {
+	if HasEdge(sub, remap[1], remap[1], "knows") {
 		t.Error("subgraph index reports edge that was never added")
 	}
 	// The self-loop at 1 survives induction.
-	if !sub.HasEdge(remap[1], remap[1], "likes") {
+	if !HasEdge(sub, remap[1], remap[1], "likes") {
 		t.Error("subgraph index lost induced self-loop")
 	}
 }
@@ -257,13 +257,13 @@ func TestIndexConsistencyAfterDisjointUnion(t *testing.T) {
 	other := buildIndexed(t)
 	offset := g.DisjointUnion(other)
 	checkIndexConsistency(t, g)
-	if !g.HasEdge(0+offset, 1+offset, "knows") {
+	if !HasEdge(g, 0+offset, 1+offset, "knows") {
 		t.Error("union index misses shifted edge")
 	}
-	if g.HasEdge(0, 1+offset, "knows") {
+	if HasEdge(g, 0, 1+offset, "knows") {
 		t.Error("union index invents cross-component edge")
 	}
-	if !g.HasEdge(1+offset, 1+offset, "likes") {
+	if !HasEdge(g, 1+offset, 1+offset, "likes") {
 		t.Error("union index misses shifted self-loop")
 	}
 }
@@ -277,10 +277,10 @@ func TestAddEdgeIdempotentViaIndex(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	if got := g.OutByLabel(a, "e"); len(got) != 1 {
+	if got := outByLabel(g, a, "e"); len(got) != 1 {
 		t.Fatalf("OutByLabel holds duplicates after idempotent insert: %v", got)
 	}
-	if got := g.InByLabel(b, Wildcard); len(got) != 1 {
+	if got := inByLabel(g, b, Wildcard); len(got) != 1 {
 		t.Fatalf("wildcard InByLabel holds duplicates after idempotent insert: %v", got)
 	}
 }

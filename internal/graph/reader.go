@@ -2,12 +2,18 @@ package graph
 
 // Reader is the read API shared by the graph representations: the mutable
 // *Graph (incremental AddEdge, sorted-insert adjacency), the immutable
-// *Frozen (bulk-loaded CSR snapshot, see Builder) with its *Sharded/*Shard
-// partitioned views, and the *Overlay composing a *Delta of updates over a
-// Frozen base (see delta.go). The matching, simulation, reasoning and
-// discovery layers are written against Reader, so they run unmodified on
-// any representation; mutation (AddNode, AddEdge, SetAttr, Clone, Subgraph,
-// DisjointUnion, RemoveEdge, RemoveNode) stays on *Graph and *Delta.
+// *Frozen (bulk-loaded CSR snapshot, see Builder; *Sharded embeds one and is
+// a Reader by promotion), and the *Overlay composing a *Delta of updates
+// over a Frozen base (see delta.go). The matching, simulation, reasoning
+// and discovery layers are written against Reader, so they run unmodified
+// on any representation; mutation (AddNode, AddEdge, SetAttr, Clone,
+// Subgraph, DisjointUnion, RemoveEdge, RemoveNode) stays on *Graph and
+// *Delta.
+//
+// The interface is the ID-based core a representation has to answer from
+// its own storage. Queries that are compositions of the core — HasEdge,
+// CandidateNodes, Neighborhood below — are functions over Reader, written
+// once, not methods every representation repeats.
 //
 // Contracts every implementation upholds:
 //
@@ -16,10 +22,9 @@ package graph
 //     repeated when parallel edges differ only in label), so consumers may
 //     intersect lists by linear merge and test membership by binary search.
 //     The returned slices alias internal storage: read-only.
-//   - NodesByLabel and CandidateNodes return a fresh copy owned by the
-//     caller, never internal index storage, so callers may sort or compact
-//     them in place. AppendCandidates is the allocation-conscious variant
-//     for hot paths: it appends into a caller-owned buffer.
+//   - AppendCandidates appends into a caller-owned buffer and never hands
+//     out internal index storage, so callers may sort or compact the result
+//     in place.
 //   - Label/Node label IDs are interned per graph and do not transfer
 //     across graphs (or across a Graph and its Frozen snapshot).
 type Reader interface {
@@ -29,43 +34,40 @@ type Reader interface {
 	Label(v NodeID) string
 	Attr(v NodeID, attr string) (string, bool)
 	Attrs(v NodeID) map[string]string
-	Size() int
 
-	// Raw adjacency. On *Frozen these synthesize the []Edge slices per
-	// call; hot paths use the ID-based accessors below.
+	// Raw out-adjacency with label strings, for writers and oracles. On
+	// *Frozen and *Overlay the slice is synthesized per call; hot paths use
+	// the ID-based accessors below.
 	Out(v NodeID) []Edge
-	In(v NodeID) []Edge
 
-	// Label interning.
+	// Label interning: EdgeLabelID maps Wildcard to AnyLabel and a label
+	// absent from the graph to NoLabel.
 	EdgeLabelID(label string) LabelID
 	NodeLabelID(label string) LabelID
 	LabelIDOf(v NodeID) LabelID
 	ResolveLabels(labels []string) []LabelID
 	Labels() []string
 
-	// Edge probes.
-	HasEdge(from, to NodeID, label string) bool
+	// HasEdgeID reports whether an edge (from, to) with the label exists;
+	// AnyLabel matches any label, NoLabel nothing.
 	HasEdgeID(from, to NodeID, id LabelID) bool
 
-	// Label-keyed adjacency.
-	OutByLabel(v NodeID, label string) []NodeID
+	// Label-keyed adjacency: the targets (sources) of v's outgoing
+	// (incoming) edges carrying the label, all of them for AnyLabel.
 	OutByLabelID(v NodeID, id LabelID) []NodeID
-	InByLabel(v NodeID, label string) []NodeID
 	InByLabelID(v NodeID, id LabelID) []NodeID
 
-	// Node-label index.
-	NodesByLabel(label string) []NodeID
-	CandidateNodes(label string) []NodeID
+	// Node-label index: the nodes a pattern node with the given label may
+	// match — every live node for the Wildcard, else the nodes with that
+	// exact label — and their count.
 	AppendCandidates(dst []NodeID, label string) []NodeID
 	LabelFrequency(label string) int
 
-	// Signature pruning.
-	Covers(v NodeID, sig Signature) bool
+	// CoversIDs reports whether v has at least one outgoing edge per label
+	// in outIDs and one incoming edge per label in inIDs (see Signature).
+	// A method, not a derived function: it is the candidate filter of every
+	// search frame.
 	CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool
-
-	// Traversal.
-	Neighborhood(v NodeID, d int) map[NodeID]bool
-	UndirectedDistance(u, v NodeID) int
 }
 
 // Sink is the build API shared by *Graph (incremental, indexed as it goes)
@@ -90,10 +92,24 @@ var (
 	_ Sink   = (*Delta)(nil)
 )
 
-// neighborhood is the shared BFS behind Graph.Neighborhood and
-// Frozen.Neighborhood, written against the wildcard adjacency so both
-// representations traverse identically by construction.
-func neighborhood(r Reader, v NodeID, d int) map[NodeID]bool {
+// HasEdge reports whether edge (from, to) with the given label exists; a
+// Wildcard label matches any edge label. Loops resolve the label once with
+// EdgeLabelID and call HasEdgeID.
+func HasEdge(r Reader, from, to NodeID, label string) bool {
+	return r.HasEdgeID(from, to, r.EdgeLabelID(label))
+}
+
+// CandidateNodes returns the nodes a pattern node with the given label may
+// match as a fresh slice owned by the caller. Loops recycle a buffer through
+// AppendCandidates instead.
+func CandidateNodes(r Reader, label string) []NodeID {
+	return r.AppendCandidates(nil, label)
+}
+
+// Neighborhood returns the set of nodes within d hops of v, treating edges
+// as undirected (the d_Q-neighborhood of Section V-B). The result includes v
+// itself. Membership is returned as a map for O(1) containment tests.
+func Neighborhood(r Reader, v NodeID, d int) map[NodeID]bool {
 	seen := map[NodeID]bool{v: true}
 	frontier := []NodeID{v}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
@@ -115,43 +131,4 @@ func neighborhood(r Reader, v NodeID, d int) map[NodeID]bool {
 		frontier = next
 	}
 	return seen
-}
-
-// undirectedDistance is the shared BFS behind Graph.UndirectedDistance and
-// Frozen.UndirectedDistance.
-func undirectedDistance(r Reader, u, v NodeID) int {
-	if u == v {
-		return 0
-	}
-	dist := map[NodeID]int{u: 0}
-	frontier := []NodeID{u}
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, w := range frontier {
-			dw := dist[w]
-			step := func(nb NodeID) bool {
-				if _, ok := dist[nb]; ok {
-					return false
-				}
-				if nb == v {
-					return true
-				}
-				dist[nb] = dw + 1
-				next = append(next, nb)
-				return false
-			}
-			for _, nb := range r.OutByLabelID(w, AnyLabel) {
-				if step(nb) {
-					return dw + 1
-				}
-			}
-			for _, nb := range r.InByLabelID(w, AnyLabel) {
-				if step(nb) {
-					return dw + 1
-				}
-			}
-		}
-		frontier = next
-	}
-	return -1
 }

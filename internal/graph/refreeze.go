@@ -211,25 +211,13 @@ func refreezeDir(base *csrDir, rows map[NodeID]*row, baseN, n2 int) csrDir {
 // frontier accounting — clean shards reuse their counts, re-pointed at the
 // refrozen snapshot.
 func (s *Sharded) Refreeze(d *Delta) *Sharded {
-	if d.base != s.f {
+	if d.base != s.Frozen {
 		panic("graph: Sharded.Refreeze with a delta bound to a different base")
 	}
-	nf := s.f.Refreeze(d)
+	nf := s.Frozen.Refreeze(d)
 	n2 := len(nf.nodes)
 	stride := s.stride
-	k := 1
-	if n2 > 0 {
-		k = (n2 + stride - 1) / stride
-	}
-	ns := &Sharded{f: nf, stride: stride}
-	ns.starts = make([]NodeID, k+1)
-	for i := 1; i <= k; i++ {
-		hi := i * stride
-		if hi > n2 {
-			hi = n2
-		}
-		ns.starts[i] = NodeID(hi)
-	}
+	k := shardCount(n2, stride)
 	dirtyShard := make([]bool, k)
 	mark := func(v NodeID) {
 		i := int(v) / stride
@@ -248,9 +236,9 @@ func (s *Sharded) Refreeze(d *Delta) *Sharded {
 	for v := range d.dead {
 		mark(v)
 	}
-	ns.shards = make([]Shard, k)
+	ns := &Sharded{Frozen: nf, stride: stride, shards: make([]Shard, k)}
 	for i := range ns.shards {
-		lo, hi := ns.starts[i], ns.starts[i+1]
+		lo, hi := shardRange(i, stride, n2)
 		if !dirtyShard[i] && i < len(s.shards) && s.shards[i].lo == lo && s.shards[i].hi == hi {
 			sh := s.shards[i]
 			sh.f = nf

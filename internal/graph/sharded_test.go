@@ -7,44 +7,47 @@ import (
 )
 
 // TestShardedEquivalence is the sharding-equivalence property: on random
-// multigraphs, the Sharded snapshot must answer every Reader query exactly
-// like the Frozen snapshot it was carved from, at every shard count.
+// multigraphs, the Sharded snapshot must answer every Reader query — and
+// the BitsetProvider and EpochView extensions — exactly like the Frozen
+// snapshot it embeds, at every shard count. Interned IDs transfer here (it
+// is the same snapshot), so the ID-level methods are compared directly.
 func TestShardedEquivalence(t *testing.T) {
 	nodeLabels := []string{"a", "b", "c", Wildcard}
 	edgeLabels := []string{"e", "f", "g", Wildcard}
-	queryEdgeLabels := append(edgeLabels, "absent")
 	for seed := int64(0); seed < 6; seed++ {
 		n := 5 + rand.New(rand.NewSource(seed)).Intn(20)
 		_, f := buildBoth(seed, n, 4*n, nodeLabels, edgeLabels)
 		for _, k := range []int{1, 2, 3, 7, n, n + 5} {
 			s := f.Sharded(k)
 			ctx := fmt.Sprintf("seed=%d n=%d k=%d", seed, n, k)
-			if s.NumNodes() != f.NumNodes() || s.NumEdges() != f.NumEdges() || s.Size() != f.Size() {
-				t.Fatalf("%s: cardinalities diverge", ctx)
+			checkReaderEquivalence(t, ctx, f, s, nodeLabels, edgeLabels)
+			if fmt.Sprint(s.Labels()) != fmt.Sprint(f.Labels()) {
+				t.Fatalf("%s: Labels diverge", ctx)
 			}
 			for v := 0; v < n; v++ {
-				id := NodeID(v)
-				for _, l := range queryEdgeLabels {
-					if !idsEqual(s.OutByLabel(id, l), f.OutByLabel(id, l)) {
-						t.Fatalf("%s: OutByLabel(%d,%q) diverges", ctx, v, l)
-					}
-					if !idsEqual(s.InByLabel(id, l), f.InByLabel(id, l)) {
-						t.Fatalf("%s: InByLabel(%d,%q) diverges", ctx, v, l)
-					}
-					for u := 0; u < n; u++ {
-						if s.HasEdge(id, NodeID(u), l) != f.HasEdge(id, NodeID(u), l) {
-							t.Fatalf("%s: HasEdge(%d,%d,%q) diverges", ctx, v, u, l)
-						}
-					}
+				if s.LabelIDOf(NodeID(v)) != f.LabelIDOf(NodeID(v)) {
+					t.Fatalf("%s: LabelIDOf(%d) diverges", ctx, v)
 				}
 			}
 			for _, l := range append(f.Labels(), "absent", Wildcard) {
-				if !idsEqual(s.CandidateNodes(l), f.CandidateNodes(l)) {
-					t.Fatalf("%s: CandidateNodes(%q) diverges", ctx, l)
+				if s.NodeLabelID(l) != f.NodeLabelID(l) {
+					t.Fatalf("%s: NodeLabelID(%q) diverges", ctx, l)
 				}
-				if s.LabelFrequency(l) != f.LabelFrequency(l) {
-					t.Fatalf("%s: LabelFrequency(%q) diverges", ctx, l)
+				if fmt.Sprint(s.CandidateBitset(l)) != fmt.Sprint(f.CandidateBitset(l)) {
+					t.Fatalf("%s: CandidateBitset(%q) diverges", ctx, l)
 				}
+			}
+			query := append(edgeLabels, "absent")
+			if fmt.Sprint(s.ResolveLabels(query)) != fmt.Sprint(f.ResolveLabels(query)) {
+				t.Fatalf("%s: ResolveLabels diverges", ctx)
+			}
+			for _, l := range query {
+				if s.EdgeLabelID(l) != f.EdgeLabelID(l) {
+					t.Fatalf("%s: EdgeLabelID(%q) diverges", ctx, l)
+				}
+			}
+			if s.Epoch() != f.Epoch() {
+				t.Fatalf("%s: Epoch %d, want the embedded snapshot's %d", ctx, s.Epoch(), f.Epoch())
 			}
 		}
 	}
@@ -93,9 +96,9 @@ func TestShardPartition(t *testing.T) {
 				for i := 0; i < s.ShardCount(); i++ {
 					concat = s.Shard(i).AppendCandidates(concat, l)
 				}
-				if !idsEqual(concat, f.CandidateNodes(l)) {
+				if !idsEqual(concat, CandidateNodes(f, l)) {
 					t.Fatalf("%s: per-shard candidates for %q concat to %v, want %v",
-						ctx, l, concat, f.CandidateNodes(l))
+						ctx, l, concat, CandidateNodes(f, l))
 				}
 			}
 		}
@@ -129,40 +132,30 @@ func TestShardFrontierCounts(t *testing.T) {
 	}
 }
 
-// TestShardReaderRestriction pins the Shard Reader semantics: owned nodes
-// answer exactly like the flat snapshot, unowned nodes read as edge-less,
-// and candidate enumeration stays within the owned range.
+// TestShardReaderRestriction pins what a Shard answers: candidate
+// enumeration stays within the owned range, LabelFrequency is exactly the
+// owned candidate count, and the shards concatenated in order give the
+// snapshot's flat candidate list.
 func TestShardReaderRestriction(t *testing.T) {
 	_, f := buildBoth(11, 30, 150, []string{"a", "b", "c"}, []string{"e", "f"})
 	s := f.Sharded(3)
-	for i := 0; i < s.ShardCount(); i++ {
-		sh := s.Shard(i)
-		lo, hi := sh.Lo(), sh.Hi()
-		for v := NodeID(0); v < NodeID(f.NumNodes()); v++ {
-			for _, l := range []string{"e", "f", Wildcard} {
-				got := sh.OutByLabel(v, l)
-				if v >= lo && v < hi {
-					if !idsEqual(got, f.OutByLabel(v, l)) {
-						t.Fatalf("shard %d: owned OutByLabel(%d,%q) diverges", i, v, l)
-					}
-				} else if len(got) != 0 {
-					t.Fatalf("shard %d: unowned node %d has adjacency %v", i, v, got)
+	for _, l := range []string{"a", "b", "c", Wildcard, "absent"} {
+		var concat []NodeID
+		for i := 0; i < s.ShardCount(); i++ {
+			sh := s.Shard(i)
+			owned := sh.AppendCandidates(nil, l)
+			for _, v := range owned {
+				if v < sh.Lo() || v >= sh.Hi() {
+					t.Fatalf("shard %d: candidate %d outside [%d,%d)", i, v, sh.Lo(), sh.Hi())
 				}
 			}
-			// Node metadata stays globally readable.
-			if sh.Label(v) != f.Label(v) {
-				t.Fatalf("shard %d: Label(%d) diverges", i, v)
+			if sh.LabelFrequency(l) != len(owned) {
+				t.Fatalf("shard %d: LabelFrequency(%q) = %d, owns %d candidates", i, l, sh.LabelFrequency(l), len(owned))
 			}
+			concat = append(concat, owned...)
 		}
-		for _, l := range []string{"a", "b", "c", Wildcard} {
-			for _, v := range sh.CandidateNodes(l) {
-				if v < lo || v >= hi {
-					t.Fatalf("shard %d: candidate %d outside [%d,%d)", i, v, lo, hi)
-				}
-			}
-			if sh.LabelFrequency(l) != len(sh.CandidateNodes(l)) {
-				t.Fatalf("shard %d: LabelFrequency(%q) disagrees with CandidateNodes", i, l)
-			}
+		if !idsEqual(concat, CandidateNodes(f, l)) {
+			t.Fatalf("shards concatenate to %v for %q, want %v", concat, l, CandidateNodes(f, l))
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestSnapshotStructuralValidation(t *testing.T) {
 					g.OutByLabelID(NodeID(v), AnyLabel)
 					g.InByLabelID(NodeID(v), AnyLabel)
 				}
-				g.CandidateNodes(Wildcard)
+				CandidateNodes(g, Wildcard)
 				loaded++
 			}
 		}
@@ -183,7 +183,7 @@ func TestSnapshotEmptyAndTiny(t *testing.T) {
 		if loaded.NumNodes() != f.NumNodes() || loaded.NumEdges() != f.NumEdges() {
 			t.Fatalf("%s: cardinalities diverge", name)
 		}
-		if got := loaded.CandidateNodes(Wildcard); len(got) != f.NumNodes() {
+		if got := CandidateNodes(loaded, Wildcard); len(got) != f.NumNodes() {
 			t.Fatalf("%s: wildcard candidates %v", name, got)
 		}
 	}

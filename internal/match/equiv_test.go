@@ -136,7 +136,7 @@ func TestIndexedScanEquivalenceSeededRestricted(t *testing.T) {
 		pivots := p.Pivot(g)
 		pv := pivots[0]
 		order := match.PivotedOrder(p, pivots)
-		for _, z := range g.CandidateNodes(p.Label(pv)) {
+		for _, z := range graph.CandidateNodes(g, p.Label(pv)) {
 			seed := match.NewAssignment(p.NumVars())
 			seed[pv] = z
 			unit := matchSet(p, g, match.Options{Order: order, Seed: seed})

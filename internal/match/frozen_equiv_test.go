@@ -82,7 +82,7 @@ func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 			pivots := p.Pivot(f)
 			pv := pivots[0]
 			order := match.PivotedOrder(p, pivots)
-			cands := f.CandidateNodes(p.Label(pv))
+			cands := graph.CandidateNodes(f, p.Label(pv))
 			if len(cands) > 3 {
 				cands = cands[:3]
 			}

@@ -37,7 +37,7 @@ func TestFindAllSimpleEdge(t *testing.T) {
 		t.Fatalf("edge pattern in triangle: %d matches, want 3", len(ms))
 	}
 	for _, h := range ms {
-		if !g.HasEdge(h[0], h[1], "e") {
+		if !graph.HasEdge(g, h[0], h[1], "e") {
 			t.Errorf("reported match %v has no edge", h)
 		}
 	}
@@ -189,7 +189,7 @@ func TestPivotRestrictionConfinesMatches(t *testing.T) {
 	g := triangleData()
 	off := g.DisjointUnion(triangleData())
 	p := edgePattern("n", "n", "e")
-	hood := g.Neighborhood(off, p.Radius(0)) // pivot x at second triangle's node
+	hood := graph.Neighborhood(g, off, p.Radius(0)) // pivot x at second triangle's node
 	seed := NewAssignment(2)
 	seed[0] = off
 	s := NewSearch(p, g, Options{Seed: seed, Order: PivotedOrder(p, []pattern.Var{0})})

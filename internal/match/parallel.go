@@ -18,12 +18,13 @@ import (
 // shardParts slices the root variable's candidate set per shard. Shards
 // owning no candidates contribute no part. A nil result means the fan-out
 // does not apply and the caller must run a single sequential search: the
-// pattern has no variables, no candidates exist, or a Seed is present —
-// a seeded search generates the root frame from the seeded neighbor's
-// adjacency, so partitioning the label candidates would enumerate the full
-// seeded match set once per part.
-func shardParts(p *pattern.Pattern, sv graph.ShardedView, opts Options) [][]graph.NodeID {
-	if opts.Seed != nil {
+// pattern has no variables, no candidates exist, or the caller already
+// fixed where the root frame comes from — a Seed generates it from the
+// seeded neighbor's adjacency and RootCandidates restricts it to a caller's
+// list, so overwriting either with the per-shard label candidates would
+// enumerate a different match set.
+func shardParts(p *pattern.Pattern, s *graph.Sharded, opts Options) [][]graph.NodeID {
+	if opts.Seed != nil || opts.RootCandidates != nil {
 		return nil
 	}
 	order := opts.Order
@@ -34,12 +35,6 @@ func shardParts(p *pattern.Pattern, sv graph.ShardedView, opts Options) [][]grap
 		return nil
 	}
 	label := p.Label(order[0])
-	s, ok := sv.(*graph.Sharded)
-	if !ok {
-		// Unknown ShardedView implementation: one part per shard is not
-		// recoverable, fall back to a single global part.
-		return [][]graph.NodeID{sv.CandidateNodes(label)}
-	}
 	// One exact-size buffer backs every part: per-shard LabelFrequency is
 	// an exact owned-live count, so the full-capacity sub-slices cannot
 	// grow into a neighbouring part and the per-shard copies collapse into
@@ -112,9 +107,9 @@ func forEachPart(parts [][]graph.NodeID, workers int, body func(int)) {
 // snapshot with up to workers goroutines, one search per shard's slice of
 // the root candidate set. The result equals FindAll on the flat snapshot,
 // in the same order. Option combinations the fan-out cannot partition
-// (e.g. a Seed) degrade to a single sequential search, never to wrong
-// results.
-func FindAllSharded(p *pattern.Pattern, sv graph.ShardedView, workers int, opts Options) []Assignment {
+// (a Seed, caller-supplied RootCandidates) degrade to a single sequential
+// search, never to wrong results.
+func FindAllSharded(p *pattern.Pattern, sv *graph.Sharded, workers int, opts Options) []Assignment {
 	parts := shardParts(p, sv, opts)
 	if len(parts) == 0 {
 		return FindAllOpts(p, sv, opts)
@@ -133,7 +128,7 @@ func FindAllSharded(p *pattern.Pattern, sv graph.ShardedView, workers int, opts 
 }
 
 // CountSharded is FindAllSharded without materializing matches.
-func CountSharded(p *pattern.Pattern, sv graph.ShardedView, workers int, opts Options) int {
+func CountSharded(p *pattern.Pattern, sv *graph.Sharded, workers int, opts Options) int {
 	parts := shardParts(p, sv, opts)
 	if len(parts) == 0 {
 		return NewSearch(p, sv, opts).CountAll()

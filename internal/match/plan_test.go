@@ -54,7 +54,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 			// carries the per-pivot order.
 			for _, pv := range plan.Pivots() {
 				order := plan.OrderFor(pv)
-				cands := r.CandidateNodes(p.Label(pv))
+				cands := graph.CandidateNodes(r, p.Label(pv))
 				if len(cands) > 2 {
 					cands = cands[:2]
 				}

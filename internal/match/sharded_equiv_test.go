@@ -115,7 +115,7 @@ func TestRootCandidatesPartition(t *testing.T) {
 	if len(order) == 0 {
 		t.Skip("degenerate pattern")
 	}
-	all := f.CandidateNodes(p.Label(order[0]))
+	all := graph.CandidateNodes(f, p.Label(order[0]))
 	flat := matchSet(p, f, match.Options{})
 	var union []match.Assignment
 	// Split candidates into three uneven parts (some possibly empty).
@@ -144,7 +144,7 @@ func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 		p := gr.Pattern()
 		pivots := p.Pivot(f)
 		pv := pivots[0]
-		for _, z := range f.CandidateNodes(p.Label(pv)) {
+		for _, z := range graph.CandidateNodes(f, p.Label(pv)) {
 			seed := match.NewAssignment(p.NumVars())
 			seed[pv] = z
 			opts := match.Options{Order: match.PivotedOrder(p, pivots), Seed: seed}
@@ -163,6 +163,33 @@ func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no seeded instance had matches; test is vacuous")
+	}
+}
+
+// TestShardedFanOutKeepsRootCandidates pins the RootCandidates guard: a
+// caller's restriction of the root frame must survive the fan-out, which
+// therefore degrades to one sequential search instead of overwriting the
+// restriction with each shard's label candidates.
+func TestShardedFanOutKeepsRootCandidates(t *testing.T) {
+	b := graph.NewBuilder(0)
+	var as []graph.NodeID
+	for i := 0; i < 8; i++ {
+		a := b.AddNode("a")
+		b.AddEdge(a, b.AddNode("b"), "e")
+		as = append(as, a)
+	}
+	s := b.FreezeSharded(4)
+	p := pattern.New()
+	p.AddEdge(p.AddVar("x", "a"), p.AddVar("y", "b"), "e")
+	opts := match.Options{Order: []pattern.Var{0, 1}, RootCandidates: as[:2]}
+	if got := len(match.FindAllOpts(p, s, opts)); got != 2 {
+		t.Fatalf("setup: flat restricted search found %d matches, want 2", got)
+	}
+	if got := len(match.FindAllSharded(p, s, 3, opts)); got != 2 {
+		t.Fatalf("FindAllSharded ignored RootCandidates: %d matches, want 2", got)
+	}
+	if got := match.CountSharded(p, s, 3, opts); got != 2 {
+		t.Fatalf("CountSharded ignored RootCandidates: %d, want 2", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func Simulate(p *pattern.Pattern, g graph.Reader) *Sim {
 		// it here shrinks the fixpoint's working set for free. The signature
 		// is resolved to label IDs once so the per-node probes are
 		// integer-only, and the candidates land in a recycled buffer via the
-		// appending accessor (NodesByLabel would copy per variable).
+		// appending accessor (graph.CandidateNodes would copy per variable).
 		sig := p.Signature(pattern.Var(v))
 		sigOut := g.ResolveLabels(sig.Out)
 		sigIn := g.ResolveLabels(sig.In)

@@ -1,7 +1,7 @@
 // Package oracle is the reference the engine tests compare against: pattern
 // matching and GFD validation written as the definitions read, sharing no
 // code with internal/match or internal/core. It touches a graph only through
-// NumNodes, Label, HasEdge and Attr (plus Alive, where the representation
+// NumNodes, Label, graph.HasEdge and Attr (plus Alive, where the representation
 // has tombstones) — no label index, adjacency rows, signatures, intersection
 // kernels or plans — so a bug in any of those cannot cancel out on both
 // sides of a comparison. Cost is O(|V|^k) per pattern: small inputs only.
@@ -57,12 +57,12 @@ func Matches(p *pattern.Pattern, g graph.Reader) [][]graph.NodeID {
 // or a lower-indexed (already mapped) variable.
 func edgesHold(p *pattern.Pattern, g graph.Reader, h []graph.NodeID, v pattern.Var) bool {
 	for _, e := range p.Out(v) {
-		if e.To <= v && !g.HasEdge(h[v], h[e.To], e.Label) {
+		if e.To <= v && !graph.HasEdge(g, h[v], h[e.To], e.Label) {
 			return false
 		}
 	}
 	for _, e := range p.In(v) {
-		if e.From < v && !g.HasEdge(h[e.From], h[v], e.Label) {
+		if e.From < v && !graph.HasEdge(g, h[e.From], h[v], e.Label) {
 			return false
 		}
 	}

@@ -139,7 +139,7 @@ func (p *Pattern) Connected() bool { p.Freeze(); return len(p.components) == 1 }
 // match v: the distinct out/in edge labels of v's pattern edges (wildcard
 // edges demand an edge of any label). The signatures are precomputed at
 // Freeze, so probing one allocates nothing; candidate filters apply them via
-// graph.Covers. The requirement is sound for homomorphisms: distinct labels
+// Reader.CoversIDs. The requirement is sound for homomorphisms: distinct labels
 // cannot collapse onto one data edge, so a node missing a label matches
 // nothing, while multiplicities are deliberately ignored (two same-labeled
 // pattern edges may map to a single data edge when their endpoints unify).
@@ -166,7 +166,7 @@ func LabelMatches(patternLabel, dataLabel string) bool {
 // warm arrays), then lower variable index, keeping the choice deterministic.
 func (p *Pattern) Pivot(g graph.Reader) []Var {
 	p.Freeze()
-	sv, _ := g.(graph.ShardedView)
+	sv, _ := g.(*graph.Sharded)
 	density := func(v Var) int {
 		if sv == nil {
 			return 0

@@ -137,7 +137,7 @@ func TestPivotPrefersDenseShard(t *testing.T) {
 		b.AddNode(l)
 	}
 	s := b.FreezeSharded(3)
-	if got := p.Pivot(s.Frozen()); got[0] != x {
+	if got := p.Pivot(s.Frozen); got[0] != x {
 		t.Fatalf("flat tie should keep the lower variable, got %v", got[0])
 	}
 	if got := p.Pivot(s); got[0] != y {
@@ -195,7 +195,7 @@ func TestAsGraphPreservesStructure(t *testing.T) {
 	if g.Label(graph.NodeID(p.VarByName("z"))) != "country" {
 		t.Error("labels not preserved")
 	}
-	if !g.HasEdge(graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z")), "president") {
+	if !graph.HasEdge(g, graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z")), "president") {
 		t.Error("edge not preserved")
 	}
 }

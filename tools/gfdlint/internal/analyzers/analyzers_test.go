@@ -67,18 +67,6 @@ func TestLockDiscipline(t *testing.T) {
 	linttest.Run(t, fixtureDir, analyzers.LockDiscipline, "lockdiscipline")
 }
 
-func TestCopyLock(t *testing.T) {
-	linttest.Run(t, fixtureDir, analyzers.CopyLock, "copylock")
-}
-
-func TestShadow(t *testing.T) {
-	linttest.Run(t, fixtureDir, analyzers.Shadow, "shadow")
-}
-
-func TestNilness(t *testing.T) {
-	linttest.Run(t, fixtureDir, analyzers.Nilness, "nilness")
-}
-
 // TestAllowAudit runs the audit alongside the analyzer whose findings the
 // fixture's directives claim to suppress: the live suppression survives,
 // the dead ones are reported.

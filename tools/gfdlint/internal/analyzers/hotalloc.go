@@ -16,15 +16,15 @@ import (
 var HotPkgs = "internal/match,internal/core"
 
 // HotAlloc enforces the hot-path half of the graph.Reader copy contract
-// (reader.go): NodesByLabel and CandidateNodes return a fresh caller-owned
-// copy per call, so calling them inside a loop body allocates once per
-// iteration. Loops must hoist a buffer and use AppendCandidates(buf[:0],
+// (reader.go): graph.CandidateNodes(r, label) returns a fresh caller-owned
+// copy per call, so calling it inside a loop body allocates once per
+// iteration. Loops must hoist a buffer and use r.AppendCandidates(buf[:0],
 // label) instead. Per-iteration copies that are retained (e.g. collected
 // into a slice of slices) are legitimate; annotate them with
 // //gfdlint:allow hotalloc -- <why the copy is needed>.
 var HotAlloc = &lint.Analyzer{
 	Name:          "hotalloc",
-	Doc:           "flags per-iteration CandidateNodes/NodesByLabel copies in hot loops; use AppendCandidates",
+	Doc:           "flags per-iteration graph.CandidateNodes copies in hot loops; use AppendCandidates",
 	SkipTestFiles: true,
 	Run:           runHotAlloc,
 }
@@ -43,17 +43,13 @@ func runHotAlloc(pass *lint.Pass) {
 			if fn == nil || !declPkgMatches(fn, "graph") {
 				return true
 			}
-			name := fn.Name()
-			if name != "CandidateNodes" && name != "NodesByLabel" {
-				return true
-			}
-			if !insideLoopBody(stack) {
+			if fn.Name() != "CandidateNodes" || !insideLoopBody(stack) {
 				return true
 			}
 			d := lint.Diagnostic{
 				Pos: call.Pos(),
 				End: call.End(),
-				Message: name + " allocates a fresh copy every loop iteration (graph.Reader copy contract); " +
+				Message: "CandidateNodes allocates a fresh copy every loop iteration (graph.Reader copy contract); " +
 					"hoist a buffer outside the loop and use AppendCandidates(buf[:0], label)",
 			}
 			if fix, ok := reuseBufferFix(pass, stack, call); ok {
@@ -89,7 +85,8 @@ func insideLoopBody(stack []ast.Node) bool {
 }
 
 // reuseBufferFix emits the mechanical rewrite for the plain-assignment
-// shape `v = r.CandidateNodes(label)`: reuse v itself as the append buffer,
+// shape `v = graph.CandidateNodes(r, label)` with r a plain identifier or
+// selector: reuse v itself as the append buffer,
 // `v = r.AppendCandidates(v[:0], label)`. Safe under the Reader contract —
 // the caller owns the copy — provided the previous contents of v are dead,
 // which a plain reassignment states. The `:=` shape gets no auto-fix: the
@@ -106,12 +103,16 @@ func reuseBufferFix(pass *lint.Pass, stack []ast.Node, call *ast.CallExpr) (lint
 	if !ok || lhs.Name == "_" {
 		return lint.SuggestedFix{}, false
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "CandidateNodes" || len(call.Args) != 1 {
+	if len(call.Args) != 2 {
 		return lint.SuggestedFix{}, false
 	}
-	recv := exprText(pass, sel.X)
-	arg := exprText(pass, call.Args[0])
+	switch ast.Unparen(call.Args[0]).(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+	default:
+		return lint.SuggestedFix{}, false
+	}
+	recv := exprText(pass, ast.Unparen(call.Args[0]))
+	arg := exprText(pass, call.Args[1])
 	if recv == "" || arg == "" {
 		return lint.SuggestedFix{}, false
 	}

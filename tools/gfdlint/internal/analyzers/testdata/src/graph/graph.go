@@ -1,5 +1,5 @@
 // Package graph is a stub of repro/internal/graph with the method shapes
-// the contract analyzers key on: Reader copy-contract methods, Mutator and
+// the contract analyzers key on: the Reader copy-contract pair, Mutator and
 // WAL error returns, and the Delta/Overlay pairing. Bodies are trivial —
 // only signatures and declaring-package identity matter to the analyzers.
 package graph
@@ -11,13 +11,19 @@ type NodeID uint32
 // Frozen mimics the immutable CSR snapshot.
 type Frozen struct{ n int }
 
-func (f *Frozen) NumNodes() int                        { return f.n }
-func (f *Frozen) CandidateNodes(label string) []NodeID { return nil }
-func (f *Frozen) NodesByLabel(label string) []NodeID   { return nil }
+func (f *Frozen) NumNodes() int { return f.n }
 func (f *Frozen) AppendCandidates(dst []NodeID, label string) []NodeID {
 	return dst
 }
-func (f *Frozen) WriteSnapshot(w io.Writer) error { return nil }
+
+// Reader mimics the slice of the read interface CandidateNodes needs.
+type Reader interface {
+	AppendCandidates(dst []NodeID, label string) []NodeID
+}
+
+// CandidateNodes mimics the derived fresh-copy query.
+func CandidateNodes(r Reader, label string) []NodeID { return r.AppendCandidates(nil, label) }
+func (f *Frozen) WriteSnapshot(w io.Writer) error    { return nil }
 
 // Remap mimics the node-ID remapping a compaction produces.
 type Remap []NodeID
@@ -51,11 +57,10 @@ func (d *Delta) Overlay() *Overlay                        { return &Overlay{d: d
 // the backing Delta has been mutated since the overlay was taken.
 type Overlay struct{ d *Delta }
 
-func (o *Overlay) NumNodes() int                              { return 0 }
-func (o *Overlay) OutByLabel(v NodeID, label string) []NodeID { return nil }
-func (o *Overlay) CandidateNodes(label string) []NodeID       { return nil }
-func (o *Overlay) Delta() *Delta                              { return o.d }
-func (o *Overlay) Base() *Frozen                              { return nil }
+func (o *Overlay) NumNodes() int                            { return 0 }
+func (o *Overlay) OutByLabelID(v NodeID, id int32) []NodeID { return nil }
+func (o *Overlay) Delta() *Delta                            { return o.d }
+func (o *Overlay) Base() *Frozen                            { return nil }
 
 // WAL mimics the write-ahead log fronting a Delta.
 type WAL struct{ d *Delta }

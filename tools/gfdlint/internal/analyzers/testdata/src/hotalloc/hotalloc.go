@@ -7,11 +7,11 @@ import "fixtures/graph"
 func perIterationCopies(f *graph.Frozen, labels []string) int {
 	total := 0
 	for i := 0; i < 10; i++ {
-		cands := f.CandidateNodes("person") // want "allocates a fresh copy every loop iteration"
+		cands := graph.CandidateNodes(f, "person") // want "allocates a fresh copy every loop iteration"
 		total += len(cands)
 	}
 	for _, l := range labels {
-		total += len(f.NodesByLabel(l)) // want "allocates a fresh copy every loop iteration"
+		total += len(graph.CandidateNodes(f, l)) // want "allocates a fresh copy every loop iteration"
 	}
 	return total
 }
@@ -22,7 +22,7 @@ func closureInLoop(f *graph.Frozen) {
 	var thunks []func() int
 	for i := 0; i < 3; i++ {
 		thunks = append(thunks, func() int {
-			return len(f.CandidateNodes("city")) // want "allocates a fresh copy every loop iteration"
+			return len(graph.CandidateNodes(f, "city")) // want "allocates a fresh copy every loop iteration"
 		})
 	}
 	for _, th := range thunks {
@@ -30,18 +30,16 @@ func closureInLoop(f *graph.Frozen) {
 	}
 }
 
-// The copy contract makes these single calls safe: the caller owns the
-// returned slice. No loop, no finding.
-func copySafeOutsideLoop(f *graph.Frozen) ([]graph.NodeID, []graph.NodeID) {
-	cands := f.CandidateNodes("person")
-	byLabel := f.NodesByLabel("city")
-	return cands, byLabel
+// The copy contract makes a single call safe: the caller owns the returned
+// slice. No loop, no finding.
+func copySafeOutsideLoop(f *graph.Frozen) []graph.NodeID {
+	return graph.CandidateNodes(f, "person")
 }
 
 // A call in the loop condition runs per iteration too, but the analyzer
 // only claims loop bodies; the condition shape is left to review.
 func callInLoopHeader(f *graph.Frozen) {
-	for i := 0; i < len(f.CandidateNodes("x")); i++ {
+	for i := 0; i < len(graph.CandidateNodes(f, "x")); i++ {
 		_ = i
 	}
 }
@@ -53,7 +51,7 @@ func callInLoopHeader(f *graph.Frozen) {
 func groupEvaluationLoop(f *graph.Frozen, groups [][]int) int {
 	total := 0
 	for _, members := range groups {
-		seeds := f.CandidateNodes("person") // want "allocates a fresh copy every loop iteration"
+		seeds := graph.CandidateNodes(f, "person") // want "allocates a fresh copy every loop iteration"
 		for range members {
 			total += len(seeds)
 		}
@@ -67,7 +65,7 @@ func memberFanOut(f *graph.Frozen, groups [][]int) int {
 	total := 0
 	for _, members := range groups {
 		for range members {
-			total += len(f.NodesByLabel("city")) // want "allocates a fresh copy every loop iteration"
+			total += len(graph.CandidateNodes(f, "city")) // want "allocates a fresh copy every loop iteration"
 		}
 	}
 	return total
@@ -92,7 +90,7 @@ func retainedCopies(f *graph.Frozen, labels []string) [][]graph.NodeID {
 	var parts [][]graph.NodeID
 	for _, l := range labels {
 		//gfdlint:allow hotalloc -- each part is retained; the copy is the point
-		parts = append(parts, f.CandidateNodes(l))
+		parts = append(parts, graph.CandidateNodes(f, l))
 	}
 	return parts
 }

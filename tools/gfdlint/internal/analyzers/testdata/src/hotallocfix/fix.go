@@ -1,5 +1,5 @@
 // Fixture for hotalloc's mechanical -fix: the plain-reassignment shape
-// `buf = r.CandidateNodes(l)` rewrites to AppendCandidates(buf[:0], l).
+// `buf = graph.CandidateNodes(f, l)` rewrites to f.AppendCandidates(buf[:0], l).
 // fix.go.golden holds the expected output.
 package hotallocfix
 
@@ -9,7 +9,7 @@ func reusableBuffer(f *graph.Frozen, labels []string) int {
 	total := 0
 	var buf []graph.NodeID
 	for _, l := range labels {
-		buf = f.CandidateNodes(l) // want "allocates a fresh copy every loop iteration"
+		buf = graph.CandidateNodes(f, l) // want "allocates a fresh copy every loop iteration"
 		total += len(buf)
 	}
 	return total
@@ -19,7 +19,7 @@ func reusableBuffer(f *graph.Frozen, labels []string) int {
 func freshDeclareEachIteration(f *graph.Frozen, labels []string) int {
 	total := 0
 	for _, l := range labels {
-		cands := f.CandidateNodes(l) // want "allocates a fresh copy every loop iteration"
+		cands := graph.CandidateNodes(f, l) // want "allocates a fresh copy every loop iteration"
 		total += len(cands)
 	}
 	return total

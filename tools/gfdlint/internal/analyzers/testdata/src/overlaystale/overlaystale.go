@@ -30,7 +30,7 @@ func staleThroughWAL(d *graph.Delta, buf *bytes.Buffer) []graph.NodeID {
 	w := graph.NewWAL(buf, d)
 	o := d.Overlay()
 	w.AddEdge(1, 2, "knows")
-	return o.OutByLabel(1, "knows") // want "uses a stale Overlay"
+	return o.OutByLabelID(1, 0) // want "uses a stale Overlay"
 }
 
 // A mutation anywhere in a loop body stales reads in the same body on the

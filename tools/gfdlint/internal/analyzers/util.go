@@ -11,8 +11,8 @@ import (
 	"repro/tools/gfdlint/internal/lint"
 )
 
-// All returns every gfdlint analyzer: the contract checks plus the bundled
-// general-purpose passes.
+// All returns every gfdlint analyzer. General-purpose checks (copylocks,
+// shadowing, nilness) are left to go vet and staticcheck, which CI runs.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		HotAlloc,
@@ -22,9 +22,6 @@ func All() []*lint.Analyzer {
 		CtxPoll,
 		GoroIsolate,
 		LockDiscipline,
-		CopyLock,
-		Shadow,
-		Nilness,
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command gfdlint is the project's static-analysis gate: a multichecker of
 // project-specific analyzers that mechanically enforce the Reader/Mutator/
-// Overlay contracts DESIGN.md states in prose, plus bundled general-purpose
-// passes (copylock-beyond-vet, shadow, nilness subsets). Stdlib-only by
-// design — see go.mod — so it runs in hermetic environments:
+// Overlay contracts DESIGN.md states in prose (general-purpose checks are
+// go vet's and staticcheck's job). Stdlib-only by design — see go.mod — so
+// it runs in hermetic environments:
 //
 //	go run ./tools/gfdlint ./...                    # lint the root module
 //	go run ./tools/gfdlint repro/tools/gfdlint/...  # lint the linter

@@ -31,15 +31,15 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("-only = %q, %v; want epochflow,ctxpoll in suite order", names(got), err)
 	}
 
-	got, err = selectAnalyzers(all, "", "shadow")
-	if err != nil || strings.Contains(names(got), "shadow") || len(got) != len(all)-1 {
-		t.Fatalf("-disable shadow = %q, %v", names(got), err)
+	got, err = selectAnalyzers(all, "", "hotalloc")
+	if err != nil || strings.Contains(names(got), "hotalloc") || len(got) != len(all)-1 {
+		t.Fatalf("-disable hotalloc = %q, %v", names(got), err)
 	}
 
 	// -only and -disable compose: disable wins on the intersection.
-	got, err = selectAnalyzers(all, "shadow,nilness", "shadow")
-	if err != nil || names(got) != "nilness" {
-		t.Fatalf("composed selection = %q, %v; want nilness", names(got), err)
+	got, err = selectAnalyzers(all, "hotalloc,ctxpoll", "hotalloc")
+	if err != nil || names(got) != "ctxpoll" {
+		t.Fatalf("composed selection = %q, %v; want ctxpoll", names(got), err)
 	}
 
 	if _, err := selectAnalyzers(all, "nosuch", ""); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
@@ -48,7 +48,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	if _, err := selectAnalyzers(all, "", "nosuch"); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 		t.Fatalf("-disable with a typo must error, got %v", err)
 	}
-	if _, err := selectAnalyzers(all, "shadow", "shadow"); err == nil || !strings.Contains(err.Error(), "no analyzers") {
+	if _, err := selectAnalyzers(all, "hotalloc", "hotalloc"); err == nil || !strings.Contains(err.Error(), "no analyzers") {
 		t.Fatalf("an empty selection must error, got %v", err)
 	}
 }
