@@ -489,3 +489,25 @@ func BenchmarkFig6lVaryTTLImp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulateSigma measures the simulation pre-pass on its own: every
+// pattern group of a DBpedia-profile Σ against G_Σ, once with a one-shot
+// match.Simulate per group (what the end-to-end benchmark's match.simulate_s
+// probe times) and once through a shared match.Simulator (what each ParSat
+// worker does). Run with -benchmem: the gap between the two is the seed
+// memo, the allocation figures are the sparse layout.
+func BenchmarkSimulateSigma(b *testing.B) {
+	for _, n := range []int{400, 1600} {
+		groups, g := bench.SimulateWorkload(n, 1)
+		for _, mode := range []string{"oneshot", "shared"} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if bench.SimulateSigma(groups, g, mode == "shared") == 0 {
+						b.Fatal("no pattern of Σ simulates into G_Σ; benchmark is vacuous")
+					}
+				}
+			})
+		}
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -398,6 +399,33 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 	return set, opt
 }
 
+// SimulateWorkload builds the simulation pre-pass's input as ParSat sees it:
+// the pattern groups of a DBpedia-profile Σ of n rules (K=6, L=5, wildcard
+// rate 0.3 — the shape of the end-to-end benchmark's sat-dbpedia family) and
+// its canonical graph G_Σ. Shared by the CI report's simulate_sigma_* rows
+// and the root BenchmarkSimulateSigma.
+func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Graph) {
+	set := gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
+	return set.Groups(), canon.BuildSigma(set).Graph
+}
+
+// SimulateSigma runs the pre-pass over every group, through one shared
+// Simulator (what a ParSat worker does) or with a one-shot match.Simulate
+// per group, and returns the number of groups that passed.
+func SimulateSigma(groups []gfd.Group, g graph.Reader, shared bool) int {
+	simulate := func(p *pattern.Pattern) *match.Sim { return match.Simulate(p, g) }
+	if shared {
+		simulate = match.NewSimulator(g).Simulate
+	}
+	passed := 0
+	for _, grp := range groups {
+		if simulate(grp.Pattern) != nil {
+			passed++
+		}
+	}
+	return passed
+}
+
 // RunCI measures the CI metric suite: freeze-vs-incremental bulk ingest on
 // the 100k-edge hub-heavy graph, the matching hot path on both
 // representations (frozen CSR, mutable indexed) on the label-dense triangle
@@ -517,6 +545,16 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// its trajectory under the name it has always had.
 	set, popt := ParWorkload(cfg.Seed)
 	info("parsat_steal_ms", medianTime(cfg.Reps, func() { core.ParSat(set, popt) }))
+
+	// The simulation pre-pass ParSat runs before its first unit, on the
+	// end-to-end benchmark's Σ shape, through one shared Simulator.
+	// Informational: an absolute time and an allocation count.
+	sgroups, sg := SimulateWorkload(1600, cfg.Seed)
+	if SimulateSigma(sgroups, sg, true) == 0 {
+		return report, fmt.Errorf("simulate workload broken: no pattern of Σ simulates into G_Σ")
+	}
+	info("simulate_sigma_ms", medianTime(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
+	infoAllocs("simulate_sigma_allocs", allocsPerOp(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
 
 	// Cooperative-cancellation latency on the same workload: cancel a run
 	// ~2ms in and measure cancel-to-return. Informational only — it is a

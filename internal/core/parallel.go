@@ -138,32 +138,35 @@ func (e *parEngine) buildUnits() error {
 	e.pivotVar = make([]pattern.Var, n)
 	e.orders = make([][]pattern.Var, n)
 	e.plans = make([]*match.Plan, n)
-	// The simulation pre-filter is per-group independent; computing it
-	// serially would be a p-independent startup phase capping the speedup
-	// (Amdahl), so it is spread over the same p workers. The context is
-	// polled between groups: on a large Σ this pass is a sizeable share of
-	// the run, and a deadline must not wait it out.
-	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(_, i int) error {
+	// Simulation, planning and pivot choice are per-group independent; doing
+	// them serially would be a p-independent startup phase capping the
+	// speedup (Amdahl), so they are spread over the same p workers and only
+	// the concatenation of the unit lists below is serial. Each worker fills
+	// its own Simulator as it goes — no lock, and no extra pool phase for a
+	// shared seed table, which a run on a six-node G^X_Q would pay at
+	// start-up for nothing. The context is polled between groups: on a large
+	// Σ this pass is a sizeable share of the run, and a deadline must not
+	// wait it out.
+	simulators := make([]*match.Simulator, e.pool.size())
+	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(w, i int) error {
 		if err := e.ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
 		if h := e.testHookGroupSim; h != nil {
 			h(i)
 		}
-		e.sims[i] = match.Simulate(e.groups[i].Pattern, e.g)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, grp := range e.groups {
-		sim := e.sims[i]
-		if sim == nil {
-			continue // no match anywhere: no units
+		if simulators[w] == nil {
+			simulators[w] = match.NewSimulator(e.g)
 		}
+		pat := e.groups[i].Pattern
+		sim := simulators[w].Simulate(pat)
+		if sim == nil {
+			return nil // no match anywhere: no units
+		}
+		e.sims[i] = sim
 		// Plan the group once: pivots, per-pivot orders and resolved label IDs
 		// are shared by every work unit.
-		plan := match.CompilePlan(grp.Pattern, e.g)
+		plan := match.CompilePlan(pat, e.g)
 		e.plans[i] = plan
 		pivots := plan.Pivots()
 		best := pivots[0]
@@ -177,8 +180,23 @@ func (e *parEngine) buildUnits() error {
 		// pivot), then remaining components (precomputed per pivot on the
 		// plan).
 		e.orders[i] = plan.OrderFor(best)
-
-		for _, z := range sim.Nodes(best) { // already ascending
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	total := 0
+	for i, sim := range e.sims {
+		if sim != nil {
+			total += sim.Count(e.pivotVar[i])
+		}
+	}
+	e.units = make([]unit, 0, total)
+	for i, sim := range e.sims {
+		if sim == nil {
+			continue
+		}
+		for _, z := range sim.Nodes(e.pivotVar[i]) { // already ascending
 			e.units = append(e.units, unit{grp: i, pivot: z})
 		}
 	}

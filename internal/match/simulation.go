@@ -1,38 +1,73 @@
 package match
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
 // Sim is a graph-simulation relation of a pattern into a graph: for each
-// pattern variable, the set of data nodes that can simulate it. It is
-// stored as dense bitsets so computing and probing it stays off the map
-// hashing path (the reasoning algorithms compute one per GFD per run).
+// pattern variable, the set of data nodes that can simulate it. Each set is
+// stored twice — as its ascending member list, which is what the refinement
+// and the unit builder iterate, and as a word-packed bitset of the graph's
+// node range, so that Has, the Filter on the search's hot path, is one word
+// read. A pattern's lists share one allocation and its bitsets another.
 type Sim struct {
-	p    *pattern.Pattern
-	n    int
-	bits [][]bool // per var, indexed by node id
-	cnt  []int
+	words int              // bitset words per variable
+	bits  []uint64         // variable v owns bits[v*words : (v+1)*words]
+	nodes [][]graph.NodeID // per variable, ascending
 }
 
 // Has reports whether node n can simulate variable v.
 func (s *Sim) Has(v pattern.Var, n graph.NodeID) bool {
-	return s.bits[v][n]
+	return s.bits[int(v)*s.words+int(n>>6)]&(1<<(uint(n)&63)) != 0
 }
 
 // Count returns |sim(v)|.
-func (s *Sim) Count(v pattern.Var) int { return s.cnt[v] }
+func (s *Sim) Count(v pattern.Var) int { return len(s.nodes[v]) }
 
-// Nodes returns sim(v) in ascending node order.
-func (s *Sim) Nodes(v pattern.Var) []graph.NodeID {
-	out := make([]graph.NodeID, 0, s.cnt[v])
-	for n, ok := range s.bits[v] {
-		if ok {
-			out = append(out, graph.NodeID(n))
-		}
-	}
-	return out
+// Nodes returns sim(v) in ascending node order. The slice is the relation's
+// own storage, not a copy: read-only.
+func (s *Sim) Nodes(v pattern.Var) []graph.NodeID { return s.nodes[v] }
+
+// Simulator computes simulation relations of many patterns into one graph.
+// The rules of a set draw their variables from few (node label, adjacency
+// signature) combinations, and the refinement of a variable starts from the
+// same seed set — the label's candidates whose adjacency covers the
+// signature — whichever pattern the variable sits in. A Simulator computes
+// each distinct seed once and hands every later variable a copy, so a pass
+// over Σ costs one candidate scan per distinct key rather than one per
+// variable.
+//
+// A Simulator is not safe for concurrent use (the parallel engine keeps one
+// per worker), and the graph must not change while it is in use: the cached
+// seeds are not revalidated.
+type Simulator struct {
+	g     graph.Reader
+	words int
+	seeds map[string]*seedSet
+
+	// Scratch recycled across calls.
+	key    []byte
+	ids    []graph.LabelID
+	idsAt  []int
+	cands  []graph.NodeID
+	seedOf []*seedSet
+}
+
+// seedSet is the refinement's starting point for one (node label,
+// out-signature, in-signature) key. Immutable once built: Simulate copies
+// it before refining.
+type seedSet struct {
+	nodes []graph.NodeID
+	bits  []uint64
+}
+
+// NewSimulator returns a Simulator for patterns matched into g.
+func NewSimulator(g graph.Reader) *Simulator {
+	return &Simulator{g: g, words: (g.NumNodes() + 63) / 64, seeds: make(map[string]*seedSet)}
 }
 
 // Simulate computes the graph simulation relation of pattern p into graph g
@@ -42,81 +77,134 @@ func (s *Sim) Nodes(v pattern.Var) []graph.NodeID {
 //
 // Simulation is a necessary condition for homomorphism: if Simulate returns
 // nil there is no match of p in g, and any homomorphism maps u into sim(u).
-// The parallel algorithms use it as a cheap O(|Q|·|G|) pre-filter before
-// backtracking search (Section V-B, multi-query optimization).
+// The parallel algorithms use it as a pre-filter before backtracking search
+// (Section V-B, multi-query optimization). This is the one-shot form; a
+// caller with many patterns for one graph shares a Simulator.
 func Simulate(p *pattern.Pattern, g graph.Reader) *Sim {
+	return NewSimulator(g).Simulate(p)
+}
+
+// Simulate computes the simulation relation of p into the Simulator's graph;
+// see the package-level Simulate. The result does not alias the Simulator
+// and stays valid after further calls.
+func (m *Simulator) Simulate(p *pattern.Pattern) *Sim {
 	p.Freeze()
 	nv := p.NumVars()
-	s := &Sim{p: p, n: g.NumNodes(), bits: make([][]bool, nv), cnt: make([]int, nv)}
-	var cands []graph.NodeID // recycled across variables
+	m.seedOf = m.seedOf[:0]
+	total := 0
 	for v := 0; v < nv; v++ {
-		bits := make([]bool, s.n)
-		cnt := 0
-		// Seed with the label candidates, pre-filtered by the variable's
-		// degree/label signature: a node whose adjacency cannot cover the
-		// variable's pattern edges would be refined away anyway, so dropping
-		// it here shrinks the fixpoint's working set for free. The signature
-		// is resolved to label IDs once so the per-node probes are
-		// integer-only, and the candidates land in a recycled buffer via the
-		// appending accessor (graph.CandidateNodes would copy per variable).
-		sig := p.Signature(pattern.Var(v))
-		sigOut := g.ResolveLabels(sig.Out)
-		sigIn := g.ResolveLabels(sig.In)
-		cands = g.AppendCandidates(cands[:0], p.Label(pattern.Var(v)))
-		for _, n := range cands {
-			if g.CoversIDs(n, sigOut, sigIn) {
-				bits[n] = true
-				cnt++
-			}
-		}
-		if cnt == 0 {
+		seed := m.seed(p, pattern.Var(v))
+		if len(seed.nodes) == 0 {
 			return nil
 		}
-		s.bits[v] = bits
-		s.cnt[v] = cnt
+		m.seedOf = append(m.seedOf, seed)
+		total += len(seed.nodes)
+	}
+	s := &Sim{words: m.words, bits: make([]uint64, nv*m.words), nodes: make([][]graph.NodeID, nv)}
+	slab := make([]graph.NodeID, total)
+	for v, seed := range m.seedOf {
+		n := copy(slab, seed.nodes)
+		s.nodes[v], slab = slab[:n:n], slab[n:]
+		copy(s.bits[v*m.words:], seed.bits)
 	}
 	// Pre-resolve every pattern edge's label ID so the fixpoint loop probes
-	// the adjacency index with integers only.
-	outIDs := make([][]graph.LabelID, nv)
-	inIDs := make([][]graph.LabelID, nv)
+	// the adjacency index with integers only: variable v's out-edge IDs, then
+	// its in-edge IDs, start at ids[idsAt[v]].
+	m.ids, m.idsAt = m.ids[:0], m.idsAt[:0]
 	for v := 0; v < nv; v++ {
-		outIDs[v] = resolveEdgeLabels(g, p.Out(pattern.Var(v)))
-		inIDs[v] = resolveEdgeLabels(g, p.In(pattern.Var(v)))
+		m.idsAt = append(m.idsAt, len(m.ids))
+		for _, e := range p.Out(pattern.Var(v)) {
+			m.ids = append(m.ids, m.g.EdgeLabelID(e.Label))
+		}
+		for _, e := range p.In(pattern.Var(v)) {
+			m.ids = append(m.ids, m.g.EdgeLabelID(e.Label))
+		}
 	}
 	// Refine to a fixpoint: drop n from sim(u) if some pattern edge at u
-	// cannot be realized within the current sim sets.
-	changed := true
-	for changed {
+	// cannot be realized within the current sim sets. A round walks the
+	// member lists only, compacting each in place.
+	for changed := true; changed; {
 		changed = false
 		for v := 0; v < nv; v++ {
-			u := pattern.Var(v)
-			bits := s.bits[u]
-			for n := range bits {
-				if !bits[n] {
-					continue
-				}
-				if !edgesRealizable(p, g, s, u, graph.NodeID(n), outIDs[v], inIDs[v]) {
-					bits[n] = false
-					s.cnt[u]--
-					changed = true
+			out, in := p.Out(pattern.Var(v)), p.In(pattern.Var(v))
+			outIDs := m.ids[m.idsAt[v]:]
+			inIDs := outIDs[len(out):]
+			kept := s.nodes[v][:0]
+			for _, n := range s.nodes[v] {
+				if m.realizable(s, n, out, outIDs, in, inIDs) {
+					kept = append(kept, n)
+				} else {
+					s.bits[v*s.words+int(n>>6)] &^= 1 << (uint(n) & 63)
 				}
 			}
-			if s.cnt[u] == 0 {
+			if len(kept) == 0 {
 				return nil
+			}
+			if len(kept) < len(s.nodes[v]) {
+				s.nodes[v] = kept
+				changed = true
 			}
 		}
 	}
 	return s
 }
 
-func edgesRealizable(p *pattern.Pattern, g graph.Reader, s *Sim, u pattern.Var, n graph.NodeID, outIDs, inIDs []graph.LabelID) bool {
+// seed returns the memoised seed set of variable v of p: the label
+// candidates pre-filtered by the variable's degree/label signature. A node
+// whose adjacency cannot cover the variable's pattern edges would be refined
+// away anyway, so dropping it here shrinks the fixpoint's working set for
+// free. The key is the resolved label IDs with each signature side sorted,
+// so patterns listing the same labels in another order share the entry.
+func (m *Simulator) seed(p *pattern.Pattern, v pattern.Var) *seedSet {
+	sig := p.Signature(v)
+	m.ids = m.ids[:0]
+	for _, l := range sig.Out {
+		m.ids = append(m.ids, m.g.EdgeLabelID(l))
+	}
+	for _, l := range sig.In {
+		m.ids = append(m.ids, m.g.EdgeLabelID(l))
+	}
+	sigOut, sigIn := m.ids[:len(sig.Out)], m.ids[len(sig.Out):]
+	slices.Sort(sigOut)
+	slices.Sort(sigIn)
+	m.key = binary.LittleEndian.AppendUint32(m.key[:0], uint32(m.g.NodeLabelID(p.Label(v))))
+	m.key = binary.LittleEndian.AppendUint32(m.key, uint32(len(sigOut)))
+	for _, id := range m.ids {
+		m.key = binary.LittleEndian.AppendUint32(m.key, uint32(id))
+	}
+	if seed, ok := m.seeds[string(m.key)]; ok {
+		return seed
+	}
+	seed := &seedSet{}
+	m.cands = m.g.AppendCandidates(m.cands[:0], p.Label(v))
+	kept := m.cands[:0]
+	for _, n := range m.cands {
+		if m.g.CoversIDs(n, sigOut, sigIn) {
+			kept = append(kept, n)
+		}
+	}
+	if len(kept) > 0 {
+		seed.nodes = slices.Clone(kept)
+		seed.bits = make([]uint64, m.words)
+		for _, n := range kept {
+			seed.bits[n>>6] |= 1 << (uint(n) & 63)
+		}
+	}
+	m.seeds[string(m.key)] = seed
+	return seed
+}
+
+// realizable reports whether every pattern edge at a variable — out and in,
+// each with its aligned label IDs — has, at data node n, a counterpart whose
+// other end is in the current sim set of the edge's other variable.
+func (m *Simulator) realizable(s *Sim, n graph.NodeID, out []pattern.Edge, outIDs []graph.LabelID, in []pattern.Edge, inIDs []graph.LabelID) bool {
 	// The label-keyed adjacency index hands back exactly the edges carrying
 	// the pattern edge's label (all edges for wildcard), so the inner loops
 	// touch no mismatched edges.
-	for ei, e := range p.Out(u) {
+	for ei, e := range out {
 		ok := false
-		for _, t := range g.OutByLabelID(n, outIDs[ei]) {
-			if s.bits[e.To][t] {
+		for _, t := range m.g.OutByLabelID(n, outIDs[ei]) {
+			if s.Has(e.To, t) {
 				ok = true
 				break
 			}
@@ -125,10 +213,10 @@ func edgesRealizable(p *pattern.Pattern, g graph.Reader, s *Sim, u pattern.Var, 
 			return false
 		}
 	}
-	for ei, e := range p.In(u) {
+	for ei, e := range in {
 		ok := false
-		for _, f := range g.InByLabelID(n, inIDs[ei]) {
-			if s.bits[e.From][f] {
+		for _, f := range m.g.InByLabelID(n, inIDs[ei]) {
+			if s.Has(e.From, f) {
 				ok = true
 				break
 			}

@@ -1,5 +1,5 @@
 // Package oracle is the reference the engine tests compare against: pattern
-// matching and GFD validation written as the definitions read, sharing no
+// matching, graph simulation and GFD validation written as the definitions read, sharing no
 // code with internal/match or internal/core. It touches a graph only through
 // NumNodes, Label, graph.HasEdge and Attr (plus Alive, where the representation
 // has tombstones) — no label index, adjacency rows, signatures, intersection
@@ -19,11 +19,7 @@ import (
 // may share a node), lexicographic in variable-index order. A match is
 // indexed by pattern variable, like match.Assignment.
 func Matches(p *pattern.Pattern, g graph.Reader) [][]graph.NodeID {
-	// A removed node keeps its ID slot and label but is not part of the graph.
-	alive := func(graph.NodeID) bool { return true }
-	if a, ok := g.(interface{ Alive(graph.NodeID) bool }); ok {
-		alive = a.Alive
-	}
+	alive := aliveIn(g)
 	// Each variable's label-compatible nodes, found by one pass over all of
 	// them, so the backtracking below does not repeat the label test.
 	cands := make([][]graph.NodeID, p.NumVars())
@@ -51,6 +47,69 @@ func Matches(p *pattern.Pattern, g graph.Reader) [][]graph.NodeID {
 	}
 	extend(0)
 	return out
+}
+
+// Simulation returns the greatest graph simulation of p into g, per pattern
+// variable in ascending node order, or nil when some variable simulates no
+// node. It is the largest relation in which every (u, n) has n alive and
+// label-compatible with u and, for each pattern edge leaving (entering) u,
+// an equally labelled data edge leaving (entering) n whose other end
+// simulates the edge's other variable — computed as the definition reads:
+// start from all label-compatible pairs and delete pairs that break it until
+// none does. O(rounds · |E_Q| · |V|²): small inputs only.
+func Simulation(p *pattern.Pattern, g graph.Reader) [][]graph.NodeID {
+	alive := aliveIn(g)
+	n := g.NumNodes()
+	in := make([][]bool, p.NumVars())
+	for v := range in {
+		in[v] = make([]bool, n)
+		for x := graph.NodeID(0); int(x) < n; x++ {
+			in[v][x] = alive(x) && pattern.LabelMatches(p.Label(pattern.Var(v)), g.Label(x))
+		}
+	}
+	// witnessed reports whether some y simulating w closes the edge with x.
+	witnessed := func(w pattern.Var, edge func(y graph.NodeID) bool) bool {
+		for y := graph.NodeID(0); int(y) < n; y++ {
+			if in[w][y] && edge(y) {
+				return true
+			}
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, e := range p.Edges() {
+			for x := graph.NodeID(0); int(x) < n; x++ {
+				if in[e.From][x] && !witnessed(e.To, func(y graph.NodeID) bool { return graph.HasEdge(g, x, y, e.Label) }) {
+					in[e.From][x], changed = false, true
+				}
+				if in[e.To][x] && !witnessed(e.From, func(y graph.NodeID) bool { return graph.HasEdge(g, y, x, e.Label) }) {
+					in[e.To][x], changed = false, true
+				}
+			}
+		}
+	}
+	out := make([][]graph.NodeID, len(in))
+	for v := range in {
+		for x := graph.NodeID(0); int(x) < n; x++ {
+			if in[v][x] {
+				out[v] = append(out[v], x)
+			}
+		}
+		if len(out[v]) == 0 {
+			return nil
+		}
+	}
+	return out
+}
+
+// aliveIn returns g's liveness test: a removed node keeps its ID slot and
+// label but is not part of the graph.
+func aliveIn(g graph.Reader) func(graph.NodeID) bool {
+	if a, ok := g.(interface{ Alive(graph.NodeID) bool }); ok {
+		return a.Alive
+	}
+	return func(graph.NodeID) bool { return true }
 }
 
 // edgesHold checks every pattern edge at v whose other endpoint is v itself

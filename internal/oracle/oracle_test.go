@@ -57,6 +57,40 @@ func TestMatchesByHand(t *testing.T) {
 	}
 }
 
+func TestSimulationByHand(t *testing.T) {
+	g := fixture()
+	cases := []struct {
+		name string
+		p    func(*pattern.Pattern)
+		want string
+	}{
+		{"single a skips the removed node", func(p *pattern.Pattern) { p.AddVar("x", "a") }, "[[0 2]]"},
+		{"a -e-> b: the loop at 2 ends in an a, 3 has no edge", func(p *pattern.Pattern) {
+			p.AddEdge(p.AddVar("x", "a"), p.AddVar("y", "b"), "e")
+		}, "[[0] [1]]"},
+		{"wildcard chain: 0 has no live in-edge, 1 no in-edge from a middle", func(p *pattern.Pattern) {
+			x, y, z := p.AddVar("x", "_"), p.AddVar("y", "_"), p.AddVar("z", "_")
+			p.AddEdge(x, y, "e")
+			p.AddEdge(y, z, "e")
+		}, "[[0 1 2] [1 2] [2]]"},
+		{"two-cycle collapses onto the loop", func(p *pattern.Pattern) {
+			x, y := p.AddVar("x", "_"), p.AddVar("y", "_")
+			p.AddEdge(x, y, "e")
+			p.AddEdge(y, x, "e")
+		}, "[[2] [2]]"},
+		{"an empty variable empties the relation", func(p *pattern.Pattern) {
+			p.AddEdge(p.AddVar("x", "a"), p.AddVar("y", "b"), "f")
+		}, "[]"},
+	}
+	for _, c := range cases {
+		p := pattern.New()
+		c.p(p)
+		if got := fmt.Sprint(Simulation(p, g)); got != c.want {
+			t.Errorf("%s: Simulation = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestViolationsByHand(t *testing.T) {
 	g := fixture()
 	edge := func() *pattern.Pattern {
