@@ -490,6 +490,23 @@ func BenchmarkFig6lVaryTTLImp(b *testing.B) {
 	}
 }
 
+// BenchmarkEnforce measures the enforcement layer on its own: every match of
+// a DBpedia-profile Σ in G_Σ is enumerated once, outside the timer, and each
+// iteration resolves Σ's literals and chases those matches through a fresh
+// enforcer and Eq. Run with -benchmem: the layer runs on IDs, so ns/match
+// and allocs/match are what a change to eq or the pending index moves.
+func BenchmarkEnforce(b *testing.B) {
+	set, ms := bench.EnforceWorkload(1600, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st, con := core.EnforceMatches(set, ms); con != nil || st.Enforcements == 0 {
+			b.Fatalf("enforcement workload is vacuous or conflicted: %+v, %v", st, con)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ms)), "ns/match")
+}
+
 // BenchmarkSimulateSigma measures the simulation pre-pass on its own: every
 // pattern group of a DBpedia-profile Σ against G_Σ, once with a one-shot
 // match.Simulate per group (what the end-to-end benchmark's match.simulate_s

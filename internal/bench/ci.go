@@ -28,6 +28,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/depgraph"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -405,8 +406,14 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 // its canonical graph G_Σ. Shared by the CI report's simulate_sigma_* rows
 // and the root BenchmarkSimulateSigma.
 func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Graph) {
-	set := gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
+	set := satSigma(n, seed)
 	return set.Groups(), canon.BuildSigma(set).Graph
+}
+
+// satSigma generates the Σ shape of the end-to-end benchmark's sat-dbpedia
+// family at n rules.
+func satSigma(n int, seed int64) *gfd.Set {
+	return gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
 }
 
 // SimulateSigma runs the pre-pass over every group, through one shared
@@ -424,6 +431,24 @@ func SimulateSigma(groups []gfd.Group, g graph.Reader, shared bool) int {
 		}
 	}
 	return passed
+}
+
+// EnforceWorkload builds the enforcement layer's input as SeqSat produces it:
+// a DBpedia-profile Σ of n rules (the shape of the end-to-end benchmark's
+// sat-dbpedia family, see SimulateWorkload) and every match of every rule in
+// G_Σ, enumerated once, in SeqSat's rule order. Shared by the CI report's
+// enforce_* rows and the root BenchmarkEnforce.
+func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
+	set := satSigma(n, seed)
+	g := canon.BuildSigma(set).Graph
+	var ms []core.Match
+	for _, gi := range depgraph.OrderGFDs(set) {
+		s := match.NewSearch(set.GFDs[gi].Pattern, g, match.Options{})
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			ms = append(ms, core.Match{GFD: gi, H: h})
+		}
+	}
+	return set, ms
 }
 
 // RunCI measures the CI metric suite: freeze-vs-incremental bulk ingest on
@@ -555,6 +580,19 @@ func RunCI(cfg Config) (*CIReport, error) {
 	}
 	info("simulate_sigma_ms", medianTime(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
 	infoAllocs("simulate_sigma_allocs", allocsPerOp(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
+
+	// The enforcement layer by itself on the same Σ shape: literal
+	// resolution, then offer/drain of the pre-enumerated matches through a
+	// fresh enforcer. Informational, per match.
+	eset, ems := EnforceWorkload(1600, cfg.Seed)
+	if st, con := core.EnforceMatches(eset, ems); con != nil || st.Enforcements == 0 {
+		return report, fmt.Errorf("enforce workload broken: %d enforcements, conflict %v", st.Enforcements, con)
+	}
+	enforceT := medianTime(cfg.Reps, func() { core.EnforceMatches(eset, ems) })
+	enforceAllocs := allocsPerOp(cfg.Reps, func() { core.EnforceMatches(eset, ems) })
+	report.Metrics = append(report.Metrics,
+		Metric{Name: "enforce_ns_per_match", Value: float64(enforceT.Nanoseconds()) / float64(len(ems)), Unit: "ns", Informational: true},
+		Metric{Name: "enforce_allocs_per_match", Value: enforceAllocs / float64(len(ems)), Unit: "allocs/match", Informational: true})
 
 	// Cooperative-cancellation latency on the same workload: cancel a run
 	// ~2ms in and measure cancel-to-return. Informational only — it is a

@@ -42,6 +42,36 @@ func (s *Sigma) TermOf(i int, v pattern.Var, a string) eq.Term {
 	return eq.Term{Node: s.NodeOf(i, v), Attr: a}
 }
 
+// Lit is a literal of a GFD with its attribute and constant names resolved
+// to the IDs of one eq.Eq (and of that relation's Clones): what the
+// enforcement loop evaluates per match, so that no name is hashed or compared
+// there. C is eq.NoConst for a variable literal x.A = y.B; Y and B are unused
+// for a constant literal x.A = c.
+type Lit struct {
+	X, Y pattern.Var
+	A, B eq.AttrID
+	C    eq.ConstID
+}
+
+// IsConst reports whether l is a constant literal x.A = c.
+func (l *Lit) IsConst() bool { return l.C != eq.NoConst }
+
+// ResolveLits resolves literals against e's name tables, interning what is
+// new. It is the per-run step, the counterpart of resolving pattern labels
+// with LabelIDOf once per plan.
+func ResolveLits(e *eq.Eq, ls []gfd.Literal) []Lit {
+	out := make([]Lit, len(ls))
+	for i, l := range ls {
+		out[i] = Lit{X: l.X, A: e.AttrIDOf(l.A), C: eq.NoConst}
+		if l.Kind == gfd.ConstLiteral {
+			out[i].C = e.ConstIDOf(l.Const)
+		} else {
+			out[i].Y, out[i].B = l.Y, e.AttrIDOf(l.B)
+		}
+	}
+	return out
+}
+
 // Phi is the canonical graph G^X_Q of a GFD φ = Q[x̄](X → Y): the pattern Q
 // materialized as a data graph (node IDs equal variable indexes), plus the
 // equivalence relation Eq_X encoding F^X_A — the attribute constraints of X
@@ -52,49 +82,55 @@ type Phi struct {
 	// (e.g. x.A=1 ∧ x.A=2), in which case Σ |= φ holds trivially.
 	EqX *eq.Eq
 	GFD *gfd.GFD
+	// y is φ's consequent resolved against EqX, for YDeduced.
+	y []Lit
 }
 
 // BuildPhi constructs G^X_Q with Eq_X.
 func BuildPhi(phi *gfd.GFD) *Phi {
 	g := phi.Pattern.AsGraph()
 	e := eq.New()
-	for _, l := range phi.X {
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			e.AssignConst(eq.Term{Node: graph.NodeID(l.X), Attr: l.A}, l.Const)
-		case gfd.VarLiteral:
-			e.Merge(eq.Term{Node: graph.NodeID(l.X), Attr: l.A}, eq.Term{Node: graph.NodeID(l.Y), Attr: l.B})
+	for _, l := range ResolveLits(e, phi.X) {
+		t := e.HandleOf(graph.NodeID(l.X), l.A)
+		if l.IsConst() {
+			e.AssignAt(t, l.C, nil)
+		} else {
+			e.MergeAt(t, e.HandleOf(graph.NodeID(l.Y), l.B), nil)
 		}
 	}
 	// Drain the construction log: Eq_X is the starting point replicated to
 	// every worker, not a delta to broadcast.
 	e.TakeDelta()
-	return &Phi{Graph: g, EqX: e, GFD: phi}
+	return &Phi{Graph: g, EqX: e, GFD: phi, y: ResolveLits(e, phi.Y)}
 }
 
 // YDeduced reports whether Y ⊆ Eq_H: every consequent literal of φ is
-// deducible from the given relation (Corollary 4's success condition).
+// deducible from the given relation (Corollary 4's success condition). e
+// must be EqX or a Clone of it, whose IDs the resolved consequent speaks.
 func (p *Phi) YDeduced(e *eq.Eq) bool {
-	for _, l := range p.GFD.Y {
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			c, ok := e.Const(eq.Term{Node: graph.NodeID(l.X), Attr: l.A})
-			if !ok || c != l.Const {
+	for i := range p.y {
+		l := &p.y[i]
+		t := e.Lookup(graph.NodeID(l.X), l.A)
+		if t == eq.NoHandle {
+			return false
+		}
+		if l.IsConst() {
+			if e.ConstAt(t) != l.C {
 				return false
 			}
-		case gfd.VarLiteral:
-			t := eq.Term{Node: graph.NodeID(l.X), Attr: l.A}
-			u := eq.Term{Node: graph.NodeID(l.Y), Attr: l.B}
-			if e.Same(t, u) {
-				continue
-			}
-			// Classes forced to the same constant are equal in every
-			// population even without a merge.
-			ct, okT := e.Const(t)
-			cu, okU := e.Const(u)
-			if !(okT && okU && ct == cu) {
-				return false
-			}
+			continue
+		}
+		u := e.Lookup(graph.NodeID(l.Y), l.B)
+		if u == eq.NoHandle {
+			return false
+		}
+		if e.SameAt(t, u) {
+			continue
+		}
+		// Classes forced to the same constant are equal in every
+		// population even without a merge.
+		if c := e.ConstAt(t); c == eq.NoConst || c != e.ConstAt(u) {
+			return false
 		}
 	}
 	return true

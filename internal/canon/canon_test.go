@@ -104,7 +104,8 @@ func TestYDeduced(t *testing.T) {
 	phi := gfd.MustNew("y", p, nil,
 		[]gfd.Literal{gfd.Const(0, "A", "1"), gfd.Vars(0, "B", 1, "B")})
 	cp := BuildPhi(phi)
-	e := eq.New()
+	// YDeduced reads relations that speak Eq_X's IDs: Eq_X and its clones.
+	e := cp.EqX.Clone()
 	if cp.YDeduced(e) {
 		t.Error("empty Eq deduces Y")
 	}
@@ -117,7 +118,7 @@ func TestYDeduced(t *testing.T) {
 		t.Error("full Eq does not deduce Y")
 	}
 	// Equal constants deduce a variable literal without a merge.
-	e2 := eq.New()
+	e2 := cp.EqX.Clone()
 	e2.AssignConst(eq.Term{Node: 0, Attr: "A"}, "1")
 	e2.AssignConst(eq.Term{Node: 0, Attr: "B"}, "7")
 	e2.AssignConst(eq.Term{Node: 1, Attr: "B"}, "7")
@@ -126,7 +127,7 @@ func TestYDeduced(t *testing.T) {
 	}
 	// Empty Y is trivially deduced.
 	triv := gfd.MustNew("e", edgeP("a", "b"), nil, nil)
-	if !BuildPhi(triv).YDeduced(eq.New()) {
+	if cpt := BuildPhi(triv); !cpt.YDeduced(cpt.EqX) {
 		t.Error("empty Y not trivially deduced")
 	}
 }

@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +47,12 @@ func (l *Log) Append(d eq.Delta) int {
 		return l.Len()
 	}
 	l.mu.Lock()
+	if len(l.ops)+len(d) > cap(l.ops) {
+		// The log only grows, for the whole run: double it, where append alone
+		// would grow it by a quarter at a time and copy several times its
+		// final size on the way there.
+		l.ops = slices.Grow(l.ops, max(len(d), len(l.ops)))
+	}
 	l.ops = append(l.ops, d...)
 	l.appends++
 	n := len(l.ops)
@@ -58,15 +65,18 @@ func (l *Log) Append(d eq.Delta) int {
 // every match to decide whether to catch up.
 func (l *Log) Len() int { return int(l.length.Load()) }
 
-// ReadFrom returns the ops in [cursor, len) and the new cursor.
+// ReadFrom returns the ops in [cursor, len) and the new cursor. The result
+// is a read-only view of the log, not a copy: the log is append-only, so the
+// ops it covers never change, and its capacity is clipped so that appending
+// to it cannot reach the log's own storage. Callers must not write to it.
 func (l *Log) ReadFrom(cursor int) (eq.Delta, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cursor >= len(l.ops) {
+	n := len(l.ops)
+	if cursor >= n {
 		return nil, cursor
 	}
-	tail := append(eq.Delta{}, l.ops[cursor:]...)
-	return tail, len(l.ops)
+	return l.ops[cursor:n:n], n
 }
 
 // Appends returns the number of broadcast messages published.

@@ -65,6 +65,39 @@ func TestLogConcurrentAppendersConverge(t *testing.T) {
 	}
 }
 
+// TestLogReadFromIsAStableView: ReadFrom hands out the log's own storage, so
+// what a reader holds must survive later appends — also the ones that move
+// the log — and appending to the view must not reach the log.
+func TestLogReadFromIsAStableView(t *testing.T) {
+	l := NewLog()
+	l.Append(eq.Delta{{Kind: eq.OpAssign, T: tm(0, "A"), C: "first"}})
+	view, cur := l.ReadFrom(0)
+	if len(view) != 1 || cap(view) != 1 || cur != 1 {
+		t.Fatalf("view len %d cap %d cursor %d, want 1 1 1", len(view), cap(view), cur)
+	}
+	_ = append(view, eq.Op{C: "stray"})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // readers run while writers append
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			l.Append(eq.Delta{{Kind: eq.OpAssign, T: tm(i, "A"), C: "later"}})
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		if tail, _ := l.ReadFrom(0); tail[0].C != "first" {
+			t.Fatalf("log head changed to %q", tail[0].C)
+		}
+	}
+	wg.Wait()
+	if view[0].C != "first" {
+		t.Fatalf("an early view changed to %q", view[0].C)
+	}
+	if tail, _ := l.ReadFrom(1); len(tail) != 1000 || tail[0].C != "later" {
+		t.Fatalf("appending to a view reached the log: %d ops, first %q", len(tail), tail[0].C)
+	}
+}
+
 func TestQueueOrdering(t *testing.T) {
 	q := NewQueue[string]()
 	q.Push(3, "c")

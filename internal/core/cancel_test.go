@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/canon"
+	"repro/internal/eq"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -66,7 +67,7 @@ func TestParPreCanceled(t *testing.T) {
 	if res := ParImp(set, target, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
 		t.Fatalf("ParImp: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
 	}
-	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph)
+	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
 	eng.testHookGroupSim = func(int) { t.Error("a group was simulated under a pre-canceled context") }
 	if _, _, _, _, err := eng.run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("engine run: err = %v, want ErrCanceled", err)
@@ -128,7 +129,7 @@ func TestParDeadlineDuringBuildUnits(t *testing.T) {
 		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
 		opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started after the deadline fired in buildUnits") }
-		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph)
+		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
 		var simulated atomic.Int64
 		eng.testHookGroupSim = func(int) {
 			simulated.Add(1)

@@ -5,6 +5,9 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/canon"
 	"repro/internal/eq"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -59,105 +62,148 @@ const (
 	xImpossible               // a constant literal contradicts a fixed constant
 )
 
+// rule is one GFD's literals resolved against the name tables of an
+// enforcer's relation (canon.ResolveLits): what offer and drain evaluate per
+// match.
+type rule struct {
+	x, y     []canon.Lit
+	resolved bool
+}
+
 // pendingMatch is a match whose antecedent was blocked when first seen; it
 // sits in the inverted index until a relevant Eq class changes (Section
 // IV-C(b)).
 type pendingMatch struct {
-	phi  *gfd.GFD
+	r    *rule
 	h    match.Assignment
 	done bool
+}
+
+// pendingRef is one entry of a term's list in the inverted index: the parked
+// match (an index into enforcer.parked) and the next entry of the same list
+// (1 + its index into enforcer.refs; 0 ends the list). The lists are threaded
+// through one slice so that filing a match under a term allocates nothing of
+// its own.
+type pendingRef struct {
+	pm, next int32
+}
+
+// pendingList is a term's list: 1 + the indexes of its first and last
+// pendingRef, 0 when empty. Entries are appended at the tail, so a term's
+// matches are re-checked in the order they were parked.
+type pendingList struct {
+	head, tail int32
 }
 
 // enforcer owns one replica of the reasoning state: the equivalence
 // relation Eq plus the inverted pending index. The sequential algorithms use
 // a single enforcer; each parallel worker owns one and exchanges eq.Deltas.
+// It runs on the relation's ID surface throughout: literals arrive resolved,
+// terms are handles, and the index and the re-check queue are slices over
+// handles.
 type enforcer struct {
-	eq      *eq.Eq
-	pending map[eq.Term][]*pendingMatch
+	eq  *eq.Eq
+	set *gfd.Set
+	// rules[i] is set.GFDs[i] resolved against eq, on the rule's first match:
+	// once per run and replica for the rules that have matches, nothing for
+	// the rest — an implication run on a six-node G^X_Q matches few of Σ's
+	// patterns, and resolving all of Σ up front would show in its start-up.
+	rules []rule
+	// pending[t] lists the blocked matches whose antecedent mentions the
+	// term with handle t. Filing a match allocates the handle but not the
+	// class: an antecedent over a term nobody created stays blocked.
+	pending []pendingList
+	refs    []pendingRef
+	parked  []pendingMatch
 	stats   Stats
-	// recheckQueue holds terms whose classes changed and whose pending
+	// queue[qhead:] holds handles whose classes changed and whose pending
 	// matches have not been revisited yet.
-	recheckQueue []eq.Term
+	queue []eq.Handle
+	qhead int
 }
 
-func newEnforcer(base *eq.Eq) *enforcer {
-	if base == nil {
-		base = eq.New()
-	}
-	return &enforcer{eq: base, pending: make(map[eq.Term][]*pendingMatch)}
+// newEnforcer returns an enforcer of Σ over relation e.
+func newEnforcer(e *eq.Eq, set *gfd.Set) *enforcer {
+	return &enforcer{eq: e, set: set, rules: make([]rule, set.Len())}
 }
 
-// termOf converts a literal side to an Eq term under match h.
-func termOf(h match.Assignment, x gfd.Literal) (eq.Term, eq.Term) {
-	t := eq.Term{Node: h[x.X], Attr: x.A}
-	if x.Kind == gfd.VarLiteral {
-		return t, eq.Term{Node: h[x.Y], Attr: x.B}
+// newSeqEnforcer is the enforcer of a sequential run: no delta log, since
+// there is no peer to read one.
+func newSeqEnforcer(e *eq.Eq, set *gfd.Set) *enforcer {
+	e.StopLogging()
+	return newEnforcer(e, set)
+}
+
+// rule returns Σ's gi-th rule, resolving it on first use.
+func (e *enforcer) rule(gi int) *rule {
+	r := &e.rules[gi]
+	if !r.resolved {
+		phi := e.set.GFDs[gi]
+		r.x, r.y, r.resolved = canon.ResolveLits(e.eq, phi.X), canon.ResolveLits(e.eq, phi.Y), true
 	}
-	return t, eq.Term{}
+	return r
 }
 
 // checkX classifies h |= X under the deduced-satisfaction semantics: a
 // constant literal holds iff its class carries exactly that constant; a
 // variable literal holds iff the two classes are merged. A constant literal
 // whose class carries a different constant can never hold (constants are
-// permanent), so the match is dropped.
-func (e *enforcer) checkX(phi *gfd.GFD, h match.Assignment) xState {
+// permanent), so the match is dropped. A term whose class does not exist
+// blocks its literal, x.A = x.A included.
+func (e *enforcer) checkX(r *rule, h match.Assignment) xState {
 	state := xHolds
-	for _, l := range phi.X {
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			t, _ := termOf(h, l)
-			c, ok := e.eq.Const(t)
-			switch {
-			case !ok:
-				state = maxState(state, xBlocked)
-			case c != l.Const:
+	for i := range r.x {
+		l := &r.x[i]
+		t := e.eq.Lookup(h[l.X], l.A)
+		if l.IsConst() {
+			if t == eq.NoHandle {
+				state = xBlocked
+				continue
+			}
+			switch e.eq.ConstAt(t) {
+			case l.C:
+			case eq.NoConst:
+				state = xBlocked
+			default:
 				return xImpossible
 			}
-		case gfd.VarLiteral:
-			t, u := termOf(h, l)
-			if !e.eq.Same(t, u) {
-				// Two classes carrying the same constant are forced equal in
-				// every population even without a merge; distinct constants
-				// can never become equal.
-				ct, okT := e.eq.Const(t)
-				cu, okU := e.eq.Const(u)
-				switch {
-				case okT && okU && ct != cu:
-					return xImpossible
-				case okT && okU: // equal constants: literal holds
-				default:
-					state = maxState(state, xBlocked)
-				}
-			}
+			continue
+		}
+		u := e.eq.Lookup(h[l.Y], l.B)
+		if t == eq.NoHandle || u == eq.NoHandle {
+			state = xBlocked
+			continue
+		}
+		if e.eq.SameAt(t, u) {
+			continue
+		}
+		// Two classes carrying the same constant are forced equal in every
+		// population even without a merge; distinct constants can never
+		// become equal.
+		ct, cu := e.eq.ConstAt(t), e.eq.ConstAt(u)
+		switch {
+		case ct == eq.NoConst || cu == eq.NoConst:
+			state = xBlocked
+		case ct != cu:
+			return xImpossible
 		}
 	}
 	return state
 }
 
-func maxState(a, b xState) xState {
-	if b > a {
-		return b
-	}
-	return a
-}
-
 // enforceY applies Rules 1 and 2 for every consequent literal at h,
 // queueing changed terms for pending re-checks. It returns false as soon as
 // Eq conflicts.
-func (e *enforcer) enforceY(phi *gfd.GFD, h match.Assignment) bool {
+func (e *enforcer) enforceY(r *rule, h match.Assignment) bool {
 	e.stats.Enforcements++
-	for _, l := range phi.Y {
-		var changed []eq.Term
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			t, _ := termOf(h, l)
-			changed = e.eq.AssignConst(t, l.Const)
-		case gfd.VarLiteral:
-			t, u := termOf(h, l)
-			changed = e.eq.Merge(t, u)
+	for i := range r.y {
+		l := &r.y[i]
+		t := e.eq.HandleOf(h[l.X], l.A)
+		if l.IsConst() {
+			e.queue = e.eq.AssignAt(t, l.C, e.queue)
+		} else {
+			e.queue = e.eq.MergeAt(t, e.eq.HandleOf(h[l.Y], l.B), e.queue)
 		}
-		e.recheckQueue = append(e.recheckQueue, changed...)
 		if e.eq.Conflicted() != nil {
 			return false
 		}
@@ -165,33 +211,70 @@ func (e *enforcer) enforceY(phi *gfd.GFD, h match.Assignment) bool {
 	return true
 }
 
-// offer processes a freshly enumerated match: fire it, park it, or drop it.
-// It returns false on conflict.
-func (e *enforcer) offer(phi *gfd.GFD, h match.Assignment) bool {
+// offer processes a freshly enumerated match of GFD gi: fire it, park it, or
+// drop it. The enforcer keeps h when it parks the match. It returns false on
+// conflict.
+func (e *enforcer) offer(gi int, h match.Assignment) bool {
 	e.stats.Matches++
-	switch e.checkX(phi, h) {
+	r := e.rule(gi)
+	switch e.checkX(r, h) {
 	case xHolds:
-		return e.enforceY(phi, h)
+		return e.enforceY(r, h)
 	case xImpossible:
 		e.stats.Dropped++
 		return true
 	default:
-		e.park(phi, h)
+		e.park(r, h)
 		return true
 	}
 }
 
 // park registers a blocked match in the inverted index under every term its
 // antecedent mentions, so any relevant class change triggers a re-check.
-func (e *enforcer) park(phi *gfd.GFD, h match.Assignment) {
-	pm := &pendingMatch{phi: phi, h: h}
+func (e *enforcer) park(r *rule, h match.Assignment) {
+	pm := int32(len(e.parked))
+	e.parked = append(doubling(e.parked), pendingMatch{r: r, h: h})
 	e.stats.Pending++
-	for _, l := range phi.X {
-		t, u := termOf(h, l)
-		e.pending[t] = append(e.pending[t], pm)
-		if l.Kind == gfd.VarLiteral {
-			e.pending[u] = append(e.pending[u], pm)
+	for i := range r.x {
+		l := &r.x[i]
+		t := e.eq.HandleOf(h[l.X], l.A)
+		e.file(t, pm)
+		if !l.IsConst() {
+			if u := e.eq.HandleOf(h[l.Y], l.B); u != t {
+				e.file(u, pm)
+			}
 		}
+	}
+}
+
+// doubling returns s with room for one more element, doubling a full
+// slice's capacity. The index's slices only ever grow, for the whole run;
+// append alone grows a large slice by a quarter at a time and so copies
+// several times its final size on the way there.
+func doubling[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), 64))
+}
+
+func (e *enforcer) file(t eq.Handle, pm int32) {
+	if have := len(e.pending); int(t) >= have {
+		// One list per handle allocated so far; at least doubled, like the
+		// other run-long slices.
+		n := e.eq.NumHandles()
+		if n > cap(e.pending) {
+			e.pending = slices.Grow(e.pending, max(n-have, have))
+		}
+		e.pending = e.pending[:n]
+	}
+	e.refs = append(doubling(e.refs), pendingRef{pm: pm})
+	at := int32(len(e.refs))
+	if l := &e.pending[t]; l.tail == 0 {
+		l.head, l.tail = at, at
+	} else {
+		e.refs[l.tail-1].next = at
+		l.tail = at
 	}
 }
 
@@ -200,42 +283,55 @@ func (e *enforcer) park(phi *gfd.GFD, h match.Assignment) {
 // classes, which re-queues more terms — the inflationary fixpoint loop.
 // It returns false on conflict.
 func (e *enforcer) drain() bool {
-	for len(e.recheckQueue) > 0 {
-		t := e.recheckQueue[0]
-		e.recheckQueue = e.recheckQueue[1:]
-		list := e.pending[t]
-		if len(list) == 0 {
+	for e.qhead < len(e.queue) {
+		t := e.queue[e.qhead]
+		e.qhead++
+		if int(t) >= len(e.pending) {
 			continue
 		}
-		keep := list[:0]
-		for _, pm := range list {
+		// Walk t's list, unlinking what fires or dies. Nothing parks while
+		// draining, so refs and parked do not move under the loop.
+		var keep pendingList
+		for at := e.pending[t].head; at != 0; {
+			ref := &e.refs[at-1]
+			cur := at
+			at = ref.next
+			pm := &e.parked[ref.pm]
 			if pm.done {
 				continue
 			}
 			e.stats.Rechecks++
-			switch e.checkX(pm.phi, pm.h) {
-			case xHolds:
-				pm.done = true
-				if !e.enforceY(pm.phi, pm.h) {
-					return false
+			state := e.checkX(pm.r, pm.h)
+			if state == xBlocked {
+				if keep.tail == 0 {
+					keep.head = cur
+				} else {
+					e.refs[keep.tail-1].next = cur
 				}
-			case xImpossible:
-				pm.done = true
-				e.stats.Dropped++
-			default:
-				keep = append(keep, pm)
+				keep.tail = cur
+				continue
 			}
+			r, h := pm.r, pm.h
+			pm.done, pm.h = true, nil
+			if state == xImpossible {
+				e.stats.Dropped++
+			} else if !e.enforceY(r, h) {
+				return false
+			}
+		}
+		if keep.tail != 0 {
+			e.refs[keep.tail-1].next = 0
 		}
 		e.pending[t] = keep
 	}
+	e.queue, e.qhead = e.queue[:0], 0
 	return true
 }
 
 // applyRemote replays a delta from another worker and drains the pending
 // re-checks it triggers. It returns false on conflict.
 func (e *enforcer) applyRemote(d eq.Delta) bool {
-	changed := e.eq.Apply(d)
-	e.recheckQueue = append(e.recheckQueue, changed...)
+	e.queue = e.eq.ApplyAppend(d, e.queue)
 	if e.eq.Conflicted() != nil {
 		return false
 	}
@@ -245,6 +341,27 @@ func (e *enforcer) applyRemote(d eq.Delta) bool {
 // conflict returns the recorded conflict, if any.
 func (e *enforcer) conflict() *eq.Conflict { return e.eq.Conflicted() }
 
+// Match is one enumerated match of Σ.GFDs[GFD]: the chase's unit of input.
+type Match struct {
+	GFD int
+	H   match.Assignment
+}
+
+// EnforceMatches runs the enforcement fixpoint over matches that were
+// enumerated beforehand, in the order given — offer then drain per match, on
+// a fresh relation, stopping at the first conflict. It is the chase of
+// SeqSat without the enumeration, which is how the bench harness times the
+// enforcement layer by itself. The assignments are read, never written.
+func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
+	enf := newSeqEnforcer(eq.New(), set)
+	for _, m := range ms {
+		if !enf.offer(m.GFD, m.H) || !enf.drain() {
+			break
+		}
+	}
+	return enf.stats, enf.conflict()
+}
+
 // CompleteModel materializes a model from a canonical graph and a
 // conflict-free Eq (Theorem 1's construction): every class with a constant
 // assigns it to all member terms; every class without one receives a fresh
@@ -253,7 +370,6 @@ func (e *enforcer) conflict() *eq.Conflict { return e.eq.Conflicted() }
 func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
 	m := g.Clone()
 	fresh := 0
-	assigned := make(map[eq.Term]bool)
 	seen := make(map[string]bool)
 	for _, c := range e.AllConsts() {
 		seen[c] = true
@@ -261,24 +377,30 @@ func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
 	for _, c := range reserved {
 		seen[c] = true
 	}
-	for _, t := range e.AllTerms() {
-		if assigned[t] {
+	// One pass over the handles, a class handled at its first member: done
+	// marks the rest of its ring.
+	done := make([]bool, e.NumHandles())
+	for i := range done {
+		h := eq.Handle(i)
+		if done[h] || !e.HasAt(h) {
 			continue
 		}
-		mem := e.Members(t)
-		c, ok := e.Const(t)
-		if !ok {
+		var c string
+		if id := e.ConstAt(h); id != eq.NoConst {
+			c = e.ConstName(id)
+		} else {
 			// Bounded by construction: seen is finite, fresh only grows.
 			for seen[freshConst(fresh)] {
 				fresh++
 			}
 			c = freshConst(fresh)
 			fresh++
+			seen[c] = true
 		}
-		seen[c] = true
-		for _, u := range mem {
-			assigned[u] = true
-			m.SetAttr(u.Node, u.Attr, c)
+		for u := h; !done[u]; u = e.Next(u) {
+			done[u] = true
+			t := e.TermAt(u)
+			m.SetAttr(t.Node, t.Attr, c)
 		}
 	}
 	return m

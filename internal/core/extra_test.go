@@ -75,14 +75,14 @@ func TestWitnessModelIsSigmaBounded(t *testing.T) {
 	if !res.Satisfiable {
 		t.Fatal("setup: unsat")
 	}
-	size := res.Model.NumNodes() + res.Model.NumEdges()
-	for v := 0; v < res.Model.NumNodes(); v++ {
-		size += len(res.Model.Attrs(graph.NodeID(v)))
+	size := res.Model().NumNodes() + res.Model().NumEdges()
+	for v := 0; v < res.Model().NumNodes(); v++ {
+		size += len(res.Model().Attrs(graph.NodeID(v)))
 	}
 	if size > 20*set.Size() {
 		t.Errorf("witness size %d not Σ-bounded (|Σ| = %d)", size, set.Size())
 	}
-	if !IsModel(res.Model, set) {
+	if !IsModel(res.Model(), set) {
 		t.Fatal("witness is not a model")
 	}
 }

@@ -83,7 +83,7 @@ func TestExample2SameEmptyPatternConflict(t *testing.T) {
 		if !one.Satisfiable {
 			t.Fatalf("%s alone reported unsatisfiable", phi.Name)
 		}
-		if !IsModel(one.Model, gfd.NewSet(phi)) {
+		if !IsModel(one.Model(), gfd.NewSet(phi)) {
 			t.Fatalf("witness for %s is not a model", phi.Name)
 		}
 	}
@@ -123,7 +123,7 @@ func TestExample4InvertedIndexConflict(t *testing.T) {
 	if !res2.Satisfiable {
 		t.Fatal("{ϕ9, ϕ10} should be satisfiable")
 	}
-	if !IsModel(res2.Model, gfd.NewSet(phi9, phi10)) {
+	if !IsModel(res2.Model(), gfd.NewSet(phi9, phi10)) {
 		t.Fatal("witness is not a model")
 	}
 }
@@ -268,17 +268,17 @@ func TestSatisfiableSetProducesVerifiedModel(t *testing.T) {
 	if !res.Satisfiable {
 		t.Fatal("chain set unsatisfiable")
 	}
-	if !IsModel(res.Model, set) {
-		t.Fatalf("completed model is not a model:\n%s", res.Model)
+	if !IsModel(res.Model(), set) {
+		t.Fatalf("completed model is not a model:\n%s", res.Model())
 	}
-	if v, ok := res.Model.Attr(0, "k"); !ok || v != "5" {
+	if v, ok := res.Model().Attr(0, "k"); !ok || v != "5" {
 		t.Errorf("x.k = %q, want 5 (forced through the chain)", v)
 	}
 }
 
 func TestEmptySetSatisfiable(t *testing.T) {
 	res := SeqSat(gfd.NewSet())
-	if !res.Satisfiable || res.Model == nil || res.Model.NumNodes() == 0 {
+	if !res.Satisfiable || res.Model() == nil || res.Model().NumNodes() == 0 {
 		t.Fatal("empty Σ must be satisfiable with a nonempty model")
 	}
 }

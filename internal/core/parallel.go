@@ -85,10 +85,12 @@ func (h *halt) Error() string { return "core: run halted with an answer" }
 // simulation pre-pass, the work phase, each finalize round — runs on the
 // package's worker pool (pool.go).
 type parEngine struct {
-	opt    ParOptions
-	set    *gfd.Set
-	g      graph.Reader
-	baseEq *eq.Eq            // nil for satisfiability; Eq_X for implication
+	opt ParOptions
+	set *gfd.Set
+	g   graph.Reader
+	// baseEq is what every worker's replica starts as a Clone of: empty for
+	// satisfiability, Eq_X for implication.
+	baseEq *eq.Eq
 	goal   func(*eq.Eq) bool // nil for satisfiability; Y ⊆ Eq_H for implication
 	high   func(int) bool    // GFD indexes with the highest unit priority
 
@@ -114,9 +116,9 @@ type parEngine struct {
 	testHookGroupSim func(grp int)
 }
 
-func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader) *parEngine {
+func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader, baseEq *eq.Eq) *parEngine {
 	pl := newPool[unit](opt.Ctx, opt.Workers)
-	return &parEngine{opt: opt, set: set, g: g, ctx: pl.ctx, log: cluster.NewLog(), pool: pl}
+	return &parEngine{opt: opt, set: set, g: g, baseEq: baseEq, ctx: pl.ctx, log: cluster.NewLog(), pool: pl}
 }
 
 // buildUnits enumerates the work units of Σ on g: one per (pattern group,
@@ -199,6 +201,8 @@ func (e *parEngine) buildUnits() error {
 		for _, z := range sim.Nodes(e.pivotVar[i]) { // already ascending
 			e.units = append(e.units, unit{grp: i, pivot: z})
 		}
+		// From here on the relation is only probed (Has, the search filter).
+		sim.DropLists()
 	}
 	// Ranking builds the (up to quadratic) unit dependency graph; last poll
 	// before it.
@@ -355,11 +359,13 @@ type parWorker struct {
 }
 
 func newParWorker(id int, eng *parEngine) *parWorker {
-	var base *eq.Eq
-	if eng.baseEq != nil {
-		base = eng.baseEq.Clone()
+	replica := eng.baseEq.Clone()
+	if eng.pool.size() == 1 {
+		// A lone worker has no peer to tell: no delta is recorded, the
+		// broadcast log stays empty, and catchUp never finds news.
+		replica.StopLogging()
 	}
-	return &parWorker{id: id, eng: eng, enf: newEnforcer(base)}
+	return &parWorker{id: id, eng: eng, enf: newEnforcer(replica, eng.set)}
 }
 
 // conflicted records the replica's conflict as the worker's halt and
@@ -383,12 +389,18 @@ func (w *parWorker) catchUp() bool {
 	return w.checkGoal()
 }
 
-// broadcast publishes the local delta, if any.
+// broadcast publishes the local delta, if any. When nothing from a peer
+// landed in the log since this worker last read it, the cursor moves past the
+// worker's own ops: its replica produced them and need not replay them.
 func (w *parWorker) broadcast() {
-	d := w.enf.eq.TakeDelta()
-	if len(d) > 0 {
-		w.eng.log.Append(d)
+	d := w.enf.eq.Logged()
+	if len(d) == 0 {
+		return
 	}
+	if n := w.eng.log.Append(d); n-len(d) == w.cursor {
+		w.cursor = n
+	}
+	w.enf.eq.ResetLog() // Append copied the ops
 }
 
 func (w *parWorker) checkGoal() bool {
@@ -480,7 +492,7 @@ func (w *parWorker) runUnit(u unit) {
 func (w *parWorker) handleMatch(grp int, h match.Assignment) bool {
 	members := w.eng.groups[grp].Members
 	for _, mi := range members {
-		if !w.enf.offer(w.eng.set.GFDs[mi], h) {
+		if !w.enf.offer(mi, h) {
 			return w.conflicted()
 		}
 	}

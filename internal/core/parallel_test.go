@@ -70,7 +70,7 @@ func TestParSatAgreesOnPaperExamples(t *testing.T) {
 				if got.Satisfiable != want {
 					t.Errorf("%s/%s/p=%d: ParSat=%v, SeqSat=%v", name, vname, p, got.Satisfiable, want)
 				}
-				if got.Satisfiable && got.Model != nil && !IsModel(got.Model, set) {
+				if got.Satisfiable && got.Model() != nil && !IsModel(got.Model(), set) {
 					t.Errorf("%s/%s/p=%d: ParSat witness is not a model", name, vname, p)
 				}
 			}
@@ -151,7 +151,7 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 		want := SeqSat(set)
 		if want.Satisfiable {
 			satSeen++
-			if want.Model == nil || !IsModel(want.Model, set) {
+			if want.Model() == nil || !IsModel(want.Model(), set) {
 				t.Fatalf("trial %d: SeqSat model invalid", trial)
 			}
 		} else {
@@ -279,7 +279,7 @@ func TestStragglerSplitBranchesRequeued(t *testing.T) {
 		if res.Satisfiable != want.Satisfiable {
 			t.Fatalf("%s: ParSat=%v, SeqSat=%v", ctx, res.Satisfiable, want.Satisfiable)
 		}
-		if res.Model == nil || !IsModel(res.Model, set) {
+		if res.Model() == nil || !IsModel(res.Model(), set) {
 			t.Fatalf("%s: witness under aggressive splitting is not a model", ctx)
 		}
 		if res.Stats.UnitsSplit == 0 {

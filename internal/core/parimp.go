@@ -19,12 +19,12 @@ func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	if cp.YDeduced(cp.EqX) {
 		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
 	}
-	eng := newParEngine(opt, set, cp.Graph)
-	eng.baseEq = cp.EqX
+	eng := newParEngine(opt, set, cp.Graph, cp.EqX)
 	eng.goal = func(e *eq.Eq) bool { return cp.YDeduced(e) }
 	// Highest unit priority for GFDs whose antecedent X_ψ is subsumed by
 	// Eq_X — they fire immediately on G^X_Q (Section VI-C(a)).
-	eng.high = func(gi int) bool { return xSubsumedByEqX(set.GFDs[gi], cp.EqX) }
+	termsX := cp.EqX.AllTerms()
+	eng.high = func(gi int) bool { return xSubsumedByEqX(set.GFDs[gi], cp.EqX, termsX) }
 	con, goalHit, _, stats, err := eng.run()
 	switch {
 	case err != nil:

@@ -2,8 +2,8 @@ package core
 
 import (
 	"repro/internal/canon"
+	"repro/internal/eq"
 	"repro/internal/gfd"
-	"repro/internal/graph"
 )
 
 // ParSat decides the satisfiability of Σ with p parallel workers
@@ -14,12 +14,10 @@ import (
 // SeqSat's on every input (Church–Rosser).
 func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 	if set.Len() == 0 {
-		m := graph.New()
-		m.AddNode("v")
-		return &SatResult{Satisfiable: true, Model: m}
+		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
-	con, _, final, stats, err := newParEngine(opt, set, cs.Graph).run()
+	con, _, final, stats, err := newParEngine(opt, set, cs.Graph, eq.New()).run()
 	if err != nil {
 		return &SatResult{Err: err, Stats: stats}
 	}
@@ -27,11 +25,7 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 		return &SatResult{Satisfiable: false, Conflict: con, Stats: stats}
 	}
 	// At quiescence every worker applied the whole broadcast log, so the
-	// returned relation is the converged global Eq; complete it into a
-	// witness model exactly as SeqSat does.
-	var model *graph.Graph
-	if final != nil {
-		model = CompleteModel(cs.Graph, final, set.Constants())
-	}
-	return &SatResult{Satisfiable: true, Model: model, Stats: stats}
+	// returned relation is the converged global Eq; the witness model is
+	// completed from it exactly as SeqSat's is.
+	return satisfiable(cs.Graph, final, set, stats)
 }

@@ -65,7 +65,7 @@ func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
 	if cp.YDeduced(cp.EqX) {
 		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
 	}
-	enf := newEnforcer(cp.EqX)
+	enf := newSeqEnforcer(cp.EqX, set)
 
 	check := func() (done bool, res *ImpResult) {
 		if enf.conflict() != nil {
@@ -79,15 +79,14 @@ func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
 
 	order := orderForImplication(set, cp)
 	for _, gi := range order {
-		psi := set.GFDs[gi]
-		s := match.NewSearch(psi.Pattern, cp.Graph, match.Options{})
+		s := match.NewSearch(set.GFDs[gi].Pattern, cp.Graph, match.Options{})
 		for {
 			h, ok := s.Next()
 			if !ok {
 				break
 			}
 			// offer/drain only fail on conflict; YDeduced is polled after.
-			if !enf.offer(psi, h) || !enf.drain() {
+			if !enf.offer(gi, h) || !enf.drain() {
 				return &ImpResult{Implied: true, Reason: ImpliedByConflict, Stats: enf.stats}
 			}
 			if done, res := check(); done {
@@ -109,15 +108,11 @@ func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
 // G^X_Q (Section VI-C(a)). GFDs with empty antecedents qualify trivially.
 func orderForImplication(set *gfd.Set, cp *canon.Phi) []int {
 	base := depgraph.OrderGFDs(set)
-	subsumed := make(map[int]bool)
-	for i, psi := range set.GFDs {
-		if xSubsumedByEqX(psi, cp.EqX) {
-			subsumed[i] = true
-		}
-	}
-	var front, back []int
+	termsX := cp.EqX.AllTerms()
+	front := make([]int, 0, len(base))
+	var back []int
 	for _, i := range base {
-		if subsumed[i] {
+		if xSubsumedByEqX(set.GFDs[i], cp.EqX, termsX) {
 			front = append(front, i)
 		} else {
 			back = append(back, i)
@@ -128,42 +123,32 @@ func orderForImplication(set *gfd.Set, cp *canon.Phi) []int {
 
 // xSubsumedByEqX approximates "X subsumes X_ψ": every antecedent literal of
 // ψ is deducible from Eq_X under some assignment — tested attribute-wise
-// (a constant literal needs some Eq_X class with that constant on the same
-// attribute; a variable literal needs a class containing both attributes or
-// an empty requirement). This is a priority heuristic only; correctness does
-// not depend on it.
-func xSubsumedByEqX(psi *gfd.GFD, ex *eq.Eq) bool {
-	if len(psi.X) == 0 {
-		return true
-	}
-	terms := ex.AllTerms()
+// over termsX, the terms of Eq_X (a constant literal needs some Eq_X class
+// with that constant on the same attribute; a variable literal needs a class
+// containing both attributes or an empty requirement). This is a priority
+// heuristic only; correctness does not depend on it. It is asked of every
+// GFD of Σ about a relation of a handful of terms, so it compares names and
+// resolves nothing.
+func xSubsumedByEqX(psi *gfd.GFD, ex *eq.Eq, termsX []eq.Term) bool {
 	for _, l := range psi.X {
 		ok := false
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			for _, t := range terms {
-				if t.Attr != l.A {
-					continue
-				}
-				if c, has := ex.Const(t); has && c == l.Const {
-					ok = true
-					break
-				}
+		for _, t := range termsX {
+			if t.Attr != l.A {
+				continue
 			}
-		case gfd.VarLiteral:
-			for _, t := range terms {
-				if t.Attr != l.A {
-					continue
-				}
-				for _, u := range ex.Members(t) {
-					if u.Attr == l.B && !(u == t) {
+			if l.Kind == gfd.ConstLiteral {
+				c, has := ex.Const(t)
+				ok = has && c == l.Const
+			} else {
+				for _, u := range termsX {
+					if u.Attr == l.B && u != t && ex.Same(t, u) {
 						ok = true
 						break
 					}
 				}
-				if ok {
-					break
-				}
+			}
+			if ok {
+				break
 			}
 		}
 		if !ok {

@@ -15,15 +15,52 @@ type SatResult struct {
 	// Conflict explains unsatisfiability: the attribute term forced to two
 	// distinct constants.
 	Conflict *eq.Conflict
-	// Model is a witness model (an Σ-bounded population of G_Σ) when
-	// satisfiable; nil otherwise.
-	Model *graph.Graph
-	Stats Stats
+	Stats    Stats
 	// Err is non-nil when a parallel run ended before reaching an answer:
 	// ErrCanceled or the context's deadline error after ParOptions.Ctx
-	// fired, or a *PanicError when a worker panicked. Satisfiable, Conflict
-	// and Model are meaningless then; Stats covers the work completed.
+	// fired, or a *PanicError when a worker panicked. Satisfiable and
+	// Conflict are meaningless then, and there is no model; Stats covers the
+	// work completed.
 	Err error
+
+	// What Model is built from on first call: G_Σ, the final Eq and Σ (for
+	// its reserved constants) — or, once built, the model itself.
+	witness struct {
+		g     *graph.Graph
+		eq    *eq.Eq
+		set   *gfd.Set
+		model *graph.Graph
+	}
+}
+
+// satisfiable is the result of a run that reached quiescence without
+// conflict on canonical graph g with final relation e.
+func satisfiable(g *graph.Graph, e *eq.Eq, set *gfd.Set, stats Stats) *SatResult {
+	r := &SatResult{Satisfiable: true, Stats: stats}
+	r.witness.g, r.witness.eq, r.witness.set = g, e, set
+	return r
+}
+
+// emptySetResult answers for Σ = ∅, which any nonempty graph satisfies.
+func emptySetResult() *SatResult {
+	r := &SatResult{Satisfiable: true}
+	r.witness.model = graph.New()
+	r.witness.model.AddNode("v")
+	return r
+}
+
+// Model returns a witness model — a Σ-bounded population of G_Σ — when Σ is
+// satisfiable, nil otherwise. Deciding satisfiability does not need it, so
+// it is built on the first call: F^Σ_A is completed by giving every
+// uninstantiated class a fresh distinct constant (Section IV-C(c)). Not safe
+// for concurrent use.
+func (r *SatResult) Model() *graph.Graph {
+	w := &r.witness
+	if w.model == nil && w.eq != nil {
+		w.model = CompleteModel(w.g, w.eq, w.set.Constants())
+		w.g, w.eq, w.set = nil, nil, nil
+	}
+	return w.model
 }
 
 // SeqSat decides whether Σ is satisfiable (Section IV-C).
@@ -37,27 +74,23 @@ type SatResult struct {
 // It terminates early on the first conflict.
 func SeqSat(set *gfd.Set) *SatResult {
 	if set.Len() == 0 {
-		// The empty set is satisfied by any nonempty graph.
-		m := graph.New()
-		m.AddNode("v")
-		return &SatResult{Satisfiable: true, Model: m}
+		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
-	enf := newEnforcer(nil)
+	enf := newSeqEnforcer(eq.New(), set)
 
 	// Process GFDs of the form Q[x̄](∅→Y) first, then follow the interaction
 	// order; the pending index makes the result order-independent
 	// (Church–Rosser), ordering just reduces re-checks.
 	order := depgraph.OrderGFDs(set)
 	for _, gi := range order {
-		phi := set.GFDs[gi]
-		s := match.NewSearch(phi.Pattern, cs.Graph, match.Options{})
+		s := match.NewSearch(set.GFDs[gi].Pattern, cs.Graph, match.Options{})
 		for {
 			h, ok := s.Next()
 			if !ok {
 				break
 			}
-			if !enf.offer(phi, h) || !enf.drain() {
+			if !enf.offer(gi, h) || !enf.drain() {
 				return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
 			}
 		}
@@ -65,8 +98,5 @@ func SeqSat(set *gfd.Set) *SatResult {
 	if !enf.drain() {
 		return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
 	}
-	// No conflict: complete F^Σ_A by giving every uninstantiated class a
-	// fresh distinct constant (Section IV-C(c)).
-	model := CompleteModel(cs.Graph, enf.eq, set.Constants())
-	return &SatResult{Satisfiable: true, Model: model, Stats: enf.stats}
+	return satisfiable(cs.Graph, enf.eq, set, enf.stats)
 }

@@ -13,13 +13,28 @@
 // all replicas converge — the property the parallel algorithms rely on for
 // asynchronous broadcast.
 //
-// Internally terms are interned to dense integer ids so the union-find runs
-// on flat slices; this keeps delta replay (p workers × |log| ops in the
-// parallel algorithms) off the string-hashing path.
+// The relation has two surfaces over one implementation. The ID surface is
+// what the reasoning engines run on: attribute and constant names are
+// interned once (AttrIDOf, ConstIDOf — the same resolve-once idiom as
+// graph.Reader's LabelIDOf), a term is addressed by a dense Handle found
+// from (node, attribute ID) by scanning the node's short handle list, and
+// AssignAt / MergeAt / ApplyAppend report changed classes by appending
+// handles to a buffer the caller owns — no string is hashed and nothing is
+// allocated per operation once the tables are warm. The string surface (Term,
+// AssignConst, Merge, Apply, Const, Same, …) is a thin wrapper that interns
+// and delegates; it is the boundary for tests, conflict rendering, the
+// witness model and the broadcast Op, which stays name-shaped so replicas
+// need not agree on IDs.
+//
+// A handle is not a term: HandleOf allocates the slot (the pending index of
+// the engines files blocked matches under it) without creating the class
+// [x.A]; only a mutation creates it. Has, Same, Len, AllTerms, Classes and
+// Lookup see created classes only.
 package eq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,200 +80,332 @@ type Op struct {
 // Delta is an ordered batch of operations taken from a replica.
 type Delta []Op
 
-const noConst = -1
+// AttrID and ConstID are a relation's dense IDs for attribute and constant
+// names. They are private to the relation that issued them and to its
+// Clones.
+type (
+	AttrID  int32
+	ConstID int32
+)
+
+// Handle addresses one (node, attribute) slot of a relation. Like the name
+// IDs, it is valid for the relation that issued it and, for handles issued
+// before the copy, its Clones.
+type Handle int32
+
+const (
+	// NoHandle is Lookup's "no such class".
+	NoHandle Handle = -1
+	// NoConst is ConstAt's "class carries no constant".
+	NoConst ConstID = -1
+
+	// noClass in slot.parent marks a handle whose class has not been created.
+	noClass Handle = -1
+)
+
+// slot is one handle's record: its key, the union-find node, and the
+// intrusive ring of the members of its class — so a merge is a splice and a
+// class is walked without a per-class slice.
+type slot struct {
+	node   int32 // graph.NodeID; the storage layer packs node IDs into 32 bits too
+	attr   AttrID
+	parent Handle  // union-find parent; noClass until the class is created
+	ring   Handle  // next member of the class, circular
+	konst  ConstID // at a root: the class's constant, or NoConst
+	rank   int8
+}
+
+type nodeSlot struct {
+	attr AttrID
+	h    Handle
+}
 
 // Eq is the equivalence relation. The zero value is not usable; construct
 // with New. Eq is not safe for concurrent use; each worker owns a replica.
 type Eq struct {
-	ids   map[Term]int32
-	terms []Term
+	slots []slot
+	// byNode[n] lists the handles allocated at graph node n with their
+	// attributes: a handle is found by scanning its node's few entries, which
+	// sit together in memory — no hashing, and space only for what was
+	// touched.
+	byNode [][]nodeSlot
+	// listSlab is where byNode's lists are carved from: one allocation per
+	// chunk of entries instead of one per list growth.
+	listSlab []nodeSlot
+	classes  int // handles whose class exists
 
-	parent []int32
-	rank   []int8
-	consts []int32   // per root: index into constVals, or noConst
-	member [][]int32 // per root: member term ids
-
-	constIDs  map[string]int32
-	constVals []string
+	attrIDs  map[string]AttrID
+	attrs    []string
+	constIDs map[string]ConstID
+	consts   []string
 
 	con *Conflict
 	log Delta // mutations since the last TakeDelta
-	// replaying suppresses logging while Apply replays a remote delta, so
-	// received ops are not re-broadcast by the receiving worker.
-	replaying bool
+	// quiet drops the log altogether (StopLogging); replaying suppresses it
+	// while Apply replays a remote delta, so received ops are not
+	// re-broadcast by the receiving worker.
+	quiet, replaying bool
 }
 
 // New returns an empty relation.
 func New() *Eq {
 	return &Eq{
-		ids:      make(map[Term]int32),
-		constIDs: make(map[string]int32),
+		attrIDs:  make(map[string]AttrID),
+		constIDs: make(map[string]ConstID),
 	}
 }
 
-// Len returns the number of terms tracked.
-func (e *Eq) Len() int { return len(e.terms) }
-
-// Conflicted returns the first conflict found, or nil.
-func (e *Eq) Conflicted() *Conflict { return e.con }
-
-// Has reports whether the class [t] exists.
-func (e *Eq) Has(t Term) bool {
-	_, ok := e.ids[t]
-	return ok
-}
-
-// intern returns the id of t, creating its singleton class if needed.
-func (e *Eq) intern(t Term) (int32, bool) {
-	if id, ok := e.ids[t]; ok {
-		return id, false
-	}
-	id := int32(len(e.terms))
-	e.ids[t] = id
-	e.terms = append(e.terms, t)
-	e.parent = append(e.parent, id)
-	e.rank = append(e.rank, 0)
-	e.consts = append(e.consts, noConst)
-	e.member = append(e.member, []int32{id})
-	return id, true
-}
-
-func (e *Eq) constID(c string) int32 {
-	if id, ok := e.constIDs[c]; ok {
+// AttrIDOf returns the ID of attribute name a, interning it if new.
+func (e *Eq) AttrIDOf(a string) AttrID {
+	if id, ok := e.attrIDs[a]; ok {
 		return id
 	}
-	id := int32(len(e.constVals))
-	e.constIDs[c] = id
-	e.constVals = append(e.constVals, c)
+	id := AttrID(len(e.attrs))
+	e.attrIDs[a] = id
+	e.attrs = append(e.attrs, a)
 	return id
 }
 
-// Ensure creates the singleton class [t] if missing and reports whether it
-// was created.
-func (e *Eq) Ensure(t Term) bool {
-	_, created := e.intern(t)
-	return created
+// ConstIDOf returns the ID of constant c, interning it if new. Two constants
+// are equal exactly when their IDs are.
+func (e *Eq) ConstIDOf(c string) ConstID {
+	if id, ok := e.constIDs[c]; ok {
+		return id
+	}
+	id := ConstID(len(e.consts))
+	e.constIDs[c] = id
+	e.consts = append(e.consts, c)
+	return id
 }
 
-func (e *Eq) find(id int32) int32 {
-	root := id
-	for e.parent[root] != root {
-		root = e.parent[root]
+// ConstName returns the constant an ID stands for.
+func (e *Eq) ConstName(c ConstID) string { return e.consts[c] }
+
+// slotOf returns the handle allocated for (n, a), created or not.
+func (e *Eq) slotOf(n graph.NodeID, a AttrID) Handle {
+	if int(n) >= len(e.byNode) {
+		return NoHandle
 	}
-	for e.parent[id] != root {
-		id, e.parent[id] = e.parent[id], root
+	for _, s := range e.byNode[n] {
+		if s.attr == a {
+			return s.h
+		}
+	}
+	return NoHandle
+}
+
+// Lookup returns the handle of the class [n.a], or NoHandle when the class
+// does not exist. It allocates nothing.
+func (e *Eq) Lookup(n graph.NodeID, a AttrID) Handle {
+	if h := e.slotOf(n, a); h >= 0 && e.slots[h].parent != noClass {
+		return h
+	}
+	return NoHandle
+}
+
+// HandleOf returns the handle for (n, a), allocating it if new. It does not
+// create the class: until a mutation does, Lookup keeps answering NoHandle.
+func (e *Eq) HandleOf(n graph.NodeID, a AttrID) Handle {
+	if h := e.slotOf(n, a); h >= 0 {
+		return h
+	}
+	if int(n) >= len(e.byNode) {
+		e.byNode = append(e.byNode, make([][]nodeSlot, int(n)+1-len(e.byNode))...)
+	}
+	h := Handle(len(e.slots))
+	if len(e.slots) == cap(e.slots) {
+		// The table only grows, for the whole run: double it, where append
+		// alone would grow it by a quarter at a time and copy several times
+		// its final size on the way there.
+		e.slots = slices.Grow(e.slots, max(len(e.slots), 64))
+	}
+	e.slots = append(e.slots, slot{node: int32(n), attr: a, parent: noClass, ring: h, konst: NoConst})
+	list := e.byNode[n]
+	if len(list) == cap(list) {
+		list = e.carveList(list, max(4, 2*len(list)))
+	}
+	e.byNode[n] = append(list, nodeSlot{attr: a, h: h})
+	return h
+}
+
+// carveList returns a copy of list with capacity n, cut from the slab. The
+// list it replaces stays behind in its slab: at most as much again as the
+// lists in use.
+func (e *Eq) carveList(list []nodeSlot, n int) []nodeSlot {
+	if cap(e.listSlab)-len(e.listSlab) < n {
+		// A chunk as large as the relation so far, within bounds: a relation
+		// over a six-node graph stays small, a large one allocates rarely.
+		e.listSlab = make([]nodeSlot, 0, max(n, min(max(len(e.slots), 64), 4096)))
+	}
+	at := len(e.listSlab)
+	e.listSlab = e.listSlab[:at+n]
+	return append(e.listSlab[at:at:at+n], list...)
+}
+
+// NumHandles returns the number of handles allocated; handles are
+// 0 … NumHandles()−1.
+func (e *Eq) NumHandles() int { return len(e.slots) }
+
+// HasAt reports whether h's class exists.
+func (e *Eq) HasAt(h Handle) bool { return e.slots[h].parent != noClass }
+
+// TermAt returns the term h addresses.
+func (e *Eq) TermAt(h Handle) Term {
+	s := &e.slots[h]
+	return Term{Node: graph.NodeID(s.node), Attr: e.attrs[s.attr]}
+}
+
+// Next returns the member after h in its class, which is a ring: following
+// Next from any member visits the whole class and returns to it.
+func (e *Eq) Next(h Handle) Handle { return e.slots[h].ring }
+
+// create makes h's singleton class if it does not exist yet, and reports
+// whether it did.
+func (e *Eq) create(h Handle) bool {
+	if e.slots[h].parent != noClass {
+		return false
+	}
+	e.slots[h].parent = h
+	e.classes++
+	return true
+}
+
+func (e *Eq) find(h Handle) Handle {
+	root := h
+	for e.slots[root].parent != root {
+		root = e.slots[root].parent
+	}
+	for e.slots[h].parent != root {
+		h, e.slots[h].parent = e.slots[h].parent, root
 	}
 	return root
 }
 
-// Const returns the constant attached to [t], if any.
-func (e *Eq) Const(t Term) (string, bool) {
-	id, ok := e.ids[t]
-	if !ok {
-		return "", false
+// ConstAt returns the constant of h's class, or NoConst. The class must
+// exist.
+func (e *Eq) ConstAt(h Handle) ConstID { return e.slots[e.find(h)].konst }
+
+// SameAt reports whether a and b are in one class. Both classes must exist.
+func (e *Eq) SameAt(a, b Handle) bool { return e.find(a) == e.find(b) }
+
+// appendClass appends the members of the class rooted anywhere on h's ring.
+func (e *Eq) appendClass(buf []Handle, h Handle) []Handle {
+	buf = append(buf, h)
+	for m := e.slots[h].ring; m != h; m = e.slots[m].ring {
+		buf = append(buf, m)
 	}
-	ci := e.consts[e.find(id)]
-	if ci == noConst {
-		return "", false
-	}
-	return e.constVals[ci], true
+	return buf
 }
 
-// Same reports whether t and u exist and are in the same class.
-func (e *Eq) Same(t, u Term) bool {
-	it, ok1 := e.ids[t]
-	iu, ok2 := e.ids[u]
-	if !ok1 || !ok2 {
-		return false
+// AssignAt enforces the literal h = c (Rule 1), creating the class if
+// missing, and appends to changed the handles whose class changed (for
+// pending-match re-checking) — nothing when c was already present. On
+// contradiction it records a conflict and still appends the class members so
+// callers can observe the change.
+func (e *Eq) AssignAt(h Handle, c ConstID, changed []Handle) []Handle {
+	e.create(h)
+	root := e.find(h)
+	switch old := e.slots[root].konst; {
+	case old == c:
+		return changed
+	case old == NoConst:
+		e.slots[root].konst = c
+	case e.con == nil:
+		e.con = &Conflict{Term: e.TermAt(h), C1: e.consts[old], C2: e.consts[c]}
 	}
-	return e.find(it) == e.find(iu)
+	if e.logging() {
+		e.log = append(e.log, Op{Kind: OpAssign, T: e.TermAt(h), C: e.consts[c]})
+	}
+	return e.appendClass(changed, root)
 }
 
-// Members returns every term in the class of t (nil if absent). The slice
-// is freshly allocated.
-func (e *Eq) Members(t Term) []Term {
-	id, ok := e.ids[t]
-	if !ok {
-		return nil
-	}
-	return e.toTerms(e.member[e.find(id)])
-}
-
-func (e *Eq) toTerms(ids []int32) []Term {
-	out := make([]Term, len(ids))
-	for i, id := range ids {
-		out[i] = e.terms[id]
-	}
-	return out
-}
-
-// AssignConst enforces the literal t = c (Rule 1). It returns the terms
-// whose class changed (for pending-match re-checking) — empty when c was
-// already present. On contradiction it records a conflict and still returns
-// the class members so callers can observe the change.
-func (e *Eq) AssignConst(t Term, c string) []Term {
-	id, _ := e.intern(t)
-	root := e.find(id)
-	ci := e.constID(c)
-	switch old := e.consts[root]; {
-	case old == noConst:
-		e.consts[root] = ci
-		e.logOp(Op{Kind: OpAssign, T: t, C: c})
-		return e.toTerms(e.member[root])
-	case old == ci:
-		return nil
-	default:
-		if e.con == nil {
-			e.con = &Conflict{Term: t, C1: e.constVals[old], C2: c}
+// MergeAt enforces the literal a = b (Rule 2), creating missing classes, and
+// appends to changed the handles whose class changed: the members of the
+// absorbed side plus, when a constant propagates to it or the call created
+// it, the surviving side's — nothing when a and b were already equivalent. A
+// merge joining classes with distinct constants records a conflict.
+func (e *Eq) MergeAt(a, b Handle, changed []Handle) []Handle {
+	newA, newB := e.create(a), e.create(b)
+	ra, rb := e.find(a), e.find(b)
+	if ra == rb {
+		if !newA {
+			return changed
 		}
-		e.logOp(Op{Kind: OpAssign, T: t, C: c})
-		return e.toTerms(e.member[root])
+		// a = a on a term nobody had created: the class now exists, which is
+		// what the literal asks for, and peers must learn it.
+		if e.logging() {
+			e.log = append(e.log, Op{Kind: OpMerge, T: e.TermAt(a), U: e.TermAt(b)})
+		}
+		return append(changed, a)
 	}
-}
-
-// Merge enforces the literal t = u (Rule 2). It returns the terms whose
-// class changed (the members of the absorbed side plus, when a constant
-// propagates, the whole merged class), or nil when t and u were already
-// equivalent. A merge joining classes with distinct constants records a
-// conflict.
-func (e *Eq) Merge(t, u Term) []Term {
-	it, _ := e.intern(t)
-	iu, _ := e.intern(u)
-	rt, ru := e.find(it), e.find(iu)
-	if rt == ru {
-		return nil
+	// Union by rank; keep ra as the surviving root.
+	if e.slots[ra].rank < e.slots[rb].rank {
+		ra, rb = rb, ra
 	}
-	// Union by rank; keep rt as the surviving root.
-	if e.rank[rt] < e.rank[ru] {
-		rt, ru = ru, rt
+	sa, sb := &e.slots[ra], &e.slots[rb]
+	if sa.rank == sb.rank {
+		sa.rank++
 	}
-	if e.rank[rt] == e.rank[ru] {
-		e.rank[rt]++
-	}
-	ct, cu := e.consts[rt], e.consts[ru]
-
-	var changed []int32
-	changed = append(changed, e.member[ru]...)
-	if cu != noConst && ct == noConst {
-		// The absorbed side's constant now constrains the survivor's members.
-		changed = append(changed, e.member[rt]...)
-	}
-
-	e.parent[ru] = rt
-	e.member[rt] = append(e.member[rt], e.member[ru]...)
-	e.member[ru] = nil
+	changed = e.appendClass(changed, rb)
 	switch {
-	case ct != noConst && cu != noConst && ct != cu:
-		if e.con == nil {
-			e.con = &Conflict{Term: t, C1: e.constVals[ct], C2: e.constVals[cu]}
-		}
-	case cu != noConst && ct == noConst:
-		e.consts[rt] = cu
+	case sb.konst != NoConst && sa.konst == NoConst:
+		// The absorbed side's constant now constrains the survivor's members.
+		changed = e.appendClass(changed, ra)
+		sa.konst = sb.konst
+	case (newA && ra == a) || (newB && ra == b):
+		// The survivor is a singleton this call created: going from absent to
+		// present is a change too — an antecedent x.A = x.A waits for it.
+		changed = append(changed, ra)
+	case sb.konst != NoConst && sa.konst != sb.konst && e.con == nil:
+		e.con = &Conflict{Term: e.TermAt(a), C1: e.consts[sa.konst], C2: e.consts[sb.konst]}
 	}
-	e.consts[ru] = noConst
-	e.logOp(Op{Kind: OpMerge, T: t, U: u})
-	return e.toTerms(changed)
+	sb.konst = NoConst
+	sb.parent = ra
+	sa.ring, sb.ring = sb.ring, sa.ring // splice the two rings into one
+	if e.logging() {
+		e.log = append(e.log, Op{Kind: OpMerge, T: e.TermAt(a), U: e.TermAt(b)})
+	}
+	return changed
 }
+
+// ApplyAppend replays a delta from another replica and appends to changed
+// the handles whose class changed. Conflicts discovered during replay are
+// recorded exactly as for local mutations. Replayed ops are not re-logged,
+// so a worker never re-broadcasts what it received.
+func (e *Eq) ApplyAppend(d Delta, changed []Handle) []Handle {
+	e.replaying = true
+	for i := range d {
+		op := &d[i]
+		t := e.handleOfTerm(op.T)
+		switch op.Kind {
+		case OpAssign:
+			changed = e.AssignAt(t, e.ConstIDOf(op.C), changed)
+		case OpMerge:
+			changed = e.MergeAt(t, e.handleOfTerm(op.U), changed)
+		}
+	}
+	e.replaying = false
+	return changed
+}
+
+func (e *Eq) logging() bool { return !e.quiet && !e.replaying }
+
+// StopLogging makes the relation stop recording its mutations for TakeDelta
+// — for a replica whose deltas nobody reads (a sequential run, a lone
+// worker). Ops already recorded are dropped.
+func (e *Eq) StopLogging() {
+	e.quiet = true
+	e.log = nil
+}
+
+// Logged returns the mutations recorded since the log was last emptied, as a
+// view that the next mutation or ResetLog invalidates: for a caller that
+// copies them out at once (a broadcast) and then calls ResetLog, so the log's
+// storage is reused where TakeDelta would give it away.
+func (e *Eq) Logged() Delta { return e.log }
+
+// ResetLog empties the log, keeping its storage.
+func (e *Eq) ResetLog() { e.log = e.log[:0] }
 
 // TakeDelta returns the mutations applied since the previous TakeDelta and
 // resets the log. Replaying the delta on another replica reproduces the
@@ -270,52 +417,106 @@ func (e *Eq) TakeDelta() Delta {
 	return d
 }
 
-func (e *Eq) logOp(op Op) {
-	if !e.replaying {
-		e.log = append(e.log, op)
+// Len returns the number of terms tracked.
+func (e *Eq) Len() int { return e.classes }
+
+// Conflicted returns the first conflict found, or nil.
+func (e *Eq) Conflicted() *Conflict { return e.con }
+
+// The string surface: each method interns its names and delegates.
+
+func (e *Eq) handleOfTerm(t Term) Handle { return e.HandleOf(t.Node, e.AttrIDOf(t.Attr)) }
+
+// lookupTerm is Lookup by name; an attribute the relation has never seen
+// cannot have a class, and is not interned by asking.
+func (e *Eq) lookupTerm(t Term) Handle {
+	a, ok := e.attrIDs[t.Attr]
+	if !ok {
+		return NoHandle
 	}
+	return e.Lookup(t.Node, a)
 }
 
-// Apply replays a delta from another replica and returns the terms whose
-// class changed. Conflicts discovered during replay are recorded exactly as
-// for local mutations. Replayed ops are not re-logged, so a worker never
-// re-broadcasts what it received.
-func (e *Eq) Apply(d Delta) []Term {
-	e.replaying = true
-	defer func() { e.replaying = false }()
-	var changed []Term
-	for _, op := range d {
-		switch op.Kind {
-		case OpAssign:
-			changed = append(changed, e.AssignConst(op.T, op.C)...)
-		case OpMerge:
-			changed = append(changed, e.Merge(op.T, op.U)...)
-		}
+func (e *Eq) termsOf(hs []Handle) []Term {
+	if len(hs) == 0 {
+		return nil
 	}
-	return changed
+	out := make([]Term, len(hs))
+	for i, h := range hs {
+		out[i] = e.TermAt(h)
+	}
+	return out
 }
+
+// Has reports whether the class [t] exists.
+func (e *Eq) Has(t Term) bool { return e.lookupTerm(t) != NoHandle }
+
+// Ensure creates the singleton class [t] if missing and reports whether it
+// was created.
+func (e *Eq) Ensure(t Term) bool {
+	h := e.handleOfTerm(t)
+	created := !e.HasAt(h)
+	e.create(h)
+	return created
+}
+
+// Const returns the constant attached to [t], if any.
+func (e *Eq) Const(t Term) (string, bool) {
+	h := e.lookupTerm(t)
+	if h == NoHandle {
+		return "", false
+	}
+	c := e.ConstAt(h)
+	if c == NoConst {
+		return "", false
+	}
+	return e.consts[c], true
+}
+
+// Same reports whether t and u exist and are in the same class.
+func (e *Eq) Same(t, u Term) bool {
+	ht, hu := e.lookupTerm(t), e.lookupTerm(u)
+	return ht != NoHandle && hu != NoHandle && e.SameAt(ht, hu)
+}
+
+// AssignConst is AssignAt by name; it returns the changed terms in a fresh
+// slice, nil when nothing changed.
+func (e *Eq) AssignConst(t Term, c string) []Term {
+	return e.termsOf(e.AssignAt(e.handleOfTerm(t), e.ConstIDOf(c), nil))
+}
+
+// Merge is MergeAt by name; it returns the changed terms in a fresh slice,
+// nil when t and u were already equivalent.
+func (e *Eq) Merge(t, u Term) []Term {
+	return e.termsOf(e.MergeAt(e.handleOfTerm(t), e.handleOfTerm(u), nil))
+}
+
+// Apply is ApplyAppend returning the changed terms in a fresh slice.
+func (e *Eq) Apply(d Delta) []Term { return e.termsOf(e.ApplyAppend(d, nil)) }
 
 // Clone returns an independent deep copy, including any pending log and
-// conflict.
+// conflict. The copy issues the same IDs and handles for everything the
+// original had interned, so literals resolved against one serve the other.
 func (e *Eq) Clone() *Eq {
 	c := &Eq{
-		ids:       make(map[Term]int32, len(e.ids)),
-		terms:     append([]Term{}, e.terms...),
-		parent:    append([]int32{}, e.parent...),
-		rank:      append([]int8{}, e.rank...),
-		consts:    append([]int32{}, e.consts...),
-		member:    make([][]int32, len(e.member)),
-		constIDs:  make(map[string]int32, len(e.constIDs)),
-		constVals: append([]string{}, e.constVals...),
-		log:       append(Delta{}, e.log...),
+		slots:    append([]slot(nil), e.slots...),
+		byNode:   make([][]nodeSlot, len(e.byNode)),
+		classes:  e.classes,
+		attrIDs:  make(map[string]AttrID, len(e.attrIDs)),
+		attrs:    append([]string(nil), e.attrs...),
+		constIDs: make(map[string]ConstID, len(e.constIDs)),
+		consts:   append([]string(nil), e.consts...),
+		log:      append(Delta(nil), e.log...),
+		quiet:    e.quiet,
 	}
-	for t, id := range e.ids {
-		c.ids[t] = id
-	}
-	for i, m := range e.member {
-		if m != nil {
-			c.member[i] = append([]int32{}, m...)
+	c.listSlab = make([]nodeSlot, 0, len(e.slots))
+	for n, l := range e.byNode {
+		if len(l) > 0 {
+			c.byNode[n] = c.carveList(l, len(l))
 		}
+	}
+	for s, id := range e.attrIDs {
+		c.attrIDs[s] = id
 	}
 	for s, id := range e.constIDs {
 		c.constIDs[s] = id
@@ -327,12 +528,22 @@ func (e *Eq) Clone() *Eq {
 	return c
 }
 
-// AllTerms returns every term the relation tracks, in no particular order.
-// The slice is the relation's interning table; callers must not mutate it.
-func (e *Eq) AllTerms() []Term { return e.terms }
+// AllTerms returns every term whose class exists, in a fresh slice in no
+// particular order.
+func (e *Eq) AllTerms() []Term {
+	out := make([]Term, 0, e.classes)
+	for h := range e.slots {
+		if e.HasAt(Handle(h)) {
+			out = append(out, e.TermAt(Handle(h)))
+		}
+	}
+	return out
+}
 
-// AllConsts returns every constant the relation has seen.
-func (e *Eq) AllConsts() []string { return e.constVals }
+// AllConsts returns every constant the relation has interned, attached to a
+// class or not. The slice is the relation's table; callers must not mutate
+// it.
+func (e *Eq) AllConsts() []string { return e.consts }
 
 // Classes returns a canonical rendering of the relation: each class as its
 // sorted member list plus constant, classes sorted lexicographically. Two
@@ -340,18 +551,21 @@ func (e *Eq) AllConsts() []string { return e.constVals }
 // convergence tests.
 func (e *Eq) Classes() string {
 	var lines []string
-	for i, m := range e.member {
-		if m == nil || e.parent[int32(i)] != int32(i) {
-			continue
+	var members []Handle
+	for i := range e.slots {
+		h := Handle(i)
+		if e.slots[h].parent != h {
+			continue // not a root, or no class
 		}
-		names := make([]string, len(m))
-		for j, id := range m {
-			names[j] = e.terms[id].String()
+		members = e.appendClass(members[:0], h)
+		names := make([]string, len(members))
+		for j, m := range members {
+			names[j] = e.TermAt(m).String()
 		}
 		sort.Strings(names)
 		line := strings.Join(names, ",")
-		if ci := e.consts[i]; ci != noConst {
-			line += "=" + e.constVals[ci]
+		if c := e.slots[h].konst; c != NoConst {
+			line += "=" + e.consts[c]
 		}
 		lines = append(lines, line)
 	}

@@ -32,6 +32,11 @@ func (s *Sim) Count(v pattern.Var) int { return len(s.nodes[v]) }
 // own storage, not a copy: read-only.
 func (s *Sim) Nodes(v pattern.Var) []graph.NodeID { return s.nodes[v] }
 
+// DropLists releases the member lists, keeping the bitsets: afterwards only
+// Has may be called. For a holder that has read the lists it needs and will
+// only probe from then on.
+func (s *Sim) DropLists() { s.nodes = nil }
+
 // Simulator computes simulation relations of many patterns into one graph.
 // The rules of a set draw their variables from few (node label, adjacency
 // signature) combinations, and the refinement of a variable starts from the
