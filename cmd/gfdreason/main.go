@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -174,8 +175,14 @@ func main() {
 			fmt.Println("CLEAN: graph satisfies all rules")
 			return
 		}
+		// One buffered writer for the list: a dense graph reports tens of
+		// thousands of violations, and stdout is otherwise a write(2) each.
+		out := bufio.NewWriter(os.Stdout)
 		for _, v := range vs {
-			fmt.Printf("violation of %s at %v\n", v.GFD.Name, v.Match)
+			fmt.Fprintf(out, "violation of %s at %v\n", v.GFD.Name, v.Match)
+		}
+		if err := out.Flush(); err != nil {
+			fatalf("write violations: %v", err)
 		}
 		os.Exit(1)
 	case "snapshot":

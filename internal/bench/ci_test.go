@@ -139,6 +139,10 @@ func TestRunCISmoke(t *testing.T) {
 			t.Fatalf("gating metric %s not positive: %v", name, m.Value)
 		}
 	}
+	// The one gated count: allocations of the flagship enumeration.
+	if m, ok := r.Get("match_frozen_allocs"); !ok || m.Informational || m.HigherIsBetter || m.Value <= 0 {
+		t.Fatalf("match_frozen_allocs must gate, lower is better: %+v (present %v)", m, ok)
+	}
 	baseline, err := ReadCIReport("../../BENCH_baseline.json")
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,9 @@ type enforcer struct {
 	pending []pendingList
 	refs    []pendingRef
 	parked  []pendingMatch
-	stats   Stats
+	// arena is the chunk the copies of parked matches are carved from.
+	arena []graph.NodeID
+	stats Stats
 	// queue[qhead:] holds handles whose classes changed and whose pending
 	// matches have not been revisited yet.
 	queue []eq.Handle
@@ -212,8 +214,8 @@ func (e *enforcer) enforceY(r *rule, h match.Assignment) bool {
 }
 
 // offer processes a freshly enumerated match of GFD gi: fire it, park it, or
-// drop it. The enforcer keeps h when it parks the match. It returns false on
-// conflict.
+// drop it. h may be a search's view (match.Search.Next): it is only read
+// here, and a parked match is a copy. It returns false on conflict.
 func (e *enforcer) offer(gi int, h match.Assignment) bool {
 	e.stats.Matches++
 	r := e.rule(gi)
@@ -229,11 +231,28 @@ func (e *enforcer) offer(gi int, h match.Assignment) bool {
 	}
 }
 
+// parkChunk is the size, in node IDs, of the chunks parked matches are
+// copied into: a few hundred matches per allocation.
+const parkChunk = 2048
+
+// keep copies h, a search's view, into the arena. A full chunk is left to
+// the copies carved from it and a new one started, so nothing moves.
+func (e *enforcer) keep(h match.Assignment) match.Assignment {
+	if len(h) > cap(e.arena)-len(e.arena) {
+		e.arena = make([]graph.NodeID, 0, max(parkChunk, len(h)))
+	}
+	n := len(e.arena)
+	e.arena = append(e.arena, h...)
+	return e.arena[n:len(e.arena):len(e.arena)]
+}
+
 // park registers a blocked match in the inverted index under every term its
-// antecedent mentions, so any relevant class change triggers a re-check.
+// antecedent mentions, so any relevant class change triggers a re-check. It
+// is the one place an engine keeps a match past the search's next step, so
+// it is where the view is copied.
 func (e *enforcer) park(r *rule, h match.Assignment) {
 	pm := int32(len(e.parked))
-	e.parked = append(doubling(e.parked), pendingMatch{r: r, h: h})
+	e.parked = append(doubling(e.parked), pendingMatch{r: r, h: e.keep(h)})
 	e.stats.Pending++
 	for i := range r.x {
 		l := &r.x[i]

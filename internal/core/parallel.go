@@ -356,6 +356,13 @@ type parWorker struct {
 	enf    *enforcer
 	cursor int
 	halted error
+	// search is the worker's last pivot-seeded search, with the group it
+	// ran and its seed buffer: the next unit of the same group re-arms it
+	// (match.Search.Reseed) instead of building a search of its own. Ranked
+	// units of one group sit next to each other in a worker's deque.
+	search     *match.Search
+	searchGrp  int
+	searchSeed match.Assignment
 }
 
 func newParWorker(id int, eng *parEngine) *parWorker {
@@ -447,11 +454,6 @@ func (w *parWorker) runUnit(u unit) {
 	p := grp.Pattern
 	pv := eng.pivotVar[u.grp]
 
-	seed := u.seed
-	if seed == nil {
-		seed = match.NewAssignment(p.NumVars())
-		seed[pv] = u.pivot
-	}
 	// No explicit d_Q-neighborhood restriction is needed: the match order
 	// grows the pivot's component outward from the seeded pivot, so every
 	// candidate is generated from an assigned neighbor's adjacency and the
@@ -460,7 +462,24 @@ func (w *parWorker) runUnit(u unit) {
 	// allocation. The run's context rides into the enumeration so even one
 	// huge unit stops within a bounded number of frame expansions after
 	// cancellation.
-	s := match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: eng.sims[u.grp].Has, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
+	var s *match.Search
+	if u.seed == nil && w.search != nil && w.searchGrp == u.grp {
+		w.searchSeed[pv] = u.pivot
+		s = w.search
+		s.Reseed(w.searchSeed)
+	} else {
+		seed := u.seed
+		if seed == nil {
+			seed = match.NewAssignment(p.NumVars())
+			seed[pv] = u.pivot
+		}
+		s = match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: eng.sims[u.grp].Has, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
+		if u.seed == nil {
+			// A split unit's seed assigns a different variable set, so its
+			// search cannot serve the next pivot.
+			w.search, w.searchGrp, w.searchSeed = s, u.grp, seed
+		}
+	}
 
 	var split []match.Assignment
 	start := time.Now()

@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/gfd"
@@ -149,11 +150,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 	if err != nil {
 		return nil, stats, err
 	}
-	var out []Violation
-	for _, vs := range results {
-		out = append(out, vs...)
-	}
-	return out, stats, nil
+	return slices.Concat(results...), stats, nil
 }
 
 // RevalidateDelta is Revalidate against a delta's own base, overlay and
@@ -185,9 +182,14 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 		st.Reenumerated++
 		st.MatchesReused += len(grp.Members) - 1
 		scr.Begin()
+		// As in ViolationsOpts: one copy of the view per violating match.
+		var kept match.Assignment
 		for i, mi := range grp.Members {
 			if prog.Violates(i, updated, h, scr) {
-				out[i] = append(out[i], Violation{GFD: set.GFDs[mi], Match: h})
+				if kept == nil {
+					kept = h.Clone()
+				}
+				out[i] = append(out[i], Violation{GFD: set.GFDs[mi], Match: kept})
 			}
 		}
 	}

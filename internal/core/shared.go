@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -106,9 +107,15 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 		grp := groups[gi]
 		prog, scr := progs[gi], scratch[gi]
 		scr.Begin()
+		// h is the search's view: copied once, on the first member it
+		// violates, and shared by every member violating at this match.
+		var kept match.Assignment
 		for i, mi := range grp.Members {
 			if prog.Violates(i, g, h, scr) {
-				byGFD[mi] = append(byGFD[mi], Violation{GFD: set.GFDs[mi], Match: h})
+				if kept == nil {
+					kept = h.Clone()
+				}
+				byGFD[mi] = append(byGFD[mi], Violation{GFD: set.GFDs[mi], Match: kept})
 			}
 		}
 		st.MatchesReused += len(grp.Members) - 1
@@ -116,12 +123,9 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 	})
 	st.PrefixFamilies = enumSt.Families
 
-	// Assemble in Σ order; within a GFD the grouped enumeration already
-	// delivered matches in the standalone enumeration order.
-	var out []Violation
-	for i := range byGFD {
-		out = append(out, byGFD[i]...)
-	}
+	// Assemble in Σ order, sized once; within a GFD the grouped enumeration
+	// already delivered matches in the standalone enumeration order.
+	out := slices.Concat(byGFD...)
 	if err != nil {
 		return out, st, canceledErr(err)
 	}

@@ -26,7 +26,7 @@ func violationsOneByOne(g graph.Reader, set *gfd.Set) []Violation {
 		s := match.NewSearch(phi.Pattern, g, match.Options{})
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
 			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
-				out = append(out, Violation{GFD: phi, Match: h})
+				out = append(out, Violation{GFD: phi, Match: h.Clone()})
 			}
 		}
 	}
@@ -200,5 +200,59 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("grouped revalidation never reused a match; test is vacuous")
+	}
+}
+
+// TestViolationsAllocsIndependentOfMatches: validation is handed views and
+// copies a match only when some rule fails at it, and a prefix family
+// re-arms one continuation search per member, so a ViolationsOpts call
+// allocates in proportion to what it reports and to |Σ| — not to the
+// matches it enumerates, which on a dense graph outnumber both by far.
+func TestViolationsAllocsIndependentOfMatches(t *testing.T) {
+	gr := gen.New(gen.Config{N: 40, K: 4, L: 2, Seed: 3})
+	set := gr.Set()
+	g := gr.DenseGraph(1500, 8)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4; i++ {
+		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		for a := range g.Attrs(v) {
+			g.SetAttr(v, a, "perturbed")
+		}
+	}
+	f := g.Frozen()
+
+	groups := set.Groups()
+	pgs := make([]match.PatternGroup, len(groups))
+	for i, grp := range groups {
+		pgs[i] = match.PatternGroup{Pattern: grp.Pattern}
+	}
+	matches := 0
+	gst, err := match.EnumerateGrouped(context.Background(), f, pgs, func(int, match.Assignment) bool {
+		matches++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, _, err := ViolationsOpts(context.Background(), f, set, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per violation at most the copy; per GFD and group the searches,
+	// literal programs, scratch and the doubling of the violation lists.
+	bound := len(vs) + 64*(set.Len()+len(groups))
+	if gst.Families == 0 || gst.PrefixMatches < bound || matches < 10*bound || len(vs) == 0 {
+		t.Fatalf("setup: %d matches, %d prefix matches in %d families, %d violations — want violations, prefix matches above the bound %d and matches far above it",
+			matches, gst.PrefixMatches, gst.Families, len(vs), bound)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if _, _, err := ViolationsOpts(context.Background(), f, set, VerifyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d matches, %d prefix matches, %d violations, %d GFDs in %d groups: %.0f allocs/call (bound %d)",
+		matches, gst.PrefixMatches, len(vs), set.Len(), len(groups), got, bound)
+	if int(got) > bound {
+		t.Errorf("ViolationsOpts: %.0f allocs/call over %d matches, want at most %d (violations + 64·(GFDs + groups))", got, matches, bound)
 	}
 }

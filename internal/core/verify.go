@@ -9,7 +9,8 @@ import (
 )
 
 // Violation describes one failure of G |= φ: a match whose antecedent holds
-// but whose consequent does not.
+// but whose consequent does not. Match is read-only: GFDs of one pattern
+// group that fail at the same match share one copy of it.
 type Violation struct {
 	GFD   *gfd.GFD
 	Match match.Assignment
@@ -28,7 +29,7 @@ func Satisfies(g graph.Reader, set *gfd.Set) (bool, *Violation) {
 				break
 			}
 			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
-				return false, &Violation{GFD: phi, Match: h}
+				return false, &Violation{GFD: phi, Match: h.Clone()}
 			}
 		}
 	}

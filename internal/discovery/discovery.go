@@ -173,7 +173,7 @@ func sampleMatches(p *pattern.Pattern, g graph.Reader, limit int) []match.Assign
 		if !ok {
 			break
 		}
-		out = append(out, h)
+		out = append(out, h.Clone()) // the sample outlives the search
 	}
 	return out
 }
@@ -199,10 +199,7 @@ func induceRules(p *pattern.Pattern, g graph.Reader, ms []match.Assignment, cfg 
 		sort.Strings(out)
 		return out
 	}
-	validate := func(r *gfd.GFD) bool {
-		ok, _ := satisfies(g, r)
-		return ok
-	}
+	validate := func(r *gfd.GFD) bool { return satisfies(g, r) }
 
 	for v := 0; v < p.NumVars(); v++ {
 		x := pattern.Var(v)
@@ -300,15 +297,15 @@ func clonePattern(p *pattern.Pattern) *pattern.Pattern {
 
 // satisfies is a local copy of the model-check oracle to avoid importing
 // core (which would invert the dependency layering).
-func satisfies(g graph.Reader, phi *gfd.GFD) (bool, match.Assignment) {
+func satisfies(g graph.Reader, phi *gfd.GFD) bool {
 	s := match.NewSearch(phi.Pattern, g, match.Options{})
 	for {
 		h, ok := s.Next()
 		if !ok {
-			return true, nil
+			return true
 		}
 		if holds(g, h, phi.X) && !holds(g, h, phi.Y) {
-			return false, h
+			return false
 		}
 	}
 }

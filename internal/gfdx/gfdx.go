@@ -233,7 +233,7 @@ func SeqSatX(s *Set) *Result {
 		case xImpossible:
 			return true
 		default:
-			p := &pend{g: g, h: h}
+			p := &pend{g: g, h: h.Clone()} // h is the search's view
 			for _, l := range g.X {
 				pending[term(h, l.X, l.A)] = append(pending[term(h, l.X, l.A)], p)
 				if l.IsVar {

@@ -56,11 +56,13 @@ func frameKey(f pattern.FrameSig) string {
 }
 
 // EnumerateGrouped enumerates every group's full match set, calling
-// emit(groupIndex, match) for each match. Per group, matches arrive in
-// exactly the order a standalone NewSearch with the group's default order
-// would produce them (emissions of different groups may interleave).
-// Returning false from emit stops the whole enumeration. The returned error
-// is the context error when ctx fired mid-enumeration.
+// emit(groupIndex, match) for each match. The match is a view of the
+// enumerating search (see Search.Next): valid during the emit call,
+// read-only, to be cloned by an emit that keeps it. Per group, matches
+// arrive in exactly the order a standalone NewSearch with the group's
+// default order would produce them (emissions of different groups may
+// interleave). Returning false from emit stops the whole enumeration. The
+// returned error is the context error when ctx fired mid-enumeration.
 //
 // Sharing: groups whose default orders open with two or more identical
 // frames (same labels, same edges back into the prefix — see
@@ -134,6 +136,9 @@ func EnumerateGrouped(ctx context.Context, g graph.Reader, groups []PatternGroup
 
 // enumerateFamily runs one prefix family: the shared prefix pattern is
 // enumerated once, and each prefix match seeds every member's continuation.
+// A member has one continuation search and one seed buffer for the family's
+// lifetime, re-armed per prefix match: every prefix match assigns the same
+// order positions, which is Reseed's precondition.
 func enumerateFamily(ctx context.Context, g graph.Reader, groups []PatternGroup, fam []groupRun, emit func(int, Assignment) bool, st *GroupStats) (stopped bool, err error) {
 	l := len(fam[0].frames)
 	for _, m := range fam[1:] {
@@ -163,6 +168,11 @@ func enumerateFamily(ctx context.Context, g graph.Reader, groups []PatternGroup,
 		}
 	}
 
+	seeds := make([]Assignment, len(fam))
+	conts := make([]*Search, len(fam))
+	for mi, m := range fam {
+		seeds[mi] = NewAssignment(groups[m.gi].Pattern.NumVars())
+	}
 	ps := NewSearch(prefix, g, Options{Order: prefixOrder, Ctx: ctx})
 	for {
 		ph, ok := ps.Next()
@@ -170,13 +180,19 @@ func enumerateFamily(ctx context.Context, g graph.Reader, groups []PatternGroup,
 			break
 		}
 		st.PrefixMatches++
-		for _, m := range fam {
-			pg := groups[m.gi]
-			seed := NewAssignment(pg.Pattern.NumVars())
+		for mi, m := range fam {
+			seed := seeds[mi]
 			for i := 0; i < l; i++ {
 				seed[m.order[i]] = ph[i]
 			}
-			s := NewSearch(pg.Pattern, g, Options{Order: m.order, Seed: seed, Plan: pg.Plan, Ctx: ctx})
+			s := conts[mi]
+			if s == nil {
+				pg := groups[m.gi]
+				s = NewSearch(pg.Pattern, g, Options{Order: m.order, Seed: seed, Plan: pg.Plan, Ctx: ctx})
+				conts[mi] = s
+			} else {
+				s.Reseed(seed)
+			}
 			for {
 				h, ok := s.Next()
 				if !ok {

@@ -7,10 +7,18 @@
 // can (a) check each match's attributes as soon as it is generated and (b)
 // split a straggling work unit into sub-units carved from untried branches
 // of the search tree (Section V-B, "unit splitting").
+//
+// Matches are views. Search.Next hands out the search's own assignment,
+// valid until the next Next or Reseed on that search and never to be
+// written; whoever keeps a match past that point — a result slice, a parked
+// match, a reported violation — takes an Assignment.Clone. Most matches are
+// looked at once and forgotten, so enumeration itself allocates nothing per
+// match. A view belongs to the goroutine driving its search.
 package match
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -29,7 +37,8 @@ func NewAssignment(n int) Assignment {
 	return a
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy: what a consumer keeps of a match it
+// was handed as a view (see Search.Next).
 func (a Assignment) Clone() Assignment { return append(Assignment{}, a...) }
 
 // Complete reports whether every variable is assigned.
@@ -48,7 +57,6 @@ func (a Assignment) Complete() bool {
 type Search struct {
 	p      *pattern.Pattern
 	g      graph.Reader
-	order  []pattern.Var
 	filter func(pattern.Var, graph.NodeID) bool
 	// rootCands, when non-nil, replaces the label-index candidate pull for
 	// the first open variable (the root frame): the shard fan-out partitions
@@ -65,7 +73,10 @@ type Search struct {
 	assign Assignment
 	seeded []bool // variables fixed by the seed (never backtracked)
 	stack  []frame
-	done   bool
+	// started is set by the first Next after NewSearch or Reseed, which
+	// opens the root frame; later calls resume from the stack.
+	started bool
+	done    bool
 	// ctx is Options.Ctx; ctxLeft counts frame expansions down to the next
 	// poll, and err records the context error that ended the enumeration.
 	ctx     context.Context
@@ -75,8 +86,9 @@ type Search struct {
 	// frame's cands backing array is reused by the next push at that depth,
 	// so steady-state backtracking allocates nothing.
 	scratch [][]graph.NodeID
-	// openDepth caches depthLimit(): the number of non-seeded variables.
-	openDepth int
+	// open lists the non-seeded variables in order: frame d binds open[d],
+	// and a match is complete at depth len(open).
+	open []pattern.Var
 }
 
 type frame struct {
@@ -216,7 +228,6 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 	s := &Search{
 		p:         p,
 		g:         g,
-		order:     order,
 		filter:    opts.Filter,
 		rootCands: opts.RootCandidates,
 		ctx:       opts.Ctx,
@@ -251,32 +262,75 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 		}
 	}
 	// Validate the seed immediately: labels and edges among seeded vars.
-	for v := range s.seeded {
-		if !s.seeded[v] {
-			continue
-		}
-		if !s.consistent(pattern.Var(v), s.assign[v]) {
-			s.done = true
-			break
-		}
-	}
-	s.openDepth = s.depthLimit()
-	s.scratch = make([][]graph.NodeID, s.openDepth)
+	s.done = !s.seedConsistent()
+	s.open = openVars(order, s.seeded)
+	s.scratch = make([][]graph.NodeID, len(s.open))
 	return s
 }
 
-// depthOf returns the search depth of the first non-seeded variable.
-func (s *Search) firstOpenDepth() int {
-	for i, v := range s.order {
-		if !s.seeded[v] {
-			return i
+// openVars returns order without the seeded variables. Seeds lead the
+// order (Options.Seed), so the result is normally a tail of order itself;
+// only a seed that breaks that rule costs a filtered copy.
+func openVars(order []pattern.Var, seeded []bool) []pattern.Var {
+	k := 0
+	for k < len(order) && seeded[order[k]] {
+		k++
+	}
+	open := order[k:]
+	for _, v := range open {
+		if seeded[v] {
+			return slices.DeleteFunc(slices.Clone(open), func(v pattern.Var) bool { return seeded[v] })
 		}
 	}
-	return len(s.order)
+	return open
+}
+
+// seedConsistent checks every seeded variable's label and the pattern
+// edges among seeded variables.
+func (s *Search) seedConsistent() bool {
+	for v := range s.seeded {
+		if s.seeded[v] && !s.consistent(pattern.Var(v), s.assign[v]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Reseed re-arms the search to enumerate the completions of another seed,
+// as NewSearch with the same pattern, reader and options but Seed: seed
+// would — same matches, same order — while keeping everything a fresh
+// search would rebuild: the resolved label IDs, the order, the frame stack
+// and the per-depth candidate buffers. The seed must assign exactly the
+// variables the search was constructed with (a continuation search is
+// re-armed with one prefix match after another); Reseed panics otherwise,
+// since the open-frame layout depends on that set. The seed is copied, so
+// the caller may overwrite it afterwards. Whatever the search was doing —
+// half consumed, exhausted, rejected its previous seed — is dropped, and
+// views it handed out are invalidated. Cancellation carries over: the poll
+// countdown keeps running across seeds, and a search whose context has
+// fired stays exhausted with Err set.
+func (s *Search) Reseed(seed Assignment) {
+	if len(seed) != len(s.assign) {
+		panic("match: Reseed with a seed of the wrong length")
+	}
+	for len(s.stack) > 0 {
+		s.pop() // hands each frame's buffer back to scratch
+	}
+	s.started = false
+	for v, n := range seed {
+		if (n != graph.InvalidNode) != s.seeded[v] {
+			panic("match: Reseed must assign exactly the variables the search was seeded with")
+		}
+		s.assign[v] = n
+	}
+	s.done = s.err != nil || !s.seedConsistent()
 }
 
 // Next returns the next full match, or ok=false when the enumeration is
-// exhausted. The returned assignment is a copy owned by the caller.
+// exhausted. The returned assignment is a view of the search's own state:
+// it is valid until the next Next or Reseed call on this search, must not
+// be written, and must not be handed to another goroutine. Clone it to keep
+// it.
 func (s *Search) Next() (Assignment, bool) {
 	if s.done {
 		return nil, false
@@ -284,13 +338,14 @@ func (s *Search) Next() (Assignment, bool) {
 	if s.canceled() {
 		return nil, false
 	}
-	if s.stack == nil {
+	if !s.started {
+		s.started = true
 		// First call: if everything is seeded, the seed itself is the only
-		// match (already validated in NewSearch).
-		if s.firstOpenDepth() == len(s.order) {
+		// match (already validated by NewSearch or Reseed).
+		if len(s.open) == 0 {
 			s.done = true
 			if s.assign.Complete() {
-				return s.assign.Clone(), true
+				return s.assign, true
 			}
 			return nil, false
 		}
@@ -317,8 +372,8 @@ func (s *Search) Next() (Assignment, bool) {
 		// next one is taken as is.
 		s.assign[top.v] = top.cands[top.idx]
 		top.idx++
-		if len(s.stack) == s.openDepth {
-			return s.assign.Clone(), true
+		if len(s.stack) == len(s.open) {
+			return s.assign, true
 		}
 		s.push()
 	}
@@ -345,35 +400,11 @@ func (s *Search) canceled() bool {
 // search that ran (or is still running) to natural exhaustion.
 func (s *Search) Err() error { return s.err }
 
-// depthLimit is the number of open (non-seeded) variables.
-func (s *Search) depthLimit() int {
-	n := 0
-	for _, v := range s.order {
-		if !s.seeded[v] {
-			n++
-		}
-	}
-	return n
-}
-
-// push opens a frame for the next unassigned variable in order.
+// push opens a frame for the next open variable.
 func (s *Search) push() {
-	var v pattern.Var = pattern.InvalidVar
-	for _, u := range s.order {
-		if s.assign[u] == graph.InvalidNode {
-			v = u
-			break
-		}
-	}
-	if v == pattern.InvalidVar {
-		panic("match: push with complete assignment")
-	}
 	d := len(s.stack)
-	var buf []graph.NodeID
-	if d < len(s.scratch) {
-		buf = s.scratch[d][:0]
-	}
-	s.stack = append(s.stack, frame{v: v, cands: s.candidates(v, buf)})
+	v := s.open[d]
+	s.stack = append(s.stack, frame{v: v, cands: s.candidates(v, s.scratch[d][:0])})
 }
 
 func (s *Search) retractTop() {
@@ -383,11 +414,9 @@ func (s *Search) retractTop() {
 
 func (s *Search) pop() {
 	d := len(s.stack) - 1
-	if d < len(s.scratch) {
-		// Hand the (possibly grown) backing array back for the next push at
-		// this depth.
-		s.scratch[d] = s.stack[d].cands[:0]
-	}
+	// Hand the (possibly grown) backing array back for the next push at
+	// this depth.
+	s.scratch[d] = s.stack[d].cands[:0]
 	s.stack = s.stack[:d]
 }
 
@@ -693,16 +722,9 @@ func (s *Search) CountAll() int {
 	}
 }
 
-// FindAll enumerates every homomorphism of p into g. Intended for small
-// patterns (tests, sequential reasoning on canonical graphs).
+// FindAll enumerates every homomorphism of p into g, each an independent
+// copy. Intended for small patterns (tests, sequential reasoning on
+// canonical graphs).
 func FindAll(p *pattern.Pattern, g graph.Reader) []Assignment {
-	s := NewSearch(p, g, Options{})
-	var out []Assignment
-	for {
-		h, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, h)
-	}
+	return FindAllOpts(p, g, Options{})
 }

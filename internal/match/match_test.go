@@ -143,7 +143,7 @@ func TestSeededSearch(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, h)
+		got = append(got, h.Clone())
 	}
 	if len(got) != 1 || got[0][0] != 1 || got[0][1] != 2 {
 		t.Fatalf("seeded matches = %v, want [[1 2]]", got)
@@ -235,7 +235,7 @@ func TestSplitPreservesMatchSet(t *testing.T) {
 		if !ok {
 			t.Fatal("premature exhaustion")
 		}
-		collected = append(collected, h)
+		collected = append(collected, h.Clone())
 	}
 	seeds := s.Split()
 	if len(seeds) == 0 {
@@ -247,7 +247,7 @@ func TestSplitPreservesMatchSet(t *testing.T) {
 		if !ok {
 			break
 		}
-		collected = append(collected, h)
+		collected = append(collected, h.Clone())
 	}
 	// Run each split-off branch as its own search.
 	for _, seed := range seeds {
@@ -257,7 +257,7 @@ func TestSplitPreservesMatchSet(t *testing.T) {
 			if !ok {
 				break
 			}
-			collected = append(collected, h)
+			collected = append(collected, h.Clone())
 		}
 	}
 	if len(collected) != baseline {

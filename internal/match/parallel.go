@@ -108,7 +108,8 @@ func forEachPart(parts [][]graph.NodeID, workers int, body func(int)) {
 // the root candidate set. The result equals FindAll on the flat snapshot,
 // in the same order. Option combinations the fan-out cannot partition
 // (a Seed, caller-supplied RootCandidates) degrade to a single sequential
-// search, never to wrong results.
+// search, never to wrong results. Each part clones its matches on its own
+// goroutine, so no view of a search crosses to another.
 func FindAllSharded(p *pattern.Pattern, sv *graph.Sharded, workers int, opts Options) []Assignment {
 	parts := shardParts(p, sv, opts)
 	if len(parts) == 0 {
@@ -148,6 +149,7 @@ func CountSharded(p *pattern.Pattern, sv *graph.Sharded, workers int, opts Optio
 
 // FindAllOpts is FindAll with options (FindAll predates Options-carrying
 // call sites and keeps its one-argument shape for the tests that use it).
+// It returns copies: the result outlives the search.
 func FindAllOpts(p *pattern.Pattern, g graph.Reader, opts Options) []Assignment {
 	s := NewSearch(p, g, opts)
 	var out []Assignment
@@ -156,6 +158,6 @@ func FindAllOpts(p *pattern.Pattern, g graph.Reader, opts Options) []Assignment 
 		if !ok {
 			return out
 		}
-		out = append(out, h)
+		out = append(out, h.Clone())
 	}
 }
