@@ -2,7 +2,7 @@
 // benchmark per table/figure, at a reduced fixed scale so `go test -bench=.`
 // completes quickly. The full parameter sweeps with paper-style tables are
 // produced by `go run ./cmd/benchall` (internal/bench holds the harness);
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// DESIGN.md "Per-experiment index" maps each runner to its paper figure.
 package repro
 
 import (

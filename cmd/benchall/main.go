@@ -1,6 +1,6 @@
 // Command benchall runs the paper's experiments (Fig. 5 and Fig. 6(a)–(l))
-// and prints each as a text table. See DESIGN.md for the per-experiment
-// index and EXPERIMENTS.md for paper-vs-measured results.
+// and prints each as a text table. DESIGN.md "Per-experiment index" maps
+// each runner to its paper figure.
 //
 // Usage:
 //

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	gfdreason sat      [-p 4] [-seq] sigma.gfd
-//	gfdreason imp      [-p 4] [-seq] [-baseline] sigma.gfd target.gfd
-//	gfdreason check    [-wal updates.wal] sigma.gfd graph
+//	gfdreason sat      [-p 4] [-seq] [-timeout 30s] sigma.gfd
+//	gfdreason imp      [-p 4] [-seq] [-baseline] [-timeout 30s] sigma.gfd target.gfd
+//	gfdreason check    [-wal updates.wal] [-timeout 30s] sigma.gfd graph
 //	gfdreason snapshot [-compact] graph store.snap
 //	gfdreason recover  [-threshold 0.25] [-o new.snap] store.snap updates.wal
 //
@@ -16,11 +16,12 @@
 // rules in the graph. Exit status 0 on success, 1 on a negative check
 // answer, 2 on usage or parse errors, 3 when -timeout expired before the
 // run finished — a negative answer (exit 1) and a run that never completed
-// (exit 3) are different facts, so they get different codes.
+// (exit 3) are different facts, so they get different codes. A subcommand
+// accepts exactly the flags on its line above; any other is a usage error.
 //
 // -timeout bounds sat, imp, and check through the engines' cooperative
 // cancellation; it needs the parallel algorithms, so it rejects -seq and
-// -baseline.
+// -baseline, and a negative value is a usage error.
 //
 // Graph arguments accept either format transparently: the text format or a
 // binary snapshot image (sniffed by magic bytes). snapshot converts to the
@@ -41,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gfd"
@@ -54,36 +56,15 @@ func main() {
 		usage()
 	}
 	cmd := os.Args[1]
+	// Each subcommand registers only the flags its usage line lists, so a
+	// flag that would do nothing there is unknown (exit 2), not ignored.
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	workers := fs.Int("p", 4, "parallel workers (ignored with -seq)")
-	seq := fs.Bool("seq", false, "use the sequential algorithm")
-	baseline := fs.Bool("baseline", false, "imp only: use the chase baseline (ParImpRDF)")
-	wal := fs.String("wal", "", "check only: recover this delta log over the graph before checking")
-	compact := fs.Bool("compact", false, "snapshot only: drop tombstoned node slots (renumbers IDs)")
-	threshold := fs.Float64("threshold", graph.DefaultCompactThreshold,
-		"recover only: dead-slot fraction that triggers compaction (0 compacts any dead slot, negative disables)")
-	output := fs.String("o", "", "recover only: write the folded snapshot here (default: overwrite the store)")
-	timeout := fs.Duration("timeout", 0, "sat/imp/check only: cancel the run after this long and exit 3")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
-	}
-	args := fs.Args()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		if *seq || *baseline {
-			fatalf("-timeout needs the cooperative cancellation of the parallel algorithms; drop -seq/-baseline")
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	switch cmd {
 	case "sat":
-		if len(args) != 1 {
-			usage()
-		}
+		workers, seq, timeout := engineFlags(fs)
+		args := parse(fs, 1)
+		ctx, cancel := runContext(*timeout, *seq)
+		defer cancel()
 		set := readSet(args[0])
 		var res *core.SatResult
 		if *seq {
@@ -102,9 +83,11 @@ func main() {
 		fmt.Printf("UNSATISFIABLE: %v\n", res.Conflict)
 		os.Exit(1)
 	case "imp":
-		if len(args) != 2 {
-			usage()
-		}
+		workers, seq, timeout := engineFlags(fs)
+		baseline := fs.Bool("baseline", false, "use the chase baseline (ParImpRDF)")
+		args := parse(fs, 2)
+		ctx, cancel := runContext(*timeout, *seq || *baseline)
+		defer cancel()
 		set := readSet(args[0])
 		targets := readSet(args[1])
 		if targets.Len() != 1 {
@@ -135,9 +118,11 @@ func main() {
 		fmt.Println("NOT-IMPLIED")
 		os.Exit(1)
 	case "check":
-		if len(args) != 2 {
-			usage()
-		}
+		wal := fs.String("wal", "", "recover this delta log over the graph before checking")
+		timeout := timeoutFlag(fs)
+		args := parse(fs, 2)
+		ctx, cancel := runContext(*timeout, false)
+		defer cancel()
 		set := readSet(args[0])
 		// Validation is read-only over a potentially large graph: load the
 		// CSR snapshot directly (binary store) or ingest through the
@@ -186,9 +171,8 @@ func main() {
 		}
 		os.Exit(1)
 	case "snapshot":
-		if len(args) != 2 {
-			usage()
-		}
+		compact := fs.Bool("compact", false, "drop tombstoned node slots (renumbers IDs)")
+		args := parse(fs, 2)
 		g := readGraph(args[0])
 		if *compact {
 			var remap graph.Remap
@@ -200,9 +184,10 @@ func main() {
 		writeSnapshot(args[1], g)
 		fmt.Printf("wrote %s: %d nodes (%d live), %d edges\n", args[1], g.NumNodes(), g.LiveNodes(), g.NumEdges())
 	case "recover":
-		if len(args) != 2 {
-			usage()
-		}
+		threshold := fs.Float64("threshold", graph.DefaultCompactThreshold,
+			"dead-slot fraction that triggers compaction (0 compacts any dead slot, negative disables)")
+		output := fs.String("o", "", "write the folded snapshot here (default: overwrite the store)")
+		args := parse(fs, 2)
 		g := readGraph(args[0])
 		d, stats, err := recoverLog(g, args[1])
 		if err != nil {
@@ -233,6 +218,43 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// engineFlags registers what sat and imp share.
+func engineFlags(fs *flag.FlagSet) (workers *int, seq *bool, timeout *time.Duration) {
+	return fs.Int("p", 4, "parallel workers (ignored with -seq)"),
+		fs.Bool("seq", false, "use the sequential algorithm"), timeoutFlag(fs)
+}
+
+func timeoutFlag(fs *flag.FlagSet) *time.Duration {
+	return fs.Duration("timeout", 0, "cancel the run after this long and exit 3")
+}
+
+// parse parses the subcommand's arguments (an unknown flag exits 2) and
+// returns the n file arguments it takes.
+func parse(fs *flag.FlagSet, n int) []string {
+	if err := fs.Parse(os.Args[2:]); err != nil {
+		os.Exit(2)
+	}
+	if fs.NArg() != n {
+		usage()
+	}
+	return fs.Args()
+}
+
+// runContext is the context -timeout bounds the run with; zero means
+// unbounded. sequential says the flags selected an engine without
+// cooperative cancellation, which a timeout cannot bound.
+func runContext(timeout time.Duration, sequential bool) (context.Context, context.CancelFunc) {
+	switch {
+	case timeout < 0:
+		fatalf("-timeout must not be negative, got %v", timeout)
+	case timeout == 0:
+		return context.Background(), func() {}
+	case sequential:
+		fatalf("-timeout needs the cooperative cancellation of the parallel algorithm; it cannot bound a sequential or baseline run")
+	}
+	return context.WithTimeout(context.Background(), timeout)
 }
 
 // recoverLog is graph.RecoverFile for an explicitly named log: the

@@ -149,6 +149,52 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
+// TestFlagsPerSubcommand pins that a subcommand accepts exactly the flags
+// its usage line lists: another subcommand's flag is a usage error, not a
+// silent no-op, and the argument shapes the benchmark drives keep their
+// exit codes.
+func TestFlagsPerSubcommand(t *testing.T) {
+	sigma, target, g := write(t, sigmaSat), write(t, targetImplied), write(t, graphClean)
+	_, store, wal := storeFixture(t)
+	snap := filepath.Join(t.TempDir(), "out.snap")
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"sat", "-wal", wal, sigma}, 2},
+		{[]string{"sat", "-compact", sigma}, 2},
+		{[]string{"sat", "-o", snap, sigma}, 2},
+		{[]string{"sat", "-baseline", sigma}, 2},
+		{[]string{"imp", "-threshold", "0.5", sigma, target}, 2},
+		{[]string{"check", "-p", "8", sigma, g}, 2},
+		{[]string{"check", "-seq", sigma, g}, 2},
+		{[]string{"check", "-baseline", sigma, g}, 2},
+		{[]string{"snapshot", "-seq", g, snap}, 2},
+		{[]string{"snapshot", "-timeout", "1s", g, snap}, 2},
+		{[]string{"recover", "-wal", wal, store, wal}, 2},
+		{[]string{"recover", "-compact", store, wal}, 2},
+		{[]string{"sat", "-timeout", "-1s", sigma}, 2},
+		{[]string{"imp", "-timeout", "-1s", sigma, target}, 2},
+		{[]string{"check", "-timeout", "-1s", sigma, g}, 2},
+		{[]string{"sat", "-seq", "-timeout", "1s", sigma}, 2},
+		{[]string{"imp", "-baseline", "-timeout", "1s", sigma, target}, 2},
+		// Every flag still works where it belongs — among these the
+		// shapes benchmark/gfdbench/workloads.go runs.
+		{[]string{"sat", "-timeout", "1m", "-p", "2", sigma}, 0},
+		{[]string{"sat", "-timeout", "1ns", "-p", "2", sigma}, 3},
+		{[]string{"imp", "-p", "2", sigma, target}, 0},
+		{[]string{"imp", "-seq", sigma, target}, 0},
+		{[]string{"check", "-timeout", "1m", sigma, g}, 0},
+		{[]string{"check", "-wal", wal, sigma, store}, 1},
+		{[]string{"snapshot", "-compact", g, snap}, 0},
+		{[]string{"recover", "-threshold", "0", "-o", snap, store, wal}, 0},
+	} {
+		if out, errOut, code := gfdreason(t, tc.args...); code != tc.want {
+			t.Errorf("gfdreason %v: exit %d, want %d (stdout %q, stderr %q)", tc.args, code, tc.want, out, errOut)
+		}
+	}
+}
+
 // storeFixture converts graphDirty to a binary store with the snapshot
 // command and logs three ops against it through graph.OpenWAL (an attribute
 // set, a node add and that node's attribute): node 1's violation is

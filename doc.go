@@ -6,9 +6,9 @@
 // cluster runtime, workload generators and a chase baseline) implemented
 // from scratch on the Go standard library.
 //
-// See README.md for the quickstart, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root-level benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation at a reduced scale; cmd/benchall runs
-// the full harness.
+// See README.md for the quickstart and DESIGN.md for the system inventory;
+// its "Per-experiment index" maps each runner to the paper figure it
+// regenerates. The root-level benchmarks in bench_test.go regenerate every
+// table and figure of the paper's evaluation at a reduced scale;
+// cmd/benchall runs the full harness.
 package repro

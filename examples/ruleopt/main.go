@@ -1,34 +1,38 @@
 // Ruleopt demonstrates the paper's optimization use case for implication
-// (Section I): a rule-based cleaning pipeline mines GFDs from a graph, then
-// prunes the redundant ones — rules implied by the rest of the set — so
-// downstream error detection enforces fewer rules with the same power.
+// (Section I): a rule-based cleaning pipeline prunes the redundant rules of
+// its GFD set — those implied by the rest of the set — so downstream error
+// detection enforces fewer rules with the same power.
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/discovery"
+	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
 )
 
 func main() {
-	// Mine rules from a YAGO2-profile synthetic graph (the discovery
-	// substrate standing in for the paper's reference [23]).
+	// A YAGO2-profile rule set and a graph satisfying it. The set is drawn
+	// first: it fixes the attribute values the graph is materialized with.
 	prof := dataset.YAGO2()
-	g := prof.SampleGraph(dataset.GraphConfig{Nodes: 400, Seed: 42})
-	mined := discovery.Mine(g, discovery.Config{MinSupport: 4, MaxK: 3, MaxRules: 60})
-	fmt.Printf("mined %d rules from a %d-node %s-profile graph\n",
-		mined.Len(), g.NumNodes(), prof.Name)
+	gr := gen.New(gen.Config{Profile: prof, Seed: 42})
+	rules := gr.SharedValidationSet(5, 8)
+	g := gr.ConsistentGraph(400)
+	if vs := core.Violations(g, rules); len(vs) > 0 {
+		log.Fatalf("the base graph violates its own rules (%d violations)", len(vs))
+	}
+	fmt.Printf("%d rules hold on a clean %d-node %s-profile graph\n", rules.Len(), g.NumNodes(), prof.Name)
 
 	// Rule authors also add hand-written variants; some are redundant —
-	// implied by the mined set. Weakened copies of mined rules (stronger
+	// implied by the set. Weakened copies of its rules (stronger
 	// antecedent, partial consequent) model that.
-	candidates := append([]*gfd.GFD{}, mined.GFDs...)
-	for i := 0; i < 5 && i < mined.Len(); i++ {
-		base := mined.GFDs[i*7%mined.Len()]
+	candidates := append([]*gfd.GFD{}, rules.GFDs...)
+	for i := 0; i < 5 && i < rules.Len(); i++ {
+		base := rules.GFDs[i*7%rules.Len()]
 		weak := gfd.MustNew(base.Name+"-manual", base.Pattern,
 			append(append([]gfd.Literal{}, base.X...), gfd.Const(0, "extraCond", "yes")),
 			base.Y[:1])
@@ -52,9 +56,11 @@ func main() {
 		i++
 	}
 	fmt.Printf("pruned %d redundant rules; %d remain\n", removed, len(kept))
+	if removed == 0 {
+		log.Fatalf("no rule was pruned although the manual variants are implied by construction")
+	}
 
-	// The pruned set detects exactly the same violations: seed an error
-	// and compare.
+	// The pruned set keeps the detection power: seed an error and compare.
 	dirty := g.Clone()
 	// Corrupt every attribute of a few nodes to create violations
 	// deterministically (constant rules on those labels must now fail).
@@ -66,7 +72,8 @@ func main() {
 	full := core.Violations(dirty, gfd.NewSet(candidates...))
 	pruned := core.Violations(dirty, gfd.NewSet(kept...))
 	fmt.Printf("violations found: full set %d, pruned set %d\n", len(full), len(pruned))
-	if (len(full) > 0) == (len(pruned) > 0) {
-		fmt.Println("pruned set preserves detection power on this error")
+	if len(full) == 0 || len(pruned) == 0 {
+		log.Fatalf("the seeded error went undetected (full set %d, pruned set %d violations)", len(full), len(pruned))
 	}
+	fmt.Println("pruned set preserves detection power on this error")
 }

@@ -7,7 +7,7 @@
 // Scale factor mapping the paper's workload sizes onto a single process
 // (default 1/40th). Absolute times are not comparable — the reproduction
 // target is the *shape*: who wins, by roughly what factor, and where the
-// optima fall. EXPERIMENTS.md records paper-vs-measured per experiment.
+// optima fall. DESIGN.md "Per-experiment index" maps runners to figures.
 package bench
 
 import (

@@ -8,7 +8,7 @@
 // The reasoning algorithms only ever see GFD sets, so matching pattern
 // size/shape distribution, label selectivity and literal mix preserves the
 // experiments' behaviour. Profiles also synthesize data graphs drawn from
-// the same label universe for the discovery substrate and the examples.
+// the same label universe for the storage benchmarks and tests.
 package dataset
 
 import (
@@ -153,7 +153,7 @@ type GraphConfig struct {
 	// AttrsPerNode is the average number of attributes per node.
 	AttrsPerNode int
 	// Values is the size of the per-attribute value domain; small domains
-	// create the value correlations the discovery substrate mines.
+	// make the same values recur across nodes.
 	Values int
 	Seed   int64
 }

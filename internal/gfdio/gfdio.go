@@ -45,7 +45,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 // ReadFrozenGraph parses the graph format through the bulk-load path —
 // O(1) edge appends into a graph.Builder, one sort at Freeze — and returns
 // the immutable CSR snapshot. This is the fast ingest route for large
-// read-only graphs (validation, discovery); ReadGraph stays the choice when
+// read-only graphs (validation); ReadGraph stays the choice when
 // the result must remain editable.
 func ReadFrozenGraph(r io.Reader) (*graph.Frozen, error) {
 	b := graph.NewBuilder(0)

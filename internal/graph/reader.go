@@ -4,8 +4,8 @@ package graph
 // *Graph (incremental AddEdge, sorted-insert adjacency), the immutable
 // *Frozen (bulk-loaded CSR snapshot, see Builder; *Sharded embeds one and is
 // a Reader by promotion), and the *Overlay composing a *Delta of updates
-// over a Frozen base (see delta.go). The matching, simulation, reasoning
-// and discovery layers are written against Reader, so they run unmodified
+// over a Frozen base (see delta.go). The matching, simulation and
+// reasoning layers are written against Reader, so they run unmodified
 // on any representation; mutation (AddNode, AddEdge, SetAttr, Clone,
 // Subgraph, DisjointUnion, RemoveEdge, RemoveNode) stays on *Graph and
 // *Delta.
