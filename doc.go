@@ -8,7 +8,7 @@
 //
 // See README.md for the quickstart and DESIGN.md for the system inventory;
 // its "Per-experiment index" maps each runner to the paper figure it
-// regenerates. The root-level benchmarks in bench_test.go regenerate every
-// table and figure of the paper's evaluation at a reduced scale;
-// cmd/benchall runs the full harness.
+// regenerates. cmd/benchall prints every table and figure of the paper's
+// evaluation at a reduced scale, and its -ci form runs the ratio gate;
+// benchmark/ measures absolute times end to end (DESIGN.md "Benchmarks").
 package repro

@@ -11,7 +11,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,8 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/gfd"
-	"repro/internal/graph"
-	"repro/internal/match"
 	"repro/internal/rdfchase"
 )
 
@@ -499,286 +496,14 @@ func Fig6k(cfg Config) *Report { return varyTTL(cfg, "Fig6k", false) }
 // Fig6l is Exp-4 varying TTL for implication.
 func Fig6l(cfg Config) *Report { return varyTTL(cfg, "Fig6l", true) }
 
-// MatchIndex measures the matching hot path on the two graph
-// representations — frozen CSR snapshot and mutable indexed graph — across
-// edge densities: DenseGraph data graphs plus the generator-schema triangle
-// patterns whose closing edge rejects most partial assignments. This is the
-// repo's own experiment (not a paper figure) validating the
-// two-representation storage layer; the root BenchmarkMatchIndexed/Frozen
-// pair measures the same workload under `go test -bench`.
-func MatchIndex(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{
-		Name:   "MatchIndex",
-		Title:  "Frozen vs indexed pattern matching, label-dense graphs (ms)",
-		Header: []string{"degree", "frozen", "indexed", "idx/frz"},
-	}
-	for _, deg := range []int{16, 32, 64} {
-		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: cfg.Seed})
-		g := gr.DenseGraph(cfg.scaled(40000), deg)
-		f := g.Frozen()
-		ps := gen.SchemaTriangles(gr.Schema(), 12)
-		if len(ps) == 0 {
-			// A schema without triangles (possible for unusual seeds) would
-			// time empty loops and report a vacuous speedup; say so instead.
-			r.Rows = append(r.Rows, []string{fmt.Sprint(deg), "-", "-", "no triangles"})
-			continue
-		}
-		run := func(data graph.Reader) time.Duration {
-			return medianTime(cfg.Reps, func() {
-				for _, p := range ps {
-					match.NewSearch(p, data, match.Options{}).CountAll()
-				}
-			})
-		}
-		frozen, indexed := run(f), run(g)
-		ratio := "-"
-		if frozen != 0 {
-			ratio = fmt.Sprintf("%.1fx", float64(indexed)/float64(frozen))
-		}
-		r.Rows = append(r.Rows, []string{fmt.Sprint(deg), ms(frozen), ms(indexed), ratio})
-	}
-	r.Notes = append(r.Notes,
-		"frozen = the same search on the CSR snapshot (Builder.Freeze of the same graph)",
-		"full enumeration (no cap): both representations explore the identical search tree")
-	return r
-}
-
-// Sharded is the repo's own sharded-execution experiment (not a paper
-// figure): the per-shard match fan-out against the flat single-threaded
-// enumeration across shard counts on the label-dense workload, and ParSat's
-// time and steal rate across worker counts on the shared parallel-reasoning
-// workload. On a single core the match ratios hover around 1 (the gate's
-// conservative floors assume as much); on a multi-core box they report the
-// parallel speedup.
-func Sharded(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{
-		Name:   "Sharded",
-		Title:  "Sharded fan-out matching and ParSat on the worker pool",
-		Header: []string{"axis", "flat", "sharded/parsat", "speedup", "stolen"},
-	}
-	ratio := func(a, b time.Duration) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-	}
-	g, ps, err := MatchWorkload(cfg.Seed)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("match workload unavailable: %v", err))
-	} else {
-		f := g.Frozen()
-		flat := medianTime(cfg.Reps, func() {
-			for _, p := range ps {
-				match.NewSearch(p, f, match.Options{}).CountAll()
-			}
-		})
-		for _, k := range []int{2, 4, 8, 16} {
-			sh := f.Sharded(k)
-			fan := medianTime(cfg.Reps, func() {
-				for _, p := range ps {
-					match.CountSharded(p, sh, k, match.Options{})
-				}
-			})
-			r.Rows = append(r.Rows, []string{
-				fmt.Sprintf("match K=%d", k), ms(flat), ms(fan), ratio(flat, fan), "-",
-			})
-		}
-	}
-	set, popt := ParWorkload(cfg.Seed)
-	for _, p := range []int{4, 8, 16} {
-		opt := popt
-		opt.Workers = p
-		// The time is only interpretable next to how much stealing actually
-		// happened: capture the last run's unit stats so the steal rate
-		// prints beside it.
-		var stats core.Stats
-		t := medianTime(cfg.Reps, func() { stats = core.ParSat(set, opt).Stats })
-		stolen := "-"
-		if stats.UnitsRun > 0 {
-			stolen = fmt.Sprintf("%d/%d (%.0f%%)", stats.UnitsStolen, stats.UnitsRun,
-				100*float64(stats.UnitsStolen)/float64(stats.UnitsRun))
-		}
-		r.Rows = append(r.Rows, []string{fmt.Sprintf("parsat p=%d", p), "-", ms(t), "-", stolen})
-	}
-	r.Notes = append(r.Notes,
-		"match rows: flat = single-threaded frozen enumeration; sharded = per-shard root fan-out, workers=K",
-		"parsat rows: ParSat time on the worker pool (per-worker deques + work stealing) at p workers",
-		"stolen: units taken from a peer deque / units run, from the last rep")
-	return r
-}
-
-// Incremental is the repo's own snapshot-lifecycle experiment (not a paper
-// figure): Frozen.Refreeze against a from-scratch rebuild across delta
-// sizes on the 100k-edge ingest base, and incremental revalidation against
-// full re-validation across update-stream sizes on the triangle validation
-// workload. The 1%-delta refreeze row and the revalidation row are the
-// same workloads the CI gate's refreeze_speedup / incr_validate_speedup
-// ratios are measured on.
-func Incremental(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{
-		Name:   "Incremental",
-		Title:  "Delta refreeze vs rebuild, incremental vs full revalidation",
-		Header: []string{"axis", "full", "incremental", "speedup", "scope"},
-	}
-	ratio := func(a, b time.Duration) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-	}
-	base, mkDelta, ffrom, fto, flab := RefreezeWorkload(cfg.Seed)
-	rebuild := medianTime(cfg.Reps, func() { IngestFrozen(ffrom, fto, flab) })
-	d := mkDelta()
-	d.Overlay()
-	refreeze := medianTime(cfg.Reps, func() { base.Refreeze(d) })
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("refreeze %dk edges, 1%% delta", IngestEdges/1000),
-		ms(rebuild), ms(refreeze), ratio(rebuild, refreeze),
-		fmt.Sprintf("%d touched", len(d.TouchedNodes())),
-	})
-
-	set, vbase, vdelta, err := ValidateWorkload(cfg.Seed)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("validation workload unavailable: %v", err))
-		return r
-	}
-	prev := core.Violations(vbase, set)
-	overlay := vdelta.Overlay()
-	full := medianTime(cfg.Reps, func() { core.Violations(overlay, set) })
-	var stats core.RevalidateStats
-	incr := medianTime(cfg.Reps, func() {
-		_, stats, _ = core.RevalidateDelta(set, vdelta, prev, core.RevalidateOptions{})
-	})
-	incrPar := medianTime(cfg.Reps, func() {
-		core.RevalidateDelta(set, vdelta, prev, core.RevalidateOptions{Workers: CIShardWorkers})
-	})
-	r.Rows = append(r.Rows, []string{
-		"revalidate (sequential)", ms(full), ms(incr), ratio(full, incr),
-		fmt.Sprintf("%d re-enum, %d kept", stats.Reenumerated, stats.Kept),
-	})
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("revalidate (p=%d steal)", CIShardWorkers), ms(full), ms(incrPar), ratio(full, incrPar), "-",
-	})
-	r.Notes = append(r.Notes,
-		"refreeze row: rebuild = Builder.Freeze of the final state from raw arrays; incremental = Frozen.Refreeze of the delta",
-		"revalidate rows: full = core.Violations over the overlay; incremental = core.Revalidate scoped to the delta's touched neighborhood")
-	return r
-}
-
-// Adaptive reports the adaptive matching layer at report scale: the time of
-// the kernel picker (gallop/bitset/merge per frame) on the skewed hub
-// triangle, and the warm compiled-plan cache against per-query planning on
-// the repeated-query workload. The CI suite tracks the same numbers
-// (match_adaptive_ms, plan_cache_speedup) on the same workloads.
-func Adaptive(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{
-		Name:   "Adaptive",
-		Title:  "adaptive intersection kernels and compiled plan cache",
-		Header: []string{"comparison", "baseline ms", "adaptive ms", "speedup", "matches"},
-	}
-	ratio := func(a, b time.Duration) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-	}
-	reps := 4*cfg.Reps + 3
-
-	af, ap := AdaptiveWorkload(cfg.Seed)
-	count := match.NewSearch(ap, af, match.Options{}).CountAll()
-	adaptiveT := minTime(reps, func() { match.NewSearch(ap, af, match.Options{}).CountAll() })
-	r.Rows = append(r.Rows, []string{
-		"kernels (hub triangle)", "-", ms(adaptiveT), "-", fmt.Sprintf("%d", count),
-	})
-
-	pf, pps, err := PlanWorkload(cfg.Seed)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("plan row skipped: %v", err))
-		return r
-	}
-	cache := match.NewPlanCache()
-	planCount := PlanQueries(pf, pps, cache) // warms the cache
-	coldT := minTime(cfg.Reps, func() { PlanQueries(pf, pps, nil) })
-	warmT := minTime(reps, func() { PlanQueries(pf, pps, cache) })
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("plans (cold vs warm cache, %d queries)", len(pps)), ms(coldT), ms(warmT), ratio(coldT, warmT),
-		fmt.Sprintf("%d", planCount),
-	})
-	r.Notes = append(r.Notes,
-		"kernels row: the skewed triangle enumeration under the per-frame kernel picker (no baseline column)",
-		"plans row: per-query planning vs PlanCache.Get per query against a warm cache (probe cost included)")
-	return r
-}
-
-// MultiGFD is the repo's own shared-evaluation experiment (not a paper
-// figure): grouped multi-GFD validation — each distinct pattern structure
-// enumerated once, literal checks fanned out per member through the
-// compiled evaluator — on the shared validation workload (~8 GFDs per
-// schema triangle, half of them rebuilt structurally equal pattern values).
-// The time rides with the allocation count: the steady state interns
-// attribute keys into scratch slots instead of re-walking attribute maps
-// per GFD. The CI suite tracks the same numbers (multi_gfd_grouped_ms,
-// multi_gfd_grouped_allocs) on the same workload.
-func MultiGFD(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{
-		Name:   "MultiGFD",
-		Title:  "shared multi-GFD evaluation",
-		Header: []string{"workload", "ms", "allocs/op", "sharing"},
-	}
-	set, f, err := MultiGFDWorkload(cfg.Seed)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("workload unavailable: %v", err))
-		return r
-	}
-	bg := context.Background()
-	_, st, verr := core.ViolationsOpts(bg, f, set, core.VerifyOptions{})
-	if verr != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("validation failed: %v", verr))
-		return r
-	}
-	grpT := minTime(4*cfg.Reps+3, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{}) })
-	grpA := allocsPerOp(cfg.Reps, func() { core.ViolationsOpts(bg, f, set, core.VerifyOptions{}) })
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("violations (%d GFDs)", set.Len()), ms(grpT), fmt.Sprintf("%.0f", grpA),
-		fmt.Sprintf("%d groups, %d shared, %d reused", st.Groups, st.SharedGFDs, st.MatchesReused),
-	})
-	r.Notes = append(r.Notes,
-		"one enumeration per pattern structure, compiled literal fan-out per member GFD")
-	return r
-}
-
-// All runs every experiment in paper order, then the repo's own index,
-// sharding, adaptive-kernel, incremental and persistence experiments.
-func All(cfg Config) []*Report {
-	return []*Report{
-		Fig5(cfg),
-		Fig6a(cfg), Fig6b(cfg), Fig6c(cfg), Fig6d(cfg),
-		Fig6e(cfg), Fig6f(cfg),
-		Fig6g(cfg), Fig6h(cfg), Fig6i(cfg), Fig6j(cfg),
-		Fig6k(cfg), Fig6l(cfg),
-		MatchIndex(cfg),
-		Sharded(cfg),
-		Adaptive(cfg),
-		MultiGFD(cfg),
-		Incremental(cfg),
-		Persist(cfg),
-	}
-}
-
-// experiments is the runner registry; ByName lookups and the Names listing
-// that cmd/benchall prints for an unknown -only value both read it.
+// experiments is the runner registry: the paper's thirteen figures and
+// nothing else. cmd/benchall resolves -only through ByName and runs Names
+// in order otherwise.
 var experiments = map[string]func(Config) *Report{
 	"fig5": Fig5, "fig6a": Fig6a, "fig6b": Fig6b, "fig6c": Fig6c,
 	"fig6d": Fig6d, "fig6e": Fig6e, "fig6f": Fig6f, "fig6g": Fig6g,
 	"fig6h": Fig6h, "fig6i": Fig6i, "fig6j": Fig6j, "fig6k": Fig6k,
-	"fig6l": Fig6l, "matchindex": MatchIndex, "sharded": Sharded,
-	"adaptive": Adaptive, "multigfd": MultiGFD, "incremental": Incremental,
-	"persist": Persist,
+	"fig6l": Fig6l,
 }
 
 // ByName returns the named experiment runner (case-insensitive), or nil.
@@ -786,8 +511,8 @@ func ByName(name string) func(Config) *Report {
 	return experiments[strings.ToLower(name)]
 }
 
-// Names returns every registered experiment name, sorted, for -only
-// validation messages and usage text.
+// Names returns every registered experiment name, sorted — which is the
+// paper's order.
 func Names() []string {
 	out := make([]string, 0, len(experiments))
 	for n := range experiments {

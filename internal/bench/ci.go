@@ -67,10 +67,7 @@ func (r *CIReport) Get(name string) (Metric, bool) {
 }
 
 // Canonical hub-heavy bulk-ingest workload size: large enough that the
-// mutable index's O(deg) sorted inserts dominate, small enough for a CI
-// rep. Shared (via HubHeavyIngest) with internal/graph's ingest
-// benchmarks so the gate and the documented benchmark measure the same
-// workload.
+// mutable index's O(deg) sorted inserts dominate, small enough for a CI rep.
 const (
 	IngestNodes = 20000
 	IngestEdges = 100000
@@ -112,9 +109,7 @@ func HubHeavyIngest(seed int64) (from, to []graph.NodeID, lab []string) {
 
 // IngestIncremental bulk-loads a HubHeavyIngest workload through the
 // mutable path: AddEdge maintains the sorted per-label adjacency
-// incrementally, so hub nodes pay an O(deg) shift per insert. Shared by
-// the CI gate and BenchmarkIncrementalIngest so both measure the same
-// loop.
+// incrementally, so hub nodes pay an O(deg) shift per insert.
 func IngestIncremental(from, to []graph.NodeID, lab []string) *graph.Graph {
 	g := graph.New()
 	for v := 0; v < IngestNodes; v++ {
@@ -127,8 +122,7 @@ func IngestIncremental(from, to []graph.NodeID, lab []string) *graph.Graph {
 }
 
 // IngestFrozen bulk-loads the same workload through the Builder: O(1)
-// appends, one sort per adjacency run at Freeze. Shared by the CI gate and
-// BenchmarkFreezeIngest.
+// appends, one sort per adjacency run at Freeze.
 func IngestFrozen(from, to []graph.NodeID, lab []string) *graph.Frozen {
 	b := graph.NewBuilder(IngestEdges)
 	for v := 0; v < IngestNodes; v++ {
@@ -145,9 +139,6 @@ func IngestFrozen(from, to []graph.NodeID, lab []string) *graph.Frozen {
 // patterns whose closing edge rejects most partial assignments. Not every
 // seed's schema closes a triangle, so the workload comes from the first
 // seed in [seed, seed+16) that does; the error fires when none does.
-// Shared — same seed policy, same walk — by the CI gate (RunCI) and the
-// root BenchmarkMatchIndexed/Frozen/Scan, so at the default seed the
-// gated ratios correspond to the published benchmark numbers.
 func MatchWorkload(seed int64) (*graph.Graph, []*pattern.Pattern, error) {
 	for s := seed; s < seed+16; s++ {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
@@ -221,9 +212,8 @@ func RefreezeWorkload(seed int64) (base *graph.Frozen, mkDelta func() *graph.Del
 // the generator's triangle validation set (radius-1 patterns whose
 // W-consistent consequents the clean graph satisfies) over a label-dense
 // graph with a sprinkling of perturbed attributes (so the pre-delta graph
-// already violates), plus a small update stream. Shared by the CI gate and
-// the root BenchmarkRevalidate pair. Errors when no seed in [seed, seed+16)
-// closes a schema triangle.
+// already violates), plus a small update stream. Errors when no seed in
+// [seed, seed+16) closes a schema triangle.
 func ValidateWorkload(seed int64) (*gfd.Set, *graph.Frozen, *graph.Delta, error) {
 	for s := seed; s < seed+16; s++ {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
@@ -263,8 +253,7 @@ const (
 // it. Enumerating the triangle closes each candidate tail against the bound
 // hub's ~10k-entry "big" in-run, so the per-frame intersection is a
 // fanout-long list against a hub-long one: the merge pays O(hub run) per
-// frame where the gallop pays O(fanout·log(hub run)). Shared by the CI gate
-// (match_adaptive_speedup) and the adaptive experiment report.
+// frame where the gallop pays O(fanout·log(hub run)).
 func AdaptiveWorkload(seed int64) (*graph.Frozen, *pattern.Pattern) {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(adaptiveMids*(adaptiveFanout+1) + adaptiveTails)
@@ -306,8 +295,7 @@ func AdaptiveWorkload(seed int64) (*graph.Frozen, *pattern.Pattern) {
 // compiled-plan cache: the generator-schema triangle patterns over a graph
 // sparse enough that per-query planning (order derivation, label/signature
 // resolution, the pruned root pull) is a visible share of each query. Same
-// seed-probing policy as MatchWorkload. Shared by the CI gate
-// (plan_cache_speedup) and the adaptive experiment report.
+// seed-probing policy as MatchWorkload.
 func PlanWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
 	for s := seed; s < seed+16; s++ {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
@@ -339,8 +327,7 @@ func PlanQueries(f *graph.Frozen, ps []*pattern.Pattern, cache *match.PlanCache)
 // 8 GFDs each — members alternating between the shared pattern value and a
 // rebuilt structurally equal copy, so grouping must go through the
 // fingerprint — over a label-dense graph with a sprinkling of perturbed
-// attributes so violations exist. Shared by the CI gate (multi_gfd_speedup)
-// and the multigfd experiment. Errors when no seed in [seed, seed+16)
+// attributes so violations exist. Errors when no seed in [seed, seed+16)
 // closes a schema triangle.
 func MultiGFDWorkload(seed int64) (*gfd.Set, *graph.Frozen, error) {
 	for s := seed; s < seed+16; s++ {
@@ -424,7 +411,7 @@ const CIShardWorkers = 8
 // scheduling metrics: a satisfiable DBpedia-profiled set large enough that
 // ParSat runs hundreds of work units, checked with a tight TTL so straggler
 // splitting (split branches land on the splitter's deque and get stolen)
-// actually fires. Shared by the CI gate and the root BenchmarkParSatSharded.
+// actually fires.
 func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 	set := gen.New(gen.Config{N: 300, K: 6, L: 3, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed}).Set()
 	opt := core.DefaultParOptions(CIShardWorkers)
@@ -435,8 +422,7 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 // SimulateWorkload builds the simulation pre-pass's input as ParSat sees it:
 // the pattern groups of a DBpedia-profile Σ of n rules (K=6, L=5, wildcard
 // rate 0.3 — the shape of the end-to-end benchmark's sat-dbpedia family) and
-// its canonical graph G_Σ. Shared by the CI report's simulate_sigma_* rows
-// and the root BenchmarkSimulateSigma.
+// its canonical graph G_Σ.
 func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Graph) {
 	set := satSigma(n, seed)
 	return set.Groups(), canon.BuildSigma(set).Graph
@@ -448,17 +434,14 @@ func satSigma(n int, seed int64) *gfd.Set {
 	return gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
 }
 
-// SimulateSigma runs the pre-pass over every group, through one shared
-// Simulator (what a ParSat worker does) or with a one-shot match.Simulate
-// per group, and returns the number of groups that passed.
-func SimulateSigma(groups []gfd.Group, g graph.Reader, shared bool) int {
-	simulate := func(p *pattern.Pattern) *match.Sim { return match.Simulate(p, g) }
-	if shared {
-		simulate = match.NewSimulator(g).Simulate
-	}
+// SimulateSigma runs the pre-pass over every group through one shared
+// Simulator — what a ParSat worker does — and returns the number of groups
+// that passed.
+func SimulateSigma(groups []gfd.Group, g graph.Reader) int {
+	sim := match.NewSimulator(g)
 	passed := 0
 	for _, grp := range groups {
-		if simulate(grp.Pattern) != nil {
+		if sim.Simulate(grp.Pattern) != nil {
 			passed++
 		}
 	}
@@ -468,8 +451,7 @@ func SimulateSigma(groups []gfd.Group, g graph.Reader, shared bool) int {
 // EnforceWorkload builds the enforcement layer's input as SeqSat produces it:
 // a DBpedia-profile Σ of n rules (the shape of the end-to-end benchmark's
 // sat-dbpedia family, see SimulateWorkload) and every match of every rule in
-// G_Σ, enumerated once, in SeqSat's rule order. Shared by the CI report's
-// enforce_* rows and the root BenchmarkEnforce.
+// G_Σ, enumerated once, in SeqSat's rule order.
 func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 	set := satSigma(n, seed)
 	g := canon.BuildSigma(set).Graph
@@ -494,8 +476,8 @@ func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 // against a from-scratch rebuild of the same final state, incremental
 // revalidation against full re-validation after a
 // small delta, and the persistence metrics (snapshot load vs
-// rebuild-from-edges, refreeze on a compacted vs tombstone-heavy base, WAL
-// recovery). Wall time is a few seconds. The suite is
+// rebuild-from-edges, refreeze on a compacted vs tombstone-heavy base).
+// Wall time is a few seconds. The suite is
 // fixed-size by design — Config.Scale does not apply — so reports stay
 // comparable across baselines; Seed reseeds both workloads and Reps sets
 // the per-measurement median width. It errors instead of gating when a
@@ -610,11 +592,11 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// end-to-end benchmark's Σ shape, through one shared Simulator.
 	// Informational: an absolute time and an allocation count.
 	sgroups, sg := SimulateWorkload(1600, cfg.Seed)
-	if SimulateSigma(sgroups, sg, true) == 0 {
+	if SimulateSigma(sgroups, sg) == 0 {
 		return report, fmt.Errorf("simulate workload broken: no pattern of Σ simulates into G_Σ")
 	}
-	info("simulate_sigma_ms", medianTime(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
-	infoAllocs("simulate_sigma_allocs", allocsPerOp(cfg.Reps, func() { SimulateSigma(sgroups, sg, true) }))
+	info("simulate_sigma_ms", medianTime(cfg.Reps, func() { SimulateSigma(sgroups, sg) }))
+	infoAllocs("simulate_sigma_allocs", allocsPerOp(cfg.Reps, func() { SimulateSigma(sgroups, sg) }))
 
 	// The enforcement layer by itself on the same Σ shape: literal
 	// resolution, then offer/drain of the pre-enumerated matches through a
@@ -778,23 +760,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	info("compact_ms", compactT)
 	info("refreeze_dead_ms", deadT)
 	info("refreeze_compacted_ms", compT)
-
-	// WAL recovery over the sampled update stream: informational only (an
-	// absolute time), recorded so recovery-cost trends stay visible in the
-	// artifact.
-	wbase, apply := WALWorkload(cfg.Seed)
-	var log bytes.Buffer
-	w := graph.NewWAL(&log, graph.NewDelta(wbase))
-	apply(w)
-	if err := w.Close(); err != nil {
-		return report, fmt.Errorf("cannot build the WAL workload: %v", err)
-	}
-	recT := minTime(cfg.Reps, func() {
-		if _, _, rerr := graph.Recover(wbase, bytes.NewReader(log.Bytes())); rerr != nil {
-			panic(rerr)
-		}
-	})
-	info("wal_recover_ms", recT)
 
 	return report, nil
 }

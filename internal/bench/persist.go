@@ -1,8 +1,6 @@
-// Persistence benchmarks: snapshot save/load against rebuild-from-edges,
-// WAL append/recover throughput, and the compaction win on tombstone-heavy
-// bases. Shared — same workloads, same measurement shape — by the Persist
-// report (benchall -only persist), the CI gate's persist metrics, and the
-// root BenchmarkSnapshot*/BenchmarkCompact* functions.
+// Workloads of the CI gate's persistence metrics: the snapshot image behind
+// snapshot_load_speedup and the tombstone-heavy base behind
+// compact_refreeze_speedup.
 package bench
 
 import (
@@ -10,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -132,126 +129,4 @@ func CompactWorkload(seed int64) (deadBase, compacted *graph.Frozen, remap graph
 		return nd
 	}
 	return deadBase, compacted, remap, mkDead, mkCompact, nil
-}
-
-// WALWorkloadOps is the op count of the canonical WAL stream.
-const WALWorkloadOps = 2000
-
-// WALWorkload builds the canonical durable-ingest stream: a DBpedia-profiled
-// snapshot as the base and an apply function that drives the same
-// WALWorkloadOps-op sampled update stream into any graph.Mutator — a bare
-// Delta for the in-memory baseline, a WAL for the append measurement (the
-// persisted-fixture path dataset.SampleDeltaInto exists for).
-func WALWorkload(seed int64) (base *graph.Frozen, apply func(graph.Mutator)) {
-	prof := dataset.DBpedia()
-	base = prof.SampleFrozen(dataset.GraphConfig{Nodes: 5000, EdgesPerNode: 4, Seed: seed})
-	apply = func(m graph.Mutator) { prof.SampleDeltaInto(m, WALWorkloadOps, seed+1) }
-	return base, apply
-}
-
-// Persist is the repo's persistence experiment (not a paper figure):
-// snapshot save/load against the from-edges rebuild, WAL append and
-// recovery over the sampled update stream, and the compaction win — both
-// the one-off Compact cost and Refreeze on a 30%-dead base against its
-// compacted equivalent. The load and compact-refreeze rows measure the same
-// workloads the CI gate's snapshot_load_speedup / compact_refreeze_speedup
-// ratios are pinned on.
-func Persist(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	// The persistence paths run in single-digit milliseconds where one
-	// descheduling dwarfs the measurement; all are single-threaded and
-	// deterministic, so widen the min-of-N window (same rationale and width
-	// as the CI gate's incremental metrics).
-	shortReps := 4*cfg.Reps + 3
-	r := &Report{
-		Name:   "Persist",
-		Title:  "Snapshot save/load, WAL recovery, tombstone compaction",
-		Header: []string{"axis", "baseline", "persist", "speedup", "scope"},
-	}
-	ratio := func(a, b int64) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-	}
-
-	from, to, lab := HubHeavyIngest(cfg.Seed)
-	base := IngestFrozen(from, to, lab)
-	img, err := SnapshotImage(base)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("snapshot workload unavailable: %v", err))
-		return r
-	}
-	rebuild := minTime(cfg.Reps, func() { IngestFrozen(from, to, lab) })
-	save := minTime(cfg.Reps, func() {
-		if _, err := SnapshotImage(base); err != nil {
-			panic(err)
-		}
-	})
-	load := minTime(shortReps, func() {
-		if _, err := graph.ReadSnapshot(bytes.NewReader(img)); err != nil {
-			panic(err)
-		}
-	})
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("snapshot load %dk edges", IngestEdges/1000),
-		ms(rebuild), ms(load), ratio(int64(rebuild), int64(load)),
-		fmt.Sprintf("%.1f MB image", float64(len(img))/(1<<20)),
-	})
-	r.Rows = append(r.Rows, []string{"snapshot save", ms(rebuild), ms(save), ratio(int64(rebuild), int64(save)), "vs rebuild"})
-
-	wbase, apply := WALWorkload(cfg.Seed)
-	var log bytes.Buffer
-	memT := minTime(cfg.Reps, func() { apply(graph.NewDelta(wbase)) })
-	walT := minTime(cfg.Reps, func() {
-		log.Reset()
-		w := graph.NewWAL(&log, graph.NewDelta(wbase))
-		apply(w)
-		if err := w.Close(); err != nil {
-			panic(err)
-		}
-	})
-	var recovered int
-	recT := minTime(shortReps, func() {
-		_, stats, rerr := graph.Recover(wbase, bytes.NewReader(log.Bytes()))
-		if rerr != nil {
-			panic(rerr)
-		}
-		recovered = stats.Records
-	})
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("wal append %d ops", WALWorkloadOps),
-		ms(memT), ms(walT), ratio(int64(memT), int64(walT)),
-		fmt.Sprintf("%d KB log", log.Len()/1024),
-	})
-	r.Rows = append(r.Rows, []string{
-		"wal recover", ms(memT), ms(recT), ratio(int64(memT), int64(recT)),
-		fmt.Sprintf("%d records", recovered),
-	})
-
-	deadBase, compacted, _, mkDead, mkCompact, err := CompactWorkload(cfg.Seed)
-	if err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("compaction workload unavailable: %v", err))
-		return r
-	}
-	compactT := minTime(shortReps, func() { deadBase.Compact() })
-	dDead, dComp := mkDead(), mkCompact()
-	dDead.Overlay()
-	dComp.Overlay()
-	deadT := minTime(shortReps, func() { deadBase.Refreeze(dDead) })
-	compT := minTime(shortReps, func() { compacted.Refreeze(dComp) })
-	r.Rows = append(r.Rows, []string{
-		fmt.Sprintf("compact %.0f%%-dead base", CompactDeadFraction*100),
-		"-", ms(compactT), "-",
-		fmt.Sprintf("%d slots dropped", deadBase.NumNodes()-compacted.NumNodes()),
-	})
-	r.Rows = append(r.Rows, []string{
-		"refreeze on compacted base", ms(deadT), ms(compT), ratio(int64(deadT), int64(compT)),
-		fmt.Sprintf("V %d vs %d", deadBase.NumNodes(), compacted.NumNodes()),
-	})
-	r.Notes = append(r.Notes,
-		"snapshot rows: baseline = Builder.Freeze from the raw edge arrays; persist = WriteSnapshot/ReadSnapshot of the binary image",
-		"wal rows: baseline = the same op stream into a bare in-memory Delta; append = through graph.WAL (buffered, no fsync on a bytes.Buffer); recover = replay from the log",
-		"compact rows: identical 1%-scale churn refrozen against the 30%-dead base and its compacted equivalent (IDs translated by the remap)")
-	return r
 }

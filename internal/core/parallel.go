@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -18,8 +16,8 @@ import (
 
 // ParOptions configures ParSat and ParImp. The zero value is not useful;
 // start from DefaultParOptions. Two of the paper's devices are not options
-// because nothing is gained by turning them off: work units are always
-// ranked by the dependency graph of Section V-B, and pattern candidates
+// because nothing is gained by turning them off: work units always run in
+// the dependency order of Section V-B (groupOrder), and pattern candidates
 // always pass the graph-simulation pre-filter (the multi-query optimization
 // device; a pattern that fails simulation has no match and yields no unit).
 type ParOptions struct {
@@ -49,11 +47,6 @@ func DefaultParOptions(workers int) ParOptions {
 	return ParOptions{Workers: workers, TTL: 100 * time.Millisecond}
 }
 
-// unitDepCap bounds the number of units for which the quadratic unit-level
-// dependency graph is built; beyond it the coarser GFD-level topological
-// order ranks units.
-const unitDepCap = 2500
-
 // unit is a pivoted work unit (Q[z], group), optionally carrying a partial
 // match seed when it was split off a straggler. Units are per pattern
 // group, not per GFD: one enumeration of the group's pattern serves every
@@ -63,7 +56,6 @@ type unit struct {
 	grp   int // index into parEngine.groups
 	pivot graph.NodeID
 	seed  match.Assignment
-	rank  int // scheduling priority of an initial unit, lower first (rankUnits)
 }
 
 // halt is a run's answer-bearing early termination — a conflict (UNSAT, or
@@ -193,8 +185,11 @@ func (e *parEngine) buildUnits() error {
 			total += sim.Count(e.pivotVar[i])
 		}
 	}
+	// Units are emitted in dependency order, group by group, so the pool's
+	// striping hands every worker its highest-priority share first.
 	e.units = make([]unit, 0, total)
-	for i, sim := range e.sims {
+	for _, i := range e.groupOrder() {
+		sim := e.sims[i]
 		if sim == nil {
 			continue
 		}
@@ -204,79 +199,35 @@ func (e *parEngine) buildUnits() error {
 		// From here on the relation is only probed (Has, the search filter).
 		sim.DropLists()
 	}
-	// Ranking builds the (up to quadratic) unit dependency graph; last poll
-	// before it.
-	if err := e.ctx.Err(); err != nil {
-		return canceledErr(err)
-	}
-	e.rankUnits()
 	return nil
 }
 
-// rankUnits assigns unit priorities: topological order over the unit
-// dependency graph when small enough (with high-priority units first),
-// otherwise the GFD-level topological order.
-func (e *parEngine) rankUnits() {
-	isHigh := func(gi int) bool {
-		if e.high != nil {
-			return e.high(gi)
-		}
-		return len(e.set.GFDs[gi].X) == 0
+// groupOrder returns the pattern groups in scheduling order: each group
+// stands where its first member does in the GFD-level dependency order of
+// Section V-B (depgraph.OrderGFDs), the groups whose first member has the
+// highest priority — e.high, or an empty antecedent — ahead of the rest.
+func (e *parEngine) groupOrder() []int {
+	isHigh := e.high
+	if isHigh == nil {
+		isHigh = func(gi int) bool { return len(e.set.GFDs[gi].X) == 0 }
 	}
-	// The dependency graph speaks GFD indexes, so each group is represented
-	// by its first member; a group ranks high when any member does (its unit
-	// enforces every member's conclusion).
-	rep := make([]int, len(e.groups))
-	groupHigh := make(map[int]bool, len(e.groups)) // keyed by representative GFD
-	for gi, grp := range e.groups {
-		rep[gi] = grp.Members[0]
-		hi := false
-		for _, mi := range grp.Members {
-			if isHigh(mi) {
-				hi = true
-				break
-			}
-		}
-		groupHigh[rep[gi]] = hi
+	groupOf := make([]int, e.set.Len()) // first member → group + 1
+	for i, grp := range e.groups {
+		groupOf[grp.Members[0]] = i + 1
 	}
-	if len(e.units) <= unitDepCap {
-		it := depgraph.NewInteraction(e.set)
-		dunits := make([]depgraph.Unit, len(e.units))
-		for i, u := range e.units {
-			dunits[i] = depgraph.Unit{GFD: rep[u.grp], Pivot: u.pivot}
+	var high, rest []int
+	for _, gi := range depgraph.OrderGFDs(e.set) {
+		i := groupOf[gi] - 1
+		if i < 0 {
+			continue // not a group's first member
 		}
-		radii := make([]int, e.set.Len())
-		for gi, grp := range e.groups {
-			if e.orders[gi] != nil {
-				radii[rep[gi]] = grp.Pattern.Radius(e.pivotVar[gi])
-			}
-		}
-		adj := depgraph.UnitDeps(dunits, it, e.g, radii)
-		for i, r := range depgraph.UnitPriorities(dunits, adj, e.set, func(u depgraph.Unit) bool { return groupHigh[u.GFD] }) {
-			e.units[i].rank = r
-		}
-		return
-	}
-	// Coarse ranking: position of the unit's representative GFD in the
-	// GFD-level order, with high-priority GFDs first.
-	order := depgraph.OrderGFDs(e.set)
-	pos := make([]int, e.set.Len())
-	rank := 0
-	for _, gi := range order {
 		if isHigh(gi) {
-			pos[gi] = rank
-			rank++
+			high = append(high, i)
+		} else {
+			rest = append(rest, i)
 		}
 	}
-	for _, gi := range order {
-		if !isHigh(gi) {
-			pos[gi] = rank
-			rank++
-		}
-	}
-	for i, u := range e.units {
-		e.units[i].rank = pos[rep[u.grp]]
-	}
+	return append(high, rest...)
 }
 
 // run executes the protocol and returns the first conflict (satisfiability
@@ -287,18 +238,17 @@ func (e *parEngine) rankUnits() {
 // deadline error) or a worker panic (*PanicError) — with stats covering the
 // work completed up to that point.
 //
-// The paper's coordinator queue W is realised by the pool: the rank-ordered
-// units are striped across the per-worker deques, so every deque front holds
-// its worker's highest-priority share and the blended execution order
-// approximates one global priority queue; TTL-split straggler branches go
-// onto the splitter's own deque front — local, immediately runnable, and
-// stealable by an idle peer. Once every unit has retired, finalize rounds
-// run as fork/join phases on the same kind of pool.
+// The paper's coordinator queue W is realised by the pool: the units, in
+// dependency order, are striped across the per-worker deques, so every deque
+// front holds its worker's highest-priority share and the blended execution
+// order approximates one global priority queue; TTL-split straggler branches
+// go onto the splitter's own deque front — local, immediately runnable, and
+// stealable by an idle peer. Once every unit has retired, finalize rounds run
+// as fork/join phases on the same kind of pool.
 func (e *parEngine) run() (con *eq.Conflict, goalHit bool, final *eq.Eq, stats Stats, err error) {
 	if err := e.buildUnits(); err != nil {
 		return nil, false, nil, Stats{}, err
 	}
-	slices.SortStableFunc(e.units, func(a, b unit) int { return cmp.Compare(a.rank, b.rank) })
 	workers := make([]*parWorker, e.pool.size())
 	for i := range workers {
 		workers[i] = newParWorker(i, e)
@@ -358,8 +308,9 @@ type parWorker struct {
 	halted error
 	// search is the worker's last pivot-seeded search, with the group it
 	// ran and its seed buffer: the next unit of the same group re-arms it
-	// (match.Search.Reseed) instead of building a search of its own. Ranked
-	// units of one group sit next to each other in a worker's deque.
+	// (match.Search.Reseed) instead of building a search of its own. Units
+	// are emitted group by group, so those of one group sit next to each
+	// other in a worker's deque.
 	search     *match.Search
 	searchGrp  int
 	searchSeed match.Assignment

@@ -176,7 +176,7 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 	if len(order) == 0 {
 		return out, nil
 	}
-	prog := compileGroupLiterals(set, grp, nil)
+	prog := compileGroupLiterals(set, grp)
 	scr := prog.NewScratch()
 	emit := func(h match.Assignment) {
 		st.Reenumerated++

@@ -17,13 +17,9 @@ import (
 	"repro/internal/match"
 )
 
-// VerifyOptions configures ViolationsOpts.
-type VerifyOptions struct {
-	// Plans, when non-nil, resolves each group's pattern through the
-	// compiled-plan cache, sharing planning work across calls on the same
-	// snapshot epoch.
-	Plans *match.PlanCache
-}
+// VerifyOptions configures ViolationsOpts. It has no fields: the type stays
+// because benchmark/gfdbench spells core.VerifyOptions{}.
+type VerifyOptions struct{}
 
 // VerifyStats reports how much enumeration work the grouped evaluation
 // shared.
@@ -59,30 +55,21 @@ func literalSpecs(ls []gfd.Literal) []match.LiteralSpec {
 	return out
 }
 
-// compileGroupLiterals builds (or fetches off the plan) the group's literal
-// program: one slot per distinct (variable, attribute) pair across all
-// members.
-func compileGroupLiterals(set *gfd.Set, grp gfd.Group, pl *match.Plan) *match.LiteralEval {
-	build := func() *match.LiteralEval {
-		members := make([]match.MemberLiterals, len(grp.Members))
-		for i, mi := range grp.Members {
-			phi := set.GFDs[mi]
-			members[i] = match.MemberLiterals{X: literalSpecs(phi.X), Y: literalSpecs(phi.Y)}
-		}
-		return match.CompileLiterals(members)
+// compileGroupLiterals builds the group's literal program: one slot per
+// distinct (variable, attribute) pair across all members.
+func compileGroupLiterals(set *gfd.Set, grp gfd.Group) *match.LiteralEval {
+	members := make([]match.MemberLiterals, len(grp.Members))
+	for i, mi := range grp.Members {
+		phi := set.GFDs[mi]
+		members[i] = match.MemberLiterals{X: literalSpecs(phi.X), Y: literalSpecs(phi.Y)}
 	}
-	if pl == nil {
-		return build()
-	}
-	// The first member is a stable identity for the group's literal content:
-	// Σ is immutable while in use, so (plan, first GFD) → same program.
-	return pl.Literals(set.GFDs[grp.Members[0]], build)
+	return match.CompileLiterals(members)
 }
 
-// ViolationsOpts is ViolationsCtx with explicit evaluation options and
-// sharing statistics. The violation list is what checking each GFD on its
-// own would give, violation for violation, in Σ-then-enumeration order.
-func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt VerifyOptions) ([]Violation, VerifyStats, error) {
+// ViolationsOpts is ViolationsCtx with sharing statistics. The violation
+// list is what checking each GFD on its own would give, violation for
+// violation, in Σ-then-enumeration order.
+func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, _ VerifyOptions) ([]Violation, VerifyStats, error) {
 	groups := set.Groups()
 	st := VerifyStats{Groups: len(groups)}
 
@@ -90,12 +77,8 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 	progs := make([]*match.LiteralEval, len(groups))
 	scratch := make([]*match.LiteralScratch, len(groups))
 	for gi, grp := range groups {
-		var pl *match.Plan
-		if opt.Plans != nil {
-			pl = opt.Plans.Get(grp.Pattern, g)
-		}
-		pgs[gi] = match.PatternGroup{Pattern: grp.Pattern, Plan: pl}
-		progs[gi] = compileGroupLiterals(set, grp, pl)
+		pgs[gi] = match.PatternGroup{Pattern: grp.Pattern}
+		progs[gi] = compileGroupLiterals(set, grp)
 		scratch[gi] = progs[gi].NewScratch()
 		if len(grp.Members) > 1 {
 			st.SharedGFDs += len(grp.Members)

@@ -1,8 +1,6 @@
-// Package depgraph builds the dependency structures used to order GFD
-// enforcement (Section V-B): attribute-level interaction between GFDs
-// (the antecedent of one may depend on the consequent of another) and the
-// dependency graph over pivoted work units, from which a topological
-// priority is deduced.
+// Package depgraph orders GFD enforcement (Section V-B): the antecedent of
+// one GFD may depend on the consequent of another, and a topological order
+// of that attribute-level interaction lets a single pass fire most of Σ.
 package depgraph
 
 import (
@@ -10,64 +8,19 @@ import (
 	"sort"
 
 	"repro/internal/gfd"
-	"repro/internal/graph"
 )
 
-// attrSig is an attribute occurrence: attribute A on a variable labeled
-// Label (possibly wildcard).
-type attrSig struct {
-	Label string
-	Attr  string
-}
-
-// labelCompat reports whether two variable labels may denote the same data
-// node: equal, or either is the wildcard.
-func labelCompat(a, b string) bool {
-	return a == graph.Wildcard || b == graph.Wildcard || a == b
-}
-
-// sigs extracts the attribute occurrences of a literal list.
-func sigs(g *gfd.GFD, ls []gfd.Literal) []attrSig {
-	var out []attrSig
+// attrs lists the attribute names a literal list mentions, both sides of a
+// variable literal included.
+func attrs(ls []gfd.Literal) []string {
+	var out []string
 	for _, l := range ls {
-		out = append(out, attrSig{Label: g.Pattern.Label(l.X), Attr: l.A})
+		out = append(out, l.A)
 		if l.Kind == gfd.VarLiteral {
-			out = append(out, attrSig{Label: g.Pattern.Label(l.Y), Attr: l.B})
+			out = append(out, l.B)
 		}
 	}
 	return out
-}
-
-// Interaction summarizes, for a set Σ, which GFDs' consequents feed which
-// GFDs' antecedents.
-type Interaction struct {
-	set *gfd.Set
-	out [][]attrSig // consequent signatures per GFD
-	in  [][]attrSig // antecedent signatures per GFD
-}
-
-// NewInteraction precomputes the literal signatures of Σ.
-func NewInteraction(set *gfd.Set) *Interaction {
-	it := &Interaction{set: set, out: make([][]attrSig, set.Len()), in: make([][]attrSig, set.Len())}
-	for i, g := range set.GFDs {
-		it.out[i] = sigs(g, g.Y)
-		it.in[i] = sigs(g, g.X)
-	}
-	return it
-}
-
-// Feeds reports whether some attribute written by Σ[i]'s consequent may be
-// read by Σ[j]'s antecedent (same attribute name on label-compatible
-// variables).
-func (it *Interaction) Feeds(i, j int) bool {
-	for _, o := range it.out[i] {
-		for _, n := range it.in[j] {
-			if o.Attr == n.Attr && labelCompat(o.Label, n.Label) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // OrderGFDs returns the indexes of Σ in enforcement order: GFDs with empty
@@ -77,9 +30,8 @@ func (it *Interaction) Feeds(i, j int) bool {
 //
 // Instead of materializing the quadratic GFD×GFD graph, the order is
 // computed on the bipartite graph GFD → written-attribute → reading-GFD
-// (labels ignored — a sound coarsening: it only adds edges), which is
-// O(|Σ|·l) in size. The quadratic Feeds relation remains available for the
-// work-unit dependency graph, which is capped separately.
+// (variable labels ignored — a sound coarsening: it only adds edges), which
+// is O(|Σ|·l) in size.
 func OrderGFDs(set *gfd.Set) []int {
 	n := set.Len()
 	// Attribute node ids start at n.
@@ -95,11 +47,11 @@ func OrderGFDs(set *gfd.Set) []int {
 	type edge struct{ from, to int }
 	var edges []edge
 	for i, g := range set.GFDs {
-		for _, s := range sigs(g, g.Y) {
-			edges = append(edges, edge{i, id(s.Attr)})
+		for _, a := range attrs(g.Y) {
+			edges = append(edges, edge{i, id(a)})
 		}
-		for _, s := range sigs(g, g.X) {
-			edges = append(edges, edge{id(s.Attr), i})
+		for _, a := range attrs(g.X) {
+			edges = append(edges, edge{id(a), i})
 		}
 	}
 	total := n + len(attrID)
@@ -265,86 +217,4 @@ func tarjan(n int, adj [][]int) []int {
 		}
 	}
 	return comp
-}
-
-// Unit identifies a pivoted work unit (Q_φ[z], φ): GFD index within Σ and
-// pivot node z in the canonical graph.
-type Unit struct {
-	GFD   int
-	Pivot graph.NodeID
-}
-
-// UnitDeps computes the work-unit dependency graph of Section V-B: an edge
-// (w1, w2) when w1's GFD consequent feeds w2's GFD antecedent AND the two
-// pivots are within d_Q1 hops of each other in the canonical graph g, where
-// d_Q1 is the radius of w1's pattern at its pivot variable. radii[i] is that
-// radius for Σ.GFDs[i].
-//
-// The proximity condition makes the graph sparse in canonical graphs (a
-// disjoint union of small patterns bounds every neighborhood by one
-// component), so candidate pairs are enumerated through a pivot index
-// rather than all unit pairs, and the Feeds relation is memoized per GFD
-// pair.
-func UnitDeps(units []Unit, it *Interaction, g graph.Reader, radii []int) [][]int {
-	adj := make([][]int, len(units))
-	byPivot := make(map[graph.NodeID][]int)
-	for i, u := range units {
-		byPivot[u.Pivot] = append(byPivot[u.Pivot], i)
-	}
-	n := it.set.Len()
-	memo := make([]int8, n*n) // 0 unknown, 1 feeds, -1 does not
-	feeds := func(a, b int) bool {
-		m := memo[a*n+b]
-		if m != 0 {
-			return m == 1
-		}
-		f := it.Feeds(a, b)
-		if f {
-			memo[a*n+b] = 1
-		} else {
-			memo[a*n+b] = -1
-		}
-		return f
-	}
-	for i, u := range units {
-		hood := graph.Neighborhood(g, u.Pivot, radii[u.GFD])
-		for z := range hood {
-			for _, j := range byPivot[z] {
-				if j != i && feeds(u.GFD, units[j].GFD) {
-					adj[i] = append(adj[i], j)
-				}
-			}
-		}
-	}
-	return adj
-}
-
-// UnitPriorities returns, for each unit, a priority rank (lower = earlier)
-// combining: (1) units whose GFD has an empty antecedent — or, when
-// highFirst is non-nil, units it marks — come first; (2) topological order
-// of the unit dependency graph.
-func UnitPriorities(units []Unit, adj [][]int, set *gfd.Set, highFirst func(Unit) bool) []int {
-	order := topoSCC(len(units), adj)
-	rank := make([]int, len(units))
-	pos := 0
-	// First pass: high-priority units in topo order.
-	isHigh := func(u Unit) bool {
-		if highFirst != nil {
-			return highFirst(u)
-		}
-		return len(set.GFDs[u.GFD].X) == 0
-	}
-	for _, i := range order {
-		if isHigh(units[i]) {
-			rank[i] = pos
-			pos++
-		}
-	}
-	for _, i := range order {
-		if !isHigh(units[i]) {
-			rank[i] = pos
-			pos++
-		}
-	}
-	return rank
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gfd"
-	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
@@ -12,49 +11,6 @@ func mk(label string, x []gfd.Literal, y []gfd.Literal) *gfd.GFD {
 	p := pattern.New()
 	p.AddVar("x", label)
 	return gfd.MustNew("g", p, x, y)
-}
-
-func TestFeeds(t *testing.T) {
-	// ψ1 writes A on label a; ψ2 reads A on label a → feeds.
-	psi1 := mk("a", nil, []gfd.Literal{gfd.Const(0, "A", "1")})
-	psi2 := mk("a", []gfd.Literal{gfd.Const(0, "A", "1")}, []gfd.Literal{gfd.Const(0, "B", "1")})
-	psi3 := mk("b", []gfd.Literal{gfd.Const(0, "A", "1")}, nil) // different label
-	psi4 := mk("a", []gfd.Literal{gfd.Const(0, "C", "1")}, nil) // different attr
-	it := NewInteraction(gfd.NewSet(psi1, psi2, psi3, psi4))
-	if !it.Feeds(0, 1) {
-		t.Error("same-label same-attr should feed")
-	}
-	if it.Feeds(0, 2) {
-		t.Error("label-incompatible attrs should not feed")
-	}
-	if it.Feeds(0, 3) {
-		t.Error("different attribute should not feed")
-	}
-	if it.Feeds(1, 0) {
-		t.Error("feeding is directional (Y1 → X2)")
-	}
-}
-
-func TestFeedsWildcardCompat(t *testing.T) {
-	w := mk(graph.Wildcard, nil, []gfd.Literal{gfd.Const(0, "A", "1")})
-	c := mk("a", []gfd.Literal{gfd.Const(0, "A", "1")}, nil)
-	it := NewInteraction(gfd.NewSet(w, c))
-	if !it.Feeds(0, 1) {
-		t.Error("wildcard consequent should feed any label's antecedent")
-	}
-}
-
-func TestFeedsVarLiteralBothSides(t *testing.T) {
-	// A variable literal mentions two attributes; both count.
-	p := pattern.New()
-	p.AddVar("x", "a")
-	p.AddVar("y", "b")
-	writer := gfd.MustNew("w", p, nil, []gfd.Literal{gfd.Vars(0, "A", 1, "B")})
-	readerB := mk("b", []gfd.Literal{gfd.Const(0, "B", "1")}, nil)
-	it := NewInteraction(gfd.NewSet(writer, readerB))
-	if !it.Feeds(0, 1) {
-		t.Error("var literal's rhs attribute not seen as written")
-	}
 }
 
 func TestOrderGFDsEmptyXFirst(t *testing.T) {
@@ -95,55 +51,15 @@ func TestOrderGFDsCycleTerminates(t *testing.T) {
 	}
 }
 
-func TestUnitDepsRequiresProximity(t *testing.T) {
-	// Two units with feeding GFDs but far-apart pivots: no edge. Close
-	// pivots: edge.
-	writer := mk("a", nil, []gfd.Literal{gfd.Const(0, "A", "1")})
-	reader := mk("a", []gfd.Literal{gfd.Const(0, "A", "1")}, []gfd.Literal{gfd.Const(0, "B", "1")})
-	set := gfd.NewSet(writer, reader)
-	it := NewInteraction(set)
-
-	g := graph.New()
-	n0 := g.AddNode("a")
-	n1 := g.AddNode("a")
-	g.AddEdge(n0, n1, "e") // adjacent
-	far := g.AddNode("a")  // isolated
-
-	units := []Unit{
-		{GFD: 0, Pivot: n0},
-		{GFD: 1, Pivot: n1},
-		{GFD: 1, Pivot: far},
-	}
-	radii := []int{1, 1}
-	adj := UnitDeps(units, it, g, radii)
-	found := func(from, to int) bool {
-		for _, x := range adj[from] {
-			if x == to {
-				return true
-			}
-		}
-		return false
-	}
-	if !found(0, 1) {
-		t.Error("adjacent feeding units not linked")
-	}
-	if found(0, 2) {
-		t.Error("distant pivots linked though out of d_Q reach")
-	}
-}
-
-func TestUnitPrioritiesHighFirst(t *testing.T) {
-	writer := mk("a", nil, []gfd.Literal{gfd.Const(0, "A", "1")})
-	reader := mk("a", []gfd.Literal{gfd.Const(0, "A", "1")}, nil)
-	set := gfd.NewSet(writer, reader)
-	units := []Unit{{GFD: 1, Pivot: 0}, {GFD: 0, Pivot: 0}}
-	ranks := UnitPriorities(units, make([][]int, 2), set, nil)
-	if !(ranks[1] < ranks[0]) {
-		t.Errorf("ranks = %v; ∅-antecedent unit must rank first", ranks)
-	}
-	// Custom highFirst inverts the choice.
-	ranks = UnitPriorities(units, make([][]int, 2), set, func(u Unit) bool { return u.GFD == 1 })
-	if !(ranks[0] < ranks[1]) {
-		t.Errorf("custom highFirst ignored: %v", ranks)
+// A variable literal mentions two attributes; a reader of either must come
+// after the writer.
+func TestOrderGFDsVarLiteralBothSides(t *testing.T) {
+	p := pattern.New()
+	p.AddVar("x", "a")
+	p.AddVar("y", "b")
+	readerB := mk("b", []gfd.Literal{gfd.Const(0, "B", "1")}, []gfd.Literal{gfd.Const(0, "Z", "1")})
+	writer := gfd.MustNew("w", p, []gfd.Literal{gfd.Const(0, "D", "1")}, []gfd.Literal{gfd.Vars(0, "A", 1, "B")})
+	if order := OrderGFDs(gfd.NewSet(readerB, writer)); order[0] != 1 {
+		t.Errorf("order = %v; the var literal's rhs attribute was not seen as written", order)
 	}
 }

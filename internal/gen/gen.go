@@ -523,15 +523,6 @@ func (g *Generator) ConsistentFrozen(nodes int) *graph.Frozen {
 	return b.Freeze()
 }
 
-// ConsistentSharded is ConsistentFrozen pre-partitioned into shards for
-// parallel consumers. Pass shards <= 0 for graph.DefaultShardCount.
-func (g *Generator) ConsistentSharded(nodes, shards int) *graph.Sharded {
-	if shards <= 0 {
-		shards = graph.DefaultShardCount(nodes)
-	}
-	return g.ConsistentFrozen(nodes).Sharded(shards)
-}
-
 // consistentEdges links each node along the frequent-edge schema to the
 // first node carrying the destination label.
 func (g *Generator) consistentEdges(gr graph.Sink, labels []string) {
@@ -600,16 +591,6 @@ func (g *Generator) DenseFrozen(nodes, degree int) *graph.Frozen {
 	labels := g.consistentNodes(b, nodes)
 	g.denseEdges(b, labels, degree)
 	return b.Freeze()
-}
-
-// DenseSharded is DenseFrozen pre-partitioned into shards — the
-// materialization the parallel matching benchmarks fan out over. Pass
-// shards <= 0 for graph.DefaultShardCount.
-func (g *Generator) DenseSharded(nodes, degree, shards int) *graph.Sharded {
-	if shards <= 0 {
-		shards = graph.DefaultShardCount(nodes)
-	}
-	return g.DenseFrozen(nodes, degree).Sharded(shards)
 }
 
 // ValidationSet builds one empty-antecedent GFD per schema triangle (up to

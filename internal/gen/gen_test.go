@@ -149,8 +149,8 @@ func TestGeneratedSetsInteract(t *testing.T) {
 
 var _ = gfd.ConstLiteral // keep import stable if assertions above change
 
-// assertSameGraph structurally compares a mutable graph with a read-only
-// snapshot (frozen or sharded) built by an independent replay of the same
+// assertSameGraph structurally compares a mutable graph with a frozen
+// snapshot built by an independent replay of the same
 // synthesis: node labels and attributes, wildcard adjacency (ascending on
 // both sides), and per-edge membership.
 func assertSameGraph(t *testing.T, ctx string, g *graph.Graph, f graph.Reader) {
@@ -188,23 +188,6 @@ func TestFrozenMaterializationsEquivalence(t *testing.T) {
 		New(cfg).DenseGraph(150, 6), New(cfg).DenseFrozen(150, 6))
 	assertSameGraph(t, "consistent",
 		New(cfg).ConsistentGraph(80), New(cfg).ConsistentFrozen(80))
-}
-
-// TestShardedMaterializations pins the sharded emitters: same synthesis as
-// the mutable materializations, pre-partitioned, with shards<=0 resolving
-// to the default shard count.
-func TestShardedMaterializations(t *testing.T) {
-	cfg := Config{N: 12, K: 4, L: 2, Seed: 9}
-	assertSameGraph(t, "dense-sharded",
-		New(cfg).DenseGraph(150, 6), New(cfg).DenseSharded(150, 6, 4))
-	assertSameGraph(t, "consistent-sharded",
-		New(cfg).ConsistentGraph(80), New(cfg).ConsistentSharded(80, 3))
-	if got := New(cfg).ConsistentSharded(80, 3).ShardCount(); got != 3 {
-		t.Fatalf("ShardCount = %d, want 3", got)
-	}
-	if got := New(cfg).DenseSharded(150, 6, 0).ShardCount(); got < 1 {
-		t.Fatalf("default shard count not positive: %d", got)
-	}
 }
 
 // TestMutateDeltaDeterminism pins the update-stream generator: the same

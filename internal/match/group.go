@@ -17,12 +17,9 @@ import (
 	"repro/internal/pattern"
 )
 
-// PatternGroup is one enumeration consumer of EnumerateGrouped: a pattern
-// plus an optional precompiled plan (must be valid for the reader, as with
-// Options.Plan).
+// PatternGroup is one enumeration consumer of EnumerateGrouped.
 type PatternGroup struct {
 	Pattern *pattern.Pattern
-	Plan    *Plan
 }
 
 // GroupStats reports how much work EnumerateGrouped shared.
@@ -86,12 +83,7 @@ func EnumerateGrouped(ctx context.Context, g graph.Reader, groups []PatternGroup
 	families := make(map[string][]groupRun)
 	var solo []groupRun
 	for gi, pg := range groups {
-		run := groupRun{gi: gi}
-		if pg.Plan != nil {
-			run.order = pg.Plan.DefaultOrder()
-		} else {
-			run.order = DefaultOrder(pg.Pattern)
-		}
+		run := groupRun{gi: gi, order: DefaultOrder(pg.Pattern)}
 		if len(run.order) < 2 {
 			solo = append(solo, run)
 			continue
@@ -116,8 +108,7 @@ func EnumerateGrouped(ctx context.Context, g graph.Reader, groups []PatternGroup
 		}
 	}
 	for _, run := range solo {
-		pg := groups[run.gi]
-		s := NewSearch(pg.Pattern, g, Options{Plan: pg.Plan, Ctx: ctx})
+		s := NewSearch(groups[run.gi].Pattern, g, Options{Ctx: ctx})
 		for {
 			h, ok := s.Next()
 			if !ok {
@@ -187,8 +178,7 @@ func enumerateFamily(ctx context.Context, g graph.Reader, groups []PatternGroup,
 			}
 			s := conts[mi]
 			if s == nil {
-				pg := groups[m.gi]
-				s = NewSearch(pg.Pattern, g, Options{Order: m.order, Seed: seed, Plan: pg.Plan, Ctx: ctx})
+				s = NewSearch(groups[m.gi].Pattern, g, Options{Order: m.order, Seed: seed, Ctx: ctx})
 				conts[mi] = s
 			} else {
 				s.Reseed(seed)

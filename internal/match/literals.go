@@ -176,19 +176,3 @@ func (e *LiteralEval) Violates(m int, g graph.Reader, h Assignment, s *LiteralSc
 	prog := &e.members[m]
 	return e.holds(prog.x, g, h, s) && !e.holds(prog.y, g, h, s)
 }
-
-// Literals returns the literal program memoized on the plan under key,
-// compiling it with build on first use (or when the key changes — keys are
-// compared with ==, so callers pass something stable like the group's first
-// GFD). This keeps the compiled program as long-lived as the plan: service
-// workloads fetching plans through a PlanCache re-run groups against fresh
-// snapshots without recompiling their literal programs.
-func (pl *Plan) Literals(key any, build func() *LiteralEval) *LiteralEval {
-	pl.litMu.Lock()
-	defer pl.litMu.Unlock()
-	if pl.litProg == nil || pl.litKey != key {
-		pl.litProg = build()
-		pl.litKey = key
-	}
-	return pl.litProg
-}

@@ -44,14 +44,6 @@ type Plan struct {
 	// engine workloads seed every search and never open a root frame.
 	rootOnce  sync.Once
 	rootCands []graph.NodeID
-
-	// litMu/litKey/litProg memoize one compiled literal program on the plan
-	// (see Literals): group evaluation hoists the per-match literal walk into
-	// an attr-key-interned evaluator, and caching it here makes the
-	// compilation as reusable as the plan itself.
-	litMu   sync.Mutex
-	litKey  any
-	litProg *LiteralEval
 }
 
 // CompilePlan resolves p against g and returns the plan. The caller must
@@ -94,10 +86,6 @@ func (pl *Plan) Pattern() *pattern.Pattern { return pl.pat }
 // Epoch returns the snapshot epoch the plan is bound to (0 when compiled
 // against a mutable graph).
 func (pl *Plan) Epoch() uint64 { return pl.epoch }
-
-// DefaultOrder returns the plan's precomputed default variable order.
-// Callers must not mutate the slice.
-func (pl *Plan) DefaultOrder() []pattern.Var { return pl.defaultOrder }
 
 // Pivots returns the precomputed pivot per connected component (the result
 // of pattern.Pivot against the plan's graph). Callers must not mutate the
