@@ -34,9 +34,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns laptop-scale settings.
-func DefaultConfig() Config { return Config{Scale: 0.025, Reps: 3, Seed: 1} }
-
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.025

@@ -709,8 +709,8 @@ func RunCI(cfg Config) (*CIReport, error) {
 	}))
 
 	// One validation pass on the check-dense shape: absolute time, and
-	// allocations per enumerated match — clone-on-violation and re-armed
-	// continuation searches keep the latter near violations/matches.
+	// allocations per enumerated match — clone-on-violation keeps the
+	// latter near violations/matches.
 	vset, vg, vmatches, err := ViolationsWorkload(cfg.Seed)
 	if err != nil || vmatches == 0 {
 		return report, fmt.Errorf("violations workload broken: %d matches, %v", vmatches, err)

@@ -132,14 +132,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
-		vs, err := revalidateGroup(set, groups[gi], updated, hoods, prevBy, opt.Ctx, st)
-		if err != nil {
-			return err
-		}
-		for i, mi := range groups[gi].Members {
-			results[mi] = vs[i]
-		}
-		return nil
+		return revalidateGroup(set, groups[gi], updated, hoods, prevBy, opt.Ctx, st, results)
 	}
 	perStats := make([]RevalidateStats, pl.size())
 	err := pl.run(indexes(n), func(w, gi int) error { return run(gi, &perStats[w]) })
@@ -167,31 +160,20 @@ func RevalidateDelta(set *gfd.Set, d *graph.Delta, prev []Violation, opt Revalid
 // re-enumeration — a match of such a pattern is a cross product of
 // independent component matches, so a change in any component invalidates
 // combinations whose root component lies arbitrarily far from the delta.
-// It returns one violation slice per group member, aligned with
-// grp.Members.
-func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods map[int]map[graph.NodeID]bool, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats) ([][]Violation, error) {
+// Member mi's violations land in out[mi] (out is indexed like Σ; groups
+// partition Σ, so concurrent calls for different groups write disjoint
+// entries).
+func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods map[int]map[graph.NodeID]bool, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
 	p := grp.Pattern
-	out := make([][]Violation, len(grp.Members))
 	order := match.DefaultOrder(p)
 	if len(order) == 0 {
-		return out, nil
+		return nil
 	}
-	prog := compileGroupLiterals(set, grp)
-	scr := prog.NewScratch()
+	gc := newGroupCheck(set, grp)
 	emit := func(h match.Assignment) {
 		st.Reenumerated++
 		st.MatchesReused += len(grp.Members) - 1
-		scr.Begin()
-		// As in ViolationsOpts: one copy of the view per violating match.
-		var kept match.Assignment
-		for i, mi := range grp.Members {
-			if prog.Violates(i, updated, h, scr) {
-				if kept == nil {
-					kept = h.Clone()
-				}
-				out[i] = append(out[i], Violation{GFD: set.GFDs[mi], Match: kept})
-			}
-		}
+		gc.check(updated, h, out)
 	}
 	if !p.Connected() {
 		st.Full++
@@ -199,10 +181,7 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 		for {
 			h, ok := s.Next()
 			if !ok {
-				if err := s.Err(); err != nil {
-					return nil, canceledErr(err)
-				}
-				return out, nil
+				return canceledErr(s.Err())
 			}
 			emit(h)
 		}
@@ -210,10 +189,10 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 	st.Scoped++
 	root := order[0]
 	hood := hoods[p.Radius(root)]
-	for i, mi := range grp.Members {
+	for _, mi := range grp.Members {
 		for _, v := range prevBy[set.GFDs[mi]] {
 			if !hood[v.Match[root]] {
-				out[i] = append(out[i], v)
+				out[mi] = append(out[mi], v)
 				st.Kept++
 			}
 		}
@@ -224,7 +203,7 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 			h, ok := s.Next()
 			if !ok {
 				if err := s.Err(); err != nil {
-					return nil, canceledErr(err)
+					return canceledErr(err)
 				}
 				break
 			}
@@ -236,10 +215,10 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods ma
 	// order, and the sequential enumeration is exactly that lexicographic
 	// order (every search frame iterates an ascending candidate list), so
 	// one sort per member restores full-Violations order.
-	for i := range out {
-		sortViolationsByOrder(out[i], order)
+	for _, mi := range grp.Members {
+		sortViolationsByOrder(out[mi], order)
 	}
-	return out, nil
+	return nil
 }
 
 // sortViolationsByOrder sorts violations of one pattern lexicographically

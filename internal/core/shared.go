@@ -33,9 +33,6 @@ type VerifyStats struct {
 	// match: for a match shared by an m-member group, m−1 re-enumerations
 	// that never happened.
 	MatchesReused int
-	// PrefixFamilies counts sets of distinct patterns that additionally
-	// shared a common search prefix (see match.EnumerateGrouped).
-	PrefixFamilies int
 }
 
 // literalSpecs translates gfd literals into the match-level form the
@@ -55,15 +52,41 @@ func literalSpecs(ls []gfd.Literal) []match.LiteralSpec {
 	return out
 }
 
-// compileGroupLiterals builds the group's literal program: one slot per
-// distinct (variable, attribute) pair across all members.
-func compileGroupLiterals(set *gfd.Set, grp gfd.Group) *match.LiteralEval {
+// groupCheck is the member fan-out of one pattern group: the group's
+// literal program (one slot per distinct (variable, attribute) pair across
+// all members) and the scratch it evaluates in. Not safe for concurrent use.
+type groupCheck struct {
+	gfds    []*gfd.GFD // Σ
+	members []int      // the group's members, as indexes into Σ
+	prog    *match.LiteralEval
+	scr     *match.LiteralScratch
+}
+
+func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
 	members := make([]match.MemberLiterals, len(grp.Members))
 	for i, mi := range grp.Members {
 		phi := set.GFDs[mi]
 		members[i] = match.MemberLiterals{X: literalSpecs(phi.X), Y: literalSpecs(phi.Y)}
 	}
-	return match.CompileLiterals(members)
+	prog := match.CompileLiterals(members)
+	return &groupCheck{gfds: set.GFDs, members: grp.Members, prog: prog, scr: prog.NewScratch()}
+}
+
+// check evaluates every member at match h of the group's pattern in g and
+// appends a violation to out[mi] for each member mi (its index in Σ) that h
+// violates. h may be a search's view: it is copied once, on the first
+// member it violates, and shared by every member violating at this match.
+func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation) {
+	c.scr.Begin()
+	var kept match.Assignment
+	for i, mi := range c.members {
+		if c.prog.Violates(i, g, h, c.scr) {
+			if kept == nil {
+				kept = h.Clone()
+			}
+			out[mi] = append(out[mi], Violation{GFD: c.gfds[mi], Match: kept})
+		}
+	}
 }
 
 // ViolationsOpts is ViolationsCtx with sharing statistics. The violation
@@ -74,37 +97,21 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, _ VerifyO
 	st := VerifyStats{Groups: len(groups)}
 
 	pgs := make([]match.PatternGroup, len(groups))
-	progs := make([]*match.LiteralEval, len(groups))
-	scratch := make([]*match.LiteralScratch, len(groups))
+	checks := make([]*groupCheck, len(groups))
 	for gi, grp := range groups {
 		pgs[gi] = match.PatternGroup{Pattern: grp.Pattern}
-		progs[gi] = compileGroupLiterals(set, grp)
-		scratch[gi] = progs[gi].NewScratch()
+		checks[gi] = newGroupCheck(set, grp)
 		if len(grp.Members) > 1 {
 			st.SharedGFDs += len(grp.Members)
 		}
 	}
 
 	byGFD := make([][]Violation, set.Len())
-	enumSt, err := match.EnumerateGrouped(ctx, g, pgs, func(gi int, h match.Assignment) bool {
-		grp := groups[gi]
-		prog, scr := progs[gi], scratch[gi]
-		scr.Begin()
-		// h is the search's view: copied once, on the first member it
-		// violates, and shared by every member violating at this match.
-		var kept match.Assignment
-		for i, mi := range grp.Members {
-			if prog.Violates(i, g, h, scr) {
-				if kept == nil {
-					kept = h.Clone()
-				}
-				byGFD[mi] = append(byGFD[mi], Violation{GFD: set.GFDs[mi], Match: kept})
-			}
-		}
-		st.MatchesReused += len(grp.Members) - 1
+	_, err := match.EnumerateGrouped(ctx, g, pgs, func(gi int, h match.Assignment) bool {
+		checks[gi].check(g, h, byGFD)
+		st.MatchesReused += len(groups[gi].Members) - 1
 		return true
 	})
-	st.PrefixFamilies = enumSt.Families
 
 	// Assemble in Σ order, sized once; within a GFD the grouped enumeration
 	// already delivered matches in the standalone enumeration order.

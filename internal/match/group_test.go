@@ -40,8 +40,8 @@ func orderedMatches(p *pattern.Pattern, g graph.Reader) []string {
 	return out
 }
 
-// prefixChainPatterns builds a family: patterns sharing a two-frame prefix
-// (a -e-> b) that diverge at the third frame.
+// prefixChainPatterns builds distinct patterns whose match orders open with
+// the same two frames (a -e-> b) and diverge at the third.
 func prefixChainPatterns() []*pattern.Pattern {
 	mk := func(thirdLabel, edgeLabel string) *pattern.Pattern {
 		p := pattern.New()
@@ -75,9 +75,8 @@ func familyGraph() *graph.Graph {
 	return g
 }
 
-// TestEnumerateGroupedFamily pins the prefix-family path: distinct patterns
-// sharing two leading frames enumerate through one shared prefix search and
-// still produce exactly their standalone match sequences, in order.
+// TestEnumerateGroupedFamily: distinct patterns sharing two leading frames
+// produce exactly their standalone match sequences, in order.
 func TestEnumerateGroupedFamily(t *testing.T) {
 	pats := prefixChainPatterns()
 	g := familyGraph()
@@ -89,18 +88,12 @@ func TestEnumerateGroupedFamily(t *testing.T) {
 			groups[i] = match.PatternGroup{Pattern: p}
 		}
 		got := make([][]string, len(pats))
-		st, err := match.EnumerateGrouped(context.Background(), r, groups, func(gi int, h match.Assignment) bool {
+		_, err := match.EnumerateGrouped(context.Background(), r, groups, func(gi int, h match.Assignment) bool {
 			got[gi] = append(got[gi], fmt.Sprint(h))
 			return true
 		})
 		if err != nil {
 			t.Fatalf("%s: EnumerateGrouped: %v", name, err)
-		}
-		if st.Families != 1 {
-			t.Fatalf("%s: expected one prefix family, stats %+v", name, st)
-		}
-		if st.PrefixMatches == 0 {
-			t.Fatalf("%s: prefix search found nothing; family sharing was vacuous", name)
 		}
 		nonEmpty := 0
 		for i, p := range pats {
@@ -168,7 +161,7 @@ func TestEnumerateGroupedGen(t *testing.T) {
 }
 
 // TestEnumerateGroupedCancel checks cooperative cancellation propagates out
-// of both the prefix search and the seeded continuations.
+// of the per-group searches.
 func TestEnumerateGroupedCancel(t *testing.T) {
 	pats := prefixChainPatterns()
 	g := familyGraph().Frozen()

@@ -301,13 +301,13 @@ func (s *Search) seedConsistent() bool {
 // would — same matches, same order — while keeping everything a fresh
 // search would rebuild: the resolved label IDs, the order, the frame stack
 // and the per-depth candidate buffers. The seed must assign exactly the
-// variables the search was constructed with (a continuation search is
-// re-armed with one prefix match after another); Reseed panics otherwise,
-// since the open-frame layout depends on that set. The seed is copied, so
-// the caller may overwrite it afterwards. Whatever the search was doing —
-// half consumed, exhausted, rejected its previous seed — is dropped, and
-// views it handed out are invalidated. Cancellation carries over: the poll
-// countdown keeps running across seeds, and a search whose context has
+// variables the search was constructed with (a ParSat worker re-arms one
+// search with the pivot of one work unit after another); Reseed panics
+// otherwise, since the open-frame layout depends on that set. The seed is
+// copied, so the caller may overwrite it afterwards. Whatever the search was
+// doing — half consumed, exhausted, rejected its previous seed — is dropped,
+// and views it handed out are invalidated. Cancellation carries over: the
+// poll countdown keeps running across seeds, and a search whose context has
 // fired stays exhausted with Err set.
 func (s *Search) Reseed(seed Assignment) {
 	if len(seed) != len(s.assign) {

@@ -1,10 +1,8 @@
-// Canonical structural fingerprints and match-order frame signatures: the
-// foundations of shared multi-GFD evaluation. A rule set Σ is heavily
-// redundant in practice — many GFDs carry one pattern (same Q, different
-// X → Y) or patterns that agree on a prefix of their match orders — and the
-// sharing layers (gfd.Set.Groups, match.EnumerateGrouped, the fingerprint-
-// keyed PlanCache) all need a cheap structural identity that does not depend
-// on pointer identity or variable names.
+// Canonical structural fingerprints: the foundation of shared multi-GFD
+// evaluation. A rule set Σ is heavily redundant in practice — many GFDs
+// carry one pattern (same Q, different X → Y) — and the sharing layers
+// (gfd.Set.Groups, the fingerprint-keyed PlanCache) need a cheap structural
+// identity that does not depend on pointer identity or variable names.
 //
 // Fingerprint hashes labels + topology under a canonical variable order
 // derived by color refinement (1-WL), so structurally equal patterns always
@@ -196,93 +194,4 @@ func sortedEdges(edges []Edge) []Edge {
 		return a.Label < b.Label
 	})
 	return es
-}
-
-// FrameEdge is one pattern edge a match-order frame checks: an edge between
-// order[i] and the variable at an earlier order position Pos (Pos == i for a
-// self-loop). Out reports the edge's direction: true for order[i] → order[Pos].
-type FrameEdge struct {
-	Out   bool
-	Pos   int
-	Label string
-}
-
-// FrameSig is the structural constraint frame i of a match order adds: the
-// variable's node label and every edge binding it to already-placed
-// variables. Two orders whose frame sequences agree up to depth L search
-// identical trees for their first L levels — the basis of prefix-shared
-// search across distinct patterns (match.EnumerateGrouped).
-type FrameSig struct {
-	Label string
-	Edges []FrameEdge // sorted by (Out, Pos, Label)
-}
-
-// Equal reports frame-signature equality.
-func (f FrameSig) Equal(g FrameSig) bool {
-	if f.Label != g.Label || len(f.Edges) != len(g.Edges) {
-		return false
-	}
-	for i := range f.Edges {
-		if f.Edges[i] != g.Edges[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OrderFrames computes the frame signature sequence of a match order: for
-// each position i, the label of order[i] and the edges connecting it to
-// order[0..i]. Every pattern edge appears in exactly one frame (the one of
-// its later-ordered endpoint; self-loops count once, as an Out edge). order
-// must cover the pattern's variables exactly once.
-func (p *Pattern) OrderFrames(order []Var) []FrameSig {
-	p.Freeze()
-	pos := make([]int, len(p.names))
-	for i := range pos {
-		pos[i] = -1
-	}
-	frames := make([]FrameSig, len(order))
-	for i, v := range order {
-		pos[v] = i
-		fs := FrameSig{Label: p.labels[v]}
-		for _, e := range p.out[v] {
-			if j := pos[e.To]; j >= 0 {
-				fs.Edges = append(fs.Edges, FrameEdge{Out: true, Pos: j, Label: e.Label})
-			}
-		}
-		for _, e := range p.in[v] {
-			// Self-loops were counted by the out pass.
-			if j := pos[e.From]; j >= 0 && e.From != v {
-				fs.Edges = append(fs.Edges, FrameEdge{Out: false, Pos: j, Label: e.Label})
-			}
-		}
-		sort.Slice(fs.Edges, func(a, b int) bool {
-			x, y := fs.Edges[a], fs.Edges[b]
-			if x.Out != y.Out {
-				return x.Out && !y.Out
-			}
-			if x.Pos != y.Pos {
-				return x.Pos < y.Pos
-			}
-			return x.Label < y.Label
-		})
-		frames[i] = fs
-	}
-	return frames
-}
-
-// FramePrefixLen returns the length of the longest common prefix of two
-// frame sequences: the depth to which two match orders explore the same
-// search tree.
-func FramePrefixLen(a, b []FrameSig) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if !a[i].Equal(b[i]) {
-			return i
-		}
-	}
-	return n
 }

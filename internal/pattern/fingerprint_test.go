@@ -146,60 +146,3 @@ func TestFingerprintNoCollisions(t *testing.T) {
 			len(byFP), distinctShapes)
 	}
 }
-
-// TestOrderFrames pins the frame decomposition: every pattern edge appears
-// in exactly one frame, at the position of its later-ordered endpoint, and
-// FramePrefixLen detects exactly where two orders diverge.
-func TestOrderFrames(t *testing.T) {
-	p := pattern.New()
-	x := p.AddVar("x", "a")
-	y := p.AddVar("y", "b")
-	z := p.AddVar("z", "c")
-	p.AddEdge(x, y, "e")
-	p.AddEdge(z, y, "f")
-	p.AddEdge(x, x, "self")
-
-	order := []pattern.Var{x, y, z}
-	frames := p.OrderFrames(order)
-	if len(frames) != 3 {
-		t.Fatalf("got %d frames, want 3", len(frames))
-	}
-	total := 0
-	for _, f := range frames {
-		total += len(f.Edges)
-	}
-	if total != len(p.Edges()) {
-		t.Fatalf("frames carry %d edges, pattern has %d", total, len(p.Edges()))
-	}
-	// Frame 0: x with its self-loop (counted once, as Out at Pos 0).
-	if frames[0].Label != "a" || len(frames[0].Edges) != 1 ||
-		frames[0].Edges[0] != (pattern.FrameEdge{Out: true, Pos: 0, Label: "self"}) {
-		t.Fatalf("frame 0 wrong: %+v", frames[0])
-	}
-	// Frame 1: y receives x->y (In edge from pos 0).
-	if frames[1].Label != "b" || len(frames[1].Edges) != 1 ||
-		frames[1].Edges[0] != (pattern.FrameEdge{Out: false, Pos: 0, Label: "e"}) {
-		t.Fatalf("frame 1 wrong: %+v", frames[1])
-	}
-	// Frame 2: z sends z->y (Out edge to pos 1).
-	if frames[2].Label != "c" || len(frames[2].Edges) != 1 ||
-		frames[2].Edges[0] != (pattern.FrameEdge{Out: true, Pos: 1, Label: "f"}) {
-		t.Fatalf("frame 2 wrong: %+v", frames[2])
-	}
-
-	// A pattern agreeing on the first two frames but diverging at the third.
-	q := pattern.New()
-	qx := q.AddVar("qx", "a")
-	qy := q.AddVar("qy", "b")
-	qw := q.AddVar("qw", "d")
-	q.AddEdge(qx, qy, "e")
-	q.AddEdge(qw, qy, "f")
-	q.AddEdge(qx, qx, "self")
-	qframes := q.OrderFrames([]pattern.Var{qx, qy, qw})
-	if got := pattern.FramePrefixLen(frames, qframes); got != 2 {
-		t.Fatalf("FramePrefixLen = %d, want 2 (labels diverge at frame 2)", got)
-	}
-	if got := pattern.FramePrefixLen(frames, frames); got != 3 {
-		t.Fatalf("self prefix = %d, want 3", got)
-	}
-}
