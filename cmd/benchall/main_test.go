@@ -75,7 +75,7 @@ func TestCIGateFailsOnARegressionAndKeepsTheReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const doctored = "freeze_ingest_speedup"
+	const doctored = "refreeze_speedup"
 	for i := range base.Metrics {
 		if base.Metrics[i].Name == doctored {
 			base.Metrics[i].Value = 1e9

@@ -1,8 +1,9 @@
 // Package repro is a reproduction of "Parallel Reasoning of Graph
 // Functional Dependencies" (Fan, Liu, Cao; ICDE 2018): sequential and
 // parallel-scalable algorithms for the satisfiability and implication
-// analyses of GFDs, with every substrate (property graphs, pattern
-// matching, canonical graphs, the Eq equivalence relation, a simulated
+// analyses of GFDs, with every substrate (property graphs with one CSR
+// index that every reader — the editable graph included — answers from,
+// pattern matching, canonical graphs, the Eq equivalence relation, a simulated
 // cluster runtime, workload generators and a chase baseline) implemented
 // from scratch on the Go standard library.
 //

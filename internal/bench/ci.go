@@ -66,8 +66,8 @@ func (r *CIReport) Get(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Canonical hub-heavy bulk-ingest workload size: large enough that the
-// mutable index's O(deg) sorted inserts dominate, small enough for a CI rep.
+// Canonical hub-heavy bulk-ingest workload size: large enough that Freeze's
+// per-node sorts dominate, small enough for a CI rep.
 const (
 	IngestNodes = 20000
 	IngestEdges = 100000
@@ -75,12 +75,10 @@ const (
 	ingestLabs  = 8
 )
 
-// HubHeavyIngest synthesizes the canonical bulk-ingest worst case for the
-// incremental index: IngestEdges edges over IngestNodes nodes where 80%
-// of edges pile onto a few hub nodes, delivered in shuffled order so the
-// sorted-insert tail fast path never helps. Each mutable AddEdge at a hub
-// then pays an O(deg) shift — exactly what Freeze's sort-once amortizes
-// away.
+// HubHeavyIngest synthesizes the canonical bulk-ingest workload:
+// IngestEdges edges over IngestNodes nodes where 80% of edges pile onto a
+// few hub nodes, delivered in shuffled order, so Freeze sorts a handful of
+// very long adjacency runs and many short ones.
 func HubHeavyIngest(seed int64) (from, to []graph.NodeID, lab []string) {
 	rng := rand.New(rand.NewSource(seed))
 	from = make([]graph.NodeID, IngestEdges)
@@ -107,22 +105,8 @@ func HubHeavyIngest(seed int64) (from, to []graph.NodeID, lab []string) {
 	return from, to, lab
 }
 
-// IngestIncremental bulk-loads a HubHeavyIngest workload through the
-// mutable path: AddEdge maintains the sorted per-label adjacency
-// incrementally, so hub nodes pay an O(deg) shift per insert.
-func IngestIncremental(from, to []graph.NodeID, lab []string) *graph.Graph {
-	g := graph.New()
-	for v := 0; v < IngestNodes; v++ {
-		g.AddNode("n")
-	}
-	for j := range from {
-		g.AddEdge(from[j], to[j], lab[j])
-	}
-	return g
-}
-
-// IngestFrozen bulk-loads the same workload through the Builder: O(1)
-// appends, one sort per adjacency run at Freeze.
+// IngestFrozen bulk-loads a HubHeavyIngest workload through the Builder:
+// O(1) appends, one sort per adjacency run at Freeze.
 func IngestFrozen(from, to []graph.NodeID, lab []string) *graph.Frozen {
 	b := graph.NewBuilder(IngestEdges)
 	for v := 0; v < IngestNodes; v++ {
@@ -139,11 +123,11 @@ func IngestFrozen(from, to []graph.NodeID, lab []string) *graph.Frozen {
 // patterns whose closing edge rejects most partial assignments. Not every
 // seed's schema closes a triangle, so the workload comes from the first
 // seed in [seed, seed+16) that does; the error fires when none does.
-func MatchWorkload(seed int64) (*graph.Graph, []*pattern.Pattern, error) {
+func MatchWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
 	for s := seed; s < seed+16; s++ {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
 		if ps := gen.SchemaTriangles(gr.Schema(), 12); len(ps) > 0 {
-			return gr.DenseGraph(2000, 64), ps, nil
+			return gr.DenseGraph(2000, 64).Frozen(), ps, nil
 		}
 	}
 	return nil, nil, fmt.Errorf("no triangle workload within seeds [%d,%d)", seed, seed+16)
@@ -422,10 +406,10 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 // SimulateWorkload builds the simulation pre-pass's input as ParSat sees it:
 // the pattern groups of a DBpedia-profile Σ of n rules (K=6, L=5, wildcard
 // rate 0.3 — the shape of the end-to-end benchmark's sat-dbpedia family) and
-// its canonical graph G_Σ.
-func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Graph) {
+// its canonical graph G_Σ, as the snapshot the engines search.
+func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Frozen) {
 	set := satSigma(n, seed)
-	return set.Groups(), canon.BuildSigma(set).Graph
+	return set.Groups(), canon.BuildSigma(set).Graph.Frozen()
 }
 
 // satSigma generates the Σ shape of the end-to-end benchmark's sat-dbpedia
@@ -454,7 +438,7 @@ func SimulateSigma(groups []gfd.Group, g graph.Reader) int {
 // G_Σ, enumerated once, in SeqSat's rule order.
 func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 	set := satSigma(n, seed)
-	g := canon.BuildSigma(set).Graph
+	g := canon.BuildSigma(set).Graph.Frozen()
 	var ms []core.Match
 	for _, gi := range depgraph.OrderGFDs(set) {
 		s := match.NewSearch(set.GFDs[gi].Pattern, g, match.Options{})
@@ -465,9 +449,8 @@ func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 	return set, ms
 }
 
-// RunCI measures the CI metric suite: freeze-vs-incremental bulk ingest on
-// the 100k-edge hub-heavy graph, the matching hot path on both
-// representations (frozen CSR, mutable indexed) on the label-dense triangle
+// RunCI measures the CI metric suite: bulk ingest of the 100k-edge
+// hub-heavy graph, the matching hot path on the label-dense triangle
 // workload, the sharded parallel fan-out against the flat single-threaded
 // enumeration of the same workload, the adaptive intersection kernels on the
 // skewed hub workload, the warm plan cache against per-query planning,
@@ -503,35 +486,23 @@ func RunCI(cfg Config) (*CIReport, error) {
 	}
 
 	from, to, lab := HubHeavyIngest(cfg.Seed)
-	incremental := medianTime(cfg.Reps, func() { IngestIncremental(from, to, lab) })
 	freeze := medianTime(cfg.Reps, func() { IngestFrozen(from, to, lab) })
-	gauge("freeze_ingest_speedup", incremental, freeze)
-	info("incremental_ingest_ms", incremental)
 	info("freeze_ingest_ms", freeze)
 
-	g, ps, err := MatchWorkload(cfg.Seed)
+	f, ps, err := MatchWorkload(cfg.Seed)
 	if err != nil {
 		return report, fmt.Errorf("cannot measure match metrics: %v", err)
 	}
-	f := g.Frozen()
-	matchAll := func(data graph.Reader) time.Duration {
-		return medianTime(cfg.Reps, func() {
-			for _, p := range ps {
-				match.NewSearch(p, data, match.Options{}).CountAll()
-			}
-		})
-	}
-	frozen, indexed := matchAll(f), matchAll(g)
-	gauge("match_frozen_gain", indexed, frozen)
-	info("match_frozen_ms", frozen)
-	info("match_indexed_ms", indexed)
-	// Gated: a match is a view, so the flagship enumeration allocates per
-	// search (frames, candidate buffers), never per match.
-	frozenAllocs := allocsPerOp(cfg.Reps, func() {
+	matchAll := func() {
 		for _, p := range ps {
 			match.NewSearch(p, f, match.Options{}).CountAll()
 		}
-	})
+	}
+	frozen := medianTime(cfg.Reps, matchAll)
+	info("match_frozen_ms", frozen)
+	// Gated: a match is a view, so the flagship enumeration allocates per
+	// search (frames, candidate buffers), never per match.
+	frozenAllocs := allocsPerOp(cfg.Reps, matchAll)
 	report.Metrics = append(report.Metrics, Metric{Name: "match_frozen_allocs", Value: frozenAllocs, Unit: "allocs/op"})
 
 	// Sharded fan-out vs the flat single-threaded enumeration of the same

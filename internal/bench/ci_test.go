@@ -124,8 +124,7 @@ func TestRunCISmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"freeze_ingest_speedup", "match_frozen_gain", "match_sharded_speedup",
-		"plan_cache_speedup", "refreeze_speedup", "incr_validate_speedup",
+		"match_sharded_speedup", "plan_cache_speedup", "refreeze_speedup", "incr_validate_speedup",
 		"snapshot_load_speedup", "compact_refreeze_speedup",
 	} {
 		m, ok := r.Get(name)
@@ -155,7 +154,7 @@ func TestRunCISmoke(t *testing.T) {
 			t.Errorf("%s: baseline informational=%v, RunCI informational=%v", b.Name, b.Informational, m.Informational)
 		}
 	}
-	if out := r.Format(); !strings.Contains(out, "freeze_ingest_speedup") {
+	if out := r.Format(); !strings.Contains(out, "refreeze_speedup") {
 		t.Fatalf("Format omits metrics:\n%s", out)
 	}
 }

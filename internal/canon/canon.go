@@ -22,12 +22,13 @@ type Sigma struct {
 	Set    *gfd.Set
 }
 
-// BuildSigma constructs G_Σ.
+// BuildSigma constructs G_Σ. The graph is built once and only read after:
+// the engines search its Frozen snapshot.
 func BuildSigma(set *gfd.Set) *Sigma {
 	g := graph.New()
 	offsets := make([]graph.NodeID, set.Len())
 	for i, phi := range set.GFDs {
-		offsets[i] = g.DisjointUnion(phi.Pattern.AsGraph())
+		offsets[i] = phi.Pattern.AppendTo(g)
 	}
 	return &Sigma{Graph: g, Offset: offsets, Set: set}
 }

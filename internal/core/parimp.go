@@ -19,7 +19,7 @@ func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	if cp.YDeduced(cp.EqX) {
 		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
 	}
-	eng := newParEngine(opt, set, cp.Graph, cp.EqX)
+	eng := newParEngine(opt, set, cp.Graph.Frozen(), cp.EqX)
 	eng.goal = func(e *eq.Eq) bool { return cp.YDeduced(e) }
 	// Highest unit priority for GFDs whose antecedent X_ψ is subsumed by
 	// Eq_X — they fire immediately on G^X_Q (Section VI-C(a)).

@@ -17,7 +17,7 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
-	con, _, final, stats, err := newParEngine(opt, set, cs.Graph, eq.New()).run()
+	con, _, final, stats, err := newParEngine(opt, set, cs.Graph.Frozen(), eq.New()).run()
 	if err != nil {
 		return &SatResult{Err: err, Stats: stats}
 	}

@@ -117,8 +117,8 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 		if _, ok := hoods[r]; ok {
 			continue
 		}
-		hood := match.MultiSourceNeighborhood(old, touched, r)
-		for v := range match.MultiSourceNeighborhood(updated, touched, r) {
+		hood := graph.Neighborhood(old, touched, r)
+		for v := range graph.Neighborhood(updated, touched, r) {
 			hood[v] = true
 		}
 		hoods[r] = hood

@@ -77,9 +77,10 @@ func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
 		return false, nil
 	}
 
+	g := cp.Graph.Frozen()
 	order := orderForImplication(set, cp)
 	for _, gi := range order {
-		s := match.NewSearch(set.GFDs[gi].Pattern, cp.Graph, match.Options{})
+		s := match.NewSearch(set.GFDs[gi].Pattern, g, match.Options{})
 		for {
 			h, ok := s.Next()
 			if !ok {

@@ -77,6 +77,7 @@ func SeqSat(set *gfd.Set) *SatResult {
 		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
+	g := cs.Graph.Frozen() // G_Σ is searched as a Frozen
 	enf := newSeqEnforcer(eq.New(), set)
 
 	// Process GFDs of the form Q[x̄](∅→Y) first, then follow the interaction
@@ -84,7 +85,7 @@ func SeqSat(set *gfd.Set) *SatResult {
 	// (Church–Rosser), ordering just reduces re-checks.
 	order := depgraph.OrderGFDs(set)
 	for _, gi := range order {
-		s := match.NewSearch(set.GFDs[gi].Pattern, cs.Graph, match.Options{})
+		s := match.NewSearch(set.GFDs[gi].Pattern, g, match.Options{})
 		for {
 			h, ok := s.Next()
 			if !ok {

@@ -451,15 +451,6 @@ func (e *Eq) termsOf(hs []Handle) []Term {
 // Has reports whether the class [t] exists.
 func (e *Eq) Has(t Term) bool { return e.lookupTerm(t) != NoHandle }
 
-// Ensure creates the singleton class [t] if missing and reports whether it
-// was created.
-func (e *Eq) Ensure(t Term) bool {
-	h := e.handleOfTerm(t)
-	created := !e.HasAt(h)
-	e.create(h)
-	return created
-}
-
 // Const returns the constant attached to [t], if any.
 func (e *Eq) Const(t Term) (string, bool) {
 	h := e.lookupTerm(t)

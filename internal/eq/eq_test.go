@@ -96,8 +96,8 @@ func TestChangedTermsOnConstPropagation(t *testing.T) {
 	// side's members too (they just gained a constant).
 	e2 := New()
 	e2.AssignConst(tm(0, "A"), "1")
-	e2.Ensure(tm(1, "B"))
-	e2.Ensure(tm(2, "C"))
+	e2.create(e2.handleOfTerm(tm(1, "B")))
+	e2.create(e2.handleOfTerm(tm(2, "C")))
 	e2.Merge(tm(1, "B"), tm(2, "C"))
 	changed = e2.Merge(tm(0, "A"), tm(1, "B"))
 	seen := map[Term]bool{}
@@ -374,7 +374,7 @@ func TestMergeReportsCreatedClasses(t *testing.T) {
 	for _, preexisting := range []bool{false, true} {
 		e := New()
 		if preexisting {
-			e.Ensure(tm(1, "B"))
+			e.create(e.handleOfTerm(tm(1, "B")))
 		}
 		changed := e.Merge(tm(0, "A"), tm(1, "B"))
 		got := map[Term]bool{}

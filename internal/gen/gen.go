@@ -503,24 +503,12 @@ func (g *Generator) NonImpliedGFD() *gfd.GFD {
 }
 
 // ConsistentGraph materializes a data graph where every node's attributes
-// follow W — a model-like graph for the mined-GFD scenario. The mutable
-// representation is the default for these small workloads; see
-// ConsistentFrozen for the bulk-load variant.
+// follow W — a model-like graph for the mined-GFD scenario.
 func (g *Generator) ConsistentGraph(nodes int) *graph.Graph {
 	gr := graph.New()
 	labels := g.consistentNodes(gr, nodes)
 	g.consistentEdges(gr, labels)
 	return gr
-}
-
-// ConsistentFrozen is ConsistentGraph through the bulk-load path: the same
-// synthesis (identical for the same generator state) appended into a
-// graph.Builder and frozen into an immutable CSR snapshot.
-func (g *Generator) ConsistentFrozen(nodes int) *graph.Frozen {
-	b := graph.NewBuilder(0)
-	labels := g.consistentNodes(b, nodes)
-	g.consistentEdges(b, labels)
-	return b.Freeze()
 }
 
 // consistentEdges links each node along the frequent-edge schema to the

@@ -27,26 +27,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/gfd"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
-// ReadGraph parses the graph format into a mutable graph.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	g := graph.New()
-	if err := readGraphInto(r, g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // ReadFrozenGraph parses the graph format through the bulk-load path —
 // O(1) edge appends into a graph.Builder, one sort at Freeze — and returns
-// the immutable CSR snapshot. This is the fast ingest route for large
-// read-only graphs (validation); ReadGraph stays the choice when
-// the result must remain editable.
+// the immutable CSR snapshot.
 func ReadFrozenGraph(r io.Reader) (*graph.Frozen, error) {
 	b := graph.NewBuilder(0)
 	if err := readGraphInto(r, b); err != nil {
@@ -110,11 +100,22 @@ func readGraphInto(r io.Reader, g graph.Sink) error {
 	return nil
 }
 
-// WriteGraph emits the graph format from either representation.
+// WriteGraph emits the graph format from any representation. It writes only
+// what ReadFrozenGraph reads back as the same graph and returns an error,
+// naming the node or edge, for the rest: the format splits a line on
+// whitespace and an attribute at its first '=', and has no way to say that
+// an ID slot is tombstoned (Compact such a graph first).
 func WriteGraph(w io.Writer, g graph.Reader) error {
 	bw := bufio.NewWriter(w)
+	alive, _ := g.(interface{ Alive(graph.NodeID) bool })
 	for i := 0; i < g.NumNodes(); i++ {
 		id := graph.NodeID(i)
+		if alive != nil && !alive.Alive(id) {
+			return fmt.Errorf("gfdio: node %d is tombstoned, which the text format cannot express", i)
+		}
+		if !isField(g.Label(id)) {
+			return fmt.Errorf("gfdio: node %d: label %q is empty or contains whitespace", i, g.Label(id))
+		}
 		fmt.Fprintf(bw, "node %d %s", i, g.Label(id))
 		attrs := g.Attrs(id)
 		keys := make([]string, 0, len(attrs))
@@ -123,16 +124,36 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
+			if !isField(k) || strings.Contains(k, "=") {
+				return fmt.Errorf("gfdio: node %d: attribute name %q is empty or contains whitespace or '='", i, k)
+			}
+			if strings.ContainsFunc(attrs[k], unicode.IsSpace) {
+				return fmt.Errorf("gfdio: node %d: value %q of attribute %s contains whitespace", i, attrs[k], k)
+			}
 			fmt.Fprintf(bw, " %s=%s", k, attrs[k])
 		}
 		bw.WriteByte('\n')
 	}
+	// Edge lists repeat few labels, in runs: a label equal to the last one
+	// found writable is not scanned again ("" never is, so it starts there).
+	checked := ""
 	for i := 0; i < g.NumNodes(); i++ {
 		for _, e := range g.Out(graph.NodeID(i)) {
+			if e.Label != checked || e.Label == "" {
+				if !isField(e.Label) {
+					return fmt.Errorf("gfdio: edge %d -> %d: label %q is empty or contains whitespace", e.From, e.To, e.Label)
+				}
+				checked = e.Label
+			}
 			fmt.Fprintf(bw, "edge %d %d %s\n", e.From, e.To, e.Label)
 		}
 	}
 	return bw.Flush()
+}
+
+// isField reports whether s survives strings.Fields as one field.
+func isField(s string) bool {
+	return s != "" && !strings.ContainsFunc(s, unicode.IsSpace)
 }
 
 // ReadGFDs parses a file of gfd blocks.

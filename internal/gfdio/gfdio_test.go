@@ -19,7 +19,7 @@ edge 1 2 lives
 `
 
 func TestReadGraph(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader(sampleGraph))
+	g, err := ReadFrozenGraph(strings.NewReader(sampleGraph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,21 +34,101 @@ func TestReadGraph(t *testing.T) {
 	}
 }
 
+// TestGraphRoundTrip writes the parsed sample from both build targets — the
+// snapshot ReadFrozenGraph returns and an editable graph filled through the
+// same parser — and re-parses the text: every spelling is the same graph.
 func TestGraphRoundTrip(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader(sampleGraph))
+	f, err := ReadFrozenGraph(strings.NewReader(sampleGraph))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := WriteGraph(&b, g); err != nil {
+	g := graph.New()
+	if err := readGraphInto(strings.NewReader(sampleGraph), g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadGraph(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\n%s", err, b.String())
+	var fromFrozen, fromGraph strings.Builder
+	if err := WriteGraph(&fromFrozen, f); err != nil {
+		t.Fatal(err)
 	}
-	if g.String() != g2.String() {
-		t.Fatalf("round trip changed graph:\n%s\nvs\n%s", g, g2)
+	if err := WriteGraph(&fromGraph, g); err != nil {
+		t.Fatal(err)
+	}
+	g2 := graph.New()
+	if err := readGraphInto(strings.NewReader(fromFrozen.String()), g2); err != nil {
+		t.Fatalf("re-parse failed: %v\n%s", err, fromFrozen.String())
+	}
+	if g.String() != g2.String() || fromGraph.String() != g.String() {
+		t.Fatalf("round trip changed graph:\n%s\nvs\n%s\nvs\n%s", g, g2, fromGraph.String())
+	}
+}
+
+// TestWriteGraphRefusesWhatItCannotReadBack pins the writer's side of the
+// round trip: a token the reader would split or drop, and a tombstoned slot
+// the format cannot express, are errors naming the node or edge — never a
+// file that parses as another graph or not at all.
+func TestWriteGraphRefusesWhatItCannotReadBack(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(g *graph.Graph)
+		want  string // substring of the error; "" = must round-trip
+	}{
+		{"plain", func(g *graph.Graph) {
+			g.SetAttr(g.AddNode("a"), "name", "John")
+			g.AddEdge(0, g.AddNode("b"), "knows")
+		}, ""},
+		{"empty value and '=' in a value are legal", func(g *graph.Graph) {
+			g.SetAttr(g.AddNode("a"), "k", "")
+			g.SetAttr(0, "eq", "x=y")
+		}, ""},
+		{"space in value", func(g *graph.Graph) {
+			g.AddNode("a")
+			g.SetAttr(g.AddNode("a"), "name", "John Smith")
+		}, `node 1: value "John Smith" of attribute name`},
+		{"tab in attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "first\tname", "J") }, `node 0: attribute name "first\tname"`},
+		{"empty attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "", "v") }, `node 0: attribute name ""`},
+		{"'=' in attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "a=b", "v") }, `node 0: attribute name "a=b"`},
+		{"empty node label", func(g *graph.Graph) { g.AddNode("") }, `node 0: label ""`},
+		{"newline in node label", func(g *graph.Graph) { g.AddNode("a\nnode 1 b") }, `node 0: label`},
+		{"space in edge label", func(g *graph.Graph) {
+			g.AddEdge(g.AddNode("a"), g.AddNode("b"), "lives in")
+		}, `edge 0 -> 1: label "lives in"`},
+		{"empty edge label", func(g *graph.Graph) { g.AddEdge(g.AddNode("a"), g.AddNode("b"), "") }, `edge 0 -> 1: label ""`},
+		{"tombstone", func(g *graph.Graph) {
+			g.AddNode("a")
+			g.RemoveNode(g.AddNode("b"))
+		}, "node 1 is tombstoned"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := graph.New()
+			c.build(g)
+			// The editable graph, its snapshot and an overlay all report
+			// Alive; each must refuse or round-trip alike.
+			for name, r := range map[string]graph.Reader{"graph": g, "frozen": g.Frozen(), "overlay": graph.NewDelta(g.Frozen()).Overlay()} {
+				var b strings.Builder
+				err := WriteGraph(&b, r)
+				if c.want != "" {
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				back, err := ReadFrozenGraph(strings.NewReader(b.String()))
+				if err != nil {
+					t.Fatalf("%s: wrote a file it cannot read: %v\n%s", name, err, b.String())
+				}
+				var again strings.Builder
+				if err := WriteGraph(&again, back); err != nil || again.String() != b.String() {
+					t.Errorf("%s: second trip differs (%v):\n%s\nvs\n%s", name, err, b.String(), again.String())
+				}
+				if back.LabelFrequency("b") != r.LabelFrequency("b") {
+					t.Errorf("%s: LabelFrequency(b) %d → %d", name, r.LabelFrequency("b"), back.LabelFrequency("b"))
+				}
+			}
+		})
 	}
 }
 
@@ -62,7 +142,7 @@ func TestReadGraphErrors(t *testing.T) {
 		"node 0 p broken",      // bad attr
 	}
 	for _, c := range cases {
-		if _, err := ReadGraph(strings.NewReader(c)); err == nil {
+		if _, err := ReadFrozenGraph(strings.NewReader(c)); err == nil {
 			t.Errorf("no error for %q", c)
 		}
 	}

@@ -1,5 +1,5 @@
 // Binary snapshot I/O alongside the text graph format. The text format
-// (ReadGraph/WriteGraph) stays the interchange and authoring format; the
+// (ReadFrozenGraph/WriteGraph) stays the interchange and authoring format; the
 // snapshot image (graph.WriteSnapshot) is the serving format — loading one
 // skips parsing and the freeze sort entirely. ReadAnyGraph sniffs the magic
 // bytes so tools accept either transparently.

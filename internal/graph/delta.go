@@ -198,6 +198,88 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 	d.bump()
 }
 
+// labelAdj is one node's edge-label-keyed list of added (or removed)
+// endpoints: grouped by interned edge label, plus the flat list of all of
+// them for wildcard queries. A node's distinct incident labels are few, so
+// the per-label lists are found by linear scan over an int slice — no
+// hashing, no per-lookup allocation. Endpoints are kept in ascending NodeID
+// order, which is what buildRow merges against the base's CSR runs; `all`
+// can hold the same neighbor more than once when parallel edges differ only
+// in label.
+type labelAdj struct {
+	labels []LabelID
+	lists  [][]NodeID
+	all    []NodeID
+}
+
+func (a *labelAdj) add(id LabelID, n NodeID) {
+	a.all = insertSorted(a.all, n)
+	for i, l := range a.labels {
+		if l == id {
+			a.lists[i] = insertSorted(a.lists[i], n)
+			return
+		}
+	}
+	a.labels = append(a.labels, id)
+	a.lists = append(a.lists, []NodeID{n})
+}
+
+// remove deletes one occurrence of n from the label's list and from the
+// wildcard view. A label whose list empties keeps its (empty) slot; the
+// per-node distinct-label count is small enough that compaction buys
+// nothing.
+func (a *labelAdj) remove(id LabelID, n NodeID) {
+	a.all = removeSorted(a.all, n)
+	for i, l := range a.labels {
+		if l == id {
+			a.lists[i] = removeSorted(a.lists[i], n)
+			return
+		}
+	}
+}
+
+// endpoints returns the endpoints recorded for a label query, with AnyLabel
+// meaning "any edge label".
+func (a *labelAdj) endpoints(id LabelID) []NodeID {
+	if id == AnyLabel {
+		return a.all
+	}
+	for i, l := range a.labels {
+		if l == id {
+			return a.lists[i]
+		}
+	}
+	return nil
+}
+
+// insertSorted inserts n into an ascending list (duplicates allowed). A
+// delta is a small batch, so the O(len) shift of an out-of-order insert is
+// never the bulk-ingest cost Builder/Freeze exist to avoid.
+func insertSorted(list []NodeID, n NodeID) []NodeID {
+	i, _ := slices.BinarySearch(list, n)
+	return slices.Insert(list, i, n)
+}
+
+// removeSorted deletes one occurrence of n from an ascending list.
+func removeSorted(list []NodeID, n NodeID) []NodeID {
+	if i, found := slices.BinarySearch(list, n); found {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// containsSorted reports whether an ascending list contains n.
+func containsSorted(list []NodeID, n NodeID) bool {
+	_, found := slices.BinarySearch(list, n)
+	return found
+}
+
+// edgeKey is the integer-only key of the added/removed edge sets.
+type edgeKey struct {
+	from, to NodeID
+	label    LabelID
+}
+
 // adjOf returns the labelAdj for v in m, allocating on first use.
 func adjOf(m map[NodeID]*labelAdj, v NodeID) *labelAdj {
 	a := m[v]
@@ -635,9 +717,6 @@ type Overlay struct {
 	epoch   uint64
 	bitsets bitsetCache
 }
-
-// Delta returns the delta the overlay composes over its base.
-func (o *Overlay) Delta() *Delta { return o.d }
 
 // Base returns the underlying base snapshot.
 func (o *Overlay) Base() *Frozen { return o.base }

@@ -98,14 +98,16 @@ func edgesEqual(a, b []Edge) bool {
 	return true
 }
 
-// checkReaderEquivalence compares got against want on every Reader query,
-// by label *name* (interned IDs deliberately do not transfer across
-// representations).
+// checkReaderEquivalence checks got on every Reader query against what a
+// linear scan of want's raw Out, Label, Attrs and Alive says (see scanRef):
+// want's own index methods are never called. Queries go by label *name*
+// (interned IDs deliberately do not transfer across representations).
 func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabels, edgeLabels []string) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || size(got) != size(want) {
+	ref := scan(want)
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != len(ref.edges) || size(got) != ref.size() {
 		t.Fatalf("%s: cardinalities diverge: V=%d/%d E=%d/%d |G|=%d/%d", ctx,
-			got.NumNodes(), want.NumNodes(), got.NumEdges(), want.NumEdges(), size(got), size(want))
+			got.NumNodes(), want.NumNodes(), got.NumEdges(), len(ref.edges), size(got), ref.size())
 	}
 	n := want.NumNodes()
 	queryEdgeLabels := append(append([]string(nil), edgeLabels...), Wildcard, "absent")
@@ -127,21 +129,21 @@ func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabe
 			t.Fatalf("%s: Out(%d) diverges:\n got %v\nwant %v", ctx, v, sortedEdges(got.Out(id)), sortedEdges(want.Out(id)))
 		}
 		for _, l := range queryEdgeLabels {
-			if !idsEqual(outByLabel(got, id, l), outByLabel(want, id, l)) {
-				t.Fatalf("%s: OutByLabel(%d,%q) = %v, want %v", ctx, v, l, outByLabel(got, id, l), outByLabel(want, id, l))
+			if !idsEqual(outByLabel(got, id, l), ref.out(id, l)) {
+				t.Fatalf("%s: OutByLabel(%d,%q) = %v, want %v", ctx, v, l, outByLabel(got, id, l), ref.out(id, l))
 			}
-			if !idsEqual(inByLabel(got, id, l), inByLabel(want, id, l)) {
-				t.Fatalf("%s: InByLabel(%d,%q) = %v, want %v", ctx, v, l, inByLabel(got, id, l), inByLabel(want, id, l))
+			if !idsEqual(inByLabel(got, id, l), ref.in(id, l)) {
+				t.Fatalf("%s: InByLabel(%d,%q) = %v, want %v", ctx, v, l, inByLabel(got, id, l), ref.in(id, l))
 			}
 			for u := 0; u < n; u++ {
-				if HasEdge(got, id, NodeID(u), l) != HasEdge(want, id, NodeID(u), l) {
+				if HasEdge(got, id, NodeID(u), l) != ref.hasEdge(id, NodeID(u), l) {
 					t.Fatalf("%s: HasEdge(%d,%d,%q) = %v, want %v", ctx, v, u, l,
-						HasEdge(got, id, NodeID(u), l), HasEdge(want, id, NodeID(u), l))
+						HasEdge(got, id, NodeID(u), l), ref.hasEdge(id, NodeID(u), l))
 				}
 			}
 		}
 		for d := 1; d <= 2; d++ {
-			wn, gn := Neighborhood(want, id, d), Neighborhood(got, id, d)
+			wn, gn := ref.hood(id, d), Neighborhood(got, []NodeID{id}, d)
 			if len(wn) != len(gn) {
 				t.Fatalf("%s: Neighborhood(%d,%d) sizes %d vs %d", ctx, v, d, len(gn), len(wn))
 			}
@@ -153,16 +155,16 @@ func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabe
 		}
 	}
 	for _, l := range append(append([]string(nil), nodeLabels...), Wildcard, "absent") {
-		if !idsEqual(CandidateNodes(got, l), CandidateNodes(want, l)) {
-			t.Fatalf("%s: CandidateNodes(%q) = %v, want %v", ctx, l, CandidateNodes(got, l), CandidateNodes(want, l))
+		if !idsEqual(CandidateNodes(got, l), ref.candidates(l)) {
+			t.Fatalf("%s: CandidateNodes(%q) = %v, want %v", ctx, l, CandidateNodes(got, l), ref.candidates(l))
 		}
-		if got.LabelFrequency(l) != want.LabelFrequency(l) {
-			t.Fatalf("%s: LabelFrequency(%q) = %d, want %d", ctx, l, got.LabelFrequency(l), want.LabelFrequency(l))
+		if got.LabelFrequency(l) != len(ref.candidates(l)) {
+			t.Fatalf("%s: LabelFrequency(%q) = %d, want %d", ctx, l, got.LabelFrequency(l), len(ref.candidates(l)))
 		}
 	}
 	for _, sig := range []Signature{{}, {Out: []string{edgeLabels[0]}}, {In: []string{edgeLabels[0], Wildcard}}, {Out: []string{"absent"}}} {
 		for v := 0; v < n; v++ {
-			if covers(got, NodeID(v), sig) != covers(want, NodeID(v), sig) {
+			if covers(got, NodeID(v), sig) != ref.covers(NodeID(v), sig) {
 				t.Fatalf("%s: Covers(%d,%v) diverges", ctx, v, sig)
 			}
 		}
@@ -171,9 +173,10 @@ func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabe
 
 // TestOverlayEquivalenceRandom is the overlay-equivalence property: after
 // any update stream, the Overlay over (base Frozen + Delta) answers every
-// Reader query exactly like a mutable Graph that applied the same stream,
-// and Refreeze produces a snapshot equal to a from-scratch Freeze of the
-// final state. A second round re-runs the property with the refrozen
+// Reader query as a scan of an editable Graph that applied the same stream
+// says — and so does that Graph itself, through the snapshot it re-freezes
+// after the stream — and Refreeze produces a snapshot equal to a
+// from-scratch Freeze of the final state. A second round re-runs the property with the refrozen
 // snapshot as the base, covering tombstoned and extended bases.
 func TestOverlayEquivalenceRandom(t *testing.T) {
 	nodeLabels := []string{"a", "b", "c", Wildcard}
@@ -188,6 +191,7 @@ func TestOverlayEquivalenceRandom(t *testing.T) {
 		ctx := fmt.Sprintf("seed=%d n=%d delta=%v", seed, n, d)
 		overlay := d.Overlay()
 		checkReaderEquivalence(t, ctx+" overlay", mirror, overlay, nodeLabels, edgeLabels)
+		checkReaderEquivalence(t, ctx+" mirror", mirror, mirror, nodeLabels, edgeLabels)
 
 		refrozen := base.Refreeze(d)
 		checkReaderEquivalence(t, ctx+" refrozen", mirror, refrozen, nodeLabels, edgeLabels)
@@ -227,7 +231,7 @@ func TestShardedRefreeze(t *testing.T) {
 			}
 			edges := 0
 			for i := 0; i < ns.ShardCount(); i++ {
-				lo, hi := ns.ShardBounds(i)
+				lo, hi := ns.shards[i].lo, ns.shards[i].hi
 				want := carveShard(nf, lo, hi)
 				got := ns.shards[i]
 				if got.edges != want.edges || got.frontierOut != want.frontierOut ||
@@ -349,17 +353,17 @@ func TestShardedEmptyTailCollapse(t *testing.T) {
 			t.Fatalf("k=%d: no shards", k)
 		}
 		for i := 0; i < s.ShardCount(); i++ {
-			if lo, hi := s.ShardBounds(i); hi <= lo {
+			if lo, hi := s.shards[i].lo, s.shards[i].hi; hi <= lo {
 				t.Fatalf("k=%d: shard %d is empty [%d,%d)", k, i, lo, hi)
 			}
 		}
 		owned := 0
 		for i := 0; i < s.ShardCount(); i++ {
-			lo, hi := s.ShardBounds(i)
+			lo, hi := s.shards[i].lo, s.shards[i].hi
 			owned += int(hi - lo)
 			for v := lo; v < hi; v++ {
-				if s.ShardOf(v) != i {
-					t.Fatalf("k=%d: ShardOf(%d)=%d, owner %d", k, v, s.ShardOf(v), i)
+				if int(v)/s.stride != i {
+					t.Fatalf("k=%d: stride routes %d to shard %d, owner %d", k, v, int(v)/s.stride, i)
 				}
 			}
 		}

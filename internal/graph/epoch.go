@@ -2,11 +2,13 @@
 // Every snapshot construction path (Freeze, Refreeze, Compact, ReadSnapshot,
 // Delta.Overlay) draws a fresh value from one atomic counter, so two readers
 // share an epoch exactly when they serve the same immutable contents — a
-// Sharded view reports its underlying Frozen's epoch. Derived artifacts
+// Sharded view reports its underlying Frozen's epoch, and so does an editable
+// Graph for the snapshot it currently reads through. Derived artifacts
 // compiled against a snapshot (match plans, caches) carry the epoch they
 // were built from and compare it to the reader they are asked to serve:
-// a Refreeze or Compact mints a new epoch, so stale artifacts are
-// mechanically unreachable without any registration or invalidation hooks.
+// a Refreeze, a Compact or an edit of a Graph mints a new epoch, so stale
+// artifacts are mechanically unreachable without any registration or
+// invalidation hooks.
 // Epochs order construction within a process but are not persisted: a
 // snapshot read back from disk is a new in-memory object and gets a new
 // epoch.
@@ -21,12 +23,12 @@ var epochCounter atomic.Uint64
 // nextEpoch returns a process-unique, monotonically increasing epoch token.
 func nextEpoch() uint64 { return epochCounter.Add(1) }
 
-// EpochView is the optional Reader extension implemented by immutable
-// snapshots: Epoch returns the reader's construction token. Two EpochView
+// EpochView is the Reader extension every representation implements: Epoch
+// returns the token of the snapshot the reader answers from. Two EpochView
 // readers with equal epochs serve identical graph contents for the life of
-// the process. The mutable *Graph deliberately does not implement it —
-// its contents have no stable identity; consumers needing staleness checks
-// there use Version instead.
+// the process. An immutable snapshot's epoch never changes; a *Graph reports
+// the epoch of its current Frozen, so it moves when the graph is mutated and
+// read again.
 type EpochView interface {
 	Reader
 	Epoch() uint64
@@ -41,14 +43,8 @@ func (f *Frozen) Epoch() uint64 { return f.epoch }
 // different (possibly diverged) snapshot.
 func (o *Overlay) Epoch() uint64 { return o.epoch }
 
-// Version returns g's mutation counter: it increases on every mutating
-// call (AddNode, AddEdge, RemoveEdge, RemoveNode, SetAttr), so a consumer
-// holding (pointer, version) can detect that a mutable graph changed under
-// a derived artifact. Unlike epochs, versions are meaningful only relative
-// to one *Graph instance.
-func (g *Graph) Version() uint64 { return g.version }
-
 var (
+	_ EpochView = (*Graph)(nil)
 	_ EpochView = (*Frozen)(nil)
 	_ EpochView = (*Sharded)(nil)
 	_ EpochView = (*Overlay)(nil)

@@ -1,11 +1,9 @@
-// Freeze-time CSR snapshots. The mutable Graph keeps its label-keyed
-// adjacency sorted incrementally, which costs an O(deg) shift per AddEdge at
-// hub nodes — fine for small or incremental workloads, a bottleneck for bulk
-// ingest of large graphs. Builder+Frozen trade a build phase for dense array
-// scans: the Builder appends edges unsorted in O(1) each, and Freeze sorts
-// once per node (O(E log deg) total) into compressed sparse rows, yielding
-// an immutable snapshot that serves the whole Reader API from a handful of
-// flat arrays.
+// Freeze-time CSR snapshots: the one index a graph has. The Builder appends
+// edges unsorted in O(1) each, and Freeze sorts once per node (O(E log deg)
+// total) into compressed sparse rows, yielding an immutable snapshot that
+// serves the whole Reader API from a handful of flat arrays. The editable
+// Graph keeps no index of its own: it reads through the snapshot Graph.Frozen
+// builds this way (graph.go).
 package graph
 
 import (
@@ -115,24 +113,6 @@ func (b *Builder) NumNodes() int { return len(b.nodes) }
 // yet collapsed; the Frozen snapshot's NumEdges counts distinct edges.
 func (b *Builder) NumEdges() int { return len(b.from) }
 
-// Graph materializes the builder's contents as a mutable *Graph by
-// replaying the nodes and edges through the incremental ingest path. Use it
-// when the result must stay editable; use Freeze for read-only workloads.
-func (b *Builder) Graph() *Graph {
-	g := New()
-	for i := range b.nodes {
-		n := &b.nodes[i]
-		id := g.AddNode(n.Label)
-		for k, v := range n.Attrs {
-			g.SetAttr(id, k, v)
-		}
-	}
-	for i := range b.from {
-		g.AddEdge(b.from[i], b.to[i], b.labelNames[b.lab[i]])
-	}
-	return g
-}
-
 // Freeze sorts the accumulated edges into an immutable CSR snapshot and
 // returns it. The builder is consumed: the snapshot shares the builder's
 // node and label storage, and further Add/Set calls panic. Total cost is
@@ -238,11 +218,10 @@ func buildCSR(n int, src, dst []NodeID, lab []LabelID) csrDir {
 // (label, target) — each label's endpoints are a contiguous ascending
 // sub-run — and the same span of all holds them sorted by target only, the
 // wildcard-query view (a target repeats when parallel edges differ only in
-// label, mirroring the mutable index). The directory run
+// label). The directory run
 // [dirOff[v], dirOff[v+1]) lists v's distinct labels with each sub-run's
-// start offset into targets, so a label query is the same short linear
-// scan over distinct labels the mutable index does — a node's distinct
-// incident labels are few.
+// start offset into targets, so a label query is a short linear scan over
+// distinct labels — a node's distinct incident labels are few.
 type csrDir struct {
 	off     []int32
 	targets []NodeID
@@ -337,30 +316,6 @@ type Frozen struct {
 	// mutex means a Frozen must not be copied by value.
 	epoch   uint64
 	bitsets bitsetCache
-}
-
-// Frozen returns an immutable CSR snapshot of g's current contents, built
-// by replaying g through a Builder. The snapshot is independent of g except
-// for attribute value strings.
-func (g *Graph) Frozen() *Frozen {
-	b := NewBuilder(g.NumEdges())
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		id := b.AddNode(n.Label)
-		for k, v := range n.Attrs {
-			b.SetAttr(id, k, v)
-		}
-	}
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			b.AddEdge(e.From, e.To, e.Label)
-		}
-	}
-	f := b.Freeze()
-	if g.dead != nil {
-		f.tombstone(g.dead)
-	}
-	return f
 }
 
 // tombstone marks the given node slots dead and drops them from the

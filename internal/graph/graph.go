@@ -6,12 +6,22 @@
 // E ⊆ V×V, a label L(v) ∈ Γ per node and L(e) per edge, and for each node a
 // finite tuple F_A(v) of attribute/constant pairs carrying content, as in
 // property graphs.
+//
+// There is one index per graph — Frozen's CSR (frozen.go) — and three ways to
+// get at it: fill a Builder and Freeze it; edit a Graph, which re-freezes
+// lazily and reads through the cached snapshot (this file); or record updates
+// against a Frozen in a Delta and read the Overlay, or Refreeze (delta.go,
+// refreeze.go). reader.go states what every reader guarantees: ordering, ID
+// lifetime, concurrency.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a Graph. IDs are dense indexes assigned in
@@ -58,221 +68,64 @@ const (
 	NoLabel LabelID = -2
 )
 
-// labelAdj is one node's edge-label-keyed adjacency index: the neighbor
-// endpoints grouped by interned edge label, plus the flat list of all
-// endpoints for wildcard queries. A node's distinct incident labels are few,
-// so the per-label lists are found by linear scan over an int slice — no
-// hashing, no per-lookup allocation. Endpoints are kept in ascending NodeID
-// order, so consumers can intersect two lists with a linear merge and test
-// membership by binary search; `all` can hold the same neighbor more than
-// once when parallel edges differ only in label.
-type labelAdj struct {
-	labels []LabelID
-	lists  [][]NodeID
-	all    []NodeID
-}
-
-func (a *labelAdj) add(id LabelID, n NodeID) {
-	a.all = insertSorted(a.all, n)
-	for i, l := range a.labels {
-		if l == id {
-			a.lists[i] = insertSorted(a.lists[i], n)
-			return
-		}
-	}
-	a.labels = append(a.labels, id)
-	a.lists = append(a.lists, []NodeID{n})
-}
-
-// remove deletes one occurrence of n from the label's list and from the
-// wildcard view. A label whose list empties keeps its (empty) slot; the
-// per-node distinct-label count is small enough that compaction buys
-// nothing.
-func (a *labelAdj) remove(id LabelID, n NodeID) {
-	a.all = removeSorted(a.all, n)
-	for i, l := range a.labels {
-		if l == id {
-			a.lists[i] = removeSorted(a.lists[i], n)
-			return
-		}
-	}
-}
-
-// removeSorted deletes one occurrence of n from an ascending list.
-func removeSorted(list []NodeID, n NodeID) []NodeID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= n })
-	if i == len(list) || list[i] != n {
-		return list
-	}
-	copy(list[i:], list[i+1:])
-	return list[:len(list)-1]
-}
-
-// containsSorted reports whether an ascending list contains n (binary
-// search; lists with duplicates work too).
-func containsSorted(list []NodeID, n NodeID) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= n })
-	return i < len(list) && list[i] == n
-}
-
-// insertSorted inserts n into an ascending list (duplicates allowed). The
-// tail fast path helps when endpoints arrive in ascending ID order (e.g.
-// in-lists during a Clone replay); arbitrary-order ingest pays an O(len)
-// shift, making index construction O(deg) per edge at a hub — acceptable
-// for small or incremental workloads. Bulk loads use Builder/Freeze
-// instead, which appends in O(1) and sorts once (see frozen.go and
-// DESIGN.md's two-representation storage layer).
-func insertSorted(list []NodeID, n NodeID) []NodeID {
-	if len(list) == 0 || list[len(list)-1] <= n {
-		return append(list, n)
-	}
-	i := sort.Search(len(list), func(i int) bool { return list[i] > n })
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = n
-	return list
-}
-
-// endpoints returns the indexed endpoints for a label query, with AnyLabel
-// meaning "any edge label".
-func (a *labelAdj) endpoints(id LabelID) []NodeID {
-	if id == AnyLabel {
-		return a.all
-	}
-	for i, l := range a.labels {
-		if l == id {
-			return a.lists[i]
-		}
-	}
-	return nil
-}
-
-// edgeKey is the integer-only key of the exact-edge existence set.
-type edgeKey struct {
-	from, to NodeID
-	label    LabelID
-}
-
-// pair keys the (from,to) edge-existence set backing wildcard HasEdgeID.
-type pair struct{ from, to NodeID }
-
-// Graph is a mutable directed labeled property graph. The zero value is not
-// usable; construct with New.
+// Graph is the editable representation: nodes, per-node edge lists and
+// tombstones, nothing else. It answers the content queries of Reader (Label,
+// Attr, Attrs, Out, NumNodes, NumEdges) from that edit model and every index
+// query from its Frozen snapshot, which Frozen builds on first use and keeps
+// until the next mutating call — so a Graph never maintains a second index
+// beside the snapshot's CSR. Consequences callers rely on:
+//
+//   - Reads are as fast as a Frozen's plus one atomic load; the first read
+//     after a mutation pays one Freeze, O(V + E log deg). Interleaving single
+//     edits with index reads on a large graph is what Delta/Overlay are for.
+//   - Label IDs are the snapshot's: a mutating call voids every ID, plan and
+//     search obtained before it (match panics on a stale plan or search).
+//   - Any number of goroutines may read concurrently, the first index read
+//     included; a mutating call must not run concurrently with anything.
+//
+// The zero value is not usable; construct with New.
 type Graph struct {
 	nodes []Node
 	out   [][]Edge // adjacency by source
 	in    [][]Edge // adjacency by target
-	// outIdx/inIdx are the per-node label-keyed adjacency indexes behind
-	// OutByLabelID/InByLabelID, maintained incrementally by AddEdge.
-	outIdx []labelAdj
-	inIdx  []labelAdj
-	// labelIDs/labelNames intern edge labels to dense LabelIDs;
-	// nodeLabelIDs/nodeLabelOf do the same for node labels (nodeLabelOf is
-	// per-node, parallel to nodes).
-	labelIDs     map[string]LabelID
-	labelNames   []string
-	nodeLabelIDs map[string]LabelID
-	nodeLabelOf  []LabelID
-	// edgeSet/pairSet answer HasEdgeID in O(1): exact (from,label,to)
-	// membership and label-oblivious (from,to) membership respectively.
-	edgeSet map[edgeKey]struct{}
-	pairSet map[pair]struct{}
-	// byLabel indexes node IDs by label for selectivity estimation and
-	// candidate enumeration during matching.
-	byLabel map[string][]NodeID
-	edges   int
+	// edgeSet makes AddEdge and RemoveEdge idempotent in O(1).
+	edgeSet map[Edge]struct{}
 	// dead marks tombstoned nodes (see RemoveNode): the ID slot stays in the
 	// dense node space, but the node is excluded from candidate enumeration
 	// and carries no edges or attributes. nil until the first removal, so
 	// graphs that never remove pay nothing.
-	dead      []bool
-	deadCount int
-	// version counts mutating calls (see Version in epoch.go): derived
-	// artifacts pin (pointer, version) to detect mutation underneath them.
-	// Bumped at the top of each mutator, so a no-op mutation (duplicate
-	// AddEdge, absent RemoveEdge) still advances it — conservative in the
-	// safe direction.
-	version uint64
+	dead []bool
+
+	// snap is the cached snapshot, nil after a mutating call; snapMu
+	// serializes its construction so concurrent first readers share one.
+	snap   atomic.Pointer[Frozen]
+	snapMu sync.Mutex
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		labelIDs:     make(map[string]LabelID),
-		nodeLabelIDs: make(map[string]LabelID),
-		edgeSet:      make(map[edgeKey]struct{}),
-		pairSet:      make(map[pair]struct{}),
-		byLabel:      make(map[string][]NodeID),
-	}
+	return &Graph{edgeSet: make(map[Edge]struct{})}
 }
 
-// EdgeLabelID resolves an edge label to its interned ID: AnyLabel for the
-// Wildcard, NoLabel for labels absent from the graph. Callers on a hot path
-// resolve once and then probe with the ID-based accessors. IDs are assigned
-// in first-insertion order and remain valid for the graph's lifetime, but
-// do not transfer across graphs (Clone and Subgraph re-intern).
-func (g *Graph) EdgeLabelID(label string) LabelID {
-	if label == Wildcard {
-		return AnyLabel
+// touch drops the cached snapshot; every mutator calls it first.
+func (g *Graph) touch() {
+	if g.snap.Load() != nil {
+		g.snap.Store(nil)
 	}
-	if id, ok := g.labelIDs[label]; ok {
-		return id
-	}
-	return NoLabel
-}
-
-// internEdgeLabel returns the ID for a data edge label, allocating one on
-// first use. Unlike EdgeLabelID it interns the literal Wildcard too: a data
-// edge labeled '_' is an ordinary edge that happens to carry that label and
-// is only ever *queried* through wildcard semantics.
-func (g *Graph) internEdgeLabel(label string) LabelID {
-	if id, ok := g.labelIDs[label]; ok {
-		return id
-	}
-	id := LabelID(len(g.labelNames))
-	g.labelIDs[label] = id
-	g.labelNames = append(g.labelNames, label)
-	return id
 }
 
 // AddNode inserts a node with the given label and returns its ID.
 func (g *Graph) AddNode(label string) NodeID {
-	g.version++
+	g.touch()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Label: label})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.outIdx = append(g.outIdx, labelAdj{})
-	g.inIdx = append(g.inIdx, labelAdj{})
-	lid, ok := g.nodeLabelIDs[label]
-	if !ok {
-		lid = LabelID(len(g.nodeLabelIDs))
-		g.nodeLabelIDs[label] = lid
-	}
-	g.nodeLabelOf = append(g.nodeLabelOf, lid)
-	g.byLabel[label] = append(g.byLabel[label], id)
 	if g.dead != nil {
 		g.dead = append(g.dead, false)
 	}
 	return id
 }
-
-// NodeLabelID resolves a node label to its interned ID: AnyLabel for the
-// Wildcard pattern label (which matches every node), NoLabel for labels no
-// node carries. Pair with LabelIDOf for integer-only label tests on hot
-// paths. IDs do not transfer across graphs.
-func (g *Graph) NodeLabelID(label string) LabelID {
-	if label == Wildcard {
-		return AnyLabel
-	}
-	if id, ok := g.nodeLabelIDs[label]; ok {
-		return id
-	}
-	return NoLabel
-}
-
-// LabelIDOf returns the interned ID of node v's label.
-func (g *Graph) LabelIDOf(v NodeID) LabelID { return g.nodeLabelOf[v] }
 
 // AddNodeWithAttrs inserts a node carrying the given attribute tuple.
 // The map is copied.
@@ -292,20 +145,14 @@ func (g *Graph) AddEdge(from, to NodeID, label string) {
 	if !g.Alive(from) || !g.Alive(to) {
 		panic(fmt.Sprintf("graph: AddEdge with invalid or removed endpoint %d->%d", from, to))
 	}
-	g.version++
-	id := g.internEdgeLabel(label)
-	key := edgeKey{from: from, to: to, label: id}
-	if _, dup := g.edgeSet[key]; dup {
+	g.touch()
+	e := Edge{From: from, To: to, Label: label}
+	if _, dup := g.edgeSet[e]; dup {
 		return
 	}
-	g.edgeSet[key] = struct{}{}
-	g.pairSet[pair{from, to}] = struct{}{}
-	e := Edge{From: from, To: to, Label: label}
+	g.edgeSet[e] = struct{}{}
 	g.out[from] = append(g.out[from], e)
 	g.in[to] = append(g.in[to], e)
-	g.outIdx[from].add(id, to)
-	g.inIdx[to].add(id, from)
-	g.edges++
 }
 
 // RemoveEdge deletes the exact (from, label, to) triple if present. The
@@ -316,33 +163,20 @@ func (g *Graph) RemoveEdge(from, to NodeID, label string) {
 	if !g.valid(from) || !g.valid(to) {
 		panic(fmt.Sprintf("graph: RemoveEdge with invalid endpoint %d->%d", from, to))
 	}
-	g.version++
-	id, ok := g.labelIDs[label]
-	if !ok {
+	g.touch()
+	e := Edge{From: from, To: to, Label: label}
+	if _, exists := g.edgeSet[e]; !exists {
 		return
 	}
-	key := edgeKey{from: from, to: to, label: id}
-	if _, exists := g.edgeSet[key]; !exists {
-		return
-	}
-	delete(g.edgeSet, key)
-	g.out[from] = removeEdgeSlice(g.out[from], from, to, label)
-	g.in[to] = removeEdgeSlice(g.in[to], from, to, label)
-	g.outIdx[from].remove(id, to)
-	g.inIdx[to].remove(id, from)
-	if !containsSorted(g.outIdx[from].all, to) {
-		delete(g.pairSet, pair{from, to})
-	}
-	g.edges--
+	delete(g.edgeSet, e)
+	g.out[from] = removeEdgeSlice(g.out[from], e)
+	g.in[to] = removeEdgeSlice(g.in[to], e)
 }
 
-// removeEdgeSlice deletes the first matching edge, preserving order.
-func removeEdgeSlice(es []Edge, from, to NodeID, label string) []Edge {
-	for i, e := range es {
-		if e.From == from && e.To == to && e.Label == label {
-			copy(es[i:], es[i+1:])
-			return es[:len(es)-1]
-		}
+// removeEdgeSlice deletes the first occurrence of e, preserving order.
+func removeEdgeSlice(es []Edge, e Edge) []Edge {
+	if i := slices.Index(es, e); i >= 0 {
+		return slices.Delete(es, i, i+1)
 	}
 	return es
 }
@@ -357,34 +191,27 @@ func (g *Graph) RemoveNode(v NodeID) {
 	if !g.valid(v) {
 		panic(fmt.Sprintf("graph: RemoveNode on invalid node %d", v))
 	}
-	g.version++
+	g.touch()
 	if g.dead != nil && g.dead[v] {
 		return
 	}
-	for _, e := range append([]Edge(nil), g.out[v]...) {
+	for _, e := range slices.Clone(g.out[v]) {
 		g.RemoveEdge(e.From, e.To, e.Label)
 	}
-	for _, e := range append([]Edge(nil), g.in[v]...) {
+	for _, e := range slices.Clone(g.in[v]) {
 		g.RemoveEdge(e.From, e.To, e.Label)
 	}
-	label := g.nodes[v].Label
-	g.byLabel[label] = removeSorted(g.byLabel[label], v)
 	g.nodes[v].Attrs = nil
 	if g.dead == nil {
 		g.dead = make([]bool, len(g.nodes))
 	}
 	g.dead[v] = true
-	g.deadCount++
 }
 
 // Alive reports whether v is a valid, non-tombstoned node.
 func (g *Graph) Alive(v NodeID) bool {
 	return g.valid(v) && (g.dead == nil || !g.dead[v])
 }
-
-// LiveNodes returns the number of non-tombstoned nodes (NumNodes counts the
-// dense ID space, which retains removed slots).
-func (g *Graph) LiveNodes() int { return len(g.nodes) - g.deadCount }
 
 // SetAttr sets attribute A of node v to constant value c. Tombstoned nodes
 // are rejected: a removed node carries no attributes (matching
@@ -393,7 +220,7 @@ func (g *Graph) SetAttr(v NodeID, attr, value string) {
 	if !g.Alive(v) {
 		panic(fmt.Sprintf("graph: SetAttr on invalid or removed node %d", v))
 	}
-	g.version++
+	g.touch()
 	n := &g.nodes[v]
 	if n.Attrs == nil {
 		n.Attrs = make(map[string]string)
@@ -428,71 +255,65 @@ func (g *Graph) Label(v NodeID) string {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return len(g.edgeSet) }
 
 // Out returns the outgoing edges of v. Callers must not mutate the slice.
 func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
 
-// HasEdgeID reports whether edge (from,to) with the given label ID exists
-// (AnyLabel matches any label): one integer-keyed hash probe (O(1)) against
-// the edge set maintained by AddEdge, no string hashing.
-func (g *Graph) HasEdgeID(from, to NodeID, id LabelID) bool {
-	switch id {
-	case AnyLabel:
-		_, ok := g.pairSet[pair{from, to}]
-		return ok
-	case NoLabel:
-		return false
+// Frozen returns the immutable CSR snapshot of g's current contents: built
+// by replaying g through a Builder on the first call after a mutation,
+// cached and shared by every later call until the next one. The snapshot is
+// independent of g except for attribute value strings, so one taken before
+// a mutation stays a valid picture of the graph as it was.
+func (g *Graph) Frozen() *Frozen {
+	if f := g.snap.Load(); f != nil {
+		return f
 	}
-	_, ok := g.edgeSet[edgeKey{from: from, to: to, label: id}]
-	return ok
-}
-
-// OutByLabelID returns the targets of v's outgoing edges carrying the given
-// label, in ascending NodeID order. AnyLabel returns the targets of all
-// outgoing edges; that list can repeat a target when parallel edges differ
-// only in label, so callers that need a set must dedup. Callers must not
-// mutate the slice.
-func (g *Graph) OutByLabelID(v NodeID, id LabelID) []NodeID {
-	if !g.valid(v) {
-		return nil
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	if f := g.snap.Load(); f != nil {
+		return f
 	}
-	return g.outIdx[v].endpoints(id)
-}
-
-// InByLabelID returns the sources of v's incoming edges carrying the given
-// label, with the same AnyLabel and aliasing semantics as OutByLabelID.
-func (g *Graph) InByLabelID(v NodeID, id LabelID) []NodeID {
-	if !g.valid(v) {
-		return nil
+	b := NewBuilder(g.NumEdges())
+	for i := range g.nodes {
+		b.AddNodeWithAttrs(g.nodes[i].Label, g.nodes[i].Attrs)
 	}
-	return g.inIdx[v].endpoints(id)
-}
-
-// AppendCandidates appends the nodes a pattern node with the given label
-// may match into dst: all live nodes for the wildcard, else the nodes with
-// that exact label, ascending. The graph's label index is copied, never
-// handed out, so callers may sort or compact the result in place.
-func (g *Graph) AppendCandidates(dst []NodeID, label string) []NodeID {
-	if label == Wildcard {
-		for i := range g.nodes {
-			if g.dead != nil && g.dead[i] {
-				continue
-			}
-			dst = append(dst, NodeID(i))
+	for v := range g.out {
+		for _, e := range g.out[v] {
+			b.AddEdge(e.From, e.To, e.Label)
 		}
-		return dst
 	}
-	return append(dst, g.byLabel[label]...)
+	f := b.Freeze()
+	if g.dead != nil {
+		f.tombstone(g.dead)
+	}
+	g.snap.Store(f)
+	return f
 }
 
-// LabelFrequency returns the number of nodes carrying the label, with
-// wildcard counting every live node. Used for pivot selectivity.
-func (g *Graph) LabelFrequency(label string) int {
-	if label == Wildcard {
-		return len(g.nodes) - g.deadCount
-	}
-	return len(g.byLabel[label])
+// Epoch returns the current snapshot's epoch (see EpochView): it changes
+// with every mutating call that is followed by a read.
+func (g *Graph) Epoch() uint64 { return g.Frozen().Epoch() }
+
+// The index queries of Reader, answered by the snapshot; see the methods of
+// Frozen for their contracts.
+
+func (g *Graph) EdgeLabelID(label string) LabelID        { return g.Frozen().EdgeLabelID(label) }
+func (g *Graph) NodeLabelID(label string) LabelID        { return g.Frozen().NodeLabelID(label) }
+func (g *Graph) LabelIDOf(v NodeID) LabelID              { return g.Frozen().LabelIDOf(v) }
+func (g *Graph) ResolveLabels(labels []string) []LabelID { return g.Frozen().ResolveLabels(labels) }
+func (g *Graph) Labels() []string                        { return g.Frozen().Labels() }
+func (g *Graph) HasEdgeID(from, to NodeID, id LabelID) bool {
+	return g.Frozen().HasEdgeID(from, to, id)
+}
+func (g *Graph) OutByLabelID(v NodeID, id LabelID) []NodeID { return g.Frozen().OutByLabelID(v, id) }
+func (g *Graph) InByLabelID(v NodeID, id LabelID) []NodeID  { return g.Frozen().InByLabelID(v, id) }
+func (g *Graph) AppendCandidates(dst []NodeID, label string) []NodeID {
+	return g.Frozen().AppendCandidates(dst, label)
+}
+func (g *Graph) LabelFrequency(label string) int { return g.Frozen().LabelFrequency(label) }
+func (g *Graph) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
+	return g.Frozen().CoversIDs(v, outIDs, inIDs)
 }
 
 // Signature is a degree/label requirement on a node's adjacency, used to
@@ -506,51 +327,6 @@ func (g *Graph) LabelFrequency(label string) int {
 type Signature struct {
 	Out []string
 	In  []string
-}
-
-// CoversIDs reports whether node v's adjacency covers a signature resolved
-// with ResolveLabels: for every ID in outIDs there is at least one outgoing
-// edge with that label (any label for AnyLabel), and symmetrically for
-// inIDs. Each probe is one index lookup, so the whole check is O(|sig|).
-func (g *Graph) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
-	if !g.valid(v) {
-		return false
-	}
-	for _, id := range outIDs {
-		if len(g.outIdx[v].endpoints(id)) == 0 {
-			return false
-		}
-	}
-	for _, id := range inIDs {
-		if len(g.inIdx[v].endpoints(id)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ResolveLabels maps a label list through EdgeLabelID. Hot paths resolve a
-// signature or a pattern's edge labels once with this and then probe the
-// ID-based accessors only.
-func (g *Graph) ResolveLabels(labels []string) []LabelID {
-	if len(labels) == 0 {
-		return nil
-	}
-	ids := make([]LabelID, len(labels))
-	for i, l := range labels {
-		ids[i] = g.EdgeLabelID(l)
-	}
-	return ids
-}
-
-// Labels returns the distinct node labels in deterministic order.
-func (g *Graph) Labels() []string {
-	ls := make([]string, 0, len(g.byLabel))
-	for l := range g.byLabel {
-		ls = append(ls, l)
-	}
-	sort.Strings(ls)
-	return ls
 }
 
 // Clone returns a deep copy of g, tombstones included.
@@ -607,29 +383,6 @@ func (g *Graph) Subgraph(keep map[NodeID]bool) (*Graph, map[NodeID]NodeID) {
 		}
 	}
 	return sub, remap
-}
-
-// DisjointUnion appends a copy of other into g and returns the offset that
-// maps other's node IDs into g (new ID = old ID + offset). It is the building
-// block of canonical graphs G_Σ.
-func (g *Graph) DisjointUnion(other *Graph) NodeID {
-	offset := NodeID(len(g.nodes))
-	for i := range other.nodes {
-		n := &other.nodes[i]
-		id := g.AddNode(n.Label)
-		for k, v := range n.Attrs {
-			g.SetAttr(id, k, v)
-		}
-		if other.dead != nil && other.dead[i] {
-			g.RemoveNode(id)
-		}
-	}
-	for v := range other.out {
-		for _, e := range other.out[v] {
-			g.AddEdge(e.From+offset, e.To+offset, e.Label)
-		}
-	}
-	return offset
 }
 
 // String renders the graph in a compact human-readable form, one node and

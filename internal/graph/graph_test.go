@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -97,23 +98,23 @@ func TestCandidateNodes(t *testing.T) {
 func TestNeighborhood(t *testing.T) {
 	g, ids := buildDiamond(t)
 	a, d := ids[0], ids[3]
-	h0 := Neighborhood(g, a, 0)
+	h0 := Neighborhood(g, []NodeID{a}, 0)
 	if len(h0) != 1 || !h0[a] {
 		t.Errorf("0-hop neighborhood = %v", h0)
 	}
-	h1 := Neighborhood(g, a, 1)
+	h1 := Neighborhood(g, []NodeID{a}, 1)
 	if len(h1) != 3 {
 		t.Errorf("1-hop neighborhood size = %d, want 3 (a,b,c)", len(h1))
 	}
 	if h1[d] {
 		t.Error("topic is 2 hops away but in 1-hop neighborhood")
 	}
-	h2 := Neighborhood(g, a, 2)
+	h2 := Neighborhood(g, []NodeID{a}, 2)
 	if len(h2) != 4 {
 		t.Errorf("2-hop neighborhood size = %d, want 4", len(h2))
 	}
 	// Neighborhood is undirected: from d, 1 hop reaches b and c.
-	hd := Neighborhood(g, d, 1)
+	hd := Neighborhood(g, []NodeID{d}, 1)
 	if len(hd) != 3 {
 		t.Errorf("reverse 1-hop neighborhood size = %d, want 3", len(hd))
 	}
@@ -135,7 +136,7 @@ func TestUndirectedDistance(t *testing.T) {
 	for _, c := range cases {
 		got := -1
 		for hops := 0; hops <= g.NumNodes(); hops++ {
-			if Neighborhood(g, c.u, hops)[c.v] {
+			if Neighborhood(g, []NodeID{c.u}, hops)[c.v] {
 				got = hops
 				break
 			}
@@ -159,27 +160,6 @@ func TestSubgraph(t *testing.T) {
 	}
 	if v, ok := sub.Attr(remap[ids[1]], "title"); !ok || v != "t1" {
 		t.Error("attributes not carried into subgraph")
-	}
-}
-
-func TestDisjointUnion(t *testing.T) {
-	g1, _ := buildDiamond(t)
-	g2 := New()
-	x := g2.AddNode("extra")
-	g2.SetAttr(x, "k", "v")
-	g2.AddEdge(x, x, "self")
-	off := g1.DisjointUnion(g2)
-	if off != 4 {
-		t.Fatalf("offset = %d, want 4", off)
-	}
-	if g1.NumNodes() != 5 || g1.NumEdges() != 5 {
-		t.Fatalf("union has %d nodes %d edges; want 5,5", g1.NumNodes(), g1.NumEdges())
-	}
-	if !HasEdge(g1, off+x, off+x, "self") {
-		t.Error("self-loop not remapped")
-	}
-	if v, _ := g1.Attr(off+x, "k"); v != "v" {
-		t.Error("attrs not copied by union")
 	}
 }
 
@@ -224,7 +204,7 @@ func TestNeighborhoodPropertyQuick(t *testing.T) {
 		v := NodeID(rng.Intn(n))
 		want := map[NodeID]bool{v: true}
 		for d := 0; d <= 4; d++ {
-			if !reflect.DeepEqual(Neighborhood(g, v, d), want) {
+			if !reflect.DeepEqual(Neighborhood(g, []NodeID{v}, d), want) {
 				return false
 			}
 			next := map[NodeID]bool{}
@@ -243,5 +223,95 @@ func TestNeighborhoodPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGraphSnapshotCaching pins the editable graph's read path: Frozen is
+// built once and shared until a mutating call, every mutator voids it (a
+// no-op one included), and a snapshot taken before stays the picture of the
+// graph as it was.
+func TestGraphSnapshotCaching(t *testing.T) {
+	g, ids := buildDiamond(t)
+	f := g.Frozen()
+	if g.Frozen() != f || g.Epoch() != f.Epoch() {
+		t.Fatal("an unmutated graph rebuilt its snapshot")
+	}
+	HasEdge(g, ids[0], ids[1], "post") // an index read is not a mutation
+	if g.Frozen() != f {
+		t.Fatal("a read voided the snapshot")
+	}
+	extra := g.AddNode("extra")
+	for _, m := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"AddNode", func() { g.AddNode("n") }},
+		{"AddEdge", func() { g.AddEdge(ids[0], extra, "e") }},
+		{"AddEdge duplicate", func() { g.AddEdge(ids[0], extra, "e") }},
+		{"SetAttr", func() { g.SetAttr(ids[0], "a", "1") }},
+		{"RemoveEdge", func() { g.RemoveEdge(ids[0], extra, "e") }},
+		{"RemoveEdge absent", func() { g.RemoveEdge(ids[0], extra, "e") }},
+		{"RemoveNode", func() { g.RemoveNode(extra) }},
+	} {
+		before := g.Frozen()
+		m.mutate()
+		after := g.Frozen()
+		if after == before || after.Epoch() == before.Epoch() {
+			t.Errorf("%s kept the snapshot", m.name)
+		}
+		checkReaderEquivalence(t, "after "+m.name, g, after, []string{"person", "blog", "extra", "n"}, []string{"post", "e"})
+	}
+	if f.NumNodes() != 4 || len(f.Attrs(ids[0])) != 0 {
+		t.Errorf("the first snapshot changed under later mutations: V=%d attrs=%v", f.NumNodes(), f.Attrs(ids[0]))
+	}
+}
+
+// TestGraphConcurrentFirstRead is the concurrency contract: goroutines
+// racing for the first index read of a fresh graph all get one snapshot
+// (run under -race).
+func TestGraphConcurrentFirstRead(t *testing.T) {
+	g, ids := buildDiamond(t)
+	const readers = 8
+	snaps := make([]*Frozen, readers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < readers; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			if !HasEdge(g, ids[0], ids[1], Wildcard) || g.LabelFrequency(Wildcard) != 4 {
+				t.Error("a first reader saw a half-built index")
+			}
+			snaps[i] = g.Frozen()
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i, f := range snaps {
+		if f != snaps[0] {
+			t.Fatalf("reader %d got its own snapshot", i)
+		}
+	}
+}
+
+// TestGraphEdgeLabelLifetime pins the ID contract of reader.go on the
+// editable graph: a label no edge carries any more resolves to NoLabel, as
+// on a Frozen of the same contents, and IDs resolved before a mutation say
+// nothing about the graph after it.
+func TestGraphEdgeLabelLifetime(t *testing.T) {
+	g := New()
+	a, b := g.AddNode("x"), g.AddNode("y")
+	g.AddEdge(a, b, "e")
+	g.AddEdge(b, a, "f")
+	if g.EdgeLabelID("e") == NoLabel || g.EdgeLabelID("f") == NoLabel {
+		t.Fatal("a carried label resolved to NoLabel")
+	}
+	g.RemoveEdge(a, b, "e")
+	if id := g.EdgeLabelID("e"); id != NoLabel || g.Frozen().EdgeLabelID("e") != NoLabel {
+		t.Errorf("EdgeLabelID of a label whose last edge was removed = %d, want NoLabel", id)
+	}
+	if g.HasEdgeID(a, b, g.EdgeLabelID("e")) || !g.HasEdgeID(b, a, g.EdgeLabelID("f")) {
+		t.Error("probes after the removal disagree with the edit model")
 	}
 }

@@ -252,22 +252,6 @@ func TestIndexConsistencyAfterSubgraph(t *testing.T) {
 	}
 }
 
-func TestIndexConsistencyAfterDisjointUnion(t *testing.T) {
-	g := buildIndexed(t)
-	other := buildIndexed(t)
-	offset := g.DisjointUnion(other)
-	checkIndexConsistency(t, g)
-	if !HasEdge(g, 0+offset, 1+offset, "knows") {
-		t.Error("union index misses shifted edge")
-	}
-	if HasEdge(g, 0, 1+offset, "knows") {
-		t.Error("union index invents cross-component edge")
-	}
-	if !HasEdge(g, 1+offset, 1+offset, "likes") {
-		t.Error("union index misses shifted self-loop")
-	}
-}
-
 func TestAddEdgeIdempotentViaIndex(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("x"), g.AddNode("y")

@@ -1,14 +1,15 @@
 package graph
 
-// Reader is the read API shared by the graph representations: the mutable
-// *Graph (incremental AddEdge, sorted-insert adjacency), the immutable
+// Reader is the read API shared by the graph representations: the immutable
 // *Frozen (bulk-loaded CSR snapshot, see Builder; *Sharded embeds one and is
-// a Reader by promotion), and the *Overlay composing a *Delta of updates
-// over a Frozen base (see delta.go). The matching, simulation and
-// reasoning layers are written against Reader, so they run unmodified
-// on any representation; mutation (AddNode, AddEdge, SetAttr, Clone,
-// Subgraph, DisjointUnion, RemoveEdge, RemoveNode) stays on *Graph and
-// *Delta.
+// a Reader by promotion), the *Overlay composing a *Delta of updates over a
+// Frozen base (see delta.go), and the editable *Graph, which answers the
+// index queries below through the Frozen snapshot it caches between edits
+// (see graph.go). The matching, simulation and reasoning layers are written
+// against Reader, so they run unmodified on any of them. The division of
+// labour: edit with a Graph or fill a Builder, read a Frozen, update it with
+// a Delta and read the Overlay; mutation (AddNode, AddEdge, SetAttr,
+// RemoveEdge, RemoveNode) stays on *Graph and *Delta.
 //
 // The interface is the ID-based core a representation has to answer from
 // its own storage. Queries that are compositions of the core — HasEdge,
@@ -25,8 +26,14 @@ package graph
 //   - AppendCandidates appends into a caller-owned buffer and never hands
 //     out internal index storage, so callers may sort or compact the result
 //     in place.
-//   - Label/Node label IDs are interned per graph and do not transfer
-//     across graphs (or across a Graph and its Frozen snapshot).
+//   - Label/Node label IDs are interned per snapshot and do not transfer
+//     across snapshots. They live as long as the snapshot they came from:
+//     forever on a Frozen or an Overlay, until the next mutating call on a
+//     Graph (whose next read re-freezes and re-interns). Every reader has an
+//     Epoch naming that snapshot (see EpochView); match pins plans and
+//     searches to it and panics on a stale one.
+//   - Readers are safe for concurrent use. A Graph is too, as long as no
+//     mutating call runs at the same time.
 type Reader interface {
 	// Cardinalities and node access.
 	NumNodes() int
@@ -70,10 +77,10 @@ type Reader interface {
 	CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool
 }
 
-// Sink is the build API shared by *Graph (incremental, indexed as it goes)
-// and *Builder (O(1) appends, indexed at Freeze). Generators and parsers
-// written against Sink can materialize either representation; the caller
-// picks by what it passes in.
+// Sink is the build API shared by *Graph (stays editable, idempotent
+// AddEdge), *Builder (consumed by Freeze) and *Delta. Generators and parsers
+// written against Sink can fill any of them; the caller picks by what it
+// passes in.
 type Sink interface {
 	AddNode(label string) NodeID
 	AddNodeWithAttrs(label string, attrs map[string]string) NodeID
@@ -106,12 +113,23 @@ func CandidateNodes(r Reader, label string) []NodeID {
 	return r.AppendCandidates(nil, label)
 }
 
-// Neighborhood returns the set of nodes within d hops of v, treating edges
-// as undirected (the d_Q-neighborhood of Section V-B). The result includes v
-// itself. Membership is returned as a map for O(1) containment tests.
-func Neighborhood(r Reader, v NodeID, d int) map[NodeID]bool {
-	seen := map[NodeID]bool{v: true}
-	frontier := []NodeID{v}
+// Neighborhood returns the set of nodes within d hops of any seed, treating
+// edges as undirected — for one seed, the d_Q-neighborhood of Section V-B.
+// Each seed is included; one BFS expands all of them together (the frontier
+// of the union, not one BFS per seed). Seeds outside the graph's ID space
+// are ignored, so a touched set containing nodes added by a delta can be
+// probed against the pre-delta graph directly. Membership is returned as a
+// map for O(1) containment tests.
+func Neighborhood(r Reader, seeds []NodeID, d int) map[NodeID]bool {
+	seen := make(map[NodeID]bool, len(seeds))
+	frontier := make([]NodeID, 0, len(seeds))
+	n := r.NumNodes()
+	for _, s := range seeds {
+		if s >= 0 && int(s) < n && !seen[s] {
+			seen[s] = true
+			frontier = append(frontier, s)
+		}
+	}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []NodeID
 		for _, u := range frontier {

@@ -31,6 +31,120 @@ func inEdges(r Reader, v NodeID) []Edge {
 	return es
 }
 
+// scanRef is the reference every equivalence test compares against: the
+// index queries of Reader answered from a reader's raw Out, Label and Alive
+// — for a *Graph, its edit model — by linear scan over one flat edge list.
+// It calls no index method of the reader it wraps, so an index bug cannot
+// cancel out on both sides of a comparison (a *Graph's index is its Frozen
+// snapshot: comparing the two through their index methods would compare
+// Freeze with itself).
+type scanRef struct {
+	r     Reader
+	edges []Edge
+}
+
+func scan(r Reader) scanRef {
+	s := scanRef{r: r}
+	for v := 0; v < r.NumNodes(); v++ {
+		s.edges = append(s.edges, r.Out(NodeID(v))...)
+	}
+	return s
+}
+
+func (s scanRef) alive(v NodeID) bool {
+	if v < 0 || int(v) >= s.r.NumNodes() {
+		return false
+	}
+	a, ok := s.r.(interface{ Alive(NodeID) bool })
+	return !ok || a.Alive(v)
+}
+
+// out and in return the ascending endpoints of v's edges carrying the label,
+// every edge for the Wildcard (a neighbor repeats once per parallel label).
+func (s scanRef) out(v NodeID, label string) []NodeID {
+	var ids []NodeID
+	for _, e := range s.edges {
+		if e.From == v && (label == Wildcard || e.Label == label) {
+			ids = append(ids, e.To)
+		}
+	}
+	return sortedIDs(ids)
+}
+
+func (s scanRef) in(v NodeID, label string) []NodeID {
+	var ids []NodeID
+	for _, e := range s.edges {
+		if e.To == v && (label == Wildcard || e.Label == label) {
+			ids = append(ids, e.From)
+		}
+	}
+	return sortedIDs(ids)
+}
+
+func (s scanRef) hasEdge(from, to NodeID, label string) bool {
+	for _, e := range s.edges {
+		if e.From == from && e.To == to && (label == Wildcard || e.Label == label) {
+			return true
+		}
+	}
+	return false
+}
+
+// candidates lists the live nodes a pattern node with the label may match.
+func (s scanRef) candidates(label string) []NodeID {
+	var ids []NodeID
+	for v := 0; v < s.r.NumNodes(); v++ {
+		if s.alive(NodeID(v)) && (label == Wildcard || s.r.Label(NodeID(v)) == label) {
+			ids = append(ids, NodeID(v))
+		}
+	}
+	return ids
+}
+
+func (s scanRef) covers(v NodeID, sig Signature) bool {
+	if v < 0 || int(v) >= s.r.NumNodes() {
+		return false
+	}
+	for _, l := range sig.Out {
+		if len(s.out(v, l)) == 0 {
+			return false
+		}
+	}
+	for _, l := range sig.In {
+		if len(s.in(v, l)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// hood is the d-hop undirected neighborhood of v, one relaxation pass over
+// the edge list per hop.
+func (s scanRef) hood(v NodeID, d int) map[NodeID]bool {
+	seen := map[NodeID]bool{v: true}
+	for hop := 0; hop < d; hop++ {
+		next := map[NodeID]bool{}
+		for _, e := range s.edges {
+			if seen[e.From] || seen[e.To] {
+				next[e.From], next[e.To] = true, true
+			}
+		}
+		for u := range next {
+			seen[u] = true
+		}
+	}
+	return seen
+}
+
+// size is the expected |G|, the counterpart of size(r) below.
+func (s scanRef) size() int {
+	n := len(s.candidates(Wildcard)) + len(s.edges)
+	for v := 0; v < s.r.NumNodes(); v++ {
+		n += len(s.r.Attrs(NodeID(v)))
+	}
+	return n
+}
+
 // size is |G|: live nodes, edges and attributes, the measure of the
 // Σ-bounded small model property.
 func size(r Reader) int {
@@ -113,7 +227,7 @@ func TestDerivedQueriesAcrossRepresentations(t *testing.T) {
 				{2, 0, []NodeID{2}}, {2, 1, []NodeID{0, 1, 2}}, {0, 1, []NodeID{0, 1, 2}},
 			}
 			for _, c := range hoods {
-				got := Neighborhood(r, c.v, c.d)
+				got := Neighborhood(r, []NodeID{c.v}, c.d)
 				if len(got) != len(c.want) {
 					t.Errorf("Neighborhood(%d, %d) = %v, want %v", c.v, c.d, got, c.want)
 				}

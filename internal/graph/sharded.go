@@ -8,8 +8,8 @@
 // root pivot's candidate set out over (match.FindAllSharded). Cross-shard
 // ("frontier") edges stay inside the owning endpoint's rows — an edge
 // (u, v) lives in shard(u)'s out rows and shard(v)'s in rows even when
-// shard(u) ≠ shard(v) — and the per-shard frontier counts are exposed for
-// balance diagnostics and the pivot-placement heuristic.
+// shard(u) ≠ shard(v) — and String reports the frontier counts, how cleanly
+// the range partition cuts the graph.
 package graph
 
 import (
@@ -134,39 +134,11 @@ func carveShard(f *Frozen, lo, hi NodeID) Shard {
 	return sh
 }
 
-// FreezeSharded is Freeze followed by Sharded(k): it consumes the builder
-// and returns the snapshot pre-partitioned for parallel consumers.
-func (b *Builder) FreezeSharded(k int) *Sharded { return b.Freeze().Sharded(k) }
-
-// Sharded returns a sharded immutable snapshot of g's current contents; see
-// Graph.Frozen for the snapshot semantics.
-func (g *Graph) Sharded(k int) *Sharded { return g.Frozen().Sharded(k) }
-
 // ShardCount returns K.
 func (s *Sharded) ShardCount() int { return len(s.shards) }
 
-// ShardOf returns the shard owning node v: one division on the dense ID
-// space, O(1).
-func (s *Sharded) ShardOf(v NodeID) int {
-	i := int(v) / s.stride
-	if max := len(s.shards) - 1; i > max {
-		i = max
-	}
-	return i
-}
-
 // Shard returns shard i.
 func (s *Sharded) Shard(i int) *Shard { return &s.shards[i] }
-
-// ShardBounds returns the node range [lo, hi) shard i owns.
-func (s *Sharded) ShardBounds(i int) (lo, hi NodeID) { return s.shards[i].lo, s.shards[i].hi }
-
-// FrontierEdges returns how many of shard i's owned edges cross a shard
-// boundary, split by direction: how cleanly the range partition cuts the
-// graph.
-func (s *Sharded) FrontierEdges(i int) (out, in int) {
-	return s.shards[i].frontierOut, s.shards[i].frontierIn
-}
 
 // DensestShard returns the shard holding the most nodes with the given
 // label, and that count (wildcard counts every node). Ties break toward the
@@ -190,12 +162,6 @@ func (s *Sharded) String() string {
 	return fmt.Sprintf("Sharded{K=%d, V=%d, E=%d, frontier out/in=%d/%d}",
 		len(s.shards), s.NumNodes(), s.NumEdges(), fo, fi)
 }
-
-// Lo returns the first node ID the shard owns.
-func (sh *Shard) Lo() NodeID { return sh.lo }
-
-// Hi returns one past the last node ID the shard owns.
-func (sh *Shard) Hi() NodeID { return sh.hi }
 
 // NumEdges returns the number of out-edges the shard owns (summing over all
 // shards gives the graph's |E| exactly once).

@@ -54,7 +54,8 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardPartition pins the routing layer: every node is owned by exactly
-// one shard, ShardOf agrees with ShardBounds, per-shard candidate lists
+// one shard, the stride division Refreeze routes by agrees with the shard
+// bounds, per-shard candidate lists
 // concatenated in shard order reproduce the global ascending candidate
 // list, and per-shard edge counts sum to |E|.
 func TestShardPartition(t *testing.T) {
@@ -71,14 +72,11 @@ func TestShardPartition(t *testing.T) {
 			edges := 0
 			for i := 0; i < s.ShardCount(); i++ {
 				sh := s.Shard(i)
-				lo, hi := s.ShardBounds(i)
-				if sh.Lo() != lo || sh.Hi() != hi {
-					t.Fatalf("%s: shard %d bounds mismatch", ctx, i)
-				}
+				lo, hi := sh.lo, sh.hi
 				for v := lo; v < hi; v++ {
 					owned[v]++
-					if s.ShardOf(v) != i {
-						t.Fatalf("%s: ShardOf(%d)=%d, owner is %d", ctx, v, s.ShardOf(v), i)
+					if int(v)/s.stride != i {
+						t.Fatalf("%s: stride routes %d to shard %d, owner is %d", ctx, v, int(v)/s.stride, i)
 					}
 				}
 				edges += sh.NumEdges()
@@ -112,7 +110,7 @@ func TestShardFrontierCounts(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		s := f.Sharded(k)
 		for i := 0; i < s.ShardCount(); i++ {
-			lo, hi := s.ShardBounds(i)
+			lo, hi := s.shards[i].lo, s.shards[i].hi
 			wantOut, wantIn := 0, 0
 			for v := 0; v < g.NumNodes(); v++ {
 				for _, e := range f.Out(NodeID(v)) {
@@ -124,7 +122,7 @@ func TestShardFrontierCounts(t *testing.T) {
 					}
 				}
 			}
-			gotOut, gotIn := s.FrontierEdges(i)
+			gotOut, gotIn := s.shards[i].frontierOut, s.shards[i].frontierIn
 			if gotOut != wantOut || gotIn != wantIn {
 				t.Fatalf("k=%d shard %d: frontier (%d,%d), want (%d,%d)", k, i, gotOut, gotIn, wantOut, wantIn)
 			}
@@ -145,8 +143,8 @@ func TestShardReaderRestriction(t *testing.T) {
 			sh := s.Shard(i)
 			owned := sh.AppendCandidates(nil, l)
 			for _, v := range owned {
-				if v < sh.Lo() || v >= sh.Hi() {
-					t.Fatalf("shard %d: candidate %d outside [%d,%d)", i, v, sh.Lo(), sh.Hi())
+				if v < sh.lo || v >= sh.hi {
+					t.Fatalf("shard %d: candidate %d outside [%d,%d)", i, v, sh.lo, sh.hi)
 				}
 			}
 			if sh.LabelFrequency(l) != len(owned) {
@@ -168,7 +166,7 @@ func TestShardedDensestShard(t *testing.T) {
 	for _, l := range []string{"a", "a", "a", "c", "a", "b", "b", "b"} {
 		b.AddNode(l)
 	}
-	s := b.FreezeSharded(2)
+	s := b.Freeze().Sharded(2)
 	if sh, c := s.DensestShard("a"); sh != 0 || c != 3 {
 		t.Fatalf(`DensestShard("a") = (%d,%d), want (0,3)`, sh, c)
 	}
@@ -193,7 +191,7 @@ func TestShardedClamping(t *testing.T) {
 	if got := f.Sharded(100).ShardCount(); got != 7 {
 		t.Fatalf("k=100 on 7 nodes gave %d shards, want 7", got)
 	}
-	empty := NewBuilder(0).FreezeSharded(4)
+	empty := NewBuilder(0).Freeze().Sharded(4)
 	if empty.ShardCount() != 1 || empty.NumNodes() != 0 {
 		t.Fatalf("empty graph sharded oddly: K=%d V=%d", empty.ShardCount(), empty.NumNodes())
 	}

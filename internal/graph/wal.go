@@ -110,9 +110,6 @@ func OpenWAL(path string, d *Delta) (*WAL, error) {
 	return l, nil
 }
 
-// Delta returns the delta the log fronts.
-func (l *WAL) Delta() *Delta { return l.d }
-
 // Base returns the snapshot the fronted delta is bound to.
 func (l *WAL) Base() *Frozen { return l.d.Base() }
 

@@ -135,7 +135,7 @@ func TestIndexedScanEquivalenceSeededRestricted(t *testing.T) {
 		p := gr.Pattern()
 		pivots := p.Pivot(g)
 		pv := pivots[0]
-		order := match.PivotedOrder(p, pivots)
+		order := p.PivotOrder(pv)
 		for _, z := range graph.CandidateNodes(g, p.Label(pv)) {
 			seed := match.NewAssignment(p.NumVars())
 			seed[pv] = z

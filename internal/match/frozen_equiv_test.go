@@ -81,7 +81,7 @@ func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 			// the oracle's matches through that pivot.
 			pivots := p.Pivot(f)
 			pv := pivots[0]
-			order := match.PivotedOrder(p, pivots)
+			order := p.PivotOrder(pv)
 			cands := graph.CandidateNodes(f, p.Label(pv))
 			if len(cands) > 3 {
 				cands = cands[:3]

@@ -18,42 +18,6 @@ import (
 	"repro/internal/pattern"
 )
 
-// MultiSourceNeighborhood returns the set of nodes within d undirected hops
-// of any seed (each seed included), one BFS expanding all seeds together —
-// the frontier of the union, not one BFS per seed. Seeds outside the
-// graph's ID space are ignored, so a touched set containing nodes added by
-// a delta can be probed against the pre-delta graph directly.
-func MultiSourceNeighborhood(g graph.Reader, seeds []graph.NodeID, d int) map[graph.NodeID]bool {
-	seen := make(map[graph.NodeID]bool, len(seeds))
-	frontier := make([]graph.NodeID, 0, len(seeds))
-	n := g.NumNodes()
-	for _, s := range seeds {
-		if s >= 0 && int(s) < n && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []graph.NodeID
-		for _, u := range frontier {
-			for _, w := range g.OutByLabelID(u, graph.AnyLabel) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-			for _, w := range g.InByLabelID(u, graph.AnyLabel) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
-}
-
 // scopedBitsetRatio is the frequency-to-neighborhood skew beyond which the
 // bitset path of ScopedRootCandidates wins: probing |hood| bits plus
 // sorting the (≤ |hood|) survivors must undercut walking the label's full

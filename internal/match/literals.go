@@ -101,9 +101,6 @@ func (e *LiteralEval) compileLit(slots map[slotKey]int, l LiteralSpec) litRef {
 	return r
 }
 
-// Slots returns the number of interned (variable, attribute) pairs.
-func (e *LiteralEval) Slots() int { return len(e.slotVar) }
-
 // LiteralScratch caches slot values for the current match. Not safe for
 // concurrent use — each worker keeps its own. Loads are lazy and memoized
 // per match via generation stamps, so short-circuited members never pay for

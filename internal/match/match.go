@@ -69,6 +69,10 @@ type Search struct {
 	// never hash a string: pattern edge labels aligned with p.Out/p.In, and
 	// the variable's pruning signature.
 	vars []varIndex
+	// ev and epoch pin the snapshot those IDs were resolved against (see
+	// checkFresh); ev is nil for a reader without epochs.
+	ev    graph.EpochView
+	epoch uint64
 
 	assign Assignment
 	seeded []bool // variables fixed by the seed (never backtracked)
@@ -189,18 +193,7 @@ func DefaultOrder(p *pattern.Pattern) []pattern.Var {
 	return order
 }
 
-// PivotedOrder returns an order that starts each component at its pivot.
-// pivots must contain one variable per component, in component order.
-func PivotedOrder(p *pattern.Pattern, pivots []pattern.Var) []pattern.Var {
-	var order []pattern.Var
-	for _, pv := range pivots {
-		order = append(order, p.MatchOrder(pv)...)
-	}
-	return order
-}
-
-// NewSearch builds a search over any graph representation (mutable Graph
-// or frozen CSR snapshot — both implement graph.Reader). Seeded variables
+// NewSearch builds a search over any graph.Reader. Seeded variables
 // are validated against labels and seeded-edge consistency lazily (the
 // first Next call rejects a bad seed by returning no matches for that
 // branch).
@@ -234,6 +227,9 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 		ctxLeft:   ctxCheckEvery,
 		assign:    NewAssignment(p.NumVars()),
 		seeded:    make([]bool, p.NumVars()),
+	}
+	if ev, ok := g.(graph.EpochView); ok {
+		s.ev, s.epoch = ev, ev.Epoch()
 	}
 	if pl != nil {
 		s.vars = pl.vars
@@ -313,6 +309,7 @@ func (s *Search) Reseed(seed Assignment) {
 	if len(seed) != len(s.assign) {
 		panic("match: Reseed with a seed of the wrong length")
 	}
+	s.checkFresh()
 	for len(s.stack) > 0 {
 		s.pop() // hands each frame's buffer back to scratch
 	}
@@ -332,6 +329,7 @@ func (s *Search) Reseed(seed Assignment) {
 // be written, and must not be handed to another goroutine. Clone it to keep
 // it.
 func (s *Search) Next() (Assignment, bool) {
+	s.checkFresh()
 	if s.done {
 		return nil, false
 	}
@@ -379,6 +377,17 @@ func (s *Search) Next() (Assignment, bool) {
 	}
 	s.done = true
 	return nil, false
+}
+
+// checkFresh panics when the reader no longer answers from the snapshot the
+// search resolved its label IDs against: the reader is an editable graph
+// that was edited since NewSearch (an immutable snapshot's epoch never
+// moves). The IDs, the frame stack and every candidate list would be read
+// against other contents.
+func (s *Search) checkFresh() {
+	if s.ev != nil && s.ev.Epoch() != s.epoch {
+		panic("match: stale Search: the graph changed since NewSearch")
+	}
 }
 
 // canceled polls Options.Ctx (resetting the poll countdown) and, when the

@@ -187,12 +187,18 @@ func TestDisconnectedPatternCrossProduct(t *testing.T) {
 func TestPivotRestrictionConfinesMatches(t *testing.T) {
 	// Two disjoint triangles; pivoting in one must not match the other.
 	g := triangleData()
-	off := g.DisjointUnion(triangleData())
+	off := graph.NodeID(g.NumNodes())
+	for i := 0; i < 3; i++ {
+		g.AddNode("n")
+	}
+	for i := graph.NodeID(0); i < 3; i++ {
+		g.AddEdge(off+i, off+(i+1)%3, "e")
+	}
 	p := edgePattern("n", "n", "e")
-	hood := graph.Neighborhood(g, off, p.Radius(0)) // pivot x at second triangle's node
+	hood := graph.Neighborhood(g, []graph.NodeID{off}, p.Radius(0)) // pivot x at second triangle's node
 	seed := NewAssignment(2)
 	seed[0] = off
-	s := NewSearch(p, g, Options{Seed: seed, Order: PivotedOrder(p, []pattern.Var{0})})
+	s := NewSearch(p, g, Options{Seed: seed, Order: p.PivotOrder(0)})
 	n := 0
 	for {
 		h, ok := s.Next()

@@ -151,7 +151,7 @@ func TestScopedRootCandidates(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			p := randomPattern(rng, nodeLabels, edgeLabels)
 			seeds := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-			hood := match.MultiSourceNeighborhood(f, seeds, 1+rng.Intn(2))
+			hood := graph.Neighborhood(f, seeds, 1+rng.Intn(2))
 			order := match.DefaultOrder(p)
 			cands := match.ScopedRootCandidates(p, f, order, hood)
 			scoped := match.FindAllOpts(p, f, match.Options{RootCandidates: cands})

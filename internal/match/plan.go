@@ -26,13 +26,11 @@ import (
 // stale plan (see validFor).
 type Plan struct {
 	pat *pattern.Pattern
-	// g is the reader the plan was compiled against. For EpochView readers
-	// the binding is the epoch (any reader serving that epoch may use the
-	// plan — e.g. a Frozen and its Sharded view); for a mutable *Graph it
-	// is the pointer plus its mutation counter.
-	g        graph.Reader
-	epoch    uint64
-	gVersion uint64
+	// g is the reader the plan was compiled against; the binding is its
+	// epoch, so any reader serving that epoch may use the plan (a Frozen and
+	// its Sharded view, an editable graph and the Frozen it reads through).
+	g     graph.Reader
+	epoch uint64
 
 	vars         []varIndex
 	defaultOrder []pattern.Var
@@ -46,16 +44,10 @@ type Plan struct {
 	rootCands []graph.NodeID
 }
 
-// CompilePlan resolves p against g and returns the plan. The caller must
-// not mutate g while using the plan (NewSearch enforces this for mutable
-// graphs via the version check).
+// CompilePlan resolves p against g and returns the plan. A reader without
+// an epoch gets a plan no NewSearch accepts.
 func CompilePlan(p *pattern.Pattern, g graph.Reader) *Plan {
-	pl := &Plan{pat: p, g: g}
-	if ev, ok := g.(graph.EpochView); ok {
-		pl.epoch = ev.Epoch()
-	} else if mg, ok := g.(*graph.Graph); ok {
-		pl.gVersion = mg.Version()
-	}
+	pl := &Plan{pat: p, g: g, epoch: epochOf(g)}
 	pl.vars = resolveVars(p, g)
 	pl.defaultOrder = DefaultOrder(p)
 	pl.pivots = p.Pivot(g)
@@ -66,25 +58,25 @@ func CompilePlan(p *pattern.Pattern, g graph.Reader) *Plan {
 	return pl
 }
 
-// validFor reports whether the plan may serve g: an EpochView reader must
-// carry the compiled epoch; the mutable graph must be the same instance at
-// the same mutation count. Any other reader (or an epoch reader plan asked
-// to serve a mutable graph, and vice versa) is a mismatch.
-func (pl *Plan) validFor(g graph.Reader) bool {
+// epochOf returns the epoch of the snapshot g answers from, 0 when g has
+// none (epochs start at 1).
+func epochOf(g graph.Reader) uint64 {
 	if ev, ok := g.(graph.EpochView); ok {
-		return pl.epoch != 0 && pl.epoch == ev.Epoch()
+		return ev.Epoch()
 	}
-	if mg, ok := g.(*graph.Graph); ok {
-		return pl.epoch == 0 && pl.g == graph.Reader(mg) && pl.gVersion == mg.Version()
-	}
-	return false
+	return 0
+}
+
+// validFor reports whether the plan may serve g: g must carry the epoch the
+// plan was compiled at.
+func (pl *Plan) validFor(g graph.Reader) bool {
+	return pl.epoch != 0 && pl.epoch == epochOf(g)
 }
 
 // Pattern returns the pattern the plan was compiled for.
 func (pl *Plan) Pattern() *pattern.Pattern { return pl.pat }
 
-// Epoch returns the snapshot epoch the plan is bound to (0 when compiled
-// against a mutable graph).
+// Epoch returns the snapshot epoch the plan is bound to.
 func (pl *Plan) Epoch() uint64 { return pl.epoch }
 
 // Pivots returns the precomputed pivot per connected component (the result
@@ -162,15 +154,9 @@ func (c *PlanCache) lookup(fp uint64, p *pattern.Pattern) (int, *Plan) {
 
 // Get returns a plan for (p, g), reusing the cached one when its epoch
 // matches g's and recompiling (and replacing the entry) otherwise — the
-// automatic invalidation path for Refreeze/Compact, whose snapshots carry
-// fresh epochs. Mutable (non-EpochView) readers have no stable content
-// identity to key on, so Get compiles a fresh uncached plan for them; the
-// win there is sharing one plan across a run's work units, which the
-// caller does by passing the same Plan to every NewSearch.
+// automatic invalidation path for Refreeze, Compact and an edited editable
+// graph, whose snapshots carry fresh epochs.
 func (c *PlanCache) Get(p *pattern.Pattern, g graph.Reader) *Plan {
-	if _, ok := g.(graph.EpochView); !ok {
-		return CompilePlan(p, g)
-	}
 	fp := p.Fingerprint()
 	c.mu.RLock()
 	_, pl := c.lookup(fp, p)

@@ -2,6 +2,7 @@ package match_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,13 +11,15 @@ import (
 	"repro/internal/pattern"
 )
 
-// expectStalePanic runs fn and fails unless it panics with the stale-plan
-// message NewSearch raises for a plan compiled against another epoch.
+// expectStalePanic runs fn and fails unless it panics with one of match's
+// own messages: the stale-plan or wrong-pattern one NewSearch raises, or the
+// stale-search one Next and Reseed raise. A panic from elsewhere (an index
+// out of range on voided IDs, say) is not the contract.
 func expectStalePanic(t *testing.T, ctx string, fn func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected stale-plan panic, got none", ctx)
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "match: ") {
+			t.Errorf("%s: expected a match staleness panic, got %q", ctx, msg)
 		}
 	}()
 	fn()
@@ -75,7 +78,8 @@ func TestPlanSearchEquivalence(t *testing.T) {
 
 // TestPlanCacheReuse checks the cache contract on epoch-carrying readers:
 // same pattern + same snapshot → the identical *Plan; a different snapshot
-// (Refreeze) → a recompiled one; a mutable graph → never cached.
+// (Refreeze) → a recompiled one; an editable graph → cached per snapshot,
+// shared with that snapshot, recompiled after a mutation.
 func TestPlanCacheReuse(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 5})
 	g := gr.ConsistentGraph(30)
@@ -105,21 +109,26 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("cache grew to %d entries across Refreeze, want entry replaced in place", cache.Len())
 	}
 
-	// Mutable graphs carry no epoch: Get compiles fresh, uncached.
+	// An editable graph reads through its snapshot and carries its epoch:
+	// the graph and the snapshot share one plan, until a mutation.
 	m1 := cache.Get(p, g)
-	m2 := cache.Get(p, g)
-	if m1 == m2 {
-		t.Fatal("plans for a mutable graph must not be cached")
+	if cache.Get(p, g) != m1 || cache.Get(p, g.Frozen()) != m1 {
+		t.Fatal("plans for an unmutated graph must be cached per snapshot")
+	}
+	g.SetAttr(0, "touched", "1")
+	if cache.Get(p, g) == m1 {
+		t.Fatal("cache served a stale plan across a graph mutation")
 	}
 	if cache.Len() != 1 {
-		t.Fatalf("mutable-graph Get leaked into the cache (len=%d)", cache.Len())
+		t.Fatalf("cache grew to %d entries across a graph mutation, want entry replaced in place", cache.Len())
 	}
 }
 
 // TestPlanStaleness checks that every snapshot transition that can change
 // match results makes previously compiled plans unusable: Refreeze, a
-// compacting Compact, a fresh Overlay, and any mutation of a mutable
-// graph. A no-op Compact keeps the snapshot — and its plans — alive.
+// compacting Compact, a fresh Overlay, and any mutation of an editable
+// graph — which voids the searches compiled on it too. A no-op Compact keeps
+// the snapshot — and its plans — alive.
 func TestPlanStaleness(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 9})
 	g := gr.ConsistentGraph(30)
@@ -167,14 +176,32 @@ func TestPlanStaleness(t *testing.T) {
 		match.NewSearch(p, d3.Overlay(), match.Options{Plan: plO})
 	})
 
-	// Mutable graph: plan is pinned to (graph pointer, version); any
-	// mutation — here one added edge — invalidates it.
-	plG := match.CompilePlan(p, g)
-	match.NewSearch(p, g, match.Options{Plan: plG})
-	g.AddEdge(0, 1, g.Label(0))
-	expectStalePanic(t, "mutated graph", func() {
-		match.NewSearch(p, g, match.Options{Plan: plG})
-	})
+	// Editable graph: a plan and a search are pinned to the snapshot the
+	// graph read through when they were compiled; every mutator voids both
+	// (label IDs resolved before it mean nothing after it).
+	last := graph.NodeID(g.NumNodes() - 1)
+	for _, m := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"AddEdge", func() { g.AddEdge(0, 1, g.Label(0)) }},
+		{"SetAttr", func() { g.SetAttr(0, "touched", "1") }},
+		{"RemoveNode", func() { g.RemoveNode(last) }},
+	} {
+		plG := match.CompilePlan(p, g)
+		fresh, half := match.NewSearch(p, g, match.Options{Plan: plG}), match.NewSearch(p, g, match.Options{})
+		half.Next()
+		seeded := match.NewSearch(p, g, match.Options{Seed: match.NewAssignment(p.NumVars())})
+		m.mutate()
+		expectStalePanic(t, m.name+": plan", func() { match.NewSearch(p, g, match.Options{Plan: plG}) })
+		expectStalePanic(t, m.name+": fresh search", func() { fresh.Next() })
+		expectStalePanic(t, m.name+": half-consumed search", func() { half.Next() })
+		expectStalePanic(t, m.name+": reseed", func() { seeded.Reseed(match.NewAssignment(p.NumVars())) })
+		// Recompiled after the mutation, both work again; the snapshot
+		// frozen before all of them still serves its own plan.
+		match.NewSearch(p, g, match.Options{Plan: match.CompilePlan(p, g)}).Next()
+		match.NewSearch(p, f, match.Options{Plan: pl}).Next()
+	}
 
 	// A plan never crosses patterns, stale or not.
 	other := pattern.New()

@@ -147,7 +147,7 @@ func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 		for _, z := range graph.CandidateNodes(f, p.Label(pv)) {
 			seed := match.NewAssignment(p.NumVars())
 			seed[pv] = z
-			opts := match.Options{Order: match.PivotedOrder(p, pivots), Seed: seed}
+			opts := match.Options{Order: p.PivotOrder(pv), Seed: seed}
 			flat := match.FindAllOpts(p, f, opts)
 			fanned := match.FindAllSharded(p, s, 3, opts)
 			if len(fanned) != len(flat) {
@@ -178,7 +178,7 @@ func TestShardedFanOutKeepsRootCandidates(t *testing.T) {
 		b.AddEdge(a, b.AddNode("b"), "e")
 		as = append(as, a)
 	}
-	s := b.FreezeSharded(4)
+	s := b.Freeze().Sharded(4)
 	p := pattern.New()
 	p.AddEdge(p.AddVar("x", "a"), p.AddVar("y", "b"), "e")
 	opts := match.Options{Order: []pattern.Var{0, 1}, RootCandidates: as[:2]}

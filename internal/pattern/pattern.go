@@ -197,18 +197,28 @@ func (p *Pattern) Pivot(g graph.Reader) []Var {
 	return pivots
 }
 
-// AsGraph materializes the pattern as a data graph whose node labels are the
-// pattern labels (wildcards kept as the literal '_' label) and whose node
-// IDs equal the variable indexes. This is the building block of canonical
-// graphs (Sections IV-B, VI-A).
-func (p *Pattern) AsGraph() *graph.Graph {
-	g := graph.New()
+// AppendTo writes the pattern into g as data: one node per variable, labeled
+// with the pattern label (wildcards kept as the literal '_' label), and one
+// edge per pattern edge. It returns the offset that maps variables to the
+// new nodes (node = offset + NodeID(var)); appending one pattern after
+// another is the disjoint union canonical graphs are built from (Sections
+// IV-B, VI-A).
+func (p *Pattern) AppendTo(g graph.Sink) graph.NodeID {
+	offset := graph.NodeID(g.NumNodes())
 	for _, l := range p.labels {
 		g.AddNode(l)
 	}
 	for _, e := range p.edges {
-		g.AddEdge(graph.NodeID(e.From), graph.NodeID(e.To), e.Label)
+		g.AddEdge(offset+graph.NodeID(e.From), offset+graph.NodeID(e.To), e.Label)
 	}
+	return offset
+}
+
+// AsGraph materializes the pattern as a data graph whose node IDs equal the
+// variable indexes; see AppendTo.
+func (p *Pattern) AsGraph() *graph.Graph {
+	g := graph.New()
+	p.AppendTo(g)
 	return g
 }
 

@@ -136,7 +136,7 @@ func TestPivotPrefersDenseShard(t *testing.T) {
 	for _, l := range []string{"b", "b", "b", "b", "a", "a", "c", "c", "a", "a", "c", "c"} {
 		b.AddNode(l)
 	}
-	s := b.FreezeSharded(3)
+	s := b.Freeze().Sharded(3)
 	if got := p.Pivot(s.Frozen); got[0] != x {
 		t.Fatalf("flat tie should keep the lower variable, got %v", got[0])
 	}
@@ -197,6 +197,42 @@ func TestAsGraphPreservesStructure(t *testing.T) {
 	}
 	if !graph.HasEdge(g, graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z")), "president") {
 		t.Error("edge not preserved")
+	}
+}
+
+// TestAppendToIsADisjointUnion appends one pattern after another into both
+// build targets: each copy lands at the returned offset, edges shifted with
+// it, nothing crossing between copies — the disjoint union G_Σ is built by.
+func TestAppendToIsADisjointUnion(t *testing.T) {
+	p := vee()
+	loop := New()
+	loop.AddEdge(loop.AddVar("x", "extra"), 0, "self")
+	g, b := graph.New(), graph.NewBuilder(0)
+	for _, sink := range []graph.Sink{g, b} {
+		if off := p.AppendTo(sink); off != 0 {
+			t.Fatalf("first offset = %d, want 0", off)
+		}
+		if off := loop.AppendTo(sink); off != 3 {
+			t.Fatalf("second offset = %d, want 3", off)
+		}
+		if off := p.AppendTo(sink); off != 4 {
+			t.Fatalf("third offset = %d, want 4", off)
+		}
+	}
+	x, z := graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z"))
+	for name, r := range map[string]graph.Reader{"graph": g, "builder": b.Freeze()} {
+		if r.NumNodes() != 7 || r.NumEdges() != 5 {
+			t.Fatalf("%s: union has %d nodes %d edges; want 7, 5", name, r.NumNodes(), r.NumEdges())
+		}
+		if !graph.HasEdge(r, 3, 3, "self") || r.Label(3) != "extra" {
+			t.Errorf("%s: self-loop not shifted to its offset", name)
+		}
+		if !graph.HasEdge(r, 4+x, 4+z, "president") || r.Label(4+z) != "country" {
+			t.Errorf("%s: second copy not shifted to its offset", name)
+		}
+		if graph.HasEdge(r, x, 4+z, "president") || graph.HasEdge(r, 4+x, z, "president") {
+			t.Errorf("%s: union invents an edge between copies", name)
+		}
 	}
 }
 

@@ -41,6 +41,7 @@ type Result struct {
 // Implies decides Σ |= φ by chasing G^X_Q to a fixpoint.
 func Implies(set *gfd.Set, phi *gfd.GFD) *Result {
 	cp := canon.BuildPhi(phi)
+	g := cp.Graph.Frozen()
 	e := cp.EqX
 	st := Stats{}
 	if e.Conflicted() != nil || cp.YDeduced(e) {
@@ -50,7 +51,7 @@ func Implies(set *gfd.Set, phi *gfd.GFD) *Result {
 		st.Rounds++
 		changed := false
 		for _, psi := range set.GFDs {
-			s := match.NewSearch(psi.Pattern, cp.Graph, match.Options{})
+			s := match.NewSearch(psi.Pattern, g, match.Options{})
 			for {
 				h, ok := s.Next()
 				if !ok {
