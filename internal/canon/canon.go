@@ -136,3 +136,53 @@ func (p *Phi) YDeduced(e *eq.Eq) bool {
 	}
 	return true
 }
+
+// Applicable returns Σ′: the GFDs of set, in set order, whose pattern passes
+// a necessary condition for having a match in G^X_Q — every variable has a
+// label-compatible node of Q and every edge a compatible (from-label,
+// edge-label, to-label) edge of Q. Q's labels are read as the data labels
+// BuildPhi made of them, so a '_' of Q is matched by a pattern '_' only. A
+// GFD outside Σ′ has no match to enforce, so the chase of Σ′ on G^X_Q is the
+// chase of Σ; one inside may still have none (the condition looks at each
+// edge alone), which the search then finds out.
+func (p *Phi) Applicable(set *gfd.Set) *gfd.Set {
+	q := p.GFD.Pattern
+	nodeIn := func(label string) bool {
+		for v := 0; v < q.NumVars(); v++ {
+			if pattern.LabelMatches(label, q.Label(pattern.Var(v))) {
+				return true
+			}
+		}
+		return false
+	}
+	edgeIn := func(psi *pattern.Pattern, e pattern.Edge) bool {
+		for _, d := range q.Edges() {
+			if pattern.LabelMatches(e.Label, d.Label) &&
+				pattern.LabelMatches(psi.Label(e.From), q.Label(d.From)) &&
+				pattern.LabelMatches(psi.Label(e.To), q.Label(d.To)) {
+				return true
+			}
+		}
+		return false
+	}
+	admits := func(psi *pattern.Pattern) bool {
+		for v := 0; v < psi.NumVars(); v++ {
+			if !nodeIn(psi.Label(pattern.Var(v))) {
+				return false
+			}
+		}
+		for _, e := range psi.Edges() {
+			if !edgeIn(psi, e) {
+				return false
+			}
+		}
+		return true
+	}
+	sub := gfd.NewSet()
+	for _, psi := range set.GFDs {
+		if admits(psi.Pattern) {
+			sub.Add(psi)
+		}
+	}
+	return sub
+}

@@ -1,11 +1,15 @@
 package canon
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/eq"
+	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/pattern"
 )
 
@@ -129,5 +133,113 @@ func TestYDeduced(t *testing.T) {
 	triv := gfd.MustNew("e", edgeP("a", "b"), nil, nil)
 	if cpt := BuildPhi(triv); !cpt.YDeduced(cpt.EqX) {
 		t.Error("empty Y not trivially deduced")
+	}
+}
+
+// bare is a GFD without literals over p, for the Σ′ tests below.
+func bare(name string, p *pattern.Pattern) *gfd.GFD { return gfd.MustNew(name, p, nil, nil) }
+
+// chainP builds the path v0 -l0-> v1 -l1-> ... over the given node labels.
+func chainP(nodes []string, edges ...string) *pattern.Pattern {
+	p := pattern.New()
+	for i, l := range nodes {
+		p.AddVar(fmt.Sprintf("v%d", i), l)
+	}
+	for i, l := range edges {
+		p.AddEdge(pattern.Var(i), pattern.Var(i+1), l)
+	}
+	return p
+}
+
+// TestApplicable pins the condition on hand-made cases: label compatibility
+// runs from ψ's label to Q's (a '_' of Q is data, matched by '_' only), an
+// edge needs one edge of Q compatible at both ends, Σ order is kept, and the
+// condition is necessary only — "split" passes edge by edge and has no match.
+func TestApplicable(t *testing.T) {
+	// Q: n0:a -e-> n1:_ ; n2:b -f-> n3:c
+	q := pattern.New()
+	q.AddEdge(q.AddVar("n0", "a"), q.AddVar("n1", "_"), "e")
+	q.AddEdge(q.AddVar("n2", "b"), q.AddVar("n3", "c"), "f")
+	cp := BuildPhi(bare("target", q))
+	cases := []struct {
+		name string
+		p    *pattern.Pattern
+		keep bool
+	}{
+		{"lone wildcard", chainP([]string{"_"}), true},
+		{"label of Q", chainP([]string{"c"}), true},
+		{"label absent from Q", chainP([]string{"z"}), false},
+		{"one absent label among present ones", chainP([]string{"a", "z"}), false},
+		{"edge of Q", chainP([]string{"b", "c"}, "f"), true},
+		{"edge of Q under wildcards", chainP([]string{"_", "_"}, "_"), true},
+		{"named label against Q's wildcard node", chainP([]string{"a", "b"}, "e"), false},
+		{"wildcard against Q's wildcard node", chainP([]string{"a", "_"}, "e"), true},
+		{"edge label absent", chainP([]string{"a", "_"}, "g"), false},
+		{"edge reversed", chainP([]string{"c", "b"}, "f"), false},
+		{"labels present, no such triple", chainP([]string{"a", "c"}, "f"), false},
+		{"split: each edge has a compatible edge of Q, the path has no match", chainP([]string{"a", "_", "c"}, "e", "_"), true},
+	}
+	set := gfd.NewSet()
+	var want []string
+	for _, c := range cases {
+		set.Add(bare(c.name, c.p))
+		if c.keep {
+			want = append(want, c.name)
+		}
+		if n := len(oracle.Matches(c.p, cp.Graph.Frozen())); !c.keep && n > 0 {
+			t.Fatalf("%s: the case is wrong, the oracle finds %d matches", c.name, n)
+		}
+	}
+	var got []string
+	for _, psi := range cp.Applicable(set).GFDs {
+		got = append(got, psi.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Σ′ = %q\nwant %q", got, want)
+	}
+	if n := len(oracle.Matches(set.GFDs[len(cases)-1].Pattern, cp.Graph.Frozen())); n != 0 {
+		t.Errorf("split has %d matches; it is there to show the condition is not sufficient", n)
+	}
+}
+
+// TestApplicableDropsOnlyMatchlessGFDs is the filter's soundness against the
+// independent oracle: on generated Σ and each kind of generated target, at
+// the default, a moderate and a total wildcard rate, every GFD outside Σ′ has
+// no homomorphism into G^X_Q, Σ′ keeps Σ's order, and a GFD over one wildcard
+// variable is never dropped.
+func TestApplicableDropsOnlyMatchlessGFDs(t *testing.T) {
+	for _, rate := range []float64{0, 0.4, 1.0} {
+		for seed := int64(1); seed <= 3; seed++ {
+			gr := gen.New(gen.Config{N: 120, K: 5, L: 3, WildcardRate: rate, Seed: seed})
+			set, chain := gr.ImpInstance(4)
+			wild := bare("wild", chainP([]string{"_"}))
+			set.GFDs = slices.Insert(set.GFDs, set.Len()/2, wild)
+			dropped, matchless := 0, 0
+			for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(set), gr.NonImpliedGFD()} {
+				cp := BuildPhi(phi)
+				g := cp.Graph.Frozen()
+				kept := cp.Applicable(set).GFDs
+				for _, psi := range set.GFDs {
+					if len(kept) > 0 && kept[0] == psi {
+						kept = kept[1:]
+						if len(oracle.Matches(psi.Pattern, g)) == 0 {
+							matchless++
+						}
+						continue
+					}
+					dropped++
+					if psi == wild {
+						t.Errorf("rate %v seed %d, %s: the lone-wildcard GFD was dropped", rate, seed, phi.Name)
+					}
+					if ms := oracle.Matches(psi.Pattern, g); len(ms) > 0 {
+						t.Errorf("rate %v seed %d, %s: dropped %s, which has %d matches in G^X_Q", rate, seed, phi.Name, psi.Name, len(ms))
+					}
+				}
+				if len(kept) > 0 {
+					t.Errorf("rate %v seed %d, %s: Σ′ is not a subsequence of Σ (%d left over)", rate, seed, phi.Name, len(kept))
+				}
+			}
+			t.Logf("rate %v seed %d: %d of %d (GFD, target) pairs dropped; %d kept without a match", rate, seed, dropped, 3*set.Len(), matchless)
+		}
 	}
 }

@@ -4,6 +4,7 @@ package core
 // model validation, ablation agreement, and stats sanity.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -192,6 +193,56 @@ func TestParSatDeterministicAnswerUnderRepeats(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if ParSat(set, opt).Satisfiable {
 			t.Fatalf("run %d: nondeterministic satisfiability answer", i)
+		}
+	}
+}
+
+// TestImplicationIgnoresGFDsThatCannotMatch is the metamorphic side of
+// running implication on Σ′ (canon.Phi.Applicable): GFDs over labels G^X_Q
+// does not have, spread through Σ, change neither the verdict nor — on
+// non-implied targets, whose runs reach the fixpoint — the matches found and
+// the enforcements fired, on SeqImp and on ParImp at every worker count. And
+// a Σ of nothing but such GFDs is answered without a unit run.
+func TestImplicationIgnoresGFDsThatCannotMatch(t *testing.T) {
+	absent := func(i int) *gfd.GFD {
+		p := pattern.New()
+		x, y := p.AddVar("x", fmt.Sprintf("absent%d", i%3)), p.AddVar("y", graph.Wildcard)
+		p.AddEdge(x, y, graph.Wildcard)
+		return gfd.MustNew(fmt.Sprintf("pad%d", i), p, nil, []gfd.Literal{gfd.Const(y, "a", fmt.Sprint(i))})
+	}
+	for _, rate := range []float64{0, 0.4, 1.0} {
+		gr := gen.New(gen.Config{N: 150, K: 5, L: 3, WildcardRate: rate, Seed: 11})
+		set, chain := gr.ImpInstance(4)
+		padded := gfd.NewSet()
+		for i, psi := range set.GFDs {
+			if i%5 == 0 {
+				padded.Add(absent(i))
+			}
+			padded.Add(psi)
+		}
+		padded.Add(absent(set.Len()))
+		for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(set), gr.NonImpliedGFD()} {
+			engines := map[string]func(*gfd.Set) *ImpResult{"SeqImp": func(s *gfd.Set) *ImpResult { return SeqImp(s, phi) }}
+			for _, p := range []int{1, 2, 4} {
+				opt := DefaultParOptions(p)
+				engines[fmt.Sprintf("ParImp p=%d", p)] = func(s *gfd.Set) *ImpResult { return ParImp(s, phi, opt) }
+			}
+			for name, run := range engines {
+				a, b := run(set), run(padded)
+				if a.Err != nil || b.Err != nil || a.Implied != b.Implied {
+					t.Errorf("rate %v, %s, %s: implied %v (err %v) → %v (err %v) after padding", rate, phi.Name, name, a.Implied, a.Err, b.Implied, b.Err)
+				}
+				if !a.Implied && (a.Stats.Matches != b.Stats.Matches || a.Stats.Enforcements != b.Stats.Enforcements) {
+					t.Errorf("rate %v, %s, %s: matches/enforcements %d/%d → %d/%d after padding", rate, phi.Name, name,
+						a.Stats.Matches, a.Stats.Enforcements, b.Stats.Matches, b.Stats.Enforcements)
+				}
+			}
+		}
+		only := gfd.NewSet(absent(0), absent(1), absent(2))
+		for name, r := range map[string]*ImpResult{"SeqImp": SeqImp(only, chain), "ParImp": ParImp(only, chain, DefaultParOptions(2))} {
+			if r.Err != nil || r.Implied || r.Stats != (Stats{}) {
+				t.Errorf("rate %v, %s on an empty Σ′: implied %v, err %v, stats %+v; want not implied and no work", rate, name, r.Implied, r.Err, r.Stats)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/canon"
 	"repro/internal/eq"
 	"repro/internal/gfd"
 )
@@ -10,14 +9,12 @@ import (
 // enforce GFDs of Σ on matches of their patterns in the canonical graph
 // G^X_Q, expanding Eq_H replicas in parallel; a worker raises the early
 // termination flag when its replica conflicts (antecedent inconsistent with
-// Σ) or deduces Y. The outcome equals SeqImp's on every input.
+// Σ) or deduces Y. The outcome equals SeqImp's on every input. Like SeqImp it
+// runs on Σ′ (startImp), and an empty Σ′ is answered before a worker exists.
 func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
-	cp := canon.BuildPhi(phi)
-	if cp.EqX.Conflicted() != nil {
-		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
-	}
-	if cp.YDeduced(cp.EqX) {
-		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
+	cp, set, res := startImp(set, phi)
+	if res != nil {
+		return res
 	}
 	eng := newParEngine(opt, set, cp.Graph.Frozen(), cp.EqX)
 	eng.goal = func(e *eq.Eq) bool { return cp.YDeduced(e) }

@@ -50,20 +50,35 @@ func (r ImpReason) String() string {
 	}
 }
 
+// startImp is the part of an implication check SeqImp and ParImp share: it
+// builds G^X_Q, answers the cases that need no chase, and cuts Σ down to Σ′ —
+// the GFDs whose pattern labels occur in Q at all (canon.Phi.Applicable).
+// G^X_Q is a handful of nodes and the rest of Σ has no match there, so only
+// Σ′ is grouped, ordered, simulated, planned and searched. A non-nil result
+// is the answer.
+func startImp(set *gfd.Set, phi *gfd.GFD) (*canon.Phi, *gfd.Set, *ImpResult) {
+	cp := canon.BuildPhi(phi)
+	// X inconsistent on its own (no match ever satisfies X), or Y already
+	// deducible from X (includes empty Y).
+	if cp.EqX.Conflicted() != nil || cp.YDeduced(cp.EqX) {
+		return nil, nil, &ImpResult{Implied: true, Reason: ImpliedTrivially}
+	}
+	set = cp.Applicable(set)
+	if set.Len() == 0 {
+		return nil, nil, &ImpResult{Reason: NotImplied}
+	}
+	return cp, set, nil
+}
+
 // SeqImp decides whether Σ |= φ (Section VI-B).
 //
 // By Corollary 4 it suffices to enforce GFDs of Σ on matches of their
 // patterns in the canonical graph G^X_Q of φ, starting from Eq_X, and report
 // implication iff the expansion Eq_H conflicts or deduces Y.
 func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
-	cp := canon.BuildPhi(phi)
-	// X inconsistent on its own: no match ever satisfies X.
-	if cp.EqX.Conflicted() != nil {
-		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
-	}
-	// Y already deducible from X (includes empty Y).
-	if cp.YDeduced(cp.EqX) {
-		return &ImpResult{Implied: true, Reason: ImpliedTrivially}
+	cp, set, res := startImp(set, phi)
+	if res != nil {
+		return res
 	}
 	enf := newSeqEnforcer(cp.EqX, set)
 

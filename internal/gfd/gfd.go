@@ -5,6 +5,7 @@ package gfd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/pattern"
@@ -78,12 +79,14 @@ func New(name string, p *pattern.Pattern, x, y []Literal) (*GFD, error) {
 		return nil, fmt.Errorf("gfd %s: pattern has no variables", name)
 	}
 	g := &GFD{Name: name, Pattern: p, X: x, Y: y}
-	for _, l := range append(append([]Literal{}, x...), y...) {
-		if int(l.X) < 0 || int(l.X) >= p.NumVars() {
-			return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.X)
-		}
-		if l.Kind == VarLiteral && (int(l.Y) < 0 || int(l.Y) >= p.NumVars()) {
-			return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.Y)
+	for _, ls := range [2][]Literal{x, y} {
+		for _, l := range ls {
+			if int(l.X) < 0 || int(l.X) >= p.NumVars() {
+				return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.X)
+			}
+			if l.Kind == VarLiteral && (int(l.Y) < 0 || int(l.Y) >= p.NumVars()) {
+				return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.Y)
+			}
 		}
 	}
 	p.Freeze()
@@ -106,8 +109,20 @@ func MustNew(name string, p *pattern.Pattern, x, y []Literal) *GFD {
 // contradicting constant literals on a reserved attribute of the first
 // variable, following the paper's syntactic-sugar reading.
 func NewFalse(name string, p *pattern.Pattern, x []Literal) (*GFD, error) {
-	y := []Literal{Const(0, FalseAttr, FalseConst0), Const(0, FalseAttr, FalseConst1)}
-	return New(name, p, x, y)
+	y := falseY()
+	return New(name, p, x, y[:])
+}
+
+func falseY() [2]Literal {
+	return [2]Literal{Const(0, FalseAttr, FalseConst0), Const(0, FalseAttr, FalseConst1)}
+}
+
+// IsFalseSugar reports whether the consequent is NewFalse's, literal for
+// literal: the one falsehood (IsFalsehood admits others, on any variable and
+// beside other literals) that a writer may spell "false" and get back.
+func (g *GFD) IsFalseSugar() bool {
+	y := falseY()
+	return slices.Equal(g.Y, y[:])
 }
 
 // IsFalsehood reports whether the consequent is the desugared false.

@@ -17,7 +17,8 @@
 //	then <var>.<attr> = "<const>"   # or variable form, or: then false
 //	end
 //
-// A file may contain any number of gfd blocks.
+// A file may contain any number of gfd blocks. A term <var>.<attr> is one
+// field, cut at its last '.'; "then false" is a block's whole consequent.
 package gfdio
 
 import (
@@ -156,29 +157,45 @@ func isField(s string) bool {
 	return s != "" && !strings.ContainsFunc(s, unicode.IsSpace)
 }
 
-// ReadGFDs parses a file of gfd blocks.
-func ReadGFDs(r io.Reader) (*gfd.Set, error) {
-	set := gfd.NewSet()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
+// maxLineLen is the longest line ReadGFDs reads, as it was when a
+// bufio.Scanner with a buffer of this size split the lines; a longer one is
+// refused with the scanner's error.
+const maxLineLen = 16 * 1024 * 1024
 
+// ReadGFDs parses a file of gfd blocks. It buffers all of r before it parses
+// (so a read error is reported before any parse error), and every name, label
+// and constant of the returned set is a substring of that one buffer: a line
+// costs no copy, and the set keeps the whole file text — comments included —
+// alive for as long as any of its GFDs is. Every caller today is a one-shot
+// gfdreason run, where a rule file is parsed once per process and, on an
+// implication query, parsing Σ is most of the run; a caller that keeps a few
+// rules of a large file for long should strings.Clone what it keeps.
+func ReadGFDs(r io.Reader) (*gfd.Set, error) {
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, err
+	}
+	set := gfd.NewSet()
 	var (
 		name    string
 		pat     *pattern.Pattern
-		xs, ys  []gfd.Literal
+		xs, ys  []gfd.Literal // the open block's literals; reused from block to block
 		isFalse bool
 		inBlock bool
 	)
-	reset := func() {
-		name, pat, xs, ys, isFalse, inBlock = "", nil, nil, nil, false, false
-	}
-	reset()
-
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	tail := text.String()
+	for lineNo := 1; tail != ""; lineNo++ {
+		line := tail
+		if nl := strings.IndexByte(tail, '\n'); nl >= 0 {
+			line, tail = tail[:nl], tail[nl+1:]
+		} else {
+			tail = ""
+		}
+		if len(line) >= maxLineLen {
+			return nil, bufio.ErrTooLong
+		}
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		fields := strings.Fields(line)
@@ -216,9 +233,16 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 				return nil, fmt.Errorf("line %d: %s outside gfd block", lineNo, fields[0])
 			}
 			rest := strings.TrimSpace(line[len(fields[0]):])
+			// false is the whole consequent: a literal beside it would be
+			// dropped without a word, so the later of the two is an error.
 			if fields[0] == "then" && rest == "false" {
+				if len(ys) > 0 {
+					return nil, fmt.Errorf("line %d: then false after another then literal", lineNo)
+				}
 				isFalse = true
 				continue
+			} else if fields[0] == "then" && isFalse {
+				return nil, fmt.Errorf("line %d: then literal after then false", lineNo)
 			}
 			lit, err := parseLiteral(pat, rest)
 			if err != nil {
@@ -233,26 +257,26 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 			if !inBlock {
 				return nil, fmt.Errorf("line %d: end outside gfd block", lineNo)
 			}
+			// The GFD gets exact-size copies (nil for no literals); xs and
+			// ys go on to the next block.
+			x, y := append([]gfd.Literal(nil), xs...), append([]gfd.Literal(nil), ys...)
 			var (
 				phi *gfd.GFD
 				err error
 			)
 			if isFalse {
-				phi, err = gfd.NewFalse(name, pat, xs)
+				phi, err = gfd.NewFalse(name, pat, x)
 			} else {
-				phi, err = gfd.New(name, pat, xs, ys)
+				phi, err = gfd.New(name, pat, x, y)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			set.Add(phi)
-			reset()
+			name, pat, xs, ys, isFalse, inBlock = "", nil, xs[:0], ys[:0], false, false
 		default:
 			return nil, fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if inBlock {
 		return nil, fmt.Errorf("unterminated gfd block %q", name)
@@ -295,39 +319,87 @@ func parseTerm(pat *pattern.Pattern, s string) (pattern.Var, string, error) {
 	if v == pattern.InvalidVar {
 		return 0, "", fmt.Errorf("undeclared variable %q", s[:dot])
 	}
+	// A term is one field: "x.b junk" is not the attribute "b junk".
+	if !isField(s[dot+1:]) {
+		return 0, "", fmt.Errorf("bad attribute term %q (want var.attr)", s)
+	}
 	return v, s[dot+1:], nil
 }
 
-// WriteGFDs emits a set in the gfd block format.
+// WriteGFDs emits a set in the gfd block format. Like WriteGraph it writes
+// only what ReadGFDs reads back as the same rule and returns an error, naming
+// the GFD and the field, for the rest: a statement is split on whitespace, a
+// literal at its first '=', a term at its last '.', and a right-hand side that
+// opens with '"' is a constant.
 func WriteGFDs(w io.Writer, set *gfd.Set) error {
 	bw := bufio.NewWriter(w)
 	for _, phi := range set.GFDs {
+		if !isField(phi.Name) {
+			return fmt.Errorf("gfdio: gfd %q: name is empty or contains whitespace", phi.Name)
+		}
 		fmt.Fprintf(bw, "gfd %s\n", phi.Name)
 		p := phi.Pattern
 		for i := 0; i < p.NumVars(); i++ {
-			fmt.Fprintf(bw, "var %s %s\n", p.Name(pattern.Var(i)), p.Label(pattern.Var(i)))
+			name, label := p.Name(pattern.Var(i)), p.Label(pattern.Var(i))
+			if !isField(name) {
+				return fmt.Errorf("gfdio: gfd %s: variable name %q is empty or contains whitespace", phi.Name, name)
+			}
+			if !isField(label) {
+				return fmt.Errorf("gfdio: gfd %s: label %q of variable %s is empty or contains whitespace", phi.Name, label, name)
+			}
+			fmt.Fprintf(bw, "var %s %s\n", name, label)
 		}
 		for _, e := range p.Edges() {
+			if !isField(e.Label) {
+				return fmt.Errorf("gfdio: gfd %s: label %q of edge %s -> %s is empty or contains whitespace", phi.Name, e.Label, p.Name(e.From), p.Name(e.To))
+			}
 			fmt.Fprintf(bw, "edge %s %s %s\n", p.Name(e.From), p.Name(e.To), e.Label)
 		}
-		for _, l := range phi.X {
-			fmt.Fprintf(bw, "when %s\n", literalText(p, l))
+		if err := writeLiterals(bw, "when", p, phi.X); err != nil {
+			return fmt.Errorf("gfdio: gfd %s: %v", phi.Name, err)
 		}
-		if phi.IsFalsehood() {
+		// "then false" reads back as NewFalse's consequent; a falsehood
+		// spelled any other way is written literal by literal.
+		if phi.IsFalseSugar() {
 			fmt.Fprintf(bw, "then false\n")
-		} else {
-			for _, l := range phi.Y {
-				fmt.Fprintf(bw, "then %s\n", literalText(p, l))
-			}
+		} else if err := writeLiterals(bw, "then", p, phi.Y); err != nil {
+			return fmt.Errorf("gfdio: gfd %s: %v", phi.Name, err)
 		}
 		fmt.Fprintf(bw, "end\n")
 	}
 	return bw.Flush()
 }
 
-func literalText(p *pattern.Pattern, l gfd.Literal) string {
-	if l.Kind == gfd.ConstLiteral {
-		return fmt.Sprintf("%s.%s = %s", p.Name(l.X), l.A, strconv.Quote(l.Const))
+func writeLiterals(bw *bufio.Writer, kw string, p *pattern.Pattern, ls []gfd.Literal) error {
+	for _, l := range ls {
+		text, err := literalText(p, l)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(bw, "%s %s\n", kw, text)
 	}
-	return fmt.Sprintf("%s.%s = %s.%s", p.Name(l.X), l.A, p.Name(l.Y), l.B)
+	return nil
+}
+
+func literalText(p *pattern.Pattern, l gfd.Literal) (string, error) {
+	lhs, err := termText(p, l.X, l.A)
+	if err != nil {
+		return "", err
+	}
+	if l.Kind == gfd.ConstLiteral {
+		return lhs + " = " + strconv.Quote(l.Const), nil
+	}
+	rhs, err := termText(p, l.Y, l.B)
+	return lhs + " = " + rhs, err
+}
+
+func termText(p *pattern.Pattern, v pattern.Var, attr string) (string, error) {
+	name := p.Name(v)
+	if strings.Contains(name, "=") || strings.HasPrefix(name, `"`) {
+		return "", fmt.Errorf("variable name %q in a literal contains '=' or starts with '\"'", name)
+	}
+	if !isField(attr) || strings.ContainsAny(attr, ".=") {
+		return "", fmt.Errorf("attribute name %q is empty or contains whitespace, '.' or '='", attr)
+	}
+	return name + "." + attr, nil
 }

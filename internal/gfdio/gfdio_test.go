@@ -1,12 +1,19 @@
 package gfdio
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
+	"repro/internal/pattern"
 )
 
 const sampleGraph = `# a toy graph
@@ -233,26 +240,363 @@ func TestGeneratedSetRoundTrip(t *testing.T) {
 }
 
 func TestReadGFDsErrors(t *testing.T) {
-	cases := []string{
-		"var x p",                                   // var outside block
-		"gfd a\nvar x p\ngfd b",                     // nested block
-		"gfd a\nvar x p\nwhen x.A 1\nend",           // missing =
-		"gfd a\nvar x p\nwhen y.A = \"1\"\nend",     // undeclared var
-		"gfd a\nvar x p\nedge x y e\nend",           // undeclared edge endpoint
-		"gfd a\nvar x p",                            // unterminated
-		"gfd a\nvar x p\nvar x q\nend",              // duplicate variable
-		"gfd a\nend",                                // no variables
-		"gfd a\nvar x p\nthen x.A = notquoted\nend", // bad rhs: neither quote nor term... actually a term "notquoted" lacks a dot
+	cases := []struct {
+		in   string
+		want string // the whole error; "" = any error
+	}{
+		{"var x p", ""},                                   // var outside block
+		{"gfd a\nvar x p\ngfd b", ""},                     // nested block
+		{"gfd a\nvar x p\nwhen x.A 1\nend", ""},           // missing =
+		{"gfd a\nvar x p\nwhen y.A = \"1\"\nend", ""},     // undeclared var
+		{"gfd a\nvar x p\nedge x y e\nend", ""},           // undeclared edge endpoint
+		{"gfd a\nvar x p", ""},                            // unterminated
+		{"gfd a\nend", ""},                                // no variables
+		{"gfd a\nvar x p\nthen x.A = notquoted\nend", ""}, // rhs neither a constant nor var.attr
+		{"gfd a\nvar x p\nvar x q\nend", `line 3: duplicate variable "x"`},
+		// A term is one field: these used to parse, with the attribute
+		// names "b junk" and "a junk".
+		{"gfd a\nvar x p\nwhen x.a = x.b junk\nend", `line 3: bad attribute term "x.b junk" (want var.attr)`},
+		{"gfd a\nvar x p\nthen x.a junk = \"1\"\nend", `line 3: bad attribute term "x.a junk" (want var.attr)`},
+		{"gfd a\nvar x p\nwhen x .a = \"1\"\nend", `line 3: undeclared variable "x "`}, // as before
+		// false is the whole consequent: the literal beside it used to be
+		// dropped without a word. The later line of the two is named.
+		{"gfd a\nvar x p\nthen x.a = \"1\"\n\nthen false\nend", "line 5: then false after another then literal"},
+		{"gfd a\nvar x p\nthen false\nwhen x.b = \"2\"\nthen x.a = \"1\"\nend", "line 5: then literal after then false"},
 	}
 	for _, c := range cases {
-		if _, err := ReadGFDs(strings.NewReader(c)); err == nil {
-			t.Errorf("no error for %q", c)
+		_, err := ReadGFDs(strings.NewReader(c.in))
+		if err == nil || c.want != "" && err.Error() != c.want {
+			t.Errorf("%q: err = %v, want %s", c.in, err, c.want)
 		}
 	}
-	_, err := ReadGFDs(strings.NewReader("gfd a\nvar x p\nvar x q\nend"))
-	if want := `line 3: duplicate variable "x"`; err == nil || err.Error() != want {
-		t.Errorf("repeated var: err = %v, want %s", err, want)
+	// Not errors: false said twice, and a when after it.
+	if set, err := ReadGFDs(strings.NewReader("gfd a\nvar x p\nthen false\nthen false\nwhen x.a = \"1\"\nend")); err != nil ||
+		!set.GFDs[0].IsFalsehood() || len(set.GFDs[0].X) != 1 {
+		t.Errorf("then false twice: %v, %v", set, err)
 	}
+}
+
+// TestWriteGFDsRefusesWhatItCannotReadBack pins the writer's side of the
+// round trip, as TestWriteGraphRefusesWhatItCannotReadBack does for graphs:
+// a token the reader would split, cut at another place or take for a
+// constant is an error naming the GFD and the field — never a file that
+// parses as another rule or not at all.
+func TestWriteGFDsRefusesWhatItCannotReadBack(t *testing.T) {
+	one := func(name, varName, label string, x, y []gfd.Literal) *gfd.GFD {
+		p := pattern.New()
+		p.AddEdge(p.AddVar(varName, label), p.AddVar("y", "b"), "e")
+		return gfd.MustNew(name, p, x, y)
+	}
+	edge := func(label string) *gfd.GFD {
+		p := pattern.New()
+		p.AddEdge(p.AddVar("x", "a"), p.AddVar("y", "b"), label)
+		return gfd.MustNew("g", p, nil, nil)
+	}
+	falseOn := func(v pattern.Var) []gfd.Literal {
+		return []gfd.Literal{gfd.Const(v, gfd.FalseAttr, gfd.FalseConst0), gfd.Const(v, gfd.FalseAttr, gfd.FalseConst1)}
+	}
+	cases := []struct {
+		name string
+		phi  *gfd.GFD
+		want string // substring of the error; "" = must round-trip
+	}{
+		{"plain", one("g", "x", "a", []gfd.Literal{gfd.Const(0, "k", "v")}, []gfd.Literal{gfd.Vars(0, "k", 1, "k")}), ""},
+		{"any constant is legal", one("g", "x", "a", nil, []gfd.Literal{gfd.Const(0, "k", "a b\n\"=.\xff"), gfd.Const(1, "k", "")}), ""},
+		{"'.' in a variable name is legal", one("g", "x.1", "a", []gfd.Literal{gfd.Vars(0, "k", 0, "l")}, nil), ""},
+		{"false on the first variable is sugar", one("g", "x", "a", nil, falseOn(0)), ""},
+		{"false on another variable is spelled out", one("g", "x", "a", nil, falseOn(1)), ""},
+		{"false beside a literal is spelled out", one("g", "x", "a", nil, append(falseOn(0), gfd.Const(1, "k", "v"))), ""},
+		{"empty gfd name", one("", "x", "a", nil, nil), `gfd "": name`},
+		{"space in gfd name", one("rule 1", "x", "a", nil, nil), `gfd "rule 1": name`},
+		{"empty variable name", one("g", "", "a", nil, nil), `gfd g: variable name ""`},
+		{"tab in variable name", one("g", "x\t1", "a", nil, nil), `gfd g: variable name "x\t1"`},
+		{"empty node label", one("g", "x", "", nil, nil), `gfd g: label "" of variable x`},
+		{"newline in node label", one("g", "x", "a\nvar z b", nil, nil), `gfd g: label "a\nvar z b" of variable x`},
+		{"space in edge label", edge("lives in"), `gfd g: label "lives in" of edge x -> y`},
+		{"empty edge label", edge(""), `gfd g: label "" of edge x -> y`},
+		{"'.' in attribute name", one("g", "x", "a", []gfd.Literal{gfd.Const(0, "x.a", "v")}, nil), `gfd g: attribute name "x.a"`},
+		{"'=' in attribute name", one("g", "x", "a", nil, []gfd.Literal{gfd.Const(0, "a=b", "v")}), `gfd g: attribute name "a=b"`},
+		{"space in attribute name", one("g", "x", "a", nil, []gfd.Literal{gfd.Vars(1, "k", 0, "b junk")}), `gfd g: attribute name "b junk"`},
+		{"empty attribute name", one("g", "x", "a", []gfd.Literal{gfd.Const(0, "", "v")}, nil), `gfd g: attribute name ""`},
+		{"'=' in a variable a literal names", one("g", "x=1", "a", []gfd.Literal{gfd.Const(0, "k", "v")}, nil), `gfd g: variable name "x=1" in a literal`},
+		{"'\"' opening a variable a literal names", one("g", `"x`, "a", nil, []gfd.Literal{gfd.Vars(1, "k", 0, "k")}), `gfd g: variable name "\"x" in a literal`},
+		{"the same variable outside literals is legal", one("g", "x=1", "a", nil, nil), ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			set := gfd.NewSet(edge("e"), c.phi) // a writable rule ahead of the one under test
+			var b strings.Builder
+			err := WriteGFDs(&b, set)
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error %v, want one containing %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadGFDs(strings.NewReader(b.String()))
+			if err != nil {
+				t.Fatalf("wrote a file it cannot read: %v\n%s", err, b.String())
+			}
+			if err := sameSet(set, back); err != nil {
+				t.Fatalf("round trip changed the set: %v\n%s", err, b.String())
+			}
+		})
+	}
+}
+
+// sameSet reports the first difference between two sets: names, variable
+// names, pattern structure (pattern.StructuralEqual) and literals.
+func sameSet(a, b *gfd.Set) error {
+	if a.Len() != b.Len() {
+		return fmt.Errorf("%d GFDs vs %d", a.Len(), b.Len())
+	}
+	for i, g := range a.GFDs {
+		h := b.GFDs[i]
+		if g.Name != h.Name || !pattern.StructuralEqual(g.Pattern, h.Pattern) || !slices.Equal(g.X, h.X) || !slices.Equal(g.Y, h.Y) {
+			return fmt.Errorf("GFD %d: %v vs %v", i, g, h)
+		}
+		for v := 0; v < g.Pattern.NumVars(); v++ {
+			if g.Pattern.Name(pattern.Var(v)) != h.Pattern.Name(pattern.Var(v)) {
+				return fmt.Errorf("GFD %d: variable %d is %q vs %q", i, v, g.Pattern.Name(pattern.Var(v)), h.Pattern.Name(pattern.Var(v)))
+			}
+		}
+	}
+	return nil
+}
+
+// readCorpus is what the parser and its reference are compared on, and the
+// seed corpus of FuzzReadGFDs: the inputs of TestReadGFDs and
+// TestReadGFDsErrors, one generated set, and the corners of the line format.
+func readCorpus() []string {
+	var b strings.Builder
+	g := gen.New(gen.Config{N: 30, K: 5, L: 4, Seed: 7, WildcardRate: 0.3})
+	if err := WriteGFDs(&b, g.Set()); err != nil {
+		panic(err)
+	}
+	return []string{
+		sampleGFDs, b.String(), "",
+		"var x p", "gfd a\nvar x p\ngfd b", "gfd a\nvar x p\nwhen x.A 1\nend",
+		"gfd a\nvar x p\nwhen y.A = \"1\"\nend", "gfd a\nvar x p\nedge x y e\nend", "gfd a\nvar x p",
+		"gfd a\nvar x p\nvar x q\nend", "gfd a\nend", "gfd a\nvar x p\nthen x.A = notquoted\nend",
+		"gfd a\nvar x p\nwhen x.a = x.b junk\nend", "gfd a\nvar x p\nthen x.a junk = \"1\"\nend",
+		"gfd a\nvar x p\nwhen x .a = \"1\"\nend",
+		"gfd a\nvar x p\nthen x.a = \"1\"\nthen false\nend", "gfd a\nvar x p\nthen false\nthen x.a = \"1\"\nend",
+		"gfd a\nvar x p\nthen false\nthen false\nwhen x.a = \"1\"\nend",
+		// White space: tabs, CRLF, a no-break space and an em space as
+		// separators, a lone continuation byte inside a name.
+		"  gfd\ta \r\n\tvar  x\u00a0p\r\n var\u2003y _ \r\nedge x y e\xa0f\r\nthen  x.a =\t\"1 2\"  \r\nend\r\n",
+		"gfd a b\n", "gfd\n", "var x\n", "gfd a\nvar x p q\nend", "gfd a\nvar x p\nedge x x\nend", "gfd a\nvar x p\nedge x x e f\nend",
+		"# only a comment", "gfd a\n#var x p\nend", "gfd a\nvar x p\nend trailing words\n", "bogus", "end",
+		"gfd a\nvar x p\nwhen\nend", "gfd a\nvar x p\nthen =\nend", "gfd a\nvar x p\nthen x. = \"1\"\nend",
+		"gfd a\nvar x p\nthen x.a = \"unterminated\nend", "gfd a\nvar x p\nthen x.a = \"a\\tb\" \nend",
+		"gfd a\nvar x.y p\nvar \"q p\nwhen x.y.a = \"q.b\nthen \"q.b = x.y.a\nend",
+		"gfd a\nvar x p\nthen x.__false = \"__bot0\"\nthen x.__false = \"__bot1\"\nend",
+		"gfd a\nvar x p\nvar y p\nthen y.__false = \"__bot0\"\nthen y.__false = \"__bot1\"\nthen x.a = \"1\"\nend",
+		"gfd a\nvar x1 a\nvar x2 a\nvar x3 a\nvar x4 a\nvar x5 a\nvar x6 a\nvar x7 a\nvar x8 a\nvar x9 a\nvar x10 a\nvar x3 b\nend",
+		"gfd a\nvar x1 a\nvar x2 a\nvar x3 a\nvar x4 a\nvar x5 a\nvar x6 a\nvar x7 a\nvar x8 a\nvar x9 a\nvar x10 a\nedge x10 x1 e\nthen x9.a = x10.a\nend",
+	}
+}
+
+// checkAgainstReference holds one input to the differential contract: the
+// parser and the reference accept or reject alike, with the same error text,
+// and parse the same set; an accepted set is then either refused by
+// WriteGFDs or read back equal from what it wrote.
+func checkAgainstReference(t *testing.T, in string) {
+	t.Helper()
+	got, err := ReadGFDs(strings.NewReader(in))
+	want, refErr := refReadGFDs(strings.NewReader(in))
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("%q: err = %v, the reference says %v", in, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if err := sameSet(want, got); err != nil {
+		t.Fatalf("%q: parsed another set than the reference: %v", in, err)
+	}
+	var b strings.Builder
+	if WriteGFDs(&b, got) != nil {
+		return
+	}
+	back, err := ReadGFDs(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("%q: WriteGFDs wrote a file ReadGFDs rejects: %v\n%s", in, err, b.String())
+	}
+	if err := sameSet(got, back); err != nil {
+		t.Fatalf("%q: round trip changed the set: %v\n%s", in, err, b.String())
+	}
+}
+
+func TestReadGFDsMatchesReference(t *testing.T) {
+	for _, in := range readCorpus() {
+		checkAgainstReference(t, in)
+	}
+}
+
+// FuzzReadGFDs: no input panics the parser, and every input meets
+// checkAgainstReference's contract.
+func FuzzReadGFDs(f *testing.F) {
+	for _, in := range readCorpus() {
+		f.Add(in)
+	}
+	f.Fuzz(checkAgainstReference)
+}
+
+// refReadGFDs is ReadGFDs as it was before it stopped allocating per line —
+// a bufio.Scanner, strings.Fields, a literal slice per block — kept verbatim
+// as the reference the parser is differentially tested against
+// (TestReadGFDsMatchesReference, FuzzReadGFDs), except for the two rejections
+// both gained in the same change, marked "fix" below.
+func refReadGFDs(r io.Reader) (*gfd.Set, error) {
+	set := gfd.NewSet()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+
+	var (
+		name    string
+		pat     *pattern.Pattern
+		xs, ys  []gfd.Literal
+		isFalse bool
+		inBlock bool
+	)
+	reset := func() {
+		name, pat, xs, ys, isFalse, inBlock = "", nil, nil, nil, false, false
+	}
+	reset()
+
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "gfd":
+			if inBlock {
+				return nil, fmt.Errorf("line %d: nested gfd block", lineNo)
+			}
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("line %d: gfd needs a name", lineNo)
+			}
+			name = fields[1]
+			pat = pattern.New()
+			inBlock = true
+		case "var":
+			if !inBlock || len(fields) != 3 {
+				return nil, fmt.Errorf("line %d: bad var statement", lineNo)
+			}
+			if pat.VarByName(fields[1]) != pattern.InvalidVar {
+				return nil, fmt.Errorf("line %d: duplicate variable %q", lineNo, fields[1])
+			}
+			pat.AddVar(fields[1], fields[2])
+		case "edge":
+			if !inBlock || len(fields) != 4 {
+				return nil, fmt.Errorf("line %d: bad edge statement", lineNo)
+			}
+			from := pat.VarByName(fields[1])
+			to := pat.VarByName(fields[2])
+			if from == pattern.InvalidVar || to == pattern.InvalidVar {
+				return nil, fmt.Errorf("line %d: edge references undeclared variable", lineNo)
+			}
+			pat.AddEdge(from, to, fields[3])
+		case "when", "then":
+			if !inBlock {
+				return nil, fmt.Errorf("line %d: %s outside gfd block", lineNo, fields[0])
+			}
+			rest := strings.TrimSpace(line[len(fields[0]):])
+			if fields[0] == "then" && rest == "false" {
+				if len(ys) > 0 { // fix: the literals beside false were dropped
+					return nil, fmt.Errorf("line %d: then false after another then literal", lineNo)
+				}
+				isFalse = true
+				continue
+			}
+			if fields[0] == "then" && isFalse { // fix, the other order
+				return nil, fmt.Errorf("line %d: then literal after then false", lineNo)
+			}
+			lit, err := refParseLiteral(pat, rest)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %v", lineNo, err)
+			}
+			if fields[0] == "when" {
+				xs = append(xs, lit)
+			} else {
+				ys = append(ys, lit)
+			}
+		case "end":
+			if !inBlock {
+				return nil, fmt.Errorf("line %d: end outside gfd block", lineNo)
+			}
+			var (
+				phi *gfd.GFD
+				err error
+			)
+			if isFalse {
+				phi, err = gfd.NewFalse(name, pat, xs)
+			} else {
+				phi, err = gfd.New(name, pat, xs, ys)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %v", lineNo, err)
+			}
+			set.Add(phi)
+			reset()
+		default:
+			return nil, fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if inBlock {
+		return nil, fmt.Errorf("unterminated gfd block %q", name)
+	}
+	return set, nil
+}
+
+func refParseLiteral(pat *pattern.Pattern, s string) (gfd.Literal, error) {
+	eq := strings.Index(s, "=")
+	if eq < 0 {
+		return gfd.Literal{}, fmt.Errorf("literal missing '=': %q", s)
+	}
+	lhs := strings.TrimSpace(s[:eq])
+	rhs := strings.TrimSpace(s[eq+1:])
+	x, a, err := refParseTerm(pat, lhs)
+	if err != nil {
+		return gfd.Literal{}, err
+	}
+	if strings.HasPrefix(rhs, "\"") {
+		c, uerr := strconv.Unquote(rhs)
+		if uerr != nil {
+			return gfd.Literal{}, fmt.Errorf("bad constant %q: %v", rhs, uerr)
+		}
+		return gfd.Const(x, a, c), nil
+	}
+	y, b, err := refParseTerm(pat, rhs)
+	if err != nil {
+		return gfd.Literal{}, err
+	}
+	return gfd.Vars(x, a, y, b), nil
+}
+
+func refParseTerm(pat *pattern.Pattern, s string) (pattern.Var, string, error) {
+	dot := strings.LastIndexByte(s, '.')
+	if dot <= 0 || dot == len(s)-1 {
+		return 0, "", fmt.Errorf("bad attribute term %q (want var.attr)", s)
+	}
+	v := pat.VarByName(s[:dot])
+	if v == pattern.InvalidVar {
+		return 0, "", fmt.Errorf("undeclared variable %q", s[:dot])
+	}
+	if strings.ContainsFunc(s[dot+1:], unicode.IsSpace) { // fix: "x.b junk" was the attribute "b junk"
+		return 0, "", fmt.Errorf("bad attribute term %q (want var.attr)", s)
+	}
+	return v, s[dot+1:], nil
 }
 
 func TestWildcardRoundTrip(t *testing.T) {

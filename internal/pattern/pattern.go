@@ -295,73 +295,69 @@ func (p *Pattern) componentOf(v Var) []Var {
 	return nil
 }
 
+// computeComponents groups the variables by union-find over the edges. The
+// components stand in the order of their union-find roots — not of their
+// smallest members — because Pivot, PivotOrder and the matcher walk them in
+// this order, so it fixes the order matches are found in.
 func (p *Pattern) computeComponents() {
 	n := len(p.names)
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
 	for _, e := range p.edges {
-		union(int(e.From), int(e.To))
+		parent[find(int(e.From))] = find(int(e.To))
 	}
-	groups := make(map[int][]Var)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], Var(i))
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
+	index := make([]int, n) // root → its place in p.components
 	p.components = p.components[:0]
-	for _, r := range roots {
-		comp := groups[r]
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		p.components = append(p.components, comp)
+	for r := range parent {
+		if parent[r] == r {
+			index[r] = len(p.components)
+			p.components = append(p.components, nil)
+		}
+	}
+	for v := range parent {
+		c := index[find(v)]
+		p.components[c] = append(p.components[c], Var(v))
 	}
 }
 
+// computeRadii runs one undirected BFS per variable over a shared distance
+// row and queue; the last variable dequeued is a farthest one.
 func (p *Pattern) computeRadii() {
 	n := len(p.names)
 	p.radius = make([]int, n)
-	for v := 0; v < n; v++ {
-		// BFS over undirected adjacency.
-		dist := map[Var]int{Var(v): 0}
-		frontier := []Var{Var(v)}
-		max := 0
-		for len(frontier) > 0 {
-			var next []Var
-			for _, u := range frontier {
-				du := dist[u]
-				step := func(w Var) {
-					if _, ok := dist[w]; !ok {
-						dist[w] = du + 1
-						if du+1 > max {
-							max = du + 1
-						}
-						next = append(next, w)
-					}
-				}
-				for _, e := range p.out[u] {
-					step(e.To)
-				}
-				for _, e := range p.in[u] {
-					step(e.From)
+	dist := make([]int, n)
+	queue := make([]Var, 0, n)
+	for v := range p.radius {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[v] = 0
+		queue = append(queue[:0], Var(v))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, e := range p.out[u] {
+				if dist[e.To] < 0 {
+					dist[e.To] = dist[u] + 1
+					queue = append(queue, e.To)
 				}
 			}
-			frontier = next
+			for _, e := range p.in[u] {
+				if dist[e.From] < 0 {
+					dist[e.From] = dist[u] + 1
+					queue = append(queue, e.From)
+				}
+			}
 		}
-		p.radius[v] = max
+		p.radius[v] = dist[queue[len(queue)-1]]
 	}
 }
 

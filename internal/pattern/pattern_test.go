@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -242,5 +243,60 @@ func TestWildcardKeptInAsGraph(t *testing.T) {
 	g := p.AsGraph()
 	if g.Label(0) != graph.Wildcard {
 		t.Errorf("wildcard label = %q, want %q", g.Label(0), graph.Wildcard)
+	}
+}
+
+// TestFreezeDerivedDataPinned pins what Freeze derives — components, radii,
+// signatures — on the shapes its walks can get wrong, to the values the
+// map-based implementation it replaced computed. The component order is part
+// of the pin: "crossed" has its smaller-member component second, because the
+// components stand in union-find root order, and Pivot, PivotOrder and the
+// matcher walk them in that order.
+func TestFreezeDerivedDataPinned(t *testing.T) {
+	type edge struct {
+		from, to int
+		label    string
+	}
+	cases := []struct {
+		name  string
+		vars  int
+		edges []edge
+		want  string // components | radii | signatures
+	}{
+		{"single variable", 1, nil,
+			"[[0]] | [0] | [{[] []}]"},
+		{"self-loop", 1, []edge{{0, 0, "s"}},
+			"[[0]] | [0] | [{[s] [s]}]"},
+		{"self-loop beside an isolated variable", 2, []edge{{0, 0, "s"}},
+			"[[0] [1]] | [0 0] | [{[s] [s]} {[] []}]"},
+		{"directed 3-cycle", 3, []edge{{0, 1, "a"}, {1, 2, "b"}, {2, 0, "c"}},
+			"[[0 1 2]] | [1 1 1] | [{[a] [c]} {[b] [a]} {[c] [b]}]"},
+		{"4-cycle with a chord and a parallel edge", 4, []edge{{0, 1, "e"}, {1, 2, "e"}, {2, 3, "e"}, {3, 0, "e"}, {0, 2, "_"}, {0, 1, "f"}},
+			"[[0 1 2 3]] | [1 2 1 2] | [{[_ e f] [e]} {[e] [e f]} {[e] [_ e]} {[e] [e]}]"},
+		{"chain of five, edges against the chain", 5, []edge{{1, 0, "e"}, {2, 1, "e"}, {3, 2, "e"}, {4, 3, "e"}},
+			"[[0 1 2 3 4]] | [4 3 2 3 4] | [{[] [e]} {[e] [e]} {[e] [e]} {[e] [e]} {[e] []}]"},
+		{"two components in declaration order", 4, []edge{{0, 1, "e"}, {3, 2, "e"}},
+			"[[0 1] [2 3]] | [1 1 1 1] | [{[e] []} {[] [e]} {[] [e]} {[e] []}]"},
+		{"crossed", 4, []edge{{0, 3, "e"}, {1, 2, "e"}},
+			"[[1 2] [0 3]] | [1 1 1 1] | [{[e] []} {[e] []} {[] [e]} {[] [e]}]"},
+		{"star, an isolated variable, a pair", 7, []edge{{0, 1, "a"}, {0, 2, "b"}, {0, 3, "a"}, {6, 5, "c"}},
+			"[[0 1 2 3] [4] [5 6]] | [1 2 2 2 0 1 1] | [{[a b] []} {[] [a]} {[] [b]} {[] [a]} {[] []} {[] [c]} {[c] []}]"},
+	}
+	for _, c := range cases {
+		p := New()
+		for i := 0; i < c.vars; i++ {
+			p.AddVar(fmt.Sprintf("x%d", i), "l")
+		}
+		for _, e := range c.edges {
+			p.AddEdge(Var(e.from), Var(e.to), e.label)
+		}
+		radii := make([]int, c.vars)
+		sigs := make([]graph.Signature, c.vars)
+		for v := range radii {
+			radii[v], sigs[v] = p.Radius(Var(v)), p.Signature(Var(v))
+		}
+		if got := fmt.Sprintf("%v | %v | %v", p.Components(), radii, sigs); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }
