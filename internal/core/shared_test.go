@@ -255,3 +255,41 @@ func TestViolationsAllocsIndependentOfMatches(t *testing.T) {
 		t.Errorf("ViolationsOpts: %.0f allocs/call over %d matches, want at most %d (violations + 64·(GFDs + groups))", got, matches, bound)
 	}
 }
+
+// TestParSatAllocsIndependentOfMatches: the chase is handed views and parks
+// matches in an arena, so a lone-worker ParSat or a SeqSat call allocates in
+// proportion to |Σ| and its pattern groups — G_Σ, simulation, plans,
+// searches, the enforcer's tables — not to the matches it enumerates, which
+// on this Σ outnumber the bound. Both engines make 30–33 allocations per
+// GFD and group, so a bound of 48 leaves room for a toolchain that
+// allocates more and none for a per-match copy: even a match Clone the
+// compiler keeps on the stack for most matches (ParSat p=1 at 85 k) does
+// not fit.
+func TestParSatAllocsIndependentOfMatches(t *testing.T) {
+	set := gen.New(gen.Config{N: 800, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.9, Seed: 1}).Set()
+	groups := len(set.Groups())
+	bound := 48 * (set.Len() + groups)
+	opt := ParOptions{Workers: 1} // no TTL: a split would allocate by the clock
+	r := ParSat(set, opt)
+	if r.Err != nil || !r.Satisfiable {
+		t.Fatalf("setup: ParSat = %v, err %v; want a satisfiable Σ chased to quiescence", r.Satisfiable, r.Err)
+	}
+	if r.Stats.Matches < 100_000 || r.Stats.Matches < bound {
+		t.Fatalf("setup: %d matches — want at least 10⁵ and more than the bound %d", r.Stats.Matches, bound)
+	}
+	for _, run := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ParSat p=1", func() { ParSat(set, opt) }},
+		{"SeqSat", func() { SeqSat(set) }},
+	} {
+		got := testing.AllocsPerRun(2, run.fn)
+		t.Logf("%s: %d matches, %d GFDs in %d groups: %.0f allocs/call (bound %d)",
+			run.name, r.Stats.Matches, set.Len(), groups, got, bound)
+		if int(got) > bound {
+			t.Errorf("%s: %.0f allocs/call over %d matches, want at most %d (48·(GFDs + groups))",
+				run.name, got, r.Stats.Matches, bound)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -208,6 +209,48 @@ func TestOverlayEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestOverlaySurvivesRefreezeAndCompact pins what Refreeze promises: a
+// reader serves fixed contents. Refreezing the delta (plain, or compacting
+// the result) and compacting the base each build a new snapshot and leave
+// the base, the delta and an Overlay taken before them as they were — only
+// mutating the delta retires the overlay.
+func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
+	nodeLabels := []string{"a", "b", "c", Wildcard}
+	edgeLabels := []string{"e", "f", "g", Wildcard}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed + 300))
+		n := 10 + rng.Intn(12)
+		mirror, f := buildBoth(seed*13+5, n, 4*n, nodeLabels, edgeLabels)
+		// A tombstoned base, so both compactions have slots to drop.
+		kill := NewDelta(f)
+		for v := NodeID(0); int(v) < n; v += 3 {
+			mirror.RemoveNode(v)
+			kill.RemoveNode(v)
+		}
+		base := f.Refreeze(kill)
+		d := NewDelta(base)
+		applyRandomOps(rng, mirror, d, 2+rng.Intn(2*n), nodeLabels, edgeLabels)
+		o := d.Overlay()
+		ctx := fmt.Sprintf("seed=%d n=%d delta=%v", seed, n, d)
+		for _, step := range []struct {
+			name string
+			run  func() bool // reports whether a new snapshot was built
+		}{
+			{"Refreeze", func() bool { return base.Refreeze(d) != base }},
+			{"RefreezeOpts with compaction", func() bool {
+				_, remap := base.RefreezeOpts(d, RefreezeOptions{CompactThreshold: math.SmallestNonzeroFloat64})
+				return remap != nil
+			}},
+			{"Compact of the base", func() bool { _, remap := base.Compact(); return remap != nil }},
+		} {
+			if !step.run() {
+				t.Fatalf("%s: %s built no new snapshot", ctx, step.name)
+			}
+			checkReaderEquivalence(t, ctx+" overlay after "+step.name, mirror, o, nodeLabels, edgeLabels)
+		}
+	}
+}
+
 // TestShardedRefreeze pins the dirty-shard path: Sharded.Refreeze must
 // produce the same partition accounting as carving the refrozen snapshot
 // from scratch at the same bounds, while answering whole-graph queries like
@@ -321,7 +364,6 @@ func TestDeltaSemantics(t *testing.T) {
 	mustPanic("stale overlay", func() {
 		o2 := d.Overlay()
 		d.AddNode("a")
-		//gfdlint:allow overlaystale -- this read exercises the staleness panic on purpose
 		outByLabel(o2, x, "e")
 	})
 	mustPanic("foreign base", func() { NewBuilder(0).Freeze().Refreeze(d) })

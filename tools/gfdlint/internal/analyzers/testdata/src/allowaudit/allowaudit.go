@@ -5,19 +5,16 @@ package allowaudit
 
 import "fixtures/graph"
 
-// The directive suppresses a real overlaystale finding: used, not reported.
-func usedDirective(d *graph.Delta) int {
-	o := d.Overlay()
-	d.AddNode("person")
-	//gfdlint:allow overlaystale -- this read exercises the staleness panic on purpose
-	return o.NumNodes()
+// The directive suppresses a real mutatorerr finding: used, not reported.
+func usedDirective(w *graph.WAL) {
+	//gfdlint:allow mutatorerr -- the log is being abandoned; nothing reads its error
+	w.Close()
 }
 
-// Nothing trips overlaystale on the covered lines: the directive is dead.
-func unusedDirective(d *graph.Delta) int {
-	o := d.Overlay()
-	//gfdlint:allow overlaystale -- the read below is fresh, nothing to allow // want "unused //gfdlint:allow directive"
-	return o.NumNodes()
+// Nothing trips mutatorerr on the covered lines: the directive is dead.
+func unusedDirective(w *graph.WAL) error {
+	//gfdlint:allow mutatorerr -- the error below is returned, nothing to allow // want "unused //gfdlint:allow directive"
+	return w.Close()
 }
 
 // A blanket directive with no names is a wildcard; unused ones are flagged

@@ -1,6 +1,7 @@
-// Package analyzers holds gfdlint's project-specific checks. Each analyzer
-// mechanically enforces one contract that DESIGN.md previously stated only
-// in prose; see the Doc string on each for the contract and the fix.
+// Package analyzers holds gfdlint's project-specific checks: the ones that
+// catch a bug no test, go vet or staticcheck catches (DESIGN.md, "Enforced
+// invariants", has the seeded bug behind each). See the Doc string on each
+// for the contract and the fix.
 package analyzers
 
 import (
@@ -11,18 +12,9 @@ import (
 	"repro/tools/gfdlint/internal/lint"
 )
 
-// All returns every gfdlint analyzer. General-purpose checks (copylocks,
-// shadowing, nilness) are left to go vet and staticcheck, which CI runs.
+// All returns every gfdlint analyzer.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{
-		HotAlloc,
-		MutatorErr,
-		OverlayStale,
-		EpochFlow,
-		CtxPoll,
-		GoroIsolate,
-		LockDiscipline,
-	}
+	return []*lint.Analyzer{MutatorErr}
 }
 
 // calleeFunc resolves the function or method a call invokes, nil when the
@@ -58,35 +50,6 @@ func declPkgMatches(fn *types.Func, names ...string) bool {
 	return false
 }
 
-// pkgEnabled reports whether an analyzed package path is covered by the
-// comma-separated suffix list ("*" covers everything).
-func pkgEnabled(path, suffixes string) bool {
-	for _, s := range strings.Split(suffixes, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		if s == "*" || path == s || strings.HasSuffix(path, "/"+s) || strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// recvIdent returns the receiver identifier of a method call x.M(...),
-// nil when the receiver is not a simple identifier.
-func recvIdent(call *ast.CallExpr) *ast.Ident {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return id
-}
-
 // errorResultIndexes returns the result positions of fn typed `error`.
 func errorResultIndexes(fn *types.Func) []int {
 	sig, ok := fn.Type().(*types.Signature)
@@ -102,21 +65,6 @@ func errorResultIndexes(fn *types.Func) []int {
 		}
 	}
 	return out
-}
-
-// syncMethod resolves a call to a method declared in package sync,
-// returning the method and the receiver expression text used as the lock
-// identity key.
-func syncMethod(info *types.Info, call *ast.CallExpr) (fn *types.Func, key string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	fn, isFn := info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, "", false
-	}
-	return fn, types.ExprString(ast.Unparen(sel.X)), true
 }
 
 // recvNamed returns the name of fn's receiver's named type ("" for

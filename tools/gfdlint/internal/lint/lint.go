@@ -1,10 +1,9 @@
 // Package lint is a minimal, dependency-free go/analysis look-alike: an
 // Analyzer runs over one typechecked package (a Pass) and reports
-// position-anchored Diagnostics, optionally carrying mechanical
-// SuggestedFixes. The shapes mirror golang.org/x/tools/go/analysis on
-// purpose — if that module is ever vendored, each Analyzer ports by
-// renaming imports — but the implementation is stdlib-only so gfdlint
-// builds in hermetic environments.
+// position-anchored Diagnostics. The shapes mirror
+// golang.org/x/tools/go/analysis on purpose — if that module is ever
+// vendored, each Analyzer ports by renaming imports — but the
+// implementation is stdlib-only so gfdlint builds in hermetic environments.
 package lint
 
 import (
@@ -20,54 +19,26 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// SkipTestFiles drops diagnostics whose position falls in a _test.go
-	// file. Checks that guard performance contracts (hot-path allocation)
-	// skip tests; checks that guard correctness contracts (dropped
-	// durability errors, stale overlays, lock discipline) do not.
-	SkipTestFiles bool
-
-	Run func(*Pass)
+	Run  func(*Pass)
 }
 
 // Pass carries one typechecked package through an Analyzer.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	Files []*ast.File
+	Info  *types.Info
 
 	report func(Diagnostic)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
-
-// Report reports a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos            token.Pos
-	End            token.Pos // optional
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is a mechanical rewrite the driver can apply under -fix.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText.
-type TextEdit struct {
 	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Message string
 }
 
 // Finding is a Diagnostic tagged with the Analyzer that produced it.
@@ -94,12 +65,11 @@ var AllowAudit = &Analyzer{
 }
 
 // RunAnalyzers runs every analyzer over the pass's package and returns the
-// surviving findings: suppressed ones (see ParseAllowDirectives) and — for
-// analyzers with SkipTestFiles — ones landing in _test.go files are
+// surviving findings: suppressed ones (see ParseAllowDirectives) are
 // filtered here so every driver (CLI, fixture tests) sees the same set.
 // If the suite includes AllowAudit, a finding is added for every allow
 // directive that suppressed nothing.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Finding {
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, info *types.Info, analyzers []*Analyzer) []Finding {
 	allow := ParseAllowDirectives(fset, files)
 	var out []Finding
 	audit := false
@@ -108,13 +78,9 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			audit = true
 			continue
 		}
-		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info}
+		pass := &Pass{Files: files, Info: info}
 		pass.report = func(d Diagnostic) {
-			pos := fset.Position(d.Pos)
-			if a.SkipTestFiles && strings.HasSuffix(pos.Filename, "_test.go") {
-				return
-			}
-			if allow.Allows(a.Name, pos) {
+			if allow.Allows(a.Name, fset.Position(d.Pos)) {
 				return
 			}
 			out = append(out, Finding{Analyzer: a, Diag: d})
@@ -224,25 +190,4 @@ func (s *AllowSet) Unused() []*AllowDirective {
 		}
 	}
 	return out
-}
-
-// WalkStack walks the AST rooted at n, invoking fn with each node and the
-// stack of its ancestors (outermost first, not including the node itself).
-// If fn returns false the node's children are skipped.
-func WalkStack(n ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(n, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		ok := fn(n, stack)
-		stack = append(stack, n)
-		if !ok {
-			// Children are skipped, so Inspect will not deliver the nil
-			// pop for this node; pop it now.
-			stack = stack[:len(stack)-1]
-		}
-		return ok
-	})
 }

@@ -8,7 +8,6 @@ package linttest
 
 import (
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -23,17 +22,16 @@ var wantRE = regexp.MustCompile(`//\s*want\s+(.+)$`)
 var wantArgRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
 // Run loads srcdir's fixture package pkg and checks analyzer a against its
-// want comments, returning the findings and their FileSet for any extra
-// assertions (e.g. applying suggested fixes against a golden file).
-func Run(t *testing.T, srcdir string, a *lint.Analyzer, pkg string) ([]lint.Finding, *token.FileSet) {
+// want comments.
+func Run(t *testing.T, srcdir string, a *lint.Analyzer, pkg string) {
 	t.Helper()
-	return RunSuite(t, srcdir, []*lint.Analyzer{a}, pkg)
+	RunSuite(t, srcdir, []*lint.Analyzer{a}, pkg)
 }
 
 // RunSuite is Run for several analyzers at once: interactions between
 // passes — like the allow-audit, which only fires for directives no other
 // analyzer's suppressed finding claimed — need the whole suite in one run.
-func RunSuite(t *testing.T, srcdir string, as []*lint.Analyzer, pkg string) ([]lint.Finding, *token.FileSet) {
+func RunSuite(t *testing.T, srcdir string, as []*lint.Analyzer, pkg string) {
 	t.Helper()
 	pkgs, err := load.Load(load.Config{Dir: srcdir, Env: []string{"GOWORK=off"}}, "./"+pkg)
 	if err != nil {
@@ -77,7 +75,7 @@ func RunSuite(t *testing.T, srcdir string, as []*lint.Analyzer, pkg string) ([]l
 				}
 			}
 		}
-		findings = append(findings, lint.RunAnalyzers(p.Fset, p.Files, p.Types, p.Info, as)...)
+		findings = append(findings, lint.RunAnalyzers(p.Fset, p.Files, p.Info, as)...)
 	}
 
 	for _, f := range findings {
@@ -102,7 +100,6 @@ func RunSuite(t *testing.T, srcdir string, as []*lint.Analyzer, pkg string) ([]l
 			}
 		}
 	}
-	return findings, pkgs[0].Fset
 }
 
 func posString(file string, line, col int) string {

@@ -1,16 +1,17 @@
 // Command gfdlint is the project's static-analysis gate: a multichecker of
-// project-specific analyzers that mechanically enforce the Reader/Mutator/
-// Overlay contracts DESIGN.md states in prose (general-purpose checks are
-// go vet's and staticcheck's job). Stdlib-only by design — see go.mod — so
-// it runs in hermetic environments:
+// the project-specific analyzers that catch a bug nothing else does — no
+// test, go vet or staticcheck (DESIGN.md, "Enforced invariants"). Today
+// that is mutatorerr: a dropped error from the graph/gfdio persistence
+// APIs. Stdlib-only by design — see go.mod — so it runs in hermetic
+// environments:
 //
 //	go run ./tools/gfdlint ./...                    # lint the root module
 //	go run ./tools/gfdlint repro/tools/gfdlint/...  # lint the linter
-//	go run ./tools/gfdlint -fix ./...               # apply mechanical fixes
+//	go run ./tools/gfdlint -list                    # name each analyzer
 //
 // Suppress a finding with a trailing or preceding comment:
 //
-//	//gfdlint:allow hotalloc -- each part is retained, the copy is the point
+//	//gfdlint:allow mutatorerr -- the log is abandoned; nothing reads its error
 //
 // Exit status: 0 clean, 1 findings remain, 2 usage/load failure.
 package main
@@ -34,15 +35,12 @@ func main() {
 
 func run() int {
 	var (
-		fix     = flag.Bool("fix", false, "apply mechanical suggested fixes to the source files")
 		tests   = flag.Bool("tests", true, "also analyze _test.go files")
 		only    = flag.String("only", "", "comma-separated analyzer names to run exclusively")
 		disable = flag.String("disable", "", "comma-separated analyzer names to skip")
 		list    = flag.Bool("list", false, "list analyzers and exit")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	)
-	flag.StringVar(&analyzers.HotPkgs, "hotalloc.pkgs", analyzers.HotPkgs,
-		"package path suffixes hotalloc applies to (\"*\" = all)")
 	flag.Parse()
 
 	all := analyzers.All()
@@ -80,37 +78,10 @@ func run() int {
 	fset := pkgs[0].Fset
 	var findings []lint.Finding
 	for _, p := range pkgs {
-		findings = append(findings, lint.RunAnalyzers(p.Fset, p.Files, p.Types, p.Info, enabled)...)
+		findings = append(findings, lint.RunAnalyzers(p.Fset, p.Files, p.Info, enabled)...)
 	}
 	if len(findings) == 0 {
 		return 0
-	}
-
-	if *fix {
-		var fixable, rest []lint.Finding
-		for _, f := range findings {
-			if len(f.Diag.SuggestedFixes) > 0 {
-				fixable = append(fixable, f)
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		files, err := lint.ApplyFixes(fset, fixable, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gfdlint: -fix:", err)
-			return 2
-		}
-		for name, content := range files {
-			if err := os.WriteFile(name, content, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "gfdlint: -fix:", err)
-				return 2
-			}
-			fmt.Printf("fixed: %s\n", name)
-		}
-		findings = rest
-		if len(findings) == 0 {
-			return 0
-		}
 	}
 
 	if *jsonOut {
@@ -208,12 +179,5 @@ func jsonFindings(fset *token.FileSet, findings []lint.Finding) ([]byte, error) 
 func printFindings(fset *token.FileSet, findings []lint.Finding) {
 	for _, f := range findings {
 		fmt.Printf("%s: %s [%s]\n", f.Position(fset), f.Diag.Message, f.Analyzer.Name)
-		for _, sf := range f.Diag.SuggestedFixes {
-			fmt.Printf("\tsuggested fix (-fix applies it): %s", sf.Message)
-			for _, e := range sf.Edits {
-				fmt.Printf(" → %s", e.NewText)
-			}
-			fmt.Println()
-		}
 	}
 }
