@@ -284,6 +284,39 @@ func TestRecoverMissingLog(t *testing.T) {
 	}
 }
 
+// TestStoreWriteErrorExits2 pins that a store image that cannot be written
+// — here, into a directory that does not exist — fails snapshot and
+// recover -o with exit 2, and neither claims to have written it.
+func TestStoreWriteErrorExits2(t *testing.T) {
+	_, store, wal := storeFixture(t)
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out.snap")
+	for _, args := range [][]string{
+		{"snapshot", write(t, graphDirty), missing},
+		{"recover", "-o", missing, store, wal},
+	} {
+		out, errOut, code := gfdreason(t, args...)
+		if code != 2 || strings.Contains(out, "wrote") || !strings.Contains(errOut, "snapshot store") {
+			t.Errorf("gfdreason %v: exit %d, stdout %q, stderr %q; want 2, no \"wrote\", the store error", args, code, out, errOut)
+		}
+	}
+}
+
+// TestCheckWALForeignBaseExits2 pins that check -wal refuses a log recorded
+// over another base: replaying it fails on its first record (node 1 is not
+// in a one-node store), so the run exits 2 with no verdict rather than
+// checking the replayed prefix.
+func TestCheckWALForeignBaseExits2(t *testing.T) {
+	sigma, _, wal := storeFixture(t)
+	other := filepath.Join(t.TempDir(), "other.snap")
+	if _, _, code := gfdreason(t, "snapshot", write(t, "node 0 n k=1\n"), other); code != 0 {
+		t.Fatalf("snapshot of the other base: exit %d", code)
+	}
+	out, errOut, code := gfdreason(t, "check", "-wal", wal, sigma, other)
+	if code != 2 || out != "" || !strings.HasPrefix(errOut, "recover ") {
+		t.Errorf("check -wal over another base: exit %d, stdout %q, stderr %q; want 2, no verdict, a recover error", code, out, errOut)
+	}
+}
+
 // TestTornLogTail pins the torn-tail split between the two commands: check
 // -wal validates the complete records, says so on stderr and leaves the log
 // alone (a writer may still be appending); recover is the one that

@@ -510,7 +510,7 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// floor: runner core counts vary (a 1-core runner can at best break
 	// even), so the gate guards "sharding never becomes a tax", while the
 	// informational times record the actual speedup per machine.
-	sh := f.Sharded(graph.DefaultShardCount(f.NumNodes()))
+	sh := f.Sharded(runtime.GOMAXPROCS(0))
 	sharded := medianTime(cfg.Reps, func() {
 		for _, p := range ps {
 			match.CountSharded(p, sh, CIShardWorkers, match.Options{})

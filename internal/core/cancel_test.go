@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -272,6 +273,61 @@ func TestRevalidateCancel(t *testing.T) {
 		}
 	}
 	assertGoroutineBaseline(t, before)
+}
+
+// countdownCtx is a context whose Err starts firing after a fixed number of
+// polls, so a test can make a cancel land at a chosen depth of a run.
+type countdownCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRevalidateCancelsInsideGroup pins that a cancel reaching the one
+// group's scoped re-enumeration stops that search, not just the next group
+// boundary: the countdown is armed as the task starts, lets the task's entry
+// poll and a few of the search's polls pass, and then fires with most of the
+// 1,000-root hood still ahead.
+func TestRevalidateCancelsInsideGroup(t *testing.T) {
+	p := pattern.New()
+	x := p.AddVar("x", "n")
+	y := p.AddVar("y", "n")
+	p.AddEdge(x, y, "e")
+	set := gfd.NewSet()
+	set.Add(gfd.MustNew("hub", p, nil, []gfd.Literal{gfd.Const(y, "k", "v")}))
+	// A star into hub h: touching h puts every leaf in the radius-1 hood,
+	// and each leaf roots one match.
+	b := graph.NewBuilder(1000)
+	h := b.AddNode("n")
+	for i := 0; i < 1000; i++ {
+		b.AddEdge(b.AddNode("n"), h, "e")
+	}
+	base := b.Freeze()
+	prev := Violations(base, set)
+	d := graph.NewDelta(base)
+	d.SetAttr(h, "k", "v")
+
+	_, full, err := RevalidateDelta(set, d, prev, RevalidateOptions{Workers: 1})
+	if err != nil || full.Scoped != 1 || full.Reenumerated < 1000 {
+		t.Fatalf("uncancelled run: err %v, stats %+v; want one scoped group re-enumerating the hood", err, full)
+	}
+	ctx := &countdownCtx{Context: context.Background(), polls: math.MaxInt}
+	opt := RevalidateOptions{Workers: 1, Ctx: ctx}
+	opt.testHookGFDStart = func(int) { ctx.polls = 1 + 8 }
+	_, stats, err := RevalidateDelta(set, d, prev, opt)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if stats.Reenumerated == 0 || stats.Reenumerated >= full.Reenumerated {
+		t.Fatalf("canceled run re-enumerated %d matches; want some, and fewer than the uncancelled %d",
+			stats.Reenumerated, full.Reenumerated)
+	}
 }
 
 // TestRevalidatePanicIsolation panics inside a revalidation task: the pool

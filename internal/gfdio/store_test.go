@@ -49,6 +49,55 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 	}
 }
 
+// failFirstWrite is a temp file whose first Write fails while every later
+// Write and the Sync succeed: a transient fault the sweep below cannot model,
+// since its disk never heals and so fails the Sync too.
+type failFirstWrite struct {
+	*os.File
+	failed bool
+}
+
+func (w *failFirstWrite) Write(p []byte) (int, error) {
+	if !w.failed {
+		w.failed = true
+		return 0, faultio.ErrInjected
+	}
+	return w.File.Write(p)
+}
+
+// TestWriteSnapshotAtomicFailedWriteThenSync pins that the image write's
+// own error fails the store even when the Sync after it succeeds: the
+// rewrite returns the injected error and the old image still loads.
+func TestWriteSnapshotAtomicFailedWriteThenSync(t *testing.T) {
+	oldG, err := ReadFrozenGraph(strings.NewReader("node 0 only\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newG, err := ReadFrozenGraph(strings.NewReader(sampleGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.snap")
+	if err := WriteSnapshotAtomic(path, oldG); err != nil {
+		t.Fatal(err)
+	}
+	orig := storeDest
+	defer func() { storeDest = orig }()
+	storeDest = func(f *os.File) syncWriter { return &failFirstWrite{File: f} }
+	if err := WriteSnapshotAtomic(path, newG); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("WriteSnapshotAtomic = %v, want the injected write fault", err)
+	}
+	img, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close()
+	loaded, err := ReadSnapshot(img)
+	if err != nil || loaded.NumNodes() != oldG.NumNodes() {
+		t.Fatalf("old store after the failed rewrite: err %v; want the old image to load", err)
+	}
+}
+
 // TestWriteSnapshotAtomicFaultEveryOp is the store's crash/fault property:
 // with a write or fsync failure injected at every op of the image stream
 // (plus the torn half-write variant), the rewrite must fail with the

@@ -196,9 +196,9 @@ func TestChainedRefreezeTombstoneAccounting(t *testing.T) {
 	}
 }
 
-// TestCompactSharded pins the documented resharding path: compacting and
-// re-carving yields shard accounting identical to carving the compacted
-// snapshot directly, with candidates translated by the remap.
+// TestCompactSharded pins the documented resharding path: a sharded view of
+// the compacted snapshot reads its candidates as the originals translated by
+// the remap.
 func TestCompactSharded(t *testing.T) {
 	_, f := snapshotFixture(t, 11)
 	if f.deadCount == 0 {

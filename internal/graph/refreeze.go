@@ -203,49 +203,3 @@ func refreezeDir(base *csrDir, rows map[NodeID]*row, baseN, n2 int) csrDir {
 	clean(cursor, n2)
 	return d
 }
-
-// Refreeze merges the delta into a new sharded snapshot with the same
-// stride: shard boundaries are preserved (the node space only ever grows, so
-// extra shards appear at the tail when added nodes spill past the last
-// boundary), and only shards owning a touched node re-run the O(E_shard)
-// frontier accounting — clean shards reuse their counts, re-pointed at the
-// refrozen snapshot.
-func (s *Sharded) Refreeze(d *Delta) *Sharded {
-	if d.base != s.Frozen {
-		panic("graph: Sharded.Refreeze with a delta bound to a different base")
-	}
-	nf := s.Frozen.Refreeze(d)
-	n2 := len(nf.nodes)
-	stride := s.stride
-	k := shardCount(n2, stride)
-	dirtyShard := make([]bool, k)
-	mark := func(v NodeID) {
-		i := int(v) / stride
-		if i >= k {
-			i = k - 1
-		}
-		dirtyShard[i] = true
-	}
-	outRows, inRows := d.rows()
-	for v := range outRows {
-		mark(v)
-	}
-	for v := range inRows {
-		mark(v)
-	}
-	for v := range d.dead {
-		mark(v)
-	}
-	ns := &Sharded{Frozen: nf, stride: stride, shards: make([]Shard, k)}
-	for i := range ns.shards {
-		lo, hi := shardRange(i, stride, n2)
-		if !dirtyShard[i] && i < len(s.shards) && s.shards[i].lo == lo && s.shards[i].hi == hi {
-			sh := s.shards[i]
-			sh.f = nf
-			ns.shards[i] = sh
-			continue
-		}
-		ns.shards[i] = carveShard(nf, lo, hi)
-	}
-	return ns
-}

@@ -2,10 +2,10 @@
 // of a search partitions the match set: every homomorphism assigns the root
 // to exactly one candidate, so splitting the root candidate list and running
 // one independent Search per part enumerates each match exactly once. A
-// sharded snapshot provides the natural parts — each shard's slice of the
-// label index — and, because shards are ascending ID ranges, concatenating
-// the per-shard results in shard order reproduces the sequential
-// enumeration order exactly (pinned by the sharded equivalence tests).
+// sharded snapshot cuts the ascending list at its stride boundaries
+// (Sharded.Split), so concatenating the per-part results in order
+// reproduces the sequential enumeration order exactly (pinned by the
+// sharded equivalence tests).
 package match
 
 import (
@@ -15,14 +15,14 @@ import (
 	"repro/internal/pattern"
 )
 
-// shardParts slices the root variable's candidate set per shard. Shards
-// owning no candidates contribute no part. A nil result means the fan-out
-// does not apply and the caller must run a single sequential search: the
-// pattern has no variables, no candidates exist, or the caller already
-// fixed where the root frame comes from — a Seed generates it from the
-// seeded neighbor's adjacency and RootCandidates restricts it to a caller's
-// list, so overwriting either with the per-shard label candidates would
-// enumerate a different match set.
+// shardParts cuts the root variable's candidate list at the shard
+// boundaries; shards owning no candidates contribute no part. A nil result
+// means the fan-out does not apply and the caller must run a single
+// sequential search: the pattern has no variables, no candidates exist, or
+// the caller already fixed where the root frame comes from — a Seed
+// generates it from the seeded neighbor's adjacency and RootCandidates
+// restricts it to a caller's list, so overwriting either with the label
+// candidates would enumerate a different match set.
 func shardParts(p *pattern.Pattern, s *graph.Sharded, opts Options) [][]graph.NodeID {
 	if opts.Seed != nil || opts.RootCandidates != nil {
 		return nil
@@ -35,27 +35,7 @@ func shardParts(p *pattern.Pattern, s *graph.Sharded, opts Options) [][]graph.No
 		return nil
 	}
 	label := p.Label(order[0])
-	// One exact-size buffer backs every part: per-shard LabelFrequency is
-	// an exact owned-live count, so the full-capacity sub-slices cannot
-	// grow into a neighbouring part and the per-shard copies collapse into
-	// a single allocation.
-	total := 0
-	for i := 0; i < s.ShardCount(); i++ {
-		total += s.Shard(i).LabelFrequency(label)
-	}
-	if total == 0 {
-		return nil
-	}
-	buf := make([]graph.NodeID, 0, total)
-	var parts [][]graph.NodeID
-	for i := 0; i < s.ShardCount(); i++ {
-		start := len(buf)
-		buf = s.Shard(i).AppendCandidates(buf, label)
-		if len(buf) > start {
-			parts = append(parts, buf[start:len(buf):len(buf)])
-		}
-	}
-	return parts
+	return s.Split(s.AppendCandidates(make([]graph.NodeID, 0, s.LabelFrequency(label)), label))
 }
 
 // forEachPart runs body(i) for every part index across up to workers

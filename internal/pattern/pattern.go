@@ -160,36 +160,20 @@ func LabelMatches(patternLabel, dataLabel string) bool {
 
 // Pivot selects a pivot variable for each connected component of Q,
 // preferring selective labels (fewest candidate nodes in g, wildcard = all).
-// Ties break toward higher degree, then — on sharded snapshots — toward the
-// label whose candidates concentrate most in a single shard (a pivot whose
-// home shard is dense keeps more of the fan-out's work units on one worker's
-// warm arrays), then lower variable index, keeping the choice deterministic.
+// Ties break toward higher degree, then lower variable index, keeping the
+// choice deterministic.
 func (p *Pattern) Pivot(g graph.Reader) []Var {
 	p.Freeze()
-	sv, _ := g.(*graph.Sharded)
-	density := func(v Var) int {
-		if sv == nil {
-			return 0
-		}
-		_, count := sv.DensestShard(p.labels[v])
-		return count
-	}
 	pivots := make([]Var, 0, len(p.components))
 	for _, comp := range p.components {
 		best := comp[0]
 		bestFreq := g.LabelFrequency(p.labels[best])
 		bestDeg := len(p.out[best]) + len(p.in[best])
-		bestDen := density(best)
 		for _, v := range comp[1:] {
 			f := g.LabelFrequency(p.labels[v])
 			d := len(p.out[v]) + len(p.in[v])
-			switch {
-			case f < bestFreq, f == bestFreq && d > bestDeg:
-				best, bestFreq, bestDeg, bestDen = v, f, d, density(v)
-			case sv != nil && f == bestFreq && d == bestDeg:
-				if den := density(v); den > bestDen {
-					best, bestFreq, bestDeg, bestDen = v, f, d, den
-				}
+			if f < bestFreq || f == bestFreq && d > bestDeg {
+				best, bestFreq, bestDeg = v, f, d
 			}
 		}
 		pivots = append(pivots, best)

@@ -120,32 +120,6 @@ func TestPivotPrefersSelectiveLabel(t *testing.T) {
 	}
 }
 
-// TestPivotPrefersDenseShard pins the shard-aware tiebreak: when two
-// variables tie on label frequency and degree, a sharded snapshot breaks
-// the tie toward the label whose candidates concentrate most in one shard;
-// flat readers keep the lower-index choice.
-func TestPivotPrefersDenseShard(t *testing.T) {
-	p := New()
-	x := p.AddVar("x", "a")
-	y := p.AddVar("y", "b")
-	p.AddEdge(x, y, "e")
-
-	// 12 nodes, 3 shards of 4: "b" fills shard 0 (densest run 4), "a" is
-	// spread two-and-two over shards 1 and 2 (densest run 2). Frequencies
-	// (4 each) and pattern degrees (1 each) tie.
-	b := graph.NewBuilder(0)
-	for _, l := range []string{"b", "b", "b", "b", "a", "a", "c", "c", "a", "a", "c", "c"} {
-		b.AddNode(l)
-	}
-	s := b.Freeze().Sharded(3)
-	if got := p.Pivot(s.Frozen); got[0] != x {
-		t.Fatalf("flat tie should keep the lower variable, got %v", got[0])
-	}
-	if got := p.Pivot(s); got[0] != y {
-		t.Fatalf("sharded tie should prefer the shard-dense label b, got %v", got[0])
-	}
-}
-
 func TestPivotOnePerComponent(t *testing.T) {
 	p := New()
 	a := p.AddVar("a", "x")
