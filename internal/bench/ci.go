@@ -614,12 +614,12 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// Incremental re-freeze vs from-scratch rebuild of the same final state
 	// on the 100k-edge ingest base with a 1% delta. Each rep gets its own
 	// pre-built delta with an Overlay already taken — the lifecycle position
-	// Refreeze actually runs in: the overlay served reads while updates
-	// accumulated (materializing the merged rows as it went), and the
-	// refreeze merges those rows into the next CSR. The ratio is
-	// machine-independent (two single-threaded code paths over the same
-	// data), so its baseline floor enforces the ≥5x acceptance claim
-	// directly.
+	// Refreeze actually runs in: the overlay (itself a Refreeze) served reads
+	// while updates accumulated, merging the touched rows once per delta
+	// version, and the timed refreeze reuses those rows for the next CSR.
+	// The ratio is machine-independent (two single-threaded code paths over
+	// the same data), so its baseline floor enforces the ≥5x acceptance
+	// claim directly.
 	base, mkDelta, ffrom, fto, flab := RefreezeWorkload(cfg.Seed)
 	deltas := make([]*graph.Delta, incrReps)
 	for i := range deltas {

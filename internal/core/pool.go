@@ -90,7 +90,7 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 		go func(id int) {
 			defer wg.Done()
 			// Panic isolation: a panic anywhere under fn (e.g. a
-			// stale-overlay read) fails the run with a *PanicError and
+			// search on a stale plan) fails the run with a *PanicError and
 			// stops the siblings instead of crashing the process.
 			defer func() {
 				if r := recover(); r != nil {

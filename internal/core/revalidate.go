@@ -72,7 +72,7 @@ func (s *RevalidateStats) add(other RevalidateStats) {
 // root falls inside the touched set's radius-neighborhood. touched is the
 // delta's touched node set (graph.Delta.TouchedNodes); old and updated are
 // the two versions of the graph — typically the delta's base and its
-// Overlay (or the Refreeze output; any Reader pair whose difference is
+// Overlay, the Refreeze of the delta (any Reader pair whose difference is
 // confined to touched works). The result equals Violations(updated, Σ),
 // violation for violation in the same order, which the equivalence tests
 // pin.

@@ -58,9 +58,9 @@ func bitsetWorthwhile(freq, n int) bool {
 	return freq >= bitsetMinFreq && freq*bitsetMaxSparsity >= n
 }
 
-// bitsetCache is the lazily filled per-snapshot store, embedded in Frozen
-// and Overlay. The mutex only guards the map; a returned Bitset is
-// immutable from the moment it is published.
+// bitsetCache is the lazily filled per-snapshot store, embedded in Frozen.
+// The mutex only guards the map; a returned Bitset is immutable from the
+// moment it is published.
 type bitsetCache struct {
 	mu   sync.Mutex
 	sets map[string]Bitset
@@ -108,33 +108,7 @@ func (f *Frozen) CandidateBitset(label string) Bitset {
 	})
 }
 
-// CandidateBitset returns a bitset over the overlay's candidate set, or nil
-// below the build thresholds. When the delta leaves the label's population
-// untouched — no added node carries it and no base node died — the base
-// snapshot's cached bitset is shared as-is; otherwise the overlay builds
-// and caches its own over the overlaid ID space.
-func (o *Overlay) CandidateBitset(label string) Bitset {
-	o.check()
-	if label == Wildcard {
-		if len(o.d.nodes) == 0 && len(o.d.dead) == 0 {
-			return o.base.CandidateBitset(label)
-		}
-	} else if len(o.d.addedByLabel[label]) == 0 && o.d.deadBase == 0 {
-		return o.base.CandidateBitset(label)
-	}
-	n := o.NumNodes()
-	if !bitsetWorthwhile(o.LabelFrequency(label), n) {
-		return nil
-	}
-	return o.bitsets.get(label, n, func(bs Bitset) {
-		for _, v := range o.AppendCandidates(nil, label) {
-			bs.set(v)
-		}
-	})
-}
-
 var (
 	_ BitsetProvider = (*Frozen)(nil)
 	_ BitsetProvider = (*Sharded)(nil)
-	_ BitsetProvider = (*Overlay)(nil)
 )

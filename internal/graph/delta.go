@@ -1,19 +1,16 @@
-// Delta overlays: the middle tier of the snapshot lifecycle. A Frozen
+// Delta batches: the middle tier of the snapshot lifecycle. A Frozen
 // snapshot is immutable, so before this layer any update forced a full
 // O(E log deg) rebuild. Delta records a small batch of updates — added
 // nodes, added/removed edges, attribute rewrites, node removals — against a
-// base snapshot; Overlay serves the full Reader API over base+delta with
-// exactly the flat snapshot's semantics (pinned by the overlay-equivalence
-// property tests), and Frozen.Refreeze (refreeze.go) merges the delta into a
-// fresh CSR by copying untouched rows verbatim. Cost tracks the delta, not
-// the graph: a touched node's row is re-materialized, an untouched node's
-// row is served (or copied) as-is.
+// base snapshot, and Frozen.Refreeze (refreeze.go) merges it into a fresh
+// CSR by copying untouched rows verbatim; Overlay is that Refreeze, cached
+// per delta version. Cost tracks the delta, not the graph: a touched node's
+// row is re-materialized, an untouched node's row is copied as-is.
 package graph
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Delta is a mutable batch of updates bound to one base snapshot. Added
@@ -21,16 +18,15 @@ import (
 // final-state semantics (removing an added edge cancels the add, re-adding a
 // removed base edge cancels the remove); RemoveNode tombstones a node and
 // records the removal of every incident edge. The zero value is not usable;
-// construct with NewDelta. A Delta is not safe for concurrent use; the
-// Overlay and Refrozen snapshots taken from it are.
+// construct with NewDelta. A Delta is not safe for concurrent use (Overlay
+// included: it caches on the delta); the snapshots taken from it are.
 type Delta struct {
 	base    *Frozen
-	version uint64 // bumped on every mutation; Overlay snapshots pin one
+	version uint64 // bumped on every mutation
 
 	// Added nodes occupy IDs [base.NumNodes(), base.NumNodes()+len(nodes)).
-	nodes        []Node
-	nodeLabelOf  []LabelID // parallel to nodes
-	addedByLabel map[string][]NodeID
+	nodes       []Node
+	nodeLabelOf []LabelID // parallel to nodes
 
 	// Extension interning: new labels get IDs continuing the base tables, so
 	// base CSR probes with an extended ID simply miss (the base never stores
@@ -49,24 +45,26 @@ type Delta struct {
 	delOut     map[NodeID]*labelAdj
 	delIn      map[NodeID]*labelAdj
 
-	// dead tombstones removed nodes (base or added); deadBase counts the
-	// base ones. attrs holds merged attribute maps for updated base nodes.
-	dead     map[NodeID]struct{}
-	deadBase int
-	attrs    map[NodeID]map[string]string
+	// dead tombstones removed nodes (base or added). attrs holds merged
+	// attribute maps for updated base nodes.
+	dead  map[NodeID]struct{}
+	attrs map[NodeID]map[string]string
 
-	// Materialized merged rows for every touched node, shared by Overlay and
-	// Refreeze; rebuilt lazily when version moves.
+	// Materialized merged rows for every touched node, shared by every
+	// Refreeze of one version; rebuilt lazily when version moves.
 	rowsVersion uint64
 	outRows     map[NodeID]*row
 	inRows      map[NodeID]*row
+
+	// The Overlay snapshot of overlayVersion, reused until the next mutation.
+	overlayVersion uint64
+	overlay        *Frozen
 }
 
 // NewDelta returns an empty delta over the base snapshot.
 func NewDelta(base *Frozen) *Delta {
 	return &Delta{
 		base:         base,
-		addedByLabel: make(map[string][]NodeID),
 		nodeLabelIDs: make(map[string]LabelID),
 		labelIDs:     make(map[string]LabelID),
 		addedSet:     make(map[edgeKey]struct{}),
@@ -149,7 +147,6 @@ func (d *Delta) AddNode(label string) NodeID {
 	id := NodeID(d.baseN() + len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Label: label})
 	d.nodeLabelOf = append(d.nodeLabelOf, d.internNodeLabel(label))
-	d.addedByLabel[label] = append(d.addedByLabel[label], id)
 	d.bump()
 	return id
 }
@@ -266,12 +263,6 @@ func removeSorted(list []NodeID, n NodeID) []NodeID {
 		return slices.Delete(list, i, i+1)
 	}
 	return list
-}
-
-// containsSorted reports whether an ascending list contains n.
-func containsSorted(list []NodeID, n NodeID) bool {
-	_, found := slices.BinarySearch(list, n)
-	return found
 }
 
 // edgeKey is the integer-only key of the added/removed edge sets.
@@ -404,12 +395,9 @@ func (d *Delta) RemoveNode(v NodeID) {
 				}
 			}
 		})
-		d.deadBase++
 		delete(d.attrs, v)
 	} else {
-		i := int(v) - d.baseN()
-		d.addedByLabel[d.nodes[i].Label] = removeSorted(d.addedByLabel[d.nodes[i].Label], v)
-		d.nodes[i].Attrs = nil
+		d.nodes[int(v)-d.baseN()].Attrs = nil
 	}
 	d.dead[v] = struct{}{}
 	d.bump()
@@ -482,22 +470,6 @@ type row struct {
 	lists  [][]NodeID // aligned with labels; each ascending, duplicate-free
 	all    []NodeID   // ascending by target; repeats across parallel labels
 	total  int
-}
-
-// endpoints mirrors labelAdj.endpoints/csrDir.byLabel.
-func (r *row) endpoints(id LabelID) []NodeID {
-	switch id {
-	case AnyLabel:
-		return r.all
-	case NoLabel:
-		return nil
-	}
-	for i, l := range r.labels {
-		if l == id {
-			return r.lists[i]
-		}
-	}
-	return nil
 }
 
 // sortedLabels returns a labelAdj's label IDs in ascending order with their
@@ -691,272 +663,17 @@ func (d *Delta) rows() (out, in map[NodeID]*row) {
 	return d.outRows, d.inRows
 }
 
-// Overlay returns a Reader over base+delta with exactly the flat snapshot's
-// semantics. The overlay is a snapshot view: it materializes the merged
-// adjacency of every touched node once (O(touched rows)), after which it is
-// immutable and safe for concurrent readers. Mutating the delta afterwards
-// invalidates it — take a new Overlay (cheap: only rows touched since are
-// rebuilt); a stale overlay panics on its next adjacency query rather than
-// serving silently wrong rows.
+// Overlay returns the snapshot of base+delta as it stands: the Refreeze of
+// the delta, built once per delta version and shared by every call until
+// the next mutation. Like any Frozen it stays valid after the delta mutates
+// and keeps serving the state it was taken at; a later Overlay is a new
+// snapshot with its own epoch.
 func (d *Delta) Overlay() *Overlay {
-	out, in := d.rows()
-	return &Overlay{d: d, base: d.base, version: d.version, epoch: nextEpoch(), out: out, in: in}
+	if d.overlay == nil || d.overlayVersion != d.version {
+		d.overlay, d.overlayVersion = d.base.Refreeze(d), d.version
+	}
+	return d.overlay
 }
 
-// Overlay is the composed Reader over a base snapshot and a delta; see
-// Delta.Overlay. Untouched nodes are served straight from the base arrays;
-// touched nodes from the materialized merged rows.
-type Overlay struct {
-	d       *Delta
-	base    *Frozen
-	version uint64
-	out, in map[NodeID]*row
-
-	// epoch/bitsets mirror Frozen's identity and cache state (epoch.go,
-	// bitset.go): each Overlay construction is its own snapshot identity.
-	epoch   uint64
-	bitsets bitsetCache
-}
-
-// Base returns the underlying base snapshot.
-func (o *Overlay) Base() *Frozen { return o.base }
-
-func (o *Overlay) check() {
-	if o.version != o.d.version {
-		panic("graph: Overlay used after its Delta mutated; take a new Overlay")
-	}
-}
-
-// NumNodes returns the overlaid ID-space size (tombstones included, like
-// Graph.NumNodes after RemoveNode).
-func (o *Overlay) NumNodes() int { return o.d.NumNodes() }
-
-// LiveNodes returns the number of non-tombstoned nodes.
-func (o *Overlay) LiveNodes() int {
-	return o.base.LiveNodes() - o.d.deadBase + len(o.d.nodes) - (len(o.d.dead) - o.d.deadBase)
-}
-
-// NumEdges returns |E| of the composed graph.
-func (o *Overlay) NumEdges() int {
-	return o.base.edges + len(o.d.addedSet) - len(o.d.removedSet)
-}
-
-// Alive reports whether v is a valid, non-tombstoned node.
-func (o *Overlay) Alive(v NodeID) bool { return o.d.alive(v) }
-
-// Label returns the label of node v (tombstoned nodes keep their label,
-// mirroring Graph.RemoveNode).
-func (o *Overlay) Label(v NodeID) string {
-	if i := int(v) - o.d.baseN(); i >= 0 {
-		return o.d.nodes[i].Label
-	}
-	return o.base.Label(v)
-}
-
-// Attr reports the value of attribute A at node v and whether it exists.
-func (o *Overlay) Attr(v NodeID, attr string) (string, bool) {
-	m := o.Attrs(v)
-	val, ok := m[attr]
-	return val, ok
-}
-
-// Attrs returns the attribute tuple of v (nil if none). The returned map is
-// the overlay's own storage; callers must not mutate it.
-func (o *Overlay) Attrs(v NodeID) map[string]string {
-	o.check()
-	if !o.d.alive(v) {
-		return nil
-	}
-	if i := int(v) - o.d.baseN(); i >= 0 {
-		return o.d.nodes[i].Attrs
-	}
-	if m, ok := o.d.attrs[v]; ok {
-		return m
-	}
-	return o.base.Attrs(v)
-}
-
-// edgeLabelName resolves an interned edge-label ID back to its name.
-func (o *Overlay) edgeLabelName(id LabelID) string {
-	if i := int(id) - len(o.base.labelNames); i >= 0 {
-		return o.d.labelNames[i]
-	}
-	return o.base.labelNames[id]
-}
-
-// Out returns the outgoing edges of v, synthesized per call like
-// Frozen.Out.
-func (o *Overlay) Out(v NodeID) []Edge {
-	o.check()
-	r := o.out[v]
-	if r == nil {
-		return o.base.Out(v)
-	}
-	es := make([]Edge, 0, r.total)
-	for i, id := range r.labels {
-		name := o.edgeLabelName(id)
-		for _, t := range r.lists[i] {
-			es = append(es, Edge{From: v, To: t, Label: name})
-		}
-	}
-	return es
-}
-
-// EdgeLabelID resolves an edge label to its interned ID across base and
-// delta: AnyLabel for the Wildcard, NoLabel for unknown labels.
-func (o *Overlay) EdgeLabelID(label string) LabelID {
-	if label == Wildcard {
-		return AnyLabel
-	}
-	return o.d.edgeLabelID(label)
-}
-
-// NodeLabelID resolves a node label to its interned ID across base and
-// delta.
-func (o *Overlay) NodeLabelID(label string) LabelID {
-	if label == Wildcard {
-		return AnyLabel
-	}
-	if id, ok := o.base.nodeLabelIDs[label]; ok {
-		return id
-	}
-	if id, ok := o.d.nodeLabelIDs[label]; ok {
-		return id
-	}
-	return NoLabel
-}
-
-// LabelIDOf returns the interned ID of node v's label.
-func (o *Overlay) LabelIDOf(v NodeID) LabelID {
-	if i := int(v) - o.d.baseN(); i >= 0 {
-		return o.d.nodeLabelOf[i]
-	}
-	return o.base.nodeLabelOf[v]
-}
-
-// ResolveLabels maps a label list through EdgeLabelID.
-func (o *Overlay) ResolveLabels(labels []string) []LabelID {
-	if len(labels) == 0 {
-		return nil
-	}
-	ids := make([]LabelID, len(labels))
-	for i, l := range labels {
-		ids[i] = o.EdgeLabelID(l)
-	}
-	return ids
-}
-
-// Labels returns the distinct node labels of base and delta in
-// deterministic order.
-func (o *Overlay) Labels() []string {
-	ls := append([]string(nil), o.base.nodeLabelNames...)
-	ls = append(ls, o.d.nodeLabelNames...)
-	sort.Strings(ls)
-	return ls
-}
-
-// HasEdgeID reports whether edge (from,to) with the given label ID exists:
-// a binary search in the merged row for touched nodes, the base probe
-// otherwise.
-func (o *Overlay) HasEdgeID(from, to NodeID, id LabelID) bool {
-	o.check()
-	if id == NoLabel {
-		return false
-	}
-	if r := o.out[from]; r != nil {
-		return containsSorted(r.endpoints(id), to)
-	}
-	return o.base.HasEdgeID(from, to, id)
-}
-
-// OutByLabelID returns the targets of v's outgoing edges carrying the label
-// (ascending; the merged row for touched nodes, the base row otherwise).
-func (o *Overlay) OutByLabelID(v NodeID, id LabelID) []NodeID {
-	o.check()
-	if r := o.out[v]; r != nil {
-		return r.endpoints(id)
-	}
-	return o.base.OutByLabelID(v, id)
-}
-
-// InByLabelID returns the sources of v's incoming edges carrying the label.
-func (o *Overlay) InByLabelID(v NodeID, id LabelID) []NodeID {
-	o.check()
-	if r := o.in[v]; r != nil {
-		return r.endpoints(id)
-	}
-	return o.base.InByLabelID(v, id)
-}
-
-// appendLabelRun appends the overlay's exact-label node run into dst.
-func (o *Overlay) appendLabelRun(dst []NodeID, label string) []NodeID {
-	run := o.base.nodesWithLabel(label)
-	if o.d.deadBase == 0 {
-		dst = append(dst, run...)
-	} else {
-		for _, v := range run {
-			if _, dd := o.d.dead[v]; !dd {
-				dst = append(dst, v)
-			}
-		}
-	}
-	return append(dst, o.d.addedByLabel[label]...)
-}
-
-// AppendCandidates appends the overlay's candidates for the label into dst:
-// all live nodes for the wildcard, else the exact-label run.
-func (o *Overlay) AppendCandidates(dst []NodeID, label string) []NodeID {
-	o.check()
-	if label == Wildcard {
-		n := o.d.NumNodes()
-		for v := 0; v < n; v++ {
-			if o.d.alive(NodeID(v)) {
-				dst = append(dst, NodeID(v))
-			}
-		}
-		return dst
-	}
-	return o.appendLabelRun(dst, label)
-}
-
-// LabelFrequency returns the number of live nodes carrying the label, with
-// wildcard counting every live node.
-func (o *Overlay) LabelFrequency(label string) int {
-	o.check()
-	if label == Wildcard {
-		return o.LiveNodes()
-	}
-	n := len(o.base.nodesWithLabel(label)) + len(o.d.addedByLabel[label])
-	if o.d.deadBase > 0 {
-		for v := range o.d.dead {
-			if int(v) < o.d.baseN() && o.base.Label(v) == label {
-				n--
-			}
-		}
-	}
-	return n
-}
-
-// CoversIDs reports whether node v's adjacency covers the resolved
-// signature; see Graph.CoversIDs.
-func (o *Overlay) CoversIDs(v NodeID, outIDs, inIDs []LabelID) bool {
-	if !o.d.valid(v) {
-		return false
-	}
-	for _, id := range outIDs {
-		if len(o.OutByLabelID(v, id)) == 0 {
-			return false
-		}
-	}
-	for _, id := range inIDs {
-		if len(o.InByLabelID(v, id)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// String summarizes the overlay for logs.
-func (o *Overlay) String() string {
-	return fmt.Sprintf("Overlay{V=%d, E=%d, %s}", o.NumNodes(), o.NumEdges(), o.d)
-}
+// Overlay is the snapshot Delta.Overlay returns, a plain Frozen.
+type Overlay = Frozen

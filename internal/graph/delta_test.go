@@ -212,8 +212,7 @@ func TestOverlayEquivalenceRandom(t *testing.T) {
 // TestOverlaySurvivesRefreezeAndCompact pins what Refreeze promises: a
 // reader serves fixed contents. Refreezing the delta (plain, or compacting
 // the result) and compacting the base each build a new snapshot and leave
-// the base, the delta and an Overlay taken before them as they were — only
-// mutating the delta retires the overlay.
+// the base, the delta and an Overlay taken before them as they were.
 func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 	nodeLabels := []string{"a", "b", "c", Wildcard}
 	edgeLabels := []string{"e", "f", "g", Wildcard}
@@ -249,6 +248,61 @@ func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 			checkReaderEquivalence(t, ctx+" overlay after "+step.name, mirror, o, nodeLabels, edgeLabels)
 		}
 	}
+}
+
+// FuzzRefreeze holds Refreeze, which every Overlay read goes through, to a
+// from-scratch Freeze. Each 4-byte group of the input is one update —
+// AddNode, AddEdge, RemoveEdge, RemoveNode or SetAttr, by the first byte
+// modulo 5 — applied to a delta over a small frozen base and mirrored into
+// an editable Graph; labels outside the base's tables extend them. The
+// refrozen snapshot must then answer every Reader query as the Graph's
+// Frozen does.
+func FuzzRefreeze(f *testing.F) {
+	// The base uses the first four labels of each list; "d" and "h" are new.
+	nodeLabels := []string{"a", "b", "c", Wildcard, "d"}
+	edgeLabels := []string{"e", "f", "g", Wildcard, "h"}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 0})                            // one edge at the front, clean tail
+	f.Add([]byte{0, 4, 0, 0, 1, 12, 0, 4, 4, 3, 1, 2})   // new node and label, attribute
+	f.Add([]byte{2, 3, 0, 0, 3, 5, 0, 0, 2, 9, 1, 0})    // removals, base and cascaded
+	f.Add([]byte{0, 1, 0, 0, 1, 12, 12, 1, 3, 12, 0, 0}) // an added self-loop, then its node removed
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mirror, base := buildBoth(11, 10, 30, nodeLabels[:4], edgeLabels[:4])
+		d := NewDelta(base)
+		for i := 0; i+4 <= len(data) && i < 4*64; i += 4 {
+			op, a, b, c := data[i]%5, data[i+1], data[i+2], data[i+3]
+			u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())
+			switch op {
+			case 0:
+				l := nodeLabels[int(a)%len(nodeLabels)]
+				mirror.AddNode(l)
+				d.AddNode(l)
+			case 1:
+				if mirror.Alive(u) && mirror.Alive(v) {
+					l := edgeLabels[int(c)%len(edgeLabels)]
+					mirror.AddEdge(u, v, l)
+					d.AddEdge(u, v, l)
+				}
+			case 2:
+				if es := mirror.Out(u); len(es) > 0 {
+					e := es[int(b)%len(es)]
+					mirror.RemoveEdge(e.From, e.To, e.Label)
+					d.RemoveEdge(e.From, e.To, e.Label)
+				}
+			case 3:
+				mirror.RemoveNode(u)
+				d.RemoveNode(u)
+			case 4:
+				if mirror.Alive(u) {
+					k, val := fmt.Sprintf("a%d", b%3), fmt.Sprintf("u%d", c%4)
+					mirror.SetAttr(u, k, val)
+					d.SetAttr(u, k, val)
+				}
+			}
+		}
+		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), base.Refreeze(d),
+			nodeLabels, edgeLabels)
+	})
 }
 
 // TestDeltaSemantics pins the final-state op algebra and the guard rails.
@@ -308,11 +362,26 @@ func TestDeltaSemantics(t *testing.T) {
 	mg.RemoveNode(gb)
 	mustPanic("Graph.AddEdge to dead node", func() { mg.AddEdge(ga, gb, "e") })
 	mustPanic("Graph.SetAttr on dead node", func() { mg.SetAttr(gb, "k", "v") })
-	mustPanic("stale overlay", func() {
-		o2 := d.Overlay()
-		d.AddNode("a")
-		outByLabel(o2, x, "e")
-	})
+	// An overlay is a snapshot of one delta version: every call at that
+	// version returns it, and it keeps serving that version after the delta
+	// moves on; the next version gets a new snapshot with its own epoch.
+	if d.Overlay() != o {
+		t.Fatal("two Overlay calls at one delta version returned different snapshots")
+	}
+	added := d.AddNode("a")
+	d.AddEdge(z, x, "e")
+	if o.NumNodes() != 3 || o.NumEdges() != 0 || len(outByLabel(o, z, "e")) != 0 ||
+		len(inByLabel(o, x, "e")) != 0 || !idsEqual(CandidateNodes(o, "a"), []NodeID{x, z}) {
+		t.Fatalf("overlay changed after its delta mutated: V=%d E=%d", o.NumNodes(), o.NumEdges())
+	}
+	o2 := d.Overlay()
+	if o2 == o || o2.Epoch() == o.Epoch() {
+		t.Fatal("Overlay after a mutation reused the previous snapshot or its epoch")
+	}
+	if o2.NumNodes() != 4 || o2.NumEdges() != 1 || !idsEqual(outByLabel(o2, z, "e"), []NodeID{x}) ||
+		!idsEqual(inByLabel(o2, x, "e"), []NodeID{z}) || !idsEqual(CandidateNodes(o2, "a"), []NodeID{x, z, added}) {
+		t.Fatalf("new overlay misses the edits: V=%d E=%d", o2.NumNodes(), o2.NumEdges())
+	}
 	mustPanic("foreign base", func() { NewBuilder(0).Freeze().Refreeze(d) })
 
 	// TouchedNodes covers edge endpoints, attr updates, dead and added nodes.

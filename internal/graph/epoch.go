@@ -1,9 +1,10 @@
 // Snapshot epochs: a process-unique identity token for immutable readers.
-// Every snapshot construction path (Freeze, Refreeze, Compact, ReadSnapshot,
-// Delta.Overlay) draws a fresh value from one atomic counter, so two readers
-// share an epoch exactly when they serve the same immutable contents — a
-// Sharded view reports its underlying Frozen's epoch, and so does an editable
-// Graph for the snapshot it currently reads through. Derived artifacts
+// Every snapshot construction path (Freeze, Refreeze, Compact, ReadSnapshot)
+// draws a fresh value from one atomic counter, so two readers share an epoch
+// exactly when they serve the same immutable contents — a Sharded view
+// reports its underlying Frozen's epoch, an editable Graph that of the
+// snapshot it currently reads through, and a Delta's Overlay that of the
+// Refreeze it caches for its current version. Derived artifacts
 // compiled against a snapshot (match plans, caches) carry the epoch they
 // were built from and compare it to the reader they are asked to serve:
 // a Refreeze, a Compact or an edit of a Graph mints a new epoch, so stale
@@ -37,15 +38,8 @@ type EpochView interface {
 // Epoch returns the snapshot's construction token (see EpochView).
 func (f *Frozen) Epoch() uint64 { return f.epoch }
 
-// Epoch returns the overlay's construction token. Each Delta.Overlay call
-// mints a fresh epoch: the overlay's contents are pinned to the delta
-// version it captured, and a later overlay of the same delta is a
-// different (possibly diverged) snapshot.
-func (o *Overlay) Epoch() uint64 { return o.epoch }
-
 var (
 	_ EpochView = (*Graph)(nil)
 	_ EpochView = (*Frozen)(nil)
 	_ EpochView = (*Sharded)(nil)
-	_ EpochView = (*Overlay)(nil)
 )

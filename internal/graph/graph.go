@@ -10,9 +10,9 @@
 // There is one index per graph — Frozen's CSR (frozen.go) — and three ways to
 // get at it: fill a Builder and Freeze it; edit a Graph, which re-freezes
 // lazily and reads through the cached snapshot (this file); or record updates
-// against a Frozen in a Delta and read the Overlay, or Refreeze (delta.go,
-// refreeze.go). reader.go states what every reader guarantees: ordering, ID
-// lifetime, concurrency.
+// against a Frozen in a Delta and Refreeze it — its Overlay is that
+// Refreeze, cached per delta version (delta.go, refreeze.go). reader.go
+// states what every reader guarantees: ordering, ID lifetime, concurrency.
 package graph
 
 import (
@@ -77,7 +77,8 @@ const (
 //
 //   - Reads are as fast as a Frozen's plus one atomic load; the first read
 //     after a mutation pays one Freeze, O(V + E log deg). Interleaving single
-//     edits with index reads on a large graph is what Delta/Overlay are for.
+//     edits with index reads on a large graph is what Delta and Refreeze
+//     are for: a refreeze copies untouched rows instead of re-sorting them.
 //   - Label IDs are the snapshot's: a mutating call voids every ID, plan and
 //     search obtained before it (match panics on a stale plan or search).
 //   - Any number of goroutines may read concurrently, the first index read

@@ -2,14 +2,14 @@ package graph
 
 // Reader is the read API shared by the graph representations: the immutable
 // *Frozen (bulk-loaded CSR snapshot, see Builder; *Sharded embeds one and is
-// a Reader by promotion), the *Overlay composing a *Delta of updates over a
-// Frozen base (see delta.go), and the editable *Graph, which answers the
-// index queries below through the Frozen snapshot it caches between edits
-// (see graph.go). The matching, simulation and reasoning layers are written
-// against Reader, so they run unmodified on any of them. The division of
-// labour: edit with a Graph or fill a Builder, read a Frozen, update it with
-// a Delta and read the Overlay; mutation (AddNode, AddEdge, SetAttr,
-// RemoveEdge, RemoveNode) stays on *Graph and *Delta.
+// a Reader by promotion; a Delta's Overlay is one, see delta.go), and the
+// editable *Graph, which answers the index queries below through the Frozen
+// snapshot it caches between edits (see graph.go). The matching, simulation
+// and reasoning layers are written against Reader, so they run unmodified on
+// either. The division of labour: edit with a Graph or fill a Builder, read
+// a Frozen, update it with a Delta and read its Overlay (the Refreeze of the
+// delta so far); mutation (AddNode, AddEdge, SetAttr, RemoveEdge,
+// RemoveNode) stays on *Graph and *Delta.
 //
 // The interface is the ID-based core a representation has to answer from
 // its own storage. Queries that are compositions of the core — HasEdge,
@@ -28,10 +28,11 @@ package graph
 //     in place.
 //   - Label/Node label IDs are interned per snapshot and do not transfer
 //     across snapshots. They live as long as the snapshot they came from:
-//     forever on a Frozen or an Overlay, until the next mutating call on a
-//     Graph (whose next read re-freezes and re-interns). Every reader has an
-//     Epoch naming that snapshot (see EpochView); match pins plans and
-//     searches to it and panics on a stale one.
+//     forever on a Frozen (an Overlay included, whatever its delta does
+//     next), until the next mutating call on a Graph (whose next read
+//     re-freezes and re-interns). Every reader has an Epoch naming that
+//     snapshot (see EpochView); match pins plans and searches to it and
+//     panics on a stale one.
 //   - Readers are safe for concurrent use. A Graph is too, as long as no
 //     mutating call runs at the same time.
 type Reader interface {
@@ -42,9 +43,9 @@ type Reader interface {
 	Attr(v NodeID, attr string) (string, bool)
 	Attrs(v NodeID) map[string]string
 
-	// Raw out-adjacency with label strings, for writers and oracles. On
-	// *Frozen and *Overlay the slice is synthesized per call; hot paths use
-	// the ID-based accessors below.
+	// Raw out-adjacency with label strings, for writers and oracles. On a
+	// *Frozen the slice is synthesized per call; hot paths use the ID-based
+	// accessors below.
 	Out(v NodeID) []Edge
 
 	// Label interning: EdgeLabelID maps Wildcard to AnyLabel and a label
@@ -93,7 +94,6 @@ type Sink interface {
 var (
 	_ Reader = (*Graph)(nil)
 	_ Reader = (*Frozen)(nil)
-	_ Reader = (*Overlay)(nil)
 	_ Sink   = (*Graph)(nil)
 	_ Sink   = (*Builder)(nil)
 	_ Sink   = (*Delta)(nil)

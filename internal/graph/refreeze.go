@@ -12,8 +12,8 @@ package graph
 import "slices"
 
 // Refreeze merges the delta into a new immutable snapshot. The receiver must
-// be the delta's base; the receiver, the delta and any Overlay taken from it
-// remain valid and unchanged. Node IDs are stable: added nodes keep the IDs
+// be the delta's base; the receiver, the delta and every snapshot taken
+// from it before remain valid and unchanged. Node IDs are stable: added nodes keep the IDs
 // the delta assigned, removed nodes stay as tombstoned slots (see
 // Frozen.Alive), so matches and external references survive the re-freeze.
 func (f *Frozen) Refreeze(d *Delta) *Frozen {

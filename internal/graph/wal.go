@@ -1,6 +1,6 @@
 // Write-ahead delta log. A WAL fronts a Delta with the same update API
 // (graph.Mutator) and appends one record per applied op, so the in-memory
-// overlay and the on-disk log advance together: snapshot the base once
+// delta and the on-disk log advance together: snapshot the base once
 // (snapshot.go), stream updates through the WAL, and after a crash Recover
 // replays the log over the reloaded base to rebuild the exact Delta. Records
 // are length-prefixed and CRC-checked; recovery replays the longest valid

@@ -126,7 +126,7 @@ func TestPlanCacheReuse(t *testing.T) {
 
 // TestPlanStaleness checks that every snapshot transition that can change
 // match results makes previously compiled plans unusable: Refreeze, a
-// compacting Compact, a fresh Overlay, and any mutation of an editable
+// compacting Compact, the Overlay of a mutated delta, and any mutation of an editable
 // graph — which voids the searches compiled on it too. A no-op Compact keeps
 // the snapshot — and its plans — alive.
 func TestPlanStaleness(t *testing.T) {
@@ -165,14 +165,15 @@ func TestPlanStaleness(t *testing.T) {
 		match.NewSearch(p, compacted, match.Options{Plan: plDead})
 	})
 
-	// Every Overlay call is its own epoch: a plan compiled on one overlay
-	// of a delta must not serve another.
+	// An Overlay is one snapshot per delta version: a plan compiled on it
+	// serves a second call at that version, but not the overlay taken
+	// after the delta mutates.
 	d3 := graph.NewDelta(f)
 	d3.AddEdge(1, 0, f.Label(1))
-	o1 := d3.Overlay()
-	plO := match.CompilePlan(p, o1)
-	match.NewSearch(p, o1, match.Options{Plan: plO})
-	expectStalePanic(t, "second overlay", func() {
+	plO := match.CompilePlan(p, d3.Overlay())
+	match.NewSearch(p, d3.Overlay(), match.Options{Plan: plO})
+	d3.AddNode(f.Label(0))
+	expectStalePanic(t, "overlay after a mutation", func() {
 		match.NewSearch(p, d3.Overlay(), match.Options{Plan: plO})
 	})
 
