@@ -615,8 +615,10 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// on the 100k-edge ingest base with a 1% delta. Each rep gets its own
 	// pre-built delta with an Overlay already taken — the lifecycle position
 	// Refreeze actually runs in: the overlay (itself a Refreeze) served reads
-	// while updates accumulated, merging the touched rows once per delta
-	// version, and the timed refreeze reuses those rows for the next CSR.
+	// while updates accumulated. Taking it sorted the delta's edits and
+	// merged them into the touched rows, which the delta caches per version,
+	// so the timed refreeze reuses those rows and pays for writing the next
+	// CSR: the clean-row copies plus the touched rows through the row writer.
 	// The ratio is machine-independent (two single-threaded code paths over
 	// the same data), so its baseline floor enforces the ≥5x acceptance
 	// claim directly.

@@ -2,22 +2,25 @@
 // snapshot is immutable, so before this layer any update forced a full
 // O(E log deg) rebuild. Delta records a small batch of updates — added
 // nodes, added/removed edges, attribute rewrites, node removals — against a
-// base snapshot, and Frozen.Refreeze (refreeze.go) merges it into a fresh
-// CSR by copying untouched rows verbatim; Overlay is that Refreeze, cached
-// per delta version. Cost tracks the delta, not the graph: a touched node's
-// row is re-materialized, an untouched node's row is copied as-is.
+// base snapshot as plain edit sets, no adjacency. Frozen.Refreeze
+// (refreeze.go) sorts those k edits by node, merges each touched base row
+// with its edits in one linear pass, and copies untouched rows verbatim;
+// Overlay is that Refreeze, cached per delta version. Cost tracks the
+// delta, not the graph.
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 )
 
 // Delta is a mutable batch of updates bound to one base snapshot. Added
 // nodes extend the dense ID space at base.NumNodes(); edge adds/removes keep
 // final-state semantics (removing an added edge cancels the add, re-adding a
-// removed base edge cancels the remove); RemoveNode tombstones a node and
-// records the removal of every incident edge. The zero value is not usable;
+// removed base edge cancels the remove); RemoveNode tombstones a node, and
+// Refreeze drops every edge with a dead endpoint. The zero value is not usable;
 // construct with NewDelta. A Delta is not safe for concurrent use (Overlay
 // included: it caches on the delta); the snapshots taken from it are.
 type Delta struct {
@@ -40,21 +43,17 @@ type Delta struct {
 	// holds base edges only, added holds non-base edges only.
 	addedSet   map[edgeKey]struct{}
 	removedSet map[edgeKey]struct{}
-	addOut     map[NodeID]*labelAdj
-	addIn      map[NodeID]*labelAdj
-	delOut     map[NodeID]*labelAdj
-	delIn      map[NodeID]*labelAdj
 
 	// dead tombstones removed nodes (base or added). attrs holds merged
 	// attribute maps for updated base nodes.
 	dead  map[NodeID]struct{}
 	attrs map[NodeID]map[string]string
 
-	// Materialized merged rows for every touched node, shared by every
+	// The merged rows of every touched node (dirRows), shared by every
 	// Refreeze of one version; rebuilt lazily when version moves.
 	rowsVersion uint64
-	outRows     map[NodeID]*row
-	inRows      map[NodeID]*row
+	outRows     []row
+	inRows      []row
 
 	// The Overlay snapshot of overlayVersion, reused until the next mutation.
 	overlayVersion uint64
@@ -69,10 +68,6 @@ func NewDelta(base *Frozen) *Delta {
 		labelIDs:     make(map[string]LabelID),
 		addedSet:     make(map[edgeKey]struct{}),
 		removedSet:   make(map[edgeKey]struct{}),
-		addOut:       make(map[NodeID]*labelAdj),
-		addIn:        make(map[NodeID]*labelAdj),
-		delOut:       make(map[NodeID]*labelAdj),
-		delIn:        make(map[NodeID]*labelAdj),
 		dead:         make(map[NodeID]struct{}),
 		attrs:        make(map[NodeID]map[string]string),
 	}
@@ -88,8 +83,9 @@ func (d *Delta) baseN() int { return len(d.base.nodes) }
 
 func (d *Delta) valid(v NodeID) bool { return v >= 0 && int(v) < d.baseN()+len(d.nodes) }
 
-// alive reports whether v is valid and not tombstoned (in the base or here).
-func (d *Delta) alive(v NodeID) bool {
+// Alive reports whether v is a valid node not tombstoned by the base or the
+// delta.
+func (d *Delta) Alive(v NodeID) bool {
 	if !d.valid(v) {
 		return false
 	}
@@ -103,10 +99,7 @@ func (d *Delta) alive(v NodeID) bool {
 // tables on first use. Like Graph.internEdgeLabel it interns the literal
 // Wildcard too.
 func (d *Delta) internEdgeLabel(label string) LabelID {
-	if id, ok := d.base.labelIDs[label]; ok {
-		return id
-	}
-	if id, ok := d.labelIDs[label]; ok {
+	if id := d.edgeLabelID(label); id != NoLabel {
 		return id
 	}
 	id := LabelID(len(d.base.labelNames) + len(d.labelNames))
@@ -170,7 +163,7 @@ func (d *Delta) NumNodes() int { return d.baseN() + len(d.nodes) }
 // base value if one exists. For a base node the full attribute tuple is
 // copied on first write, so the base snapshot stays untouched.
 func (d *Delta) SetAttr(v NodeID, attr, value string) {
-	if !d.alive(v) {
+	if !d.Alive(v) {
 		panic(fmt.Sprintf("graph: Delta.SetAttr on invalid or removed node %d", v))
 	}
 	if int(v) >= d.baseN() {
@@ -184,85 +177,12 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 	}
 	m, ok := d.attrs[v]
 	if !ok {
-		base := d.base.Attrs(v)
-		m = make(map[string]string, len(base)+1)
-		for k, c := range base {
-			m[k] = c
-		}
+		m = make(map[string]string, len(d.base.Attrs(v))+1)
+		maps.Copy(m, d.base.Attrs(v))
 		d.attrs[v] = m
 	}
 	m[attr] = value
 	d.bump()
-}
-
-// labelAdj is one node's edge-label-keyed list of added (or removed)
-// endpoints: grouped by interned edge label, plus the flat list of all of
-// them for wildcard queries. A node's distinct incident labels are few, so
-// the per-label lists are found by linear scan over an int slice — no
-// hashing, no per-lookup allocation. Endpoints are kept in ascending NodeID
-// order, which is what buildRow merges against the base's CSR runs; `all`
-// can hold the same neighbor more than once when parallel edges differ only
-// in label.
-type labelAdj struct {
-	labels []LabelID
-	lists  [][]NodeID
-	all    []NodeID
-}
-
-func (a *labelAdj) add(id LabelID, n NodeID) {
-	a.all = insertSorted(a.all, n)
-	for i, l := range a.labels {
-		if l == id {
-			a.lists[i] = insertSorted(a.lists[i], n)
-			return
-		}
-	}
-	a.labels = append(a.labels, id)
-	a.lists = append(a.lists, []NodeID{n})
-}
-
-// remove deletes one occurrence of n from the label's list and from the
-// wildcard view. A label whose list empties keeps its (empty) slot; the
-// per-node distinct-label count is small enough that compaction buys
-// nothing.
-func (a *labelAdj) remove(id LabelID, n NodeID) {
-	a.all = removeSorted(a.all, n)
-	for i, l := range a.labels {
-		if l == id {
-			a.lists[i] = removeSorted(a.lists[i], n)
-			return
-		}
-	}
-}
-
-// endpoints returns the endpoints recorded for a label query, with AnyLabel
-// meaning "any edge label".
-func (a *labelAdj) endpoints(id LabelID) []NodeID {
-	if id == AnyLabel {
-		return a.all
-	}
-	for i, l := range a.labels {
-		if l == id {
-			return a.lists[i]
-		}
-	}
-	return nil
-}
-
-// insertSorted inserts n into an ascending list (duplicates allowed). A
-// delta is a small batch, so the O(len) shift of an out-of-order insert is
-// never the bulk-ingest cost Builder/Freeze exist to avoid.
-func insertSorted(list []NodeID, n NodeID) []NodeID {
-	i, _ := slices.BinarySearch(list, n)
-	return slices.Insert(list, i, n)
-}
-
-// removeSorted deletes one occurrence of n from an ascending list.
-func removeSorted(list []NodeID, n NodeID) []NodeID {
-	if i, found := slices.BinarySearch(list, n); found {
-		return slices.Delete(list, i, i+1)
-	}
-	return list
 }
 
 // edgeKey is the integer-only key of the added/removed edge sets.
@@ -271,47 +191,30 @@ type edgeKey struct {
 	label    LabelID
 }
 
-// adjOf returns the labelAdj for v in m, allocating on first use.
-func adjOf(m map[NodeID]*labelAdj, v NodeID) *labelAdj {
-	a := m[v]
-	if a == nil {
-		a = &labelAdj{}
-		m[v] = a
-	}
-	return a
-}
-
 // AddEdge inserts a directed labeled edge. Like Graph.AddEdge it is
 // idempotent per (from, label, to); re-adding an edge the delta removed
 // cancels the removal.
 func (d *Delta) AddEdge(from, to NodeID, label string) {
-	if !d.alive(from) || !d.alive(to) {
+	if !d.Alive(from) || !d.Alive(to) {
 		panic(fmt.Sprintf("graph: Delta.AddEdge with invalid or removed endpoint %d->%d", from, to))
 	}
-	id := d.internEdgeLabel(label)
-	key := edgeKey{from: from, to: to, label: id}
+	key := edgeKey{from: from, to: to, label: d.internEdgeLabel(label)}
 	if _, ok := d.removedSet[key]; ok {
 		delete(d.removedSet, key)
-		d.delOut[from].remove(id, to)
-		d.delIn[to].remove(id, from)
 		d.bump()
 		return
 	}
-	if _, ok := d.addedSet[key]; ok {
-		return
-	}
-	if d.base.HasEdgeID(from, to, id) {
+	if _, ok := d.addedSet[key]; ok || d.base.HasEdgeID(from, to, key.label) {
 		return
 	}
 	d.addedSet[key] = struct{}{}
-	adjOf(d.addOut, from).add(id, to)
-	adjOf(d.addIn, to).add(id, from)
 	d.bump()
 }
 
 // RemoveEdge deletes the exact (from, label, to) triple, whether it lives in
 // the base or was added by the delta; absent edges are a no-op (the literal
-// semantics of Graph.RemoveEdge).
+// semantics of Graph.RemoveEdge). An edge at a dead node is already gone
+// from every Refreeze, so removing it records nothing Refreeze would show.
 func (d *Delta) RemoveEdge(from, to NodeID, label string) {
 	if !d.valid(from) || !d.valid(to) {
 		panic(fmt.Sprintf("graph: Delta.RemoveEdge with invalid endpoint %d->%d", from, to))
@@ -320,81 +223,33 @@ func (d *Delta) RemoveEdge(from, to NodeID, label string) {
 	if id == NoLabel {
 		return
 	}
-	d.removeEdgeID(from, to, id)
-}
-
-func (d *Delta) removeEdgeID(from, to NodeID, id LabelID) {
 	key := edgeKey{from: from, to: to, label: id}
 	if _, ok := d.addedSet[key]; ok {
 		delete(d.addedSet, key)
-		d.addOut[from].remove(id, to)
-		d.addIn[to].remove(id, from)
 		d.bump()
 		return
 	}
-	if _, ok := d.removedSet[key]; ok {
-		return
-	}
-	if !d.base.HasEdgeID(from, to, id) {
+	if _, ok := d.removedSet[key]; ok || !d.base.HasEdgeID(from, to, id) {
 		return
 	}
 	d.removedSet[key] = struct{}{}
-	adjOf(d.delOut, from).add(id, to)
-	adjOf(d.delIn, to).add(id, from)
 	d.bump()
 }
 
 // RemoveNode tombstones node v with Graph.RemoveNode's semantics: every
-// incident edge (base or added) is removed, attributes are dropped, and the
-// node leaves all candidate and label queries while its ID slot stays in the
-// dense space. No-op when v is already dead.
+// incident edge (base or added) is gone from the next Refreeze, attributes
+// are dropped, and the node leaves all candidate and label queries while its
+// ID slot stays in the dense space. The incident edges are not recorded one
+// by one: Refreeze drops every edge with a dead endpoint. No-op when v is
+// already dead.
 func (d *Delta) RemoveNode(v NodeID) {
 	if !d.valid(v) {
 		panic(fmt.Sprintf("graph: Delta.RemoveNode on invalid node %d", v))
 	}
-	if !d.alive(v) {
+	if !d.Alive(v) {
 		return
 	}
-	// Added edges touching v, both directions.
-	dropAdded := func(own map[NodeID]*labelAdj, out bool) {
-		a := own[v]
-		if a == nil {
-			return
-		}
-		type pe struct {
-			id LabelID
-			n  NodeID
-		}
-		var pairs []pe
-		for i, l := range a.labels {
-			for _, n := range a.lists[i] {
-				pairs = append(pairs, pe{l, n})
-			}
-		}
-		for _, p := range pairs {
-			if out {
-				d.removeEdgeID(v, p.n, p.id)
-			} else {
-				d.removeEdgeID(p.n, v, p.id)
-			}
-		}
-	}
-	dropAdded(d.addOut, true)
-	dropAdded(d.addIn, false)
-	// Base edges at v, both directions.
 	if int(v) < d.baseN() {
-		d.base.out.forEachRun(v, func(id LabelID, targets []NodeID) {
-			for _, t := range targets {
-				d.removeEdgeID(v, t, id)
-			}
-		})
-		d.base.in.forEachRun(v, func(id LabelID, sources []NodeID) {
-			for _, s := range sources {
-				if s != v { // self-loops already removed in the out pass
-					d.removeEdgeID(s, v, id)
-				}
-			}
-		})
 		delete(d.attrs, v)
 	} else {
 		d.nodes[int(v)-d.baseN()].Attrs = nil
@@ -402,10 +257,6 @@ func (d *Delta) RemoveNode(v NodeID) {
 	d.dead[v] = struct{}{}
 	d.bump()
 }
-
-// Alive reports whether v is a valid node not tombstoned by the base or the
-// delta.
-func (d *Delta) Alive(v NodeID) bool { return d.alive(v) }
 
 // Label returns the label of node v across base and added nodes
 // (tombstoned nodes keep their label, like Graph.RemoveNode).
@@ -418,249 +269,209 @@ func (d *Delta) Label(v NodeID) string {
 
 // TouchedNodes returns the ascending set of nodes the delta touches:
 // endpoints of added and removed edges, attribute-updated nodes, tombstoned
-// nodes, and added nodes. This is the seed set incremental revalidation
-// scopes its re-enumeration to.
+// nodes with their base neighbours in both directions (whose rows lose the
+// dead endpoint), and added nodes. This is the seed set incremental
+// revalidation scopes its re-enumeration to: it holds every node whose row,
+// attributes or liveness differ between the base and its Refreeze.
 func (d *Delta) TouchedNodes() []NodeID {
-	seen := make(map[NodeID]struct{})
-	for v := range d.addOut {
-		seen[v] = struct{}{}
-	}
-	for v := range d.addIn {
-		seen[v] = struct{}{}
-	}
-	for v := range d.delOut {
-		seen[v] = struct{}{}
-	}
-	for v := range d.delIn {
-		seen[v] = struct{}{}
+	out := make([]NodeID, 0, 2*(len(d.addedSet)+len(d.removedSet))+len(d.attrs)+len(d.dead)+len(d.nodes))
+	for _, set := range []map[edgeKey]struct{}{d.addedSet, d.removedSet} {
+		for k := range set {
+			out = append(out, k.from, k.to)
+		}
 	}
 	for v := range d.attrs {
-		seen[v] = struct{}{}
-	}
-	for v := range d.dead {
-		seen[v] = struct{}{}
-	}
-	for i := range d.nodes {
-		seen[NodeID(d.baseN()+i)] = struct{}{}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
 		out = append(out, v)
 	}
+	for v := range d.dead {
+		out = append(out, v)
+		if int(v) < d.baseN() {
+			out = append(out, d.base.out.all[d.base.out.off[v]:d.base.out.off[v+1]]...)
+			out = append(out, d.base.in.all[d.base.in.off[v]:d.base.in.off[v+1]]...)
+		}
+	}
+	for i := range d.nodes {
+		out = append(out, NodeID(d.baseN()+i))
+	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Len returns the number of recorded update operations in final-state form:
-// added nodes and edges, removed base edges and nodes, attribute overrides.
+// added nodes, added edges and removed base edges as recorded, removed
+// nodes, attribute overrides. A removed node counts once: its incident edges
+// are not listed one by one, and an edge recorded at a node before its
+// removal still counts until RemoveEdge cancels it.
 func (d *Delta) Len() int {
 	return len(d.nodes) + len(d.addedSet) + len(d.removedSet) + len(d.dead) + len(d.attrs)
 }
 
-// String summarizes the delta for logs.
+// String summarizes the delta for logs, counting as Len does.
 func (d *Delta) String() string {
 	return fmt.Sprintf("Delta{+V=%d, -V=%d, +E=%d, -E=%d, attrs=%d}",
 		len(d.nodes), len(d.dead), len(d.addedSet), len(d.removedSet), len(d.attrs))
 }
 
-// row is one touched node's merged adjacency in one direction: the base run
-// minus removals, plus additions, in the CSR's (label, target) order.
+// row is one touched node's merged adjacency in one direction, in the form
+// csrDir.appendRow writes: csrKeys in the CSR's (label, endpoint) order,
+// and the same endpoints ascending for the wildcard view.
 type row struct {
-	labels []LabelID  // ascending distinct
-	lists  [][]NodeID // aligned with labels; each ascending, duplicate-free
-	all    []NodeID   // ascending by target; repeats across parallel labels
-	total  int
+	v    NodeID
+	keys []uint64
+	all  []NodeID
 }
 
-// sortedLabels returns a labelAdj's label IDs in ascending order with their
-// list indexes. Insertion sort: a node's distinct labels are few, and this
-// runs once per touched row — a closure-based sort would dominate it.
-func sortedLabels(a *labelAdj) []int {
-	if a == nil {
-		return nil
-	}
-	idx := make([]int, len(a.labels))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && a.labels[idx[j]] < a.labels[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
+// edit is one edge edit as a row of one direction sees it: the node whose
+// row it lands in and the csrKey of the other endpoint.
+type edit struct {
+	v NodeID
+	k uint64
 }
 
-// subtractSorted compacts ascending base to the elements not present in the
-// ascending removal list (both duplicate-free), appending into dst.
-func subtractSorted(dst, base, del []NodeID) []NodeID {
-	j := 0
-	for _, n := range base {
-		for j < len(del) && del[j] < n {
-			j++
+// edits returns the edits of one edge set as the rows of one direction see
+// them, sorted by (node, key). Edges with a dead endpoint are left out:
+// Refreeze drops those whatever the sets say.
+func edits(set map[edgeKey]struct{}, out bool, dead []bool) []edit {
+	es := make([]edit, 0, len(set))
+	for k := range set {
+		v, u := k.from, k.to
+		if !out {
+			v, u = u, v
 		}
-		if j < len(del) && del[j] == n {
+		if dead != nil && (dead[v] || dead[u]) {
 			continue
 		}
-		dst = append(dst, n)
+		es = append(es, edit{v, csrKey(k.label, u)})
 	}
-	return dst
+	slices.SortFunc(es, func(a, b edit) int {
+		if a.v != b.v {
+			return cmp.Compare(a.v, b.v)
+		}
+		return cmp.Compare(a.k, b.k)
+	})
+	return es
 }
 
-// mergeSorted merges two ascending duplicate-free lists into dst.
-func mergeSorted(dst, a, b []NodeID) []NodeID {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
+// dirRows merges the delta into the base rows of one direction (out, or in
+// when !out) and returns every touched row in ascending node order. Only the
+// k edits are sorted; each touched base row is then merged with its edits in
+// one linear pass that skips removed keys and dead endpoints, and so is its
+// wildcard view. A dead node's row is empty, and the rows of its base
+// neighbours are touched so that they lose it.
+func (d *Delta) dirRows(out bool) []row {
+	base, opp := &d.base.out, &d.base.in
+	if !out {
+		base, opp = opp, base
+	}
+	var dead []bool
+	if len(d.dead) > 0 {
+		dead = make([]bool, d.NumNodes())
+		for v := range d.dead {
+			dead[v] = true
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
+	adds := edits(d.addedSet, out, dead)
+	dels := edits(d.removedSet, out, dead)
 
-// mergeAll writes (baseAll minus delAll) merged with addAll into dst, all
-// three ascending by target with multiset semantics: each removed edge
-// cancels one occurrence of its target (occurrences of a target are
-// value-identical, so which one is immaterial). One linear pass — no sort.
-func mergeAll(dst, baseAll, delAll, addAll []NodeID) []NodeID {
-	j, k := 0, 0
-	for _, n := range baseAll {
-		for j < len(delAll) && delAll[j] < n {
-			j++
+	touched := make([]NodeID, 0, len(adds)+len(dels)+len(d.dead))
+	for _, es := range [][]edit{adds, dels} {
+		for _, e := range es {
+			touched = append(touched, e.v)
 		}
-		if j < len(delAll) && delAll[j] == n {
-			j++
+	}
+	for v := range d.dead {
+		if int(v) < d.baseN() {
+			touched = append(touched, v)
+			touched = append(touched, opp.all[opp.off[v]:opp.off[v+1]]...)
+		}
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+
+	// One backing array per view: a merged row holds at most its base row
+	// plus its adds.
+	size := len(adds)
+	for _, v := range touched {
+		if int(v) < d.baseN() {
+			size += int(base.off[v+1] - base.off[v])
+		}
+	}
+	keys := make([]uint64, 0, size)
+	all := make([]NodeID, 0, size)
+	rows := make([]row, 0, len(touched))
+	var addT, delT []NodeID
+	for _, v := range touched {
+		na, nd := 0, 0
+		for na < len(adds) && adds[na].v == v {
+			na++
+		}
+		for nd < len(dels) && dels[nd].v == v {
+			nd++
+		}
+		rowAdds, rowDels := adds[:na], dels[:nd]
+		adds, dels = adds[na:], dels[nd:]
+		if dead != nil && dead[v] {
+			rows = append(rows, row{v: v})
 			continue
 		}
-		for k < len(addAll) && addAll[k] <= n {
-			dst = append(dst, addAll[k])
-			k++
+		var baseAll []NodeID
+		if int(v) < d.baseN() {
+			baseAll = base.all[base.off[v]:base.off[v+1]]
 		}
-		dst = append(dst, n)
-	}
-	return append(dst, addAll[k:]...)
-}
 
-// buildRow materializes one touched node's merged adjacency. v may be an
-// added node (no base run). Every input list is already sorted — base runs
-// by (label, target), the delta's labelAdjs per label and by target — so
-// the merge is linear per label and the wildcard view is a three-way linear
-// merge, O(row) total with two allocations (the shared list backing and the
-// wildcard view).
-func buildRow(base *csrDir, v NodeID, baseValid bool, add, del *labelAdj) *row {
-	r := &row{}
-	addIdx := sortedLabels(add)
-	baseLen, addLen := 0, 0
-	var baseAll []NodeID
-	if baseValid {
-		baseLen = int(base.off[v+1] - base.off[v])
-		baseAll = base.all[base.off[v]:base.off[v+1]]
-	}
-	if add != nil {
-		addLen = len(add.all)
-	}
-	// One backing buffer for every per-label list: the merged total is
-	// bounded by baseLen+addLen (removals only shrink), so the sub-slices
-	// handed out below never move. The label directory is likewise bounded
-	// by the base directory plus the added labels.
-	maxLabels := len(addIdx)
-	if baseValid {
-		maxLabels += int(base.dirOff[v+1] - base.dirOff[v])
-	}
-	r.labels = make([]LabelID, 0, maxLabels)
-	r.lists = make([][]NodeID, 0, maxLabels)
-	buf := make([]NodeID, 0, baseLen+addLen)
-	emit := func(id LabelID, list []NodeID) {
-		if len(list) == 0 {
-			return
-		}
-		r.labels = append(r.labels, id)
-		r.lists = append(r.lists, list)
-		r.total += len(list)
-	}
-	ai := 0
-	emitAdded := func(idx int) {
-		start := len(buf)
-		buf = append(buf, add.lists[idx]...)
-		emit(add.labels[idx], buf[start:len(buf):len(buf)])
-	}
-	if baseValid {
-		base.forEachRun(v, func(id LabelID, targets []NodeID) {
-			// Added labels strictly below the base label come first.
-			for ai < len(addIdx) && add.labels[addIdx[ai]] < id {
-				emitAdded(addIdx[ai])
-				ai++
-			}
-			var delList []NodeID
-			if del != nil {
-				delList = del.endpoints(id)
-			}
-			if ai < len(addIdx) && add.labels[addIdx[ai]] == id {
-				start := len(buf)
-				if len(delList) == 0 {
-					buf = mergeSorted(buf, targets, add.lists[addIdx[ai]])
-				} else {
-					buf = mergeAll(buf, targets, delList, add.lists[addIdx[ai]])
+		// (label, endpoint) order. Removed keys are base keys in the same
+		// order, so the next one is due exactly when the base reaches it.
+		ks, ai, di := len(keys), 0, 0
+		if baseAll != nil {
+			base.forEachRun(v, func(l LabelID, targets []NodeID) {
+				for _, t := range targets {
+					k := csrKey(l, t)
+					for ai < len(rowAdds) && rowAdds[ai].k < k {
+						keys = append(keys, rowAdds[ai].k)
+						ai++
+					}
+					if di < len(rowDels) && rowDels[di].k == k {
+						di++
+					} else if dead == nil || !dead[t] {
+						keys = append(keys, k)
+					}
 				}
-				ai++
-				emit(id, buf[start:len(buf):len(buf)])
-			} else if len(delList) == 0 {
-				// Label untouched inside a touched row: alias the immutable
-				// base run instead of copying it.
-				emit(id, targets)
-			} else {
-				start := len(buf)
-				buf = subtractSorted(buf, targets, delList)
-				emit(id, buf[start:len(buf):len(buf)])
-			}
-		})
-	}
-	for ; ai < len(addIdx); ai++ {
-		emitAdded(addIdx[ai])
-	}
-	var delAll []NodeID
-	if del != nil {
-		delAll = del.all
-	}
-	var addAll []NodeID
-	if add != nil {
-		addAll = add.all
-	}
-	r.all = mergeAll(make([]NodeID, 0, r.total), baseAll, delAll, addAll)
-	return r
-}
+			})
+		}
+		for _, e := range rowAdds[ai:] {
+			keys = append(keys, e.k)
+		}
 
-// rows materializes the merged adjacency of every touched node in both
-// directions, cached until the delta mutates again.
-func (d *Delta) rows() (out, in map[NodeID]*row) {
-	if d.outRows != nil && d.rowsVersion == d.version {
-		return d.outRows, d.inRows
-	}
-	build := func(add, del map[NodeID]*labelAdj, base *csrDir) map[NodeID]*row {
-		rows := make(map[NodeID]*row, len(add)+len(del))
-		touch := func(v NodeID) {
-			if _, ok := rows[v]; ok {
-				return
+		// Endpoint order: the base run minus one occurrence per removed
+		// edge and every dead endpoint, merged with the added endpoints.
+		addT, delT = addT[:0], delT[:0]
+		for _, e := range rowAdds {
+			addT = append(addT, NodeID(uint32(e.k)))
+		}
+		for _, e := range rowDels {
+			delT = append(delT, NodeID(uint32(e.k)))
+		}
+		slices.Sort(addT)
+		slices.Sort(delT)
+		as, ai, di := len(all), 0, 0
+		for _, t := range baseAll {
+			if di < len(delT) && delT[di] == t {
+				di++
+				continue
 			}
-			rows[v] = buildRow(base, v, int(v) < d.baseN(), add[v], del[v])
+			if dead != nil && dead[t] {
+				continue
+			}
+			for ai < len(addT) && addT[ai] <= t {
+				all = append(all, addT[ai])
+				ai++
+			}
+			all = append(all, t)
 		}
-		for v := range add {
-			touch(v)
-		}
-		for v := range del {
-			touch(v)
-		}
-		return rows
+		all = append(all, addT[ai:]...)
+		rows = append(rows, row{v: v, keys: keys[ks:], all: all[as:]})
 	}
-	d.outRows = build(d.addOut, d.delOut, &d.base.out)
-	d.inRows = build(d.addIn, d.delIn, &d.base.in)
-	d.rowsVersion = d.version
-	return d.outRows, d.inRows
+	return rows
 }
 
 // Overlay returns the snapshot of base+delta as it stands: the Refreeze of

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -252,25 +254,31 @@ func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 
 // FuzzRefreeze holds Refreeze, which every Overlay read goes through, to a
 // from-scratch Freeze. Each 4-byte group of the input is one update —
-// AddNode, AddEdge, RemoveEdge, RemoveNode or SetAttr, by the first byte
-// modulo 5 — applied to a delta over a small frozen base and mirrored into
-// an editable Graph; labels outside the base's tables extend them. The
-// refrozen snapshot must then answer every Reader query as the Graph's
-// Frozen does.
+// AddNode, AddEdge, RemoveEdge of an edge the mirror holds, RemoveNode,
+// SetAttr, or RemoveEdge on arbitrary arguments (dead endpoints, absent
+// edges, labels no graph has), by the first byte modulo 6 — applied to a
+// delta over a small frozen base and mirrored into an editable Graph;
+// labels outside the base's tables extend them. The refrozen snapshot must
+// then answer every Reader query as the Graph's Frozen does, and
+// TouchedNodes must hold every node whose row, attributes or liveness the
+// refreeze changed: that is the seed set incremental revalidation trusts.
 func FuzzRefreeze(f *testing.F) {
 	// The base uses the first four labels of each list; "d" and "h" are new.
 	nodeLabels := []string{"a", "b", "c", Wildcard, "d"}
 	edgeLabels := []string{"e", "f", "g", Wildcard, "h"}
+	removeLabels := append(slices.Clip(edgeLabels), "absent")
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 0})                            // one edge at the front, clean tail
 	f.Add([]byte{0, 4, 0, 0, 1, 12, 0, 4, 4, 3, 1, 2})   // new node and label, attribute
-	f.Add([]byte{2, 3, 0, 0, 3, 5, 0, 0, 2, 9, 1, 0})    // removals, base and cascaded
+	f.Add([]byte{2, 3, 0, 0, 3, 5, 0, 0, 2, 9, 1, 0})    // removals: an edge, then a node
 	f.Add([]byte{0, 1, 0, 0, 1, 12, 12, 1, 3, 12, 0, 0}) // an added self-loop, then its node removed
+	f.Add([]byte{1, 2, 7, 0, 3, 7, 0, 0, 5, 2, 7, 0})    // an added edge at a removed node, then removed
+	f.Add([]byte{5, 0, 1, 4, 5, 3, 3, 3, 3, 0, 0, 0})    // arbitrary removals: new label, absent edges
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mirror, base := buildBoth(11, 10, 30, nodeLabels[:4], edgeLabels[:4])
 		d := NewDelta(base)
 		for i := 0; i+4 <= len(data) && i < 4*64; i += 4 {
-			op, a, b, c := data[i]%5, data[i+1], data[i+2], data[i+3]
+			op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
 			u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())
 			switch op {
 			case 0:
@@ -298,11 +306,41 @@ func FuzzRefreeze(f *testing.F) {
 					mirror.SetAttr(u, k, val)
 					d.SetAttr(u, k, val)
 				}
+			case 5:
+				l := removeLabels[int(c)%len(removeLabels)]
+				mirror.RemoveEdge(u, v, l)
+				d.RemoveEdge(u, v, l)
 			}
 		}
-		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), base.Refreeze(d),
+		refrozen := base.Refreeze(d)
+		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), refrozen,
 			nodeLabels, edgeLabels)
+
+		touched := make(map[NodeID]bool)
+		for _, v := range d.TouchedNodes() {
+			touched[v] = true
+		}
+		for v := NodeID(0); int(v) < refrozen.NumNodes(); v++ {
+			changed := int(v) >= base.NumNodes() || base.Alive(v) != refrozen.Alive(v) ||
+				!maps.Equal(base.Attrs(v), refrozen.Attrs(v)) ||
+				!slices.Equal(rowKeys(&base.out, v), rowKeys(&refrozen.out, v)) ||
+				!slices.Equal(rowKeys(&base.in, v), rowKeys(&refrozen.in, v))
+			if changed && !touched[v] {
+				t.Fatalf("delta=%v: node %d changed but is not in TouchedNodes %v", d, v, d.TouchedNodes())
+			}
+		}
 	})
+}
+
+// rowKeys returns node v's row in one direction as csrKeys, in CSR order.
+func rowKeys(c *csrDir, v NodeID) []uint64 {
+	var ks []uint64
+	c.forEachRun(v, func(l LabelID, targets []NodeID) {
+		for _, t := range targets {
+			ks = append(ks, csrKey(l, t))
+		}
+	})
+	return ks
 }
 
 // TestDeltaSemantics pins the final-state op algebra and the guard rails.
@@ -334,7 +372,8 @@ func TestDeltaSemantics(t *testing.T) {
 	if len(d.addedSet) != 0 || len(d.removedSet) != 0 {
 		t.Fatal("add+remove of a fresh edge did not cancel")
 	}
-	// RemoveNode cascades to incident base edges and blocks further use.
+	// RemoveNode drops the incident base edges from the overlay and blocks
+	// further use.
 	d.RemoveNode(y)
 	o := d.Overlay()
 	if o.Alive(y) || o.NumEdges() != 0 {
@@ -394,6 +433,30 @@ func TestDeltaSemantics(t *testing.T) {
 	if !idsEqual(got, want) {
 		t.Fatalf("TouchedNodes = %v, want %v", got, want)
 	}
+
+	// RemoveNode records no per-edge cascade. The removed node's base
+	// out- and in-neighbours and a neighbour reached only through an added
+	// edge are all touched, Refreeze drops all three edges, and removing the
+	// added edge afterwards leaves the refreeze as it was.
+	b3 := NewBuilder(0)
+	p, q, r, s := b3.AddNode("a"), b3.AddNode("b"), b3.AddNode("a"), b3.AddNode("c")
+	b3.AddEdge(p, q, "e")
+	b3.AddEdge(q, r, "f")
+	f3 := b3.Freeze()
+	d3 := NewDelta(f3)
+	d3.AddEdge(s, q, "g")
+	d3.RemoveNode(q)
+	if got, want := d3.TouchedNodes(), []NodeID{p, q, r, s}; !idsEqual(got, want) {
+		t.Fatalf("TouchedNodes after RemoveNode = %v, want %v", got, want)
+	}
+	gone := f3.Refreeze(d3)
+	if gone.NumEdges() != 0 || len(outByLabel(gone, p, Wildcard)) != 0 ||
+		len(inByLabel(gone, r, Wildcard)) != 0 || len(outByLabel(gone, s, Wildcard)) != 0 {
+		t.Fatalf("Refreeze kept an edge at the removed node: E=%d", gone.NumEdges())
+	}
+	d3.RemoveEdge(s, q, "g")
+	checkReaderEquivalence(t, "RemoveEdge at a dead node", gone, f3.Refreeze(d3),
+		[]string{"a", "b", "c"}, []string{"e", "f", "g"})
 }
 
 // TestShardedEmptyTailCollapse is the regression test for the degenerate

@@ -194,23 +194,30 @@ func buildCSR(n int, src, dst []NodeID, lab []LabelID) csrDir {
 		run := keys[off[v]:off[v+1]]
 		slices.Sort(run)
 		start := len(d.targets)
-		for i, k := range run {
-			if i > 0 && k == run[i-1] {
-				continue // duplicate (from, label, to): AddEdge idempotence
-			}
-			l := LabelID(uint32(k >> 32))
-			if nd := len(d.dirLabels); nd == int(d.dirOff[v]) || d.dirLabels[nd-1] != l {
-				d.dirLabels = append(d.dirLabels, l)
-				d.dirStart = append(d.dirStart, int32(len(d.targets)))
-			}
-			d.targets = append(d.targets, NodeID(uint32(k)))
-		}
+		// Compact drops duplicate (from, label, to): AddEdge idempotence.
+		d.appendRow(NodeID(v), slices.Compact(run))
 		d.all = append(d.all, d.targets[start:]...)
 		slices.Sort(d.all[start:])
-		d.off[v+1] = int32(len(d.targets))
-		d.dirOff[v+1] = int32(len(d.dirLabels))
 	}
 	return d
+}
+
+// appendRow writes node v's row — csrKeys ascending, duplicate-free — as
+// its targets and label directory, and closes v's offsets; every row before
+// v must be written already. The caller appends the same endpoints to all,
+// in endpoint order. Freeze writes every row through it, Refreeze every
+// touched row.
+func (d *csrDir) appendRow(v NodeID, keys []uint64) {
+	for _, k := range keys {
+		l := LabelID(uint32(k >> 32))
+		if nd := len(d.dirLabels); nd == int(d.dirOff[v]) || d.dirLabels[nd-1] != l {
+			d.dirLabels = append(d.dirLabels, l)
+			d.dirStart = append(d.dirStart, int32(len(d.targets)))
+		}
+		d.targets = append(d.targets, NodeID(uint32(k)))
+	}
+	d.off[v+1] = int32(len(d.targets))
+	d.dirOff[v+1] = int32(len(d.dirLabels))
 }
 
 // csrDir is one direction of frozen adjacency. For node v, the half-open
@@ -319,10 +326,10 @@ type Frozen struct {
 }
 
 // tombstone marks the given node slots dead and drops them from the
-// nodes-by-label index. Their adjacency rows must already be empty (the
-// callers — Graph.Frozen replaying a graph whose RemoveNode dropped the
-// incident edges, and Refreeze after the delta recorded them as removed —
-// guarantee it).
+// nodes-by-label index. Their adjacency rows must already be empty (its
+// caller, Graph.Frozen, replays a graph whose RemoveNode dropped the
+// incident edges; Refreeze keeps its own tombstones and drops the edges at
+// them itself).
 func (f *Frozen) tombstone(dead []bool) {
 	n := 0
 	for _, d := range dead {

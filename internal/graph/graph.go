@@ -78,7 +78,8 @@ const (
 //   - Reads are as fast as a Frozen's plus one atomic load; the first read
 //     after a mutation pays one Freeze, O(V + E log deg). Interleaving single
 //     edits with index reads on a large graph is what Delta and Refreeze
-//     are for: a refreeze copies untouched rows instead of re-sorting them.
+//     are for: a refreeze sorts only the edits, merges them into the rows
+//     they touch, and copies every other row as it is.
 //   - Label IDs are the snapshot's: a mutating call voids every ID, plan and
 //     search obtained before it (match panics on a stale plan or search).
 //   - Any number of goroutines may read concurrently, the first index read

@@ -1,15 +1,17 @@
 // Incremental re-freeze: merging a Delta into a fresh CSR snapshot without
-// paying the full O(E log deg) rebuild. Only the rows of touched nodes are
-// re-materialized and re-sorted; every untouched node's row — targets,
-// wildcard view, label directory — is copied verbatim in bulk, with a
-// constant per-span offset shift for the directory starts. Total cost is
-// O(E_touched·log deg + V) plus the unavoidable memcpy of the clean rows,
-// which is what makes refreezing a ≤1% delta into a 100k-edge snapshot ~an
-// order of magnitude cheaper than Builder.Freeze from scratch (gated by the
-// refreeze_speedup CI metric).
+// paying the full O(E log deg) rebuild. Only the k edits are sorted
+// (Delta.dirRows); each touched node's row is merged with its edits in one
+// linear pass and written through csrDir.appendRow, the row writer Freeze
+// uses. Every untouched node's row — targets, wildcard view, label
+// directory — is copied verbatim in bulk, with a constant per-span offset
+// shift for the directory starts. Total cost is O(k log k + E_touched + V)
+// plus the unavoidable memcpy of the clean rows, which is what makes
+// refreezing a ≤1% delta into a 100k-edge snapshot ~an order of magnitude
+// cheaper than Builder.Freeze from scratch (gated by the refreeze_speedup
+// CI metric).
 package graph
 
-import "slices"
+import "maps"
 
 // Refreeze merges the delta into a new immutable snapshot. The receiver must
 // be the delta's base; the receiver, the delta and every snapshot taken
@@ -20,7 +22,9 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	if d.base != f {
 		panic("graph: Refreeze with a delta bound to a different base")
 	}
-	outRows, inRows := d.rows()
+	if d.outRows == nil || d.rowsVersion != d.version {
+		d.outRows, d.inRows, d.rowsVersion = d.dirRows(true), d.dirRows(false), d.version
+	}
 	baseN := len(f.nodes)
 	n2 := baseN + len(d.nodes)
 
@@ -29,10 +33,10 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	copy(nf.nodes, f.nodes)
 	for i := range d.nodes {
 		nf.nodes[baseN+i] = d.nodes[i]
-		nf.nodes[baseN+i].Attrs = copyAttrs(d.nodes[i].Attrs)
+		nf.nodes[baseN+i].Attrs = maps.Clone(d.nodes[i].Attrs)
 	}
 	for v, m := range d.attrs {
-		nf.nodes[v].Attrs = copyAttrs(m)
+		nf.nodes[v].Attrs = maps.Clone(m)
 	}
 	for v := range d.dead {
 		nf.nodes[v].Attrs = nil
@@ -69,8 +73,8 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	copy(nf.nodeLabelOf, f.nodeLabelOf)
 	copy(nf.nodeLabelOf[baseN:], d.nodeLabelOf)
 
-	nf.out = refreezeDir(&f.out, outRows, baseN, n2)
-	nf.in = refreezeDir(&f.in, inRows, baseN, n2)
+	nf.out = refreezeDir(&f.out, d.outRows, baseN, n2)
+	nf.in = refreezeDir(&f.in, d.inRows, baseN, n2)
 	nf.edges = len(nf.out.targets)
 
 	// Tombstones: the base's plus the delta's. deadCount is recounted from
@@ -119,36 +123,22 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	return nf
 }
 
-func copyAttrs(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]string, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
 // refreezeDir merges one direction's delta rows into a new csrDir. Clean
-// base spans between touched nodes are copied verbatim; only the touched
-// rows (pre-sorted by Delta.rows) are written element-wise.
-func refreezeDir(base *csrDir, rows map[NodeID]*row, baseN, n2 int) csrDir {
-	dirty := make([]NodeID, 0, len(rows))
-	for v := range rows {
-		dirty = append(dirty, v)
-	}
-	slices.Sort(dirty)
-
+// base spans between touched nodes are copied verbatim; the touched rows
+// (ascending by node, from Delta.dirRows) go through appendRow.
+func refreezeDir(base *csrDir, rows []row, baseN, n2 int) csrDir {
 	totalT := len(base.targets)
 	totalD := len(base.dirLabels)
-	for _, v := range dirty {
-		r := rows[v]
-		totalT += r.total
-		totalD += len(r.labels)
-		if int(v) < baseN {
-			totalT -= int(base.off[v+1] - base.off[v])
-			totalD -= int(base.dirOff[v+1] - base.dirOff[v])
+	for _, r := range rows {
+		totalT += len(r.keys)
+		for i, k := range r.keys {
+			if i == 0 || k>>32 != r.keys[i-1]>>32 {
+				totalD++
+			}
+		}
+		if int(r.v) < baseN {
+			totalT -= int(base.off[r.v+1] - base.off[r.v])
+			totalD -= int(base.dirOff[r.v+1] - base.dirOff[r.v])
 		}
 	}
 	d := csrDir{
@@ -187,18 +177,11 @@ func refreezeDir(base *csrDir, rows map[NodeID]*row, baseN, n2 int) csrDir {
 		}
 	}
 	cursor := 0
-	for _, dv := range dirty {
-		clean(cursor, int(dv))
-		r := rows[dv]
-		for i, id := range r.labels {
-			d.dirLabels = append(d.dirLabels, id)
-			d.dirStart = append(d.dirStart, int32(len(d.targets)))
-			d.targets = append(d.targets, r.lists[i]...)
-		}
+	for _, r := range rows {
+		clean(cursor, int(r.v))
+		d.appendRow(r.v, r.keys)
 		d.all = append(d.all, r.all...)
-		d.off[dv+1] = int32(len(d.targets))
-		d.dirOff[dv+1] = int32(len(d.dirLabels))
-		cursor = int(dv) + 1
+		cursor = int(r.v) + 1
 	}
 	clean(cursor, n2)
 	return d

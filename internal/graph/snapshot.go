@@ -446,9 +446,15 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 					break
 				}
 				attrs := make(map[string]string, na)
+				prev := ""
 				for i := 0; i < na && d.err == nil; i++ {
 					k := d.str()
-					attrs[k] = d.str()
+					if i > 0 && k <= prev {
+						// WriteSnapshot sorts the keys, so anything else
+						// would not write back as it was read.
+						d.fail("node %d attribute keys not strictly ascending", v)
+					}
+					attrs[k], prev = d.str(), k
 				}
 				f.nodes[v].Attrs = attrs
 			}
@@ -472,21 +478,24 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	if d.err == nil {
 		nl := len(f.nodeLabelNames)
 		switch {
-		case len(f.byLabelOff) != nl+1 && !(nl == 0 && f.byLabelOff == nil):
+		case len(f.byLabelOff) != nl+1:
 			d.fail("nodes-by-label offsets sized %d, want %d", len(f.byLabelOff), nl+1)
 		case !monotone(f.byLabelOff):
 			d.fail("nodes-by-label offsets are not monotone")
-		case nl > 0 && int(f.byLabelOff[nl]) != len(f.byLabelNodes):
+		case int(f.byLabelOff[nl]) != len(f.byLabelNodes):
 			d.fail("nodes-by-label offsets do not cover the array")
 		case !idsInRange(f.byLabelNodes, n):
 			d.fail("nodes-by-label entry outside the node space")
 		}
 	}
-	if f.byLabelOff == nil {
-		f.byLabelOff = make([]int32, len(f.nodeLabelNames)+1)
-	}
-	if d.u32() != 0 {
+	switch flag := d.u32(); {
+	case flag > 1:
+		d.fail("tombstone flag %d, want 0 or 1", flag)
+	case flag == 1:
 		packed := d.take((n + 7) / 8)
+		if d.err == nil && n%8 != 0 && packed[n/8]>>(n%8) != 0 {
+			d.fail("tombstone bitmap sets bits past node %d", n)
+		}
 		if d.err == nil {
 			f.dead = make([]bool, n)
 			for v := range f.dead {

@@ -161,6 +161,69 @@ func TestSnapshotStructuralValidation(t *testing.T) {
 	t.Logf("%d byte-flips loaded cleanly, %d rejected", loaded, 2*(len(img)-28)-loaded)
 }
 
+// FuzzReadSnapshot holds ReadSnapshot to its contract on arbitrary bytes:
+// an error, or a snapshot that WriteSnapshot writes back byte for byte —
+// never a panic. Mutated bytes rarely keep both checksums valid, so every
+// input is also read resealed: its header's payload length and checksums
+// rewritten to match the bytes after the header, which puts the structural
+// validation behind the checksums in reach.
+func FuzzReadSnapshot(f *testing.F) {
+	images := func(fs ...*Frozen) [][]byte {
+		var out [][]byte
+		for _, fr := range fs {
+			var buf bytes.Buffer
+			if err := fr.WriteSnapshot(&buf); err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+		return out
+	}
+	_, plain := buildBoth(3, 6, 12, []string{"a", "b"}, []string{"e", "f", Wildcard})
+	d := NewDelta(plain)
+	d.RemoveNode(1)
+	d.SetAttr(d.AddNode("c"), "k", "v")
+	d.AddEdge(0, 6, "g")
+	seeds := images(NewBuilder(0).Freeze(), plain, plain.Refreeze(d))
+	for _, img := range seeds {
+		f.Add(img)
+	}
+	f.Add(seeds[2][:len(seeds[2])/2]) // truncated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readBack(t, data)
+		if len(data) >= 28 {
+			sealed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(sealed[12:], uint64(len(sealed)-28))
+			binary.LittleEndian.PutUint32(sealed[20:], crc32.ChecksumIEEE(sealed[28:]))
+			binary.LittleEndian.PutUint32(sealed[24:], crc32.ChecksumIEEE(sealed[:24]))
+			readBack(t, sealed)
+		}
+	})
+}
+
+// readBack reads an image and, when ReadSnapshot accepts it, checks that
+// the snapshot writes back to the same bytes and serves its rows.
+func readBack(t *testing.T, data []byte) {
+	t.Helper()
+	g, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot of a loaded image: %v", err)
+	}
+	image := data[:28+binary.LittleEndian.Uint64(data[12:])]
+	if !bytes.Equal(buf.Bytes(), image) {
+		t.Fatalf("accepted image does not write back byte-identically:\n got %x\nwant %x", buf.Bytes(), image)
+	}
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		g.Out(v)
+		g.InByLabelID(v, AnyLabel)
+	}
+	CandidateNodes(g, Wildcard)
+}
+
 // TestSnapshotEmptyAndTiny covers the degenerate shapes: the empty graph and
 // a single attribute-less node.
 func TestSnapshotEmptyAndTiny(t *testing.T) {

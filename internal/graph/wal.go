@@ -201,8 +201,8 @@ func (l *WAL) RemoveEdge(from, to NodeID, label string) {
 }
 
 // RemoveNode tombstones a node in the delta and logs it; see
-// Delta.RemoveNode. One record covers the whole cascade (incident-edge
-// removal is deterministic from the base plus the log prefix).
+// Delta.RemoveNode. One record is the whole removal: the delta records no
+// incident edges either, since Refreeze drops every edge at a dead node.
 func (l *WAL) RemoveNode(v NodeID) {
 	l.d.RemoveNode(v)
 	l.record(l.op(walRemoveNode, []NodeID{v}))
