@@ -13,11 +13,14 @@
 //
 // sat prints SATISFIABLE or UNSATISFIABLE (with the conflicting attribute),
 // imp prints IMPLIED or NOT-IMPLIED, check prints the violations of the
-// rules in the graph. Exit status 0 on success, 1 on a negative check
-// answer, 2 on usage or parse errors, 3 when -timeout expired before the
-// run finished — a negative answer (exit 1) and a run that never completed
-// (exit 3) are different facts, so they get different codes. A subcommand
-// accepts exactly the flags on its line above; any other is a usage error.
+// rules in the graph. check runs its pattern groups on GOMAXPROCS workers
+// (every core unless the GOMAXPROCS environment variable says otherwise);
+// the list it prints does not depend on the worker count. Exit status 0 on
+// success, 1 on a negative check answer, 2 on usage or parse errors, 3 when
+// -timeout expired before the run finished — a negative answer (exit 1) and
+// a run that never completed (exit 3) are different facts, so they get
+// different codes. A subcommand accepts exactly the flags on its line above;
+// any other is a usage error.
 //
 // -timeout bounds sat, imp, and check through the engines' cooperative
 // cancellation; it needs the parallel algorithms, so it rejects -seq and

@@ -644,8 +644,9 @@ func RunCI(cfg Config) (*CIReport, error) {
 	info("rebuild_ms", rebuildT)
 
 	// Incremental revalidation vs full re-validation after a small delta,
-	// both sequential over the same overlay — again a machine-independent
-	// algorithmic ratio.
+	// both on runtime.GOMAXPROCS(0) pool workers (Violations' own default)
+	// over the same overlay — an algorithmic ratio, since both sides fan out
+	// the same way.
 	vset, vbase, vdelta, err := ValidateWorkload(cfg.Seed)
 	if err != nil {
 		return report, fmt.Errorf("cannot measure revalidation metrics: %v", err)
@@ -653,8 +654,9 @@ func RunCI(cfg Config) (*CIReport, error) {
 	prev := core.Violations(vbase, vset)
 	overlay := vdelta.Overlay()
 	fullValT := minTime(cfg.Reps, func() { core.Violations(overlay, vset) })
+	ropt := core.RevalidateOptions{Workers: runtime.GOMAXPROCS(0)}
 	incrValT := minTime(incrReps, func() {
-		core.RevalidateDelta(vset, vdelta, prev, core.RevalidateOptions{})
+		core.RevalidateDelta(vset, vdelta, prev, ropt)
 	})
 	gauge("incr_validate_speedup", fullValT, incrValT)
 	info("incr_validate_ms", incrValT)

@@ -370,3 +370,46 @@ func TestViolationsCtx(t *testing.T) {
 		t.Fatalf("ViolationsCtx diverges from Violations: %d vs %d", len(got), len(want))
 	}
 }
+
+// attrBomb is a graph.Reader whose Attr panics on its n-th call (never when
+// n is 0) and counts every call.
+type attrBomb struct {
+	graph.Reader
+	n     int64
+	calls atomic.Int64
+}
+
+func (b *attrBomb) Attr(v graph.NodeID, attr string) (string, bool) {
+	if b.calls.Add(1) == b.n {
+		panic("attr-boom")
+	}
+	return b.Reader.Attr(v, attr)
+}
+
+// TestViolationsPanicIsIsolated panics inside a validation task's literal
+// check: ViolationsCtx must return a *PanicError instead of crashing the
+// process, and leave no worker behind.
+func TestViolationsPanicIsIsolated(t *testing.T) {
+	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
+	set := gr.Set()
+	g := gr.ConsistentGraph(60).Frozen()
+	count := &attrBomb{Reader: g}
+	if _, err := ViolationsCtx(context.Background(), count, set); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	calls := count.calls.Load()
+	if calls < 2 {
+		t.Fatalf("setup: %d Attr calls; the panic would not land inside a task", calls)
+	}
+
+	before := runtime.NumGoroutine()
+	_, err := ViolationsCtx(context.Background(), &attrBomb{Reader: g, n: calls / 2}, set)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Value != "attr-boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panic error incomplete: value=%v stack=%d bytes", pe.Value, len(pe.Stack))
+	}
+	assertGoroutineBaseline(t, before)
+}

@@ -11,12 +11,13 @@ import (
 
 // pool is the one worker pool of internal/core: the dynamic-assignment
 // scheduler behind every fan-out of ParSat/ParImp (simulation pre-pass,
-// work phase, finalize rounds) and of Revalidate. Each of its p workers owns
-// a deque; a worker pops its own front, steals from the back of a peer when
-// dry, and otherwise blocks on a condition variable (with a wake sequence
-// number so a wakeup between a worker's empty scan and its wait is never
-// lost) until a task pushes new work, the last task retires, or the run
-// stops. There is no busy-polling and no coordinator goroutine.
+// work phase, finalize rounds), of Revalidate and of validation
+// (ViolationsOpts). Each of its p workers owns a deque; a worker pops its
+// own front, steals from the back of a peer when dry, and otherwise blocks
+// on a condition variable (with a wake sequence number so a wakeup between
+// a worker's empty scan and its wait is never lost) until a task pushes new
+// work, the last task retires, or the run stops. There is no busy-polling
+// and no coordinator goroutine.
 //
 // A run ends in exactly one of three ways: every task retired (nil), a task
 // returned an error or panicked (that error — first one wins, the remaining

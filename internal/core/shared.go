@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 
 	"repro/internal/gfd"
@@ -76,8 +77,9 @@ func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
 // appends a violation to out[mi] for each member mi (its index in Σ) that h
 // violates. h may be a search's view: it is copied once, on the first
 // member it violates, and shared by every member violating at this match.
+// Every call on one groupCheck must pass the same g: the scratch keeps a
+// slot's value until a match binds the slot's variable to another node.
 func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation) {
-	c.scr.Begin()
 	var kept match.Assignment
 	for i, mi := range c.members {
 		if c.prog.Violates(i, g, h, c.scr) {
@@ -91,33 +93,46 @@ func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation
 
 // ViolationsOpts is ViolationsCtx with sharing statistics. The violation
 // list is what checking each GFD on its own would give, violation for
-// violation, in Σ-then-enumeration order.
+// violation, in Σ-then-enumeration order. The pattern groups run as tasks
+// on runtime.GOMAXPROCS(0) pool workers; a panic in one becomes a
+// *PanicError.
 func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, _ VerifyOptions) ([]Violation, VerifyStats, error) {
+	return violations(ctx, g, set, runtime.GOMAXPROCS(0))
+}
+
+// violations is ViolationsOpts on the given number of workers: one pool
+// task per pattern group enumerates the group's pattern and checks its
+// members at every match. Groups partition Σ, so the tasks append to
+// disjoint entries of the per-GFD lists.
+func violations(ctx context.Context, g graph.Reader, set *gfd.Set, workers int) ([]Violation, VerifyStats, error) {
 	groups := set.Groups()
 	st := VerifyStats{Groups: len(groups)}
-
-	pgs := make([]match.PatternGroup, len(groups))
-	checks := make([]*groupCheck, len(groups))
-	for gi, grp := range groups {
-		pgs[gi] = match.PatternGroup{Pattern: grp.Pattern}
-		checks[gi] = newGroupCheck(set, grp)
+	for _, grp := range groups {
 		if len(grp.Members) > 1 {
 			st.SharedGFDs += len(grp.Members)
 		}
 	}
 
+	pl := newPool[int](ctx, min(workers, len(groups)))
 	byGFD := make([][]Violation, set.Len())
-	_, err := match.EnumerateGrouped(ctx, g, pgs, func(gi int, h match.Assignment) bool {
-		checks[gi].check(g, h, byGFD)
-		st.MatchesReused += len(groups[gi].Members) - 1
-		return true
+	reused := make([]int, pl.size()) // per worker, summed after the run
+	err := pl.run(indexes(len(groups)), func(w, gi int) error {
+		grp := groups[gi]
+		c := newGroupCheck(set, grp)
+		s := match.NewSearch(grp.Pattern, g, match.Options{Ctx: pl.ctx})
+		matches := 0
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			c.check(g, h, byGFD)
+			matches++
+		}
+		reused[w] += matches * (len(grp.Members) - 1)
+		return canceledErr(s.Err())
 	})
-
-	// Assemble in Σ order, sized once; within a GFD the grouped enumeration
-	// already delivered matches in the standalone enumeration order.
-	out := slices.Concat(byGFD...)
-	if err != nil {
-		return out, st, canceledErr(err)
+	for _, n := range reused {
+		st.MatchesReused += n
 	}
-	return out, st, nil
+
+	// Assemble in Σ order, sized once; within a GFD its group's search
+	// delivered matches in the standalone enumeration order.
+	return slices.Concat(byGFD...), st, err
 }

@@ -62,9 +62,10 @@ func sameAsOracle(g graph.Reader, set *gfd.Set, got []Violation) bool {
 // property for validation: on generated sets with duplicated and
 // prefix-overlapping patterns, grouped evaluation must reproduce checking
 // each GFD on its own (violationsOneByOne) violation for violation, in
-// order, and the brute-force oracle as a set, on every storage tier. It
-// also pins that sharing actually happened — a grouping that degenerates to
-// singletons would pass equivalence vacuously.
+// order, and the brute-force oracle as a set, on every storage tier and at
+// every worker count, with the same stats at each. It also pins that
+// sharing actually happened — a grouping that degenerates to singletons
+// would pass equivalence vacuously.
 func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	ctx := context.Background()
 	sharedGFDs, reused, total := 0, 0, 0
@@ -88,23 +89,33 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 			{"sharded", frozen.Sharded(3)},
 			{"overlay", d.Overlay()},
 		}
+		groups := len(set.Groups())
 		for _, tier := range tiers {
-			grouped, gst, err := ViolationsOpts(ctx, tier.data, set, VerifyOptions{})
-			if err != nil {
-				t.Fatalf("seed=%d %s: grouped: %v", seed, tier.name, err)
+			per := violationsOneByOne(tier.data, set)
+			if !sameAsOracle(tier.data, set, per) {
+				t.Fatalf("seed=%d %s: one-by-one violations differ from the oracle's", seed, tier.name)
 			}
-			if per := violationsOneByOne(tier.data, set); !violationsEqual(grouped, per) {
-				t.Fatalf("seed=%d %s: grouped %d violations != one-by-one %d", seed, tier.name, len(grouped), len(per))
+			var first VerifyStats
+			for _, w := range []int{1, 2, 4, 2 * groups} {
+				grouped, gst, err := violations(ctx, tier.data, set, w)
+				if err != nil {
+					t.Fatalf("seed=%d %s w=%d: grouped: %v", seed, tier.name, w, err)
+				}
+				if !violationsEqual(grouped, per) {
+					t.Fatalf("seed=%d %s w=%d: grouped %d violations != one-by-one %d", seed, tier.name, w, len(grouped), len(per))
+				}
+				if w == 1 {
+					first = gst
+				} else if gst != first {
+					t.Fatalf("seed=%d %s w=%d: stats %+v, at w=1 %+v", seed, tier.name, w, gst, first)
+				}
 			}
-			if !sameAsOracle(tier.data, set, grouped) {
-				t.Fatalf("seed=%d %s: grouped violations differ from the oracle's", seed, tier.name)
+			if first.Groups >= set.Len() {
+				t.Fatalf("seed=%d %s: %d groups for %d GFDs; no sharing", seed, tier.name, first.Groups, set.Len())
 			}
-			if gst.Groups >= set.Len() {
-				t.Fatalf("seed=%d %s: %d groups for %d GFDs; no sharing", seed, tier.name, gst.Groups, set.Len())
-			}
-			sharedGFDs += gst.SharedGFDs
-			reused += gst.MatchesReused
-			total += len(grouped)
+			sharedGFDs += first.SharedGFDs
+			reused += first.MatchesReused
+			total += len(per)
 		}
 	}
 	if total == 0 {

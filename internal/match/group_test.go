@@ -216,16 +216,15 @@ func TestLiteralEval(t *testing.T) {
 	e := match.CompileLiterals(members)
 	s := e.NewScratch()
 	h := match.Assignment{n0, n1}
-	s.Begin()
 	want := []bool{false, true, false}
 	for m, w := range want {
 		if got := e.Violates(m, g, h, s); got != w {
 			t.Fatalf("member %d: Violates=%t, want %t", m, got, w)
 		}
 	}
-	// Second match with different bindings must not see stale slots.
+	// Second match with different bindings must not see stale slots, with
+	// no Begin in between.
 	h2 := match.Assignment{n1, n0}
-	s.Begin()
 	// member 1: X: n1.k = n0.k holds; Y: n1.m = n0.m → n0.m missing → violation.
 	if !e.Violates(1, g, h2, s) {
 		t.Fatal("stale scratch: member 1 should violate under swapped bindings")
@@ -233,6 +232,98 @@ func TestLiteralEval(t *testing.T) {
 	// member 0: X: n1.k="v" holds; Y: n0.m="w" → missing → violation.
 	if !e.Violates(0, g, h2, s) {
 		t.Fatal("stale scratch: member 0 should violate under swapped bindings")
+	}
+}
+
+type attrKey struct {
+	v    graph.NodeID
+	attr string
+}
+
+// attrCounter is a graph.Reader that counts Attr calls per (node,
+// attribute).
+type attrCounter struct {
+	graph.Reader
+	reads map[attrKey]int
+}
+
+func (c *attrCounter) Attr(v graph.NodeID, attr string) (string, bool) {
+	c.reads[attrKey{v, attr}]++
+	return c.Reader.Attr(v, attr)
+}
+
+// TestLiteralScratchNodeMemo pins the scratch's memo: a slot is re-read
+// exactly when the match binds its variable to a different node than the
+// one it last read, Begin forgets everything (so a new reader is read), and
+// a member whose antecedent fails early loads nothing after that literal.
+func TestLiteralScratchNodeMemo(t *testing.T) {
+	g := graph.New()
+	x0, x1 := g.AddNode("a"), g.AddNode("a")
+	y0, y1 := g.AddNode("b"), g.AddNode("b")
+	g.SetAttr(x0, "A", "p")
+	g.SetAttr(x1, "A", "q")
+	g.SetAttr(y0, "B", "p")
+	g.SetAttr(y1, "B", "q")
+	e := match.CompileLiterals([]match.MemberLiterals{
+		// ∅ → x.A = y.B
+		{Y: []match.LiteralSpec{{V1: 0, A1: "A", V2: 1, A2: "B"}}},
+		// x.Z = "never" → y.C = "c": x.Z is missing, so y.C is never reached.
+		{
+			X: []match.LiteralSpec{{IsConst: true, V1: 0, A1: "Z", Const: "never"}},
+			Y: []match.LiteralSpec{{IsConst: true, V1: 1, A1: "C", Const: "c"}},
+		},
+	})
+	s := e.NewScratch()
+	r := &attrCounter{Reader: g, reads: map[attrKey]int{}}
+	step := func(r graph.Reader, x, y graph.NodeID, want bool) {
+		t.Helper()
+		h := match.Assignment{x, y}
+		if got := e.Violates(0, r, h, s); got != want {
+			t.Fatalf("(%d,%d): member 0 violates = %t, want %t", x, y, got, want)
+		}
+		if e.Violates(1, r, h, s) {
+			t.Fatalf("(%d,%d): member 1 violates with a failing antecedent", x, y)
+		}
+	}
+
+	// x stays at x0 across three matches: x0.A is read once.
+	step(r, x0, y0, false)
+	step(r, x0, y1, true)
+	step(r, x0, y0, false)
+	if n := r.reads[attrKey{x0, "A"}]; n != 1 {
+		t.Fatalf("x fixed across 3 matches: x0.A read %d times, want 1", n)
+	}
+	if n := r.reads[attrKey{y0, "B"}]; n != 2 {
+		t.Fatalf("y0 → y1 → y0: y0.B read %d times, want 2", n)
+	}
+
+	// x0 → x1 → x0 re-reads at every change, and the values follow.
+	step(r, x1, y1, false)
+	step(r, x0, y1, true)
+	if n := r.reads[attrKey{x0, "A"}]; n != 2 {
+		t.Fatalf("x0 → x1 → x0: x0.A read %d times, want 2", n)
+	}
+	if n := r.reads[attrKey{x1, "A"}]; n != 1 {
+		t.Fatalf("x0 → x1 → x0: x1.A read %d times, want 1", n)
+	}
+	if n := r.reads[attrKey{x0, "Z"}]; n != 2 {
+		t.Fatalf("x0.Z read %d times, want 2 (once per stretch of x = x0)", n)
+	}
+	for k, n := range r.reads {
+		if k.attr == "C" {
+			t.Fatalf("short-circuited member loaded %d.C %d times, want never", k.v, n)
+		}
+	}
+
+	// The same match on another reader after Begin reads that reader: on
+	// g2, x0.A = y1.B, so the violation the scratch still holds for g is gone.
+	g2 := g.Clone()
+	g2.SetAttr(x0, "A", "q")
+	r2 := &attrCounter{Reader: g2, reads: map[attrKey]int{}}
+	s.Begin()
+	step(r2, x0, y1, false)
+	if r2.reads[attrKey{x0, "A"}] != 1 || r2.reads[attrKey{y1, "B"}] != 1 {
+		t.Fatalf("after Begin on a new reader: reads %v, want x0.A and y1.B once each", r2.reads)
 	}
 }
 

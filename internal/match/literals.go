@@ -3,10 +3,10 @@
 // evaluates each member's X → Y literals per match; the naive walk fetches
 // g.Attr(h[x], "A") again for every literal that mentions x.A. A
 // LiteralEval interns every distinct (variable, attribute) pair across the
-// whole group into a slot fetched at most once per match, and compiles each
-// member's literal sets into slot-index comparisons, so per-match literal
-// cost is one attribute lookup per distinct pair actually touched — not one
-// per literal occurrence per member.
+// whole group into a slot fetched at most once per bound node, and compiles
+// each member's literal sets into slot-index comparisons, so per-match
+// literal cost is at most one attribute lookup per distinct pair actually
+// touched — not one per literal occurrence per member.
 package match
 
 import (
@@ -101,44 +101,45 @@ func (e *LiteralEval) compileLit(slots map[slotKey]int, l LiteralSpec) litRef {
 	return r
 }
 
-// LiteralScratch caches slot values for the current match. Not safe for
-// concurrent use — each worker keeps its own. Loads are lazy and memoized
-// per match via generation stamps, so short-circuited members never pay for
-// slots they do not read and Begin costs O(1).
+// LiteralScratch caches slot values, each with the node it was read from.
+// Not safe for concurrent use — each worker keeps its own. Loads are lazy,
+// so short-circuited members never pay for slots they do not read, and a
+// slot is re-read only when the match binds its variable to a different
+// node: a depth-first enumeration holds its outer variables fixed across
+// long runs of matches, and such a run costs one lookup, not one per match.
 type LiteralScratch struct {
-	vals  []string
-	ok    []bool
-	stamp []uint32
-	gen   uint32
+	vals []string
+	ok   []bool
+	node []graph.NodeID // the node vals/ok were read from; InvalidNode if none
 }
 
 // NewScratch returns a scratch sized for the program.
 func (e *LiteralEval) NewScratch() *LiteralScratch {
 	n := len(e.slotVar)
-	return &LiteralScratch{
-		vals:  make([]string, n),
-		ok:    make([]bool, n),
-		stamp: make([]uint32, n),
-		gen:   1,
+	s := &LiteralScratch{
+		vals: make([]string, n),
+		ok:   make([]bool, n),
+		node: make([]graph.NodeID, n),
 	}
+	s.Begin()
+	return s
 }
 
-// Begin starts a new match: previously loaded slot values are forgotten.
+// Begin forgets every loaded value. Successive matches on one reader need
+// no Begin, since values are keyed by node; call it before evaluating
+// against a different reader.
 func (s *LiteralScratch) Begin() {
-	s.gen++
-	if s.gen == 0 { // wrapped: stamps may alias, reset them
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
+	for i := range s.node {
+		s.node[i] = graph.InvalidNode
 	}
 }
 
-// load fetches slot i for the current match, at most once per Begin.
+// load fetches slot i at match h, reading g only when the slot last read a
+// different node.
 func (s *LiteralScratch) load(e *LiteralEval, g graph.Reader, h Assignment, i int) (string, bool) {
-	if s.stamp[i] != s.gen {
-		s.vals[i], s.ok[i] = g.Attr(h[e.slotVar[i]], e.slotAttr[i])
-		s.stamp[i] = s.gen
+	if v := h[e.slotVar[i]]; v != s.node[i] {
+		s.vals[i], s.ok[i] = g.Attr(v, e.slotAttr[i])
+		s.node[i] = v
 	}
 	return s.vals[i], s.ok[i]
 }
@@ -167,8 +168,8 @@ func (e *LiteralEval) holds(refs []litRef, g graph.Reader, h Assignment, s *Lite
 }
 
 // Violates reports whether member m violates the dependency at match h:
-// the antecedent holds and the consequent does not. The caller must bracket
-// each new match with scratch.Begin().
+// the antecedent holds and the consequent does not. Calls on one scratch
+// must read the same g until its next Begin.
 func (e *LiteralEval) Violates(m int, g graph.Reader, h Assignment, s *LiteralScratch) bool {
 	prog := &e.members[m]
 	return e.holds(prog.x, g, h, s) && !e.holds(prog.y, g, h, s)
