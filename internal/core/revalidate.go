@@ -1,15 +1,14 @@
 // Incremental revalidation: maintaining Violations(G, Σ) across a graph
-// delta without re-running full match enumeration. The soundness argument
-// lives with the scoping primitive (see internal/match/incremental.go): a
-// match whose image avoids the delta's touched nodes is bitwise-identical —
-// same edges, same attributes — in both versions of the graph, so its
-// violation status carries over unexamined; every match that could have
-// appeared, vanished, or flipped keeps its root variable within the
-// pattern's radius of a touched node in the version of the graph it exists
-// in. Revalidate therefore re-enumerates only the root candidates inside
-// that radius-neighborhood (computed on both the old and the updated graph,
-// so removed edges cannot hide a dying match) and splices the result into
-// the carried-over remainder.
+// delta without re-running full match enumeration. A match's edges and
+// attributes all live at its image, so a match whose image avoids the
+// delta's touched nodes is bitwise-identical in both versions of the graph
+// and its violation status carries over unexamined; every match that could
+// have appeared, vanished, or flipped maps some variable to a touched node.
+// Revalidate therefore keeps the prior violations whose image avoids the
+// touched set and re-enumerates, in the updated graph only, the matches
+// whose image meets it: one search per pattern variable u, rooted at the
+// touched nodes u may match and barred from touched nodes at every variable
+// before u, so each such match is found exactly once.
 package core
 
 import (
@@ -48,10 +47,8 @@ type RevalidateOptions struct {
 type RevalidateStats struct {
 	GFDs          int // GFDs revalidated
 	Groups        int // pattern groups revalidated
-	Scoped        int // groups whose re-enumeration was hood-scoped
-	Full          int // groups re-enumerated in full (disconnected patterns)
 	Kept          int // prior violations carried over unexamined
-	Reenumerated  int // matches re-enumerated inside the scope
+	Reenumerated  int // matches re-enumerated: those meeting the touched set
 	MatchesReused int // match deliveries beyond the first per re-enumerated match
 	UnitsStolen   int // revalidation tasks taken from another worker's deque
 }
@@ -59,33 +56,29 @@ type RevalidateStats struct {
 func (s *RevalidateStats) add(other RevalidateStats) {
 	s.GFDs += other.GFDs
 	s.Groups += other.Groups
-	s.Scoped += other.Scoped
-	s.Full += other.Full
 	s.Kept += other.Kept
 	s.Reenumerated += other.Reenumerated
 	s.MatchesReused += other.MatchesReused
 	s.UnitsStolen += other.UnitsStolen
 }
 
-// Revalidate computes Violations(updated, Σ) from the complete violation
-// set prev of the pre-delta graph old, re-enumerating only matches whose
-// root falls inside the touched set's radius-neighborhood. touched is the
-// delta's touched node set (graph.Delta.TouchedNodes); old and updated are
-// the two versions of the graph — typically the delta's base and its
-// Overlay, the Refreeze of the delta (any Reader pair whose difference is
-// confined to touched works). The result equals Violations(updated, Σ),
-// violation for violation in the same order, which the equivalence tests
-// pin.
+// Revalidate computes Violations(g, Σ) from prev, the complete violation
+// set of an earlier version of g, re-enumerating only the matches whose
+// image meets touched. touched must be ascending and hold every node whose
+// attributes or liveness differ between the two versions and an endpoint
+// of every edge that differs — graph.Delta.TouchedSince of the earlier
+// version is such a set. The result equals Violations(g, Σ), violation for
+// violation in the same order, which the equivalence tests pin.
 //
 // A non-nil error means the call ended without a result: cancellation
 // through Options.Ctx (ErrCanceled or the context's deadline error) or a
 // panic inside a worker (*PanicError). Stats still covers the work completed;
 // the violations slice is nil.
-func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
+func Revalidate(set *gfd.Set, g graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
 	var stats RevalidateStats
-	// Bucket Σ by pattern structure: one neighborhood lookup and one
-	// (scoped) re-enumeration serve every GFD sharing the structure, with
-	// per-member literal checks fanned out at each match.
+	// Bucket Σ by pattern structure: one set of searches serves every GFD
+	// sharing the structure, with per-member literal checks fanned out at
+	// each match.
 	groups := set.Groups()
 	n := len(groups)
 	// One task per group on the package's worker pool, which owns failure
@@ -99,30 +92,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 	for _, v := range prev {
 		prevBy[v.GFD] = append(prevBy[v.GFD], v)
 	}
-	// Neighborhoods are shared across groups with equal pattern radius and
-	// computed up front, so the parallel workers read them without
-	// synchronization. Removed edges exist only in old, added ones only in
-	// updated; the union neighborhood covers matches dying in the former
-	// and matches born in the latter.
-	hoods := make(map[int]map[graph.NodeID]bool)
-	for _, grp := range groups {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, canceledErr(err)
-		}
-		p := grp.Pattern
-		if !p.Connected() || p.NumVars() == 0 {
-			continue
-		}
-		r := p.Radius(match.DefaultOrder(p)[0])
-		if _, ok := hoods[r]; ok {
-			continue
-		}
-		hood := graph.Neighborhood(old, touched, r)
-		for v := range graph.Neighborhood(updated, touched, r) {
-			hood[v] = true
-		}
-		hoods[r] = hood
-	}
+	sc := scope{nodes: touched, has: graph.BitsetOf(touched)}
 
 	results := make([][]Violation, set.Len())
 	run := func(gi int, st *RevalidateStats) error {
@@ -132,7 +102,7 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
-		return revalidateGroup(set, groups[gi], updated, hoods, prevBy, opt.Ctx, st, results)
+		return revalidateGroup(set, groups[gi], g, sc, prevBy, opt.Ctx, st, results)
 	}
 	perStats := make([]RevalidateStats, pl.size())
 	err := pl.run(indexes(n), func(w, gi int) error { return run(gi, &perStats[w]) })
@@ -146,75 +116,121 @@ func Revalidate(set *gfd.Set, old, updated graph.Reader, touched []graph.NodeID,
 	return slices.Concat(results...), stats, nil
 }
 
-// RevalidateDelta is Revalidate against a delta's own base, overlay and
-// touched set — the one-call form for the Graph → Freeze → Delta lifecycle.
+// RevalidateDelta computes Violations(d.Overlay(), Σ) from prev, the
+// complete violation set of the delta's base — the one-call form of
+// Revalidate for the Graph → Freeze → Delta lifecycle, where a writer calls
+// it after every batch of edits to one growing delta.
+//
+// Calls on one delta chain: the delta keeps the last successful call's
+// result with the version it was computed at (graph.Delta.Memo). A call
+// with the same set and prev — the same *gfd.Set at the same Len, and a
+// prev of the same length starting at the same element — revalidates that
+// result over only the nodes touched since its version, so a batch costs
+// its own edits, not the whole delta's. Any other call runs from the base
+// and starts a new chain. Either way the result equals
+// Violations(d.Overlay(), set), violation for violation; set and prev must
+// not be modified while a chain uses them. The caller owns the returned
+// slice.
 func RevalidateDelta(set *gfd.Set, d *graph.Delta, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
-	return Revalidate(set, d.Base(), d.Overlay(), d.TouchedNodes(), prev, opt)
+	from, since := prev, 0
+	if m, ok := d.Memo().(*revalidateMemo); ok && m.chains(set, prev) {
+		from, since = m.result, m.version
+	}
+	version := d.Version()
+	got, stats, err := Revalidate(set, d.Overlay(), d.TouchedSince(since), from, opt)
+	if err != nil {
+		return nil, stats, err
+	}
+	d.SetMemo(&revalidateMemo{set: set, setLen: set.Len(), prev: prev, version: version, result: got})
+	return slices.Clone(got), stats, nil
+}
+
+// revalidateMemo is what RevalidateDelta keeps on a delta: the key of its
+// last successful call (set, its length, prev) and that call's delta
+// version and result.
+type revalidateMemo struct {
+	set     *gfd.Set
+	setLen  int
+	prev    []Violation
+	version int
+	result  []Violation
+}
+
+// chains reports whether a call with set and prev continues the memo's
+// chain: the same Σ at the same length, and the same prev slice by start
+// and length (two empty prevs are the same violation set).
+func (m *revalidateMemo) chains(set *gfd.Set, prev []Violation) bool {
+	return m.set == set && m.setLen == set.Len() && len(m.prev) == len(prev) &&
+		(len(prev) == 0 || &m.prev[0] == &prev[0])
+}
+
+// scope is the touched set Revalidate scopes to, as the ascending list the
+// searches root at and as a bitset for membership.
+type scope struct {
+	nodes []graph.NodeID
+	has   graph.Bitset
+}
+
+// meets reports whether match h maps some variable to a touched node.
+func (sc scope) meets(h match.Assignment) bool {
+	for _, v := range h {
+		if sc.has.Test(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // revalidateGroup revalidates one pattern group: carry over each member's
-// prior violations rooted outside the hood, re-enumerate matches rooted
-// inside it once for the whole group (fanning the compiled literal checks
-// out per member at each match), and restore each member's sequential
-// enumeration order. Disconnected patterns fall back to a full
-// re-enumeration — a match of such a pattern is a cross product of
-// independent component matches, so a change in any component invalidates
-// combinations whose root component lies arbitrarily far from the delta.
-// Member mi's violations land in out[mi] (out is indexed like Σ; groups
-// partition Σ, so concurrent calls for different groups write disjoint
-// entries).
-func revalidateGroup(set *gfd.Set, grp gfd.Group, updated graph.Reader, hoods map[int]map[graph.NodeID]bool, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
+// prior violations whose image avoids the touched set, re-enumerate the
+// matches whose image meets it once for the whole group (fanning the
+// compiled literal checks out per member at each match), and restore each
+// member's sequential enumeration order. Member mi's violations land in
+// out[mi] (out is indexed like Σ; groups partition Σ, so concurrent calls
+// for different groups write disjoint entries).
+func revalidateGroup(set *gfd.Set, grp gfd.Group, g graph.Reader, sc scope, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
 	p := grp.Pattern
 	order := match.DefaultOrder(p)
 	if len(order) == 0 {
 		return nil
 	}
-	gc := newGroupCheck(set, grp)
-	emit := func(h match.Assignment) {
-		st.Reenumerated++
-		st.MatchesReused += len(grp.Members) - 1
-		gc.check(updated, h, out)
-	}
-	if !p.Connected() {
-		st.Full++
-		s := match.NewSearch(p, updated, match.Options{Ctx: ctx})
-		for {
-			h, ok := s.Next()
-			if !ok {
-				return canceledErr(s.Err())
-			}
-			emit(h)
-		}
-	}
-	st.Scoped++
-	root := order[0]
-	hood := hoods[p.Radius(root)]
 	for _, mi := range grp.Members {
 		for _, v := range prevBy[set.GFDs[mi]] {
-			if !hood[v.Match[root]] {
+			if !sc.meets(v.Match) {
 				out[mi] = append(out[mi], v)
 				st.Kept++
 			}
 		}
 	}
-	if cands := match.ScopedRootCandidates(p, updated, order, hood); len(cands) > 0 {
-		s := match.NewSearch(p, updated, match.Options{RootCandidates: cands, Ctx: ctx})
-		for {
-			h, ok := s.Next()
-			if !ok {
-				if err := s.Err(); err != nil {
-					return canceledErr(err)
-				}
-				break
-			}
-			emit(h)
+	gc := newGroupCheck(set, grp)
+	// The search for variable u roots u at the touched nodes it may match and
+	// bars touched nodes from the variables before u, so a match is found by
+	// the search of the first variable it maps into the touched set.
+	for u := range pattern.Var(p.NumVars()) {
+		roots := match.ScopedRootCandidates(p, g, u, sc.nodes)
+		if len(roots) == 0 {
+			continue
+		}
+		s := match.NewSearch(p, g, match.Options{
+			Order:          p.PivotOrder(u),
+			RootCandidates: roots,
+			Filter:         func(x pattern.Var, v graph.NodeID) bool { return x >= u || !sc.has.Test(v) },
+			Ctx:            ctx,
+		})
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			st.Reenumerated++
+			st.MatchesReused += len(grp.Members) - 1
+			gc.check(g, h, out)
+		}
+		if err := s.Err(); err != nil {
+			return canceledErr(err)
 		}
 	}
 	// The carried-over and re-enumerated halves partition each member's
-	// violation set by root-in-hood; both are lexicographic in the variable
-	// order, and the sequential enumeration is exactly that lexicographic
-	// order (every search frame iterates an ascending candidate list), so
-	// one sort per member restores full-Violations order.
+	// violation set by whether the image meets the touched set; the
+	// sequential enumeration is lexicographic in the default variable order
+	// (every search frame iterates an ascending candidate list), so one sort
+	// per member restores full-Violations order.
 	for _, mi := range grp.Members {
 		sortViolationsByOrder(out[mi], order)
 	}

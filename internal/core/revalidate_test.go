@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/pattern"
 )
 
@@ -32,9 +36,10 @@ func violationsEqual(a, b []Violation) bool {
 }
 
 // checkRevalidate asserts that every incremental path — sequential,
-// parallel, and against the refrozen snapshot — reproduces the full
-// recomputation exactly, and returns the full violation count plus the
-// sequential stats for non-vacuity accounting.
+// parallel (on a copy of prev, which starts its own chain), and against the
+// refrozen snapshot — reproduces the full recomputation exactly, and returns
+// the full violation count plus the sequential stats for non-vacuity
+// accounting.
 func checkRevalidate(t *testing.T, ctx string, set *gfd.Set, base *graph.Frozen, d *graph.Delta, prev []Violation) (int, RevalidateStats) {
 	t.Helper()
 	overlay := d.Overlay()
@@ -46,7 +51,7 @@ func checkRevalidate(t *testing.T, ctx string, set *gfd.Set, base *graph.Frozen,
 	if !violationsEqual(got, want) {
 		t.Fatalf("%s: sequential revalidate diverges: got %d violations, want %d", ctx, len(got), len(want))
 	}
-	gotPar, _, err := RevalidateDelta(set, d, prev, RevalidateOptions{Workers: 4})
+	gotPar, _, err := RevalidateDelta(set, d, slices.Clone(prev), RevalidateOptions{Workers: 4})
 	if err != nil {
 		t.Fatalf("%s: parallel revalidate: %v", ctx, err)
 	}
@@ -58,7 +63,7 @@ func checkRevalidate(t *testing.T, ctx string, set *gfd.Set, base *graph.Frozen,
 	if !violationsEqual(wantF, want) {
 		t.Fatalf("%s: refrozen full recompute diverges from overlay recompute", ctx)
 	}
-	gotF, _, err := Revalidate(set, base, refrozen, d.TouchedNodes(), prev, RevalidateOptions{})
+	gotF, _, err := Revalidate(set, refrozen, d.TouchedSince(0), prev, RevalidateOptions{})
 	if err != nil {
 		t.Fatalf("%s: revalidate against refrozen snapshot: %v", ctx, err)
 	}
@@ -104,12 +109,13 @@ func TestRevalidateEquivalenceGen(t *testing.T) {
 	}
 }
 
-// TestRevalidateTriangles runs the property on the radius-1 validation
-// workload the benchmarks use, where the hood genuinely localizes: it also
-// pins that the scoped path fires and carries prior violations over
-// unexamined (the paths a full recompute never takes).
+// TestRevalidateTriangles runs the property on the triangle validation
+// workload the benchmarks use, where the touched set genuinely localizes:
+// it also pins that matches meeting it are re-enumerated and prior
+// violations avoiding it carried over unexamined (the paths a full
+// recompute never takes).
 func TestRevalidateTriangles(t *testing.T) {
-	totalKept, totalViolations, totalScoped := 0, 0, 0
+	totalKept, totalViolations, totalReenumerated := 0, 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed * 11))
 		gr := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: seed})
@@ -126,10 +132,10 @@ func TestRevalidateTriangles(t *testing.T) {
 		nv, stats := checkRevalidate(t, ctx, set, base, d, prev)
 		totalKept += stats.Kept
 		totalViolations += nv
-		totalScoped += stats.Scoped
+		totalReenumerated += stats.Reenumerated
 	}
-	if totalScoped == 0 {
-		t.Fatal("no pattern took the scoped path; workload is vacuous")
+	if totalReenumerated == 0 {
+		t.Fatal("no match met a touched node; workload is vacuous")
 	}
 	if totalViolations == 0 {
 		t.Fatal("no violations after any delta; workload is vacuous")
@@ -139,9 +145,10 @@ func TestRevalidateTriangles(t *testing.T) {
 	}
 }
 
-// TestRevalidateDisconnected pins the fallback: a disconnected pattern
-// re-enumerates in full (a component change invalidates cross products
-// rooted arbitrarily far away) and still matches the full recomputation.
+// TestRevalidateDisconnected pins disconnected patterns: a match is a cross
+// product of component matches, and only the products with a component at a
+// touched node are re-enumerated — not the pattern's whole match set — while
+// the result still equals the full recomputation.
 func TestRevalidateDisconnected(t *testing.T) {
 	p := pattern.New()
 	x := p.AddVar("x", "a")
@@ -168,8 +175,7 @@ func TestRevalidateDisconnected(t *testing.T) {
 		t.Fatal("fixture has no violations; test is vacuous")
 	}
 
-	// The delta touches only the x-y component; the violated cross products
-	// involve far-away c nodes, which only the full fallback re-examines.
+	// The delta touches both components: the x-y edges and one c node.
 	d := graph.NewDelta(base)
 	d.AddEdge(as[2], bs[2], "e")
 	d.RemoveEdge(as[0], bs[0], "e")
@@ -183,8 +189,8 @@ func TestRevalidateDisconnected(t *testing.T) {
 	if !violationsEqual(got, want) {
 		t.Fatalf("disconnected revalidate diverges: got %d, want %d", len(got), len(want))
 	}
-	if stats.Full != 1 || stats.Scoped != 0 {
-		t.Fatalf("expected the full fallback, got stats %+v", stats)
+	if all := len(match.FindAll(p, d.Overlay())); stats.Reenumerated == 0 || stats.Reenumerated >= all {
+		t.Fatalf("re-enumerated %d of the pattern's %d matches; want the ones at touched nodes only", stats.Reenumerated, all)
 	}
 }
 
@@ -216,4 +222,146 @@ func TestRevalidateStolenUnits(t *testing.T) {
 	// reported rather than asserted; the equality checks above are the
 	// contract.
 	t.Logf("units stolen across 8 contended runs: %d", stolen)
+}
+
+// TestRevalidateDeltaChains is the chained form's equivalence property: a
+// delta grows batch by batch, as a writer's does, and after every batch
+// RevalidateDelta against the base's violations must equal a full
+// Violations of the overlay, violation for violation. Calls that cannot
+// continue the chain are interleaved — a copy of prev, a copy of Σ, a
+// canceled call — and each must still be exact. Every chained call must
+// re-enumerate no more than a call from the base at the same version, and
+// the chained calls together strictly less.
+func TestRevalidateDeltaChains(t *testing.T) {
+	type fixture struct {
+		name string
+		set  *gfd.Set
+		g    *graph.Graph
+		gr   *gen.Generator
+	}
+	var fixtures []fixture
+	for seed := int64(1); seed <= 2; seed++ {
+		tri := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: seed})
+		mixed := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: seed})
+		fixtures = append(fixtures,
+			fixture{fmt.Sprintf("triangles seed=%d", seed), tri.ValidationSet(12), tri.DenseGraph(600, 8), tri},
+			fixture{fmt.Sprintf("gen seed=%d", seed), mixed.Set(), mixed.ConsistentGraph(80), mixed})
+	}
+	chained, fromBase, violations := 0, 0, 0
+	for _, fx := range fixtures {
+		perturb(rand.New(rand.NewSource(7)), fx.g, 10)
+		base := fx.g.Frozen()
+		prev := Violations(base, fx.set)
+		d := graph.NewDelta(base)
+		for b := 0; b < 16; b++ {
+			ctx := fmt.Sprintf("%s batch %d", fx.name, b)
+			fx.gr.MutateDelta(d, 8)
+			want := Violations(d.Overlay(), fx.set)
+			violations += len(want)
+			switch b % 4 {
+			case 1: // a canceled call leaves the chain where it was
+				pre, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, _, err := RevalidateDelta(fx.set, d, prev, RevalidateOptions{Ctx: pre}); !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%s: canceled call returned %v", ctx, err)
+				}
+			case 2: // a copy of prev starts its own chain
+				got, _, err := RevalidateDelta(fx.set, d, slices.Clone(prev), RevalidateOptions{})
+				if err != nil || !violationsEqual(got, want) {
+					t.Fatalf("%s: call on a copy of prev: err %v, %d violations, want %d", ctx, err, len(got), len(want))
+				}
+			case 3: // so does a copy of Σ
+				got, _, err := RevalidateDelta(gfd.NewSet(fx.set.GFDs...), d, prev, RevalidateOptions{})
+				if err != nil || !violationsEqual(got, want) {
+					t.Fatalf("%s: call on a copy of Σ: err %v, %d violations, want %d", ctx, err, len(got), len(want))
+				}
+			}
+			got, st, err := RevalidateDelta(fx.set, d, prev, RevalidateOptions{Workers: b % 3})
+			if err != nil || !violationsEqual(got, want) {
+				t.Fatalf("%s: err %v, %d violations, want %d", ctx, err, len(got), len(want))
+			}
+			_, full, err := Revalidate(fx.set, d.Overlay(), d.TouchedSince(0), prev, RevalidateOptions{})
+			if err != nil {
+				t.Fatalf("%s: from the base: %v", ctx, err)
+			}
+			if st.Reenumerated > full.Reenumerated {
+				t.Fatalf("%s: chained call re-enumerated %d matches, the base's call %d", ctx, st.Reenumerated, full.Reenumerated)
+			}
+			chained += st.Reenumerated
+			fromBase += full.Reenumerated
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no violations after any batch; the property is vacuous")
+	}
+	if chained >= fromBase {
+		t.Fatalf("chained calls re-enumerated %d matches, calls from the base %d: the chain never shortened a call", chained, fromBase)
+	}
+	t.Logf("re-enumerated: chained %d, from the base %d", chained, fromBase)
+}
+
+// TestRevalidateDeltaMemoKey pins what continues a chain: only the same Σ at
+// the same length and the same prev slice. A call that continues the chain
+// at an unchanged version re-enumerates nothing, and any other call
+// re-enumerates every match meeting the whole delta's touched set again.
+func TestRevalidateDeltaMemoKey(t *testing.T) {
+	gr := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: 1})
+	set := gr.ValidationSet(12)
+	g := gr.DenseGraph(600, 8)
+	perturb(rand.New(rand.NewSource(3)), g, 10)
+	base := g.Frozen()
+	prev := Violations(base, set)
+	d := gr.DenseDelta(base, 30)
+	want := Violations(d.Overlay(), set)
+	if len(want) == 0 {
+		t.Fatal("the overlay has no violations; overwriting a result would prove nothing")
+	}
+
+	call := func(name string, set *gfd.Set, prev []Violation) int {
+		t.Helper()
+		got, st, err := RevalidateDelta(set, d, prev, RevalidateOptions{})
+		if err != nil || !violationsEqual(got, want) {
+			t.Fatalf("%s: err %v, %d violations, want %d", name, err, len(got), len(want))
+		}
+		return st.Reenumerated
+	}
+	full := call("first call", set, prev)
+	if full == 0 {
+		t.Fatal("the first call re-enumerated nothing; the fixture is vacuous")
+	}
+	if n := call("same key", set, prev); n != 0 {
+		t.Fatalf("a call continuing the chain at the same version re-enumerated %d matches", n)
+	}
+	misses := []struct {
+		name string
+		set  *gfd.Set
+		prev []Violation
+	}{
+		{"copy of prev", set, slices.Clone(prev)},
+		{"original prev after the copy", set, prev},
+		{"copy of Σ", gfd.NewSet(set.GFDs...), prev},
+	}
+	for _, m := range misses {
+		if n := call(m.name, m.set, m.prev); n != full {
+			t.Fatalf("%s: re-enumerated %d matches, want the base's %d", m.name, n, full)
+		}
+	}
+	// The result a caller gets is its own: overwriting it does not reach the
+	// chain.
+	got, _, _ := RevalidateDelta(set, d, prev, RevalidateOptions{})
+	clear(got)
+	if n := call("after the caller overwrote its result", set, prev); n != 0 {
+		t.Fatalf("re-enumerated %d", n)
+	}
+	// A Σ that shrank in place is another Σ: the call starts over.
+	shrunk := gfd.NewSet(set.GFDs...)
+	if n := call("fresh Σ", shrunk, prev); n != full {
+		t.Fatalf("a fresh Σ re-enumerated %d matches, want %d", n, full)
+	}
+	shrunk.GFDs = shrunk.GFDs[:shrunk.Len()-1]
+	got, st, err := RevalidateDelta(shrunk, d, prev, RevalidateOptions{})
+	if err != nil || !violationsEqual(got, Violations(d.Overlay(), shrunk)) || st.Reenumerated == 0 {
+		t.Fatalf("Σ shrunk in place: err %v, %d violations, %d re-enumerated; want the full recomputation, from the base",
+			err, len(got), st.Reenumerated)
+	}
 }

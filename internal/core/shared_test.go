@@ -164,10 +164,11 @@ func TestGroupedSatImpMatchPerGFD(t *testing.T) {
 
 // TestGroupedRevalidateMatchesPerGFD pins incremental revalidation: after a
 // random update stream over a perturbed graph, grouped revalidation (one
-// neighborhood and one scoped enumeration per pattern group, carry-over
-// scattered per member) must equal Violations(updated, Σ), the full
-// recomputation, exactly — sequentially and in parallel — and that
-// recomputation must be the oracle's violation set.
+// set of touched-rooted searches per pattern group, carry-over scattered per
+// member) must equal Violations(updated, Σ), the full recomputation,
+// exactly — sequentially and in parallel (on a copy of prev, so it does not
+// continue the sequential call's chain) — and that recomputation must be
+// the oracle's violation set.
 func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 	reused, total := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
@@ -196,7 +197,7 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 		if gst.Groups >= set.Len() {
 			t.Fatalf("seed=%d: %d groups for %d GFDs; no sharing", seed, gst.Groups, set.Len())
 		}
-		groupedPar, _, err := RevalidateDelta(set, d, prev, RevalidateOptions{Workers: 4})
+		groupedPar, _, err := RevalidateDelta(set, d, slices.Clone(prev), RevalidateOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("seed=%d: grouped parallel revalidate: %v", seed, err)
 		}

@@ -587,8 +587,8 @@ func (g *Generator) DenseFrozen(nodes, degree int) *graph.Frozen {
 // forces the W rows those literals read, so the clean graph satisfies the
 // set and violations appear exactly where later updates perturb attributes
 // or close new triangles — the canonical validation workload for the
-// incremental-revalidation benchmarks (triangles have radius 1, so the
-// delta-scoped re-enumeration stays local).
+// incremental-revalidation benchmarks (a triangle at a touched node is
+// found from that node, so the delta-scoped re-enumeration stays local).
 func (g *Generator) ValidationSet(max int) *gfd.Set {
 	set := gfd.NewSet()
 	for i, p := range SchemaTriangles(g.frequentEdges, max) {

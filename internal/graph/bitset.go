@@ -18,6 +18,19 @@ type Bitset []uint64
 // newBitset returns a Bitset able to hold IDs in [0, n).
 func newBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
+// BitsetOf returns a Bitset holding the ascending ids, sized to the
+// largest.
+func BitsetOf(ids []NodeID) Bitset {
+	if len(ids) == 0 {
+		return nil
+	}
+	b := newBitset(int(ids[len(ids)-1]) + 1)
+	for _, v := range ids {
+		b.set(v)
+	}
+	return b
+}
+
 // set marks v. The caller guarantees v is within capacity.
 func (b Bitset) set(v NodeID) { b[uint(v)>>6] |= 1 << (uint(v) & 63) }
 

@@ -24,8 +24,11 @@ import (
 // construct with NewDelta. A Delta is not safe for concurrent use (Overlay
 // included: it caches on the delta); the snapshots taken from it are.
 type Delta struct {
-	base    *Frozen
-	version uint64 // bumped on every mutation
+	base *Frozen
+
+	// log lists, mutation by mutation, the nodes each one may change; its
+	// length is the delta's version (see Version and TouchedSince).
+	log []NodeID
 
 	// Added nodes occupy IDs [base.NumNodes(), base.NumNodes()+len(nodes)).
 	nodes       []Node
@@ -51,13 +54,15 @@ type Delta struct {
 
 	// The merged rows of every touched node (dirRows), shared by every
 	// Refreeze of one version; rebuilt lazily when version moves.
-	rowsVersion uint64
+	rowsVersion int
 	outRows     []row
 	inRows      []row
 
 	// The Overlay snapshot of overlayVersion, reused until the next mutation.
-	overlayVersion uint64
+	overlayVersion int
 	overlay        *Frozen
+
+	memo any // see Memo
 }
 
 // NewDelta returns an empty delta over the base snapshot.
@@ -76,7 +81,23 @@ func NewDelta(base *Frozen) *Delta {
 // Base returns the snapshot the delta is bound to.
 func (d *Delta) Base() *Frozen { return d.base }
 
-func (d *Delta) bump() { d.version++ }
+// Version identifies the delta's state: it grows with every mutation that
+// changes the delta, and Overlay returns one snapshot per version.
+// TouchedSince takes it.
+func (d *Delta) Version() int { return len(d.log) }
+
+// touch records a mutation that may change the rows, attributes or liveness
+// of the given nodes, and so moves the version.
+func (d *Delta) touch(vs ...NodeID) { d.log = append(d.log, vs...) }
+
+// Memo returns the value SetMemo last stored. It is one slot for a caller
+// that extends a result from the version it was computed at instead of
+// from the base (core.RevalidateDelta keeps its last result there); the
+// delta never reads it, and it goes with the delta.
+func (d *Delta) Memo() any { return d.memo }
+
+// SetMemo replaces the value Memo returns.
+func (d *Delta) SetMemo(m any) { d.memo = m }
 
 // baseN returns the size of the base ID space.
 func (d *Delta) baseN() int { return len(d.base.nodes) }
@@ -140,7 +161,7 @@ func (d *Delta) AddNode(label string) NodeID {
 	id := NodeID(d.baseN() + len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Label: label})
 	d.nodeLabelOf = append(d.nodeLabelOf, d.internNodeLabel(label))
-	d.bump()
+	d.touch(id)
 	return id
 }
 
@@ -172,7 +193,7 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 			n.Attrs = make(map[string]string)
 		}
 		n.Attrs[attr] = value
-		d.bump()
+		d.touch(v)
 		return
 	}
 	m, ok := d.attrs[v]
@@ -182,7 +203,7 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 		d.attrs[v] = m
 	}
 	m[attr] = value
-	d.bump()
+	d.touch(v)
 }
 
 // edgeKey is the integer-only key of the added/removed edge sets.
@@ -201,14 +222,14 @@ func (d *Delta) AddEdge(from, to NodeID, label string) {
 	key := edgeKey{from: from, to: to, label: d.internEdgeLabel(label)}
 	if _, ok := d.removedSet[key]; ok {
 		delete(d.removedSet, key)
-		d.bump()
+		d.touch(from, to)
 		return
 	}
 	if _, ok := d.addedSet[key]; ok || d.base.HasEdgeID(from, to, key.label) {
 		return
 	}
 	d.addedSet[key] = struct{}{}
-	d.bump()
+	d.touch(from, to)
 }
 
 // RemoveEdge deletes the exact (from, label, to) triple, whether it lives in
@@ -226,14 +247,14 @@ func (d *Delta) RemoveEdge(from, to NodeID, label string) {
 	key := edgeKey{from: from, to: to, label: id}
 	if _, ok := d.addedSet[key]; ok {
 		delete(d.addedSet, key)
-		d.bump()
+		d.touch(from, to)
 		return
 	}
 	if _, ok := d.removedSet[key]; ok || !d.base.HasEdgeID(from, to, id) {
 		return
 	}
 	d.removedSet[key] = struct{}{}
-	d.bump()
+	d.touch(from, to)
 }
 
 // RemoveNode tombstones node v with Graph.RemoveNode's semantics: every
@@ -249,13 +270,13 @@ func (d *Delta) RemoveNode(v NodeID) {
 	if !d.Alive(v) {
 		return
 	}
+	d.touch(v)
 	if int(v) < d.baseN() {
 		delete(d.attrs, v)
 	} else {
 		d.nodes[int(v)-d.baseN()].Attrs = nil
 	}
 	d.dead[v] = struct{}{}
-	d.bump()
 }
 
 // Label returns the label of node v across base and added nodes
@@ -267,32 +288,17 @@ func (d *Delta) Label(v NodeID) string {
 	return d.base.Label(v)
 }
 
-// TouchedNodes returns the ascending set of nodes the delta touches:
-// endpoints of added and removed edges, attribute-updated nodes, tombstoned
-// nodes with their base neighbours in both directions (whose rows lose the
-// dead endpoint), and added nodes. This is the seed set incremental
-// revalidation scopes its re-enumeration to: it holds every node whose row,
-// attributes or liveness differ between the base and its Refreeze.
-func (d *Delta) TouchedNodes() []NodeID {
-	out := make([]NodeID, 0, 2*(len(d.addedSet)+len(d.removedSet))+len(d.attrs)+len(d.dead)+len(d.nodes))
-	for _, set := range []map[edgeKey]struct{}{d.addedSet, d.removedSet} {
-		for k := range set {
-			out = append(out, k.from, k.to)
-		}
-	}
-	for v := range d.attrs {
-		out = append(out, v)
-	}
-	for v := range d.dead {
-		out = append(out, v)
-		if int(v) < d.baseN() {
-			out = append(out, d.base.out.all[d.base.out.off[v]:d.base.out.off[v+1]]...)
-			out = append(out, d.base.in.all[d.base.in.off[v]:d.base.in.off[v+1]]...)
-		}
-	}
-	for i := range d.nodes {
-		out = append(out, NodeID(d.baseN()+i))
-	}
+// TouchedSince returns the ascending set of nodes the mutations since
+// version v (0 is the base) logged: both endpoints of every edge edit, every
+// attribute-updated, added and tombstoned node. Between the delta's state at
+// v and its current state, it therefore holds every node whose attributes
+// or liveness differ and an endpoint of every edge that differs — an edge
+// lost to a tombstone has the dead node. That is the seed set incremental
+// revalidation needs: a match whose image avoids it reads the same edges
+// and attributes in both states. It may hold more (an edit cancelled later
+// stays logged); v must be a version of this delta.
+func (d *Delta) TouchedSince(v int) []NodeID {
+	out := slices.Clone(d.log[v:])
 	slices.Sort(out)
 	return slices.Compact(out)
 }
@@ -480,8 +486,8 @@ func (d *Delta) dirRows(out bool) []row {
 // and keeps serving the state it was taken at; a later Overlay is a new
 // snapshot with its own epoch.
 func (d *Delta) Overlay() *Overlay {
-	if d.overlay == nil || d.overlayVersion != d.version {
-		d.overlay, d.overlayVersion = d.base.Refreeze(d), d.version
+	if d.overlay == nil || d.overlayVersion != d.Version() {
+		d.overlay, d.overlayVersion = d.base.Refreeze(d), d.Version()
 	}
 	return d.overlay
 }

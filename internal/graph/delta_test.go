@@ -146,13 +146,13 @@ func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabe
 			}
 		}
 		for d := 1; d <= 2; d++ {
-			wn, gn := ref.hood(id, d), Neighborhood(got, []NodeID{id}, d)
+			wn, gn := ref.hood(id, d), neighborhood(got, []NodeID{id}, d)
 			if len(wn) != len(gn) {
-				t.Fatalf("%s: Neighborhood(%d,%d) sizes %d vs %d", ctx, v, d, len(gn), len(wn))
+				t.Fatalf("%s: neighborhood(%d,%d) sizes %d vs %d", ctx, v, d, len(gn), len(wn))
 			}
 			for u := range wn {
 				if !gn[u] {
-					t.Fatalf("%s: Neighborhood(%d,%d) missing %d", ctx, v, d, u)
+					t.Fatalf("%s: neighborhood(%d,%d) missing %d", ctx, v, d, u)
 				}
 			}
 		}
@@ -260,8 +260,10 @@ func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 // delta over a small frozen base and mirrored into an editable Graph;
 // labels outside the base's tables extend them. The refrozen snapshot must
 // then answer every Reader query as the Graph's Frozen does, and
-// TouchedNodes must hold every node whose row, attributes or liveness the
-// refreeze changed: that is the seed set incremental revalidation trusts.
+// TouchedSince must hold every node whose attributes or liveness changed
+// since the version it is given, and an endpoint of every edge that did —
+// from the base, and from a snapshot taken halfway through the stream: that
+// is the seed set incremental revalidation trusts, chained calls included.
 func FuzzRefreeze(f *testing.F) {
 	// The base uses the first four labels of each list; "d" and "h" are new.
 	nodeLabels := []string{"a", "b", "c", Wildcard, "d"}
@@ -277,7 +279,12 @@ func FuzzRefreeze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mirror, base := buildBoth(11, 10, 30, nodeLabels[:4], edgeLabels[:4])
 		d := NewDelta(base)
-		for i := 0; i+4 <= len(data) && i < 4*64; i += 4 {
+		ops := min(len(data)/4, 64)
+		mid, midVersion := base, 0
+		for i := 0; i < 4*ops; i += 4 {
+			if i == 4*(ops/2) {
+				mid, midVersion = d.Overlay(), d.Version()
+			}
 			op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
 			u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())
 			switch op {
@@ -316,20 +323,40 @@ func FuzzRefreeze(f *testing.F) {
 		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), refrozen,
 			nodeLabels, edgeLabels)
 
-		touched := make(map[NodeID]bool)
-		for _, v := range d.TouchedNodes() {
-			touched[v] = true
+		checkTouched(t, fmt.Sprintf("delta=%v since the base", d), base, refrozen, d.TouchedSince(0))
+		checkTouched(t, fmt.Sprintf("delta=%v since version %d", d, midVersion), mid, refrozen, d.TouchedSince(midVersion))
+	})
+}
+
+// checkTouched fails unless touched holds every node whose attributes or
+// liveness differ between the snapshots from and to, and an endpoint of
+// every edge one of them has and the other lacks.
+func checkTouched(t *testing.T, ctx string, from, to *Frozen, touched []NodeID) {
+	t.Helper()
+	has := func(v NodeID) bool { _, found := slices.BinarySearch(touched, v); return found }
+	for v := NodeID(0); int(v) < to.NumNodes(); v++ {
+		born := int(v) >= from.NumNodes()
+		if (born || from.Alive(v) != to.Alive(v) || !maps.Equal(from.Attrs(v), to.Attrs(v))) && !has(v) {
+			t.Fatalf("%s: node %d changed but is not in TouchedSince %v", ctx, v, touched)
 		}
-		for v := NodeID(0); int(v) < refrozen.NumNodes(); v++ {
-			changed := int(v) >= base.NumNodes() || base.Alive(v) != refrozen.Alive(v) ||
-				!maps.Equal(base.Attrs(v), refrozen.Attrs(v)) ||
-				!slices.Equal(rowKeys(&base.out, v), rowKeys(&refrozen.out, v)) ||
-				!slices.Equal(rowKeys(&base.in, v), rowKeys(&refrozen.in, v))
-			if changed && !touched[v] {
-				t.Fatalf("delta=%v: node %d changed but is not in TouchedNodes %v", d, v, d.TouchedNodes())
+		if has(v) {
+			continue
+		}
+		// Neither endpoint of an edge in v's out-row may be untouched if
+		// the edge is in only one snapshot.
+		var before []uint64
+		if !born {
+			before = rowKeys(&from.out, v)
+		}
+		after := rowKeys(&to.out, v)
+		for _, pair := range [][2][]uint64{{before, after}, {after, before}} {
+			for _, k := range pair[0] {
+				if _, found := slices.BinarySearch(pair[1], k); !found && !has(NodeID(uint32(k))) {
+					t.Fatalf("%s: edge %d->%d changed but neither endpoint is in TouchedSince %v", ctx, v, NodeID(uint32(k)), touched)
+				}
 			}
 		}
-	})
+	}
 }
 
 // rowKeys returns node v's row in one direction as csrKeys, in CSR order.
@@ -423,21 +450,28 @@ func TestDeltaSemantics(t *testing.T) {
 	}
 	mustPanic("foreign base", func() { NewBuilder(0).Freeze().Refreeze(d) })
 
-	// TouchedNodes covers edge endpoints, attr updates, dead and added nodes.
+	// TouchedSince covers edge endpoints, attr updates, dead and added
+	// nodes, and from a later version only what changed after it.
 	d2 := NewDelta(f)
 	w := d2.AddNode("c")
 	d2.AddEdge(w, x, "e")
+	v1 := d2.Version()
 	d2.SetAttr(z, "k", "v2")
-	got := d2.TouchedNodes()
-	want := []NodeID{x, z, w}
-	if !idsEqual(got, want) {
-		t.Fatalf("TouchedNodes = %v, want %v", got, want)
+	if got, want := d2.TouchedSince(0), []NodeID{x, z, w}; !idsEqual(got, want) {
+		t.Fatalf("TouchedSince(0) = %v, want %v", got, want)
+	}
+	if got, want := d2.TouchedSince(v1), []NodeID{z}; !idsEqual(got, want) {
+		t.Fatalf("TouchedSince(%d) = %v, want %v", v1, got, want)
+	}
+	if d2.AddEdge(w, x, "e"); d2.Version() != v1+1 || len(d2.TouchedSince(d2.Version())) != 0 {
+		t.Fatalf("a no-op edit moved the version to %d, or the current version touches %v",
+			d2.Version(), d2.TouchedSince(d2.Version()))
 	}
 
-	// RemoveNode records no per-edge cascade. The removed node's base
-	// out- and in-neighbours and a neighbour reached only through an added
-	// edge are all touched, Refreeze drops all three edges, and removing the
-	// added edge afterwards leaves the refreeze as it was.
+	// RemoveNode records no per-edge cascade: it touches the removed node
+	// alone, an endpoint of every edge it takes down; Refreeze drops its
+	// base out- and in-edge and an added edge, and removing the added edge
+	// afterwards leaves the refreeze as it was.
 	b3 := NewBuilder(0)
 	p, q, r, s := b3.AddNode("a"), b3.AddNode("b"), b3.AddNode("a"), b3.AddNode("c")
 	b3.AddEdge(p, q, "e")
@@ -445,9 +479,13 @@ func TestDeltaSemantics(t *testing.T) {
 	f3 := b3.Freeze()
 	d3 := NewDelta(f3)
 	d3.AddEdge(s, q, "g")
+	afterAdd := d3.Version()
 	d3.RemoveNode(q)
-	if got, want := d3.TouchedNodes(), []NodeID{p, q, r, s}; !idsEqual(got, want) {
-		t.Fatalf("TouchedNodes after RemoveNode = %v, want %v", got, want)
+	if got, want := d3.TouchedSince(0), []NodeID{q, s}; !idsEqual(got, want) {
+		t.Fatalf("TouchedSince(0) after RemoveNode = %v, want %v", got, want)
+	}
+	if got, want := d3.TouchedSince(afterAdd), []NodeID{q}; !idsEqual(got, want) {
+		t.Fatalf("TouchedSince(%d) after RemoveNode = %v, want %v: the dead node is every lost edge's endpoint", afterAdd, got, want)
 	}
 	gone := f3.Refreeze(d3)
 	if gone.NumEdges() != 0 || len(outByLabel(gone, p, Wildcard)) != 0 ||

@@ -98,30 +98,30 @@ func TestCandidateNodes(t *testing.T) {
 func TestNeighborhood(t *testing.T) {
 	g, ids := buildDiamond(t)
 	a, d := ids[0], ids[3]
-	h0 := Neighborhood(g, []NodeID{a}, 0)
+	h0 := neighborhood(g, []NodeID{a}, 0)
 	if len(h0) != 1 || !h0[a] {
 		t.Errorf("0-hop neighborhood = %v", h0)
 	}
-	h1 := Neighborhood(g, []NodeID{a}, 1)
+	h1 := neighborhood(g, []NodeID{a}, 1)
 	if len(h1) != 3 {
 		t.Errorf("1-hop neighborhood size = %d, want 3 (a,b,c)", len(h1))
 	}
 	if h1[d] {
 		t.Error("topic is 2 hops away but in 1-hop neighborhood")
 	}
-	h2 := Neighborhood(g, []NodeID{a}, 2)
+	h2 := neighborhood(g, []NodeID{a}, 2)
 	if len(h2) != 4 {
 		t.Errorf("2-hop neighborhood size = %d, want 4", len(h2))
 	}
-	// Neighborhood is undirected: from d, 1 hop reaches b and c.
-	hd := Neighborhood(g, []NodeID{d}, 1)
+	// neighborhood is undirected: from d, 1 hop reaches b and c.
+	hd := neighborhood(g, []NodeID{d}, 1)
 	if len(hd) != 3 {
 		t.Errorf("reverse 1-hop neighborhood size = %d, want 3", len(hd))
 	}
 }
 
-// TestUndirectedDistance pins the hop metric Neighborhood is defined by:
-// v enters Neighborhood(u, d) exactly at d = the undirected distance from u,
+// TestUndirectedDistance pins the hop metric neighborhood is defined by:
+// v enters neighborhood(u, d) exactly at d = the undirected distance from u,
 // and a disconnected node never does.
 func TestUndirectedDistance(t *testing.T) {
 	g, ids := buildDiamond(t)
@@ -136,7 +136,7 @@ func TestUndirectedDistance(t *testing.T) {
 	for _, c := range cases {
 		got := -1
 		for hops := 0; hops <= g.NumNodes(); hops++ {
-			if Neighborhood(g, []NodeID{c.u}, hops)[c.v] {
+			if neighborhood(g, []NodeID{c.u}, hops)[c.v] {
 				got = hops
 				break
 			}
@@ -187,7 +187,7 @@ func TestSizeCountsAttrs(t *testing.T) {
 	}
 }
 
-// Property: on a random graph Neighborhood(v, 0) is {v}, and each further hop
+// Property: on a random graph neighborhood(v, 0) is {v}, and each further hop
 // adds exactly the nodes adjacent (in either direction) to the previous
 // layer — checked against the raw edge list, not the adjacency index.
 func TestNeighborhoodPropertyQuick(t *testing.T) {
@@ -204,7 +204,7 @@ func TestNeighborhoodPropertyQuick(t *testing.T) {
 		v := NodeID(rng.Intn(n))
 		want := map[NodeID]bool{v: true}
 		for d := 0; d <= 4; d++ {
-			if !reflect.DeepEqual(Neighborhood(g, []NodeID{v}, d), want) {
+			if !reflect.DeepEqual(neighborhood(g, []NodeID{v}, d), want) {
 				return false
 			}
 			next := map[NodeID]bool{}

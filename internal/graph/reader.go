@@ -12,9 +12,9 @@ package graph
 // RemoveNode) stays on *Graph and *Delta.
 //
 // The interface is the ID-based core a representation has to answer from
-// its own storage. Queries that are compositions of the core — HasEdge,
-// CandidateNodes, Neighborhood below — are functions over Reader, written
-// once, not methods every representation repeats.
+// its own storage. Queries that are compositions of the core — HasEdge and
+// CandidateNodes below — are functions over Reader, written once, not
+// methods every representation repeats.
 //
 // Contracts every implementation upholds:
 //
@@ -111,42 +111,4 @@ func HasEdge(r Reader, from, to NodeID, label string) bool {
 // AppendCandidates instead.
 func CandidateNodes(r Reader, label string) []NodeID {
 	return r.AppendCandidates(nil, label)
-}
-
-// Neighborhood returns the set of nodes within d hops of any seed, treating
-// edges as undirected — for one seed, the d_Q-neighborhood of Section V-B.
-// Each seed is included; one BFS expands all of them together (the frontier
-// of the union, not one BFS per seed). Seeds outside the graph's ID space
-// are ignored, so a touched set containing nodes added by a delta can be
-// probed against the pre-delta graph directly. Membership is returned as a
-// map for O(1) containment tests.
-func Neighborhood(r Reader, seeds []NodeID, d int) map[NodeID]bool {
-	seen := make(map[NodeID]bool, len(seeds))
-	frontier := make([]NodeID, 0, len(seeds))
-	n := r.NumNodes()
-	for _, s := range seeds {
-		if s >= 0 && int(s) < n && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, w := range r.OutByLabelID(u, AnyLabel) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-			for _, w := range r.InByLabelID(u, AnyLabel) {
-				if !seen[w] {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
 }

@@ -227,16 +227,52 @@ func TestDerivedQueriesAcrossRepresentations(t *testing.T) {
 				{2, 0, []NodeID{2}}, {2, 1, []NodeID{0, 1, 2}}, {0, 1, []NodeID{0, 1, 2}},
 			}
 			for _, c := range hoods {
-				got := Neighborhood(r, []NodeID{c.v}, c.d)
+				got := neighborhood(r, []NodeID{c.v}, c.d)
 				if len(got) != len(c.want) {
-					t.Errorf("Neighborhood(%d, %d) = %v, want %v", c.v, c.d, got, c.want)
+					t.Errorf("neighborhood(%d, %d) = %v, want %v", c.v, c.d, got, c.want)
 				}
 				for _, u := range c.want {
 					if !got[u] {
-						t.Errorf("Neighborhood(%d, %d) misses %d", c.v, c.d, u)
+						t.Errorf("neighborhood(%d, %d) misses %d", c.v, c.d, u)
 					}
 				}
 			}
 		})
 	}
+}
+
+// neighborhood returns the set of nodes within d hops of any seed, treating
+// edges as undirected — for one seed, the d_Q-neighborhood of Section V-B —
+// by one BFS over r's AnyLabel rows in both directions: the walk the
+// representation-equivalence tests run on every Reader. Seeds outside the
+// graph's ID space are ignored.
+func neighborhood(r Reader, seeds []NodeID, d int) map[NodeID]bool {
+	seen := make(map[NodeID]bool, len(seeds))
+	frontier := make([]NodeID, 0, len(seeds))
+	n := r.NumNodes()
+	for _, s := range seeds {
+		if s >= 0 && int(s) < n && !seen[s] {
+			seen[s] = true
+			frontier = append(frontier, s)
+		}
+	}
+	for hop := 0; hop < d && len(frontier) > 0; hop++ {
+		var next []NodeID
+		for _, u := range frontier {
+			for _, w := range r.OutByLabelID(u, AnyLabel) {
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
+				}
+			}
+			for _, w := range r.InByLabelID(u, AnyLabel) {
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
+				}
+			}
+		}
+		frontier = next
+	}
+	return seen
 }

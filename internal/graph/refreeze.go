@@ -22,8 +22,8 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	if d.base != f {
 		panic("graph: Refreeze with a delta bound to a different base")
 	}
-	if d.outRows == nil || d.rowsVersion != d.version {
-		d.outRows, d.inRows, d.rowsVersion = d.dirRows(true), d.dirRows(false), d.version
+	if d.outRows == nil || d.rowsVersion != d.Version() {
+		d.outRows, d.inRows, d.rowsVersion = d.dirRows(true), d.dirRows(false), d.Version()
 	}
 	baseN := len(f.nodes)
 	n2 := baseN + len(d.nodes)

@@ -3,6 +3,7 @@ package match_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -130,9 +131,10 @@ func TestOverlayMatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestScopedRootCandidates pins the delta-scoping primitive: running the
-// search with RootCandidates restricted to a neighborhood enumerates
-// exactly the full matches whose root lies inside it.
+// TestScopedRootCandidates pins the delta-scoping primitive: a search
+// ordered from variable v with RootCandidates restricted to a node set
+// enumerates exactly the matches that map v into the set, in the order the
+// unrestricted search with that order finds them.
 func TestScopedRootCandidates(t *testing.T) {
 	nodeLabels := []string{"a", "b", "c"}
 	edgeLabels := []string{"e", "f"}
@@ -150,14 +152,22 @@ func TestScopedRootCandidates(t *testing.T) {
 		f := g.Frozen()
 		for i := 0; i < 5; i++ {
 			p := randomPattern(rng, nodeLabels, edgeLabels)
-			seeds := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-			hood := graph.Neighborhood(f, seeds, 1+rng.Intn(2))
-			order := match.DefaultOrder(p)
-			cands := match.ScopedRootCandidates(p, f, order, hood)
-			scoped := match.FindAllOpts(p, f, match.Options{RootCandidates: cands})
+			inScope := make(map[graph.NodeID]bool)
+			var scope []graph.NodeID
+			for len(scope) < n/3 {
+				if u := graph.NodeID(rng.Intn(n)); !inScope[u] {
+					inScope[u] = true
+					scope = append(scope, u)
+				}
+			}
+			slices.Sort(scope)
+			v := pattern.Var(rng.Intn(p.NumVars()))
+			order := p.PivotOrder(v)
+			cands := match.ScopedRootCandidates(p, f, v, scope)
+			scoped := match.FindAllOpts(p, f, match.Options{Order: order, RootCandidates: cands})
 			var want []match.Assignment
-			for _, h := range match.FindAll(p, f) {
-				if hood[h[order[0]]] {
+			for _, h := range match.FindAllOpts(p, f, match.Options{Order: order}) {
+				if inScope[h[v]] {
 					want = append(want, h)
 				}
 			}

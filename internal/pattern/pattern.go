@@ -40,7 +40,6 @@ type Pattern struct {
 	out        [][]Edge
 	in         [][]Edge
 	components [][]Var           // connected components (undirected), each sorted
-	radius     []int             // eccentricity of each var within its component
 	sigs       []graph.Signature // per-var adjacency requirement for pruning
 
 	// fp caches Fingerprint (immutable once frozen; the Once makes the
@@ -101,7 +100,7 @@ func (p *Pattern) Edges() []Edge { return p.edges }
 // Size returns |Q| = #vars + #edges.
 func (p *Pattern) Size() int { return len(p.names) + len(p.edges) }
 
-// Freeze computes the derived adjacency, component and radius data. It is
+// Freeze computes the derived adjacency, component and signature data. It is
 // idempotent and called implicitly by accessors that need it.
 func (p *Pattern) Freeze() {
 	if p.frozen {
@@ -115,7 +114,6 @@ func (p *Pattern) Freeze() {
 		p.in[e.To] = append(p.in[e.To], e)
 	}
 	p.computeComponents()
-	p.computeRadii()
 	p.computeSignatures()
 	p.frozen = true
 }
@@ -131,10 +129,6 @@ func (p *Pattern) In(v Var) []Edge { p.Freeze(); return p.in[v] }
 // has no components.
 func (p *Pattern) Components() [][]Var { p.Freeze(); return p.components }
 
-// Connected reports whether Q is non-empty and has a single connected
-// component.
-func (p *Pattern) Connected() bool { p.Freeze(); return len(p.components) == 1 }
-
 // Signature returns the adjacency requirement a data node must cover to
 // match v: the distinct out/in edge labels of v's pattern edges (wildcard
 // edges demand an edge of any label). The signatures are precomputed at
@@ -144,12 +138,6 @@ func (p *Pattern) Connected() bool { p.Freeze(); return len(p.components) == 1 }
 // nothing, while multiplicities are deliberately ignored (two same-labeled
 // pattern edges may map to a single data edge when their endpoints unify).
 func (p *Pattern) Signature(v Var) graph.Signature { p.Freeze(); return p.sigs[v] }
-
-// Radius returns the eccentricity of v within its connected component: the
-// longest undirected shortest-path distance from v to any variable of the
-// component. This is d_Q at v (Section V-B); the d_Q-neighborhood of a data
-// node matching v contains every possible match pivoted there.
-func (p *Pattern) Radius(v Var) int { p.Freeze(); return p.radius[v] }
 
 // LabelMatches reports whether a pattern label matches a data label under
 // wildcard semantics: '_' in the pattern matches anything; otherwise the
@@ -310,38 +298,6 @@ func (p *Pattern) computeComponents() {
 	for v := range parent {
 		c := index[find(v)]
 		p.components[c] = append(p.components[c], Var(v))
-	}
-}
-
-// computeRadii runs one undirected BFS per variable over a shared distance
-// row and queue; the last variable dequeued is a farthest one.
-func (p *Pattern) computeRadii() {
-	n := len(p.names)
-	p.radius = make([]int, n)
-	dist := make([]int, n)
-	queue := make([]Var, 0, n)
-	for v := range p.radius {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[v] = 0
-		queue = append(queue[:0], Var(v))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, e := range p.out[u] {
-				if dist[e.To] < 0 {
-					dist[e.To] = dist[u] + 1
-					queue = append(queue, e.To)
-				}
-			}
-			for _, e := range p.in[u] {
-				if dist[e.From] < 0 {
-					dist[e.From] = dist[u] + 1
-					queue = append(queue, e.From)
-				}
-			}
-		}
-		p.radius[v] = dist[queue[len(queue)-1]]
 	}
 }
 

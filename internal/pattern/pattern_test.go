@@ -46,43 +46,17 @@ func TestDuplicateVarPanics(t *testing.T) {
 
 func TestComponentsConnected(t *testing.T) {
 	p := vee()
-	if !p.Connected() {
+	if len(p.Components()) != 1 {
 		t.Error("vee pattern should be connected")
 	}
 	q := New()
 	q.AddVar("a", "x")
 	q.AddVar("b", "y")
-	if q.Connected() {
+	if len(q.Components()) == 1 {
 		t.Error("two isolated vars reported connected")
 	}
 	if got := len(q.Components()); got != 2 {
 		t.Errorf("components = %d, want 2", got)
-	}
-}
-
-func TestRadius(t *testing.T) {
-	// Chain x -> y -> z: radius at ends 2, at middle 1.
-	p := New()
-	x := p.AddVar("x", "a")
-	y := p.AddVar("y", "b")
-	z := p.AddVar("z", "c")
-	p.AddEdge(x, y, "e")
-	p.AddEdge(y, z, "e")
-	if p.Radius(x) != 2 || p.Radius(z) != 2 {
-		t.Errorf("end radius = %d,%d; want 2,2", p.Radius(x), p.Radius(z))
-	}
-	if p.Radius(y) != 1 {
-		t.Errorf("middle radius = %d, want 1", p.Radius(y))
-	}
-	// Radius ignores direction: reverse an edge, same radii.
-	q := New()
-	a := q.AddVar("a", "a")
-	b := q.AddVar("b", "b")
-	c := q.AddVar("c", "c")
-	q.AddEdge(b, a, "e")
-	q.AddEdge(b, c, "e")
-	if q.Radius(a) != 2 {
-		t.Errorf("undirected radius = %d, want 2", q.Radius(a))
 	}
 }
 
@@ -220,7 +194,7 @@ func TestWildcardKeptInAsGraph(t *testing.T) {
 	}
 }
 
-// TestFreezeDerivedDataPinned pins what Freeze derives — components, radii,
+// TestFreezeDerivedDataPinned pins what Freeze derives — components and
 // signatures — on the shapes its walks can get wrong, to the values the
 // map-based implementation it replaced computed. The component order is part
 // of the pin: "crossed" has its smaller-member component second, because the
@@ -235,26 +209,26 @@ func TestFreezeDerivedDataPinned(t *testing.T) {
 		name  string
 		vars  int
 		edges []edge
-		want  string // components | radii | signatures
+		want  string // components | signatures
 	}{
 		{"single variable", 1, nil,
-			"[[0]] | [0] | [{[] []}]"},
+			"[[0]] | [{[] []}]"},
 		{"self-loop", 1, []edge{{0, 0, "s"}},
-			"[[0]] | [0] | [{[s] [s]}]"},
+			"[[0]] | [{[s] [s]}]"},
 		{"self-loop beside an isolated variable", 2, []edge{{0, 0, "s"}},
-			"[[0] [1]] | [0 0] | [{[s] [s]} {[] []}]"},
+			"[[0] [1]] | [{[s] [s]} {[] []}]"},
 		{"directed 3-cycle", 3, []edge{{0, 1, "a"}, {1, 2, "b"}, {2, 0, "c"}},
-			"[[0 1 2]] | [1 1 1] | [{[a] [c]} {[b] [a]} {[c] [b]}]"},
+			"[[0 1 2]] | [{[a] [c]} {[b] [a]} {[c] [b]}]"},
 		{"4-cycle with a chord and a parallel edge", 4, []edge{{0, 1, "e"}, {1, 2, "e"}, {2, 3, "e"}, {3, 0, "e"}, {0, 2, "_"}, {0, 1, "f"}},
-			"[[0 1 2 3]] | [1 2 1 2] | [{[_ e f] [e]} {[e] [e f]} {[e] [_ e]} {[e] [e]}]"},
+			"[[0 1 2 3]] | [{[_ e f] [e]} {[e] [e f]} {[e] [_ e]} {[e] [e]}]"},
 		{"chain of five, edges against the chain", 5, []edge{{1, 0, "e"}, {2, 1, "e"}, {3, 2, "e"}, {4, 3, "e"}},
-			"[[0 1 2 3 4]] | [4 3 2 3 4] | [{[] [e]} {[e] [e]} {[e] [e]} {[e] [e]} {[e] []}]"},
+			"[[0 1 2 3 4]] | [{[] [e]} {[e] [e]} {[e] [e]} {[e] [e]} {[e] []}]"},
 		{"two components in declaration order", 4, []edge{{0, 1, "e"}, {3, 2, "e"}},
-			"[[0 1] [2 3]] | [1 1 1 1] | [{[e] []} {[] [e]} {[] [e]} {[e] []}]"},
+			"[[0 1] [2 3]] | [{[e] []} {[] [e]} {[] [e]} {[e] []}]"},
 		{"crossed", 4, []edge{{0, 3, "e"}, {1, 2, "e"}},
-			"[[1 2] [0 3]] | [1 1 1 1] | [{[e] []} {[e] []} {[] [e]} {[] [e]}]"},
+			"[[1 2] [0 3]] | [{[e] []} {[e] []} {[] [e]} {[] [e]}]"},
 		{"star, an isolated variable, a pair", 7, []edge{{0, 1, "a"}, {0, 2, "b"}, {0, 3, "a"}, {6, 5, "c"}},
-			"[[0 1 2 3] [4] [5 6]] | [1 2 2 2 0 1 1] | [{[a b] []} {[] [a]} {[] [b]} {[] [a]} {[] []} {[] [c]} {[c] []}]"},
+			"[[0 1 2 3] [4] [5 6]] | [{[a b] []} {[] [a]} {[] [b]} {[] [a]} {[] []} {[] [c]} {[c] []}]"},
 	}
 	for _, c := range cases {
 		p := New()
@@ -264,12 +238,11 @@ func TestFreezeDerivedDataPinned(t *testing.T) {
 		for _, e := range c.edges {
 			p.AddEdge(Var(e.from), Var(e.to), e.label)
 		}
-		radii := make([]int, c.vars)
 		sigs := make([]graph.Signature, c.vars)
-		for v := range radii {
-			radii[v], sigs[v] = p.Radius(Var(v)), p.Signature(Var(v))
+		for v := range sigs {
+			sigs[v] = p.Signature(Var(v))
 		}
-		if got := fmt.Sprintf("%v | %v | %v", p.Components(), radii, sigs); got != c.want {
+		if got := fmt.Sprintf("%v | %v", p.Components(), sigs); got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
