@@ -13,7 +13,11 @@
 //
 // sat prints SATISFIABLE or UNSATISFIABLE (with the conflicting attribute),
 // imp prints IMPLIED or NOT-IMPLIED, check prints the violations of the
-// rules in the graph. check runs its pattern groups on GOMAXPROCS workers
+// rules in the graph. imp builds only the rules of sigma.gfd its target can
+// use — those whose pattern could match the target's (every block is still
+// parsed and checked) — except under -baseline, which chases them all. The
+// "matches reused" count sat and imp print on stderr depends on the schedule
+// at -p 2 and up. check runs its pattern groups on GOMAXPROCS workers
 // (every core unless the GOMAXPROCS environment variable says otherwise);
 // the list it prints does not depend on the worker count. Exit status 0 on
 // success, 1 on a negative check answer, 2 on usage or parse errors, 3 when
@@ -47,10 +51,12 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/gfd"
 	"repro/internal/gfdio"
 	"repro/internal/graph"
+	"repro/internal/pattern"
 	"repro/internal/rdfchase"
 )
 
@@ -68,7 +74,7 @@ func main() {
 		args := parse(fs, 1)
 		ctx, cancel := runContext(*timeout, *seq)
 		defer cancel()
-		set := readSet(args[0])
+		set := readSet(args[0], nil)
 		var res *core.SatResult
 		if *seq {
 			res = core.SeqSat(set)
@@ -91,8 +97,20 @@ func main() {
 		args := parse(fs, 2)
 		ctx, cancel := runContext(*timeout, *seq || *baseline)
 		defer cancel()
-		set := readSet(args[0])
-		targets := readSet(args[1])
+		// Σ′ is decided while Σ is parsed: the engines build only the GFDs
+		// that can match the target's pattern. The target is read first for
+		// that, but a bad Σ is still reported before anything wrong with
+		// the target, so then Σ is read whole, as it is for -baseline (the
+		// paper's ParImpRDF chases all of Σ).
+		targets, terr := loadSet(args[1], nil)
+		var keep func(*pattern.Pattern) bool
+		if terr == nil && targets.Len() == 1 && !*baseline {
+			keep = canon.BuildPhi(targets.GFDs[0]).Admits
+		}
+		set := readSet(args[0], keep)
+		if terr != nil {
+			fatalf("%v", terr)
+		}
 		if targets.Len() != 1 {
 			fatalf("target file must contain exactly one GFD, got %d", targets.Len())
 		}
@@ -126,7 +144,7 @@ func main() {
 		args := parse(fs, 2)
 		ctx, cancel := runContext(*timeout, false)
 		defer cancel()
-		set := readSet(args[0])
+		set := readSet(args[0], nil)
 		// Validation is read-only over a potentially large graph: load the
 		// CSR snapshot directly (binary store) or ingest through the
 		// bulk-load Builder (text format).
@@ -295,17 +313,27 @@ func writeSnapshot(path string, g *graph.Frozen) {
 	}
 }
 
-func readSet(path string) *gfd.Set {
-	f, err := os.Open(path)
+// readSet is loadSet that exits 2 on an error.
+func readSet(path string, keep func(*pattern.Pattern) bool) *gfd.Set {
+	set, err := loadSet(path, keep)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer f.Close()
-	set, err := gfdio.ReadGFDs(f)
-	if err != nil {
-		fatalf("parse %s: %v", path, err)
-	}
 	return set
+}
+
+// loadSet reads the GFDs of a rule file that keep admits (all when nil).
+func loadSet(path string, keep func(*pattern.Pattern) bool) (*gfd.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	set, err := gfdio.ReadGFDsWhere(f, keep)
+	if err != nil {
+		return nil, fmt.Errorf("parse %s: %v", path, err)
+	}
+	return set, nil
 }
 
 // exitOnRunErr maps an engine run error to the exit contract: a timed-out

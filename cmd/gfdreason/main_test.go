@@ -126,18 +126,55 @@ func TestCheck(t *testing.T) {
 
 // TestMalformedSigma pins that outside input the parser must refuse — a
 // repeated variable name, a pattern with no variables — is a one-line parse
-// error with exit 2 on every engine, never a goroutine trace.
+// error with exit 2 on every engine, never a goroutine trace. imp reads Σ
+// through its target's filter, and a block the filter drops is refused all
+// the same; a bad Σ is reported before a bad target, as it was when Σ was
+// read first.
 func TestMalformedSigma(t *testing.T) {
+	target := write(t, targetImplied) // over label n: Σ′ holds no block over a or b
 	for name, content := range map[string]string{"duplicate var": sigmaDupVar, "no variables": sigmaNoVars} {
 		path := write(t, content)
+		parseErr := func(cmd string, eng []string, errOut string) {
+			t.Helper()
+			if !strings.HasPrefix(errOut, "parse "+path+": ") || strings.Count(errOut, "\n") != 1 || strings.Contains(errOut, "goroutine") {
+				t.Errorf("%s, %s %v: stderr %q; want one \"parse %s: ...\" line", name, cmd, eng, errOut, path)
+			}
+		}
 		for _, eng := range engines {
 			out, errOut, code := gfdreason(t, argv("sat", eng, path)...)
 			if code != 2 || out != "" {
 				t.Errorf("%s, sat %v: exit %d, stdout %q; want 2 and no verdict", name, eng, code, out)
 			}
-			if !strings.HasPrefix(errOut, "parse ") || strings.Count(errOut, "\n") != 1 || strings.Contains(errOut, "goroutine") {
-				t.Errorf("%s, sat %v: stderr %q; want one \"parse ...\" line", name, eng, errOut)
+			parseErr("sat", eng, errOut)
+		}
+		for _, eng := range append(engines, []string{"-baseline"}) {
+			for tname, tpath := range map[string]string{
+				"a target": target, "a malformed target": write(t, sigmaDupVar),
+				"a two-GFD target": write(t, targetImplied+targetNotImplied), "a missing target": filepath.Join(t.TempDir(), "none"),
+			} {
+				out, errOut, code := gfdreason(t, argv("imp", eng, path, tpath)...)
+				if code != 2 || out != "" {
+					t.Errorf("%s, imp %v with %s: exit %d, stdout %q; want 2 and no verdict", name, eng, tname, code, out)
+				}
+				parseErr("imp "+tname, eng, errOut)
 			}
+		}
+	}
+}
+
+// TestBadTarget pins what imp says about a target that is not one GFD, on
+// every engine: the parse error names the target file, and a file of two
+// GFDs gets the message it got before Σ was filtered by the target.
+func TestBadTarget(t *testing.T) {
+	sigma, bad, two := write(t, sigmaSat), write(t, sigmaNoVars), write(t, targetImplied+targetNotImplied)
+	for _, eng := range append(engines, []string{"-baseline"}) {
+		out, errOut, code := gfdreason(t, argv("imp", eng, sigma, bad)...)
+		if code != 2 || out != "" || errOut != "parse "+bad+": line 2: gfd g: pattern has no variables\n" {
+			t.Errorf("imp %v with a malformed target: exit %d, stdout %q, stderr %q; want 2 and the target's parse error", eng, code, out, errOut)
+		}
+		out, errOut, code = gfdreason(t, argv("imp", eng, sigma, two)...)
+		if code != 2 || out != "" || errOut != "target file must contain exactly one GFD, got 2\n" {
+			t.Errorf("imp %v with a two-GFD target: exit %d, stdout %q, stderr %q; want 2 and the one-GFD message", eng, code, out, errOut)
 		}
 	}
 }

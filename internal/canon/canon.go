@@ -137,15 +137,27 @@ func (p *Phi) YDeduced(e *eq.Eq) bool {
 	return true
 }
 
-// Applicable returns Σ′: the GFDs of set, in set order, whose pattern passes
-// a necessary condition for having a match in G^X_Q — every variable has a
-// label-compatible node of Q and every edge a compatible (from-label,
-// edge-label, to-label) edge of Q. Q's labels are read as the data labels
-// BuildPhi made of them, so a '_' of Q is matched by a pattern '_' only. A
-// GFD outside Σ′ has no match to enforce, so the chase of Σ′ on G^X_Q is the
-// chase of Σ; one inside may still have none (the condition looks at each
-// edge alone), which the search then finds out.
+// Applicable returns Σ′: the GFDs of set, in set order, whose pattern p
+// Admits. A GFD outside Σ′ has no match to enforce, so the chase of Σ′ on
+// G^X_Q is the chase of Σ.
 func (p *Phi) Applicable(set *gfd.Set) *gfd.Set {
+	sub := gfd.NewSet()
+	for _, psi := range set.GFDs {
+		if p.Admits(psi.Pattern) {
+			sub.Add(psi)
+		}
+	}
+	return sub
+}
+
+// Admits reports whether psi passes a necessary condition for having a
+// match in G^X_Q: every variable has a label-compatible node of Q and every
+// edge a compatible (from-label, edge-label, to-label) edge of Q. Q's labels
+// are read as the data labels BuildPhi made of them, so a '_' of Q is matched
+// by a pattern '_' only. A pattern that passes may still have no match (the
+// condition looks at each edge alone), which the search then finds out. It
+// reads only psi's variables and edges, so psi may be unfrozen.
+func (p *Phi) Admits(psi *pattern.Pattern) bool {
 	q := p.GFD.Pattern
 	nodeIn := func(label string) bool {
 		for v := 0; v < q.NumVars(); v++ {
@@ -155,7 +167,7 @@ func (p *Phi) Applicable(set *gfd.Set) *gfd.Set {
 		}
 		return false
 	}
-	edgeIn := func(psi *pattern.Pattern, e pattern.Edge) bool {
+	edgeIn := func(e pattern.Edge) bool {
 		for _, d := range q.Edges() {
 			if pattern.LabelMatches(e.Label, d.Label) &&
 				pattern.LabelMatches(psi.Label(e.From), q.Label(d.From)) &&
@@ -165,24 +177,15 @@ func (p *Phi) Applicable(set *gfd.Set) *gfd.Set {
 		}
 		return false
 	}
-	admits := func(psi *pattern.Pattern) bool {
-		for v := 0; v < psi.NumVars(); v++ {
-			if !nodeIn(psi.Label(pattern.Var(v))) {
-				return false
-			}
-		}
-		for _, e := range psi.Edges() {
-			if !edgeIn(psi, e) {
-				return false
-			}
-		}
-		return true
-	}
-	sub := gfd.NewSet()
-	for _, psi := range set.GFDs {
-		if admits(psi.Pattern) {
-			sub.Add(psi)
+	for v := 0; v < psi.NumVars(); v++ {
+		if !nodeIn(psi.Label(pattern.Var(v))) {
+			return false
 		}
 	}
-	return sub
+	for _, e := range psi.Edges() {
+		if !edgeIn(e) {
+			return false
+		}
+	}
+	return true
 }

@@ -6,11 +6,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/gen"
 	"repro/internal/gfd"
+	"repro/internal/gfdio"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -194,6 +197,63 @@ func TestParSatDeterministicAnswerUnderRepeats(t *testing.T) {
 		if ParSat(set, opt).Satisfiable {
 			t.Fatalf("run %d: nondeterministic satisfiability answer", i)
 		}
+	}
+}
+
+// TestImplicationOnTheParseFilteredSet is the engine side of deciding Σ′
+// while Σ is parsed (gfdio.ReadGFDsWhere with canon.Phi.Admits, as
+// gfdreason imp reads Σ): on gen implication instances with chain, implied,
+// non-implied and trivially implied targets, SeqImp and ParImp at p ∈ {1, 2,
+// 4} answer the filtered set as they answer the whole one — the same verdict
+// and reason, and the same Stats where the run reaches the fixpoint (every
+// deterministic run; at p ≥ 2 only a non-implied one, whose matches,
+// enforcements and units TestEngineCountsPinned pins the same way).
+func TestImplicationOnTheParseFilteredSet(t *testing.T) {
+	dropped := false
+	for _, rate := range []float64{0, 0.4, 1.0} {
+		gr := gen.New(gen.Config{N: 150, K: 5, L: 3, WildcardRate: rate, Seed: 17})
+		sigma, chain := gr.ImpInstance(4)
+		var text strings.Builder
+		if err := gfdio.WriteGFDs(&text, sigma); err != nil {
+			t.Fatal(err)
+		}
+		full, err := gfdio.ReadGFDs(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trivial := gfd.MustNew("trivial", chain.Pattern, chain.Y, chain.Y)
+		for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(sigma), gr.NonImpliedGFD(), trivial} {
+			filtered, err := gfdio.ReadGFDsWhere(strings.NewReader(text.String()), canon.BuildPhi(phi).Admits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped = dropped || filtered.Len() < full.Len()
+			engines := map[string]func(*gfd.Set) *ImpResult{"SeqImp": func(s *gfd.Set) *ImpResult { return SeqImp(s, phi) }}
+			for _, p := range []int{1, 2, 4} {
+				opt := DefaultParOptions(p)
+				engines[fmt.Sprintf("ParImp p=%d", p)] = func(s *gfd.Set) *ImpResult { return ParImp(s, phi, opt) }
+			}
+			for name, run := range engines {
+				a, b := run(full), run(filtered)
+				if a.Err != nil || b.Err != nil || a.Implied != b.Implied || a.Reason != b.Reason {
+					t.Errorf("rate %v, %s, %s: %v/%v (err %v) on Σ, %v/%v (err %v) on the filtered Σ",
+						rate, phi.Name, name, a.Implied, a.Reason, a.Err, b.Implied, b.Reason, b.Err)
+					continue
+				}
+				deterministic := name == "SeqImp" || name == "ParImp p=1"
+				if deterministic && a.Stats != b.Stats {
+					t.Errorf("rate %v, %s, %s: stats %+v on Σ, %+v on the filtered Σ", rate, phi.Name, name, a.Stats, b.Stats)
+				}
+				if !deterministic && !a.Implied && (a.Stats.Matches != b.Stats.Matches ||
+					a.Stats.Enforcements != b.Stats.Enforcements || a.Stats.UnitsRun != b.Stats.UnitsRun) {
+					t.Errorf("rate %v, %s, %s: matches/enforcements/units %d/%d/%d on Σ, %d/%d/%d on the filtered Σ", rate, phi.Name, name,
+						a.Stats.Matches, a.Stats.Enforcements, a.Stats.UnitsRun, b.Stats.Matches, b.Stats.Enforcements, b.Stats.UnitsRun)
+				}
+			}
+		}
+	}
+	if !dropped {
+		t.Error("the filter dropped no GFD of any instance: the comparison tests nothing")
 	}
 }
 

@@ -71,26 +71,33 @@ type GFD struct {
 	Y       []Literal // consequent; empty means trivially satisfied
 }
 
-// New constructs a GFD and validates that the pattern has at least one
-// variable (an empty pattern has no pivot to build work units from) and
-// that every literal references declared variables.
+// New constructs a GFD after Validate has passed its parts, and freezes p.
 func New(name string, p *pattern.Pattern, x, y []Literal) (*GFD, error) {
-	if p.NumVars() == 0 {
-		return nil, fmt.Errorf("gfd %s: pattern has no variables", name)
+	if err := Validate(name, p, x, y); err != nil {
+		return nil, err
 	}
-	g := &GFD{Name: name, Pattern: p, X: x, Y: y}
+	p.Freeze()
+	return &GFD{Name: name, Pattern: p, X: x, Y: y}, nil
+}
+
+// Validate reports what New refuses, without building a GFD or freezing p:
+// a pattern with no variables (it has no pivot to build work units from) and
+// a literal that references an undeclared variable.
+func Validate(name string, p *pattern.Pattern, x, y []Literal) error {
+	if p.NumVars() == 0 {
+		return fmt.Errorf("gfd %s: pattern has no variables", name)
+	}
 	for _, ls := range [2][]Literal{x, y} {
 		for _, l := range ls {
 			if int(l.X) < 0 || int(l.X) >= p.NumVars() {
-				return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.X)
+				return fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.X)
 			}
 			if l.Kind == VarLiteral && (int(l.Y) < 0 || int(l.Y) >= p.NumVars()) {
-				return nil, fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.Y)
+				return fmt.Errorf("gfd %s: literal references undeclared variable $%d", name, l.Y)
 			}
 		}
 	}
-	p.Freeze()
-	return g, nil
+	return nil
 }
 
 // MustNew is New that panics on error. It is a test and example helper

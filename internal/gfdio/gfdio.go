@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -162,15 +163,27 @@ func isField(s string) bool {
 // refused with the scanner's error.
 const maxLineLen = 16 * 1024 * 1024
 
-// ReadGFDs parses a file of gfd blocks. It buffers all of r before it parses
-// (so a read error is reported before any parse error), and every name, label
-// and constant of the returned set is a substring of that one buffer: a line
-// costs no copy, and the set keeps the whole file text — comments included —
-// alive for as long as any of its GFDs is. Every caller today is a one-shot
-// gfdreason run, where a rule file is parsed once per process and, on an
-// implication query, parsing Σ is most of the run; a caller that keeps a few
-// rules of a large file for long should strings.Clone what it keeps.
+// ReadGFDs parses a file of gfd blocks: ReadGFDsWhere with every block kept.
 func ReadGFDs(r io.Reader) (*gfd.Set, error) {
+	return ReadGFDsWhere(r, nil)
+}
+
+// ReadGFDsWhere parses a file of gfd blocks and returns the GFDs whose
+// pattern keep admits (all of them when keep is nil), in file order. Every
+// block is parsed and checked alike, kept or not: a dropped block fails
+// where ReadGFDs would, with the same error and line number. Each block is
+// assembled in one scratch pattern that keep is shown and must not retain;
+// only a kept block is copied out of it, frozen and built into a GFD.
+//
+// It buffers all of r before it parses (so a read error is reported before
+// any parse error), and every name, label and constant of the returned set
+// is a substring of that one buffer: a line costs no copy, and the set keeps
+// the whole file text — comments included — alive for as long as any of its
+// GFDs is. Every caller today is a one-shot gfdreason run, where a rule file
+// is parsed once per process and, on an implication query, parsing Σ is most
+// of the run; a caller that keeps a few rules of a large file for long
+// should strings.Clone what it keeps.
+func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, error) {
 	var text strings.Builder
 	if _, err := io.Copy(&text, r); err != nil {
 		return nil, err
@@ -178,10 +191,11 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 	set := gfd.NewSet()
 	var (
 		name    string
-		pat     *pattern.Pattern
-		xs, ys  []gfd.Literal // the open block's literals; reused from block to block
+		pat     = pattern.New() // the open block's pattern; reset at each gfd line
+		xs, ys  []gfd.Literal   // the open block's literals; reused from block to block
 		isFalse bool
 		inBlock bool
+		buf     [5]string
 	)
 	tail := text.String()
 	for lineNo := 1; tail != ""; lineNo++ {
@@ -198,7 +212,7 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields := splitFields(line, &buf)
 		switch fields[0] {
 		case "gfd":
 			if inBlock {
@@ -208,7 +222,7 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 				return nil, fmt.Errorf("line %d: gfd needs a name", lineNo)
 			}
 			name = fields[1]
-			pat = pattern.New()
+			pat.Reset()
 			inBlock = true
 		case "var":
 			if !inBlock || len(fields) != 3 {
@@ -257,23 +271,32 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 			if !inBlock {
 				return nil, fmt.Errorf("line %d: end outside gfd block", lineNo)
 			}
-			// The GFD gets exact-size copies (nil for no literals); xs and
-			// ys go on to the next block.
-			x, y := append([]gfd.Literal(nil), xs...), append([]gfd.Literal(nil), ys...)
 			var (
 				phi *gfd.GFD
 				err error
 			)
-			if isFalse {
-				phi, err = gfd.NewFalse(name, pat, x)
+			if keep != nil && !keep(pat) {
+				// Dropped, but refused where a kept block would be. (With
+				// then false, ys is empty and the literals false adds are on
+				// the first variable, so this is NewFalse's check too.)
+				err = gfd.Validate(name, pat, xs, ys)
 			} else {
-				phi, err = gfd.New(name, pat, x, y)
+				// The GFD gets an exact-size pattern and literal copies (nil
+				// for no literals); pat, xs and ys go on to the next block.
+				p, x := pat.Clone(), append([]gfd.Literal(nil), xs...)
+				if isFalse {
+					phi, err = gfd.NewFalse(name, p, x)
+				} else {
+					phi, err = gfd.New(name, p, x, append([]gfd.Literal(nil), ys...))
+				}
 			}
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
-			set.Add(phi)
-			name, pat, xs, ys, isFalse, inBlock = "", nil, xs[:0], ys[:0], false, false
+			if phi != nil {
+				set.Add(phi)
+			}
+			name, xs, ys, isFalse, inBlock = "", xs[:0], ys[:0], false, false
 		default:
 			return nil, fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
 		}
@@ -283,6 +306,43 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 	}
 	return set, nil
 }
+
+// splitFields is strings.Fields for a trimmed, non-empty statement line,
+// without the allocation: the fields go into buf, and the split stops at the
+// fifth, since no statement has more than four and a fifth only says "too
+// many". Separators are runs of unicode.IsSpace, as for strings.Fields: an
+// ASCII byte is looked up in a table, as strings.Fields does, and only the
+// other bytes are decoded as runes.
+func splitFields(line string, buf *[5]string) []string {
+	n, start := 0, 0
+	for i := 0; i < len(line); {
+		c, w := line[i], 1
+		if c < utf8.RuneSelf && !asciiSpace[c] {
+			i++
+			continue
+		}
+		if c >= utf8.RuneSelf {
+			r, rw := utf8.DecodeRuneInString(line[i:])
+			if w = rw; !unicode.IsSpace(r) {
+				i += w
+				continue
+			}
+		}
+		if start < i {
+			if buf[n], n = line[start:i], n+1; n == len(buf) {
+				return buf[:]
+			}
+		}
+		i += w
+		start = i
+	}
+	if start < len(line) {
+		buf[n], n = line[start:], n+1
+	}
+	return buf[:n]
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // parseLiteral parses `x.A = "c"` or `x.A = y.B`.
 func parseLiteral(pat *pattern.Pattern, s string) (gfd.Literal, error) {

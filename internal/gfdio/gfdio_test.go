@@ -3,6 +3,7 @@ package gfdio
 import (
 	"bufio"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
 	"strconv"
@@ -153,6 +154,54 @@ func TestReadGraphErrors(t *testing.T) {
 			t.Errorf("no error for %q", c)
 		}
 	}
+}
+
+// graphCorpus is the seed corpus of FuzzReadGraph: the sample, the inputs of
+// TestReadGraphErrors, a generated graph, and the corners of the line format.
+func graphCorpus() []string {
+	var b strings.Builder
+	g := gen.New(gen.Config{N: 10, K: 3, L: 3, Seed: 5})
+	if err := WriteGraph(&b, g.ConsistentGraph(12)); err != nil {
+		panic(err)
+	}
+	return []string{
+		sampleGraph, b.String(), "",
+		"node 1 person", "node 0", "edge 0 1 e", "node 0 p\nedge 0 5 e", "bogus 1 2 3", "node 0 p broken",
+		// White space: tabs, CRLF, a no-break space and an em space as
+		// separators, a lone continuation byte inside a label.
+		"\tnode 0\ta\u00a0k=1\r\nnode\u20031 b\xa0c  k=\r\n edge 0 1 e \r\n",
+		"node 0 a k=1 k=2 l==x\nnode 1 a\nedge 0 1 e\nedge 0 1 e\nedge 1 0 f\nedge 1 1 e\n",
+		"# comment\nnode 0 #a\nedge 0 0 #e\n", "node 0 _\nedge 0 0 _", "node -1 a", "node x a",
+		"node 0 a =v", "node 0 a\nedge 0 0", "node 0 a\nedge 0 x e", "node 0 a\nedge 0 -1 e", "node 0 a\nedge 0 0 e f",
+	}
+}
+
+// FuzzReadGraph: no input panics the graph-text parser, and a graph it
+// accepts is one WriteGraph writes and reads back equal: the same text again
+// from the graph read back, and the same node and edge counts.
+func FuzzReadGraph(f *testing.F) {
+	for _, in := range graphCorpus() {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ReadFrozenGraph(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var text strings.Builder
+		if err := WriteGraph(&text, g); err != nil {
+			t.Fatalf("%q: WriteGraph refuses a graph the reader accepted: %v", in, err)
+		}
+		back, err := ReadFrozenGraph(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatalf("%q: WriteGraph wrote a file the reader rejects: %v\n%s", in, err, text.String())
+		}
+		var again strings.Builder
+		if err := WriteGraph(&again, back); err != nil || again.String() != text.String() ||
+			back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
+			t.Fatalf("%q: round trip changed the graph (%v):\n%s\nvs\n%s", in, err, text.String(), again.String())
+		}
+	})
 }
 
 const sampleGFDs = `# paper's phi1 and phi3
@@ -400,16 +449,50 @@ func readCorpus() []string {
 	}
 }
 
+// keepOdd admits the patterns whose first variable's label hashes odd: a
+// strict subset of most sets, decided by what ReadGFDsWhere shows keep.
+func keepOdd(p *pattern.Pattern) bool {
+	if p.NumVars() == 0 {
+		return false
+	}
+	h := fnv.New32a()
+	h.Write([]byte(p.Label(0)))
+	return h.Sum32()%2 == 1
+}
+
 // checkAgainstReference holds one input to the differential contract: the
 // parser and the reference accept or reject alike, with the same error text,
 // and parse the same set; an accepted set is then either refused by
-// WriteGFDs or read back equal from what it wrote.
+// WriteGFDs or read back equal from what it wrote. Parsed through a keep that
+// drops some blocks (keepOdd) or all, the parser still accepts or rejects
+// alike, with the same error text, and returns the reference set filtered by
+// keep, in order.
 func checkAgainstReference(t *testing.T, in string) {
 	t.Helper()
 	got, err := ReadGFDs(strings.NewReader(in))
 	want, refErr := refReadGFDs(strings.NewReader(in))
 	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 		t.Fatalf("%q: err = %v, the reference says %v", in, err, refErr)
+	}
+	for name, keep := range map[string]func(*pattern.Pattern) bool{
+		"odd": keepOdd, "none": func(*pattern.Pattern) bool { return false },
+	} {
+		kept, keptErr := ReadGFDsWhere(strings.NewReader(in), keep)
+		if (keptErr == nil) != (refErr == nil) || keptErr != nil && keptErr.Error() != refErr.Error() {
+			t.Fatalf("%q, keep %s: err = %v, the reference says %v", in, name, keptErr, refErr)
+		}
+		if keptErr != nil {
+			continue
+		}
+		filtered := gfd.NewSet()
+		for _, phi := range want.GFDs {
+			if keep(phi.Pattern) {
+				filtered.Add(phi)
+			}
+		}
+		if err := sameSet(filtered, kept); err != nil {
+			t.Fatalf("%q, keep %s: parsed another set than the reference's kept GFDs: %v", in, name, err)
+		}
 	}
 	if err != nil {
 		return
@@ -431,8 +514,19 @@ func checkAgainstReference(t *testing.T, in string) {
 }
 
 func TestReadGFDsMatchesReference(t *testing.T) {
-	for _, in := range readCorpus() {
+	corpus := readCorpus()
+	for _, in := range corpus {
 		checkAgainstReference(t, in)
+	}
+	// keepOdd splits the generated set, so the filter is tested on both
+	// sides of its decision.
+	all, err := ReadGFDs(strings.NewReader(corpus[1]))
+	kept, keptErr := ReadGFDsWhere(strings.NewReader(corpus[1]), keepOdd)
+	if err != nil || keptErr != nil {
+		t.Fatal(err, keptErr)
+	}
+	if kept.Len() == 0 || kept.Len() == all.Len() {
+		t.Fatalf("keepOdd kept %d of %d GFDs; want a strict, non-empty subset", kept.Len(), all.Len())
 	}
 }
 

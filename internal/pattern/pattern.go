@@ -6,6 +6,8 @@ package pattern
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,6 +77,27 @@ func (p *Pattern) AddEdge(from, to Var, label string) {
 		panic("pattern: AddEdge after freeze")
 	}
 	p.edges = append(p.edges, Edge{From: from, To: to, Label: label})
+}
+
+// Reset empties an unfrozen pattern for reuse as scratch: its variables,
+// edges and names go, their storage stays.
+func (p *Pattern) Reset() {
+	if p.frozen {
+		panic("pattern: Reset after freeze")
+	}
+	p.names, p.labels, p.edges = p.names[:0], p.labels[:0], p.edges[:0]
+	clear(p.byName)
+}
+
+// Clone returns an unfrozen copy of p's variables and edges, each slice at
+// exact size.
+func (p *Pattern) Clone() *Pattern {
+	return &Pattern{
+		names:  slices.Clone(p.names),
+		labels: slices.Clone(p.labels),
+		edges:  slices.Clone(p.edges),
+		byName: maps.Clone(p.byName),
+	}
 }
 
 // VarByName returns the variable with the given name, or InvalidVar.

@@ -44,6 +44,30 @@ func TestDuplicateVarPanics(t *testing.T) {
 	p.AddVar("x", "b")
 }
 
+// TestCloneOutlivesItsScratch pins the scratch-pattern protocol the rule
+// reader uses: a Clone is independent of the pattern it was taken from, which
+// Reset then empties for the next block, names included.
+func TestCloneOutlivesItsScratch(t *testing.T) {
+	scratch := vee()
+	c := scratch.Clone()
+	want := vee().String()
+	scratch.Reset()
+	if scratch.NumVars() != 0 || len(scratch.Edges()) != 0 || scratch.VarByName("x") != InvalidVar {
+		t.Fatalf("Reset left %q", scratch)
+	}
+	scratch.AddVar("x", "other")
+	if c.String() != want || c.VarByName("z") != 2 || !StructuralEqual(c, vee()) {
+		t.Fatalf("clone %q changed with its scratch; want %q", c, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset of a frozen pattern did not panic")
+		}
+	}()
+	c.Freeze()
+	c.Reset()
+}
+
 func TestComponentsConnected(t *testing.T) {
 	p := vee()
 	if len(p.Components()) != 1 {
