@@ -28,7 +28,8 @@
 //
 // -timeout bounds sat, imp, and check through the engines' cooperative
 // cancellation; it needs the parallel algorithms, so it rejects -seq and
-// -baseline, and a negative value is a usage error.
+// -baseline, and a negative value is a usage error, as are -p below 1 and
+// -threshold NaN.
 //
 // Graph arguments accept either format transparently: the text format or a
 // binary snapshot image (sniffed by magic bytes). snapshot converts to the
@@ -72,6 +73,7 @@ func main() {
 	case "sat":
 		workers, seq, timeout := engineFlags(fs)
 		args := parse(fs, 1)
+		checkWorkers(*workers)
 		ctx, cancel := runContext(*timeout, *seq)
 		defer cancel()
 		set := readSet(args[0], nil)
@@ -95,6 +97,7 @@ func main() {
 		workers, seq, timeout := engineFlags(fs)
 		baseline := fs.Bool("baseline", false, "use the chase baseline (ParImpRDF)")
 		args := parse(fs, 2)
+		checkWorkers(*workers)
 		ctx, cancel := runContext(*timeout, *seq || *baseline)
 		defer cancel()
 		// Σ′ is decided while Σ is parsed: the engines build only the GFDs
@@ -209,6 +212,10 @@ func main() {
 			"dead-slot fraction that triggers compaction (0 compacts any dead slot, negative disables)")
 		output := fs.String("o", "", "write the folded snapshot here (default: overwrite the store)")
 		args := parse(fs, 2)
+		if math.IsNaN(*threshold) {
+			// NaN fails every comparison RefreezeOpts makes, so it would compact.
+			fatalf("-threshold must be a number, got NaN")
+		}
 		g := readGraph(args[0])
 		d, stats, err := recoverLog(g, args[1])
 		if err != nil {
@@ -245,6 +252,13 @@ func main() {
 func engineFlags(fs *flag.FlagSet) (workers *int, seq *bool, timeout *time.Duration) {
 	return fs.Int("p", 4, "parallel workers (ignored with -seq)"),
 		fs.Bool("seq", false, "use the sequential algorithm"), timeoutFlag(fs)
+}
+
+// checkWorkers refuses a worker count the engines would clamp to 1.
+func checkWorkers(p int) {
+	if p < 1 {
+		fatalf("-p must be at least 1, got %d", p)
+	}
 }
 
 func timeoutFlag(fs *flag.FlagSet) *time.Duration {

@@ -194,6 +194,7 @@ func TestFlagsPerSubcommand(t *testing.T) {
 	sigma, target, g := write(t, sigmaSat), write(t, targetImplied), write(t, graphClean)
 	_, store, wal := storeFixture(t)
 	snap := filepath.Join(t.TempDir(), "out.snap")
+	nanSnap := filepath.Join(t.TempDir(), "nan.snap")
 	for _, tc := range []struct {
 		args []string
 		want int
@@ -215,6 +216,13 @@ func TestFlagsPerSubcommand(t *testing.T) {
 		{[]string{"check", "-timeout", "-1s", sigma, g}, 2},
 		{[]string{"sat", "-seq", "-timeout", "1s", sigma}, 2},
 		{[]string{"imp", "-baseline", "-timeout", "1s", sigma, target}, 2},
+		// The engines would clamp these to one worker, and NaN fails every
+		// threshold comparison, so RefreezeOpts would compact.
+		{[]string{"sat", "-p", "0", sigma}, 2},
+		{[]string{"sat", "-p", "-2", sigma}, 2},
+		{[]string{"imp", "-p", "0", sigma, target}, 2},
+		{[]string{"imp", "-p", "-1", sigma, target}, 2},
+		{[]string{"recover", "-threshold", "NaN", "-o", nanSnap, store, wal}, 2},
 		// Every flag still works where it belongs — among these the
 		// shapes benchmark/gfdbench/workloads.go runs.
 		{[]string{"sat", "-timeout", "1m", "-p", "2", sigma}, 0},
@@ -226,9 +234,13 @@ func TestFlagsPerSubcommand(t *testing.T) {
 		{[]string{"snapshot", "-compact", g, snap}, 0},
 		{[]string{"recover", "-threshold", "0", "-o", snap, store, wal}, 0},
 	} {
-		if out, errOut, code := gfdreason(t, tc.args...); code != tc.want {
+		out, errOut, code := gfdreason(t, tc.args...)
+		if code != tc.want || code == 2 && out != "" {
 			t.Errorf("gfdreason %v: exit %d, want %d (stdout %q, stderr %q)", tc.args, code, tc.want, out, errOut)
 		}
+	}
+	if _, err := os.Stat(nanSnap); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("recover -threshold NaN wrote %s (stat: %v)", nanSnap, err)
 	}
 }
 

@@ -6,6 +6,7 @@ package core
 
 import (
 	"slices"
+	"strconv"
 
 	"repro/internal/canon"
 	"repro/internal/eq"
@@ -426,19 +427,5 @@ func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
 }
 
 func freshConst(i int) string {
-	return "⊤" + itoa(i)
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
+	return "⊤" + strconv.Itoa(i)
 }

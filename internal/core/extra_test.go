@@ -306,3 +306,121 @@ func TestImplicationIgnoresGFDsThatCannotMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestVerdictUnderPermutationAndRenaming is what the chase being
+// Church–Rosser gives for free: the verdict depends on Σ as a set of GFDs,
+// not on the order of its list — which also renumbers G_Σ, built GFD by GFD
+// — nor on the names and numbering of pattern variables. Only Satisfiable
+// and Implied are compared: which of a conflict and a deduction ends an
+// implication run first may change with the order, and so may its Reason.
+func TestVerdictUnderPermutationAndRenaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sat := map[string]func(*gfd.Set) *SatResult{"SeqSat": SeqSat}
+	imp := map[string]func(*gfd.Set, *gfd.GFD) *ImpResult{"SeqImp": SeqImp}
+	opts := map[string]ParOptions{"p=2 TTL=1ns": {Workers: 2, TTL: time.Nanosecond}}
+	for _, p := range []int{1, 2, 4} {
+		opts[fmt.Sprintf("p=%d", p)] = DefaultParOptions(p)
+	}
+	for name, opt := range opts {
+		sat["ParSat "+name] = func(s *gfd.Set) *SatResult { return ParSat(s, opt) }
+		imp["ParImp "+name] = func(s *gfd.Set, phi *gfd.GFD) *ImpResult { return ParImp(s, phi, opt) }
+	}
+	variants := func(set *gfd.Set) map[string]*gfd.Set {
+		return map[string]*gfd.Set{
+			"permuted":             permuteSet(rng, set),
+			"renamed":              renameSet(rng, set),
+			"permuted and renamed": renameSet(rng, permuteSet(rng, set)),
+		}
+	}
+
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, conflicts := range []int{0, 1, 3} {
+			set := gen.New(gen.Config{N: 60, K: 4, L: 3, Conflicts: conflicts, Seed: seed}).Set()
+			vs := variants(set)
+			for name, run := range sat {
+				want := run(set)
+				if want.Err != nil || want.Satisfiable != (conflicts == 0) {
+					t.Fatalf("seed %d, conflicts=%d, %s: satisfiable %v (err %v) on gen's Σ",
+						seed, conflicts, name, want.Satisfiable, want.Err)
+				}
+				for vname, v := range vs {
+					if got := run(v); got.Err != nil || got.Satisfiable != want.Satisfiable {
+						t.Errorf("seed %d, conflicts=%d, %s, %s Σ: satisfiable %v (err %v), want %v",
+							seed, conflicts, name, vname, got.Satisfiable, got.Err, want.Satisfiable)
+					}
+				}
+			}
+		}
+
+		gr := gen.New(gen.Config{N: 80, K: 4, L: 3, Seed: seed})
+		sigma, chain := gr.ImpInstance(4)
+		vs := variants(sigma)
+		for _, tc := range []struct {
+			phi     *gfd.GFD
+			implied bool
+		}{{chain, false}, {gr.ImpliedGFD(sigma), true}, {gr.NonImpliedGFD(), false}} {
+			renamed := renameGFD(rng, tc.phi)
+			for name, run := range imp {
+				if want := run(sigma, tc.phi); want.Err != nil || want.Implied != tc.implied {
+					t.Fatalf("seed %d, %s, %s: implied %v (err %v) on gen's instance, want %v",
+						seed, tc.phi.Name, name, want.Implied, want.Err, tc.implied)
+				}
+				for vname, v := range vs {
+					if got := run(v, renamed); got.Err != nil || got.Implied != tc.implied {
+						t.Errorf("seed %d, %s, %s, %s Σ and renamed φ: implied %v (err %v), want %v",
+							seed, tc.phi.Name, name, vname, got.Implied, got.Err, tc.implied)
+					}
+				}
+			}
+		}
+	}
+}
+
+// permuteSet lists Σ's GFDs in a random order.
+func permuteSet(rng *rand.Rand, set *gfd.Set) *gfd.Set {
+	out := gfd.NewSet()
+	for _, i := range rng.Perm(set.Len()) {
+		out.Add(set.GFDs[i])
+	}
+	return out
+}
+
+func renameSet(rng *rand.Rand, set *gfd.Set) *gfd.Set {
+	out := gfd.NewSet()
+	for _, phi := range set.GFDs {
+		out.Add(renameGFD(rng, phi))
+	}
+	return out
+}
+
+// renameGFD renames every variable of φ: variable v becomes variable
+// perm[v] under a fresh name, and the pattern lists its edges in a random
+// order.
+func renameGFD(rng *rand.Rand, phi *gfd.GFD) *gfd.GFD {
+	p := phi.Pattern
+	perm := rng.Perm(p.NumVars())
+	old := make([]pattern.Var, len(perm))
+	for v, w := range perm {
+		old[w] = pattern.Var(v)
+	}
+	q := pattern.New()
+	for w, v := range old {
+		q.AddVar(fmt.Sprintf("r%d", w), p.Label(v))
+	}
+	edges := p.Edges()
+	for _, i := range rng.Perm(len(edges)) {
+		q.AddEdge(pattern.Var(perm[edges[i].From]), pattern.Var(perm[edges[i].To]), edges[i].Label)
+	}
+	rename := func(ls []gfd.Literal) []gfd.Literal {
+		out := make([]gfd.Literal, len(ls))
+		for i, l := range ls {
+			l.X = pattern.Var(perm[l.X])
+			if l.Kind == gfd.VarLiteral {
+				l.Y = pattern.Var(perm[l.Y])
+			}
+			out[i] = l
+		}
+		return out
+	}
+	return gfd.MustNew(phi.Name, q, rename(phi.X), rename(phi.Y))
+}

@@ -204,13 +204,10 @@ func (e *parEngine) buildUnits() error {
 
 // groupOrder returns the pattern groups in scheduling order: each group
 // stands where its first member does in the GFD-level dependency order of
-// Section V-B (depgraph.OrderGFDs), the groups whose first member has the
-// highest priority — e.high, or an empty antecedent — ahead of the rest.
+// Section V-B (depgraph.OrderGFDs), which already puts empty antecedents
+// first; with e.high set, the groups whose first member it names go ahead
+// of the rest.
 func (e *parEngine) groupOrder() []int {
-	isHigh := e.high
-	if isHigh == nil {
-		isHigh = func(gi int) bool { return len(e.set.GFDs[gi].X) == 0 }
-	}
 	groupOf := make([]int, e.set.Len()) // first member → group + 1
 	for i, grp := range e.groups {
 		groupOf[grp.Members[0]] = i + 1
@@ -221,7 +218,7 @@ func (e *parEngine) groupOrder() []int {
 		if i < 0 {
 			continue // not a group's first member
 		}
-		if isHigh(gi) {
+		if e.high != nil && e.high(gi) {
 			high = append(high, i)
 		} else {
 			rest = append(rest, i)

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -216,4 +218,76 @@ func TestCompactSharded(t *testing.T) {
 	if !idsEqual(CandidateNodes(s, Wildcard), want) {
 		t.Fatalf("resharded candidates diverge from remapped originals")
 	}
+}
+
+// FuzzCompact holds Compact to its remap: after FuzzRefreeze's updates and a
+// refreeze, every live node answers Label, Attrs, its rows and its candidate
+// membership under its new ID as it did under its old one, a dead slot maps
+// to InvalidNode, and the remap is monotone. A snapshot without tombstones
+// compacts to itself with a nil remap.
+func FuzzCompact(f *testing.F) {
+	f.Add([]byte{})                       // no tombstones: a nil remap
+	f.Add([]byte{1, 0, 1, 0, 4, 2, 1, 1}) // edits, still no tombstone
+	var allDead []byte
+	for v := byte(0); v < 10; v++ {
+		allDead = append(allDead, 3, v, 0, 0)
+	}
+	f.Add(allDead)
+	// A dead hub: five edges at node 0, then node 0 removed.
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 1, 1, 3, 0, 2, 1, 4, 0, 0, 1, 0, 5, 1, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mirror, base := fuzzBase()
+		d := NewDelta(base)
+		applyFuzzOps(data, mirror, d, func() {})
+		snap := base.Refreeze(d)
+		compacted, remap := snap.Compact()
+		if remap == nil {
+			if snap.LiveNodes() != snap.NumNodes() || compacted != snap {
+				t.Fatalf("nil remap for %d of %d live nodes, or a new snapshot", snap.LiveNodes(), snap.NumNodes())
+			}
+			return
+		}
+		if len(remap) != snap.NumNodes() || compacted.NumNodes() != snap.LiveNodes() || compacted.NumEdges() != snap.NumEdges() {
+			t.Fatalf("remap of %d slots, %d→%d nodes, %d→%d edges", len(remap),
+				snap.NumNodes(), compacted.NumNodes(), snap.NumEdges(), compacted.NumEdges())
+		}
+		through := func(ids []NodeID) []NodeID {
+			out := make([]NodeID, len(ids))
+			for i, v := range ids {
+				out[i] = remap.Of(v)
+			}
+			return out
+		}
+		next := NodeID(0)
+		for v := NodeID(0); int(v) < snap.NumNodes(); v++ {
+			if !snap.Alive(v) {
+				if remap[v] != InvalidNode {
+					t.Fatalf("dead slot %d remaps to %d", v, remap[v])
+				}
+				continue
+			}
+			w := remap[v]
+			if w != next {
+				t.Fatalf("live node %d remaps to %d, want %d (monotone, dense)", v, w, next)
+			}
+			next++
+			if compacted.Label(w) != snap.Label(v) || !maps.Equal(compacted.Attrs(w), snap.Attrs(v)) {
+				t.Fatalf("node %d→%d: label %q, attrs %v; want %q, %v", v, w,
+					compacted.Label(w), compacted.Attrs(w), snap.Label(v), snap.Attrs(v))
+			}
+			for _, l := range append(slices.Clip(fuzzEdgeLabels), "absent") {
+				if got, want := outByLabel(compacted, w, l), through(outByLabel(snap, v, l)); !idsEqual(got, want) {
+					t.Fatalf("node %d→%d: out-row %q = %v, want %v", v, w, l, got, want)
+				}
+				if got, want := inByLabel(compacted, w, l), through(inByLabel(snap, v, l)); !idsEqual(got, want) {
+					t.Fatalf("node %d→%d: in-row %q = %v, want %v", v, w, l, got, want)
+				}
+			}
+		}
+		for _, l := range append(slices.Clip(fuzzNodeLabels), "absent") {
+			if got, want := CandidateNodes(compacted, l), through(CandidateNodes(snap, l)); !idsEqual(got, want) {
+				t.Fatalf("candidates %q = %v, want %v", l, got, want)
+			}
+		}
+	})
 }

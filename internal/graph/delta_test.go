@@ -265,10 +265,6 @@ func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 // from the base, and from a snapshot taken halfway through the stream: that
 // is the seed set incremental revalidation trusts, chained calls included.
 func FuzzRefreeze(f *testing.F) {
-	// The base uses the first four labels of each list; "d" and "h" are new.
-	nodeLabels := []string{"a", "b", "c", Wildcard, "d"}
-	edgeLabels := []string{"e", "f", "g", Wildcard, "h"}
-	removeLabels := append(slices.Clip(edgeLabels), "absent")
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 0})                            // one edge at the front, clean tail
 	f.Add([]byte{0, 4, 0, 0, 1, 12, 0, 4, 4, 3, 1, 2})   // new node and label, attribute
@@ -277,55 +273,75 @@ func FuzzRefreeze(f *testing.F) {
 	f.Add([]byte{1, 2, 7, 0, 3, 7, 0, 0, 5, 2, 7, 0})    // an added edge at a removed node, then removed
 	f.Add([]byte{5, 0, 1, 4, 5, 3, 3, 3, 3, 0, 0, 0})    // arbitrary removals: new label, absent edges
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mirror, base := buildBoth(11, 10, 30, nodeLabels[:4], edgeLabels[:4])
+		mirror, base := fuzzBase()
 		d := NewDelta(base)
-		ops := min(len(data)/4, 64)
 		mid, midVersion := base, 0
-		for i := 0; i < 4*ops; i += 4 {
-			if i == 4*(ops/2) {
-				mid, midVersion = d.Overlay(), d.Version()
-			}
-			op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
-			u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())
-			switch op {
-			case 0:
-				l := nodeLabels[int(a)%len(nodeLabels)]
-				mirror.AddNode(l)
-				d.AddNode(l)
-			case 1:
-				if mirror.Alive(u) && mirror.Alive(v) {
-					l := edgeLabels[int(c)%len(edgeLabels)]
-					mirror.AddEdge(u, v, l)
-					d.AddEdge(u, v, l)
-				}
-			case 2:
-				if es := mirror.Out(u); len(es) > 0 {
-					e := es[int(b)%len(es)]
-					mirror.RemoveEdge(e.From, e.To, e.Label)
-					d.RemoveEdge(e.From, e.To, e.Label)
-				}
-			case 3:
-				mirror.RemoveNode(u)
-				d.RemoveNode(u)
-			case 4:
-				if mirror.Alive(u) {
-					k, val := fmt.Sprintf("a%d", b%3), fmt.Sprintf("u%d", c%4)
-					mirror.SetAttr(u, k, val)
-					d.SetAttr(u, k, val)
-				}
-			case 5:
-				l := removeLabels[int(c)%len(removeLabels)]
-				mirror.RemoveEdge(u, v, l)
-				d.RemoveEdge(u, v, l)
-			}
-		}
+		applyFuzzOps(data, mirror, d, func() { mid, midVersion = d.Overlay(), d.Version() })
 		refrozen := base.Refreeze(d)
 		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), refrozen,
-			nodeLabels, edgeLabels)
+			fuzzNodeLabels, fuzzEdgeLabels)
 
 		checkTouched(t, fmt.Sprintf("delta=%v since the base", d), base, refrozen, d.TouchedSince(0))
 		checkTouched(t, fmt.Sprintf("delta=%v since version %d", d, midVersion), mid, refrozen, d.TouchedSince(midVersion))
 	})
+}
+
+// The update fuzzers' base uses the first four labels of each list; "d" and
+// "h" are new.
+var (
+	fuzzNodeLabels = []string{"a", "b", "c", Wildcard, "d"}
+	fuzzEdgeLabels = []string{"e", "f", "g", Wildcard, "h"}
+)
+
+// fuzzBase is the update fuzzers' base, frozen and as an editable mirror.
+func fuzzBase() (*Graph, *Frozen) {
+	return buildBoth(11, 10, 30, fuzzNodeLabels[:4], fuzzEdgeLabels[:4])
+}
+
+// applyFuzzOps applies FuzzRefreeze's encoding of data to d and its mirror:
+// each 4-byte group is one update, at most 64 of them. halfway runs before
+// the middle one.
+func applyFuzzOps(data []byte, mirror *Graph, d *Delta, halfway func()) {
+	removeLabels := append(slices.Clip(fuzzEdgeLabels), "absent")
+	ops := min(len(data)/4, 64)
+	for i := 0; i < 4*ops; i += 4 {
+		if i == 4*(ops/2) {
+			halfway()
+		}
+		op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
+		u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())
+		switch op {
+		case 0:
+			l := fuzzNodeLabels[int(a)%len(fuzzNodeLabels)]
+			mirror.AddNode(l)
+			d.AddNode(l)
+		case 1:
+			if mirror.Alive(u) && mirror.Alive(v) {
+				l := fuzzEdgeLabels[int(c)%len(fuzzEdgeLabels)]
+				mirror.AddEdge(u, v, l)
+				d.AddEdge(u, v, l)
+			}
+		case 2:
+			if es := mirror.Out(u); len(es) > 0 {
+				e := es[int(b)%len(es)]
+				mirror.RemoveEdge(e.From, e.To, e.Label)
+				d.RemoveEdge(e.From, e.To, e.Label)
+			}
+		case 3:
+			mirror.RemoveNode(u)
+			d.RemoveNode(u)
+		case 4:
+			if mirror.Alive(u) {
+				k, val := fmt.Sprintf("a%d", b%3), fmt.Sprintf("u%d", c%4)
+				mirror.SetAttr(u, k, val)
+				d.SetAttr(u, k, val)
+			}
+		case 5:
+			l := removeLabels[int(c)%len(removeLabels)]
+			mirror.RemoveEdge(u, v, l)
+			d.RemoveEdge(u, v, l)
+		}
+	}
 }
 
 // checkTouched fails unless touched holds every node whose attributes or

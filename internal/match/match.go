@@ -612,28 +612,6 @@ func (s *Search) covers(v pattern.Var, n graph.NodeID) bool {
 	return s.g.CoversIDs(n, s.vars[v].sigOut, s.vars[v].sigIn)
 }
 
-// hasEdgeListMax is the label-filtered adjacency length up to which the
-// indexed edge test scans the list (sequential integer compares, no
-// hashing) instead of probing the O(1) edge set. Scanning a cache-resident
-// int slice beats hashing a 20-byte struct key well past a few dozen
-// entries; the hash set remains the asymptotic guarantee for hub nodes.
-const hasEdgeListMax = 64
-
-// hasEdge tests a data edge by scanning the (short) label-filtered
-// adjacency list, falling back to the integer-keyed hash set for fat lists.
-func (s *Search) hasEdge(from, to graph.NodeID, id graph.LabelID) bool {
-	list := s.g.OutByLabelID(from, id)
-	if len(list) <= hasEdgeListMax {
-		for _, t := range list {
-			if t == to {
-				return true
-			}
-		}
-		return false
-	}
-	return s.g.HasEdgeID(from, to, id)
-}
-
 // consistent checks that mapping v→n preserves v's label and every pattern
 // edge between v and an already-assigned variable (including self-loops).
 // It validates the seed; open frames are verified list-at-a-time by
@@ -653,7 +631,7 @@ func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
 				continue
 			}
 		}
-		if !s.hasEdge(n, target, s.vars[v].outIDs[ei]) {
+		if !s.g.HasEdgeID(n, target, s.vars[v].outIDs[ei]) {
 			return false
 		}
 	}
@@ -666,7 +644,7 @@ func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
 		if src == graph.InvalidNode {
 			continue
 		}
-		if !s.hasEdge(src, n, s.vars[v].inIDs[ei]) {
+		if !s.g.HasEdgeID(src, n, s.vars[v].inIDs[ei]) {
 			return false
 		}
 	}

@@ -1,14 +1,14 @@
-// Fixtures for the mutatorerr analyzer: dropped error returns from the
-// graph persistence APIs are flagged; checked errors and non-guarded
-// packages are not.
-package mutatorerr
+// Package droppederr is the fixture of TestNoDroppedGraphError: a line with
+// a want comment must be flagged with that text, every other line must not.
+// It is type-checked against the real internal/graph.
+package droppederr
 
 import (
 	"bytes"
 	"fmt"
 	"os"
 
-	"fixtures/graph"
+	"repro/internal/graph"
 )
 
 func droppedStatements(w *graph.WAL, f *graph.Frozen, buf *bytes.Buffer) {
@@ -22,7 +22,7 @@ func blankAssigns(w *graph.WAL, base *graph.Frozen, buf *bytes.Buffer) *graph.De
 
 	d, _, _ := graph.Recover(base, buf) // want "error result of graph.Recover is discarded with _"
 
-	// Parallel assignment with a guarded call on the rhs.
+	// Parallel assignment with a guarded call on the right.
 	var n int
 	n, _ = 1, w.Sync() // want "error result of graph.WAL.Sync is discarded with _"
 	_ = n
@@ -34,7 +34,7 @@ func goAndDefer(w *graph.WAL) {
 	defer w.Close() // want "error result of graph.WAL.Close is dropped by the deferred call"
 }
 
-// Checked errors are the contract being enforced; none of these flag.
+// Checked errors are the rule; none of these is flagged.
 func checkedErrors(base *graph.Frozen, buf *bytes.Buffer) error {
 	w, err := graph.OpenWAL("wal.log", graph.NewDelta(base))
 	if err != nil {
@@ -49,14 +49,14 @@ func checkedErrors(base *graph.Frozen, buf *bytes.Buffer) error {
 	return w.Close()
 }
 
-// Only graph/gfdio errors are guarded: dropping errors from other packages
-// is left to general-purpose tools.
+// Only graph and gfdio errors are guarded: other packages' are left to
+// general-purpose tools.
 func otherPackagesNotGuarded(f *os.File) {
 	fmt.Fprintln(os.Stdout, "x")
 	f.Close()
 }
 
-// Error-free graph calls in statement position are fine.
+// A graph call with no error result may be a statement.
 func noErrorResult(d *graph.Delta) {
 	d.AddEdge(1, 2, "knows")
 }
