@@ -406,10 +406,14 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 // SimulateWorkload builds the simulation pre-pass's input as ParSat sees it:
 // the pattern groups of a DBpedia-profile Σ of n rules (K=6, L=5, wildcard
 // rate 0.3 — the shape of the end-to-end benchmark's sat-dbpedia family) and
-// its canonical graph G_Σ, as the snapshot the engines search.
-func SimulateWorkload(n int, seed int64) ([]gfd.Group, *graph.Frozen) {
+// its canonical graph G_Σ with the index its scopes come from. The snapshot
+// the engines search is built here, once, as ParSat builds it before the
+// pass.
+func SimulateWorkload(n int, seed int64) ([]gfd.Group, *canon.Sigma) {
 	set := satSigma(n, seed)
-	return set.Groups(), canon.BuildSigma(set).Graph.Frozen()
+	cs := canon.BuildSigma(set)
+	cs.Graph.Frozen()
+	return set.Groups(), cs
 }
 
 // satSigma generates the Σ shape of the end-to-end benchmark's sat-dbpedia
@@ -419,13 +423,13 @@ func satSigma(n int, seed int64) *gfd.Set {
 }
 
 // SimulateSigma runs the pre-pass over every group through one shared
-// Simulator — what a ParSat worker does — and returns the number of groups
-// that passed.
-func SimulateSigma(groups []gfd.Group, g graph.Reader) int {
-	sim := match.NewSimulator(g)
+// Simulator, each group started from its scope in G_Σ — what a ParSat
+// worker does — and returns the number of groups that passed.
+func SimulateSigma(groups []gfd.Group, cs *canon.Sigma) int {
+	sim := match.NewSimulator(cs.Graph.Frozen())
 	passed := 0
 	for _, grp := range groups {
-		if sim.Simulate(grp.Pattern) != nil {
+		if base, ok := cs.Scope(grp.Pattern); ok && sim.Simulate(grp.Pattern, base) != nil {
 			passed++
 		}
 	}

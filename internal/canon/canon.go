@@ -4,6 +4,8 @@
 package canon
 
 import (
+	"slices"
+
 	"repro/internal/eq"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -17,20 +19,92 @@ import (
 type Sigma struct {
 	Graph *graph.Graph
 	// Offset[i] maps pattern variables of Σ.GFDs[i] into Graph node IDs:
-	// node = Offset[i] + NodeID(var).
+	// node = Offset[i] + NodeID(var). One more entry, Offset[len(Σ)], is the
+	// node count, so copy i spans Offset[i] to Offset[i+1].
 	Offset []graph.NodeID
 	Set    *gfd.Set
+	// hosts indexes the copies' edges for Scope; label holds each node's
+	// label in hosts' interning.
+	hosts hostIndex
+	label []uint32
 }
 
-// BuildSigma constructs G_Σ. The graph is built once and only read after:
-// the engines search its Frozen snapshot.
+// BuildSigma constructs G_Σ and the index Scope reads. The graph is built
+// once and only read after: the engines search its Frozen snapshot.
 func BuildSigma(set *gfd.Set) *Sigma {
-	g := graph.New()
-	offsets := make([]graph.NodeID, set.Len())
+	s := &Sigma{Graph: graph.New(), Offset: make([]graph.NodeID, set.Len()+1), Set: set}
+	s.hosts.init()
 	for i, phi := range set.GFDs {
-		offsets[i] = phi.Pattern.AppendTo(g)
+		p := phi.Pattern
+		s.Offset[i] = p.AppendTo(s.Graph)
+		for v := 0; v < p.NumVars(); v++ {
+			s.label = append(s.label, s.hosts.intern(p.Label(pattern.Var(v))))
+		}
+		s.hosts.add(int32(i), p)
 	}
-	return &Sigma{Graph: g, Offset: offsets, Set: set}
+	s.Offset[set.Len()] = graph.NodeID(len(s.label))
+	s.hosts.finish(set.Len())
+	return s
+}
+
+// Scope returns, per variable of p, the G_Σ nodes the variable can match:
+// the label-compatible nodes of the copies that can host its component, in
+// ascending order. A match of a connected pattern lies inside one copy, and
+// a copy hosts a component when it holds a compatible edge for every edge of
+// it; so a search rooted at scope[v] (match.Options.RootCandidates), or a
+// simulation started from it, finds what one started from the whole label
+// index finds. A variable whose component has no edge gets nil: its scope is
+// the label index. Given vars, only those variables get a list. ok is false
+// when some component has no host, so p has no match in G_Σ. Variables with
+// one label may share one list, so the lists are read-only. Scope only reads
+// s and may be called concurrently.
+func (s *Sigma) Scope(p *pattern.Pattern, vars ...pattern.Var) (scope [][]graph.NodeID, ok bool) {
+	comps := p.Components()
+	hosts := make([][]int32, len(comps))
+	size := 0 // the host nodes: what a wildcard variable gets
+	for i, comp := range comps {
+		var edged bool
+		if hosts[i], edged = s.hosts.hosts(p, comp); edged && len(hosts[i]) == 0 {
+			return nil, false
+		}
+		for _, c := range hosts[i] {
+			size += int(s.Offset[c+1] - s.Offset[c])
+		}
+	}
+	scope = make([][]graph.NodeID, p.NumVars())
+	// The lists are appended one after another to nodes. A list already
+	// handed out keeps the array it was cut from when nodes grows.
+	nodes := make([]graph.NodeID, 0, size)
+	for i, comp := range comps {
+		if hosts[i] == nil {
+			continue
+		}
+		for j, v := range comp {
+			if len(vars) > 0 && !slices.Contains(vars, v) {
+				continue
+			}
+			// Every variable here has an edge, so a concrete label is
+			// interned; the wildcard is 0 and matches every node.
+			want := s.hosts.labels[p.Label(v)]
+			if k := slices.IndexFunc(comp[:j], func(u pattern.Var) bool {
+				return scope[u] != nil && s.hosts.labels[p.Label(u)] == want
+			}); k >= 0 {
+				scope[v] = scope[comp[k]]
+				continue
+			}
+			start := len(nodes)
+			for _, c := range hosts[i] {
+				first := s.Offset[c]
+				for k, l := range s.label[first:s.Offset[c+1]] {
+					if want == 0 || l == want {
+						nodes = append(nodes, first+graph.NodeID(k))
+					}
+				}
+			}
+			scope[v] = nodes[start:len(nodes):len(nodes)]
+		}
+	}
+	return scope, true
 }
 
 // NodeOf returns the G_Σ node that pattern variable v of Σ.GFDs[i] denotes.
@@ -85,6 +159,8 @@ type Phi struct {
 	GFD *gfd.GFD
 	// y is φ's consequent resolved against EqX, for YDeduced.
 	y []Lit
+	// hosts indexes Q's edges for Admits.
+	hosts hostIndex
 }
 
 // BuildPhi constructs G^X_Q with Eq_X.
@@ -102,7 +178,11 @@ func BuildPhi(phi *gfd.GFD) *Phi {
 	// Drain the construction log: Eq_X is the starting point replicated to
 	// every worker, not a delta to broadcast.
 	e.TakeDelta()
-	return &Phi{Graph: g, EqX: e, GFD: phi, y: ResolveLits(e, phi.Y)}
+	cp := &Phi{Graph: g, EqX: e, GFD: phi, y: ResolveLits(e, phi.Y)}
+	cp.hosts.init()
+	cp.hosts.add(0, phi.Pattern)
+	cp.hosts.finish(1)
+	return cp
 }
 
 // YDeduced reports whether Y ⊆ Eq_H: every consequent literal of φ is
@@ -152,38 +232,25 @@ func (p *Phi) Applicable(set *gfd.Set) *gfd.Set {
 
 // Admits reports whether psi passes a necessary condition for having a
 // match in G^X_Q: every variable has a label-compatible node of Q and every
-// edge a compatible (from-label, edge-label, to-label) edge of Q. Q's labels
-// are read as the data labels BuildPhi made of them, so a '_' of Q is matched
-// by a pattern '_' only. A pattern that passes may still have no match (the
+// edge a compatible (from-label, edge-label, to-label) edge of Q — Q hosts
+// psi in the sense of Sigma.Scope, with Q as the one copy. Q's labels are
+// read as the data labels BuildPhi made of them, so a '_' of Q is matched by
+// a pattern '_' only. A pattern that passes may still have no match (the
 // condition looks at each edge alone), which the search then finds out. It
 // reads only psi's variables and edges, so psi may be unfrozen.
 func (p *Phi) Admits(psi *pattern.Pattern) bool {
 	q := p.GFD.Pattern
-	nodeIn := func(label string) bool {
-		for v := 0; v < q.NumVars(); v++ {
-			if pattern.LabelMatches(label, q.Label(pattern.Var(v))) {
-				return true
-			}
-		}
-		return false
-	}
-	edgeIn := func(e pattern.Edge) bool {
-		for _, d := range q.Edges() {
-			if pattern.LabelMatches(e.Label, d.Label) &&
-				pattern.LabelMatches(psi.Label(e.From), q.Label(d.From)) &&
-				pattern.LabelMatches(psi.Label(e.To), q.Label(d.To)) {
-				return true
-			}
-		}
-		return false
-	}
 	for v := 0; v < psi.NumVars(); v++ {
-		if !nodeIn(psi.Label(pattern.Var(v))) {
+		label, in := psi.Label(pattern.Var(v)), false
+		for u := 0; u < q.NumVars() && !in; u++ {
+			in = pattern.LabelMatches(label, q.Label(pattern.Var(u)))
+		}
+		if !in {
 			return false
 		}
 	}
 	for _, e := range psi.Edges() {
-		if !edgeIn(e) {
+		if p.hosts.lookup(psi, e) < 0 {
 			return false
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/canon"
+	"repro/internal/eq"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/gfdio"
@@ -376,6 +377,76 @@ func TestVerdictUnderPermutationAndRenaming(t *testing.T) {
 	}
 }
 
+// TestFinalEqUnderPermutationAndRenaming is the Church–Rosser property at
+// the fixpoint itself, not only the verdict: on a satisfiable Σ, the final Eq
+// of SeqSat and of ParSat holds the same terms in the same classes with the
+// same constants after Σ's list is permuted and every pattern's variables
+// renumbered, when the terms are read back through Sigma.NodeOf. Both change
+// G_Σ's numbering, and with it every pattern's host copies.
+func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	engines := map[string]func(*gfd.Set) *SatResult{
+		"SeqSat":     SeqSat,
+		"ParSat p=1": func(s *gfd.Set) *SatResult { return ParSat(s, DefaultParOptions(1)) },
+		"ParSat p=2": func(s *gfd.Set) *SatResult { return ParSat(s, DefaultParOptions(2)) },
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		set := gen.New(gen.Config{N: 60, K: 4, L: 3, WildcardRate: 0.3, Seed: seed}).Set()
+		order := rng.Perm(set.Len())
+		variant := gfd.NewSet()
+		perms := make([][]int, set.Len())
+		for _, i := range order {
+			phi, perm := renumberGFD(rng, set.GFDs[i])
+			variant.Add(phi)
+			perms[i] = perm
+		}
+		// node maps G_Σ of set onto G_Σ of variant.
+		cs, cv := canon.BuildSigma(set), canon.BuildSigma(variant)
+		node := make([]graph.NodeID, cs.Graph.NumNodes())
+		for at, i := range order {
+			for v, w := range perms[i] {
+				node[cs.NodeOf(i, pattern.Var(v))] = cv.NodeOf(at, pattern.Var(w))
+			}
+		}
+		moved := func(t eq.Term) eq.Term { return eq.Term{Node: node[t.Node], Attr: t.Attr} }
+		for name, run := range engines {
+			a, b := run(set), run(variant)
+			if a.Err != nil || b.Err != nil || !a.Satisfiable || !b.Satisfiable {
+				t.Fatalf("seed %d, %s: satisfiable %v/%v (err %v/%v), want a satisfiable Σ", seed, name, a.Satisfiable, b.Satisfiable, a.Err, b.Err)
+			}
+			ea, eb := a.witness.eq, b.witness.eq
+			terms := ea.AllTerms()
+			if n := len(eb.AllTerms()); n != len(terms) || n == 0 {
+				t.Fatalf("seed %d, %s: %d terms, %d after permuting and renaming", seed, name, len(terms), n)
+			}
+			joined := 0 // terms in the class of an earlier term
+			for i, u := range terms {
+				mu := moved(u)
+				ca, oka := ea.Const(u)
+				cb, okb := eb.Const(mu)
+				if !eb.Has(mu) || ca != cb || oka != okb {
+					t.Fatalf("seed %d, %s: term %v (const %q %v) is %v (present %v, const %q %v) after permuting and renaming",
+						seed, name, u, ca, oka, mu, eb.Has(mu), cb, okb)
+				}
+				same := false
+				for _, w := range terms[:i] {
+					if ea.Same(u, w) != eb.Same(mu, moved(w)) {
+						t.Fatalf("seed %d, %s: %v ~ %v is %v, but %v after permuting and renaming", seed, name, u, w, ea.Same(u, w), !ea.Same(u, w))
+					}
+					same = same || ea.Same(u, w)
+				}
+				if same {
+					joined++
+				}
+			}
+			if joined == 0 {
+				t.Fatalf("seed %d, %s: no two of %d terms share a class: the partition is not tested", seed, name, len(terms))
+			}
+			t.Logf("seed %d, %s: %d terms, %d in an earlier term's class", seed, name, len(terms), joined)
+		}
+	}
+}
+
 // permuteSet lists Σ's GFDs in a random order.
 func permuteSet(rng *rand.Rand, set *gfd.Set) *gfd.Set {
 	out := gfd.NewSet()
@@ -397,6 +468,12 @@ func renameSet(rng *rand.Rand, set *gfd.Set) *gfd.Set {
 // perm[v] under a fresh name, and the pattern lists its edges in a random
 // order.
 func renameGFD(rng *rand.Rand, phi *gfd.GFD) *gfd.GFD {
+	renamed, _ := renumberGFD(rng, phi)
+	return renamed
+}
+
+// renumberGFD is renameGFD, also returning perm.
+func renumberGFD(rng *rand.Rand, phi *gfd.GFD) (*gfd.GFD, []int) {
 	p := phi.Pattern
 	perm := rng.Perm(p.NumVars())
 	old := make([]pattern.Var, len(perm))
@@ -422,5 +499,5 @@ func renameGFD(rng *rand.Rand, phi *gfd.GFD) *gfd.GFD {
 		}
 		return out
 	}
-	return gfd.MustNew(phi.Name, q, rename(phi.X), rename(phi.Y))
+	return gfd.MustNew(phi.Name, q, rename(phi.X), rename(phi.Y)), perm
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/cluster"
 	"repro/internal/depgraph"
 	"repro/internal/eq"
@@ -85,6 +86,11 @@ type parEngine struct {
 	baseEq *eq.Eq
 	goal   func(*eq.Eq) bool // nil for satisfiability; Y ⊆ Eq_H for implication
 	high   func(int) bool    // GFD indexes with the highest unit priority
+	// sigma, G_Σ for satisfiability, scopes each pattern's simulation to
+	// the GFD copies that can host it (canon.Sigma.Scope). Nil for
+	// implication: G^X_Q is one copy, and every variable starts from the
+	// label index.
+	sigma *canon.Sigma
 
 	// groups buckets Σ by pattern structure; the per-group arrays below are
 	// aligned with it. sharedGroups counts the multi-member groups for
@@ -118,8 +124,9 @@ func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader, baseEq *eq.Eq) *
 // one simulation relation, one plan, one set of units — and their X → Y
 // conclusions fan out per match in handleMatch. The pivot variable is the
 // most selective pivot among the pattern's components, and its candidates
-// are the nodes the simulation pre-filter kept. A non-nil error is the
-// pre-pass's cancellation or panic; no unit has run then.
+// are the nodes the simulation pre-filter kept; on G_Σ the simulation starts
+// from the pattern's scope. A non-nil error is the pre-pass's cancellation or panic;
+// no unit has run then.
 func (e *parEngine) buildUnits() error {
 	e.groups = e.set.Groups()
 	n := len(e.groups)
@@ -135,12 +142,10 @@ func (e *parEngine) buildUnits() error {
 	// Simulation, planning and pivot choice are per-group independent; doing
 	// them serially would be a p-independent startup phase capping the
 	// speedup (Amdahl), so they are spread over the same p workers and only
-	// the concatenation of the unit lists below is serial. Each worker fills
-	// its own Simulator as it goes — no lock, and no extra pool phase for a
-	// shared seed table, which a run on a six-node G^X_Q would pay at
-	// start-up for nothing. The context is polled between groups: on a large
-	// Σ this pass is a sizeable share of the run, and a deadline must not
-	// wait it out.
+	// the concatenation of the unit lists below is serial. Each worker keeps
+	// its own Simulator for its scratch buffers. The context is polled
+	// between groups: on a large Σ this pass is a sizeable share of the run,
+	// and a deadline must not wait it out.
 	simulators := make([]*match.Simulator, e.pool.size())
 	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(w, i int) error {
 		if err := e.ctx.Err(); err != nil {
@@ -153,7 +158,14 @@ func (e *parEngine) buildUnits() error {
 			simulators[w] = match.NewSimulator(e.g)
 		}
 		pat := e.groups[i].Pattern
-		sim := simulators[w].Simulate(pat)
+		var base [][]graph.NodeID
+		if e.sigma != nil {
+			var ok bool
+			if base, ok = e.sigma.Scope(pat); !ok {
+				return nil // no copy of Σ hosts it: no units
+			}
+		}
+		sim := simulators[w].Simulate(pat, base)
 		if sim == nil {
 			return nil // no match anywhere: no units
 		}

@@ -17,7 +17,9 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
-	con, _, final, stats, err := newParEngine(opt, set, cs.Graph.Frozen(), eq.New()).run()
+	eng := newParEngine(opt, set, cs.Graph.Frozen(), eq.New())
+	eng.sigma = cs
+	con, _, final, stats, err := eng.run()
 	if err != nil {
 		return &SatResult{Err: err, Stats: stats}
 	}

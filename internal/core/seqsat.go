@@ -7,6 +7,7 @@ import (
 	"repro/internal/gfd"
 	"repro/internal/graph"
 	"repro/internal/match"
+	"repro/internal/pattern"
 )
 
 // SatResult reports the outcome of a satisfiability check.
@@ -85,8 +86,8 @@ func SeqSat(set *gfd.Set) *SatResult {
 	// (Church–Rosser), ordering just reduces re-checks.
 	order := depgraph.OrderGFDs(set)
 	for _, gi := range order {
-		s := match.NewSearch(set.GFDs[gi].Pattern, g, match.Options{})
-		for {
+		s := sigmaSearch(cs, set.GFDs[gi].Pattern, g)
+		for s != nil {
 			h, ok := s.Next()
 			if !ok {
 				break
@@ -100,4 +101,19 @@ func SeqSat(set *gfd.Set) *SatResult {
 		return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
 	}
 	return satisfiable(cs.Graph, enf.eq, set, enf.stats)
+}
+
+// sigmaSearch returns the search SeqSat runs for p on g, the Frozen of cs:
+// the default order, with the root variable drawing only on the nodes of the
+// GFD copies that can host its component (canon.Sigma.Scope). The matches
+// and their order are those of a search rooted in the whole label index,
+// whose other roots lead nowhere. It returns nil when p has no match in G_Σ
+// because some component has no host.
+func sigmaSearch(cs *canon.Sigma, p *pattern.Pattern, g graph.Reader) *match.Search {
+	order := match.DefaultOrder(p)
+	scope, ok := cs.Scope(p, order[0])
+	if !ok {
+		return nil
+	}
+	return match.NewSearch(p, g, match.Options{Order: order, RootCandidates: scope[order[0]]})
 }

@@ -272,7 +272,7 @@ func TestViolationsAllocsIndependentOfMatches(t *testing.T) {
 // matches in an arena, so a lone-worker ParSat or a SeqSat call allocates in
 // proportion to |Σ| and its pattern groups — G_Σ, simulation, plans,
 // searches, the enforcer's tables — not to the matches it enumerates, which
-// on this Σ outnumber the bound. Both engines make 30–33 allocations per
+// on this Σ outnumber the bound. Both engines make 27–32 allocations per
 // GFD and group, so a bound of 48 leaves room for a toolchain that
 // allocates more and none for a per-match copy: even a match Clone the
 // compiler keeps on the stack for most matches (ParSat p=1 at 85 k) does

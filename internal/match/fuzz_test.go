@@ -119,9 +119,9 @@ func shapeFromBytes(b []byte, max int) (labels []string, edges [][3]int) {
 
 // FuzzSimulate pins the simulation pre-pass to its definition on arbitrary
 // small pattern × graph pairs, on the mutable graph and its Frozen snapshot:
-// a Simulator's relation equals oracle.Simulation — on a first call, which
-// builds the seeds, and on a second, which reads them back from the memo —
-// and every homomorphism oracle.Matches finds lies inside it (the property
+// a Simulator's relation equals oracle.Simulation — on a first call, and on
+// a second, which reuses the scratch the first left behind — and every
+// homomorphism oracle.Matches finds lies inside it (the property
 // the engine relies on when it uses Has as a search filter). CI replays the
 // seed corpus deterministically (see ci.yml); run with -fuzz=FuzzSimulate to
 // explore.
@@ -171,7 +171,7 @@ func FuzzSimulate(f *testing.F) {
 			want := oracle.Simulation(p, r)
 			m := NewSimulator(r)
 			for call := 0; call < 2; call++ {
-				sim := m.Simulate(p)
+				sim := m.Simulate(p, nil)
 				if (sim == nil) != (want == nil) {
 					t.Fatalf("%T call %d, %s: simulation exists = %v, oracle says %v", r, call, p, sim != nil, want != nil)
 				}

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"repro/internal/graph"
@@ -37,42 +36,28 @@ func (s *Sim) Nodes(v pattern.Var) []graph.NodeID { return s.nodes[v] }
 // only probe from then on.
 func (s *Sim) DropLists() { s.nodes = nil }
 
-// Simulator computes simulation relations of many patterns into one graph.
-// The rules of a set draw their variables from few (node label, adjacency
-// signature) combinations, and the refinement of a variable starts from the
-// same seed set — the label's candidates whose adjacency covers the
-// signature — whichever pattern the variable sits in. A Simulator computes
-// each distinct seed once and hands every later variable a copy, so a pass
-// over Σ costs one candidate scan per distinct key rather than one per
-// variable.
+// Simulator computes simulation relations of many patterns into one graph,
+// recycling its scratch buffers from one pattern to the next. The caller
+// picks each variable's starting set (see Simulate): on G_Σ the engines pass
+// the nodes of the copies that can host the pattern (canon.Sigma.Scope), a
+// few hundred nodes where the label index would hand a wildcard all of G_Σ.
 //
 // A Simulator is not safe for concurrent use (the parallel engine keeps one
-// per worker), and the graph must not change while it is in use: the cached
-// seeds are not revalidated.
+// per worker), and the graph must not change while it is in use.
 type Simulator struct {
 	g     graph.Reader
 	words int
-	seeds map[string]*seedSet
 
 	// Scratch recycled across calls.
-	key    []byte
-	ids    []graph.LabelID
-	idsAt  []int
-	cands  []graph.NodeID
-	seedOf []*seedSet
-}
-
-// seedSet is the refinement's starting point for one (node label,
-// out-signature, in-signature) key. Immutable once built: Simulate copies
-// it before refining.
-type seedSet struct {
-	nodes []graph.NodeID
-	bits  []uint64
+	ids   []graph.LabelID
+	idsAt []int
+	cands []graph.NodeID // every variable's seed, back to back
+	ends  []int          // where each variable's seed ends in cands
 }
 
 // NewSimulator returns a Simulator for patterns matched into g.
 func NewSimulator(g graph.Reader) *Simulator {
-	return &Simulator{g: g, words: (g.NumNodes() + 63) / 64, seeds: make(map[string]*seedSet)}
+	return &Simulator{g: g, words: (g.NumNodes() + 63) / 64}
 }
 
 // Simulate computes the graph simulation relation of pattern p into graph g
@@ -83,34 +68,44 @@ func NewSimulator(g graph.Reader) *Simulator {
 // Simulation is a necessary condition for homomorphism: if Simulate returns
 // nil there is no match of p in g, and any homomorphism maps u into sim(u).
 // The parallel algorithms use it as a pre-filter before backtracking search
-// (Section V-B, multi-query optimization). This is the one-shot form; a
-// caller with many patterns for one graph shares a Simulator.
+// (Section V-B, multi-query optimization). This is the one-shot form, with
+// every variable starting from its label's candidates; a caller with many
+// patterns for one graph shares a Simulator.
 func Simulate(p *pattern.Pattern, g graph.Reader) *Sim {
-	return NewSimulator(g).Simulate(p)
+	return NewSimulator(g).Simulate(p, nil)
 }
 
 // Simulate computes the simulation relation of p into the Simulator's graph;
-// see the package-level Simulate. The result does not alias the Simulator
+// see the package-level Simulate. Variable v's refinement starts from
+// base[v] when base and base[v] are non-nil, and from its label's candidates
+// otherwise. A base list must be ascending, label-compatible with v and hold
+// every node that simulates v; the relation is then the one the label index
+// would give. base is only read. The result does not alias the Simulator
 // and stays valid after further calls.
-func (m *Simulator) Simulate(p *pattern.Pattern) *Sim {
+func (m *Simulator) Simulate(p *pattern.Pattern, base [][]graph.NodeID) *Sim {
 	p.Freeze()
 	nv := p.NumVars()
-	m.seedOf = m.seedOf[:0]
-	total := 0
+	m.cands, m.ends = m.cands[:0], m.ends[:0]
 	for v := 0; v < nv; v++ {
-		seed := m.seed(p, pattern.Var(v))
-		if len(seed.nodes) == 0 {
+		start := len(m.cands)
+		var from []graph.NodeID
+		if base != nil {
+			from = base[v]
+		}
+		if m.cands = m.seed(m.cands, p, pattern.Var(v), from); len(m.cands) == start {
 			return nil
 		}
-		m.seedOf = append(m.seedOf, seed)
-		total += len(seed.nodes)
+		m.ends = append(m.ends, len(m.cands))
 	}
 	s := &Sim{words: m.words, bits: make([]uint64, nv*m.words), nodes: make([][]graph.NodeID, nv)}
-	slab := make([]graph.NodeID, total)
-	for v, seed := range m.seedOf {
-		n := copy(slab, seed.nodes)
-		s.nodes[v], slab = slab[:n:n], slab[n:]
-		copy(s.bits[v*m.words:], seed.bits)
+	slab := slices.Clone(m.cands)
+	start := 0
+	for v, end := range m.ends {
+		s.nodes[v] = slab[start:end:end]
+		for _, n := range s.nodes[v] {
+			s.bits[v*m.words+int(n>>6)] |= 1 << (uint(n) & 63)
+		}
+		start = end
 	}
 	// Pre-resolve every pattern edge's label ID so the fixpoint loop probes
 	// the adjacency index with integers only: variable v's out-edge IDs, then
@@ -154,13 +149,12 @@ func (m *Simulator) Simulate(p *pattern.Pattern) *Sim {
 	return s
 }
 
-// seed returns the memoised seed set of variable v of p: the label
-// candidates pre-filtered by the variable's degree/label signature. A node
-// whose adjacency cannot cover the variable's pattern edges would be refined
-// away anyway, so dropping it here shrinks the fixpoint's working set for
-// free. The key is the resolved label IDs with each signature side sorted,
-// so patterns listing the same labels in another order share the entry.
-func (m *Simulator) seed(p *pattern.Pattern, v pattern.Var) *seedSet {
+// seed appends to dst the refinement's starting set for variable v of p:
+// from, or the label's candidates when from is nil, less the nodes whose
+// adjacency cannot cover the variable's degree/label signature. Such a node
+// would be refined away anyway, so dropping it here shrinks the fixpoint's
+// working set for free.
+func (m *Simulator) seed(dst []graph.NodeID, p *pattern.Pattern, v pattern.Var, from []graph.NodeID) []graph.NodeID {
 	sig := p.Signature(v)
 	m.ids = m.ids[:0]
 	for _, l := range sig.Out {
@@ -170,33 +164,22 @@ func (m *Simulator) seed(p *pattern.Pattern, v pattern.Var) *seedSet {
 		m.ids = append(m.ids, m.g.EdgeLabelID(l))
 	}
 	sigOut, sigIn := m.ids[:len(sig.Out)], m.ids[len(sig.Out):]
-	slices.Sort(sigOut)
-	slices.Sort(sigIn)
-	m.key = binary.LittleEndian.AppendUint32(m.key[:0], uint32(m.g.NodeLabelID(p.Label(v))))
-	m.key = binary.LittleEndian.AppendUint32(m.key, uint32(len(sigOut)))
-	for _, id := range m.ids {
-		m.key = binary.LittleEndian.AppendUint32(m.key, uint32(id))
+	start := len(dst)
+	if from != nil {
+		dst = append(dst, from...)
+	} else {
+		dst = m.g.AppendCandidates(dst, p.Label(v))
 	}
-	if seed, ok := m.seeds[string(m.key)]; ok {
-		return seed
+	if len(m.ids) == 0 {
+		return dst
 	}
-	seed := &seedSet{}
-	m.cands = m.g.AppendCandidates(m.cands[:0], p.Label(v))
-	kept := m.cands[:0]
-	for _, n := range m.cands {
+	kept := dst[:start]
+	for _, n := range dst[start:] {
 		if m.g.CoversIDs(n, sigOut, sigIn) {
 			kept = append(kept, n)
 		}
 	}
-	if len(kept) > 0 {
-		seed.nodes = slices.Clone(kept)
-		seed.bits = make([]uint64, m.words)
-		for _, n := range kept {
-			seed.bits[n>>6] |= 1 << (uint(n) & 63)
-		}
-	}
-	m.seeds[string(m.key)] = seed
-	return seed
+	return kept
 }
 
 // realizable reports whether every pattern edge at a variable — out and in,

@@ -2,6 +2,7 @@ package pattern_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -145,4 +146,61 @@ func TestFingerprintNoCollisions(t *testing.T) {
 		t.Fatalf("corpus too uniform to exercise collisions: %d buckets, %d off-shape patterns",
 			len(byFP), distinctShapes)
 	}
+}
+
+// TestFingerprintUnderRenaming pins the invariance G_Σ's consumers lean on
+// when they bucket GFDs by pattern (gfd.Set.Groups) and then scope each
+// bucket to its host copies: fresh variable names and another edge order
+// never change the fingerprint nor StructuralEqual, and neither does a
+// renumbering of the variables when their labels are pairwise distinct —
+// color refinement then starts from a discrete coloring, so the canonical
+// order does not fall back to declaration order.
+func TestFingerprintUnderRenaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	renumbered := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		gr := gen.New(gen.Config{N: 20, K: 5, L: 4, WildcardRate: 0.3, Seed: seed})
+		for i := 0; i < 20; i++ {
+			p := gr.Pattern()
+			edges := p.Edges()
+			q := pattern.New()
+			for v := 0; v < p.NumVars(); v++ {
+				q.AddVar(fmt.Sprintf("renamed%d", v), p.Label(pattern.Var(v)))
+			}
+			for _, j := range rng.Perm(len(edges)) {
+				q.AddEdge(edges[j].From, edges[j].To, edges[j].Label)
+			}
+			if !pattern.StructuralEqual(p, q) || p.Fingerprint() != q.Fingerprint() {
+				t.Fatalf("renaming changed the pattern: %s → %s (fingerprint %x → %x)", p, q, p.Fingerprint(), q.Fingerprint())
+			}
+
+			labels := map[string]bool{}
+			for v := 0; v < p.NumVars(); v++ {
+				labels[p.Label(pattern.Var(v))] = true
+			}
+			if len(labels) < p.NumVars() {
+				continue
+			}
+			perm := rng.Perm(p.NumVars())
+			r := pattern.New()
+			old := make([]pattern.Var, len(perm))
+			for v, w := range perm {
+				old[w] = pattern.Var(v)
+			}
+			for w, v := range old {
+				r.AddVar(fmt.Sprintf("r%d", w), p.Label(v))
+			}
+			for _, j := range rng.Perm(len(edges)) {
+				r.AddEdge(pattern.Var(perm[edges[j].From]), pattern.Var(perm[edges[j].To]), edges[j].Label)
+			}
+			if p.Fingerprint() != r.Fingerprint() {
+				t.Fatalf("renumbering %v changed the fingerprint of %s: %x → %x (%s)", perm, p, p.Fingerprint(), r.Fingerprint(), r)
+			}
+			renumbered++
+		}
+	}
+	if renumbered == 0 {
+		t.Fatal("no pattern with pairwise distinct labels: the renumbering half tests nothing")
+	}
+	t.Logf("%d patterns renumbered", renumbered)
 }
