@@ -374,19 +374,19 @@ func TestViolationsCtx(t *testing.T) {
 	}
 }
 
-// attrBomb is a graph.Reader whose Attr panics on its n-th call (never when
-// n is 0) and counts every call.
+// attrBomb is a snapshot whose attribute loads panic on the n-th one (never
+// when n is 0) and are all counted.
 type attrBomb struct {
-	graph.Reader
+	*graph.Frozen
 	n     int64
 	calls atomic.Int64
 }
 
-func (b *attrBomb) Attr(v graph.NodeID, attr string) (string, bool) {
+func (b *attrBomb) AttrAt(v graph.NodeID, a graph.AttrID) graph.ValueID {
 	if b.calls.Add(1) == b.n {
 		panic("attr-boom")
 	}
-	return b.Reader.Attr(v, attr)
+	return b.Frozen.AttrAt(v, a)
 }
 
 // TestViolationsPanicIsIsolated panics inside a validation task's literal
@@ -396,17 +396,17 @@ func TestViolationsPanicIsIsolated(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
 	set := gr.Set()
 	g := gr.ConsistentGraph(60).Frozen()
-	count := &attrBomb{Reader: g}
+	count := &attrBomb{Frozen: g}
 	if _, err := ViolationsCtx(context.Background(), count, set); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	calls := count.calls.Load()
 	if calls < 2 {
-		t.Fatalf("setup: %d Attr calls; the panic would not land inside a task", calls)
+		t.Fatalf("setup: %d attribute loads; the panic would not land inside a task", calls)
 	}
 
 	before := runtime.NumGoroutine()
-	_, err := ViolationsCtx(context.Background(), &attrBomb{Reader: g, n: calls / 2}, set)
+	_, err := ViolationsCtx(context.Background(), &attrBomb{Frozen: g, n: calls / 2}, set)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)

@@ -4,8 +4,10 @@
 // gfd.Set.Groups — GFDs bucketed by pattern fingerprint with a structural
 // equality guard — so each distinct pattern structure is enumerated once
 // and only the literal checks fan out per member, through the compiled
-// attr-key-interned evaluator (match.LiteralEval) instead of the per-call
-// attribute walk.
+// literal program (match.LiteralEval), which compares attribute value IDs
+// on the snapshot's rows instead of walking attribute strings per call. It
+// is core's one literal evaluator: Satisfies runs it too, one single-member
+// program per GFD.
 package core
 
 import (
@@ -73,13 +75,12 @@ func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
 	return &groupCheck{gfds: set.GFDs, members: grp.Members, prog: prog, scr: prog.NewScratch()}
 }
 
-// check evaluates every member at match h of the group's pattern in g and
+// check evaluates every member at match h of the group's pattern in g,
 // appends a violation to out[mi] for each member mi (its index in Σ) that h
-// violates. h may be a search's view: it is copied once, on the first
-// member it violates, and shared by every member violating at this match.
-// Every call on one groupCheck must pass the same g: the scratch keeps a
-// slot's value until a match binds the slot's variable to another node.
-func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation) {
+// violates, and reports whether there was one. h may be a search's view: it
+// is copied once, on the first member it violates, and shared by every
+// member violating at this match.
+func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation) bool {
 	var kept match.Assignment
 	for i, mi := range c.members {
 		if c.prog.Violates(i, g, h, c.scr) {
@@ -89,6 +90,7 @@ func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation
 			out[mi] = append(out[mi], Violation{GFD: c.gfds[mi], Match: kept})
 		}
 	}
+	return kept != nil
 }
 
 // ViolationsOpts is ViolationsCtx with sharing statistics. The violation

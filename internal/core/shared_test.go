@@ -18,14 +18,14 @@ import (
 
 // violationsOneByOne is the order reference for the grouped evaluation: Σ
 // walked GFD by GFD, each pattern enumerated by a search of its own, the
-// literals read straight off the graph — no groups, no compiled literal
-// program.
+// literals read straight off the graph by the oracle's string walk — no
+// groups, no compiled literal program.
 func violationsOneByOne(g graph.Reader, set *gfd.Set) []Violation {
 	var out []Violation
 	for _, phi := range set.GFDs {
 		s := match.NewSearch(phi.Pattern, g, match.Options{})
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
+			if oracle.Violates(g, phi, h) {
 				out = append(out, Violation{GFD: phi, Match: h.Clone()})
 			}
 		}

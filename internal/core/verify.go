@@ -21,15 +21,13 @@ type Violation struct {
 // the first violation found. It is the test oracle for the reasoning
 // algorithms and the checker applications use for error detection.
 func Satisfies(g graph.Reader, set *gfd.Set) (bool, *Violation) {
-	for _, phi := range set.GFDs {
+	out := make([][]Violation, set.Len())
+	for i, phi := range set.GFDs {
+		c := newGroupCheck(set, gfd.Group{Pattern: phi.Pattern, Members: []int{i}})
 		s := match.NewSearch(phi.Pattern, g, match.Options{})
-		for {
-			h, ok := s.Next()
-			if !ok {
-				break
-			}
-			if holdsLiterals(g, h, phi.X) && !holdsLiterals(g, h, phi.Y) {
-				return false, &Violation{GFD: phi, Match: h.Clone()}
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			if c.check(g, h, out) {
+				return false, &out[i][0]
 			}
 		}
 	}
@@ -54,28 +52,6 @@ func Violations(g graph.Reader, set *gfd.Set) []Violation {
 func ViolationsCtx(ctx context.Context, g graph.Reader, set *gfd.Set) ([]Violation, error) {
 	out, _, err := ViolationsOpts(ctx, g, set, VerifyOptions{})
 	return out, err
-}
-
-// holdsLiterals evaluates a literal set at a match against G's actual
-// attribute values: x.A = c holds iff attribute A exists at h(x) with value
-// c; x.A = y.B iff both attributes exist and are equal.
-func holdsLiterals(g graph.Reader, h match.Assignment, ls []gfd.Literal) bool {
-	for _, l := range ls {
-		switch l.Kind {
-		case gfd.ConstLiteral:
-			v, ok := g.Attr(h[l.X], l.A)
-			if !ok || v != l.Const {
-				return false
-			}
-		case gfd.VarLiteral:
-			v1, ok1 := g.Attr(h[l.X], l.A)
-			v2, ok2 := g.Attr(h[l.Y], l.B)
-			if !ok1 || !ok2 || v1 != v2 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // IsModel reports whether G is a model of Σ: G |= Σ, G is nonempty, and

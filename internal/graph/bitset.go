@@ -102,13 +102,13 @@ func (c *bitsetCache) get(label string, n int, fill func(Bitset)) Bitset {
 // thresholds. The result is immutable and cached for the snapshot's
 // lifetime; concurrent callers share one build.
 func (f *Frozen) CandidateBitset(label string) Bitset {
-	n := len(f.nodes)
+	n := f.NumNodes()
 	if !bitsetWorthwhile(f.LabelFrequency(label), n) {
 		return nil
 	}
 	return f.bitsets.get(label, n, func(bs Bitset) {
 		if label == Wildcard {
-			for v := range f.nodes {
+			for v := range n {
 				if f.dead == nil || !f.dead[v] {
 					bs.set(NodeID(v))
 				}

@@ -34,10 +34,10 @@ func (m Remap) Of(v NodeID) NodeID {
 // DeadFraction returns the tombstoned share of the dense ID space, the
 // quantity the refreeze compaction policy thresholds on.
 func (f *Frozen) DeadFraction() float64 {
-	if len(f.nodes) == 0 {
+	if f.NumNodes() == 0 {
 		return 0
 	}
-	return float64(f.deadCount) / float64(len(f.nodes))
+	return float64(f.deadCount) / float64(f.NumNodes())
 }
 
 // Compact returns a snapshot with every tombstoned slot dropped and the live
@@ -49,7 +49,7 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 	if f.deadCount == 0 {
 		return f, nil
 	}
-	n := len(f.nodes)
+	n := f.NumNodes()
 	live := n - f.deadCount
 	remap := make(Remap, n)
 	next := NodeID(0)
@@ -74,14 +74,21 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 		labelIDs:       f.labelIDs,
 		labelNames:     f.labelNames,
 		edges:          f.edges,
+		// A dead node's attribute row is empty, like its adjacency rows:
+		// the rows and their tables carry over, only the offsets lose the
+		// dead entries.
+		attrRows:   f.attrRows,
+		attrNames:  f.attrNames,
+		attrValues: f.attrValues,
 	}
-	nf.nodes = make([]Node, live)
 	nf.nodeLabelOf = make([]LabelID, live)
+	nf.attrOff = make([]int32, live+1)
 	for v := 0; v < n; v++ {
 		if j := remap[v]; j != InvalidNode {
-			nf.nodes[j] = f.nodes[v]
-			nf.nodes[j].ID = j
 			nf.nodeLabelOf[j] = f.nodeLabelOf[v]
+			nf.attrOff[j+1] = f.attrOff[v+1]
+		} else if f.attrOff[v+1] != f.attrOff[v] {
+			panic(fmt.Sprintf("graph: Compact: tombstoned node %d still owns attributes", v))
 		}
 	}
 	nf.out = compactDir(&f.out, remap, live)

@@ -224,7 +224,9 @@ func TestCompactSharded(t *testing.T) {
 // refreeze, every live node answers Label, Attrs, its rows and its candidate
 // membership under its new ID as it did under its old one, a dead slot maps
 // to InvalidNode, and the remap is monotone. A snapshot without tombstones
-// compacts to itself with a nil remap.
+// compacts to itself with a nil remap. The attribute comparison covers the
+// ID rows: each live node's tuple equals the from-scratch Freeze's, read
+// through Attrs and pair by pair through AttrAt.
 func FuzzCompact(f *testing.F) {
 	f.Add([]byte{})                       // no tombstones: a nil remap
 	f.Add([]byte{1, 0, 1, 0, 4, 2, 1, 1}) // edits, still no tombstone
@@ -240,6 +242,7 @@ func FuzzCompact(f *testing.F) {
 		d := NewDelta(base)
 		applyFuzzOps(data, mirror, d, func() {})
 		snap := base.Refreeze(d)
+		scratch := mirror.Frozen()
 		compacted, remap := snap.Compact()
 		if remap == nil {
 			if snap.LiveNodes() != snap.NumNodes() || compacted != snap {
@@ -271,9 +274,14 @@ func FuzzCompact(f *testing.F) {
 				t.Fatalf("live node %d remaps to %d, want %d (monotone, dense)", v, w, next)
 			}
 			next++
-			if compacted.Label(w) != snap.Label(v) || !maps.Equal(compacted.Attrs(w), snap.Attrs(v)) {
+			if compacted.Label(w) != snap.Label(v) || !maps.Equal(compacted.Attrs(w), scratch.Attrs(v)) {
 				t.Fatalf("node %d→%d: label %q, attrs %v; want %q, %v", v, w,
-					compacted.Label(w), compacted.Attrs(w), snap.Label(v), snap.Attrs(v))
+					compacted.Label(w), compacted.Attrs(w), snap.Label(v), scratch.Attrs(v))
+			}
+			for k, val := range scratch.Attrs(v) {
+				if got := compacted.AttrAt(w, compacted.AttrNameID(k)); got == NoValue || got != compacted.AttrValueID(val) {
+					t.Fatalf("node %d→%d: AttrAt(%q) = %d, want the ID of %q", v, w, k, got, val)
+				}
 			}
 			for _, l := range append(slices.Clip(fuzzEdgeLabels), "absent") {
 				if got, want := outByLabel(compacted, w, l), through(outByLabel(snap, v, l)); !idsEqual(got, want) {

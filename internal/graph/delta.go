@@ -12,7 +12,6 @@ package graph
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -100,7 +99,7 @@ func (d *Delta) Memo() any { return d.memo }
 func (d *Delta) SetMemo(m any) { d.memo = m }
 
 // baseN returns the size of the base ID space.
-func (d *Delta) baseN() int { return len(d.base.nodes) }
+func (d *Delta) baseN() int { return d.base.NumNodes() }
 
 func (d *Delta) valid(v NodeID) bool { return v >= 0 && int(v) < d.baseN()+len(d.nodes) }
 
@@ -182,7 +181,7 @@ func (d *Delta) NumNodes() int { return d.baseN() + len(d.nodes) }
 
 // SetAttr sets attribute A of node v to constant value c, overriding the
 // base value if one exists. For a base node the full attribute tuple is
-// copied on first write, so the base snapshot stays untouched.
+// read out of the base on first write, so the base snapshot stays untouched.
 func (d *Delta) SetAttr(v NodeID, attr, value string) {
 	if !d.Alive(v) {
 		panic(fmt.Sprintf("graph: Delta.SetAttr on invalid or removed node %d", v))
@@ -198,8 +197,9 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 	}
 	m, ok := d.attrs[v]
 	if !ok {
-		m = make(map[string]string, len(d.base.Attrs(v))+1)
-		maps.Copy(m, d.base.Attrs(v))
+		if m = d.base.Attrs(v); m == nil {
+			m = make(map[string]string, 1)
+		}
 		d.attrs[v] = m
 	}
 	m[attr] = value

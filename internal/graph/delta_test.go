@@ -104,9 +104,13 @@ func edgesEqual(a, b []Edge) bool {
 // checkReaderEquivalence checks got on every Reader query against what a
 // linear scan of want's raw Out, Label, Attrs and Alive says (see scanRef):
 // want's own index methods are never called. Queries go by label *name*
-// (interned IDs deliberately do not transfer across representations).
+// (interned IDs deliberately do not transfer across representations). When
+// got is a Frozen, its attribute rows are checked by ID as well.
 func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabels, edgeLabels []string) {
 	t.Helper()
+	if f, ok := got.(*Frozen); ok {
+		checkAttrRows(t, ctx, want, f)
+	}
 	ref := scan(want)
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != len(ref.edges) || size(got) != ref.size() {
 		t.Fatalf("%s: cardinalities diverge: V=%d/%d E=%d/%d |G|=%d/%d", ctx,
@@ -169,6 +173,35 @@ func checkReaderEquivalence(t *testing.T, ctx string, want, got Reader, nodeLabe
 		for v := 0; v < n; v++ {
 			if covers(got, NodeID(v), sig) != ref.covers(NodeID(v), sig) {
 				t.Fatalf("%s: Covers(%d,%v) diverges", ctx, v, sig)
+			}
+		}
+	}
+}
+
+// checkAttrRows checks f's attribute rows against want's tuples: every row
+// ascends strictly by name ID, and each of want's (name, value) pairs is
+// found by ID while every other name of the snapshot is not.
+func checkAttrRows(t *testing.T, ctx string, want Reader, f *Frozen) {
+	t.Helper()
+	for v := NodeID(0); int(v) < f.NumNodes(); v++ {
+		run := f.attrRun(v)
+		for i := 1; i < len(run); i++ {
+			if run[i]>>32 <= run[i-1]>>32 {
+				t.Fatalf("%s: attribute row of %d not strictly ascending by name: %x", ctx, v, run)
+			}
+		}
+		wa := want.Attrs(v)
+		if len(run) != len(wa) {
+			t.Fatalf("%s: attribute row of %d has %d pairs, want %d", ctx, v, len(run), len(wa))
+		}
+		for k, val := range wa {
+			if got := f.AttrAt(v, f.AttrNameID(k)); got == NoValue || got != f.AttrValueID(val) {
+				t.Fatalf("%s: AttrAt(%d, %q) = %d, want the ID of %q (%d)", ctx, v, k, got, val, f.AttrValueID(val))
+			}
+		}
+		for a := AttrID(0); a < AttrID(f.attrNames.size()); a++ {
+			if _, ok := wa[f.attrNames.str(uint32(a))]; !ok && f.AttrAt(v, a) != NoValue {
+				t.Fatalf("%s: node %d carries %q by ID only", ctx, v, f.attrNames.str(uint32(a)))
 			}
 		}
 	}
@@ -264,6 +297,9 @@ func TestOverlaySurvivesRefreezeAndCompact(t *testing.T) {
 // since the version it is given, and an endpoint of every edge that did —
 // from the base, and from a snapshot taken halfway through the stream: that
 // is the seed set incremental revalidation trusts, chained calls included.
+// The Attr/Attrs comparison covers the attribute ID rows: Refreeze rewrites
+// the rows the delta touched over tables extended by its new names and
+// values, and checkReaderEquivalence also reads every row by ID.
 func FuzzRefreeze(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 0})                            // one edge at the front, clean tail
@@ -332,7 +368,8 @@ func applyFuzzOps(data []byte, mirror *Graph, d *Delta, halfway func()) {
 			d.RemoveNode(u)
 		case 4:
 			if mirror.Alive(u) {
-				k, val := fmt.Sprintf("a%d", b%3), fmt.Sprintf("u%d", c%4)
+				// a3 and every u value are new to the base's tables.
+				k, val := fmt.Sprintf("a%d", b%4), fmt.Sprintf("u%d", c%4)
 				mirror.SetAttr(u, k, val)
 				d.SetAttr(u, k, val)
 			}

@@ -7,6 +7,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -18,7 +19,6 @@ import (
 // AddEdge's idempotence per (from, label, to)). The zero value is not
 // usable; construct with NewBuilder.
 type Builder struct {
-	nodes          []Node
 	nodeLabelIDs   map[string]LabelID
 	nodeLabelNames []string
 	nodeLabelOf    []LabelID
@@ -26,7 +26,12 @@ type Builder struct {
 	labelNames     []string
 	from, to       []NodeID
 	lab            []LabelID
-	frozen         bool
+	// Attributes as SetAttr recorded them, in call order: the node, and the
+	// (name, value) pair by ID. Freeze sorts them into rows.
+	attrNode      []NodeID
+	attrPairs     []uint64
+	names, values *strTable
+	frozen        bool
 }
 
 // NewBuilder returns an empty builder, optionally pre-sizing its edge
@@ -35,6 +40,8 @@ func NewBuilder(edgeHint int) *Builder {
 	b := &Builder{
 		nodeLabelIDs: make(map[string]LabelID),
 		labelIDs:     make(map[string]LabelID),
+		names:        newLayer(nil),
+		values:       newLayer(nil),
 	}
 	if edgeHint > 0 {
 		b.from = make([]NodeID, 0, edgeHint)
@@ -49,8 +56,7 @@ func (b *Builder) AddNode(label string) NodeID {
 	if b.frozen {
 		panic("graph: Builder.AddNode after Freeze")
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{ID: id, Label: label})
+	id := NodeID(len(b.nodeLabelOf))
 	lid, ok := b.nodeLabelIDs[label]
 	if !ok {
 		lid = LabelID(len(b.nodeLabelNames))
@@ -76,14 +82,11 @@ func (b *Builder) SetAttr(v NodeID, attr, value string) {
 	if b.frozen {
 		panic("graph: Builder.SetAttr after Freeze")
 	}
-	if v < 0 || int(v) >= len(b.nodes) {
+	if v < 0 || int(v) >= b.NumNodes() {
 		panic(fmt.Sprintf("graph: Builder.SetAttr on invalid node %d", v))
 	}
-	n := &b.nodes[v]
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]string)
-	}
-	n.Attrs[attr] = value
+	b.attrNode = append(b.attrNode, v)
+	b.attrPairs = append(b.attrPairs, attrKey(AttrID(b.names.intern(attr)), ValueID(b.values.intern(value))))
 }
 
 // AddEdge appends a directed labeled edge in O(1). Duplicate
@@ -92,7 +95,7 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 	if b.frozen {
 		panic("graph: Builder.AddEdge after Freeze")
 	}
-	if from < 0 || int(from) >= len(b.nodes) || to < 0 || int(to) >= len(b.nodes) {
+	if n := b.NumNodes(); from < 0 || int(from) >= n || to < 0 || int(to) >= n {
 		panic(fmt.Sprintf("graph: Builder.AddEdge with invalid endpoint %d->%d", from, to))
 	}
 	id, ok := b.labelIDs[label]
@@ -107,7 +110,7 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 }
 
 // NumNodes returns the number of nodes added so far.
-func (b *Builder) NumNodes() int { return len(b.nodes) }
+func (b *Builder) NumNodes() int { return len(b.nodeLabelOf) }
 
 // NumEdges returns the number of AddEdge calls so far. Duplicates are not
 // yet collapsed; the Frozen snapshot's NumEdges counts distinct edges.
@@ -115,26 +118,27 @@ func (b *Builder) NumEdges() int { return len(b.from) }
 
 // Freeze sorts the accumulated edges into an immutable CSR snapshot and
 // returns it. The builder is consumed: the snapshot shares the builder's
-// node and label storage, and further Add/Set calls panic. Total cost is
-// O(V + E log deg): one counting pass, one scatter, and one sort per
-// node's adjacency run.
+// label and attribute tables, and further Add/Set calls panic. Total cost is
+// O(V + E log deg + A log deg_A): one counting pass, one scatter, and one
+// sort per node's adjacency run and attribute row.
 func (b *Builder) Freeze() *Frozen {
 	if b.frozen {
 		panic("graph: Builder.Freeze called twice")
 	}
 	b.frozen = true
+	n := b.NumNodes()
 	f := &Frozen{
 		epoch:          nextEpoch(),
-		nodes:          b.nodes,
 		nodeLabelIDs:   b.nodeLabelIDs,
 		nodeLabelNames: b.nodeLabelNames,
 		nodeLabelOf:    b.nodeLabelOf,
 		labelIDs:       b.labelIDs,
 		labelNames:     b.labelNames,
 	}
-	f.out = buildCSR(len(b.nodes), b.from, b.to, b.lab)
-	f.in = buildCSR(len(b.nodes), b.to, b.from, b.lab)
+	f.out = buildCSR(n, b.from, b.to, b.lab)
+	f.in = buildCSR(n, b.to, b.from, b.lab)
 	f.edges = len(f.out.targets)
+	b.freezeAttrs(n).into(f)
 
 	// Nodes-by-label CSR: node IDs ascend within each label because nodes
 	// are scattered in ID order.
@@ -146,7 +150,7 @@ func (b *Builder) Freeze() *Frozen {
 	for i := 0; i < nl; i++ {
 		f.byLabelOff[i+1] += f.byLabelOff[i]
 	}
-	f.byLabelNodes = make([]NodeID, len(b.nodes))
+	f.byLabelNodes = make([]NodeID, n)
 	next := make([]int32, nl)
 	copy(next, f.byLabelOff[:nl])
 	for v, lid := range b.nodeLabelOf {
@@ -154,6 +158,37 @@ func (b *Builder) Freeze() *Frozen {
 		next[lid]++
 	}
 	return f
+}
+
+// freezeAttrs lays the SetAttr calls out as rows: a counting scatter by
+// node that keeps call order, then per node a stable sort by name in which
+// the last value set for a name wins.
+func (b *Builder) freezeAttrs(n int) *attrBuilder {
+	off := make([]int32, n+1)
+	for _, v := range b.attrNode {
+		off[v+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	pairs := make([]uint64, len(b.attrPairs))
+	next := slices.Clone(off[:n])
+	for i, v := range b.attrNode {
+		pairs[next[v]] = b.attrPairs[i]
+		next[v]++
+	}
+	r := &attrBuilder{names: b.names, values: b.values, off: make([]int32, 1, n+1), rows: make([]uint64, 0, len(pairs))}
+	for v := 0; v < n; v++ {
+		run := pairs[off[v]:off[v+1]]
+		slices.SortStableFunc(run, func(x, y uint64) int { return cmp.Compare(x>>32, y>>32) })
+		for i, k := range run {
+			if i+1 == len(run) || run[i+1]>>32 != k>>32 {
+				r.rows = append(r.rows, k)
+			}
+		}
+		r.off = append(r.off, int32(len(r.rows)))
+	}
+	return r
 }
 
 // csrKey packs (label, target) into one comparable integer so a node's
@@ -296,7 +331,6 @@ func (d *csrDir) has(v, t NodeID, id LabelID) bool {
 // (except the documented copying accessors). Being immutable it is safe for
 // concurrent readers.
 type Frozen struct {
-	nodes          []Node
 	nodeLabelIDs   map[string]LabelID
 	nodeLabelNames []string
 	nodeLabelOf    []LabelID
@@ -309,6 +343,14 @@ type Frozen struct {
 
 	byLabelOff   []int32
 	byLabelNodes []NodeID
+
+	// Attribute rows (attrs.go): node v's (name, value) ID pairs are
+	// attrRows[attrOff[v]:attrOff[v+1]], ascending by name; the names and
+	// values they stand for are interned in attrNames and attrValues.
+	attrOff    []int32
+	attrRows   []uint64
+	attrNames  *strTable
+	attrValues *strTable
 
 	// dead marks tombstoned node slots (see Graph.RemoveNode and
 	// Frozen.Refreeze): the ID stays in the dense node space but the node is
@@ -326,7 +368,8 @@ type Frozen struct {
 }
 
 // tombstone marks the given node slots dead and drops them from the
-// nodes-by-label index. Their adjacency rows must already be empty (its
+// nodes-by-label index. Their adjacency and attribute rows must already be
+// empty (its
 // caller, Graph.Frozen, replays a graph whose RemoveNode dropped the
 // incident edges; Refreeze keeps its own tombstones and drops the edges at
 // them itself).
@@ -364,36 +407,18 @@ func (f *Frozen) Alive(v NodeID) bool {
 
 // LiveNodes returns the number of non-tombstoned nodes (NumNodes counts the
 // dense ID space, which retains removed slots).
-func (f *Frozen) LiveNodes() int { return len(f.nodes) - f.deadCount }
+func (f *Frozen) LiveNodes() int { return f.NumNodes() - f.deadCount }
 
-func (f *Frozen) valid(v NodeID) bool { return v >= 0 && int(v) < len(f.nodes) }
+func (f *Frozen) valid(v NodeID) bool { return v >= 0 && int(v) < len(f.nodeLabelOf) }
 
 // NumNodes returns |V|.
-func (f *Frozen) NumNodes() int { return len(f.nodes) }
+func (f *Frozen) NumNodes() int { return len(f.nodeLabelOf) }
 
 // NumEdges returns |E| (distinct (from, label, to) triples).
 func (f *Frozen) NumEdges() int { return f.edges }
 
 // Label returns the label of node v.
-func (f *Frozen) Label(v NodeID) string { return f.nodes[v].Label }
-
-// Attr reports the value of attribute A at node v and whether it exists.
-func (f *Frozen) Attr(v NodeID, attr string) (string, bool) {
-	if !f.valid(v) {
-		return "", false
-	}
-	val, ok := f.nodes[v].Attrs[attr]
-	return val, ok
-}
-
-// Attrs returns the attribute tuple of v (nil if none). The returned map is
-// the snapshot's own storage; callers must not mutate it.
-func (f *Frozen) Attrs(v NodeID) map[string]string {
-	if !f.valid(v) {
-		return nil
-	}
-	return f.nodes[v].Attrs
-}
+func (f *Frozen) Label(v NodeID) string { return f.nodeLabelNames[f.nodeLabelOf[v]] }
 
 // Out returns the outgoing edges of v. The slice is synthesized per call
 // (labels re-materialized as strings); hot paths use OutByLabelID.
@@ -501,7 +526,7 @@ func (f *Frozen) nodesWithLabel(label string) []NodeID {
 // that exact label.
 func (f *Frozen) AppendCandidates(dst []NodeID, label string) []NodeID {
 	if label == Wildcard {
-		for i := range f.nodes {
+		for i := range f.nodeLabelOf {
 			if f.dead != nil && f.dead[i] {
 				continue
 			}
@@ -516,7 +541,7 @@ func (f *Frozen) AppendCandidates(dst []NodeID, label string) []NodeID {
 // wildcard counting every live node.
 func (f *Frozen) LabelFrequency(label string) int {
 	if label == Wildcard {
-		return len(f.nodes) - f.deadCount
+		return f.LiveNodes()
 	}
 	return len(f.nodesWithLabel(label))
 }

@@ -44,9 +44,10 @@ type Edge struct {
 	Label string
 }
 
-// Node is a labeled node with an attribute tuple. Attrs maps attribute names
-// to constant values; absence of a key means the node does not carry that
-// attribute (graphs are schemaless).
+// Node is a labeled node with an attribute tuple, as the edit models of
+// Graph and Delta keep it (a Frozen keeps labels and tuples as ID rows).
+// Attrs maps attribute names to constant values; absence of a key means the
+// node does not carry that attribute (graphs are schemaless).
 type Node struct {
 	ID    NodeID
 	Label string

@@ -36,7 +36,10 @@ package graph
 //   - Readers are safe for concurrent use. A Graph is too, as long as no
 //     mutating call runs at the same time.
 type Reader interface {
-	// Cardinalities and node access.
+	// Cardinalities and node access. Attr and Attrs speak strings: a
+	// *Frozen translates its attribute ID rows back per call (Attrs builds
+	// a fresh map), so literal evaluation reads the rows by ID instead
+	// (Frozen.AttrAt, attrs.go).
 	NumNodes() int
 	NumEdges() int
 	Label(v NodeID) string

@@ -17,7 +17,7 @@ type Sharded struct {
 // Sharded cuts the snapshot into k stride ranges, k clamped to [1, NumNodes]
 // (a k above the node count gives stride 1). Nothing is copied or counted.
 func (f *Frozen) Sharded(k int) *Sharded {
-	n, k := len(f.nodes), max(k, 1)
+	n, k := f.NumNodes(), max(k, 1)
 	return &Sharded{Frozen: f, stride: max(1, (n+k-1)/k)}
 }
 

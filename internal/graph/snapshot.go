@@ -33,19 +33,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
-
-// sortedKeys returns a map's keys in ascending order, so attribute tuples
-// serialize deterministically (byte-identical images for identical graphs).
-func sortedKeys(m map[string]string) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 var snapshotMagic = [8]byte{'G', 'F', 'D', 'S', 'N', 'A', 'P', '1'}
 
@@ -145,14 +134,22 @@ func (f *Frozen) WriteSnapshot(w io.Writer) error {
 	e := &snapEnc{}
 	e.strs(f.nodeLabelNames)
 	e.strs(f.labelNames)
-	e.u32(uint32(len(f.nodes)))
+	e.u32(uint32(f.NumNodes()))
 	snapInts(e, f.nodeLabelOf)
-	for i := range f.nodes {
-		attrs := f.nodes[i].Attrs
-		e.u32(uint32(len(attrs)))
-		for _, k := range sortedKeys(attrs) {
-			e.str(k)
-			e.str(attrs[k])
+	// Each tuple is written in name order, whatever order the IDs were
+	// assigned in, so an image depends on the graph alone.
+	order, rank := f.nameOrder()
+	var byName []uint64
+	for v := range f.NumNodes() {
+		byName = byName[:0]
+		for _, k := range f.attrRun(NodeID(v)) {
+			byName = append(byName, uint64(rank[k>>32])<<32|k&math.MaxUint32)
+		}
+		slices.Sort(byName)
+		e.u32(uint32(len(byName)))
+		for _, k := range byName {
+			e.str(f.attrNames.str(order[k>>32]))
+			e.str(f.attrValues.str(uint32(k)))
 		}
 	}
 	e.u64(uint64(f.edges))
@@ -235,9 +232,12 @@ func (d *snapDec) u64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
-func (d *snapDec) str() string {
+func (d *snapDec) str() string { return string(d.bytes()) }
+
+// bytes returns a length-prefixed string's bytes, aliasing the payload.
+func (d *snapDec) bytes() []byte {
 	n := d.u32()
-	return string(d.take(int(n)))
+	return d.take(int(n))
 }
 
 func (d *snapDec) strs() []string {
@@ -429,38 +429,37 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	if d.err == nil && len(f.nodeLabelOf) != n {
 		d.fail("node label array sized %d, want %d", len(f.nodeLabelOf), n)
 	}
+	var attrs *attrBuilder
 	if d.err == nil {
-		f.nodes = make([]Node, n)
+		attrs = newAttrBuilder(n, nil, nil)
 		for v := 0; v < n; v++ {
 			lid := f.nodeLabelOf[v]
 			if lid < 0 || int(lid) >= len(f.nodeLabelNames) {
 				d.fail("node %d references label %d of %d", v, lid, len(f.nodeLabelNames))
 				break
 			}
-			f.nodes[v] = Node{ID: NodeID(v), Label: f.nodeLabelNames[lid]}
-			if na := int(d.u32()); na > 0 {
-				// Each attribute needs at least two 4-byte length prefixes;
-				// reject corrupt counts before sizing the map.
-				if na > (len(d.b)-d.pos)/8 {
-					d.fail("node %d claims %d attributes beyond remaining payload", v, na)
-					break
-				}
-				attrs := make(map[string]string, na)
-				prev := ""
+			// Each attribute needs at least two 4-byte length prefixes;
+			// reject corrupt counts before they size anything.
+			if na := int(d.u32()); na > (len(d.b)-d.pos)/8 {
+				d.fail("node %d claims %d attributes beyond remaining payload", v, na)
+			} else {
+				var prev []byte
 				for i := 0; i < na && d.err == nil; i++ {
-					k := d.str()
-					if i > 0 && k <= prev {
-						// WriteSnapshot sorts the keys, so anything else
-						// would not write back as it was read.
+					k := d.bytes()
+					if i > 0 && bytes.Compare(k, prev) <= 0 {
+						// WriteSnapshot writes a tuple in name order, so
+						// anything else would not write back as it was read.
 						d.fail("node %d attribute keys not strictly ascending", v)
 					}
-					attrs[k], prev = d.str(), k
+					val := d.bytes()
+					attrs.rows = append(attrs.rows, attrKey(AttrID(attrs.names.internBytes(k)), ValueID(attrs.values.internBytes(val))))
+					prev = k
 				}
-				f.nodes[v].Attrs = attrs
 			}
 			if d.err != nil {
 				break
 			}
+			attrs.endRow()
 		}
 	}
 	f.edges = int(d.u64())
@@ -506,6 +505,22 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 			}
 		}
 	}
+	if d.err == nil && f.dead != nil {
+		// A tombstoned node owns no attributes and no edges (the
+		// RemoveNode/Delta invariant Compact relies on).
+		for v, dd := range f.dead {
+			switch {
+			case !dd:
+			case attrs.off[v+1] != attrs.off[v]:
+				d.fail("tombstoned node %d carries attributes", v)
+			case f.out.off[v+1] != f.out.off[v] || f.in.off[v+1] != f.in.off[v]:
+				d.fail("tombstoned node %d owns edges", v)
+			}
+			if d.err != nil {
+				break
+			}
+		}
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -514,5 +529,6 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	}
 	f.nodeLabelIDs = internTable(f.nodeLabelNames)
 	f.labelIDs = internTable(f.labelNames)
+	attrs.into(f)
 	return f, nil
 }

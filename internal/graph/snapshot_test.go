@@ -184,8 +184,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	d.RemoveNode(1)
 	d.SetAttr(d.AddNode("c"), "k", "v")
 	d.AddEdge(0, 6, "g")
-	seeds := images(NewBuilder(0).Freeze(), plain, plain.Refreeze(d))
-	for _, img := range seeds {
+	_, attrOrder := attrOrderFixture()
+	seeds := images(NewBuilder(0).Freeze(), plain, plain.Refreeze(d), attrOrder)
+	for _, img := range append(seeds, dataOnTombstoneImages(f)...) {
 		f.Add(img)
 	}
 	f.Add(seeds[2][:len(seeds[2])/2]) // truncated
@@ -202,7 +203,7 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // readBack reads an image and, when ReadSnapshot accepts it, checks that
-// the snapshot writes back to the same bytes and serves its rows.
+// the snapshot writes back to the same bytes, serves its rows and compacts.
 func readBack(t *testing.T, data []byte) {
 	t.Helper()
 	g, err := ReadSnapshot(bytes.NewReader(data))
@@ -222,6 +223,92 @@ func readBack(t *testing.T, data []byte) {
 		g.InByLabelID(v, AnyLabel)
 	}
 	CandidateNodes(g, Wildcard)
+	c, _ := g.Compact()
+	for v := NodeID(0); int(v) < c.NumNodes(); v++ {
+		c.Attrs(v)
+		c.Out(v)
+	}
+}
+
+// dataOnTombstoneImages writes three images of a three-node graph with one
+// node tombstoned: the node carrying an attribute, the source of the edge,
+// then its target. RemoveNode never leaves a dead node with attributes or
+// edges, so each image is corrupt, though its checksums hold.
+func dataOnTombstoneImages(tb testing.TB) [][]byte {
+	var out [][]byte
+	for v := NodeID(0); v < 3; v++ {
+		b := NewBuilder(1)
+		x, y, z := b.AddNode("a"), b.AddNode("a"), b.AddNode("a")
+		b.SetAttr(x, "k", "v")
+		b.AddEdge(y, z, "e")
+		bad := b.Freeze()
+		bad.dead = make([]bool, bad.NumNodes())
+		bad.dead[v], bad.deadCount = true, 1
+		var buf bytes.Buffer
+		if err := bad.WriteSnapshot(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestReadSnapshotRejectsDataOnTombstones: an image whose tombstoned node
+// still carries attributes or edges must not load, or Compact would panic
+// on the snapshot later.
+func TestReadSnapshotRejectsDataOnTombstones(t *testing.T) {
+	for i, img := range dataOnTombstoneImages(t) {
+		if _, err := ReadSnapshot(bytes.NewReader(img)); err == nil {
+			t.Fatalf("image %d: a tombstoned node with attributes or edges loaded", i)
+		}
+	}
+}
+
+// attrOrderFixture is a refrozen snapshot whose delta gives every node that
+// carries attributes the name "A", which sorts before every name of the
+// base ("a0"…"a2"), with the value "w": the new name's ID comes after
+// theirs, while a written tuple puts it first. The editable mirror holds
+// the same graph.
+func attrOrderFixture() (*Graph, *Frozen) {
+	mirror, base := fuzzBase()
+	d := NewDelta(base)
+	for v := NodeID(0); int(v) < base.NumNodes(); v++ {
+		if len(base.Attrs(v)) > 0 {
+			mirror.SetAttr(v, "A", "w")
+			d.SetAttr(v, "A", "w")
+		}
+	}
+	return mirror, base.Refreeze(d)
+}
+
+// TestSnapshotAttrOrderAfterRefreeze writes attrOrderFixture's snapshot,
+// reads it back and writes it again: the two images must be byte-identical,
+// so an image depends on the graph and not on the order its attribute IDs
+// were assigned in, and the loaded snapshot must hold the mirror's graph.
+func TestSnapshotAttrOrderAfterRefreeze(t *testing.T) {
+	mirror, refrozen := attrOrderFixture()
+	mixed := false
+	for v := NodeID(0); int(v) < refrozen.NumNodes(); v++ {
+		mixed = mixed || len(refrozen.Attrs(v)) >= 2
+	}
+	if refrozen.AttrNameID("A") < refrozen.AttrNameID("a0") || !mixed {
+		t.Fatal("fixture: the delta's name must get an ID after the base's, beside a base name")
+	}
+	var first, second bytes.Buffer
+	if err := refrozen.WriteSnapshot(&first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadSnapshot of a refrozen image: %v", err)
+	}
+	if err := loaded.WriteSnapshot(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("a refrozen snapshot's image does not write back byte-identically after a read")
+	}
+	checkReaderEquivalence(t, "loaded", mirror.Frozen(), loaded, fuzzNodeLabels, fuzzEdgeLabels)
 }
 
 // TestSnapshotEmptyAndTiny covers the degenerate shapes: the empty graph and

@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // Mutator is the update API shared by *Delta and *WAL: the Sink build calls
@@ -177,6 +178,16 @@ func (l *WAL) AddNodeWithAttrs(label string, attrs map[string]string) NodeID {
 		l.SetAttr(id, k, attrs[k])
 	}
 	return id
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys(m map[string]string) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }
 
 // SetAttr sets an attribute on the delta and logs it; see Delta.SetAttr.

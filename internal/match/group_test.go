@@ -237,25 +237,30 @@ func TestLiteralEval(t *testing.T) {
 
 type attrKey struct {
 	v    graph.NodeID
-	attr string
+	attr graph.AttrID
 }
 
-// attrCounter is a graph.Reader that counts Attr calls per (node,
-// attribute).
+// attrCounter is a snapshot that counts the attribute loads of a literal
+// program per (node, attribute).
 type attrCounter struct {
-	graph.Reader
+	*graph.Frozen
 	reads map[attrKey]int
 }
 
-func (c *attrCounter) Attr(v graph.NodeID, attr string) (string, bool) {
-	c.reads[attrKey{v, attr}]++
-	return c.Reader.Attr(v, attr)
+func (c *attrCounter) AttrAt(v graph.NodeID, a graph.AttrID) graph.ValueID {
+	c.reads[attrKey{v, a}]++
+	return c.Frozen.AttrAt(v, a)
+}
+
+// loads returns how often v's attribute named attr was loaded.
+func (c *attrCounter) loads(v graph.NodeID, attr string) int {
+	return c.reads[attrKey{v, c.AttrNameID(attr)}]
 }
 
 // TestLiteralScratchNodeMemo pins the scratch's memo: a slot is re-read
 // exactly when the match binds its variable to a different node than the
-// one it last read, Begin forgets everything (so a new reader is read), and
-// a member whose antecedent fails early loads nothing after that literal.
+// one it last read, a new reader is read afresh, and a member whose
+// antecedent fails early loads nothing after that literal.
 func TestLiteralScratchNodeMemo(t *testing.T) {
 	g := graph.New()
 	x0, x1 := g.AddNode("a"), g.AddNode("a")
@@ -264,6 +269,10 @@ func TestLiteralScratchNodeMemo(t *testing.T) {
 	g.SetAttr(x1, "A", "q")
 	g.SetAttr(y0, "B", "p")
 	g.SetAttr(y1, "B", "q")
+	// Z and C exist in the graph, so their loads are counted apart.
+	z := g.AddNode("c")
+	g.SetAttr(z, "Z", "z")
+	g.SetAttr(z, "C", "c")
 	e := match.CompileLiterals([]match.MemberLiterals{
 		// ∅ → x.A = y.B
 		{Y: []match.LiteralSpec{{V1: 0, A1: "A", V2: 1, A2: "B"}}},
@@ -274,7 +283,7 @@ func TestLiteralScratchNodeMemo(t *testing.T) {
 		},
 	})
 	s := e.NewScratch()
-	r := &attrCounter{Reader: g, reads: map[attrKey]int{}}
+	r := &attrCounter{Frozen: g.Frozen(), reads: map[attrKey]int{}}
 	step := func(r graph.Reader, x, y graph.NodeID, want bool) {
 		t.Helper()
 		h := match.Assignment{x, y}
@@ -290,40 +299,47 @@ func TestLiteralScratchNodeMemo(t *testing.T) {
 	step(r, x0, y0, false)
 	step(r, x0, y1, true)
 	step(r, x0, y0, false)
-	if n := r.reads[attrKey{x0, "A"}]; n != 1 {
+	if n := r.loads(x0, "A"); n != 1 {
 		t.Fatalf("x fixed across 3 matches: x0.A read %d times, want 1", n)
 	}
-	if n := r.reads[attrKey{y0, "B"}]; n != 2 {
+	if n := r.loads(y0, "B"); n != 2 {
 		t.Fatalf("y0 → y1 → y0: y0.B read %d times, want 2", n)
 	}
 
 	// x0 → x1 → x0 re-reads at every change, and the values follow.
 	step(r, x1, y1, false)
 	step(r, x0, y1, true)
-	if n := r.reads[attrKey{x0, "A"}]; n != 2 {
+	if n := r.loads(x0, "A"); n != 2 {
 		t.Fatalf("x0 → x1 → x0: x0.A read %d times, want 2", n)
 	}
-	if n := r.reads[attrKey{x1, "A"}]; n != 1 {
+	if n := r.loads(x1, "A"); n != 1 {
 		t.Fatalf("x0 → x1 → x0: x1.A read %d times, want 1", n)
 	}
-	if n := r.reads[attrKey{x0, "Z"}]; n != 2 {
+	if n := r.loads(x0, "Z"); n != 2 {
 		t.Fatalf("x0.Z read %d times, want 2 (once per stretch of x = x0)", n)
 	}
+	c := r.AttrNameID("C")
 	for k, n := range r.reads {
-		if k.attr == "C" {
+		if k.attr == c {
 			t.Fatalf("short-circuited member loaded %d.C %d times, want never", k.v, n)
 		}
 	}
 
-	// The same match on another reader after Begin reads that reader: on
-	// g2, x0.A = y1.B, so the violation the scratch still holds for g is gone.
+	// The same match on another reader reads that reader: on g2, x0.A =
+	// y1.B, so the violation the scratch still holds for g is gone.
 	g2 := g.Clone()
 	g2.SetAttr(x0, "A", "q")
-	r2 := &attrCounter{Reader: g2, reads: map[attrKey]int{}}
+	r2 := &attrCounter{Frozen: g2.Frozen(), reads: map[attrKey]int{}}
+	step(r2, x0, y1, false)
+	if r2.loads(x0, "A") != 1 || r2.loads(y1, "B") != 1 {
+		t.Fatalf("on a new reader: reads %v, want x0.A and y1.B once each", r2.reads)
+	}
+	// Begin forgets the values but keeps the binding: the next match reads
+	// r2 again.
 	s.Begin()
 	step(r2, x0, y1, false)
-	if r2.reads[attrKey{x0, "A"}] != 1 || r2.reads[attrKey{y1, "B"}] != 1 {
-		t.Fatalf("after Begin on a new reader: reads %v, want x0.A and y1.B once each", r2.reads)
+	if r2.loads(x0, "A") != 2 || r2.loads(y1, "B") != 2 {
+		t.Fatalf("after Begin: reads %v, want x0.A and y1.B twice each", r2.reads)
 	}
 }
 

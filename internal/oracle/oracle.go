@@ -140,12 +140,18 @@ func Violations(g graph.Reader, set *gfd.Set) []Violation {
 	var out []Violation
 	for _, phi := range set.GFDs {
 		for _, h := range Matches(phi.Pattern, g) {
-			if holds(g, h, phi.X) && !holds(g, h, phi.Y) {
+			if Violates(g, phi, h) {
 				out = append(out, Violation{GFD: phi, Match: h})
 			}
 		}
 	}
 	return out
+}
+
+// Violates reports whether φ's X holds at match h of its pattern and its Y
+// does not, reading attribute strings through Attr.
+func Violates(g graph.Reader, phi *gfd.GFD, h []graph.NodeID) bool {
+	return holds(g, h, phi.X) && !holds(g, h, phi.Y)
 }
 
 // holds evaluates a literal set at a match: x.A = c holds iff attribute A
