@@ -167,6 +167,7 @@ type Phi struct {
 func BuildPhi(phi *gfd.GFD) *Phi {
 	g := phi.Pattern.AsGraph()
 	e := eq.New()
+	e.Reserve(g.NumNodes()) // Eq_X and each clone of it make a column once
 	for _, l := range ResolveLits(e, phi.X) {
 		t := e.HandleOf(graph.NodeID(l.X), l.A)
 		if l.IsConst() {

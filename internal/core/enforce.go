@@ -371,9 +371,16 @@ type Match struct {
 // enumerated beforehand, in the order given — offer then drain per match, on
 // a fresh relation, stopping at the first conflict. It is the chase of
 // SeqSat without the enumeration, which is how the bench harness times the
-// enforcement layer by itself. The assignments are read, never written.
+// enforcement layer by itself. The assignments are read, never written; the
+// relation is sized for the nodes they name, as SeqSat's is for G_Σ.
 func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
-	enf := newSeqEnforcer(eq.New(), set)
+	e := eq.New()
+	for _, m := range ms {
+		for _, n := range m.H {
+			e.Reserve(int(n) + 1)
+		}
+	}
+	enf := newSeqEnforcer(e, set)
 	for _, m := range ms {
 		if !enf.offer(m.GFD, m.H) || !enf.drain() {
 			break

@@ -17,7 +17,9 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 		return emptySetResult()
 	}
 	cs := canon.BuildSigma(set)
-	eng := newParEngine(opt, set, cs.Graph.Frozen(), eq.New())
+	base := eq.New()
+	base.Reserve(int(cs.Offset[set.Len()])) // so every worker's clone makes its columns once
+	eng := newParEngine(opt, set, cs.Graph.Frozen(), base)
 	eng.sigma = cs
 	con, _, final, stats, err := eng.run()
 	if err != nil {

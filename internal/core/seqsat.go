@@ -79,7 +79,9 @@ func SeqSat(set *gfd.Set) *SatResult {
 	}
 	cs := canon.BuildSigma(set)
 	g := cs.Graph.Frozen() // G_Σ is searched as a Frozen
-	enf := newSeqEnforcer(eq.New(), set)
+	e := eq.New()
+	e.Reserve(int(cs.Offset[set.Len()])) // G_Σ's node count
+	enf := newSeqEnforcer(e, set)
 
 	// Process GFDs of the form Q[x̄](∅→Y) first, then follow the interaction
 	// order; the pending index makes the result order-independent

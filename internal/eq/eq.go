@@ -17,8 +17,8 @@
 // what the reasoning engines run on: attribute and constant names are
 // interned once (AttrIDOf, ConstIDOf — the same resolve-once idiom as
 // graph.Reader's LabelIDOf), a term is addressed by a dense Handle found
-// from (node, attribute ID) by scanning the node's short handle list, and
-// AssignAt / MergeAt / ApplyAppend report changed classes by appending
+// from (node, attribute ID) by one load from the attribute's handle column,
+// and AssignAt / MergeAt / ApplyAppend report changed classes by appending
 // handles to a buffer the caller owns — no string is hashed and nothing is
 // allocated per operation once the tables are warm. The string surface (Term,
 // AssignConst, Merge, Apply, Const, Same, …) is a thin wrapper that interns
@@ -115,24 +115,17 @@ type slot struct {
 	rank   int8
 }
 
-type nodeSlot struct {
-	attr AttrID
-	h    Handle
-}
-
 // Eq is the equivalence relation. The zero value is not usable; construct
 // with New. Eq is not safe for concurrent use; each worker owns a replica.
 type Eq struct {
 	slots []slot
-	// byNode[n] lists the handles allocated at graph node n with their
-	// attributes: a handle is found by scanning its node's few entries, which
-	// sit together in memory — no hashing, and space only for what was
-	// touched.
-	byNode [][]nodeSlot
-	// listSlab is where byNode's lists are carved from: one allocation per
-	// chunk of entries instead of one per list growth.
-	listSlab []nodeSlot
-	classes  int // handles whose class exists
+	// byAttr[a][n] is 1 + the handle of (n, a), and 0 when (n, a) has none,
+	// so a fresh column needs no fill. A column exists only for an attribute
+	// that got a handle; a new attribute adds one and leaves the others be.
+	byAttr [][]Handle
+	// nodes is Reserve's hint: the least length a column is made or grown to.
+	nodes   int
+	classes int // handles whose class exists
 
 	attrIDs  map[string]AttrID
 	attrs    []string
@@ -181,14 +174,15 @@ func (e *Eq) ConstIDOf(c string) ConstID {
 // ConstName returns the constant an ID stands for.
 func (e *Eq) ConstName(c ConstID) string { return e.consts[c] }
 
+// Reserve is a capacity hint: a column made or grown from now on holds node
+// IDs below nodes, so a relation over that many nodes makes each column once.
+func (e *Eq) Reserve(nodes int) { e.nodes = max(e.nodes, nodes) }
+
 // slotOf returns the handle allocated for (n, a), created or not.
 func (e *Eq) slotOf(n graph.NodeID, a AttrID) Handle {
-	if int(n) >= len(e.byNode) {
-		return NoHandle
-	}
-	for _, s := range e.byNode[n] {
-		if s.attr == a {
-			return s.h
+	if int(a) < len(e.byAttr) {
+		if col := e.byAttr[a]; uint(n) < uint(len(col)) {
+			return col[n] - 1
 		}
 	}
 	return NoHandle
@@ -209,8 +203,12 @@ func (e *Eq) HandleOf(n graph.NodeID, a AttrID) Handle {
 	if h := e.slotOf(n, a); h >= 0 {
 		return h
 	}
-	if int(n) >= len(e.byNode) {
-		e.byNode = append(e.byNode, make([][]nodeSlot, int(n)+1-len(e.byNode))...)
+	if int(a) >= len(e.byAttr) {
+		e.byAttr = append(e.byAttr, make([][]Handle, int(a)+1-len(e.byAttr))...)
+	}
+	if col := e.byAttr[a]; int(n) >= len(col) {
+		e.byAttr[a] = make([]Handle, max(2*len(col), int(n)+1, e.nodes))
+		copy(e.byAttr[a], col)
 	}
 	h := Handle(len(e.slots))
 	if len(e.slots) == cap(e.slots) {
@@ -220,26 +218,8 @@ func (e *Eq) HandleOf(n graph.NodeID, a AttrID) Handle {
 		e.slots = slices.Grow(e.slots, max(len(e.slots), 64))
 	}
 	e.slots = append(e.slots, slot{node: int32(n), attr: a, parent: noClass, ring: h, konst: NoConst})
-	list := e.byNode[n]
-	if len(list) == cap(list) {
-		list = e.carveList(list, max(4, 2*len(list)))
-	}
-	e.byNode[n] = append(list, nodeSlot{attr: a, h: h})
+	e.byAttr[a][n] = h + 1
 	return h
-}
-
-// carveList returns a copy of list with capacity n, cut from the slab. The
-// list it replaces stays behind in its slab: at most as much again as the
-// lists in use.
-func (e *Eq) carveList(list []nodeSlot, n int) []nodeSlot {
-	if cap(e.listSlab)-len(e.listSlab) < n {
-		// A chunk as large as the relation so far, within bounds: a relation
-		// over a six-node graph stays small, a large one allocates rarely.
-		e.listSlab = make([]nodeSlot, 0, max(n, min(max(len(e.slots), 64), 4096)))
-	}
-	at := len(e.listSlab)
-	e.listSlab = e.listSlab[:at+n]
-	return append(e.listSlab[at:at:at+n], list...)
 }
 
 // NumHandles returns the number of handles allocated; handles are
@@ -491,7 +471,8 @@ func (e *Eq) Apply(d Delta) []Term { return e.termsOf(e.ApplyAppend(d, nil)) }
 func (e *Eq) Clone() *Eq {
 	c := &Eq{
 		slots:    append([]slot(nil), e.slots...),
-		byNode:   make([][]nodeSlot, len(e.byNode)),
+		byAttr:   make([][]Handle, len(e.byAttr)),
+		nodes:    e.nodes,
 		classes:  e.classes,
 		attrIDs:  make(map[string]AttrID, len(e.attrIDs)),
 		attrs:    append([]string(nil), e.attrs...),
@@ -500,11 +481,11 @@ func (e *Eq) Clone() *Eq {
 		log:      append(Delta(nil), e.log...),
 		quiet:    e.quiet,
 	}
-	c.listSlab = make([]nodeSlot, 0, len(e.slots))
-	for n, l := range e.byNode {
-		if len(l) > 0 {
-			c.byNode[n] = c.carveList(l, len(l))
-		}
+	// One allocation backs every column; HandleOf grows a column into a
+	// fresh one, never in place.
+	backing := slices.Concat(e.byAttr...)
+	for a, col := range e.byAttr {
+		c.byAttr[a], backing = backing[:len(col):len(col)], backing[len(col):]
 	}
 	for s, id := range e.attrIDs {
 		c.attrIDs[s] = id
