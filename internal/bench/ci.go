@@ -403,45 +403,12 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 	return set, opt
 }
 
-// SimulateWorkload builds the simulation pre-pass's input as ParSat sees it:
-// the pattern groups of a DBpedia-profile Σ of n rules (K=6, L=5, wildcard
-// rate 0.3 — the shape of the end-to-end benchmark's sat-dbpedia family) and
-// its canonical graph G_Σ with the index its scopes come from. The snapshot
-// the engines search is built here, once, as ParSat builds it before the
-// pass.
-func SimulateWorkload(n int, seed int64) ([]gfd.Group, *canon.Sigma) {
-	set := satSigma(n, seed)
-	cs := canon.BuildSigma(set)
-	cs.Graph.Frozen()
-	return set.Groups(), cs
-}
-
-// satSigma generates the Σ shape of the end-to-end benchmark's sat-dbpedia
-// family at n rules.
-func satSigma(n int, seed int64) *gfd.Set {
-	return gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
-}
-
-// SimulateSigma runs the pre-pass over every group through one shared
-// Simulator, each group started from its scope in G_Σ — what a ParSat
-// worker does — and returns the number of groups that passed.
-func SimulateSigma(groups []gfd.Group, cs *canon.Sigma) int {
-	sim := match.NewSimulator(cs.Graph.Frozen())
-	passed := 0
-	for _, grp := range groups {
-		if base, ok := cs.Scope(grp.Pattern); ok && sim.Simulate(grp.Pattern, base) != nil {
-			passed++
-		}
-	}
-	return passed
-}
-
 // EnforceWorkload builds the enforcement layer's input as SeqSat produces it:
-// a DBpedia-profile Σ of n rules (the shape of the end-to-end benchmark's
-// sat-dbpedia family, see SimulateWorkload) and every match of every rule in
-// G_Σ, enumerated once, in SeqSat's rule order.
+// a DBpedia-profile Σ of n rules (K=6, L=5, wildcard rate 0.3 — the shape of
+// the end-to-end benchmark's sat-dbpedia family) and every match of every
+// rule in G_Σ, enumerated once, in SeqSat's rule order.
 func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
-	set := satSigma(n, seed)
+	set := gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
 	g := canon.BuildSigma(set).Graph.Frozen()
 	var ms []core.Match
 	for _, gi := range depgraph.OrderGFDs(set) {
@@ -562,16 +529,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// its trajectory under the name it has always had.
 	set, popt := ParWorkload(cfg.Seed)
 	info("parsat_steal_ms", medianTime(cfg.Reps, func() { core.ParSat(set, popt) }))
-
-	// The simulation pre-pass ParSat runs before its first unit, on the
-	// end-to-end benchmark's Σ shape, through one shared Simulator.
-	// Informational: an absolute time and an allocation count.
-	sgroups, sg := SimulateWorkload(1600, cfg.Seed)
-	if SimulateSigma(sgroups, sg) == 0 {
-		return report, fmt.Errorf("simulate workload broken: no pattern of Σ simulates into G_Σ")
-	}
-	info("simulate_sigma_ms", medianTime(cfg.Reps, func() { SimulateSigma(sgroups, sg) }))
-	infoAllocs("simulate_sigma_allocs", allocsPerOp(cfg.Reps, func() { SimulateSigma(sgroups, sg) }))
 
 	// The enforcement layer by itself on the same Σ shape: literal
 	// resolution, then offer/drain of the pre-enumerated matches through a

@@ -53,7 +53,7 @@ func assertGoroutineBaseline(t *testing.T, before int) {
 
 // TestParPreCanceled pins the entry check on both engines: a context
 // canceled before the call returns ErrCanceled without starting — no group
-// is simulated, no unit is built or run.
+// is planned, no unit is built or run.
 func TestParPreCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(4)
@@ -62,7 +62,7 @@ func TestParPreCanceled(t *testing.T) {
 	cancel()
 	opt := DefaultParOptions(2)
 	opt.Ctx = ctx
-	opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started under a pre-canceled context") }
+	opt.testHookUnitStart = func(int) { t.Error("a unit started under a pre-canceled context") }
 	if res := ParSat(set, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
 		t.Fatalf("ParSat: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
 	}
@@ -70,7 +70,7 @@ func TestParPreCanceled(t *testing.T) {
 		t.Fatalf("ParImp: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
 	}
 	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
-	eng.testHookGroupSim = func(int) { t.Error("a group was simulated under a pre-canceled context") }
+	eng.testHookGroupPlan = func(int) { t.Error("a group was planned under a pre-canceled context") }
 	if _, _, _, _, err := eng.run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("engine run: err = %v, want ErrCanceled", err)
 	}
@@ -104,14 +104,14 @@ func (c *manualDeadline) fire() {
 }
 
 // TestParDeadlineDuringBuildUnits fires the deadline from inside the
-// simulation pre-pass: the run must end there with the deadline error —
+// planning pass: the run must end there with the deadline error —
 // no unit built, none run — instead of first looking at the context once
-// the work phase starts. With one worker the pre-pass must stop at the very
+// the work phase starts. With one worker the pass must stop at the very
 // next group.
 func TestParDeadlineDuringBuildUnits(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// 12 structurally distinct patterns (paths of 2..13 variables), so Σ has
-	// 12 pattern groups and the pre-pass 12 simulation tasks.
+	// 12 pattern groups and the planning pass 12 tasks.
 	set := gfd.NewSet()
 	for i := 0; i < 12; i++ {
 		p := pattern.New()
@@ -130,19 +130,19 @@ func TestParDeadlineDuringBuildUnits(t *testing.T) {
 		ctx := &manualDeadline{Context: context.Background(), done: make(chan struct{})}
 		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
-		opt.testHookUnitStart = func(int, graph.NodeID) { t.Error("a unit started after the deadline fired in buildUnits") }
+		opt.testHookUnitStart = func(int) { t.Error("a unit started after the deadline fired in buildUnits") }
 		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
-		var simulated atomic.Int64
-		eng.testHookGroupSim = func(int) {
-			simulated.Add(1)
+		var planned atomic.Int64
+		eng.testHookGroupPlan = func(int) {
+			planned.Add(1)
 			ctx.fire()
 		}
 		_, _, _, stats, err := eng.run()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("p=%d: err = %v, want context.DeadlineExceeded", workers, err)
 		}
-		if n := simulated.Load(); n < 1 || n > int64(workers) {
-			t.Fatalf("p=%d: %d groups simulated; each worker must stop at its first poll after the deadline", workers, n)
+		if n := planned.Load(); n < 1 || n > int64(workers) {
+			t.Fatalf("p=%d: %d groups planned; each worker must stop at its first poll after the deadline", workers, n)
 		}
 		if len(eng.units) != 0 || stats.UnitsRun != 0 {
 			t.Fatalf("p=%d: units built=%d run=%d after a deadline during buildUnits", workers, len(eng.units), stats.UnitsRun)
@@ -161,7 +161,7 @@ func TestParSatCancelMidFlight(t *testing.T) {
 	for vname, opt := range variantOptions(4) {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt.Ctx = ctx
-		opt.testHookUnitStart = func(int, graph.NodeID) { cancel() }
+		opt.testHookUnitStart = func(int) { cancel() }
 		res := ParSat(set, opt)
 		cancel()
 		if !errors.Is(res.Err, ErrCanceled) {
@@ -181,7 +181,7 @@ func TestParImpCancelMidFlight(t *testing.T) {
 	for vname, opt := range variantOptions(4) {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt.Ctx = ctx
-		opt.testHookUnitStart = func(int, graph.NodeID) { cancel() }
+		opt.testHookUnitStart = func(int) { cancel() }
 		res := ParImp(set, target, opt)
 		cancel()
 		if !errors.Is(res.Err, ErrCanceled) {
@@ -216,7 +216,7 @@ func TestParSatPanicIsolation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(24)
 	for vname, opt := range variantOptions(4) {
-		opt.testHookUnitStart = func(int, graph.NodeID) { panic("boom-42") }
+		opt.testHookUnitStart = func(int) { panic("boom-42") }
 		res := ParSat(set, opt)
 		if res.Err == nil {
 			t.Fatalf("%s: panicking unit produced no error", vname)

@@ -414,30 +414,13 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 			if a.Err != nil || b.Err != nil || !a.Satisfiable || !b.Satisfiable {
 				t.Fatalf("seed %d, %s: satisfiable %v/%v (err %v/%v), want a satisfiable Σ", seed, name, a.Satisfiable, b.Satisfiable, a.Err, b.Err)
 			}
-			ea, eb := a.witness.eq, b.witness.eq
-			terms := ea.AllTerms()
-			if n := len(eb.AllTerms()); n != len(terms) || n == 0 {
-				t.Fatalf("seed %d, %s: %d terms, %d after permuting and renaming", seed, name, len(terms), n)
+			terms := a.witness.eq.AllTerms()
+			if len(terms) == 0 {
+				t.Fatalf("seed %d, %s: the final relation has no term", seed, name)
 			}
-			joined := 0 // terms in the class of an earlier term
-			for i, u := range terms {
-				mu := moved(u)
-				ca, oka := ea.Const(u)
-				cb, okb := eb.Const(mu)
-				if !eb.Has(mu) || ca != cb || oka != okb {
-					t.Fatalf("seed %d, %s: term %v (const %q %v) is %v (present %v, const %q %v) after permuting and renaming",
-						seed, name, u, ca, oka, mu, eb.Has(mu), cb, okb)
-				}
-				same := false
-				for _, w := range terms[:i] {
-					if ea.Same(u, w) != eb.Same(mu, moved(w)) {
-						t.Fatalf("seed %d, %s: %v ~ %v is %v, but %v after permuting and renaming", seed, name, u, w, ea.Same(u, w), !ea.Same(u, w))
-					}
-					same = same || ea.Same(u, w)
-				}
-				if same {
-					joined++
-				}
+			joined, err := sameEq(a.witness.eq, b.witness.eq, moved)
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v after permuting and renaming", seed, name, err)
 			}
 			if joined == 0 {
 				t.Fatalf("seed %d, %s: no two of %d terms share a class: the partition is not tested", seed, name, len(terms))
@@ -445,6 +428,36 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 			t.Logf("seed %d, %s: %d terms, %d in an earlier term's class", seed, name, len(terms), joined)
 		}
 	}
+}
+
+// sameEq compares two final relations through moved, which maps a's terms
+// to b's: b has exactly a's terms, each with the same constant, and two terms
+// share a class in a iff they do in b. It returns how many of a's terms
+// share the class of an earlier term, or the first difference.
+func sameEq(a, b *eq.Eq, moved func(eq.Term) eq.Term) (joined int, err error) {
+	terms := a.AllTerms()
+	if n := len(b.AllTerms()); n != len(terms) {
+		return 0, fmt.Errorf("%d terms against %d", len(terms), n)
+	}
+	for i, u := range terms {
+		mu := moved(u)
+		ca, oka := a.Const(u)
+		cb, okb := b.Const(mu)
+		if !b.Has(mu) || ca != cb || oka != okb {
+			return 0, fmt.Errorf("term %v (const %q %v) is %v (present %v, const %q %v)", u, ca, oka, mu, b.Has(mu), cb, okb)
+		}
+		same := false
+		for _, w := range terms[:i] {
+			if a.Same(u, w) != b.Same(mu, moved(w)) {
+				return 0, fmt.Errorf("%v ~ %v is %v, but %v", u, w, a.Same(u, w), !a.Same(u, w))
+			}
+			same = same || a.Same(u, w)
+		}
+		if same {
+			joined++
+		}
+	}
+	return joined, nil
 }
 
 // permuteSet lists Σ's GFDs in a random order.

@@ -16,11 +16,10 @@ import (
 )
 
 // ParOptions configures ParSat and ParImp. The zero value is not useful;
-// start from DefaultParOptions. Two of the paper's devices are not options
-// because nothing is gained by turning them off: work units always run in
-// the dependency order of Section V-B (groupOrder), and pattern candidates
-// always pass the graph-simulation pre-filter (the multi-query optimization
-// device; a pattern that fails simulation has no match and yields no unit).
+// start from DefaultParOptions. Two things about work units are not options,
+// because nothing is gained by varying them: they always run in the
+// dependency order of Section V-B (groupOrder), and each roots its search in
+// at most unitRoots pivot candidates.
 type ParOptions struct {
 	// Workers is p, the number of parallel workers (at least 1).
 	Workers int
@@ -37,9 +36,10 @@ type ParOptions struct {
 	// context.DeadlineExceeded when a deadline fired) in the result's Err
 	// field; it never leaks a goroutine. Nil runs without cancellation.
 	Ctx context.Context
-	// testHookUnitStart, when non-nil, runs at the top of every work unit —
-	// the seam the panic-isolation tests use to detonate inside a worker.
-	testHookUnitStart func(gfd int, pivot graph.NodeID)
+	// testHookUnitStart, when non-nil, runs at the top of every work unit
+	// with the group's first member — the seam the panic-isolation tests use
+	// to detonate inside a worker.
+	testHookUnitStart func(gfd int)
 }
 
 // DefaultParOptions returns the configuration used by the experiments
@@ -48,16 +48,25 @@ func DefaultParOptions(workers int) ParOptions {
 	return ParOptions{Workers: workers, TTL: 100 * time.Millisecond}
 }
 
-// unit is a pivoted work unit (Q[z], group), optionally carrying a partial
-// match seed when it was split off a straggler. Units are per pattern
-// group, not per GFD: one enumeration of the group's pattern serves every
-// member rule, with the per-GFD conclusions fanned out at enforcement time
-// (handleMatch).
+// unit is a work unit of one pattern group (Section V-B): a consecutive,
+// ascending range of at most unitRoots of the group's pivot candidates, or,
+// once split off a straggler, one partial match to complete. The candidates
+// are the pivot's G_Σ scope for ParSat and its label-index candidates on
+// G^X_Q for ParImp. Units are per pattern group, not per GFD: one enumeration
+// of the group's pattern serves every member rule, with the per-GFD
+// conclusions fanned out at enforcement time (handleMatch).
 type unit struct {
-	grp   int // index into parEngine.groups
-	pivot graph.NodeID
-	seed  match.Assignment
+	grp   int              // index into parEngine.groups
+	roots []graph.NodeID   // the range; nil for a split-off unit
+	seed  match.Assignment // the partial match of a split-off unit
 }
+
+// unitRoots is the most pivot candidates one unit roots its search in. A
+// unit pays a pool take, a catch-up and a search set-up; at one candidate
+// per unit those costs rivalled the matching itself (2.8 matches per unit on
+// the sat-dbpedia Σ). Cuts of 16 to 128 and whole groups measured the same
+// (DESIGN.md, "Work units"); a short cut keeps the pool able to balance.
+const unitRoots = 64
 
 // halt is a run's answer-bearing early termination — a conflict (UNSAT, or
 // implication by conflict) or the implication goal — as opposed to a failure.
@@ -75,7 +84,7 @@ func (h *halt) Error() string { return "core: run halted with an answer" }
 // canonical graph is replicated conceptually at each worker; being immutable
 // it is shared read-only. Each worker owns an Eq replica and a pending
 // index; deltas are exchanged through a cluster.Log. Every fan-out — the
-// simulation pre-pass, the work phase, each finalize round — runs on the
+// planning pass, the work phase, each finalize round — runs on the
 // package's worker pool (pool.go).
 type parEngine struct {
 	opt ParOptions
@@ -86,9 +95,9 @@ type parEngine struct {
 	baseEq *eq.Eq
 	goal   func(*eq.Eq) bool // nil for satisfiability; Y ⊆ Eq_H for implication
 	high   func(int) bool    // GFD indexes with the highest unit priority
-	// sigma, G_Σ for satisfiability, scopes each pattern's simulation to
-	// the GFD copies that can host it (canon.Sigma.Scope). Nil for
-	// implication: G^X_Q is one copy, and every variable starts from the
+	// sigma, G_Σ for satisfiability, scopes each group's pivot candidates
+	// to the GFD copies that can host its pattern (canon.Sigma.Scope). Nil
+	// for implication: G^X_Q is one copy, and the pivot's candidates are its
 	// label index.
 	sigma *canon.Sigma
 
@@ -98,20 +107,19 @@ type parEngine struct {
 	groups       []gfd.Group
 	sharedGroups int
 
-	sims     []*match.Sim // nil where simulation failed: no match, no units
-	pivotVar []pattern.Var
-	orders   [][]pattern.Var
-	plans    []*match.Plan
-	units    []unit
+	orders [][]pattern.Var // per group, the order of its pivot (Plan.OrderFor)
+	plans  []*match.Plan
+	units  []unit
 
 	ctx  context.Context // never nil: Background when ParOptions.Ctx is nil
 	log  *cluster.Log
 	pool *pool[unit] // the work phase's pool; sized once, here, for all phases
 
-	// testHookGroupSim, when non-nil, runs before each group's simulation —
+	// testHookGroupPlan, when non-nil, runs before each group is planned —
 	// the seam the cancellation tests use to observe and interrupt the
-	// pre-pass (kept off ParOptions: it is engine plumbing, not an option).
-	testHookGroupSim func(grp int)
+	// planning pass (kept off ParOptions: it is engine plumbing, not an
+	// option).
+	testHookGroupPlan func(grp int)
 }
 
 func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader, baseEq *eq.Eq) *parEngine {
@@ -119,14 +127,12 @@ func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader, baseEq *eq.Eq) *
 	return &parEngine{opt: opt, set: set, g: g, baseEq: baseEq, ctx: pl.ctx, log: cluster.NewLog(), pool: pl}
 }
 
-// buildUnits enumerates the work units of Σ on g: one per (pattern group,
-// pivot candidate). GFDs with structurally equal patterns share one group —
-// one simulation relation, one plan, one set of units — and their X → Y
-// conclusions fan out per match in handleMatch. The pivot variable is the
-// most selective pivot among the pattern's components, and its candidates
-// are the nodes the simulation pre-filter kept; on G_Σ the simulation starts
-// from the pattern's scope. A non-nil error is the pre-pass's cancellation or panic;
-// no unit has run then.
+// buildUnits enumerates the work units of Σ on g. GFDs with structurally
+// equal patterns share one group — one plan, one set of units — and their
+// X → Y conclusions fan out per match in handleMatch. Each group's pivot is
+// the plan pivot with the fewest candidates, and its candidate list is cut
+// into ascending ranges of at most unitRoots (appendRanges). A non-nil error
+// is the planning pass's cancellation or panic; no unit has run then.
 func (e *parEngine) buildUnits() error {
 	e.groups = e.set.Groups()
 	n := len(e.groups)
@@ -135,83 +141,66 @@ func (e *parEngine) buildUnits() error {
 			e.sharedGroups++
 		}
 	}
-	e.sims = make([]*match.Sim, n)
-	e.pivotVar = make([]pattern.Var, n)
 	e.orders = make([][]pattern.Var, n)
 	e.plans = make([]*match.Plan, n)
-	// Simulation, planning and pivot choice are per-group independent; doing
-	// them serially would be a p-independent startup phase capping the
-	// speedup (Amdahl), so they are spread over the same p workers and only
-	// the concatenation of the unit lists below is serial. Each worker keeps
-	// its own Simulator for its scratch buffers. The context is polled
-	// between groups: on a large Σ this pass is a sizeable share of the run,
-	// and a deadline must not wait it out.
-	simulators := make([]*match.Simulator, e.pool.size())
-	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(w, i int) error {
+	roots := make([][]graph.NodeID, n)
+	// Planning and pivot choice are per-group independent; doing them
+	// serially would be a p-independent startup phase capping the speedup
+	// (Amdahl), so they are spread over the same p workers and only the
+	// cutting below is serial. The context is polled between groups: a
+	// deadline must not wait the pass out.
+	err := newPool[int](e.ctx, e.pool.size()).run(indexes(n), func(_, i int) error {
 		if err := e.ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
-		if h := e.testHookGroupSim; h != nil {
+		if h := e.testHookGroupPlan; h != nil {
 			h(i)
 		}
-		if simulators[w] == nil {
-			simulators[w] = match.NewSimulator(e.g)
-		}
 		pat := e.groups[i].Pattern
-		var base [][]graph.NodeID
+		plan := match.CompilePlan(pat, e.g)
+		var scope [][]graph.NodeID
 		if e.sigma != nil {
 			var ok bool
-			if base, ok = e.sigma.Scope(pat); !ok {
+			if scope, ok = e.sigma.Scope(pat, plan.Pivots()...); !ok {
 				return nil // no copy of Σ hosts it: no units
 			}
 		}
-		sim := simulators[w].Simulate(pat, base)
-		if sim == nil {
-			return nil // no match anywhere: no units
-		}
-		e.sims[i] = sim
-		// Plan the group once: pivots, per-pivot orders and resolved label IDs
-		// are shared by every work unit.
-		plan := match.CompilePlan(pat, e.g)
-		e.plans[i] = plan
-		pivots := plan.Pivots()
-		best := pivots[0]
-		for _, pv := range pivots[1:] {
-			if sim.Count(pv) < sim.Count(best) {
-				best = pv
+		for k, pv := range plan.Pivots() {
+			var cands []graph.NodeID
+			if scope != nil {
+				cands = scope[pv]
+			}
+			if cands == nil { // implication, or an edgeless component
+				cands = e.g.AppendCandidates(nil, pat.Label(pv))
+			}
+			if k == 0 || len(cands) < len(roots[i]) {
+				roots[i], e.orders[i] = cands, plan.OrderFor(pv)
 			}
 		}
-		e.pivotVar[i] = best
-		// Variable order: the pivot's component first (starting at the
-		// pivot), then remaining components (precomputed per pivot on the
-		// plan).
-		e.orders[i] = plan.OrderFor(best)
+		e.plans[i] = plan
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	total := 0
-	for i, sim := range e.sims {
-		if sim != nil {
-			total += sim.Count(e.pivotVar[i])
-		}
-	}
 	// Units are emitted in dependency order, group by group, so the pool's
 	// striping hands every worker its highest-priority share first.
-	e.units = make([]unit, 0, total)
 	for _, i := range e.groupOrder() {
-		sim := e.sims[i]
-		if sim == nil {
-			continue
-		}
-		for _, z := range sim.Nodes(e.pivotVar[i]) { // already ascending
-			e.units = append(e.units, unit{grp: i, pivot: z})
-		}
-		// From here on the relation is only probed (Has, the search filter).
-		sim.DropLists()
+		e.units = appendRanges(e.units, i, roots[i], unitRoots)
 	}
 	return nil
+}
+
+// appendRanges appends group grp's units to units: roots cut into
+// consecutive ranges of at most size candidates, in order. Roots are
+// ascending, so every range is, and a worker that runs a group's units in
+// order enumerates what one search over all of roots would, in that order.
+func appendRanges(units []unit, grp int, roots []graph.NodeID, size int) []unit {
+	for lo := 0; lo < len(roots); lo += size {
+		hi := min(lo+size, len(roots))
+		units = append(units, unit{grp: grp, roots: roots[lo:hi:hi]})
+	}
+	return units
 }
 
 // groupOrder returns the pattern groups in scheduling order: each group
@@ -315,14 +304,6 @@ type parWorker struct {
 	enf    *enforcer
 	cursor int
 	halted error
-	// search is the worker's last pivot-seeded search, with the group it
-	// ran and its seed buffer: the next unit of the same group re-arms it
-	// (match.Search.Reseed) instead of building a search of its own. Units
-	// are emitted group by group, so those of one group sit next to each
-	// other in a worker's deque.
-	search     *match.Search
-	searchGrp  int
-	searchSeed match.Assignment
 }
 
 func newParWorker(id int, eng *parEngine) *parWorker {
@@ -394,53 +375,23 @@ func (w *parWorker) finalize() {
 	}
 }
 
-// runUnit executes one work unit: pivoted matching with TTL splitting,
-// enforcing every member GFD of the unit's pattern group at each match.
-// Matching and checking alternate on the worker's own goroutine: each match
-// is enforced as soon as it is found (so a conflict or the goal stops the
-// unit mid-enumeration), and the parallelism is across units.
+// runUnit executes one work unit: matching with TTL splitting, enforcing
+// every member GFD of the unit's pattern group at each match. Matching and
+// checking alternate on the worker's own goroutine: each match is enforced
+// as soon as it is found (so a conflict or the goal stops the unit
+// mid-enumeration), and the parallelism is across units.
 func (w *parWorker) runUnit(u unit) {
 	w.enf.stats.UnitsRun++
 	eng := w.eng
-	grp := eng.groups[u.grp]
 	if h := eng.opt.testHookUnitStart; h != nil {
 		// The hook's GFD index is the group's representative member, so
 		// existing per-GFD test hooks keep firing on meaningful indexes.
-		h(grp.Members[0], u.pivot)
+		h(eng.groups[u.grp].Members[0])
 	}
 	if !w.catchUp() {
 		return
 	}
-	p := grp.Pattern
-	pv := eng.pivotVar[u.grp]
-
-	// No explicit d_Q-neighborhood restriction is needed: the match order
-	// grows the pivot's component outward from the seeded pivot, so every
-	// candidate is generated from an assigned neighbor's adjacency and the
-	// search never leaves the neighborhood. The (shared, read-only)
-	// simulation relation prunes candidates further without per-unit
-	// allocation. The run's context rides into the enumeration so even one
-	// huge unit stops within a bounded number of frame expansions after
-	// cancellation.
-	var s *match.Search
-	if u.seed == nil && w.search != nil && w.searchGrp == u.grp {
-		w.searchSeed[pv] = u.pivot
-		s = w.search
-		s.Reseed(w.searchSeed)
-	} else {
-		seed := u.seed
-		if seed == nil {
-			seed = match.NewAssignment(p.NumVars())
-			seed[pv] = u.pivot
-		}
-		s = match.NewSearch(p, eng.g, match.Options{Order: eng.orders[u.grp], Seed: seed, Filter: eng.sims[u.grp].Has, Plan: eng.plans[u.grp], Ctx: eng.opt.Ctx})
-		if u.seed == nil {
-			// A split unit's seed assigns a different variable set, so its
-			// search cannot serve the next pivot.
-			w.search, w.searchGrp, w.searchSeed = s, u.grp, seed
-		}
-	}
-
+	s := eng.search(u)
 	var split []match.Assignment
 	start := time.Now()
 	for {
@@ -460,6 +411,20 @@ func (w *parWorker) runUnit(u unit) {
 		}
 	}
 	w.emitSplits(u, split)
+}
+
+// search returns unit u's enumeration, in its group's pivot order: rooted in
+// u's range of pivot candidates, or completing u's partial match. No
+// d_Q-neighborhood restriction is needed: every later variable's candidates
+// are generated from an assigned neighbor's adjacency, so the search never
+// leaves the root's neighborhood, and the root frame's signature pruning
+// drops the candidates that cannot cover the pivot's edges. The run's
+// context rides into the enumeration so even one huge unit stops within a
+// bounded number of frame expansions after cancellation.
+func (e *parEngine) search(u unit) *match.Search {
+	return match.NewSearch(e.groups[u.grp].Pattern, e.g, match.Options{
+		Order: e.orders[u.grp], Seed: u.seed, RootCandidates: u.roots, Plan: e.plans[u.grp], Ctx: e.opt.Ctx,
+	})
 }
 
 // handleMatch offers h to every member GFD of pattern group grp — this is
@@ -492,7 +457,7 @@ func (w *parWorker) emitSplits(u unit, seeds []match.Assignment) {
 	}
 	units := make([]unit, len(seeds))
 	for i, sd := range seeds {
-		units[i] = unit{grp: u.grp, pivot: u.pivot, seed: sd}
+		units[i] = unit{grp: u.grp, seed: sd}
 	}
 	w.enf.stats.UnitsSplit += len(units)
 	// Split branches stay on the splitter's own deque: runnable immediately,

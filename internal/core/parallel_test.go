@@ -3,12 +3,19 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/canon"
+	"repro/internal/dataset"
+	"repro/internal/eq"
+	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/gfdio"
+	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/pattern"
 )
 
@@ -143,12 +150,17 @@ func randomSet(rng *rand.Rand, n int) *gfd.Set {
 	return set
 }
 
+// TestParSatAgreesOnRandomSets runs ParSat at p ∈ {1, 3} with the default
+// TTL and with one so small that every unit splits: the verdict must be
+// SeqSat's, and on a satisfiable Σ so must the final Eq (sameEq).
 func TestParSatAgreesOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	satSeen, unsatSeen := 0, 0
+	same := func(t eq.Term) eq.Term { return t }
 	for trial := 0; trial < 40; trial++ {
 		set := randomSet(rng, 2+rng.Intn(4))
 		want := SeqSat(set)
+		wantEq := want.witness.eq // Model hands the relation over to the model
 		if want.Satisfiable {
 			satSeen++
 			if want.Model() == nil || !IsModel(want.Model(), set) {
@@ -157,11 +169,22 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 		} else {
 			unsatSeen++
 		}
-		opt := DefaultParOptions(3)
-		opt.TTL = 2 * time.Millisecond
-		got := ParSat(set, opt)
-		if got.Satisfiable != want.Satisfiable {
-			t.Errorf("trial %d: ParSat=%v SeqSat=%v\n%s", trial, got.Satisfiable, want.Satisfiable, set)
+		for _, p := range []int{1, 3} {
+			for _, ttl := range []time.Duration{DefaultParOptions(p).TTL, time.Nanosecond} {
+				opt := DefaultParOptions(p)
+				opt.TTL = ttl
+				got := ParSat(set, opt)
+				if got.Err != nil || got.Satisfiable != want.Satisfiable {
+					t.Errorf("trial %d, p=%d, TTL %v: ParSat=%v (err %v) SeqSat=%v\n%s", trial, p, ttl, got.Satisfiable, got.Err, want.Satisfiable, set)
+					continue
+				}
+				if !want.Satisfiable {
+					continue
+				}
+				if _, err := sameEq(wantEq, got.witness.eq, same); err != nil {
+					t.Errorf("trial %d, p=%d, TTL %v: ParSat's final Eq differs from SeqSat's: %v\n%s", trial, p, ttl, err, set)
+				}
+			}
 		}
 	}
 	if satSeen == 0 || unsatSeen == 0 {
@@ -316,5 +339,72 @@ func TestStealingMatchesCentralStats(t *testing.T) {
 	}
 	if par.Stats.UnitsStolen < 0 || par.Stats.UnitsStolen > par.Stats.UnitsRun {
 		t.Fatalf("stolen units %d out of range (run %d)", par.Stats.UnitsStolen, par.Stats.UnitsRun)
+	}
+}
+
+// TestUnitsPartitionGroupRoots pins the unit shape on gen's Σ of
+// TestEngineCountsPinned. For every pattern group and every cut — one
+// candidate, three, unitRoots and the whole list — the ranges are ascending
+// and put each of the group's pivot candidates in exactly one range, and
+// running their searches one after another enumerates the sequence that one
+// search over the whole list does, which holds every match of the pattern
+// in G_Σ.
+func TestUnitsPartitionGroupRoots(t *testing.T) {
+	set := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
+	cs := canon.BuildSigma(set)
+	e := newParEngine(DefaultParOptions(1), set, cs.Graph.Frozen(), eq.New())
+	e.sigma = cs
+	if err := e.buildUnits(); err != nil {
+		t.Fatal(err)
+	}
+	matches := func(u unit) []match.Assignment {
+		var out []match.Assignment
+		s := e.search(u)
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			out = append(out, h.Clone())
+		}
+		return out
+	}
+	// The units buildUnits cut, joined per group, are the group's candidates.
+	roots := make([][]graph.NodeID, len(e.groups))
+	for _, u := range e.units {
+		if len(u.roots) == 0 || len(u.roots) > unitRoots || u.seed != nil {
+			t.Fatalf("group %d: a unit of %d roots (seed %v), want 1 to %d and no seed", u.grp, len(u.roots), u.seed, unitRoots)
+		}
+		roots[u.grp] = append(roots[u.grp], u.roots...)
+	}
+	found := 0
+	for grp, all := range roots {
+		if len(all) == 0 {
+			continue
+		}
+		if !slices.IsSorted(all) || len(slices.Compact(slices.Clone(all))) != len(all) {
+			t.Fatalf("group %d: candidates %v are not strictly ascending", grp, all)
+		}
+		want := matches(unit{grp: grp, roots: all})
+		if n := len(match.FindAll(e.groups[grp].Pattern, e.g)); len(want) != n {
+			t.Fatalf("group %d: %d matches rooted in the candidates, %d in G_Σ", grp, len(want), n)
+		}
+		for _, size := range []int{1, 3, unitRoots, len(all)} {
+			var joined []graph.NodeID
+			var got []match.Assignment
+			for _, u := range appendRanges(nil, grp, all, size) {
+				if u.grp != grp || len(u.roots) == 0 || len(u.roots) > size {
+					t.Fatalf("group %d, cut %d: a unit of group %d with %d roots", grp, size, u.grp, len(u.roots))
+				}
+				joined = append(joined, u.roots...)
+				got = append(got, matches(u)...)
+			}
+			if !slices.Equal(joined, all) {
+				t.Fatalf("group %d, cut %d: ranges join to %v, want %v", grp, size, joined, all)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("group %d, cut %d: the ranges enumerate %v, the whole list %v", grp, size, got, want)
+			}
+		}
+		found += len(want)
+	}
+	if found == 0 {
+		t.Fatal("no group has a match: the partition is not tested")
 	}
 }

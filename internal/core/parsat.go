@@ -8,10 +8,11 @@ import (
 
 // ParSat decides the satisfiability of Σ with p parallel workers
 // (Section V-B). It is parallel scalable relative to SeqSat: work units —
-// one per (pattern, pivot candidate) — are assigned dynamically in
-// dependency order by the worker pool, stragglers are split on a TTL, and
-// workers exchange monotone Eq deltas asynchronously. The outcome equals
-// SeqSat's on every input (Church–Rosser).
+// ranges of a pattern group's pivot candidates in its G_Σ scope — are
+// assigned dynamically in dependency order by the worker pool, stragglers
+// are split on a TTL, and workers exchange monotone Eq deltas
+// asynchronously. The outcome equals SeqSat's on every input
+// (Church–Rosser).
 func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 	if set.Len() == 0 {
 		return emptySetResult()

@@ -10,8 +10,8 @@ import (
 )
 
 // pool is the one worker pool of internal/core: the dynamic-assignment
-// scheduler behind every fan-out of ParSat/ParImp (simulation pre-pass,
-// work phase, finalize rounds), of Revalidate and of validation
+// scheduler behind every fan-out of ParSat/ParImp (planning pass, work
+// phase, finalize rounds), of Revalidate and of validation
 // (ViolationsOpts). Each of its p workers owns a deque; a worker pops its
 // own front, steals from the back of a peer when dry, and otherwise blocks
 // on a condition variable (with a wake sequence number so a wakeup between

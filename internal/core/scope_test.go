@@ -45,8 +45,9 @@ func scopeSigma() *gfd.Set {
 // that can host a pattern (canon.Sigma.Scope) to the unscoped definition:
 // for every GFD, SeqSat's search enumerates the matches a search rooted in
 // the whole label index does, in the same order; for every pattern group,
-// the simulation ParSat starts from the scope equals the one started from
-// the label index and oracle.Simulation. The sets are gen's at wildcard rates
+// a simulation started from the scope equals the one started from the
+// label index and oracle.Simulation. (ParSat's units, cut from the scope,
+// are held to the full match set by TestUnitsPartitionGroupRoots.) The sets are gen's at wildcard rates
 // 0 (gen's default, 0.1), 0.3 and 1, the paper's worked examples, and
 // scopeSigma.
 func TestScopedSigmaMatchesFull(t *testing.T) {

@@ -117,12 +117,12 @@ func shapeFromBytes(b []byte, max int) (labels []string, edges [][3]int) {
 	return labels, edges
 }
 
-// FuzzSimulate pins the simulation pre-pass to its definition on arbitrary
+// FuzzSimulate pins graph simulation to its definition on arbitrary
 // small pattern × graph pairs, on the mutable graph and its Frozen snapshot:
 // a Simulator's relation equals oracle.Simulation — on a first call, and on
 // a second, which reuses the scratch the first left behind — and every
 // homomorphism oracle.Matches finds lies inside it (the property
-// the engine relies on when it uses Has as a search filter). CI replays the
+// a caller relies on when it uses Has as a search filter). CI replays the
 // seed corpus deterministically (see ci.yml); run with -fuzz=FuzzSimulate to
 // explore.
 func FuzzSimulate(f *testing.F) {

@@ -9,7 +9,7 @@
 // of the search tree (Section V-B, "unit splitting").
 //
 // Matches are views. Search.Next hands out the search's own assignment,
-// valid until the next Next or Reseed on that search and never to be
+// valid until the next Next on that search and never to be
 // written; whoever keeps a match past that point — a result slice, a parked
 // match, a reported violation — takes an Assignment.Clone. Most matches are
 // looked at once and forgotten, so enumeration itself allocates nothing per
@@ -77,8 +77,8 @@ type Search struct {
 	assign Assignment
 	seeded []bool // variables fixed by the seed (never backtracked)
 	stack  []frame
-	// started is set by the first Next after NewSearch or Reseed, which
-	// opens the root frame; later calls resume from the stack.
+	// started is set by the first Next, which opens the root frame; later
+	// calls resume from the stack.
 	started bool
 	done    bool
 	// ctx is Options.Ctx; ctxLeft counts frame expansions down to the next
@@ -292,40 +292,9 @@ func (s *Search) seedConsistent() bool {
 	return true
 }
 
-// Reseed re-arms the search to enumerate the completions of another seed,
-// as NewSearch with the same pattern, reader and options but Seed: seed
-// would — same matches, same order — while keeping everything a fresh
-// search would rebuild: the resolved label IDs, the order, the frame stack
-// and the per-depth candidate buffers. The seed must assign exactly the
-// variables the search was constructed with (a ParSat worker re-arms one
-// search with the pivot of one work unit after another); Reseed panics
-// otherwise, since the open-frame layout depends on that set. The seed is
-// copied, so the caller may overwrite it afterwards. Whatever the search was
-// doing — half consumed, exhausted, rejected its previous seed — is dropped,
-// and views it handed out are invalidated. Cancellation carries over: the
-// poll countdown keeps running across seeds, and a search whose context has
-// fired stays exhausted with Err set.
-func (s *Search) Reseed(seed Assignment) {
-	if len(seed) != len(s.assign) {
-		panic("match: Reseed with a seed of the wrong length")
-	}
-	s.checkFresh()
-	for len(s.stack) > 0 {
-		s.pop() // hands each frame's buffer back to scratch
-	}
-	s.started = false
-	for v, n := range seed {
-		if (n != graph.InvalidNode) != s.seeded[v] {
-			panic("match: Reseed must assign exactly the variables the search was seeded with")
-		}
-		s.assign[v] = n
-	}
-	s.done = s.err != nil || !s.seedConsistent()
-}
-
 // Next returns the next full match, or ok=false when the enumeration is
 // exhausted. The returned assignment is a view of the search's own state:
-// it is valid until the next Next or Reseed call on this search, must not
+// it is valid until the next Next call on this search, must not
 // be written, and must not be handed to another goroutine. Clone it to keep
 // it.
 func (s *Search) Next() (Assignment, bool) {
@@ -339,7 +308,7 @@ func (s *Search) Next() (Assignment, bool) {
 	if !s.started {
 		s.started = true
 		// First call: if everything is seeded, the seed itself is the only
-		// match (already validated by NewSearch or Reseed).
+		// match (already validated by NewSearch).
 		if len(s.open) == 0 {
 			s.done = true
 			if s.assign.Complete() {

@@ -364,7 +364,7 @@ func TestSimulatePrefilter(t *testing.T) {
 		t.Fatal("simulation empty though homomorphism exists")
 	}
 	for v := 0; v < p.NumVars(); v++ {
-		if got := sim.Count(pattern.Var(v)); got != 3 {
+		if got := len(sim.Nodes(pattern.Var(v))); got != 3 {
 			t.Errorf("sim(%d) = %d nodes, want 3", v, got)
 		}
 	}

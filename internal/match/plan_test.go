@@ -13,7 +13,7 @@ import (
 
 // expectStalePanic runs fn and fails unless it panics with one of match's
 // own messages: the stale-plan or wrong-pattern one NewSearch raises, or the
-// stale-search one Next and Reseed raise. A panic from elsewhere (an index
+// stale-search one Next raises. A panic from elsewhere (an index
 // out of range on voided IDs, say) is not the contract.
 func expectStalePanic(t *testing.T, ctx string, fn func()) {
 	t.Helper()
@@ -192,12 +192,10 @@ func TestPlanStaleness(t *testing.T) {
 		plG := match.CompilePlan(p, g)
 		fresh, half := match.NewSearch(p, g, match.Options{Plan: plG}), match.NewSearch(p, g, match.Options{})
 		half.Next()
-		seeded := match.NewSearch(p, g, match.Options{Seed: match.NewAssignment(p.NumVars())})
 		m.mutate()
 		expectStalePanic(t, m.name+": plan", func() { match.NewSearch(p, g, match.Options{Plan: plG}) })
 		expectStalePanic(t, m.name+": fresh search", func() { fresh.Next() })
 		expectStalePanic(t, m.name+": half-consumed search", func() { half.Next() })
-		expectStalePanic(t, m.name+": reseed", func() { seeded.Reseed(match.NewAssignment(p.NumVars())) })
 		// Recompiled after the mutation, both work again; the snapshot
 		// frozen before all of them still serves its own plan.
 		match.NewSearch(p, g, match.Options{Plan: match.CompilePlan(p, g)}).Next()

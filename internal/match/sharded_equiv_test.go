@@ -92,7 +92,7 @@ func TestShardedMatchEquivalenceUniform(t *testing.T) {
 			ctx := fmt.Sprintf("seed=%d pattern#%d %s", seed, i, p)
 			diffSets(t, ctx, matchSetOf(match.FindAllSharded(p, s, 3, match.Options{})), matchSet(p, f, match.Options{}))
 
-			// With the simulation pre-filter layered on, as ParSat uses it.
+			// With the simulation pre-filter layered on as a Filter.
 			if sim := match.Simulate(p, f); sim != nil {
 				opts := match.Options{Filter: sim.Has}
 				diffSets(t, ctx+" (filtered)",

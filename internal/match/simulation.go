@@ -9,10 +9,10 @@ import (
 
 // Sim is a graph-simulation relation of a pattern into a graph: for each
 // pattern variable, the set of data nodes that can simulate it. Each set is
-// stored twice — as its ascending member list, which is what the refinement
-// and the unit builder iterate, and as a word-packed bitset of the graph's
-// node range, so that Has, the Filter on the search's hot path, is one word
-// read. A pattern's lists share one allocation and its bitsets another.
+// stored twice — as its ascending member list, which the refinement
+// iterates, and as a word-packed bitset of the graph's node range, so that
+// Has is one word read. A pattern's lists share one allocation and its
+// bitsets another.
 type Sim struct {
 	words int              // bitset words per variable
 	bits  []uint64         // variable v owns bits[v*words : (v+1)*words]
@@ -24,26 +24,18 @@ func (s *Sim) Has(v pattern.Var, n graph.NodeID) bool {
 	return s.bits[int(v)*s.words+int(n>>6)]&(1<<(uint(n)&63)) != 0
 }
 
-// Count returns |sim(v)|.
-func (s *Sim) Count(v pattern.Var) int { return len(s.nodes[v]) }
-
 // Nodes returns sim(v) in ascending node order. The slice is the relation's
 // own storage, not a copy: read-only.
 func (s *Sim) Nodes(v pattern.Var) []graph.NodeID { return s.nodes[v] }
 
-// DropLists releases the member lists, keeping the bitsets: afterwards only
-// Has may be called. For a holder that has read the lists it needs and will
-// only probe from then on.
-func (s *Sim) DropLists() { s.nodes = nil }
-
 // Simulator computes simulation relations of many patterns into one graph,
 // recycling its scratch buffers from one pattern to the next. The caller
-// picks each variable's starting set (see Simulate): on G_Σ the engines pass
-// the nodes of the copies that can host the pattern (canon.Sigma.Scope), a
-// few hundred nodes where the label index would hand a wildcard all of G_Σ.
+// may pick each variable's starting set (see Simulate): on G_Σ, the nodes of
+// the copies that can host the pattern (canon.Sigma.Scope), a few hundred
+// nodes where the label index would hand a wildcard all of G_Σ.
 //
-// A Simulator is not safe for concurrent use (the parallel engine keeps one
-// per worker), and the graph must not change while it is in use.
+// A Simulator is not safe for concurrent use, and the graph must not change
+// while it is in use.
 type Simulator struct {
 	g     graph.Reader
 	words int
@@ -66,11 +58,11 @@ func NewSimulator(g graph.Reader) *Simulator {
 // edges. It returns nil if some variable simulates no node.
 //
 // Simulation is a necessary condition for homomorphism: if Simulate returns
-// nil there is no match of p in g, and any homomorphism maps u into sim(u).
-// The parallel algorithms use it as a pre-filter before backtracking search
-// (Section V-B, multi-query optimization). This is the one-shot form, with
-// every variable starting from its label's candidates; a caller with many
-// patterns for one graph shares a Simulator.
+// nil there is no match of p in g, and any homomorphism maps u into sim(u)
+// (the paper's pre-filter, Section V-B; the engines do without it, because
+// the G_Σ scope and the search's root pruning already cut what it would).
+// This is the one-shot form, with every variable starting from its label's
+// candidates; a caller with many patterns for one graph shares a Simulator.
 func Simulate(p *pattern.Pattern, g graph.Reader) *Sim {
 	return NewSimulator(g).Simulate(p, nil)
 }

@@ -99,102 +99,6 @@ func TestNextIsAView(t *testing.T) {
 	}
 }
 
-// TestReseedEqualsFreshSearch is Reseed's contract: whatever state the
-// search is in — untouched, half consumed, exhausted, or holding a seed it
-// rejected — re-arming it with a seed yields exactly the sequence a fresh
-// NewSearch with that seed yields.
-func TestReseedEqualsFreshSearch(t *testing.T) {
-	compared, nonEmpty, rejected := 0, 0, 0
-	for seed := int64(1); seed <= 5; seed++ {
-		gr, readers := genReaders(seed)
-		rng := rand.New(rand.NewSource(seed + 100))
-		for i := 0; i < 6; i++ {
-			p := gr.Pattern()
-			order := match.DefaultOrder(p)
-			for name, r := range readers {
-				full := match.FindAll(p, r)
-				for k := 0; k <= len(order); k++ {
-					// Seeds over order[:k]: prefixes of real matches (which
-					// complete), and random nodes (which mostly do not).
-					var seeds []match.Assignment
-					for j := 0; j < 8; j++ {
-						sd := match.NewAssignment(p.NumVars())
-						for _, v := range order[:k] {
-							if len(full) > 0 && j%2 == 0 {
-								sd[v] = full[rng.Intn(len(full))][v]
-							} else {
-								sd[v] = graph.NodeID(rng.Intn(r.NumNodes()))
-							}
-						}
-						seeds = append(seeds, sd)
-					}
-					opts := match.Options{Order: order, Seed: seeds[0]}
-					s := match.NewSearch(p, r, opts)
-					for j, sd := range seeds[1:] {
-						// Leave the search in a different state each round.
-						switch j % 3 {
-						case 0:
-							drain(s)
-						case 1:
-							s.Next()
-						}
-						s.Reseed(sd)
-						opts.Seed = sd
-						got, want := drain(s), drain(match.NewSearch(p, r, opts))
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("seed=%d %s %s k=%d seed %v: re-armed %v, fresh %v", seed, name, p, k, sd, got, want)
-						}
-						compared++
-						if len(want) > 0 {
-							nonEmpty++
-						} else if k > 0 {
-							rejected++
-						}
-					}
-				}
-			}
-		}
-	}
-	if nonEmpty == 0 || rejected == 0 {
-		t.Fatalf("%d comparisons, %d with matches, %d with a rejected seed: the property is vacuous", compared, nonEmpty, rejected)
-	}
-}
-
-// TestReseedKeepsCancellation pins that re-arming does not revive a search
-// whose context fired, and that a seed over a different variable set is
-// refused outright.
-func TestReseedKeepsCancellation(t *testing.T) {
-	gr, readers := genReaders(2)
-	f := readers["frozen"]
-	var p *pattern.Pattern
-	for p = gr.Pattern(); len(match.FindAll(p, f)) < 2; p = gr.Pattern() {
-	}
-	order := match.DefaultOrder(p)
-	sd := match.NewAssignment(p.NumVars())
-	sd[order[0]] = match.FindAll(p, f)[0][order[0]]
-
-	ctx, cancel := context.WithCancel(context.Background())
-	s := match.NewSearch(p, f, match.Options{Order: order, Seed: sd, Ctx: ctx})
-	if _, ok := s.Next(); !ok {
-		t.Fatal("the seed is a match prefix but completed to nothing")
-	}
-	cancel()
-	if _, ok := s.Next(); ok || s.Err() != context.Canceled {
-		t.Fatalf("after cancel: ok=%v Err=%v", ok, s.Err())
-	}
-	s.Reseed(sd)
-	if _, ok := s.Next(); ok || s.Err() != context.Canceled {
-		t.Fatalf("Reseed revived a canceled search: ok=%v Err=%v", ok, s.Err())
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reseed accepted a seed over a different variable set")
-		}
-	}()
-	match.NewSearch(p, f, match.Options{Order: order, Seed: sd}).Reseed(match.NewAssignment(p.NumVars()))
-}
-
 // TestSeedPastOpenVariable covers the seed Options.Seed advises against — a
 // seeded variable behind an open one in the order: the open variables are
 // still enumerated in order and the match set is the oracle's, restricted

@@ -124,6 +124,7 @@ var testOwned = map[string]string{
 	"gen.(Generator).SharedSet": "Σ with structurally equal patterns under fresh variable names, for grouped ≡ per-GFD sat/imp tests",
 	"match.FindAll":             "a whole match set as a slice; shipped code streams with Search.Next, tests compare sets",
 	"match.FindAllSharded":      "the materializing twin of CountSharded (which ships), what the sharded ≡ flat tests compare",
+	"match.(Sim).Nodes":         "reads a simulation relation out; the benchmark's probe only times Simulate, the tests compare the relation with oracle.Simulation",
 
 	"core.(PanicError).Error": "the error interface; called through it",
 	"eq.(Conflict).Error":     "the error interface; called through it",
