@@ -69,7 +69,7 @@ func TestParPreCanceled(t *testing.T) {
 	if res := ParImp(set, target, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
 		t.Fatalf("ParImp: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
 	}
-	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
+	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph.Frozen(), eq.New())
 	eng.testHookGroupPlan = func(int) { t.Error("a group was planned under a pre-canceled context") }
 	if _, _, _, _, err := eng.run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("engine run: err = %v, want ErrCanceled", err)
@@ -131,7 +131,7 @@ func TestParDeadlineDuringBuildUnits(t *testing.T) {
 		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
 		opt.testHookUnitStart = func(int) { t.Error("a unit started after the deadline fired in buildUnits") }
-		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph, eq.New())
+		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph.Frozen(), eq.New())
 		var planned atomic.Int64
 		eng.testHookGroupPlan = func(int) {
 			planned.Add(1)
@@ -374,44 +374,30 @@ func TestViolationsCtx(t *testing.T) {
 	}
 }
 
-// attrBomb is a snapshot whose attribute loads panic on the n-th one (never
-// when n is 0) and are all counted.
-type attrBomb struct {
-	*graph.Frozen
-	n     int64
-	calls atomic.Int64
-}
-
-func (b *attrBomb) AttrAt(v graph.NodeID, a graph.AttrID) graph.ValueID {
-	if b.calls.Add(1) == b.n {
-		panic("attr-boom")
-	}
-	return b.Frozen.AttrAt(v, a)
-}
-
-// TestViolationsPanicIsIsolated panics inside a validation task's literal
-// check: ViolationsCtx must return a *PanicError instead of crashing the
-// process, and leave no worker behind.
+// TestViolationsPanicIsIsolated panics inside a validation task, in a
+// middle pattern group: ViolationsOpts must return a *PanicError instead of
+// crashing the process, and leave no worker behind.
 func TestViolationsPanicIsIsolated(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
 	set := gr.Set()
 	g := gr.ConsistentGraph(60).Frozen()
-	count := &attrBomb{Frozen: g}
-	if _, err := ViolationsCtx(context.Background(), count, set); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	calls := count.calls.Load()
-	if calls < 2 {
-		t.Fatalf("setup: %d attribute loads; the panic would not land inside a task", calls)
+	groups := len(set.Groups())
+	if groups < 3 {
+		t.Fatalf("setup: %d pattern groups; the panic would not land in a middle one", groups)
 	}
 
 	before := runtime.NumGoroutine()
-	_, err := ViolationsCtx(context.Background(), &attrBomb{Frozen: g, n: calls / 2}, set)
+	opt := VerifyOptions{testHookGroupStart: func(grp int) {
+		if grp == groups/2 {
+			panic("group-boom")
+		}
+	}}
+	_, _, err := ViolationsOpts(context.Background(), g, set, opt)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	if pe.Value != "attr-boom" || len(pe.Stack) == 0 {
+	if pe.Value != "group-boom" || len(pe.Stack) == 0 {
 		t.Fatalf("panic error incomplete: value=%v stack=%d bytes", pe.Value, len(pe.Stack))
 	}
 	assertGoroutineBaseline(t, before)

@@ -25,7 +25,7 @@ func idsAgree(t *testing.T, ctx string, g graph.Reader, set *gfd.Set) (evals, vi
 		s := match.NewSearch(grp.Pattern, g, match.Options{})
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
 			for i, mi := range grp.Members {
-				got := c.prog.Violates(i, g, h, c.scr)
+				got := c.prog.Violates(i, g.Snapshot(), h, c.scr)
 				if want := oracle.Violates(g, set.GFDs[mi], h); got != want {
 					t.Fatalf("%s group#%d member %s at %v: IDs say violates=%t, strings %t", ctx, gi, set.GFDs[mi].Name, h, got, want)
 				}
@@ -110,7 +110,7 @@ func TestLiteralIDsMatchStrings(t *testing.T) {
 		t.Helper()
 		for _, h := range all {
 			for i, mi := range c.members {
-				if got, want := c.prog.Violates(i, rd.r, h, c.scr), oracle.Violates(rd.r, set.GFDs[mi], h); got != want {
+				if got, want := c.prog.Violates(i, rd.r.Snapshot(), h, c.scr), oracle.Violates(rd.r, set.GFDs[mi], h); got != want {
 					t.Fatalf("%s: %s at %v: IDs say violates=%t, strings %t", rd.name, set.GFDs[mi].Name, h, got, want)
 				}
 			}
@@ -153,7 +153,7 @@ func TestLiteralIDsMatchStrings(t *testing.T) {
 	g.SetAttr(xs[2], "A", "r")
 	evalAll(c, reader{"graph after the edit", g})
 	h := match.Assignment{xs[0], ys[1]}
-	if c.prog.Violates(2, g, h, c.scr) {
+	if c.prog.Violates(2, g.Snapshot(), h, c.scr) {
 		t.Fatal("x0.A = y1.B holds after the edit, but the scratch still reads the old snapshot")
 	}
 }

@@ -89,7 +89,7 @@ func (h *halt) Error() string { return "core: run halted with an answer" }
 type parEngine struct {
 	opt ParOptions
 	set *gfd.Set
-	g   graph.Reader
+	g   *graph.Frozen
 	// baseEq is what every worker's replica starts as a Clone of: empty for
 	// satisfiability, Eq_X for implication.
 	baseEq *eq.Eq
@@ -122,7 +122,7 @@ type parEngine struct {
 	testHookGroupPlan func(grp int)
 }
 
-func newParEngine(opt ParOptions, set *gfd.Set, g graph.Reader, baseEq *eq.Eq) *parEngine {
+func newParEngine(opt ParOptions, set *gfd.Set, g *graph.Frozen, baseEq *eq.Eq) *parEngine {
 	pl := newPool[unit](opt.Ctx, opt.Workers)
 	return &parEngine{opt: opt, set: set, g: g, baseEq: baseEq, ctx: pl.ctx, log: cluster.NewLog(), pool: pl}
 }

@@ -74,7 +74,8 @@ func (s *RevalidateStats) add(other RevalidateStats) {
 // through Options.Ctx (ErrCanceled or the context's deadline error) or a
 // panic inside a worker (*PanicError). Stats still covers the work completed;
 // the violations slice is nil.
-func Revalidate(set *gfd.Set, g graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
+func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
+	g := r.Snapshot()
 	var stats RevalidateStats
 	// Bucket Σ by pattern structure: one set of searches serves every GFD
 	// sharing the structure, with per-member literal checks fanned out at
@@ -188,7 +189,7 @@ func (sc scope) meets(h match.Assignment) bool {
 // member's sequential enumeration order. Member mi's violations land in
 // out[mi] (out is indexed like Σ; groups partition Σ, so concurrent calls
 // for different groups write disjoint entries).
-func revalidateGroup(set *gfd.Set, grp gfd.Group, g graph.Reader, sc scope, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
+func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
 	p := grp.Pattern
 	order := match.DefaultOrder(p)
 	if len(order) == 0 {

@@ -111,7 +111,7 @@ func SeqSat(set *gfd.Set) *SatResult {
 // and their order are those of a search rooted in the whole label index,
 // whose other roots lead nowhere. It returns nil when p has no match in G_Σ
 // because some component has no host.
-func sigmaSearch(cs *canon.Sigma, p *pattern.Pattern, g graph.Reader) *match.Search {
+func sigmaSearch(cs *canon.Sigma, p *pattern.Pattern, g *graph.Frozen) *match.Search {
 	order := match.DefaultOrder(p)
 	scope, ok := cs.Scope(p, order[0])
 	if !ok {

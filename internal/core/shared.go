@@ -20,9 +20,14 @@ import (
 	"repro/internal/match"
 )
 
-// VerifyOptions configures ViolationsOpts. It has no fields: the type stays
-// because benchmark/gfdbench spells core.VerifyOptions{}.
-type VerifyOptions struct{}
+// VerifyOptions configures ViolationsOpts. It has no exported fields: the
+// type stays because benchmark/gfdbench spells core.VerifyOptions{}.
+type VerifyOptions struct {
+	// testHookGroupStart, when non-nil, runs as each pattern group's task
+	// starts, receiving the group's index — the seam the panic-isolation
+	// test uses to detonate inside a worker.
+	testHookGroupStart func(grp int)
+}
 
 // VerifyStats reports how much enumeration work the grouped evaluation
 // shared.
@@ -80,7 +85,7 @@ func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
 // violates, and reports whether there was one. h may be a search's view: it
 // is copied once, on the first member it violates, and shared by every
 // member violating at this match.
-func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation) bool {
+func (c *groupCheck) check(g *graph.Frozen, h match.Assignment, out [][]Violation) bool {
 	var kept match.Assignment
 	for i, mi := range c.members {
 		if c.prog.Violates(i, g, h, c.scr) {
@@ -98,15 +103,16 @@ func (c *groupCheck) check(g graph.Reader, h match.Assignment, out [][]Violation
 // violation, in Σ-then-enumeration order. The pattern groups run as tasks
 // on runtime.GOMAXPROCS(0) pool workers; a panic in one becomes a
 // *PanicError.
-func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, _ VerifyOptions) ([]Violation, VerifyStats, error) {
-	return violations(ctx, g, set, runtime.GOMAXPROCS(0))
+func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt VerifyOptions) ([]Violation, VerifyStats, error) {
+	return violations(ctx, g, set, runtime.GOMAXPROCS(0), opt)
 }
 
 // violations is ViolationsOpts on the given number of workers: one pool
 // task per pattern group enumerates the group's pattern and checks its
 // members at every match. Groups partition Σ, so the tasks append to
 // disjoint entries of the per-GFD lists.
-func violations(ctx context.Context, g graph.Reader, set *gfd.Set, workers int) ([]Violation, VerifyStats, error) {
+func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, opt VerifyOptions) ([]Violation, VerifyStats, error) {
+	g := r.Snapshot()
 	groups := set.Groups()
 	st := VerifyStats{Groups: len(groups)}
 	for _, grp := range groups {
@@ -119,6 +125,9 @@ func violations(ctx context.Context, g graph.Reader, set *gfd.Set, workers int) 
 	byGFD := make([][]Violation, set.Len())
 	reused := make([]int, pl.size()) // per worker, summed after the run
 	err := pl.run(indexes(len(groups)), func(w, gi int) error {
+		if h := opt.testHookGroupStart; h != nil {
+			h(gi)
+		}
 		grp := groups[gi]
 		c := newGroupCheck(set, grp)
 		s := match.NewSearch(grp.Pattern, g, match.Options{Ctx: pl.ctx})

@@ -97,7 +97,7 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 			}
 			var first VerifyStats
 			for _, w := range []int{1, 2, 4, 2 * groups} {
-				grouped, gst, err := violations(ctx, tier.data, set, w)
+				grouped, gst, err := violations(ctx, tier.data, set, w, VerifyOptions{})
 				if err != nil {
 					t.Fatalf("seed=%d %s w=%d: grouped: %v", seed, tier.name, w, err)
 				}

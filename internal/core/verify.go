@@ -20,7 +20,8 @@ type Violation struct {
 // III (actual attribute values, not the deduced Eq semantics), returning
 // the first violation found. It is the test oracle for the reasoning
 // algorithms and the checker applications use for error detection.
-func Satisfies(g graph.Reader, set *gfd.Set) (bool, *Violation) {
+func Satisfies(r graph.Reader, set *gfd.Set) (bool, *Violation) {
+	g := r.Snapshot()
 	out := make([][]Violation, set.Len())
 	for i, phi := range set.GFDs {
 		c := newGroupCheck(set, gfd.Group{Pattern: phi.Pattern, Members: []int{i}})

@@ -143,7 +143,7 @@ func (r *attrBuilder) appendTuple(m map[string]string) {
 // constant offset shift.
 func (r *attrBuilder) copyRows(f *Frozen, lo, hi int) {
 	shift := int32(len(r.rows)) - f.attrOff[lo]
-	r.rows = append(r.rows, f.attrRows[f.attrOff[lo]:f.attrOff[hi]]...)
+	r.rows = append(r.rows, f.attrKeys[f.attrOff[lo]:f.attrOff[hi]]...)
 	for _, o := range f.attrOff[lo+1 : hi+1] {
 		r.off = append(r.off, o+shift)
 	}
@@ -151,12 +151,12 @@ func (r *attrBuilder) copyRows(f *Frozen, lo, hi int) {
 
 // into installs the rows and tables in f.
 func (r *attrBuilder) into(f *Frozen) {
-	f.attrOff, f.attrRows = r.off, r.rows
+	f.attrOff, f.attrKeys = r.off, r.rows
 	f.attrNames, f.attrValues = r.names.seal(), r.values.seal()
 }
 
 // attrRun returns node v's row.
-func (f *Frozen) attrRun(v NodeID) []uint64 { return f.attrRows[f.attrOff[v]:f.attrOff[v+1]] }
+func (f *Frozen) attrRun(v NodeID) []uint64 { return f.attrKeys[f.attrOff[v]:f.attrOff[v+1]] }
 
 // AttrNameID resolves an attribute name to its ID, NoAttr when no node of
 // the snapshot ever carried it.

@@ -45,15 +45,6 @@ func (b Bitset) Test(v NodeID) bool {
 	return w < uint(len(b)) && b[w]&(1<<(uint(v)&63)) != 0
 }
 
-// BitsetProvider is the optional Reader extension for snapshots that can
-// serve candidate membership as a bitset. CandidateBitset returns nil when
-// the label is below the build thresholds — callers must fall back to the
-// sorted candidate run, never treat nil as "no candidates".
-type BitsetProvider interface {
-	Reader
-	CandidateBitset(label string) Bitset
-}
-
 const (
 	// bitsetMinFreq is the candidate-count floor below which no bitset is
 	// built: a short sorted run beats a bitset probe's cache miss, and the
@@ -99,8 +90,9 @@ func (c *bitsetCache) get(label string, n int, fill func(Bitset)) Bitset {
 
 // CandidateBitset returns a bitset over f's candidate set for label
 // (wildcard = all live nodes), or nil when the label is below the build
-// thresholds. The result is immutable and cached for the snapshot's
-// lifetime; concurrent callers share one build.
+// thresholds: callers fall back to the sorted candidate run and never read
+// nil as "no candidates". The result is immutable and cached for the
+// snapshot's lifetime; concurrent callers share one build.
 func (f *Frozen) CandidateBitset(label string) Bitset {
 	n := f.NumNodes()
 	if !bitsetWorthwhile(f.LabelFrequency(label), n) {
@@ -120,8 +112,3 @@ func (f *Frozen) CandidateBitset(label string) Bitset {
 		}
 	})
 }
-
-var (
-	_ BitsetProvider = (*Frozen)(nil)
-	_ BitsetProvider = (*Sharded)(nil)
-)

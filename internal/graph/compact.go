@@ -66,7 +66,6 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 	}
 
 	nf := &Frozen{
-		epoch: nextEpoch(),
 		// Label tables are immutable after construction: share them. A label
 		// whose last node died keeps its (now empty) table entry.
 		nodeLabelIDs:   f.nodeLabelIDs,
@@ -77,7 +76,7 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 		// A dead node's attribute row is empty, like its adjacency rows:
 		// the rows and their tables carry over, only the offsets lose the
 		// dead entries.
-		attrRows:   f.attrRows,
+		attrKeys:   f.attrKeys,
 		attrNames:  f.attrNames,
 		attrValues: f.attrValues,
 	}

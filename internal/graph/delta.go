@@ -484,7 +484,7 @@ func (d *Delta) dirRows(out bool) []row {
 // the delta, built once per delta version and shared by every call until
 // the next mutation. Like any Frozen it stays valid after the delta mutates
 // and keeps serving the state it was taken at; a later Overlay is a new
-// snapshot with its own epoch.
+// snapshot, a different *Frozen.
 func (d *Delta) Overlay() *Overlay {
 	if d.overlay == nil || d.overlayVersion != d.Version() {
 		d.overlay, d.overlayVersion = d.base.Refreeze(d), d.Version()

@@ -483,7 +483,7 @@ func TestDeltaSemantics(t *testing.T) {
 	mustPanic("Graph.SetAttr on dead node", func() { mg.SetAttr(gb, "k", "v") })
 	// An overlay is a snapshot of one delta version: every call at that
 	// version returns it, and it keeps serving that version after the delta
-	// moves on; the next version gets a new snapshot with its own epoch.
+	// moves on; the next version gets a new snapshot, a different *Frozen.
 	if d.Overlay() != o {
 		t.Fatal("two Overlay calls at one delta version returned different snapshots")
 	}
@@ -494,8 +494,8 @@ func TestDeltaSemantics(t *testing.T) {
 		t.Fatalf("overlay changed after its delta mutated: V=%d E=%d", o.NumNodes(), o.NumEdges())
 	}
 	o2 := d.Overlay()
-	if o2 == o || o2.Epoch() == o.Epoch() {
-		t.Fatal("Overlay after a mutation reused the previous snapshot or its epoch")
+	if o2 == o || o2.Snapshot() != o2 || o.Snapshot() != o {
+		t.Fatal("Overlay after a mutation reused the previous snapshot")
 	}
 	if o2.NumNodes() != 4 || o2.NumEdges() != 1 || !idsEqual(outByLabel(o2, z, "e"), []NodeID{x}) ||
 		!idsEqual(inByLabel(o2, x, "e"), []NodeID{z}) || !idsEqual(CandidateNodes(o2, "a"), []NodeID{x, z, added}) {

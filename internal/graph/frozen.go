@@ -128,7 +128,6 @@ func (b *Builder) Freeze() *Frozen {
 	b.frozen = true
 	n := b.NumNodes()
 	f := &Frozen{
-		epoch:          nextEpoch(),
 		nodeLabelIDs:   b.nodeLabelIDs,
 		nodeLabelNames: b.nodeLabelNames,
 		nodeLabelOf:    b.nodeLabelOf,
@@ -345,10 +344,10 @@ type Frozen struct {
 	byLabelNodes []NodeID
 
 	// Attribute rows (attrs.go): node v's (name, value) ID pairs are
-	// attrRows[attrOff[v]:attrOff[v+1]], ascending by name; the names and
+	// attrKeys[attrOff[v]:attrOff[v+1]], ascending by name; the names and
 	// values they stand for are interned in attrNames and attrValues.
 	attrOff    []int32
-	attrRows   []uint64
+	attrKeys   []uint64
 	attrNames  *strTable
 	attrValues *strTable
 
@@ -359,11 +358,10 @@ type Frozen struct {
 	dead      []bool
 	deadCount int
 
-	// epoch is the construction token (see epoch.go); bitsets the lazy
-	// candidate-bitset cache (see bitset.go). Both are identity/cache
-	// state, not graph content: they are never persisted, and the cache
-	// mutex means a Frozen must not be copied by value.
-	epoch   uint64
+	// bitsets is the lazy candidate-bitset cache (see bitset.go): cache
+	// state, not graph content, never persisted. Its mutex means a Frozen
+	// is never copied by value, so the *Frozen pointer is the snapshot's
+	// identity (see Reader.Snapshot).
 	bitsets bitsetCache
 }
 
@@ -410,6 +408,9 @@ func (f *Frozen) Alive(v NodeID) bool {
 func (f *Frozen) LiveNodes() int { return f.NumNodes() - f.deadCount }
 
 func (f *Frozen) valid(v NodeID) bool { return v >= 0 && int(v) < len(f.nodeLabelOf) }
+
+// Snapshot returns f: a Frozen is its own snapshot.
+func (f *Frozen) Snapshot() *Frozen { return f }
 
 // NumNodes returns |V|.
 func (f *Frozen) NumNodes() int { return len(f.nodeLabelOf) }

@@ -294,9 +294,9 @@ func (g *Graph) Frozen() *Frozen {
 	return f
 }
 
-// Epoch returns the current snapshot's epoch (see EpochView): it changes
-// with every mutating call that is followed by a read.
-func (g *Graph) Epoch() uint64 { return g.Frozen().Epoch() }
+// Snapshot returns the graph's current Frozen: a new one after every
+// mutating call that is followed by a read.
+func (g *Graph) Snapshot() *Frozen { return g.Frozen() }
 
 // The index queries of Reader, answered by the snapshot; see the methods of
 // Frozen for their contracts.

@@ -233,7 +233,7 @@ func TestNeighborhoodPropertyQuick(t *testing.T) {
 func TestGraphSnapshotCaching(t *testing.T) {
 	g, ids := buildDiamond(t)
 	f := g.Frozen()
-	if g.Frozen() != f || g.Epoch() != f.Epoch() {
+	if g.Frozen() != f || g.Snapshot() != f {
 		t.Fatal("an unmutated graph rebuilt its snapshot")
 	}
 	HasEdge(g, ids[0], ids[1], "post") // an index read is not a mutation
@@ -255,8 +255,8 @@ func TestGraphSnapshotCaching(t *testing.T) {
 	} {
 		before := g.Frozen()
 		m.mutate()
-		after := g.Frozen()
-		if after == before || after.Epoch() == before.Epoch() {
+		after := g.Snapshot()
+		if after == before || g.Frozen() != after {
 			t.Errorf("%s kept the snapshot", m.name)
 		}
 		checkReaderEquivalence(t, "after "+m.name, g, after, []string{"person", "blog", "extra", "n"}, []string{"post", "e"})

@@ -4,12 +4,13 @@ package graph
 // *Frozen (bulk-loaded CSR snapshot, see Builder; *Sharded embeds one and is
 // a Reader by promotion; a Delta's Overlay is one, see delta.go), and the
 // editable *Graph, which answers the index queries below through the Frozen
-// snapshot it caches between edits (see graph.go). The matching, simulation
-// and reasoning layers are written against Reader, so they run unmodified on
-// either. The division of labour: edit with a Graph or fill a Builder, read
-// a Frozen, update it with a Delta and read its Overlay (the Refreeze of the
-// delta so far); mutation (AddNode, AddEdge, SetAttr, RemoveEdge,
-// RemoveNode) stays on *Graph and *Delta.
+// snapshot it caches between edits (see graph.go). Every Reader resolves
+// to a *Frozen through Snapshot, and the matching, simulation and reasoning
+// layers do so once at their entry points and read the Frozen from there
+// on, so they run unmodified on any of them. The division of labour: edit
+// with a Graph or fill a Builder, read a Frozen, update it with a Delta and
+// read its Overlay (the Refreeze of the delta so far); mutation (AddNode,
+// AddEdge, SetAttr, RemoveEdge, RemoveNode) stays on *Graph and *Delta.
 //
 // The interface is the ID-based core a representation has to answer from
 // its own storage. Queries that are compositions of the core — HasEdge and
@@ -30,12 +31,15 @@ package graph
 //     across snapshots. They live as long as the snapshot they came from:
 //     forever on a Frozen (an Overlay included, whatever its delta does
 //     next), until the next mutating call on a Graph (whose next read
-//     re-freezes and re-interns). Every reader has an Epoch naming that
-//     snapshot (see EpochView); match pins plans and searches to it and
-//     panics on a stale one.
+//     re-freezes and re-interns). Snapshot names that snapshot: the
+//     *Frozen pointer is its identity, and match binds plans to it.
 //   - Readers are safe for concurrent use. A Graph is too, as long as no
 //     mutating call runs at the same time.
 type Reader interface {
+	// Snapshot returns the immutable snapshot the reader answers from: a
+	// *Frozen itself (a Sharded's by promotion), a Graph's cached Frozen.
+	Snapshot() *Frozen
+
 	// Cardinalities and node access. Attr and Attrs speak strings: a
 	// *Frozen translates its attribute ID rows back per call (Attrs builds
 	// a fresh map), so literal evaluation reads the rows by ID instead

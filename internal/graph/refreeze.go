@@ -31,7 +31,7 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 	baseN := f.NumNodes()
 	n2 := baseN + len(d.nodes)
 
-	nf := &Frozen{epoch: nextEpoch()}
+	nf := &Frozen{}
 	f.refreezeAttrs(d, n2).into(nf)
 
 	// Label tables: shared with the base when the delta introduced no new
@@ -199,7 +199,7 @@ func (f *Frozen) refreezeAttrs(d *Delta, n2 int) *attrBuilder {
 	slices.Sort(touched)
 
 	r := newAttrBuilder(n2, f.attrNames, f.attrValues)
-	r.rows = make([]uint64, 0, len(f.attrRows))
+	r.rows = make([]uint64, 0, len(f.attrKeys))
 	cursor := 0
 	for _, v := range touched {
 		r.copyRows(f, cursor, int(v))

@@ -4,8 +4,7 @@ import "slices"
 
 // Sharded is a Frozen snapshot plus a stride that cuts its node space into
 // contiguous ID ranges [i·stride, (i+1)·stride). It embeds the snapshot, so
-// it is a Reader, BitsetProvider and EpochView by promotion with identical
-// results. A shard is only a range: every worker reads the whole snapshot
+// it is a Reader by promotion with identical results, Snapshot included. A shard is only a range: every worker reads the whole snapshot
 // (the paper's ParSat and ParImp replicate the graph rather than fragment
 // it), and a shard says which root candidates a worker starts from
 // (match.FindAllSharded).

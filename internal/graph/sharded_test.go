@@ -7,9 +7,9 @@ import (
 )
 
 // TestShardedEquivalence is the sharding-equivalence property: on random
-// multigraphs, the Sharded snapshot must answer every Reader query — and
-// the BitsetProvider and EpochView extensions — exactly like the Frozen
-// snapshot it embeds, at every shard count. Interned IDs transfer here (it
+// multigraphs, the Sharded snapshot must answer every Reader query (Snapshot
+// included) and CandidateBitset exactly like the Frozen snapshot it embeds,
+// at every shard count. Interned IDs transfer here (it
 // is the same snapshot), so the ID-level methods are compared directly.
 func TestShardedEquivalence(t *testing.T) {
 	nodeLabels := []string{"a", "b", "c", Wildcard}
@@ -46,8 +46,8 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("%s: EdgeLabelID(%q) diverges", ctx, l)
 				}
 			}
-			if s.Epoch() != f.Epoch() {
-				t.Fatalf("%s: Epoch %d, want the embedded snapshot's %d", ctx, s.Epoch(), f.Epoch())
+			if s.Snapshot() != f {
+				t.Fatalf("%s: Snapshot is not the embedded snapshot", ctx)
 			}
 		}
 	}

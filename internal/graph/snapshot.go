@@ -421,7 +421,7 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	}
 
 	d := &snapDec{b: payload}
-	f := &Frozen{epoch: nextEpoch()}
+	f := &Frozen{}
 	f.nodeLabelNames = d.strs()
 	f.labelNames = d.strs()
 	n := int(d.u32())

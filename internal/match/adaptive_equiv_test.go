@@ -164,7 +164,7 @@ func TestAdaptiveMergeEquivalenceSkewed(t *testing.T) {
 // fast path: when the scope is much smaller than the variable's label
 // frequency the bitset probe must select exactly the nodes the full
 // candidate-pull-and-intersect path selects, in the same ascending order.
-// The mutable graph (no BitsetProvider) serves as the reference.
+// The reference is that filter, computed here: the label index ∩ scope.
 func TestScopedRootCandidatesBitsetEquivalence(t *testing.T) {
 	g, _, commonFreq := skewedGraph(7)
 	f := g.Frozen()
@@ -183,8 +183,16 @@ func TestScopedRootCandidatesBitsetEquivalence(t *testing.T) {
 	if len(scope)*4 >= commonFreq {
 		t.Fatalf("scope of %d does not trigger the bitset probe against freq %d", len(scope), commonFreq)
 	}
+	if f.CandidateBitset("t") == nil {
+		t.Fatal("fixture: label t serves no bitset, so the probe is not taken")
+	}
 	got := match.ScopedRootCandidates(p, f, y, scope)
-	want := match.ScopedRootCandidates(p, g, y, scope)
+	var want []graph.NodeID
+	for _, u := range graph.CandidateNodes(f, "t") {
+		if _, in := slices.BinarySearch(scope, u); in {
+			want = append(want, u)
+		}
+	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("scoped root candidates diverge:\nbitset %v\nfilter %v", got, want)
 	}

@@ -119,9 +119,8 @@ func shapeFromBytes(b []byte, max int) (labels []string, edges [][3]int) {
 
 // FuzzSimulate pins graph simulation to its definition on arbitrary
 // small pattern × graph pairs, on the mutable graph and its Frozen snapshot:
-// a Simulator's relation equals oracle.Simulation — on a first call, and on
-// a second, which reuses the scratch the first left behind — and every
-// homomorphism oracle.Matches finds lies inside it (the property
+// Simulate's relation equals oracle.Simulation, and every homomorphism
+// oracle.Matches finds lies inside it (the property
 // a caller relies on when it uses Has as a search filter). CI replays the
 // seed corpus deterministically (see ci.yml); run with -fuzz=FuzzSimulate to
 // explore.
@@ -169,22 +168,19 @@ func FuzzSimulate(f *testing.F) {
 		}
 		for _, r := range []graph.Reader{g, g.Frozen()} {
 			want := oracle.Simulation(p, r)
-			m := NewSimulator(r)
-			for call := 0; call < 2; call++ {
-				sim := m.Simulate(p, nil)
-				if (sim == nil) != (want == nil) {
-					t.Fatalf("%T call %d, %s: simulation exists = %v, oracle says %v", r, call, p, sim != nil, want != nil)
+			sim := Simulate(p, r)
+			if (sim == nil) != (want == nil) {
+				t.Fatalf("%T, %s: simulation exists = %v, oracle says %v", r, p, sim != nil, want != nil)
+			}
+			for v := range want {
+				if got := sim.Nodes(pattern.Var(v)); !slices.Equal(got, want[v]) {
+					t.Fatalf("%T, %s: sim(x%d) = %v, oracle %v", r, p, v, got, want[v])
 				}
-				for v := range want {
-					if got := sim.Nodes(pattern.Var(v)); !slices.Equal(got, want[v]) {
-						t.Fatalf("%T call %d, %s: sim(x%d) = %v, oracle %v", r, call, p, v, got, want[v])
-					}
-				}
-				for _, h := range oracle.Matches(p, r) {
-					for v, n := range h {
-						if sim == nil || !sim.Has(pattern.Var(v), n) {
-							t.Fatalf("%T call %d, %s: match %v maps x%d outside the relation", r, call, p, h, v)
-						}
+			}
+			for _, h := range oracle.Matches(p, r) {
+				for v, n := range h {
+					if sim == nil || !sim.Has(pattern.Var(v), n) {
+						t.Fatalf("%T, %s: match %v maps x%d outside the relation", r, p, h, v)
 					}
 				}
 			}

@@ -23,15 +23,15 @@ const scopedBitsetRatio = 4
 // scope, an ascending node list, ascending — ready to pass as
 // Options.RootCandidates with an Order that starts at v. The restriction is
 // label-consistent by construction: it filters v's label's own candidate
-// set. When the snapshot serves a candidate bitset for the label and the
+// set. When g's snapshot serves a candidate bitset for the label and the
 // scope is much smaller than the label's frequency, the filter flips
 // direction — probe each scope member against the bitset, O(|scope|)
 // instead of O(freq) — which is the common shape in revalidation: a small
 // touched set against a high-frequency label.
 func ScopedRootCandidates(p *pattern.Pattern, g graph.Reader, v pattern.Var, scope []graph.NodeID) []graph.NodeID {
-	label := p.Label(v)
-	if bp, ok := g.(graph.BitsetProvider); ok && len(scope)*scopedBitsetRatio < g.LabelFrequency(label) {
-		if bs := bp.CandidateBitset(label); bs != nil {
+	f, label := g.Snapshot(), p.Label(v)
+	if len(scope)*scopedBitsetRatio < f.LabelFrequency(label) {
+		if bs := f.CandidateBitset(label); bs != nil {
 			var out []graph.NodeID
 			for _, u := range scope {
 				if bs.Test(u) {
@@ -41,7 +41,7 @@ func ScopedRootCandidates(p *pattern.Pattern, g graph.Reader, v pattern.Var, sco
 			return out
 		}
 	}
-	cands := g.AppendCandidates(nil, label)
+	cands := f.AppendCandidates(nil, label)
 	kept, i := cands[:0], 0
 	for _, c := range cands {
 		for i < len(scope) && scope[i] < c {

@@ -5,8 +5,8 @@
 // hot workloads are skewed — a handful of generated candidates intersected
 // with a hub's ten-thousand-entry adjacency run — and there a galloping
 // (exponential-probe) search pays O(short·log(long)) instead of O(long).
-// The picker chooses per call from the operand cardinalities; a snapshot
-// candidate bitset (graph.BitsetProvider) serves the third shape, where
+// The picker chooses per call from the operand cardinalities; a snapshot's
+// candidate bitset (Frozen.CandidateBitset) serves the third shape, where
 // membership in a high-frequency label's candidate set is tested per
 // element in O(1).
 //

@@ -13,8 +13,6 @@
 package match
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -109,15 +107,6 @@ func (e *LiteralEval) compileLit(slots map[slotKey]int, l LiteralSpec) litRef {
 	return r
 }
 
-// attrRows is what a scratch reads: the attribute rows of a
-// *graph.Frozen, also through any reader that embeds one.
-type attrRows interface {
-	Epoch() uint64
-	AttrNameID(name string) graph.AttrID
-	AttrValueID(value string) graph.ValueID
-	AttrAt(v graph.NodeID, a graph.AttrID) graph.ValueID
-}
-
 // LiteralScratch caches slot values, each with the node it was read from.
 // Not safe for concurrent use — each worker keeps its own. Loads are lazy,
 // so short-circuited members never pay for slots they do not read, and a
@@ -126,16 +115,13 @@ type attrRows interface {
 // long runs of matches, and such a run costs one lookup, not one per match.
 //
 // A scratch is bound to the snapshot it reads: on the first Violates, and
-// again whenever the reader or the reader's epoch changes (an edited
-// *graph.Graph re-freezes), it resolves every slot's attribute name and
-// every constant to the snapshot's IDs, and forgets its values. A constant
-// the snapshot does not hold resolves to graph.NoValue, which no attribute
-// equals. Loads then cache value IDs, and literals compare them.
+// again whenever Violates is handed another snapshot, it resolves every
+// slot's attribute name and every constant to the snapshot's IDs, and
+// forgets its values. A constant the snapshot does not hold resolves to
+// graph.NoValue, which no attribute equals. Loads then cache value IDs, and
+// literals compare them.
 type LiteralScratch struct {
-	reader graph.Reader
-	graph  *graph.Graph // reader, when it is one: its epoch moves on edits
-	rows   attrRows
-	epoch  uint64
+	rows   *graph.Frozen
 	slots  []slotState
 	consts []graph.ValueID // per program constant, its value ID
 }
@@ -162,28 +148,18 @@ func (e *LiteralEval) NewScratch() *LiteralScratch {
 	return s
 }
 
-// Begin forgets every loaded value; the binding to the reader stays.
+// Begin forgets every loaded value; the binding to the snapshot stays.
 // Successive matches need no Begin, since values are keyed by node, and
-// neither does a change of reader, which rebinds.
+// neither does a change of snapshot, which rebinds.
 func (s *LiteralScratch) Begin() {
 	for i := range s.slots {
 		s.slots[i].node = graph.InvalidNode
 	}
 }
 
-// bind points the scratch at g's snapshot. A *graph.Graph is read through
-// its cached Frozen; any other reader must carry attribute rows itself.
-func (s *LiteralScratch) bind(e *LiteralEval, g graph.Reader) {
-	var rows attrRows
-	gr, isGraph := g.(*graph.Graph)
-	if isGraph {
-		rows = gr.Frozen()
-	} else if r, ok := g.(attrRows); ok {
-		rows = r
-	} else {
-		panic(fmt.Sprintf("match: literal evaluation on a %T, which has no attribute rows", g))
-	}
-	s.reader, s.graph, s.rows, s.epoch = g, gr, rows, rows.Epoch()
+// bind points the scratch at the snapshot rows.
+func (s *LiteralScratch) bind(e *LiteralEval, rows *graph.Frozen) {
+	s.rows = rows
 	for i, a := range e.slotAttr {
 		s.slots[i].name = rows.AttrNameID(a)
 	}
@@ -226,8 +202,8 @@ func (s *LiteralScratch) holds(refs []litRef, h Assignment) bool {
 
 // Violates reports whether member m violates the dependency at match h in
 // g: the antecedent holds and the consequent does not.
-func (e *LiteralEval) Violates(m int, g graph.Reader, h Assignment, s *LiteralScratch) bool {
-	if g != s.reader || s.graph != nil && s.graph.Epoch() != s.epoch {
+func (e *LiteralEval) Violates(m int, g *graph.Frozen, h Assignment, s *LiteralScratch) bool {
+	if g != s.rows {
 		s.bind(e, g)
 	}
 	prog := &e.members[m]

@@ -56,7 +56,7 @@ func (a Assignment) Complete() bool {
 // not usable; construct with NewSearch.
 type Search struct {
 	p      *pattern.Pattern
-	g      graph.Reader
+	g      *graph.Frozen // the snapshot of NewSearch's reader
 	filter func(pattern.Var, graph.NodeID) bool
 	// rootCands, when non-nil, replaces the label-index candidate pull for
 	// the first open variable (the root frame): the shard fan-out partitions
@@ -69,10 +69,6 @@ type Search struct {
 	// never hash a string: pattern edge labels aligned with p.Out/p.In, and
 	// the variable's pruning signature.
 	vars []varIndex
-	// ev and epoch pin the snapshot those IDs were resolved against (see
-	// checkFresh); ev is nil for a reader without epochs.
-	ev    graph.EpochView
-	epoch uint64
 
 	assign Assignment
 	seeded []bool // variables fixed by the seed (never backtracked)
@@ -113,7 +109,7 @@ type varIndex struct {
 	// freq and cand feed the adaptive kernel picker: the variable's label
 	// frequency (candidate count) decides when galloping the label run
 	// through a long adjacency beats scanning it, and cand — non-nil only
-	// for high-frequency labels on bitset-serving snapshots — answers the
+	// for high-frequency labels (Frozen.CandidateBitset) — answers the
 	// label test in one word probe.
 	freq int
 	cand graph.Bitset
@@ -122,8 +118,7 @@ type varIndex struct {
 // resolveVars computes the per-variable index against g: the shared body
 // of NewSearch and CompilePlan. The result is read-only once built, so a
 // Plan can hand one copy to many concurrent searches.
-func resolveVars(p *pattern.Pattern, g graph.Reader) []varIndex {
-	bp, _ := g.(graph.BitsetProvider)
+func resolveVars(p *pattern.Pattern, g *graph.Frozen) []varIndex {
 	vars := make([]varIndex, p.NumVars())
 	for v := range vars {
 		u := pattern.Var(v)
@@ -135,9 +130,7 @@ func resolveVars(p *pattern.Pattern, g graph.Reader) []varIndex {
 		vx.sigOut = g.ResolveLabels(sig.Out)
 		vx.sigIn = g.ResolveLabels(sig.In)
 		vx.freq = g.LabelFrequency(p.Label(u))
-		if bp != nil {
-			vx.cand = bp.CandidateBitset(p.Label(u))
-		}
+		vx.cand = g.CandidateBitset(p.Label(u))
 	}
 	return vars
 }
@@ -167,9 +160,9 @@ type Options struct {
 	// Plan, when non-nil, supplies the precompiled planning artifacts
 	// (resolved label IDs, default order, pre-pruned root candidates) from
 	// CompilePlan/PlanCache.Get, skipping per-search planning. The plan
-	// must have been compiled for this pattern against a reader serving the
-	// same contents; NewSearch panics on a mismatch (see Plan.validFor) —
-	// a stale plan must never silently serve a new snapshot epoch.
+	// must have been compiled for this pattern against a reader with the
+	// same Snapshot; NewSearch panics on a mismatch — a stale plan must
+	// never silently serve another snapshot.
 	Plan *Plan
 	// Ctx, when non-nil, makes the enumeration cooperatively cancelable:
 	// Next polls the context once every ctxCheckEvery frame expansions —
@@ -193,11 +186,13 @@ func DefaultOrder(p *pattern.Pattern) []pattern.Var {
 	return order
 }
 
-// NewSearch builds a search over any graph.Reader. Seeded variables
-// are validated against labels and seeded-edge consistency lazily (the
-// first Next call rejects a bad seed by returning no matches for that
-// branch).
-func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
+// NewSearch builds a search over r's snapshot (graph.Reader.Snapshot): a
+// search on an editable graph enumerates the graph as it was here, whatever
+// edits follow. Seeded variables are validated against labels and
+// seeded-edge consistency lazily (the first Next call rejects a bad seed by
+// returning no matches for that branch).
+func NewSearch(p *pattern.Pattern, r graph.Reader, opts Options) *Search {
+	g := r.Snapshot()
 	pl := opts.Plan
 	if pl != nil {
 		// Structurally equal patterns share plans (PlanCache keys by
@@ -206,7 +201,7 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 		if pl.pat != p && !pattern.StructuralEqual(pl.pat, p) {
 			panic("match: Options.Plan was compiled for a different pattern")
 		}
-		if !pl.validFor(g) {
+		if pl.f != g {
 			panic("match: stale Options.Plan: the graph changed since CompilePlan (recompile, or fetch through PlanCache.Get)")
 		}
 	}
@@ -227,9 +222,6 @@ func NewSearch(p *pattern.Pattern, g graph.Reader, opts Options) *Search {
 		ctxLeft:   ctxCheckEvery,
 		assign:    NewAssignment(p.NumVars()),
 		seeded:    make([]bool, p.NumVars()),
-	}
-	if ev, ok := g.(graph.EpochView); ok {
-		s.ev, s.epoch = ev, ev.Epoch()
 	}
 	if pl != nil {
 		s.vars = pl.vars
@@ -298,7 +290,6 @@ func (s *Search) seedConsistent() bool {
 // be written, and must not be handed to another goroutine. Clone it to keep
 // it.
 func (s *Search) Next() (Assignment, bool) {
-	s.checkFresh()
 	if s.done {
 		return nil, false
 	}
@@ -346,17 +337,6 @@ func (s *Search) Next() (Assignment, bool) {
 	}
 	s.done = true
 	return nil, false
-}
-
-// checkFresh panics when the reader no longer answers from the snapshot the
-// search resolved its label IDs against: the reader is an editable graph
-// that was edited since NewSearch (an immutable snapshot's epoch never
-// moves). The IDs, the frame stack and every candidate list would be read
-// against other contents.
-func (s *Search) checkFresh() {
-	if s.ev != nil && s.ev.Epoch() != s.epoch {
-		panic("match: stale Search: the graph changed since NewSearch")
-	}
 }
 
 // canceled polls Options.Ctx (resetting the poll countdown) and, when the
@@ -565,7 +545,7 @@ func (s *Search) filterBoundEdges(v pattern.Var, base []graph.NodeID, genIn bool
 
 // resolveEdgeLabels maps pattern edges to their data-graph label IDs,
 // aligned by index.
-func resolveEdgeLabels(g graph.Reader, edges []pattern.Edge) []graph.LabelID {
+func resolveEdgeLabels(g *graph.Frozen, edges []pattern.Edge) []graph.LabelID {
 	if len(edges) == 0 {
 		return nil
 	}

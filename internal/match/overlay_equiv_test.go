@@ -111,7 +111,7 @@ func TestOverlayMatchEquivalence(t *testing.T) {
 		d := graph.NewDelta(base)
 		applyMirroredOps(rng, mirror, d, 2+rng.Intn(2*n), nodeLabels, edgeLabels)
 		refrozen := base.Refreeze(d)
-		// Derived after the Refreeze: snapshot readers die at the epoch
+		// Derived after the Refreeze: snapshot readers die at the snapshot
 		// boundary, and the delta itself is untouched by the merge.
 		overlay := d.Overlay()
 		for i := 0; i < 8; i++ {

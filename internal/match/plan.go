@@ -4,10 +4,10 @@
 // more than executing a short selective query, and the service workloads
 // repeat the same patterns against the same snapshot. A Plan captures all
 // of it once; a PlanCache keys plans by pattern structure and revalidates
-// them against the reader's snapshot epoch on every fetch, so a Refreeze
-// or Compact (which mint new epochs) makes cached plans unreachable with
-// no invalidation hooks: the stale plan simply never matches again and is
-// recompiled on first use.
+// them against the reader's snapshot (graph.Reader.Snapshot) on every fetch,
+// so a Refreeze, a Compact or an edited graph (each a new *Frozen) makes
+// cached plans unreachable with no invalidation hooks: the stale plan simply
+// never matches again and is recompiled on first use.
 package match
 
 import (
@@ -23,14 +23,13 @@ import (
 // root candidate frame. Plans are immutable after CompilePlan and safe to
 // share across concurrent searches. A Plan is bound to the contents it was
 // compiled against: NewSearch re-checks that binding and panics on a
-// stale plan (see validFor).
+// stale plan.
 type Plan struct {
 	pat *pattern.Pattern
-	// g is the reader the plan was compiled against; the binding is its
-	// epoch, so any reader serving that epoch may use the plan (a Frozen and
-	// its Sharded view, an editable graph and the Frozen it reads through).
-	g     graph.Reader
-	epoch uint64
+	// f is the snapshot the plan was compiled against, so any reader with
+	// that Snapshot may use the plan (a Frozen and its Sharded view, an
+	// editable graph and the Frozen it reads through).
+	f *graph.Frozen
 
 	vars         []varIndex
 	defaultOrder []pattern.Var
@@ -44,13 +43,13 @@ type Plan struct {
 	rootCands []graph.NodeID
 }
 
-// CompilePlan resolves p against g and returns the plan. A reader without
-// an epoch gets a plan no NewSearch accepts.
+// CompilePlan resolves p against g's snapshot and returns the plan.
 func CompilePlan(p *pattern.Pattern, g graph.Reader) *Plan {
-	pl := &Plan{pat: p, g: g, epoch: epochOf(g)}
-	pl.vars = resolveVars(p, g)
+	f := g.Snapshot()
+	pl := &Plan{pat: p, f: f}
+	pl.vars = resolveVars(p, f)
 	pl.defaultOrder = DefaultOrder(p)
-	pl.pivots = p.Pivot(g)
+	pl.pivots = p.Pivot(f)
 	pl.pivotOrders = make([][]pattern.Var, len(pl.pivots))
 	for i, pv := range pl.pivots {
 		pl.pivotOrders[i] = p.PivotOrder(pv)
@@ -58,26 +57,8 @@ func CompilePlan(p *pattern.Pattern, g graph.Reader) *Plan {
 	return pl
 }
 
-// epochOf returns the epoch of the snapshot g answers from, 0 when g has
-// none (epochs start at 1).
-func epochOf(g graph.Reader) uint64 {
-	if ev, ok := g.(graph.EpochView); ok {
-		return ev.Epoch()
-	}
-	return 0
-}
-
-// validFor reports whether the plan may serve g: g must carry the epoch the
-// plan was compiled at.
-func (pl *Plan) validFor(g graph.Reader) bool {
-	return pl.epoch != 0 && pl.epoch == epochOf(g)
-}
-
 // Pattern returns the pattern the plan was compiled for.
 func (pl *Plan) Pattern() *pattern.Pattern { return pl.pat }
-
-// Epoch returns the snapshot epoch the plan is bound to.
-func (pl *Plan) Epoch() uint64 { return pl.epoch }
 
 // Pivots returns the precomputed pivot per connected component (the result
 // of pattern.Pivot against the plan's graph). Callers must not mutate the
@@ -106,12 +87,12 @@ func (pl *Plan) root() []graph.NodeID {
 			return
 		}
 		v := pl.defaultOrder[0]
-		cands := pl.g.AppendCandidates(nil, pl.pat.Label(v))
+		cands := pl.f.AppendCandidates(nil, pl.pat.Label(v))
 		vx := &pl.vars[v]
 		if len(vx.sigOut) > 0 || len(vx.sigIn) > 0 {
 			kept := cands[:0]
 			for _, n := range cands {
-				if pl.g.CoversIDs(n, vx.sigOut, vx.sigIn) {
+				if pl.f.CoversIDs(n, vx.sigOut, vx.sigIn) {
 					kept = append(kept, n)
 				}
 			}
@@ -123,14 +104,14 @@ func (pl *Plan) root() []graph.NodeID {
 }
 
 // PlanCache memoizes one Plan per pattern structure, revalidated against
-// the reader's epoch on every Get. The map is keyed by pattern fingerprint
+// the reader's snapshot on every Get. The map is keyed by pattern fingerprint
 // with the full structural-equality check behind the hash (see
 // pattern.StructuralEqual), so two structurally identical pattern values —
 // e.g. the same rule shape parsed from different GFDs — share one compiled
 // plan, and a 64-bit hash collision can never serve a plan across patterns
 // that differ. The cache stays bounded at one entry per live pattern
-// structure; a new snapshot epoch overwrites in place rather than
-// accumulating. Safe for concurrent use.
+// structure; a new snapshot overwrites in place rather than accumulating.
+// Safe for concurrent use: concurrent Gets on one snapshot return one plan.
 type PlanCache struct {
 	mu    sync.RWMutex
 	plans map[uint64][]*Plan // fingerprint → structurally distinct plans
@@ -152,26 +133,30 @@ func (c *PlanCache) lookup(fp uint64, p *pattern.Pattern) (int, *Plan) {
 	return -1, nil
 }
 
-// Get returns a plan for (p, g), reusing the cached one when its epoch
-// matches g's and recompiling (and replacing the entry) otherwise — the
-// automatic invalidation path for Refreeze, Compact and an edited editable
-// graph, whose snapshots carry fresh epochs.
+// Get returns a plan for (p, g), reusing the cached one when it was
+// compiled on g's snapshot and recompiling (and replacing the entry)
+// otherwise — the automatic invalidation path for Refreeze, Compact and an
+// edited editable graph, each of which reads through a new snapshot.
 func (c *PlanCache) Get(p *pattern.Pattern, g graph.Reader) *Plan {
+	f := g.Snapshot()
 	fp := p.Fingerprint()
 	c.mu.RLock()
 	_, pl := c.lookup(fp, p)
 	c.mu.RUnlock()
-	if pl != nil && pl.validFor(g) {
+	if pl != nil && pl.f == f {
 		return pl
 	}
-	pl = CompilePlan(p, g)
+	pl = CompilePlan(p, f)
 	c.mu.Lock()
-	if i, _ := c.lookup(fp, p); i >= 0 {
-		c.plans[fp][i] = pl
-	} else {
+	defer c.mu.Unlock()
+	switch i, cur := c.lookup(fp, p); {
+	case i < 0:
 		c.plans[fp] = append(c.plans[fp], pl)
+	case cur.f == f:
+		return cur // a concurrent Get cached one first: every caller gets it
+	default:
+		c.plans[fp][i] = pl
 	}
-	c.mu.Unlock()
 	return pl
 }
 

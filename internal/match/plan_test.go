@@ -2,7 +2,9 @@ package match_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,9 +14,9 @@ import (
 )
 
 // expectStalePanic runs fn and fails unless it panics with one of match's
-// own messages: the stale-plan or wrong-pattern one NewSearch raises, or the
-// stale-search one Next raises. A panic from elsewhere (an index
-// out of range on voided IDs, say) is not the contract.
+// own messages: the stale-plan or wrong-pattern one NewSearch raises. A
+// panic from elsewhere (an index out of range on voided IDs, say) is not
+// the contract.
 func expectStalePanic(t *testing.T, ctx string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -76,7 +78,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReuse checks the cache contract on epoch-carrying readers:
+// TestPlanCacheReuse checks the cache contract on every reader:
 // same pattern + same snapshot → the identical *Plan; a different snapshot
 // (Refreeze) → a recompiled one; an editable graph → cached per snapshot,
 // shared with that snapshot, recompiled after a mutation.
@@ -89,7 +91,7 @@ func TestPlanCacheReuse(t *testing.T) {
 
 	pl := cache.Get(p, f)
 	if pl2 := cache.Get(p, f); pl2 != pl {
-		t.Fatal("cache recompiled for an unchanged snapshot epoch")
+		t.Fatal("cache recompiled for an unchanged snapshot")
 	}
 	if pl2 := cache.Get(p, f.Sharded(3)); pl2 != pl {
 		t.Fatal("sharded view of the same snapshot must hit the same plan")
@@ -109,7 +111,7 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("cache grew to %d entries across Refreeze, want entry replaced in place", cache.Len())
 	}
 
-	// An editable graph reads through its snapshot and carries its epoch:
+	// An editable graph reads through its snapshot:
 	// the graph and the snapshot share one plan, until a mutation.
 	m1 := cache.Get(p, g)
 	if cache.Get(p, g) != m1 || cache.Get(p, g.Frozen()) != m1 {
@@ -124,10 +126,71 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
+// TestPlanCacheConcurrent runs PlanCache.Get and a plan-driven search from
+// eight goroutines at once: on an editable graph whose first Frozen is built
+// under that contention, then on that Frozen, then on a Sharded view of it.
+// Every goroutine must get the one *Plan (whose lazily built root frame the
+// unseeded searches share) and a planless search's match set, and the cache
+// must hold one entry.
+func TestPlanCacheConcurrent(t *testing.T) {
+	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.3, Seed: 11})
+	base := gr.ConsistentGraph(40)
+	var p *pattern.Pattern
+	for i := 0; i < 50 && p == nil; i++ {
+		if q := gr.Pattern(); len(match.FindAll(q, base)) > 0 {
+			p = q
+		}
+	}
+	if p == nil {
+		t.Fatal("fixture: no generated pattern has a match")
+	}
+	want := matchSet(p, base, match.Options{})
+	g := base.Clone() // no snapshot built yet
+	readers := []func() graph.Reader{
+		func() graph.Reader { return g },
+		func() graph.Reader { return g.Frozen() },
+		func() graph.Reader { return g.Frozen().Sharded(3) },
+	}
+	const workers = 8
+	cache := match.NewPlanCache()
+	var plans [workers]*match.Plan
+	var got [workers][]string
+	var first *match.Plan
+	for ri, reader := range readers {
+		r := reader()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				plans[w] = cache.Get(p, r)
+				got[w] = matchSet(p, r, match.Options{Plan: plans[w]})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if first == nil {
+			first = plans[0]
+		}
+		for w := range workers {
+			if plans[w] != first {
+				t.Fatalf("reader %d, goroutine %d: got another *Plan", ri, w)
+			}
+			diffSets(t, fmt.Sprintf("reader %d, goroutine %d", ri, w), got[w], want)
+		}
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d entries for one pattern, want 1", cache.Len())
+	}
+}
+
 // TestPlanStaleness checks that every snapshot transition that can change
 // match results makes previously compiled plans unusable: Refreeze, a
-// compacting Compact, the Overlay of a mutated delta, and any mutation of an editable
-// graph — which voids the searches compiled on it too. A no-op Compact keeps
+// compacting Compact, the Overlay of a mutated delta, and any mutation of an
+// editable graph. A search holds its snapshot, so one built on a graph
+// before a mutation enumerates the graph as it was. A no-op Compact keeps
 // the snapshot — and its plans — alive.
 func TestPlanStaleness(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 9})
@@ -144,7 +207,7 @@ func TestPlanStaleness(t *testing.T) {
 	}
 	match.NewSearch(p, same, match.Options{Plan: pl})
 
-	// Refreeze: new epoch, old plan must panic.
+	// Refreeze: a new snapshot, the old plan must panic.
 	d := graph.NewDelta(f)
 	d.AddEdge(0, 1, f.Label(0))
 	nf := f.Refreeze(d)
@@ -152,7 +215,7 @@ func TestPlanStaleness(t *testing.T) {
 		match.NewSearch(p, nf, match.Options{Plan: pl})
 	})
 
-	// Compacting Compact: tombstones force a rebuild and a new epoch.
+	// Compacting Compact: tombstones force a rebuild, a new snapshot.
 	d2 := graph.NewDelta(nf)
 	d2.RemoveNode(graph.NodeID(nf.NumNodes() - 1))
 	withDead := nf.Refreeze(d2)
@@ -177,10 +240,12 @@ func TestPlanStaleness(t *testing.T) {
 		match.NewSearch(p, d3.Overlay(), match.Options{Plan: plO})
 	})
 
-	// Editable graph: a plan and a search are pinned to the snapshot the
-	// graph read through when they were compiled; every mutator voids both
-	// (label IDs resolved before it mean nothing after it).
+	// Editable graph: a plan is pinned to the snapshot the graph read
+	// through when it was compiled, and every mutator voids it (label IDs
+	// resolved before it mean nothing after it). A search built before the
+	// mutator, fresh or half consumed, enumerates that snapshot to the end.
 	last := graph.NodeID(g.NumNodes() - 1)
+	enumerated := 0
 	for _, m := range []struct {
 		name   string
 		mutate func()
@@ -190,16 +255,33 @@ func TestPlanStaleness(t *testing.T) {
 		{"RemoveNode", func() { g.RemoveNode(last) }},
 	} {
 		plG := match.CompilePlan(p, g)
+		want := match.FindAll(p, g.Snapshot())
 		fresh, half := match.NewSearch(p, g, match.Options{Plan: plG}), match.NewSearch(p, g, match.Options{})
-		half.Next()
+		var got [2][]match.Assignment
+		if h, ok := half.Next(); ok {
+			got[1] = append(got[1], h.Clone())
+		}
 		m.mutate()
 		expectStalePanic(t, m.name+": plan", func() { match.NewSearch(p, g, match.Options{Plan: plG}) })
-		expectStalePanic(t, m.name+": fresh search", func() { fresh.Next() })
-		expectStalePanic(t, m.name+": half-consumed search", func() { half.Next() })
+		for i, s := range []*match.Search{fresh, half} {
+			for h, ok := s.Next(); ok; h, ok = s.Next() {
+				got[i] = append(got[i], h.Clone())
+			}
+		}
+		for i, name := range []string{"fresh", "half-consumed"} {
+			if !slices.EqualFunc(got[i], want, slices.Equal) {
+				t.Errorf("%s: %s search built before it found %v, want the old snapshot's %v", m.name, name, got[i], want)
+			}
+		}
+		enumerated += len(want)
 		// Recompiled after the mutation, both work again; the snapshot
 		// frozen before all of them still serves its own plan.
 		match.NewSearch(p, g, match.Options{Plan: match.CompilePlan(p, g)}).Next()
 		match.NewSearch(p, f, match.Options{Plan: pl}).Next()
+	}
+
+	if enumerated == 0 {
+		t.Fatal("no search built before a mutation found a match; the property is vacuous")
 	}
 
 	// A plan never crosses patterns, stale or not.

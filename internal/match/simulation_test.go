@@ -42,8 +42,6 @@ func diffSim(t *testing.T, ctx string, p *pattern.Pattern, g graph.Reader, sim *
 // G_Σ inputs — the pattern groups of a generated Σ (wildcard
 // nodes and edges on) into G_Σ — through the mutable graph, its Frozen
 // snapshot and an Overlay carrying a random update stream with removals.
-// Every pattern goes through the one-shot entry and through one Simulator
-// shared by the whole Σ, so recycled scratch is exercised on every reader.
 func TestSimulateMatchesOracle(t *testing.T) {
 	passed, empty := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
@@ -65,13 +63,11 @@ func TestSimulateMatchesOracle(t *testing.T) {
 			r    graph.Reader
 		}{{"mutable", g}, {"frozen", base}, {"overlay", d.Overlay()}}
 		for _, rd := range readers {
-			shared := match.NewSimulator(rd.r)
 			for i, grp := range set.Groups() {
 				p := grp.Pattern
 				ctx := fmt.Sprintf("seed=%d %s group#%d %s", seed, rd.name, i, p)
 				want := oracle.Simulation(p, rd.r)
-				diffSim(t, ctx+" (one-shot)", p, rd.r, match.Simulate(p, rd.r), want)
-				diffSim(t, ctx+" (shared)", p, rd.r, shared.Simulate(p, nil), want)
+				diffSim(t, ctx, p, rd.r, match.Simulate(p, rd.r), want)
 				if want != nil {
 					passed++
 				} else {
@@ -85,11 +81,12 @@ func TestSimulateMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSimulatorSeedsSurviveRefinement is the aliasing case of a shared
-// Simulator: x of A and x of B start from the same seed {0, 2}, built in the
-// same scratch, but A refines it to {0} and B to {2}. A refinement that wrote
-// through to the scratch would hand B (and the second A) a shrunken start,
-// and a result that aliased it would change under the later calls.
+// TestSimulatorSeedsSurviveRefinement is the aliasing case of successive
+// simulations: x of A and x of B start from the same label candidates
+// {0, 2}, but A refines them to {0} and B to {2}. A refinement that wrote
+// through to the graph's label index would hand B (and the second A) a
+// shrunken start, and a result that aliased it would change under the
+// later calls.
 func TestSimulatorSeedsSurviveRefinement(t *testing.T) {
 	g := graph.New()
 	for _, l := range []string{"a", "b", "a", "c"} {
@@ -103,13 +100,9 @@ func TestSimulatorSeedsSurviveRefinement(t *testing.T) {
 		return p
 	}
 	a, b := edgeTo("b"), edgeTo("c")
-	m := match.NewSimulator(g)
-	first := m.Simulate(a, nil)
+	first := match.Simulate(a, g)
 	diffSim(t, "A", a, g, first, [][]graph.NodeID{{0}, {1}})
-	diffSim(t, "B after A", b, g, m.Simulate(b, nil), [][]graph.NodeID{{2}, {3}})
-	second := m.Simulate(a, nil)
-	diffSim(t, "A after B", a, g, second, oracle.Simulation(a, g))
-	fresh := match.Simulate(a, g)
-	diffSim(t, "A after B vs one-shot", a, g, second, [][]graph.NodeID{fresh.Nodes(0), fresh.Nodes(1)})
+	diffSim(t, "B after A", b, g, match.Simulate(b, g), [][]graph.NodeID{{2}, {3}})
+	diffSim(t, "A after B", a, g, match.Simulate(a, g), oracle.Simulation(a, g))
 	diffSim(t, "first A after later calls", a, g, first, [][]graph.NodeID{{0}, {1}})
 }
