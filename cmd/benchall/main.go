@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 0.025, "fraction of the paper's workload sizes (1.0 = paper scale)")
 	reps := fs.Int("reps", 3, "repetitions per cell (median reported)")
 	seed := fs.Int64("seed", 1, "workload seed")
-	only := fs.String("only", "", "run a single paper figure (fig5, fig6a ... fig6l)")
+	only := fs.String("only", "", "run a single paper figure (fig5, fig6a ... fig6j)")
 	ciOut := fs.String("ci", "", "run the CI benchmark-regression suite and write its JSON report to this path")
 	baseline := fs.String("baseline", "", "with -ci: compare against this baseline report, exit 1 on regression")
 	tolerance := fs.Float64("tolerance", 0.25, "with -baseline: allowed fractional regression per gating metric")

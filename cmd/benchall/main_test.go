@@ -38,7 +38,7 @@ func TestUnknownOnlyListsThePaperFigures(t *testing.T) {
 	if code != 2 || out != "" {
 		t.Fatalf("exit %d, stdout %q; want 2 and nothing run", code, out)
 	}
-	const want = `unknown experiment "nosuch" (valid: fig5, fig6a, fig6b, fig6c, fig6d, fig6e, fig6f, fig6g, fig6h, fig6i, fig6j, fig6k, fig6l)` + "\n"
+	const want = `unknown experiment "nosuch" (valid: fig5, fig6a, fig6b, fig6c, fig6d, fig6e, fig6f, fig6g, fig6h, fig6i, fig6j)` + "\n"
 	if errs != want {
 		t.Errorf("stderr = %q, want %q", errs, want)
 	}

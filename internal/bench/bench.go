@@ -166,20 +166,6 @@ func datasetImpInstance(cfg Config, p *dataset.Profile) (*gfd.Set, *gfd.GFD) {
 	return g.ImpInstance(6)
 }
 
-// parOpt builds the standard parallel options used across experiments
-// (TTL fixed "2 seconds" in the paper; scaled here).
-func parOpt(workers int) core.ParOptions {
-	opt := core.DefaultParOptions(workers)
-	opt.TTL = 20 * time.Millisecond
-	return opt
-}
-
-// noSplit is opt with unit splitting off (TTL = 0): the paper's _nb series.
-func noSplit(opt core.ParOptions) core.ParOptions {
-	opt.TTL = 0
-	return opt
-}
-
 // Fig5 reproduces the sequential-running-time table: SeqSat, SeqImp and
 // ParImpRDF on the three datasets' GFDs.
 func Fig5(cfg Config) *Report {
@@ -208,8 +194,8 @@ func Fig5(cfg Config) *Report {
 // workersSweep is the p axis of Exp-1 (Figures 6(a)-(d)).
 var workersSweep = []int{4, 8, 12, 16, 20}
 
-// varyPSat reproduces Fig 6(a)/(b): ParSat with and without unit splitting
-// (the paper's _nb series) vs p.
+// varyPSat reproduces Fig 6(a)/(b): ParSat vs p. The paper's ParSat_nb
+// series, ParSat without unit splitting, is ParSat itself: no engine splits.
 // The vary-p figures double the workload scale: parallel speedup needs
 // enough matching work per worker to amortize coordination.
 func varyPSat(cfg Config, name string, prof *dataset.Profile) *Report {
@@ -219,18 +205,16 @@ func varyPSat(cfg Config, name string, prof *dataset.Profile) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying p, satisfiability, %s GFDs (ms)", prof.Name),
-		Header: []string{"p", "ParSat", "ParSat_nb"},
+		Header: []string{"p", "ParSat"},
 	}
 	for _, p := range workersSweep {
-		full := parOpt(p)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(p)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(p),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })),
+			ms(medianTime(cfg.Reps, func() { core.ParSat(set, opt) })),
 		})
 	}
-	r.Notes = append(r.Notes, "paper shape: ParSat ~3.2-3.7x faster from p=4 to 20; full beats nb")
+	r.Notes = append(r.Notes, "paper shape: ParSat ~3.2-3.7x faster from p=4 to 20")
 	return r
 }
 
@@ -240,8 +224,7 @@ func Fig6a(cfg Config) *Report { return varyPSat(cfg, "Fig6a", dataset.DBpedia()
 // Fig6b is ParSat vs p on YAGO2 GFDs.
 func Fig6b(cfg Config) *Report { return varyPSat(cfg, "Fig6b", dataset.YAGO2()) }
 
-// varyPImp reproduces Fig 6(c)/(d): ParImp with and without unit splitting
-// vs p.
+// varyPImp reproduces Fig 6(c)/(d): ParImp vs p.
 func varyPImp(cfg Config, name string, prof *dataset.Profile) *Report {
 	cfg = cfg.withDefaults()
 	// Implication runs on the small canonical graph G^X_Q, so matching
@@ -251,15 +234,13 @@ func varyPImp(cfg Config, name string, prof *dataset.Profile) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying p, implication, %s GFDs (ms)", prof.Name),
-		Header: []string{"p", "ParImp", "ParImp_nb"},
+		Header: []string{"p", "ParImp"},
 	}
 	for _, p := range workersSweep {
-		full := parOpt(p)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(p)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(p),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })),
+			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, opt) })),
 		})
 	}
 	r.Notes = append(r.Notes, "paper shape: ParImp ~3-3.1x faster from p=4 to 20")
@@ -282,18 +263,16 @@ func Fig6e(cfg Config) *Report {
 	r := &Report{
 		Name:   "Fig6e",
 		Title:  "Varying |Σ|, satisfiability, synthetic GFDs (ms)",
-		Header: []string{"|Σ|", "SeqSat", "ParSat", "ParSat_nb"},
+		Header: []string{"|Σ|", "SeqSat", "ParSat"},
 	}
 	for _, n := range sigmaSweep {
 		g := gen.New(gen.Config{N: cfg.scaled(n), K: 6, L: 5, Seed: cfg.Seed})
 		set := g.Set()
-		full := parOpt(4)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(4)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(cfg.scaled(n)),
 			ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })),
+			ms(medianTime(cfg.Reps, func() { core.ParSat(set, opt) })),
 		})
 	}
 	r.Notes = append(r.Notes, "paper shape: all grow with |Σ|; ParSat ~3.1x faster than SeqSat at p=4")
@@ -306,18 +285,16 @@ func Fig6f(cfg Config) *Report {
 	r := &Report{
 		Name:   "Fig6f",
 		Title:  "Varying |Σ|, implication, synthetic GFDs (ms)",
-		Header: []string{"|Σ|", "SeqImp", "ParImp", "ParImp_nb", "ParImpRDF"},
+		Header: []string{"|Σ|", "SeqImp", "ParImp", "ParImpRDF"},
 	}
 	for _, n := range sigmaSweep {
 		g := gen.New(gen.Config{N: cfg.scaled(n), K: 6, L: 5, WildcardRate: 0.4, Seed: cfg.Seed})
 		set, phi := g.ImpInstance(6)
-		full := parOpt(4)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(4)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(cfg.scaled(n)),
 			ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })),
+			ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, opt) })),
 			ms(medianTime(cfg.Reps, func() { rdfchase.Implies(set, phi) })),
 		})
 	}
@@ -338,7 +315,7 @@ func varyK(cfg Config, name string, imp bool) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying k (pattern size), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"k", "Seq", "Par", "Par_nb"},
+		Header: []string{"k", "Seq", "Par"},
 	}
 	n := cfg.scaled(5000)
 	for _, k := range kSweep {
@@ -352,19 +329,16 @@ func varyK(cfg Config, name string, imp bool) *Report {
 		} else {
 			set = g.Set()
 		}
-		full := parOpt(4)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(4)
 		row := []string{fmt.Sprint(k)}
 		if imp {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })))
+				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, opt) })))
 		} else {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })))
+				ms(medianTime(cfg.Reps, func() { core.ParSat(set, opt) })))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -391,7 +365,7 @@ func varyL(cfg Config, name string, imp bool) *Report {
 	r := &Report{
 		Name:   name,
 		Title:  fmt.Sprintf("Varying l (literals), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"l", "Seq", "Par", "Par_nb"},
+		Header: []string{"l", "Seq", "Par"},
 	}
 	n := cfg.scaled(5000)
 	for _, l := range lSweep {
@@ -405,19 +379,16 @@ func varyL(cfg Config, name string, imp bool) *Report {
 		} else {
 			set = g.Set()
 		}
-		full := parOpt(4)
-		nb := noSplit(full)
+		opt := core.DefaultParOptions(4)
 		row := []string{fmt.Sprint(l)}
 		if imp {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, nb) })))
+				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, opt) })))
 		} else {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, full) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, nb) })))
+				ms(medianTime(cfg.Reps, func() { core.ParSat(set, opt) })))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -431,76 +402,14 @@ func Fig6h(cfg Config) *Report { return varyL(cfg, "Fig6h", false) }
 // Fig6j is Exp-3 varying l for implication.
 func Fig6j(cfg Config) *Report { return varyL(cfg, "Fig6j", true) }
 
-// ttlSweep maps the paper's 0.1s–8s TTL axis onto scaled microseconds:
-// the paper's work units take seconds on billion-edge graphs, ours take
-// microseconds on canonical graphs, so the interesting splitting regime
-// sits three orders of magnitude lower.
-var ttlSweep = []time.Duration{
-	50 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2 * time.Millisecond,
-	4 * time.Millisecond,
-}
-
-// varyTTL runs Exp-4.
-func varyTTL(cfg Config, name string, imp bool) *Report {
-	cfg = cfg.withDefaults()
-	mode := "satisfiability"
-	if imp {
-		mode = "implication"
-	}
-	r := &Report{
-		Name:   name,
-		Title:  fmt.Sprintf("Varying TTL, %s, DBpedia GFDs (ms)", mode),
-		Header: []string{"TTL(ms)", "Par", "splits"},
-	}
-	g := gen.New(gen.Config{N: cfg.scaled(5000), K: 6, L: 3, Profile: dataset.DBpedia(), Seed: cfg.Seed})
-	var (
-		set *gfd.Set
-		phi *gfd.GFD
-	)
-	if imp {
-		set, phi = g.ImpInstance(6)
-	} else {
-		set = g.Set()
-	}
-	for _, ttl := range ttlSweep {
-		full := parOpt(4)
-		full.TTL = ttl
-		var splits int
-		var tFull time.Duration
-		if imp {
-			tFull = medianTime(cfg.Reps, func() { splits = core.ParImp(set, phi, full).Stats.UnitsSplit })
-		} else {
-			tFull = medianTime(cfg.Reps, func() { splits = core.ParSat(set, full).Stats.UnitsSplit })
-		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("%.2f", float64(ttl.Microseconds())/1000),
-			ms(tFull), fmt.Sprint(splits),
-		})
-	}
-	r.Notes = append(r.Notes,
-		"paper axis 0.1s-8s mapped to 0.05ms-4ms (unit costs scale with workload)",
-		"paper shape: interior optimum (TTL=2s); too small splits too much, too large leaves stragglers")
-	return r
-}
-
-// Fig6k is Exp-4 varying TTL for satisfiability.
-func Fig6k(cfg Config) *Report { return varyTTL(cfg, "Fig6k", false) }
-
-// Fig6l is Exp-4 varying TTL for implication.
-func Fig6l(cfg Config) *Report { return varyTTL(cfg, "Fig6l", true) }
-
-// experiments is the runner registry: the paper's thirteen figures and
-// nothing else. cmd/benchall resolves -only through ByName and runs Names
-// in order otherwise.
+// experiments is the runner registry: the paper's figures and nothing else.
+// Fig. 6(k,l) is not reproduced: no engine splits a straggling unit, so
+// there is no straggler threshold to vary. cmd/benchall resolves -only
+// through ByName and runs Names in order otherwise.
 var experiments = map[string]func(Config) *Report{
 	"fig5": Fig5, "fig6a": Fig6a, "fig6b": Fig6b, "fig6c": Fig6c,
 	"fig6d": Fig6d, "fig6e": Fig6e, "fig6f": Fig6f, "fig6g": Fig6g,
-	"fig6h": Fig6h, "fig6i": Fig6i, "fig6j": Fig6j, "fig6k": Fig6k,
-	"fig6l": Fig6l,
+	"fig6h": Fig6h, "fig6i": Fig6i, "fig6j": Fig6j,
 }
 
 // ByName returns the named experiment runner (case-insensitive), or nil.

@@ -29,7 +29,7 @@ func TestReportFormatAligned(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"fig5", "Fig6a", "FIG6L"} {
+	for _, name := range []string{"fig5", "Fig6a", "FIG6J"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
@@ -46,10 +46,10 @@ func TestByName(t *testing.T) {
 // benchmark/gfdbench (an absolute per-layer time), not here.
 func TestNames(t *testing.T) {
 	want := []string{"fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f",
-		"fig6g", "fig6h", "fig6i", "fig6j", "fig6k", "fig6l"}
+		"fig6g", "fig6h", "fig6i", "fig6j"}
 	got := Names()
 	if !slices.Equal(got, want) {
-		t.Fatalf("Names() = %v, want the 13 paper figures %v", got, want)
+		t.Fatalf("Names() = %v, want the 11 paper figures %v", got, want)
 	}
 	for _, n := range got {
 		if ByName(n) == nil {
@@ -67,13 +67,6 @@ func TestFig5RunsAtMicroScale(t *testing.T) {
 		if len(row) != 4 {
 			t.Fatalf("row %v should have algorithm + 3 datasets", row)
 		}
-	}
-}
-
-func TestTTLSweepRunsAtMicroScale(t *testing.T) {
-	r := Fig6k(micro())
-	if len(r.Rows) != len(ttlSweep) {
-		t.Fatalf("Fig6k rows = %d, want %d", len(r.Rows), len(ttlSweep))
 	}
 }
 

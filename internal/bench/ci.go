@@ -393,14 +393,10 @@ const CIShardWorkers = 8
 
 // ParWorkload builds the canonical parallel-reasoning workload for the
 // scheduling metrics: a satisfiable DBpedia-profiled set large enough that
-// ParSat runs hundreds of work units, checked with a tight TTL so straggler
-// splitting (split branches land on the splitter's deque and get stolen)
-// actually fires.
+// ParSat runs hundreds of work units, on CIShardWorkers workers.
 func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 	set := gen.New(gen.Config{N: 300, K: 6, L: 3, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed}).Set()
-	opt := core.DefaultParOptions(CIShardWorkers)
-	opt.TTL = time.Millisecond
-	return set, opt
+	return set, core.DefaultParOptions(CIShardWorkers)
 }
 
 // EnforceWorkload builds the enforcement layer's input as SeqSat produces it:

@@ -107,6 +107,31 @@ func (s *Sigma) Scope(p *pattern.Pattern, vars ...pattern.Var) (scope [][]graph.
 	return scope, true
 }
 
+// Hosts returns the copies a match of component comp of p can lie in,
+// ascending: those holding a compatible edge for every edge of comp, or, for
+// a component without edges (one variable), those holding a node of a
+// compatible label. Hosts only reads s and may be called concurrently.
+func (s *Sigma) Hosts(p *pattern.Pattern, comp []pattern.Var) []int32 {
+	if hosts, edged := s.hosts.hosts(p, comp); edged {
+		return hosts
+	}
+	want := uint32(0) // the wildcard: every node
+	if l := p.Label(comp[0]); l != graph.Wildcard {
+		var ok bool
+		if want, ok = s.hosts.labels[l]; !ok {
+			return nil
+		}
+	}
+	var hosts []int32
+	for c := range s.Offset[:len(s.Offset)-1] {
+		labels := s.label[s.Offset[c]:s.Offset[c+1]]
+		if want == 0 || slices.Contains(labels, want) {
+			hosts = append(hosts, int32(c))
+		}
+	}
+	return hosts
+}
+
 // NodeOf returns the G_Σ node that pattern variable v of Σ.GFDs[i] denotes.
 func (s *Sigma) NodeOf(i int, v pattern.Var) graph.NodeID {
 	return s.Offset[i] + graph.NodeID(v)
@@ -118,9 +143,8 @@ func (s *Sigma) TermOf(i int, v pattern.Var, a string) eq.Term {
 }
 
 // Lit is a literal of a GFD with its attribute and constant names resolved
-// to the IDs of one eq.Eq (and of that relation's Clones): what the
-// enforcement loop evaluates per match, so that no name is hashed or compared
-// there. C is eq.NoConst for a variable literal x.A = y.B; Y and B are unused
+// to the IDs of one eq.Eq: what the enforcement loop evaluates per match, so
+// that no name is hashed or compared there. C is eq.NoConst for a variable literal x.A = y.B; Y and B are unused
 // for a constant literal x.A = c.
 type Lit struct {
 	X, Y pattern.Var
@@ -167,7 +191,8 @@ type Phi struct {
 func BuildPhi(phi *gfd.GFD) *Phi {
 	g := phi.Pattern.AsGraph()
 	e := eq.New()
-	e.Reserve(g.NumNodes()) // Eq_X and each clone of it make a column once
+	e.Reserve(g.NumNodes()) // so Eq_X makes each column once
+	e.StopLogging()         // the chase extends Eq_X itself; nobody reads a delta
 	for _, l := range ResolveLits(e, phi.X) {
 		t := e.HandleOf(graph.NodeID(l.X), l.A)
 		if l.IsConst() {
@@ -176,9 +201,6 @@ func BuildPhi(phi *gfd.GFD) *Phi {
 			e.MergeAt(t, e.HandleOf(graph.NodeID(l.Y), l.B), nil)
 		}
 	}
-	// Drain the construction log: Eq_X is the starting point replicated to
-	// every worker, not a delta to broadcast.
-	e.TakeDelta()
 	cp := &Phi{Graph: g, EqX: e, GFD: phi, y: ResolveLits(e, phi.Y)}
 	cp.hosts.init()
 	cp.hosts.add(0, phi.Pattern)
@@ -188,7 +210,7 @@ func BuildPhi(phi *gfd.GFD) *Phi {
 
 // YDeduced reports whether Y ⊆ Eq_H: every consequent literal of φ is
 // deducible from the given relation (Corollary 4's success condition). e
-// must be EqX or a Clone of it, whose IDs the resolved consequent speaks.
+// must be EqX, extended or not, whose IDs the resolved consequent speaks.
 func (p *Phi) YDeduced(e *eq.Eq) bool {
 	for i := range p.y {
 		l := &p.y[i]

@@ -73,9 +73,10 @@ func TestBuildPhiSeedsEqX(t *testing.T) {
 	if !cp.EqX.Same(eq.Term{Node: 0, Attr: "B"}, eq.Term{Node: 1, Attr: "C"}) {
 		t.Error("Eq_X missing x.B=y.C merge")
 	}
-	// The construction log must be drained (Eq_X is base state, not delta).
+	// Eq_X logs nothing: the chase extends it in place, and nobody reads a
+	// delta of it.
 	if d := cp.EqX.TakeDelta(); len(d) != 0 {
-		t.Errorf("Eq_X left %d ops in the broadcast log", len(d))
+		t.Errorf("Eq_X left %d ops in its log", len(d))
 	}
 }
 
@@ -108,8 +109,8 @@ func TestYDeduced(t *testing.T) {
 	phi := gfd.MustNew("y", p, nil,
 		[]gfd.Literal{gfd.Const(0, "A", "1"), gfd.Vars(0, "B", 1, "B")})
 	cp := BuildPhi(phi)
-	// YDeduced reads relations that speak Eq_X's IDs: Eq_X and its clones.
-	e := cp.EqX.Clone()
+	// YDeduced reads relations that speak Eq_X's IDs: Eq_X, extended.
+	e := cp.EqX
 	if cp.YDeduced(e) {
 		t.Error("empty Eq deduces Y")
 	}
@@ -122,7 +123,7 @@ func TestYDeduced(t *testing.T) {
 		t.Error("full Eq does not deduce Y")
 	}
 	// Equal constants deduce a variable literal without a merge.
-	e2 := cp.EqX.Clone()
+	e2 := BuildPhi(phi).EqX
 	e2.AssignConst(eq.Term{Node: 0, Attr: "A"}, "1")
 	e2.AssignConst(eq.Term{Node: 0, Attr: "B"}, "7")
 	e2.AssignConst(eq.Term{Node: 1, Attr: "B"}, "7")

@@ -1,16 +1,17 @@
-// Package cluster provides the simulated distributed runtime underneath
-// ParSat and ParImp (Section V-B): per-worker work deques for p workers and
-// an asynchronous reliable broadcast of monotone Eq deltas.
+// Package cluster provides the per-worker work deques underneath core's
+// worker pool, the scheduler of ParSat and ParImp (Section V-B).
 //
 // Substitution note (see DESIGN.md): the paper deploys on a 20-machine
-// cluster; here workers are goroutines and the broadcast is a shared
-// append-only operation log that every worker applies from its own cursor.
-// The paper's coordinator queue W is realised as one Deque per worker,
-// seeded by striping the rank-ordered units, plus stealing (core's worker
-// pool); split sub-units go to the front of the splitter's own deque.
-// This preserves the coordination structure the paper evaluates — dynamic
-// workload assignment, straggler splitting, early-termination flags, and
-// asynchronous monotone state exchange — while remaining a single process.
+// cluster; here workers are goroutines. The paper's coordinator queue W is
+// realised as one Deque per worker, seeded by striping the rank-ordered
+// tasks, plus stealing (core's worker pool). The paper's workers also
+// broadcast monotone Eq deltas to each other; here no worker reads another's
+// relation (a ParSat worker owns the terms of its chunks, and ParImp runs
+// one chase), so nothing is broadcast.
+//
+// Log, a broadcast log of Eq deltas, and Queue, W taken literally, are used
+// by no engine. Both stay only for benchmark/gfdbench's cluster.log_* and
+// cluster.queue_pushpop_ns probes, and go with them.
 package cluster
 
 import (
@@ -21,20 +22,17 @@ import (
 	"repro/internal/eq"
 )
 
-// Log is the asynchronous broadcast channel: an append-only, totally
-// ordered log of Eq operations. A worker broadcasts by appending its local
-// delta; every other worker applies the log tail from its own cursor at its
-// own pace. Because Eq is monotone and ops are ground, applying any prefix
-// interleaved with local work converges (see eq's confluence property).
+// Log is an asynchronous broadcast channel: an append-only, totally ordered
+// log of Eq operations. A writer broadcasts by appending its delta; a reader
+// applies the log tail from its own cursor at its own pace. Because Eq is
+// monotone and ops are ground, applying any prefix interleaved with local
+// work converges (see eq's confluence property). No engine uses it.
 type Log struct {
 	mu  sync.Mutex
 	ops []eq.Op
-	// length mirrors len(ops) so workers can poll for news without taking
-	// the mutex (they poll once per match — the hot path).
+	// length mirrors len(ops) so readers can poll for news without taking
+	// the mutex.
 	length atomic.Int64
-	// appends counts Append calls (broadcast messages), reported by the
-	// harness as a communication stat.
-	appends int
 }
 
 // NewLog returns an empty log.
@@ -54,15 +52,13 @@ func (l *Log) Append(d eq.Delta) int {
 		l.ops = slices.Grow(l.ops, max(len(d), len(l.ops)))
 	}
 	l.ops = append(l.ops, d...)
-	l.appends++
 	n := len(l.ops)
 	l.length.Store(int64(n))
 	l.mu.Unlock()
 	return n
 }
 
-// Len returns the current log length without locking. Workers poll this on
-// every match to decide whether to catch up.
+// Len returns the current log length without locking.
 func (l *Log) Len() int { return int(l.length.Load()) }
 
 // ReadFrom returns the ops in [cursor, len) and the new cursor. The result
@@ -77,13 +73,6 @@ func (l *Log) ReadFrom(cursor int) (eq.Delta, int) {
 		return nil, cursor
 	}
 	return l.ops[cursor:n:n], n
-}
-
-// Appends returns the number of broadcast messages published.
-func (l *Log) Appends() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
 }
 
 // Queue is the paper's coordinator queue W taken literally: a binary
@@ -183,12 +172,11 @@ func (q *Queue[T]) Pop() (T, bool) {
 func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Deque is a synchronized double-ended work queue, one per worker of core's
-// worker pool. The owning worker pushes split sub-units to the
-// front and pops from the front (depth-first locality: a split branch reuses
-// the caches its parent just warmed), while idle workers steal from the
-// back, taking the work the owner would reach last. A mutex per deque is
-// deliberate: work units cost well over a microsecond each, so lock-free
-// Chase–Lev buys nothing here while costing memory-model subtlety.
+// worker pool. The owning worker pops from the front, while idle workers
+// steal from the back, taking the work the owner would reach last. A mutex
+// per deque is deliberate: tasks cost well over a microsecond each, so
+// lock-free Chase–Lev buys nothing here while costing memory-model
+// subtlety.
 type Deque[T any] struct {
 	mu    sync.Mutex
 	buf   []T

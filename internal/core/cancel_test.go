@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/canon"
-	"repro/internal/eq"
 	"repro/internal/gen"
 	"repro/internal/gfd"
 	"repro/internal/graph"
@@ -53,7 +51,7 @@ func assertGoroutineBaseline(t *testing.T, before int) {
 
 // TestParPreCanceled pins the entry check on both engines: a context
 // canceled before the call returns ErrCanceled without starting — no group
-// is planned, no unit is built or run.
+// is planned, no unit is run.
 func TestParPreCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(4)
@@ -69,13 +67,10 @@ func TestParPreCanceled(t *testing.T) {
 	if res := ParImp(set, target, opt); !errors.Is(res.Err, ErrCanceled) || res.Stats.UnitsRun != 0 {
 		t.Fatalf("ParImp: Err = %v, UnitsRun = %d; want ErrCanceled, 0", res.Err, res.Stats.UnitsRun)
 	}
-	eng := newParEngine(opt, set, canon.BuildSigma(set).Graph.Frozen(), eq.New())
+	eng := newSatEngine(opt, set)
 	eng.testHookGroupPlan = func(int) { t.Error("a group was planned under a pre-canceled context") }
-	if _, _, _, _, err := eng.run(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("engine run: err = %v, want ErrCanceled", err)
-	}
-	if len(eng.units) != 0 {
-		t.Fatalf("%d units built under a pre-canceled context", len(eng.units))
+	if res := eng.sat(chunkCopies); !errors.Is(res.Err, ErrCanceled) {
+		t.Fatalf("engine run: err = %v, want ErrCanceled", res.Err)
 	}
 	assertGoroutineBaseline(t, before)
 }
@@ -104,10 +99,9 @@ func (c *manualDeadline) fire() {
 }
 
 // TestParDeadlineDuringBuildUnits fires the deadline from inside the
-// planning pass: the run must end there with the deadline error —
-// no unit built, none run — instead of first looking at the context once
-// the work phase starts. With one worker the pass must stop at the very
-// next group.
+// planning pass: the run must end there with the deadline error — no unit
+// run — instead of first looking at the context once the work phase starts.
+// With one worker the pass must stop at the very next group.
 func TestParDeadlineDuringBuildUnits(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// 12 structurally distinct patterns (paths of 2..13 variables), so Σ has
@@ -131,41 +125,40 @@ func TestParDeadlineDuringBuildUnits(t *testing.T) {
 		opt := DefaultParOptions(workers)
 		opt.Ctx = ctx
 		opt.testHookUnitStart = func(int) { t.Error("a unit started after the deadline fired in buildUnits") }
-		eng := newParEngine(opt, set, canon.BuildSigma(set).Graph.Frozen(), eq.New())
+		eng := newSatEngine(opt, set)
 		var planned atomic.Int64
 		eng.testHookGroupPlan = func(int) {
 			planned.Add(1)
 			ctx.fire()
 		}
-		_, _, _, stats, err := eng.run()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("p=%d: err = %v, want context.DeadlineExceeded", workers, err)
+		res := eng.sat(chunkCopies)
+		if !errors.Is(res.Err, context.DeadlineExceeded) {
+			t.Fatalf("p=%d: err = %v, want context.DeadlineExceeded", workers, res.Err)
 		}
 		if n := planned.Load(); n < 1 || n > int64(workers) {
 			t.Fatalf("p=%d: %d groups planned; each worker must stop at its first poll after the deadline", workers, n)
 		}
-		if len(eng.units) != 0 || stats.UnitsRun != 0 {
-			t.Fatalf("p=%d: units built=%d run=%d after a deadline during buildUnits", workers, len(eng.units), stats.UnitsRun)
+		if res.Stats.UnitsRun != 0 {
+			t.Fatalf("p=%d: %d units run after a deadline during the planning pass", workers, res.Stats.UnitsRun)
 		}
 	}
 	assertGoroutineBaseline(t, before)
 }
 
-// TestParSatCancelMidFlight cancels from inside the first work unit, under
-// every algorithm variant: the run must come back with
-// ErrCanceled — abandoned units can never conclude as a SATISFIABLE answer
-// — and leave no goroutine behind.
+// TestParSatCancelMidFlight cancels from inside the first work unit, at one
+// worker and at four: the run must come back with ErrCanceled — abandoned
+// units can never conclude as a SATISFIABLE answer — and leave no goroutine
+// behind.
 func TestParSatCancelMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(24)
-	for vname, opt := range variantOptions(4) {
+	for _, p := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		opt.Ctx = ctx
-		opt.testHookUnitStart = func(int) { cancel() }
+		opt := ParOptions{Workers: p, Ctx: ctx, testHookUnitStart: func(int) { cancel() }}
 		res := ParSat(set, opt)
 		cancel()
 		if !errors.Is(res.Err, ErrCanceled) {
-			t.Fatalf("%s: ParSat.Err = %v, want ErrCanceled", vname, res.Err)
+			t.Fatalf("p=%d: ParSat.Err = %v, want ErrCanceled", p, res.Err)
 		}
 	}
 	assertGoroutineBaseline(t, before)
@@ -178,17 +171,16 @@ func TestParImpCancelMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(8)
 	target := gfd.MustNew("t", q6(), nil, []gfd.Literal{gfd.Const(0, "fresh", "x")})
-	for vname, opt := range variantOptions(4) {
+	for _, p := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		opt.Ctx = ctx
-		opt.testHookUnitStart = func(int) { cancel() }
+		opt := ParOptions{Workers: p, Ctx: ctx, testHookUnitStart: func(int) { cancel() }}
 		res := ParImp(set, target, opt)
 		cancel()
 		if !errors.Is(res.Err, ErrCanceled) {
-			t.Fatalf("%s: ParImp.Err = %v, want ErrCanceled", vname, res.Err)
+			t.Fatalf("p=%d: ParImp.Err = %v, want ErrCanceled", p, res.Err)
 		}
 		if res.Implied {
-			t.Fatalf("%s: canceled run claims IMPLIED", vname)
+			t.Fatalf("p=%d: canceled run claims IMPLIED", p)
 		}
 	}
 	assertGoroutineBaseline(t, before)
@@ -209,14 +201,15 @@ func TestParDeadlineExceeded(t *testing.T) {
 	assertGoroutineBaseline(t, before)
 }
 
-// TestParSatPanicIsolation injects a panic into a work unit under every
-// variant: the run must fail with a *PanicError carrying the value and a
+// TestParSatPanicIsolation injects a panic into a work unit, at one worker
+// and at four: the run must fail with a *PanicError carrying the value and a
 // stack — the process stays alive, siblings are canceled, nothing leaks.
 func TestParSatPanicIsolation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := satSet(24)
-	for vname, opt := range variantOptions(4) {
-		opt.testHookUnitStart = func(int) { panic("boom-42") }
+	for _, p := range []int{1, 4} {
+		vname := fmt.Sprintf("p=%d", p)
+		opt := ParOptions{Workers: p, testHookUnitStart: func(int) { panic("boom-42") }}
 		res := ParSat(set, opt)
 		if res.Err == nil {
 			t.Fatalf("%s: panicking unit produced no error", vname)
@@ -233,6 +226,41 @@ func TestParSatPanicIsolation(t *testing.T) {
 		}
 		if res.Satisfiable {
 			t.Fatalf("%s: panicked run claims SATISFIABLE", vname)
+		}
+	}
+	assertGoroutineBaseline(t, before)
+}
+
+// TestParImpPanicIsolation is the implication twin, with the panic raised
+// once in a worker's search and once in the chase, which a worker takes over
+// as it completes the next unit in order: either way the run fails with a
+// *PanicError, claims no answer and leaves no goroutine behind.
+func TestParImpPanicIsolation(t *testing.T) {
+	before := runtime.NumGoroutine()
+	set := satSet(8)
+	target := gfd.MustNew("t", q6(), nil, []gfd.Literal{gfd.Const(0, "fresh", "x")})
+	for _, p := range []int{1, 4} {
+		for _, where := range []string{"search", "chase"} {
+			cp, sub, res := startImp(set, target)
+			if res != nil {
+				t.Fatalf("setup: answered without a chase: %+v", res)
+			}
+			opt := ParOptions{Workers: p}
+			if where == "search" {
+				opt.testHookUnitStart = func(int) { panic("imp-boom") }
+			}
+			eng := newParEngine(opt, sub, cp.Graph.Frozen())
+			if where == "chase" {
+				eng.testHookChase = func(int) { panic("imp-boom") }
+			}
+			r := eng.imp(cp)
+			var pe *PanicError
+			if !errors.As(r.Err, &pe) || pe.Value != "imp-boom" || len(pe.Stack) == 0 {
+				t.Fatalf("p=%d, panic in the %s: Err = %v, want *PanicError(imp-boom) with a stack", p, where, r.Err)
+			}
+			if r.Implied {
+				t.Fatalf("p=%d, panic in the %s: panicked run claims IMPLIED", p, where)
+			}
 		}
 	}
 	assertGoroutineBaseline(t, before)

@@ -18,16 +18,21 @@ import (
 // Stats counts the work performed by a reasoning run; the benchmark harness
 // reports these alongside wall-clock times.
 type Stats struct {
-	Matches      int // matches enumerated
+	Matches      int // matches offered to the chase
 	Enforcements int // matches whose antecedent held and consequent was enforced
 	Rechecks     int // pending matches re-examined after Eq changes
 	Pending      int // matches parked in the inverted index
 	Dropped      int // matches whose antecedent became permanently false
-	UnitsRun     int // work units executed (parallel runs)
-	UnitsSplit   int // sub-units produced by straggler splitting
-	UnitsStolen  int // units taken from another worker's deque
-	Broadcasts   int // delta broadcasts between workers
-	DeltaOps     int // total Eq operations shipped in broadcasts
+	// UnitsRun counts the searches a parallel run chased: ParSat's
+	// (group, chunk) pieces, ParImp's units.
+	UnitsRun    int
+	UnitsStolen int // tasks taken from another worker's deque
+	// UnitsSplit, Broadcasts and DeltaOps are always 0: no engine splits a
+	// unit or ships Eq deltas between workers. They stay only because
+	// benchmark/gfdbench reports them.
+	UnitsSplit int
+	Broadcasts int
+	DeltaOps   int
 	// GroupsShared counts pattern groups with ≥2 member GFDs: patterns that
 	// were enumerated once on behalf of several rules (shared multi-GFD
 	// evaluation).
@@ -46,10 +51,7 @@ func (s *Stats) Add(other Stats) {
 	s.Pending += other.Pending
 	s.Dropped += other.Dropped
 	s.UnitsRun += other.UnitsRun
-	s.UnitsSplit += other.UnitsSplit
 	s.UnitsStolen += other.UnitsStolen
-	s.Broadcasts += other.Broadcasts
-	s.DeltaOps += other.DeltaOps
 	s.GroupsShared += other.GroupsShared
 	s.MatchesReused += other.MatchesReused
 }
@@ -96,9 +98,9 @@ type pendingList struct {
 	head, tail int32
 }
 
-// enforcer owns one replica of the reasoning state: the equivalence
-// relation Eq plus the inverted pending index. The sequential algorithms use
-// a single enforcer; each parallel worker owns one and exchanges eq.Deltas.
+// enforcer owns one chase's state: the equivalence relation Eq plus the
+// inverted pending index. SeqSat and SeqImp run one enforcer, each ParSat
+// worker runs one over its own relation, and ParImp runs one over Eq_X.
 // It runs on the relation's ID surface throughout: literals arrive resolved,
 // terms are handles, and the index and the re-check queue are slices over
 // handles.
@@ -106,7 +108,7 @@ type enforcer struct {
 	eq  *eq.Eq
 	set *gfd.Set
 	// rules[i] is set.GFDs[i] resolved against eq, on the rule's first match:
-	// once per run and replica for the rules that have matches, nothing for
+	// once per run and relation for the rules that have matches, nothing for
 	// the rest — an implication run on a six-node G^X_Q matches few of Σ's
 	// patterns, and resolving all of Σ up front would show in its start-up.
 	rules []rule
@@ -125,16 +127,11 @@ type enforcer struct {
 	qhead int
 }
 
-// newEnforcer returns an enforcer of Σ over relation e.
+// newEnforcer returns an enforcer of Σ over relation e. No chase reads
+// another's relation, so e stops recording a delta log.
 func newEnforcer(e *eq.Eq, set *gfd.Set) *enforcer {
-	return &enforcer{eq: e, set: set, rules: make([]rule, set.Len())}
-}
-
-// newSeqEnforcer is the enforcer of a sequential run: no delta log, since
-// there is no peer to read one.
-func newSeqEnforcer(e *eq.Eq, set *gfd.Set) *enforcer {
 	e.StopLogging()
-	return newEnforcer(e, set)
+	return &enforcer{eq: e, set: set, rules: make([]rule, set.Len())}
 }
 
 // rule returns Σ's gi-th rule, resolving it on first use.
@@ -348,16 +345,6 @@ func (e *enforcer) drain() bool {
 	return true
 }
 
-// applyRemote replays a delta from another worker and drains the pending
-// re-checks it triggers. It returns false on conflict.
-func (e *enforcer) applyRemote(d eq.Delta) bool {
-	e.queue = e.eq.ApplyAppend(d, e.queue)
-	if e.eq.Conflicted() != nil {
-		return false
-	}
-	return e.drain()
-}
-
 // conflict returns the recorded conflict, if any.
 func (e *enforcer) conflict() *eq.Conflict { return e.eq.Conflicted() }
 
@@ -380,7 +367,7 @@ func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 			e.Reserve(int(n) + 1)
 		}
 	}
-	enf := newSeqEnforcer(e, set)
+	enf := newEnforcer(e, set)
 	for _, m := range ms {
 		if !enf.offer(m.GFD, m.H) || !enf.drain() {
 			break
@@ -389,45 +376,50 @@ func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 	return enf.stats, enf.conflict()
 }
 
-// CompleteModel materializes a model from a canonical graph and a
-// conflict-free Eq (Theorem 1's construction): every class with a constant
-// assigns it to all member terms; every class without one receives a fresh
-// constant distinct from all others — and from the reserved constants of Σ —
-// so no extra equalities or antecedents are accidentally triggered.
-func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
+// CompleteModel materializes a model from a canonical graph and conflict-free
+// relations over disjoint sets of its terms (Theorem 1's construction): every
+// class with a constant assigns it to all member terms; every class without
+// one receives a fresh constant distinct from all others — and from the
+// reserved constants of Σ — so no extra equalities or antecedents are
+// accidentally triggered. The relations share the fresh constants' counter.
+func CompleteModel(g *graph.Graph, rels []*eq.Eq, reserved []string) *graph.Graph {
 	m := g.Clone()
 	fresh := 0
 	seen := make(map[string]bool)
-	for _, c := range e.AllConsts() {
-		seen[c] = true
+	for _, e := range rels {
+		for _, c := range e.AllConsts() {
+			seen[c] = true
+		}
 	}
 	for _, c := range reserved {
 		seen[c] = true
 	}
-	// One pass over the handles, a class handled at its first member: done
-	// marks the rest of its ring.
-	done := make([]bool, e.NumHandles())
-	for i := range done {
-		h := eq.Handle(i)
-		if done[h] || !e.HasAt(h) {
-			continue
-		}
-		var c string
-		if id := e.ConstAt(h); id != eq.NoConst {
-			c = e.ConstName(id)
-		} else {
-			// Bounded by construction: seen is finite, fresh only grows.
-			for seen[freshConst(fresh)] {
-				fresh++
+	for _, e := range rels {
+		// One pass over the handles, a class handled at its first member:
+		// done marks the rest of its ring.
+		done := make([]bool, e.NumHandles())
+		for i := range done {
+			h := eq.Handle(i)
+			if done[h] || !e.HasAt(h) {
+				continue
 			}
-			c = freshConst(fresh)
-			fresh++
-			seen[c] = true
-		}
-		for u := h; !done[u]; u = e.Next(u) {
-			done[u] = true
-			t := e.TermAt(u)
-			m.SetAttr(t.Node, t.Attr, c)
+			var c string
+			if id := e.ConstAt(h); id != eq.NoConst {
+				c = e.ConstName(id)
+			} else {
+				// Bounded by construction: seen is finite, fresh only grows.
+				for seen[freshConst(fresh)] {
+					fresh++
+				}
+				c = freshConst(fresh)
+				fresh++
+				seen[c] = true
+			}
+			for u := h; !done[u]; u = e.Next(u) {
+				done[u] = true
+				t := e.TermAt(u)
+				m.SetAttr(t.Node, t.Attr, c)
+			}
 		}
 	}
 	return m

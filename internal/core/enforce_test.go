@@ -1,8 +1,8 @@
 package core
 
 // Tests of the enforcement loop's ID path: the handle/class distinction of
-// the pending index, the lone worker's silence, and the steady-state
-// allocation ceiling.
+// the pending index, the workers' silence, and the steady-state allocation
+// ceiling.
 
 import (
 	"fmt"
@@ -90,7 +90,7 @@ func TestCreatedClassWakesPendingMatch(t *testing.T) {
 		gfd.MustNew("merge-flipped", q5(), nil, []gfd.Literal{gfd.Vars(0, "D", 0, "A")}),
 		gfd.MustNew("self", q5(), nil, []gfd.Literal{gfd.Vars(0, "A", 0, "A")}),
 	} {
-		enf := newSeqEnforcer(eq.New(), gfd.NewSet(waits, creator))
+		enf := newEnforcer(eq.New(), gfd.NewSet(waits, creator))
 		h := match.Assignment{0}
 		if !enf.offer(0, h) || !enf.drain() || enf.stats.Pending != 1 || enf.stats.Enforcements != 0 {
 			t.Fatalf("%s: the waiting match must park: %+v", creator.Name, enf.stats)
@@ -108,8 +108,8 @@ func TestCreatedClassWakesPendingMatch(t *testing.T) {
 }
 
 // TestLoneWorkerIsSeqSatPlusUnits: the chase is Church–Rosser, so every
-// engine fires the same matches; and a single worker has no peer, so it
-// neither records nor broadcasts a delta.
+// engine fires the same matches; and no worker reads another's relation, so
+// none records or broadcasts a delta, alone or not.
 func TestLoneWorkerIsSeqSatPlusUnits(t *testing.T) {
 	set := gen.New(gen.Config{N: 150, K: 6, L: 4, WildcardRate: 0.3, Seed: 11}).Set()
 	results := satEngines(t, set)
@@ -122,11 +122,10 @@ func TestLoneWorkerIsSeqSatPlusUnits(t *testing.T) {
 			t.Errorf("%s: %+v, want SeqSat's matches and enforcements %+v", name, res.Stats, seq.Stats)
 		}
 	}
-	if one := results["ParSat(p=1)"].Stats; one.Broadcasts != 0 || one.DeltaOps != 0 {
-		t.Errorf("a lone worker talked to itself: %d broadcasts, %d ops", one.Broadcasts, one.DeltaOps)
-	}
-	if two := results["ParSat(p=2)"].Stats; two.Broadcasts == 0 {
-		t.Errorf("two workers exchanged nothing: %+v", two)
+	for name, res := range results {
+		if res.Stats.Broadcasts != 0 || res.Stats.DeltaOps != 0 {
+			t.Errorf("%s: %d broadcasts, %d ops; want 0 broadcasts, 0 ops", name, res.Stats.Broadcasts, res.Stats.DeltaOps)
+		}
 	}
 }
 
@@ -223,46 +222,39 @@ func TestModelOnDemand(t *testing.T) {
 	}
 }
 
-// TestEnforceSteadyStateAllocs: on a warm replica, a match whose antecedent
-// holds and whose consequent is already in Eq costs no allocation — literals
-// arrive resolved, terms are found by handle, and nothing changed, so nothing
-// is queued or logged. A match that parks is copied into the enforcer's
-// arena (offer is handed a view) and filed in the index's run-long slices,
-// both amortised below one allocation.
+// TestEnforceSteadyStateAllocs: on a warm relation, a match whose
+// antecedent holds and whose consequent is already in Eq costs no allocation
+// — literals arrive resolved, terms are found by handle, and nothing
+// changed, so nothing is queued. A match that parks is copied into the
+// enforcer's arena (offer is handed a view) and filed in the index's
+// run-long slices, both amortised below one allocation.
 func TestEnforceSteadyStateAllocs(t *testing.T) {
 	set := gfd.NewSet(
 		gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "0")}),
 		gfd.MustNew("ab", q5(), []gfd.Literal{gfd.Const(0, "A", "0")}, []gfd.Literal{gfd.Const(0, "B", "1"), gfd.Vars(0, "B", 0, "C")}),
 		gfd.MustNew("zb", q5(), []gfd.Literal{gfd.Vars(0, "Z", 0, "B")}, []gfd.Literal{gfd.Const(0, "Y", "9")}),
 	)
-	for _, logging := range []bool{false, true} {
-		e := eq.New()
-		if !logging {
-			e.StopLogging()
+	enf := newEnforcer(eq.New(), set)
+	h := match.Assignment{0}
+	// The warm-up also resolves the rules, which happens on first offer.
+	if !enf.offer(0, h) || !enf.offer(1, h) || !enf.offer(2, h) || !enf.drain() {
+		t.Fatal("warm-up conflicted")
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if !enf.offer(1, h) || !enf.drain() {
+			t.Fatal("conflict")
 		}
-		enf := newEnforcer(e, set)
-		h := match.Assignment{0}
-		// The warm-up also resolves the rules, which happens on first offer.
-		if !enf.offer(0, h) || !enf.offer(1, h) || !enf.offer(2, h) || !enf.drain() {
-			t.Fatal("warm-up conflicted")
+	}); got != 0 {
+		t.Errorf("firing into an Eq that already holds the consequent: %v allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(2000, func() {
+		if !enf.offer(2, h) || !enf.drain() {
+			t.Fatal("conflict")
 		}
-		e.ResetLog()
-		if got := testing.AllocsPerRun(200, func() {
-			if !enf.offer(1, h) || !enf.drain() {
-				t.Fatal("conflict")
-			}
-		}); got != 0 {
-			t.Errorf("logging=%v: firing into an Eq that already holds the consequent: %v allocs/op, want 0", logging, got)
-		}
-		if got := testing.AllocsPerRun(2000, func() {
-			if !enf.offer(2, h) || !enf.drain() {
-				t.Fatal("conflict")
-			}
-		}); got >= 1 {
-			t.Errorf("logging=%v: parking a blocked match: %v allocs/op, want amortised below 1", logging, got)
-		}
-		if enf.stats.Enforcements != 2+201 || enf.stats.Pending != 1+2001 {
-			t.Errorf("logging=%v: the timed matches did not take the paths under test: %+v", logging, enf.stats)
-		}
+	}); got >= 1 {
+		t.Errorf("parking a blocked match: %v allocs/op, want amortised below 1", got)
+	}
+	if enf.stats.Enforcements != 2+201 || enf.stats.Pending != 1+2001 {
+		t.Errorf("the timed matches did not take the paths under test: %+v", enf.stats)
 	}
 }

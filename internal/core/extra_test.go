@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/canon"
 	"repro/internal/eq"
@@ -93,33 +92,21 @@ func TestWitnessModelIsSigmaBounded(t *testing.T) {
 }
 
 func TestAblationAgreement(t *testing.T) {
-	// With and without unit splitting (TTL 0 is the paper's nb variant; the
-	// tiny TTL splits every unit at every match), with one worker and with
-	// several, ParSat returns SeqSat's answer on mixed workloads (satisfiable
-	// and not).
-	splits := 0
+	// With one worker and with several, ParSat returns SeqSat's answer on
+	// mixed workloads (satisfiable and not).
 	for seed := int64(0); seed < 3; seed++ {
 		for _, conflicts := range []int{0, 1} {
 			g := gen.New(gen.Config{N: 25, K: 4, L: 3, Seed: seed, Conflicts: conflicts})
 			set := g.Set()
 			want := SeqSat(set).Satisfiable
 			for _, workers := range []int{1, 3} {
-				for vname, opt := range variantOptions(workers) {
-					got := ParSat(set, opt)
-					if got.Err != nil || got.Satisfiable != want {
-						t.Fatalf("seed=%d conflicts=%d p=%d %s: ParSat=%v (err %v) want %v",
-							seed, conflicts, workers, vname, got.Satisfiable, got.Err, want)
-					}
-					if opt.TTL == 0 && got.Stats.UnitsSplit != 0 {
-						t.Fatalf("seed=%d conflicts=%d p=%d: TTL 0 split %d units", seed, conflicts, workers, got.Stats.UnitsSplit)
-					}
-					splits += got.Stats.UnitsSplit
+				got := ParSat(set, DefaultParOptions(workers))
+				if got.Err != nil || got.Satisfiable != want {
+					t.Fatalf("seed=%d conflicts=%d p=%d: ParSat=%v (err %v) want %v",
+						seed, conflicts, workers, got.Satisfiable, got.Err, want)
 				}
 			}
 		}
-	}
-	if splits == 0 {
-		t.Fatal("the tiny-TTL variant never split a unit; the splitting path went untested")
 	}
 }
 
@@ -139,8 +126,9 @@ func TestStatsAccounting(t *testing.T) {
 	if par.Stats.Matches != seq.Stats.Matches {
 		t.Errorf("parallel matches %d != sequential %d", par.Stats.Matches, seq.Stats.Matches)
 	}
-	if par.Stats.DeltaOps == 0 || par.Stats.Broadcasts == 0 {
-		t.Errorf("no communication recorded: %+v", par.Stats)
+	// No worker reads another's relation: nothing is broadcast.
+	if par.Stats.DeltaOps != 0 || par.Stats.Broadcasts != 0 {
+		t.Errorf("communication recorded: %+v; want 0 broadcasts, 0 ops", par.Stats)
 	}
 }
 
@@ -193,7 +181,6 @@ func TestParSatDeterministicAnswerUnderRepeats(t *testing.T) {
 	g := gen.New(gen.Config{N: 30, K: 4, L: 3, Seed: 12, Conflicts: 1})
 	set := g.Set()
 	opt := DefaultParOptions(4)
-	opt.TTL = 100 * time.Microsecond
 	for i := 0; i < 5; i++ {
 		if ParSat(set, opt).Satisfiable {
 			t.Fatalf("run %d: nondeterministic satisfiability answer", i)
@@ -206,9 +193,8 @@ func TestParSatDeterministicAnswerUnderRepeats(t *testing.T) {
 // gfdreason imp reads Σ): on gen implication instances with chain, implied,
 // non-implied and trivially implied targets, SeqImp and ParImp at p ∈ {1, 2,
 // 4} answer the filtered set as they answer the whole one — the same verdict
-// and reason, and the same Stats where the run reaches the fixpoint (every
-// deterministic run; at p ≥ 2 only a non-implied one, whose matches,
-// enforcements and units TestEngineCountsPinned pins the same way).
+// and reason, and the same Stats but for the units stolen, which depend on
+// the schedule: ParImp's chase takes the units in order at every p.
 func TestImplicationOnTheParseFilteredSet(t *testing.T) {
 	dropped := false
 	for _, rate := range []float64{0, 0.4, 1.0} {
@@ -241,14 +227,9 @@ func TestImplicationOnTheParseFilteredSet(t *testing.T) {
 						rate, phi.Name, name, a.Implied, a.Reason, a.Err, b.Implied, b.Reason, b.Err)
 					continue
 				}
-				deterministic := name == "SeqImp" || name == "ParImp p=1"
-				if deterministic && a.Stats != b.Stats {
+				a.Stats.UnitsStolen, b.Stats.UnitsStolen = 0, 0
+				if a.Stats != b.Stats {
 					t.Errorf("rate %v, %s, %s: stats %+v on Σ, %+v on the filtered Σ", rate, phi.Name, name, a.Stats, b.Stats)
-				}
-				if !deterministic && !a.Implied && (a.Stats.Matches != b.Stats.Matches ||
-					a.Stats.Enforcements != b.Stats.Enforcements || a.Stats.UnitsRun != b.Stats.UnitsRun) {
-					t.Errorf("rate %v, %s, %s: matches/enforcements/units %d/%d/%d on Σ, %d/%d/%d on the filtered Σ", rate, phi.Name, name,
-						a.Stats.Matches, a.Stats.Enforcements, a.Stats.UnitsRun, b.Stats.Matches, b.Stats.Enforcements, b.Stats.UnitsRun)
 				}
 			}
 		}
@@ -318,7 +299,7 @@ func TestVerdictUnderPermutationAndRenaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sat := map[string]func(*gfd.Set) *SatResult{"SeqSat": SeqSat}
 	imp := map[string]func(*gfd.Set, *gfd.GFD) *ImpResult{"SeqImp": SeqImp}
-	opts := map[string]ParOptions{"p=2 TTL=1ns": {Workers: 2, TTL: time.Nanosecond}}
+	opts := map[string]ParOptions{}
 	for _, p := range []int{1, 2, 4} {
 		opts[fmt.Sprintf("p=%d", p)] = DefaultParOptions(p)
 	}
@@ -414,11 +395,11 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 			if a.Err != nil || b.Err != nil || !a.Satisfiable || !b.Satisfiable {
 				t.Fatalf("seed %d, %s: satisfiable %v/%v (err %v/%v), want a satisfiable Σ", seed, name, a.Satisfiable, b.Satisfiable, a.Err, b.Err)
 			}
-			terms := a.witness.eq.AllTerms()
+			terms := relations(a.witness.eqs).AllTerms()
 			if len(terms) == 0 {
 				t.Fatalf("seed %d, %s: the final relation has no term", seed, name)
 			}
-			joined, err := sameEq(a.witness.eq, b.witness.eq, moved)
+			joined, err := sameEq(a.witness.eqs, b.witness.eqs, moved)
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v after permuting and renaming", seed, name, err)
 			}
@@ -430,11 +411,48 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 	}
 }
 
+// relations is a final relation split over term-disjoint parts, as ParSat's
+// workers leave it; SeqSat's is one part. A term lives in at most one part.
+type relations []*eq.Eq
+
+// of returns the part holding t, or nil.
+func (r relations) of(t eq.Term) *eq.Eq {
+	for _, e := range r {
+		if e.Has(t) {
+			return e
+		}
+	}
+	return nil
+}
+
+// AllTerms lists every part's terms; a term two parts hold is listed twice.
+func (r relations) AllTerms() []eq.Term {
+	var out []eq.Term
+	for _, e := range r {
+		out = append(out, e.AllTerms()...)
+	}
+	return out
+}
+
+func (r relations) Has(t eq.Term) bool { return r.of(t) != nil }
+
+func (r relations) Const(t eq.Term) (string, bool) {
+	if e := r.of(t); e != nil {
+		return e.Const(t)
+	}
+	return "", false
+}
+
+func (r relations) Same(t, u eq.Term) bool {
+	e := r.of(t)
+	return e != nil && e.Same(t, u)
+}
+
 // sameEq compares two final relations through moved, which maps a's terms
 // to b's: b has exactly a's terms, each with the same constant, and two terms
 // share a class in a iff they do in b. It returns how many of a's terms
 // share the class of an earlier term, or the first difference.
-func sameEq(a, b *eq.Eq, moved func(eq.Term) eq.Term) (joined int, err error) {
+func sameEq(a, b relations, moved func(eq.Term) eq.Term) (joined int, err error) {
 	terms := a.AllTerms()
 	if n := len(b.AllTerms()); n != len(terms) {
 		return 0, fmt.Errorf("%d terms against %d", len(terms), n)

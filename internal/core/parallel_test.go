@@ -6,9 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/canon"
 	"repro/internal/dataset"
 	"repro/internal/eq"
 	"repro/internal/gen"
@@ -18,17 +16,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/pattern"
 )
-
-// variantOptions enumerates the unit-splitting regimes: none (TTL 0, the
-// paper's ParSat_nb / ParImp_nb) and a TTL so small that every unit is
-// split at every match it enumerates, so split seeds, the deque pushes and
-// the re-run of carved-off branches are all on the tested path.
-func variantOptions(workers int) map[string]ParOptions {
-	return map[string]ParOptions{
-		"nb":    {Workers: workers},
-		"split": {Workers: workers, TTL: time.Nanosecond},
-	}
-}
 
 // TestParSatZeroVariablePattern is the regression test for the rule file
 // "gfd g / end": it used to parse, and ParSat and ParImp then died with an
@@ -72,14 +59,12 @@ func TestParSatAgreesOnPaperExamples(t *testing.T) {
 	for name, set := range sets {
 		want := SeqSat(set).Satisfiable
 		for p := 1; p <= 4; p += 3 {
-			for vname, opt := range variantOptions(p) {
-				got := ParSat(set, opt)
-				if got.Satisfiable != want {
-					t.Errorf("%s/%s/p=%d: ParSat=%v, SeqSat=%v", name, vname, p, got.Satisfiable, want)
-				}
-				if got.Satisfiable && got.Model() != nil && !IsModel(got.Model(), set) {
-					t.Errorf("%s/%s/p=%d: ParSat witness is not a model", name, vname, p)
-				}
+			got := ParSat(set, DefaultParOptions(p))
+			if got.Satisfiable != want {
+				t.Errorf("%s/p=%d: ParSat=%v, SeqSat=%v", name, p, got.Satisfiable, want)
+			}
+			if got.Satisfiable && got.Model() != nil && !IsModel(got.Model(), set) {
+				t.Errorf("%s/p=%d: ParSat witness is not a model", name, p)
 			}
 		}
 	}
@@ -102,11 +87,9 @@ func TestParImpAgreesOnPaperExamples(t *testing.T) {
 	for _, c := range cases {
 		want := SeqImp(sigma, c.phi).Implied
 		for p := 1; p <= 4; p += 3 {
-			for vname, opt := range variantOptions(p) {
-				got := ParImp(sigma, c.phi, opt)
-				if got.Implied != want {
-					t.Errorf("%s/%s/p=%d: ParImp=%v, SeqImp=%v", c.name, vname, p, got.Implied, want)
-				}
+			got := ParImp(sigma, c.phi, DefaultParOptions(p))
+			if got.Implied != want {
+				t.Errorf("%s/p=%d: ParImp=%v, SeqImp=%v", c.name, p, got.Implied, want)
 			}
 		}
 	}
@@ -150,9 +133,9 @@ func randomSet(rng *rand.Rand, n int) *gfd.Set {
 	return set
 }
 
-// TestParSatAgreesOnRandomSets runs ParSat at p ∈ {1, 3} with the default
-// TTL and with one so small that every unit splits: the verdict must be
-// SeqSat's, and on a satisfiable Σ so must the final Eq (sameEq).
+// TestParSatAgreesOnRandomSets runs ParSat at p ∈ {1, 3}: the verdict must
+// be SeqSat's, and on a satisfiable Σ so must the final Eq (sameEq), split
+// over the workers' relations.
 func TestParSatAgreesOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	satSeen, unsatSeen := 0, 0
@@ -160,7 +143,7 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		set := randomSet(rng, 2+rng.Intn(4))
 		want := SeqSat(set)
-		wantEq := want.witness.eq // Model hands the relation over to the model
+		wantEq := relations(want.witness.eqs) // Model hands the relation over to the model
 		if want.Satisfiable {
 			satSeen++
 			if want.Model() == nil || !IsModel(want.Model(), set) {
@@ -170,20 +153,16 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 			unsatSeen++
 		}
 		for _, p := range []int{1, 3} {
-			for _, ttl := range []time.Duration{DefaultParOptions(p).TTL, time.Nanosecond} {
-				opt := DefaultParOptions(p)
-				opt.TTL = ttl
-				got := ParSat(set, opt)
-				if got.Err != nil || got.Satisfiable != want.Satisfiable {
-					t.Errorf("trial %d, p=%d, TTL %v: ParSat=%v (err %v) SeqSat=%v\n%s", trial, p, ttl, got.Satisfiable, got.Err, want.Satisfiable, set)
-					continue
-				}
-				if !want.Satisfiable {
-					continue
-				}
-				if _, err := sameEq(wantEq, got.witness.eq, same); err != nil {
-					t.Errorf("trial %d, p=%d, TTL %v: ParSat's final Eq differs from SeqSat's: %v\n%s", trial, p, ttl, err, set)
-				}
+			got := ParSat(set, DefaultParOptions(p))
+			if got.Err != nil || got.Satisfiable != want.Satisfiable {
+				t.Errorf("trial %d, p=%d: ParSat=%v (err %v) SeqSat=%v\n%s", trial, p, got.Satisfiable, got.Err, want.Satisfiable, set)
+				continue
+			}
+			if !want.Satisfiable {
+				continue
+			}
+			if _, err := sameEq(wantEq, got.witness.eqs, same); err != nil {
+				t.Errorf("trial %d, p=%d: ParSat's final Eq differs from SeqSat's: %v\n%s", trial, p, err, set)
 			}
 		}
 	}
@@ -205,9 +184,7 @@ func TestParImpAgreesOnRandomInstances(t *testing.T) {
 		} else {
 			notSeen++
 		}
-		opt := DefaultParOptions(3)
-		opt.TTL = 2 * time.Millisecond
-		got := ParImp(set, phi, opt)
+		got := ParImp(set, phi, DefaultParOptions(3))
 		if got.Implied != want.Implied {
 			t.Errorf("trial %d: ParImp=%v SeqImp=%v\nΣ:\n%sφ: %s", trial, got.Implied, want.Implied, set, phi)
 		}
@@ -238,85 +215,6 @@ func TestParSatZeroWorkersClamped(t *testing.T) {
 	}
 }
 
-// TestSplittingProducesSubUnits forces tiny TTL on a workload with a large
-// fan-out pattern so unit splitting actually triggers, then checks the
-// answer is still right.
-func TestSplittingProducesSubUnits(t *testing.T) {
-	// Pattern: hub(a) -p-> s1..s3 (all wildcard), over a set with several
-	// wide patterns; matching fans out combinatorially.
-	mkWide := func(name string, val string) *gfd.GFD {
-		p := pattern.New()
-		h := p.AddVar("h", "a")
-		for i := 0; i < 3; i++ {
-			s := p.AddVar(fmt.Sprintf("s%d", i), "b")
-			p.AddEdge(h, s, "p")
-		}
-		return gfd.MustNew(name, p, nil, []gfd.Literal{gfd.Const(h, "A", val)})
-	}
-	set := gfd.NewSet()
-	for i := 0; i < 6; i++ {
-		set.Add(mkWide(fmt.Sprintf("w%d", i), "1"))
-	}
-	opt := DefaultParOptions(4)
-	opt.TTL = 1 * time.Nanosecond // split at every opportunity
-	res := ParSat(set, opt)
-	if !res.Satisfiable {
-		t.Fatal("wide satisfiable set reported unsat under aggressive splitting")
-	}
-	if res.Stats.UnitsSplit == 0 {
-		t.Error("TTL=1ns produced no splits; splitting path untested")
-	}
-	// And an unsatisfiable variant still conflicts.
-	set.Add(mkWide("conflict", "2"))
-	res = ParSat(set, opt)
-	if res.Satisfiable {
-		t.Fatal("conflicting wide set reported satisfiable under splitting")
-	}
-}
-
-// TestStragglerSplitBranchesRequeued is the TTL straggler-splitting
-// contract: with a tiny TTL every unit splits, the carved-off branches must
-// be pushed back to the pool and run (a quiescent run executes the original
-// units plus every split branch, so UnitsRun exceeds UnitsSplit), and the
-// verdict must equal SeqSat's with a witness that is still a model.
-func TestStragglerSplitBranchesRequeued(t *testing.T) {
-	mkWide := func(name string, val string) *gfd.GFD {
-		p := pattern.New()
-		h := p.AddVar("h", "a")
-		for i := 0; i < 3; i++ {
-			s := p.AddVar(fmt.Sprintf("s%d", i), "b")
-			p.AddEdge(h, s, "p")
-		}
-		return gfd.MustNew(name, p, nil, []gfd.Literal{gfd.Const(h, "A", val)})
-	}
-	set := gfd.NewSet()
-	for i := 0; i < 6; i++ {
-		set.Add(mkWide(fmt.Sprintf("w%d", i), "1"))
-	}
-	want := SeqSat(set)
-	for _, workers := range []int{1, 4} {
-		opt := DefaultParOptions(workers)
-		opt.TTL = 1 * time.Nanosecond // force a split at every check
-		res := ParSat(set, opt)
-		ctx := fmt.Sprintf("p=%d", workers)
-		if res.Satisfiable != want.Satisfiable {
-			t.Fatalf("%s: ParSat=%v, SeqSat=%v", ctx, res.Satisfiable, want.Satisfiable)
-		}
-		if res.Model() == nil || !IsModel(res.Model(), set) {
-			t.Fatalf("%s: witness under aggressive splitting is not a model", ctx)
-		}
-		if res.Stats.UnitsSplit == 0 {
-			t.Fatalf("%s: TTL=1ns produced no splits; the splitting path went untested", ctx)
-		}
-		// Quiescence means every re-enqueued branch ran: total executions
-		// are the original units plus each split branch exactly once.
-		if res.Stats.UnitsRun <= res.Stats.UnitsSplit {
-			t.Fatalf("%s: UnitsRun=%d not above UnitsSplit=%d; split branches were dropped",
-				ctx, res.Stats.UnitsRun, res.Stats.UnitsSplit)
-		}
-	}
-}
-
 // TestStealingMatchesCentralStats sanity-checks the executor's bookkeeping
 // on a quiescent run against SeqSat: both enforce the same matches
 // (Church–Rosser: identical converged relation), and the per-unit steal
@@ -342,19 +240,18 @@ func TestStealingMatchesCentralStats(t *testing.T) {
 	}
 }
 
-// TestUnitsPartitionGroupRoots pins the unit shape on gen's Σ of
-// TestEngineCountsPinned. For every pattern group and every cut — one
-// candidate, three, unitRoots and the whole list — the ranges are ascending
-// and put each of the group's pivot candidates in exactly one range, and
-// running their searches one after another enumerates the sequence that one
-// search over the whole list does, which holds every match of the pattern
-// in G_Σ.
+// TestUnitsPartitionGroupRoots pins the work shapes on gen's Σ of
+// TestEngineCountsPinned. For every pattern group, ParImp's cut — ranges of
+// one candidate, three, unitRoots and the whole list — and ParSat's — the
+// group's part of every chunk, at one copy a chunk, seven and chunkCopies —
+// are ascending and put each of the group's pivot candidates in exactly one
+// part, and running their searches one after another enumerates the
+// sequence that one search over the whole list does, which holds every
+// match of the pattern in G_Σ.
 func TestUnitsPartitionGroupRoots(t *testing.T) {
 	set := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
-	cs := canon.BuildSigma(set)
-	e := newParEngine(DefaultParOptions(1), set, cs.Graph.Frozen(), eq.New())
-	e.sigma = cs
-	if err := e.buildUnits(); err != nil {
+	e := newSatEngine(DefaultParOptions(1), set)
+	if err := e.planGroups(); err != nil {
 		t.Fatal(err)
 	}
 	matches := func(u unit) []match.Assignment {
@@ -365,16 +262,41 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 		}
 		return out
 	}
-	// The units buildUnits cut, joined per group, are the group's candidates.
-	roots := make([][]graph.NodeID, len(e.groups))
-	for _, u := range e.units {
-		if len(u.roots) == 0 || len(u.roots) > unitRoots || u.seed != nil {
-			t.Fatalf("group %d: a unit of %d roots (seed %v), want 1 to %d and no seed", u.grp, len(u.roots), u.seed, unitRoots)
+	// check runs the parts of group grp, in order, against its whole list.
+	check := func(cut string, grp int, parts []unit, want []match.Assignment) {
+		t.Helper()
+		var joined []graph.NodeID
+		var got []match.Assignment
+		for _, u := range parts {
+			if u.grp != grp || len(u.roots) == 0 || !slices.IsSorted(u.roots) {
+				t.Fatalf("group %d, %s: a part of group %d with roots %v", grp, cut, u.grp, u.roots)
+			}
+			joined = append(joined, u.roots...)
+			got = append(got, matches(u)...)
 		}
-		roots[u.grp] = append(roots[u.grp], u.roots...)
+		if !slices.Equal(joined, e.roots[grp]) {
+			t.Fatalf("group %d, %s: parts join to %v, want %v", grp, cut, joined, e.roots[grp])
+		}
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("group %d, %s: the parts enumerate %v, the whole list %v", grp, cut, got, want)
+		}
+	}
+	byGroup := func(tasks [][]unit) [][]unit {
+		parts := make([][]unit, len(e.groups))
+		for _, task := range tasks {
+			for _, u := range task {
+				parts[u.grp] = append(parts[u.grp], u)
+			}
+		}
+		return parts
+	}
+	chunked := map[int][][]unit{}
+	for _, size := range []int{1, 7, chunkCopies} {
+		tasks, _ := e.chunks(size)
+		chunked[size] = byGroup(tasks)
 	}
 	found := 0
-	for grp, all := range roots {
+	for grp, all := range e.roots {
 		if len(all) == 0 {
 			continue
 		}
@@ -386,21 +308,16 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 			t.Fatalf("group %d: %d matches rooted in the candidates, %d in G_Σ", grp, len(want), n)
 		}
 		for _, size := range []int{1, 3, unitRoots, len(all)} {
-			var joined []graph.NodeID
-			var got []match.Assignment
-			for _, u := range appendRanges(nil, grp, all, size) {
-				if u.grp != grp || len(u.roots) == 0 || len(u.roots) > size {
-					t.Fatalf("group %d, cut %d: a unit of group %d with %d roots", grp, size, u.grp, len(u.roots))
+			parts := appendRanges(nil, grp, all, size)
+			for _, u := range parts {
+				if len(u.roots) > size {
+					t.Fatalf("group %d, cut %d: a unit of %d roots", grp, size, len(u.roots))
 				}
-				joined = append(joined, u.roots...)
-				got = append(got, matches(u)...)
 			}
-			if !slices.Equal(joined, all) {
-				t.Fatalf("group %d, cut %d: ranges join to %v, want %v", grp, size, joined, all)
-			}
-			if !slices.EqualFunc(got, want, slices.Equal) {
-				t.Fatalf("group %d, cut %d: the ranges enumerate %v, the whole list %v", grp, size, got, want)
-			}
+			check(fmt.Sprintf("cut %d", size), grp, parts, want)
+		}
+		for size, parts := range chunked {
+			check(fmt.Sprintf("chunks of %d copies", size), grp, parts[grp], want)
 		}
 		found += len(want)
 	}

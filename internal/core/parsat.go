@@ -1,36 +1,230 @@
 package core
 
 import (
+	"errors"
+	"slices"
+
 	"repro/internal/canon"
 	"repro/internal/eq"
 	"repro/internal/gfd"
+	"repro/internal/pattern"
 )
 
 // ParSat decides the satisfiability of Σ with p parallel workers
-// (Section V-B). It is parallel scalable relative to SeqSat: work units —
-// ranges of a pattern group's pivot candidates in its G_Σ scope — are
-// assigned dynamically in dependency order by the worker pool, stragglers
-// are split on a TTL, and workers exchange monotone Eq deltas
-// asynchronously. The outcome equals SeqSat's on every input
-// (Church–Rosser).
+// (Section V-B). G_Σ is the disjoint union of Σ's patterns, and every term a
+// match of a connected pattern reads or writes is an attribute of one of its
+// nodes, so the chase on one copy of G_Σ never touches another copy's terms:
+// Eq is a disjoint union of per-copy relations. ParSat cuts the copies into
+// chunks (chunks) and hands them to the worker pool as tasks. A worker chases
+// each chunk it takes on its own relation, with SeqSat's enforcer; no worker
+// reads another's relation, so nothing is broadcast or replayed. A conflict
+// in any chunk is the answer, UNSAT, and halts the pool; quiescence is SAT,
+// and the witness model is completed from the workers' relations. The
+// outcome equals SeqSat's on every input (Church–Rosser).
+//
+// A disconnected pattern whose literals reach past its pivot's component
+// couples the copies its components can lie in, and coupled copies share a
+// chunk. A Σ whose coupling puts most of G_Σ in one chunk is chased by
+// essentially one worker, and gets no speedup.
 func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 	if set.Len() == 0 {
 		return emptySetResult()
 	}
+	return newSatEngine(opt, set).sat(chunkCopies)
+}
+
+// newSatEngine returns the engine of ParSat on Σ: G_Σ, searched as a Frozen
+// and scoped by its host index.
+func newSatEngine(opt ParOptions, set *gfd.Set) *parEngine {
 	cs := canon.BuildSigma(set)
-	base := eq.New()
-	base.Reserve(int(cs.Offset[set.Len()])) // so every worker's clone makes its columns once
-	eng := newParEngine(opt, set, cs.Graph.Frozen(), base)
+	eng := newParEngine(opt, set, cs.Graph.Frozen())
 	eng.sigma = cs
-	con, _, final, stats, err := eng.run()
-	if err != nil {
+	return eng
+}
+
+// chunkCopies is how many of G_Σ's copies a ParSat task covers. Every
+// (group, chunk) piece pays a search set-up and its root frame, so small
+// chunks lose: on the sat-dbpedia Σ, p = 2 took 74 ms at 16 copies a task
+// against 55 at 200. Cuts of 200 to 800 measured the same (DESIGN.md, "Work
+// units"); the shortest leaves the pool the most tasks to balance.
+const chunkCopies = 200
+
+// sat runs ParSat's chase over chunks of size copies on e, the planned
+// engine of G_Σ.
+func (e *parEngine) sat(size int) *SatResult {
+	if err := e.planGroups(); err != nil {
+		return &SatResult{Err: err}
+	}
+	tasks, _ := e.chunks(size)
+	tasks = slices.DeleteFunc(tasks, func(t []unit) bool { return len(t) == 0 })
+	pl := newPool[[]unit](e.ctx, e.opt.Workers)
+	enfs := make([]*enforcer, pl.size())
+	for i := range enfs {
+		rel := eq.New()
+		rel.Reserve(int(e.sigma.Offset[e.set.Len()])) // G_Σ's node count
+		enfs[i] = newEnforcer(rel, e.set)
+	}
+	err := pl.run(tasks, func(w int, task []unit) error {
+		if h := e.testHookTask; h != nil {
+			h(w, task)
+		}
+		enf := enfs[w]
+		for _, u := range task {
+			if pl.stopping() {
+				return nil
+			}
+			enf.stats.UnitsRun++
+			s := e.search(u)
+			for h, ok := s.Next(); ok; h, ok = s.Next() {
+				if !e.chaseMatch(enf, u.grp, h) {
+					// The answer, not a failure: it takes the pool's
+					// first-failure slot, so siblings stop, and a conflict
+					// found before a cancellation still answers the run.
+					return enf.conflict()
+				}
+			}
+		}
+		return nil
+	})
+	var stats Stats
+	rels := make([]*eq.Eq, len(enfs))
+	for i, enf := range enfs {
+		enf.stats.UnitsStolen = pl.stolen[i]
+		stats.Add(enf.stats)
+		rels[i] = enf.eq
+	}
+	stats.GroupsShared = e.sharedGroups
+	var con *eq.Conflict
+	switch {
+	case errors.As(err, &con):
+		return &SatResult{Conflict: con, Stats: stats}
+	case err != nil:
 		return &SatResult{Err: err, Stats: stats}
 	}
-	if con != nil {
-		return &SatResult{Satisfiable: false, Conflict: con, Stats: stats}
-	}
-	// At quiescence every worker applied the whole broadcast log, so the
-	// returned relation is the converged global Eq; the witness model is
-	// completed from it exactly as SeqSat's is.
-	return satisfiable(cs.Graph, final, set, stats)
+	return satisfiable(e.sigma.Graph, rels, e.set, stats)
 }
+
+// chunks cuts G_Σ's copies into ParSat's tasks. Copies are taken in
+// ascending order, size at a time, except that a copy coupled to an earlier
+// one (coupling) joins that one's chunk. tasks[k] holds, for every group in
+// groupOrder, the part of the group's pivot candidates that falls in chunk
+// k; chunk[n] is the chunk of G_Σ node n. Candidates are ascending and
+// copies are contiguous node ranges, so one pass per group distributes all
+// of its roots, each part still ascending. A task may be empty.
+func (e *parEngine) chunks(size int) (tasks [][]unit, chunk []int32) {
+	cs := e.sigma
+	n := len(cs.Offset) - 1
+	uf := e.coupling()
+	chunkOf := make([]int32, n) // by union-find root: 1 + its chunk
+	chunk = make([]int32, cs.Offset[n])
+	var sizes []int
+	for c := range int32(n) {
+		r := uf.find(c)
+		if chunkOf[r] == 0 {
+			if len(sizes) == 0 || sizes[len(sizes)-1] >= size {
+				sizes = append(sizes, 0)
+			}
+			chunkOf[r] = int32(len(sizes))
+		}
+		k := chunkOf[r] - 1
+		sizes[k]++
+		for v := cs.Offset[c]; v < cs.Offset[c+1]; v++ {
+			chunk[v] = k
+		}
+	}
+	tasks = make([][]unit, len(sizes))
+	for _, gi := range e.groupOrder() {
+		roots := e.roots[gi]
+		for lo := 0; lo < len(roots); {
+			k := chunk[roots[lo]]
+			hi := lo + 1
+			for hi < len(roots) && chunk[roots[hi]] == k {
+				hi++
+			}
+			// A coupled chunk may take a group's roots in several runs;
+			// the first is a view of the candidates, capped so that
+			// appending the others copies it.
+			if t := tasks[k]; len(t) > 0 && t[len(t)-1].grp == gi {
+				t[len(t)-1].roots = append(t[len(t)-1].roots, roots[lo:hi]...)
+			} else {
+				tasks[k] = append(t, unit{grp: gi, roots: roots[lo:hi:hi]})
+			}
+			lo = hi
+		}
+	}
+	return tasks, chunk
+}
+
+// coupling returns the union-find over G_Σ's copies that chunks must not
+// cut. A match of a connected pattern lies in one copy. A match of a
+// disconnected one maps each component into a copy that can host it
+// (canon.Sigma.Hosts), and the chase reads and writes the terms of the
+// components its literals mention. When they mention a component other
+// than the pivot's, the match's chunk, found through the pivot, must hold
+// those terms too: every copy that can host the pivot's component or a
+// mentioned one is put in one class.
+func (e *parEngine) coupling() copyUnion {
+	uf := make(copyUnion, len(e.sigma.Offset)-1)
+	for c := range uf {
+		uf[c] = int32(c)
+	}
+	for gi, grp := range e.groups {
+		pat := grp.Pattern
+		comps := pat.Components()
+		if len(comps) == 1 || e.roots[gi] == nil {
+			continue
+		}
+		compOf := make([]int, pat.NumVars())
+		for k, comp := range comps {
+			for _, v := range comp {
+				compOf[v] = k
+			}
+		}
+		pivot := compOf[e.orders[gi][0]]
+		mentioned := make([]bool, len(comps))
+		across := false
+		mark := func(v pattern.Var) {
+			mentioned[compOf[v]] = true
+			across = across || compOf[v] != pivot
+		}
+		for _, mi := range grp.Members {
+			phi := e.set.GFDs[mi]
+			for _, l := range slices.Concat(phi.X, phi.Y) {
+				mark(l.X)
+				if l.Kind == gfd.VarLiteral {
+					mark(l.Y)
+				}
+			}
+		}
+		if !across {
+			continue
+		}
+		mentioned[pivot] = true
+		first := int32(-1)
+		for k, comp := range comps {
+			if !mentioned[k] {
+				continue
+			}
+			for _, c := range e.sigma.Hosts(pat, comp) {
+				if first < 0 {
+					first = c
+				}
+				uf.union(first, c)
+			}
+		}
+	}
+	return uf
+}
+
+// copyUnion is a union-find over G_Σ's copies: uf[c] is c's parent.
+type copyUnion []int32
+
+func (uf copyUnion) find(c int32) int32 {
+	for uf[c] != c {
+		uf[c] = uf[uf[c]] // path halving
+		c = uf[c]
+	}
+	return c
+}
+
+func (uf copyUnion) union(a, b int32) { uf[uf.find(a)] = uf.find(b) }

@@ -10,14 +10,12 @@ import (
 )
 
 // pool is the one worker pool of internal/core: the dynamic-assignment
-// scheduler behind every fan-out of ParSat/ParImp (planning pass, work
-// phase, finalize rounds), of Revalidate and of validation
-// (ViolationsOpts). Each of its p workers owns a deque; a worker pops its
-// own front, steals from the back of a peer when dry, and otherwise blocks
-// on a condition variable (with a wake sequence number so a wakeup between
-// a worker's empty scan and its wait is never lost) until a task pushes new
-// work, the last task retires, or the run stops. There is no busy-polling
-// and no coordinator goroutine.
+// scheduler behind every fan-out of ParSat/ParImp (the planning pass,
+// ParSat's chunks, ParImp's enumeration), of Revalidate and of validation
+// (ViolationsOpts). The tasks are all known when a run starts: each of the p
+// workers owns a deque, pops its own front, steals from the back of a peer
+// when dry, and exits once every deque is empty, since no task adds work.
+// There is no busy-polling and no coordinator goroutine.
 //
 // A run ends in exactly one of three ways: every task retired (nil), a task
 // returned an error or panicked (that error — first one wins, the remaining
@@ -30,12 +28,9 @@ type pool[T any] struct {
 	// stolen[w] counts the tasks worker w took from a peer's deque; read it
 	// after run returns.
 	stolen  []int
-	pending atomic.Int64 // tasks queued or in flight
-	stopped atomic.Bool  // set by fail and by context cancellation
+	stopped atomic.Bool // set by fail and by context cancellation
 	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     uint64 // bumped under mu by every wake
-	err     error  // first failure; guarded by mu
+	err     error // first failure; guarded by mu
 }
 
 // newPool returns a pool of p workers (at least one) bound to ctx; a nil ctx
@@ -51,7 +46,6 @@ func newPool[T any](ctx context.Context, p int) *pool[T] {
 	for i := range pl.deques {
 		pl.deques[i] = cluster.NewDeque[T]()
 	}
-	pl.cond = sync.NewCond(&pl.mu)
 	return pl
 }
 
@@ -69,21 +63,17 @@ func indexes(n int) []int {
 func (pl *pool[T]) size() int { return len(pl.deques) }
 
 // run stripes seed round-robin across the worker deques (so seed order is
-// the blended execution order), runs fn on every task — including tasks
-// pushed from inside fn — and returns once all workers have exited. A pool
-// may run again after a nil return (the finalize rounds do); after an error
-// it is spent.
+// the blended execution order), runs fn on every task and returns once all
+// workers have exited. A pool may run again after a nil return; after an
+// error it is spent.
 func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 	if err := pl.ctx.Err(); err != nil {
 		return canceledErr(err)
 	}
 	p := len(pl.deques)
-	pl.pending.Store(int64(len(seed)))
 	for i, t := range seed {
 		pl.deques[i%p].PushBack(t)
 	}
-	// Workers blocked on the condvar re-check stopped only when woken, so
-	// cancellation has to arrive as a wake.
 	defer context.AfterFunc(pl.ctx, pl.stop)()
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
@@ -107,11 +97,6 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 					pl.fail(err)
 					return
 				}
-				// The last task to retire wakes the waiters so they observe
-				// quiescence.
-				if pl.pending.Add(-1) == 0 {
-					pl.wake()
-				}
 			}
 		}(w)
 	}
@@ -129,16 +114,6 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 	return err
 }
 
-// push makes tasks available on worker owner's deque front (depth-first:
-// split branches run on the arrays their parent just warmed). It is called
-// from inside a task, whose own pending count keeps the pool from quiescing
-// before the new work is published.
-func (pl *pool[T]) push(owner int, tasks []T) {
-	pl.pending.Add(int64(len(tasks)))
-	pl.deques[owner].PushFront(tasks...)
-	pl.wake()
-}
-
 // fail ends the run with err unless an earlier failure already did, and
 // stops every worker at its next task boundary.
 func (pl *pool[T]) fail(err error) {
@@ -153,23 +128,17 @@ func (pl *pool[T]) fail(err error) {
 // stopping reports whether the run is ending early; long tasks poll it.
 func (pl *pool[T]) stopping() bool { return pl.stopped.Load() }
 
-func (pl *pool[T]) stop() {
-	pl.stopped.Store(true)
-	pl.wake()
-}
+func (pl *pool[T]) stop() { pl.stopped.Store(true) }
 
-// wake bumps the sequence number and wakes every waiter.
-func (pl *pool[T]) wake() {
-	pl.mu.Lock()
-	pl.seq++
-	pl.cond.Broadcast()
-	pl.mu.Unlock()
-}
-
-// grab returns a task from worker id's own deque front, else from the back
-// of the first non-empty peer deque (scanning from the next worker up, so
-// victims spread).
-func (pl *pool[T]) grab(id int) (T, bool) {
+// take returns a task for worker id from its own deque front, else from the
+// back of the first non-empty peer deque (scanning from the next worker up,
+// so victims spread). It returns ok=false when every deque is empty or the
+// run is stopping.
+func (pl *pool[T]) take(id int) (T, bool) {
+	var zero T
+	if pl.stopped.Load() {
+		return zero, false
+	}
 	if t, ok := pl.deques[id].PopFront(); ok {
 		return t, true
 	}
@@ -180,38 +149,5 @@ func (pl *pool[T]) grab(id int) (T, bool) {
 			return t, true
 		}
 	}
-	var zero T
 	return zero, false
-}
-
-// take returns the next task for worker id, blocking while every deque is
-// empty but tasks are still in flight (they may yet push new work). It
-// returns ok=false on quiescence or when the run is stopping. The
-// sequence-number handshake with wake closes the scan-then-sleep race: a
-// push between the empty scan and the wait bumps seq, so the wait is
-// skipped.
-func (pl *pool[T]) take(id int) (T, bool) {
-	var zero T
-	for {
-		if pl.stopped.Load() {
-			return zero, false
-		}
-		if t, ok := pl.grab(id); ok {
-			return t, true
-		}
-		pl.mu.Lock()
-		seq := pl.seq
-		pl.mu.Unlock()
-		if t, ok := pl.grab(id); ok {
-			return t, true
-		}
-		if pl.pending.Load() == 0 {
-			return zero, false
-		}
-		pl.mu.Lock()
-		for pl.seq == seq && pl.pending.Load() > 0 && !pl.stopped.Load() {
-			pl.cond.Wait()
-		}
-		pl.mu.Unlock()
-	}
 }

@@ -54,37 +54,12 @@ func TestPoolRunsEverySeedOnce(t *testing.T) {
 		if stolen < 0 || stolen > n {
 			t.Fatalf("p=%d: %d steals for %d tasks", p, stolen, n)
 		}
-		// A drained pool runs again (the finalize rounds rely on it).
+		// A drained pool runs again.
 		if err := runWithin(t, pl, seed[:3], func(_, i int) error { ran[i].Add(1); return nil }); err != nil {
 			t.Fatalf("p=%d: second run: %v", p, err)
 		}
 		if ran[0].Load() != 2 || ran[3].Load() != 1 {
 			t.Fatalf("p=%d: second run did not run exactly its own seed", p)
-		}
-	}
-	assertGoroutineBaseline(t, before)
-}
-
-// TestPoolPushedTasksRun: work pushed from inside a task (a TTL split) runs
-// before run returns, however deep the pushes nest.
-func TestPoolPushedTasksRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for _, p := range []int{1, 4} {
-		var ran atomic.Int32
-		pl := newPool[int](context.Background(), p)
-		// Task d > 0 pushes two tasks of depth d-1: 2^(d+1) - 1 tasks per seed.
-		err := runWithin(t, pl, []int{4, 4, 4}, func(w, d int) error {
-			ran.Add(1)
-			if d > 0 {
-				pl.push(w, []int{d - 1, d - 1})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if got := ran.Load(); got != 3*31 {
-			t.Fatalf("p=%d: %d tasks ran, want %d", p, got, 3*31)
 		}
 	}
 	assertGoroutineBaseline(t, before)
@@ -157,10 +132,10 @@ func TestPoolPanicBecomesPanicError(t *testing.T) {
 	assertGoroutineBaseline(t, before)
 }
 
-// TestPoolCancelWakesIdleWorkers: three workers are blocked on the condition
-// variable while the one task in flight waits for the cancellation to reach
-// the pool as a stop. The run must return ErrCanceled — the task retiring
-// "normally" after being cut short is not quiescence.
+// TestPoolCancelWakesIdleWorkers: three workers find nothing to take while
+// the one task in flight waits for the cancellation to reach the pool as a
+// stop. The run must return ErrCanceled — the task retiring "normally" after
+// being cut short is not quiescence.
 func TestPoolCancelWakesIdleWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

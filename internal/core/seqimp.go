@@ -80,7 +80,7 @@ func SeqImp(set *gfd.Set, phi *gfd.GFD) *ImpResult {
 	if res != nil {
 		return res
 	}
-	enf := newSeqEnforcer(cp.EqX, set)
+	enf := newEnforcer(cp.EqX, set)
 
 	check := func() (done bool, res *ImpResult) {
 		if enf.conflict() != nil {

@@ -24,21 +24,22 @@ type SatResult struct {
 	// work completed.
 	Err error
 
-	// What Model is built from on first call: G_Σ, the final Eq and Σ (for
-	// its reserved constants) — or, once built, the model itself.
+	// What Model is built from on first call: G_Σ, the final relations
+	// (one for SeqSat, one per worker for ParSat) and Σ (for its reserved
+	// constants) — or, once built, the model itself.
 	witness struct {
 		g     *graph.Graph
-		eq    *eq.Eq
+		eqs   []*eq.Eq
 		set   *gfd.Set
 		model *graph.Graph
 	}
 }
 
 // satisfiable is the result of a run that reached quiescence without
-// conflict on canonical graph g with final relation e.
-func satisfiable(g *graph.Graph, e *eq.Eq, set *gfd.Set, stats Stats) *SatResult {
+// conflict on canonical graph g with final relations eqs.
+func satisfiable(g *graph.Graph, eqs []*eq.Eq, set *gfd.Set, stats Stats) *SatResult {
 	r := &SatResult{Satisfiable: true, Stats: stats}
-	r.witness.g, r.witness.eq, r.witness.set = g, e, set
+	r.witness.g, r.witness.eqs, r.witness.set = g, eqs, set
 	return r
 }
 
@@ -57,9 +58,9 @@ func emptySetResult() *SatResult {
 // for concurrent use.
 func (r *SatResult) Model() *graph.Graph {
 	w := &r.witness
-	if w.model == nil && w.eq != nil {
-		w.model = CompleteModel(w.g, w.eq, w.set.Constants())
-		w.g, w.eq, w.set = nil, nil, nil
+	if w.model == nil && w.eqs != nil {
+		w.model = CompleteModel(w.g, w.eqs, w.set.Constants())
+		w.g, w.eqs, w.set = nil, nil, nil
 	}
 	return w.model
 }
@@ -81,7 +82,7 @@ func SeqSat(set *gfd.Set) *SatResult {
 	g := cs.Graph.Frozen() // G_Σ is searched as a Frozen
 	e := eq.New()
 	e.Reserve(int(cs.Offset[set.Len()])) // G_Σ's node count
-	enf := newSeqEnforcer(e, set)
+	enf := newEnforcer(e, set)
 
 	// Process GFDs of the form Q[x̄](∅→Y) first, then follow the interaction
 	// order; the pending index makes the result order-independent
@@ -102,7 +103,7 @@ func SeqSat(set *gfd.Set) *SatResult {
 	if !enf.drain() {
 		return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
 	}
-	return satisfiable(cs.Graph, enf.eq, set, enf.stats)
+	return satisfiable(cs.Graph, []*eq.Eq{enf.eq}, set, enf.stats)
 }
 
 // sigmaSearch returns the search SeqSat runs for p on g, the Frozen of cs:

@@ -281,7 +281,7 @@ func TestParSatAllocsIndependentOfMatches(t *testing.T) {
 	set := gen.New(gen.Config{N: 800, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.9, Seed: 1}).Set()
 	groups := len(set.Groups())
 	bound := 48 * (set.Len() + groups)
-	opt := ParOptions{Workers: 1} // no TTL: a split would allocate by the clock
+	opt := DefaultParOptions(1)
 	r := ParSat(set, opt)
 	if r.Err != nil || !r.Satisfiable {
 		t.Fatalf("setup: ParSat = %v, err %v; want a satisfiable Σ chased to quiescence", r.Satisfiable, r.Err)

@@ -9,22 +9,23 @@
 //	                    class with distinct constants is a conflict.
 //
 // Eq is monotone (classes only grow, constants are never retracted), so
-// deltas taken from one replica can be replayed on another in any order and
-// all replicas converge — the property the parallel algorithms rely on for
-// asynchronous broadcast.
+// deltas taken from one relation (TakeDelta) can be replayed on another
+// (Apply) in any order and both converge. No engine reads a delta: each
+// chase owns its relation. The delta surface stays for benchmark/gfdbench's
+// probes and the convergence tests.
 //
 // The relation has two surfaces over one implementation. The ID surface is
 // what the reasoning engines run on: attribute and constant names are
 // interned once (AttrIDOf, ConstIDOf — the same resolve-once idiom as
 // graph.Reader's LabelIDOf), a term is addressed by a dense Handle found
 // from (node, attribute ID) by one load from the attribute's handle column,
-// and AssignAt / MergeAt / ApplyAppend report changed classes by appending
-// handles to a buffer the caller owns — no string is hashed and nothing is
-// allocated per operation once the tables are warm. The string surface (Term,
-// AssignConst, Merge, Apply, Const, Same, …) is a thin wrapper that interns
-// and delegates; it is the boundary for tests, conflict rendering, the
-// witness model and the broadcast Op, which stays name-shaped so replicas
-// need not agree on IDs.
+// and AssignAt / MergeAt report changed classes by appending handles to a
+// buffer the caller owns — no string is hashed and nothing is allocated per
+// operation once the tables are warm. The string surface (Term, AssignConst,
+// Merge, Apply, Const, Same, …) is a thin wrapper that interns and
+// delegates; it is the boundary for tests, conflict rendering, the witness
+// model and the delta Op, which stays name-shaped so relations need not
+// agree on IDs.
 //
 // A handle is not a term: HandleOf allocates the slot (the pending index of
 // the engines files blocked matches under it) without creating the class
@@ -70,27 +71,25 @@ const (
 	OpMerge
 )
 
-// Op is one monotone mutation, replayable on another replica.
+// Op is one monotone mutation, replayable on another relation.
 type Op struct {
 	Kind OpKind
 	T, U Term
 	C    string
 }
 
-// Delta is an ordered batch of operations taken from a replica.
+// Delta is an ordered batch of operations taken from a relation.
 type Delta []Op
 
 // AttrID and ConstID are a relation's dense IDs for attribute and constant
-// names. They are private to the relation that issued them and to its
-// Clones.
+// names. They are private to the relation that issued them.
 type (
 	AttrID  int32
 	ConstID int32
 )
 
 // Handle addresses one (node, attribute) slot of a relation. Like the name
-// IDs, it is valid for the relation that issued it and, for handles issued
-// before the copy, its Clones.
+// IDs, it is valid for the relation that issued it.
 type Handle int32
 
 const (
@@ -116,7 +115,7 @@ type slot struct {
 }
 
 // Eq is the equivalence relation. The zero value is not usable; construct
-// with New. Eq is not safe for concurrent use; each worker owns a replica.
+// with New. Eq is not safe for concurrent use; each chase owns its relation.
 type Eq struct {
 	slots []slot
 	// byAttr[a][n] is 1 + the handle of (n, a), and 0 when (n, a) has none,
@@ -135,8 +134,7 @@ type Eq struct {
 	con *Conflict
 	log Delta // mutations since the last TakeDelta
 	// quiet drops the log altogether (StopLogging); replaying suppresses it
-	// while Apply replays a remote delta, so received ops are not
-	// re-broadcast by the receiving worker.
+	// while Apply replays a delta, so replayed ops are not logged again.
 	quiet, replaying bool
 }
 
@@ -312,7 +310,7 @@ func (e *Eq) MergeAt(a, b Handle, changed []Handle) []Handle {
 			return changed
 		}
 		// a = a on a term nobody had created: the class now exists, which is
-		// what the literal asks for, and peers must learn it.
+		// what the literal asks for, and a replay must recreate it.
 		if e.logging() {
 			e.log = append(e.log, Op{Kind: OpMerge, T: e.TermAt(a), U: e.TermAt(b)})
 		}
@@ -348,49 +346,20 @@ func (e *Eq) MergeAt(a, b Handle, changed []Handle) []Handle {
 	return changed
 }
 
-// ApplyAppend replays a delta from another replica and appends to changed
-// the handles whose class changed. Conflicts discovered during replay are
-// recorded exactly as for local mutations. Replayed ops are not re-logged,
-// so a worker never re-broadcasts what it received.
-func (e *Eq) ApplyAppend(d Delta, changed []Handle) []Handle {
-	e.replaying = true
-	for i := range d {
-		op := &d[i]
-		t := e.handleOfTerm(op.T)
-		switch op.Kind {
-		case OpAssign:
-			changed = e.AssignAt(t, e.ConstIDOf(op.C), changed)
-		case OpMerge:
-			changed = e.MergeAt(t, e.handleOfTerm(op.U), changed)
-		}
-	}
-	e.replaying = false
-	return changed
-}
-
 func (e *Eq) logging() bool { return !e.quiet && !e.replaying }
 
 // StopLogging makes the relation stop recording its mutations for TakeDelta
-// — for a replica whose deltas nobody reads (a sequential run, a lone
-// worker). Ops already recorded are dropped.
+// — for a relation whose deltas nobody reads, which is every engine's. Ops
+// already recorded are dropped.
 func (e *Eq) StopLogging() {
 	e.quiet = true
 	e.log = nil
 }
 
-// Logged returns the mutations recorded since the log was last emptied, as a
-// view that the next mutation or ResetLog invalidates: for a caller that
-// copies them out at once (a broadcast) and then calls ResetLog, so the log's
-// storage is reused where TakeDelta would give it away.
-func (e *Eq) Logged() Delta { return e.log }
-
-// ResetLog empties the log, keeping its storage.
-func (e *Eq) ResetLog() { e.log = e.log[:0] }
-
 // TakeDelta returns the mutations applied since the previous TakeDelta and
-// resets the log. Replaying the delta on another replica reproduces the
+// resets the log. Replaying the delta on another relation reproduces the
 // semantic content (classes and constants), independent of interleaving
-// with that replica's own mutations.
+// with that relation's own mutations.
 func (e *Eq) TakeDelta() Delta {
 	d := e.log
 	e.log = nil
@@ -462,42 +431,24 @@ func (e *Eq) Merge(t, u Term) []Term {
 	return e.termsOf(e.MergeAt(e.handleOfTerm(t), e.handleOfTerm(u), nil))
 }
 
-// Apply is ApplyAppend returning the changed terms in a fresh slice.
-func (e *Eq) Apply(d Delta) []Term { return e.termsOf(e.ApplyAppend(d, nil)) }
-
-// Clone returns an independent deep copy, including any pending log and
-// conflict. The copy issues the same IDs and handles for everything the
-// original had interned, so literals resolved against one serve the other.
-func (e *Eq) Clone() *Eq {
-	c := &Eq{
-		slots:    append([]slot(nil), e.slots...),
-		byAttr:   make([][]Handle, len(e.byAttr)),
-		nodes:    e.nodes,
-		classes:  e.classes,
-		attrIDs:  make(map[string]AttrID, len(e.attrIDs)),
-		attrs:    append([]string(nil), e.attrs...),
-		constIDs: make(map[string]ConstID, len(e.constIDs)),
-		consts:   append([]string(nil), e.consts...),
-		log:      append(Delta(nil), e.log...),
-		quiet:    e.quiet,
+// Apply replays a delta taken from another relation and returns the changed
+// terms in a fresh slice. Conflicts discovered during replay are recorded
+// exactly as for local mutations; replayed ops are not logged again.
+func (e *Eq) Apply(d Delta) []Term {
+	var changed []Handle
+	e.replaying = true
+	for i := range d {
+		op := &d[i]
+		t := e.handleOfTerm(op.T)
+		switch op.Kind {
+		case OpAssign:
+			changed = e.AssignAt(t, e.ConstIDOf(op.C), changed)
+		case OpMerge:
+			changed = e.MergeAt(t, e.handleOfTerm(op.U), changed)
+		}
 	}
-	// One allocation backs every column; HandleOf grows a column into a
-	// fresh one, never in place.
-	backing := slices.Concat(e.byAttr...)
-	for a, col := range e.byAttr {
-		c.byAttr[a], backing = backing[:len(col):len(col)], backing[len(col):]
-	}
-	for s, id := range e.attrIDs {
-		c.attrIDs[s] = id
-	}
-	for s, id := range e.constIDs {
-		c.constIDs[s] = id
-	}
-	if e.con != nil {
-		cc := *e.con
-		c.con = &cc
-	}
-	return c
+	e.replaying = false
+	return e.termsOf(changed)
 }
 
 // AllTerms returns every term whose class exists, in a fresh slice in no
@@ -519,7 +470,7 @@ func (e *Eq) AllConsts() []string { return e.consts }
 
 // Classes returns a canonical rendering of the relation: each class as its
 // sorted member list plus constant, classes sorted lexicographically. Two
-// replicas with equal Classes() output are semantically identical — used by
+// relations with equal Classes() output are semantically identical — used by
 // convergence tests.
 func (e *Eq) Classes() string {
 	var lines []string

@@ -1,7 +1,6 @@
 package eq
 
 import (
-	"maps"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -19,23 +18,23 @@ const (
 	opLookup         // node, page, a: Lookup
 	opAssign         // node, page, a, c: AssignAt on HandleOf
 	opMerge          // node, page, a, node, page, a: MergeAt on two HandleOfs
-	opClone          // a new replica, cloned from the current one
-	opSwitch         // r: make replica r mod count the current one
+	opNew            // a new, empty relation beside the others
+	opSwitch         // r: make relation r mod count the current one
 	opReserve        // k: Reserve(16·k)
 	numOps
 )
 
-// maxReplicas bounds opClone, and so the memory a stream can ask for.
-const maxReplicas = 4
+// maxRelations bounds opNew, and so the memory a stream can ask for.
+const maxRelations = 4
 
-// termKey names a term by attribute name: replicas that interned new
-// attributes after a Clone number them differently.
+// termKey names a term by attribute name: relations number their
+// attributes each in its own order.
 type termKey struct {
 	n graph.NodeID
 	a string
 }
 
-// termRef is one replica and the reference it must agree with.
+// termRef is one relation and the reference it must agree with.
 type termRef struct {
 	e       *Eq
 	attrs   map[string]AttrID
@@ -43,8 +42,8 @@ type termRef struct {
 	terms   map[Handle]bool // handles a mutation made into terms
 }
 
-func (r *termRef) clone() *termRef {
-	return &termRef{e: r.e.Clone(), attrs: maps.Clone(r.attrs), handles: maps.Clone(r.handles), terms: maps.Clone(r.terms)}
+func newTermRef() *termRef {
+	return &termRef{e: New(), attrs: map[string]AttrID{}, handles: map[termKey]Handle{}, terms: map[Handle]bool{}}
 }
 
 // opReader decodes a stream: 16 attribute names, and node IDs spread over
@@ -119,14 +118,14 @@ func (r *termRef) check(t *testing.T, k termKey) {
 	}
 }
 
-// runTermOps drives the stream through the relation and the reference and
-// fails at the first disagreement. At the end every replica is asked about
-// every term any replica saw, so a term one added after a Clone must not
-// show in the other. It returns the replicas.
+// runTermOps drives the stream through the relations and their references
+// and fails at the first disagreement. At the end every relation is asked
+// about every term any relation saw, so a term one added must not show in
+// another. It returns the relations.
 func runTermOps(t *testing.T, stream []byte) []*termRef {
 	t.Helper()
 	o := &opReader{b: stream}
-	refs := []*termRef{{e: New(), attrs: map[string]AttrID{}, handles: map[termKey]Handle{}, terms: map[Handle]bool{}}}
+	refs := []*termRef{newTermRef()}
 	cur := refs[0]
 	for len(o.b) > 0 {
 		switch o.byte() % numOps {
@@ -144,9 +143,9 @@ func runTermOps(t *testing.T, stream []byte) []*termRef {
 			a, b := cur.handle(t, o.term()), cur.handle(t, o.term())
 			cur.e.MergeAt(a, b, nil)
 			cur.terms[a], cur.terms[b] = true, true
-		case opClone:
-			if len(refs) < maxReplicas {
-				refs = append(refs, cur.clone())
+		case opNew:
+			if len(refs) < maxRelations {
+				refs = append(refs, newTermRef())
 			}
 		case opSwitch:
 			cur = refs[int(o.byte())%len(refs)]
@@ -211,13 +210,13 @@ func termScenarios() []termScenario {
 		return s
 	}
 
-	clone := termStream{}.
+	sideBySide := termStream{}.
 		op(opAssign, 1, 0, 0, 1).op(opHandle, 2, 0, 1).
-		op(opClone).
+		op(opNew).
 		op(opAssign, 3, 0, 0, 2).op(opIntern, 9).op(opMerge, 2, 0, 1, 200, 2, 9).
 		op(opSwitch, 1).
 		op(opIntern, 8).op(opAssign, 4, 0, 8, 1).op(opAssign, 2, 0, 1, 3).op(opHandle, 200, 2, 9).
-		op(opClone).op(opSwitch, 2).op(opAssign, 44, 1, 8, 0).
+		op(opNew).op(opSwitch, 2).op(opAssign, 44, 1, 8, 0).
 		op(opSwitch, 0).op(opLookup, 4, 0, 8).op(opLookup, 2, 0, 1)
 
 	notYet := termStream{}.
@@ -230,14 +229,14 @@ func termScenarios() []termScenario {
 		{"attributes interned late", late},
 		{"sparse nodes past Reserve", sparse(true)},
 		{"sparse nodes, no Reserve", sparse(false)},
-		{"clone mid-stream", clone},
+		{"relations side by side", sideBySide},
 		{"handle before term", notYet},
 	}
 }
 
 // Property: Lookup, HandleOf and AttrIDOf answer as a map keyed by (node,
 // attribute) does, across interleaved mutations, late attributes, sparse
-// node IDs with and without Reserve, and Clones that go their own way.
+// node IDs with and without Reserve, and relations side by side.
 func TestTermIndexAgreesWithMap(t *testing.T) {
 	for _, sc := range termScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -284,9 +283,9 @@ func FuzzTermIndex(f *testing.F) {
 	})
 }
 
-// Reserve is what keeps a replica's columns from doubling their way up: a
-// column is made at the reserved length, in the original and in its Clones,
-// and grows past it only for a node beyond it.
+// Reserve is what keeps a relation's columns from doubling their way up: a
+// column is made at the reserved length, for the first attribute and for one
+// interned later, and grows past it only for a node beyond it.
 func TestReserveSizesColumnsOnce(t *testing.T) {
 	e := New()
 	e.Reserve(1000)
@@ -294,14 +293,13 @@ func TestReserveSizesColumnsOnce(t *testing.T) {
 	for n := 0; n < 1000; n += 7 {
 		e.HandleOf(graph.NodeID(n), a)
 	}
-	c := e.Clone()
-	b := c.AttrIDOf("B")
-	c.HandleOf(10, b)
-	if len(e.byAttr[a]) != 1000 || len(c.byAttr[a]) != 1000 || len(c.byAttr[b]) != 1000 {
-		t.Fatalf("column lengths %d, %d and %d, want 1000", len(e.byAttr[a]), len(c.byAttr[a]), len(c.byAttr[b]))
+	b := e.AttrIDOf("B")
+	e.HandleOf(10, b)
+	if len(e.byAttr[a]) != 1000 || len(e.byAttr[b]) != 1000 {
+		t.Fatalf("column lengths %d and %d, want 1000", len(e.byAttr[a]), len(e.byAttr[b]))
 	}
-	c.HandleOf(1000, b)
-	if len(c.byAttr[b]) != 2000 {
-		t.Fatalf("a column grown past Reserve has %d entries, want 2000", len(c.byAttr[b]))
+	e.HandleOf(1000, b)
+	if len(e.byAttr[b]) != 2000 {
+		t.Fatalf("a column grown past Reserve has %d entries, want 2000", len(e.byAttr[b]))
 	}
 }

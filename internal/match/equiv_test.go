@@ -34,7 +34,7 @@ func matchSet(p *pattern.Pattern, g graph.Reader, opts match.Options) []string {
 // oracleSet is the reference for matchSet: the brute-force homomorphism set
 // of internal/oracle — every node tried for every variable, edges probed one
 // by one — in matchSet's canonical form. keep, when non-nil, selects the
-// matches a seeded or partitioned search is expected to produce.
+// matches a pivot-rooted or partitioned search is expected to produce.
 func oracleSet(p *pattern.Pattern, g graph.Reader, keep func([]graph.NodeID) bool) []string {
 	var out []string
 	for _, h := range oracle.Matches(p, g) {
@@ -124,9 +124,10 @@ func TestIndexedScanEquivalenceUniform(t *testing.T) {
 }
 
 // TestIndexedScanEquivalenceSeededRestricted covers the reasoning engines'
-// actual usage: a pivoted unit (seeded pivot variable, pivot-first order)
-// must enumerate exactly the oracle's matches that map the pivot variable
-// to the pivot node — so the units of one pattern partition its match set.
+// actual usage: a pivoted unit (the pivot variable rooted in one node,
+// pivot-first order) must enumerate exactly the oracle's matches that map
+// the pivot variable to that node — so the units of one pattern partition
+// its match set.
 func TestIndexedScanEquivalenceSeededRestricted(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: 7})
 	g := gr.ConsistentGraph(30)
@@ -137,9 +138,7 @@ func TestIndexedScanEquivalenceSeededRestricted(t *testing.T) {
 		pv := pivots[0]
 		order := p.PivotOrder(pv)
 		for _, z := range graph.CandidateNodes(g, p.Label(pv)) {
-			seed := match.NewAssignment(p.NumVars())
-			seed[pv] = z
-			unit := matchSet(p, g, match.Options{Order: order, Seed: seed})
+			unit := matchSet(p, g, match.Options{Order: order, RootCandidates: []graph.NodeID{z}})
 			atPivot := func(h []graph.NodeID) bool { return h[pv] == z }
 			diffSets(t, fmt.Sprintf("pattern#%d pivot=%d %s", i, z, p), unit, oracleSet(p, g, atPivot))
 			checked++

@@ -45,7 +45,7 @@ func TestFrozenMatchEquivalenceGen(t *testing.T) {
 
 // TestFrozenMatchEquivalenceUniform repeats the property on uniformly
 // random dense multigraphs (parallel edges, self-loops, literal wildcard
-// labels), including the seeded/pivoted usage the reasoning engines rely
+// labels), including the pivot-rooted usage the reasoning engines rely
 // on.
 func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 	nodeLabels := []string{"a", "b", graph.Wildcard}
@@ -76,9 +76,9 @@ func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 			ctx := fmt.Sprintf("seed=%d pattern#%d %s", seed, i, p)
 			diffSets(t, ctx, matchSet(p, f, match.Options{}), matchSet(p, g, match.Options{}))
 
-			// Pivoted units: a seeded pivot planned on the frozen snapshot
-			// must enumerate identically on both representations — exactly
-			// the oracle's matches through that pivot.
+			// Pivoted units: a search rooted in one pivot node must
+			// enumerate identically on both representations — exactly the
+			// oracle's matches through that pivot.
 			pivots := p.Pivot(f)
 			pv := pivots[0]
 			order := p.PivotOrder(pv)
@@ -87,10 +87,9 @@ func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 				cands = cands[:3]
 			}
 			for _, z := range cands {
-				seed := match.NewAssignment(p.NumVars())
-				seed[pv] = z
-				fr := matchSet(p, f, match.Options{Order: order, Seed: seed.Clone()})
-				mu := matchSet(p, g, match.Options{Order: order, Seed: seed.Clone()})
+				root := []graph.NodeID{z}
+				fr := matchSet(p, f, match.Options{Order: order, RootCandidates: root})
+				mu := matchSet(p, g, match.Options{Order: order, RootCandidates: root})
 				diffSets(t, fmt.Sprintf("%s pivot=%d", ctx, z), fr, mu)
 				atPivot := func(h []graph.NodeID) bool { return h[pv] == z }
 				diffSets(t, fmt.Sprintf("%s pivot=%d (vs oracle)", ctx, z), fr, oracleSet(p, f, atPivot))

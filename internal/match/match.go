@@ -3,10 +3,10 @@
 // enforcing homomorphism rather than isomorphism (two pattern variables may
 // map to the same data node, and data nodes may be reused across matches).
 //
-// The search is exposed as a resumable iterator so the parallel algorithms
-// can (a) check each match's attributes as soon as it is generated and (b)
-// split a straggling work unit into sub-units carved from untried branches
-// of the search tree (Section V-B, "unit splitting").
+// The search is exposed as a resumable iterator so the reasoning engines can
+// check each match's attributes as soon as it is generated, and a search can
+// be rooted in any ascending list of candidates (Options.RootCandidates), so
+// the parallel engines cut their work by the root's candidates.
 //
 // Matches are views. Search.Next hands out the search's own assignment,
 // valid until the next Next on that search and never to be
@@ -18,7 +18,6 @@ package match
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -71,7 +70,6 @@ type Search struct {
 	vars []varIndex
 
 	assign Assignment
-	seeded []bool // variables fixed by the seed (never backtracked)
 	stack  []frame
 	// started is set by the first Next, which opens the root frame; later
 	// calls resume from the stack.
@@ -86,8 +84,8 @@ type Search struct {
 	// frame's cands backing array is reused by the next push at that depth,
 	// so steady-state backtracking allocates nothing.
 	scratch [][]graph.NodeID
-	// open lists the non-seeded variables in order: frame d binds open[d],
-	// and a match is complete at depth len(open).
+	// open lists the variables in order: frame d binds open[d], and a match
+	// is complete at depth len(open).
 	open []pattern.Var
 }
 
@@ -140,19 +138,14 @@ type Options struct {
 	// Order is the variable order; defaults to the concatenation of
 	// pattern.MatchOrder over all components.
 	Order []pattern.Var
-	// Seed pre-assigns variables (e.g. the pivot, or a partial match from a
-	// split unit). Seeded variables must form a prefix of Order.
-	Seed Assignment
 	// RootCandidates, when non-nil, is the base candidate list for the first
 	// open variable in Order, replacing the graph's label index for that one
 	// frame. The list must be ascending and label-consistent with the
 	// variable (e.g. one shard's slice of the label index); signature
 	// pruning and Filter still apply on top. Running one search
 	// per part of a partition of the root candidate set enumerates exactly
-	// the full match set, partitioned — the basis of the sharded fan-out.
-	// Ignored when a Seed is present: a seeded search generates its first
-	// open frame from the seeded neighbors' adjacency, so a root partition
-	// would not partition the match set.
+	// the full match set, partitioned — the basis of the sharded fan-out and
+	// of the parallel engines' work units.
 	RootCandidates []graph.NodeID
 	// Filter, when non-nil, limits candidates further (e.g. to a simulation
 	// relation) without allocating per-search sets.
@@ -188,9 +181,7 @@ func DefaultOrder(p *pattern.Pattern) []pattern.Var {
 
 // NewSearch builds a search over r's snapshot (graph.Reader.Snapshot): a
 // search on an editable graph enumerates the graph as it was here, whatever
-// edits follow. Seeded variables are validated against labels and
-// seeded-edge consistency lazily (the first Next call rejects a bad seed by
-// returning no matches for that branch).
+// edits follow.
 func NewSearch(p *pattern.Pattern, r graph.Reader, opts Options) *Search {
 	g := r.Snapshot()
 	pl := opts.Plan
@@ -221,67 +212,25 @@ func NewSearch(p *pattern.Pattern, r graph.Reader, opts Options) *Search {
 		ctx:       opts.Ctx,
 		ctxLeft:   ctxCheckEvery,
 		assign:    NewAssignment(p.NumVars()),
-		seeded:    make([]bool, p.NumVars()),
+		open:      order,
 	}
 	if pl != nil {
 		s.vars = pl.vars
 	} else {
 		s.vars = resolveVars(p, g)
 	}
-	// An unseeded, unpartitioned search following the plan's default order
-	// can reuse the plan's precomputed root frame: the label pull plus
-	// signature pruning that otherwise dominates a short query.
-	if pl != nil && opts.Seed == nil && s.rootCands == nil &&
+	// An unpartitioned search following the plan's default order can reuse
+	// the plan's precomputed root frame: the label pull plus signature
+	// pruning that otherwise dominates a short query.
+	if pl != nil && s.rootCands == nil &&
 		len(order) > 0 && len(pl.defaultOrder) > 0 && order[0] == pl.defaultOrder[0] {
 		if root := pl.root(); root != nil {
 			s.rootCands = root
 			s.rootPruned = true
 		}
 	}
-	if opts.Seed != nil {
-		// See Options.RootCandidates: a root partition is meaningless once
-		// variables are pre-assigned.
-		s.rootCands = nil
-		for v, n := range opts.Seed {
-			if n != graph.InvalidNode {
-				s.assign[v] = n
-				s.seeded[v] = true
-			}
-		}
-	}
-	// Validate the seed immediately: labels and edges among seeded vars.
-	s.done = !s.seedConsistent()
-	s.open = openVars(order, s.seeded)
 	s.scratch = make([][]graph.NodeID, len(s.open))
 	return s
-}
-
-// openVars returns order without the seeded variables. Seeds lead the
-// order (Options.Seed), so the result is normally a tail of order itself;
-// only a seed that breaks that rule costs a filtered copy.
-func openVars(order []pattern.Var, seeded []bool) []pattern.Var {
-	k := 0
-	for k < len(order) && seeded[order[k]] {
-		k++
-	}
-	open := order[k:]
-	for _, v := range open {
-		if seeded[v] {
-			return slices.DeleteFunc(slices.Clone(open), func(v pattern.Var) bool { return seeded[v] })
-		}
-	}
-	return open
-}
-
-// seedConsistent checks every seeded variable's label and the pattern
-// edges among seeded variables.
-func (s *Search) seedConsistent() bool {
-	for v := range s.seeded {
-		if s.seeded[v] && !s.consistent(pattern.Var(v), s.assign[v]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Next returns the next full match, or ok=false when the enumeration is
@@ -298,14 +247,10 @@ func (s *Search) Next() (Assignment, bool) {
 	}
 	if !s.started {
 		s.started = true
-		// First call: if everything is seeded, the seed itself is the only
-		// match (already validated by NewSearch).
 		if len(s.open) == 0 {
+			// A pattern without variables has one match: the empty one.
 			s.done = true
-			if s.assign.Complete() {
-				return s.assign, true
-			}
-			return nil, false
+			return s.assign, s.assign.Complete()
 		}
 		s.push()
 	} else {
@@ -559,91 +504,6 @@ func resolveEdgeLabels(g *graph.Frozen, edges []pattern.Edge) []graph.LabelID {
 // covers reports whether n's adjacency covers v's pre-resolved signature.
 func (s *Search) covers(v pattern.Var, n graph.NodeID) bool {
 	return s.g.CoversIDs(n, s.vars[v].sigOut, s.vars[v].sigIn)
-}
-
-// consistent checks that mapping v→n preserves v's label and every pattern
-// edge between v and an already-assigned variable (including self-loops).
-// It validates the seed; open frames are verified list-at-a-time by
-// candidates().
-func (s *Search) consistent(v pattern.Var, n graph.NodeID) bool {
-	if want := s.vars[v].labelID; want != graph.AnyLabel && want != s.g.LabelIDOf(n) {
-		return false
-	}
-	for ei, e := range s.p.Out(v) {
-		to := e.To
-		var target graph.NodeID
-		if to == v {
-			target = n
-		} else {
-			target = s.assign[to]
-			if target == graph.InvalidNode {
-				continue
-			}
-		}
-		if !s.g.HasEdgeID(n, target, s.vars[v].outIDs[ei]) {
-			return false
-		}
-	}
-	for ei, e := range s.p.In(v) {
-		from := e.From
-		if from == v {
-			continue // self-loop handled above
-		}
-		src := s.assign[from]
-		if src == graph.InvalidNode {
-			continue
-		}
-		if !s.g.HasEdgeID(src, n, s.vars[v].inIDs[ei]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Split carves untried branches off the shallowest open frame that still
-// has at least two candidates remaining, returning them as seed assignments
-// (the frames' prefix assignments plus one remaining candidate each). The
-// branches are removed from this search, which continues with its current
-// branch only. It returns nil when there is nothing to split.
-//
-// This implements the paper's straggler handling: a unit exceeding its TTL
-// hands Split() seeds back to the scheduler as new work units and finishes only
-// its current subtree.
-func (s *Search) Split() []Assignment {
-	if s.done {
-		return nil
-	}
-	for d := 0; d < len(s.stack); d++ {
-		f := &s.stack[d]
-		remaining := len(f.cands) - f.idx
-		// Keep at least the current in-flight candidate; split the rest.
-		if remaining < 1 {
-			continue
-		}
-		// Prefix assignment: seeded vars plus frames above d (their current
-		// choices), excluding frame d's untried candidates.
-		prefix := NewAssignment(len(s.assign))
-		for v := range s.seeded {
-			if s.seeded[v] {
-				prefix[v] = s.assign[v]
-			}
-		}
-		for i := 0; i < d; i++ {
-			fr := s.stack[i]
-			prefix[fr.v] = s.assign[fr.v]
-		}
-		var seeds []Assignment
-		for i := f.idx; i < len(f.cands); i++ {
-			seed := prefix.Clone()
-			seed[f.v] = f.cands[i]
-			seeds = append(seeds, seed)
-		}
-		f.cands = f.cands[:f.idx]
-		if len(seeds) > 0 {
-			return seeds
-		}
-	}
-	return nil
 }
 
 // CountAll exhausts the search and returns the number of matches. Intended

@@ -134,9 +134,8 @@ func TestCyclicPattern(t *testing.T) {
 func TestSeededSearch(t *testing.T) {
 	g := triangleData()
 	p := edgePattern("n", "n", "e")
-	seed := NewAssignment(2)
-	seed[0] = 1 // pin x to node 1
-	s := NewSearch(p, g, Options{Seed: seed, Order: []pattern.Var{0, 1}})
+	// Pin x to node 1: a one-node root frame.
+	s := NewSearch(p, g, Options{RootCandidates: []graph.NodeID{1}, Order: []pattern.Var{0, 1}})
 	var got []Assignment
 	for {
 		h, ok := s.Next()
@@ -147,20 +146,6 @@ func TestSeededSearch(t *testing.T) {
 	}
 	if len(got) != 1 || got[0][0] != 1 || got[0][1] != 2 {
 		t.Fatalf("seeded matches = %v, want [[1 2]]", got)
-	}
-}
-
-func TestSeedViolatingLabelYieldsNothing(t *testing.T) {
-	g := graph.New()
-	g.AddNode("a")
-	g.AddNode("b")
-	p := pattern.New()
-	p.AddVar("x", "a")
-	seed := NewAssignment(1)
-	seed[0] = 1 // node 1 has label b
-	s := NewSearch(p, g, Options{Seed: seed})
-	if _, ok := s.Next(); ok {
-		t.Fatal("label-violating seed produced a match")
 	}
 }
 
@@ -181,7 +166,7 @@ func TestDisconnectedPatternCrossProduct(t *testing.T) {
 
 // TestPivotRestrictionConfinesMatches pins the property the parallel engine's
 // work units rely on instead of an explicit candidate restriction: a search
-// seeded at a pivot, following a pivot-first order, generates every further
+// rooted at a pivot, following a pivot-first order, generates every further
 // candidate from an assigned neighbor's adjacency and so never leaves the
 // pivot's d_Q-neighborhood.
 func TestPivotRestrictionConfinesMatches(t *testing.T) {
@@ -195,9 +180,7 @@ func TestPivotRestrictionConfinesMatches(t *testing.T) {
 		g.AddEdge(off+i, off+(i+1)%3, "e")
 	}
 	p := edgePattern("n", "n", "e")
-	seed := NewAssignment(2)
-	seed[0] = off
-	s := NewSearch(p, g, Options{Seed: seed, Order: p.PivotOrder(0)})
+	s := NewSearch(p, g, Options{RootCandidates: []graph.NodeID{off}, Order: p.PivotOrder(0)})
 	n := 0
 	for {
 		h, ok := s.Next()
@@ -216,14 +199,19 @@ func TestPivotRestrictionConfinesMatches(t *testing.T) {
 	}
 }
 
+// TestSplitPreservesMatchSet: cutting the root frame's candidates into
+// parts — one node each, here — and running one search per part finds every
+// match exactly once. The parallel engines' work units are such parts.
 func TestSplitPreservesMatchSet(t *testing.T) {
-	// A star graph: center "c" with many leaves; pattern c->leaf gives many
-	// branches at depth 1, good for splitting.
+	// A star graph: center "c" with many leaves; rooted at the leaf, the
+	// pattern c->leaf has one root candidate per match.
 	g := graph.New()
 	c := g.AddNode("c")
+	var leaves []graph.NodeID
 	for i := 0; i < 8; i++ {
 		l := g.AddNode("l")
 		g.AddEdge(c, l, "e")
+		leaves = append(leaves, l)
 	}
 	p := edgePattern("c", "l", "e")
 
@@ -231,37 +219,10 @@ func TestSplitPreservesMatchSet(t *testing.T) {
 	if baseline != 8 {
 		t.Fatalf("baseline = %d, want 8", baseline)
 	}
-
-	s := NewSearch(p, g, Options{})
-	// Pull two matches, then split.
 	var collected []Assignment
-	for i := 0; i < 2; i++ {
-		h, ok := s.Next()
-		if !ok {
-			t.Fatal("premature exhaustion")
-		}
-		collected = append(collected, h.Clone())
-	}
-	seeds := s.Split()
-	if len(seeds) == 0 {
-		t.Fatal("nothing split")
-	}
-	// Finish the truncated original search.
-	for {
-		h, ok := s.Next()
-		if !ok {
-			break
-		}
-		collected = append(collected, h.Clone())
-	}
-	// Run each split-off branch as its own search.
-	for _, seed := range seeds {
-		sub := NewSearch(p, g, Options{Seed: seed})
-		for {
-			h, ok := sub.Next()
-			if !ok {
-				break
-			}
+	for _, l := range leaves {
+		sub := NewSearch(p, g, Options{Order: p.PivotOrder(1), RootCandidates: []graph.NodeID{l}})
+		for h, ok := sub.Next(); ok; h, ok = sub.Next() {
 			collected = append(collected, h.Clone())
 		}
 	}
@@ -277,36 +238,9 @@ func TestSplitPreservesMatchSet(t *testing.T) {
 	}
 }
 
-func TestSplitOnFreshSearch(t *testing.T) {
-	g := triangleData()
-	p := edgePattern("n", "n", "e")
-	s := NewSearch(p, g, Options{})
-	if seeds := s.Split(); seeds != nil {
-		t.Fatalf("split before Next returned %d seeds; stack not built yet", len(seeds))
-	}
-	// After one Next, splitting and resuming must still cover everything.
-	if _, ok := s.Next(); !ok {
-		t.Fatal("no first match")
-	}
-	seeds := s.Split()
-	total := 1
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		total++
-	}
-	for _, seed := range seeds {
-		sub := NewSearch(p, g, Options{Seed: seed})
-		total += sub.CountAll()
-	}
-	if total != 3 {
-		t.Fatalf("total after split = %d, want 3", total)
-	}
-}
-
-// Property: on random graphs, splitting at a random point preserves the
-// exact multiset of matches of a 2-variable pattern.
+// Property: on random graphs, cutting the root frame's candidates at a
+// random point into two ranges preserves the exact number of matches of a
+// 3-variable path.
 func TestQuickSplitEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -326,28 +260,11 @@ func TestQuickSplitEquivalence(t *testing.T) {
 		p.AddEdge(y, z, "e")
 
 		want := len(FindAll(p, g))
-		s := NewSearch(p, g, Options{})
+		roots := graph.CandidateNodes(g, "n")
+		cut := rng.Intn(len(roots) + 1)
 		got := 0
-		pulls := rng.Intn(4)
-		for i := 0; i < pulls; i++ {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-			got++
-		}
-		var queue []Assignment
-		queue = append(queue, s.Split()...)
-		for {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-			got++
-		}
-		for len(queue) > 0 {
-			sd := queue[0]
-			queue = queue[1:]
-			sub := NewSearch(p, g, Options{Seed: sd})
-			got += sub.CountAll()
+		for _, part := range [][]graph.NodeID{roots[:cut], roots[cut:]} {
+			got += NewSearch(p, g, Options{RootCandidates: part}).CountAll()
 		}
 		return got == want
 	}

@@ -19,12 +19,11 @@ import (
 // boundaries; shards owning no candidates contribute no part. A nil result
 // means the fan-out does not apply and the caller must run a single
 // sequential search: the pattern has no variables, no candidates exist, or
-// the caller already fixed where the root frame comes from — a Seed
-// generates it from the seeded neighbor's adjacency and RootCandidates
-// restricts it to a caller's list, so overwriting either with the label
+// the caller already fixed where the root frame comes from — RootCandidates
+// restricts it to a caller's list, so overwriting it with the label
 // candidates would enumerate a different match set.
 func shardParts(p *pattern.Pattern, s *graph.Sharded, opts Options) [][]graph.NodeID {
-	if opts.Seed != nil || opts.RootCandidates != nil {
+	if opts.RootCandidates != nil {
 		return nil
 	}
 	order := opts.Order
@@ -86,9 +85,9 @@ func forEachPart(parts [][]graph.NodeID, workers int, body func(int)) {
 // FindAllSharded enumerates every homomorphism of p into the sharded
 // snapshot with up to workers goroutines, one search per shard's slice of
 // the root candidate set. The result equals FindAll on the flat snapshot,
-// in the same order. Option combinations the fan-out cannot partition
-// (a Seed, caller-supplied RootCandidates) degrade to a single sequential
-// search, never to wrong results. Each part clones its matches on its own
+// in the same order. Caller-supplied RootCandidates, which the fan-out
+// cannot partition, degrade to a single sequential search, never to wrong
+// results. Each part clones its matches on its own
 // goroutine, so no view of a search crosses to another.
 func FindAllSharded(p *pattern.Pattern, sv *graph.Sharded, workers int, opts Options) []Assignment {
 	parts := shardParts(p, sv, opts)

@@ -38,7 +38,7 @@ type Plan struct {
 
 	// rootOnce materializes rootCands on first use: the label pull plus
 	// signature pruning for defaultOrder's first variable. Lazy because
-	// engine workloads seed every search and never open a root frame.
+	// engines root every search in their own candidate lists instead.
 	rootOnce  sync.Once
 	rootCands []graph.NodeID
 }

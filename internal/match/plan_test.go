@@ -29,7 +29,7 @@ func expectStalePanic(t *testing.T, ctx string, fn func()) {
 
 // TestPlanSearchEquivalence checks that a plan-driven search enumerates
 // exactly what a planless one does, on every reader a plan can be compiled
-// for, including the seeded form the parallel engines use.
+// for, including the pivot-rooted form the parallel engines use.
 func TestPlanSearchEquivalence(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.3, Seed: 3})
 	g := gr.ConsistentGraph(40)
@@ -55,8 +55,8 @@ func TestPlanSearchEquivalence(t *testing.T) {
 				nonEmpty++
 			}
 
-			// Pivoted, seeded searches are the engines' shape: the plan
-			// carries the per-pivot order.
+			// Searches rooted in one pivot node are the engines' shape: the
+			// plan carries the per-pivot order.
 			for _, pv := range plan.Pivots() {
 				order := plan.OrderFor(pv)
 				cands := graph.CandidateNodes(r, p.Label(pv))
@@ -64,11 +64,10 @@ func TestPlanSearchEquivalence(t *testing.T) {
 					cands = cands[:2]
 				}
 				for _, z := range cands {
-					seed := match.NewAssignment(p.NumVars())
-					seed[pv] = z
-					a := matchSet(p, r, match.Options{Order: order, Seed: seed.Clone(), Plan: plan})
-					b := matchSet(p, r, match.Options{Order: order, Seed: seed.Clone()})
-					diffSets(t, fmt.Sprintf("%s pivot=%d seeded", ctx, z), a, b)
+					root := []graph.NodeID{z}
+					a := matchSet(p, r, match.Options{Order: order, RootCandidates: root, Plan: plan})
+					b := matchSet(p, r, match.Options{Order: order, RootCandidates: root})
+					diffSets(t, fmt.Sprintf("%s pivot=%d rooted", ctx, z), a, b)
 				}
 			}
 		}
@@ -130,8 +129,8 @@ func TestPlanCacheReuse(t *testing.T) {
 // eight goroutines at once: on an editable graph whose first Frozen is built
 // under that contention, then on that Frozen, then on a Sharded view of it.
 // Every goroutine must get the one *Plan (whose lazily built root frame the
-// unseeded searches share) and a planless search's match set, and the cache
-// must hold one entry.
+// unpartitioned searches share) and a planless search's match set, and the
+// cache must hold one entry.
 func TestPlanCacheConcurrent(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.3, Seed: 11})
 	base := gr.ConsistentGraph(40)

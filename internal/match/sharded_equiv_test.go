@@ -130,10 +130,10 @@ func TestRootCandidatesPartition(t *testing.T) {
 	}
 }
 
-// TestShardedFanOutWithSeedFallsBack pins the Seed guard: the fan-out
-// cannot partition a seeded search (the root frame generates from the
-// seeded neighbor, not the label index), so it must degrade to one
-// sequential search — never duplicate the match set per shard part.
+// TestShardedFanOutWithSeedFallsBack pins the guard on a search rooted in
+// one pivot node, the engines' shape: the fan-out cannot partition it, so it
+// must degrade to one sequential search — never duplicate the match set per
+// shard part.
 func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
 	g := gr.ConsistentGraph(30)
@@ -145,16 +145,14 @@ func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 		pivots := p.Pivot(f)
 		pv := pivots[0]
 		for _, z := range graph.CandidateNodes(f, p.Label(pv)) {
-			seed := match.NewAssignment(p.NumVars())
-			seed[pv] = z
-			opts := match.Options{Order: p.PivotOrder(pv), Seed: seed}
+			opts := match.Options{Order: p.PivotOrder(pv), RootCandidates: []graph.NodeID{z}}
 			flat := match.FindAllOpts(p, f, opts)
 			fanned := match.FindAllSharded(p, s, 3, opts)
 			if len(fanned) != len(flat) {
-				t.Fatalf("pattern#%d pivot=%d: seeded fan-out found %d matches, flat %d", i, z, len(fanned), len(flat))
+				t.Fatalf("pattern#%d pivot=%d: rooted fan-out found %d matches, flat %d", i, z, len(fanned), len(flat))
 			}
 			if c := match.CountSharded(p, s, 3, opts); c != len(flat) {
-				t.Fatalf("pattern#%d pivot=%d: seeded CountSharded=%d, want %d", i, z, c, len(flat))
+				t.Fatalf("pattern#%d pivot=%d: rooted CountSharded=%d, want %d", i, z, c, len(flat))
 			}
 			if len(flat) > 0 {
 				checked++
@@ -162,7 +160,7 @@ func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no seeded instance had matches; test is vacuous")
+		t.Fatal("no rooted instance had matches; test is vacuous")
 	}
 }
 

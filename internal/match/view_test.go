@@ -99,10 +99,10 @@ func TestNextIsAView(t *testing.T) {
 	}
 }
 
-// TestSeedPastOpenVariable covers the seed Options.Seed advises against — a
-// seeded variable behind an open one in the order: the open variables are
-// still enumerated in order and the match set is the oracle's, restricted
-// to the seed.
+// TestSeedPastOpenVariable roots a search in one node of the variable the
+// default order puts last, with that variable's pivot order: the other
+// variables are still enumerated in order and the match set is the
+// oracle's, restricted to the root.
 func TestSeedPastOpenVariable(t *testing.T) {
 	checked := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -116,16 +116,15 @@ func TestSeedPastOpenVariable(t *testing.T) {
 				continue
 			}
 			last := order[len(order)-1]
-			sd := match.NewAssignment(p.NumVars())
-			sd[last] = full[len(full)/2][last]
-			got := matchSet(p, f, match.Options{Order: order, Seed: sd})
-			want := oracleSet(p, f, func(h []graph.NodeID) bool { return h[last] == sd[last] })
-			diffSets(t, fmt.Sprintf("seed=%d %s seeded at x%d", seed, p, last), got, want)
+			z := full[len(full)/2][last]
+			got := matchSet(p, f, match.Options{Order: p.PivotOrder(last), RootCandidates: []graph.NodeID{z}})
+			want := oracleSet(p, f, func(h []graph.NodeID) bool { return h[last] == z })
+			diffSets(t, fmt.Sprintf("seed=%d %s rooted at x%d", seed, p, last), got, want)
 			checked += len(want)
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no seeded match compared; test is vacuous")
+		t.Fatal("no rooted match compared; test is vacuous")
 	}
 }
 
