@@ -20,9 +20,15 @@ import (
 type Stats struct {
 	Matches      int // matches offered to the chase
 	Enforcements int // matches whose antecedent held and consequent was enforced
-	Rechecks     int // pending matches re-examined after Eq changes
-	Pending      int // matches parked in the inverted index
-	Dropped      int // matches whose antecedent became permanently false
+	// Rechecks counts wakes of a watched literal: a parked match re-checked
+	// because a handle of the one blocked literal it watches changed.
+	Rechecks int
+	Pending  int // matches parked in the inverted index
+	// Dropped counts matches whose antecedent became permanently false when
+	// offered or woken. A literal that becomes impossible behind a watch
+	// that is still blocked is not looked at, so its match stays parked and
+	// is not counted.
+	Dropped int
 	// UnitsRun counts the searches a parallel run chased: ParSat's
 	// (group, chunk) pieces, ParImp's units.
 	UnitsRun    int
@@ -67,33 +73,42 @@ const (
 
 // rule is one GFD's literals resolved against the name tables of an
 // enforcer's relation (canon.ResolveLits): what offer and drain evaluate per
-// match.
+// match. vars is the length of its matches.
 type rule struct {
 	x, y     []canon.Lit
+	vars     int
 	resolved bool
 }
 
-// pendingMatch is a match whose antecedent was blocked when first seen; it
-// sits in the inverted index until a relevant Eq class changes (Section
-// IV-C(b)).
+// pendingMatch is a match whose antecedent was blocked when last checked
+// (Section IV-C(b)). It waits in the inverted index under the handles of
+// one blocked literal, its watch x[w]; every literal before the watch
+// holds, and keeps holding, because Eq only grows. The record holds no
+// pointer: the rule is Σ's index gi, and the assignment is the copy at
+// offset at of the enforcer's arena.
 type pendingMatch struct {
-	r    *rule
-	h    match.Assignment
-	done bool
+	gi, at int32
+	// w is the watched literal, or done once the match fired or died. It
+	// only moves forward, so it doubles as the generation of the match's
+	// pendingRefs: a ref filed for another w is stale.
+	w int32
 }
 
+// done is pendingMatch.w of a match that fired or died: no ref matches it.
+const done = -1
+
 // pendingRef is one entry of a term's list in the inverted index: the parked
-// match (an index into enforcer.parked) and the next entry of the same list
-// (1 + its index into enforcer.refs; 0 ends the list). The lists are threaded
-// through one slice so that filing a match under a term allocates nothing of
-// its own.
+// match (an index into enforcer.parked), the watch it was filed for, and the
+// next entry of the same list (1 + its index into enforcer.refs; 0 ends the
+// list). The lists are threaded through one slice so that filing a match
+// under a term allocates nothing of its own.
 type pendingRef struct {
-	pm, next int32
+	pm, w, next int32
 }
 
 // pendingList is a term's list: 1 + the indexes of its first and last
 // pendingRef, 0 when empty. Entries are appended at the tail, so a term's
-// matches are re-checked in the order they were parked.
+// matches are re-checked in the order they were filed.
 type pendingList struct {
 	head, tail int32
 }
@@ -112,14 +127,15 @@ type enforcer struct {
 	// the rest — an implication run on a six-node G^X_Q matches few of Σ's
 	// patterns, and resolving all of Σ up front would show in its start-up.
 	rules []rule
-	// pending[t] lists the blocked matches whose antecedent mentions the
-	// term with handle t. Filing a match allocates the handle but not the
-	// class: an antecedent over a term nobody created stays blocked.
+	// pending[t] lists the blocked matches whose watched literal mentions
+	// the term with handle t. Filing a match allocates the handle but not
+	// the class: an antecedent over a term nobody created stays blocked.
 	pending []pendingList
 	refs    []pendingRef
 	parked  []pendingMatch
-	// arena is the chunk the copies of parked matches are carved from.
-	arena []graph.NodeID
+	// arena holds the copies of parked matches, in chunks of parkChunk node
+	// IDs that are never grown, so no copy moves.
+	arena [][]graph.NodeID
 	stats Stats
 	// queue[qhead:] holds handles whose classes changed and whose pending
 	// matches have not been revisited yet.
@@ -139,56 +155,65 @@ func (e *enforcer) rule(gi int) *rule {
 	r := &e.rules[gi]
 	if !r.resolved {
 		phi := e.set.GFDs[gi]
-		r.x, r.y, r.resolved = canon.ResolveLits(e.eq, phi.X), canon.ResolveLits(e.eq, phi.Y), true
+		r.x, r.y, r.vars, r.resolved = canon.ResolveLits(e.eq, phi.X), canon.ResolveLits(e.eq, phi.Y), phi.Pattern.NumVars(), true
 	}
 	return r
 }
 
-// checkX classifies h |= X under the deduced-satisfaction semantics: a
+// checkX classifies h |= X from literal from on, and returns the first
+// blocked literal. It goes on past that literal to find an impossible one.
+func (e *enforcer) checkX(r *rule, h match.Assignment, from int) (state xState, w int) {
+	state, w = xHolds, -1
+	for i := from; i < len(r.x); i++ {
+		switch e.literal(&r.x[i], h) {
+		case xImpossible:
+			return xImpossible, i
+		case xBlocked:
+			if state == xHolds {
+				state, w = xBlocked, i
+			}
+		}
+	}
+	return state, w
+}
+
+// literal classifies h |= l under the deduced-satisfaction semantics: a
 // constant literal holds iff its class carries exactly that constant; a
 // variable literal holds iff the two classes are merged. A constant literal
 // whose class carries a different constant can never hold (constants are
-// permanent), so the match is dropped. A term whose class does not exist
-// blocks its literal, x.A = x.A included.
-func (e *enforcer) checkX(r *rule, h match.Assignment) xState {
-	state := xHolds
-	for i := range r.x {
-		l := &r.x[i]
-		t := e.eq.Lookup(h[l.X], l.A)
-		if l.IsConst() {
-			if t == eq.NoHandle {
-				state = xBlocked
-				continue
-			}
-			switch e.eq.ConstAt(t) {
-			case l.C:
-			case eq.NoConst:
-				state = xBlocked
-			default:
-				return xImpossible
-			}
-			continue
-		}
-		u := e.eq.Lookup(h[l.Y], l.B)
-		if t == eq.NoHandle || u == eq.NoHandle {
-			state = xBlocked
-			continue
-		}
-		if e.eq.SameAt(t, u) {
-			continue
-		}
-		// Two classes carrying the same constant are forced equal in every
-		// population even without a merge; distinct constants can never
-		// become equal.
-		ct, cu := e.eq.ConstAt(t), e.eq.ConstAt(u)
-		switch {
-		case ct == eq.NoConst || cu == eq.NoConst:
-			state = xBlocked
-		case ct != cu:
-			return xImpossible
-		}
+// permanent). A term whose class does not exist blocks its literal, x.A =
+// x.A included.
+func (e *enforcer) literal(l *canon.Lit, h match.Assignment) xState {
+	t := e.eq.Lookup(h[l.X], l.A)
+	if t == eq.NoHandle {
+		return xBlocked
 	}
-	return state
+	if l.IsConst() {
+		switch e.eq.ConstAt(t) {
+		case l.C:
+			return xHolds
+		case eq.NoConst:
+			return xBlocked
+		}
+		return xImpossible
+	}
+	u := e.eq.Lookup(h[l.Y], l.B)
+	if u == eq.NoHandle {
+		return xBlocked
+	}
+	if e.eq.SameAt(t, u) {
+		return xHolds
+	}
+	// Two classes carrying the same constant are forced equal in every
+	// population even without a merge; distinct constants can never become
+	// equal.
+	switch ct, cu := e.eq.ConstAt(t), e.eq.ConstAt(u); {
+	case ct == eq.NoConst || cu == eq.NoConst:
+		return xBlocked
+	case ct != cu:
+		return xImpossible
+	}
+	return xHolds
 }
 
 // enforceY applies Rules 1 and 2 for every consequent literal at h,
@@ -217,14 +242,14 @@ func (e *enforcer) enforceY(r *rule, h match.Assignment) bool {
 func (e *enforcer) offer(gi int, h match.Assignment) bool {
 	e.stats.Matches++
 	r := e.rule(gi)
-	switch e.checkX(r, h) {
+	switch state, w := e.checkX(r, h, 0); state {
 	case xHolds:
 		return e.enforceY(r, h)
 	case xImpossible:
 		e.stats.Dropped++
 		return true
 	default:
-		e.park(r, h)
+		e.park(gi, r, h, w)
 		return true
 	}
 }
@@ -233,33 +258,48 @@ func (e *enforcer) offer(gi int, h match.Assignment) bool {
 // copied into: a few hundred matches per allocation.
 const parkChunk = 2048
 
-// keep copies h, a search's view, into the arena. A full chunk is left to
-// the copies carved from it and a new one started, so nothing moves.
-func (e *enforcer) keep(h match.Assignment) match.Assignment {
-	if len(h) > cap(e.arena)-len(e.arena) {
-		e.arena = make([]graph.NodeID, 0, max(parkChunk, len(h)))
+// keep copies h, a search's view, into the arena and returns the copy's
+// offset: chunk index × parkChunk + position in the chunk. A copy that does
+// not fit the last chunk starts a new one; a match longer than parkChunk
+// gets a chunk of its own, at position 0.
+func (e *enforcer) keep(h match.Assignment) int32 {
+	c := len(e.arena) - 1
+	if c < 0 || len(h) > cap(e.arena[c])-len(e.arena[c]) {
+		e.arena = append(e.arena, make([]graph.NodeID, 0, max(parkChunk, len(h))))
+		c++
 	}
-	n := len(e.arena)
-	e.arena = append(e.arena, h...)
-	return e.arena[n:len(e.arena):len(e.arena)]
+	at := c*parkChunk + len(e.arena[c])
+	e.arena[c] = append(e.arena[c], h...)
+	return int32(at)
 }
 
-// park registers a blocked match in the inverted index under every term its
-// antecedent mentions, so any relevant class change triggers a re-check. It
-// is the one place an engine keeps a match past the search's next step, so
-// it is where the view is copied.
-func (e *enforcer) park(r *rule, h match.Assignment) {
+// copyOf returns the assignment parked match p was copied to.
+func (e *enforcer) copyOf(p *pendingMatch) match.Assignment {
+	at := int(p.at) % parkChunk
+	return e.arena[p.at/parkChunk][at : at+e.rules[p.gi].vars]
+}
+
+// park files a blocked match in the inverted index under its first blocked
+// literal x[w]. It is the one place an engine keeps a match past the
+// search's next step, so it is where the view is copied.
+func (e *enforcer) park(gi int, r *rule, h match.Assignment, w int) {
 	pm := int32(len(e.parked))
-	e.parked = append(doubling(e.parked), pendingMatch{r: r, h: e.keep(h)})
+	e.parked = append(doubling(e.parked), pendingMatch{gi: int32(gi), at: e.keep(h), w: int32(w)})
 	e.stats.Pending++
-	for i := range r.x {
-		l := &r.x[i]
-		t := e.eq.HandleOf(h[l.X], l.A)
-		e.file(t, pm)
-		if !l.IsConst() {
-			if u := e.eq.HandleOf(h[l.Y], l.B); u != t {
-				e.file(u, pm)
-			}
+	e.watch(pm, int32(w), &r.x[w], h, eq.NoHandle, nil)
+}
+
+// watch files match pm, watching literal l = x[w], under l's handles: one
+// for a constant literal, both for a variable literal, because a merge
+// reports only the absorbed side. A handle equal to walking, the term whose
+// list drain is rebuilding into keep, goes onto keep, so the walk does not
+// meet it again.
+func (e *enforcer) watch(pm, w int32, l *canon.Lit, h match.Assignment, walking eq.Handle, keep *pendingList) {
+	t := e.eq.HandleOf(h[l.X], l.A)
+	e.file(t, pm, w, walking, keep)
+	if !l.IsConst() {
+		if u := e.eq.HandleOf(h[l.Y], l.B); u != t {
+			e.file(u, pm, w, walking, keep)
 		}
 	}
 }
@@ -275,7 +315,15 @@ func doubling[T any](s []T) []T {
 	return slices.Grow(s, max(len(s), 64))
 }
 
-func (e *enforcer) file(t eq.Handle, pm int32) {
+// file appends a ref to match pm's watch w to t's list, or to keep when t
+// is walking.
+func (e *enforcer) file(t eq.Handle, pm, w int32, walking eq.Handle, keep *pendingList) {
+	e.refs = append(doubling(e.refs), pendingRef{pm: pm, w: w})
+	at := int32(len(e.refs))
+	if t == walking {
+		e.link(keep, at)
+		return
+	}
 	if have := len(e.pending); int(t) >= have {
 		// One list per handle allocated so far; at least doubled, like the
 		// other run-long slices.
@@ -285,20 +333,26 @@ func (e *enforcer) file(t eq.Handle, pm int32) {
 		}
 		e.pending = e.pending[:n]
 	}
-	e.refs = append(doubling(e.refs), pendingRef{pm: pm})
-	at := int32(len(e.refs))
-	if l := &e.pending[t]; l.tail == 0 {
-		l.head, l.tail = at, at
-	} else {
-		e.refs[l.tail-1].next = at
-		l.tail = at
-	}
+	e.link(&e.pending[t], at)
 }
 
-// drain re-checks pending matches for every queued changed term until the
-// queue empties or a conflict arises. Firing a pending match can change more
-// classes, which re-queues more terms — the inflationary fixpoint loop.
-// It returns false on conflict.
+// link appends ref at (1 + its index) to list l.
+func (e *enforcer) link(l *pendingList, at int32) {
+	if l.tail == 0 {
+		l.head = at
+	} else {
+		e.refs[l.tail-1].next = at
+	}
+	l.tail = at
+}
+
+// drain wakes the matches watching every queued changed term until the
+// queue empties or a conflict arises. A woken match is re-checked from its
+// watch on, since the literals before it still hold: it stays while the
+// watch is blocked, moves its watch to the next blocked literal, dies on an
+// impossible one, or fires. Firing can change more classes, which re-queues
+// more terms — the inflationary fixpoint loop. It returns false on
+// conflict.
 func (e *enforcer) drain() bool {
 	for e.qhead < len(e.queue) {
 		t := e.queue[e.qhead]
@@ -306,34 +360,38 @@ func (e *enforcer) drain() bool {
 		if int(t) >= len(e.pending) {
 			continue
 		}
-		// Walk t's list, unlinking what fires or dies. Nothing parks while
-		// draining, so refs and parked do not move under the loop.
+		// Walk t's list into keep, unlinking what is stale, fires, dies or
+		// watches elsewhere now. Nothing parks while draining, so parked
+		// does not move under the loop; refs may, so no pointer into it is
+		// held.
 		var keep pendingList
 		for at := e.pending[t].head; at != 0; {
-			ref := &e.refs[at-1]
-			cur := at
+			ref, cur := e.refs[at-1], at
 			at = ref.next
-			pm := &e.parked[ref.pm]
-			if pm.done {
+			p := &e.parked[ref.pm]
+			if ref.w != p.w {
 				continue
 			}
 			e.stats.Rechecks++
-			state := e.checkX(pm.r, pm.h)
-			if state == xBlocked {
-				if keep.tail == 0 {
-					keep.head = cur
-				} else {
-					e.refs[keep.tail-1].next = cur
-				}
-				keep.tail = cur
-				continue
+			r, h, w := &e.rules[p.gi], e.copyOf(p), int(p.w)
+			state := e.literal(&r.x[w], h)
+			if state == xHolds {
+				state, w = e.checkX(r, h, w+1)
 			}
-			r, h := pm.r, pm.h
-			pm.done, pm.h = true, nil
-			if state == xImpossible {
+			switch {
+			case state == xBlocked && w == int(p.w):
+				e.link(&keep, cur)
+			case state == xBlocked:
+				p.w = int32(w)
+				e.watch(ref.pm, p.w, &r.x[w], h, t, &keep)
+			case state == xImpossible:
+				p.w = done
 				e.stats.Dropped++
-			} else if !e.enforceY(r, h) {
-				return false
+			default:
+				p.w = done
+				if !e.enforceY(r, h) {
+					return false
+				}
 			}
 		}
 		if keep.tail != 0 {
@@ -361,6 +419,13 @@ type Match struct {
 // enforcement layer by itself. The assignments are read, never written; the
 // relation is sized for the nodes they name, as SeqSat's is for G_Σ.
 func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
+	enf := enforceMatches(set, ms)
+	return enf.stats, enf.conflict()
+}
+
+// enforceMatches is EnforceMatches returning the enforcer, relation and
+// index included.
+func enforceMatches(set *gfd.Set, ms []Match) *enforcer {
 	e := eq.New()
 	for _, m := range ms {
 		for _, n := range m.H {
@@ -373,7 +438,7 @@ func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 			break
 		}
 	}
-	return enf.stats, enf.conflict()
+	return enf
 }
 
 // CompleteModel materializes a model from a canonical graph and conflict-free

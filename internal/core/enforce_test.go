@@ -1,11 +1,13 @@
 package core
 
 // Tests of the enforcement loop's ID path: the handle/class distinction of
-// the pending index, the workers' silence, and the steady-state allocation
-// ceiling.
+// the pending index, the watched literal, the workers' silence, and the
+// steady-state allocation ceiling.
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/eq"
@@ -227,17 +229,22 @@ func TestModelOnDemand(t *testing.T) {
 // — literals arrive resolved, terms are found by handle, and nothing
 // changed, so nothing is queued. A match that parks is copied into the
 // enforcer's arena (offer is handed a view) and filed in the index's
-// run-long slices, both amortised below one allocation.
+// run-long slices, and so is a watch that moves: both amortised below one
+// allocation.
 func TestEnforceSteadyStateAllocs(t *testing.T) {
 	set := gfd.NewSet(
 		gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "0")}),
 		gfd.MustNew("ab", q5(), []gfd.Literal{gfd.Const(0, "A", "0")}, []gfd.Literal{gfd.Const(0, "B", "1"), gfd.Vars(0, "B", 0, "C")}),
 		gfd.MustNew("zb", q5(), []gfd.Literal{gfd.Vars(0, "Z", 0, "B")}, []gfd.Literal{gfd.Const(0, "Y", "9")}),
+		gfd.MustNew("az", q5(), []gfd.Literal{gfd.Const(0, "A", "0"), gfd.Vars(0, "Z", 0, "B")}, []gfd.Literal{gfd.Const(0, "Y", "9")}),
 	)
 	enf := newEnforcer(eq.New(), set)
 	h := match.Assignment{0}
 	// The warm-up also resolves the rules, which happens on first offer.
 	if !enf.offer(0, h) || !enf.offer(1, h) || !enf.offer(2, h) || !enf.drain() {
+		t.Fatal("warm-up conflicted")
+	}
+	if !enf.offer(3, match.Assignment{1}) || !enf.offer(0, match.Assignment{1}) || !enf.drain() {
 		t.Fatal("warm-up conflicted")
 	}
 	if got := testing.AllocsPerRun(200, func() {
@@ -254,7 +261,228 @@ func TestEnforceSteadyStateAllocs(t *testing.T) {
 	}); got >= 1 {
 		t.Errorf("parking a blocked match: %v allocs/op, want amortised below 1", got)
 	}
-	if enf.stats.Enforcements != 2+201 || enf.stats.Pending != 1+2001 {
+	if enf.stats.Enforcements != 3+201 || enf.stats.Pending != 2+2001 {
 		t.Errorf("the timed matches did not take the paths under test: %+v", enf.stats)
+	}
+	// Each round parks az at a fresh node, watching x.A, and then creates
+	// x.A there: the match wakes, and its watch moves on to x.Z = x.B.
+	node, rechecks := graph.NodeID(1), enf.stats.Rechecks
+	if got := testing.AllocsPerRun(2000, func() {
+		node++
+		if !enf.offer(3, match.Assignment{node}) || !enf.offer(0, match.Assignment{node}) || !enf.drain() {
+			t.Fatal("conflict")
+		}
+		if w := enf.parked[len(enf.parked)-1].w; w != 1 {
+			t.Fatalf("node %d: the watch is on literal %d, want 1", node, w)
+		}
+	}); got >= 1 {
+		t.Errorf("moving a watch: %v allocs/op, want amortised below 1", got)
+	}
+	if moved := enf.stats.Rechecks - rechecks; moved != 2001 {
+		t.Errorf("%d wakes for 2001 moved watches", moved)
+	}
+}
+
+// offerAt0 offers rule gi's match at node 0, then drains.
+func offerAt0(t *testing.T, enf *enforcer, gi int) {
+	t.Helper()
+	if !enf.offer(gi, match.Assignment{0}) || !enf.drain() {
+		t.Fatalf("rule %s: spurious conflict", enf.set.GFDs[gi].Name)
+	}
+}
+
+// handleAt0 returns the handle of the term (0, attr).
+func handleAt0(enf *enforcer, attr string) eq.Handle {
+	return enf.eq.HandleOf(0, enf.eq.AttrIDOf(attr))
+}
+
+// watchers lists the parked matches that watch the term (0, attr), in the
+// order its list holds them, stale entries skipped.
+func watchers(enf *enforcer, attr string) []int32 {
+	t := handleAt0(enf, attr)
+	if int(t) >= len(enf.pending) {
+		return nil
+	}
+	var out []int32
+	for at := enf.pending[t].head; at != 0; at = enf.refs[at-1].next {
+		if ref := enf.refs[at-1]; ref.w == enf.parked[ref.pm].w {
+			out = append(out, ref.pm)
+		}
+	}
+	return out
+}
+
+// listEmpty reports whether the list of the term (0, attr) holds no entry,
+// stale or live: a list that was never filed into, or one a walk emptied.
+func listEmpty(enf *enforcer, attr string) bool {
+	t := handleAt0(enf, attr)
+	return int(t) >= len(enf.pending) || enf.pending[t].head == 0
+}
+
+// constAt0 returns the constant of (0, attr), or "" when it has none.
+func constAt0(enf *enforcer, attr string) string {
+	c, _ := enf.eq.Const(eq.Term{Node: 0, Attr: attr})
+	return c
+}
+
+// TestWatchMovesForward: a parked match watches its first blocked literal
+// only. When the three literals of its antecedent become true first to
+// last, each wake finds the watch true and moves it to the next literal,
+// twice, and the third fires the match; last to first, nothing wakes it
+// until its first literal holds, and then it fires. Either way it fires
+// once.
+func TestWatchMovesForward(t *testing.T) {
+	set := gfd.NewSet(
+		gfd.MustNew("m", q5(), []gfd.Literal{gfd.Const(0, "A", "1"), gfd.Const(0, "B", "1"), gfd.Const(0, "C", "1")}, []gfd.Literal{gfd.Const(0, "D", "1")}),
+		gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "1")}),
+		gfd.MustNew("b", q5(), nil, []gfd.Literal{gfd.Const(0, "B", "1")}),
+		gfd.MustNew("c", q5(), nil, []gfd.Literal{gfd.Const(0, "C", "1")}),
+	)
+	for _, tc := range []struct {
+		name  string
+		order []int
+		watch []int32 // the watch after each rule fires; done once m fired
+		wakes []int
+	}{
+		{"first to last", []int{1, 2, 3}, []int32{1, 2, done}, []int{1, 2, 3}},
+		{"last to first", []int{3, 2, 1}, []int32{0, 0, done}, []int{0, 0, 1}},
+	} {
+		enf := newEnforcer(eq.New(), set)
+		offerAt0(t, enf, 0)
+		if w := enf.parked[0].w; w != 0 {
+			t.Fatalf("%s: m parked watching literal %d, want 0", tc.name, w)
+		}
+		for i, gi := range tc.order {
+			offerAt0(t, enf, gi)
+			if w := enf.parked[0].w; w != tc.watch[i] || enf.stats.Rechecks != tc.wakes[i] {
+				t.Errorf("%s, after %s: watch %d after %d wakes, want %d after %d", tc.name, set.GFDs[gi].Name, w, enf.stats.Rechecks, tc.watch[i], tc.wakes[i])
+			}
+			if fired := constAt0(enf, "D") == "1"; fired != (i == 2) {
+				t.Errorf("%s, after %s: m fired %v", tc.name, set.GFDs[gi].Name, fired)
+			}
+		}
+		if enf.stats.Enforcements != 4 {
+			t.Errorf("%s: %d enforcements, want the three setters and m once", tc.name, enf.stats.Enforcements)
+		}
+	}
+}
+
+// TestWatchMovesOntoDrainedTerm: a match woken from x.A whose next blocked
+// literal mentions x.A again is filed under x.A while x.A's list is being
+// walked. That filing must survive the walk: below, the match is woken the
+// second time from x.A alone, and fires only if it did.
+func TestWatchMovesOntoDrainedTerm(t *testing.T) {
+	set := gfd.NewSet(
+		gfd.MustNew("m", q5(), []gfd.Literal{gfd.Vars(0, "A", 0, "C"), gfd.Vars(0, "A", 0, "B")}, []gfd.Literal{gfd.Const(0, "D", "1")}),
+		// [x.B, x.E] gets rank 1, so it survives the last merge.
+		gfd.MustNew("be", q5(), nil, []gfd.Literal{gfd.Vars(0, "B", 0, "E")}),
+		gfd.MustNew("c", q5(), nil, []gfd.Literal{gfd.Vars(0, "C", 0, "C")}),
+		// Creates x.A inside [x.C]: x.A is the absorbed side, the one reported.
+		gfd.MustNew("ca", q5(), nil, []gfd.Literal{gfd.Vars(0, "C", 0, "A")}),
+		// Two rank-1 classes: [x.C, x.A] is absorbed, so x.A is reported
+		// and x.B is not.
+		gfd.MustNew("ba", q5(), nil, []gfd.Literal{gfd.Vars(0, "B", 0, "A")}),
+	)
+	enf := newEnforcer(eq.New(), set)
+	for gi := 0; gi < 4; gi++ {
+		offerAt0(t, enf, gi)
+	}
+	if w := enf.parked[0].w; w != 1 {
+		t.Fatalf("after ca: the watch is on literal %d, want 1", w)
+	}
+	for attr, want := range map[string][]int32{"A": {0}, "B": {0}, "C": nil} {
+		if got := watchers(enf, attr); !slices.Equal(got, want) {
+			t.Errorf("after ca: x.%s is watched by %v, want %v", attr, got, want)
+		}
+	}
+	offerAt0(t, enf, 4)
+	if constAt0(enf, "D") != "1" || enf.stats.Enforcements != 5 {
+		t.Errorf("merging x.A into x.B did not fire m: %+v", enf.stats)
+	}
+	if listEmpty(enf, "B") {
+		t.Error("setup: x.B's list was walked, so m may have been woken from x.B")
+	}
+}
+
+// TestWatchVariableLiteralWokenFromEitherSide: a watched x.A = x.B is filed
+// under both terms, because a merge reports only the class it absorbs. The
+// merge is made in both directions, so the match is woken once from x.B and
+// once from x.A.
+func TestWatchVariableLiteralWokenFromEitherSide(t *testing.T) {
+	set := gfd.NewSet(
+		gfd.MustNew("m", q5(), []gfd.Literal{gfd.Vars(0, "A", 0, "B")}, []gfd.Literal{gfd.Const(0, "D", "1")}),
+		gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Vars(0, "A", 0, "A")}),
+		gfd.MustNew("b", q5(), nil, []gfd.Literal{gfd.Vars(0, "B", 0, "B")}),
+		gfd.MustNew("ab", q5(), nil, []gfd.Literal{gfd.Vars(0, "A", 0, "B")}),
+		gfd.MustNew("ba", q5(), nil, []gfd.Literal{gfd.Vars(0, "B", 0, "A")}),
+	)
+	for _, tc := range []struct {
+		merge    int
+		absorbed string // the side the merge reports
+		other    string
+	}{{3, "B", "A"}, {4, "A", "B"}} {
+		name := set.GFDs[tc.merge].Name
+		enf := newEnforcer(eq.New(), set)
+		for _, gi := range []int{0, 1, 2} {
+			offerAt0(t, enf, gi)
+		}
+		// Creating x.A and then x.B woke m twice; both times x.A = x.B stayed
+		// blocked.
+		if enf.stats.Rechecks != 2 || enf.parked[0].w != 0 {
+			t.Fatalf("%s: setup: %+v, watch %d", name, enf.stats, enf.parked[0].w)
+		}
+		offerAt0(t, enf, tc.merge)
+		if constAt0(enf, "D") != "1" || enf.stats.Rechecks != 3 {
+			t.Errorf("%s: merging did not fire m from x.%s: %+v", name, tc.absorbed, enf.stats)
+		}
+		if listEmpty(enf, tc.other) {
+			t.Errorf("%s: setup: x.%s's list was walked too", name, tc.other)
+		}
+	}
+}
+
+// TestWatchImpossibleLiteralBehindIt: a literal behind the watch that
+// becomes impossible is not looked at while the watch stays blocked, and
+// Stats.Dropped does not count the match then; once the watch holds, the
+// wake finds the impossible literal and drops the match. It never fires.
+func TestWatchImpossibleLiteralBehindIt(t *testing.T) {
+	for name, behind := range map[string]gfd.Literal{
+		"constant": gfd.Const(0, "B", "2"),
+		"variable": gfd.Vars(0, "B", 0, "C"),
+	} {
+		set := gfd.NewSet(
+			gfd.MustNew("m", q5(), []gfd.Literal{gfd.Const(0, "A", "1"), behind}, []gfd.Literal{gfd.Const(0, "D", "1")}),
+			gfd.MustNew("bc", q5(), nil, []gfd.Literal{gfd.Const(0, "B", "3"), gfd.Const(0, "C", "4")}),
+			gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "1")}),
+		)
+		enf := newEnforcer(eq.New(), set)
+		offerAt0(t, enf, 0)
+		offerAt0(t, enf, 1)
+		if enf.stats.Rechecks != 0 || enf.stats.Dropped != 0 || enf.parked[0].w != 0 {
+			t.Errorf("%s: x.B and x.C are not watched, yet: %+v, watch %d", name, enf.stats, enf.parked[0].w)
+		}
+		offerAt0(t, enf, 2)
+		if enf.stats.Dropped != 1 || enf.parked[0].w != done {
+			t.Errorf("%s: the wake on x.A did not drop m: %+v, watch %d", name, enf.stats, enf.parked[0].w)
+		}
+		if constAt0(enf, "D") != "" || enf.stats.Enforcements != 2 {
+			t.Errorf("%s: m fired: %+v", name, enf.stats)
+		}
+	}
+}
+
+// TestWatchRecordsHoldNoPointers: the index's records are integers only, so
+// the collector never scans the run-long slices that hold them.
+func TestWatchRecordsHoldNoPointers(t *testing.T) {
+	for _, rec := range []any{pendingMatch{}, pendingRef{}, pendingList{}} {
+		typ := reflect.TypeOf(rec)
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			default:
+				t.Errorf("%s.%s is a %s", typ.Name(), f.Name, f.Type.Kind())
+			}
+		}
 	}
 }

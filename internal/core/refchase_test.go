@@ -448,3 +448,100 @@ func TestChunkChaseIsTermClosed(t *testing.T) {
 		}
 	}
 }
+
+// chaseInput decodes fuzz bytes into a small Σ — up to four rules over
+// patterns of one or two variables, labels a, b or the wildcard, antecedents
+// of up to three literals over attributes A–C and constants 0–1 — and an
+// order of all its matches on G_Σ, drawn from the bytes left. Spent bytes
+// read as 0, so every input decodes. It returns nil for a Σ gfd.New refuses.
+func chaseInput(data []byte) (*gfd.Set, []Match) {
+	next := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+	labels, attrs, consts := []string{"a", "b", graph.Wildcard}, []string{"A", "B", "C"}, []string{"0", "1"}
+	lits := func(n, vars int) []gfd.Literal {
+		var out []gfd.Literal
+		for ; n > 0; n-- {
+			x, a := pattern.Var(next(vars)), attrs[next(len(attrs))]
+			if next(2) == 0 {
+				out = append(out, gfd.Const(x, a, consts[next(len(consts))]))
+			} else {
+				out = append(out, gfd.Vars(x, a, pattern.Var(next(vars)), attrs[next(len(attrs))]))
+			}
+		}
+		return out
+	}
+	set := gfd.NewSet()
+	for i, n := 0, 1+next(4); i < n; i++ {
+		p := pattern.New()
+		vars := 1 + next(2)
+		for v := 0; v < vars; v++ {
+			p.AddVar(fmt.Sprintf("v%d", v), labels[next(len(labels))])
+		}
+		if vars == 2 && next(2) == 1 {
+			p.AddEdge(0, 1, "e")
+		}
+		x := lits(next(4), vars)
+		phi, err := gfd.New(fmt.Sprintf("r%d", i), p, x, lits(1+next(2), vars))
+		if err != nil {
+			return nil, nil
+		}
+		set.Add(phi)
+	}
+	g := canon.BuildSigma(set).Graph
+	var ms []Match
+	for gi, phi := range set.GFDs {
+		for _, h := range oracle.Matches(phi.Pattern, g) {
+			ms = append(ms, Match{GFD: gi, H: h})
+		}
+	}
+	for i := len(ms) - 1; i > 0; i-- {
+		j := next(i + 1)
+		ms[i], ms[j] = ms[j], ms[i]
+	}
+	return set, ms
+}
+
+// FuzzChase holds the watched chase to the reference: the matches of a
+// decoded Σ on G_Σ, offered in a decoded order, must reach the reference
+// chase's verdict and, on a satisfiable Σ, its final classes. And no wake
+// was missed: every match still parked has its watch on its first blocked
+// literal, or an impossible literal behind the watch. Its seed corpus,
+// replayed by go test, is testdata/fuzz/FuzzChase: a watch that moves onto
+// the term being drained, watches that move and matches that die, a Σ with
+// many matches, and an unsatisfiable Σ.
+func FuzzChase(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		set, ms := chaseInput(data)
+		if set == nil {
+			t.Skip("Σ refused")
+		}
+		enf := enforceMatches(set, ms)
+		sat, want := refSat(set)
+		if got := enf.conflict() == nil; got != sat {
+			t.Fatalf("satisfiable %v, reference %v\nΣ:\n%s", got, sat, set)
+		}
+		if !sat {
+			return
+		}
+		if got := enf.eq.Classes(); got != want {
+			t.Fatalf("final classes\n%s\nreference\n%s\nΣ:\n%s", got, want, set)
+		}
+		for i := range enf.parked {
+			p := &enf.parked[i]
+			if p.w == done {
+				continue
+			}
+			state, w := enf.checkX(&enf.rules[p.gi], enf.copyOf(p), 0)
+			if state != xImpossible && (state != xBlocked || w != int(p.w)) {
+				t.Fatalf("parked match %d of %s watches literal %d, but its antecedent is %v from literal %d\nΣ:\n%s", i, set.GFDs[p.gi].Name, p.w, state, w, set)
+			}
+		}
+	})
+}
