@@ -26,8 +26,9 @@
 // different codes. A subcommand accepts exactly the flags on its line above;
 // any other is a usage error.
 //
-// -timeout bounds sat, imp, and check through the engines' cooperative
-// cancellation; it needs the parallel algorithms, so it rejects -seq and
+// -seq is -p 1: the sequential algorithms are the parallel ones on one
+// worker. -timeout bounds sat, imp, and check through the engines'
+// cooperative cancellation; the baseline has none, so -timeout rejects
 // -baseline, and a negative value is a usage error, as are -p below 1 and
 // -threshold NaN.
 //
@@ -73,18 +74,12 @@ func main() {
 	case "sat":
 		workers, seq, timeout := engineFlags(fs)
 		args := parse(fs, 1)
-		checkWorkers(*workers)
-		ctx, cancel := runContext(*timeout, *seq)
+		ctx, cancel := runContext(*timeout, false)
 		defer cancel()
 		set := readSet(args[0], nil)
-		var res *core.SatResult
-		if *seq {
-			res = core.SeqSat(set)
-		} else {
-			opt := core.DefaultParOptions(*workers)
-			opt.Ctx = ctx
-			res = core.ParSat(set, opt)
-		}
+		opt := core.DefaultParOptions(engineWorkers(*workers, *seq))
+		opt.Ctx = ctx
+		res := core.ParSat(set, opt)
 		exitOnRunErr(res.Err)
 		sharingNote(res.Stats)
 		if res.Satisfiable {
@@ -97,8 +92,8 @@ func main() {
 		workers, seq, timeout := engineFlags(fs)
 		baseline := fs.Bool("baseline", false, "use the chase baseline (ParImpRDF)")
 		args := parse(fs, 2)
-		checkWorkers(*workers)
-		ctx, cancel := runContext(*timeout, *seq || *baseline)
+		p := engineWorkers(*workers, *seq)
+		ctx, cancel := runContext(*timeout, *baseline)
 		defer cancel()
 		// Σ′ is decided while Σ is parsed: the engines build only the GFDs
 		// that can match the target's pattern. The target is read first for
@@ -120,15 +115,11 @@ func main() {
 		phi := targets.GFDs[0]
 		var implied bool
 		var reason string
-		switch {
-		case *baseline:
+		if *baseline {
 			implied = rdfchase.Implies(set, phi).Implied
 			reason = "chase fixpoint"
-		case *seq:
-			r := core.SeqImp(set, phi)
-			implied, reason = r.Implied, r.Reason.String()
-		default:
-			opt := core.DefaultParOptions(*workers)
+		} else {
+			opt := core.DefaultParOptions(p)
 			opt.Ctx = ctx
 			r := core.ParImp(set, phi, opt)
 			exitOnRunErr(r.Err)
@@ -250,15 +241,21 @@ func main() {
 
 // engineFlags registers what sat and imp share.
 func engineFlags(fs *flag.FlagSet) (workers *int, seq *bool, timeout *time.Duration) {
-	return fs.Int("p", 4, "parallel workers (ignored with -seq)"),
-		fs.Bool("seq", false, "use the sequential algorithm"), timeoutFlag(fs)
+	return fs.Int("p", 4, "parallel workers; -seq is -p 1"),
+		fs.Bool("seq", false, "use the sequential algorithm (the parallel one on one worker)"), timeoutFlag(fs)
 }
 
-// checkWorkers refuses a worker count the engines would clamp to 1.
-func checkWorkers(p int) {
+// engineWorkers returns the worker count sat and imp run on: 1 under -seq,
+// since the sequential algorithms are the parallel ones on one worker, and
+// -p otherwise. It refuses a -p the engines would clamp to 1.
+func engineWorkers(p int, seq bool) int {
 	if p < 1 {
 		fatalf("-p must be at least 1, got %d", p)
 	}
+	if seq {
+		return 1
+	}
+	return p
 }
 
 func timeoutFlag(fs *flag.FlagSet) *time.Duration {
@@ -278,16 +275,16 @@ func parse(fs *flag.FlagSet, n int) []string {
 }
 
 // runContext is the context -timeout bounds the run with; zero means
-// unbounded. sequential says the flags selected an engine without
-// cooperative cancellation, which a timeout cannot bound.
-func runContext(timeout time.Duration, sequential bool) (context.Context, context.CancelFunc) {
+// unbounded. baseline says the flags selected imp's chase baseline, which
+// has no cooperative cancellation, so a timeout cannot bound it.
+func runContext(timeout time.Duration, baseline bool) (context.Context, context.CancelFunc) {
 	switch {
 	case timeout < 0:
 		fatalf("-timeout must not be negative, got %v", timeout)
 	case timeout == 0:
 		return context.Background(), func() {}
-	case sequential:
-		fatalf("-timeout needs the cooperative cancellation of the parallel algorithm; it cannot bound a sequential or baseline run")
+	case baseline:
+		fatalf("-timeout needs the engines' cooperative cancellation; it cannot bound a -baseline run")
 	}
 	return context.WithTimeout(context.Background(), timeout)
 }

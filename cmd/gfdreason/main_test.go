@@ -179,10 +179,19 @@ func TestBadTarget(t *testing.T) {
 	}
 }
 
+// TestTimeout: an expired -timeout exits 3 with no verdict. -seq is -p 1,
+// so it bounds a sequential run as it does any other.
 func TestTimeout(t *testing.T) {
-	out, errOut, code := gfdreason(t, "sat", "-timeout", "1ns", write(t, sigmaSat))
-	if code != 3 || out != "" || !strings.HasPrefix(errOut, "timeout: ") {
-		t.Errorf("sat -timeout 1ns: exit %d, stdout %q, stderr %q; want 3, no verdict, a timeout note", code, out, errOut)
+	sigma, target := write(t, sigmaSat), write(t, targetImplied)
+	for _, args := range [][]string{
+		{"sat", "-timeout", "1ns", sigma},
+		{"sat", "-seq", "-timeout", "1ns", sigma},
+		{"imp", "-seq", "-timeout", "1ns", sigma, target},
+	} {
+		out, errOut, code := gfdreason(t, args...)
+		if code != 3 || out != "" || !strings.HasPrefix(errOut, "timeout: ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 3, no verdict, a timeout note", args, code, out, errOut)
+		}
 	}
 }
 
@@ -214,7 +223,6 @@ func TestFlagsPerSubcommand(t *testing.T) {
 		{[]string{"sat", "-timeout", "-1s", sigma}, 2},
 		{[]string{"imp", "-timeout", "-1s", sigma, target}, 2},
 		{[]string{"check", "-timeout", "-1s", sigma, g}, 2},
-		{[]string{"sat", "-seq", "-timeout", "1s", sigma}, 2},
 		{[]string{"imp", "-baseline", "-timeout", "1s", sigma, target}, 2},
 		// The engines would clamp these to one worker, and NaN fails every
 		// threshold comparison, so RefreezeOpts would compact.
@@ -227,6 +235,7 @@ func TestFlagsPerSubcommand(t *testing.T) {
 		// shapes benchmark/gfdbench/workloads.go runs.
 		{[]string{"sat", "-timeout", "1m", "-p", "2", sigma}, 0},
 		{[]string{"sat", "-timeout", "1ns", "-p", "2", sigma}, 3},
+		{[]string{"sat", "-seq", "-timeout", "1s", sigma}, 0},
 		{[]string{"imp", "-p", "2", sigma, target}, 0},
 		{[]string{"imp", "-seq", sigma, target}, 0},
 		{[]string{"check", "-timeout", "1m", sigma, g}, 0},

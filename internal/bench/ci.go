@@ -399,10 +399,10 @@ func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
 	return set, core.DefaultParOptions(CIShardWorkers)
 }
 
-// EnforceWorkload builds the enforcement layer's input as SeqSat produces it:
-// a DBpedia-profile Σ of n rules (K=6, L=5, wildcard rate 0.3 — the shape of
-// the end-to-end benchmark's sat-dbpedia family) and every match of every
-// rule in G_Σ, enumerated once, in SeqSat's rule order.
+// EnforceWorkload builds the enforcement layer's input: a DBpedia-profile Σ
+// of n rules (K=6, L=5, wildcard rate 0.3 — the shape of the end-to-end
+// benchmark's sat-dbpedia family) and every match of every rule in G_Σ,
+// enumerated once per GFD, the GFDs in depgraph.OrderGFDs order.
 func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 	set := gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: seed}).Set()
 	g := canon.BuildSigma(set).Graph.Frozen()

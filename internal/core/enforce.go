@@ -1,7 +1,8 @@
 // Package core implements the paper's primary contribution: sequential and
 // parallel algorithms for the satisfiability (SeqSat/ParSat, Sections IV–V)
 // and implication (SeqImp/ParImp, Section VI) analyses of graph functional
-// dependencies.
+// dependencies. The sequential algorithms are the parallel ones on one
+// worker.
 package core
 
 import (
@@ -29,8 +30,8 @@ type Stats struct {
 	// that is still blocked is not looked at, so its match stays parked and
 	// is not counted.
 	Dropped int
-	// UnitsRun counts the searches a parallel run chased: ParSat's
-	// (group, chunk) pieces, ParImp's units.
+	// UnitsRun counts the searches a run chased: ParSat's (group, chunk)
+	// pieces, ParImp's units.
 	UnitsRun    int
 	UnitsStolen int // tasks taken from another worker's deque
 	// UnitsSplit, Broadcasts and DeltaOps are always 0: no engine splits a
@@ -114,11 +115,10 @@ type pendingList struct {
 }
 
 // enforcer owns one chase's state: the equivalence relation Eq plus the
-// inverted pending index. SeqSat and SeqImp run one enforcer, each ParSat
-// worker runs one over its own relation, and ParImp runs one over Eq_X.
-// It runs on the relation's ID surface throughout: literals arrive resolved,
-// terms are handles, and the index and the re-check queue are slices over
-// handles.
+// inverted pending index. Each ParSat worker runs one over its own
+// relation, and ParImp runs one over Eq_X. It runs on the relation's ID
+// surface throughout: literals arrive resolved, terms are handles, and the
+// index and the re-check queue are slices over handles.
 type enforcer struct {
 	eq  *eq.Eq
 	set *gfd.Set
@@ -414,10 +414,11 @@ type Match struct {
 
 // EnforceMatches runs the enforcement fixpoint over matches that were
 // enumerated beforehand, in the order given — offer then drain per match, on
-// a fresh relation, stopping at the first conflict. It is the chase of
-// SeqSat without the enumeration, which is how the bench harness times the
-// enforcement layer by itself. The assignments are read, never written; the
-// relation is sized for the nodes they name, as SeqSat's is for G_Σ.
+// a fresh relation, stopping at the first conflict. It is the chase of a
+// ParSat worker without the enumeration, which is how the bench harness
+// times the enforcement layer by itself. The assignments are read, never
+// written; the relation is sized for the nodes they name, as a worker's is
+// for G_Σ.
 func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 	enf := enforceMatches(set, ms)
 	return enf.stats, enf.conflict()

@@ -21,9 +21,8 @@ type ParOptions struct {
 	// Workers is p, the number of parallel workers (at least 1).
 	Workers int
 	// Ctx, when non-nil, cancels the run cooperatively: workers check it at
-	// task boundaries, idle workers blocked on the steal condition variable
-	// are woken, and in-flight match enumerations stop within a bounded
-	// number of frame expansions (match.Options.Ctx). A cancelled run
+	// task boundaries, and in-flight match enumerations stop within a
+	// bounded number of frame expansions (match.Options.Ctx). A cancelled run
 	// returns the stats of the work it finished plus ErrCanceled (or
 	// context.DeadlineExceeded when a deadline fired) in the result's Err
 	// field; it never leaks a goroutine. Nil runs without cancellation.
@@ -32,6 +31,10 @@ type ParOptions struct {
 	// search with the group's first member — the seam the panic-isolation
 	// tests use to detonate inside a worker.
 	testHookUnitStart func(gfd int)
+	// testHookTask, when non-nil, runs as a worker takes a ParSat task — the
+	// seam the chunking tests use to learn which worker chased which chunk,
+	// and how many chunks a run cut.
+	testHookTask func(worker int, task []unit)
 }
 
 // DefaultParOptions returns the configuration used by the experiments
@@ -94,10 +97,6 @@ type parEngine struct {
 	// planning pass (kept off ParOptions: it is engine plumbing, not an
 	// option).
 	testHookGroupPlan func(grp int)
-	// testHookTask, when non-nil, runs as a worker takes a ParSat task — the
-	// seam the term-closure test uses to learn which worker chased which
-	// chunk.
-	testHookTask func(worker int, task []unit)
 	// testHookChase, when non-nil, runs as ParImp's chase takes unit i —
 	// the seam the panic-isolation test uses to detonate in the chase.
 	testHookChase func(i int)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -323,5 +324,33 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no group has a match: the partition is not tested")
+	}
+}
+
+// TestOneWorkerChasesOneChunk pins how ParSat sizes its chunks. Chunks exist
+// only so that several workers have tasks to balance, so on a G_Σ of more
+// than chunkCopies copies one worker takes all of it as one task and two
+// workers take more than one; and SeqSat is that one-worker run, stat for
+// stat.
+func TestOneWorkerChasesOneChunk(t *testing.T) {
+	set := gen.New(gen.Config{N: 2*chunkCopies + 1, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
+	var one Stats
+	for _, p := range []int{1, 2} {
+		var tasks atomic.Int32
+		opt := DefaultParOptions(p)
+		opt.testHookTask = func(int, []unit) { tasks.Add(1) }
+		res := ParSat(set, opt)
+		if res.Err != nil || !res.Satisfiable {
+			t.Fatalf("p=%d: satisfiable %v, err %v", p, res.Satisfiable, res.Err)
+		}
+		if n := tasks.Load(); p == 1 && n != 1 || p > 1 && n < 2 {
+			t.Errorf("p=%d: %d tasks on %d copies", p, n, set.Len())
+		}
+		if p == 1 {
+			one = res.Stats
+		}
+	}
+	if seq := SeqSat(set).Stats; seq != one {
+		t.Errorf("SeqSat's stats %+v, ParSat p=1's %+v", seq, one)
 	}
 }

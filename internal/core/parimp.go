@@ -16,12 +16,12 @@ import (
 // work units — ranges of at most unitRoots of a pattern group's pivot
 // candidates, groups in dependency order with the GFDs whose antecedent Eq_X
 // subsumes first (Section VI-C(a)) — into per-unit match buffers, and one
-// chase, SeqImp's enforcer on Eq_X, consumes the buffers in unit order. It
-// stops the pool when Eq_H conflicts (the antecedent is inconsistent with
-// Σ) or deduces Y. Since the chase takes the units in order, the answer and
-// every stat but UnitsStolen are independent of the schedule. The outcome
-// equals SeqImp's on every input. Like SeqImp it runs on Σ′ (startImp), and
-// an empty Σ′ is answered before a worker exists.
+// chase on Eq_X consumes the buffers in unit order. It stops the pool when
+// Eq_H conflicts (the antecedent is inconsistent with Σ) or deduces Y.
+// Since the chase takes the units in order, the answer and every stat but
+// UnitsStolen are independent of the schedule. SeqImp is ParImp on one
+// worker. It runs on Σ′ (startImp), and an empty Σ′ is answered before a
+// worker exists.
 func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	cp, set, res := startImp(set, phi)
 	if res != nil {
@@ -31,6 +31,25 @@ func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	termsX := cp.EqX.AllTerms()
 	eng.high = func(gi int) bool { return xSubsumedByEqX(set.GFDs[gi], cp.EqX, termsX) }
 	return eng.imp(cp)
+}
+
+// startImp is the start of ParImp: it builds G^X_Q, answers the cases that
+// need no chase, and cuts Σ down to Σ′ — the GFDs whose pattern labels occur
+// in Q at all (canon.Phi.Applicable). G^X_Q is a handful of nodes and the
+// rest of Σ has no match there, so only Σ′ is grouped, ordered, planned and
+// searched. A non-nil result is the answer.
+func startImp(set *gfd.Set, phi *gfd.GFD) (*canon.Phi, *gfd.Set, *ImpResult) {
+	cp := canon.BuildPhi(phi)
+	// X inconsistent on its own (no match ever satisfies X), or Y already
+	// deducible from X (includes empty Y).
+	if cp.EqX.Conflicted() != nil || cp.YDeduced(cp.EqX) {
+		return nil, nil, &ImpResult{Implied: true, Reason: ImpliedTrivially}
+	}
+	set = cp.Applicable(set)
+	if set.Len() == 0 {
+		return nil, nil, &ImpResult{Reason: NotImplied}
+	}
+	return cp, set, nil
 }
 
 // errDeduced is the chase's report that Eq_H deduces Y. Like a conflict
@@ -133,4 +152,41 @@ func (e *parEngine) imp(cp *canon.Phi) *ImpResult {
 		return &ImpResult{Err: err, Stats: stats}
 	}
 	return &ImpResult{Reason: NotImplied, Stats: stats}
+}
+
+// xSubsumedByEqX approximates "X subsumes X_ψ": every antecedent literal of
+// ψ is deducible from Eq_X under some assignment — tested attribute-wise
+// over termsX, the terms of Eq_X (a constant literal needs some Eq_X class
+// with that constant on the same attribute; a variable literal needs a class
+// containing both attributes or an empty requirement). This is a priority
+// heuristic only; correctness does not depend on it. It is asked of every
+// GFD of Σ about a relation of a handful of terms, so it compares names and
+// resolves nothing.
+func xSubsumedByEqX(psi *gfd.GFD, ex *eq.Eq, termsX []eq.Term) bool {
+	for _, l := range psi.X {
+		ok := false
+		for _, t := range termsX {
+			if t.Attr != l.A {
+				continue
+			}
+			if l.Kind == gfd.ConstLiteral {
+				c, has := ex.Const(t)
+				ok = has && c == l.Const
+			} else {
+				for _, u := range termsX {
+					if u.Attr == l.B && u != t && ex.Same(t, u) {
+						ok = true
+						break
+					}
+				}
+			}
+			if ok {
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"slices"
 
 	"repro/internal/canon"
@@ -16,11 +17,13 @@ import (
 // nodes, so the chase on one copy of G_Σ never touches another copy's terms:
 // Eq is a disjoint union of per-copy relations. ParSat cuts the copies into
 // chunks (chunks) and hands them to the worker pool as tasks. A worker chases
-// each chunk it takes on its own relation, with SeqSat's enforcer; no worker
-// reads another's relation, so nothing is broadcast or replayed. A conflict
-// in any chunk is the answer, UNSAT, and halts the pool; quiescence is SAT,
-// and the witness model is completed from the workers' relations. The
-// outcome equals SeqSat's on every input (Church–Rosser).
+// each chunk it takes on its own relation; no worker reads another's
+// relation, so nothing is broadcast or replayed. A conflict in any chunk is
+// the answer, UNSAT, and halts the pool; quiescence is SAT, and the witness
+// model is completed from the workers' relations. The outcome does not
+// depend on p (Church–Rosser). Chunks only give several workers tasks to
+// balance, and every (group, chunk) piece pays a search set-up, so one
+// worker chases G_Σ as one chunk: that run is SeqSat.
 //
 // A disconnected pattern whose literals reach past its pivot's component
 // couples the copies its components can lie in, and coupled copies share a
@@ -30,7 +33,11 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 	if set.Len() == 0 {
 		return emptySetResult()
 	}
-	return newSatEngine(opt, set).sat(chunkCopies)
+	size := chunkCopies
+	if opt.Workers <= 1 {
+		size = math.MaxInt
+	}
+	return newSatEngine(opt, set).sat(size)
 }
 
 // newSatEngine returns the engine of ParSat on Σ: G_Σ, searched as a Frozen
@@ -42,11 +49,11 @@ func newSatEngine(opt ParOptions, set *gfd.Set) *parEngine {
 	return eng
 }
 
-// chunkCopies is how many of G_Σ's copies a ParSat task covers. Every
-// (group, chunk) piece pays a search set-up and its root frame, so small
-// chunks lose: on the sat-dbpedia Σ, p = 2 took 74 ms at 16 copies a task
-// against 55 at 200. Cuts of 200 to 800 measured the same (DESIGN.md, "Work
-// units"); the shortest leaves the pool the most tasks to balance.
+// chunkCopies is how many of G_Σ's copies a ParSat task covers at p ≥ 2.
+// Every (group, chunk) piece pays a search set-up and its root frame, so
+// small chunks lose: on the sat-dbpedia Σ, p = 2 took 74 ms at 16 copies a
+// task against 55 at 200. Cuts of 200 to 800 measured the same (DESIGN.md,
+// "Work units"); the shortest leaves the pool the most tasks to balance.
 const chunkCopies = 200
 
 // sat runs ParSat's chase over chunks of size copies on e, the planned
@@ -65,7 +72,7 @@ func (e *parEngine) sat(size int) *SatResult {
 		enfs[i] = newEnforcer(rel, e.set)
 	}
 	err := pl.run(tasks, func(w int, task []unit) error {
-		if h := e.testHookTask; h != nil {
+		if h := e.opt.testHookTask; h != nil {
 			h(w, task)
 		}
 		enf := enfs[w]

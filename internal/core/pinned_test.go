@@ -18,7 +18,8 @@ import (
 // run that stops at the goal does the same work at every p. A ParSat unit is
 // a group's part of one chunk of G_Σ's copies: this Σ's 200 copies make one
 // chunk, so its units column counts the groups that have pivot candidates
-// (186; it read 202 while ParSat cut ParImp's ranges).
+// (186; it read 202 while ParSat cut ParImp's ranges). SeqSat and SeqImp
+// are ParSat and ParImp on one worker, so their rows equal p = 1's.
 func TestEngineCountsPinned(t *testing.T) {
 	gr := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1})
 	set := gr.Set()
@@ -36,17 +37,17 @@ func TestEngineCountsPinned(t *testing.T) {
 	if r := SeqSat(set); !r.Satisfiable {
 		t.Error("SeqSat: Σ reported unsatisfiable")
 	} else {
-		check("SeqSat", r.Stats, 3696, 1290, 0)
+		check("SeqSat", r.Stats, 3696, 1290, 186)
 	}
 	if r := SeqImp(set, nonImplied); r.Implied {
 		t.Errorf("SeqImp: non-implied target reported implied (%v)", r.Reason)
 	} else {
-		check("SeqImp non-implied", r.Stats, 44, 5, 0)
+		check("SeqImp non-implied", r.Stats, 44, 5, 15)
 	}
 	if r := SeqImp(set, implied); r.Reason != ImpliedByDeduction {
 		t.Errorf("SeqImp: implied target: %v", r.Reason)
 	} else {
-		check("SeqImp implied", r.Stats, 1, 1, 0)
+		check("SeqImp implied", r.Stats, 1, 1, 1)
 	}
 	for _, p := range []int{1, 2, 4} {
 		opt := DefaultParOptions(p)

@@ -422,9 +422,10 @@ func TestChunkChaseIsTermClosed(t *testing.T) {
 	for name, set := range sets {
 		for _, p := range []int{2, 4} {
 			for rep := 0; rep < 5; rep++ {
-				eng := newSatEngine(DefaultParOptions(p), set)
+				opt := DefaultParOptions(p)
 				roots := make([][]graph.NodeID, p) // per worker, a root of each task it ran
-				eng.testHookTask = func(w int, task []unit) { roots[w] = append(roots[w], task[0].roots[0]) }
+				opt.testHookTask = func(w int, task []unit) { roots[w] = append(roots[w], task[0].roots[0]) }
+				eng := newSatEngine(opt, set)
 				res := eng.sat(1)
 				if res.Err != nil || !res.Satisfiable {
 					t.Fatalf("%s, p=%d: satisfiable %v, err %v", name, p, res.Satisfiable, res.Err)

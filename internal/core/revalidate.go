@@ -29,8 +29,8 @@ type RevalidateOptions struct {
 	// from peer backs); <= 1 is one worker.
 	Workers int
 	// Ctx, when non-nil, cancels the revalidation cooperatively: checked
-	// between groups, inside each group's re-enumeration (match.Options.Ctx),
-	// and by condvar-blocked idle workers. A cancelled call returns
+	// between groups and inside each group's re-enumeration
+	// (match.Options.Ctx). A cancelled call returns
 	// ErrCanceled (or the context's deadline error) with the stats of the
 	// work it finished; the violations slice is meaningless then. Nil runs
 	// without cancellation.

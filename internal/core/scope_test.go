@@ -43,8 +43,8 @@ func scopeSigma() *gfd.Set {
 
 // TestScopedSigmaMatchesFull pins matching on G_Σ scoped to the GFD copies
 // that can host a pattern (canon.Sigma.Scope) to the unscoped definition:
-// for every GFD, SeqSat's search enumerates the matches a search rooted in
-// the whole label index does, in the same order; for every pattern group,
+// for every GFD, a search whose root draws on its scope enumerates the
+// matches a search rooted in the whole label index does, in the same order; for every pattern group,
 // the simulation equals oracle.Simulation and every node of sim(v) lies in
 // v's scope, the condition under which a simulation seeded from the scope
 // equals the full one. (ParSat's units, cut from the scope,
@@ -69,7 +69,9 @@ func TestScopedSigmaMatchesFull(t *testing.T) {
 		matches := 0
 		for _, phi := range set.GFDs {
 			var scoped []match.Assignment
-			if s := sigmaSearch(cs, phi.Pattern, g); s != nil {
+			order := match.DefaultOrder(phi.Pattern)
+			if scope, ok := cs.Scope(phi.Pattern, order[0]); ok {
+				s := match.NewSearch(phi.Pattern, g, match.Options{Order: order, RootCandidates: scope[order[0]]})
 				for h, ok := s.Next(); ok; h, ok = s.Next() {
 					scoped = append(scoped, h.Clone())
 				}

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"repro/internal/canon"
-	"repro/internal/depgraph"
 	"repro/internal/eq"
 	"repro/internal/gfd"
 	"repro/internal/graph"
-	"repro/internal/match"
-	"repro/internal/pattern"
 )
 
 // SatResult reports the outcome of a satisfiability check.
@@ -17,7 +13,7 @@ type SatResult struct {
 	// distinct constants.
 	Conflict *eq.Conflict
 	Stats    Stats
-	// Err is non-nil when a parallel run ended before reaching an answer:
+	// Err is non-nil when a run ended before reaching an answer:
 	// ErrCanceled or the context's deadline error after ParOptions.Ctx
 	// fired, or a *PanicError when a worker panicked. Satisfiable and
 	// Conflict are meaningless then, and there is no model; Stats covers the
@@ -25,8 +21,8 @@ type SatResult struct {
 	Err error
 
 	// What Model is built from on first call: G_Σ, the final relations
-	// (one for SeqSat, one per worker for ParSat) and Σ (for its reserved
-	// constants) — or, once built, the model itself.
+	// (one per worker) and Σ (for its reserved constants) — or, once built,
+	// the model itself.
 	witness struct {
 		g     *graph.Graph
 		eqs   []*eq.Eq
@@ -73,50 +69,8 @@ func (r *SatResult) Model() *graph.Graph {
 // the equivalence relation Eq with Rules 1 and 2 and parking matches whose
 // antecedents are not yet instantiated in an inverted index — and reports
 // unsatisfiable exactly when a class is forced to two distinct constants.
-// It terminates early on the first conflict.
+// It terminates early on the first conflict. It is ParSat on one worker,
+// which chases all of G_Σ as one chunk.
 func SeqSat(set *gfd.Set) *SatResult {
-	if set.Len() == 0 {
-		return emptySetResult()
-	}
-	cs := canon.BuildSigma(set)
-	g := cs.Graph.Frozen() // G_Σ is searched as a Frozen
-	e := eq.New()
-	e.Reserve(int(cs.Offset[set.Len()])) // G_Σ's node count
-	enf := newEnforcer(e, set)
-
-	// Process GFDs of the form Q[x̄](∅→Y) first, then follow the interaction
-	// order; the pending index makes the result order-independent
-	// (Church–Rosser), ordering just reduces re-checks.
-	order := depgraph.OrderGFDs(set)
-	for _, gi := range order {
-		s := sigmaSearch(cs, set.GFDs[gi].Pattern, g)
-		for s != nil {
-			h, ok := s.Next()
-			if !ok {
-				break
-			}
-			if !enf.offer(gi, h) || !enf.drain() {
-				return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
-			}
-		}
-	}
-	if !enf.drain() {
-		return &SatResult{Satisfiable: false, Conflict: enf.conflict(), Stats: enf.stats}
-	}
-	return satisfiable(cs.Graph, []*eq.Eq{enf.eq}, set, enf.stats)
-}
-
-// sigmaSearch returns the search SeqSat runs for p on g, the Frozen of cs:
-// the default order, with the root variable drawing only on the nodes of the
-// GFD copies that can host its component (canon.Sigma.Scope). The matches
-// and their order are those of a search rooted in the whole label index,
-// whose other roots lead nowhere. It returns nil when p has no match in G_Σ
-// because some component has no host.
-func sigmaSearch(cs *canon.Sigma, p *pattern.Pattern, g *graph.Frozen) *match.Search {
-	order := match.DefaultOrder(p)
-	scope, ok := cs.Scope(p, order[0])
-	if !ok {
-		return nil
-	}
-	return match.NewSearch(p, g, match.Options{Order: order, RootCandidates: scope[order[0]]})
+	return ParSat(set, DefaultParOptions(1))
 }
