@@ -4,24 +4,12 @@
 package depgraph
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"repro/internal/gfd"
 )
-
-// attrs lists the attribute names a literal list mentions, both sides of a
-// variable literal included.
-func attrs(ls []gfd.Literal) []string {
-	var out []string
-	for _, l := range ls {
-		out = append(out, l.A)
-		if l.Kind == gfd.VarLiteral {
-			out = append(out, l.B)
-		}
-	}
-	return out
-}
 
 // OrderGFDs returns the indexes of Σ in enforcement order: GFDs with empty
 // antecedents first (they seed the initial attribute batch), then a
@@ -31,7 +19,8 @@ func attrs(ls []gfd.Literal) []string {
 // Instead of materializing the quadratic GFD×GFD graph, the order is
 // computed on the bipartite graph GFD → written-attribute → reading-GFD
 // (variable labels ignored — a sound coarsening: it only adds edges), which
-// is O(|Σ|·l) in size.
+// is O(|Σ|·l) in size. A variable literal writes or reads both of its
+// attributes.
 func OrderGFDs(set *gfd.Set) []int {
 	n := set.Len()
 	// Attribute node ids start at n.
@@ -44,39 +33,59 @@ func OrderGFDs(set *gfd.Set) []int {
 		attrID[a] = v
 		return v
 	}
-	type edge struct{ from, to int }
 	var edges []edge
 	for i, g := range set.GFDs {
-		for _, a := range attrs(g.Y) {
-			edges = append(edges, edge{i, id(a)})
+		for _, l := range g.Y {
+			edges = append(edges, edge{i, id(l.A)})
+			if l.Kind == gfd.VarLiteral {
+				edges = append(edges, edge{i, id(l.B)})
+			}
 		}
-		for _, a := range attrs(g.X) {
-			edges = append(edges, edge{id(a), i})
+		for _, l := range g.X {
+			edges = append(edges, edge{id(l.A), i})
+			if l.Kind == gfd.VarLiteral {
+				edges = append(edges, edge{id(l.B), i})
+			}
 		}
 	}
-	total := n + len(attrID)
-	adj := make([][]int, total)
-	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-	}
-	full := topoSCC(total, adj)
+	full := topoSCC(n+len(attrID), adjacency(n+len(attrID), edges))
+	// Stable-partition the GFD nodes: empty antecedents to the front,
+	// keeping the topological order within each part.
 	order := make([]int, 0, n)
 	for _, v := range full {
-		if v < n {
+		if v < n && len(set.GFDs[v].X) == 0 {
 			order = append(order, v)
 		}
 	}
-	// Stable-partition: empty-antecedent GFDs to the front, preserving the
-	// topological order within each part.
-	var front, back []int
-	for _, i := range order {
-		if len(set.GFDs[i].X) == 0 {
-			front = append(front, i)
-		} else {
-			back = append(back, i)
+	for _, v := range full {
+		if v < n && len(set.GFDs[v].X) > 0 {
+			order = append(order, v)
 		}
 	}
-	return append(front, back...)
+	return order
+}
+
+type edge struct{ from, to int }
+
+// adjacency groups edges by source: adj[u] lists u's targets in edge order,
+// every row a slice of one shared array.
+func adjacency(n int, edges []edge) [][]int {
+	start := make([]int, n+1)
+	for _, e := range edges {
+		start[e.from+1]++
+	}
+	for u := range n {
+		start[u+1] += start[u]
+	}
+	flat := make([]int, len(edges))
+	adj := make([][]int, n)
+	for u := range adj {
+		adj[u] = flat[start[u]:start[u]:start[u+1]]
+	}
+	for _, e := range edges {
+		adj[e.from] = append(adj[e.from], e.to)
+	}
+	return adj
 }
 
 // topoSCC returns a topological order of the condensation of the directed
@@ -85,67 +94,63 @@ func topoSCC(n int, adj [][]int) []int {
 	comp := tarjan(n, adj)
 	nc := 0
 	for _, c := range comp {
-		if c+1 > nc {
-			nc = c + 1
-		}
+		nc = max(nc, c+1)
 	}
-	// Component DAG.
-	cadj := make([]map[int]bool, nc)
-	indeg := make([]int, nc)
-	for i := range cadj {
-		cadj[i] = make(map[int]bool)
-	}
-	for u := 0; u < n; u++ {
+	// Component DAG, sorted and compacted so each edge counts once.
+	var cedges []edge
+	members := make([]edge, n)
+	for u := range n {
 		for _, v := range adj[u] {
-			if comp[u] != comp[v] && !cadj[comp[u]][comp[v]] {
-				cadj[comp[u]][comp[v]] = true
-				indeg[comp[v]]++
+			if comp[u] != comp[v] {
+				cedges = append(cedges, edge{comp[u], comp[v]})
 			}
 		}
+		members[u] = edge{comp[u], u}
 	}
-	members := make([][]int, nc)
-	for i := 0; i < n; i++ {
-		members[comp[i]] = append(members[comp[i]], i)
+	slices.SortFunc(cedges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	})
+	cedges = slices.Compact(cedges)
+	cadj := adjacency(nc, cedges)
+	indeg := make([]int, nc)
+	for _, e := range cedges {
+		indeg[e.to]++
 	}
-	for _, m := range members {
-		sort.Ints(m)
-	}
-	// Kahn with a min-heap keyed by each component's smallest member, for a
-	// deterministic order without re-sorting per pop.
-	h := &compHeap{members: members}
-	for c := 0; c < nc; c++ {
+	// Each component's members, ascending: nodes are filed in index order.
+	byComp := adjacency(nc, members)
+	// Kahn with a min-heap of each ready component's smallest member (comp
+	// maps it back), for a deterministic order without re-sorting per pop.
+	h := &intHeap{}
+	for c := range nc {
 		if indeg[c] == 0 {
-			heap.Push(h, c)
+			heap.Push(h, byComp[c][0])
 		}
 	}
-	var order []int
+	order := make([]int, 0, n)
 	for h.Len() > 0 {
-		c := heap.Pop(h).(int)
-		order = append(order, members[c]...)
-		for d := range cadj[c] {
+		c := comp[heap.Pop(h).(int)]
+		order = append(order, byComp[c]...)
+		for _, d := range cadj[c] {
 			indeg[d]--
 			if indeg[d] == 0 {
-				heap.Push(h, d)
+				heap.Push(h, byComp[d][0])
 			}
 		}
 	}
 	return order
 }
 
-// compHeap orders component ids by their smallest member index.
-type compHeap struct {
-	items   []int
-	members [][]int
-}
+// intHeap is a min-heap of node indexes.
+type intHeap []int
 
-func (h *compHeap) Len() int           { return len(h.items) }
-func (h *compHeap) Less(i, j int) bool { return h.members[h.items[i]][0] < h.members[h.items[j]][0] }
-func (h *compHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *compHeap) Push(x interface{}) { h.items = append(h.items, x.(int)) }
-func (h *compHeap) Pop() interface{} {
-	n := len(h.items)
-	v := h.items[n-1]
-	h.items = h.items[:n-1]
+func (h intHeap) Len() int           { return len(h) }
+func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *intHeap) Pop() any {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return v
 }
 

@@ -15,9 +15,11 @@ type Group struct {
 	Members []int
 }
 
-// Groups buckets Σ by pattern structure: fingerprint first, then the full
-// structural-equality check behind the hash, so a 64-bit collision can
-// never merge two patterns that differ. Groups are ordered by their first
+// Groups buckets Σ by positional pattern structure: the fingerprint, which
+// hashes exactly what pattern.StructuralEqual compares, picks the bucket,
+// and StructuralEqual behind the hash confirms it, so a 64-bit collision
+// can never merge two patterns that differ. A renumbered isomorphic
+// pattern is another structure and opens another group. Groups are ordered by their first
 // member's position in Σ and members stay in Σ order, keeping every
 // grouped evaluation's output order derivable from Σ alone.
 func (s *Set) Groups() []Group {

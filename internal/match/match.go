@@ -135,8 +135,7 @@ func resolveVars(p *pattern.Pattern, g *graph.Frozen) []varIndex {
 
 // Options configures a Search.
 type Options struct {
-	// Order is the variable order; defaults to the concatenation of
-	// pattern.MatchOrder over all components.
+	// Order is the variable order; defaults to DefaultOrder.
 	Order []pattern.Var
 	// RootCandidates, when non-nil, is the base candidate list for the first
 	// open variable in Order, replacing the graph's label index for that one
@@ -170,13 +169,15 @@ type Options struct {
 // bound on extra work a cancelled enumeration performs before returning.
 const ctxCheckEvery = 256
 
-// DefaultOrder returns a connectivity-respecting order over all components.
+// DefaultOrder returns a connectivity-respecting order over all components:
+// the pivot order from the first component's first variable, so each
+// component starts at its smallest variable.
 func DefaultOrder(p *pattern.Pattern) []pattern.Var {
-	var order []pattern.Var
-	for _, comp := range p.Components() {
-		order = append(order, p.MatchOrder(comp[0])...)
+	comps := p.Components()
+	if len(comps) == 0 {
+		return nil
 	}
-	return order
+	return p.PivotOrder(comps[0][0])
 }
 
 // NewSearch builds a search over r's snapshot (graph.Reader.Snapshot): a

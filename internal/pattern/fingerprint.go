@@ -1,15 +1,17 @@
-// Canonical structural fingerprints: the foundation of shared multi-GFD
+// Positional structural fingerprints: the foundation of shared multi-GFD
 // evaluation. A rule set Σ is heavily redundant in practice — many GFDs
 // carry one pattern (same Q, different X → Y) — and the sharing layers
 // (gfd.Set.Groups, the fingerprint-keyed PlanCache) need a cheap structural
 // identity that does not depend on pointer identity or variable names.
 //
-// Fingerprint hashes labels + topology under a canonical variable order
-// derived by color refinement (1-WL), so structurally equal patterns always
-// collide and most isomorphic re-numberings do too. The hash is only a
-// bucket key: every consumer confirms candidates with StructuralEqual, the
-// full positional check, so a 64-bit collision can never merge two patterns
-// that differ.
+// Fingerprint hashes what StructuralEqual compares — the label at each
+// variable index and the multiset of edges between indexes — so
+// structurally equal patterns always collide. It does not canonicalize the
+// variable order: a renumbered isomorphic copy is another structure to
+// every consumer, since a match of one is not index for index a match of
+// the other. The hash is only a bucket key: every consumer confirms
+// candidates with StructuralEqual, so a 64-bit collision can never merge
+// two patterns that differ.
 package pattern
 
 import "sort"
@@ -40,116 +42,37 @@ func fnvUint(h, v uint64) uint64 {
 	return h
 }
 
-// Fingerprint returns the canonical structural hash of the pattern: node
-// labels and edge topology under a canonical variable order, independent of
-// variable names and declaration order for most patterns (color refinement
-// cannot split every symmetry, so some isomorphic pairs land in different
-// buckets — a missed sharing opportunity, never an error). Two structurally
-// equal patterns (see StructuralEqual) always have equal fingerprints. The
-// value is computed once and cached; Fingerprint freezes the pattern.
+// Fingerprint returns the positional structural hash of the pattern: the
+// variable count, the label at each index and the multiset of (from, to,
+// label) edges — exactly what StructuralEqual compares, so structurally
+// equal patterns always collide. Variable names and edge order do not enter
+// it (the edges go in as an order-independent sum of mixed per-edge
+// hashes); a renumbered isomorphic copy is not StructuralEqual and in
+// general hashes apart. Fingerprint reads only the declared variables and
+// edges: it allocates nothing, caches nothing and does not freeze p.
 func (p *Pattern) Fingerprint() uint64 {
-	p.fpOnce.Do(func() { p.fp = p.computeFingerprint() })
-	return p.fp
-}
-
-func (p *Pattern) computeFingerprint() uint64 {
-	p.Freeze()
-	n := len(p.names)
-	rank := p.canonicalRank()
-
-	h := uint64(fnvOffset64)
-	h = fnvUint(h, uint64(n))
+	h := fnvUint(fnvOffset64, uint64(len(p.names)))
+	for _, l := range p.labels {
+		h = fnvString(h, l)
+	}
+	var edges uint64
+	for _, e := range p.edges {
+		eh := fnvUint(fnvOffset64, uint64(e.From))
+		eh = fnvUint(eh, uint64(e.To))
+		edges += mix64(fnvString(eh, e.Label))
+	}
 	h = fnvUint(h, uint64(len(p.edges)))
-	// Labels in canonical order.
-	inv := make([]Var, n)
-	for v, r := range rank {
-		inv[r] = Var(v)
-	}
-	for _, v := range inv {
-		h = fnvString(h, p.labels[v])
-	}
-	// Edges as a sorted multiset of canonical (from, to, label) triples.
-	type cEdge struct {
-		from, to int
-		label    string
-	}
-	ces := make([]cEdge, len(p.edges))
-	for i, e := range p.edges {
-		ces[i] = cEdge{from: rank[e.From], to: rank[e.To], label: e.Label}
-	}
-	sort.Slice(ces, func(i, j int) bool {
-		a, b := ces[i], ces[j]
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		if a.to != b.to {
-			return a.to < b.to
-		}
-		return a.label < b.label
-	})
-	for _, e := range ces {
-		h = fnvUint(h, uint64(e.from))
-		h = fnvUint(h, uint64(e.to))
-		h = fnvString(h, e.label)
-	}
-	return h
+	return fnvUint(h, edges)
 }
 
-// canonicalRank computes a canonical position for every variable via color
-// refinement: colors start as label hashes and are iteratively refined by
-// the sorted multiset of (direction, edge label, neighbor color) signatures.
-// The final ranking sorts by refined color with the declaration index as a
-// deterministic tie-break, so identical structures rank identically while
-// the tie-break keeps the result total.
-func (p *Pattern) canonicalRank() []int {
-	n := len(p.names)
-	colors := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		colors[v] = fnvString(fnvOffset64, p.labels[v])
-	}
-	next := make([]uint64, n)
-	sigs := make([]uint64, 0, 8)
-	// n rounds propagate information across the longest possible path.
-	for round := 0; round < n; round++ {
-		for v := 0; v < n; v++ {
-			sigs = sigs[:0]
-			for _, e := range p.out[v] {
-				s := fnvUint(fnvOffset64, 1)
-				s = fnvString(s, e.Label)
-				s = fnvUint(s, colors[e.To])
-				sigs = append(sigs, s)
-			}
-			for _, e := range p.in[v] {
-				s := fnvUint(fnvOffset64, 2)
-				s = fnvString(s, e.Label)
-				s = fnvUint(s, colors[e.From])
-				sigs = append(sigs, s)
-			}
-			sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
-			h := fnvUint(fnvOffset64, colors[v])
-			for _, s := range sigs {
-				h = fnvUint(h, s)
-			}
-			next[v] = h
-		}
-		copy(colors, next)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if colors[a] != colors[b] {
-			return colors[a] < colors[b]
-		}
-		return a < b
-	})
-	rank := make([]int, n)
-	for r, v := range idx {
-		rank[v] = r
-	}
-	return rank
+// mix64 is the splitmix64 finalizer: it spreads every input bit over the
+// word, so summing per-edge hashes does not let low-bit patterns cancel.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // StructuralEqual reports whether two patterns are positionally identical:

@@ -6,11 +6,9 @@ package pattern
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -36,24 +34,16 @@ type Pattern struct {
 	names  []string // variable names, e.g. "x", "y"
 	labels []string // node labels, graph.Wildcard allowed
 	edges  []Edge
-	byName map[string]Var
 
 	frozen     bool
 	out        [][]Edge
 	in         [][]Edge
 	components [][]Var           // connected components (undirected), each sorted
 	sigs       []graph.Signature // per-var adjacency requirement for pruning
-
-	// fp caches Fingerprint (immutable once frozen; the Once makes the
-	// lazy computation safe under concurrent first calls).
-	fpOnce sync.Once
-	fp     uint64
 }
 
 // New returns an empty pattern.
-func New() *Pattern {
-	return &Pattern{byName: make(map[string]Var)}
-}
+func New() *Pattern { return &Pattern{} }
 
 // AddVar declares a pattern variable with the given name and node label and
 // returns it. Names must be unique within the pattern.
@@ -61,13 +51,12 @@ func (p *Pattern) AddVar(name, label string) Var {
 	if p.frozen {
 		panic("pattern: AddVar after freeze")
 	}
-	if _, dup := p.byName[name]; dup {
+	if p.VarByName(name) != InvalidVar {
 		panic(fmt.Sprintf("pattern: duplicate variable %q", name))
 	}
 	v := Var(len(p.names))
 	p.names = append(p.names, name)
 	p.labels = append(p.labels, label)
-	p.byName[name] = v
 	return v
 }
 
@@ -86,7 +75,6 @@ func (p *Pattern) Reset() {
 		panic("pattern: Reset after freeze")
 	}
 	p.names, p.labels, p.edges = p.names[:0], p.labels[:0], p.edges[:0]
-	clear(p.byName)
 }
 
 // Clone returns an unfrozen copy of p's variables and edges, each slice at
@@ -96,14 +84,16 @@ func (p *Pattern) Clone() *Pattern {
 		names:  slices.Clone(p.names),
 		labels: slices.Clone(p.labels),
 		edges:  slices.Clone(p.edges),
-		byName: maps.Clone(p.byName),
 	}
 }
 
-// VarByName returns the variable with the given name, or InvalidVar.
+// VarByName returns the variable with the given name, or InvalidVar. It
+// scans the names: a pattern has a handful of variables.
 func (p *Pattern) VarByName(name string) Var {
-	if v, ok := p.byName[name]; ok {
-		return v
+	for i, n := range p.names {
+		if n == name {
+			return Var(i)
+		}
 	}
 	return InvalidVar
 }
@@ -217,20 +207,33 @@ func (p *Pattern) AsGraph() *graph.Graph {
 	return g
 }
 
-// MatchOrder returns a connectivity-respecting variable ordering for
-// backtracking search within a component, starting at start: each subsequent
-// variable is adjacent to an earlier one when possible (so candidate sets
-// stay constrained). Variables outside start's component are excluded.
-func (p *Pattern) MatchOrder(start Var) []Var {
+// PivotOrder returns the full variable ordering for a search pivoted at
+// pv: pv's component first (starting at pv), then each remaining component
+// in component order, each from its smallest variable. Within a component
+// the order respects connectivity: each subsequent variable is adjacent to
+// an earlier one when possible (so candidate sets stay constrained). This
+// is the plan-extraction companion of Pivot — the parallel engines' work
+// units and compiled match plans both order their searches with it.
+func (p *Pattern) PivotOrder(pv Var) []Var {
 	p.Freeze()
-	comp := p.componentOf(start)
-	inComp := make(map[Var]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
+	placed := make([]bool, len(p.names))
+	order := p.appendMatchOrder(make([]Var, 0, len(p.names)), placed, p.componentOf(pv), pv)
+	for _, comp := range p.components {
+		if !placed[comp[0]] {
+			order = p.appendMatchOrder(order, placed, comp, comp[0])
+		}
 	}
-	order := []Var{start}
-	placed := map[Var]bool{start: true}
-	for len(order) < len(comp) {
+	return order
+}
+
+// appendMatchOrder appends comp's variables to order from start and marks
+// each in placed. Edges stay inside a component, so marks left by other
+// components never change a score, and one placed slice serves every
+// component of a pattern.
+func (p *Pattern) appendMatchOrder(order []Var, placed []bool, comp []Var, start Var) []Var {
+	order = append(order, start)
+	placed[start] = true
+	for range len(comp) - 1 {
 		// Pick the unplaced in-component variable with the most placed
 		// neighbors (most constrained), ties toward lower index.
 		best, bestScore := InvalidVar, -1
@@ -255,26 +258,6 @@ func (p *Pattern) MatchOrder(start Var) []Var {
 		}
 		order = append(order, best)
 		placed[best] = true
-	}
-	return order
-}
-
-// PivotOrder returns the full variable ordering for a search pivoted at
-// pv: pv's component first (starting at pv), then each remaining component
-// in component order. This is the plan-extraction companion of Pivot —
-// the parallel engines' work units and compiled match plans both order
-// their searches with it.
-func (p *Pattern) PivotOrder(pv Var) []Var {
-	p.Freeze()
-	order := p.MatchOrder(pv)
-	seen := make(map[Var]bool, len(order))
-	for _, v := range order {
-		seen[v] = true
-	}
-	for _, comp := range p.components {
-		if !seen[comp[0]] {
-			order = append(order, p.MatchOrder(comp[0])...)
-		}
 	}
 	return order
 }

@@ -134,7 +134,7 @@ func TestPivotOnePerComponent(t *testing.T) {
 
 func TestMatchOrderConnectivity(t *testing.T) {
 	p := vee()
-	order := p.MatchOrder(p.VarByName("z"))
+	order := p.PivotOrder(p.VarByName("z"))
 	if len(order) != 3 || order[0] != p.VarByName("z") {
 		t.Fatalf("order = %v", order)
 	}
