@@ -10,8 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gfd"
 	"repro/internal/gfdio"
 	"repro/internal/graph"
+	"repro/internal/match"
 )
 
 // bin is the gfdreason binary TestMain builds once for every test here.
@@ -32,6 +35,24 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// TestViolationLine holds check's line writer to the fmt rendering it
+// replaced, on matches of every length from 0 to 4.
+func TestViolationLine(t *testing.T) {
+	ids := []graph.NodeID{0, 7, 10, 99999, 1<<31 - 1}
+	for _, name := range []string{"g", "rule_17", "φ-ü"} {
+		for n := 0; n <= 4; n++ {
+			v := core.Violation{GFD: &gfd.GFD{Name: name}, Match: match.Assignment(ids[len(ids)-n:])}
+			if n == 0 {
+				v.Match = nil
+			}
+			want := fmt.Sprintf("violation of %s at %v\n", v.GFD.Name, v.Match)
+			if got := string(appendViolation([]byte("stale"), v)[len("stale"):]); got != want {
+				t.Errorf("appendViolation = %q, want %q", got, want)
+			}
+		}
+	}
 }
 
 // Inputs small enough to decide by eye.

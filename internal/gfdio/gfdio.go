@@ -23,8 +23,10 @@ package gfdio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,59 +49,68 @@ func ReadFrozenGraph(r io.Reader) (*graph.Frozen, error) {
 	return b.Freeze(), nil
 }
 
-// readGraphInto parses the graph format into any build target.
+// readGraphInto parses the graph format into any build target. Each line is
+// split in place in the scanner's buffer, and strings are made only for
+// what the graph keeps, labels and attribute names and values, once per
+// distinct string.
 func readGraphInto(r io.Reader, g graph.Sink) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	strs := make(map[string]string)
+	str := func(s []byte) string {
+		if v, ok := strs[string(s)]; ok {
+			return v
+		}
+		v := string(s)
+		strs[v] = v
+		return v
+	}
+	var fields [][]byte
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		fields = splitFields(fields[:0], sc.Bytes(), math.MaxInt)
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "node":
 			if len(fields) < 3 {
 				return fmt.Errorf("line %d: node needs id and label", lineNo)
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := strconv.Atoi(string(fields[1]))
 			if err != nil {
 				return fmt.Errorf("line %d: bad node id %q", lineNo, fields[1])
 			}
 			if id != g.NumNodes() {
 				return fmt.Errorf("line %d: node ids must be dense and ordered; got %d, want %d", lineNo, id, g.NumNodes())
 			}
-			nid := g.AddNode(fields[2])
+			nid := g.AddNode(str(fields[2]))
 			for _, kv := range fields[3:] {
-				eq := strings.IndexByte(kv, '=')
+				eq := bytes.IndexByte(kv, '=')
 				if eq <= 0 {
 					return fmt.Errorf("line %d: bad attribute %q", lineNo, kv)
 				}
-				g.SetAttr(nid, kv[:eq], kv[eq+1:])
+				g.SetAttr(nid, str(kv[:eq]), str(kv[eq+1:]))
 			}
 		case "edge":
 			if len(fields) != 4 {
 				return fmt.Errorf("line %d: edge needs from, to, label", lineNo)
 			}
-			from, err1 := strconv.Atoi(fields[1])
-			to, err2 := strconv.Atoi(fields[2])
+			from, err1 := strconv.Atoi(string(fields[1]))
+			to, err2 := strconv.Atoi(string(fields[2]))
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("line %d: bad edge endpoints", lineNo)
 			}
 			if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() {
 				return fmt.Errorf("line %d: edge endpoint out of range", lineNo)
 			}
-			g.AddEdge(graph.NodeID(from), graph.NodeID(to), fields[3])
+			g.AddEdge(graph.NodeID(from), graph.NodeID(to), str(fields[3]))
 		default:
 			return fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return nil
+	return sc.Err()
 }
 
 // WriteGraph emits the graph format from any representation. It writes only
@@ -110,6 +121,9 @@ func readGraphInto(r io.Reader, g graph.Sink) error {
 func WriteGraph(w io.Writer, g graph.Reader) error {
 	bw := bufio.NewWriter(w)
 	alive, _ := g.(interface{ Alive(graph.NodeID) bool })
+	// Each line is built in one reused buffer, without fmt: a graph has a
+	// line per node and per edge.
+	var line []byte
 	for i := 0; i < g.NumNodes(); i++ {
 		id := graph.NodeID(i)
 		if alive != nil && !alive.Alive(id) {
@@ -118,7 +132,8 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 		if !isField(g.Label(id)) {
 			return fmt.Errorf("gfdio: node %d: label %q is empty or contains whitespace", i, g.Label(id))
 		}
-		fmt.Fprintf(bw, "node %d %s", i, g.Label(id))
+		line = strconv.AppendInt(append(line[:0], "node "...), int64(i), 10)
+		line = append(append(line, ' '), g.Label(id)...)
 		attrs := g.Attrs(id)
 		keys := make([]string, 0, len(attrs))
 		for k := range attrs {
@@ -132,9 +147,9 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 			if strings.ContainsFunc(attrs[k], unicode.IsSpace) {
 				return fmt.Errorf("gfdio: node %d: value %q of attribute %s contains whitespace", i, attrs[k], k)
 			}
-			fmt.Fprintf(bw, " %s=%s", k, attrs[k])
+			line = append(append(append(append(line, ' '), k...), '='), attrs[k]...)
 		}
-		bw.WriteByte('\n')
+		bw.Write(append(line, '\n'))
 	}
 	// Edge lists repeat few labels, in runs: a label equal to the last one
 	// found writable is not scanned again ("" never is, so it starts there).
@@ -147,7 +162,9 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 				}
 				checked = e.Label
 			}
-			fmt.Fprintf(bw, "edge %d %d %s\n", e.From, e.To, e.Label)
+			line = strconv.AppendInt(append(line[:0], "edge "...), int64(e.From), 10)
+			line = strconv.AppendInt(append(line, ' '), int64(e.To), 10)
+			bw.Write(append(append(append(line, ' '), e.Label...), '\n'))
 		}
 	}
 	return bw.Flush()
@@ -212,7 +229,7 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := splitFields(line, &buf)
+		fields := splitFields(buf[:0], line, len(buf))
 		switch fields[0] {
 		case "gfd":
 			if inBlock {
@@ -307,14 +324,15 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 	return set, nil
 }
 
-// splitFields is strings.Fields for a trimmed, non-empty statement line,
-// without the allocation: the fields go into buf, and the split stops at the
-// fifth, since no statement has more than four and a fifth only says "too
-// many". Separators are runs of unicode.IsSpace, as for strings.Fields: an
-// ASCII byte is looked up in a table, as strings.Fields does, and only the
-// other bytes are decoded as runes.
-func splitFields(line string, buf *[5]string) []string {
-	n, start := 0, 0
+// splitFields is strings.Fields without the allocation, for a rule line (a
+// string) or a graph line (the scanner's bytes): it appends the fields of
+// line to dst, sub-slices that alias line, and stops at the limit-th. A rule
+// line takes at most five, since no statement has more than four and a
+// fifth only says "too many". Separators are runs of unicode.IsSpace, as
+// for strings.Fields: an ASCII byte is looked up in a table, as
+// strings.Fields does, and only the other bytes are decoded as runes.
+func splitFields[S string | []byte](dst []S, line S, limit int) []S {
+	start := 0
 	for i := 0; i < len(line); {
 		c, w := line[i], 1
 		if c < utf8.RuneSelf && !asciiSpace[c] {
@@ -322,24 +340,26 @@ func splitFields(line string, buf *[5]string) []string {
 			continue
 		}
 		if c >= utf8.RuneSelf {
-			r, rw := utf8.DecodeRuneInString(line[i:])
+			// A rune takes at most UTFMax bytes, and converting that few
+			// allocates nothing.
+			r, rw := utf8.DecodeRuneInString(string(line[i:min(i+utf8.UTFMax, len(line))]))
 			if w = rw; !unicode.IsSpace(r) {
 				i += w
 				continue
 			}
 		}
 		if start < i {
-			if buf[n], n = line[start:i], n+1; n == len(buf) {
-				return buf[:]
+			if dst = append(dst, line[start:i]); len(dst) == limit {
+				return dst
 			}
 		}
 		i += w
 		start = i
 	}
 	if start < len(line) {
-		buf[n], n = line[start:], n+1
+		dst = append(dst, line[start:])
 	}
-	return buf[:n]
+	return dst
 }
 
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}

@@ -176,14 +176,104 @@ func graphCorpus() []string {
 	}
 }
 
-// FuzzReadGraph: no input panics the graph-text parser, and a graph it
-// accepts is one WriteGraph writes and reads back equal: the same text again
-// from the graph read back, and the same node and edge counts.
+// TestReadGraphMatchesReference holds the graph-text reader to refReadGraph
+// on graphCorpus(): the same error text, or a graph with the same snapshot
+// image.
+func TestReadGraphMatchesReference(t *testing.T) {
+	for _, in := range graphCorpus() {
+		checkReadGraphAgainstReference(t, in)
+	}
+}
+
+func checkReadGraphAgainstReference(t *testing.T, in string) {
+	t.Helper()
+	got, err := ReadFrozenGraph(strings.NewReader(in))
+	want, refErr := refReadGraph(strings.NewReader(in))
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("%q: error %v, the reference's %v", in, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	var a, b strings.Builder
+	if err := got.WriteSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("%q: the graph read differs from the reference's", in)
+	}
+}
+
+// refReadGraph is ReadFrozenGraph as it was before it stopped allocating per
+// line: a strings.Fields split of each scanned line.
+func refReadGraph(r io.Reader) (*graph.Frozen, error) {
+	g := graph.NewBuilder(0)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "node":
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("line %d: node needs id and label", lineNo)
+			}
+			id, err := strconv.Atoi(fields[1])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: bad node id %q", lineNo, fields[1])
+			}
+			if id != g.NumNodes() {
+				return nil, fmt.Errorf("line %d: node ids must be dense and ordered; got %d, want %d", lineNo, id, g.NumNodes())
+			}
+			nid := g.AddNode(fields[2])
+			for _, kv := range fields[3:] {
+				eq := strings.IndexByte(kv, '=')
+				if eq <= 0 {
+					return nil, fmt.Errorf("line %d: bad attribute %q", lineNo, kv)
+				}
+				g.SetAttr(nid, kv[:eq], kv[eq+1:])
+			}
+		case "edge":
+			if len(fields) != 4 {
+				return nil, fmt.Errorf("line %d: edge needs from, to, label", lineNo)
+			}
+			from, err1 := strconv.Atoi(fields[1])
+			to, err2 := strconv.Atoi(fields[2])
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("line %d: bad edge endpoints", lineNo)
+			}
+			if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() {
+				return nil, fmt.Errorf("line %d: edge endpoint out of range", lineNo)
+			}
+			g.AddEdge(graph.NodeID(from), graph.NodeID(to), fields[3])
+		default:
+			return nil, fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return g.Freeze(), nil
+}
+
+// FuzzReadGraph: no input panics the graph-text parser, it reads what
+// refReadGraph reads, and a graph it accepts is one WriteGraph writes and
+// reads back equal: the same text again from the graph read back, and the
+// same node and edge counts.
 func FuzzReadGraph(f *testing.F) {
 	for _, in := range graphCorpus() {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
+		checkReadGraphAgainstReference(t, in)
 		g, err := ReadFrozenGraph(strings.NewReader(in))
 		if err != nil {
 			return

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 )
@@ -100,6 +101,18 @@ func (t *strTable) add(s string) uint32 {
 	return id
 }
 
+// relayer returns a table under construction over base that already holds
+// t's own entries under their IDs; t must be base or one layer over it.
+// Every refreeze takes its tables this way (Delta.refreezeFrom), so along a
+// chain of overlays a table is the delta base's plus one layer.
+func (t *strTable) relayer(base *strTable) *strTable {
+	if t == base {
+		return newLayer(base)
+	}
+	// Clip: the first string added copies strs, which t still reads.
+	return &strTable{base: base, off: t.off, strs: slices.Clip(t.strs), ids: maps.Clone(t.ids)}
+}
+
 // seal finishes a table under construction: an empty layer gives way to its
 // base. A refreeze over a refrozen snapshot adds one layer per generation.
 func (t *strTable) seal() *strTable {
@@ -118,10 +131,10 @@ type attrBuilder struct {
 	rows          []uint64
 }
 
-// newAttrBuilder starts the rows of n nodes over the given base tables (nil
-// for none).
+// newAttrBuilder starts the rows of n nodes, interning into the given
+// tables under construction.
 func newAttrBuilder(n int, names, values *strTable) *attrBuilder {
-	return &attrBuilder{names: newLayer(names), values: newLayer(values), off: make([]int32, 1, n+1)}
+	return &attrBuilder{names: names, values: values, off: make([]int32, 1, n+1)}
 }
 
 // endRow sorts the pairs appended since the previous endRow into the next

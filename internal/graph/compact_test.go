@@ -240,7 +240,7 @@ func FuzzCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mirror, base := fuzzBase()
 		d := NewDelta(base)
-		applyFuzzOps(data, mirror, d, func() {})
+		applyFuzzOps(data, mirror, d, nil)
 		snap := base.Refreeze(d)
 		scratch := mirror.Frozen()
 		compacted, remap := snap.Compact()

@@ -4,9 +4,12 @@
 // nodes, added/removed edges, attribute rewrites, node removals — against a
 // base snapshot as plain edit sets, no adjacency. Frozen.Refreeze
 // (refreeze.go) sorts those k edits by node, merges each touched base row
-// with its edits in one linear pass, and copies untouched rows verbatim;
-// Overlay is that Refreeze, cached per delta version. Cost tracks the
-// delta, not the graph.
+// with its edits in one linear pass, and copies untouched rows verbatim.
+// Overlay serves the delta as it stands, one snapshot per delta version:
+// the first is that Refreeze, and each later one is chained from the
+// overlay before it, re-merging only the rows touched since and copying
+// every other row from it. Beyond the bulk copy, cost tracks the edits
+// since the last overlay, not the graph or the whole delta.
 package graph
 
 import (
@@ -51,13 +54,15 @@ type Delta struct {
 	dead  map[NodeID]struct{}
 	attrs map[NodeID]map[string]string
 
-	// The merged rows of every touched node (dirRows), shared by every
-	// Refreeze of one version; rebuilt lazily when version moves.
+	// The rows a refreeze from the base merged (dirRows), kept for the
+	// version they were merged at: an Overlay and a Refreeze of one version
+	// share them.
 	rowsVersion int
 	outRows     []row
 	inRows      []row
 
-	// The Overlay snapshot of overlayVersion, reused until the next mutation.
+	// The Overlay snapshot of overlayVersion, reused until the next mutation
+	// and then the source the next one is chained from.
 	overlayVersion int
 	overlay        *Frozen
 
@@ -335,16 +340,16 @@ type edit struct {
 }
 
 // edits returns the edits of one edge set as the rows of one direction see
-// them, sorted by (node, key). Edges with a dead endpoint are left out:
-// Refreeze drops those whatever the sets say.
-func edits(set map[edgeKey]struct{}, out bool, dead []bool) []edit {
+// them, sorted by (node, key), for the rows keep marks. Edges with a dead
+// endpoint are left out: Refreeze drops those whatever the sets say.
+func edits(set map[edgeKey]struct{}, out bool, dead, keep []bool) []edit {
 	es := make([]edit, 0, len(set))
 	for k := range set {
 		v, u := k.from, k.to
 		if !out {
 			v, u = u, v
 		}
-		if dead != nil && (dead[v] || dead[u]) {
+		if !keep[v] || dead != nil && (dead[v] || dead[u]) {
 			continue
 		}
 		es = append(es, edit{v, csrKey(k.label, u)})
@@ -359,15 +364,14 @@ func edits(set map[edgeKey]struct{}, out bool, dead []bool) []edit {
 }
 
 // dirRows merges the delta into the base rows of one direction (out, or in
-// when !out) and returns every touched row in ascending node order. Only the
-// k edits are sorted; each touched base row is then merged with its edits in
-// one linear pass that skips removed keys and dead endpoints, and so is its
-// wildcard view. A dead node's row is empty, and the rows of its base
-// neighbours are touched so that they lose it.
-func (d *Delta) dirRows(out bool) []row {
-	base, opp := &d.base.out, &d.base.in
+// when !out) and returns the rows of the given nodes (ascending) in order.
+// Only their edits are sorted; each base row is then merged with its edits
+// in one linear pass that skips removed keys and dead endpoints, and so is
+// its wildcard view. A dead node's row is empty.
+func (d *Delta) dirRows(out bool, touched []NodeID) []row {
+	base := &d.base.out
 	if !out {
-		base, opp = opp, base
+		base = &d.base.in
 	}
 	var dead []bool
 	if len(d.dead) > 0 {
@@ -376,23 +380,12 @@ func (d *Delta) dirRows(out bool) []row {
 			dead[v] = true
 		}
 	}
-	adds := edits(d.addedSet, out, dead)
-	dels := edits(d.removedSet, out, dead)
-
-	touched := make([]NodeID, 0, len(adds)+len(dels)+len(d.dead))
-	for _, es := range [][]edit{adds, dels} {
-		for _, e := range es {
-			touched = append(touched, e.v)
-		}
+	keep := make([]bool, d.NumNodes())
+	for _, v := range touched {
+		keep[v] = true
 	}
-	for v := range d.dead {
-		if int(v) < d.baseN() {
-			touched = append(touched, v)
-			touched = append(touched, opp.all[opp.off[v]:opp.off[v+1]]...)
-		}
-	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
+	adds := edits(d.addedSet, out, dead, keep)
+	dels := edits(d.removedSet, out, dead, keep)
 
 	// One backing array per view: a merged row holds at most its base row
 	// plus its adds.
@@ -480,14 +473,19 @@ func (d *Delta) dirRows(out bool) []row {
 	return rows
 }
 
-// Overlay returns the snapshot of base+delta as it stands: the Refreeze of
-// the delta, built once per delta version and shared by every call until
-// the next mutation. Like any Frozen it stays valid after the delta mutates
-// and keeps serving the state it was taken at; a later Overlay is a new
-// snapshot, a different *Frozen.
+// Overlay returns the snapshot of base+delta as it stands, built once per
+// delta version and shared by every call until the next mutation. The first
+// is the delta's Refreeze; each later one is laid out over the overlay
+// before it (see refreezeFrom). Like any Frozen it stays valid after the
+// delta mutates and keeps serving the state it was taken at; a later
+// Overlay is a new snapshot, a different *Frozen.
 func (d *Delta) Overlay() *Overlay {
 	if d.overlay == nil || d.overlayVersion != d.Version() {
-		d.overlay, d.overlayVersion = d.base.Refreeze(d), d.Version()
+		src, since := d.base, 0
+		if d.overlay != nil {
+			src, since = d.overlay, d.overlayVersion
+		}
+		d.overlay, d.overlayVersion = d.refreezeFrom(src, since), d.Version()
 	}
 	return d.overlay
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math"
@@ -312,7 +313,11 @@ func FuzzRefreeze(f *testing.F) {
 		mirror, base := fuzzBase()
 		d := NewDelta(base)
 		mid, midVersion := base, 0
-		applyFuzzOps(data, mirror, d, func() { mid, midVersion = d.Overlay(), d.Version() })
+		applyFuzzOps(data, mirror, d, func(i, ops int) {
+			if i == ops/2 {
+				mid, midVersion = d.Overlay(), d.Version()
+			}
+		})
 		refrozen := base.Refreeze(d)
 		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), refrozen,
 			fuzzNodeLabels, fuzzEdgeLabels)
@@ -320,6 +325,77 @@ func FuzzRefreeze(f *testing.F) {
 		checkTouched(t, fmt.Sprintf("delta=%v since the base", d), base, refrozen, d.TouchedSince(0))
 		checkTouched(t, fmt.Sprintf("delta=%v since version %d", d, midVersion), mid, refrozen, d.TouchedSince(midVersion))
 	})
+}
+
+// FuzzOverlayChain holds the chained Overlay to Refreeze. It applies
+// FuzzRefreeze's updates and takes d.Overlay() before every update whose
+// first byte is at least 128 (overlayOp marks one), so each overlay after
+// the first is chained from the one before, across gaps of any length. At
+// each of them, and at the end, the overlay's snapshot image must equal
+// base.Refreeze(d)'s byte for byte; the final overlay must answer every
+// Reader query as the mirror does, TouchedSince from every intermediate
+// overlay's version must cover what changed since it, and every
+// intermediate overlay must still write the image it wrote when taken.
+func FuzzOverlayChain(f *testing.F) {
+	const ov = overlayOp
+	f.Add([]byte{ov + 1, 0, 1, 0, ov + 1, 2, 3, 1})
+	// A node removed after an earlier overlay: its neighbours' rows, base
+	// and added edges alike, must lose it in the next one.
+	f.Add([]byte{1, 4, 0, 0, 1, 0, 4, 1, ov + 4, 4, 1, 1, ov + 3, 4, 0, 0, 1, 0, 2, 2})
+	// An edge added then cancelled across an overlay, and a base edge
+	// removed then re-added across one.
+	f.Add([]byte{ov + 1, 2, 9, 4, ov + 5, 2, 9, 4, ov + 2, 3, 0, 0, ov + 0, 1, 0, 0})
+	// A new attribute value in two successive versions, then the node gone.
+	f.Add([]byte{ov + 4, 5, 3, 1, ov + 4, 5, 3, 2, ov + 4, 6, 0, 3, ov + 3, 5, 0, 0})
+	// New node and edge labels after an overlay, a removal with no overlay
+	// between, and an added node removed in the version that added it.
+	f.Add([]byte{ov + 0, 4, 0, 0, 1, 10, 3, 4, ov + 0, 2, 0, 0, 3, 11, 0, 0, ov + 3, 10, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mirror, base := fuzzBase()
+		d := NewDelta(base)
+		type taken struct {
+			o       *Frozen
+			version int
+			image   []byte
+		}
+		var chain []taken
+		take := func() {
+			o := d.Overlay()
+			image := snapshotImage(t, o)
+			if want := snapshotImage(t, base.Refreeze(d)); !bytes.Equal(image, want) {
+				t.Fatalf("version %d (delta=%v): the chained overlay's image differs from Refreeze's", d.Version(), d)
+			}
+			chain = append(chain, taken{o, d.Version(), image})
+		}
+		applyFuzzOps(data, mirror, d, func(i, _ int) {
+			if data[4*i] >= 128 {
+				take()
+			}
+		})
+		take()
+		final := chain[len(chain)-1].o
+		checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), final, fuzzNodeLabels, fuzzEdgeLabels)
+		for _, c := range chain {
+			checkTouched(t, fmt.Sprintf("delta=%v since version %d", d, c.version), c.o, final, d.TouchedSince(c.version))
+			if !bytes.Equal(snapshotImage(t, c.o), c.image) {
+				t.Fatalf("the overlay of version %d changed after later updates", c.version)
+			}
+		}
+	})
+}
+
+// overlayOp added to an update's first byte (0–5) keeps the update and
+// marks it for FuzzOverlayChain: it is at least 128 and ≡ 0 (mod 6).
+const overlayOp = 132
+
+// snapshotImage returns f's WriteSnapshot bytes.
+func snapshotImage(t *testing.T, f *Frozen) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // The update fuzzers' base uses the first four labels of each list; "d" and
@@ -335,14 +411,14 @@ func fuzzBase() (*Graph, *Frozen) {
 }
 
 // applyFuzzOps applies FuzzRefreeze's encoding of data to d and its mirror:
-// each 4-byte group is one update, at most 64 of them. halfway runs before
-// the middle one.
-func applyFuzzOps(data []byte, mirror *Graph, d *Delta, halfway func()) {
+// each 4-byte group is one update, at most 64 of them. before, if not nil,
+// runs before each one with the update's index and their count.
+func applyFuzzOps(data []byte, mirror *Graph, d *Delta, before func(i, ops int)) {
 	removeLabels := append(slices.Clip(fuzzEdgeLabels), "absent")
 	ops := min(len(data)/4, 64)
 	for i := 0; i < 4*ops; i += 4 {
-		if i == 4*(ops/2) {
-			halfway()
+		if before != nil {
+			before(i/4, ops)
 		}
 		op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
 		u, v := NodeID(int(a)%mirror.NumNodes()), NodeID(int(b)%mirror.NumNodes())

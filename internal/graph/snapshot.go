@@ -54,25 +54,16 @@ func LooksLikeSnapshot(prefix []byte) bool {
 	return len(prefix) >= len(snapshotMagic) && bytes.Equal(prefix[:len(snapshotMagic)], snapshotMagic[:])
 }
 
-// snapEnc accumulates the payload. Bulk integer slices are staged through
-// scratch so each section lands in the buffer with one Write.
+// snapEnc accumulates the payload in one slice, which WriteSnapshot sizes
+// to the payload's length up front (payloadSize).
 type snapEnc struct {
-	buf     bytes.Buffer
-	scratch []byte
-	err     error
+	buf []byte
+	err error
 }
 
-func (e *snapEnc) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *snapEnc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
-func (e *snapEnc) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *snapEnc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 func (e *snapEnc) str(s string) {
 	if len(s) > math.MaxUint32 {
@@ -80,7 +71,7 @@ func (e *snapEnc) str(s string) {
 		return
 	}
 	e.u32(uint32(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 }
 
 func (e *snapEnc) strs(ss []string) {
@@ -88,6 +79,14 @@ func (e *snapEnc) strs(ss []string) {
 	for _, s := range ss {
 		e.str(s)
 	}
+}
+
+// extend appends n bytes for the caller to fill to the payload and
+// returns them.
+func (e *snapEnc) extend(n int) []byte {
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:at+n]
+	return e.buf[at:]
 }
 
 func (e *snapEnc) fail(format string, args ...any) {
@@ -102,11 +101,7 @@ func (e *snapEnc) fail(format string, args ...any) {
 // the snapshot is not expressible in the format.
 func snapInts[T ~int | ~int32](e *snapEnc, xs []T) {
 	e.u64(uint64(len(xs)))
-	need := 4 * len(xs)
-	if cap(e.scratch) < need {
-		e.scratch = make([]byte, need)
-	}
-	s := e.scratch[:need]
+	s := e.extend(4 * len(xs))
 	for i, x := range xs {
 		if int64(x) < 0 || int64(x) > math.MaxUint32 {
 			e.fail("value %d outside the format's u32 range", int64(x))
@@ -114,7 +109,6 @@ func snapInts[T ~int | ~int32](e *snapEnc, xs []T) {
 		}
 		binary.LittleEndian.PutUint32(s[4*i:], uint32(x))
 	}
-	e.buf.Write(s)
 }
 
 func (e *snapEnc) dir(d *csrDir) {
@@ -126,12 +120,39 @@ func (e *snapEnc) dir(d *csrDir) {
 	snapInts(e, d.dirStart)
 }
 
+// payloadSize returns the length of f's snapshot payload: what WriteSnapshot
+// writes, counted from the slice and string lengths.
+func (f *Frozen) payloadSize() int {
+	n := 4 + 4 + 4 + 8 + 4 // the two label-table counts, |V|, |E|, the tombstone flag
+	for _, s := range f.nodeLabelNames {
+		n += 4 + len(s)
+	}
+	for _, s := range f.labelNames {
+		n += 4 + len(s)
+	}
+	n += 4 * f.NumNodes() // tuple lengths
+	for _, k := range f.attrKeys {
+		n += 8 + len(f.attrNames.str(uint32(k>>32))) + len(f.attrValues.str(uint32(k)))
+	}
+	ints := []int{len(f.nodeLabelOf), len(f.byLabelOff), len(f.byLabelNodes)}
+	for _, d := range []*csrDir{&f.out, &f.in} {
+		ints = append(ints, len(d.off), len(d.targets), len(d.all), len(d.dirOff), len(d.dirLabels), len(d.dirStart))
+	}
+	for _, l := range ints {
+		n += 8 + 4*l
+	}
+	if f.dead != nil {
+		n += (len(f.dead) + 7) / 8
+	}
+	return n
+}
+
 // WriteSnapshot serializes the snapshot into the versioned binary image
 // described in the package comment for snapshot.go. The write is buffered in
 // memory (the header carries the payload checksum), so w receives either the
 // complete image or, on error, nothing beyond what it already consumed.
 func (f *Frozen) WriteSnapshot(w io.Writer) error {
-	e := &snapEnc{}
+	e := &snapEnc{buf: make([]byte, 0, f.payloadSize())}
 	e.strs(f.nodeLabelNames)
 	e.strs(f.labelNames)
 	e.u32(uint32(f.NumNodes()))
@@ -161,19 +182,19 @@ func (f *Frozen) WriteSnapshot(w io.Writer) error {
 		e.u32(0)
 	} else {
 		e.u32(1)
-		packed := make([]byte, (len(f.dead)+7)/8)
+		packed := e.extend((len(f.dead) + 7) / 8)
+		clear(packed)
 		for v, dd := range f.dead {
 			if dd {
 				packed[v/8] |= 1 << (v % 8)
 			}
 		}
-		e.buf.Write(packed)
 	}
 	if e.err != nil {
 		return e.err
 	}
 
-	payload := e.buf.Bytes()
+	payload := e.buf
 	var header [28]byte
 	copy(header[:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint32(header[8:], snapshotVersion)
@@ -431,7 +452,7 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	}
 	var attrs *attrBuilder
 	if d.err == nil {
-		attrs = newAttrBuilder(n, nil, nil)
+		attrs = newAttrBuilder(n, newLayer(nil), newLayer(nil))
 		for v := 0; v < n; v++ {
 			lid := f.nodeLabelOf[v]
 			if lid < 0 || int(lid) >= len(f.nodeLabelNames) {

@@ -38,6 +38,9 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		if err := f.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("seed=%d: WriteSnapshot: %v", seed, err)
 		}
+		if got, want := buf.Len()-28, f.payloadSize(); got != want {
+			t.Fatalf("seed=%d: payload of %d bytes, payloadSize %d", seed, got, want)
+		}
 		loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("seed=%d: ReadSnapshot: %v", seed, err)
@@ -217,6 +220,9 @@ func readBack(t *testing.T, data []byte) {
 	image := data[:28+binary.LittleEndian.Uint64(data[12:])]
 	if !bytes.Equal(buf.Bytes(), image) {
 		t.Fatalf("accepted image does not write back byte-identically:\n got %x\nwant %x", buf.Bytes(), image)
+	}
+	if g.payloadSize() != len(image)-28 {
+		t.Fatalf("payload of %d bytes, payloadSize %d", len(image)-28, g.payloadSize())
 	}
 	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
 		g.Out(v)
