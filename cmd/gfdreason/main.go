@@ -211,7 +211,7 @@ func main() {
 			fatalf("-threshold must be a number, got NaN")
 		}
 		g := readGraph(args[0])
-		d, stats, err := recoverLog(g, args[1])
+		d, stats, err := graph.RecoverFile(g, args[1])
 		if err != nil {
 			fatalf("recover %s: %v", args[1], err)
 		}
@@ -290,17 +290,6 @@ func runContext(timeout time.Duration, baseline bool) (context.Context, context.
 		fatalf("-timeout needs the engines' cooperative cancellation; it cannot bound a -baseline run")
 	}
 	return context.WithTimeout(context.Background(), timeout)
-}
-
-// recoverLog is graph.RecoverFile for an explicitly named log: the
-// library's missing-file-recovers-empty semantic suits restart flows where
-// nothing was ever logged, but a user who typed a path wants the typo
-// reported, not a silently empty replay.
-func recoverLog(base *graph.Frozen, path string) (*graph.Delta, graph.RecoverStats, error) {
-	if _, err := os.Stat(path); err != nil {
-		return nil, graph.RecoverStats{}, err
-	}
-	return graph.RecoverFile(base, path)
 }
 
 // readGraph loads a data graph in either format (text or binary snapshot).

@@ -1,17 +1,18 @@
-// Package cluster provides the per-worker work deques underneath core's
-// worker pool, the scheduler of ParSat and ParImp (Section V-B).
+// Package cluster holds work-distribution structures no engine uses any
+// more: Deque, a per-worker work deque with stealing; Queue, the paper's
+// coordinator queue W taken literally; and Log, a broadcast log of Eq
+// deltas (Section V-B).
 //
 // Substitution note (see DESIGN.md): the paper deploys on a 20-machine
-// cluster; here workers are goroutines. The paper's coordinator queue W is
-// realised as one Deque per worker, seeded by striping the rank-ordered
-// tasks, plus stealing (core's worker pool). The paper's workers also
-// broadcast monotone Eq deltas to each other; here no worker reads another's
-// relation (a ParSat worker owns the terms of its chunks, and ParImp runs
-// one chase), so nothing is broadcast.
+// cluster; here workers are goroutines. core's worker pool realises W as
+// one shared cursor over the tasks, which are all known, in dependency
+// order, when a run starts. The paper's workers also broadcast monotone Eq
+// deltas to each other; here no worker reads another's relation (a ParSat
+// worker owns the terms of its chunks, and ParImp runs one chase), so
+// nothing is broadcast.
 //
-// Log, a broadcast log of Eq deltas, and Queue, W taken literally, are used
-// by no engine. Both stay only for benchmark/gfdbench's cluster.log_* and
-// cluster.queue_pushpop_ns probes, and go with them.
+// The package stays only for benchmark/gfdbench's cluster.* probes, and
+// goes with them.
 package cluster
 
 import (
@@ -78,9 +79,9 @@ func (l *Log) ReadFrom(cursor int) (eq.Delta, int) {
 // Queue is the paper's coordinator queue W taken literally: a binary
 // min-heap on (rank, insertion sequence) — stable FIFO within a rank —
 // with PushFront used for split sub-units ("add Li to the front of W").
-// It is not synchronized. The engines schedule from Deques (core's worker
-// pool), not from this; the only caller is the benchmark module's
-// cluster.queue_pushpop_ns probe, and the type goes when that probe does.
+// It is not synchronized. No engine schedules from it; the only caller is
+// the benchmark module's cluster.queue_pushpop_ns probe, and the type goes
+// when that probe does.
 type Queue[T any] struct {
 	items []queueItem[T]
 	seq   uint64
@@ -171,12 +172,12 @@ func (q *Queue[T]) Pop() (T, bool) {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Deque is a synchronized double-ended work queue, one per worker of core's
-// worker pool. The owning worker pops from the front, while idle workers
-// steal from the back, taking the work the owner would reach last. A mutex
-// per deque is deliberate: tasks cost well over a microsecond each, so
-// lock-free Chase–Lev buys nothing here while costing memory-model
-// subtlety.
+// Deque is a synchronized double-ended work queue, meant as one per worker:
+// the owner pops from the front, while idle workers steal from the back,
+// taking the work the owner would reach last. No engine schedules from it
+// (core's worker pool hands tasks out from one cursor); the only callers
+// are the benchmark module's cluster.deque_* probes, and the type goes
+// when they do.
 type Deque[T any] struct {
 	mu    sync.Mutex
 	buf   []T

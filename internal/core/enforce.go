@@ -32,14 +32,16 @@ type Stats struct {
 	Dropped int
 	// UnitsRun counts the searches a run chased: ParSat's (group, chunk)
 	// pieces, ParImp's units.
-	UnitsRun    int
-	UnitsStolen int // tasks taken from another worker's deque
-	// UnitsSplit, Broadcasts and DeltaOps are always 0: no engine splits a
-	// unit or ships Eq deltas between workers. They stay only because
-	// benchmark/gfdbench reports them.
-	UnitsSplit int
-	Broadcasts int
-	DeltaOps   int
+	UnitsRun int
+	// UnitsStolen, UnitsSplit, Broadcasts and DeltaOps are always 0: no
+	// worker takes a task from another's share (the pool hands tasks out
+	// from one cursor), no engine splits a unit and none ships Eq deltas
+	// between workers. They stay only because benchmark/gfdbench reports
+	// them.
+	UnitsStolen int
+	UnitsSplit  int
+	Broadcasts  int
+	DeltaOps    int
 	// GroupsShared counts pattern groups with ≥2 member GFDs: patterns that
 	// were enumerated once on behalf of several rules (shared multi-GFD
 	// evaluation).
@@ -58,7 +60,6 @@ func (s *Stats) Add(other Stats) {
 	s.Pending += other.Pending
 	s.Dropped += other.Dropped
 	s.UnitsRun += other.UnitsRun
-	s.UnitsStolen += other.UnitsStolen
 	s.GroupsShared += other.GroupsShared
 	s.MatchesReused += other.MatchesReused
 }

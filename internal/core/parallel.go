@@ -131,7 +131,7 @@ func (e *parEngine) planGroups() error {
 	// serially would be a p-independent startup phase capping the speedup
 	// (Amdahl), so they are spread over the same p workers. The context is
 	// polled between groups: a deadline must not wait the pass out.
-	return newPool[int](e.ctx, e.opt.Workers).run(indexes(n), func(_, i int) error {
+	return newPool(e.ctx, e.opt.Workers).run(n, func(_, i int) error {
 		if err := e.ctx.Err(); err != nil {
 			return canceledErr(err)
 		}

@@ -236,9 +236,6 @@ func TestStealingMatchesCentralStats(t *testing.T) {
 		t.Fatalf("enforcement counts diverge on a quiescent run: SeqSat=%d ParSat=%d",
 			seq.Stats.Enforcements, par.Stats.Enforcements)
 	}
-	if par.Stats.UnitsStolen < 0 || par.Stats.UnitsStolen > par.Stats.UnitsRun {
-		t.Fatalf("stolen units %d out of range (run %d)", par.Stats.UnitsStolen, par.Stats.UnitsRun)
-	}
 }
 
 // TestUnitsPartitionGroupRoots pins the work shapes on gen's Σ of

@@ -18,10 +18,9 @@ import (
 // subsumes first (Section VI-C(a)) — into per-unit match buffers, and one
 // chase on Eq_X consumes the buffers in unit order. It stops the pool when
 // Eq_H conflicts (the antecedent is inconsistent with Σ) or deduces Y.
-// Since the chase takes the units in order, the answer and every stat but
-// UnitsStolen are independent of the schedule. SeqImp is ParImp on one
-// worker. It runs on Σ′ (startImp), and an empty Σ′ is answered before a
-// worker exists.
+// Since the chase takes the units in order, the answer and every stat are
+// independent of the schedule. SeqImp is ParImp on one worker. It runs on
+// Σ′ (startImp), and an empty Σ′ is answered before a worker exists.
 func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	cp, set, res := startImp(set, phi)
 	if res != nil {
@@ -103,8 +102,8 @@ func (e *parEngine) imp(cp *canon.Phi) *ImpResult {
 		next    int  // the first unit not chased yet
 		chasing bool // some worker is chasing
 	)
-	pl := newPool[int](e.ctx, e.opt.Workers)
-	err := pl.run(indexes(len(units)), func(_, i int) error {
+	pl := newPool(e.ctx, e.opt.Workers)
+	err := pl.run(len(units), func(_, i int) error {
 		var buf []graph.NodeID
 		s := e.search(units[i])
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
@@ -138,9 +137,6 @@ func (e *parEngine) imp(cp *canon.Phi) *ImpResult {
 		return nil
 	})
 	stats := enf.stats
-	for _, n := range pl.stolen {
-		stats.UnitsStolen += n
-	}
 	stats.GroupsShared = e.sharedGroups
 	var con *eq.Conflict
 	switch {

@@ -64,19 +64,19 @@ func (e *parEngine) sat(size int) *SatResult {
 	}
 	tasks, _ := e.chunks(size)
 	tasks = slices.DeleteFunc(tasks, func(t []unit) bool { return len(t) == 0 })
-	pl := newPool[[]unit](e.ctx, e.opt.Workers)
+	pl := newPool(e.ctx, e.opt.Workers)
 	enfs := make([]*enforcer, pl.size())
 	for i := range enfs {
 		rel := eq.New()
 		rel.Reserve(int(e.sigma.Offset[e.set.Len()])) // G_Σ's node count
 		enfs[i] = newEnforcer(rel, e.set)
 	}
-	err := pl.run(tasks, func(w int, task []unit) error {
+	err := pl.run(len(tasks), func(w, i int) error {
 		if h := e.opt.testHookTask; h != nil {
-			h(w, task)
+			h(w, tasks[i])
 		}
 		enf := enfs[w]
-		for _, u := range task {
+		for _, u := range tasks[i] {
 			if pl.stopping() {
 				return nil
 			}
@@ -96,7 +96,6 @@ func (e *parEngine) sat(size int) *SatResult {
 	var stats Stats
 	rels := make([]*eq.Eq, len(enfs))
 	for i, enf := range enfs {
-		enf.stats.UnitsStolen = pl.stolen[i]
 		stats.Add(enf.stats)
 		rels[i] = enf.eq
 	}

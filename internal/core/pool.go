@@ -5,29 +5,24 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cluster"
 )
 
-// pool is the one worker pool of internal/core: the dynamic-assignment
-// scheduler behind every fan-out of ParSat/ParImp (the planning pass,
-// ParSat's chunks, ParImp's enumeration), of Revalidate and of validation
-// (ViolationsOpts). The tasks are all known when a run starts: each of the p
-// workers owns a deque, pops its own front, steals from the back of a peer
-// when dry, and exits once every deque is empty, since no task adds work.
-// There is no busy-polling and no coordinator goroutine.
+// pool is the one worker pool of internal/core: the scheduler behind every
+// fan-out of ParSat/ParImp (the planning pass, ParSat's chunks, ParImp's
+// enumeration), of Revalidate and of validation (ViolationsOpts). The tasks
+// are all known when a run starts and no task adds work, so the paper's
+// coordinator queue W is one shared cursor over them: an idle worker takes
+// the next task index, and tasks start in exactly their given order. There
+// is no busy-polling and no coordinator goroutine.
 //
 // A run ends in exactly one of three ways: every task retired (nil), a task
 // returned an error or panicked (that error — first one wins, the remaining
 // tasks are abandoned), or the context fired (ErrCanceled or the deadline
 // error). Abandoned work therefore always surfaces as an error, never as
 // quiescence.
-type pool[T any] struct {
-	ctx    context.Context
-	deques []*cluster.Deque[T]
-	// stolen[w] counts the tasks worker w took from a peer's deque; read it
-	// after run returns.
-	stolen  []int
+type pool struct {
+	ctx     context.Context
+	workers int
 	stopped atomic.Bool // set by fail and by context cancellation
 	mu      sync.Mutex
 	err     error // first failure; guarded by mu
@@ -35,48 +30,27 @@ type pool[T any] struct {
 
 // newPool returns a pool of p workers (at least one) bound to ctx; a nil ctx
 // never cancels.
-func newPool[T any](ctx context.Context, p int) *pool[T] {
+func newPool(ctx context.Context, p int) *pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p < 1 {
-		p = 1
-	}
-	pl := &pool[T]{ctx: ctx, deques: make([]*cluster.Deque[T], p), stolen: make([]int, p)}
-	for i := range pl.deques {
-		pl.deques[i] = cluster.NewDeque[T]()
-	}
-	return pl
-}
-
-// indexes returns 0, 1, …, n-1: the seed of a pool whose tasks are positions
-// in some slice.
-func indexes(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
+	return &pool{ctx: ctx, workers: max(p, 1)}
 }
 
 // size returns the number of workers.
-func (pl *pool[T]) size() int { return len(pl.deques) }
+func (pl *pool) size() int { return pl.workers }
 
-// run stripes seed round-robin across the worker deques (so seed order is
-// the blended execution order), runs fn on every task and returns once all
-// workers have exited. A pool may run again after a nil return; after an
-// error it is spent.
-func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
+// run runs fn on the tasks 0, 1, …, n-1, handing them out in that order, and
+// returns once all workers have exited. A pool may run again after a nil
+// return; after an error it is spent.
+func (pl *pool) run(n int, fn func(worker, i int) error) error {
 	if err := pl.ctx.Err(); err != nil {
 		return canceledErr(err)
 	}
-	p := len(pl.deques)
-	for i, t := range seed {
-		pl.deques[i%p].PushBack(t)
-	}
 	defer context.AfterFunc(pl.ctx, pl.stop)()
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := range pl.workers {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -88,12 +62,12 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 					pl.fail(&PanicError{Worker: id, Value: r, Stack: debug.Stack()})
 				}
 			}()
-			for {
-				t, ok := pl.take(id)
-				if !ok {
+			for !pl.stopped.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				if err := fn(id, t); err != nil {
+				if err := fn(id, i); err != nil {
 					pl.fail(err)
 					return
 				}
@@ -116,7 +90,7 @@ func (pl *pool[T]) run(seed []T, fn func(worker int, task T) error) error {
 
 // fail ends the run with err unless an earlier failure already did, and
 // stops every worker at its next task boundary.
-func (pl *pool[T]) fail(err error) {
+func (pl *pool) fail(err error) {
 	pl.mu.Lock()
 	if pl.err == nil {
 		pl.err = err
@@ -126,28 +100,6 @@ func (pl *pool[T]) fail(err error) {
 }
 
 // stopping reports whether the run is ending early; long tasks poll it.
-func (pl *pool[T]) stopping() bool { return pl.stopped.Load() }
+func (pl *pool) stopping() bool { return pl.stopped.Load() }
 
-func (pl *pool[T]) stop() { pl.stopped.Store(true) }
-
-// take returns a task for worker id from its own deque front, else from the
-// back of the first non-empty peer deque (scanning from the next worker up,
-// so victims spread). It returns ok=false when every deque is empty or the
-// run is stopping.
-func (pl *pool[T]) take(id int) (T, bool) {
-	var zero T
-	if pl.stopped.Load() {
-		return zero, false
-	}
-	if t, ok := pl.deques[id].PopFront(); ok {
-		return t, true
-	}
-	p := len(pl.deques)
-	for i := 1; i < p; i++ {
-		if t, ok := pl.deques[(id+i)%p].PopBack(); ok {
-			pl.stolen[id]++
-			return t, true
-		}
-	}
-	return zero, false
-}
+func (pl *pool) stop() { pl.stopped.Store(true) }

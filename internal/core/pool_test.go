@@ -13,10 +13,10 @@ import (
 
 // runWithin fails the test if the pool run does not return in time: a lost
 // wakeup shows up as a hang, and a hang should name itself.
-func runWithin[T any](t *testing.T, pl *pool[T], seed []T, fn func(int, T) error) error {
+func runWithin(t *testing.T, pl *pool, n int, fn func(worker, i int) error) error {
 	t.Helper()
 	done := make(chan error, 1)
-	go func() { done <- pl.run(seed, fn) }()
+	go func() { done <- pl.run(n, fn) }()
 	select {
 	case err := <-done:
 		return err
@@ -29,37 +29,39 @@ func runWithin[T any](t *testing.T, pl *pool[T], seed []T, fn func(int, T) error
 func TestPoolRunsEverySeedOnce(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const n = 10
-	seed := make([]int, n)
-	for i := range seed {
-		seed[i] = i
-	}
-	for _, p := range []int{0, 1, 4, 16} { // 0 clamps to 1; 16 > len(seed)
+	for _, p := range []int{0, 1, 4, 16} { // 0 clamps to 1; 16 > n
 		var ran [n]atomic.Int32
-		pl := newPool[int](nil, p)
+		pl := newPool(nil, p)
 		if want := max(p, 1); pl.size() != want {
 			t.Fatalf("p=%d: size %d, want %d", p, pl.size(), want)
 		}
-		if err := runWithin(t, pl, seed, func(_, i int) error { ran[i].Add(1); return nil }); err != nil {
+		if err := runWithin(t, pl, n, func(_, i int) error { ran[i].Add(1); return nil }); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
-		}
-		stolen := 0
-		for _, s := range pl.stolen {
-			stolen += s
 		}
 		for i := range ran {
 			if c := ran[i].Load(); c != 1 {
 				t.Fatalf("p=%d: task %d ran %d times", p, i, c)
 			}
 		}
-		if stolen < 0 || stolen > n {
-			t.Fatalf("p=%d: %d steals for %d tasks", p, stolen, n)
-		}
 		// A drained pool runs again.
-		if err := runWithin(t, pl, seed[:3], func(_, i int) error { ran[i].Add(1); return nil }); err != nil {
+		if err := runWithin(t, pl, 3, func(_, i int) error { ran[i].Add(1); return nil }); err != nil {
 			t.Fatalf("p=%d: second run: %v", p, err)
 		}
 		if ran[0].Load() != 2 || ran[3].Load() != 1 {
-			t.Fatalf("p=%d: second run did not run exactly its own seed", p)
+			t.Fatalf("p=%d: second run did not run exactly its own tasks", p)
+		}
+	}
+	// One worker takes the tasks in order.
+	var order []int
+	if err := runWithin(t, newPool(nil, 1), n, func(_, i int) error { order = append(order, i); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != n {
+		t.Fatalf("p=1: ran %d tasks, want %d", len(order), n)
+	}
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("p=1: task order %v, want 0…%d", order, n-1)
 		}
 	}
 	assertGoroutineBaseline(t, before)
@@ -68,10 +70,10 @@ func TestPoolRunsEverySeedOnce(t *testing.T) {
 func TestPoolFirstErrorWins(t *testing.T) {
 	before := runtime.NumGoroutine()
 	errA, errB := errors.New("A"), errors.New("B")
-	seed := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	// One worker runs the seed in order: task 2 fails, nothing after it runs.
+	const n = 8
+	// One worker runs the tasks in order: task 2 fails, nothing after it runs.
 	var ran atomic.Int32
-	err := runWithin(t, newPool[int](nil, 1), seed, func(_, i int) error {
+	err := runWithin(t, newPool(nil, 1), n, func(_, i int) error {
 		ran.Add(1)
 		if i == 2 {
 			return errA
@@ -82,10 +84,10 @@ func TestPoolFirstErrorWins(t *testing.T) {
 		t.Fatalf("p=1: err=%v after %d tasks, want A after 3", err, ran.Load())
 	}
 	// Several workers: B is held back until A has been recorded, so A wins
-	// even though both fail, and the rest of the seed is abandoned.
-	pl := newPool[int](nil, 4)
+	// even though both fail, and the rest of the tasks are abandoned.
+	pl := newPool(nil, 4)
 	ran.Store(0)
-	err = runWithin(t, pl, seed, func(_, i int) error {
+	err = runWithin(t, pl, n, func(_, i int) error {
 		ran.Add(1)
 		switch i {
 		case 0:
@@ -101,8 +103,8 @@ func TestPoolFirstErrorWins(t *testing.T) {
 	if err != errA {
 		t.Fatalf("p=4: err=%v, want the first failure A", err)
 	}
-	if int(ran.Load()) > len(seed) {
-		t.Fatalf("p=4: %d task executions for %d tasks", ran.Load(), len(seed))
+	if int(ran.Load()) > n {
+		t.Fatalf("p=4: %d task executions for %d tasks", ran.Load(), n)
 	}
 	assertGoroutineBaseline(t, before)
 }
@@ -111,7 +113,7 @@ func TestPoolPanicBecomesPanicError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, p := range []int{1, 4} {
 		var panicker atomic.Int32
-		err := runWithin(t, newPool[int](nil, p), []int{0, 1, 2, 3, 4, 5}, func(w, i int) error {
+		err := runWithin(t, newPool(nil, p), 6, func(w, i int) error {
 			if i == 3 {
 				panicker.Store(int32(w))
 				panic(fmt.Sprintf("boom-%d", i))
@@ -140,13 +142,13 @@ func TestPoolCancelWakesIdleWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pl := newPool[int](ctx, 4)
+	pl := newPool(ctx, 4)
 	started := make(chan struct{})
 	go func() {
 		<-started
 		cancel()
 	}()
-	err := runWithin(t, pl, []int{0}, func(int, int) error {
+	err := runWithin(t, pl, 1, func(int, int) error {
 		close(started)
 		<-ctx.Done()
 		for !pl.stopping() {
@@ -158,8 +160,42 @@ func TestPoolCancelWakesIdleWorkers(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	// Pre-canceled: nothing runs at all.
-	if err := pl.run([]int{0}, func(int, int) error { t.Error("task ran on a canceled pool"); return nil }); !errors.Is(err, ErrCanceled) {
+	if err := pl.run(1, func(int, int) error { t.Error("task ran on a canceled pool"); return nil }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled err = %v, want ErrCanceled", err)
+	}
+	assertGoroutineBaseline(t, before)
+}
+
+// TestPoolStopsTakingAfterFailure: once a run is failing, a worker that
+// finishes its task takes no further one. Task 0 fails while task 1 is in
+// flight on the other worker; task 1 retires normally once it sees the stop,
+// and its worker must then leave the remaining tasks alone rather than run
+// them to the end of the list.
+func TestPoolStopsTakingAfterFailure(t *testing.T) {
+	before := runtime.NumGoroutine()
+	errA := errors.New("A")
+	pl := newPool(nil, 2)
+	inFlight := make(chan struct{})
+	var ran atomic.Int32
+	err := runWithin(t, pl, 10, func(_, i int) error {
+		ran.Add(1)
+		switch i {
+		case 0:
+			<-inFlight
+			return errA
+		case 1:
+			close(inFlight)
+			for !pl.stopping() {
+				runtime.Gosched()
+			}
+		}
+		return nil
+	})
+	if err != errA {
+		t.Fatalf("err = %v, want A", err)
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d tasks ran, want 2: a worker took tasks after the run failed", n)
 	}
 	assertGoroutineBaseline(t, before)
 }

@@ -50,7 +50,6 @@ type RevalidateStats struct {
 	Kept          int // prior violations carried over unexamined
 	Reenumerated  int // matches re-enumerated: those meeting the touched set
 	MatchesReused int // match deliveries beyond the first per re-enumerated match
-	UnitsStolen   int // revalidation tasks taken from another worker's deque
 }
 
 func (s *RevalidateStats) add(other RevalidateStats) {
@@ -59,7 +58,6 @@ func (s *RevalidateStats) add(other RevalidateStats) {
 	s.Kept += other.Kept
 	s.Reenumerated += other.Reenumerated
 	s.MatchesReused += other.MatchesReused
-	s.UnitsStolen += other.UnitsStolen
 }
 
 // Revalidate computes Violations(g, Σ) from prev, the complete violation
@@ -85,7 +83,7 @@ func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Vio
 	// One task per group on the package's worker pool, which owns failure
 	// isolation and cancellation (first error wins, a panic becomes a
 	// *PanicError, abandoned tasks surface as the canceled error).
-	pl := newPool[int](opt.Ctx, min(opt.Workers, n))
+	pl := newPool(opt.Ctx, min(opt.Workers, n))
 	ctx := pl.ctx // never nil
 	stats.GFDs = set.Len()
 	stats.Groups = n
@@ -106,9 +104,8 @@ func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Vio
 		return revalidateGroup(set, groups[gi], g, sc, prevBy, opt.Ctx, st, results)
 	}
 	perStats := make([]RevalidateStats, pl.size())
-	err := pl.run(indexes(n), func(w, gi int) error { return run(gi, &perStats[w]) })
-	for w, s := range perStats {
-		s.UnitsStolen = pl.stolen[w]
+	err := pl.run(n, func(w, gi int) error { return run(gi, &perStats[w]) })
+	for _, s := range perStats {
 		stats.add(s)
 	}
 	if err != nil {

@@ -194,10 +194,10 @@ func TestRevalidateDisconnected(t *testing.T) {
 	}
 }
 
-// TestRevalidateStolenUnits exercises the work-stealing wiring: with more
-// workers than evenly divided tasks, idle workers must steal, and the
-// result must stay identical.
-func TestRevalidateStolenUnits(t *testing.T) {
+// TestRevalidateContended runs Revalidate with more workers than evenly
+// divided group tasks, so workers race for the last ones: the result must
+// stay identical in every run.
+func TestRevalidateContended(t *testing.T) {
 	gr := gen.New(gen.Config{N: 30, K: 5, L: 2, WildcardRate: 0.2, Seed: 5})
 	set := gr.Set()
 	g := gr.ConsistentGraph(120)
@@ -206,22 +206,15 @@ func TestRevalidateStolenUnits(t *testing.T) {
 	prev := Violations(base, set)
 	d := gr.DenseDelta(base, 30)
 	want := Violations(d.Overlay(), set)
-	stolen := 0
 	for try := 0; try < 8; try++ {
-		got, stats, err := RevalidateDelta(set, d, prev, RevalidateOptions{Workers: 8})
+		got, _, err := Revalidate(set, d.Overlay(), d.TouchedSince(0), prev, RevalidateOptions{Workers: 8})
 		if err != nil {
 			t.Fatalf("try %d: parallel revalidate: %v", try, err)
 		}
 		if !violationsEqual(got, want) {
 			t.Fatalf("try %d: parallel revalidate diverges", try)
 		}
-		stolen += stats.UnitsStolen
 	}
-	// How much gets stolen is timing-dependent (on a single-core runner every
-	// worker may drain its own stripe before idling), so the count is
-	// reported rather than asserted; the equality checks above are the
-	// contract.
-	t.Logf("units stolen across 8 contended runs: %d", stolen)
 }
 
 // TestRevalidateDeltaChains is the chained form's equivalence property: a

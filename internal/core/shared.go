@@ -121,10 +121,10 @@ func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, 
 		}
 	}
 
-	pl := newPool[int](ctx, min(workers, len(groups)))
+	pl := newPool(ctx, min(workers, len(groups)))
 	byGFD := make([][]Violation, set.Len())
 	reused := make([]int, pl.size()) // per worker, summed after the run
-	err := pl.run(indexes(len(groups)), func(w, gi int) error {
+	err := pl.run(len(groups), func(w, gi int) error {
 		if h := opt.testHookGroupStart; h != nil {
 			h(gi)
 		}

@@ -30,7 +30,7 @@ type Delta struct {
 
 	// log lists, mutation by mutation, the nodes each one may change; its
 	// length is the delta's version (see Version and TouchedSince).
-	log []NodeID
+	log []logEntry
 
 	// Added nodes occupy IDs [base.NumNodes(), base.NumNodes()+len(nodes)).
 	nodes       []Node
@@ -90,9 +90,21 @@ func (d *Delta) Base() *Frozen { return d.base }
 // TouchedSince takes it.
 func (d *Delta) Version() int { return len(d.log) }
 
-// touch records a mutation that may change the rows, attributes or liveness
-// of the given nodes, and so moves the version.
-func (d *Delta) touch(vs ...NodeID) { d.log = append(d.log, vs...) }
+// logEntry is one node a mutation touched. adj marks a mutation that may
+// change the node's adjacency rows (AddEdge, RemoveEdge, RemoveNode); AddNode
+// and SetAttr change its attributes or add an empty row only.
+type logEntry struct {
+	v   NodeID
+	adj bool
+}
+
+// touch records a mutation that may change the attributes or liveness of
+// the given nodes, or their rows when adj, and so moves the version.
+func (d *Delta) touch(adj bool, vs ...NodeID) {
+	for _, v := range vs {
+		d.log = append(d.log, logEntry{v, adj})
+	}
+}
 
 // Memo returns the value SetMemo last stored. It is one slot for a caller
 // that extends a result from the version it was computed at instead of
@@ -165,7 +177,7 @@ func (d *Delta) AddNode(label string) NodeID {
 	id := NodeID(d.baseN() + len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Label: label})
 	d.nodeLabelOf = append(d.nodeLabelOf, d.internNodeLabel(label))
-	d.touch(id)
+	d.touch(false, id)
 	return id
 }
 
@@ -197,7 +209,7 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 			n.Attrs = make(map[string]string)
 		}
 		n.Attrs[attr] = value
-		d.touch(v)
+		d.touch(false, v)
 		return
 	}
 	m, ok := d.attrs[v]
@@ -208,7 +220,7 @@ func (d *Delta) SetAttr(v NodeID, attr, value string) {
 		d.attrs[v] = m
 	}
 	m[attr] = value
-	d.touch(v)
+	d.touch(false, v)
 }
 
 // edgeKey is the integer-only key of the added/removed edge sets.
@@ -227,14 +239,14 @@ func (d *Delta) AddEdge(from, to NodeID, label string) {
 	key := edgeKey{from: from, to: to, label: d.internEdgeLabel(label)}
 	if _, ok := d.removedSet[key]; ok {
 		delete(d.removedSet, key)
-		d.touch(from, to)
+		d.touch(true, from, to)
 		return
 	}
 	if _, ok := d.addedSet[key]; ok || d.base.HasEdgeID(from, to, key.label) {
 		return
 	}
 	d.addedSet[key] = struct{}{}
-	d.touch(from, to)
+	d.touch(true, from, to)
 }
 
 // RemoveEdge deletes the exact (from, label, to) triple, whether it lives in
@@ -252,14 +264,14 @@ func (d *Delta) RemoveEdge(from, to NodeID, label string) {
 	key := edgeKey{from: from, to: to, label: id}
 	if _, ok := d.addedSet[key]; ok {
 		delete(d.addedSet, key)
-		d.touch(from, to)
+		d.touch(true, from, to)
 		return
 	}
 	if _, ok := d.removedSet[key]; ok || !d.base.HasEdgeID(from, to, id) {
 		return
 	}
 	d.removedSet[key] = struct{}{}
-	d.touch(from, to)
+	d.touch(true, from, to)
 }
 
 // RemoveNode tombstones node v with Graph.RemoveNode's semantics: every
@@ -275,7 +287,7 @@ func (d *Delta) RemoveNode(v NodeID) {
 	if !d.Alive(v) {
 		return
 	}
-	d.touch(v)
+	d.touch(true, v)
 	if int(v) < d.baseN() {
 		delete(d.attrs, v)
 	} else {
@@ -302,8 +314,17 @@ func (d *Delta) Label(v NodeID) string {
 // revalidation needs: a match whose image avoids it reads the same edges
 // and attributes in both states. It may hold more (an edit cancelled later
 // stays logged); v must be a version of this delta.
-func (d *Delta) TouchedSince(v int) []NodeID {
-	out := slices.Clone(d.log[v:])
+func (d *Delta) TouchedSince(v int) []NodeID { return d.touchedSince(v, false) }
+
+// touchedSince is TouchedSince, or, when adjOnly, only the nodes whose
+// adjacency rows a mutation since version v may have changed.
+func (d *Delta) touchedSince(v int, adjOnly bool) []NodeID {
+	out := make([]NodeID, 0, len(d.log)-v)
+	for _, e := range d.log[v:] {
+		if e.adj || !adjOnly {
+			out = append(out, e.v)
+		}
+	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }

@@ -384,6 +384,46 @@ func FuzzOverlayChain(f *testing.F) {
 	})
 }
 
+// TestAttrEditsMergeNoRows: a refreeze merges the adjacency rows of the
+// nodes an edge edit or a removal logged, and of a removed node's
+// neighbours, and no others. Attribute writes and added nodes leave the
+// rows to the bulk copy, from the base and along a chain of overlays.
+func TestAttrEditsMergeNoRows(t *testing.T) {
+	mirror, base := fuzzBase()
+	d := NewDelta(base)
+	edit := func(f func(g Sink)) { f(mirror); f(d) }
+	edit(func(g Sink) { g.SetAttr(0, "a0", "x") })
+	edit(func(g Sink) { g.SetAttr(g.AddNode("d"), "k", "v") })
+	if rows := d.rowNodes(base, 0); len(rows) != 0 {
+		t.Fatalf("attribute edits from the base merge the rows of %v", rows)
+	}
+	first, since := d.Overlay(), d.Version()
+	if len(d.outRows)+len(d.inRows) != 0 {
+		t.Fatalf("the first overlay merged %d out and %d in rows", len(d.outRows), len(d.inRows))
+	}
+	edit(func(g Sink) { g.SetAttr(1, "a1", "y") })
+	if rows := d.rowNodes(first, since); len(rows) != 0 {
+		t.Fatalf("attribute edits since version %d merge the rows of %v", since, rows)
+	}
+	edit(func(g Sink) { g.AddEdge(2, 3, "e") })
+	if rows := d.rowNodes(first, since); !slices.Equal(rows, []NodeID{2, 3}) {
+		t.Fatalf("after an edge edit the rows of %v are merged, want [2 3]", rows)
+	}
+	v := NodeID(4)
+	want := slices.Concat([]NodeID{2, 3, v}, base.out.all[base.out.off[v]:base.out.off[v+1]], base.in.all[base.in.off[v]:base.in.off[v+1]])
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if len(want) == 3 {
+		t.Fatal("fixture: node 4 has no neighbours")
+	}
+	mirror.RemoveNode(v)
+	d.RemoveNode(v)
+	if rows := d.rowNodes(first, since); !slices.Equal(rows, want) {
+		t.Fatalf("after removing node %d the rows of %v are merged, want %v", v, rows, want)
+	}
+	checkReaderEquivalence(t, fmt.Sprintf("delta=%v", d), mirror.Frozen(), d.Overlay(), fuzzNodeLabels, fuzzEdgeLabels)
+}
+
 // overlayOp added to an update's first byte (0–5) keeps the update and
 // marks it for FuzzOverlayChain: it is at least 128 and ≡ 0 (mod 6).
 const overlayOp = 132

@@ -139,23 +139,7 @@ func (b *Builder) Freeze() *Frozen {
 	f.edges = len(f.out.targets)
 	b.freezeAttrs(n).into(f)
 
-	// Nodes-by-label CSR: node IDs ascend within each label because nodes
-	// are scattered in ID order.
-	nl := len(b.nodeLabelNames)
-	f.byLabelOff = make([]int32, nl+1)
-	for _, lid := range b.nodeLabelOf {
-		f.byLabelOff[lid+1]++
-	}
-	for i := 0; i < nl; i++ {
-		f.byLabelOff[i+1] += f.byLabelOff[i]
-	}
-	f.byLabelNodes = make([]NodeID, n)
-	next := make([]int32, nl)
-	copy(next, f.byLabelOff[:nl])
-	for v, lid := range b.nodeLabelOf {
-		f.byLabelNodes[next[lid]] = NodeID(v)
-		next[lid]++
-	}
+	f.indexLabels()
 	return f
 }
 
@@ -367,10 +351,8 @@ type Frozen struct {
 
 // tombstone marks the given node slots dead and drops them from the
 // nodes-by-label index. Their adjacency and attribute rows must already be
-// empty (its
-// caller, Graph.Frozen, replays a graph whose RemoveNode dropped the
-// incident edges; Refreeze keeps its own tombstones and drops the edges at
-// them itself).
+// empty (its caller, Graph.Frozen, replays a graph whose RemoveNode dropped
+// the incident edges).
 func (f *Frozen) tombstone(dead []bool) {
 	n := 0
 	for _, d := range dead {
@@ -383,19 +365,33 @@ func (f *Frozen) tombstone(dead []bool) {
 	}
 	f.dead = append([]bool(nil), dead...)
 	f.deadCount = n
-	// Compact the nodes-by-label CSR to live nodes only.
-	nodes := f.byLabelNodes[:0]
-	off := make([]int32, len(f.byLabelOff))
-	for l := 0; l < len(f.byLabelOff)-1; l++ {
-		for _, v := range f.byLabelNodes[f.byLabelOff[l]:f.byLabelOff[l+1]] {
-			if !dead[v] {
-				nodes = append(nodes, v)
-			}
+	f.indexLabels()
+}
+
+// indexLabels builds the nodes-by-label CSR from the node labels and the
+// tombstones: label l's live nodes, ascending by ID, are
+// byLabelNodes[byLabelOff[l]:byLabelOff[l+1]]. It is the one place the
+// index is derived, and ReadSnapshot holds a loaded index to it.
+func (f *Frozen) indexLabels() {
+	nl := len(f.nodeLabelNames)
+	live := func(v int) bool { return f.dead == nil || !f.dead[v] }
+	f.byLabelOff = make([]int32, nl+1)
+	for v, lid := range f.nodeLabelOf {
+		if live(v) {
+			f.byLabelOff[lid+1]++
 		}
-		off[l+1] = int32(len(nodes))
 	}
-	f.byLabelNodes = nodes
-	f.byLabelOff = off
+	for i := range nl {
+		f.byLabelOff[i+1] += f.byLabelOff[i]
+	}
+	f.byLabelNodes = make([]NodeID, f.byLabelOff[nl])
+	next := slices.Clone(f.byLabelOff[:nl])
+	for v, lid := range f.nodeLabelOf {
+		if live(v) {
+			f.byLabelNodes[next[lid]] = NodeID(v)
+			next[lid]++
+		}
+	}
 }
 
 // Alive reports whether v is a valid, non-tombstoned node.

@@ -12,8 +12,8 @@
 // refreezing a ≤1% delta into a 100k-edge snapshot ~an order of magnitude
 // cheaper than Builder.Freeze from scratch (gated by the refreeze_speedup
 // CI metric). Refreeze always merges from the base; Delta.Overlay lays a
-// later version out over the previous overlay instead (Delta.chain), with
-// the same writer (Delta.refreeze) and only the rows touched since.
+// later version out over the previous overlay instead, with the same
+// writer (Delta.refreezeFrom) and only the rows touched since.
 package graph
 
 import (
@@ -34,32 +34,19 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 }
 
 // refreezeFrom builds the snapshot of the delta's current state from src,
-// the delta's base (since = 0) or its overlay of version since. Rows change
-// only at the nodes logged since then and at the neighbours of a node that
-// died since: an edge at a dead node leaves both rows, and the log holds
-// the dead node alone, so those neighbours are read off src's rows. Each of
-// those rows is merged afresh from the base and the delta's edit sets;
-// every other row, adjacency and attributes alike, is src's, copied in
-// bulk. The attribute tables are relayered from src's over the base's, so
-// along a chain of overlays they stay two layers deep. The rows merged from
-// the base are kept per version, so an Overlay and a Refreeze of the same
-// version merge them once. Node IDs are src's, and so are the label and
-// attribute IDs.
+// the delta's base (since = 0) or its overlay of version since. Adjacency
+// rows change only at the nodes rowNodes names, and are merged afresh from
+// the base and the delta's edit sets; attribute rows change only at the
+// nodes logged since, and are rewritten from the delta. Every other row is
+// src's, copied in bulk. The attribute tables are relayered from src's over
+// the base's, so along a chain of overlays they stay two layers deep. The
+// rows merged from the base are kept per version, so an Overlay and a
+// Refreeze of the same version merge them once. Node IDs are src's, and so
+// are the label and attribute IDs.
 func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
-	touched := d.TouchedSince(since)
-	rows := slices.Clip(touched) // an append must not write into touched
-	for _, v := range touched {
-		if src.Alive(v) && !d.Alive(v) {
-			rows = append(rows, src.out.all[src.out.off[v]:src.out.off[v+1]]...)
-			rows = append(rows, src.in.all[src.in.off[v]:src.in.off[v+1]]...)
-		}
-	}
-	if len(rows) > len(touched) {
-		slices.Sort(rows)
-		rows = slices.Compact(rows)
-	}
 	outRows, inRows := d.outRows, d.inRows
 	if since > 0 || d.outRows == nil || d.rowsVersion != d.Version() {
+		rows := d.rowNodes(src, since)
 		outRows, inRows = d.dirRows(true, rows), d.dirRows(false, rows)
 		if since == 0 {
 			d.outRows, d.inRows, d.rowsVersion = outRows, inRows, d.Version()
@@ -70,7 +57,7 @@ func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 	n2 := d.NumNodes()
 
 	nf := &Frozen{}
-	d.refreezeAttrs(src, touched).into(nf)
+	d.refreezeAttrs(src, d.TouchedSince(since)).into(nf)
 	nf.labelIDs, nf.labelNames = extendLabels(src.labelNames, f.labelNames, d.labelNames,
 		src.labelIDs, f.labelIDs, d.labelIDs)
 	nf.nodeLabelIDs, nf.nodeLabelNames = extendLabels(src.nodeLabelNames, f.nodeLabelNames, d.nodeLabelNames,
@@ -86,9 +73,7 @@ func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 	// Tombstones: the base's plus the delta's. deadCount is recounted from
 	// the merged flags rather than summed (f.deadCount + len(d.dead) assumes
 	// the two sets never overlap); the count must equal the number of set
-	// flags exactly, because the nodes-by-label fill below and Compact's
-	// remap both size arrays from it — an overcount leaves phantom zero
-	// entries in label runs, an undercount panics the fill.
+	// flags exactly, because Compact's remap sizes arrays from it.
 	if f.dead != nil || len(d.dead) > 0 {
 		dead := make([]bool, n2)
 		copy(dead, f.dead)
@@ -105,28 +90,30 @@ func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 		nf.deadCount = count
 	}
 
-	// Nodes-by-label CSR over live nodes: one O(V) counting pass.
-	nl := len(nf.nodeLabelNames)
-	nf.byLabelOff = make([]int32, nl+1)
-	live := func(v int) bool { return nf.dead == nil || !nf.dead[v] }
-	for v, lid := range nf.nodeLabelOf {
-		if live(v) {
-			nf.byLabelOff[lid+1]++
-		}
-	}
-	for i := 0; i < nl; i++ {
-		nf.byLabelOff[i+1] += nf.byLabelOff[i]
-	}
-	nf.byLabelNodes = make([]NodeID, n2-nf.deadCount)
-	next := make([]int32, nl)
-	copy(next, nf.byLabelOff[:nl])
-	for v, lid := range nf.nodeLabelOf {
-		if live(v) {
-			nf.byLabelNodes[next[lid]] = NodeID(v)
-			next[lid]++
-		}
-	}
+	nf.indexLabels()
 	return nf
+}
+
+// rowNodes returns, ascending, the nodes whose adjacency rows a refreeze
+// from src (the delta's base, or its overlay of version since) merges
+// afresh: those an edge edit or a removal since then logged, and the
+// neighbours on src of every node that died since — an edge at a dead node
+// leaves both rows, and the log holds the dead node alone. A node whose
+// only edits since are attribute writes keeps src's rows.
+func (d *Delta) rowNodes(src *Frozen, since int) []NodeID {
+	rows := d.touchedSince(since, true)
+	n := len(rows)
+	for _, v := range rows[:n] {
+		if src.Alive(v) && !d.Alive(v) {
+			rows = append(rows, src.out.all[src.out.off[v]:src.out.off[v+1]]...)
+			rows = append(rows, src.in.all[src.in.off[v]:src.in.off[v+1]]...)
+		}
+	}
+	if len(rows) > n {
+		slices.Sort(rows)
+		rows = slices.Compact(rows)
+	}
+	return rows
 }
 
 // extendLabels returns one label table of a snapshot of the delta: src's

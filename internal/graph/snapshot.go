@@ -493,21 +493,8 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 		d.fail("edge count %d disagrees with CSR rows (%d out, %d in)",
 			f.edges, len(f.out.targets), len(f.in.targets))
 	}
-	f.byLabelOff = snapIntsOut[int32](d)
-	f.byLabelNodes = snapIntsOut[NodeID](d)
-	if d.err == nil {
-		nl := len(f.nodeLabelNames)
-		switch {
-		case len(f.byLabelOff) != nl+1:
-			d.fail("nodes-by-label offsets sized %d, want %d", len(f.byLabelOff), nl+1)
-		case !monotone(f.byLabelOff):
-			d.fail("nodes-by-label offsets are not monotone")
-		case int(f.byLabelOff[nl]) != len(f.byLabelNodes):
-			d.fail("nodes-by-label offsets do not cover the array")
-		case !idsInRange(f.byLabelNodes, n):
-			d.fail("nodes-by-label entry outside the node space")
-		}
-	}
+	byLabelOff := snapIntsOut[int32](d)
+	byLabelNodes := snapIntsOut[NodeID](d)
 	switch flag := d.u32(); {
 	case flag > 1:
 		d.fail("tombstone flag %d, want 0 or 1", flag)
@@ -540,6 +527,15 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 			if d.err != nil {
 				break
 			}
+		}
+	}
+	if d.err == nil {
+		// The index is derived data: an image whose stored index is not
+		// the one its labels and tombstones give would serve wrong
+		// candidates.
+		f.indexLabels()
+		if !slices.Equal(byLabelOff, f.byLabelOff) || !slices.Equal(byLabelNodes, f.byLabelNodes) {
+			d.fail("nodes-by-label index disagrees with the node labels")
 		}
 	}
 	if d.err != nil {

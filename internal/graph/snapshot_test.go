@@ -193,6 +193,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(img)
 	}
 	f.Add(seeds[2][:len(seeds[2])/2]) // truncated
+	f.Add(swappedLabelIndexImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readBack(t, data)
 		if len(data) >= 28 {
@@ -267,6 +268,32 @@ func TestReadSnapshotRejectsDataOnTombstones(t *testing.T) {
 		if _, err := ReadSnapshot(bytes.NewReader(img)); err == nil {
 			t.Fatalf("image %d: a tombstoned node with attributes or edges loaded", i)
 		}
+	}
+}
+
+// swappedLabelIndexImage writes a two-node graph, node 0 labelled A and
+// node 1 labelled B, with the two entries of its nodes-by-label index
+// swapped: its checksums hold and it writes back byte for byte, but the
+// index would answer node 1 for label A.
+func swappedLabelIndexImage(tb testing.TB) []byte {
+	b := NewBuilder(0)
+	b.AddNode("A")
+	b.AddNode("B")
+	bad := b.Freeze()
+	bad.byLabelNodes[0], bad.byLabelNodes[1] = bad.byLabelNodes[1], bad.byLabelNodes[0]
+	var buf bytes.Buffer
+	if err := bad.WriteSnapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadSnapshotRejectsMislabelledIndex: the nodes-by-label index must be
+// the one the node labels give, or searches on the loaded snapshot would
+// start from nodes of another label.
+func TestReadSnapshotRejectsMislabelledIndex(t *testing.T) {
+	if g, err := ReadSnapshot(bytes.NewReader(swappedLabelIndexImage(t))); err == nil {
+		t.Fatalf("a swapped nodes-by-label index loaded: candidates of A are %v", g.AppendCandidates(nil, "A"))
 	}
 }
 

@@ -6,9 +6,9 @@
 // are length-prefixed and CRC-checked; recovery replays the longest valid
 // prefix and treats a torn tail record — the normal residue of a crash
 // mid-append — as truncation, not an error. Appends are buffered and
-// fsync-batched: every SyncEvery records the buffer is flushed and, when the
-// destination supports it, fsynced, bounding the ops a crash can lose
-// without paying a sync per op.
+// fsync-batched: every DefaultSyncEvery records the buffer is flushed and,
+// when the destination supports it, fsynced, bounding the ops a crash can
+// lose without paying a sync per op.
 //
 // Record layout (little-endian):
 //
@@ -79,18 +79,17 @@ type WAL struct {
 	err     error
 	pending int
 	scratch []byte
-
-	// SyncEvery is the number of records between fsync batches (default
-	// DefaultSyncEvery; 1 syncs every record). Changing it mid-stream is
-	// allowed and takes effect at the next append.
-	SyncEvery int
+	// syncEvery is the number of records between fsync batches:
+	// DefaultSyncEvery, which the package's tests lower to reach a batch
+	// boundary in a few records.
+	syncEvery int
 }
 
 // NewWAL returns a log over an arbitrary writer appending ops applied to d.
 // When w implements `Sync() error` (an *os.File does), the fsync batching is
 // active; otherwise batches only flush the buffer.
 func NewWAL(w io.Writer, d *Delta) *WAL {
-	l := &WAL{d: d, bw: bufio.NewWriter(w), SyncEvery: DefaultSyncEvery}
+	l := &WAL{d: d, bw: bufio.NewWriter(w), syncEvery: DefaultSyncEvery}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		l.f = s
 	}
@@ -138,11 +137,7 @@ func (l *WAL) record(payload []byte) {
 		return
 	}
 	l.pending++
-	every := l.SyncEvery
-	if every <= 0 {
-		every = DefaultSyncEvery
-	}
-	if l.pending >= every {
+	if l.pending >= l.syncEvery {
 		l.err = l.Sync()
 	}
 }
@@ -439,13 +434,10 @@ var walOpenForRecover = func(path string) (io.ReadCloser, error) { return os.Ope
 
 // RecoverFile replays the log file over the base and, when the log carries a
 // torn or corrupt tail, truncates the file to the valid prefix so a new WAL
-// can append after it. A missing file recovers to an empty delta (nothing
-// was ever logged).
+// can append after it. A missing file is an error that errors.Is matches
+// against fs.ErrNotExist.
 func RecoverFile(base *Frozen, path string) (*Delta, RecoverStats, error) {
 	f, err := walOpenForRecover(path)
-	if os.IsNotExist(err) {
-		return NewDelta(base), RecoverStats{}, nil
-	}
 	if err != nil {
 		return nil, RecoverStats{}, fmt.Errorf("graph: wal: %w", err)
 	}

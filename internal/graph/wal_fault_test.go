@@ -44,7 +44,7 @@ func TestWALWriteFaultEveryOp(t *testing.T) {
 	// Count the destination op stream with a never-failing writer.
 	counting := &faultio.Writer{W: io.Discard, FailAt: -1}
 	cw := NewWAL(counting, NewDelta(base))
-	cw.SyncEvery = 3
+	cw.syncEvery = 3
 	for _, op := range ops {
 		op(cw)
 	}
@@ -60,10 +60,10 @@ func TestWALWriteFaultEveryOp(t *testing.T) {
 			var buf bytes.Buffer
 			fw := &faultio.Writer{W: &buf, FailAt: failAt, Short: short}
 			w := NewWAL(fw, NewDelta(base))
-			w.SyncEvery = 3
+			w.syncEvery = 3
 
 			// Track the durability floor: after any op acknowledged without
-			// error, every batch the SyncEvery=3 policy has fsynced so far
+			// error, every batch the syncEvery=3 policy has fsynced so far
 			// (records at multiples of 3) is promised to survive.
 			maxDurable := 0
 			for k, op := range ops {
@@ -132,7 +132,7 @@ func TestWALStickyAfterFailedFsync(t *testing.T) {
 	// Destination op 0 is the first batch flush, op 1 its fsync.
 	fw := &faultio.Writer{W: &buf, FailAt: 1}
 	w := NewWAL(fw, NewDelta(base))
-	w.SyncEvery = 3
+	w.syncEvery = 3
 	for _, op := range ops {
 		op(w)
 	}
