@@ -69,7 +69,7 @@ func TestParPreCanceled(t *testing.T) {
 	}
 	eng := newSatEngine(opt, set)
 	eng.testHookGroupPlan = func(int) { t.Error("a group was planned under a pre-canceled context") }
-	if res := eng.sat(chunkCopies); !errors.Is(res.Err, ErrCanceled) {
+	if res := eng.sat(1); !errors.Is(res.Err, ErrCanceled) {
 		t.Fatalf("engine run: err = %v, want ErrCanceled", res.Err)
 	}
 	assertGoroutineBaseline(t, before)
@@ -131,7 +131,7 @@ func TestParDeadlineDuringBuildUnits(t *testing.T) {
 			planned.Add(1)
 			ctx.fire()
 		}
-		res := eng.sat(chunkCopies)
+		res := eng.sat(1)
 		if !errors.Is(res.Err, context.DeadlineExceeded) {
 			t.Fatalf("p=%d: err = %v, want context.DeadlineExceeded", workers, res.Err)
 		}

@@ -31,7 +31,8 @@ type Stats struct {
 	// is not counted.
 	Dropped int
 	// UnitsRun counts the searches a run chased: ParSat's (group, chunk)
-	// pieces, ParImp's units.
+	// pieces, at most p per group, and ParImp's units, one per group with
+	// pivot candidates.
 	UnitsRun int
 	// UnitsStolen, UnitsSplit, Broadcasts and DeltaOps are always 0: no
 	// worker takes a task from another's share (the pool hands tasks out

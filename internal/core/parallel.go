@@ -15,8 +15,7 @@ import (
 // start from DefaultParOptions. How the work is cut is not an option,
 // because nothing is gained by varying it: pattern groups are always taken
 // in the dependency order of Section V-B (groupOrder), a ParSat task is a
-// chunk of chunkCopies of G_Σ's copies, and a ParImp unit roots its search
-// in at most unitRoots pivot candidates.
+// chunk of ⌈|Σ|/p⌉ of G_Σ's copies, and a ParImp unit is one pattern group.
 type ParOptions struct {
 	// Workers is p, the number of parallel workers (at least 1).
 	Workers int
@@ -44,23 +43,15 @@ func DefaultParOptions(workers int) ParOptions {
 }
 
 // unit is one search of a pattern group (Section V-B): rooted in an
-// ascending list of the group's pivot candidates. The candidates are the
-// pivot's G_Σ scope for ParSat and its label-index candidates on G^X_Q for
-// ParImp. Units are per pattern group, not per GFD: one enumeration of the
-// group's pattern serves every member rule, with the per-GFD conclusions
-// fanned out at enforcement time (chaseMatch).
+// ascending list of the group's pivot candidates. For ParSat they are the
+// part of the pivot's G_Σ scope that lies in one chunk; for ParImp all of
+// its label-index candidates on G^X_Q. Units are per pattern group, not per
+// GFD: one enumeration of the group's pattern serves every member rule, with
+// the per-GFD conclusions fanned out at enforcement time (chaseMatch).
 type unit struct {
 	grp   int            // index into parEngine.groups
 	roots []graph.NodeID // ascending, never empty
 }
-
-// unitRoots is the most pivot candidates one ParImp unit roots its search
-// in. A unit pays a pool take, a buffer and a search set-up; at one
-// candidate per unit those costs rivalled the matching itself (2.8 matches
-// per unit on the sat-dbpedia Σ). Cuts of 16 to 128 and whole groups
-// measured the same (DESIGN.md, "Work units"); a short cut keeps the pool
-// able to balance.
-const unitRoots = 64
 
 // parEngine is the planning ParSat and ParImp share: Σ's pattern groups,
 // one plan per group, each group's pivot and its candidates, and the order
@@ -162,18 +153,6 @@ func (e *parEngine) planGroups() error {
 		e.plans[i] = plan
 		return nil
 	})
-}
-
-// appendRanges appends group grp's units to units: roots cut into
-// consecutive ranges of at most size candidates, in order. Roots are
-// ascending, so every range is, and running a group's units in order
-// enumerates what one search over all of roots would, in that order.
-func appendRanges(units []unit, grp int, roots []graph.NodeID, size int) []unit {
-	for lo := 0; lo < len(roots); lo += size {
-		hi := min(lo+size, len(roots))
-		units = append(units, unit{grp: grp, roots: roots[lo:hi:hi]})
-	}
-	return units
 }
 
 // groupOrder returns the pattern groups in scheduling order: each group

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -238,14 +240,12 @@ func TestStealingMatchesCentralStats(t *testing.T) {
 	}
 }
 
-// TestUnitsPartitionGroupRoots pins the work shapes on gen's Σ of
-// TestEngineCountsPinned. For every pattern group, ParImp's cut — ranges of
-// one candidate, three, unitRoots and the whole list — and ParSat's — the
-// group's part of every chunk, at one copy a chunk, seven and chunkCopies —
-// are ascending and put each of the group's pivot candidates in exactly one
-// part, and running their searches one after another enumerates the
-// sequence that one search over the whole list does, which holds every
-// match of the pattern in G_Σ.
+// TestUnitsPartitionGroupRoots pins ParSat's work shapes on gen's Σ of
+// TestEngineCountsPinned. For every pattern group, its parts of the chunks —
+// at one copy a chunk, seven and ⌈n/2⌉ — are ascending and put each of the
+// group's pivot candidates in exactly one part, and running their searches
+// one after another enumerates the sequence that one search over the whole
+// list does, which holds every match of the pattern in G_Σ.
 func TestUnitsPartitionGroupRoots(t *testing.T) {
 	set := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
 	e := newSatEngine(DefaultParOptions(1), set)
@@ -289,7 +289,7 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 		return parts
 	}
 	chunked := map[int][][]unit{}
-	for _, size := range []int{1, 7, chunkCopies} {
+	for _, size := range []int{1, 7, (set.Len() + 1) / 2} {
 		tasks, _ := e.chunks(size)
 		chunked[size] = byGroup(tasks)
 	}
@@ -305,15 +305,6 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 		if n := len(match.FindAll(e.groups[grp].Pattern, e.g)); len(want) != n {
 			t.Fatalf("group %d: %d matches rooted in the candidates, %d in G_Σ", grp, len(want), n)
 		}
-		for _, size := range []int{1, 3, unitRoots, len(all)} {
-			parts := appendRanges(nil, grp, all, size)
-			for _, u := range parts {
-				if len(u.roots) > size {
-					t.Fatalf("group %d, cut %d: a unit of %d roots", grp, size, len(u.roots))
-				}
-			}
-			check(fmt.Sprintf("cut %d", size), grp, parts, want)
-		}
 		for size, parts := range chunked {
 			check(fmt.Sprintf("chunks of %d copies", size), grp, parts[grp], want)
 		}
@@ -324,30 +315,82 @@ func TestUnitsPartitionGroupRoots(t *testing.T) {
 	}
 }
 
-// TestOneWorkerChasesOneChunk pins how ParSat sizes its chunks. Chunks exist
-// only so that several workers have tasks to balance, so on a G_Σ of more
-// than chunkCopies copies one worker takes all of it as one task and two
-// workers take more than one; and SeqSat is that one-worker run, stat for
-// stat.
-func TestOneWorkerChasesOneChunk(t *testing.T) {
-	set := gen.New(gen.Config{N: 2*chunkCopies + 1, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
-	var one Stats
-	for _, p := range []int{1, 2} {
-		var tasks atomic.Int32
-		opt := DefaultParOptions(p)
-		opt.testHookTask = func(int, []unit) { tasks.Add(1) }
-		res := ParSat(set, opt)
-		if res.Err != nil || !res.Satisfiable {
-			t.Fatalf("p=%d: satisfiable %v, err %v", p, res.Satisfiable, res.Err)
-		}
-		if n := tasks.Load(); p == 1 && n != 1 || p > 1 && n < 2 {
-			t.Errorf("p=%d: %d tasks on %d copies", p, n, set.Len())
-		}
-		if p == 1 {
-			one = res.Stats
+// TestUnitsPartitionParImpGroups pins ParImp's cut: one unit per pattern
+// group of Σ′ that has pivot candidates on G^X_Q, at every p; a target that
+// is not implied has every unit chased.
+func TestUnitsPartitionParImpGroups(t *testing.T) {
+	gr := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1})
+	set, phi := gr.Set(), gr.NonImpliedGFD()
+	cp, sub, res := startImp(set, phi)
+	if res != nil {
+		t.Fatalf("answered without a chase: %v", res.Reason)
+	}
+	e := newParEngine(DefaultParOptions(1), sub, cp.Graph.Frozen())
+	if err := e.planGroups(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]int{} // a group's first member → its units
+	for gi, roots := range e.roots {
+		if len(roots) > 0 {
+			want[e.groups[gi].Members[0]] = 1
 		}
 	}
-	if seq := SeqSat(set).Stats; seq != one {
-		t.Errorf("SeqSat's stats %+v, ParSat p=1's %+v", seq, one)
+	if len(want) < 2 {
+		t.Fatalf("%d groups have candidates: the cut is not tested", len(want))
+	}
+	for _, p := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		got := map[int]int{}
+		opt := DefaultParOptions(p)
+		opt.testHookUnitStart = func(first int) {
+			mu.Lock()
+			got[first]++
+			mu.Unlock()
+		}
+		r := ParImp(set, phi, opt)
+		if r.Err != nil || r.Implied {
+			t.Fatalf("p=%d: implied %v, err %v", p, r.Implied, r.Err)
+		}
+		if !maps.Equal(got, want) || r.Stats.UnitsRun != len(want) {
+			t.Errorf("p=%d: units by group %v, %d chased; want one for each of %v", p, got, r.Stats.UnitsRun, want)
+		}
+	}
+}
+
+// TestOneWorkerChasesOneChunk pins how ParSat sizes its chunks: ⌈|Σ|/p⌉
+// copies, so on an uncoupled Σ p workers take exactly min(p, |Σ|) tasks —
+// one at p = 1 — and SeqSat is the one-worker run, stat for stat.
+func TestOneWorkerChasesOneChunk(t *testing.T) {
+	for _, n := range []int{3, 401} {
+		set := gen.New(gen.Config{N: n, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1}).Set()
+		e := newSatEngine(DefaultParOptions(1), set)
+		if err := e.planGroups(); err != nil {
+			t.Fatal(err)
+		}
+		uf := e.coupling()
+		for c := range uf {
+			if uf.find(int32(c)) != int32(c) {
+				t.Fatalf("|Σ| = %d: copy %d is coupled; the test needs an uncoupled Σ", n, c)
+			}
+		}
+		var one Stats
+		for _, p := range []int{1, 2, 4} {
+			var tasks atomic.Int32
+			opt := DefaultParOptions(p)
+			opt.testHookTask = func(int, []unit) { tasks.Add(1) }
+			res := ParSat(set, opt)
+			if res.Err != nil || !res.Satisfiable {
+				t.Fatalf("|Σ| = %d, p=%d: satisfiable %v, err %v", n, p, res.Satisfiable, res.Err)
+			}
+			if got := int(tasks.Load()); got != min(p, n) {
+				t.Errorf("|Σ| = %d, p=%d: %d tasks, want %d", n, p, got, min(p, n))
+			}
+			if p == 1 {
+				one = res.Stats
+			}
+		}
+		if seq := SeqSat(set).Stats; seq != one {
+			t.Errorf("|Σ| = %d: SeqSat's stats %+v, ParSat p=1's %+v", n, seq, one)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // ParImp decides Σ |= φ with p parallel workers (Section VI-C). G^X_Q is one
 // copy, so ParSat's partition of the chase does not apply: any match may
 // touch any term. What is divided is matching. The pool's workers enumerate
-// work units — ranges of at most unitRoots of a pattern group's pivot
-// candidates, groups in dependency order with the GFDs whose antecedent Eq_X
+// work units — one per pattern group with pivot candidates, rooted in all of
+// them, groups in dependency order with the GFDs whose antecedent Eq_X
 // subsumes first (Section VI-C(a)) — into per-unit match buffers, and one
 // chase on Eq_X consumes the buffers in unit order. It stops the pool when
 // Eq_H conflicts (the antecedent is inconsistent with Σ) or deduces Y.
@@ -73,7 +73,9 @@ func (e *parEngine) imp(cp *canon.Phi) *ImpResult {
 	}
 	var units []unit
 	for _, gi := range e.groupOrder() {
-		units = appendRanges(units, gi, e.roots[gi], unitRoots)
+		if len(e.roots[gi]) > 0 {
+			units = append(units, unit{grp: gi, roots: e.roots[gi]})
+		}
 	}
 	enf := newEnforcer(cp.EqX, e.set)
 	// chase consumes unit i's matches, back to back in buf.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"slices"
 
 	"repro/internal/canon"
@@ -21,9 +20,10 @@ import (
 // relation, so nothing is broadcast or replayed. A conflict in any chunk is
 // the answer, UNSAT, and halts the pool; quiescence is SAT, and the witness
 // model is completed from the workers' relations. The outcome does not
-// depend on p (Church–Rosser). Chunks only give several workers tasks to
-// balance, and every (group, chunk) piece pays a search set-up, so one
-// worker chases G_Σ as one chunk: that run is SeqSat.
+// depend on p (Church–Rosser). Chunks only give the p workers tasks, and
+// every (group, chunk) piece pays a search set-up, so a chunk holds
+// ⌈|Σ|/p⌉ copies: p workers get at most p chunks, and one worker chases G_Σ
+// as one chunk — that run is SeqSat.
 //
 // A disconnected pattern whose literals reach past its pivot's component
 // couples the copies its components can lie in, and coupled copies share a
@@ -33,11 +33,8 @@ func ParSat(set *gfd.Set, opt ParOptions) *SatResult {
 	if set.Len() == 0 {
 		return emptySetResult()
 	}
-	size := chunkCopies
-	if opt.Workers <= 1 {
-		size = math.MaxInt
-	}
-	return newSatEngine(opt, set).sat(size)
+	p := max(opt.Workers, 1)
+	return newSatEngine(opt, set).sat((set.Len() + p - 1) / p)
 }
 
 // newSatEngine returns the engine of ParSat on Σ: G_Σ, searched as a Frozen
@@ -48,13 +45,6 @@ func newSatEngine(opt ParOptions, set *gfd.Set) *parEngine {
 	eng.sigma = cs
 	return eng
 }
-
-// chunkCopies is how many of G_Σ's copies a ParSat task covers at p ≥ 2.
-// Every (group, chunk) piece pays a search set-up and its root frame, so
-// small chunks lose: on the sat-dbpedia Σ, p = 2 took 74 ms at 16 copies a
-// task against 55 at 200. Cuts of 200 to 800 measured the same (DESIGN.md,
-// "Work units"); the shortest leaves the pool the most tasks to balance.
-const chunkCopies = 200
 
 // sat runs ParSat's chase over chunks of size copies on e, the planned
 // engine of G_Σ.

@@ -12,14 +12,14 @@ import (
 // schedule on one generated Σ to the numbers recorded at the commit before
 // G_Σ and G^X_Q were searched as Frozen snapshots: a change of the graph
 // representation under the engines must not move a single match, nor the
-// verdicts. A ParImp unit is a range of at most unitRoots of a pattern
-// group's pivot candidates, so its units column is the sum over groups of
-// ⌈candidates / unitRoots⌉; its chase takes the units in order, so even a
-// run that stops at the goal does the same work at every p. A ParSat unit is
-// a group's part of one chunk of G_Σ's copies: this Σ's 200 copies make one
-// chunk, so its units column counts the groups that have pivot candidates
-// (186; it read 202 while ParSat cut ParImp's ranges). SeqSat and SeqImp
-// are ParSat and ParImp on one worker, so their rows equal p = 1's.
+// verdicts. A ParImp unit is one pattern group with pivot candidates, so
+// its units column counts those groups of Σ′; its chase takes the units in
+// order, so even a run that stops at the goal does the same work at every p.
+// A ParSat unit is a group's part of one chunk of G_Σ's copies, and a chunk
+// holds ⌈200/p⌉ of this Σ's copies: at p = 1 its units column counts the
+// groups that have pivot candidates (186), and at p = 2 and 4 the (group,
+// chunk) pieces, 307 and 499. SeqSat and SeqImp are ParSat and ParImp on
+// one worker, so their rows equal p = 1's.
 func TestEngineCountsPinned(t *testing.T) {
 	gr := gen.New(gen.Config{N: 200, K: 6, L: 5, Profile: dataset.DBpedia(), WildcardRate: 0.3, Seed: 1})
 	set := gr.Set()
@@ -54,7 +54,7 @@ func TestEngineCountsPinned(t *testing.T) {
 		if r := ParSat(set, opt); r.Err != nil || !r.Satisfiable {
 			t.Errorf("ParSat p=%d: satisfiable=%v err=%v", p, r.Satisfiable, r.Err)
 		} else {
-			check(fmt.Sprintf("ParSat p=%d", p), r.Stats, 3696, 1290, 186)
+			check(fmt.Sprintf("ParSat p=%d", p), r.Stats, 3696, 1290, map[int]int{1: 186, 2: 307, 4: 499}[p])
 		}
 		if r := ParImp(set, nonImplied, opt); r.Err != nil || r.Implied {
 			t.Errorf("ParImp p=%d: non-implied target: implied=%v err=%v", p, r.Implied, r.Err)

@@ -74,13 +74,19 @@ func checkRevalidate(t *testing.T, ctx string, set *gfd.Set, base *graph.Frozen,
 }
 
 // perturb flips one attribute on a few random nodes so the pre-delta graph
-// already carries violations (the carried-over half of the algorithm).
+// already carries violations (the carried-over half of the algorithm). The
+// attribute is drawn from the node's sorted names, not taken from a map
+// range, so that a seed always builds the same graph.
 func perturb(rng *rand.Rand, g *graph.Graph, n int) {
 	for i := 0; i < n; i++ {
 		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		var names []string
 		for a := range g.Attrs(v) {
-			g.SetAttr(v, a, "perturbed")
-			break
+			names = append(names, a)
+		}
+		if len(names) > 0 {
+			slices.Sort(names)
+			g.SetAttr(v, names[rng.Intn(len(names))], "perturbed")
 		}
 	}
 }
@@ -196,14 +202,19 @@ func TestRevalidateDisconnected(t *testing.T) {
 
 // TestRevalidateContended runs Revalidate with more workers than evenly
 // divided group tasks, so workers race for the last ones: the result must
-// stay identical in every run.
+// stay identical in every run. The base must carry violations, so that the
+// carried-over half runs too; 8 perturbed nodes hit no attribute a rule
+// reads, 32 do.
 func TestRevalidateContended(t *testing.T) {
 	gr := gen.New(gen.Config{N: 30, K: 5, L: 2, WildcardRate: 0.2, Seed: 5})
 	set := gr.Set()
 	g := gr.ConsistentGraph(120)
-	perturb(rand.New(rand.NewSource(5)), g, 8)
+	perturb(rand.New(rand.NewSource(5)), g, 32)
 	base := g.Frozen()
 	prev := Violations(base, set)
+	if len(prev) == 0 {
+		t.Fatal("the perturbed base has no violations: nothing is carried over")
+	}
 	d := gr.DenseDelta(base, 30)
 	want := Violations(d.Overlay(), set)
 	for try := 0; try < 8; try++ {

@@ -41,9 +41,9 @@ func idsEqual(a, b []graph.NodeID) bool {
 }
 
 // FuzzIntersect pins the kernel contract of intersect.go: merge, both
-// gallop directions, the adaptive picker, and the bitset kernel all
-// compute base filtered to the values present in list — same elements,
-// same order, same multiplicity — on arbitrary sorted operand pairs.
+// gallop directions and the adaptive picker all compute base filtered to
+// the values present in list — same elements, same order, same
+// multiplicity — on arbitrary sorted operand pairs.
 // CI replays the seed corpus deterministically (see ci.yml); run with
 // -fuzz=FuzzIntersect to explore.
 func FuzzIntersect(f *testing.F) {
@@ -69,22 +69,6 @@ func FuzzIntersect(f *testing.F) {
 		}
 		if got := intersectAdaptive(cloneIDs(base), list); !idsEqual(got, want) {
 			t.Fatalf("adaptive picker diverges from merge:\nbase %v\nlist %v\nmerge    %v\nadaptive %v", base, list, want, got)
-		}
-
-		// Bitset kernel: membership-set semantics — build the set from
-		// list, then filter base through it.
-		max := graph.NodeID(0)
-		for _, n := range list {
-			if n > max {
-				max = n
-			}
-		}
-		bs := make(graph.Bitset, (int(max)+64)/64)
-		for _, n := range list {
-			bs[uint(n)>>6] |= 1 << (uint(n) & 63)
-		}
-		if got := intersectBitset(cloneIDs(base), bs); !idsEqual(got, want) {
-			t.Fatalf("bitset kernel diverges from merge:\nbase %v\nlist %v\nmerge  %v\nbitset %v", base, list, want, got)
 		}
 	})
 }

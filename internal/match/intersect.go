@@ -5,15 +5,15 @@
 // hot workloads are skewed — a handful of generated candidates intersected
 // with a hub's ten-thousand-entry adjacency run — and there a galloping
 // (exponential-probe) search pays O(short·log(long)) instead of O(long).
-// The picker chooses per call from the operand cardinalities; a snapshot's
-// candidate bitset (Frozen.CandidateBitset) serves the third shape, where
-// membership in a high-frequency label's candidate set is tested per
-// element in O(1).
+// The picker chooses per call from the operand cardinalities.
 //
 // Every kernel computes the same function — base filtered, in place, to
 // the elements contained in list, preserving base's order and multiplicity
 // — so they are interchangeable per call site. FuzzIntersect and the
-// adaptive-equivalence property tests pin that contract.
+// adaptive-equivalence property tests pin that contract. Candidate
+// generation (expandFrom) also tests membership in a high-frequency
+// label's candidate set through the snapshot's bitset
+// (Frozen.CandidateBitset), one word probe per element, inline.
 package match
 
 import (
@@ -109,19 +109,6 @@ func intersectGallopBase(base, list []graph.NodeID) []graph.NodeID {
 		for lo < len(base) && base[lo] == n {
 			kept = append(kept, n)
 			lo++
-		}
-	}
-	return kept
-}
-
-// intersectBitset compacts base to the elements the bitset contains: the
-// O(1)-membership kernel for operands served as a snapshot candidate
-// bitset.
-func intersectBitset(base []graph.NodeID, bs graph.Bitset) []graph.NodeID {
-	kept := base[:0]
-	for _, n := range base {
-		if bs.Test(n) {
-			kept = append(kept, n)
 		}
 	}
 	return kept
