@@ -9,8 +9,8 @@
 // Gating metrics are *ratios* (speedups between two code paths measured in
 // the same process), not absolute times: ratios survive the machine change
 // between the baseline author's box and a CI runner, while wall-clock
-// numbers do not. Absolute times ride along as informational metrics so
-// the uploaded artifact stays useful for eyeballing trends.
+// numbers do not. Both sides of each ratio ride along as informational
+// times, so a moved ratio shows which side moved.
 package bench
 
 import (
@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -118,19 +117,42 @@ func IngestFrozen(from, to []graph.NodeID, lab []string) *graph.Frozen {
 	return b.Freeze()
 }
 
-// MatchWorkload builds the canonical label-dense matching workload: a
-// DenseGraph(2000, 64) data graph plus the generator-schema triangle
-// patterns whose closing edge rejects most partial assignments. Not every
-// seed's schema closes a triangle, so the workload comes from the first
-// seed in [seed, seed+16) that does; the error fires when none does.
-func MatchWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
+// triangleGen returns the generator behind the schema-triangle workloads
+// and its seed: the first seed in [seed, seed+16) whose schema closes a
+// triangle, since not every seed's does. The error fires when none does.
+func triangleGen(seed int64) (*gen.Generator, int64, error) {
 	for s := seed; s < seed+16; s++ {
 		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
-		if ps := gen.SchemaTriangles(gr.Schema(), 12); len(ps) > 0 {
-			return gr.DenseGraph(2000, 64).Frozen(), ps, nil
+		if len(gen.SchemaTriangles(gr.Schema(), 1)) > 0 {
+			return gr, s, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("no triangle workload within seeds [%d,%d)", seed, seed+16)
+	return nil, 0, fmt.Errorf("no schema triangle within seeds [%d,%d)", seed, seed+16)
+}
+
+// perturb overwrites every attribute of n nodes of g, drawn from seed, with
+// one value, so the frozen result already violates W-consistent rules. It
+// writes each chosen node whole, so the result does not depend on map order.
+func perturb(g *graph.Graph, seed int64, n int) *graph.Frozen {
+	rng := rand.New(rand.NewSource(seed))
+	for range n {
+		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		for a := range g.Attrs(v) {
+			g.SetAttr(v, a, "perturbed")
+		}
+	}
+	return g.Frozen()
+}
+
+// MatchWorkload builds the canonical label-dense matching workload: a
+// DenseGraph(2000, 64) data graph plus the generator-schema triangle
+// patterns whose closing edge rejects most partial assignments.
+func MatchWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
+	gr, _, err := triangleGen(seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gr.DenseGraph(2000, 64).Frozen(), gen.SchemaTriangles(gr.Schema(), 12), nil
 }
 
 // RefreezeOps is the update-batch size of the canonical refreeze workload:
@@ -195,29 +217,16 @@ func RefreezeWorkload(seed int64) (base *graph.Frozen, mkDelta func() *graph.Del
 // ValidateWorkload builds the canonical incremental-validation workload:
 // the generator's triangle validation set (triangle patterns whose
 // W-consistent consequents the clean graph satisfies) over a label-dense
-// graph with a sprinkling of perturbed attributes (so the pre-delta graph
-// already violates), plus a small update stream. Errors when no seed in
-// [seed, seed+16) closes a schema triangle.
+// graph with 80 perturbed nodes (so the pre-delta graph already violates),
+// plus a small update stream.
 func ValidateWorkload(seed int64) (*gfd.Set, *graph.Frozen, *graph.Delta, error) {
-	for s := seed; s < seed+16; s++ {
-		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
-		set := gr.ValidationSet(12)
-		if set.Len() == 0 {
-			continue
-		}
-		g := gr.DenseGraph(20000, 8)
-		rng := rand.New(rand.NewSource(s))
-		for i := 0; i < 80; i++ {
-			v := graph.NodeID(rng.Intn(g.NumNodes()))
-			for a := range g.Attrs(v) {
-				g.SetAttr(v, a, "perturbed")
-				break
-			}
-		}
-		base := g.Frozen()
-		return set, base, gr.DenseDelta(base, 30), nil
+	gr, s, err := triangleGen(seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return nil, nil, nil, fmt.Errorf("no triangle validation workload within seeds [%d,%d)", seed, seed+16)
+	set := gr.ValidationSet(12)
+	base := perturb(gr.DenseGraph(20000, 8), s, 80)
+	return set, base, gr.DenseDelta(base, 30), nil
 }
 
 // Skewed-intersection workload sizes: a few hub nodes whose label-filtered
@@ -278,16 +287,13 @@ func AdaptiveWorkload(seed int64) (*graph.Frozen, *pattern.Pattern) {
 // PlanWorkload builds the canonical repeated-query workload for the
 // compiled-plan cache: the generator-schema triangle patterns over a graph
 // sparse enough that per-query planning (order derivation, label/signature
-// resolution, the pruned root pull) is a visible share of each query. Same
-// seed-probing policy as MatchWorkload.
+// resolution, the pruned root pull) is a visible share of each query.
 func PlanWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
-	for s := seed; s < seed+16; s++ {
-		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
-		if ps := gen.SchemaTriangles(gr.Schema(), 12); len(ps) > 0 {
-			return gr.DenseGraph(4000, 3).Frozen(), ps, nil
-		}
+	gr, _, err := triangleGen(seed)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("no triangle plan workload within seeds [%d,%d)", seed, seed+16)
+	return gr.DenseGraph(4000, 3).Frozen(), gen.SchemaTriangles(gr.Schema(), 12), nil
 }
 
 // PlanQueries runs every pattern once against f — through the cache when
@@ -310,60 +316,33 @@ func PlanQueries(f *graph.Frozen, ps []*pattern.Pattern, cache *match.PlanCache)
 // workload: a SharedValidationSet of up to 6 schema-triangle patterns with
 // 8 GFDs each — members alternating between the shared pattern value and a
 // rebuilt structurally equal copy, so grouping must go through the
-// fingerprint — over a label-dense graph with a sprinkling of perturbed
-// attributes so violations exist. Errors when no seed in [seed, seed+16)
-// closes a schema triangle.
+// fingerprint — over a label-dense graph with 80 perturbed nodes so
+// violations exist.
 func MultiGFDWorkload(seed int64) (*gfd.Set, *graph.Frozen, error) {
-	for s := seed; s < seed+16; s++ {
-		gr := gen.New(gen.Config{N: 40, K: 6, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: s})
-		set := gr.SharedValidationSet(6, 8)
-		if set.Len() == 0 {
-			continue
-		}
-		g := gr.DenseGraph(20000, 8)
-		rng := rand.New(rand.NewSource(s))
-		for i := 0; i < 80; i++ {
-			v := graph.NodeID(rng.Intn(g.NumNodes()))
-			for a := range g.Attrs(v) {
-				g.SetAttr(v, a, "perturbed")
-				break
-			}
-		}
-		return set, g.Frozen(), nil
+	gr, s, err := triangleGen(seed)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("no shared multi-GFD workload within seeds [%d,%d)", seed, seed+16)
+	set := gr.SharedValidationSet(6, 8)
+	return set, perturb(gr.DenseGraph(20000, 8), s, 80), nil
 }
 
 // ViolationsWorkload builds the validation workload of the end-to-end
 // benchmark's check-dense family (benchmark/README.md) in process: a
-// |Σ|=100, K=4, L=2 rule set over DenseFrozen(4000, 8) with the attributes
-// of 80 nodes overwritten, plus the number of matches one ViolationsOpts
-// pass over it enumerates — two to three orders of magnitude more than the
-// violations it reports, which is what makes the pass a measurement of
-// enumeration and literal evaluation rather than of result assembly.
-func ViolationsWorkload(seed int64) (*gfd.Set, *graph.Frozen, int, error) {
+// |Σ|=100, K=4, L=2 rule set over DenseGraph(4000, 8) with 80 perturbed
+// nodes, plus the number of matches one ViolationsOpts pass over it
+// enumerates — two to three orders of magnitude more than the violations it
+// reports, which is what makes the pass a measurement of enumeration and
+// literal evaluation rather than of result assembly.
+func ViolationsWorkload(seed int64) (*gfd.Set, *graph.Frozen, int) {
 	gr := gen.New(gen.Config{N: 100, K: 4, L: 2, Seed: seed})
 	set := gr.Set()
-	g := gr.DenseGraph(4000, 8)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 80; i++ {
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		for a := range g.Attrs(v) {
-			g.SetAttr(v, a, "perturbed")
-		}
-	}
-	f := g.Frozen()
-	groups := set.Groups()
-	pgs := make([]match.PatternGroup, len(groups))
-	for i, grp := range groups {
-		pgs[i] = match.PatternGroup{Pattern: grp.Pattern}
-	}
+	f := perturb(gr.DenseGraph(4000, 8), seed, 80)
 	matches := 0
-	_, err := match.EnumerateGrouped(context.Background(), f, pgs, func(int, match.Assignment) bool {
-		matches++
-		return true
-	})
-	return set, f, matches, err
+	for _, grp := range set.Groups() {
+		matches += match.NewSearch(grp.Pattern, f, match.Options{}).CountAll()
+	}
+	return set, f, matches
 }
 
 // allocsPerOp measures steady-state heap allocations per call of f. One
@@ -386,18 +365,10 @@ func allocsPerOp(reps int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(reps)
 }
 
-// CIShardWorkers is the fan-out width of the sharded/ParSat CI metrics:
-// the paper's per-machine worker count, oversubscribed harmlessly on
-// smaller runners (goroutines, not threads).
+// CIShardWorkers is the fan-out width of the sharded matching metric: the
+// paper's per-machine worker count, oversubscribed harmlessly on smaller
+// runners (goroutines, not threads).
 const CIShardWorkers = 8
-
-// ParWorkload builds the canonical parallel-reasoning workload for the
-// scheduling metrics: a satisfiable DBpedia-profiled set large enough that
-// ParSat runs hundreds of work units, on CIShardWorkers workers.
-func ParWorkload(seed int64) (*gfd.Set, core.ParOptions) {
-	set := gen.New(gen.Config{N: 300, K: 6, L: 3, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed}).Set()
-	return set, core.DefaultParOptions(CIShardWorkers)
-}
 
 // EnforceWorkload builds the enforcement layer's input: a DBpedia-profile Σ
 // of n rules (K=6, L=5, wildcard rate 0.3 — the shape of the end-to-end
@@ -416,24 +387,24 @@ func EnforceWorkload(n int, seed int64) (*gfd.Set, []core.Match) {
 	return set, ms
 }
 
-// RunCI measures the CI metric suite: bulk ingest of the 100k-edge
-// hub-heavy graph, the matching hot path on the label-dense triangle
-// workload, the sharded parallel fan-out against the flat single-threaded
-// enumeration of the same workload, the adaptive intersection kernels on the
-// skewed hub workload, the warm plan cache against per-query planning,
-// grouped multi-GFD validation, ParSat's absolute time and cancellation
-// latency, the incremental re-freeze
-// against a from-scratch rebuild of the same final state, incremental
-// revalidation against full re-validation after a
-// small delta, and the persistence metrics (snapshot load vs
-// rebuild-from-edges, refreeze on a compacted vs tombstone-heavy base).
+// RunCI measures the CI metric suite, which holds only what the end-to-end
+// benchmark (benchmark/gfdbench) does not: the six gated ratios between two
+// shipping code paths timed in one process — sharded vs flat matching on
+// the label-dense triangle workload, the warm plan cache vs per-query
+// planning, the incremental re-freeze vs a from-scratch rebuild of the same
+// final state, incremental vs full revalidation after a small delta,
+// snapshot load vs rebuild-from-edges, and refreeze on a compacted vs a
+// tombstone-heavy base — with both sides of each as informational times;
+// the allocation counts; and the two layers gfdbench has no probe for, the
+// chase alone (enforce_*) and the adaptive intersection kernels on the
+// skewed hub workload. Absolute times of whole passes are gfdbench's.
 // Wall time is a few seconds. The suite is
 // fixed-size by design — Config.Scale does not apply — so reports stay
-// comparable across baselines; Seed reseeds both workloads and Reps sets
-// the per-measurement median width. It errors instead of gating when a
-// workload cannot be built (a gate on garbage numbers is worse than no
-// gate); the report measured up to that point is still returned beside the
-// error, so callers can flush the partial artifact.
+// comparable across baselines; Seed reseeds every workload, each a function
+// of it, and Reps sets the per-measurement median width. It errors instead
+// of gating when a workload cannot be built (a gate on garbage numbers is
+// worse than no gate); the report measured up to that point is still
+// returned beside the error, so callers can flush the partial artifact.
 func RunCI(cfg Config) (*CIReport, error) {
 	cfg = cfg.withDefaults()
 	report := &CIReport{}
@@ -447,9 +418,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	}
 	info := func(name string, d time.Duration) {
 		report.Metrics = append(report.Metrics, Metric{Name: name, Value: msOf(d), Unit: "ms", Informational: true})
-	}
-	infoAllocs := func(name string, v float64) {
-		report.Metrics = append(report.Metrics, Metric{Name: name, Value: v, Unit: "allocs/op", Informational: true})
 	}
 
 	from, to, lab := HubHeavyIngest(cfg.Seed)
@@ -520,12 +488,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	info("plan_cold_ms", coldT)
 	info("plan_warm_ms", warmT)
 
-	// ParSat on the shared parallel reasoning workload. Informational: there
-	// is one executor, so there is no ratio to gate; the absolute time keeps
-	// its trajectory under the name it has always had.
-	set, popt := ParWorkload(cfg.Seed)
-	info("parsat_steal_ms", medianTime(cfg.Reps, func() { core.ParSat(set, popt) }))
-
 	// The enforcement layer by itself on the same Σ shape: literal
 	// resolution, then offer/drain of the pre-enumerated matches through a
 	// fresh enforcer. Informational, per match.
@@ -538,35 +500,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	report.Metrics = append(report.Metrics,
 		Metric{Name: "enforce_ns_per_match", Value: float64(enforceT.Nanoseconds()) / float64(len(ems)), Unit: "ns", Informational: true},
 		Metric{Name: "enforce_allocs_per_match", Value: enforceAllocs / float64(len(ems)), Unit: "allocs/match", Informational: true})
-
-	// Cooperative-cancellation latency on the same workload: cancel a run
-	// ~2ms in and measure cancel-to-return. Informational only — it is a
-	// scheduling measurement, not a machine-independent ratio — but it
-	// keeps the cancellation bound visible in every report. Reps where the
-	// run finishes before the cancel lands measure nothing and are skipped.
-	var cancelLats []time.Duration
-	for i := 0; i < cfg.Reps; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		xopt := popt
-		xopt.Ctx = ctx
-		at := make(chan time.Time, 1)
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			at <- time.Now()
-			cancel()
-		}()
-		res := core.ParSat(set, xopt)
-		ret := time.Now()
-		canceledAt := <-at
-		cancel()
-		if res.Err != nil {
-			cancelLats = append(cancelLats, ret.Sub(canceledAt))
-		}
-	}
-	if len(cancelLats) > 0 {
-		sort.Slice(cancelLats, func(i, j int) bool { return cancelLats[i] < cancelLats[j] })
-		info("parsat_cancel_latency_ms", cancelLats[len(cancelLats)/2])
-	}
 
 	// Incremental re-freeze vs from-scratch rebuild of the same final state
 	// on the 100k-edge ingest base with a 1% delta. Each rep gets its own
@@ -621,8 +554,8 @@ func RunCI(cfg Config) (*CIReport, error) {
 	info("incr_validate_ms", incrValT)
 	info("full_validate_ms", fullValT)
 
-	// Shared multi-GFD evaluation: ~8 GFDs per pattern structure, each
-	// structure enumerated once.
+	// Allocations of shared multi-GFD evaluation: ~8 GFDs per pattern
+	// structure, each structure enumerated once.
 	mset, mg, err := MultiGFDWorkload(cfg.Seed)
 	if err != nil {
 		return report, fmt.Errorf("cannot build the multi-GFD workload: %v", err)
@@ -635,22 +568,18 @@ func RunCI(cfg Config) (*CIReport, error) {
 	if gst.SharedGFDs == 0 {
 		return report, fmt.Errorf("multi-GFD workload vacuous: no GFD shared a pattern group (%d groups over %d GFDs)", gst.Groups, mset.Len())
 	}
-	info("multi_gfd_grouped_ms", minTime(incrReps, func() {
+	report.Metrics = append(report.Metrics, Metric{Name: "multi_gfd_grouped_allocs", Value: allocsPerOp(cfg.Reps, func() {
 		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
-	}))
-	infoAllocs("multi_gfd_grouped_allocs", allocsPerOp(cfg.Reps, func() {
-		core.ViolationsOpts(bg, mg, mset, core.VerifyOptions{})
-	}))
+	}), Unit: "allocs/op", Informational: true})
 
-	// One validation pass on the check-dense shape: absolute time, and
-	// allocations per enumerated match — clone-on-violation keeps the
-	// latter near violations/matches.
-	vset, vg, vmatches, err := ViolationsWorkload(cfg.Seed)
-	if err != nil || vmatches == 0 {
-		return report, fmt.Errorf("violations workload broken: %d matches, %v", vmatches, err)
+	// One validation pass on the check-dense shape: allocations per
+	// enumerated match — clone-on-violation keeps them near
+	// violations/matches.
+	vset, vg, vmatches := ViolationsWorkload(cfg.Seed)
+	if vmatches == 0 {
+		return report, fmt.Errorf("violations workload broken: no match")
 	}
 	violations := func() { core.ViolationsOpts(bg, vg, vset, core.VerifyOptions{}) }
-	info("violations_ms", medianTime(cfg.Reps, violations))
 	report.Metrics = append(report.Metrics, Metric{Name: "violations_allocs_per_match",
 		Value: allocsPerOp(cfg.Reps, violations) / float64(vmatches), Unit: "allocs/match", Informational: true})
 
@@ -662,11 +591,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 	if err != nil {
 		return report, fmt.Errorf("cannot serialize the snapshot workload: %v", err)
 	}
-	saveT := minTime(cfg.Reps, func() {
-		if _, serr := SnapshotImage(base); serr != nil {
-			panic(serr)
-		}
-	})
 	var loadErr error
 	loadT := minTime(incrReps, func() {
 		if _, loadErr = graph.ReadSnapshot(bytes.NewReader(img)); loadErr != nil {
@@ -674,7 +598,6 @@ func RunCI(cfg Config) (*CIReport, error) {
 		}
 	})
 	gauge("snapshot_load_speedup", freeze, loadT)
-	info("snapshot_save_ms", saveT)
 	info("snapshot_load_ms", loadT)
 
 	// Refreeze of identical churn against a 30%-dead base vs its compacted
@@ -687,11 +610,9 @@ func RunCI(cfg Config) (*CIReport, error) {
 	dDead, dComp := mkDead(), mkCompact()
 	dDead.Overlay()
 	dComp.Overlay()
-	compactT := minTime(cfg.Reps, func() { deadBase.Compact() })
 	deadT := minTime(incrReps, func() { deadBase.Refreeze(dDead) })
 	compT := minTime(incrReps, func() { compacted.Refreeze(dComp) })
 	gauge("compact_refreeze_speedup", deadT, compT)
-	info("compact_ms", compactT)
 	info("refreeze_dead_ms", deadT)
 	info("refreeze_compacted_ms", compT)
 

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 func ciReport(vals map[string]float64) *CIReport {
@@ -156,5 +160,67 @@ func TestRunCISmoke(t *testing.T) {
 	}
 	if out := r.Format(); !strings.Contains(out, "refreeze_speedup") {
 		t.Fatalf("Format omits metrics:\n%s", out)
+	}
+}
+
+// TestRunCIWorkloadsDeterministic builds every seeded graph RunCI measures
+// twice at one seed and compares their snapshot images: a workload that
+// depends on map order measures another graph on every run, so its
+// metrics cannot be compared across runs. The validate and multi-GFD bases
+// must also carry a violation, or the passes over them assemble nothing.
+func TestRunCIWorkloadsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark workloads in -short mode")
+	}
+	const seed = 1
+	build := func() map[string]*graph.Frozen {
+		fs := map[string]*graph.Frozen{"ingest": IngestFrozen(HubHeavyIngest(seed))}
+		var err error
+		if fs["match"], _, err = MatchWorkload(seed); err != nil {
+			t.Fatal(err)
+		}
+		fs["adaptive"], _ = AdaptiveWorkload(seed)
+		if fs["plan"], _, err = PlanWorkload(seed); err != nil {
+			t.Fatal(err)
+		}
+		base, mkDelta, _, _, _ := RefreezeWorkload(seed)
+		fs["refreeze"] = base.Refreeze(mkDelta())
+		vset, vbase, vdelta, err := ValidateWorkload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs["validate"], fs["validate delta"] = vbase, vdelta.Overlay()
+		mset, mbase, err := MultiGFDWorkload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs["multi-GFD"] = mbase
+		if len(core.Violations(vbase, vset)) == 0 {
+			t.Error("validate base carries no violation")
+		}
+		if len(core.Violations(mbase, mset)) == 0 {
+			t.Error("multi-GFD base carries no violation")
+		}
+		_, fs["violations"], _ = ViolationsWorkload(seed)
+		dead, compacted, _, mkDead, _, err := CompactWorkload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs["compact dead"], fs["compacted"] = dead.Refreeze(mkDead()), compacted
+		return fs
+	}
+	first, second := build(), build()
+	for name, f := range first {
+		a, err := SnapshotImage(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := SnapshotImage(second[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: two builds at seed %d differ", name, seed)
+		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // "30%-dead base" the compact_refreeze_speedup gate is defined on.
 const CompactDeadFraction = 0.3
 
-// SnapshotImage serializes a snapshot to memory, the save half of the
-// snapshot metrics.
+// SnapshotImage serializes a snapshot to memory: the image
+// snapshot_load_speedup decodes.
 func SnapshotImage(f *graph.Frozen) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := f.WriteSnapshot(&buf); err != nil {

@@ -172,11 +172,12 @@ func ResolveLits(e *eq.Eq, ls []gfd.Literal) []Lit {
 }
 
 // Phi is the canonical graph G^X_Q of a GFD φ = Q[x̄](X → Y): the pattern Q
-// materialized as a data graph (node IDs equal variable indexes), plus the
+// appended into a graph.Builder and frozen (node IDs equal variable
+// indexes), plus the
 // equivalence relation Eq_X encoding F^X_A — the attribute constraints of X
 // closed under transitivity of equality.
 type Phi struct {
-	Graph *graph.Graph
+	Graph *graph.Frozen
 	// EqX encodes F^X_A. It may already be conflicted when X is inconsistent
 	// (e.g. x.A=1 ∧ x.A=2), in which case Σ |= φ holds trivially.
 	EqX *eq.Eq
@@ -189,7 +190,9 @@ type Phi struct {
 
 // BuildPhi constructs G^X_Q with Eq_X.
 func BuildPhi(phi *gfd.GFD) *Phi {
-	g := phi.Pattern.AsGraph()
+	b := graph.NewBuilder(len(phi.Pattern.Edges()))
+	phi.Pattern.AppendTo(b)
+	g := b.Freeze()
 	e := eq.New()
 	e.Reserve(g.NumNodes()) // so Eq_X makes each column once
 	e.StopLogging()         // the chase extends Eq_X itself; nobody reads a delta

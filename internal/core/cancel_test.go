@@ -249,7 +249,7 @@ func TestParImpPanicIsolation(t *testing.T) {
 			if where == "search" {
 				opt.testHookUnitStart = func(int) { panic("imp-boom") }
 			}
-			eng := newParEngine(opt, sub, cp.Graph.Frozen())
+			eng := newParEngine(opt, sub, cp.Graph)
 			if where == "chase" {
 				eng.testHookChase = func(int) { panic("imp-boom") }
 			}
@@ -294,7 +294,7 @@ func TestRevalidateCancel(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := RevalidateOptions{Workers: workers, Ctx: ctx}
-		opt.testHookGFDStart = func(int) { cancel() }
+		opt.testHookUnitStart = func(int) { cancel() }
 		_, _, err = RevalidateDelta(set, d, prev, opt)
 		cancel()
 		if !errors.Is(err, ErrCanceled) {
@@ -350,7 +350,7 @@ func TestRevalidateCancelsInsideGroup(t *testing.T) {
 	// canceled run re-enumerates the same matches from the base.
 	ctx := &countdownCtx{Context: context.Background(), polls: math.MaxInt}
 	opt := RevalidateOptions{Workers: 1, Ctx: ctx}
-	opt.testHookGFDStart = func(int) { ctx.polls = 1 + 8 }
+	opt.testHookUnitStart = func(int) { ctx.polls = 1 + 8 }
 	_, stats, err := RevalidateDelta(set, d, slices.Clone(prev), opt)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -367,7 +367,7 @@ func TestRevalidatePanicIsolation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set, d, prev := revalidateCancelFixture()
 	opt := RevalidateOptions{Workers: 4}
-	opt.testHookGFDStart = func(int) { panic("reval-boom") }
+	opt.testHookUnitStart = func(int) { panic("reval-boom") }
 	_, _, err := RevalidateDelta(set, d, prev, opt)
 	var pe *PanicError
 	if !errors.As(err, &pe) {

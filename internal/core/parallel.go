@@ -11,24 +11,27 @@ import (
 	"repro/internal/pattern"
 )
 
-// ParOptions configures ParSat and ParImp. The zero value is not useful;
-// start from DefaultParOptions. How the work is cut is not an option,
-// because nothing is gained by varying it: pattern groups are always taken
-// in the dependency order of Section V-B (groupOrder), a ParSat task is a
-// chunk of ⌈|Σ|/p⌉ of G_Σ's copies, and a ParImp unit is one pattern group.
+// ParOptions configures ParSat, ParImp and Revalidate (as
+// RevalidateOptions). The zero value runs one worker without cancellation.
+// How the work is cut is not an option, because nothing is gained by
+// varying it: pattern groups are always taken in the dependency order of
+// Section V-B (groupOrder), a ParSat task is a chunk of ⌈|Σ|/p⌉ of G_Σ's
+// copies, a ParImp unit and a Revalidate task are one pattern group.
 type ParOptions struct {
-	// Workers is p, the number of parallel workers (at least 1).
+	// Workers is p, the number of parallel workers; <= 1 is one worker.
 	Workers int
 	// Ctx, when non-nil, cancels the run cooperatively: workers check it at
 	// task boundaries, and in-flight match enumerations stop within a
 	// bounded number of frame expansions (match.Options.Ctx). A cancelled run
 	// returns the stats of the work it finished plus ErrCanceled (or
 	// context.DeadlineExceeded when a deadline fired) in the result's Err
-	// field; it never leaks a goroutine. Nil runs without cancellation.
+	// field (Revalidate: as its error); it never leaks a goroutine. Nil runs
+	// without cancellation.
 	Ctx context.Context
 	// testHookUnitStart, when non-nil, runs at the top of every unit's
-	// search with the group's first member — the seam the panic-isolation
-	// tests use to detonate inside a worker.
+	// search, and as each Revalidate task starts, with the group's first
+	// member — the seam the cancellation and panic-isolation tests use to
+	// act inside a worker.
 	testHookUnitStart func(gfd int)
 	// testHookTask, when non-nil, runs as a worker takes a ParSat task — the
 	// seam the chunking tests use to learn which worker chased which chunk,

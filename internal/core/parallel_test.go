@@ -325,7 +325,7 @@ func TestUnitsPartitionParImpGroups(t *testing.T) {
 	if res != nil {
 		t.Fatalf("answered without a chase: %v", res.Reason)
 	}
-	e := newParEngine(DefaultParOptions(1), sub, cp.Graph.Frozen())
+	e := newParEngine(DefaultParOptions(1), sub, cp.Graph)
 	if err := e.planGroups(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func ParImp(set *gfd.Set, phi *gfd.GFD, opt ParOptions) *ImpResult {
 	if res != nil {
 		return res
 	}
-	eng := newParEngine(opt, set, cp.Graph.Frozen())
+	eng := newParEngine(opt, set, cp.Graph)
 	termsX := cp.EqX.AllTerms()
 	eng.high = func(gi int) bool { return xSubsumedByEqX(set.GFDs[gi], cp.EqX, termsX) }
 	return eng.imp(cp)

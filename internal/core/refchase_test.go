@@ -158,7 +158,8 @@ func refSat(set *gfd.Set) (sat bool, classes string) {
 }
 
 // refImp is the reference answer to Σ |= φ: the chase of Σ on G^X_Q from
-// Eq_X, implied when it conflicts or deduces Y.
+// Eq_X, implied when it conflicts or deduces Y. It builds its own G^X_Q on a
+// graph.Graph, so it does not share canon.BuildPhi's.
 func refImp(set *gfd.Set, phi *gfd.GFD) bool {
 	id := make([]graph.NodeID, phi.Pattern.NumVars())
 	for v := range id {
@@ -169,7 +170,9 @@ func refImp(set *gfd.Set, phi *gfd.GFD) bool {
 		r.enforce(l, id)
 	}
 	if !r.conflict && !r.holds(phi.Y, id) {
-		r.run(set, phi.Pattern.AsGraph())
+		g := graph.New()
+		phi.Pattern.AppendTo(g)
+		r.run(set, g)
 	}
 	return r.conflict || r.holds(phi.Y, id)
 }

@@ -22,24 +22,12 @@ import (
 	"repro/internal/pattern"
 )
 
-// RevalidateOptions configures Revalidate.
-type RevalidateOptions struct {
-	// Workers fans the per-group revalidation tasks out over the same worker
-	// pool the reasoning engines use (per-worker deques, idle workers steal
-	// from peer backs); <= 1 is one worker.
-	Workers int
-	// Ctx, when non-nil, cancels the revalidation cooperatively: checked
-	// between groups and inside each group's re-enumeration
-	// (match.Options.Ctx). A cancelled call returns
-	// ErrCanceled (or the context's deadline error) with the stats of the
-	// work it finished; the violations slice is meaningless then. Nil runs
-	// without cancellation.
-	Ctx context.Context
-	// testHookGFDStart, when non-nil, runs as each revalidation task starts,
-	// receiving the task's representative GFD index — the seam the
-	// panic-isolation tests use to detonate inside a worker.
-	testHookGFDStart func(gi int)
-}
+// RevalidateOptions configures Revalidate: Workers fans the per-group
+// tasks out over the package's worker pool, and Ctx cancels between groups
+// and inside each group's re-enumeration (match.Options.Ctx). A cancelled
+// call returns ErrCanceled (or the context's deadline error) with the stats
+// of the work it finished.
+type RevalidateOptions = ParOptions
 
 // RevalidateStats counts the work an incremental revalidation performed;
 // compare Reenumerated against the graph's full match volume to see what
@@ -95,7 +83,7 @@ func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Vio
 
 	results := make([][]Violation, set.Len())
 	run := func(gi int, st *RevalidateStats) error {
-		if h := opt.testHookGFDStart; h != nil {
+		if h := opt.testHookUnitStart; h != nil {
 			h(groups[gi].Members[0])
 		}
 		if err := ctx.Err(); err != nil {

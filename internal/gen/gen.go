@@ -571,9 +571,8 @@ func (g *Generator) DenseGraph(nodes, degree int) *graph.Graph {
 // into a graph.Builder, sorted once at Freeze. Given the same generator
 // state it draws the same nodes and edges as DenseGraph (pinned by the
 // equivalence tests), making it the materialization for read-only
-// consumers of large dense workloads. The comparison benchmarks instead
-// snapshot one DenseGraph via Graph.Frozen, since both modes there must
-// measure the identical RNG draw.
+// consumers of large dense workloads. A caller that edits the graph before
+// reading it (the CI workloads perturb attributes) starts from DenseGraph.
 func (g *Generator) DenseFrozen(nodes, degree int) *graph.Frozen {
 	b := graph.NewBuilder(nodes * degree)
 	labels := g.consistentNodes(b, nodes)

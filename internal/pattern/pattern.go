@@ -199,14 +199,6 @@ func (p *Pattern) AppendTo(g graph.Sink) graph.NodeID {
 	return offset
 }
 
-// AsGraph materializes the pattern as a data graph whose node IDs equal the
-// variable indexes; see AppendTo.
-func (p *Pattern) AsGraph() *graph.Graph {
-	g := graph.New()
-	p.AppendTo(g)
-	return g
-}
-
 // PivotOrder returns the full variable ordering for a search pivoted at
 // pv: pv's component first (starting at pv), then each remaining component
 // in component order, each from its smallest variable. Within a component

@@ -159,27 +159,16 @@ func TestMatchOrderConnectivity(t *testing.T) {
 	}
 }
 
-func TestAsGraphPreservesStructure(t *testing.T) {
-	p := vee()
-	g := p.AsGraph()
-	if g.NumNodes() != 3 || g.NumEdges() != 2 {
-		t.Fatalf("AsGraph size %d,%d", g.NumNodes(), g.NumEdges())
-	}
-	if g.Label(graph.NodeID(p.VarByName("z"))) != "country" {
-		t.Error("labels not preserved")
-	}
-	if !graph.HasEdge(g, graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z")), "president") {
-		t.Error("edge not preserved")
-	}
-}
-
 // TestAppendToIsADisjointUnion appends one pattern after another into both
-// build targets: each copy lands at the returned offset, edges shifted with
-// it, nothing crossing between copies — the disjoint union G_Σ is built by.
+// build targets: each copy lands at the returned offset, labels (a wildcard
+// kept as the literal '_') and edges shifted with it, nothing crossing
+// between copies — the disjoint union G_Σ and G^X_Q are built by.
 func TestAppendToIsADisjointUnion(t *testing.T) {
 	p := vee()
 	loop := New()
 	loop.AddEdge(loop.AddVar("x", "extra"), 0, "self")
+	wild := New()
+	wild.AddVar("w", graph.Wildcard)
 	g, b := graph.New(), graph.NewBuilder(0)
 	for _, sink := range []graph.Sink{g, b} {
 		if off := p.AppendTo(sink); off != 0 {
@@ -191,11 +180,17 @@ func TestAppendToIsADisjointUnion(t *testing.T) {
 		if off := p.AppendTo(sink); off != 4 {
 			t.Fatalf("third offset = %d, want 4", off)
 		}
+		if off := wild.AppendTo(sink); off != 7 {
+			t.Fatalf("fourth offset = %d, want 7", off)
+		}
 	}
 	x, z := graph.NodeID(p.VarByName("x")), graph.NodeID(p.VarByName("z"))
 	for name, r := range map[string]graph.Reader{"graph": g, "builder": b.Freeze()} {
-		if r.NumNodes() != 7 || r.NumEdges() != 5 {
-			t.Fatalf("%s: union has %d nodes %d edges; want 7, 5", name, r.NumNodes(), r.NumEdges())
+		if r.NumNodes() != 8 || r.NumEdges() != 5 {
+			t.Fatalf("%s: union has %d nodes %d edges; want 8, 5", name, r.NumNodes(), r.NumEdges())
+		}
+		if r.Label(7) != graph.Wildcard {
+			t.Errorf("%s: wildcard label = %q, want %q", name, r.Label(7), graph.Wildcard)
 		}
 		if !graph.HasEdge(r, 3, 3, "self") || r.Label(3) != "extra" {
 			t.Errorf("%s: self-loop not shifted to its offset", name)
@@ -206,15 +201,6 @@ func TestAppendToIsADisjointUnion(t *testing.T) {
 		if graph.HasEdge(r, x, 4+z, "president") || graph.HasEdge(r, 4+x, z, "president") {
 			t.Errorf("%s: union invents an edge between copies", name)
 		}
-	}
-}
-
-func TestWildcardKeptInAsGraph(t *testing.T) {
-	p := New()
-	p.AddVar("x", graph.Wildcard)
-	g := p.AsGraph()
-	if g.Label(0) != graph.Wildcard {
-		t.Errorf("wildcard label = %q, want %q", g.Label(0), graph.Wildcard)
 	}
 }
 

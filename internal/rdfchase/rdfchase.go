@@ -41,7 +41,7 @@ type Result struct {
 // Implies decides Σ |= φ by chasing G^X_Q to a fixpoint.
 func Implies(set *gfd.Set, phi *gfd.GFD) *Result {
 	cp := canon.BuildPhi(phi)
-	g := cp.Graph.Frozen()
+	g := cp.Graph
 	e := cp.EqX
 	st := Stats{}
 	if e.Conflicted() != nil || cp.YDeduced(e) {
