@@ -17,14 +17,17 @@
 // use — those whose pattern could match the target's (every block is still
 // parsed and checked) — except under -baseline, which chases them all. The
 // "matches reused" count sat and imp print on stderr depends on the schedule
-// at -p 2 and up. check runs its pattern groups on GOMAXPROCS workers
-// (every core unless the GOMAXPROCS environment variable says otherwise);
-// the list it prints does not depend on the worker count. Exit status 0 on
-// success, 1 on a negative check answer, 2 on usage or parse errors, 3 when
-// -timeout expired before the run finished — a negative answer (exit 1) and
-// a run that never completed (exit 3) are different facts, so they get
-// different codes. A subcommand accepts exactly the flags on its line above;
-// any other is a usage error.
+// at -p 2 and up, and so does the conflict an UNSATISFIABLE sat names: its
+// workers chase disjoint parts of the canonical graph, and the first part to
+// conflict names it, so two runs can name different conflicts. Each is a
+// real one, and the verdict does not change. check runs its pattern groups
+// on GOMAXPROCS workers (every core unless the GOMAXPROCS environment
+// variable says otherwise); the list it prints does not depend on the worker
+// count. Exit status 0 on success, 1 on a negative check answer, 2 on usage
+// or parse errors, 3 when -timeout expired before the run finished — a
+// negative answer (exit 1) and a run that never completed (exit 3) are
+// different facts, so they get different codes. A subcommand accepts
+// exactly the flags on its line above; any other is a usage error.
 //
 // -seq is -p 1: the sequential algorithms are the parallel ones on one
 // worker. -timeout bounds sat, imp, and check through the engines'

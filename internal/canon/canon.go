@@ -194,8 +194,7 @@ func BuildPhi(phi *gfd.GFD) *Phi {
 	phi.Pattern.AppendTo(b)
 	g := b.Freeze()
 	e := eq.New()
-	e.Reserve(g.NumNodes()) // so Eq_X makes each column once
-	e.StopLogging()         // the chase extends Eq_X itself; nobody reads a delta
+	e.StopLogging() // the chase extends Eq_X itself; nobody reads a delta
 	for _, l := range ResolveLits(e, phi.X) {
 		t := e.HandleOf(graph.NodeID(l.X), l.A)
 		if l.IsConst() {

@@ -248,12 +248,10 @@ func TestParImpPanicIsolation(t *testing.T) {
 			opt := ParOptions{Workers: p}
 			if where == "search" {
 				opt.testHookUnitStart = func(int) { panic("imp-boom") }
+			} else {
+				opt.testHookChase = func(int) { panic("imp-boom") }
 			}
-			eng := newParEngine(opt, sub, cp.Graph)
-			if where == "chase" {
-				eng.testHookChase = func(int) { panic("imp-boom") }
-			}
-			r := eng.imp(cp)
+			r := newParEngine(opt, sub, cp.Graph).imp(cp)
 			var pe *PanicError
 			if !errors.As(r.Err, &pe) || pe.Value != "imp-boom" || len(pe.Stack) == 0 {
 				t.Fatalf("p=%d, panic in the %s: Err = %v, want *PanicError(imp-boom) with a stack", p, where, r.Err)

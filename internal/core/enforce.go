@@ -78,9 +78,8 @@ const (
 // enforcer's relation (canon.ResolveLits): what offer and drain evaluate per
 // match. vars is the length of its matches.
 type rule struct {
-	x, y     []canon.Lit
-	vars     int
-	resolved bool
+	x, y []canon.Lit
+	vars int
 }
 
 // pendingMatch is a match whose antecedent was blocked when last checked
@@ -117,21 +116,20 @@ type pendingList struct {
 }
 
 // enforcer owns one chase's state: the equivalence relation Eq plus the
-// inverted pending index. Each ParSat worker runs one over its own
-// relation, and ParImp runs one over Eq_X. It runs on the relation's ID
-// surface throughout: literals arrive resolved, terms are handles, and the
-// index and the re-check queue are slices over handles.
+// inverted pending index. ParImp runs one over Eq_X. ParSat's workers run
+// one each over views of one relation on G_Σ (view), sharing its table and
+// the pending index, each chasing the terms of its own chunks. It runs on
+// the relation's ID surface throughout: literals arrive resolved, terms are
+// handles, and the index and the re-check queue are slices over handles.
 type enforcer struct {
-	eq  *eq.Eq
-	set *gfd.Set
-	// rules[i] is set.GFDs[i] resolved against eq, on the rule's first match:
-	// once per run and relation for the rules that have matches, nothing for
-	// the rest — an implication run on a six-node G^X_Q matches few of Σ's
-	// patterns, and resolving all of Σ up front would show in its start-up.
+	eq *eq.Eq
+	// rules[i] is Σ.GFDs[i] resolved against eq. Views share it, read-only.
 	rules []rule
 	// pending[t] lists the blocked matches whose watched literal mentions
-	// the term with handle t. Filing a match allocates the handle but not
-	// the class: an antecedent over a term nobody created stays blocked.
+	// the term with handle t: one list per slot of eq's table, allocated
+	// once. Filing a match under a handle does not create the class: an
+	// antecedent over a term nobody created stays blocked. Views share the
+	// array; a list's entries index the refs of the view that chases t.
 	pending []pendingList
 	refs    []pendingRef
 	parked  []pendingMatch
@@ -143,23 +141,50 @@ type enforcer struct {
 	// matches have not been revisited yet.
 	queue []eq.Handle
 	qhead int
+	// testHookTerm, when non-nil, sees the node of every term the chase
+	// reads or writes. ParSat sets it from ParOptions.testHookTerm.
+	testHookTerm func(graph.NodeID)
 }
 
-// newEnforcer returns an enforcer of Σ over relation e. No chase reads
-// another's relation, so e stops recording a delta log.
-func newEnforcer(e *eq.Eq, set *gfd.Set) *enforcer {
+// newEnforcer returns an enforcer of Σ over relation e on nodes
+// 0 … nodes−1. It resolves every rule of Σ, so e has interned every
+// attribute and constant Σ names, and then seals e to those nodes and
+// attributes: the chase never grows the table, and the pending index has a
+// list for each of its slots from the start. No chase reads a delta, so e
+// stops recording its log.
+func newEnforcer(e *eq.Eq, set *gfd.Set, nodes int) *enforcer {
 	e.StopLogging()
-	return &enforcer{eq: e, set: set, rules: make([]rule, set.Len())}
+	rules := make([]rule, set.Len())
+	for gi, phi := range set.GFDs {
+		rules[gi] = rule{x: canon.ResolveLits(e, phi.X), y: canon.ResolveLits(e, phi.Y), vars: phi.Pattern.NumVars()}
+	}
+	e.Seal(nodes)
+	return &enforcer{eq: e, rules: rules, pending: make([]pendingList, e.NumHandles())}
 }
 
-// rule returns Σ's gi-th rule, resolving it on first use.
-func (e *enforcer) rule(gi int) *rule {
-	r := &e.rules[gi]
-	if !r.resolved {
-		phi := e.set.GFDs[gi]
-		r.x, r.y, r.vars, r.resolved = canon.ResolveLits(e.eq, phi.X), canon.ResolveLits(e.eq, phi.Y), phi.Pattern.NumVars(), true
+// view returns an enforcer over a view of e's relation (eq.Eq.View), with
+// e's rules and pending index and a conflict, counters and arena of its
+// own. Views run concurrently only on chunks whose terms are disjoint.
+func (e *enforcer) view() *enforcer {
+	return &enforcer{eq: e.eq.View(), rules: e.rules, pending: e.pending}
+}
+
+// lookup returns the class of (n, a), or eq.NoHandle: what the chase
+// reads.
+func (e *enforcer) lookup(n graph.NodeID, a eq.AttrID) eq.Handle {
+	if e.testHookTerm != nil {
+		e.testHookTerm(n)
 	}
-	return r
+	return e.eq.Lookup(n, a)
+}
+
+// handle returns the handle of (n, a): what the chase writes, a class to
+// enforce or a list to file a match under.
+func (e *enforcer) handle(n graph.NodeID, a eq.AttrID) eq.Handle {
+	if e.testHookTerm != nil {
+		e.testHookTerm(n)
+	}
+	return e.eq.HandleOf(n, a)
 }
 
 // checkX classifies h |= X from literal from on, and returns the first
@@ -186,7 +211,7 @@ func (e *enforcer) checkX(r *rule, h match.Assignment, from int) (state xState, 
 // permanent). A term whose class does not exist blocks its literal, x.A =
 // x.A included.
 func (e *enforcer) literal(l *canon.Lit, h match.Assignment) xState {
-	t := e.eq.Lookup(h[l.X], l.A)
+	t := e.lookup(h[l.X], l.A)
 	if t == eq.NoHandle {
 		return xBlocked
 	}
@@ -199,7 +224,7 @@ func (e *enforcer) literal(l *canon.Lit, h match.Assignment) xState {
 		}
 		return xImpossible
 	}
-	u := e.eq.Lookup(h[l.Y], l.B)
+	u := e.lookup(h[l.Y], l.B)
 	if u == eq.NoHandle {
 		return xBlocked
 	}
@@ -225,11 +250,11 @@ func (e *enforcer) enforceY(r *rule, h match.Assignment) bool {
 	e.stats.Enforcements++
 	for i := range r.y {
 		l := &r.y[i]
-		t := e.eq.HandleOf(h[l.X], l.A)
+		t := e.handle(h[l.X], l.A)
 		if l.IsConst() {
 			e.queue = e.eq.AssignAt(t, l.C, e.queue)
 		} else {
-			e.queue = e.eq.MergeAt(t, e.eq.HandleOf(h[l.Y], l.B), e.queue)
+			e.queue = e.eq.MergeAt(t, e.handle(h[l.Y], l.B), e.queue)
 		}
 		if e.eq.Conflicted() != nil {
 			return false
@@ -243,7 +268,7 @@ func (e *enforcer) enforceY(r *rule, h match.Assignment) bool {
 // here, and a parked match is a copy. It returns false on conflict.
 func (e *enforcer) offer(gi int, h match.Assignment) bool {
 	e.stats.Matches++
-	r := e.rule(gi)
+	r := &e.rules[gi]
 	switch state, w := e.checkX(r, h, 0); state {
 	case xHolds:
 		return e.enforceY(r, h)
@@ -297,10 +322,10 @@ func (e *enforcer) park(gi int, r *rule, h match.Assignment, w int) {
 // list drain is rebuilding into keep, goes onto keep, so the walk does not
 // meet it again.
 func (e *enforcer) watch(pm, w int32, l *canon.Lit, h match.Assignment, walking eq.Handle, keep *pendingList) {
-	t := e.eq.HandleOf(h[l.X], l.A)
+	t := e.handle(h[l.X], l.A)
 	e.file(t, pm, w, walking, keep)
 	if !l.IsConst() {
-		if u := e.eq.HandleOf(h[l.Y], l.B); u != t {
+		if u := e.handle(h[l.Y], l.B); u != t {
 			e.file(u, pm, w, walking, keep)
 		}
 	}
@@ -326,15 +351,6 @@ func (e *enforcer) file(t eq.Handle, pm, w int32, walking eq.Handle, keep *pendi
 		e.link(keep, at)
 		return
 	}
-	if have := len(e.pending); int(t) >= have {
-		// One list per handle allocated so far; at least doubled, like the
-		// other run-long slices.
-		n := e.eq.NumHandles()
-		if n > cap(e.pending) {
-			e.pending = slices.Grow(e.pending, max(n-have, have))
-		}
-		e.pending = e.pending[:n]
-	}
 	e.link(&e.pending[t], at)
 }
 
@@ -359,9 +375,6 @@ func (e *enforcer) drain() bool {
 	for e.qhead < len(e.queue) {
 		t := e.queue[e.qhead]
 		e.qhead++
-		if int(t) >= len(e.pending) {
-			continue
-		}
 		// Walk t's list into keep, unlinking what is stale, fires, dies or
 		// watches elsewhere now. Nothing parks while draining, so parked
 		// does not move under the loop; refs may, so no pointer into it is
@@ -419,8 +432,8 @@ type Match struct {
 // a fresh relation, stopping at the first conflict. It is the chase of a
 // ParSat worker without the enumeration, which is how the bench harness
 // times the enforcement layer by itself. The assignments are read, never
-// written; the relation is sized for the nodes they name, as a worker's is
-// for G_Σ.
+// written; the relation is sealed to the nodes they name, as ParSat's is to
+// G_Σ's.
 func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 	enf := enforceMatches(set, ms)
 	return enf.stats, enf.conflict()
@@ -429,13 +442,13 @@ func EnforceMatches(set *gfd.Set, ms []Match) (Stats, *eq.Conflict) {
 // enforceMatches is EnforceMatches returning the enforcer, relation and
 // index included.
 func enforceMatches(set *gfd.Set, ms []Match) *enforcer {
-	e := eq.New()
+	nodes := 0
 	for _, m := range ms {
 		for _, n := range m.H {
-			e.Reserve(int(n) + 1)
+			nodes = max(nodes, int(n)+1)
 		}
 	}
-	enf := newEnforcer(e, set)
+	enf := newEnforcer(eq.New(), set, nodes)
 	for _, m := range ms {
 		if !enf.offer(m.GFD, m.H) || !enf.drain() {
 			break
@@ -444,50 +457,46 @@ func enforceMatches(set *gfd.Set, ms []Match) *enforcer {
 	return enf
 }
 
-// CompleteModel materializes a model from a canonical graph and conflict-free
-// relations over disjoint sets of its terms (Theorem 1's construction): every
+// CompleteModel materializes a model from a canonical graph and a
+// conflict-free relation over its terms (Theorem 1's construction): every
 // class with a constant assigns it to all member terms; every class without
 // one receives a fresh constant distinct from all others — and from the
 // reserved constants of Σ — so no extra equalities or antecedents are
-// accidentally triggered. The relations share the fresh constants' counter.
-func CompleteModel(g *graph.Graph, rels []*eq.Eq, reserved []string) *graph.Graph {
+// accidentally triggered.
+func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
 	m := g.Clone()
 	fresh := 0
 	seen := make(map[string]bool)
-	for _, e := range rels {
-		for _, c := range e.AllConsts() {
-			seen[c] = true
-		}
+	for _, c := range e.AllConsts() {
+		seen[c] = true
 	}
 	for _, c := range reserved {
 		seen[c] = true
 	}
-	for _, e := range rels {
-		// One pass over the handles, a class handled at its first member:
-		// done marks the rest of its ring.
-		done := make([]bool, e.NumHandles())
-		for i := range done {
-			h := eq.Handle(i)
-			if done[h] || !e.HasAt(h) {
-				continue
-			}
-			var c string
-			if id := e.ConstAt(h); id != eq.NoConst {
-				c = e.ConstName(id)
-			} else {
-				// Bounded by construction: seen is finite, fresh only grows.
-				for seen[freshConst(fresh)] {
-					fresh++
-				}
-				c = freshConst(fresh)
+	// One pass over the handles, a class handled at its first member: done
+	// marks the rest of its ring.
+	done := make([]bool, e.NumHandles())
+	for i := range done {
+		h := eq.Handle(i)
+		if done[h] || !e.HasAt(h) {
+			continue
+		}
+		var c string
+		if id := e.ConstAt(h); id != eq.NoConst {
+			c = e.ConstName(id)
+		} else {
+			// Bounded by construction: seen is finite, fresh only grows.
+			for seen[freshConst(fresh)] {
 				fresh++
-				seen[c] = true
 			}
-			for u := h; !done[u]; u = e.Next(u) {
-				done[u] = true
-				t := e.TermAt(u)
-				m.SetAttr(t.Node, t.Attr, c)
-			}
+			c = freshConst(fresh)
+			fresh++
+			seen[c] = true
+		}
+		for u := h; !done[u]; u = e.Next(u) {
+			done[u] = true
+			t := e.TermAt(u)
+			m.SetAttr(t.Node, t.Attr, c)
 		}
 	}
 	return m

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/eq"
 	"repro/internal/gen"
 	"repro/internal/gfd"
@@ -92,7 +93,7 @@ func TestCreatedClassWakesPendingMatch(t *testing.T) {
 		gfd.MustNew("merge-flipped", q5(), nil, []gfd.Literal{gfd.Vars(0, "D", 0, "A")}),
 		gfd.MustNew("self", q5(), nil, []gfd.Literal{gfd.Vars(0, "A", 0, "A")}),
 	} {
-		enf := newEnforcer(eq.New(), gfd.NewSet(waits, creator))
+		enf := newEnforcer(eq.New(), gfd.NewSet(waits, creator), 1)
 		h := match.Assignment{0}
 		if !enf.offer(0, h) || !enf.drain() || enf.stats.Pending != 1 || enf.stats.Enforcements != 0 {
 			t.Fatalf("%s: the waiting match must park: %+v", creator.Name, enf.stats)
@@ -127,6 +128,34 @@ func TestLoneWorkerIsSeqSatPlusUnits(t *testing.T) {
 	for name, res := range results {
 		if res.Stats.Broadcasts != 0 || res.Stats.DeltaOps != 0 {
 			t.Errorf("%s: %d broadcasts, %d ops; want 0 broadcasts, 0 ops", name, res.Stats.Broadcasts, res.Stats.DeltaOps)
+		}
+	}
+}
+
+// TestParSatTableSizedOnce: ParSat shapes its one relation before the pool
+// starts — G_Σ's nodes × the attribute names of Σ's literals — and the
+// relation has that shape when the run ends, at every p: the chase asked
+// for no handle outside it, which a sealed relation would refuse with a
+// panic.
+func TestParSatTableSizedOnce(t *testing.T) {
+	set := gen.New(gen.Config{N: 150, K: 6, L: 4, WildcardRate: 0.3, Seed: 11}).Set()
+	attrs := map[string]bool{}
+	for _, phi := range set.GFDs {
+		for _, l := range slices.Concat(phi.X, phi.Y) {
+			attrs[l.A] = true
+			if l.Kind == gfd.VarLiteral {
+				attrs[l.B] = true
+			}
+		}
+	}
+	want := canon.BuildSigma(set).Graph.NumNodes() * len(attrs)
+	for _, p := range []int{1, 2, 4} {
+		res := ParSat(set, DefaultParOptions(p))
+		if res.Err != nil || !res.Satisfiable {
+			t.Fatalf("p=%d: satisfiable %v, err %v", p, res.Satisfiable, res.Err)
+		}
+		if got := res.witness.eq.NumHandles(); got != want {
+			t.Errorf("p=%d: the relation ends with %d slots, want |V(G_Σ)| × %d attributes = %d", p, got, len(attrs), want)
 		}
 	}
 }
@@ -238,9 +267,8 @@ func TestEnforceSteadyStateAllocs(t *testing.T) {
 		gfd.MustNew("zb", q5(), []gfd.Literal{gfd.Vars(0, "Z", 0, "B")}, []gfd.Literal{gfd.Const(0, "Y", "9")}),
 		gfd.MustNew("az", q5(), []gfd.Literal{gfd.Const(0, "A", "0"), gfd.Vars(0, "Z", 0, "B")}, []gfd.Literal{gfd.Const(0, "Y", "9")}),
 	)
-	enf := newEnforcer(eq.New(), set)
+	enf := newEnforcer(eq.New(), set, 4096) // the rounds below take nodes 2 … 2002
 	h := match.Assignment{0}
-	// The warm-up also resolves the rules, which happens on first offer.
 	if !enf.offer(0, h) || !enf.offer(1, h) || !enf.offer(2, h) || !enf.drain() {
 		t.Fatal("warm-up conflicted")
 	}
@@ -287,7 +315,7 @@ func TestEnforceSteadyStateAllocs(t *testing.T) {
 func offerAt0(t *testing.T, enf *enforcer, gi int) {
 	t.Helper()
 	if !enf.offer(gi, match.Assignment{0}) || !enf.drain() {
-		t.Fatalf("rule %s: spurious conflict", enf.set.GFDs[gi].Name)
+		t.Fatalf("rule %d: spurious conflict", gi)
 	}
 }
 
@@ -299,12 +327,8 @@ func handleAt0(enf *enforcer, attr string) eq.Handle {
 // watchers lists the parked matches that watch the term (0, attr), in the
 // order its list holds them, stale entries skipped.
 func watchers(enf *enforcer, attr string) []int32 {
-	t := handleAt0(enf, attr)
-	if int(t) >= len(enf.pending) {
-		return nil
-	}
 	var out []int32
-	for at := enf.pending[t].head; at != 0; at = enf.refs[at-1].next {
+	for at := enf.pending[handleAt0(enf, attr)].head; at != 0; at = enf.refs[at-1].next {
 		if ref := enf.refs[at-1]; ref.w == enf.parked[ref.pm].w {
 			out = append(out, ref.pm)
 		}
@@ -315,8 +339,7 @@ func watchers(enf *enforcer, attr string) []int32 {
 // listEmpty reports whether the list of the term (0, attr) holds no entry,
 // stale or live: a list that was never filed into, or one a walk emptied.
 func listEmpty(enf *enforcer, attr string) bool {
-	t := handleAt0(enf, attr)
-	return int(t) >= len(enf.pending) || enf.pending[t].head == 0
+	return enf.pending[handleAt0(enf, attr)].head == 0
 }
 
 // constAt0 returns the constant of (0, attr), or "" when it has none.
@@ -347,7 +370,7 @@ func TestWatchMovesForward(t *testing.T) {
 		{"first to last", []int{1, 2, 3}, []int32{1, 2, done}, []int{1, 2, 3}},
 		{"last to first", []int{3, 2, 1}, []int32{0, 0, done}, []int{0, 0, 1}},
 	} {
-		enf := newEnforcer(eq.New(), set)
+		enf := newEnforcer(eq.New(), set, 1)
 		offerAt0(t, enf, 0)
 		if w := enf.parked[0].w; w != 0 {
 			t.Fatalf("%s: m parked watching literal %d, want 0", tc.name, w)
@@ -383,7 +406,7 @@ func TestWatchMovesOntoDrainedTerm(t *testing.T) {
 		// and x.B is not.
 		gfd.MustNew("ba", q5(), nil, []gfd.Literal{gfd.Vars(0, "B", 0, "A")}),
 	)
-	enf := newEnforcer(eq.New(), set)
+	enf := newEnforcer(eq.New(), set, 1)
 	for gi := 0; gi < 4; gi++ {
 		offerAt0(t, enf, gi)
 	}
@@ -422,7 +445,7 @@ func TestWatchVariableLiteralWokenFromEitherSide(t *testing.T) {
 		other    string
 	}{{3, "B", "A"}, {4, "A", "B"}} {
 		name := set.GFDs[tc.merge].Name
-		enf := newEnforcer(eq.New(), set)
+		enf := newEnforcer(eq.New(), set, 1)
 		for _, gi := range []int{0, 1, 2} {
 			offerAt0(t, enf, gi)
 		}
@@ -455,7 +478,7 @@ func TestWatchImpossibleLiteralBehindIt(t *testing.T) {
 			gfd.MustNew("bc", q5(), nil, []gfd.Literal{gfd.Const(0, "B", "3"), gfd.Const(0, "C", "4")}),
 			gfd.MustNew("a", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "1")}),
 		)
-		enf := newEnforcer(eq.New(), set)
+		enf := newEnforcer(eq.New(), set, 1)
 		offerAt0(t, enf, 0)
 		offerAt0(t, enf, 1)
 		if enf.stats.Rechecks != 0 || enf.stats.Dropped != 0 || enf.parked[0].w != 0 {

@@ -394,11 +394,11 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 			if a.Err != nil || b.Err != nil || !a.Satisfiable || !b.Satisfiable {
 				t.Fatalf("seed %d, %s: satisfiable %v/%v (err %v/%v), want a satisfiable Σ", seed, name, a.Satisfiable, b.Satisfiable, a.Err, b.Err)
 			}
-			terms := relations(a.witness.eqs).AllTerms()
+			terms := a.witness.eq.AllTerms()
 			if len(terms) == 0 {
 				t.Fatalf("seed %d, %s: the final relation has no term", seed, name)
 			}
-			joined, err := sameEq(a.witness.eqs, b.witness.eqs, moved)
+			joined, err := sameEq(a.witness.eq, b.witness.eq, moved)
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v after permuting and renaming", seed, name, err)
 			}
@@ -410,48 +410,11 @@ func TestFinalEqUnderPermutationAndRenaming(t *testing.T) {
 	}
 }
 
-// relations is a final relation split over term-disjoint parts, as ParSat's
-// workers leave it; SeqSat's is one part. A term lives in at most one part.
-type relations []*eq.Eq
-
-// of returns the part holding t, or nil.
-func (r relations) of(t eq.Term) *eq.Eq {
-	for _, e := range r {
-		if e.Has(t) {
-			return e
-		}
-	}
-	return nil
-}
-
-// AllTerms lists every part's terms; a term two parts hold is listed twice.
-func (r relations) AllTerms() []eq.Term {
-	var out []eq.Term
-	for _, e := range r {
-		out = append(out, e.AllTerms()...)
-	}
-	return out
-}
-
-func (r relations) Has(t eq.Term) bool { return r.of(t) != nil }
-
-func (r relations) Const(t eq.Term) (string, bool) {
-	if e := r.of(t); e != nil {
-		return e.Const(t)
-	}
-	return "", false
-}
-
-func (r relations) Same(t, u eq.Term) bool {
-	e := r.of(t)
-	return e != nil && e.Same(t, u)
-}
-
 // sameEq compares two final relations through moved, which maps a's terms
 // to b's: b has exactly a's terms, each with the same constant, and two terms
 // share a class in a iff they do in b. It returns how many of a's terms
 // share the class of an earlier term, or the first difference.
-func sameEq(a, b relations, moved func(eq.Term) eq.Term) (joined int, err error) {
+func sameEq(a, b *eq.Eq, moved func(eq.Term) eq.Term) (joined int, err error) {
 	terms := a.AllTerms()
 	if n := len(b.AllTerms()); n != len(terms) {
 		return 0, fmt.Errorf("%d terms against %d", len(terms), n)

@@ -37,6 +37,14 @@ type ParOptions struct {
 	// seam the chunking tests use to learn which worker chased which chunk,
 	// and how many chunks a run cut.
 	testHookTask func(worker int, task []unit)
+	// testHookChase, when non-nil, runs as ParImp's chase takes unit i —
+	// the seam the panic-isolation test uses to detonate in the chase.
+	testHookChase func(i int)
+	// testHookTerm, when non-nil, sees the node of every term a ParSat
+	// worker's chase reads or writes (enforcer.lookup, enforcer.handle) —
+	// the seam the term-closure test uses to hold each worker to the terms
+	// of the chunks it ran.
+	testHookTerm func(worker int, n graph.NodeID)
 }
 
 // DefaultParOptions returns the configuration used by the experiments
@@ -91,9 +99,6 @@ type parEngine struct {
 	// planning pass (kept off ParOptions: it is engine plumbing, not an
 	// option).
 	testHookGroupPlan func(grp int)
-	// testHookChase, when non-nil, runs as ParImp's chase takes unit i —
-	// the seam the panic-isolation test uses to detonate in the chase.
-	testHookChase func(i int)
 }
 
 func newParEngine(opt ParOptions, set *gfd.Set, g *graph.Frozen) *parEngine {

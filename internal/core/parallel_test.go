@@ -137,8 +137,8 @@ func randomSet(rng *rand.Rand, n int) *gfd.Set {
 }
 
 // TestParSatAgreesOnRandomSets runs ParSat at p ∈ {1, 3}: the verdict must
-// be SeqSat's, and on a satisfiable Σ so must the final Eq (sameEq), split
-// over the workers' relations.
+// be SeqSat's, and on a satisfiable Σ so must the final Eq (sameEq), which
+// the workers' views wrote.
 func TestParSatAgreesOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	satSeen, unsatSeen := 0, 0
@@ -146,7 +146,7 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		set := randomSet(rng, 2+rng.Intn(4))
 		want := SeqSat(set)
-		wantEq := relations(want.witness.eqs) // Model hands the relation over to the model
+		wantEq := want.witness.eq // Model hands the relation over to the model
 		if want.Satisfiable {
 			satSeen++
 			if want.Model() == nil || !IsModel(want.Model(), set) {
@@ -164,7 +164,7 @@ func TestParSatAgreesOnRandomSets(t *testing.T) {
 			if !want.Satisfiable {
 				continue
 			}
-			if _, err := sameEq(wantEq, got.witness.eqs, same); err != nil {
+			if _, err := sameEq(wantEq, got.witness.eq, same); err != nil {
 				t.Errorf("trial %d, p=%d: ParSat's final Eq differs from SeqSat's: %v\n%s", trial, p, err, set)
 			}
 		}

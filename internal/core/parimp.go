@@ -77,10 +77,10 @@ func (e *parEngine) imp(cp *canon.Phi) *ImpResult {
 			units = append(units, unit{grp: gi, roots: e.roots[gi]})
 		}
 	}
-	enf := newEnforcer(cp.EqX, e.set)
+	enf := newEnforcer(cp.EqX, e.set, cp.Graph.NumNodes())
 	// chase consumes unit i's matches, back to back in buf.
 	chase := func(i int, buf []graph.NodeID) error {
-		if h := e.testHookChase; h != nil {
+		if h := e.opt.testHookChase; h != nil {
 			h(i)
 		}
 		enf.stats.UnitsRun++

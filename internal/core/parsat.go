@@ -7,6 +7,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/eq"
 	"repro/internal/gfd"
+	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
@@ -15,15 +16,18 @@ import (
 // match of a connected pattern reads or writes is an attribute of one of its
 // nodes, so the chase on one copy of G_Σ never touches another copy's terms:
 // Eq is a disjoint union of per-copy relations. ParSat cuts the copies into
-// chunks (chunks) and hands them to the worker pool as tasks. A worker chases
-// each chunk it takes on its own relation; no worker reads another's
-// relation, so nothing is broadcast or replayed. A conflict in any chunk is
-// the answer, UNSAT, and halts the pool; quiescence is SAT, and the witness
-// model is completed from the workers' relations. The outcome does not
-// depend on p (Church–Rosser). Chunks only give the p workers tasks, and
-// every (group, chunk) piece pays a search set-up, so a chunk holds
-// ⌈|Σ|/p⌉ copies: p workers get at most p chunks, and one worker chases G_Σ
-// as one chunk — that run is SeqSat.
+// chunks (chunks) and hands them to the worker pool as tasks. Eq is one
+// table over G_Σ's nodes × Σ's attribute names, sized before the pool
+// starts; a worker chases each chunk it takes on its own view of it
+// (eq.Eq.View). Chunks are term-disjoint, so no worker reads a slot another
+// writes, and nothing is broadcast or replayed. A conflict in any chunk is
+// the answer, UNSAT, and halts the pool — the first chunk to conflict names
+// it, so at p ≥ 2 the conflict named may differ between runs while the
+// verdict does not; quiescence is SAT, and the witness model is completed
+// from the one table. The outcome does not depend on p (Church–Rosser).
+// Chunks only give the p workers tasks, and every (group, chunk) piece pays
+// a search set-up, so a chunk holds ⌈|Σ|/p⌉ copies: p workers get at most p
+// chunks, and one worker chases G_Σ as one chunk — that run is SeqSat.
 //
 // A disconnected pattern whose literals reach past its pivot's component
 // couples the copies its components can lie in, and coupled copies share a
@@ -54,12 +58,15 @@ func (e *parEngine) sat(size int) *SatResult {
 	}
 	tasks, _ := e.chunks(size)
 	tasks = slices.DeleteFunc(tasks, func(t []unit) bool { return len(t) == 0 })
+	rel := eq.New()
+	base := newEnforcer(rel, e.set, e.g.NumNodes())
 	pl := newPool(e.ctx, e.opt.Workers)
 	enfs := make([]*enforcer, pl.size())
-	for i := range enfs {
-		rel := eq.New()
-		rel.Reserve(int(e.sigma.Offset[e.set.Len()])) // G_Σ's node count
-		enfs[i] = newEnforcer(rel, e.set)
+	for w := range enfs {
+		enfs[w] = base.view()
+		if h := e.opt.testHookTerm; h != nil {
+			enfs[w].testHookTerm = func(n graph.NodeID) { h(w, n) }
+		}
 	}
 	err := pl.run(len(tasks), func(w, i int) error {
 		if h := e.opt.testHookTask; h != nil {
@@ -84,10 +91,8 @@ func (e *parEngine) sat(size int) *SatResult {
 		return nil
 	})
 	var stats Stats
-	rels := make([]*eq.Eq, len(enfs))
-	for i, enf := range enfs {
+	for _, enf := range enfs {
 		stats.Add(enf.stats)
-		rels[i] = enf.eq
 	}
 	stats.GroupsShared = e.sharedGroups
 	var con *eq.Conflict
@@ -97,7 +102,7 @@ func (e *parEngine) sat(size int) *SatResult {
 	case err != nil:
 		return &SatResult{Err: err, Stats: stats}
 	}
-	return satisfiable(e.sigma.Graph, rels, e.set, stats)
+	return satisfiable(e.sigma.Graph, rel, e.set, stats)
 }
 
 // chunks cuts G_Σ's copies into ParSat's tasks. Copies are taken in

@@ -6,9 +6,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/canon"
 	"repro/internal/eq"
@@ -25,13 +29,20 @@ import (
 // nothing. It uses no match.Search, no eq.Eq and no pending index; eq.Term
 // is only its key type.
 type refChase struct {
-	parent   map[eq.Term]eq.Term
-	konst    map[eq.Term]string // at class roots
+	parent map[eq.Term]eq.Term
+	// konst lists, at a class root, the constants forced on the class; two
+	// of them are a conflict.
+	konst    map[eq.Term][]string
 	conflict bool
+	// pastConflicts runs the chase on past a conflict, to the fixpoint in
+	// which every class holds every constant the rules force on it. A
+	// literal holds there when some constant makes it true, so the fixpoint
+	// contains every state an engine's chase can reach before it stops.
+	pastConflicts bool
 }
 
 func newRefChase() *refChase {
-	return &refChase{parent: map[eq.Term]eq.Term{}, konst: map[eq.Term]string{}}
+	return &refChase{parent: map[eq.Term]eq.Term{}, konst: map[eq.Term][]string{}}
 }
 
 func (r *refChase) find(t eq.Term) eq.Term {
@@ -55,9 +66,9 @@ func (r *refChase) holds(ls []gfd.Literal, h []graph.NodeID) bool {
 		if !r.has(t) {
 			return false
 		}
-		ct, okt := r.konst[r.find(t)]
+		ct := r.konst[r.find(t)]
 		if l.Kind == gfd.ConstLiteral {
-			if !okt || ct != l.Const {
+			if !slices.Contains(ct, l.Const) {
 				return false
 			}
 			continue
@@ -66,7 +77,7 @@ func (r *refChase) holds(ls []gfd.Literal, h []graph.NodeID) bool {
 		if !r.has(u) {
 			return false
 		}
-		if cu, oku := r.konst[r.find(u)]; r.find(t) != r.find(u) && (!okt || !oku || ct != cu) {
+		if cu := r.konst[r.find(u)]; r.find(t) != r.find(u) && !slices.ContainsFunc(ct, func(c string) bool { return slices.Contains(cu, c) }) {
 			return false
 		}
 	}
@@ -92,34 +103,37 @@ func (r *refChase) enforce(l gfd.Literal, h []graph.NodeID) bool {
 		return changed
 	}
 	r.parent[ru] = rt
-	if c, ok := r.konst[ru]; ok {
-		delete(r.konst, ru)
+	for _, c := range r.konst[ru] {
 		r.assign(rt, c)
 	}
+	delete(r.konst, ru)
 	return true
 }
 
 func (r *refChase) assign(root eq.Term, c string) bool {
-	old, ok := r.konst[root]
-	if !ok {
-		r.konst[root] = c
-		return true
+	if slices.Contains(r.konst[root], c) {
+		return false
 	}
-	r.conflict = r.conflict || old != c
-	return false
+	r.konst[root] = append(r.konst[root], c)
+	r.conflict = r.conflict || len(r.konst[root]) > 1
+	return true
 }
 
-// run chases Σ on g to a fixpoint or the first conflict.
+// stopped reports whether the chase ends here: at its first conflict,
+// unless it runs past conflicts.
+func (r *refChase) stopped() bool { return r.conflict && !r.pastConflicts }
+
+// run chases Σ on g to a fixpoint, or to the first conflict.
 func (r *refChase) run(set *gfd.Set, g graph.Reader) {
 	ms := make([][][]graph.NodeID, set.Len())
 	for i, phi := range set.GFDs {
 		ms[i] = oracle.Matches(phi.Pattern, g)
 	}
-	for changed := true; changed && !r.conflict; {
+	for changed := true; changed && !r.stopped(); {
 		changed = false
 		for i, phi := range set.GFDs {
 			for _, h := range ms[i] {
-				if r.conflict || !r.holds(phi.X, h) {
+				if r.stopped() || !r.holds(phi.X, h) {
 					continue
 				}
 				for _, l := range phi.Y {
@@ -141,7 +155,7 @@ func (r *refChase) classes() string {
 	for root, ms := range members {
 		slices.Sort(ms)
 		line := strings.Join(ms, ",")
-		if c, ok := r.konst[root]; ok {
+		for _, c := range r.konst[root] { // one at most, without a conflict
 			line += "=" + c
 		}
 		lines = append(lines, line)
@@ -155,6 +169,13 @@ func refSat(set *gfd.Set) (sat bool, classes string) {
 	r := newRefChase()
 	r.run(set, canon.BuildSigma(set).Graph)
 	return !r.conflict, r.classes()
+}
+
+// forces reports whether the chase forces both c1 and c2 on the class of t:
+// on a chase run past conflicts, that an engine's conflict at t is real.
+func (r *refChase) forces(t eq.Term, c1, c2 string) bool {
+	cs := r.konst[r.find(t)]
+	return r.has(t) && slices.Contains(cs, c1) && slices.Contains(cs, c2)
 }
 
 // refImp is the reference answer to Σ |= φ: the chase of Σ on G^X_Q from
@@ -177,18 +198,6 @@ func refImp(set *gfd.Set, phi *gfd.GFD) bool {
 	return r.conflict || r.holds(phi.Y, id)
 }
 
-// classesOf renders term-disjoint relations as one, in eq.Eq.Classes' form.
-func classesOf(rels []*eq.Eq) string {
-	var lines []string
-	for _, e := range rels {
-		if c := e.Classes(); c != "" {
-			lines = append(lines, strings.Split(c, "\n")...)
-		}
-	}
-	slices.Sort(lines)
-	return strings.Join(lines, "\n")
-}
-
 // refSatEngines runs Σ through SeqSat and ParSat at p ∈ {1, 2, 4} — at the
 // default chunk size and at one copy a chunk, which cuts even a small G_Σ
 // into many tasks, so coupled copies must be kept together by coupling.
@@ -207,26 +216,33 @@ func refSatEngines(set *gfd.Set) map[string]*SatResult {
 
 // checkAgainstRef compares every engine's satisfiability answer with the
 // reference chase: the verdict, and on a satisfiable Σ the final classes,
-// which ParSat splits over its workers' relations. It reports whether Σ was
-// satisfiable.
+// which ParSat's workers write to views of one table. It reports whether Σ
+// was satisfiable.
 func checkAgainstRef(t *testing.T, name string, set *gfd.Set) bool {
 	t.Helper()
 	sat, want := refSat(set)
 	for engine, res := range refSatEngines(set) {
-		if res.Err != nil || res.Satisfiable != sat {
-			t.Errorf("%s, %s: satisfiable %v (err %v), reference %v\n%s", name, engine, res.Satisfiable, res.Err, sat, set)
-			continue
-		}
-		if sat && set.Len() > 0 {
-			if got := classesOf(res.witness.eqs); got != want {
-				t.Errorf("%s, %s: final classes\n%s\nreference\n%s\nΣ:\n%s", name, engine, got, want, set)
-			}
-			if !IsModel(res.Model(), set) {
-				t.Errorf("%s, %s: the witness is not a model", name, engine)
-			}
-		}
+		checkSatResult(t, name+", "+engine, set, res, sat, want)
 	}
 	return sat
+}
+
+// checkSatResult compares one satisfiability answer with the reference's:
+// the verdict, and on a satisfiable Σ the final classes and a model.
+func checkSatResult(t *testing.T, run string, set *gfd.Set, res *SatResult, sat bool, classes string) {
+	t.Helper()
+	if res.Err != nil || res.Satisfiable != sat {
+		t.Errorf("%s: satisfiable %v (err %v), reference %v\n%s", run, res.Satisfiable, res.Err, sat, set)
+		return
+	}
+	if sat && set.Len() > 0 {
+		if got := res.witness.eq.Classes(); got != classes {
+			t.Errorf("%s: final classes\n%s\nreference\n%s\nΣ:\n%s", run, got, classes, set)
+		}
+		if !IsModel(res.Model(), set) {
+			t.Errorf("%s: the witness is not a model", run)
+		}
+	}
 }
 
 // checkImpAgainstRef compares every engine's implication verdict with the
@@ -340,48 +356,56 @@ func wideSet(conflicting bool) *gfd.Set {
 	return set
 }
 
-// TestEnginesAgreeWithReferenceChase checks SeqSat, ParSat, SeqImp and
-// ParImp at p ∈ {1, 2, 4} against the reference chase: on gen workloads, the
-// paper's worked examples, a wide fan-out Σ and hand-built Σs with
-// disconnected patterns — the verdict, and on a satisfiable Σ the final
-// classes.
-func TestEnginesAgreeWithReferenceChase(t *testing.T) {
-	sat, unsat := 0, 0
-	count := func(ok bool) {
-		if ok {
-			sat++
-		} else {
-			unsat++
-		}
-	}
+// refSatSets are the Σs the satisfiability engines are held to the
+// reference chase on: gen workloads with and without a conflict, the
+// paper's worked examples, a wide fan-out Σ and the disconnected Σs, each of
+// the last two satisfiable and with a conflicting rule.
+func refSatSets() map[string]*gfd.Set {
+	out := map[string]*gfd.Set{}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, conflicts := range []int{0, 1} {
-			set := gen.New(gen.Config{N: 12, K: 3, L: 2, WildcardRate: 0.3, Conflicts: conflicts, Seed: seed}).Set()
-			count(checkAgainstRef(t, fmt.Sprintf("gen seed %d, %d conflicts", seed, conflicts), set))
-		}
-		gr := gen.New(gen.Config{N: 10, K: 3, L: 2, Seed: seed})
-		sigma, chain := gr.ImpInstance(3)
-		for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(sigma), gr.NonImpliedGFD()} {
-			checkImpAgainstRef(t, fmt.Sprintf("gen seed %d, %s", seed, phi.Name), sigma, phi)
+			out[fmt.Sprintf("gen seed %d, %d conflicts", seed, conflicts)] = gen.New(gen.Config{N: 12, K: 3, L: 2, WildcardRate: 0.3, Conflicts: conflicts, Seed: seed}).Set()
 		}
 	}
-
 	phi5 := gfd.MustNew("phi5", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "0")})
 	phi6 := gfd.MustNew("phi6", q5(), nil, []gfd.Literal{gfd.Const(0, "A", "1")})
 	phi7 := gfd.MustNew("phi7", q6(), nil, []gfd.Literal{gfd.Const(0, "A", "0"), gfd.Const(1, "B", "1")})
 	phi8 := gfd.MustNew("phi8", q7(), []gfd.Literal{gfd.Const(1, "B", "1")}, []gfd.Literal{gfd.Const(0, "A", "1")})
 	phi9 := gfd.MustNew("phi9", q6(), []gfd.Literal{gfd.Const(1, "B", "1")}, []gfd.Literal{gfd.Const(3, "C", "1")})
 	phi10 := gfd.MustNew("phi10", q7(), []gfd.Literal{gfd.Const(3, "C", "1")}, []gfd.Literal{gfd.Const(0, "A", "1")})
-	for name, set := range map[string]*gfd.Set{
-		"Example 2, one pattern":    gfd.NewSet(phi5, phi6),
-		"Example 2, two patterns":   gfd.NewSet(phi7, phi8),
-		"Example 4":                 gfd.NewSet(phi7, phi9, phi10),
-		"Example 4 without phi7":    gfd.NewSet(phi9, phi10),
-		"phi7 alone":                gfd.NewSet(phi7),
-		"wide fan-out":              wideSet(false),
-		"wide fan-out, conflicting": wideSet(true),
-	} {
-		count(checkAgainstRef(t, name, set))
+	out["Example 2, one pattern"] = gfd.NewSet(phi5, phi6)
+	out["Example 2, two patterns"] = gfd.NewSet(phi7, phi8)
+	out["Example 4"] = gfd.NewSet(phi7, phi9, phi10)
+	out["Example 4 without phi7"] = gfd.NewSet(phi9, phi10)
+	out["phi7 alone"] = gfd.NewSet(phi7)
+	out["wide fan-out"] = wideSet(false)
+	out["wide fan-out, conflicting"] = wideSet(true)
+	for name, sets := range disconnectedSets() {
+		out[name] = sets[0]
+		out[name+", conflicting"] = sets[1]
+	}
+	return out
+}
+
+// impInstance is a question Σ |= φ the implication engines are held to the
+// reference chase on.
+type impInstance struct {
+	name  string
+	sigma *gfd.Set
+	phi   *gfd.GFD
+}
+
+// refImpInstances are gen's implication instances, Example 8's and, for
+// each disconnected Σ, every rule of its conflicting variant asked of the
+// base.
+func refImpInstances() []impInstance {
+	var out []impInstance
+	for seed := int64(1); seed <= 3; seed++ {
+		gr := gen.New(gen.Config{N: 10, K: 3, L: 2, Seed: seed})
+		sigma, chain := gr.ImpInstance(3)
+		for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(sigma), gr.NonImpliedGFD()} {
+			out = append(out, impInstance{fmt.Sprintf("gen seed %d, %s", seed, phi.Name), sigma, phi})
+		}
 	}
 	sigma := impExample8Sigma()
 	for _, phi := range []*gfd.GFD{
@@ -389,32 +413,149 @@ func TestEnginesAgreeWithReferenceChase(t *testing.T) {
 		gfd.MustNew("phi14", q7(), []gfd.Literal{gfd.Const(0, "A", "0")}, []gfd.Literal{gfd.Const(2, "C", "2")}),
 		gfd.MustNew("ni", q8(), nil, []gfd.Literal{gfd.Const(0, "A", "2")}),
 	} {
-		checkImpAgainstRef(t, "Example 8, "+phi.Name, sigma, phi)
+		out = append(out, impInstance{"Example 8, " + phi.Name, sigma, phi})
 	}
-
 	for name, sets := range disconnectedSets() {
-		if !checkAgainstRef(t, name, sets[0]) {
-			t.Errorf("%s: the base Σ is unsatisfiable; the case tests no classes", name)
-		}
-		if checkAgainstRef(t, name+", conflicting", sets[1]) {
-			t.Errorf("%s: the conflicting rule left Σ satisfiable; the case tests no conflict", name)
-		}
 		for _, phi := range sets[1].GFDs {
-			checkImpAgainstRef(t, name+", "+phi.Name, sets[0], phi)
+			out = append(out, impInstance{name + ", " + phi.Name, sets[0], phi})
 		}
-		sat++
-		unsat++
+	}
+	return out
+}
+
+// TestEnginesAgreeWithReferenceChase checks SeqSat, ParSat, SeqImp and
+// ParImp at p ∈ {1, 2, 4} against the reference chase: on refSatSets and on
+// refImpInstances — the verdict, and on a satisfiable Σ the final classes.
+func TestEnginesAgreeWithReferenceChase(t *testing.T) {
+	sat, unsat := 0, 0
+	for name, set := range refSatSets() {
+		if checkAgainstRef(t, name, set) {
+			sat++
+		} else {
+			unsat++
+		}
 	}
 	if sat == 0 || unsat == 0 {
 		t.Fatalf("the inputs are degenerate: %d satisfiable, %d unsatisfiable", sat, unsat)
 	}
+	for _, c := range refImpInstances() {
+		checkImpAgainstRef(t, c.name, c.sigma, c.phi)
+	}
+	for name, sets := range disconnectedSets() {
+		if ok, _ := refSat(sets[0]); !ok {
+			t.Errorf("%s: the base Σ is unsatisfiable; the case tests no classes", name)
+		}
+		if ok, _ := refSat(sets[1]); ok {
+			t.Errorf("%s: the conflicting rule left Σ satisfiable; the case tests no conflict", name)
+		}
+	}
 }
 
-// TestChunkChaseIsTermClosed: every handle a ParSat worker's relation holds
-// lies in a copy of a chunk that worker ran — so the workers' relations are
-// term-disjoint and none needs another's. It runs at one copy a chunk, on
-// gen's Σ and on the disconnected Σs, whose chunks hold only as long as
-// coupling keeps the copies a match can reach together.
+// perturbed returns opt with its worker seams — a task taken, a unit
+// started, ParImp's chase taking a unit — made to yield or sleep 0–50 µs,
+// each pause drawn from seed, before any hook opt already has. The pauses
+// shuffle which worker takes which task and how far the others get
+// meanwhile, so a schedule the pool's cursor rarely produces on an idle
+// machine is run, and -race sees workers interleave inside the chase.
+func perturbed(opt ParOptions, seed int64) ParOptions {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	pause := func() {
+		mu.Lock()
+		d := rng.Intn(51)
+		mu.Unlock()
+		if d == 0 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Duration(d) * time.Microsecond)
+		}
+	}
+	task, start, chase := opt.testHookTask, opt.testHookUnitStart, opt.testHookChase
+	opt.testHookTask = func(w int, u []unit) {
+		pause()
+		if task != nil {
+			task(w, u)
+		}
+	}
+	opt.testHookUnitStart = func(gi int) {
+		pause()
+		if start != nil {
+			start(gi)
+		}
+	}
+	opt.testHookChase = func(i int) {
+		pause()
+		if chase != nil {
+			chase(i)
+		}
+	}
+	return opt
+}
+
+// perturbedSeeds is how many perturbed schedules each Σ runs under.
+const perturbedSeeds = 16
+
+// TestPerturbedSchedulesAgreeWithReferenceChase runs refSatSets through
+// ParSat at p ∈ {2, 4} under perturbed schedules, at the default chunk size
+// and at one copy a chunk: the verdict and, on a satisfiable Σ, the final
+// classes must be the reference chase's. On an unsatisfiable Σ the first
+// chunk to conflict names the conflict, so the term named may differ from
+// run to run; it must still be real: the reference chase, run past
+// conflicts, forces both of its constants on the term's class.
+func TestPerturbedSchedulesAgreeWithReferenceChase(t *testing.T) {
+	conflicts := 0
+	for name, set := range refSatSets() {
+		sat, classes := refSat(set)
+		past := newRefChase()
+		past.pastConflicts = true
+		past.run(set, canon.BuildSigma(set).Graph)
+		for _, p := range []int{2, 4} {
+			for seed := int64(1); seed <= perturbedSeeds; seed++ {
+				opt := perturbed(DefaultParOptions(p), seed)
+				for size, res := range map[string]*SatResult{
+					"default chunks": ParSat(set, opt),
+					"1 copy a chunk": newSatEngine(opt, set).sat(1),
+				} {
+					run := fmt.Sprintf("%s, p=%d, seed %d, %s", name, p, seed, size)
+					checkSatResult(t, run, set, res, sat, classes)
+					if c := res.Conflict; c != nil {
+						conflicts++
+						if !past.forces(c.Term, c.C1, c.C2) {
+							t.Errorf("%s: the conflict %v is not one the reference chase forces", run, c)
+						}
+					}
+				}
+			}
+		}
+	}
+	if conflicts == 0 {
+		t.Fatal("no run conflicted: the conflicts named are not tested")
+	}
+}
+
+// TestPerturbedSchedulesImpAgreeWithReferenceChase runs refImpInstances
+// through ParImp at p ∈ {2, 4} under perturbed schedules: the verdict must
+// be the reference chase's.
+func TestPerturbedSchedulesImpAgreeWithReferenceChase(t *testing.T) {
+	for _, c := range refImpInstances() {
+		want := refImp(c.sigma, c.phi)
+		for _, p := range []int{2, 4} {
+			for seed := int64(1); seed <= perturbedSeeds; seed++ {
+				if res := ParImp(c.sigma, c.phi, perturbed(DefaultParOptions(p), seed)); res.Err != nil || res.Implied != want {
+					t.Errorf("%s, p=%d, seed %d: implied %v (%v, err %v), reference %v", c.name, p, seed, res.Implied, res.Reason, res.Err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestChunkChaseIsTermClosed: every term a ParSat worker's chase reads or
+// writes — a literal it checks, a class it enforces, a pending list it
+// files a match under — lies in a copy of a chunk that worker ran, so the
+// workers' views of the one table touch disjoint slots. It runs at one copy
+// a chunk, under perturbed schedules, on gen's Σ and on the disconnected
+// Σs, whose chunks hold only as long as coupling keeps the copies a match
+// can reach together.
 func TestChunkChaseIsTermClosed(t *testing.T) {
 	sets := map[string]*gfd.Set{
 		"gen": gen.New(gen.Config{N: 40, K: 4, L: 3, WildcardRate: 0.3, Seed: 2}).Set(),
@@ -424,29 +565,33 @@ func TestChunkChaseIsTermClosed(t *testing.T) {
 	}
 	for name, set := range sets {
 		for _, p := range []int{2, 4} {
-			for rep := 0; rep < 5; rep++ {
+			for seed := int64(1); seed <= 5; seed++ {
+				roots := make([][]graph.NodeID, p)   // per worker, a root of each task it ran
+				touched := make([][]graph.NodeID, p) // per worker, the nodes of the terms its chase touched
 				opt := DefaultParOptions(p)
-				roots := make([][]graph.NodeID, p) // per worker, a root of each task it ran
 				opt.testHookTask = func(w int, task []unit) { roots[w] = append(roots[w], task[0].roots[0]) }
-				eng := newSatEngine(opt, set)
+				opt.testHookTerm = func(w int, n graph.NodeID) { touched[w] = append(touched[w], n) }
+				eng := newSatEngine(perturbed(opt, seed), set)
 				res := eng.sat(1)
 				if res.Err != nil || !res.Satisfiable {
 					t.Fatalf("%s, p=%d: satisfiable %v, err %v", name, p, res.Satisfiable, res.Err)
 				}
 				_, chunk := eng.chunks(1) // the cut the run made
-				ran := make([]map[int32]bool, p)
-				for w, rs := range roots {
-					ran[w] = map[int32]bool{}
-					for _, n := range rs {
-						ran[w][chunk[n]] = true
+				n := 0
+				for w, ns := range touched {
+					ran := map[int32]bool{}
+					for _, r := range roots[w] {
+						ran[chunk[r]] = true
 					}
-				}
-				for w, e := range res.witness.eqs {
-					for h := range e.NumHandles() {
-						if n := e.TermAt(eq.Handle(h)).Node; !ran[w][chunk[n]] {
-							t.Fatalf("%s, p=%d: worker %d holds %v, in chunk %d, which it did not run", name, p, w, e.TermAt(eq.Handle(h)), chunk[n])
+					for _, v := range ns {
+						if !ran[chunk[v]] {
+							t.Fatalf("%s, p=%d, seed %d: worker %d touched a term of node %d, in chunk %d, which it did not run", name, p, seed, w, v, chunk[v])
 						}
 					}
+					n += len(ns)
+				}
+				if n == 0 {
+					t.Fatalf("%s, p=%d: no chase touched a term; nothing is tested", name, p)
 				}
 			}
 		}

@@ -20,22 +20,22 @@ type SatResult struct {
 	// work completed.
 	Err error
 
-	// What Model is built from on first call: G_Σ, the final relations
-	// (one per worker) and Σ (for its reserved constants) — or, once built,
-	// the model itself.
+	// What Model is built from on first call: G_Σ, the final relation (the
+	// one table every worker's view wrote) and Σ (for its reserved
+	// constants) — or, once built, the model itself.
 	witness struct {
 		g     *graph.Graph
-		eqs   []*eq.Eq
+		eq    *eq.Eq
 		set   *gfd.Set
 		model *graph.Graph
 	}
 }
 
 // satisfiable is the result of a run that reached quiescence without
-// conflict on canonical graph g with final relations eqs.
-func satisfiable(g *graph.Graph, eqs []*eq.Eq, set *gfd.Set, stats Stats) *SatResult {
+// conflict on canonical graph g with final relation rel.
+func satisfiable(g *graph.Graph, rel *eq.Eq, set *gfd.Set, stats Stats) *SatResult {
 	r := &SatResult{Satisfiable: true, Stats: stats}
-	r.witness.g, r.witness.eqs, r.witness.set = g, eqs, set
+	r.witness.g, r.witness.eq, r.witness.set = g, rel, set
 	return r
 }
 
@@ -54,9 +54,9 @@ func emptySetResult() *SatResult {
 // for concurrent use.
 func (r *SatResult) Model() *graph.Graph {
 	w := &r.witness
-	if w.model == nil && w.eqs != nil {
-		w.model = CompleteModel(w.g, w.eqs, w.set.Constants())
-		w.g, w.eqs, w.set = nil, nil, nil
+	if w.model == nil && w.eq != nil {
+		w.model = CompleteModel(w.g, w.eq, w.set.Constants())
+		w.g, w.eq, w.set = nil, nil, nil
 	}
 	return w.model
 }

@@ -11,31 +11,40 @@
 // Eq is monotone (classes only grow, constants are never retracted), so
 // deltas taken from one relation (TakeDelta) can be replayed on another
 // (Apply) in any order and both converge. No engine reads a delta: each
-// chase owns its relation. The delta surface stays for benchmark/gfdbench's
+// chase owns its terms. The delta surface stays for benchmark/gfdbench's
 // probes and the convergence tests.
 //
 // The relation has two surfaces over one implementation. The ID surface is
 // what the reasoning engines run on: attribute and constant names are
 // interned once (AttrIDOf, ConstIDOf — the same resolve-once idiom as
-// graph.Reader's LabelIDOf), a term is addressed by a dense Handle found
-// from (node, attribute ID) by one load from the attribute's handle column,
-// and AssignAt / MergeAt report changed classes by appending handles to a
-// buffer the caller owns — no string is hashed and nothing is allocated per
-// operation once the tables are warm. The string surface (Term, AssignConst,
-// Merge, Apply, Const, Same, …) is a thin wrapper that interns and
-// delegates; it is the boundary for tests, conflict rendering, the witness
-// model and the delta Op, which stays name-shaped so relations need not
-// agree on IDs.
+// graph.Reader's LabelIDOf), and a term is addressed by a Handle, its
+// position in one dense table of (node, attribute) slots: n·A + a, for A
+// attribute columns. Lookup is that arithmetic plus one load, and AssignAt /
+// MergeAt report changed classes by appending handles to a buffer the caller
+// owns — no string is hashed and nothing is allocated per operation. The
+// string surface (Term, AssignConst, Merge, Apply, Const, Same, …) is a thin
+// wrapper that interns and delegates; it is the boundary for tests, conflict
+// rendering, the witness model and the delta Op, which stays name-shaped so
+// relations need not agree on IDs.
 //
-// A handle is not a term: HandleOf allocates the slot (the pending index of
-// the engines files blocked matches under it) without creating the class
-// [x.A]; only a mutation creates it. Has, Same, Len, AllTerms, Classes and
-// Lookup see created classes only.
+// A zero slot is a term without a class, so a fresh table needs no fill and
+// its pages no term touches are never written. A handle is not a term:
+// every (node, attribute) pair of the table has one, and the pending index
+// of the engines files blocked matches under it, but only a mutation creates
+// the class [x.A]. Has, Same, Len, AllTerms, Classes and Lookup see created
+// classes only.
+//
+// New returns a relation that grows on demand, for the string surface. An
+// engine fixes the shape before its chase asks for a handle (Seal): over
+// G_Σ's nodes and Σ's attribute names for ParSat, whose workers then chase
+// term-disjoint chunks on views of the one table (View); over G^X_Q and the
+// attributes of φ and Σ′ for ParImp. A sealed relation that is asked to
+// grow panics.
 package eq
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strings"
 
@@ -82,14 +91,15 @@ type Op struct {
 type Delta []Op
 
 // AttrID and ConstID are a relation's dense IDs for attribute and constant
-// names. They are private to the relation that issued them.
+// names. They are private to the relation that issued them and its views.
 type (
 	AttrID  int32
 	ConstID int32
 )
 
-// Handle addresses one (node, attribute) slot of a relation. Like the name
-// IDs, it is valid for the relation that issued it.
+// Handle addresses one (node, attribute) slot of a relation: n·A + a. It is
+// valid for the relation that issued it and its views, until the relation
+// widens (AttrIDOf of a new name before Seal) and every handle moves.
 type Handle int32
 
 const (
@@ -97,39 +107,33 @@ const (
 	NoHandle Handle = -1
 	// NoConst is ConstAt's "class carries no constant".
 	NoConst ConstID = -1
-
-	// noClass in slot.parent marks a handle whose class has not been created.
-	noClass Handle = -1
 )
 
-// slot is one handle's record: its key, the union-find node, and the
-// intrusive ring of the members of its class — so a merge is a splice and a
-// class is walked without a per-class slice.
+// slot is one handle's record: the union-find node and the intrusive ring of
+// the members of its class, so a merge is a splice and a class is walked
+// without a per-class slice. Its node and attribute are its position. Each
+// field holds 1 + its value, so the zero slot is a term without a class: no
+// parent, and no constant.
 type slot struct {
-	node   int32 // graph.NodeID; the storage layer packs node IDs into 32 bits too
-	attr   AttrID
-	parent Handle  // union-find parent; noClass until the class is created
-	ring   Handle  // next member of the class, circular
-	konst  ConstID // at a root: the class's constant, or NoConst
+	parent Handle  // 1 + the union-find parent; 0 while the class does not exist
+	ring   Handle  // 1 + the next member of the class, circular
+	konst  ConstID // at a root: 1 + the class's constant; 0 for none
 	rank   int8
 }
 
 // Eq is the equivalence relation. The zero value is not usable; construct
-// with New. Eq is not safe for concurrent use; each chase owns its relation.
+// with New. Eq is not safe for concurrent use: each chase owns its relation,
+// or a view of a shared table whose terms no other chase touches (View).
 type Eq struct {
-	slots []slot
-	// byAttr[a][n] is 1 + the handle of (n, a), and 0 when (n, a) has none,
-	// so a fresh column needs no fill. A column exists only for an attribute
-	// that got a handle; a new attribute adds one and leaves the others be.
-	byAttr [][]Handle
-	// nodes is Reserve's hint: the least length a column is made or grown to.
-	nodes   int
-	classes int // handles whose class exists
+	// slots is the term table: (n, a) is slots[n·stride + a] for n below
+	// nodes. stride is at least the number of attributes; Seal makes it
+	// exactly that.
+	slots         []slot
+	nodes, stride int
+	sealed        bool
 
-	attrIDs  map[string]AttrID
-	attrs    []string
-	constIDs map[string]ConstID
-	consts   []string
+	*names
+	classes int // classes this relation (or view) created
 
 	con *Conflict
 	log Delta // mutations since the last TakeDelta
@@ -138,30 +142,49 @@ type Eq struct {
 	quiet, replaying bool
 }
 
-// New returns an empty relation.
-func New() *Eq {
-	return &Eq{
-		attrIDs:  make(map[string]AttrID),
-		constIDs: make(map[string]ConstID),
-	}
+// names are a relation's name tables, which its views share.
+type names struct {
+	attrIDs  map[string]AttrID
+	attrs    []string
+	constIDs map[string]ConstID
+	consts   []string
+	// viewed is set once a view shares the tables: they are read-only then.
+	viewed bool
 }
 
-// AttrIDOf returns the ID of attribute name a, interning it if new.
+// New returns an empty relation that grows on demand.
+func New() *Eq {
+	return &Eq{names: &names{attrIDs: make(map[string]AttrID), constIDs: make(map[string]ConstID)}}
+}
+
+// AttrIDOf returns the ID of attribute name a, interning it if new. A new
+// attribute widens the table, which renumbers every handle; on a sealed
+// relation it panics.
 func (e *Eq) AttrIDOf(a string) AttrID {
 	if id, ok := e.attrIDs[a]; ok {
 		return id
 	}
+	if e.sealed {
+		panic(fmt.Sprintf("eq: attribute %q is new to a sealed relation", a))
+	}
 	id := AttrID(len(e.attrs))
 	e.attrIDs[a] = id
 	e.attrs = append(e.attrs, a)
+	if len(e.attrs) > e.stride {
+		e.reshape(e.nodes, max(2*e.stride, len(e.attrs)))
+	}
 	return id
 }
 
 // ConstIDOf returns the ID of constant c, interning it if new. Two constants
-// are equal exactly when their IDs are.
+// are equal exactly when their IDs are. A relation with views interns
+// nothing new: it panics then.
 func (e *Eq) ConstIDOf(c string) ConstID {
 	if id, ok := e.constIDs[c]; ok {
 		return id
+	}
+	if e.viewed {
+		panic(fmt.Sprintf("eq: constant %q is new to a relation with views", c))
 	}
 	id := ConstID(len(e.consts))
 	e.constIDs[c] = id
@@ -172,96 +195,121 @@ func (e *Eq) ConstIDOf(c string) ConstID {
 // ConstName returns the constant an ID stands for.
 func (e *Eq) ConstName(c ConstID) string { return e.consts[c] }
 
-// Reserve is a capacity hint: a column made or grown from now on holds node
-// IDs below nodes, so a relation over that many nodes makes each column once.
-func (e *Eq) Reserve(nodes int) { e.nodes = max(e.nodes, nodes) }
-
-// slotOf returns the handle allocated for (n, a), created or not.
-func (e *Eq) slotOf(n graph.NodeID, a AttrID) Handle {
-	if int(a) < len(e.byAttr) {
-		if col := e.byAttr[a]; uint(n) < uint(len(col)) {
-			return col[n] - 1
+// reshape lays the table out anew for nodes × stride slots, keeping every
+// class. A handle moves only when the stride changes.
+func (e *Eq) reshape(nodes, stride int) {
+	if e.sealed {
+		panic(fmt.Sprintf("eq: a sealed relation of %d nodes × %d attributes cannot grow", e.nodes, e.stride))
+	}
+	if nodes*stride > math.MaxInt32 {
+		panic(fmt.Sprintf("eq: %d nodes × %d attributes overflow a handle", nodes, stride))
+	}
+	slots := make([]slot, nodes*stride)
+	if stride == e.stride {
+		copy(slots, e.slots)
+	} else {
+		move := func(v Handle) Handle { // v is 1 + a handle, or 0
+			if v == 0 {
+				return 0
+			}
+			return Handle(int(v-1)/e.stride*stride+int(v-1)%e.stride) + 1
+		}
+		for h, s := range e.slots {
+			if s.parent != 0 {
+				slots[move(Handle(h)+1)-1] = slot{parent: move(s.parent), ring: move(s.ring), konst: s.konst, rank: s.rank}
+			}
 		}
 	}
-	return NoHandle
+	e.slots, e.nodes, e.stride = slots, nodes, stride
+}
+
+// Seal fixes the relation's shape: nodes 0 … nodes−1 (or as many as it
+// already holds) by the attributes interned so far, one column each. From
+// then on a new node or attribute panics, so every handle is valid for the
+// relation's life, and its views (View) can share the table.
+func (e *Eq) Seal(nodes int) {
+	if nodes = max(nodes, e.nodes); nodes != e.nodes || e.stride != len(e.attrs) {
+		e.reshape(nodes, len(e.attrs))
+	}
+	e.sealed = true
+}
+
+// View returns a relation over e's table and name tables, with a conflict,
+// counters and log of its own. e must be sealed. A view reads and writes
+// the slots of the shared table, so views may run concurrently only over
+// disjoint sets of terms, and no name is interned once a view exists.
+func (e *Eq) View() *Eq {
+	if !e.sealed {
+		panic("eq: a view of a relation that is not sealed")
+	}
+	e.viewed = true
+	return &Eq{slots: e.slots, nodes: e.nodes, stride: e.stride, sealed: true, names: e.names, quiet: e.quiet}
 }
 
 // Lookup returns the handle of the class [n.a], or NoHandle when the class
 // does not exist. It allocates nothing.
 func (e *Eq) Lookup(n graph.NodeID, a AttrID) Handle {
-	if h := e.slotOf(n, a); h >= 0 && e.slots[h].parent != noClass {
-		return h
+	if uint(n) < uint(e.nodes) {
+		if h := Handle(int(n)*e.stride + int(a)); e.slots[h].parent != 0 {
+			return h
+		}
 	}
 	return NoHandle
 }
 
-// HandleOf returns the handle for (n, a), allocating it if new. It does not
-// create the class: until a mutation does, Lookup keeps answering NoHandle.
+// HandleOf returns the handle for (n, a). It does not create the class:
+// until a mutation does, Lookup keeps answering NoHandle. A node beyond the
+// table extends it, which moves no handle; on a sealed relation it panics.
 func (e *Eq) HandleOf(n graph.NodeID, a AttrID) Handle {
-	if h := e.slotOf(n, a); h >= 0 {
-		return h
+	if int(n) >= e.nodes {
+		e.reshape(max(2*e.nodes, int(n)+1), e.stride)
 	}
-	if int(a) >= len(e.byAttr) {
-		e.byAttr = append(e.byAttr, make([][]Handle, int(a)+1-len(e.byAttr))...)
-	}
-	if col := e.byAttr[a]; int(n) >= len(col) {
-		e.byAttr[a] = make([]Handle, max(2*len(col), int(n)+1, e.nodes))
-		copy(e.byAttr[a], col)
-	}
-	h := Handle(len(e.slots))
-	if len(e.slots) == cap(e.slots) {
-		// The table only grows, for the whole run: double it, where append
-		// alone would grow it by a quarter at a time and copy several times
-		// its final size on the way there.
-		e.slots = slices.Grow(e.slots, max(len(e.slots), 64))
-	}
-	e.slots = append(e.slots, slot{node: int32(n), attr: a, parent: noClass, ring: h, konst: NoConst})
-	e.byAttr[a][n] = h + 1
-	return h
+	return Handle(int(n)*e.stride + int(a))
 }
 
-// NumHandles returns the number of handles allocated; handles are
+// NumHandles returns the number of slots in the table; handles are
 // 0 … NumHandles()−1.
 func (e *Eq) NumHandles() int { return len(e.slots) }
 
 // HasAt reports whether h's class exists.
-func (e *Eq) HasAt(h Handle) bool { return e.slots[h].parent != noClass }
+func (e *Eq) HasAt(h Handle) bool { return e.slots[h].parent != 0 }
 
 // TermAt returns the term h addresses.
 func (e *Eq) TermAt(h Handle) Term {
-	s := &e.slots[h]
-	return Term{Node: graph.NodeID(s.node), Attr: e.attrs[s.attr]}
+	return Term{Node: graph.NodeID(int(h) / e.stride), Attr: e.attrs[int(h)%e.stride]}
 }
 
 // Next returns the member after h in its class, which is a ring: following
 // Next from any member visits the whole class and returns to it.
-func (e *Eq) Next(h Handle) Handle { return e.slots[h].ring }
+func (e *Eq) Next(h Handle) Handle { return e.slots[h].ring - 1 }
 
 // create makes h's singleton class if it does not exist yet, and reports
 // whether it did.
 func (e *Eq) create(h Handle) bool {
-	if e.slots[h].parent != noClass {
+	s := &e.slots[h]
+	if s.parent != 0 {
 		return false
 	}
-	e.slots[h].parent = h
+	s.parent, s.ring = h+1, h+1
 	e.classes++
 	return true
 }
 
 func (e *Eq) find(h Handle) Handle {
 	root := h
-	for e.slots[root].parent != root {
-		root = e.slots[root].parent
+	for p := e.slots[root].parent - 1; p != root; p = e.slots[root].parent - 1 {
+		root = p
 	}
-	for e.slots[h].parent != root {
-		h, e.slots[h].parent = e.slots[h].parent, root
+	for p := e.slots[h].parent - 1; p != root; p = e.slots[h].parent - 1 {
+		e.slots[h].parent = root + 1
+		h = p
 	}
 	return root
 }
 
 // ConstAt returns the constant of h's class, or NoConst. The class must
 // exist.
-func (e *Eq) ConstAt(h Handle) ConstID { return e.slots[e.find(h)].konst }
+func (e *Eq) ConstAt(h Handle) ConstID { return e.slots[e.find(h)].konst - 1 }
 
 // SameAt reports whether a and b are in one class. Both classes must exist.
 func (e *Eq) SameAt(a, b Handle) bool { return e.find(a) == e.find(b) }
@@ -269,7 +317,7 @@ func (e *Eq) SameAt(a, b Handle) bool { return e.find(a) == e.find(b) }
 // appendClass appends the members of the class rooted anywhere on h's ring.
 func (e *Eq) appendClass(buf []Handle, h Handle) []Handle {
 	buf = append(buf, h)
-	for m := e.slots[h].ring; m != h; m = e.slots[m].ring {
+	for m := e.Next(h); m != h; m = e.Next(m) {
 		buf = append(buf, m)
 	}
 	return buf
@@ -283,11 +331,11 @@ func (e *Eq) appendClass(buf []Handle, h Handle) []Handle {
 func (e *Eq) AssignAt(h Handle, c ConstID, changed []Handle) []Handle {
 	e.create(h)
 	root := e.find(h)
-	switch old := e.slots[root].konst; {
+	switch old := e.slots[root].konst - 1; {
 	case old == c:
 		return changed
 	case old == NoConst:
-		e.slots[root].konst = c
+		e.slots[root].konst = c + 1
 	case e.con == nil:
 		e.con = &Conflict{Term: e.TermAt(h), C1: e.consts[old], C2: e.consts[c]}
 	}
@@ -326,7 +374,7 @@ func (e *Eq) MergeAt(a, b Handle, changed []Handle) []Handle {
 	}
 	changed = e.appendClass(changed, rb)
 	switch {
-	case sb.konst != NoConst && sa.konst == NoConst:
+	case sb.konst != 0 && sa.konst == 0:
 		// The absorbed side's constant now constrains the survivor's members.
 		changed = e.appendClass(changed, ra)
 		sa.konst = sb.konst
@@ -334,11 +382,11 @@ func (e *Eq) MergeAt(a, b Handle, changed []Handle) []Handle {
 		// The survivor is a singleton this call created: going from absent to
 		// present is a change too — an antecedent x.A = x.A waits for it.
 		changed = append(changed, ra)
-	case sb.konst != NoConst && sa.konst != sb.konst && e.con == nil:
-		e.con = &Conflict{Term: e.TermAt(a), C1: e.consts[sa.konst], C2: e.consts[sb.konst]}
+	case sb.konst != 0 && sa.konst != sb.konst && e.con == nil:
+		e.con = &Conflict{Term: e.TermAt(a), C1: e.consts[sa.konst-1], C2: e.consts[sb.konst-1]}
 	}
-	sb.konst = NoConst
-	sb.parent = ra
+	sb.konst = 0
+	sb.parent = ra + 1
 	sa.ring, sb.ring = sb.ring, sa.ring // splice the two rings into one
 	if e.logging() {
 		e.log = append(e.log, Op{Kind: OpMerge, T: e.TermAt(a), U: e.TermAt(b)})
@@ -366,7 +414,8 @@ func (e *Eq) TakeDelta() Delta {
 	return d
 }
 
-// Len returns the number of terms tracked.
+// Len returns the number of classes this relation created: on a view, the
+// terms of its own chase.
 func (e *Eq) Len() int { return e.classes }
 
 // Conflicted returns the first conflict found, or nil.
@@ -426,15 +475,26 @@ func (e *Eq) AssignConst(t Term, c string) []Term {
 }
 
 // Merge is MergeAt by name; it returns the changed terms in a fresh slice,
-// nil when t and u were already equivalent.
+// nil when t and u were already equivalent. Both attributes are interned
+// before either handle is taken, since a new one moves every handle.
 func (e *Eq) Merge(t, u Term) []Term {
-	return e.termsOf(e.MergeAt(e.handleOfTerm(t), e.handleOfTerm(u), nil))
+	a, b := e.AttrIDOf(t.Attr), e.AttrIDOf(u.Attr)
+	ht := e.HandleOf(t.Node, a)
+	return e.termsOf(e.MergeAt(ht, e.HandleOf(u.Node, b), nil))
 }
 
 // Apply replays a delta taken from another relation and returns the changed
 // terms in a fresh slice. Conflicts discovered during replay are recorded
-// exactly as for local mutations; replayed ops are not logged again.
+// exactly as for local mutations; replayed ops are not logged again. The
+// delta's attributes are interned first, so that no handle moves while the
+// changed handles are collected.
 func (e *Eq) Apply(d Delta) []Term {
+	for i := range d {
+		e.AttrIDOf(d[i].T.Attr)
+		if d[i].Kind == OpMerge {
+			e.AttrIDOf(d[i].U.Attr)
+		}
+	}
 	var changed []Handle
 	e.replaying = true
 	for i := range d {
@@ -452,9 +512,9 @@ func (e *Eq) Apply(d Delta) []Term {
 }
 
 // AllTerms returns every term whose class exists, in a fresh slice in no
-// particular order.
+// particular order. On a view, that is every view's terms.
 func (e *Eq) AllTerms() []Term {
-	out := make([]Term, 0, e.classes)
+	var out []Term
 	for h := range e.slots {
 		if e.HasAt(Handle(h)) {
 			out = append(out, e.TermAt(Handle(h)))
@@ -477,7 +537,7 @@ func (e *Eq) Classes() string {
 	var members []Handle
 	for i := range e.slots {
 		h := Handle(i)
-		if e.slots[h].parent != h {
+		if e.slots[h].parent != h+1 {
 			continue // not a root, or no class
 		}
 		members = e.appendClass(members[:0], h)
@@ -487,8 +547,8 @@ func (e *Eq) Classes() string {
 		}
 		sort.Strings(names)
 		line := strings.Join(names, ",")
-		if c := e.slots[h].konst; c != NoConst {
-			line += "=" + e.consts[c]
+		if c := e.slots[h].konst; c != 0 {
+			line += "=" + e.consts[c-1]
 		}
 		lines = append(lines, line)
 	}

@@ -13,14 +13,14 @@ import (
 // the same decoder: each op is a kind byte followed by its arguments, and a
 // stream that runs out reads zeros.
 const (
-	opIntern  = iota // a: AttrIDOf
-	opHandle         // node, page, a: HandleOf
-	opLookup         // node, page, a: Lookup
-	opAssign         // node, page, a, c: AssignAt on HandleOf
-	opMerge          // node, page, a, node, page, a: MergeAt on two HandleOfs
-	opNew            // a new, empty relation beside the others
-	opSwitch         // r: make relation r mod count the current one
-	opReserve        // k: Reserve(16·k)
+	opIntern = iota // a: AttrIDOf
+	opHandle        // node, page, a: HandleOf
+	opLookup        // node, page, a: Lookup
+	opAssign        // node, page, a, c: AssignAt on HandleOf
+	opMerge         // node, page, a, node, page, a: MergeAt on two HandleOfs
+	opNew           // a new, empty relation beside the others
+	opSwitch        // r: make relation r mod count the current one
+	opSeal          // k: Seal(16·k)
 	numOps
 )
 
@@ -36,19 +36,24 @@ type termKey struct {
 
 // termRef is one relation and the reference it must agree with.
 type termRef struct {
-	e       *Eq
-	attrs   map[string]AttrID
-	handles map[termKey]Handle
-	terms   map[Handle]bool // handles a mutation made into terms
+	e     *Eq
+	attrs map[string]AttrID
+	terms map[termKey]bool // terms a mutation created
+	// seen holds every term asked for, for the final cross-checks.
+	seen map[termKey]bool
+	// sealed is set by opSeal, and shape is then NumHandles: a sealed table
+	// never changes size.
+	sealed bool
+	shape  int
 }
 
 func newTermRef() *termRef {
-	return &termRef{e: New(), attrs: map[string]AttrID{}, handles: map[termKey]Handle{}, terms: map[Handle]bool{}}
+	return &termRef{e: New(), attrs: map[string]AttrID{}, terms: map[termKey]bool{}, seen: map[termKey]bool{}}
 }
 
 // opReader decodes a stream: 16 attribute names, and node IDs spread over
-// four pages of 4096, so most of them lie far beyond any Reserve a stream
-// makes and columns are sparse.
+// four pages of 4096, so most of them lie far beyond any Seal a stream
+// makes and a growing table's nodes double several times.
 type opReader struct{ b []byte }
 
 func (o *opReader) byte() byte {
@@ -68,6 +73,36 @@ func (o *opReader) term() termKey {
 	return termKey{n, o.attr()}
 }
 
+// panics reports whether f panicked.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// refused reports whether an op on the terms ks must be refused, and checks
+// that it is: on a sealed relation, a new attribute or a node beyond the
+// table panics.
+func (r *termRef) refused(t *testing.T, ks ...termKey) bool {
+	t.Helper()
+	grow := false
+	for _, k := range ks {
+		_, known := r.attrs[k.a]
+		grow = grow || !known || int(k.n) >= r.e.nodes
+	}
+	if !r.sealed || !grow {
+		return false
+	}
+	if !panics(func() {
+		for _, k := range ks {
+			r.e.HandleOf(k.n, r.e.AttrIDOf(k.a))
+		}
+	}) {
+		t.Fatalf("asking a sealed relation for %v did not panic", ks)
+	}
+	return true
+}
+
 func (r *termRef) attrID(t *testing.T, name string) AttrID {
 	t.Helper()
 	got := r.e.AttrIDOf(name)
@@ -82,46 +117,48 @@ func (r *termRef) attrID(t *testing.T, name string) AttrID {
 	return got
 }
 
+// handle returns k's handle, which must be its position in the table; its
+// attribute must be interned already, since a new one moves every handle.
 func (r *termRef) handle(t *testing.T, k termKey) Handle {
 	t.Helper()
-	got := r.e.HandleOf(k.n, r.attrID(t, k.a))
-	want, ok := r.handles[k]
-	if !ok {
-		want = Handle(len(r.handles))
-		r.handles[k] = want
+	r.seen[k] = true
+	h := r.e.HandleOf(k.n, r.attrs[k.a])
+	if h < 0 || int(h) >= r.e.NumHandles() {
+		t.Fatalf("HandleOf%v = %d, outside the table of %d slots", k, h, r.e.NumHandles())
 	}
-	if got != want {
-		t.Fatalf("HandleOf%v = %d, want %d", k, got, want)
-	}
-	if tm := r.e.TermAt(got); tm != (Term{Node: k.n, Attr: k.a}) {
+	if tm := r.e.TermAt(h); tm != (Term{Node: k.n, Attr: k.a}) {
 		t.Fatalf("TermAt(HandleOf%v) = %v", k, tm)
 	}
-	return got
+	return h
 }
 
-// check asks r for k without allocating anything, by ID when r knows the
+// check asks r for k without growing anything, by ID when r knows the
 // attribute and by name when it does not.
 func (r *termRef) check(t *testing.T, k termKey) {
 	t.Helper()
-	want := NoHandle
-	if h, ok := r.handles[k]; ok && r.terms[h] {
-		want = h
+	a, known := r.attrs[k.a]
+	if !known {
+		if r.e.Has(Term{Node: k.n, Attr: k.a}) {
+			t.Fatalf("Has%v, for an attribute never interned", k)
+		}
+		return
 	}
-	got := NoHandle
-	if a, ok := r.attrs[k.a]; ok {
-		got = r.e.Lookup(k.n, a)
-	} else if r.e.Has(Term{Node: k.n, Attr: k.a}) {
-		t.Fatalf("Has%v, for an attribute never interned", k)
+	got := r.e.Lookup(k.n, a)
+	if !r.terms[k] {
+		if got != NoHandle {
+			t.Fatalf("Lookup%v = %d, want none", k, got)
+		}
+		return
 	}
-	if got != want {
-		t.Fatalf("Lookup%v = %d, want %d", k, got, want)
+	if want := r.e.HandleOf(k.n, a); got != want {
+		t.Fatalf("Lookup%v = %d, want its handle %d", k, got, want)
 	}
 }
 
 // runTermOps drives the stream through the relations and their references
 // and fails at the first disagreement. At the end every relation is asked
 // about every term any relation saw, so a term one added must not show in
-// another. It returns the relations.
+// another, and no two terms may share a handle. It returns the relations.
 func runTermOps(t *testing.T, stream []byte) []*termRef {
 	t.Helper()
 	o := &opReader{b: stream}
@@ -130,46 +167,70 @@ func runTermOps(t *testing.T, stream []byte) []*termRef {
 	for len(o.b) > 0 {
 		switch o.byte() % numOps {
 		case opIntern:
-			cur.attrID(t, o.attr())
+			a := o.attr()
+			if _, known := cur.attrs[a]; !cur.sealed || known {
+				cur.attrID(t, a)
+			} else if !panics(func() { cur.e.AttrIDOf(a) }) {
+				t.Fatalf("a sealed relation interned %q", a)
+			}
 		case opHandle:
-			cur.handle(t, o.term())
+			if k := o.term(); !cur.refused(t, k) {
+				cur.attrID(t, k.a)
+				cur.handle(t, k)
+			}
 		case opLookup:
 			cur.check(t, o.term())
 		case opAssign:
-			h := cur.handle(t, o.term())
-			cur.e.AssignAt(h, cur.e.ConstIDOf(strconv.Itoa(int(o.byte()%4))), nil)
-			cur.terms[h] = true
+			k, c := o.term(), strconv.Itoa(int(o.byte()%4))
+			if !cur.refused(t, k) {
+				cur.attrID(t, k.a)
+				cur.e.AssignAt(cur.handle(t, k), cur.e.ConstIDOf(c), nil)
+				cur.terms[k] = true
+			}
 		case opMerge:
-			a, b := cur.handle(t, o.term()), cur.handle(t, o.term())
-			cur.e.MergeAt(a, b, nil)
-			cur.terms[a], cur.terms[b] = true, true
+			k, l := o.term(), o.term()
+			if !cur.refused(t, k, l) {
+				cur.attrID(t, k.a)
+				cur.attrID(t, l.a)
+				h := cur.handle(t, k)
+				cur.e.MergeAt(h, cur.handle(t, l), nil)
+				cur.terms[k], cur.terms[l] = true, true
+			}
 		case opNew:
 			if len(refs) < maxRelations {
 				refs = append(refs, newTermRef())
 			}
 		case opSwitch:
 			cur = refs[int(o.byte())%len(refs)]
-		case opReserve:
-			cur.e.Reserve(16 * int(o.byte()))
+		case opSeal:
+			k := 16 * int(o.byte())
+			if !cur.sealed {
+				nodes := max(k, cur.e.nodes)
+				cur.e.Seal(k)
+				cur.sealed, cur.shape = true, nodes*len(cur.attrs)
+			}
 		}
-		if cur.e.NumHandles() != len(cur.handles) || cur.e.Len() != len(cur.terms) {
-			t.Fatalf("%d handles and %d terms, want %d and %d", cur.e.NumHandles(), cur.e.Len(), len(cur.handles), len(cur.terms))
+		if cur.e.Len() != len(cur.terms) {
+			t.Fatalf("%d terms, want %d", cur.e.Len(), len(cur.terms))
+		}
+		if cur.sealed && cur.e.NumHandles() != cur.shape {
+			t.Fatalf("a sealed relation has %d slots, sealed at %d", cur.e.NumHandles(), cur.shape)
 		}
 	}
 	for _, r := range refs {
 		for _, other := range refs {
-			for k := range other.handles {
+			for k := range other.seen {
 				r.check(t, k)
 				r.check(t, termKey{k.n + 1, k.a})
 			}
 		}
-		for k, h := range r.handles {
-			if got := r.e.HandleOf(k.n, r.attrs[k.a]); got != h {
-				t.Fatalf("HandleOf%v = %d at the end, want %d", k, got, h)
+		at := map[Handle]termKey{}
+		for k := range r.seen {
+			h := r.e.HandleOf(k.n, r.attrs[k.a])
+			if prev, ok := at[h]; ok {
+				t.Fatalf("%v and %v share handle %d", prev, k, h)
 			}
-		}
-		if r.e.NumHandles() != len(r.handles) {
-			t.Fatalf("asking allocated: %d handles, want %d", r.e.NumHandles(), len(r.handles))
+			at[h] = k
 		}
 	}
 	return refs
@@ -198,16 +259,18 @@ func termScenarios() []termScenario {
 		late = late.op(opIntern, a).op(opMerge, a, 0, a, a+1, 0, 1).op(opLookup, a+1, 0, a)
 	}
 
-	sparse := func(reserve bool) []byte {
+	sparse := func(seal bool) []byte {
 		var s termStream
-		if reserve {
-			s = s.op(opReserve, 4) // 64 nodes: pages 1–3 lie beyond it
-		}
 		for page := byte(0); page < 4; page++ {
 			s = s.op(opAssign, 250, page, 3, page).op(opLookup, 250, page, 3).op(opLookup, 249, page, 3)
 			s = s.op(opMerge, 7, page, 5, 250, 3-page, 3).op(opLookup, 7, page, 5)
+			if seal && page == 1 {
+				// The table already reaches node 250 of page 3, past 16·4.
+				s = s.op(opSeal, 4)
+			}
 		}
-		return s
+		// Attribute 6 is new, and node 255 of page 3 lies past the table.
+		return s.op(opAssign, 9, 1, 6, 0).op(opHandle, 255, 3, 5).op(opHandle, 9, 0, 5).op(opLookup, 9, 3, 5)
 	}
 
 	sideBySide := termStream{}.
@@ -225,18 +288,25 @@ func termScenarios() []termScenario {
 		op(opMerge, 6, 0, 6, 6, 0, 6).op(opLookup, 5, 0, 6).op(opLookup, 6, 0, 6).
 		op(opAssign, 5, 0, 6, 0).op(opLookup, 5, 0, 6).op(opLookup, 5, 0, 7)
 
+	sealedFirst := termStream{}.
+		op(opIntern, 1).op(opIntern, 2).op(opSeal, 2).
+		op(opAssign, 31, 0, 1, 0).op(opMerge, 31, 0, 2, 0, 0, 1).op(opLookup, 0, 0, 2).
+		op(opIntern, 3).op(opHandle, 32, 0, 1).op(opMerge, 1, 0, 1, 1, 1, 2)
+
 	return []termScenario{
 		{"attributes interned late", late},
-		{"sparse nodes past Reserve", sparse(true)},
-		{"sparse nodes, no Reserve", sparse(false)},
+		{"sparse nodes, sealed midway", sparse(true)},
+		{"sparse nodes, growing", sparse(false)},
 		{"relations side by side", sideBySide},
 		{"handle before term", notYet},
+		{"sealed before any term", sealedFirst},
 	}
 }
 
-// Property: Lookup, HandleOf and AttrIDOf answer as a map keyed by (node,
-// attribute) does, across interleaved mutations, late attributes, sparse
-// node IDs with and without Reserve, and relations side by side.
+// Property: Lookup, HandleOf, TermAt and AttrIDOf answer as a map keyed by
+// (node, attribute) does, across interleaved mutations, late attributes,
+// sparse node IDs on growing and sealed relations, and relations side by
+// side.
 func TestTermIndexAgreesWithMap(t *testing.T) {
 	for _, sc := range termScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -244,12 +314,11 @@ func TestTermIndexAgreesWithMap(t *testing.T) {
 				var ns []graph.NodeID
 				var as []AttrID
 				var hs []Handle
-				for k, h := range r.handles {
-					if r.terms[h] {
-						ns, as, hs = append(ns, k.n), append(as, r.attrs[k.a]), append(hs, h)
-					}
+				for k := range r.terms {
+					a := r.attrs[k.a]
+					ns, as, hs = append(ns, k.n), append(as, a), append(hs, r.e.Lookup(k.n, a))
 				}
-				// Both finds are a load from a column: nothing is allocated
+				// Both finds are arithmetic and a load: nothing is allocated
 				// for a term that exists.
 				if got := testing.AllocsPerRun(100, func() {
 					for i, h := range hs {
@@ -283,23 +352,50 @@ func FuzzTermIndex(f *testing.F) {
 	})
 }
 
-// Reserve is what keeps a relation's columns from doubling their way up: a
-// column is made at the reserved length, for the first attribute and for one
-// interned later, and grows past it only for a node beyond it.
-func TestReserveSizesColumnsOnce(t *testing.T) {
+// A sealed relation has the shape Seal gave it, nodes × its attributes, and
+// refuses to grow: a node beyond it, or a new attribute, panics. Its views
+// share the table: a class one view creates is a class of the relation and
+// of every other view, while each counts, and conflicts, on its own.
+func TestSealedRelationRefusesToGrow(t *testing.T) {
 	e := New()
-	e.Reserve(1000)
-	a := e.AttrIDOf("A")
-	for n := 0; n < 1000; n += 7 {
-		e.HandleOf(graph.NodeID(n), a)
+	a, b := e.AttrIDOf("A"), e.AttrIDOf("B")
+	e.AssignConst(Term{Node: 3, Attr: "A"}, "1")
+	e.ConstIDOf("0")
+	e.AttrIDOf("C") // widens the table past three columns
+	e.Seal(100)
+	if e.NumHandles() != 100*3 {
+		t.Fatalf("sealed at 100 nodes × 3 attributes: %d slots", e.NumHandles())
 	}
-	b := e.AttrIDOf("B")
-	e.HandleOf(10, b)
-	if len(e.byAttr[a]) != 1000 || len(e.byAttr[b]) != 1000 {
-		t.Fatalf("column lengths %d and %d, want 1000", len(e.byAttr[a]), len(e.byAttr[b]))
+	if c, _ := e.Const(Term{Node: 3, Attr: "A"}); c != "1" {
+		t.Fatalf("the class of 3.A lost its constant in the seal: %q", c)
 	}
-	e.HandleOf(1000, b)
-	if len(e.byAttr[b]) != 2000 {
-		t.Fatalf("a column grown past Reserve has %d entries, want 2000", len(e.byAttr[b]))
+	for what, grow := range map[string]func(){
+		"a node beyond it":  func() { e.HandleOf(100, a) },
+		"a new attribute":   func() { e.AttrIDOf("D") },
+		"a term beyond it":  func() { e.Merge(Term{Node: 1, Attr: "A"}, Term{Node: 400, Attr: "B"}) },
+		"a view's new node": func() { e.View().HandleOf(100, b) },
+	} {
+		if !panics(grow) {
+			t.Errorf("%s: a sealed relation grew", what)
+		}
+	}
+	v, w := e.View(), e.View()
+	v.AssignAt(v.HandleOf(7, b), v.ConstIDOf("1"), nil)
+	w.MergeAt(w.HandleOf(8, b), w.HandleOf(8, a), nil)
+	if !e.Has(Term{Node: 7, Attr: "B"}) || !w.Has(Term{Node: 7, Attr: "B"}) || !v.Same(Term{Node: 8, Attr: "A"}, Term{Node: 8, Attr: "B"}) {
+		t.Error("a view's class is not the relation's")
+	}
+	if v.Len() != 1 || w.Len() != 2 {
+		t.Errorf("views count %d and %d classes, want 1 and 2", v.Len(), w.Len())
+	}
+	v.AssignAt(v.HandleOf(7, b), v.ConstIDOf("0"), nil) // interned before the views
+	if v.Conflicted() == nil || w.Conflicted() != nil || e.Conflicted() != nil {
+		t.Error("a view's conflict is not its own")
+	}
+	if !panics(func() { w.ConstIDOf("2") }) {
+		t.Error("a relation with views interned a new constant")
+	}
+	if e.NumHandles() != 100*3 {
+		t.Errorf("the views changed the table's shape: %d slots", e.NumHandles())
 	}
 }
