@@ -210,7 +210,7 @@ func TestImplicationOnTheParseFilteredSet(t *testing.T) {
 		}
 		trivial := gfd.MustNew("trivial", chain.Pattern, chain.Y, chain.Y)
 		for _, phi := range []*gfd.GFD{chain, gr.ImpliedGFD(sigma), gr.NonImpliedGFD(), trivial} {
-			filtered, err := gfdio.ReadGFDsWhere(strings.NewReader(text.String()), canon.BuildPhi(phi).Admits)
+			filtered, err := gfdio.ReadGFDsWhere(strings.NewReader(text.String()), canon.BuildPhi(phi).Admits, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

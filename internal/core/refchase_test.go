@@ -458,18 +458,7 @@ func TestEnginesAgreeWithReferenceChase(t *testing.T) {
 // meanwhile, so a schedule the pool's cursor rarely produces on an idle
 // machine is run, and -race sees workers interleave inside the chase.
 func perturbed(opt ParOptions, seed int64) ParOptions {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	pause := func() {
-		mu.Lock()
-		d := rng.Intn(51)
-		mu.Unlock()
-		if d == 0 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Duration(d) * time.Microsecond)
-		}
-	}
+	pause := seededPauses(seed)
 	task, start, chase := opt.testHookTask, opt.testHookUnitStart, opt.testHookChase
 	opt.testHookTask = func(w int, u []unit) {
 		pause()
@@ -490,6 +479,23 @@ func perturbed(opt ParOptions, seed int64) ParOptions {
 		}
 	}
 	return opt
+}
+
+// seededPauses returns a pause for a worker seam: a yield or a sleep of
+// 1–50 µs, drawn from seed, safe to call from every worker at once.
+func seededPauses(seed int64) func() {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return func() {
+		mu.Lock()
+		d := rng.Intn(51)
+		mu.Unlock()
+		if d == 0 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Duration(d) * time.Microsecond)
+		}
+	}
 }
 
 // perturbedSeeds is how many perturbed schedules each Σ runs under.

@@ -215,6 +215,49 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 	}
 }
 
+// TestPerturbedSchedulesValidationAgree runs validation and revalidation at
+// p ∈ {2, 4} under perturbed schedules: Violations paused as each group's
+// task starts, Revalidate as each group's unit starts (perturbed). Every list
+// must be the unpaused one-worker run's, violation for violation, in order.
+func TestPerturbedSchedulesValidationAgree(t *testing.T) {
+	ctx := context.Background()
+	gr := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: 1})
+	set := gr.SharedValidationSet(4, 5)
+	g := gr.DenseGraph(1000, 8)
+	perturb(rand.New(rand.NewSource(13)), g, 25)
+	base := g.Frozen()
+	prev, _, err := violations(ctx, base, set, 1, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := gr.DenseDelta(base, 40)
+	overlay, touched := d.Overlay(), d.TouchedSince(0)
+	want, _, err := violations(ctx, overlay, set, 1, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReval, _, err := Revalidate(set, overlay, touched, prev, RevalidateOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Groups()) < 2 || len(prev) == 0 || len(want) == 0 {
+		t.Fatalf("%d groups, %d violations before the delta and %d after: the schedules test nothing", len(set.Groups()), len(prev), len(want))
+	}
+	for _, p := range []int{2, 4} {
+		for seed := int64(1); seed <= perturbedSeeds; seed++ {
+			pause := seededPauses(seed)
+			got, _, err := violations(ctx, overlay, set, p, VerifyOptions{testHookGroupStart: func(int) { pause() }})
+			if err != nil || !violationsEqual(got, want) {
+				t.Errorf("Violations, p=%d, seed %d: %d violations (err %v), unpaused %d", p, seed, len(got), err, len(want))
+			}
+			got, _, err = Revalidate(set, overlay, touched, prev, perturbed(RevalidateOptions{Workers: p}, seed))
+			if err != nil || !violationsEqual(got, wantReval) {
+				t.Errorf("Revalidate, p=%d, seed %d: %d violations (err %v), unpaused %d", p, seed, len(got), err, len(wantReval))
+			}
+		}
+	}
+}
+
 // TestViolationsAllocsIndependentOfMatches: validation is handed views and
 // copies a match only when some rule fails at it, so a ViolationsOpts call
 // allocates in proportion to what it reports and to |Σ| — not to the

@@ -26,10 +26,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -180,17 +183,27 @@ func isField(s string) bool {
 // refused with the scanner's error.
 const maxLineLen = 16 * 1024 * 1024
 
-// ReadGFDs parses a file of gfd blocks: ReadGFDsWhere with every block kept.
+// minRangeLen is the fewest bytes ReadGFDsWhere parses on a goroutine of
+// its own: a smaller range's parse costs about what starting one does.
+const minRangeLen = 32 << 10
+
+// ReadGFDs parses a file of gfd blocks: ReadGFDsWhere with every block
+// kept, in one range.
 func ReadGFDs(r io.Reader) (*gfd.Set, error) {
-	return ReadGFDsWhere(r, nil)
+	return ReadGFDsWhere(r, nil, 1)
 }
 
 // ReadGFDsWhere parses a file of gfd blocks and returns the GFDs whose
 // pattern keep admits (all of them when keep is nil), in file order. Every
 // block is parsed and checked alike, kept or not: a dropped block fails
 // where ReadGFDs would, with the same error and line number. Each block is
-// assembled in one scratch pattern that keep is shown and must not retain;
+// assembled in a scratch pattern that keep is shown and must not retain;
 // only a kept block is copied out of it, frozen and built into a GFD.
+//
+// The text is cut into at most workers ranges of about equal bytes
+// (cutRanges, minRangeLen), parsed concurrently, each with its own scratch
+// pattern, so keep must be safe for concurrent calls (canon.Phi.Admits only
+// reads). The answer is the one-range parse's: set, error and line number.
 //
 // It buffers all of r before it parses (so a read error is reported before
 // any parse error), and every name, label and constant of the returned set
@@ -200,13 +213,70 @@ func ReadGFDs(r io.Reader) (*gfd.Set, error) {
 // is parsed once per process and, on an implication query, parsing Σ is most
 // of the run; a caller that keeps a few rules of a large file for long
 // should strings.Clone what it keeps.
-func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, error) {
+func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool, workers int) (*gfd.Set, error) {
 	var text strings.Builder
+	// One buffer of the file's size, where r knows it, not one grown by doubling.
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil {
+			text.Grow(int(fi.Size()))
+		}
+	}
 	if _, err := io.Copy(&text, r); err != nil {
 		return nil, err
 	}
-	set := gfd.NewSet()
+	s := text.String()
+	return readRanges(s, keep, cutRanges(s, min(workers, len(s)/minRangeLen)))
+}
+
+// cutRanges returns where each of at most n ranges of text starts, about
+// len(text)/n bytes apart: at 0, then at the first line past each share that
+// begins "gfd " (never an indented or tab-separated one). The one-range parse
+// reads such a line as a gfd statement, which fails inside a block.
+func cutRanges(text string, n int) []int {
+	cuts := []int{0}
+	for i := 1; i < n; i++ {
+		from := max(i*len(text)/n, cuts[len(cuts)-1]+1)
+		at := strings.Index(text[from-1:], "\ngfd ")
+		if at < 0 {
+			break
+		}
+		cuts = append(cuts, from+at)
+	}
+	return cuts
+}
+
+// readRanges parses text cut at cuts, the last range on the calling
+// goroutine and each other on its own, numbering lines from the file's
+// start, and joins the sets in range order; the first error in order wins.
+func readRanges(text string, keep func(*pattern.Pattern) bool, cuts []int) (*gfd.Set, error) {
+	gfds := make([][]*gfd.GFD, len(cuts))
+	errs := make([]error, len(cuts))
+	var wg sync.WaitGroup
+	last, line := len(cuts)-1, 1
+	for k := 0; k < last; k++ {
+		rng := text[cuts[k]:cuts[k+1]]
+		wg.Add(1)
+		go func(k, line int) {
+			defer wg.Done()
+			gfds[k], errs[k] = readRange(rng, line, false, keep)
+		}(k, line)
+		line += strings.Count(rng, "\n")
+	}
+	gfds[last], errs[last] = readRange(text[cuts[last]:], line, true, keep)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return gfd.NewSet(slices.Concat(gfds...)...), nil
+}
+
+// readRange parses one range of a rule file, whose first line is line
+// lineNo of the file; last says whether the range runs to the file's end.
+func readRange(text string, lineNo int, last bool, keep func(*pattern.Pattern) bool) ([]*gfd.GFD, error) {
 	var (
+		gfds    []*gfd.GFD
 		name    string
 		pat     = pattern.New() // the open block's pattern; reset at each gfd line
 		xs, ys  []gfd.Literal   // the open block's literals; reused from block to block
@@ -214,8 +284,7 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 		inBlock bool
 		buf     [5]string
 	)
-	tail := text.String()
-	for lineNo := 1; tail != ""; lineNo++ {
+	for tail := text; tail != ""; lineNo++ {
 		line := tail
 		if nl := strings.IndexByte(tail, '\n'); nl >= 0 {
 			line, tail = tail[:nl], tail[nl+1:]
@@ -263,10 +332,9 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 			if !inBlock {
 				return nil, fmt.Errorf("line %d: %s outside gfd block", lineNo, fields[0])
 			}
-			rest := strings.TrimSpace(line[len(fields[0]):])
 			// false is the whole consequent: a literal beside it would be
 			// dropped without a word, so the later of the two is an error.
-			if fields[0] == "then" && rest == "false" {
+			if fields[0] == "then" && len(fields) == 2 && fields[1] == "false" {
 				if len(ys) > 0 {
 					return nil, fmt.Errorf("line %d: then false after another then literal", lineNo)
 				}
@@ -275,7 +343,7 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 			} else if fields[0] == "then" && isFalse {
 				return nil, fmt.Errorf("line %d: then literal after then false", lineNo)
 			}
-			lit, err := parseLiteral(pat, rest)
+			lit, err := parseLiteral(pat, line[len(fields[0]):], fields)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
@@ -311,17 +379,19 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			if phi != nil {
-				set.Add(phi)
+				gfds = append(gfds, phi)
 			}
 			name, xs, ys, isFalse, inBlock = "", xs[:0], ys[:0], false, false
 		default:
 			return nil, fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
 		}
 	}
-	if inBlock {
+	if inBlock && !last { // the next range opens with a gfd line, read inside this block
+		return nil, fmt.Errorf("line %d: nested gfd block", lineNo)
+	} else if inBlock {
 		return nil, fmt.Errorf("unterminated gfd block %q", name)
 	}
-	return set, nil
+	return gfds, nil
 }
 
 // splitFields is strings.Fields without the allocation, for a rule line (a
@@ -329,17 +399,17 @@ func ReadGFDsWhere(r io.Reader, keep func(*pattern.Pattern) bool) (*gfd.Set, err
 // line to dst, sub-slices that alias line, and stops at the limit-th. A rule
 // line takes at most five, since no statement has more than four and a
 // fifth only says "too many". Separators are runs of unicode.IsSpace, as
-// for strings.Fields: an ASCII byte is looked up in a table, as
-// strings.Fields does, and only the other bytes are decoded as runes.
+// for strings.Fields; each byte is looked up in byteKind, and only those of
+// multi-byte runes are decoded: an ASCII byte costs one load and one branch.
 func splitFields[S string | []byte](dst []S, line S, limit int) []S {
 	start := 0
 	for i := 0; i < len(line); {
-		c, w := line[i], 1
-		if c < utf8.RuneSelf && !asciiSpace[c] {
+		k, w := byteKind[line[i]], 1
+		if k == fieldByte {
 			i++
 			continue
 		}
-		if c >= utf8.RuneSelf {
+		if k == runeByte {
 			// A rune takes at most UTFMax bytes, and converting that few
 			// allocates nothing.
 			r, rw := utf8.DecodeRuneInString(string(line[i:min(i+utf8.UTFMax, len(line))]))
@@ -362,16 +432,39 @@ func splitFields[S string | []byte](dst []S, line S, limit int) []S {
 	return dst
 }
 
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+// The kinds of byte splitFields tells apart.
+const (
+	fieldByte = iota // an ASCII byte that is not white space
+	spaceByte        // ASCII white space
+	runeByte         // a byte of a multi-byte rune, or of invalid UTF-8
+)
 
-// parseLiteral parses `x.A = "c"` or `x.A = y.B`.
-func parseLiteral(pat *pattern.Pattern, s string) (gfd.Literal, error) {
-	eq := strings.Index(s, "=")
-	if eq < 0 {
-		return gfd.Literal{}, fmt.Errorf("literal missing '=': %q", s)
+var byteKind = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = runeByte
 	}
-	lhs := strings.TrimSpace(s[:eq])
-	rhs := strings.TrimSpace(s[eq+1:])
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = spaceByte
+	}
+	return t
+}()
+
+// parseLiteral parses `x.A = "c"` or `x.A = y.B`, what follows the keyword
+// of a when or then line split into fields. A line of exactly the keyword, a
+// term without '=', "=" and a right-hand side — every literal WriteGFDs
+// writes but a constant with white space — has its sides in those fields.
+func parseLiteral(pat *pattern.Pattern, rest string, fields []string) (gfd.Literal, error) {
+	var lhs, rhs string
+	if len(fields) == 4 && fields[2] == "=" && strings.IndexByte(fields[1], '=') < 0 {
+		lhs, rhs = fields[1], fields[3]
+	} else {
+		rest = strings.TrimSpace(rest)
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 {
+			return gfd.Literal{}, fmt.Errorf("literal missing '=': %q", rest)
+		}
+		lhs, rhs = strings.TrimSpace(rest[:eq]), strings.TrimSpace(rest[eq+1:])
+	}
 	x, a, err := parseTerm(pat, lhs)
 	if err != nil {
 		return gfd.Literal{}, err

@@ -531,11 +531,24 @@ func readCorpus() []string {
 		"# only a comment", "gfd a\n#var x p\nend", "gfd a\nvar x p\nend trailing words\n", "bogus", "end",
 		"gfd a\nvar x p\nwhen\nend", "gfd a\nvar x p\nthen =\nend", "gfd a\nvar x p\nthen x. = \"1\"\nend",
 		"gfd a\nvar x p\nthen x.a = \"unterminated\nend", "gfd a\nvar x p\nthen x.a = \"a\\tb\" \nend",
+		"gfd a\nvar x p\nwhen x.a=b = \"1\"\nend", "gfd a\nvar x p\nthen x.a = x.b=c\nend",
 		"gfd a\nvar x.y p\nvar \"q p\nwhen x.y.a = \"q.b\nthen \"q.b = x.y.a\nend",
 		"gfd a\nvar x p\nthen x.__false = \"__bot0\"\nthen x.__false = \"__bot1\"\nend",
 		"gfd a\nvar x p\nvar y p\nthen y.__false = \"__bot0\"\nthen y.__false = \"__bot1\"\nthen x.a = \"1\"\nend",
 		"gfd a\nvar x1 a\nvar x2 a\nvar x3 a\nvar x4 a\nvar x5 a\nvar x6 a\nvar x7 a\nvar x8 a\nvar x9 a\nvar x10 a\nvar x3 b\nend",
 		"gfd a\nvar x1 a\nvar x2 a\nvar x3 a\nvar x4 a\nvar x5 a\nvar x6 a\nvar x7 a\nvar x8 a\nvar x9 a\nvar x10 a\nedge x10 x1 e\nthen x9.a = x10.a\nend",
+		// Several blocks, so that forced ranges cut them (checkAgainstReference):
+		// an error in the last block, and in the first and the last; a block
+		// missing its end before a cut; an unterminated last block; indented
+		// and tab-separated gfd lines, which are no cuts, one of them inside
+		// an open block; CRLF line ends.
+		"gfd a\nvar x p\nend\ngfd b\nvar x p\nthen x.a = \"1\"\nend\ngfd c\nvar x p\nvar x q\nend\n",
+		"gfd a\nvar x p\nbogus\nend\ngfd b\nvar x p\nend\ngfd c\nvar x p\nthen x.a = y.b\nend\n",
+		"gfd a\nvar x p\nend\ngfd b\nvar x p\nwhen x.a = \"1\"\ngfd c\nvar x p\nend\ngfd d\nvar y q\nend\n",
+		"gfd a\nvar x p\nend\ngfd b\nvar x p\nend\ngfd c\nvar x p\nthen false\n",
+		"gfd a\nvar x p\nend\n  gfd b\nvar x p\nend\ngfd\tc\nvar x p\nend\n\tgfd d\nvar x p\nend\ngfd e\nvar x p\nend\n",
+		"gfd a\nvar x p\nend\ngfd b\nvar x p\n gfd c\nvar x p\nend\ngfd d\nvar x p\nend\n",
+		"gfd a\r\nvar x p\r\nend\r\ngfd b\r\nvar x p\r\nthen x.a = \"1\"\r\nend\r\ngfd c\r\nvar x p\r\nvar y q\r\nedge x y e\r\nwhen x.a = y.b\r\nend\r\n",
 	}
 }
 
@@ -550,13 +563,18 @@ func keepOdd(p *pattern.Pattern) bool {
 	return h.Sum32()%2 == 1
 }
 
+// forcedRanges are the range counts checkAgainstReference forces on the
+// range reader, past ReadGFDsWhere's minimum range size.
+var forcedRanges = []int{2, 3, 8}
+
 // checkAgainstReference holds one input to the differential contract: the
 // parser and the reference accept or reject alike, with the same error text,
 // and parse the same set; an accepted set is then either refused by
 // WriteGFDs or read back equal from what it wrote. Parsed through a keep that
 // drops some blocks (keepOdd) or all, the parser still accepts or rejects
 // alike, with the same error text, and returns the reference set filtered by
-// keep, in order.
+// keep, in order. All of that holds too when the text is cut into 2, 3 or 8
+// ranges, parsed concurrently, however short the text.
 func checkAgainstReference(t *testing.T, in string) {
 	t.Helper()
 	got, err := ReadGFDs(strings.NewReader(in))
@@ -565,23 +583,31 @@ func checkAgainstReference(t *testing.T, in string) {
 		t.Fatalf("%q: err = %v, the reference says %v", in, err, refErr)
 	}
 	for name, keep := range map[string]func(*pattern.Pattern) bool{
-		"odd": keepOdd, "none": func(*pattern.Pattern) bool { return false },
+		"all": nil, "odd": keepOdd, "none": func(*pattern.Pattern) bool { return false },
 	} {
-		kept, keptErr := ReadGFDsWhere(strings.NewReader(in), keep)
-		if (keptErr == nil) != (refErr == nil) || keptErr != nil && keptErr.Error() != refErr.Error() {
-			t.Fatalf("%q, keep %s: err = %v, the reference says %v", in, name, keptErr, refErr)
+		runs := map[string]func() (*gfd.Set, error){
+			"one range": func() (*gfd.Set, error) { return ReadGFDsWhere(strings.NewReader(in), keep, 1) },
 		}
-		if keptErr != nil {
-			continue
+		for _, n := range forcedRanges {
+			runs[fmt.Sprintf("%d ranges", n)] = func() (*gfd.Set, error) { return readRanges(in, keep, cutRanges(in, n)) }
 		}
-		filtered := gfd.NewSet()
-		for _, phi := range want.GFDs {
-			if keep(phi.Pattern) {
-				filtered.Add(phi)
+		for run, read := range runs {
+			kept, keptErr := read()
+			if (keptErr == nil) != (refErr == nil) || keptErr != nil && keptErr.Error() != refErr.Error() {
+				t.Fatalf("%q, keep %s, %s: err = %v, the reference says %v", in, name, run, keptErr, refErr)
 			}
-		}
-		if err := sameSet(filtered, kept); err != nil {
-			t.Fatalf("%q, keep %s: parsed another set than the reference's kept GFDs: %v", in, name, err)
+			if keptErr != nil {
+				continue
+			}
+			filtered := gfd.NewSet()
+			for _, phi := range want.GFDs {
+				if keep == nil || keep(phi.Pattern) {
+					filtered.Add(phi)
+				}
+			}
+			if err := sameSet(filtered, kept); err != nil {
+				t.Fatalf("%q, keep %s, %s: parsed another set than the reference's kept GFDs: %v", in, name, run, err)
+			}
 		}
 	}
 	if err != nil {
@@ -611,12 +637,48 @@ func TestReadGFDsMatchesReference(t *testing.T) {
 	// keepOdd splits the generated set, so the filter is tested on both
 	// sides of its decision.
 	all, err := ReadGFDs(strings.NewReader(corpus[1]))
-	kept, keptErr := ReadGFDsWhere(strings.NewReader(corpus[1]), keepOdd)
+	kept, keptErr := ReadGFDsWhere(strings.NewReader(corpus[1]), keepOdd, 1)
 	if err != nil || keptErr != nil {
 		t.Fatal(err, keptErr)
 	}
 	if kept.Len() == 0 || kept.Len() == all.Len() {
 		t.Fatalf("keepOdd kept %d of %d GFDs; want a strict, non-empty subset", kept.Len(), all.Len())
+	}
+	// The generated set is really cut into each forced number of ranges.
+	for _, n := range forcedRanges {
+		if cuts := cutRanges(corpus[1], n); len(cuts) != n {
+			t.Errorf("%d forced ranges cut the generated set at %v", n, cuts)
+		}
+	}
+}
+
+// TestReadGFDsCutsLongFiles: ReadGFDsWhere parses a file of several minimum
+// ranges in as many ranges as it has workers, into the set ReadGFDs reads.
+func TestReadGFDsCutsLongFiles(t *testing.T) {
+	var b strings.Builder
+	g := gen.New(gen.Config{N: 1200, K: 5, L: 4, Seed: 3, WildcardRate: 0.2})
+	if err := WriteGFDs(&b, g.Set()); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	if n := len(text) / minRangeLen; n < 4 {
+		t.Fatalf("the file is %d bytes, fewer than four minimum ranges", len(text))
+	}
+	want, err := ReadGFDs(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		if cuts := cutRanges(text, workers); len(cuts) != workers {
+			t.Fatalf("%d workers cut the file at %v", workers, cuts)
+		}
+		got, err := ReadGFDsWhere(strings.NewReader(text), nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSet(want, got); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
 	}
 }
 
