@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -131,4 +133,88 @@ func receiverType(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// citingDocs are the documents whose DESIGN.md section citations
+// TestDocSectionsResolve checks, beside every non-test .go file. CHANGES.md
+// is history: its entries cite sections as they were then.
+var citingDocs = []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}
+
+// sectionCite is a citation of a DESIGN.md section — `DESIGN.md "X"`,
+// `DESIGN.md, "X"` or `DESIGN.md ("X")` — in flattened text.
+var sectionCite = regexp.MustCompile(`DESIGN\.md,? \(?"([^"]+)"`)
+
+// boldLead is a bold paragraph lead, **X.**, which a citation may name as X.
+var boldLead = regexp.MustCompile(`\*\*([^*]+)\.\*\*`)
+
+// TestDocSectionsResolve keeps the documents' section citations true: every
+// citation of a DESIGN.md section in a non-test .go file, README.md,
+// ROADMAP.md or the verify skill must name a heading of DESIGN.md or one of
+// its bold paragraph leads. A failure names the citing file and line.
+func TestDocSectionsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, line := range strings.Split(string(design), "\n") {
+		if strings.HasPrefix(line, "#") {
+			sections[strings.TrimSpace(strings.TrimLeft(line, "#"))] = true
+		}
+	}
+	flat, _ := flatten(string(design))
+	for _, m := range boldLead.FindAllStringSubmatch(flat, -1) {
+		sections[m[1]] = true
+	}
+
+	files := slices.Clone(citingDocs)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return fs.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cites := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, starts := flatten(string(src))
+		for _, m := range sectionCite.FindAllStringSubmatchIndex(text, -1) {
+			cites++
+			if name := text[m[2]:m[3]]; !sections[name] {
+				line := sort.Search(len(starts), func(i int) bool { return starts[i] > m[0] })
+				t.Errorf("%s:%d: DESIGN.md has no section %q", file, line, name)
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("no DESIGN.md section citation found: the pattern no longer matches the documents")
+	}
+}
+
+// flatten joins the lines of src with single spaces, each stripped of a
+// leading // comment marker and with its white space collapsed, so that a
+// citation wrapped across lines, comment lines included, reads as one.
+// starts[i] is the offset in text where line i+1 begins.
+func flatten(src string) (text string, starts []int) {
+	var b strings.Builder
+	for _, line := range strings.Split(src, "\n") {
+		fields := strings.Fields(strings.TrimPrefix(strings.TrimSpace(line), "//"))
+		if len(fields) > 0 && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		starts = append(starts, b.Len())
+		b.WriteString(strings.Join(fields, " "))
+	}
+	return b.String(), starts
 }

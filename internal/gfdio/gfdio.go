@@ -147,8 +147,8 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 			if !isField(k) || strings.Contains(k, "=") {
 				return fmt.Errorf("gfdio: node %d: attribute name %q is empty or contains whitespace or '='", i, k)
 			}
-			if strings.ContainsFunc(attrs[k], unicode.IsSpace) {
-				return fmt.Errorf("gfdio: node %d: value %q of attribute %s contains whitespace", i, attrs[k], k)
+			if v := attrs[k]; v != "" && !isField(v) {
+				return fmt.Errorf("gfdio: node %d: value %q of attribute %s contains whitespace", i, v, k)
 			}
 			line = append(append(append(append(line, ' '), k...), '='), attrs[k]...)
 		}
@@ -173,9 +173,10 @@ func WriteGraph(w io.Writer, g graph.Reader) error {
 	return bw.Flush()
 }
 
-// isField reports whether s survives strings.Fields as one field.
+// isField reports whether s survives splitFields (strings.Fields) whole.
 func isField(s string) bool {
-	return s != "" && !strings.ContainsFunc(s, unicode.IsSpace)
+	f := splitFields(make([]string, 0, 2), s, 2)
+	return len(f) == 1 && len(f[0]) == len(s)
 }
 
 // maxLineLen is the longest line ReadGFDs reads, as it was when a

@@ -92,6 +92,7 @@ func TestWriteGraphRefusesWhatItCannotReadBack(t *testing.T) {
 			g.AddNode("a")
 			g.SetAttr(g.AddNode("a"), "name", "John Smith")
 		}, `node 1: value "John Smith" of attribute name`},
+		{"no-break space in value", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "name", "John\u00a0Smith") }, `node 0: value "John\u00a0Smith" of attribute name`},
 		{"tab in attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "first\tname", "J") }, `node 0: attribute name "first\tname"`},
 		{"empty attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "", "v") }, `node 0: attribute name ""`},
 		{"'=' in attribute name", func(g *graph.Graph) { g.SetAttr(g.AddNode("a"), "a=b", "v") }, `node 0: attribute name "a=b"`},
@@ -137,6 +138,20 @@ func TestWriteGraphRefusesWhatItCannotReadBack(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIsField holds isField to its doc comment, strings.Fields finding s as
+// its one field, and to no allocation: it checks every name a write checks.
+func TestIsField(t *testing.T) {
+	for _, s := range []string{"name", "", " ", "a b", "a\tb", " a", "a\n", "a\u00a0b", "a\u2003", "\u00e9t\u00e9", "a\xa0b", "x=y"} {
+		f := strings.Fields(s)
+		if want := len(f) == 1 && f[0] == s; isField(s) != want {
+			t.Errorf("isField(%q) = %v, strings.Fields says %v", s, !want, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { isField(s) }); n != 0 {
+			t.Errorf("isField(%q) allocates %v times", s, n)
+		}
 	}
 }
 
@@ -522,6 +537,9 @@ func readCorpus() []string {
 		"gfd a\nvar x p\nvar x q\nend", "gfd a\nend", "gfd a\nvar x p\nthen x.A = notquoted\nend",
 		"gfd a\nvar x p\nwhen x.a = x.b junk\nend", "gfd a\nvar x p\nthen x.a junk = \"1\"\nend",
 		"gfd a\nvar x p\nwhen x .a = \"1\"\nend",
+		// A no-break space inside a term: white space to unicode.IsSpace,
+		// so the term is not one field, whatever an ASCII test would say.
+		"gfd a\nvar x p\nwhen x.a\u00a0b = \"1\"\nend",
 		"gfd a\nvar x p\nthen x.a = \"1\"\nthen false\nend", "gfd a\nvar x p\nthen false\nthen x.a = \"1\"\nend",
 		"gfd a\nvar x p\nthen false\nthen false\nwhen x.a = \"1\"\nend",
 		// White space: tabs, CRLF, a no-break space and an em space as

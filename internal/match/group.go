@@ -2,8 +2,8 @@
 // per structurally distinct pattern, see gfd.Set.Groups) is evaluated in one
 // pass, each group's matches enumerated exactly once by one search and
 // handed to every consumer of the group. Sharing a search prefix across
-// groups was tried and deleted (DESIGN.md "Prefix-shared search: judged and
-// deleted").
+// groups was tried and deleted (DESIGN.md "Patterns, fingerprints and
+// groups").
 package match
 
 import (
