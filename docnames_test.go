@@ -15,24 +15,33 @@ import (
 )
 
 // docFiles are the documents whose code names TestDocNamesResolve checks.
-var docFiles = []string{"DESIGN.md", "README.md"}
+var docFiles = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"}
 
-// docName is a pkg.Name or pkg.Name.Member reference inside a backticked
+// docName is a pkg.Name or pkg.Name.member reference inside a backticked
 // span, not preceded by a letter, digit, '_' or '.' (so the x of `a.x.Y` and
 // the y of `f(y).Z` do not start one). A name followed by '*' is a glob.
-var docName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Z][A-Za-z0-9_]*))?(\*?)`)
+var docName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(\*?)`)
 
-// TestDocNamesResolve keeps the documents' code names true: every
-// backticked `pkg.Name` in DESIGN.md and README.md whose pkg is a package
-// of the module must name a declaration — a function, method, type,
-// variable or constant — in that package's non-test files, and
-// `pkg.Type.Member` a method or field declared on that type. Lowercase
-// names, such as the benchmark's probe names (`core.parsat_s`), and globs
-// (`bench.Fig*`) are not declarations and are skipped; so is a pkg that is
-// no package of the module (`strings.Fields`, or a variable such as
-// `g.Frozen()`).
+// docMember is an unqualified Type.member reference inside a backticked
+// span, with the same rule for what may precede it; the member may be
+// lowercase (`ParOptions.testHookTerm`).
+var docMember = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+
+// TestDocNamesResolve keeps the documents' code names true: in DESIGN.md,
+// README.md and the verify skill, every backticked `pkg.Name` whose pkg is
+// a package of the module must name a declaration — a function, method,
+// type, variable or constant — in that package's non-test files, and
+// `pkg.Type.member` a method or field of that type; an unqualified
+// `Type.member` whose Type is an exported type of a module package must
+// name a method or field of that type in some package declaring it. A
+// member counts when the type has it through an embedded field or as an
+// alias. Lowercase names after a package, such as the benchmark's probe
+// names (`core.parsat_s`), and globs (`bench.Fig*`) are not declarations and
+// are skipped; so is a pkg that is no package of the module
+// (`strings.Fields`, or a variable such as `g.Frozen()`).
 func TestDocNamesResolve(t *testing.T) {
 	pkgs := moduleDecls(t)
+	checked := 0
 	for _, doc := range docFiles {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -47,23 +56,69 @@ func TestDocNamesResolve(t *testing.T) {
 				if !ok || glob != "" {
 					continue
 				}
-				if !p[name] {
+				checked++
+				if !p.names[name] {
 					t.Errorf("%s: `%s.%s` names nothing in package %s", doc, pkg, name, pkg)
-				} else if member != "" && !p[name+"."+member] {
+				} else if member != "" && !p.hasMember(name, member) {
 					t.Errorf("%s: `%s.%s.%s`: %s declares no method or field %s", doc, pkg, name, member, name, member)
+				}
+			}
+			for _, m := range docMember.FindAllStringSubmatch(spans[i], -1) {
+				typ, member := m[1], m[2]
+				found, isType := false, false
+				for _, p := range pkgs {
+					if _, ok := p.types[typ]; ok {
+						isType = true
+						found = found || p.hasMember(typ, member)
+					}
+				}
+				if isType {
+					checked++
+					if !found {
+						t.Errorf("%s: `%s.%s`: no type %s of the module declares a method or field %s", doc, typ, member, typ, member)
+					}
 				}
 			}
 		}
 	}
+	if checked == 0 {
+		t.Fatal("no code name checked: the patterns no longer match the documents")
+	}
 }
 
-// moduleDecls parses every non-test .go file under internal/ and returns,
-// by package name, the set of names each package declares: its top-level
-// names and method names (the documents write a method as pkg.Method too,
-// `gen.MutateDelta`), and "Type.Member" for each method and struct field.
-func moduleDecls(t *testing.T) map[string]map[string]bool {
+// pkgDecls is what one package of the module declares: names holds its
+// top-level names and method names (the documents write a method as
+// pkg.Method too, `gen.MutateDelta`) and "Type.member" for each method,
+// struct field and interface method; types maps each type name to the types
+// whose members it has as well — its embedded fields, or an alias's target.
+type pkgDecls struct {
+	names map[string]bool
+	types map[string][]string
+}
+
+// hasMember reports whether type typ has member, declared on it or on a
+// type it embeds or aliases.
+func (p pkgDecls) hasMember(typ, member string) bool {
+	seen := map[string]bool{}
+	var has func(string) bool
+	has = func(typ string) bool {
+		if p.names[typ+"."+member] {
+			return true
+		}
+		if seen[typ] {
+			return false
+		}
+		seen[typ] = true
+		return slices.ContainsFunc(p.types[typ], has)
+	}
+	return has(typ)
+}
+
+// moduleDecls parses every non-test .go file under internal/ and returns
+// each package's declarations by package name.
+func moduleDecls(t *testing.T) map[string]pkgDecls {
 	t.Helper()
-	pkgs := map[string]map[string]bool{}
+	pkgs := map[string]pkgDecls{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -73,12 +128,12 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		if err != nil {
 			return err
 		}
-		names := pkgs[f.Name.Name]
-		if names == nil {
-			names = map[string]bool{}
-			pkgs[f.Name.Name] = names
+		p, ok := pkgs[f.Name.Name]
+		if !ok {
+			p = pkgDecls{names: map[string]bool{}, types: map[string][]string{}}
+			pkgs[f.Name.Name] = p
 		}
-		addDecls(names, f)
+		p.add(f)
 		return nil
 	})
 	if err != nil {
@@ -87,37 +142,62 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 	return pkgs
 }
 
-func addDecls(names map[string]bool, f *ast.File) {
+func (p pkgDecls) add(f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			names[d.Name.Name] = true
+			p.names[d.Name.Name] = true
 			if d.Recv != nil {
-				names[receiverType(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+				p.names[receiverType(d.Recv.List[0].Type)+"."+d.Name.Name] = true
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
-						names[n.Name] = true
+						p.names[n.Name] = true
 					}
 				case *ast.TypeSpec:
-					names[s.Name.Name] = true
-					if st, ok := s.Type.(*ast.StructType); ok {
-						for _, fld := range st.Fields.List {
-							for _, n := range fld.Names {
-								names[s.Name.Name+"."+n.Name] = true
-							}
-						}
-					}
+					p.addType(s)
 				}
 			}
 		}
 	}
 }
 
-// receiverType is T for a receiver of type T, *T, T[P] or *T[P].
+// addType records type s, its members and the types it embeds or aliases.
+func (p pkgDecls) addType(s *ast.TypeSpec) {
+	typ := s.Name.Name
+	p.names[typ] = true
+	p.types[typ] = nil
+	if s.Assign.IsValid() {
+		if target := receiverType(s.Type); target != "" {
+			p.types[typ] = append(p.types[typ], target)
+		}
+		return
+	}
+	var fields []*ast.Field
+	switch x := s.Type.(type) {
+	case *ast.StructType:
+		fields = x.Fields.List
+	case *ast.InterfaceType:
+		fields = x.Methods.List
+	}
+	for _, fld := range fields {
+		for _, n := range fld.Names {
+			p.names[typ+"."+n.Name] = true
+		}
+		if len(fld.Names) == 0 {
+			if e := receiverType(fld.Type); e != "" {
+				p.names[typ+"."+e] = true
+				p.types[typ] = append(p.types[typ], e)
+			}
+		}
+	}
+}
+
+// receiverType is T for a receiver of type T, *T, T[P] or *T[P], and ""
+// for any other type expression (a type of another package among them).
 func receiverType(e ast.Expr) string {
 	for {
 		switch x := e.(type) {

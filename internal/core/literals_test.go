@@ -13,15 +13,26 @@ import (
 	"repro/internal/pattern"
 )
 
+// testGroupCheck is newGroupCheck with a scratch that reads value columns
+// from the first match when columns is set.
+func testGroupCheck(set *gfd.Set, grp gfd.Group, columns bool) *groupCheck {
+	c := newGroupCheck(set, grp)
+	if columns {
+		c.scr = c.prog.NewColumnScratch()
+	}
+	return c
+}
+
 // idsAgree evaluates every member of every group of Σ at every match of the
 // group's pattern in g, through the group's literal program on value IDs
-// and through the oracle's walk over attribute strings, and fails on the
-// first disagreement. It returns the number of (match, member) pairs and
-// how many of them violate.
-func idsAgree(t *testing.T, ctx string, g graph.Reader, set *gfd.Set) (evals, violating int) {
+// (read from rows, or from value columns with columns set) and through the
+// oracle's walk over attribute strings, and fails on the first
+// disagreement. It returns the number of (match, member) pairs and how many
+// of them violate.
+func idsAgree(t *testing.T, ctx string, g graph.Reader, set *gfd.Set, columns bool) (evals, violating int) {
 	t.Helper()
 	for gi, grp := range set.Groups() {
-		c := newGroupCheck(set, grp)
+		c := testGroupCheck(set, grp, columns)
 		s := match.NewSearch(grp.Pattern, g, match.Options{})
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
 			for i, mi := range grp.Members {
@@ -45,8 +56,15 @@ func idsAgree(t *testing.T, ctx string, g graph.Reader, set *gfd.Set) (evals, vi
 // strings could part — a constant the graph lacks, a missing attribute on
 // either side of x.A = y.B, x.A = x.A, a tombstoned node, an overlay whose
 // delta brings a new name and value, one scratch on two readers in turn,
-// and a Graph edited between two calls on one scratch.
+// and a Graph edited between two calls on one scratch. Every case runs on
+// scratches that search rows and on scratches that read value columns.
 func TestLiteralIDsMatchStrings(t *testing.T) {
+	for _, columns := range []bool{false, true} {
+		t.Run(map[bool]string{false: "rows", true: "columns"}[columns], func(t *testing.T) { literalIDsMatchStrings(t, columns) })
+	}
+}
+
+func literalIDsMatchStrings(t *testing.T, columns bool) {
 	evals, violating := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,7 +74,7 @@ func TestLiteralIDsMatchStrings(t *testing.T) {
 		dense := gr.DenseFrozen(500, 6)
 		for _, set := range []*gfd.Set{gr.Set(), gr.SharedValidationSet(4, 6)} {
 			for name, g := range map[string]graph.Reader{"consistent": consistent, "dense": dense} {
-				n, v := idsAgree(t, fmt.Sprintf("seed=%d %s", seed, name), g, set)
+				n, v := idsAgree(t, fmt.Sprintf("seed=%d %s", seed, name), g, set, columns)
 				evals, violating = evals+n, violating+v
 			}
 		}
@@ -131,13 +149,13 @@ func TestLiteralIDsMatchStrings(t *testing.T) {
 
 	// One scratch across every reader in turn, then back to the first.
 	grp := gfd.Group{Pattern: p, Members: []int{0, 1, 2, 3, 4, 5}}
-	c := newGroupCheck(set, grp)
+	c := testGroupCheck(set, grp, columns)
 	for _, rd := range append(readers, readers[0], readers[2]) {
 		evalAll(c, rd)
 	}
 	// Each GFD on its own scratch, the way Satisfies runs it.
 	for mi := range set.GFDs {
-		c := newGroupCheck(set, gfd.Group{Pattern: p, Members: []int{mi}})
+		c := testGroupCheck(set, gfd.Group{Pattern: p, Members: []int{mi}}, columns)
 		for _, rd := range readers {
 			evalAll(c, rd)
 		}
@@ -146,7 +164,7 @@ func TestLiteralIDsMatchStrings(t *testing.T) {
 	// A Graph edited between two calls on one scratch: the second call must
 	// see the edit, which also brings a name and a value the first snapshot
 	// lacked.
-	c = newGroupCheck(set, grp)
+	c = testGroupCheck(set, grp, columns)
 	evalAll(c, reader{"graph before the edit", g})
 	g.SetAttr(ys[1], "B", "p")
 	g.SetAttr(ys[1], "N", "fresh")

@@ -188,6 +188,8 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, pre
 			}
 		}
 	}
+	// Rows, never value columns (see violations): the searches read few
+	// nodes of a snapshot that lives for one batch.
 	gc := newGroupCheck(set, grp)
 	// The search for variable u roots u at the touched nodes it may match and
 	// bars touched nodes from the variables before u, so a match is found by

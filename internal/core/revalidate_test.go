@@ -115,6 +115,54 @@ func TestRevalidateEquivalenceGen(t *testing.T) {
 	}
 }
 
+// TestRevalidateMakesNoAttrColumn pins that incremental revalidation reads
+// attribute rows, not the snapshot's value columns: after RevalidateDelta on
+// one worker and on four, over two batches of one delta, no overlay it read
+// holds a column. A writer's overlay is read at the few nodes each batch
+// touches, and a column would be filled per overlay, at 4 B per node
+// (DESIGN.md "Attributes are interned ID rows"). Violations, which reads
+// every match, makes them on the same overlays.
+func TestRevalidateMakesNoAttrColumn(t *testing.T) {
+	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Seed: 3})
+	set := gr.SharedValidationSet(4, 6)
+	g := gr.DenseGraph(300, 6)
+	perturb(rand.New(rand.NewSource(3)), g, 20)
+	base := g.Frozen()
+	prev := Violations(base, set)
+	if base.NumAttrColumns() == 0 || len(prev) == 0 {
+		t.Fatalf("fixture: Violations made %d columns and found %d violations on the base", base.NumAttrColumns(), len(prev))
+	}
+	d := gr.DenseDelta(base, 20)
+	reenumerated := 0
+	for batch := 0; batch < 2; batch++ {
+		if batch > 0 {
+			gr.MutateDelta(d, 20)
+		}
+		var got []Violation
+		for _, w := range []int{1, 4} {
+			var st RevalidateStats
+			var err error
+			got, st, err = RevalidateDelta(set, d, prev, RevalidateOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("batch %d w=%d: %v", batch, w, err)
+			}
+			if n := d.Overlay().NumAttrColumns(); n != 0 {
+				t.Fatalf("batch %d w=%d: revalidation made %d value columns on the overlay", batch, w, n)
+			}
+			reenumerated += st.Reenumerated
+		}
+		if want := Violations(d.Overlay(), set); !violationsEqual(got, want) {
+			t.Fatalf("batch %d: revalidate gave %d violations, Violations %d", batch, len(got), len(want))
+		}
+		if d.Overlay().NumAttrColumns() == 0 {
+			t.Fatalf("batch %d: Violations made no column on the overlay", batch)
+		}
+	}
+	if reenumerated == 0 {
+		t.Fatal("vacuous: no match was re-enumerated")
+	}
+}
+
 // TestRevalidateTriangles runs the property on the triangle validation
 // workload the benchmarks use, where the touched set genuinely localizes:
 // it also pins that matches meeting it are re-enumerated and prior

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/oracle"
+	"repro/internal/pattern"
 )
 
 // violationsOneByOne is the order reference for the grouped evaluation: Σ
@@ -48,6 +49,21 @@ func violationKeys(set *gfd.Set, vs []Violation) []string {
 	return keys
 }
 
+// violationsOnRows is violations on one worker with scratches that search
+// attribute rows instead of reading the snapshot's value columns.
+func violationsOnRows(r graph.Reader, set *gfd.Set) []Violation {
+	g := r.Snapshot()
+	byGFD := make([][]Violation, set.Len())
+	for _, grp := range set.Groups() {
+		c := newGroupCheck(set, grp)
+		s := match.NewSearch(grp.Pattern, g, match.Options{})
+		for h, ok := s.Next(); ok; h, ok = s.Next() {
+			c.check(g, h, byGFD)
+		}
+	}
+	return slices.Concat(byGFD...)
+}
+
 // sameAsOracle reports whether got is, as a set, exactly what the
 // brute-force oracle finds on g.
 func sameAsOracle(g graph.Reader, set *gfd.Set, got []Violation) bool {
@@ -63,12 +79,14 @@ func sameAsOracle(g graph.Reader, set *gfd.Set, got []Violation) bool {
 // prefix-overlapping patterns, grouped evaluation must reproduce checking
 // each GFD on its own (violationsOneByOne) violation for violation, in
 // order, and the brute-force oracle as a set, on every storage tier and at
-// every worker count, with the same stats at each. It also pins that
-// sharing actually happened — a grouping that degenerates to singletons
-// would pass equivalence vacuously.
+// every worker count, with the same stats at each; and the list must be
+// the one scratches that search rows instead of reading value columns give.
+// It also pins that sharing actually happened — a grouping that
+// degenerates to singletons would pass equivalence vacuously — and that
+// some run read value columns.
 func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	ctx := context.Background()
-	sharedGFDs, reused, total := 0, 0, 0
+	sharedGFDs, reused, total, columnTiers := 0, 0, 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7))
 		gr := gen.New(gen.Config{N: 15, K: 5, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed})
@@ -95,6 +113,9 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 			if !sameAsOracle(tier.data, set, per) {
 				t.Fatalf("seed=%d %s: one-by-one violations differ from the oracle's", seed, tier.name)
 			}
+			if !violationsEqual(violationsOnRows(tier.data, set), per) {
+				t.Fatalf("seed=%d %s: violations on rows differ from one-by-one", seed, tier.name)
+			}
 			var first VerifyStats
 			for _, w := range []int{1, 2, 4, 2 * groups} {
 				grouped, gst, err := violations(ctx, tier.data, set, w, VerifyOptions{})
@@ -110,6 +131,9 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 					t.Fatalf("seed=%d %s w=%d: stats %+v, at w=1 %+v", seed, tier.name, w, gst, first)
 				}
 			}
+			if tier.data.Snapshot().NumAttrColumns() > 0 {
+				columnTiers++
+			}
 			if first.Groups >= set.Len() {
 				t.Fatalf("seed=%d %s: %d groups for %d GFDs; no sharing", seed, tier.name, first.Groups, set.Len())
 			}
@@ -123,6 +147,40 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	}
 	if sharedGFDs == 0 || reused == 0 {
 		t.Fatalf("sharing never fired: sharedGFDs=%d matchesReused=%d", sharedGFDs, reused)
+	}
+	if columnTiers == 0 {
+		t.Fatal("no grouped run read a value column; the rows ≡ columns check is vacuous")
+	}
+}
+
+// TestViolationsAttrColumnThreshold pins when validation reads value
+// columns: a group switches from rows to columns after n/16 matches on a
+// snapshot of n nodes, so a group with exactly that many matches makes no
+// column and one more match makes one per name it reads. The violation
+// lists are the oracle's either way.
+func TestViolationsAttrColumnThreshold(t *testing.T) {
+	p := pattern.New()
+	x, y := p.AddVar("x", "a"), p.AddVar("y", "b")
+	p.AddEdge(x, y, "e")
+	set := gfd.NewSet(gfd.MustNew("eq", p, nil, []gfd.Literal{gfd.Vars(x, "A", y, "A")}))
+	const n = 320
+	for _, extra := range []int{0, 1} {
+		b := graph.NewBuilder(0)
+		for i := 0; i < n; i++ {
+			v := b.AddNode([]string{"a", "b"}[i%2])
+			b.SetAttr(v, "A", fmt.Sprint(i%3))
+		}
+		for i := 0; i < n/16+extra; i++ {
+			b.AddEdge(graph.NodeID(2*i), graph.NodeID(2*i+1), "e")
+		}
+		f := b.Freeze()
+		got := Violations(f, set)
+		if !sameAsOracle(f, set, got) || len(got) == 0 {
+			t.Fatalf("%d matches: %d violations, not the oracle's", n/16+extra, len(got))
+		}
+		if cols, want := f.NumAttrColumns(), extra; cols != want {
+			t.Fatalf("%d matches on %d nodes: %d value columns, want %d", n/16+extra, n, cols, want)
+		}
 	}
 }
 

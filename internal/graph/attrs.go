@@ -4,7 +4,8 @@
 // layout of its adjacency rows. Validation resolves a literal program's
 // names and constants to IDs once per snapshot (match.LiteralScratch) and
 // then compares uint32s; Attr and Attrs translate back to strings for the
-// cold callers (the oracle, the writers, Delta.SetAttr).
+// cold callers (the oracle, the writers, Delta.SetAttr). Validation with
+// many matches per node reads value columns (AttrColumn) instead.
 package graph
 
 import (
@@ -12,6 +13,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // AttrID is an attribute name interned per snapshot, ValueID an attribute
@@ -210,6 +212,53 @@ func (f *Frozen) AttrAt(v NodeID, a AttrID) ValueID {
 		return ValueID(uint32(run[i]))
 	}
 	return NoValue
+}
+
+// AttrColumn is attribute a's values over the snapshot's node space, each
+// read from its node's row the first time any caller asks for it. A column
+// costs 4 B per node; a snapshot makes at most one per name.
+type AttrColumn struct {
+	f *Frozen
+	a AttrID
+	// Per node, 0 until read, then 2 + the value ID (NoValue wraps to 1);
+	// not atomic.Uint32s, whose methods take At over the inlining budget.
+	codes []uint32
+}
+
+// AttrColumn returns the value column of attribute a, creating it on the
+// first request; nil for NoAttr. It is safe for concurrent use.
+func (f *Frozen) AttrColumn(a AttrID) *AttrColumn {
+	if a == NoAttr {
+		return nil
+	}
+	return f.columns.get(a, func() *AttrColumn {
+		return &AttrColumn{f: f, a: a, codes: make([]uint32, f.NumNodes())}
+	})
+}
+
+// NumAttrColumns returns the number of value columns f has created.
+func (f *Frozen) NumAttrColumns() int {
+	f.columns.mu.Lock()
+	defer f.columns.mu.Unlock()
+	return len(f.columns.m)
+}
+
+// At returns AttrAt(v, a), searching v's row only on the entry's first
+// read: small enough to inline, with the fill out of line.
+func (c *AttrColumn) At(v NodeID) ValueID {
+	if code := atomic.LoadUint32(&c.codes[v]); code != 0 {
+		return ValueID(code - 2)
+	}
+	return c.fill(v)
+}
+
+// fill reads v's entry from its row; racing fillers store the same code.
+//
+//go:noinline
+func (c *AttrColumn) fill(v NodeID) ValueID {
+	val := c.f.AttrAt(v, c.a)
+	atomic.StoreUint32(&c.codes[v], uint32(val)+2)
+	return val
 }
 
 // Attr reports the value of attribute A at node v and whether it exists.

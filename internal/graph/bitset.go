@@ -62,30 +62,30 @@ func bitsetWorthwhile(freq, n int) bool {
 	return freq >= bitsetMinFreq && freq*bitsetMaxSparsity >= n
 }
 
-// bitsetCache is the lazily filled per-snapshot store, embedded in Frozen.
-// The mutex only guards the map; a returned Bitset is immutable from the
-// moment it is published.
-type bitsetCache struct {
-	mu   sync.Mutex
-	sets map[string]Bitset
+// lazyCache is a per-snapshot store filled on first request, embedded in
+// Frozen: the candidate bitsets and the attribute value columns (attrs.go).
+// The mutex only guards the map; a value is published once and never
+// replaced.
+type lazyCache[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
 }
 
-// get returns the cached bitset for label, building it via fill on a miss.
-// fill must append the label's candidate IDs; it runs under the cache lock,
-// which is fine because builds are rare (once per hot label per snapshot).
-func (c *bitsetCache) get(label string, n int, fill func(Bitset)) Bitset {
+// get returns the value cached under k, building it on a miss. build runs
+// under the cache lock, which is fine because builds are rare (once per key
+// per snapshot).
+func (c *lazyCache[K, V]) get(k K, build func() V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if bs, ok := c.sets[label]; ok {
-		return bs
+	if v, ok := c.m[k]; ok {
+		return v
 	}
-	bs := newBitset(n)
-	fill(bs)
-	if c.sets == nil {
-		c.sets = make(map[string]Bitset)
+	v := build()
+	if c.m == nil {
+		c.m = make(map[K]V)
 	}
-	c.sets[label] = bs
-	return bs
+	c.m[k] = v
+	return v
 }
 
 // CandidateBitset returns a bitset over f's candidate set for label
@@ -98,17 +98,19 @@ func (f *Frozen) CandidateBitset(label string) Bitset {
 	if !bitsetWorthwhile(f.LabelFrequency(label), n) {
 		return nil
 	}
-	return f.bitsets.get(label, n, func(bs Bitset) {
+	return f.bitsets.get(label, func() Bitset {
+		bs := newBitset(n)
 		if label == Wildcard {
 			for v := range n {
 				if f.dead == nil || !f.dead[v] {
 					bs.set(NodeID(v))
 				}
 			}
-			return
+			return bs
 		}
 		for _, v := range f.nodesWithLabel(label) {
 			bs.set(v)
 		}
+		return bs
 	})
 }

@@ -342,11 +342,12 @@ type Frozen struct {
 	dead      []bool
 	deadCount int
 
-	// bitsets is the lazy candidate-bitset cache (see bitset.go): cache
-	// state, not graph content, never persisted. Its mutex means a Frozen
-	// is never copied by value, so the *Frozen pointer is the snapshot's
-	// identity (see Reader.Snapshot).
-	bitsets bitsetCache
+	// bitsets and columns are the lazy candidate-bitset and attribute value
+	// caches (bitset.go, attrs.go): cache state, not graph content, never
+	// persisted. Their mutexes mean a Frozen is never copied by value, so
+	// the *Frozen pointer is the snapshot's identity (see Reader.Snapshot).
+	bitsets lazyCache[string, Bitset]
+	columns lazyCache[AttrID, *AttrColumn]
 }
 
 // tombstone marks the given node slots dead and drops them from the

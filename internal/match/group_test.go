@@ -190,7 +190,8 @@ func TestEnumerateGroupedCancel(t *testing.T) {
 // TestLiteralEval pins the compiled literal program against the naive
 // walk semantics: missing attributes fail the literal, constants compare
 // by value, variable literals need both sides present and equal — and
-// slots are interned (one per distinct pair, not one per occurrence).
+// slots are interned (one per distinct pair, not one per occurrence). A
+// scratch that reads value columns answers the same.
 func TestLiteralEval(t *testing.T) {
 	g := graph.New()
 	n0 := g.AddNode("a")
@@ -214,25 +215,30 @@ func TestLiteralEval(t *testing.T) {
 		},
 	}
 	e := match.CompileLiterals(members)
-	s := e.NewScratch()
-	f := g.Frozen()
-	h := match.Assignment{n0, n1}
-	want := []bool{false, true, false}
-	for m, w := range want {
-		if got := e.Violates(m, f, h, s); got != w {
-			t.Fatalf("member %d: Violates=%t, want %t", m, got, w)
+	for _, columns := range []bool{false, true} {
+		s := e.NewScratch()
+		if columns {
+			s = e.NewColumnScratch()
 		}
-	}
-	// Second match with different bindings must not see stale slots, with
-	// no Begin in between.
-	h2 := match.Assignment{n1, n0}
-	// member 1: X: n1.k = n0.k holds; Y: n1.m = n0.m → n0.m missing → violation.
-	if !e.Violates(1, f, h2, s) {
-		t.Fatal("stale scratch: member 1 should violate under swapped bindings")
-	}
-	// member 0: X: n1.k="v" holds; Y: n0.m="w" → missing → violation.
-	if !e.Violates(0, f, h2, s) {
-		t.Fatal("stale scratch: member 0 should violate under swapped bindings")
+		f := g.Frozen()
+		h := match.Assignment{n0, n1}
+		want := []bool{false, true, false}
+		for m, w := range want {
+			if got := e.Violates(m, f, h, s); got != w {
+				t.Fatalf("columns=%t member %d: Violates=%t, want %t", columns, m, got, w)
+			}
+		}
+		// Second match with different bindings must not see stale slots, with
+		// no Begin in between.
+		h2 := match.Assignment{n1, n0}
+		// member 1: X: n1.k = n0.k holds; Y: n1.m = n0.m → n0.m missing → violation.
+		if !e.Violates(1, f, h2, s) {
+			t.Fatal("stale scratch: member 1 should violate under swapped bindings")
+		}
+		// member 0: X: n1.k="v" holds; Y: n0.m="w" → missing → violation.
+		if !e.Violates(0, f, h2, s) {
+			t.Fatal("stale scratch: member 0 should violate under swapped bindings")
+		}
 	}
 }
 

@@ -6,10 +6,10 @@
 // whole group into a slot fetched at most once per bound node, and compiles
 // each member's literal sets into slot-index comparisons, so per-match
 // literal cost is at most one attribute lookup per distinct pair actually
-// touched — not one per literal occurrence per member. A lookup is a search
-// of the node's attribute row by name ID, and a comparison is one of value
-// IDs: a scratch resolves the program's names and constants against the
-// snapshot it reads once (graph/attrs.go), not per match.
+// touched — not one per literal occurrence per member. A lookup searches
+// the node's attribute row by name ID, or reads the name's value column in a
+// NewColumnScratch; a comparison is one of value IDs: a scratch resolves
+// names and constants against the snapshot it reads once, not per match.
 package match
 
 import (
@@ -121,21 +121,23 @@ func (e *LiteralEval) compileLit(slots map[slotKey]int, l LiteralSpec) litRef {
 // graph.NoValue, which no attribute equals. Loads then cache value IDs, and
 // literals compare them.
 type LiteralScratch struct {
-	rows   *graph.Frozen
-	slots  []slotState
-	consts []graph.ValueID // per program constant, its value ID
+	rows    *graph.Frozen
+	columns bool // read slots through the snapshot's value columns
+	slots   []slotState
+	consts  []graph.ValueID // per program constant, its value ID
 }
 
 // slotState is one slot of a scratch: the program's variable, the name ID
-// it is bound to, and the value last loaded with the node it came from.
+// (and column) it is bound to, and the last value loaded with its node.
 type slotState struct {
 	v    pattern.Var
 	name graph.AttrID
-	val  graph.ValueID // graph.NoValue where the attribute is missing
-	node graph.NodeID  // the node val was read from; InvalidNode if none
+	col  *graph.AttrColumn // nil: search the row
+	val  graph.ValueID     // graph.NoValue where the attribute is missing
+	node graph.NodeID      // the node val was read from; InvalidNode if none
 }
 
-// NewScratch returns a scratch sized for the program.
+// NewScratch returns a scratch sized for the program that searches rows.
 func (e *LiteralEval) NewScratch() *LiteralScratch {
 	s := &LiteralScratch{
 		slots:  make([]slotState, len(e.slotVar)),
@@ -145,6 +147,14 @@ func (e *LiteralEval) NewScratch() *LiteralScratch {
 		s.slots[i].v = v
 	}
 	s.Begin()
+	return s
+}
+
+// NewColumnScratch is NewScratch reading the snapshot's value columns
+// (graph.AttrColumn): it pays when its caller reads many matches per node.
+func (e *LiteralEval) NewColumnScratch() *LiteralScratch {
+	s := e.NewScratch()
+	s.columns = true
 	return s
 }
 
@@ -161,7 +171,11 @@ func (s *LiteralScratch) Begin() {
 func (s *LiteralScratch) bind(e *LiteralEval, rows *graph.Frozen) {
 	s.rows = rows
 	for i, a := range e.slotAttr {
-		s.slots[i].name = rows.AttrNameID(a)
+		sl := &s.slots[i]
+		sl.name, sl.col = rows.AttrNameID(a), nil
+		if s.columns {
+			sl.col = rows.AttrColumn(sl.name)
+		}
 	}
 	for i, c := range e.consts {
 		s.consts[i] = rows.AttrValueID(c)
@@ -169,12 +183,16 @@ func (s *LiteralScratch) bind(e *LiteralEval, rows *graph.Frozen) {
 	s.Begin()
 }
 
-// load fetches slot i at match h, reading the rows only when the slot last
-// read a different node.
+// load fetches slot i at match h, reading the column or row only when the
+// slot last read a different node.
 func (s *LiteralScratch) load(h Assignment, i int) graph.ValueID {
 	sl := &s.slots[i]
 	if v := h[sl.v]; v != sl.node {
-		sl.val = s.rows.AttrAt(v, sl.name)
+		if sl.col != nil {
+			sl.val = sl.col.At(v)
+		} else {
+			sl.val = s.rows.AttrAt(v, sl.name)
+		}
 		sl.node = v
 	}
 	return sl.val

@@ -117,14 +117,15 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 var testOwned = map[string]string{
 	"oracle/": "the brute-force reference for matching, validation and simulation: tests are its only callers by design",
 
-	"core.(SatResult).Model":    "Theorem 1's witness model; deciding satisfiability never builds it, the model tests do",
-	"core.IsModel":              "checks that witness against Σ; SatResult.Model's tests are its callers",
-	"graph.(Graph).Subgraph":    "the induced-subgraph reference Compact is tested against",
-	"eq.(Eq).Classes":           "canonical rendering of a relation, what the replay/confluence tests compare",
-	"gen.(Generator).SharedSet": "Σ with structurally equal patterns under fresh variable names, for grouped ≡ per-GFD sat/imp tests",
-	"match.FindAll":             "a whole match set as a slice; shipped code streams with Search.Next, tests compare sets",
-	"match.FindAllSharded":      "the materializing twin of CountSharded (which ships), what the sharded ≡ flat tests compare",
-	"match.(Sim).Nodes":         "reads a simulation relation out; the benchmark's probe only times Simulate, the tests compare the relation with oracle.Simulation",
+	"core.(SatResult).Model":        "Theorem 1's witness model; deciding satisfiability never builds it, the model tests do",
+	"core.IsModel":                  "checks that witness against Σ; SatResult.Model's tests are its callers",
+	"graph.(Graph).Subgraph":        "the induced-subgraph reference Compact is tested against",
+	"graph.(Frozen).NumAttrColumns": "how many value columns a snapshot made; the tests that pin which callers make them (Revalidate makes none) read it",
+	"eq.(Eq).Classes":               "canonical rendering of a relation, what the replay/confluence tests compare",
+	"gen.(Generator).SharedSet":     "Σ with structurally equal patterns under fresh variable names, for grouped ≡ per-GFD sat/imp tests",
+	"match.FindAll":                 "a whole match set as a slice; shipped code streams with Search.Next, tests compare sets",
+	"match.FindAllSharded":          "the materializing twin of CountSharded (which ships), what the sharded ≡ flat tests compare",
+	"match.(Sim).Nodes":             "reads a simulation relation out; the benchmark's probe only times Simulate, the tests compare the relation with oracle.Simulation",
 
 	"core.(PanicError).Error": "the error interface; called through it",
 	"eq.(Conflict).Error":     "the error interface; called through it",
