@@ -23,22 +23,24 @@ var docFiles = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.m
 var docName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(\*?)`)
 
 // docMember is an unqualified Type.member reference inside a backticked
-// span, with the same rule for what may precede it; the member may be
-// lowercase (`ParOptions.testHookTerm`).
-var docMember = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+// span, with the same rule for what may precede it; the type may be
+// unexported (`strTable.relayer`) and the member lowercase
+// (`ParOptions.testHookTerm`).
+var docMember = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
 
 // TestDocNamesResolve keeps the documents' code names true: in DESIGN.md,
 // README.md and the verify skill, every backticked `pkg.Name` whose pkg is
 // a package of the module must name a declaration — a function, method,
 // type, variable or constant — in that package's non-test files, and
 // `pkg.Type.member` a method or field of that type; an unqualified
-// `Type.member` whose Type is an exported type of a module package must
-// name a method or field of that type in some package declaring it. A
+// `Type.member` whose Type is a type of a module package, exported or not,
+// must name a method or field of that type in some package declaring it. A
 // member counts when the type has it through an embedded field or as an
 // alias. Lowercase names after a package, such as the benchmark's probe
 // names (`core.parsat_s`), and globs (`bench.Fig*`) are not declarations and
 // are skipped; so is a pkg that is no package of the module
-// (`strings.Fields`, or a variable such as `g.Frozen()`).
+// (`strings.Fields`, or a variable such as `g.Frozen()`), and so are file
+// names (`pool.go`).
 func TestDocNamesResolve(t *testing.T) {
 	pkgs := moduleDecls(t)
 	checked := 0
@@ -65,6 +67,9 @@ func TestDocNamesResolve(t *testing.T) {
 			}
 			for _, m := range docMember.FindAllStringSubmatch(spans[i], -1) {
 				typ, member := m[1], m[2]
+				if _, isPkg := pkgs[typ]; isPkg || member == "go" {
+					continue // docName's pkg.Name, or a file name
+				}
 				found, isType := false, false
 				for _, p := range pkgs {
 					if _, ok := p.types[typ]; ok {

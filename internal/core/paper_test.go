@@ -282,3 +282,17 @@ func TestEmptySetSatisfiable(t *testing.T) {
 		t.Fatal("empty Σ must be satisfiable with a nonempty model")
 	}
 }
+
+// TestIsModelNeedsALiveNode: a model is nonempty, and a graph whose only
+// node was removed has no node left, though NumNodes still counts its slot.
+func TestIsModelNeedsALiveNode(t *testing.T) {
+	g := graph.New()
+	v := g.AddNode("a")
+	if !IsModel(g, gfd.NewSet()) {
+		t.Fatal("fixture: a one-node graph is not a model of the empty Σ")
+	}
+	g.RemoveNode(v)
+	if IsModel(g, gfd.NewSet()) {
+		t.Fatal("a graph with no live node is a model of the empty Σ")
+	}
+}

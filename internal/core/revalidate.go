@@ -75,10 +75,7 @@ func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Vio
 	ctx := pl.ctx // never nil
 	stats.GFDs = set.Len()
 	stats.Groups = n
-	prevBy := make(map[*gfd.GFD][]Violation, set.Len())
-	for _, v := range prev {
-		prevBy[v.GFD] = append(prevBy[v.GFD], v)
-	}
+	prevAt := priorByPosition(set, prev)
 	sc := scope{nodes: touched, has: graph.BitsetOf(touched)}
 
 	results := make([][]Violation, set.Len())
@@ -89,7 +86,7 @@ func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Vio
 		if err := ctx.Err(); err != nil {
 			return canceledErr(err)
 		}
-		return revalidateGroup(set, groups[gi], g, sc, prevBy, opt.Ctx, st, results)
+		return revalidateGroup(set, groups[gi], g, sc, prevAt, opt.Ctx, st, results)
 	}
 	perStats := make([]RevalidateStats, pl.size())
 	err := pl.run(n, func(w, gi int) error { return run(gi, &perStats[w]) })
@@ -150,6 +147,28 @@ func (m *revalidateMemo) chains(set *gfd.Set, prev []Violation) bool {
 		(len(prev) == 0 || &m.prev[0] == &prev[0])
 }
 
+// priorByPosition splits prev, which lists each Σ position's violations in
+// Σ order, by position. A GFD that Σ lists c times has c equal runs there,
+// one per position it holds.
+func priorByPosition(set *gfd.Set, prev []Violation) [][]Violation {
+	byGFD := make(map[*gfd.GFD][]Violation, set.Len())
+	for _, v := range prev {
+		byGFD[v.GFD] = append(byGFD[v.GFD], v)
+	}
+	copies := make(map[*gfd.GFD]int, set.Len())
+	for _, phi := range set.GFDs {
+		copies[phi]++
+	}
+	at := make([][]Violation, set.Len())
+	for i, phi := range set.GFDs {
+		vs := byGFD[phi]
+		k := len(vs) / copies[phi]
+		at[i], byGFD[phi] = vs[:k], vs[k:]
+		copies[phi]--
+	}
+	return at
+}
+
 // scope is the touched set Revalidate scopes to, as the ascending list the
 // searches root at and as a bitset for membership.
 type scope struct {
@@ -174,14 +193,14 @@ func (sc scope) meets(h match.Assignment) bool {
 // member's sequential enumeration order. Member mi's violations land in
 // out[mi] (out is indexed like Σ; groups partition Σ, so concurrent calls
 // for different groups write disjoint entries).
-func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, prevBy map[*gfd.GFD][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
+func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, prevAt [][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
 	p := grp.Pattern
 	order := match.DefaultOrder(p)
 	if len(order) == 0 {
 		return nil
 	}
 	for _, mi := range grp.Members {
-		for _, v := range prevBy[set.GFDs[mi]] {
+		for _, v := range prevAt[mi] {
 			if !sc.meets(v.Match) {
 				out[mi] = append(out[mi], v)
 				st.Kept++

@@ -113,6 +113,23 @@ func TestRevalidateEquivalenceGen(t *testing.T) {
 	if totalViolations == 0 {
 		t.Fatal("no violations in any instance; equivalence test is vacuous")
 	}
+
+	// Σ may list one GFD twice: each position carries over its own prior
+	// violations, not those of both.
+	p := pattern.New()
+	x := p.AddVar("x", "a")
+	phi := gfd.MustNew("twice", p, nil, []gfd.Literal{gfd.Const(x, "k", "1")})
+	b := graph.NewBuilder(0)
+	for range 4 {
+		b.AddNode("a")
+	}
+	base := b.Freeze()
+	set := gfd.NewSet(phi, phi)
+	d := graph.NewDelta(base)
+	d.SetAttr(0, "k", "1")
+	if nv, _ := checkRevalidate(t, "Σ = {φ, φ}", set, base, d, Violations(base, set)); nv != 6 {
+		t.Fatalf("Σ = {φ, φ}: %d violations after the delta, want 6", nv)
+	}
 }
 
 // TestRevalidateMakesNoAttrColumn pins that incremental revalidation reads

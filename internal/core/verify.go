@@ -55,10 +55,11 @@ func ViolationsCtx(ctx context.Context, g graph.Reader, set *gfd.Set) ([]Violati
 	return out, err
 }
 
-// IsModel reports whether G is a model of Σ: G |= Σ, G is nonempty, and
-// every pattern of Σ has at least one match in G (Section IV's definition).
+// IsModel reports whether G is a model of Σ: G |= Σ, G is nonempty (has
+// a live node: NumNodes counts tombstoned slots too), and every pattern of
+// Σ has at least one match in G (Section IV's definition).
 func IsModel(g graph.Reader, set *gfd.Set) bool {
-	if g.NumNodes() == 0 {
+	if g.Snapshot().LiveNodes() == 0 {
 		return false
 	}
 	if ok, _ := Satisfies(g, set); !ok {

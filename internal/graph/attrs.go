@@ -37,10 +37,12 @@ const (
 // by name.
 func attrKey(a AttrID, val ValueID) uint64 { return uint64(a)<<32 | uint64(val) }
 
-// strTable interns strings as dense IDs. A snapshot never writes the table
-// it holds: one under construction interns into a layer of its own over
-// its base's table, if it has a base (newLayer), so a Refreeze shares every
-// entry of its base's tables and adds only the strings its delta brought.
+// strTable interns strings as dense IDs: a snapshot's node labels, edge
+// labels, attribute names and attribute values each have one. A snapshot
+// never writes the table it holds: one under construction interns into a
+// layer of its own over its base's table, if it has a base (newLayer), so a
+// Refreeze shares every entry of its base's tables and adds only the
+// strings its delta brought.
 type strTable struct {
 	base *strTable         // entries [0, off); nil when off is 0
 	off  uint32            // the first ID of strs

@@ -8,12 +8,14 @@ import (
 )
 
 // TestAttrTablesAcrossChainedRefreezes chains 64 generations, each bringing
-// a new value and every third a new name: as refreezes, each over the last
-// one's result with a delta of its own, and as the chained overlays of one
-// delta. Every generation must answer as its mirror does and keep every ID
-// of the one before; an overlay's name and value tables must stay at most
+// a new value, every third a new name, and every fifth a node with a new
+// node label and an edge with a new edge label: as refreezes, each over the
+// last one's result with a delta of its own, and as the chained overlays of
+// one delta. Every generation must answer as its mirror does and keep every
+// ID of the one before. An overlay's four string tables must stay at most
 // two layers deep, the base's and one of the delta's, however long the
-// chain.
+// chain; a refreeze's label tables gain a layer only when its delta brought
+// a new label.
 func TestAttrTablesAcrossChainedRefreezes(t *testing.T) {
 	layers := func(s *strTable) int {
 		n := 0
@@ -22,9 +24,13 @@ func TestAttrTablesAcrossChainedRefreezes(t *testing.T) {
 		}
 		return n
 	}
+	tables := func(f *Frozen) []*strTable {
+		return []*strTable{f.attrNames, f.attrValues, f.nodeLabels, f.edgeLabels}
+	}
 	for _, overlay := range []bool{false, true} {
 		t.Run(map[bool]string{false: "refreeze", true: "overlay"}[overlay], func(t *testing.T) {
 			mirror, f := fuzzBase()
+			nodeLabels, edgeLabels := slices.Clone(fuzzNodeLabels), slices.Clone(fuzzEdgeLabels)
 			d := NewDelta(f)
 			if overlay {
 				f = d.Overlay()
@@ -40,26 +46,44 @@ func TestAttrTablesAcrossChainedRefreezes(t *testing.T) {
 				}
 				d.SetAttr(v, name, val)
 				mirror.SetAttr(v, name, val)
+				newLabels := g%5 == 1
+				if newLabels {
+					nl, el := fmt.Sprintf("L%d", g), fmt.Sprintf("E%d", g)
+					u := d.AddNode(nl)
+					mirror.AddNode(nl)
+					d.AddEdge(v, u, el)
+					mirror.AddEdge(v, u, el)
+					nodeLabels, edgeLabels = append(nodeLabels, nl), append(edgeLabels, el)
+				}
 				var nf *Frozen
 				if overlay {
 					nf = d.Overlay()
-					if n, m := layers(nf.attrNames), layers(nf.attrValues); n > 2 || m > 2 {
-						t.Fatalf("generation %d: name table %d layers deep, value table %d", g, n, m)
+					for i, s := range tables(nf) {
+						if n := layers(s); n > 2 {
+							t.Fatalf("generation %d: string table %d is %d layers deep", g, i, n)
+						}
 					}
 				} else {
 					nf = f.Refreeze(d)
-				}
-				for id := uint32(0); id < f.attrValues.size(); id++ {
-					if s := f.attrValues.str(id); nf.AttrValueID(s) != ValueID(id) {
-						t.Fatalf("generation %d: value %q moved from ID %d to %d", g, s, id, nf.AttrValueID(s))
+					for i, s := range tables(nf)[2:] {
+						want := layers(tables(f)[2+i])
+						if newLabels {
+							want++
+						}
+						if n := layers(s); n != want {
+							t.Fatalf("generation %d: label table %d is %d layers deep, want %d", g, i, n, want)
+						}
 					}
 				}
-				for id := uint32(0); id < f.attrNames.size(); id++ {
-					if s := f.attrNames.str(id); nf.AttrNameID(s) != AttrID(id) {
-						t.Fatalf("generation %d: name %q moved from ID %d to %d", g, s, id, nf.AttrNameID(s))
+				for i, s := range tables(f) {
+					for id := range s.size() {
+						str := s.str(id)
+						if got, ok := tables(nf)[i].id(str); !ok || got != id {
+							t.Fatalf("generation %d: %q of table %d moved from ID %d", g, str, i, id)
+						}
 					}
 				}
-				checkReaderEquivalence(t, fmt.Sprintf("generation %d", g), mirror.Frozen(), nf, fuzzNodeLabels, fuzzEdgeLabels)
+				checkReaderEquivalence(t, fmt.Sprintf("generation %d", g), mirror.Frozen(), nf, nodeLabels, edgeLabels)
 				f = nf
 			}
 		})

@@ -68,11 +68,9 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 	nf := &Frozen{
 		// Label tables are immutable after construction: share them. A label
 		// whose last node died keeps its (now empty) table entry.
-		nodeLabelIDs:   f.nodeLabelIDs,
-		nodeLabelNames: f.nodeLabelNames,
-		labelIDs:       f.labelIDs,
-		labelNames:     f.labelNames,
-		edges:          f.edges,
+		nodeLabels: f.nodeLabels,
+		edgeLabels: f.edgeLabels,
+		edges:      f.edges,
 		// A dead node's attribute row is empty, like its adjacency rows:
 		// the rows and their tables carry over, only the offsets lose the
 		// dead entries.

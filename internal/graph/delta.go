@@ -2,7 +2,9 @@
 // snapshot is immutable, so before this layer any update forced a full
 // O(E log deg) rebuild. Delta records a small batch of updates — added
 // nodes, added/removed edges, attribute rewrites, node removals — against a
-// base snapshot as plain edit sets, no adjacency. Frozen.Refreeze
+// base snapshot as plain edit sets, no adjacency; new node and edge labels
+// intern into one layer over the base's label tables, the strTable that
+// attribute names and values use too (attrs.go). Frozen.Refreeze
 // (refreeze.go) sorts those k edits by node, merges each touched base row
 // with its edits in one linear pass, and copies untouched rows verbatim.
 // Overlay serves the delta as it stands, one snapshot per delta version:
@@ -36,13 +38,11 @@ type Delta struct {
 	nodes       []Node
 	nodeLabelOf []LabelID // parallel to nodes
 
-	// Extension interning: new labels get IDs continuing the base tables, so
-	// base CSR probes with an extended ID simply miss (the base never stores
-	// such an ID) and no re-interning is needed anywhere.
-	nodeLabelIDs   map[string]LabelID
-	nodeLabelNames []string
-	labelIDs       map[string]LabelID
-	labelNames     []string
+	// One layer over each of the base's label tables: new labels get IDs
+	// continuing the base's, so base CSR probes with a new ID simply miss
+	// (the base never stores such an ID) and no re-interning is needed
+	// anywhere. Like Graph.AddEdge, the layers intern the literal Wildcard.
+	nodeLabels, edgeLabels *strTable
 
 	// Edge changes in final-state form. added/removed are disjoint, removed
 	// holds base edges only, added holds non-base edges only.
@@ -72,13 +72,13 @@ type Delta struct {
 // NewDelta returns an empty delta over the base snapshot.
 func NewDelta(base *Frozen) *Delta {
 	return &Delta{
-		base:         base,
-		nodeLabelIDs: make(map[string]LabelID),
-		labelIDs:     make(map[string]LabelID),
-		addedSet:     make(map[edgeKey]struct{}),
-		removedSet:   make(map[edgeKey]struct{}),
-		dead:         make(map[NodeID]struct{}),
-		attrs:        make(map[NodeID]map[string]string),
+		base:       base,
+		nodeLabels: newLayer(base.nodeLabels),
+		edgeLabels: newLayer(base.edgeLabels),
+		addedSet:   make(map[edgeKey]struct{}),
+		removedSet: make(map[edgeKey]struct{}),
+		dead:       make(map[NodeID]struct{}),
+		attrs:      make(map[NodeID]map[string]string),
 	}
 }
 
@@ -132,51 +132,12 @@ func (d *Delta) Alive(v NodeID) bool {
 	return int(v) >= d.baseN() || d.base.Alive(v)
 }
 
-// internEdgeLabel resolves a data edge label to its ID, extending the base
-// tables on first use. Like Graph.internEdgeLabel it interns the literal
-// Wildcard too.
-func (d *Delta) internEdgeLabel(label string) LabelID {
-	if id := d.edgeLabelID(label); id != NoLabel {
-		return id
-	}
-	id := LabelID(len(d.base.labelNames) + len(d.labelNames))
-	d.labelIDs[label] = id
-	d.labelNames = append(d.labelNames, label)
-	return id
-}
-
-// edgeLabelID resolves a label literally (no wildcard semantics), without
-// allocating: NoLabel when neither the base nor the delta knows it.
-func (d *Delta) edgeLabelID(label string) LabelID {
-	if id, ok := d.base.labelIDs[label]; ok {
-		return id
-	}
-	if id, ok := d.labelIDs[label]; ok {
-		return id
-	}
-	return NoLabel
-}
-
-// internNodeLabel is internEdgeLabel for node labels.
-func (d *Delta) internNodeLabel(label string) LabelID {
-	if id, ok := d.base.nodeLabelIDs[label]; ok {
-		return id
-	}
-	if id, ok := d.nodeLabelIDs[label]; ok {
-		return id
-	}
-	id := LabelID(len(d.base.nodeLabelNames) + len(d.nodeLabelNames))
-	d.nodeLabelIDs[label] = id
-	d.nodeLabelNames = append(d.nodeLabelNames, label)
-	return id
-}
-
 // AddNode appends a node with the given label and returns its ID, which
 // extends the base's dense ID space.
 func (d *Delta) AddNode(label string) NodeID {
 	id := NodeID(d.baseN() + len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Label: label})
-	d.nodeLabelOf = append(d.nodeLabelOf, d.internNodeLabel(label))
+	d.nodeLabelOf = append(d.nodeLabelOf, LabelID(d.nodeLabels.intern(label)))
 	d.touch(false, id)
 	return id
 }
@@ -236,7 +197,7 @@ func (d *Delta) AddEdge(from, to NodeID, label string) {
 	if !d.Alive(from) || !d.Alive(to) {
 		panic(fmt.Sprintf("graph: Delta.AddEdge with invalid or removed endpoint %d->%d", from, to))
 	}
-	key := edgeKey{from: from, to: to, label: d.internEdgeLabel(label)}
+	key := edgeKey{from: from, to: to, label: LabelID(d.edgeLabels.intern(label))}
 	if _, ok := d.removedSet[key]; ok {
 		delete(d.removedSet, key)
 		d.touch(true, from, to)
@@ -257,17 +218,17 @@ func (d *Delta) RemoveEdge(from, to NodeID, label string) {
 	if !d.valid(from) || !d.valid(to) {
 		panic(fmt.Sprintf("graph: Delta.RemoveEdge with invalid endpoint %d->%d", from, to))
 	}
-	id := d.edgeLabelID(label)
-	if id == NoLabel {
+	l, ok := d.edgeLabels.id(label)
+	if !ok {
 		return
 	}
-	key := edgeKey{from: from, to: to, label: id}
+	key := edgeKey{from: from, to: to, label: LabelID(l)}
 	if _, ok := d.addedSet[key]; ok {
 		delete(d.addedSet, key)
 		d.touch(true, from, to)
 		return
 	}
-	if _, ok := d.removedSet[key]; ok || !d.base.HasEdgeID(from, to, id) {
+	if _, ok := d.removedSet[key]; ok || !d.base.HasEdgeID(from, to, key.label) {
 		return
 	}
 	d.removedSet[key] = struct{}{}

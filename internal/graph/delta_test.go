@@ -350,6 +350,10 @@ func FuzzOverlayChain(f *testing.F) {
 	// New node and edge labels after an overlay, a removal with no overlay
 	// between, and an added node removed in the version that added it.
 	f.Add([]byte{ov + 0, 4, 0, 0, 1, 10, 3, 4, ov + 0, 2, 0, 0, 3, 11, 0, 0, ov + 3, 10, 0, 0})
+	// A new edge label in two successive versions, then an edge of the
+	// first again: two overlays copy the delta's label layer as it grows,
+	// and the last reuses its source's table.
+	f.Add([]byte{ov + 1, 0, 1, 4, ov + 1, 2, 3, 5, ov + 1, 4, 5, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mirror, base := fuzzBase()
 		d := NewDelta(base)
@@ -438,11 +442,11 @@ func snapshotImage(t *testing.T, f *Frozen) []byte {
 	return buf.Bytes()
 }
 
-// The update fuzzers' base uses the first four labels of each list; "d" and
-// "h" are new.
+// The update fuzzers' base uses the first four labels of each list; "d",
+// "h" and "i" are new.
 var (
 	fuzzNodeLabels = []string{"a", "b", "c", Wildcard, "d"}
-	fuzzEdgeLabels = []string{"e", "f", "g", Wildcard, "h"}
+	fuzzEdgeLabels = []string{"e", "f", "g", Wildcard, "h", "i"}
 )
 
 // fuzzBase is the update fuzzers' base, frozen and as an editable mirror.

@@ -19,13 +19,11 @@ import (
 // AddEdge's idempotence per (from, label, to)). The zero value is not
 // usable; construct with NewBuilder.
 type Builder struct {
-	nodeLabelIDs   map[string]LabelID
-	nodeLabelNames []string
-	nodeLabelOf    []LabelID
-	labelIDs       map[string]LabelID
-	labelNames     []string
-	from, to       []NodeID
-	lab            []LabelID
+	nodeLabels  *strTable
+	nodeLabelOf []LabelID
+	edgeLabels  *strTable
+	from, to    []NodeID
+	lab         []LabelID
 	// Attributes as SetAttr recorded them, in call order: the node, and the
 	// (name, value) pair by ID. Freeze sorts them into rows.
 	attrNode      []NodeID
@@ -38,10 +36,10 @@ type Builder struct {
 // arrays for the expected edge count (0 is fine).
 func NewBuilder(edgeHint int) *Builder {
 	b := &Builder{
-		nodeLabelIDs: make(map[string]LabelID),
-		labelIDs:     make(map[string]LabelID),
-		names:        newLayer(nil),
-		values:       newLayer(nil),
+		nodeLabels: newLayer(nil),
+		edgeLabels: newLayer(nil),
+		names:      newLayer(nil),
+		values:     newLayer(nil),
 	}
 	if edgeHint > 0 {
 		b.from = make([]NodeID, 0, edgeHint)
@@ -57,13 +55,7 @@ func (b *Builder) AddNode(label string) NodeID {
 		panic("graph: Builder.AddNode after Freeze")
 	}
 	id := NodeID(len(b.nodeLabelOf))
-	lid, ok := b.nodeLabelIDs[label]
-	if !ok {
-		lid = LabelID(len(b.nodeLabelNames))
-		b.nodeLabelIDs[label] = lid
-		b.nodeLabelNames = append(b.nodeLabelNames, label)
-	}
-	b.nodeLabelOf = append(b.nodeLabelOf, lid)
+	b.nodeLabelOf = append(b.nodeLabelOf, LabelID(b.nodeLabels.intern(label)))
 	return id
 }
 
@@ -98,15 +90,9 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 	if n := b.NumNodes(); from < 0 || int(from) >= n || to < 0 || int(to) >= n {
 		panic(fmt.Sprintf("graph: Builder.AddEdge with invalid endpoint %d->%d", from, to))
 	}
-	id, ok := b.labelIDs[label]
-	if !ok {
-		id = LabelID(len(b.labelNames))
-		b.labelIDs[label] = id
-		b.labelNames = append(b.labelNames, label)
-	}
 	b.from = append(b.from, from)
 	b.to = append(b.to, to)
-	b.lab = append(b.lab, id)
+	b.lab = append(b.lab, LabelID(b.edgeLabels.intern(label)))
 }
 
 // NumNodes returns the number of nodes added so far.
@@ -127,13 +113,7 @@ func (b *Builder) Freeze() *Frozen {
 	}
 	b.frozen = true
 	n := b.NumNodes()
-	f := &Frozen{
-		nodeLabelIDs:   b.nodeLabelIDs,
-		nodeLabelNames: b.nodeLabelNames,
-		nodeLabelOf:    b.nodeLabelOf,
-		labelIDs:       b.labelIDs,
-		labelNames:     b.labelNames,
-	}
+	f := &Frozen{nodeLabels: b.nodeLabels, nodeLabelOf: b.nodeLabelOf, edgeLabels: b.edgeLabels}
 	f.out = buildCSR(n, b.from, b.to, b.lab)
 	f.in = buildCSR(n, b.to, b.from, b.lab)
 	f.edges = len(f.out.targets)
@@ -314,12 +294,13 @@ func (d *csrDir) has(v, t NodeID, id LabelID) bool {
 // (except the documented copying accessors). Being immutable it is safe for
 // concurrent readers.
 type Frozen struct {
-	nodeLabelIDs   map[string]LabelID
-	nodeLabelNames []string
-	nodeLabelOf    []LabelID
-	labelIDs       map[string]LabelID
-	labelNames     []string
-	edges          int
+	// Node and edge labels are interned like attribute names (attrs.go):
+	// node v's label is nodeLabels' entry nodeLabelOf[v], and the CSR rows
+	// hold edgeLabels' IDs.
+	nodeLabels  *strTable
+	nodeLabelOf []LabelID
+	edgeLabels  *strTable
+	edges       int
 
 	out csrDir
 	in  csrDir
@@ -374,7 +355,7 @@ func (f *Frozen) tombstone(dead []bool) {
 // byLabelNodes[byLabelOff[l]:byLabelOff[l+1]]. It is the one place the
 // index is derived, and ReadSnapshot holds a loaded index to it.
 func (f *Frozen) indexLabels() {
-	nl := len(f.nodeLabelNames)
+	nl := int(f.nodeLabels.size())
 	live := func(v int) bool { return f.dead == nil || !f.dead[v] }
 	f.byLabelOff = make([]int32, nl+1)
 	for v, lid := range f.nodeLabelOf {
@@ -416,7 +397,7 @@ func (f *Frozen) NumNodes() int { return len(f.nodeLabelOf) }
 func (f *Frozen) NumEdges() int { return f.edges }
 
 // Label returns the label of node v.
-func (f *Frozen) Label(v NodeID) string { return f.nodeLabelNames[f.nodeLabelOf[v]] }
+func (f *Frozen) Label(v NodeID) string { return f.nodeLabels.str(uint32(f.nodeLabelOf[v])) }
 
 // Out returns the outgoing edges of v. The slice is synthesized per call
 // (labels re-materialized as strings); hot paths use OutByLabelID.
@@ -426,7 +407,7 @@ func (f *Frozen) Out(v NodeID) []Edge {
 	}
 	es := make([]Edge, 0, f.out.off[v+1]-f.out.off[v])
 	f.out.forEachRun(v, func(id LabelID, targets []NodeID) {
-		name := f.labelNames[id]
+		name := f.edgeLabels.str(uint32(id))
 		for _, t := range targets {
 			es = append(es, Edge{From: v, To: t, Label: name})
 		}
@@ -436,24 +417,20 @@ func (f *Frozen) Out(v NodeID) []Edge {
 
 // EdgeLabelID resolves an edge label to its interned ID: AnyLabel for the
 // Wildcard, NoLabel for labels absent from the graph.
-func (f *Frozen) EdgeLabelID(label string) LabelID {
-	if label == Wildcard {
-		return AnyLabel
-	}
-	if id, ok := f.labelIDs[label]; ok {
-		return id
-	}
-	return NoLabel
-}
+func (f *Frozen) EdgeLabelID(label string) LabelID { return labelID(f.edgeLabels, label) }
 
 // NodeLabelID resolves a node label to its interned ID, with the same
-// wildcard semantics as Graph.NodeLabelID.
-func (f *Frozen) NodeLabelID(label string) LabelID {
+// wildcard semantics as EdgeLabelID.
+func (f *Frozen) NodeLabelID(label string) LabelID { return labelID(f.nodeLabels, label) }
+
+// labelID resolves a label in a label table: AnyLabel for the Wildcard,
+// NoLabel for a label the table does not hold.
+func labelID(t *strTable, label string) LabelID {
 	if label == Wildcard {
 		return AnyLabel
 	}
-	if id, ok := f.nodeLabelIDs[label]; ok {
-		return id
+	if id, ok := t.id(label); ok {
+		return LabelID(id)
 	}
 	return NoLabel
 }
@@ -475,7 +452,10 @@ func (f *Frozen) ResolveLabels(labels []string) []LabelID {
 
 // Labels returns the distinct node labels in deterministic order.
 func (f *Frozen) Labels() []string {
-	ls := append([]string(nil), f.nodeLabelNames...)
+	ls := make([]string, f.nodeLabels.size())
+	for id := range ls {
+		ls[id] = f.nodeLabels.str(uint32(id))
+	}
 	sort.Strings(ls)
 	return ls
 }
@@ -512,7 +492,7 @@ func (f *Frozen) InByLabelID(v NodeID, id LabelID) []NodeID {
 // nodesWithLabel returns the internal ascending run of nodes carrying
 // exactly the given label.
 func (f *Frozen) nodesWithLabel(label string) []NodeID {
-	id, ok := f.nodeLabelIDs[label]
+	id, ok := f.nodeLabels.id(label)
 	if !ok {
 		return nil
 	}

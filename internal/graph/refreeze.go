@@ -5,21 +5,19 @@
 // uses. Every untouched node's row — targets, wildcard view, label
 // directory — is copied verbatim in bulk, with a constant per-span offset
 // shift for the directory starts. Attribute rows go the same way: only the
-// nodes whose attributes the delta set or dropped are rewritten, and the
-// name and value tables are the base's, extended by one layer holding the
-// strings the delta brought. Total cost is O(k log k + E_touched + V)
-// plus the unavoidable memcpy of the clean rows, which is what makes
-// refreezing a ≤1% delta into a 100k-edge snapshot ~an order of magnitude
-// cheaper than Builder.Freeze from scratch (gated by the refreeze_speedup
-// CI metric). Refreeze always merges from the base; Delta.Overlay lays a
-// later version out over the previous overlay instead, with the same
-// writer (Delta.refreezeFrom) and only the rows touched since.
+// nodes whose attributes the delta set or dropped are rewritten. Every
+// string table — attribute names and values, node and edge labels — is
+// the base's, extended by at most one layer holding the strings the delta
+// brought. Total cost is O(k log k + E_touched + V) plus the unavoidable
+// memcpy of the clean rows, which is what makes refreezing a ≤1% delta
+// into a 100k-edge snapshot ~an order of magnitude cheaper than
+// Builder.Freeze from scratch (gated by the refreeze_speedup CI metric).
+// Refreeze always merges from the base; Delta.Overlay lays a later version
+// out over the previous overlay instead, with the same writer
+// (Delta.refreezeFrom) and only the rows touched since.
 package graph
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // Refreeze merges the delta into a new immutable snapshot. The receiver must
 // be the delta's base; the receiver, the delta and every snapshot taken
@@ -39,7 +37,8 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 // the base and the delta's edit sets; attribute rows change only at the
 // nodes logged since, and are rewritten from the delta. Every other row is
 // src's, copied in bulk. The attribute tables are relayered from src's over
-// the base's, so along a chain of overlays they stay two layers deep. The
+// the base's, and the label tables are src's or a copy of the delta's layer
+// (labelTable), so along a chain of overlays they stay two layers deep. The
 // rows merged from the base are kept per version, so an Overlay and a
 // Refreeze of the same version merge them once. Node IDs are src's, and so
 // are the label and attribute IDs.
@@ -58,10 +57,8 @@ func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 
 	nf := &Frozen{}
 	d.refreezeAttrs(src, d.TouchedSince(since)).into(nf)
-	nf.labelIDs, nf.labelNames = extendLabels(src.labelNames, f.labelNames, d.labelNames,
-		src.labelIDs, f.labelIDs, d.labelIDs)
-	nf.nodeLabelIDs, nf.nodeLabelNames = extendLabels(src.nodeLabelNames, f.nodeLabelNames, d.nodeLabelNames,
-		src.nodeLabelIDs, f.nodeLabelIDs, d.nodeLabelIDs)
+	nf.nodeLabels = labelTable(src.nodeLabels, d.nodeLabels)
+	nf.edgeLabels = labelTable(src.edgeLabels, d.edgeLabels)
 	nf.nodeLabelOf = make([]LabelID, n2)
 	copy(nf.nodeLabelOf, f.nodeLabelOf)
 	copy(nf.nodeLabelOf[baseN:], d.nodeLabelOf)
@@ -116,18 +113,15 @@ func (d *Delta) rowNodes(src *Frozen, since int) []NodeID {
 	return rows
 }
 
-// extendLabels returns one label table of a snapshot of the delta: src's
-// when it already holds every label the delta brought (Frozen tables are
-// never mutated after construction), else the base's extended by the
-// delta's.
-func extendLabels(src, base, added []string, srcIDs, baseIDs, addedIDs map[string]LabelID) (map[string]LabelID, []string) {
-	if len(src) == len(base)+len(added) {
-		return srcIDs, src
+// labelTable returns one label table of a snapshot of the delta, whose
+// layer of that table is t: src's when it already holds every label of t
+// (it is the base's, or a copy of t taken at an earlier version), else a
+// sealed copy of t, which the delta goes on interning into.
+func labelTable(src, t *strTable) *strTable {
+	if src.size() == t.size() {
+		return src
 	}
-	ids := make(map[string]LabelID, len(baseIDs)+len(addedIDs))
-	maps.Copy(ids, baseIDs)
-	maps.Copy(ids, addedIDs)
-	return ids, append(slices.Clip(base), added...)
+	return t.relayer(t.base).seal()
 }
 
 // refreezeDir lays out one direction of the new snapshot over src, that

@@ -74,10 +74,11 @@ func (e *snapEnc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *snapEnc) strs(ss []string) {
-	e.u32(uint32(len(ss)))
-	for _, s := range ss {
-		e.str(s)
+// table writes a string table's strings in ID order.
+func (e *snapEnc) table(t *strTable) {
+	e.u32(t.size())
+	for id := range t.size() {
+		e.str(t.str(id))
 	}
 }
 
@@ -124,11 +125,10 @@ func (e *snapEnc) dir(d *csrDir) {
 // writes, counted from the slice and string lengths.
 func (f *Frozen) payloadSize() int {
 	n := 4 + 4 + 4 + 8 + 4 // the two label-table counts, |V|, |E|, the tombstone flag
-	for _, s := range f.nodeLabelNames {
-		n += 4 + len(s)
-	}
-	for _, s := range f.labelNames {
-		n += 4 + len(s)
+	for _, t := range []*strTable{f.nodeLabels, f.edgeLabels} {
+		for id := range t.size() {
+			n += 4 + len(t.str(id))
+		}
 	}
 	n += 4 * f.NumNodes() // tuple lengths
 	for _, k := range f.attrKeys {
@@ -153,8 +153,8 @@ func (f *Frozen) payloadSize() int {
 // complete image or, on error, nothing beyond what it already consumed.
 func (f *Frozen) WriteSnapshot(w io.Writer) error {
 	e := &snapEnc{buf: make([]byte, 0, f.payloadSize())}
-	e.strs(f.nodeLabelNames)
-	e.strs(f.labelNames)
+	e.table(f.nodeLabels)
+	e.table(f.edgeLabels)
 	e.u32(uint32(f.NumNodes()))
 	snapInts(e, f.nodeLabelOf)
 	// Each tuple is written in name order, whatever order the IDs were
@@ -261,23 +261,26 @@ func (d *snapDec) bytes() []byte {
 	return d.take(int(n))
 }
 
-func (d *snapDec) strs() []string {
+// table reads a label table snapEnc.table wrote; what names it in errors.
+// A label may appear once: a repeat would split its nodes or edges over two
+// IDs, of which a lookup by name finds one.
+func (d *snapDec) table(what string) *strTable {
+	t := newLayer(nil)
 	n := int(d.u32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
 	// Each string needs at least its 4-byte length prefix: a count that
 	// cannot fit in the remaining payload is corrupt, and must fail before
-	// it sizes an allocation.
-	if n < 0 || n > (len(d.b)-d.pos)/4 {
-		d.fail("string table of %d entries exceeds remaining payload", n)
-		return nil
+	// it sizes anything.
+	if d.err == nil && n > (len(d.b)-d.pos)/4 {
+		d.fail("%s table of %d entries exceeds remaining payload", what, n)
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = d.str()
+	for i := 0; i < n && d.err == nil; i++ {
+		s := d.bytes()
+		if _, dup := t.ids[string(s)]; dup {
+			d.fail("%s table repeats label %q", what, s)
+		}
+		t.add(string(s))
 	}
-	return ss
+	return t
 }
 
 // count reads a slice length and sanity-checks it against the bytes that
@@ -403,15 +406,6 @@ func (d *snapDec) dir(n, nLabels int) csrDir {
 	return c
 }
 
-// internTable rebuilds the name→ID map a Frozen keeps beside a name table.
-func internTable(names []string) map[string]LabelID {
-	m := make(map[string]LabelID, len(names))
-	for i, s := range names {
-		m[s] = LabelID(i)
-	}
-	return m
-}
-
 // ReadSnapshot loads a snapshot written by WriteSnapshot. The header's magic,
 // version and checksums are verified before the payload is decoded; the
 // returned Frozen is query-identical to the one serialized.
@@ -443,8 +437,8 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 
 	d := &snapDec{b: payload}
 	f := &Frozen{}
-	f.nodeLabelNames = d.strs()
-	f.labelNames = d.strs()
+	f.nodeLabels = d.table("node-label")
+	f.edgeLabels = d.table("edge-label")
 	n := int(d.u32())
 	f.nodeLabelOf = snapIntsOut[LabelID](d)
 	if d.err == nil && len(f.nodeLabelOf) != n {
@@ -455,8 +449,8 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 		attrs = newAttrBuilder(n, newLayer(nil), newLayer(nil))
 		for v := 0; v < n; v++ {
 			lid := f.nodeLabelOf[v]
-			if lid < 0 || int(lid) >= len(f.nodeLabelNames) {
-				d.fail("node %d references label %d of %d", v, lid, len(f.nodeLabelNames))
+			if lid < 0 || uint32(lid) >= f.nodeLabels.size() {
+				d.fail("node %d references label %d of %d", v, lid, f.nodeLabels.size())
 				break
 			}
 			// Each attribute needs at least two 4-byte length prefixes;
@@ -484,8 +478,8 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 		}
 	}
 	f.edges = int(d.u64())
-	f.out = d.dir(n, len(f.labelNames))
-	f.in = d.dir(n, len(f.labelNames))
+	f.out = d.dir(n, int(f.edgeLabels.size()))
+	f.in = d.dir(n, int(f.edgeLabels.size()))
 	if d.err == nil && (f.edges != len(f.out.targets) || len(f.in.targets) != len(f.out.targets)) {
 		// WriteSnapshot derives edges from the out CSR; an image where the
 		// recorded count disagrees (or the directions disagree with each
@@ -544,8 +538,6 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	if d.pos != len(d.b) {
 		return nil, fmt.Errorf("graph: snapshot: %d trailing bytes after payload", len(d.b)-d.pos)
 	}
-	f.nodeLabelIDs = internTable(f.nodeLabelNames)
-	f.labelIDs = internTable(f.labelNames)
 	attrs.into(f)
 	return f, nil
 }

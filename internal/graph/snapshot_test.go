@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -194,6 +195,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(seeds[2][:len(seeds[2])/2]) // truncated
 	f.Add(swappedLabelIndexImage(f))
+	for _, img := range repeatedLabelImages(f) {
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readBack(t, data)
 		if len(data) >= 28 {
@@ -294,6 +298,50 @@ func swappedLabelIndexImage(tb testing.TB) []byte {
 func TestReadSnapshotRejectsMislabelledIndex(t *testing.T) {
 	if g, err := ReadSnapshot(bytes.NewReader(swappedLabelIndexImage(t))); err == nil {
 		t.Fatalf("a swapped nodes-by-label index loaded: candidates of A are %v", g.AppendCandidates(nil, "A"))
+	}
+}
+
+// repeatedLabelImages writes a graph of nodes a and b with edges 0→1 e and
+// 1→0 f twice: once with its node-label table patched to a, a, once with
+// its edge-label table patched to e, e. The checksums and the
+// nodes-by-label index hold, but a lookup by name would find one of the
+// two IDs: candidates of a would miss node 0, or HasEdge(0, 1, "e") would
+// miss the edge.
+func repeatedLabelImages(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, edge := range []bool{false, true} {
+		b := NewBuilder(2)
+		x, y := b.AddNode("a"), b.AddNode("b")
+		b.AddEdge(x, y, "e")
+		b.AddEdge(y, x, "f")
+		bad := b.Freeze()
+		if edge {
+			bad.edgeLabels.strs[1] = "e"
+		} else {
+			bad.nodeLabels.strs[1] = "a"
+		}
+		var buf bytes.Buffer
+		if err := bad.WriteSnapshot(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestReadSnapshotRejectsRepeatedLabel: a label table must name each label
+// once, and the error names the table and the label.
+func TestReadSnapshotRejectsRepeatedLabel(t *testing.T) {
+	images := repeatedLabelImages(t)
+	for i, want := range []string{`node-label table repeats label "a"`, `edge-label table repeats label "e"`} {
+		g, err := ReadSnapshot(bytes.NewReader(images[i]))
+		if err == nil {
+			t.Fatalf("an image whose %s loaded: candidates of a are %v, HasEdge(0, 1, e) is %v",
+				want, g.AppendCandidates(nil, "a"), g.HasEdgeID(0, 1, g.EdgeLabelID("e")))
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %s", err, want)
+		}
 	}
 }
 
