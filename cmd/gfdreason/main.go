@@ -28,7 +28,10 @@
 // change. imp chases in one fixed order at every -p, so its output, stderr
 // included, does not depend on -p. check runs its pattern groups on GOMAXPROCS
 // workers (every core unless the GOMAXPROCS environment variable says
-// otherwise); the list it prints does not depend on the worker count. Exit
+// otherwise); the list it prints does not depend on the worker count. The
+// "matches reused" count check prints on stderr counts only the matches its
+// searches deliver: once a group has made many matches per node, its search
+// skips the subtrees where no rule of the group can be violated. Exit
 // status 0 on success, 1 on a negative check answer, 2 on usage or parse
 // errors, 3 when -timeout expired before the run finished — a negative answer
 // (exit 1) and a run that never completed (exit 3) are different facts, so they

@@ -221,8 +221,13 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, pre
 		s := match.NewSearch(p, g, match.Options{
 			Order:          p.PivotOrder(u),
 			RootCandidates: roots,
-			Filter:         func(x pattern.Var, v graph.NodeID) bool { return x >= u || !sc.has.Test(v) },
-			Ctx:            ctx,
+			Filter: func(_ match.Assignment, x pattern.Var, cands []graph.NodeID) []graph.NodeID {
+				if x >= u {
+					return cands
+				}
+				return slices.DeleteFunc(cands, sc.has.Test)
+			},
+			Ctx: ctx,
 		})
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
 			st.Reenumerated++

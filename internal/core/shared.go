@@ -18,6 +18,7 @@ import (
 	"repro/internal/gfd"
 	"repro/internal/graph"
 	"repro/internal/match"
+	"repro/internal/pattern"
 )
 
 // VerifyOptions configures ViolationsOpts. It has no exported fields: the
@@ -27,6 +28,9 @@ type VerifyOptions struct {
 	// starts, receiving the group's index — the seam the panic-isolation
 	// test uses to detonate inside a worker.
 	testHookGroupStart func(grp int)
+	// testArmAt, when non-nil, replaces n/16 as the number of matches on n
+	// nodes after which a group arms (0: before its search starts).
+	testArmAt func(n int) int
 }
 
 // VerifyStats reports how much enumeration work the grouped evaluation
@@ -39,7 +43,8 @@ type VerifyStats struct {
 	SharedGFDs int
 	// MatchesReused counts match deliveries beyond the first per enumerated
 	// match: for a match shared by an m-member group, m−1 re-enumerations
-	// that never happened.
+	// that never happened. Only the matches the search delivers count, so
+	// none the literal guard pruned away.
 	MatchesReused int
 }
 
@@ -68,6 +73,7 @@ type groupCheck struct {
 	members []int      // the group's members, as indexes into Σ
 	prog    *match.LiteralEval
 	scr     *match.LiteralScratch
+	guard   *match.LiteralGuard // set by arm; nil on the plain path
 }
 
 func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
@@ -98,6 +104,13 @@ func (c *groupCheck) check(g *graph.Frozen, h match.Assignment, out [][]Violatio
 	return kept != nil
 }
 
+// arm switches the group to value columns and to the literal guard of a
+// search in order.
+func (c *groupCheck) arm(order []pattern.Var) {
+	c.scr = c.prog.NewColumnScratch()
+	c.guard = c.prog.Guard(order)
+}
+
 // ViolationsOpts is ViolationsCtx with sharing statistics. The violation
 // list is what checking each GFD on its own would give, violation for
 // violation, in Σ-then-enumeration order. The pattern groups run as tasks
@@ -110,10 +123,13 @@ func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt Verif
 // violations is ViolationsOpts on the given number of workers: one pool
 // task per pattern group enumerates the group's pattern and checks its
 // members at every match. Groups partition Σ, so the tasks append to
-// disjoint entries of the per-GFD lists. A group reads value columns after
-// n/16 matches on n nodes, and the groups on them fill each entry once:
-// fewer matches per node do not repay a column's 4 B a node (check-dense's
-// groups make 7, store-lifecycle's 0.02, where columns cost it 3 %).
+// disjoint entries of the per-GFD lists. After n/16 matches on n nodes a
+// group arms: it reads value columns, which the groups on them fill each
+// entry of once, and its search drops the subtrees where the literal guard
+// refutes every member. Fewer matches per node repay neither a column's
+// 4 B a node nor the guard's literal checks at every frame (check-dense's
+// groups make 7, store-lifecycle's 0.02, where arming from the first match
+// doubles validation time).
 func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, opt VerifyOptions) ([]Violation, VerifyStats, error) {
 	g := r.Snapshot()
 	groups := set.Groups()
@@ -133,14 +149,26 @@ func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, 
 		}
 		grp := groups[gi]
 		c := newGroupCheck(set, grp)
-		s := match.NewSearch(grp.Pattern, g, match.Options{Ctx: pl.ctx})
+		order, at := match.DefaultOrder(grp.Pattern), g.NumNodes()/16
+		if opt.testArmAt != nil {
+			at = opt.testArmAt(g.NumNodes())
+		}
+		if at == 0 {
+			c.arm(order)
+		}
+		guard := func(h match.Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
+			if c.guard == nil {
+				return cands
+			}
+			return c.guard.Filter(g, c.scr, h, v, cands)
+		}
+		s := match.NewSearch(grp.Pattern, g, match.Options{Order: order, Filter: guard, Ctx: pl.ctx})
 		matches := 0
 		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			if matches == g.NumNodes()/16 {
-				c.scr = c.prog.NewColumnScratch()
-			}
 			c.check(g, h, byGFD)
-			matches++
+			if matches++; matches == at {
+				c.arm(order)
+			}
 		}
 		reused[w] += matches * (len(grp.Members) - 1)
 		return canceledErr(s.Err())

@@ -153,33 +153,53 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	}
 }
 
-// TestViolationsAttrColumnThreshold pins when validation reads value
-// columns: a group switches from rows to columns after n/16 matches on a
-// snapshot of n nodes, so a group with exactly that many matches makes no
-// column and one more match makes one per name it reads. The violation
-// lists are the oracle's either way.
+// TestViolationsAttrColumnThreshold pins when a validation group arms: it
+// switches from rows to value columns, and turns its literal guard on,
+// after n/16 matches on a snapshot of n nodes, so a group with exactly that
+// many matches makes no column and one more match makes one per name it
+// reads. The group's two members hold at every other match, which the
+// armed guard drops, so the matches delivered (MatchesReused, for a group
+// of two) show the guard arming at the same count. The violation lists are
+// the oracle's either way.
 func TestViolationsAttrColumnThreshold(t *testing.T) {
 	p := pattern.New()
 	x, y := p.AddVar("x", "a"), p.AddVar("y", "b")
 	p.AddEdge(x, y, "e")
-	set := gfd.NewSet(gfd.MustNew("eq", p, nil, []gfd.Literal{gfd.Vars(x, "A", y, "A")}))
+	eq := func(name string) *gfd.GFD { return gfd.MustNew(name, p, nil, []gfd.Literal{gfd.Vars(x, "A", y, "A")}) }
+	set := gfd.NewSet(eq("eq"), eq("eq2"))
 	const n = 320
-	for _, extra := range []int{0, 1} {
+	for _, extra := range []int{0, 1, 8} {
 		b := graph.NewBuilder(0)
 		for i := 0; i < n; i++ {
 			v := b.AddNode([]string{"a", "b"}[i%2])
-			b.SetAttr(v, "A", fmt.Sprint(i%3))
+			// Match k is the pair (2k, 2k+1): equal values when k is even.
+			a := i % 3
+			if (i/2)%2 == 0 {
+				a = (i / 2) % 3
+			}
+			b.SetAttr(v, "A", fmt.Sprint(a))
 		}
-		for i := 0; i < n/16+extra; i++ {
+		matches := n/16 + extra
+		for i := 0; i < matches; i++ {
 			b.AddEdge(graph.NodeID(2*i), graph.NodeID(2*i+1), "e")
 		}
 		f := b.Freeze()
-		got := Violations(f, set)
-		if !sameAsOracle(f, set, got) || len(got) == 0 {
-			t.Fatalf("%d matches: %d violations, not the oracle's", n/16+extra, len(got))
+		got, st, err := ViolationsOpts(context.Background(), f, set, VerifyOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cols, want := f.NumAttrColumns(), extra; cols != want {
-			t.Fatalf("%d matches on %d nodes: %d value columns, want %d", n/16+extra, n, cols, want)
+		if !sameAsOracle(f, set, got) || len(got) == 0 {
+			t.Fatalf("%d matches: %d violations, not the oracle's", matches, len(got))
+		}
+		if cols, want := f.NumAttrColumns(), min(extra, 1); cols != want {
+			t.Fatalf("%d matches on %d nodes: %d value columns, want %d", matches, n, cols, want)
+		}
+		delivered := n / 16
+		for k := n / 16; k < matches; k++ {
+			delivered += k % 2
+		}
+		if st.MatchesReused != delivered {
+			t.Fatalf("%d matches on %d nodes: %d delivered, want %d", matches, n, st.MatchesReused, delivered)
 		}
 	}
 }

@@ -125,6 +125,7 @@ type LiteralScratch struct {
 	columns bool // read slots through the snapshot's value columns
 	slots   []slotState
 	consts  []graph.ValueID // per program constant, its value ID
+	live    []liveMember    // LiteralGuard.Filter's current frame
 }
 
 // slotState is one slot of a scratch: the program's variable, the name ID
@@ -183,27 +184,36 @@ func (s *LiteralScratch) bind(e *LiteralEval, rows *graph.Frozen) {
 	s.Begin()
 }
 
-// load fetches slot i at match h, reading the column or row only when the
-// slot last read a different node.
-func (s *LiteralScratch) load(h Assignment, i int) graph.ValueID {
+// noVar is a variable no slot has: holds at a full match binds nothing
+// beyond h.
+const noVar pattern.Var = -1
+
+// load fetches slot i at h with v bound to c, reading the column or row only
+// when the slot last read a different node.
+func (s *LiteralScratch) load(h Assignment, i int, v pattern.Var, c graph.NodeID) graph.ValueID {
 	sl := &s.slots[i]
-	if v := h[sl.v]; v != sl.node {
+	n := c
+	if sl.v != v {
+		n = h[sl.v]
+	}
+	if n != sl.node {
 		if sl.col != nil {
-			sl.val = sl.col.At(v)
+			sl.val = sl.col.At(n)
 		} else {
-			sl.val = s.rows.AttrAt(v, sl.name)
+			sl.val = s.rows.AttrAt(n, sl.name)
 		}
-		sl.node = v
+		sl.node = n
 	}
 	return sl.val
 }
 
-// holds evaluates one compiled literal set with the standard semantics:
-// x.A = c holds iff the attribute exists with value c; x.A = y.B iff both
-// exist and are equal. Short-circuits on the first failing literal.
-func (s *LiteralScratch) holds(refs []litRef, h Assignment) bool {
+// holds evaluates one compiled literal set at h with v bound to c, with the
+// standard semantics: x.A = c holds iff the attribute exists with value c;
+// x.A = y.B iff both exist and are equal. Short-circuits on the first
+// failing literal.
+func (s *LiteralScratch) holds(refs []litRef, h Assignment, v pattern.Var, c graph.NodeID) bool {
 	for _, r := range refs {
-		v1 := s.load(h, r.slot1)
+		v1 := s.load(h, r.slot1, v, c)
 		if v1 == graph.NoValue {
 			return false
 		}
@@ -211,7 +221,7 @@ func (s *LiteralScratch) holds(refs []litRef, h Assignment) bool {
 			if v1 != s.consts[r.konst] {
 				return false
 			}
-		} else if v1 != s.load(h, r.slot2) { // a missing y.B is NoValue ≠ v1
+		} else if v1 != s.load(h, r.slot2, v, c) { // a missing y.B is NoValue ≠ v1
 			return false
 		}
 	}
@@ -225,5 +235,109 @@ func (e *LiteralEval) Violates(m int, g *graph.Frozen, h Assignment, s *LiteralS
 		s.bind(e, g)
 	}
 	prog := &e.members[m]
-	return s.holds(prog.x, h) && !s.holds(prog.y, h)
+	return s.holds(prog.x, h, noVar, 0) && !s.holds(prog.y, h, noVar, 0)
+}
+
+// LiteralGuard is a group's literal program compiled against one search
+// order, to prune that search: each literal is filed under its decision
+// depth, the position in the order of the last of its variables to bind.
+// It is immutable and safe to share; Filter's per-frame state lives in the
+// scratch it is handed.
+type LiteralGuard struct {
+	e       *LiteralEval
+	depth   []int // per pattern variable, its position in the order
+	members []guardProg
+}
+
+// guardProg is one member's literals sorted by decision depth: those
+// decided at depth d are x[xAt[d]:xAt[d+1]] and y[yAt[d]:yAt[d+1]].
+type guardProg struct {
+	x, y     []litRef
+	xAt, yAt []int
+}
+
+// liveMember is a member a frame's bound prefix does not refute, with the
+// literals that can refute it at the frame's candidates: its X literals
+// decided there, and its Y literals decided there when they are the last of
+// a Y that holds so far (else y is nil).
+type liveMember struct {
+	x, y []litRef
+}
+
+// Guard compiles the program against a search order over all of the
+// pattern's variables.
+func (e *LiteralEval) Guard(order []pattern.Var) *LiteralGuard {
+	gd := &LiteralGuard{e: e, depth: make([]int, len(order)), members: make([]guardProg, len(e.members))}
+	for d, v := range order {
+		gd.depth[v] = d
+	}
+	decided := func(r litRef) int {
+		d := gd.depth[e.slotVar[r.slot1]]
+		if !r.isConst {
+			d = max(d, gd.depth[e.slotVar[r.slot2]])
+		}
+		return d
+	}
+	byDepth := func(refs []litRef) ([]litRef, []int) {
+		out, at := make([]litRef, 0, len(refs)), make([]int, len(order)+1)
+		for d := range order {
+			at[d] = len(out)
+			for _, r := range refs {
+				if decided(r) == d {
+					out = append(out, r)
+				}
+			}
+		}
+		at[len(order)] = len(out)
+		return out, at
+	}
+	for m, prog := range e.members {
+		gp := &gd.members[m]
+		gp.x, gp.xAt = byDepth(prog.x)
+		gp.y, gp.yAt = byDepth(prog.y)
+	}
+	return gd
+}
+
+// Filter is an Options.Filter for a search in the guard's order, reading g
+// through s. It drops each candidate for v at which every member is
+// refuted: one of its X literals is decided and false, or all of its Y
+// literals are decided and hold. No match below such a candidate violates
+// a member, and the survivors keep their order. A frame's live members are
+// computed once from the bound prefix, and a candidate costs only the
+// literals decided at v.
+func (gd *LiteralGuard) Filter(g *graph.Frozen, s *LiteralScratch, h Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
+	if g != s.rows {
+		s.bind(gd.e, g)
+	}
+	d := gd.depth[v]
+	s.live = s.live[:0]
+	for m := range gd.members {
+		p := &gd.members[m]
+		if !s.holds(p.x[:p.xAt[d]], h, noVar, 0) {
+			continue
+		}
+		yHolds := s.holds(p.y[:p.yAt[d]], h, noVar, 0)
+		if yHolds && p.yAt[d] == len(p.y) {
+			continue // all of Y is decided, and holds
+		}
+		lm := liveMember{x: p.x[p.xAt[d]:p.xAt[d+1]]}
+		if yHolds && p.yAt[d+1] == len(p.y) {
+			lm.y = p.y[p.yAt[d]:p.yAt[d+1]]
+		}
+		if len(lm.x) == 0 && lm.y == nil {
+			return cands // no candidate refutes this member
+		}
+		s.live = append(s.live, lm)
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		for _, lm := range s.live {
+			if s.holds(lm.x, h, v, c) && (lm.y == nil || !s.holds(lm.y, h, v, c)) {
+				kept = append(kept, c)
+				break
+			}
+		}
+	}
+	return kept
 }

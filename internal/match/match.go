@@ -56,7 +56,7 @@ func (a Assignment) Complete() bool {
 type Search struct {
 	p      *pattern.Pattern
 	g      *graph.Frozen // the snapshot of NewSearch's reader
-	filter func(pattern.Var, graph.NodeID) bool
+	filter func(Assignment, pattern.Var, []graph.NodeID) []graph.NodeID
 	// rootCands, when non-nil, replaces the label-index candidate pull for
 	// the first open variable (the root frame): the shard fan-out partitions
 	// the root candidate set this way. All downstream pruning still applies.
@@ -146,9 +146,12 @@ type Options struct {
 	// the full match set, partitioned — the basis of the sharded fan-out and
 	// of the parallel engines' work units.
 	RootCandidates []graph.NodeID
-	// Filter, when non-nil, limits candidates further (e.g. to a simulation
-	// relation) without allocating per-search sets.
-	Filter func(pattern.Var, graph.NodeID) bool
+	// Filter, when non-nil, limits candidates further: it is handed each
+	// frame's verified, duplicate-free candidate list for v, with h holding
+	// the variables bound before v, and returns the candidates it keeps,
+	// compacted in place and in order. h is the search's own assignment and
+	// must not be written.
+	Filter func(h Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID
 	// Plan, when non-nil, supplies the precompiled planning artifacts
 	// (resolved label IDs, default order, pre-pruned root candidates) from
 	// CompilePlan/PlanCache.Get, skipping per-search planning. The plan
@@ -329,11 +332,12 @@ func (s *Search) pop() {
 // adjacency when one exists (cheap — only edges carrying the pattern edge's
 // label are visited), else from the label index; pruned by the variable's
 // degree/label signature; then filtered against every pattern edge whose
-// other endpoint is bound. The bound set is frozen while the frame iterates
-// (deeper frames pop before this frame advances), so the returned list is
-// fully verified and Next assigns from it without a per-candidate check.
-// All filtering compacts buf in place, so steady-state backtracking reuses
-// the per-depth scratch buffer without allocating.
+// other endpoint is bound, deduplicated, and handed to Options.Filter once.
+// The bound set is frozen while the frame iterates (deeper frames pop
+// before this frame advances), so the returned list is fully verified and
+// Next assigns from it without a per-candidate check. All filtering
+// compacts buf in place, so steady-state backtracking reuses the per-depth
+// scratch buffer without allocating.
 func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) []graph.NodeID {
 	label := s.p.Label(v)
 	base := buf
@@ -394,20 +398,14 @@ func (s *Search) candidates(v pattern.Var, buf []graph.NodeID) []graph.NodeID {
 	// List-at-a-time, with each bound neighbor's label-filtered adjacency
 	// resolved once instead of per candidate.
 	base = s.filterBoundEdges(v, base, genIn, genEi)
-	if s.filter != nil {
-		kept := base[:0]
-		for _, n := range base {
-			if s.filter(v, n) {
-				kept = append(kept, n)
-			}
-		}
-		base = kept
-	}
 	if needDedup {
 		// Candidate lists are ascending (sorted adjacency, filters preserve
 		// order), so duplicates are adjacent. Label-index candidates and
 		// exact-label adjacency lists are unique by construction.
 		base = dedupSorted(base)
+	}
+	if s.filter != nil {
+		base = s.filter(s.assign, v, base)
 	}
 	return base
 }

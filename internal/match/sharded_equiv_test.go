@@ -3,6 +3,7 @@ package match_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -94,7 +95,9 @@ func TestShardedMatchEquivalenceUniform(t *testing.T) {
 
 			// With the simulation pre-filter layered on as a Filter.
 			if sim := match.Simulate(p, f); sim != nil {
-				opts := match.Options{Filter: sim.Has}
+				opts := match.Options{Filter: func(_ match.Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
+					return slices.DeleteFunc(cands, func(n graph.NodeID) bool { return !sim.Has(v, n) })
+				}}
 				diffSets(t, ctx+" (filtered)",
 					matchSetOf(match.FindAllSharded(p, s, 3, opts)), matchSet(p, f, opts))
 			}
