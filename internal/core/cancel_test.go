@@ -401,7 +401,7 @@ func TestViolationsCtx(t *testing.T) {
 }
 
 // TestViolationsPanicIsIsolated panics inside a validation task, in a
-// middle pattern group: ViolationsOpts must return a *PanicError instead of
+// middle pattern group: validation must return a *PanicError instead of
 // crashing the process, and leave no worker behind.
 func TestViolationsPanicIsIsolated(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
@@ -413,12 +413,13 @@ func TestViolationsPanicIsIsolated(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	opt := VerifyOptions{testHookGroupStart: func(grp int) {
-		if grp == groups/2 {
+	mid := set.Groups()[groups/2].Members[0]
+	opt := ParOptions{Workers: runtime.GOMAXPROCS(0), testHookUnitStart: func(first int) {
+		if first == mid {
 			panic("group-boom")
 		}
 	}}
-	_, _, err := ViolationsOpts(context.Background(), g, set, opt)
+	_, _, err := violations(g, set, opt)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)

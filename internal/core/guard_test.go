@@ -58,18 +58,19 @@ func guardKept(t *testing.T, g *graph.Frozen, set *gfd.Set) []int {
 		t.Fatalf("%d groups, want 1", len(groups))
 	}
 	grp := groups[0]
-	c := newGroupCheck(set, grp)
+	byGFD := make([][]Violation, set.Len())
+	c := newGroupCheck(set, grp, g, 0, context.Background(), byGFD)
+	c.scr = c.prog.NewColumnScratch()
 	order := match.DefaultOrder(grp.Pattern)
-	c.arm(order)
+	guard := c.prog.Guard(order)
 	kept := make([]int, len(order))
 	s := match.NewSearch(grp.Pattern, g, match.Options{Order: order, Filter: func(h match.Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
-		out := c.guard.Filter(g, c.scr, h, v, cands)
+		out := guard.Filter(g, c.scr, h, v, cands)
 		kept[slices.Index(order, v)] += len(out)
 		return out
 	}})
-	byGFD := make([][]Violation, set.Len())
 	for h, ok := s.Next(); ok; h, ok = s.Next() {
-		c.check(g, h, byGFD)
+		c.check(h)
 	}
 	if !sameAsOracle(g, set, slices.Concat(byGFD...)) {
 		t.Fatalf("guarded violations differ from the oracle's")
@@ -156,17 +157,10 @@ func TestLiteralGuardFalseNeverPrunesOnY(t *testing.T) {
 // the second GFD on, it may repeat an earlier GFD's pattern instead, which
 // makes a group of several members. X has up to 3 literals. Y is `false`,
 // empty, or 1–2 literals. A literal is x.A = c or x.A = y.B, which may
-// cross components or be x.A = x.A. Spent bytes read as 0, so every input
-// decodes; violationsSeed spells an input out.
-func violationsInput(data []byte) (*graph.Frozen, *gfd.Set) {
-	next := func(n int) int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b) % n
-	}
+// cross components or be x.A = x.A. It leaves the rest of the bytes in r;
+// violationsSeed spells an input out.
+func violationsInput(r *fuzzBytes) (*graph.Frozen, *gfd.Set) {
+	next := r.next
 	vals, attrs := []string{"0", "1"}, []string{"A", "B"}
 	b := graph.NewBuilder(0)
 	n := 1 + next(12)
@@ -224,6 +218,20 @@ func violationsInput(data []byte) (*graph.Frozen, *gfd.Set) {
 	return b.Freeze(), set
 }
 
+// fuzzBytes is a fuzz input read a byte at a time. Spent bytes read as 0,
+// so every input decodes.
+type fuzzBytes []byte
+
+// next returns the next byte mod n.
+func (r *fuzzBytes) next(n int) int {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return int(b) % n
+}
+
 // violationsSeed spells out a violationsInput: the node bytes (label, A, B
 // per node), the edge bytes (from, to, label per edge) and one byte string
 // per GFD, each in the decoder's order and within its ranges.
@@ -237,18 +245,13 @@ func violationsSeed(nodes, edges []byte, gfds ...[]byte) []byte {
 	return out
 }
 
-// FuzzViolations holds validation to the brute-force oracle on decoded
-// graphs and Σs: at 1 and 2 workers, with every group armed (value
-// columns and the literal guard) before its search starts and never armed,
-// the list is the oracle's violation set, the same violation for violation
-// and in order every time.
-func FuzzViolations(f *testing.F) {
+// violationsSeeds are hand-built violationsInputs, the seeds of the fuzzers.
+var violationsSeeds = [][]byte{
 	// A star: a-node 0 (A=1, B=0) with e-edges to b-nodes 1–4 (B = 0, 1,
 	// absent, 1; node 3 has A=0), an f-edge 1 -> 2 and an e-loop on 4.
-	star := []byte{0, 2, 1, 1, 0, 1, 1, 0, 2, 1, 1, 0, 1, 0, 2}
-	starEdges := []byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 1, 2, 1, 4, 4, 0}
-	f.Add([]byte{})
-	f.Add(violationsSeed(star, starEdges,
+	violationsSeed(
+		[]byte{0, 2, 1, 1, 0, 1, 1, 0, 2, 1, 1, 0, 1, 0, 2},
+		[]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 1, 2, 1, 4, 4, 0},
 		// x:a -e-> y:b; Y x.A = "1", decided at the root.
 		[]byte{1, 0, 1, 1, 0, 1, 0, 0, 2, 0, 0, 0, 1},
 		// The same pattern: X y.B = "0", then false.
@@ -259,11 +262,11 @@ func FuzzViolations(f *testing.F) {
 		[]byte{0, 1, 0, 2, 0, 0, 2, 0, 0, 1, 1, 1},
 		// x:_ with a wildcard self-loop, x -e-> y:b: X y.B = "1", Y x.B = y.B.
 		[]byte{0, 1, 2, 1, 2, 0, 0, 2, 0, 1, 0, 1, 1, 1, 0, 1, 2, 0, 1, 1, 1, 1},
-	))
+	),
 	// Two f-triangles' worth of b-nodes, one closed by e-edges, with every
 	// attribute pattern, and a four-variable pattern whose literals wait
 	// for its last variable, which is a component of its own.
-	f.Add(violationsSeed(
+	violationsSeed(
 		[]byte{1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 0, 2, 1, 2, 0, 1, 2, 2},
 		[]byte{0, 1, 0, 1, 2, 0, 2, 0, 0, 3, 4, 1, 4, 5, 1, 5, 3, 1, 0, 0, 1},
 		// x0 -e-> x1 -e-> x2, and x3, all wildcards: X x0.A = x3.B, Y
@@ -273,12 +276,25 @@ func FuzzViolations(f *testing.F) {
 		[]byte{1, 0, 0, 3, 0, 0, 0, 0, 3, 1, 1, 3, 1},
 		// x:b with an f-loop: X x.A = "1", Y x.B = "1".
 		[]byte{0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 2, 0, 1, 0, 1},
-	))
+	),
+}
+
+// FuzzViolations holds validation to the brute-force oracle on decoded
+// graphs and Σs: at 1 and 2 workers, with every group armed (value
+// columns and the literal guard) before its search starts and never armed,
+// the list is the oracle's violation set, the same violation for violation
+// and in order every time.
+func FuzzViolations(f *testing.F) {
+	f.Add([]byte{})
+	for _, seed := range violationsSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, set := violationsInput(data)
+		r := fuzzBytes(data)
+		g, set := violationsInput(&r)
 		ctx := context.Background()
 		never := func(int) int { return math.MaxInt }
-		want, _, err := violations(ctx, g, set, 1, VerifyOptions{testArmAt: never})
+		want, _, err := violations(g, set, ParOptions{Ctx: ctx, testArmAt: never})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +303,7 @@ func FuzzViolations(f *testing.F) {
 		}
 		for _, w := range []int{1, 2} {
 			for armed, at := range map[bool]func(int) int{false: never, true: func(int) int { return 0 }} {
-				got, _, err := violations(ctx, g, set, w, VerifyOptions{testArmAt: at})
+				got, _, err := violations(g, set, ParOptions{Workers: w, Ctx: ctx, testArmAt: at})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,8 +16,10 @@ import (
 
 // testGroupCheck is newGroupCheck with a scratch that reads value columns
 // from the first match when columns is set.
+// The tests hand its program the snapshot to read, so it has none of its
+// own.
 func testGroupCheck(set *gfd.Set, grp gfd.Group, columns bool) *groupCheck {
-	c := newGroupCheck(set, grp)
+	c := newGroupCheck(set, grp, nil, 0, context.Background(), nil)
 	if columns {
 		c.scr = c.prog.NewColumnScratch()
 	}
@@ -127,7 +130,7 @@ func literalIDsMatchStrings(t *testing.T, columns bool) {
 	evalAll := func(c *groupCheck, rd reader) {
 		t.Helper()
 		for _, h := range all {
-			for i, mi := range c.members {
+			for i, mi := range c.grp.Members {
 				if got, want := c.prog.Violates(i, rd.r.Snapshot(), h, c.scr), oracle.Violates(rd.r, set.GFDs[mi], h); got != want {
 					t.Fatalf("%s: %s at %v: IDs say violates=%t, strings %t", rd.name, set.GFDs[mi].Name, h, got, want)
 				}
@@ -153,7 +156,7 @@ func literalIDsMatchStrings(t *testing.T, columns bool) {
 	for _, rd := range append(readers, readers[0], readers[2]) {
 		evalAll(c, rd)
 	}
-	// Each GFD on its own scratch, the way Satisfies runs it.
+	// Each GFD on its own scratch, as a group of one.
 	for mi := range set.GFDs {
 		c := testGroupCheck(set, gfd.Group{Pattern: p, Members: []int{mi}}, columns)
 		for _, rd := range readers {

@@ -12,11 +12,12 @@ import (
 )
 
 // ParOptions configures ParSat, ParImp and Revalidate (as
-// RevalidateOptions). The zero value runs one worker without cancellation.
-// How the work is cut is not an option, because nothing is gained by
-// varying it: pattern groups are always taken in the dependency order of
-// Section V-B (groupOrder), a ParSat task is a chunk of ⌈|Σ|/p⌉ of G_Σ's
-// copies, a ParImp unit and a Revalidate task are one pattern group.
+// RevalidateOptions); ViolationsOpts runs validation on it too. The zero
+// value runs one worker without cancellation. How the work is cut is not
+// an option, because nothing is gained by varying it: pattern groups are
+// always taken in the dependency order of Section V-B (groupOrder), a
+// ParSat task is a chunk of ⌈|Σ|/p⌉ of G_Σ's copies, a ParImp unit and a
+// validation or Revalidate task are one pattern group.
 type ParOptions struct {
 	// Workers is p, the number of parallel workers; <= 1 is one worker.
 	Workers int
@@ -29,10 +30,14 @@ type ParOptions struct {
 	// without cancellation.
 	Ctx context.Context
 	// testHookUnitStart, when non-nil, runs at the top of every unit's
-	// search, and as each Revalidate task starts, with the group's first
-	// member — the seam the cancellation and panic-isolation tests use to
-	// act inside a worker.
+	// search, and as each validation or Revalidate task starts, with the
+	// group's first member — the seam the cancellation, panic-isolation and
+	// schedule tests use to act inside a worker.
 	testHookUnitStart func(gfd int)
+	// testArmAt, when non-nil, replaces n/16 as the number of matches on n
+	// nodes after which a validation or Revalidate group arms (0: before its
+	// first search starts).
+	testArmAt func(n int) int
 	// testHookTask, when non-nil, runs as a worker takes a ParSat task — the
 	// seam the chunking tests use to learn which worker chased which chunk,
 	// and how many chunks a run cut.

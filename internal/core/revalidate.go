@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"sort"
 
@@ -33,19 +32,17 @@ type RevalidateOptions = ParOptions
 // compare Reenumerated against the graph's full match volume to see what
 // the delta scoping saved.
 type RevalidateStats struct {
-	GFDs          int // GFDs revalidated
-	Groups        int // pattern groups revalidated
-	Kept          int // prior violations carried over unexamined
-	Reenumerated  int // matches re-enumerated: those meeting the touched set
-	MatchesReused int // match deliveries beyond the first per re-enumerated match
-}
-
-func (s *RevalidateStats) add(other RevalidateStats) {
-	s.GFDs += other.GFDs
-	s.Groups += other.Groups
-	s.Kept += other.Kept
-	s.Reenumerated += other.Reenumerated
-	s.MatchesReused += other.MatchesReused
+	GFDs   int // GFDs revalidated
+	Groups int // pattern groups revalidated
+	Kept   int // prior violations carried over unexamined
+	// Reenumerated counts the matches meeting the touched set that the
+	// searches delivered: once a group arms, its literal guard prunes the
+	// ones no member can violate, and those do not count.
+	Reenumerated int
+	// MatchesReused counts match deliveries beyond the first per
+	// re-enumerated match, over delivered matches only, as
+	// VerifyStats.MatchesReused does.
+	MatchesReused int
 }
 
 // Revalidate computes Violations(g, Σ) from prev, the complete violation
@@ -61,42 +58,24 @@ func (s *RevalidateStats) add(other RevalidateStats) {
 // panic inside a worker (*PanicError). Stats still covers the work completed;
 // the violations slice is nil.
 func Revalidate(set *gfd.Set, r graph.Reader, touched []graph.NodeID, prev []Violation, opt RevalidateOptions) ([]Violation, RevalidateStats, error) {
-	g := r.Snapshot()
-	var stats RevalidateStats
 	// Bucket Σ by pattern structure: one set of searches serves every GFD
 	// sharing the structure, with per-member literal checks fanned out at
 	// each match.
 	groups := set.Groups()
-	n := len(groups)
-	// One task per group on the package's worker pool, which owns failure
-	// isolation and cancellation (first error wins, a panic becomes a
-	// *PanicError, abandoned tasks surface as the canceled error).
-	pl := newPool(opt.Ctx, min(opt.Workers, n))
-	ctx := pl.ctx // never nil
-	stats.GFDs = set.Len()
-	stats.Groups = n
-	prevAt := priorByPosition(set, prev)
+	stats := RevalidateStats{GFDs: set.Len(), Groups: len(groups)}
 	sc := scope{nodes: touched, has: graph.BitsetOf(touched)}
-
-	results := make([][]Violation, set.Len())
-	run := func(gi int, st *RevalidateStats) error {
-		if h := opt.testHookUnitStart; h != nil {
-			h(groups[gi].Members[0])
-		}
-		if err := ctx.Err(); err != nil {
-			return canceledErr(err)
-		}
-		return revalidateGroup(set, groups[gi], g, sc, prevAt, opt.Ctx, st, results)
+	kept := carriedOver(set, prev, sc)
+	for _, vs := range kept {
+		stats.Kept += len(vs)
 	}
-	perStats := make([]RevalidateStats, pl.size())
-	err := pl.run(n, func(w, gi int) error { return run(gi, &perStats[w]) })
-	for _, s := range perStats {
-		stats.add(s)
-	}
+	out, matches, reused, err := checkGroups(set, groups, r.Snapshot(), opt, kept, func(c *groupCheck) error {
+		return revalidateGroup(c, sc)
+	})
+	stats.Reenumerated, stats.MatchesReused = matches, reused
 	if err != nil {
 		return nil, stats, err
 	}
-	return slices.Concat(results...), stats, nil
+	return out, stats, nil
 }
 
 // RevalidateDelta computes Violations(d.Overlay(), Σ) from prev, the
@@ -147,13 +126,17 @@ func (m *revalidateMemo) chains(set *gfd.Set, prev []Violation) bool {
 		(len(prev) == 0 || &m.prev[0] == &prev[0])
 }
 
-// priorByPosition splits prev, which lists each Σ position's violations in
-// Σ order, by position. A GFD that Σ lists c times has c equal runs there,
-// one per position it holds.
-func priorByPosition(set *gfd.Set, prev []Violation) [][]Violation {
+// carriedOver returns, indexed like Σ, the violations of prev whose image
+// avoids the touched set: they carry over unexamined. prev lists each Σ
+// position's violations in Σ order, so a GFD that Σ lists c times has c
+// equal runs there, one per position it holds. Each position's list is
+// capped at its own length, so appending to it never reaches the next.
+func carriedOver(set *gfd.Set, prev []Violation, sc scope) [][]Violation {
 	byGFD := make(map[*gfd.GFD][]Violation, set.Len())
 	for _, v := range prev {
-		byGFD[v.GFD] = append(byGFD[v.GFD], v)
+		if !sc.meets(v.Match) {
+			byGFD[v.GFD] = append(byGFD[v.GFD], v)
+		}
 	}
 	copies := make(map[*gfd.GFD]int, set.Len())
 	for _, phi := range set.GFDs {
@@ -163,7 +146,7 @@ func priorByPosition(set *gfd.Set, prev []Violation) [][]Violation {
 	for i, phi := range set.GFDs {
 		vs := byGFD[phi]
 		k := len(vs) / copies[phi]
-		at[i], byGFD[phi] = vs[:k], vs[k:]
+		at[i], byGFD[phi] = vs[:k:k], vs[k:]
 		copies[phi]--
 	}
 	return at
@@ -186,39 +169,20 @@ func (sc scope) meets(h match.Assignment) bool {
 	return false
 }
 
-// revalidateGroup revalidates one pattern group: carry over each member's
-// prior violations whose image avoids the touched set, re-enumerate the
-// matches whose image meets it once for the whole group (fanning the
-// compiled literal checks out per member at each match), and restore each
-// member's sequential enumeration order. Member mi's violations land in
-// out[mi] (out is indexed like Σ; groups partition Σ, so concurrent calls
-// for different groups write disjoint entries).
-func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, prevAt [][]Violation, ctx context.Context, st *RevalidateStats, out [][]Violation) error {
-	p := grp.Pattern
-	order := match.DefaultOrder(p)
-	if len(order) == 0 {
-		return nil
-	}
-	for _, mi := range grp.Members {
-		for _, v := range prevAt[mi] {
-			if !sc.meets(v.Match) {
-				out[mi] = append(out[mi], v)
-				st.Kept++
-			}
-		}
-	}
-	// Rows, never value columns (see violations): the searches read few
-	// nodes of a snapshot that lives for one batch.
-	gc := newGroupCheck(set, grp)
+// revalidateGroup re-enumerates, through the group's check c, the matches
+// whose image meets the touched set, appending to the carried-over
+// violations, and restores each member's sequential enumeration order.
+func revalidateGroup(c *groupCheck, sc scope) error {
+	p := c.grp.Pattern
 	// The search for variable u roots u at the touched nodes it may match and
 	// bars touched nodes from the variables before u, so a match is found by
 	// the search of the first variable it maps into the touched set.
 	for u := range pattern.Var(p.NumVars()) {
-		roots := match.ScopedRootCandidates(p, g, u, sc.nodes)
+		roots := match.ScopedRootCandidates(p, c.g, u, sc.nodes)
 		if len(roots) == 0 {
 			continue
 		}
-		s := match.NewSearch(p, g, match.Options{
+		err := c.search(match.Options{
 			Order:          p.PivotOrder(u),
 			RootCandidates: roots,
 			Filter: func(_ match.Assignment, x pattern.Var, cands []graph.NodeID) []graph.NodeID {
@@ -227,15 +191,9 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, pre
 				}
 				return slices.DeleteFunc(cands, sc.has.Test)
 			},
-			Ctx: ctx,
 		})
-		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			st.Reenumerated++
-			st.MatchesReused += len(grp.Members) - 1
-			gc.check(g, h, out)
-		}
-		if err := s.Err(); err != nil {
-			return canceledErr(err)
+		if err != nil {
+			return err
 		}
 	}
 	// The carried-over and re-enumerated halves partition each member's
@@ -243,8 +201,9 @@ func revalidateGroup(set *gfd.Set, grp gfd.Group, g *graph.Frozen, sc scope, pre
 	// sequential enumeration is lexicographic in the default variable order
 	// (every search frame iterates an ascending candidate list), so one sort
 	// per member restores full-Violations order.
-	for _, mi := range grp.Members {
-		sortViolationsByOrder(out[mi], order)
+	order := match.DefaultOrder(p)
+	for _, mi := range c.grp.Members {
+		sortViolationsByOrder(c.out[mi], order)
 	}
 	return nil
 }

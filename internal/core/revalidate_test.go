@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -132,51 +133,42 @@ func TestRevalidateEquivalenceGen(t *testing.T) {
 	}
 }
 
-// TestRevalidateMakesNoAttrColumn pins that incremental revalidation reads
-// attribute rows, not the snapshot's value columns: after RevalidateDelta on
-// one worker and on four, over two batches of one delta, no overlay it read
-// holds a column. A writer's overlay is read at the few nodes each batch
-// touches, and a column would be filled per overlay, at 4 B per node
-// (DESIGN.md "Attributes are interned ID rows"). Violations, which reads
-// every match, makes them on the same overlays.
-func TestRevalidateMakesNoAttrColumn(t *testing.T) {
-	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Seed: 3})
-	set := gr.SharedValidationSet(4, 6)
-	g := gr.DenseGraph(300, 6)
-	perturb(rand.New(rand.NewSource(3)), g, 20)
-	base := g.Frozen()
-	prev := Violations(base, set)
-	if base.NumAttrColumns() == 0 || len(prev) == 0 {
-		t.Fatalf("fixture: Violations made %d columns and found %d violations on the base", base.NumAttrColumns(), len(prev))
-	}
-	d := gr.DenseDelta(base, 20)
-	reenumerated := 0
-	for batch := 0; batch < 2; batch++ {
-		if batch > 0 {
-			gr.MutateDelta(d, 20)
+// TestRevalidateArmsLikeViolations pins that a revalidation group arms by
+// validation's rule (TestViolationsAttrColumnThreshold). The delta sets an
+// attribute on the b-node of each of armFixture's matches, so the search
+// rooted at y re-enumerates them all, in the order validation enumerates
+// them; after n/16 of them on the overlay's n nodes the group reads value
+// columns and its guard drops the matches where both members hold. At
+// exactly n/16 matches no column is made and every match is delivered; one
+// more arms the group. The result equals Violations either way.
+func TestRevalidateArmsLikeViolations(t *testing.T) {
+	const n = 320
+	for _, extra := range []int{0, 1, 8} {
+		b, set := armFixture(n)
+		matches := n/16 + extra
+		for i := 0; i < matches; i++ {
+			b.AddEdge(graph.NodeID(2*i), graph.NodeID(2*i+1), "e")
 		}
-		var got []Violation
-		for _, w := range []int{1, 4} {
-			var st RevalidateStats
-			var err error
-			got, st, err = RevalidateDelta(set, d, prev, RevalidateOptions{Workers: w})
-			if err != nil {
-				t.Fatalf("batch %d w=%d: %v", batch, w, err)
-			}
-			if n := d.Overlay().NumAttrColumns(); n != 0 {
-				t.Fatalf("batch %d w=%d: revalidation made %d value columns on the overlay", batch, w, n)
-			}
-			reenumerated += st.Reenumerated
+		base := b.Freeze()
+		prev := Violations(base, set)
+		d := graph.NewDelta(base)
+		for i := 0; i < matches; i++ {
+			d.SetAttr(graph.NodeID(2*i+1), "T", "1")
 		}
-		if want := Violations(d.Overlay(), set); !violationsEqual(got, want) {
-			t.Fatalf("batch %d: revalidate gave %d violations, Violations %d", batch, len(got), len(want))
+		got, st, err := RevalidateDelta(set, d, prev, RevalidateOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.Overlay().NumAttrColumns() == 0 {
-			t.Fatalf("batch %d: Violations made no column on the overlay", batch)
+		overlay := d.Overlay()
+		if cols, want := overlay.NumAttrColumns(), min(extra, 1); cols != want {
+			t.Fatalf("%d matches on %d nodes: %d value columns, want %d", matches, n, cols, want)
 		}
-	}
-	if reenumerated == 0 {
-		t.Fatal("vacuous: no match was re-enumerated")
+		if want := armDelivered(n, matches); st.Reenumerated != want || st.MatchesReused != want {
+			t.Fatalf("%d matches on %d nodes: %d re-enumerated and %d reused, want %d", matches, n, st.Reenumerated, st.MatchesReused, want)
+		}
+		if want := Violations(overlay, set); len(want) == 0 || !violationsEqual(got, want) {
+			t.Fatalf("%d matches: revalidate gave %d violations, Violations %d", matches, len(got), len(want))
+		}
 	}
 }
 
@@ -433,4 +425,117 @@ func TestRevalidateDeltaMemoKey(t *testing.T) {
 		t.Fatalf("Σ shrunk in place: err %v, %d violations, %d re-enumerated; want the full recomputation, from the base",
 			err, len(got), st.Reenumerated)
 	}
+}
+
+// deltaEdits decodes the bytes left in r into one or two batches of edits
+// to a delta over a graph of n nodes. A batch has up to 8 edits, each
+// adding or removing an edge labelled e or f, setting A or B to "0", "1"
+// or "2" (a value no violationsInput graph holds), removing a node or
+// adding one labelled a or b. An edit names a node below n+2, so the first
+// two added nodes too, and is skipped where the delta would refuse it: at
+// a node that is not alive.
+func deltaEdits(r *fuzzBytes, n int) [][]func(*graph.Delta) {
+	node := func() graph.NodeID { return graph.NodeID(r.next(n + 2)) }
+	labels, attrs, vals := []string{"e", "f"}, []string{"A", "B"}, []string{"0", "1", "2"}
+	batches := make([][]func(*graph.Delta), 1+r.next(2))
+	for b := range batches {
+		for k := r.next(9); k > 0; k-- {
+			var e func(*graph.Delta)
+			switch r.next(5) {
+			case 0, 1:
+				add, from, to, l := r.next(2) == 0, node(), node(), labels[r.next(2)]
+				e = func(d *graph.Delta) {
+					if d.Alive(from) && d.Alive(to) {
+						if add {
+							d.AddEdge(from, to, l)
+						} else {
+							d.RemoveEdge(from, to, l)
+						}
+					}
+				}
+			case 2:
+				v, a, c := node(), attrs[r.next(2)], vals[r.next(3)]
+				e = func(d *graph.Delta) {
+					if d.Alive(v) {
+						d.SetAttr(v, a, c)
+					}
+				}
+			case 3:
+				v := node()
+				e = func(d *graph.Delta) {
+					if d.Alive(v) {
+						d.RemoveNode(v)
+					}
+				}
+			case 4:
+				l := []string{"a", "b"}[r.next(2)]
+				e = func(d *graph.Delta) { d.AddNode(l) }
+			}
+			batches[b] = append(batches[b], e)
+		}
+	}
+	return batches
+}
+
+// FuzzRevalidate holds incremental revalidation to the brute-force oracle
+// on a violationsInput graph and Σ edited by deltaEdits' batches: after
+// each batch, RevalidateDelta from the graph's violations, chained over
+// the batches, gives the oracle's violation set on the overlay, in the
+// order of checking each GFD on its own. It runs at 1 and 2 workers, with
+// every group armed (value columns and the literal guard) before its first
+// search starts and never armed.
+func FuzzRevalidate(f *testing.F) {
+	f.Add([]byte{})
+	// On the star: two batches. Node 1 gets A = "1", an f-edge 0 -> 4
+	// comes and the e-edge 0 -> 2 goes; then a b-node 5 comes with an
+	// e-edge from 0 and B = "2", and node 3 goes.
+	f.Add(append(slices.Clone(violationsSeeds[0]),
+		1, 3, 2, 1, 0, 1, 0, 0, 0, 4, 1, 1, 1, 0, 2, 0,
+		4, 4, 1, 0, 0, 0, 5, 0, 2, 5, 1, 2, 3, 3))
+	// On the triangles: one batch. Node 3 gets A = "1", node 4 goes, and
+	// an e-edge 5 -> 0 comes.
+	f.Add(append(slices.Clone(violationsSeeds[1]),
+		0, 3, 2, 3, 0, 1, 3, 4, 0, 0, 5, 0, 0))
+	// One a-node and x:a, then false: the batch adds an e-loop at node 0, so
+	// its prior violation meets the touched set and is found again, not
+	// carried over as well.
+	f.Add(append(violationsSeed([]byte{0, 0, 0}, nil, []byte{0, 0, 0, 0, 0}), 0, 1, 0, 0, 0, 0, 0))
+	// Five a-nodes, an e-loop on node 3, and two rules on two disconnected
+	// a-variables: v0 with three e-loops, then false; and Y v0.A = "0".
+	// One batch adds an a-node, so the search from v1 roots there, and its
+	// guard must decide v0's literals at v0's frame, which comes second.
+	f.Add(append(violationsSeed(
+		[]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{3, 3, 0},
+		[]byte{1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+	), 0, 1, 4, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzBytes(data)
+		g, set := violationsInput(&r)
+		batches := deltaEdits(&r, g.NumNodes())
+		prev := Violations(g, set)
+		never := func(int) int { return math.MaxInt }
+		for _, w := range []int{1, 2} {
+			for armed, at := range map[bool]func(int) int{false: never, true: func(int) int { return 0 }} {
+				d := graph.NewDelta(g)
+				for b, batch := range batches {
+					for _, e := range batch {
+						e(d)
+					}
+					got, _, err := RevalidateDelta(set, d, prev, RevalidateOptions{Workers: w, testArmAt: at})
+					if err != nil {
+						t.Fatal(err)
+					}
+					overlay := d.Overlay()
+					if !sameAsOracle(overlay, set, got) {
+						t.Fatalf("w=%d armed=%v batch %d: %d violations, not the oracle's\nΣ:\n%s\ndelta: %v", w, armed, b, len(got), set, d)
+					}
+					if want := violationsOneByOne(overlay, set); !violationsEqual(got, want) {
+						t.Fatalf("w=%d armed=%v batch %d: violations out of order\nΣ:\n%s\ndelta: %v", w, armed, b, set, d)
+					}
+				}
+			}
+		}
+	})
 }

@@ -5,9 +5,10 @@
 // equality guard — so each distinct pattern structure is enumerated once
 // and only the literal checks fan out per member, through the compiled
 // literal program (match.LiteralEval), which compares attribute value IDs
-// on the snapshot's rows instead of walking attribute strings per call. It
-// is core's one literal evaluator: Satisfies runs it too, one single-member
-// program per GFD.
+// instead of walking attribute strings per call. Every validation search —
+// Violations' one per group, Revalidate's one per pattern variable, and so
+// Satisfies, which returns Violations' first entry — is groupCheck.search,
+// which arms the group by one rule and then prunes with its literal guard.
 package core
 
 import (
@@ -21,17 +22,9 @@ import (
 	"repro/internal/pattern"
 )
 
-// VerifyOptions configures ViolationsOpts. It has no exported fields: the
-// type stays because benchmark/gfdbench spells core.VerifyOptions{}.
-type VerifyOptions struct {
-	// testHookGroupStart, when non-nil, runs as each pattern group's task
-	// starts, receiving the group's index — the seam the panic-isolation
-	// test uses to detonate inside a worker.
-	testHookGroupStart func(grp int)
-	// testArmAt, when non-nil, replaces n/16 as the number of matches on n
-	// nodes after which a group arms (0: before its search starts).
-	testArmAt func(n int) int
-}
+// VerifyOptions configures ViolationsOpts. It has no fields: the type
+// stays because benchmark/gfdbench spells core.VerifyOptions{}.
+type VerifyOptions struct{}
 
 // VerifyStats reports how much enumeration work the grouped evaluation
 // shared.
@@ -65,50 +58,126 @@ func literalSpecs(ls []gfd.Literal) []match.LiteralSpec {
 	return out
 }
 
-// groupCheck is the member fan-out of one pattern group: the group's
-// literal program (one slot per distinct (variable, attribute) pair across
-// all members) and the scratch it evaluates in. Not safe for concurrent use.
+// groupCheck is one pattern group's validation: the group's literal
+// program (one slot per distinct (variable, attribute) pair across all
+// members), the scratch it evaluates in, and the count of matches its
+// searches delivered, which arms it. Not safe for concurrent use.
 type groupCheck struct {
+	g       *graph.Frozen
+	ctx     context.Context
+	grp     gfd.Group
 	gfds    []*gfd.GFD // Σ
-	members []int      // the group's members, as indexes into Σ
 	prog    *match.LiteralEval
 	scr     *match.LiteralScratch
-	guard   *match.LiteralGuard // set by arm; nil on the plain path
+	armAt   int           // matches after which the group arms
+	matches int           // matches delivered, over all of the group's searches
+	out     [][]Violation // indexed like Σ
 }
 
-func newGroupCheck(set *gfd.Set, grp gfd.Group) *groupCheck {
+func newGroupCheck(set *gfd.Set, grp gfd.Group, g *graph.Frozen, armAt int, ctx context.Context, out [][]Violation) *groupCheck {
 	members := make([]match.MemberLiterals, len(grp.Members))
 	for i, mi := range grp.Members {
 		phi := set.GFDs[mi]
 		members[i] = match.MemberLiterals{X: literalSpecs(phi.X), Y: literalSpecs(phi.Y)}
 	}
 	prog := match.CompileLiterals(members)
-	return &groupCheck{gfds: set.GFDs, members: grp.Members, prog: prog, scr: prog.NewScratch()}
+	return &groupCheck{g: g, ctx: ctx, grp: grp, gfds: set.GFDs, prog: prog, scr: prog.NewScratch(), armAt: armAt, out: out}
 }
 
-// check evaluates every member at match h of the group's pattern in g,
-// appends a violation to out[mi] for each member mi (its index in Σ) that h
-// violates, and reports whether there was one. h may be a search's view: it
-// is copied once, on the first member it violates, and shared by every
-// member violating at this match.
-func (c *groupCheck) check(g *graph.Frozen, h match.Assignment, out [][]Violation) bool {
+// search enumerates the group's pattern in opt.Order (DefaultOrder when
+// nil), from opt.RootCandidates when set, and checks every member at every
+// match. opt.Filter, when set, scopes the search; once the group is armed
+// its literal guard, compiled for this search's order, drops after it the
+// candidates below which no member can be violated. After armAt matches
+// on the snapshot, counted over all of the group's searches, the group
+// arms: it reads value columns, which every group on the snapshot fills
+// each entry of once, and guards from the next frame on. Fewer matches
+// per node repay neither a column's 4 B a node nor the guard's literal
+// checks at every frame (check-dense's groups make 7 a node,
+// store-lifecycle's 0.02, where arming from the first match doubles
+// validation time).
+func (c *groupCheck) search(opt match.Options) error {
+	if opt.Order == nil {
+		opt.Order = match.DefaultOrder(c.grp.Pattern)
+	}
+	var guard *match.LiteralGuard
+	arm := func() {
+		c.scr = c.prog.NewColumnScratch()
+		guard = c.prog.Guard(opt.Order)
+	}
+	if c.matches >= c.armAt {
+		arm()
+	}
+	scope := opt.Filter
+	opt.Filter = func(h match.Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
+		if scope != nil {
+			cands = scope(h, v, cands)
+		}
+		if guard == nil {
+			return cands
+		}
+		return guard.Filter(c.g, c.scr, h, v, cands)
+	}
+	opt.Ctx = c.ctx
+	s := match.NewSearch(c.grp.Pattern, c.g, opt)
+	for h, ok := s.Next(); ok; h, ok = s.Next() {
+		c.check(h)
+		if c.matches++; c.matches == c.armAt {
+			arm()
+		}
+	}
+	return canceledErr(s.Err())
+}
+
+// check evaluates every member at match h and appends a violation to
+// out[mi] for each member mi (its index in Σ) that h violates. h may be a
+// search's view: it is copied once, on the first member it violates, and
+// shared by every member violating at this match.
+func (c *groupCheck) check(h match.Assignment) {
 	var kept match.Assignment
-	for i, mi := range c.members {
-		if c.prog.Violates(i, g, h, c.scr) {
+	for i, mi := range c.grp.Members {
+		if c.prog.Violates(i, c.g, h, c.scr) {
 			if kept == nil {
 				kept = h.Clone()
 			}
-			out[mi] = append(out[mi], Violation{GFD: c.gfds[mi], Match: kept})
+			c.out[mi] = append(c.out[mi], Violation{GFD: c.gfds[mi], Match: kept})
 		}
 	}
-	return kept != nil
 }
 
-// arm switches the group to value columns and to the literal guard of a
-// search in order.
-func (c *groupCheck) arm(order []pattern.Var) {
-	c.scr = c.prog.NewColumnScratch()
-	c.guard = c.prog.Guard(order)
+// checkGroups runs task once per pattern group of Σ in g, as a pool task
+// on opt.Workers workers, handing it the group's check; a panic in one
+// becomes a *PanicError. A group arms after n/16 matches on n nodes
+// (opt.testArmAt replaces the rule). The checks append to out, indexed
+// like Σ; groups partition Σ, so the tasks write disjoint entries, and vs,
+// their concatenation, is the same at any worker count. matches counts the
+// matches the searches delivered, and reused the deliveries beyond the
+// first per match, m−1 for an m-member group: the re-enumerations sharing
+// saved. Both cover the work done, also on error.
+func checkGroups(set *gfd.Set, groups []gfd.Group, g *graph.Frozen, opt ParOptions, out [][]Violation, task func(c *groupCheck) error) (vs []Violation, matches, reused int, err error) {
+	armAt := g.NumNodes() / 16
+	if opt.testArmAt != nil {
+		armAt = opt.testArmAt(g.NumNodes())
+	}
+	pl := newPool(opt.Ctx, min(opt.Workers, len(groups)))
+	checks := make([]*groupCheck, len(groups))
+	err = pl.run(len(groups), func(_, gi int) error {
+		if h := opt.testHookUnitStart; h != nil {
+			h(groups[gi].Members[0])
+		}
+		if err := pl.ctx.Err(); err != nil {
+			return canceledErr(err)
+		}
+		checks[gi] = newGroupCheck(set, groups[gi], g, armAt, pl.ctx, out)
+		return task(checks[gi])
+	})
+	for _, c := range checks {
+		if c != nil {
+			matches += c.matches
+			reused += c.matches * (len(c.grp.Members) - 1)
+		}
+	}
+	return slices.Concat(out...), matches, reused, err
 }
 
 // ViolationsOpts is ViolationsCtx with sharing statistics. The violation
@@ -116,22 +185,14 @@ func (c *groupCheck) arm(order []pattern.Var) {
 // violation, in Σ-then-enumeration order. The pattern groups run as tasks
 // on runtime.GOMAXPROCS(0) pool workers; a panic in one becomes a
 // *PanicError.
-func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, opt VerifyOptions) ([]Violation, VerifyStats, error) {
-	return violations(ctx, g, set, runtime.GOMAXPROCS(0), opt)
+func ViolationsOpts(ctx context.Context, g graph.Reader, set *gfd.Set, _ VerifyOptions) ([]Violation, VerifyStats, error) {
+	return violations(g, set, ParOptions{Workers: runtime.GOMAXPROCS(0), Ctx: ctx})
 }
 
-// violations is ViolationsOpts on the given number of workers: one pool
-// task per pattern group enumerates the group's pattern and checks its
-// members at every match. Groups partition Σ, so the tasks append to
-// disjoint entries of the per-GFD lists. After n/16 matches on n nodes a
-// group arms: it reads value columns, which the groups on them fill each
-// entry of once, and its search drops the subtrees where the literal guard
-// refutes every member. Fewer matches per node repay neither a column's
-// 4 B a node nor the guard's literal checks at every frame (check-dense's
-// groups make 7, store-lifecycle's 0.02, where arming from the first match
-// doubles validation time).
-func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, opt VerifyOptions) ([]Violation, VerifyStats, error) {
-	g := r.Snapshot()
+// violations is ViolationsOpts on opt.Workers workers: one search per
+// pattern group, in its default order, checks the group's members at every
+// match, in the order checking each GFD on its own would.
+func violations(r graph.Reader, set *gfd.Set, opt ParOptions) ([]Violation, VerifyStats, error) {
 	groups := set.Groups()
 	st := VerifyStats{Groups: len(groups)}
 	for _, grp := range groups {
@@ -139,45 +200,9 @@ func violations(ctx context.Context, r graph.Reader, set *gfd.Set, workers int, 
 			st.SharedGFDs += len(grp.Members)
 		}
 	}
-
-	pl := newPool(ctx, min(workers, len(groups)))
-	byGFD := make([][]Violation, set.Len())
-	reused := make([]int, pl.size()) // per worker, summed after the run
-	err := pl.run(len(groups), func(w, gi int) error {
-		if h := opt.testHookGroupStart; h != nil {
-			h(gi)
-		}
-		grp := groups[gi]
-		c := newGroupCheck(set, grp)
-		order, at := match.DefaultOrder(grp.Pattern), g.NumNodes()/16
-		if opt.testArmAt != nil {
-			at = opt.testArmAt(g.NumNodes())
-		}
-		if at == 0 {
-			c.arm(order)
-		}
-		guard := func(h match.Assignment, v pattern.Var, cands []graph.NodeID) []graph.NodeID {
-			if c.guard == nil {
-				return cands
-			}
-			return c.guard.Filter(g, c.scr, h, v, cands)
-		}
-		s := match.NewSearch(grp.Pattern, g, match.Options{Order: order, Filter: guard, Ctx: pl.ctx})
-		matches := 0
-		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			c.check(g, h, byGFD)
-			if matches++; matches == at {
-				c.arm(order)
-			}
-		}
-		reused[w] += matches * (len(grp.Members) - 1)
-		return canceledErr(s.Err())
+	out, _, reused, err := checkGroups(set, groups, r.Snapshot(), opt, make([][]Violation, set.Len()), func(c *groupCheck) error {
+		return c.search(match.Options{})
 	})
-	for _, n := range reused {
-		st.MatchesReused += n
-	}
-
-	// Assemble in Σ order, sized once; within a GFD its group's search
-	// delivered matches in the standalone enumeration order.
-	return slices.Concat(byGFD...), st, err
+	st.MatchesReused = reused
+	return out, st, err
 }

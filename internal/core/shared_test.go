@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -49,19 +50,15 @@ func violationKeys(set *gfd.Set, vs []Violation) []string {
 	return keys
 }
 
-// violationsOnRows is violations on one worker with scratches that search
-// attribute rows instead of reading the snapshot's value columns.
+// violationsOnRows is violations on one worker with groups that never arm,
+// so their scratches search attribute rows instead of reading the
+// snapshot's value columns and no guard prunes.
 func violationsOnRows(r graph.Reader, set *gfd.Set) []Violation {
-	g := r.Snapshot()
-	byGFD := make([][]Violation, set.Len())
-	for _, grp := range set.Groups() {
-		c := newGroupCheck(set, grp)
-		s := match.NewSearch(grp.Pattern, g, match.Options{})
-		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			c.check(g, h, byGFD)
-		}
+	vs, _, err := violations(r, set, ParOptions{testArmAt: func(int) int { return math.MaxInt }})
+	if err != nil {
+		panic(err)
 	}
-	return slices.Concat(byGFD...)
+	return vs
 }
 
 // sameAsOracle reports whether got is, as a set, exactly what the
@@ -118,7 +115,7 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 			}
 			var first VerifyStats
 			for _, w := range []int{1, 2, 4, 2 * groups} {
-				grouped, gst, err := violations(ctx, tier.data, set, w, VerifyOptions{})
+				grouped, gst, err := violations(tier.data, set, ParOptions{Workers: w, Ctx: ctx})
 				if err != nil {
 					t.Fatalf("seed=%d %s w=%d: grouped: %v", seed, tier.name, w, err)
 				}
@@ -153,6 +150,38 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 	}
 }
 
+// armFixture is the fixture of the arming tests: n nodes alternately
+// labelled a and b, where pair k = (2k, 2k+1) carries equal values of A when
+// k is even, and a two-member group on x:a -e-> y:b whose members both read
+// Y x.A = y.A. Adding pair k's e-edge makes it match k.
+func armFixture(n int) (*graph.Builder, *gfd.Set) {
+	p := pattern.New()
+	x, y := p.AddVar("x", "a"), p.AddVar("y", "b")
+	p.AddEdge(x, y, "e")
+	eq := func(name string) *gfd.GFD { return gfd.MustNew(name, p, nil, []gfd.Literal{gfd.Vars(x, "A", y, "A")}) }
+	b := graph.NewBuilder(0)
+	for i := 0; i < n; i++ {
+		v := b.AddNode([]string{"a", "b"}[i%2])
+		a := i % 3
+		if (i/2)%2 == 0 {
+			a = (i / 2) % 3
+		}
+		b.SetAttr(v, "A", fmt.Sprint(a))
+	}
+	return b, gfd.NewSet(eq("eq"), eq("eq2"))
+}
+
+// armDelivered is the number of armFixture's first matches pairs a search
+// delivers on n nodes: every pair up to the n/16th, after which the group
+// arms and its guard drops the pairs where both members hold.
+func armDelivered(n, matches int) int {
+	delivered := min(n/16, matches)
+	for k := n / 16; k < matches; k++ {
+		delivered += k % 2
+	}
+	return delivered
+}
+
 // TestViolationsAttrColumnThreshold pins when a validation group arms: it
 // switches from rows to value columns, and turns its literal guard on,
 // after n/16 matches on a snapshot of n nodes, so a group with exactly that
@@ -162,23 +191,9 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 // of two) show the guard arming at the same count. The violation lists are
 // the oracle's either way.
 func TestViolationsAttrColumnThreshold(t *testing.T) {
-	p := pattern.New()
-	x, y := p.AddVar("x", "a"), p.AddVar("y", "b")
-	p.AddEdge(x, y, "e")
-	eq := func(name string) *gfd.GFD { return gfd.MustNew(name, p, nil, []gfd.Literal{gfd.Vars(x, "A", y, "A")}) }
-	set := gfd.NewSet(eq("eq"), eq("eq2"))
 	const n = 320
 	for _, extra := range []int{0, 1, 8} {
-		b := graph.NewBuilder(0)
-		for i := 0; i < n; i++ {
-			v := b.AddNode([]string{"a", "b"}[i%2])
-			// Match k is the pair (2k, 2k+1): equal values when k is even.
-			a := i % 3
-			if (i/2)%2 == 0 {
-				a = (i / 2) % 3
-			}
-			b.SetAttr(v, "A", fmt.Sprint(a))
-		}
+		b, set := armFixture(n)
 		matches := n/16 + extra
 		for i := 0; i < matches; i++ {
 			b.AddEdge(graph.NodeID(2*i), graph.NodeID(2*i+1), "e")
@@ -194,13 +209,76 @@ func TestViolationsAttrColumnThreshold(t *testing.T) {
 		if cols, want := f.NumAttrColumns(), min(extra, 1); cols != want {
 			t.Fatalf("%d matches on %d nodes: %d value columns, want %d", matches, n, cols, want)
 		}
-		delivered := n / 16
-		for k := n / 16; k < matches; k++ {
-			delivered += k % 2
+		if want := armDelivered(n, matches); st.MatchesReused != want {
+			t.Fatalf("%d matches on %d nodes: %d delivered, want %d", matches, n, st.MatchesReused, want)
 		}
-		if st.MatchesReused != delivered {
-			t.Fatalf("%d matches on %d nodes: %d delivered, want %d", matches, n, st.MatchesReused, delivered)
+	}
+}
+
+// TestSatisfiesIsFirstViolation pins Satisfies to the per-GFD reference:
+// its violation is the first of violationsOneByOne — Σ's first failing GFD
+// at its first failing match — on generated graphs with and without
+// violations, and on a group of two whose second member fails at an
+// earlier match than the first.
+func TestSatisfiesIsFirstViolation(t *testing.T) {
+	check := func(name string, g graph.Reader, set *gfd.Set) bool {
+		t.Helper()
+		ok, v := Satisfies(g, set)
+		want := violationsOneByOne(g, set)
+		if ok != (len(want) == 0) {
+			t.Fatalf("%s: Satisfies=%v with %d violations", name, ok, len(want))
 		}
+		if !ok && !violationsEqual([]Violation{*v}, want[:1]) {
+			t.Fatalf("%s: Satisfies gave %s at %v, the first violation is %s at %v", name, v.GFD.Name, v.Match, want[0].GFD.Name, want[0].Match)
+		}
+		return ok
+	}
+	held, failed := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		gr := gen.New(gen.Config{N: 15, K: 5, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed})
+		dense := gr.DenseGraph(400, 6)
+		cons := gen.New(gen.Config{N: 20, K: 3, L: 3, Seed: seed})
+		consSet := cons.Set()
+		perturb(rand.New(rand.NewSource(seed)), dense, 20)
+		for name, c := range map[string]struct {
+			g   graph.Reader
+			set *gfd.Set
+		}{
+			"consistent": {cons.ConsistentGraph(60), consSet},
+			"dense":      {dense, gr.SharedValidationSet(4, 6)},
+		} {
+			if check(fmt.Sprintf("seed=%d %s", seed, name), c.g, c.set) {
+				held++
+			} else {
+				failed++
+			}
+		}
+	}
+	if held == 0 || failed == 0 {
+		t.Fatalf("Σ held %d times and failed %d times: one side is untested", held, failed)
+	}
+
+	// x:a with two members: "first" fails at node 1 only, "second" at node
+	// 0, which the search delivers first.
+	p := pattern.New()
+	x := p.AddVar("x", "a")
+	set := gfd.NewSet(
+		gfd.MustNew("first", p, nil, []gfd.Literal{gfd.Const(x, "A", "1")}),
+		gfd.MustNew("second", p, nil, []gfd.Literal{gfd.Const(x, "B", "1")}),
+	)
+	b := graph.NewBuilder(0)
+	for _, ab := range [][2]string{{"1", "0"}, {"0", "1"}} {
+		v := b.AddNode("a")
+		b.SetAttr(v, "A", ab[0])
+		b.SetAttr(v, "B", ab[1])
+	}
+	f := b.Freeze()
+	if len(set.Groups()) != 1 {
+		t.Fatal("fixture: the two members do not share a group")
+	}
+	check("group of two", f, set)
+	if _, v := Satisfies(f, set); v.GFD.Name != "first" || v.Match[x] != 1 {
+		t.Fatalf("Satisfies gave %s at %v, want first at [1]", v.GFD.Name, v.Match)
 	}
 }
 
@@ -304,13 +382,13 @@ func TestPerturbedSchedulesValidationAgree(t *testing.T) {
 	g := gr.DenseGraph(1000, 8)
 	perturb(rand.New(rand.NewSource(13)), g, 25)
 	base := g.Frozen()
-	prev, _, err := violations(ctx, base, set, 1, VerifyOptions{})
+	prev, _, err := violations(base, set, ParOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := gr.DenseDelta(base, 40)
 	overlay, touched := d.Overlay(), d.TouchedSince(0)
-	want, _, err := violations(ctx, overlay, set, 1, VerifyOptions{})
+	want, _, err := violations(overlay, set, ParOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +402,7 @@ func TestPerturbedSchedulesValidationAgree(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		for seed := int64(1); seed <= perturbedSeeds; seed++ {
 			pause := seededPauses(seed)
-			got, _, err := violations(ctx, overlay, set, p, VerifyOptions{testHookGroupStart: func(int) { pause() }})
+			got, _, err := violations(overlay, set, ParOptions{Workers: p, Ctx: ctx, testHookUnitStart: func(int) { pause() }})
 			if err != nil || !violationsEqual(got, want) {
 				t.Errorf("Violations, p=%d, seed %d: %d violations (err %v), unpaused %d", p, seed, len(got), err, len(want))
 			}

@@ -18,19 +18,13 @@ type Violation struct {
 
 // Satisfies reports whether G |= Σ under the literal semantics of Section
 // III (actual attribute values, not the deduced Eq semantics), returning
-// the first violation found. It is the test oracle for the reasoning
-// algorithms and the checker applications use for error detection.
+// the first violation Violations lists: the first GFD of Σ that fails, at
+// its first failing match in enumeration order. It is the test oracle for
+// the reasoning algorithms and the checker applications use for error
+// detection.
 func Satisfies(r graph.Reader, set *gfd.Set) (bool, *Violation) {
-	g := r.Snapshot()
-	out := make([][]Violation, set.Len())
-	for i, phi := range set.GFDs {
-		c := newGroupCheck(set, gfd.Group{Pattern: phi.Pattern, Members: []int{i}})
-		s := match.NewSearch(phi.Pattern, g, match.Options{})
-		for h, ok := s.Next(); ok; h, ok = s.Next() {
-			if c.check(g, h, out) {
-				return false, &out[i][0]
-			}
-		}
+	if vs := Violations(r, set); len(vs) > 0 {
+		return false, &vs[0]
 	}
 	return true, nil
 }
