@@ -287,6 +287,57 @@ func TestDocSectionsResolve(t *testing.T) {
 	}
 }
 
+// benchmarkOnly is the DESIGN.md section that lists what only the benchmark
+// names.
+const benchmarkOnly = "## What only the benchmark uses"
+
+// TestDocBenchmarkOnlyListIsComplete keeps that section complete: the walk
+// of TestEveryExportedSymbolIsReferenced over every shipped root but
+// benchmark/gfdbench finds the exported symbols only the benchmark names,
+// and each must be backticked in the section, as `pkg.Name` or, for a
+// method, `pkg.Type.Method`.
+func TestDocBenchmarkOnlyListIsComplete(t *testing.T) {
+	var roots []string
+	for _, r := range shippedRoots {
+		if r != "benchmark/gfdbench" {
+			roots = append(roots, r)
+		}
+	}
+	if len(roots) == len(shippedRoots) {
+		t.Fatal("benchmark/gfdbench is no longer a shipped root: the walk finds nothing")
+	}
+	onlyBenchmark, _ := unreferencedSymbols(t, roots)
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n"+benchmarkOnly+"\n")
+	if !ok {
+		t.Fatalf("DESIGN.md has no section %q", benchmarkOnly)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	named := map[string]bool{}
+	spans := strings.Split(section, "`")
+	for i := 1; i < len(spans); i += 2 {
+		for _, m := range docName.FindAllStringSubmatch(spans[i], -1) {
+			if m[3] == "" {
+				named[m[1]+"."+m[2]] = true
+			} else {
+				named[m[1]+".("+m[2]+")."+m[3]] = true
+			}
+		}
+	}
+	var missing []string
+	for _, key := range onlyBenchmark {
+		if !named[key] {
+			missing = append(missing, key)
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("only benchmark/gfdbench names these, and DESIGN.md %q does not list them:\n\t%s", benchmarkOnly, strings.Join(missing, "\n\t"))
+	}
+}
+
 // flatten joins the lines of src with single spaces, each stripped of a
 // leading // comment marker and with its white space collapsed, so that a
 // citation wrapped across lines, comment lines included, reads as one.

@@ -68,36 +68,37 @@ func main() {
 
 	// Step 2: error detection on a DBpedia-like fragment containing the
 	// paper's three real anecdotes.
-	g := graph.New()
+	b := graph.NewBuilder(0)
 
 	// Bamburi airport / Bamburi (violates ϕ1).
-	airport := g.AddNode("place")
-	town := g.AddNode("place")
-	g.AddEdge(airport, town, "locatedIn")
-	g.AddEdge(town, airport, "partOf")
+	airport := b.AddNode("place")
+	town := b.AddNode("place")
+	b.AddEdge(airport, town, "locatedIn")
+	b.AddEdge(town, airport, "partOf")
 
 	// Tank with two top speeds (violates ϕ2).
-	tank := g.AddNode("tank")
-	s1 := g.AddNodeWithAttrs("speed", map[string]string{"val": "24.076"})
-	s2 := g.AddNodeWithAttrs("speed", map[string]string{"val": "33.336"})
-	g.AddEdge(tank, s1, "topSpeed")
-	g.AddEdge(tank, s2, "topSpeed")
+	tank := b.AddNode("tank")
+	s1 := b.AddNodeWithAttrs("speed", map[string]string{"val": "24.076"})
+	s2 := b.AddNodeWithAttrs("speed", map[string]string{"val": "33.336"})
+	b.AddEdge(tank, s1, "topSpeed")
+	b.AddEdge(tank, s2, "topSpeed")
 
 	// Botswana's president/vice-president nationality mismatch (violates ϕ3).
-	pres := g.AddNodeWithAttrs("person", map[string]string{"country": "Botswana"})
-	vice := g.AddNodeWithAttrs("person", map[string]string{"country": "Botswana"})
-	botswana := g.AddNode("country")
-	n1 := g.AddNodeWithAttrs("nationality", map[string]string{"val": "Botswana"})
-	n2 := g.AddNodeWithAttrs("nationality", map[string]string{"val": "Tswana"})
-	g.AddEdge(pres, botswana, "presidentOf")
-	g.AddEdge(vice, botswana, "vicePresidentOf")
-	g.AddEdge(pres, n1, "nationality")
-	g.AddEdge(vice, n2, "nationality")
+	pres := b.AddNodeWithAttrs("person", map[string]string{"country": "Botswana"})
+	vice := b.AddNodeWithAttrs("person", map[string]string{"country": "Botswana"})
+	botswana := b.AddNode("country")
+	n1 := b.AddNodeWithAttrs("nationality", map[string]string{"val": "Botswana"})
+	n2 := b.AddNodeWithAttrs("nationality", map[string]string{"val": "Tswana"})
+	b.AddEdge(pres, botswana, "presidentOf")
+	b.AddEdge(vice, botswana, "vicePresidentOf")
+	b.AddEdge(pres, n1, "nationality")
+	b.AddEdge(vice, n2, "nationality")
 
 	// A clean entity for contrast.
-	clean := g.AddNode("place")
-	region := g.AddNode("place")
-	g.AddEdge(clean, region, "locatedIn")
+	clean := b.AddNode("place")
+	region := b.AddNode("place")
+	b.AddEdge(clean, region, "locatedIn")
+	g := b.Freeze()
 
 	violations := core.Violations(g, rules)
 	fmt.Printf("found %d inconsistencies:\n", len(violations))

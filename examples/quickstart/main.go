@@ -28,12 +28,13 @@ func main() {
 	fmt.Println("GFD:", phi)
 
 	// Build a graph violating it (DBpedia's tank anecdote from Example 1).
-	g := graph.New()
-	tank := g.AddNode("tank")
-	v1 := g.AddNodeWithAttrs("speed", map[string]string{"val": "24.076"})
-	v2 := g.AddNodeWithAttrs("speed", map[string]string{"val": "33.336"})
-	g.AddEdge(tank, v1, "topSpeed")
-	g.AddEdge(tank, v2, "topSpeed")
+	b := graph.NewBuilder(0)
+	tank := b.AddNode("tank")
+	v1 := b.AddNodeWithAttrs("speed", map[string]string{"val": "24.076"})
+	v2 := b.AddNodeWithAttrs("speed", map[string]string{"val": "33.336"})
+	b.AddEdge(tank, v1, "topSpeed")
+	b.AddEdge(tank, v2, "topSpeed")
+	g := b.Freeze()
 
 	set := gfd.NewSet(phi)
 	if ok, v := core.Satisfies(g, set); !ok {

@@ -61,14 +61,16 @@ func main() {
 	}
 
 	// The pruned set keeps the detection power: seed an error and compare.
-	dirty := g.Clone()
-	// Corrupt every attribute of a few nodes to create violations
-	// deterministically (constant rules on those labels must now fail).
-	for n := 0; n < 3 && n < dirty.NumNodes(); n++ {
-		for a := range dirty.Attrs(graph.NodeID(n)) {
-			dirty.SetAttr(graph.NodeID(n), a, "corrupted")
+	// Corrupt every attribute of a few nodes, through a delta over the
+	// clean graph, to create violations deterministically (constant rules
+	// on those labels must now fail).
+	d := graph.NewDelta(g)
+	for n := 0; n < 3 && n < g.NumNodes(); n++ {
+		for a := range g.Attrs(graph.NodeID(n)) {
+			d.SetAttr(graph.NodeID(n), a, "corrupted")
 		}
 	}
+	dirty := d.Overlay()
 	full := core.Violations(dirty, gfd.NewSet(candidates...))
 	pruned := core.Violations(dirty, gfd.NewSet(kept...))
 	fmt.Printf("violations found: full set %d, pruned set %d\n", len(full), len(pruned))

@@ -38,25 +38,28 @@ func main() {
 
 	// A small social graph: a database researcher and a politician blog
 	// about the future of databases (the paper's own example).
-	g := graph.New()
-	scientist := g.AddNode("person")
-	politician := g.AddNode("person")
-	db := g.AddNode("field")
-	g.AddEdge(scientist, db, "expertIn")
-	b1 := g.AddNodeWithAttrs("blog", map[string]string{"topic": "future-of-db"})
-	b2 := g.AddNodeWithAttrs("blog", map[string]string{"topic": "future-of-db"})
-	g.AddEdge(scientist, b1, "post")
-	g.AddEdge(politician, b2, "post")
-	g.AddEdge(b2, b1, "opposite")
-	g.AddEdge(b1, db, "about")
+	b := graph.NewBuilder(0)
+	scientist := b.AddNode("person")
+	politician := b.AddNode("person")
+	db := b.AddNode("field")
+	b.AddEdge(scientist, db, "expertIn")
+	b1 := b.AddNodeWithAttrs("blog", map[string]string{"topic": "future-of-db"})
+	b2 := b.AddNodeWithAttrs("blog", map[string]string{"topic": "future-of-db"})
+	b.AddEdge(scientist, b1, "post")
+	b.AddEdge(politician, b2, "post")
+	b.AddEdge(b2, b1, "opposite")
+	b.AddEdge(b1, db, "about")
+	g := b.Freeze()
 
-	// The graph does not yet record trust: ϕ4 flags b2.
+	// The graph does not yet record trust: ϕ4 flags b2. The repair is an
+	// edit in a delta over the graph, read through its overlay.
+	repair := graph.NewDelta(g)
 	if ok, v := core.Satisfies(g, rules); !ok {
 		fmt.Printf("moderation hit: blog %d should be trust=low (rule %s)\n",
 			v.Match[4], v.GFD.Name)
-		g.SetAttr(v.Match[4], "trust", "low")
+		repair.SetAttr(v.Match[4], "trust", "low")
 	}
-	if ok, _ := core.Satisfies(g, rules); ok {
+	if ok, _ := core.Satisfies(repair.Overlay(), rules); ok {
 		fmt.Println("after repair the graph satisfies the rules")
 	}
 

@@ -302,11 +302,29 @@ func Fig6f(cfg Config) *Report {
 	return r
 }
 
-// kSweep is the pattern-size axis of Exp-3.
-var kSweep = []int{2, 4, 6, 8, 10}
+// exp3Axis is the gen.Config field an Exp-3 figure sweeps: its name, what
+// it counts, its values, how a value sets the generator's configuration,
+// and the shape the paper reports along it.
+type exp3Axis struct {
+	name, what string
+	values     []int
+	set        func(c *gen.Config, v int)
+	note       string
+}
 
-// varyK runs Exp-3(1) for satisfiability or implication.
-func varyK(cfg Config, name string, imp bool) *Report {
+// Exp-3's two axes: pattern size k at l = 3 (Exp-3(1)) and literal count l
+// at k = 5 (Exp-3(2)).
+var (
+	kAxis = exp3Axis{"k", "pattern size", []int{2, 4, 6, 8, 10},
+		func(c *gen.Config, k int) { c.K, c.L = k, 3 },
+		"paper shape: cost grows with k; optimizations matter more at large k"}
+	lAxis = exp3Axis{"l", "literals", []int{1, 2, 3, 4, 5},
+		func(c *gen.Config, l int) { c.K, c.L = 5, l },
+		"paper shape: roughly flat in l (more literals cost more but also terminate earlier)"}
+)
+
+// vary runs Exp-3 along one axis for satisfiability or implication.
+func vary(cfg Config, name string, ax exp3Axis, imp bool) *Report {
 	cfg = cfg.withDefaults()
 	mode := "satisfiability"
 	if imp {
@@ -314,12 +332,14 @@ func varyK(cfg Config, name string, imp bool) *Report {
 	}
 	r := &Report{
 		Name:   name,
-		Title:  fmt.Sprintf("Varying k (pattern size), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"k", "Seq", "Par"},
+		Title:  fmt.Sprintf("Varying %s (%s), %s, DBpedia seeds (ms)", ax.name, ax.what, mode),
+		Header: []string{ax.name, "Seq", "Par"},
 	}
 	n := cfg.scaled(5000)
-	for _, k := range kSweep {
-		g := gen.New(gen.Config{N: n, K: k, L: 3, Profile: dataset.DBpedia(), Seed: cfg.Seed})
+	for _, v := range ax.values {
+		gc := gen.Config{N: n, Profile: dataset.DBpedia(), Seed: cfg.Seed}
+		ax.set(&gc, v)
+		g := gen.New(gc)
 		var (
 			set *gfd.Set
 			phi *gfd.GFD
@@ -330,7 +350,7 @@ func varyK(cfg Config, name string, imp bool) *Report {
 			set = g.Set()
 		}
 		opt := core.DefaultParOptions(4)
-		row := []string{fmt.Sprint(k)}
+		row := []string{fmt.Sprint(v)}
 		if imp {
 			row = append(row,
 				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
@@ -342,65 +362,21 @@ func varyK(cfg Config, name string, imp bool) *Report {
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	r.Notes = append(r.Notes, "paper shape: cost grows with k; optimizations matter more at large k")
+	r.Notes = append(r.Notes, ax.note)
 	return r
 }
 
 // Fig6g is Exp-3 varying k for satisfiability.
-func Fig6g(cfg Config) *Report { return varyK(cfg, "Fig6g", false) }
-
-// Fig6i is Exp-3 varying k for implication.
-func Fig6i(cfg Config) *Report { return varyK(cfg, "Fig6i", true) }
-
-// lSweep is the literal-count axis of Exp-3.
-var lSweep = []int{1, 2, 3, 4, 5}
-
-// varyL runs Exp-3(2).
-func varyL(cfg Config, name string, imp bool) *Report {
-	cfg = cfg.withDefaults()
-	mode := "satisfiability"
-	if imp {
-		mode = "implication"
-	}
-	r := &Report{
-		Name:   name,
-		Title:  fmt.Sprintf("Varying l (literals), %s, DBpedia seeds (ms)", mode),
-		Header: []string{"l", "Seq", "Par"},
-	}
-	n := cfg.scaled(5000)
-	for _, l := range lSweep {
-		g := gen.New(gen.Config{N: n, K: 5, L: l, Profile: dataset.DBpedia(), Seed: cfg.Seed})
-		var (
-			set *gfd.Set
-			phi *gfd.GFD
-		)
-		if imp {
-			set, phi = g.ImpInstance(6)
-		} else {
-			set = g.Set()
-		}
-		opt := core.DefaultParOptions(4)
-		row := []string{fmt.Sprint(l)}
-		if imp {
-			row = append(row,
-				ms(medianTime(cfg.Reps, func() { core.SeqImp(set, phi) })),
-				ms(medianTime(cfg.Reps, func() { core.ParImp(set, phi, opt) })))
-		} else {
-			row = append(row,
-				ms(medianTime(cfg.Reps, func() { core.SeqSat(set) })),
-				ms(medianTime(cfg.Reps, func() { core.ParSat(set, opt) })))
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	r.Notes = append(r.Notes, "paper shape: roughly flat in l (more literals cost more but also terminate earlier)")
-	return r
-}
+func Fig6g(cfg Config) *Report { return vary(cfg, "Fig6g", kAxis, false) }
 
 // Fig6h is Exp-3 varying l for satisfiability.
-func Fig6h(cfg Config) *Report { return varyL(cfg, "Fig6h", false) }
+func Fig6h(cfg Config) *Report { return vary(cfg, "Fig6h", lAxis, false) }
+
+// Fig6i is Exp-3 varying k for implication.
+func Fig6i(cfg Config) *Report { return vary(cfg, "Fig6i", kAxis, true) }
 
 // Fig6j is Exp-3 varying l for implication.
-func Fig6j(cfg Config) *Report { return varyL(cfg, "Fig6j", true) }
+func Fig6j(cfg Config) *Report { return vary(cfg, "Fig6j", lAxis, true) }
 
 // experiments is the runner registry: the paper's figures and nothing else.
 // Fig. 6(k,l) is not reproduced: no engine splits a straggling unit, so

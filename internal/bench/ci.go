@@ -130,29 +130,31 @@ func triangleGen(seed int64) (*gen.Generator, int64, error) {
 	return nil, 0, fmt.Errorf("no schema triangle within seeds [%d,%d)", seed, seed+16)
 }
 
-// perturb overwrites every attribute of n nodes of g, drawn from seed, with
-// one value, so the frozen result already violates W-consistent rules. It
-// writes each chosen node whole, so the result does not depend on map order.
-func perturb(g *graph.Graph, seed int64, n int) *graph.Frozen {
+// perturb overwrites every attribute of n nodes of f, drawn from seed, with
+// one value, through a Delta over f, so the refrozen result already violates
+// W-consistent rules. It writes each chosen node whole, so the result does
+// not depend on map order.
+func perturb(f *graph.Frozen, seed int64, n int) *graph.Frozen {
 	rng := rand.New(rand.NewSource(seed))
+	d := graph.NewDelta(f)
 	for range n {
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		for a := range g.Attrs(v) {
-			g.SetAttr(v, a, "perturbed")
+		v := graph.NodeID(rng.Intn(f.NumNodes()))
+		for a := range f.Attrs(v) {
+			d.SetAttr(v, a, "perturbed")
 		}
 	}
-	return g.Frozen()
+	return f.Refreeze(d)
 }
 
 // MatchWorkload builds the canonical label-dense matching workload: a
-// DenseGraph(2000, 64) data graph plus the generator-schema triangle
+// DenseFrozen(2000, 64) data graph plus the generator-schema triangle
 // patterns whose closing edge rejects most partial assignments.
 func MatchWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
 	gr, _, err := triangleGen(seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	return gr.DenseGraph(2000, 64).Frozen(), gen.SchemaTriangles(gr.Schema(), 12), nil
+	return gr.DenseFrozen(2000, 64), gen.SchemaTriangles(gr.Schema(), 12), nil
 }
 
 // RefreezeOps is the update-batch size of the canonical refreeze workload:
@@ -225,7 +227,7 @@ func ValidateWorkload(seed int64) (*gfd.Set, *graph.Frozen, *graph.Delta, error)
 		return nil, nil, nil, err
 	}
 	set := gr.ValidationSet(12)
-	base := perturb(gr.DenseGraph(20000, 8), s, 80)
+	base := perturb(gr.DenseFrozen(20000, 8), s, 80)
 	return set, base, gr.DenseDelta(base, 30), nil
 }
 
@@ -293,7 +295,7 @@ func PlanWorkload(seed int64) (*graph.Frozen, []*pattern.Pattern, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return gr.DenseGraph(4000, 3).Frozen(), gen.SchemaTriangles(gr.Schema(), 12), nil
+	return gr.DenseFrozen(4000, 3), gen.SchemaTriangles(gr.Schema(), 12), nil
 }
 
 // PlanQueries runs every pattern once against f — through the cache when
@@ -324,12 +326,12 @@ func MultiGFDWorkload(seed int64) (*gfd.Set, *graph.Frozen, error) {
 		return nil, nil, err
 	}
 	set := gr.SharedValidationSet(6, 8)
-	return set, perturb(gr.DenseGraph(20000, 8), s, 80), nil
+	return set, perturb(gr.DenseFrozen(20000, 8), s, 80), nil
 }
 
 // ViolationsWorkload builds the validation workload of the end-to-end
 // benchmark's check-dense family (benchmark/README.md) in process: a
-// |Σ|=100, K=4, L=2 rule set over DenseGraph(4000, 8) with 80 perturbed
+// |Σ|=100, K=4, L=2 rule set over DenseFrozen(4000, 8) with 80 perturbed
 // nodes, plus the number of matches one ViolationsOpts pass over it
 // enumerates — two to three orders of magnitude more than the violations it
 // reports, which is what makes the pass a measurement of enumeration and
@@ -337,7 +339,7 @@ func MultiGFDWorkload(seed int64) (*gfd.Set, *graph.Frozen, error) {
 func ViolationsWorkload(seed int64) (*gfd.Set, *graph.Frozen, int) {
 	gr := gen.New(gen.Config{N: 100, K: 4, L: 2, Seed: seed})
 	set := gr.Set()
-	f := perturb(gr.DenseGraph(4000, 8), seed, 80)
+	f := perturb(gr.DenseFrozen(4000, 8), seed, 80)
 	matches := 0
 	for _, grp := range set.Groups() {
 		matches += match.NewSearch(grp.Pattern, f, match.Options{}).CountAll()

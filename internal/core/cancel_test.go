@@ -269,8 +269,7 @@ func TestParImpPanicIsolation(t *testing.T) {
 func revalidateCancelFixture() (*gfd.Set, *graph.Delta, []Violation) {
 	gr := gen.New(gen.Config{N: 12, K: 4, L: 2, WildcardRate: 0.2, Seed: 3})
 	set := gr.Set()
-	g := gr.ConsistentGraph(80)
-	base := g.Frozen()
+	base := gr.ConsistentGraph(80)
 	prev := Violations(base, set)
 	d := gr.DenseDelta(base, 20)
 	return set, d, prev
@@ -383,7 +382,7 @@ func TestRevalidatePanicIsolation(t *testing.T) {
 func TestViolationsCtx(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
 	set := gr.Set()
-	g := gr.ConsistentGraph(60).Frozen()
+	g := gr.ConsistentGraph(60)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -406,7 +405,7 @@ func TestViolationsCtx(t *testing.T) {
 func TestViolationsPanicIsIsolated(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
 	set := gr.Set()
-	g := gr.ConsistentGraph(60).Frozen()
+	g := gr.ConsistentGraph(60)
 	groups := len(set.Groups())
 	if groups < 3 {
 		t.Fatalf("setup: %d pattern groups; the panic would not land in a middle one", groups)

@@ -462,9 +462,10 @@ func enforceMatches(set *gfd.Set, ms []Match) *enforcer {
 // class with a constant assigns it to all member terms; every class without
 // one receives a fresh constant distinct from all others — and from the
 // reserved constants of Σ — so no extra equalities or antecedents are
-// accidentally triggered.
-func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
-	m := g.Clone()
+// accidentally triggered. The model is g with those values written in: one
+// batch of SetAttr edits in a graph.Delta over g, refrozen.
+func CompleteModel(g *graph.Frozen, e *eq.Eq, reserved []string) *graph.Frozen {
+	d := graph.NewDelta(g)
 	fresh := 0
 	seen := make(map[string]bool)
 	for _, c := range e.AllConsts() {
@@ -496,10 +497,10 @@ func CompleteModel(g *graph.Graph, e *eq.Eq, reserved []string) *graph.Graph {
 		for u := h; !done[u]; u = e.Next(u) {
 			done[u] = true
 			t := e.TermAt(u)
-			m.SetAttr(t.Node, t.Attr, c)
+			d.SetAttr(t.Node, t.Attr, c)
 		}
 	}
-	return m
+	return g.Refreeze(d)
 }
 
 func freshConst(i int) string {

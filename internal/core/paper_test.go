@@ -269,7 +269,7 @@ func TestSatisfiableSetProducesVerifiedModel(t *testing.T) {
 		t.Fatal("chain set unsatisfiable")
 	}
 	if !IsModel(res.Model(), set) {
-		t.Fatalf("completed model is not a model:\n%s", res.Model())
+		t.Fatalf("completed model is not a model: x carries %v, y %v", res.Model().Attrs(0), res.Model().Attrs(1))
 	}
 	if v, ok := res.Model().Attr(0, "k"); !ok || v != "5" {
 		t.Errorf("x.k = %q, want 5 (forced through the chain)", v)

@@ -102,7 +102,7 @@ func (e *parEngine) sat(size int) *SatResult {
 	case err != nil:
 		return &SatResult{Err: err, Stats: stats}
 	}
-	return satisfiable(e.sigma.Graph, rel, e.set, stats)
+	return satisfiable(e.g, rel, e.set, stats)
 }
 
 // chunks cuts G_Σ's copies into ParSat's tasks. Copies are taken in

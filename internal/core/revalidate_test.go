@@ -74,22 +74,25 @@ func checkRevalidate(t *testing.T, ctx string, set *gfd.Set, base *graph.Frozen,
 	return len(want), stats
 }
 
-// perturb flips one attribute on a few random nodes so the pre-delta graph
-// already carries violations (the carried-over half of the algorithm). The
-// attribute is drawn from the node's sorted names, not taken from a map
-// range, so that a seed always builds the same graph.
-func perturb(rng *rand.Rand, g *graph.Graph, n int) {
+// perturb flips one attribute on a few random nodes of f, through a Delta
+// over it, so the refrozen pre-delta graph already carries violations (the
+// carried-over half of the algorithm). The attribute is drawn from the
+// node's sorted names, not taken from a map range, so that a seed always
+// builds the same graph.
+func perturb(rng *rand.Rand, f *graph.Frozen, n int) *graph.Frozen {
+	d := graph.NewDelta(f)
 	for i := 0; i < n; i++ {
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		v := graph.NodeID(rng.Intn(f.NumNodes()))
 		var names []string
-		for a := range g.Attrs(v) {
+		for a := range f.Attrs(v) {
 			names = append(names, a)
 		}
 		if len(names) > 0 {
 			slices.Sort(names)
-			g.SetAttr(v, names[rng.Intn(len(names))], "perturbed")
+			d.SetAttr(v, names[rng.Intn(len(names))], "perturbed")
 		}
 	}
+	return f.Refreeze(d)
 }
 
 // TestRevalidateEquivalenceGen is the incremental-revalidation equivalence
@@ -102,9 +105,7 @@ func TestRevalidateEquivalenceGen(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: seed})
 		set := gr.Set()
-		g := gr.ConsistentGraph(80)
-		perturb(rng, g, 6)
-		base := g.Frozen()
+		base := perturb(rng, gr.ConsistentGraph(80), 6)
 		prev := Violations(base, set)
 		d := gr.DenseDelta(base, 25)
 		ctx := fmt.Sprintf("seed=%d delta=%v", seed, d)
@@ -186,9 +187,7 @@ func TestRevalidateTriangles(t *testing.T) {
 		if set.Len() == 0 {
 			continue
 		}
-		g := gr.DenseGraph(1200, 8)
-		perturb(rng, g, 25)
-		base := g.Frozen()
+		base := perturb(rng, gr.DenseFrozen(1200, 8), 25)
 		prev := Violations(base, set)
 		d := gr.DenseDelta(base, 40)
 		ctx := fmt.Sprintf("seed=%d delta=%v", seed, d)
@@ -265,9 +264,7 @@ func TestRevalidateDisconnected(t *testing.T) {
 func TestRevalidateContended(t *testing.T) {
 	gr := gen.New(gen.Config{N: 30, K: 5, L: 2, WildcardRate: 0.2, Seed: 5})
 	set := gr.Set()
-	g := gr.ConsistentGraph(120)
-	perturb(rand.New(rand.NewSource(5)), g, 32)
-	base := g.Frozen()
+	base := perturb(rand.New(rand.NewSource(5)), gr.ConsistentGraph(120), 32)
 	prev := Violations(base, set)
 	if len(prev) == 0 {
 		t.Fatal("the perturbed base has no violations: nothing is carried over")
@@ -297,7 +294,7 @@ func TestRevalidateDeltaChains(t *testing.T) {
 	type fixture struct {
 		name string
 		set  *gfd.Set
-		g    *graph.Graph
+		g    *graph.Frozen
 		gr   *gen.Generator
 	}
 	var fixtures []fixture
@@ -305,13 +302,12 @@ func TestRevalidateDeltaChains(t *testing.T) {
 		tri := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: seed})
 		mixed := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: seed})
 		fixtures = append(fixtures,
-			fixture{fmt.Sprintf("triangles seed=%d", seed), tri.ValidationSet(12), tri.DenseGraph(600, 8), tri},
+			fixture{fmt.Sprintf("triangles seed=%d", seed), tri.ValidationSet(12), tri.DenseFrozen(600, 8), tri},
 			fixture{fmt.Sprintf("gen seed=%d", seed), mixed.Set(), mixed.ConsistentGraph(80), mixed})
 	}
 	chained, fromBase, violations := 0, 0, 0
 	for _, fx := range fixtures {
-		perturb(rand.New(rand.NewSource(7)), fx.g, 10)
-		base := fx.g.Frozen()
+		base := perturb(rand.New(rand.NewSource(7)), fx.g, 10)
 		prev := Violations(base, fx.set)
 		d := graph.NewDelta(base)
 		for b := 0; b < 16; b++ {
@@ -368,9 +364,7 @@ func TestRevalidateDeltaChains(t *testing.T) {
 func TestRevalidateDeltaMemoKey(t *testing.T) {
 	gr := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: 1})
 	set := gr.ValidationSet(12)
-	g := gr.DenseGraph(600, 8)
-	perturb(rand.New(rand.NewSource(3)), g, 10)
-	base := g.Frozen()
+	base := perturb(rand.New(rand.NewSource(3)), gr.DenseFrozen(600, 8), 10)
 	prev := Violations(base, set)
 	d := gr.DenseDelta(base, 30)
 	want := Violations(d.Overlay(), set)

@@ -24,16 +24,16 @@ type SatResult struct {
 	// one table every worker's view wrote) and Σ (for its reserved
 	// constants) — or, once built, the model itself.
 	witness struct {
-		g     *graph.Graph
+		g     *graph.Frozen
 		eq    *eq.Eq
 		set   *gfd.Set
-		model *graph.Graph
+		model *graph.Frozen
 	}
 }
 
 // satisfiable is the result of a run that reached quiescence without
 // conflict on canonical graph g with final relation rel.
-func satisfiable(g *graph.Graph, rel *eq.Eq, set *gfd.Set, stats Stats) *SatResult {
+func satisfiable(g *graph.Frozen, rel *eq.Eq, set *gfd.Set, stats Stats) *SatResult {
 	r := &SatResult{Satisfiable: true, Stats: stats}
 	r.witness.g, r.witness.eq, r.witness.set = g, rel, set
 	return r
@@ -42,8 +42,9 @@ func satisfiable(g *graph.Graph, rel *eq.Eq, set *gfd.Set, stats Stats) *SatResu
 // emptySetResult answers for Σ = ∅, which any nonempty graph satisfies.
 func emptySetResult() *SatResult {
 	r := &SatResult{Satisfiable: true}
-	r.witness.model = graph.New()
-	r.witness.model.AddNode("v")
+	b := graph.NewBuilder(0)
+	b.AddNode("v")
+	r.witness.model = b.Freeze()
 	return r
 }
 
@@ -52,7 +53,7 @@ func emptySetResult() *SatResult {
 // it is built on the first call: F^Σ_A is completed by giving every
 // uninstantiated class a fresh distinct constant (Section IV-C(c)). Not safe
 // for concurrent use.
-func (r *SatResult) Model() *graph.Graph {
+func (r *SatResult) Model() *graph.Frozen {
 	w := &r.witness
 	if w.model == nil && w.eq != nil {
 		w.model = CompleteModel(w.g, w.eq, w.set.Constants())

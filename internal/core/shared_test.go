@@ -71,6 +71,24 @@ func sameAsOracle(g graph.Reader, set *gfd.Set, got []Violation) bool {
 	return slices.Equal(violationKeys(set, got), violationKeys(set, want))
 }
 
+// mutableCopy replays f into an editable graph.Graph, tombstones included:
+// the Graph tier of the reader-equivalence tests.
+func mutableCopy(f *graph.Frozen) *graph.Graph {
+	g := graph.New()
+	for v := range graph.NodeID(f.NumNodes()) {
+		g.AddNodeWithAttrs(f.Label(v), f.Attrs(v))
+	}
+	for v := range graph.NodeID(f.NumNodes()) {
+		for _, e := range f.Out(v) {
+			g.AddEdge(e.From, e.To, e.Label)
+		}
+		if !f.Alive(v) {
+			g.RemoveNode(v)
+		}
+	}
+	return g
+}
+
 // TestGroupedViolationsMatchPerGFD is the shared-evaluation equivalence
 // property for validation: on generated sets with duplicated and
 // prefix-overlapping patterns, grouped evaluation must reproduce checking
@@ -91,15 +109,13 @@ func TestGroupedViolationsMatchPerGFD(t *testing.T) {
 		if set.Len() == 0 {
 			continue
 		}
-		g := gr.DenseGraph(900, 6)
-		perturb(rng, g, 20)
-		frozen := g.Frozen()
+		frozen := perturb(rng, gr.DenseFrozen(900, 6), 20)
 		d := gr.DenseDelta(frozen, 30)
 		tiers := []struct {
 			name string
 			data graph.Reader
 		}{
-			{"mutable", g},
+			{"mutable", mutableCopy(frozen)},
 			{"frozen", frozen},
 			{"sharded", frozen.Sharded(3)},
 			{"overlay", d.Overlay()},
@@ -236,10 +252,9 @@ func TestSatisfiesIsFirstViolation(t *testing.T) {
 	held, failed := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		gr := gen.New(gen.Config{N: 15, K: 5, L: 2, Profile: dataset.DBpedia(), WildcardRate: 0.2, Seed: seed})
-		dense := gr.DenseGraph(400, 6)
+		dense := perturb(rand.New(rand.NewSource(seed)), gr.DenseFrozen(400, 6), 20)
 		cons := gen.New(gen.Config{N: 20, K: 3, L: 3, Seed: seed})
 		consSet := cons.Set()
-		perturb(rand.New(rand.NewSource(seed)), dense, 20)
 		for name, c := range map[string]struct {
 			g   graph.Reader
 			set *gfd.Set
@@ -334,9 +349,7 @@ func TestGroupedRevalidateMatchesPerGFD(t *testing.T) {
 		if set.Len() == 0 {
 			continue
 		}
-		g := gr.DenseGraph(1000, 8)
-		perturb(rng, g, 25)
-		base := g.Frozen()
+		base := perturb(rng, gr.DenseFrozen(1000, 8), 25)
 		prev := Violations(base, set)
 		d := gr.DenseDelta(base, 40)
 		want := Violations(d.Overlay(), set)
@@ -379,9 +392,7 @@ func TestPerturbedSchedulesValidationAgree(t *testing.T) {
 	ctx := context.Background()
 	gr := gen.New(gen.Config{N: 20, K: 6, L: 2, Profile: dataset.DBpedia(), Seed: 1})
 	set := gr.SharedValidationSet(4, 5)
-	g := gr.DenseGraph(1000, 8)
-	perturb(rand.New(rand.NewSource(13)), g, 25)
-	base := g.Frozen()
+	base := perturb(rand.New(rand.NewSource(13)), gr.DenseFrozen(1000, 8), 25)
 	prev, _, err := violations(base, set, ParOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
@@ -421,15 +432,16 @@ func TestPerturbedSchedulesValidationAgree(t *testing.T) {
 func TestViolationsAllocsIndependentOfMatches(t *testing.T) {
 	gr := gen.New(gen.Config{N: 40, K: 4, L: 2, Seed: 3})
 	set := gr.Set()
-	g := gr.DenseGraph(1500, 8)
+	f := gr.DenseFrozen(1500, 8)
 	rng := rand.New(rand.NewSource(3))
+	d := graph.NewDelta(f)
 	for i := 0; i < 4; i++ {
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		for a := range g.Attrs(v) {
-			g.SetAttr(v, a, "perturbed")
+		v := graph.NodeID(rng.Intn(f.NumNodes()))
+		for a := range f.Attrs(v) {
+			d.SetAttr(v, a, "perturbed")
 		}
 	}
-	f := g.Frozen()
+	f = f.Refreeze(d)
 
 	groups := set.Groups()
 	pgs := make([]match.PatternGroup, len(groups))

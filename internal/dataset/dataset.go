@@ -8,7 +8,7 @@
 // The reasoning algorithms only ever see GFD sets, so matching pattern
 // size/shape distribution, label selectivity and literal mix preserves the
 // experiments' behaviour. Data graphs over a profile's label universe come
-// from internal/gen (ConsistentGraph, DenseGraph, MutateDelta).
+// from internal/gen (ConsistentGraph, DenseFrozen, MutateDelta).
 package dataset
 
 import "fmt"

@@ -503,17 +503,18 @@ func (g *Generator) NonImpliedGFD() *gfd.GFD {
 }
 
 // ConsistentGraph materializes a data graph where every node's attributes
-// follow W — a model-like graph for the mined-GFD scenario.
-func (g *Generator) ConsistentGraph(nodes int) *graph.Graph {
-	gr := graph.New()
-	labels := g.consistentNodes(gr, nodes)
-	g.consistentEdges(gr, labels)
-	return gr
+// follow W — a model-like graph for the mined-GFD scenario. A caller that
+// edits it does so through a graph.Delta over it.
+func (g *Generator) ConsistentGraph(nodes int) *graph.Frozen {
+	b := graph.NewBuilder(0)
+	labels := g.consistentNodes(b, nodes)
+	g.consistentEdges(b, labels)
+	return b.Freeze()
 }
 
 // consistentEdges links each node along the frequent-edge schema to the
 // first node carrying the destination label.
-func (g *Generator) consistentEdges(gr graph.Sink, labels []string) {
+func (g *Generator) consistentEdges(gr *graph.Builder, labels []string) {
 	first := make(map[string]graph.NodeID, 8)
 	for i, l := range labels {
 		if _, ok := first[l]; !ok {
@@ -533,9 +534,9 @@ func (g *Generator) consistentEdges(gr graph.Sink, labels []string) {
 }
 
 // consistentNodes appends nodes carrying profile labels and W-consistent
-// attribute values into the build target — the shared substrate of the
+// attribute values into the builder — the shared substrate of the
 // Consistent/Dense materializations. It returns each node's label.
-func (g *Generator) consistentNodes(gr graph.Sink, nodes int) []string {
+func (g *Generator) consistentNodes(gr *graph.Builder, nodes int) []string {
 	labels := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
 		labels[i] = g.headLabel()
@@ -553,26 +554,16 @@ func (g *Generator) consistentNodes(gr graph.Sink, nodes int) []string {
 	return labels
 }
 
-// DenseGraph materializes a consistent data graph like ConsistentGraph but
+// DenseFrozen materializes a consistent data graph like ConsistentGraph but
 // label-dense: each node draws up to degree outgoing edges by sampling the
 // schema triples at its label with replacement, each toward a uniformly
 // random node carrying the destination label. The result stays a model of
 // consistent GFDs (attributes follow W) while giving every label a large
 // candidate set and every node a fat multi-label adjacency — the workload
-// where matching cost is dominated by adjacency filtering.
-func (g *Generator) DenseGraph(nodes, degree int) *graph.Graph {
-	gr := graph.New()
-	labels := g.consistentNodes(gr, nodes)
-	g.denseEdges(gr, labels, degree)
-	return gr
-}
-
-// DenseFrozen is DenseGraph through the bulk-load path: O(1) edge appends
-// into a graph.Builder, sorted once at Freeze. Given the same generator
-// state it draws the same nodes and edges as DenseGraph (pinned by the
-// equivalence tests), making it the materialization for read-only
-// consumers of large dense workloads. A caller that edits the graph before
-// reading it (the CI workloads perturb attributes) starts from DenseGraph.
+// where matching cost is dominated by adjacency filtering. Edges append in
+// O(1) into a graph.Builder and sort once at Freeze; a caller that edits the
+// graph before reading it (the CI workloads perturb attributes) does so
+// through a graph.Delta over the result.
 func (g *Generator) DenseFrozen(nodes, degree int) *graph.Frozen {
 	b := graph.NewBuilder(nodes * degree)
 	labels := g.consistentNodes(b, nodes)
@@ -787,8 +778,8 @@ func (g *Generator) DenseDelta(base *graph.Frozen, n int) *graph.Delta {
 	return d
 }
 
-// denseEdges draws the label-dense edge set into the build target.
-func (g *Generator) denseEdges(gr graph.Sink, labels []string, degree int) {
+// denseEdges draws the label-dense edge set into the builder.
+func (g *Generator) denseEdges(gr *graph.Builder, labels []string, degree int) {
 	byLabel := make(map[string][]graph.NodeID, 8)
 	for i, l := range labels {
 		byLabel[l] = append(byLabel[l], graph.NodeID(i))

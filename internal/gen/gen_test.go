@@ -149,45 +149,6 @@ func TestGeneratedSetsInteract(t *testing.T) {
 
 var _ = gfd.ConstLiteral // keep import stable if assertions above change
 
-// assertSameGraph structurally compares a mutable graph with a frozen
-// snapshot built by an independent replay of the same
-// synthesis: node labels and attributes, wildcard adjacency (ascending on
-// both sides), and per-edge membership.
-func assertSameGraph(t *testing.T, ctx string, g *graph.Graph, f graph.Reader) {
-	t.Helper()
-	if g.NumNodes() != f.NumNodes() || g.NumEdges() != f.NumEdges() {
-		t.Fatalf("%s: cardinalities diverge: mutable (%d,%d) frozen (%d,%d)",
-			ctx, g.NumNodes(), g.NumEdges(), f.NumNodes(), f.NumEdges())
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if g.Label(id) != f.Label(id) {
-			t.Fatalf("%s: label of %d diverges: %q vs %q", ctx, v, g.Label(id), f.Label(id))
-		}
-		if fmt.Sprint(g.Attrs(id)) != fmt.Sprint(f.Attrs(id)) {
-			t.Fatalf("%s: attrs of %d diverge: %v vs %v", ctx, v, g.Attrs(id), f.Attrs(id))
-		}
-		mo, fo := g.OutByLabelID(id, graph.AnyLabel), f.OutByLabelID(id, graph.AnyLabel)
-		if fmt.Sprint(mo) != fmt.Sprint(fo) {
-			t.Fatalf("%s: adjacency of %d diverges: %v vs %v", ctx, v, mo, fo)
-		}
-		for _, e := range g.Out(id) {
-			if !graph.HasEdge(f, e.From, e.To, e.Label) {
-				t.Fatalf("%s: frozen misses edge %v", ctx, e)
-			}
-		}
-	}
-}
-
-// TestFrozenMaterializationsEquivalence pins the Builder wiring: for the
-// same generator configuration, DenseFrozen carries exactly the graph its
-// editable counterpart produces.
-func TestFrozenMaterializationsEquivalence(t *testing.T) {
-	cfg := Config{N: 12, K: 4, L: 2, Seed: 9}
-	assertSameGraph(t, "dense",
-		New(cfg).DenseGraph(150, 6), New(cfg).DenseFrozen(150, 6))
-}
-
 // TestMutateDeltaDeterminism pins the update-stream generator: the same
 // configuration draws the same delta, ops actually land, and the composed
 // graph stays schema-consistent (every edge label comes from the profile).

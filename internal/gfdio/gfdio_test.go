@@ -44,7 +44,7 @@ func TestReadGraph(t *testing.T) {
 
 // TestGraphRoundTrip writes the parsed sample from both build targets — the
 // snapshot ReadFrozenGraph returns and an editable graph filled through the
-// same parser — and re-parses the text: every spelling is the same graph.
+// same parser — and re-parses the text: every spelling writes the same text.
 func TestGraphRoundTrip(t *testing.T) {
 	f, err := ReadFrozenGraph(strings.NewReader(sampleGraph))
 	if err != nil {
@@ -54,7 +54,7 @@ func TestGraphRoundTrip(t *testing.T) {
 	if err := readGraphInto(strings.NewReader(sampleGraph), g); err != nil {
 		t.Fatal(err)
 	}
-	var fromFrozen, fromGraph strings.Builder
+	var fromFrozen, fromGraph, reparsed strings.Builder
 	if err := WriteGraph(&fromFrozen, f); err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,11 @@ func TestGraphRoundTrip(t *testing.T) {
 	if err := readGraphInto(strings.NewReader(fromFrozen.String()), g2); err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, fromFrozen.String())
 	}
-	if g.String() != g2.String() || fromGraph.String() != g.String() {
-		t.Fatalf("round trip changed graph:\n%s\nvs\n%s\nvs\n%s", g, g2, fromGraph.String())
+	if err := WriteGraph(&reparsed, g2); err != nil {
+		t.Fatal(err)
+	}
+	if fromGraph.String() != fromFrozen.String() || reparsed.String() != fromFrozen.String() {
+		t.Fatalf("round trip changed graph:\n%s\nvs\n%s\nvs\n%s", fromFrozen.String(), fromGraph.String(), reparsed.String())
 	}
 }
 

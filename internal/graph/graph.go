@@ -7,19 +7,20 @@
 // finite tuple F_A(v) of attribute/constant pairs carrying content, as in
 // property graphs.
 //
-// There is one index per graph — Frozen's CSR (frozen.go) — and three ways to
-// get at it: fill a Builder and Freeze it; edit a Graph, which re-freezes
-// lazily and reads through the cached snapshot (this file); or record updates
-// against a Frozen in a Delta and Refreeze it — its Overlay is that
-// Refreeze, cached per delta version (delta.go, refreeze.go). reader.go
-// states what every reader guarantees: ordering, ID lifetime, concurrency.
+// There is one index per graph — Frozen's CSR (frozen.go). A graph is built
+// by filling a Builder and freezing it, and changed by recording updates
+// against a Frozen in a Delta and refreezing it — its Overlay is that
+// Refreeze, cached per delta version (delta.go, refreeze.go). The editable
+// Graph of this file re-freezes lazily and reads through the cached
+// snapshot; it holds G_Σ (package canon) and is the edit model the tests of
+// Delta, Refreeze and Compact compare against. reader.go states what every
+// reader guarantees: ordering, ID lifetime, concurrency.
 package graph
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -332,31 +333,6 @@ type Signature struct {
 	In  []string
 }
 
-// Clone returns a deep copy of g, tombstones included.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		id := c.AddNode(n.Label)
-		for k, v := range n.Attrs {
-			c.SetAttr(id, k, v)
-		}
-	}
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			c.AddEdge(e.From, e.To, e.Label)
-		}
-	}
-	if g.dead != nil {
-		for v, d := range g.dead {
-			if d {
-				c.RemoveNode(NodeID(v))
-			}
-		}
-	}
-	return c
-}
-
 // Subgraph returns the induced subgraph on the given node set, together with
 // the mapping from old IDs to new IDs.
 func (g *Graph) Subgraph(keep map[NodeID]bool) (*Graph, map[NodeID]NodeID) {
@@ -386,33 +362,6 @@ func (g *Graph) Subgraph(keep map[NodeID]bool) (*Graph, map[NodeID]NodeID) {
 		}
 	}
 	return sub, remap
-}
-
-// String renders the graph in a compact human-readable form, one node and
-// one edge per line, in deterministic order.
-func (g *Graph) String() string {
-	var b strings.Builder
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		fmt.Fprintf(&b, "node %d %s", n.ID, n.Label)
-		if len(n.Attrs) > 0 {
-			keys := make([]string, 0, len(n.Attrs))
-			for k := range n.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, " %s=%s", k, n.Attrs[k])
-			}
-		}
-		b.WriteByte('\n')
-	}
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			fmt.Fprintf(&b, "edge %d %d %s\n", e.From, e.To, e.Label)
-		}
-	}
-	return b.String()
 }
 
 func (g *Graph) valid(v NodeID) bool { return v >= 0 && int(v) < len(g.nodes) }

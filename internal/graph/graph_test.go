@@ -163,20 +163,6 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g, ids := buildDiamond(t)
-	g.SetAttr(ids[0], "name", "alice")
-	c := g.Clone()
-	c.SetAttr(ids[0], "name", "eve")
-	c.AddNode("new")
-	if v, _ := g.Attr(ids[0], "name"); v != "alice" {
-		t.Error("clone mutation leaked into original attrs")
-	}
-	if g.NumNodes() != 4 {
-		t.Error("clone mutation leaked into original nodes")
-	}
-}
-
 func TestSizeCountsAttrs(t *testing.T) {
 	g, ids := buildDiamond(t)
 	base := size(g)

@@ -221,21 +221,6 @@ func checkIndexConsistency(t *testing.T, g *Graph) {
 	}
 }
 
-func TestIndexConsistencyAfterClone(t *testing.T) {
-	g := buildIndexed(t)
-	c := g.Clone()
-	checkIndexConsistency(t, c)
-	// Mutating the clone must not leak into the original's index.
-	c.AddEdge(2, 1, "new")
-	if HasEdge(g, 2, 1, "new") {
-		t.Error("clone mutation visible in original's edge set")
-	}
-	if len(outByLabel(g, 2, "new")) != 0 {
-		t.Error("clone mutation visible in original's adjacency index")
-	}
-	checkIndexConsistency(t, g)
-}
-
 func TestIndexConsistencyAfterSubgraph(t *testing.T) {
 	g := buildIndexed(t)
 	sub, remap := g.Subgraph(map[NodeID]bool{0: true, 1: true})

@@ -7,10 +7,11 @@ package graph
 // snapshot it caches between edits (see graph.go). Every Reader resolves
 // to a *Frozen through Snapshot, and the matching, simulation and reasoning
 // layers do so once at their entry points and read the Frozen from there
-// on, so they run unmodified on any of them. The division of labour: edit
-// with a Graph or fill a Builder, read a Frozen, update it with a Delta and
-// read its Overlay (the Refreeze of the delta so far); mutation (AddNode,
-// AddEdge, SetAttr, RemoveEdge, RemoveNode) stays on *Graph and *Delta.
+// on, so they run unmodified on any of them. The division of labour: fill a
+// Builder and read the Frozen it freezes, update that with a Delta and read
+// its Overlay (the Refreeze of the delta so far); a Graph, edited in place,
+// holds G_Σ and the tests' edit model. Mutation (AddNode, AddEdge, SetAttr,
+// RemoveEdge, RemoveNode) stays on *Graph and *Delta.
 //
 // The interface is the ID-based core a representation has to answer from
 // its own storage. Queries that are compositions of the core — HasEdge and

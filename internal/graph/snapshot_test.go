@@ -62,7 +62,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		rngA := rand.New(rand.NewSource(seed + 500))
 		rngB := rand.New(rand.NewSource(seed + 500))
 		dOrig, dLoaded := NewDelta(f), NewDelta(loaded)
-		mirrorB := mirror.Clone() // identical streams need identical mirrors
+		mirrorB, _ := snapshotFixture(t, seed) // identical streams need identical mirrors
 		applyRandomOps(rngA, mirror, dOrig, 10, nodeLabels, edgeLabels)
 		applyRandomOps(rngB, mirrorB, dLoaded, 10, nodeLabels, edgeLabels)
 		checkReaderEquivalence(t, ctx+" refrozen-loaded",

@@ -24,8 +24,8 @@ func TestAdaptiveMergeEquivalenceGen(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		prof := profiles[int(seed)%len(profiles)]
 		gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Profile: prof, WildcardRate: 0.3, Seed: seed})
-		g := gr.ConsistentGraph(40)
-		f := g.Frozen()
+		f := gr.ConsistentGraph(40)
+		g := mutableCopy(f)
 		d := graph.NewDelta(f)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 8; i++ {

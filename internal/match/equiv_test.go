@@ -31,6 +31,24 @@ func matchSet(p *pattern.Pattern, g graph.Reader, opts match.Options) []string {
 	return out
 }
 
+// mutableCopy replays f into an editable graph.Graph, tombstones included:
+// the Graph tier of the reader-equivalence tests.
+func mutableCopy(f *graph.Frozen) *graph.Graph {
+	g := graph.New()
+	for v := range graph.NodeID(f.NumNodes()) {
+		g.AddNodeWithAttrs(f.Label(v), f.Attrs(v))
+	}
+	for v := range graph.NodeID(f.NumNodes()) {
+		for _, e := range f.Out(v) {
+			g.AddEdge(e.From, e.To, e.Label)
+		}
+		if !f.Alive(v) {
+			g.RemoveNode(v)
+		}
+	}
+	return g
+}
+
 // oracleSet is the reference for matchSet: the brute-force homomorphism set
 // of internal/oracle — every node tried for every variable, edges probed one
 // by one — in matchSet's canonical form. keep, when non-nil, selects the

@@ -23,8 +23,8 @@ func TestFrozenMatchEquivalenceGen(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		prof := profiles[int(seed)%len(profiles)]
 		gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Profile: prof, WildcardRate: 0.3, Seed: seed})
-		g := gr.ConsistentGraph(40)
-		f := g.Frozen()
+		f := gr.ConsistentGraph(40)
+		g := mutableCopy(f)
 		for i := 0; i < 10; i++ {
 			p := gr.Pattern()
 			ctx := fmt.Sprintf("seed=%d pattern#%d %s", seed, i, p)
@@ -102,8 +102,8 @@ func TestFrozenMatchEquivalenceUniform(t *testing.T) {
 // computes the same relation on both representations.
 func TestFrozenSimulationEquivalence(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: 11})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
+	g := mutableCopy(f)
 	checked := 0
 	for i := 0; i < 10; i++ {
 		p := gr.Pattern()

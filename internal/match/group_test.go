@@ -118,8 +118,8 @@ func TestEnumerateGroupedGen(t *testing.T) {
 	nonEmpty := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		gr := gen.New(gen.Config{N: 12, K: 4, L: 2, WildcardRate: 0.2, Seed: seed})
-		g := gr.ConsistentGraph(50)
-		f := g.Frozen()
+		f := gr.ConsistentGraph(50)
+		g := mutableCopy(f)
 		d := graph.NewDelta(f)
 		d.AddEdge(0, 1, f.Label(0))
 		readers := map[string]graph.Reader{
@@ -247,8 +247,7 @@ func TestLiteralEval(t *testing.T) {
 // plan serves searches for both values.
 func TestPlanCacheStructuralHit(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 7})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
 	p := gr.Pattern()
 	q := rebuildPattern(p)
 	if p == q || !pattern.StructuralEqual(p, q) {

@@ -133,7 +133,7 @@ type LiteralScratch struct {
 type slotState struct {
 	v    pattern.Var
 	name graph.AttrID
-	col  *graph.AttrColumn // nil: search the row
+	col  *graph.AttrColumn // nil: search the row (a column scratch: until the first read)
 	val  graph.ValueID     // graph.NoValue where the attribute is missing
 	node graph.NodeID      // the node val was read from; InvalidNode if none
 }
@@ -168,15 +168,14 @@ func (s *LiteralScratch) Begin() {
 	}
 }
 
-// bind points the scratch at the snapshot rows.
+// bind points the scratch at the snapshot rows. A column scratch asks for a
+// slot's column at the slot's first read (load), so a group makes only the
+// columns its literals read.
 func (s *LiteralScratch) bind(e *LiteralEval, rows *graph.Frozen) {
 	s.rows = rows
 	for i, a := range e.slotAttr {
 		sl := &s.slots[i]
 		sl.name, sl.col = rows.AttrNameID(a), nil
-		if s.columns {
-			sl.col = rows.AttrColumn(sl.name)
-		}
 	}
 	for i, c := range e.consts {
 		s.consts[i] = rows.AttrValueID(c)
@@ -197,6 +196,9 @@ func (s *LiteralScratch) load(h Assignment, i int, v pattern.Var, c graph.NodeID
 		n = h[sl.v]
 	}
 	if n != sl.node {
+		if sl.col == nil && s.columns && sl.name != graph.NoAttr {
+			sl.col = s.rows.AttrColumn(sl.name)
+		}
 		if sl.col != nil {
 			sl.val = sl.col.At(n)
 		} else {

@@ -89,12 +89,59 @@ func TestLiteralScratchNodeMemo(t *testing.T) {
 
 		// The same match on another snapshot reads that snapshot, with no Begin:
 		// on g2, x0.A = y1.B, so the violation the scratch held for g is gone.
-		g2 := g.Clone()
-		g2.SetAttr(x0, "A", "q")
-		f2 := g2.Frozen()
+		d := graph.NewDelta(f)
+		d.SetAttr(x0, "A", "q")
+		f2 := d.Overlay()
 		step(f, x0, y1, true)
 		s.slots[xA].val = sentinel
 		step(f2, x0, y1, false)
 		planted("on a new snapshot", rowValue(f2, x0))
+	}
+}
+
+// TestColumnScratchMakesColumnsOnFirstRead pins when a column scratch makes
+// value columns: at a slot's first read, not when the scratch binds to the
+// snapshot. Member 0's first antecedent literal fails at the match, so it
+// reads one of the program's three slots and the snapshot makes one column,
+// although it carries all three names. Member 1 reads a name the snapshot
+// lacks, which has no column to make.
+func TestColumnScratchMakesColumnsOnFirstRead(t *testing.T) {
+	b := graph.NewBuilder(0)
+	x, y := b.AddNode("a"), b.AddNode("b")
+	b.SetAttr(x, "A", "p")
+	b.SetAttr(x, "B", "q")
+	b.SetAttr(y, "C", "q")
+	f := b.Freeze()
+	e := CompileLiterals([]MemberLiterals{
+		// x.A = "never", x.B = y.C → y.C = "r"
+		{
+			X: []LiteralSpec{{IsConst: true, V1: 0, A1: "A", Const: "never"}, {V1: 0, A1: "B", V2: 1, A2: "C"}},
+			Y: []LiteralSpec{{IsConst: true, V1: 1, A1: "C", Const: "r"}},
+		},
+		// x.Z = "z" → y.C = "r": no node of the snapshot carries Z.
+		{
+			X: []LiteralSpec{{IsConst: true, V1: 0, A1: "Z", Const: "z"}},
+			Y: []LiteralSpec{{IsConst: true, V1: 1, A1: "C", Const: "r"}},
+		},
+	})
+	s := e.NewColumnScratch()
+	h := Assignment{x, y}
+	if e.Violates(0, f, h, s) {
+		t.Fatal("member 0 violates with a failing antecedent")
+	}
+	if n := f.NumAttrColumns(); n != 1 {
+		t.Fatalf("a failing first literal made %d value columns, want 1 (the slot it read)", n)
+	}
+	for _, v := range []graph.NodeID{x, y, x} {
+		if e.Violates(1, f, Assignment{v, y}, s) {
+			t.Fatal("member 1 violates with a missing antecedent attribute")
+		}
+	}
+	if n := f.NumAttrColumns(); n != 1 {
+		t.Fatalf("reads of a name the snapshot lacks made columns: %d, want 1", n)
+	}
+	const xZ = 3 // slots in interning order: x.A, x.B, y.C, x.Z
+	if s.slots[xZ].col != nil || s.slots[xZ].name != graph.NoAttr {
+		t.Fatalf("the x.Z slot is bound to name %d, column %v; want NoAttr and none", s.slots[xZ].name, s.slots[xZ].col)
 	}
 }

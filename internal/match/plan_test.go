@@ -32,8 +32,8 @@ func expectStalePanic(t *testing.T, ctx string, fn func()) {
 // for, including the pivot-rooted form the parallel engines use.
 func TestPlanSearchEquivalence(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.3, Seed: 3})
-	g := gr.ConsistentGraph(40)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(40)
+	g := mutableCopy(f)
 	d := graph.NewDelta(f)
 	d.AddEdge(0, 1, f.Label(0))
 	readers := map[string]graph.Reader{
@@ -83,8 +83,8 @@ func TestPlanSearchEquivalence(t *testing.T) {
 // shared with that snapshot, recompiled after a mutation.
 func TestPlanCacheReuse(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 5})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
+	g := mutableCopy(f)
 	p := gr.Pattern()
 	cache := match.NewPlanCache()
 
@@ -144,7 +144,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Fatal("fixture: no generated pattern has a match")
 	}
 	want := matchSet(p, base, match.Options{})
-	g := base.Clone() // no snapshot built yet
+	g := mutableCopy(base) // no snapshot built yet
 	readers := []func() graph.Reader{
 		func() graph.Reader { return g },
 		func() graph.Reader { return g.Frozen() },
@@ -193,8 +193,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 // the snapshot — and its plans — alive.
 func TestPlanStaleness(t *testing.T) {
 	gr := gen.New(gen.Config{N: 8, K: 3, L: 2, Seed: 9})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
+	g := mutableCopy(f)
 	p := gr.Pattern()
 
 	pl := match.CompilePlan(p, f)

@@ -24,8 +24,7 @@ func TestShardedMatchEquivalenceGen(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		prof := profiles[int(seed)%len(profiles)]
 		gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Profile: prof, WildcardRate: 0.3, Seed: seed})
-		g := gr.ConsistentGraph(40)
-		f := g.Frozen()
+		f := gr.ConsistentGraph(40)
 		for _, k := range []int{1, 3, 8} {
 			s := f.Sharded(k)
 			for i := 0; i < 6; i++ {
@@ -111,8 +110,7 @@ func TestShardedMatchEquivalenceUniform(t *testing.T) {
 // nothing.
 func TestRootCandidatesPartition(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
 	p := gr.Pattern()
 	order := match.DefaultOrder(p)
 	if len(order) == 0 {
@@ -139,8 +137,7 @@ func TestRootCandidatesPartition(t *testing.T) {
 // shard part.
 func TestShardedFanOutWithSeedFallsBack(t *testing.T) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, WildcardRate: 0.2, Seed: 9})
-	g := gr.ConsistentGraph(30)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(30)
 	s := f.Sharded(4)
 	checked := 0
 	for i := 0; i < 8; i++ {

@@ -57,7 +57,7 @@ func TestSimulateMatchesOracle(t *testing.T) {
 			}
 		}
 		d := graph.NewDelta(base)
-		applyMirroredOps(rand.New(rand.NewSource(seed)), g.Clone(), d, g.NumNodes()/2, g.Labels(), edgeLabels)
+		applyMirroredOps(rand.New(rand.NewSource(seed)), mutableCopy(base), d, g.NumNodes()/2, g.Labels(), edgeLabels)
 		readers := []struct {
 			name string
 			r    graph.Reader

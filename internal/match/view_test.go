@@ -18,8 +18,8 @@ import (
 // that removed a few of the snapshot's edges and one node.
 func genReaders(seed int64) (*gen.Generator, map[string]graph.Reader) {
 	gr := gen.New(gen.Config{N: 10, K: 4, L: 2, Profile: dataset.All()[int(seed)%len(dataset.All())], WildcardRate: 0.3, Seed: seed})
-	g := gr.ConsistentGraph(40)
-	f := g.Frozen()
+	f := gr.ConsistentGraph(40)
+	g := mutableCopy(f)
 	d := graph.NewDelta(f)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 6; i++ {

@@ -120,7 +120,7 @@ var testOwned = map[string]string{
 	"core.(SatResult).Model":        "Theorem 1's witness model; deciding satisfiability never builds it, the model tests do",
 	"core.IsModel":                  "checks that witness against Σ; SatResult.Model's tests are its callers",
 	"graph.(Graph).Subgraph":        "the induced-subgraph reference Compact is tested against",
-	"graph.(Frozen).NumAttrColumns": "how many value columns a snapshot made; the tests that pin which callers make them (Revalidate makes none) read it",
+	"graph.(Frozen).NumAttrColumns": "how many value columns a snapshot made; the tests that pin which searches make them, and which slots a column scratch makes them for, read it",
 	"eq.(Eq).Classes":               "canonical rendering of a relation, what the replay/confluence tests compare",
 	"gen.(Generator).SharedSet":     "Σ with structurally equal patterns under fresh variable names, for grouped ≡ per-GFD sat/imp tests",
 	"match.FindAll":                 "a whole match set as a slice; shipped code streams with Search.Next, tests compare sets",
@@ -146,6 +146,23 @@ var testOwned = map[string]string{
 // referenced by any x.Name(...) call, whatever x is. Both err on the side of
 // "referenced", so a hit is never a false alarm, only a miss is possible.
 func TestEveryExportedSymbolIsReferenced(t *testing.T) {
+	dead, used := unreferencedSymbols(t, shippedRoots)
+	if len(dead) > 0 {
+		t.Errorf("exported under internal/ but named by no non-test file of cmd/, examples/, internal/ or benchmark/gfdbench/ (delete, or allow-list in testOwned with a reason):\n\t%s", strings.Join(dead, "\n\t"))
+	}
+	for key := range testOwned {
+		if !used[key] {
+			t.Errorf("testOwned lists %s, which is referenced or gone: drop the entry", key)
+		}
+	}
+}
+
+// unreferencedSymbols is the walk of TestEveryExportedSymbolIsReferenced over
+// the given roots: the sorted keys of the exported symbols under internal/
+// that no non-test file of the roots names and testOwned does not list, and
+// the testOwned keys that such a symbol used.
+func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[string]bool) {
+	t.Helper()
 	const module = "repro"
 	type decl struct {
 		key, name, dir string
@@ -237,7 +254,7 @@ func TestEveryExportedSymbolIsReferenced(t *testing.T) {
 		})
 		return nil
 	}
-	for _, root := range shippedRoots {
+	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -249,8 +266,7 @@ func TestEveryExportedSymbolIsReferenced(t *testing.T) {
 		}
 	}
 
-	var dead []string
-	used := map[string]bool{}
+	used = map[string]bool{}
 	for _, d := range decls {
 		referenced := false
 		if d.method {
@@ -277,12 +293,5 @@ func TestEveryExportedSymbolIsReferenced(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("exported under internal/ but named by no non-test file of cmd/, examples/, internal/ or benchmark/gfdbench/ (delete, or allow-list in testOwned with a reason):\n\t%s", strings.Join(dead, "\n\t"))
-	}
-	for key := range testOwned {
-		if !used[key] {
-			t.Errorf("testOwned lists %s, which is referenced or gone: drop the entry", key)
-		}
-	}
+	return dead, used
 }
