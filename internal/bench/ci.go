@@ -510,7 +510,9 @@ func RunCI(cfg Config) (*CIReport, error) {
 	// while updates accumulated. Taking it sorted the delta's edits and
 	// merged them into the touched rows, which the delta caches per version,
 	// so the timed refreeze reuses those rows and pays for writing the next
-	// CSR: the clean-row copies plus the touched rows through the row writer.
+	// CSR: the header clones, a copy of the row storage (the first delta's
+	// overlay claimed the base's tail) and the touched rows through the row
+	// writer.
 	// The ratio is machine-independent (two single-threaded code paths over
 	// the same data), so its baseline floor enforces the ≥5x acceptance
 	// claim directly.

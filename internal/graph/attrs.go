@@ -1,6 +1,6 @@
 // Attributes as ID rows. A Frozen interns attribute names and values per
 // snapshot and keeps each node's tuple F_A(v) as one run of (name, value)
-// ID pairs, ascending by name, in a flat array behind per-node offsets — the
+// ID pairs, ascending by name, in a flat array behind a per-node header — the
 // layout of its adjacency rows. Validation resolves a literal program's
 // names and constants to IDs once per snapshot (match.LiteralScratch) and
 // then compares uint32s; Attr and Attrs translate back to strings for the
@@ -126,54 +126,42 @@ func (t *strTable) seal() *strTable {
 	return t
 }
 
+// span is where one node's attribute row lies in its snapshot's attrKeys:
+// entries [lo, hi).
+type span struct{ lo, hi int32 }
+
 // attrBuilder is the attribute half of a snapshot under construction: the
-// name and value tables it interns into, and the rows, appended node by
-// node.
+// name and value tables it interns into, each node's row header, and the
+// storage rows are appended to.
 type attrBuilder struct {
 	names, values *strTable
-	off           []int32
-	rows          []uint64
+	rows          []span
+	keys          []uint64
 }
 
-// newAttrBuilder starts the rows of n nodes, interning into the given
-// tables under construction.
-func newAttrBuilder(n int, names, values *strTable) *attrBuilder {
-	return &attrBuilder{names: names, values: values, off: make([]int32, 1, n+1)}
+// endRow sorts the last n pairs appended into node v's row.
+func (r *attrBuilder) endRow(v NodeID, n int) {
+	lo := len(r.keys) - n
+	slices.Sort(r.keys[lo:])
+	r.rows[v] = span{int32(lo), int32(len(r.keys))}
 }
 
-// endRow sorts the pairs appended since the previous endRow into the next
-// node's row.
-func (r *attrBuilder) endRow() {
-	slices.Sort(r.rows[r.off[len(r.off)-1]:])
-	r.off = append(r.off, int32(len(r.rows)))
-}
-
-// appendTuple writes a node's row from its attribute map.
-func (r *attrBuilder) appendTuple(m map[string]string) {
+// appendTuple writes node v's row from its attribute map.
+func (r *attrBuilder) appendTuple(v NodeID, m map[string]string) {
 	for k, val := range m {
-		r.rows = append(r.rows, attrKey(AttrID(r.names.intern(k)), ValueID(r.values.intern(val))))
+		r.keys = append(r.keys, attrKey(AttrID(r.names.intern(k)), ValueID(r.values.intern(val))))
 	}
-	r.endRow()
-}
-
-// copyRows appends nodes [lo, hi) of f's rows verbatim: one bulk copy and a
-// constant offset shift.
-func (r *attrBuilder) copyRows(f *Frozen, lo, hi int) {
-	shift := int32(len(r.rows)) - f.attrOff[lo]
-	r.rows = append(r.rows, f.attrKeys[f.attrOff[lo]:f.attrOff[hi]]...)
-	for _, o := range f.attrOff[lo+1 : hi+1] {
-		r.off = append(r.off, o+shift)
-	}
+	r.endRow(v, len(m))
 }
 
 // into installs the rows and tables in f.
 func (r *attrBuilder) into(f *Frozen) {
-	f.attrOff, f.attrKeys = r.off, r.rows
+	f.attrRows, f.attrKeys = r.rows, r.keys
 	f.attrNames, f.attrValues = r.names.seal(), r.values.seal()
 }
 
 // attrRun returns node v's row.
-func (f *Frozen) attrRun(v NodeID) []uint64 { return f.attrKeys[f.attrOff[v]:f.attrOff[v+1]] }
+func (f *Frozen) attrRun(v NodeID) []uint64 { return f.attrKeys[f.attrRows[v].lo:f.attrRows[v].hi] }
 
 // AttrNameID resolves an attribute name to its ID, NoAttr when no node of
 // the snapshot ever carried it.
@@ -275,7 +263,7 @@ func (f *Frozen) Attr(v NodeID, attr string) (string, bool) {
 // Attrs returns the attribute tuple of v as a fresh map the caller owns (nil
 // if v has none). It is built per call: hot paths read rows by ID.
 func (f *Frozen) Attrs(v NodeID) map[string]string {
-	if !f.valid(v) || f.attrOff[v] == f.attrOff[v+1] {
+	if !f.valid(v) || len(f.attrRun(v)) == 0 {
 		return nil
 	}
 	run := f.attrRun(v)

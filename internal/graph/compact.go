@@ -1,7 +1,7 @@
 // Tombstone compaction. RemoveNode retires ID slots instead of recycling
 // them, so a long-lived snapshot that absorbs removal-heavy deltas accretes
 // dead slots: every O(V) pass (wildcard candidates, refreeze's label
-// re-count, the clean-row copies) keeps paying for nodes that no longer
+// re-count, the header clones) keeps paying for nodes that no longer
 // exist. Compact remaps the live slots onto a fresh dense ID space and drops
 // the tombstones. Because dead nodes own no edges (the RemoveNode/Delta
 // invariant), every CSR row of a dead node is empty, and because the live
@@ -11,7 +11,10 @@
 // (sharded views, dataset samples, persisted match results) can translate.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Remap translates pre-compaction node IDs to post-compaction ones; index by
 // old ID. Dead slots map to InvalidNode. A nil Remap means IDs were left
@@ -72,19 +75,20 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 		edgeLabels: f.edgeLabels,
 		edges:      f.edges,
 		// A dead node's attribute row is empty, like its adjacency rows:
-		// the rows and their tables carry over, only the offsets lose the
-		// dead entries.
-		attrKeys:   f.attrKeys,
+		// the rows and their tables carry over, only the headers lose the
+		// dead entries. Shared storage is clipped: a refreeze from nf must
+		// not append past f's lengths, where one from f may.
+		attrKeys:   slices.Clip(f.attrKeys),
 		attrNames:  f.attrNames,
 		attrValues: f.attrValues,
 	}
 	nf.nodeLabelOf = make([]LabelID, live)
-	nf.attrOff = make([]int32, live+1)
+	nf.attrRows = make([]span, live)
 	for v := 0; v < n; v++ {
 		if j := remap[v]; j != InvalidNode {
 			nf.nodeLabelOf[j] = f.nodeLabelOf[v]
-			nf.attrOff[j+1] = f.attrOff[v+1]
-		} else if f.attrOff[v+1] != f.attrOff[v] {
+			nf.attrRows[j] = f.attrRows[v]
+		} else if len(f.attrRun(NodeID(v))) != 0 {
 			panic(fmt.Sprintf("graph: Compact: tombstoned node %d still owns attributes", v))
 		}
 	}
@@ -103,28 +107,22 @@ func (f *Frozen) Compact() (*Frozen, Remap) {
 }
 
 // compactDir drops dead rows from one CSR direction. Dead rows are empty, so
-// the target/directory arrays keep their exact contents and internal offsets
-// — only the per-node offset arrays lose the dead entries and the endpoint
-// IDs translate through the remap.
+// the storage keeps its exact contents and positions — only the headers
+// lose the dead entries and the endpoint IDs translate through the remap.
 func compactDir(d *csrDir, remap Remap, live int) csrDir {
 	c := csrDir{
-		off:       make([]int32, live+1),
-		dirOff:    make([]int32, live+1),
+		rows:      make([]rowHdr, 0, live),
 		targets:   make([]NodeID, len(d.targets)),
 		all:       make([]NodeID, len(d.all)),
-		dirLabels: d.dirLabels,
-		dirStart:  d.dirStart,
+		dirLabels: slices.Clip(d.dirLabels),
+		dirStart:  slices.Clip(d.dirStart),
 	}
-	for v, j := 0, 0; v < len(d.off)-1; v++ {
-		if remap[v] == InvalidNode {
-			if d.off[v+1] != d.off[v] {
-				panic(fmt.Sprintf("graph: Compact: tombstoned node %d still owns edges", v))
-			}
-			continue
+	for v, h := range d.rows {
+		if remap[v] != InvalidNode {
+			c.rows = append(c.rows, h)
+		} else if h.hi != h.lo {
+			panic(fmt.Sprintf("graph: Compact: tombstoned node %d still owns edges", v))
 		}
-		c.off[j+1] = d.off[v+1]
-		c.dirOff[j+1] = d.dirOff[v+1]
-		j++
 	}
 	for i, t := range d.targets {
 		c.targets[i] = remap[t]

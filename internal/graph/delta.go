@@ -6,11 +6,12 @@
 // intern into one layer over the base's label tables, the strTable that
 // attribute names and values use too (attrs.go). Frozen.Refreeze
 // (refreeze.go) sorts those k edits by node, merges each touched base row
-// with its edits in one linear pass, and copies untouched rows verbatim.
+// with its edits in one linear pass, and appends it to storage it shares
+// with the base, whose untouched rows it keeps where they are.
 // Overlay serves the delta as it stands, one snapshot per delta version:
 // the first is that Refreeze, and each later one is chained from the
-// overlay before it, re-merging only the rows touched since and copying
-// every other row from it. Beyond the bulk copy, cost tracks the edits
+// overlay before it, re-merging only the rows touched since and keeping
+// every other row of it. Beyond the header clones, cost tracks the edits
 // since the last overlay, not the graph or the whole delta.
 package graph
 
@@ -374,7 +375,7 @@ func (d *Delta) dirRows(out bool, touched []NodeID) []row {
 	size := len(adds)
 	for _, v := range touched {
 		if int(v) < d.baseN() {
-			size += int(base.off[v+1] - base.off[v])
+			size += len(base.byLabel(v, AnyLabel))
 		}
 	}
 	keys := make([]uint64, 0, size)
@@ -397,7 +398,7 @@ func (d *Delta) dirRows(out bool, touched []NodeID) []row {
 		}
 		var baseAll []NodeID
 		if int(v) < d.baseN() {
-			baseAll = base.all[base.off[v]:base.off[v+1]]
+			baseAll = base.byLabel(v, AnyLabel)
 		}
 
 		// (label, endpoint) order. Removed keys are base keys in the same

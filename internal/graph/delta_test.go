@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -332,10 +334,14 @@ func FuzzRefreeze(f *testing.F) {
 // first byte is at least 128 (overlayOp marks one), so each overlay after
 // the first is chained from the one before, across gaps of any length. At
 // each of them, and at the end, the overlay's snapshot image must equal
-// base.Refreeze(d)'s byte for byte; the final overlay must answer every
-// Reader query as the mirror does, TouchedSince from every intermediate
-// overlay's version must cover what changed since it, and every
-// intermediate overlay must still write the image it wrote when taken.
+// base.Refreeze(d)'s byte for byte — a Refreeze from a base whose tail the
+// first overlay claimed, so it copies — and the image of the same graph
+// rebuilt through a Builder, its payload as long as payloadSize says, and
+// its row storage at most twice its live entries; the final overlay must
+// answer every Reader query as the mirror does, TouchedSince from every
+// intermediate overlay's version must cover what changed since it, and
+// every intermediate overlay must still write the image it wrote when
+// taken, though later ones append to the storage it reads.
 func FuzzOverlayChain(f *testing.F) {
 	const ov = overlayOp
 	f.Add([]byte{ov + 1, 0, 1, 0, ov + 1, 2, 3, 1})
@@ -354,6 +360,30 @@ func FuzzOverlayChain(f *testing.F) {
 	// first again: two overlays copy the delta's label layer as it grows,
 	// and the last reuses its source's table.
 	f.Add([]byte{ov + 1, 0, 1, 4, ov + 1, 2, 3, 5, ov + 1, 4, 5, 4})
+	// Node 0's out-row grows by an edge per overlay: each overlay appends
+	// the row again, past the storage's capacity again and again.
+	var grow []byte
+	for k := byte(1); k <= 24; k++ {
+		grow = append(grow, ov+1, 0, k, k/10)
+	}
+	f.Add(grow)
+	// Twenty edges at node 0, then a node removed per overlay: the live
+	// entries shrink under the rows appended anew, until the dead ones
+	// outnumber them and the rows are compacted.
+	var shrink []byte
+	for k := byte(1); k <= 20; k++ {
+		shrink = append(shrink, 1, 0, k, k/10)
+	}
+	for k := byte(0); k < 8; k++ {
+		shrink = append(shrink, ov+3, k, 0, 0)
+	}
+	f.Add(shrink)
+	// The same with attribute rows: node 1's tuple rewritten per overlay.
+	var attrs []byte
+	for k := byte(0); k < 24; k++ {
+		attrs = append(attrs, ov+4, 1, k, k)
+	}
+	f.Add(attrs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mirror, base := fuzzBase()
 		d := NewDelta(base)
@@ -369,6 +399,13 @@ func FuzzOverlayChain(f *testing.F) {
 			if want := snapshotImage(t, base.Refreeze(d)); !bytes.Equal(image, want) {
 				t.Fatalf("version %d (delta=%v): the chained overlay's image differs from Refreeze's", d.Version(), d)
 			}
+			if !bytes.Equal(image, snapshotImage(t, rebuilt(o))) {
+				t.Fatalf("version %d (delta=%v): the chained overlay's image differs from its Builder rebuild's", d.Version(), d)
+			}
+			if len(image)-28 != o.payloadSize() {
+				t.Fatalf("version %d: payload of %d bytes, payloadSize %d", d.Version(), len(image)-28, o.payloadSize())
+			}
+			checkStorage(t, fmt.Sprintf("version %d (delta=%v)", d.Version(), d), o)
 			chain = append(chain, taken{o, d.Version(), image})
 		}
 		applyFuzzOps(data, mirror, d, func(i, _ int) {
@@ -386,6 +423,152 @@ func FuzzOverlayChain(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStorage fails unless each of f's row storages — either CSR
+// direction and the attribute rows — holds at most twice the live entries
+// of its rows: dead ones, which a refreeze leaves behind when it appends a
+// row anew, must not outnumber them.
+func checkStorage(t *testing.T, ctx string, f *Frozen) {
+	t.Helper()
+	attrs := 0
+	for v := NodeID(0); int(v) < f.NumNodes(); v++ {
+		attrs += len(f.attrRun(v))
+	}
+	for _, s := range []struct {
+		name         string
+		stored, live int
+	}{{"out", len(f.out.targets), f.edges}, {"in", len(f.in.targets), f.edges}, {"attribute", len(f.attrKeys), attrs}} {
+		if s.stored > 2*s.live {
+			t.Fatalf("%s: %s storage holds %d entries for %d live ones", ctx, s.name, s.stored, s.live)
+		}
+	}
+}
+
+// TestOverlayChainConcurrentReads: goroutines read every row of the base
+// and of overlay v, and compare them with what they held when taken, while
+// the delta derives v+1 … v+k into the storage the two share (in place
+// while the base's room lasts) until the readers have made several
+// passes, then a Refreeze from the base and a second delta's overlay of v.
+// The base and v have had their tails claimed by then, so those two must
+// copy instead of appending in place. Under -race, any write to storage a
+// reader reads is a reported race.
+func TestOverlayChainConcurrentReads(t *testing.T) {
+	nodeLabels, edgeLabels := []string{"a", "b", "c"}, []string{"e", "f", "g"}
+	mirror, built := buildBoth(21, 100, 400, nodeLabels, edgeLabels)
+	// A loaded snapshot has no room past its rows, so its first overlay
+	// moves them to storage with room, which the overlays over that one
+	// then append to in place rather than into a copy.
+	loaded, err := ReadSnapshot(bytes.NewReader(snapshotImage(t, built)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	d0 := NewDelta(loaded)
+	alive := CandidateNodes(loaded, Wildcard)
+	for _, g := range []Sink{mirror, d0} {
+		g.AddEdge(alive[0], alive[1], "e")
+	}
+	base := d0.Overlay()
+	if appendedInPlace(loaded, base) {
+		t.Fatal("the first overlay of a loaded snapshot appended past its rows")
+	}
+	d := NewDelta(base)
+	applyRandomOps(rng, mirror, d, 3, nodeLabels, edgeLabels)
+	v := d.Overlay()
+	if !appendedInPlace(base, v) {
+		t.Fatal("the first overlay copied the base's storage instead of appending to it")
+	}
+	sum := func(f *Frozen) (h uint64) {
+		for u := NodeID(0); int(u) < f.NumNodes(); u++ {
+			for _, c := range []*csrDir{&f.out, &f.in} {
+				for _, k := range rowKeys(c, u) {
+					h = h*31 + k
+				}
+				for _, w := range c.byLabel(u, AnyLabel) {
+					h = h*31 + uint64(w)
+				}
+			}
+			for _, k := range f.attrRun(u) {
+				h = h*31 + k
+			}
+		}
+		return h
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var passes atomic.Int64
+	for _, f := range []*Frozen{base, v, base, v} {
+		want := sum(f)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if sum(f) != want {
+					t.Error("a snapshot's rows changed while later ones were derived")
+					return
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	var last *Frozen
+	for i := 0; i < 6 || passes.Load() < 16 && i < 1000; i++ {
+		applyRandomOps(rng, mirror, d, 4, nodeLabels, edgeLabels)
+		last = d.Overlay()
+	}
+	again := base.Refreeze(d)
+	// A second delta over v, and the same edits over a copy of v that
+	// shares nothing with it.
+	d2, ref := NewDelta(v), NewDelta(rebuilt(v))
+	alive = CandidateNodes(v, Wildcard)
+	for _, dd := range []*Delta{d2, ref} {
+		dd.AddEdge(alive[0], alive[1], "e")
+		dd.SetAttr(alive[1], "k", "x")
+		dd.RemoveNode(alive[2])
+	}
+	other := d2.Overlay()
+	close(stop)
+	wg.Wait()
+	if appendedInPlace(base, again) || appendedInPlace(v, other) {
+		t.Fatal("a second refreeze from a claimed source appended to its storage")
+	}
+	checkReaderEquivalence(t, "the last overlay", mirror, last, nodeLabels, edgeLabels)
+	if !bytes.Equal(snapshotImage(t, again), snapshotImage(t, last)) {
+		t.Fatal("a Refreeze from a claimed base differs from the delta's overlay")
+	}
+	if !bytes.Equal(snapshotImage(t, other), snapshotImage(t, ref.Overlay())) {
+		t.Fatal("a second delta's overlay of v differs from the same edits over a copy of v")
+	}
+}
+
+// appendedInPlace reports whether child's out-rows past src's storage lie
+// in src's backing array: a refreeze from src that claimed its tail.
+func appendedInPlace(src, child *Frozen) bool {
+	s, c := src.out.targets, child.out.targets
+	return len(c) > len(s) && cap(s) > len(s) && &s[:len(s)+1][len(s)] == &c[len(s)]
+}
+
+// TestRefreezeCompactsDeadRows: removing a hub that holds nearly every
+// entry leaves its rows dead, while the overlay appends so little that it
+// fits the room its source left; the rows must still be compacted.
+func TestRefreezeCompactsDeadRows(t *testing.T) {
+	b := NewBuilder(0)
+	hub := b.AddNode("a")
+	for range 20 {
+		b.AddEdge(hub, b.AddNode("b"), "e")
+	}
+	b.AddEdge(1, 2, "e")
+	d := NewDelta(b.Freeze())
+	d.AddEdge(3, 4, "e")
+	d.Overlay()
+	d.RemoveNode(hub)
+	checkStorage(t, "after the hub's removal", d.Overlay())
 }
 
 // TestAttrEditsMergeNoRows: a refreeze merges the adjacency rows of the
@@ -414,7 +597,7 @@ func TestAttrEditsMergeNoRows(t *testing.T) {
 		t.Fatalf("after an edge edit the rows of %v are merged, want [2 3]", rows)
 	}
 	v := NodeID(4)
-	want := slices.Concat([]NodeID{2, 3, v}, base.out.all[base.out.off[v]:base.out.off[v+1]], base.in.all[base.in.off[v]:base.in.off[v+1]])
+	want := slices.Concat([]NodeID{2, 3, v}, base.out.byLabel(v, AnyLabel), base.in.byLabel(v, AnyLabel))
 	slices.Sort(want)
 	want = slices.Compact(want)
 	if len(want) == 3 {

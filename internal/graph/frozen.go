@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Builder accumulates nodes and edges for a Frozen snapshot. Unlike
@@ -140,16 +141,17 @@ func (b *Builder) freezeAttrs(n int) *attrBuilder {
 		pairs[next[v]] = b.attrPairs[i]
 		next[v]++
 	}
-	r := &attrBuilder{names: b.names, values: b.values, off: make([]int32, 1, n+1), rows: make([]uint64, 0, len(pairs))}
+	r := &attrBuilder{names: b.names, values: b.values, rows: make([]span, n), keys: make([]uint64, 0, len(pairs))}
 	for v := 0; v < n; v++ {
 		run := pairs[off[v]:off[v+1]]
 		slices.SortStableFunc(run, func(x, y uint64) int { return cmp.Compare(x>>32, y>>32) })
+		lo := len(r.keys)
 		for i, k := range run {
 			if i+1 == len(run) || run[i+1]>>32 != k>>32 {
-				r.rows = append(r.rows, k)
+				r.keys = append(r.keys, k)
 			}
 		}
-		r.off = append(r.off, int32(len(r.rows)))
+		r.rows[v] = span{int32(lo), int32(len(r.keys))}
 	}
 	return r
 }
@@ -183,8 +185,7 @@ func buildCSR(n int, src, dst []NodeID, lab []LabelID) csrDir {
 	}
 
 	d := csrDir{
-		off:     make([]int32, n+1),
-		dirOff:  make([]int32, n+1),
+		rows:    make([]rowHdr, n),
 		targets: make([]NodeID, 0, len(src)),
 		all:     make([]NodeID, 0, len(src)),
 	}
@@ -201,55 +202,61 @@ func buildCSR(n int, src, dst []NodeID, lab []LabelID) csrDir {
 }
 
 // appendRow writes node v's row — csrKeys ascending, duplicate-free — as
-// its targets and label directory, and closes v's offsets; every row before
-// v must be written already. The caller appends the same endpoints to all,
-// in endpoint order. Freeze writes every row through it, Refreeze every
-// touched row.
+// its targets and label directory at the end of the storage, and points
+// v's header at it. The caller appends the same endpoints to all, in
+// endpoint order. Freeze writes every row through it, a refreeze every
+// re-merged row.
 func (d *csrDir) appendRow(v NodeID, keys []uint64) {
+	h := rowHdr{lo: int32(len(d.targets)), dirLo: int32(len(d.dirLabels))}
 	for _, k := range keys {
 		l := LabelID(uint32(k >> 32))
-		if nd := len(d.dirLabels); nd == int(d.dirOff[v]) || d.dirLabels[nd-1] != l {
+		if nd := len(d.dirLabels); nd == int(h.dirLo) || d.dirLabels[nd-1] != l {
 			d.dirLabels = append(d.dirLabels, l)
 			d.dirStart = append(d.dirStart, int32(len(d.targets)))
 		}
 		d.targets = append(d.targets, NodeID(uint32(k)))
 	}
-	d.off[v+1] = int32(len(d.targets))
-	d.dirOff[v+1] = int32(len(d.dirLabels))
+	h.hi, h.dirHi = int32(len(d.targets)), int32(len(d.dirLabels))
+	d.rows[v] = h
 }
 
-// csrDir is one direction of frozen adjacency. For node v, the half-open
-// run [off[v], off[v+1]) of targets holds the endpoints sorted by
-// (label, target) — each label's endpoints are a contiguous ascending
-// sub-run — and the same span of all holds them sorted by target only, the
-// wildcard-query view (a target repeats when parallel edges differ only in
-// label). The directory run
-// [dirOff[v], dirOff[v+1]) lists v's distinct labels with each sub-run's
-// start offset into targets, so a label query is a short linear scan over
-// distinct labels — a node's distinct incident labels are few.
-type csrDir struct {
-	off     []int32
-	targets []NodeID
-	all     []NodeID
+// rowHdr is where node v's row of one direction lies in its storage: the
+// endpoints targets[lo:hi] and all[lo:hi], the label directory
+// dirLabels[dirLo:dirHi] and dirStart[dirLo:dirHi].
+type rowHdr struct{ lo, hi, dirLo, dirHi int32 }
 
-	dirOff    []int32
+// csrDir is one direction of frozen adjacency. Node v's row is where
+// rows[v] says: targets holds its endpoints sorted by (label, target) —
+// each label's endpoints are a contiguous ascending sub-run — and the same
+// span of all holds them sorted by target only, the wildcard-query view (a
+// target repeats when parallel edges differ only in label). Its directory
+// lists v's distinct labels with each sub-run's start offset into targets,
+// so a label query is one header load and a short linear scan over
+// distinct labels — a node's distinct incident labels are few. Rows need
+// not lie in node order, nor back to back: a refreeze clones the headers
+// and appends the rows it re-merges to storage it shares with its source
+// (refreeze.go), so the storage may hold dead entries between live rows.
+type csrDir struct {
+	rows      []rowHdr
+	targets   []NodeID
+	all       []NodeID
 	dirLabels []LabelID
 	dirStart  []int32
 }
 
 // byLabel returns the ascending endpoint run for one label query.
 func (d *csrDir) byLabel(v NodeID, id LabelID) []NodeID {
+	h := d.rows[v]
 	switch id {
 	case AnyLabel:
-		return d.all[d.off[v]:d.off[v+1]]
+		return d.all[h.lo:h.hi]
 	case NoLabel:
 		return nil
 	}
-	dlo, dhi := int(d.dirOff[v]), int(d.dirOff[v+1])
-	for i := dlo; i < dhi; i++ {
+	for i := h.dirLo; i < h.dirHi; i++ {
 		if d.dirLabels[i] == id {
-			end := d.off[v+1]
-			if i+1 < dhi {
+			end := h.hi
+			if i+1 < h.dirHi {
 				end = d.dirStart[i+1]
 			}
 			return d.targets[d.dirStart[i]:end]
@@ -261,10 +268,10 @@ func (d *csrDir) byLabel(v NodeID, id LabelID) []NodeID {
 // forEachRun walks node v's directory runs in ascending label order, handing
 // each (label, endpoints) pair to fn. The endpoint slices alias the CSR.
 func (d *csrDir) forEachRun(v NodeID, fn func(LabelID, []NodeID)) {
-	dlo, dhi := int(d.dirOff[v]), int(d.dirOff[v+1])
-	for i := dlo; i < dhi; i++ {
-		end := d.off[v+1]
-		if i+1 < dhi {
+	h := d.rows[v]
+	for i := h.dirLo; i < h.dirHi; i++ {
+		end := h.hi
+		if i+1 < h.dirHi {
 			end = d.dirStart[i+1]
 		}
 		fn(d.dirLabels[i], d.targets[d.dirStart[i]:end])
@@ -309,9 +316,9 @@ type Frozen struct {
 	byLabelNodes []NodeID
 
 	// Attribute rows (attrs.go): node v's (name, value) ID pairs are
-	// attrKeys[attrOff[v]:attrOff[v+1]], ascending by name; the names and
-	// values they stand for are interned in attrNames and attrValues.
-	attrOff    []int32
+	// attrKeys[attrRows[v].lo:attrRows[v].hi], ascending by name; the names
+	// and values they stand for are interned in attrNames and attrValues.
+	attrRows   []span
 	attrKeys   []uint64
 	attrNames  *strTable
 	attrValues *strTable
@@ -329,6 +336,10 @@ type Frozen struct {
 	// the *Frozen pointer is the snapshot's identity (see Reader.Snapshot).
 	bitsets lazyCache[string, Bitset]
 	columns lazyCache[AttrID, *AttrColumn]
+
+	// claimed is set by the first refreeze from f, which may then append
+	// to f's storage past its lengths (refreeze.go).
+	claimed atomic.Bool
 }
 
 // tombstone marks the given node slots dead and drops them from the
@@ -405,7 +416,7 @@ func (f *Frozen) Out(v NodeID) []Edge {
 	if !f.valid(v) {
 		return nil
 	}
-	es := make([]Edge, 0, f.out.off[v+1]-f.out.off[v])
+	es := make([]Edge, 0, len(f.out.byLabel(v, AnyLabel)))
 	f.out.forEachRun(v, func(id LabelID, targets []NodeID) {
 		name := f.edgeLabels.str(uint32(id))
 		for _, t := range targets {

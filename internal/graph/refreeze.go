@@ -1,17 +1,19 @@
-// Incremental re-freeze: merging a Delta into a fresh CSR snapshot without
-// paying the full O(E log deg) rebuild. Only the k edits are sorted
-// (Delta.dirRows); each touched node's row is merged with its edits in one
-// linear pass and written through csrDir.appendRow, the row writer Freeze
-// uses. Every untouched node's row — targets, wildcard view, label
-// directory — is copied verbatim in bulk, with a constant per-span offset
-// shift for the directory starts. Attribute rows go the same way: only the
-// nodes whose attributes the delta set or dropped are rewritten. Every
-// string table — attribute names and values, node and edge labels — is
-// the base's, extended by at most one layer holding the strings the delta
-// brought. Total cost is O(k log k + E_touched + V) plus the unavoidable
-// memcpy of the clean rows, which is what makes refreezing a ≤1% delta
-// into a 100k-edge snapshot ~an order of magnitude cheaper than
-// Builder.Freeze from scratch (gated by the refreeze_speedup CI metric).
+// Incremental re-freeze: merging a Delta into a new snapshot without the
+// full O(E log deg) rebuild, and without copying the rows it keeps. Each row
+// of a Frozen has its own header (csrDir.rows, Frozen.attrRows). A refreeze
+// sorts only the k edits (Delta.dirRows), merges each touched node's row
+// with its edits in one linear pass, and appends it through
+// csrDir.appendRow, the row writer Freeze uses, to storage it shares with
+// its source; it clones the header tables, so a row read stays one header
+// load. A snapshot's readers read only below its slice lengths: the first
+// refreeze from a source claims its tail (Frozen.claimed) and appends in
+// place while its capacity lasts; a later one, or one that outgrows it,
+// moves the rows it keeps in node order to storage of their own, with room
+// to go on (csrDir.relocate), as does one that would leave more dead
+// entries than live ones. Attribute rows go the same way, copied by
+// append. Every string table is the base's, extended by at most one layer
+// holding the delta's strings. Total cost is O(k log k + E_touched + V),
+// the V for the header clones, plus O(E) where the rows move.
 // Refreeze always merges from the base; Delta.Overlay lays a later version
 // out over the previous overlay instead, with the same writer
 // (Delta.refreezeFrom) and only the rows touched since.
@@ -36,12 +38,12 @@ func (f *Frozen) Refreeze(d *Delta) *Frozen {
 // rows change only at the nodes rowNodes names, and are merged afresh from
 // the base and the delta's edit sets; attribute rows change only at the
 // nodes logged since, and are rewritten from the delta. Every other row is
-// src's, copied in bulk. The attribute tables are relayered from src's over
-// the base's, and the label tables are src's or a copy of the delta's layer
-// (labelTable), so along a chain of overlays they stay two layers deep. The
-// rows merged from the base are kept per version, so an Overlay and a
-// Refreeze of the same version merge them once. Node IDs are src's, and so
-// are the label and attribute IDs.
+// src's, in src's storage. The attribute tables are relayered from src's
+// over the base's, and the label tables are src's or a copy of the delta's
+// layer (labelTable), so along a chain of overlays they stay two layers
+// deep. The rows merged from the base are kept per version, so an Overlay
+// and a Refreeze of the same version merge them once. Node IDs are src's,
+// and so are the label and attribute IDs.
 func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 	outRows, inRows := d.outRows, d.inRows
 	if since > 0 || d.outRows == nil || d.rowsVersion != d.Version() {
@@ -51,21 +53,17 @@ func (d *Delta) refreezeFrom(src *Frozen, since int) *Frozen {
 			d.outRows, d.inRows, d.rowsVersion = outRows, inRows, d.Version()
 		}
 	}
-	f := d.base
-	baseN := f.NumNodes()
-	n2 := d.NumNodes()
+	f, n2 := d.base, d.NumNodes()
+	own := src.claimed.CompareAndSwap(false, true)
 
 	nf := &Frozen{}
-	d.refreezeAttrs(src, d.TouchedSince(since)).into(nf)
+	d.refreezeAttrs(src, d.TouchedSince(since), own).into(nf)
 	nf.nodeLabels = labelTable(src.nodeLabels, d.nodeLabels)
 	nf.edgeLabels = labelTable(src.edgeLabels, d.edgeLabels)
-	nf.nodeLabelOf = make([]LabelID, n2)
-	copy(nf.nodeLabelOf, f.nodeLabelOf)
-	copy(nf.nodeLabelOf[baseN:], d.nodeLabelOf)
+	nf.nodeLabelOf = append(slices.Clip(src.nodeLabelOf), d.nodeLabelOf[src.NumNodes()-f.NumNodes():]...)
 
-	nf.out = refreezeDir(&src.out, outRows, src.NumNodes(), n2)
-	nf.in = refreezeDir(&src.in, inRows, src.NumNodes(), n2)
-	nf.edges = len(nf.out.targets)
+	nf.out, nf.edges = refreezeDir(&src.out, outRows, src.edges, n2, own)
+	nf.in, _ = refreezeDir(&src.in, inRows, src.edges, n2, own)
 
 	// Tombstones: the base's plus the delta's. deadCount is recounted from
 	// the merged flags rather than summed (f.deadCount + len(d.dead) assumes
@@ -102,8 +100,8 @@ func (d *Delta) rowNodes(src *Frozen, since int) []NodeID {
 	n := len(rows)
 	for _, v := range rows[:n] {
 		if src.Alive(v) && !d.Alive(v) {
-			rows = append(rows, src.out.all[src.out.off[v]:src.out.off[v+1]]...)
-			rows = append(rows, src.in.all[src.in.off[v]:src.in.off[v+1]]...)
+			rows = append(rows, src.out.byLabel(v, AnyLabel)...)
+			rows = append(rows, src.in.byLabel(v, AnyLabel)...)
 		}
 	}
 	if len(rows) > n {
@@ -124,96 +122,120 @@ func labelTable(src, t *strTable) *strTable {
 	return t.relayer(t.base).seal()
 }
 
-// refreezeDir lays out one direction of the new snapshot over src, that
-// direction of a snapshot of srcN nodes (the delta's base or an earlier
-// overlay). Clean spans of src between the rewritten nodes are copied
-// verbatim; the rewritten rows (ascending by node, from Delta.dirRows) go
-// through appendRow.
-func refreezeDir(src *csrDir, rows []row, srcN, n2 int) csrDir {
-	totalT := len(src.targets)
-	totalD := len(src.dirLabels)
+// refreezeDir lays out one direction of a snapshot of n2 nodes over src,
+// a direction holding live entries: src's row headers, cloned, with each
+// row of rows (ascending by node, from Delta.dirRows) appended to src's
+// storage when own says src's tail is the caller's and its capacity holds
+// them, else to a relocated copy of the rows it keeps. It returns the
+// direction and its live entries.
+func refreezeDir(src *csrDir, rows []row, live, n2 int, own bool) (csrDir, int) {
+	d, batch := *src, 0
+	d.rows = append(slices.Clone(src.rows), make([]rowHdr, n2-len(src.rows))...)
 	for _, r := range rows {
-		totalT += len(r.keys)
-		for i, k := range r.keys {
-			if i == 0 || k>>32 != r.keys[i-1]>>32 {
-				totalD++
-			}
-		}
-		if int(r.v) < srcN {
-			totalT -= int(src.off[r.v+1] - src.off[r.v])
-			totalD -= int(src.dirOff[r.v+1] - src.dirOff[r.v])
-		}
+		batch += len(r.keys)
+		live -= int(d.rows[r.v].hi - d.rows[r.v].lo)
+		d.rows[r.v] = rowHdr{} // its old row is dead
 	}
-	d := csrDir{
-		off:       make([]int32, n2+1),
-		dirOff:    make([]int32, n2+1),
-		targets:   make([]NodeID, 0, totalT),
-		all:       make([]NodeID, 0, totalT),
-		dirLabels: make([]LabelID, 0, totalD),
-		dirStart:  make([]int32, 0, totalD),
+	switch {
+	case batch == 0: // nothing is appended, so src's storage serves as it is
+	case !own:
+		d = d.relocate(live, batch)
+	case len(d.targets)+batch > cap(d.targets):
+		d = d.relocate(live, batch+live/4) // room for the chain to go on
 	}
-	// clean copies the untouched nodes [lo, hi): src's rows verbatim (bulk
-	// copies plus a constant shift), added-but-untouched nodes as empty rows.
-	clean := func(lo, hi int) {
-		bhi := hi
-		if bhi > srcN {
-			bhi = srcN
-		}
-		if lo < bhi {
-			tShift := int32(len(d.targets)) - src.off[lo]
-			dShift := int32(len(d.dirLabels)) - src.dirOff[lo]
-			d.targets = append(d.targets, src.targets[src.off[lo]:src.off[bhi]]...)
-			d.all = append(d.all, src.all[src.off[lo]:src.off[bhi]]...)
-			d.dirLabels = append(d.dirLabels, src.dirLabels[src.dirOff[lo]:src.dirOff[bhi]]...)
-			for _, s := range src.dirStart[src.dirOff[lo]:src.dirOff[bhi]] {
-				d.dirStart = append(d.dirStart, s+tShift)
-			}
-			for v := lo; v < bhi; v++ {
-				d.off[v+1] = src.off[v+1] + tShift
-				d.dirOff[v+1] = src.dirOff[v+1] + dShift
-			}
-			lo = bhi
-		}
-		for v := lo; v < hi; v++ {
-			d.off[v+1] = int32(len(d.targets))
-			d.dirOff[v+1] = int32(len(d.dirLabels))
-		}
-	}
-	cursor := 0
 	for _, r := range rows {
-		clean(cursor, int(r.v))
 		d.appendRow(r.v, r.keys)
 		d.all = append(d.all, r.all...)
-		cursor = int(r.v) + 1
 	}
-	clean(cursor, n2)
-	return d
+	if live += batch; len(d.targets) > 2*live {
+		d = d.relocate(live, live/4)
+	}
+	return d, live
 }
 
-// refreezeAttrs lays out the attribute rows of the delta's current state:
-// src's rows in bulk spans, and a row rewritten from the delta for every
-// node of touched (ascending, holding every node past src's). The new rows
-// intern into src's tables relayered over the base's: strings neither holds
-// get IDs past them.
-func (d *Delta) refreezeAttrs(src *Frozen, touched []NodeID) *attrBuilder {
-	srcN := src.NumNodes()
-	r := newAttrBuilder(d.NumNodes(), src.attrNames.relayer(d.base.attrNames), src.attrValues.relayer(d.base.attrValues))
-	r.rows = make([]uint64, 0, len(src.attrKeys))
-	cursor := 0
+// relocate returns d's rows copied, in node order, into storage of their
+// own that holds the live entries, no dead ones, and room for more. Rows
+// that lie back to back in d's storage move in one copy, their directory
+// starts shifted by one constant. It rewrites d's headers, which must be
+// the caller's own, in place: spans reads none it has handed out.
+func (d *csrDir) relocate(live, room int) csrDir {
+	c, dirs := csrDir{rows: d.rows}, len(d.dirLabels)+room
+	d.spans(func(lo, hi int) {
+		first, last := d.rows[lo], d.rows[hi-1]
+		tShift, dShift := int32(len(c.targets))-first.lo, int32(len(c.dirLabels))-first.dirLo
+		c.targets = grown(c.targets, d.targets[first.lo:last.hi], live+room)
+		c.all = grown(c.all, d.all[first.lo:last.hi], live+room)
+		c.dirLabels = grown(c.dirLabels, d.dirLabels[first.dirLo:last.dirHi], dirs)
+		c.dirStart = grown(c.dirStart, d.dirStart[first.dirLo:last.dirHi], dirs)
+		for i := len(c.dirStart) - int(last.dirHi-first.dirLo); i < len(c.dirStart); i++ {
+			c.dirStart[i] += tShift
+		}
+		for v := lo; v < hi; v++ {
+			h := d.rows[v]
+			c.rows[v] = rowHdr{h.lo + tShift, h.hi + tShift, h.dirLo + dShift, h.dirHi + dShift}
+		}
+	})
+	return c
+}
+
+// grown appends xs to s, or, while s is nil, to a new slice of capacity c
+// or more. The room is made by make, not append: append zeroes it, and so
+// makes it resident, where make leaves fresh memory untouched, which a
+// refreeze that ends a process, as recover's does, never fills.
+func grown[T any](s, xs []T, c int) []T {
+	if s == nil {
+		s = make([]T, 0, max(c, len(xs)))
+	}
+	return append(s, xs...)
+}
+
+// spans calls fn, in node order, with each maximal run of nodes [lo, hi)
+// whose rows lie back to back in d's storage.
+func (d *csrDir) spans(fn func(lo, hi int)) {
+	for lo, v := 0, 1; v <= len(d.rows); v++ {
+		if v == len(d.rows) || d.rows[v].lo != d.rows[v-1].hi || d.rows[v].dirLo != d.rows[v-1].dirHi {
+			fn(lo, v)
+			lo = v
+		}
+	}
+}
+
+// refreezeAttrs lays out the attribute rows of the delta's current state
+// over src's as refreezeDir lays out a direction, rewriting the row of
+// every node of touched (ascending, holding every node past src's) whose
+// tuple the delta holds or whose node died. The new rows intern into src's
+// tables relayered over the base's: strings neither holds get IDs past them.
+func (d *Delta) refreezeAttrs(src *Frozen, touched []NodeID, own bool) *attrBuilder {
+	r := &attrBuilder{
+		names:  src.attrNames.relayer(d.base.attrNames),
+		values: src.attrValues.relayer(d.base.attrValues),
+		rows:   append(slices.Clone(src.attrRows), make([]span, d.NumNodes()-src.NumNodes())...),
+		keys:   src.attrKeys,
+	}
+	if !own {
+		r.keys = slices.Clip(r.keys)
+	}
 	for _, v := range touched {
-		r.copyRows(src, min(cursor, srcN), min(int(v), srcN))
 		switch i := int(v) - d.baseN(); {
 		case !d.Alive(v):
-			r.endRow()
+			r.rows[v] = span{}
 		case i >= 0:
-			r.appendTuple(d.nodes[i].Attrs)
+			r.appendTuple(v, d.nodes[i].Attrs)
 		case d.attrs[v] != nil:
-			r.appendTuple(d.attrs[v])
-		default:
-			r.copyRows(d.base, int(v), int(v)+1)
+			r.appendTuple(v, d.attrs[v])
 		}
-		cursor = int(v) + 1
 	}
-	r.copyRows(src, min(cursor, srcN), srcN)
+	live := 0
+	for _, s := range r.rows {
+		live += int(s.hi - s.lo)
+	}
+	if len(r.keys) > 2*live {
+		keys := make([]uint64, 0, live)
+		for v, s := range r.rows {
+			r.rows[v] = span{int32(len(keys)), int32(len(keys)) + s.hi - s.lo}
+			keys = append(keys, r.keys[s.lo:s.hi]...)
+		}
+		r.keys = keys
+	}
 	return r
 }

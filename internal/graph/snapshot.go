@@ -102,9 +102,15 @@ func (e *snapEnc) fail(format string, args ...any) {
 // the snapshot is not expressible in the format.
 func snapInts[T ~int | ~int32](e *snapEnc, xs []T) {
 	e.u64(uint64(len(xs)))
+	snapVals(e, xs, 0)
+}
+
+// snapVals writes the elements of xs, each plus shift, as snapInts does,
+// without the length.
+func snapVals[T ~int | ~int32](e *snapEnc, xs []T, shift T) {
 	s := e.extend(4 * len(xs))
 	for i, x := range xs {
-		if int64(x) < 0 || int64(x) > math.MaxUint32 {
+		if x += shift; int64(x) < 0 || int64(x) > math.MaxUint32 {
 			e.fail("value %d outside the format's u32 range", int64(x))
 			return
 		}
@@ -112,17 +118,43 @@ func snapInts[T ~int | ~int32](e *snapEnc, xs []T) {
 	}
 }
 
+// offsets writes the len(rows)+1 offsets of rows laid back to back, row h
+// width(h) entries long, and returns the entries they cover.
+func (e *snapEnc) offsets(rows []rowHdr, width func(rowHdr) int32) int {
+	e.u64(uint64(len(rows) + 1))
+	s := e.extend(4 * (len(rows) + 1))
+	at := int32(0)
+	binary.LittleEndian.PutUint32(s, 0)
+	for v, h := range rows {
+		at += width(h)
+		binary.LittleEndian.PutUint32(s[4*v+4:], uint32(at))
+	}
+	return int(at)
+}
+
+// dir writes one direction as an image holds it: every row back to back in
+// node order, behind per-node offsets. Rows that lie back to back in
+// storage are written as one run.
 func (e *snapEnc) dir(d *csrDir) {
-	snapInts(e, d.off)
-	snapInts(e, d.targets)
-	snapInts(e, d.all)
-	snapInts(e, d.dirOff)
-	snapInts(e, d.dirLabels)
-	snapInts(e, d.dirStart)
+	n := e.offsets(d.rows, func(h rowHdr) int32 { return h.hi - h.lo })
+	for _, xs := range [][]NodeID{d.targets, d.all} {
+		e.u64(uint64(n))
+		d.spans(func(lo, hi int) { snapVals(e, xs[d.rows[lo].lo:d.rows[hi-1].hi], 0) })
+	}
+	n = e.offsets(d.rows, func(h rowHdr) int32 { return h.dirHi - h.dirLo })
+	e.u64(uint64(n))
+	d.spans(func(lo, hi int) { snapVals(e, d.dirLabels[d.rows[lo].dirLo:d.rows[hi-1].dirHi], 0) })
+	e.u64(uint64(n))
+	at := int32(0)
+	d.spans(func(lo, hi int) {
+		first, last := d.rows[lo], d.rows[hi-1]
+		snapVals(e, d.dirStart[first.dirLo:last.dirHi], at-first.lo)
+		at += last.hi - first.lo
+	})
 }
 
 // payloadSize returns the length of f's snapshot payload: what WriteSnapshot
-// writes, counted from the slice and string lengths.
+// writes, counted from the string lengths and the rows' live entries.
 func (f *Frozen) payloadSize() int {
 	n := 4 + 4 + 4 + 8 + 4 // the two label-table counts, |V|, |E|, the tombstone flag
 	for _, t := range []*strTable{f.nodeLabels, f.edgeLabels} {
@@ -131,12 +163,19 @@ func (f *Frozen) payloadSize() int {
 		}
 	}
 	n += 4 * f.NumNodes() // tuple lengths
-	for _, k := range f.attrKeys {
-		n += 8 + len(f.attrNames.str(uint32(k>>32))) + len(f.attrValues.str(uint32(k)))
+	for v := range f.NumNodes() {
+		for _, k := range f.attrRun(NodeID(v)) {
+			n += 8 + len(f.attrNames.str(uint32(k>>32))) + len(f.attrValues.str(uint32(k)))
+		}
 	}
+	// The rows' live entries, not their storage, which may hold dead ones.
 	ints := []int{len(f.nodeLabelOf), len(f.byLabelOff), len(f.byLabelNodes)}
 	for _, d := range []*csrDir{&f.out, &f.in} {
-		ints = append(ints, len(d.off), len(d.targets), len(d.all), len(d.dirOff), len(d.dirLabels), len(d.dirStart))
+		dirs := 0
+		for _, h := range d.rows {
+			dirs += int(h.dirHi - h.dirLo)
+		}
+		ints = append(ints, len(d.rows)+1, f.edges, f.edges, len(d.rows)+1, dirs, dirs)
 	}
 	for _, l := range ints {
 		n += 8 + 4*l
@@ -297,7 +336,8 @@ func (d *snapDec) count(elem int) int {
 	return int(n)
 }
 
-func snapIntsOut[T ~int | ~int32](d *snapDec) []T {
+// snapIntsOut reads a slice snapInts wrote, each value below limit.
+func snapIntsOut[T ~int | ~int32](d *snapDec, limit int) []T {
 	n := d.count(4)
 	if d.err != nil || n == 0 {
 		return nil
@@ -307,103 +347,90 @@ func snapIntsOut[T ~int | ~int32](d *snapDec) []T {
 		return nil
 	}
 	xs := make([]T, n)
+	over := false
 	for i := range xs {
-		xs[i] = T(binary.LittleEndian.Uint32(s[4*i:]))
+		x := binary.LittleEndian.Uint32(s[4*i:])
+		over = over || uint64(x) >= uint64(limit)
+		xs[i] = T(x)
+	}
+	if over {
+		d.fail("value outside [0, %d)", limit)
+		return nil
 	}
 	return xs
 }
 
-// monotone reports whether offsets start at 0 and never decrease —
-// required before they are used as slice bounds (a u32 value past 2^31
-// also fails here, having wrapped negative in the int32 decode).
-func monotone(off []int32) bool {
-	if len(off) > 0 && off[0] != 0 {
-		return false
+// offsets takes the n+1 u32 offsets snapEnc.offsets wrote, as bytes.
+func (d *snapDec) offsets(n int) []byte {
+	if m := d.count(4); d.err == nil && m != n+1 {
+		d.fail("CSR offset array sized %d, want %d", m, n+1)
 	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// idsInRange reports whether every decoded node ID lies in [0, n).
-func idsInRange(ids []NodeID, n int) bool {
-	for _, v := range ids {
-		if v < 0 || int(v) >= n {
-			return false
-		}
-	}
-	return true
+	return d.take(4 * (n + 1))
 }
 
 // dir decodes one CSR direction with full structural validation: the CRCs
 // only catch accidental corruption, so a checksum-valid but inconsistent
 // image (crafted, or from a buggy writer) must fail here with an error —
-// never load and then panic inside a query.
+// never load and then panic inside a query, nor answer one wrongly.
 func (d *snapDec) dir(n, nLabels int) csrDir {
-	c := csrDir{
-		off:       snapIntsOut[int32](d),
-		targets:   snapIntsOut[NodeID](d),
-		all:       snapIntsOut[NodeID](d),
-		dirOff:    snapIntsOut[int32](d),
-		dirLabels: snapIntsOut[LabelID](d),
-		dirStart:  snapIntsOut[int32](d),
-	}
+	off := d.offsets(n)
+	targets, all := snapIntsOut[NodeID](d, n), snapIntsOut[NodeID](d, n)
+	dirOff := d.offsets(n)
+	dirLabels, dirStart := snapIntsOut[LabelID](d, nLabels), snapIntsOut[int32](d, math.MaxInt32)
+	c := csrDir{targets: targets, all: all, dirLabels: dirLabels, dirStart: dirStart}
 	if d.err != nil {
 		return c
 	}
+	u32 := func(b []byte, i int) int32 { return int32(binary.LittleEndian.Uint32(b[4*i:])) }
 	switch {
-	case len(c.off) != n+1 || len(c.dirOff) != n+1:
-		d.fail("CSR offset arrays sized %d/%d, want %d", len(c.off), len(c.dirOff), n+1)
 	case len(c.all) != len(c.targets):
 		d.fail("wildcard view sized %d, want %d", len(c.all), len(c.targets))
 	case len(c.dirStart) != len(c.dirLabels):
 		d.fail("label directory arrays sized %d/%d", len(c.dirStart), len(c.dirLabels))
-	case n > 0 && (int(c.off[n]) != len(c.targets) || int(c.dirOff[n]) != len(c.dirLabels)):
+	case u32(off, 0) != 0 || u32(dirOff, 0) != 0 || int(u32(off, n)) != len(c.targets) || int(u32(dirOff, n)) != len(c.dirLabels):
 		d.fail("CSR offsets do not cover the arrays")
-	case n == 0 && len(c.targets) > 0:
-		d.fail("edge rows without nodes")
-	case !monotone(c.off) || !monotone(c.dirOff):
-		d.fail("CSR offsets are not monotone")
-	case !idsInRange(c.targets, n) || !idsInRange(c.all, n):
-		d.fail("edge endpoint outside the node space")
 	}
-	if d.err == nil {
-		for _, l := range c.dirLabels {
-			if l < 0 || int(l) >= nLabels {
-				d.fail("directory references label %d of %d", l, nLabels)
-				break
+	// One pass builds the headers and holds each row's directory to what
+	// byLabel and has rely on: its label runs, each non-empty, cover the
+	// row in directory order — individually-in-range starts like [5, 2]
+	// would otherwise load fine and panic on the first labeled query — and
+	// its labels strictly ascend.
+	c.rows = make([]rowHdr, n)
+	var h rowHdr
+	for v := 0; v < n && d.err == nil; v++ {
+		h = rowHdr{h.hi, u32(off, v+1), h.dirHi, u32(dirOff, v+1)}
+		c.rows[v] = h
+		if h.hi < h.lo || h.dirHi < h.dirLo || int(h.hi) > len(c.targets) || int(h.dirHi) > len(c.dirLabels) {
+			d.fail("CSR offsets are not monotone")
+		} else if (h.lo == h.hi) != (h.dirLo == h.dirHi) {
+			d.fail("node %d label directory does not cover its row [%d,%d)", v, h.lo, h.hi)
+		}
+		for i := h.dirLo; i < h.dirHi && d.err == nil; i++ {
+			if s := c.dirStart[i]; i == h.dirLo && s != h.lo || i > h.dirLo && s <= c.dirStart[i-1] || s >= h.hi {
+				d.fail("node %d label directory does not cover its row [%d,%d)", v, h.lo, h.hi)
+			} else if i > h.dirLo && c.dirLabels[i] <= c.dirLabels[i-1] {
+				d.fail("node %d label directory not in ascending label order", v)
 			}
 		}
-	}
-	if d.err == nil {
-		// Per-row directory bounds: byLabel/forEachRun slice
-		// targets[dirStart[i]:dirStart[i+1]] (or :off[v+1] for the last
-		// label), so every start must sit inside its own row and ascend —
-		// individually-in-range values like [5, 2] would otherwise load fine
-		// and panic on the first labeled query.
-	rows:
-		for v := 0; v+1 < len(c.off); v++ {
-			prev := c.off[v]
-			for i := c.dirOff[v]; i < c.dirOff[v+1]; i++ {
-				s := c.dirStart[i]
-				if s < prev || s > c.off[v+1] {
-					d.fail("node %d label directory start %d outside its row [%d,%d)", v, s, c.off[v], c.off[v+1])
-					break rows
-				}
-				prev = s
+		// Each run's endpoints strictly ascend.
+		for i, e := h.dirHi-1, h.hi; i >= h.dirLo && d.err == nil; i-- {
+			if !strictlyAscends(c.targets[c.dirStart[i]:e]) {
+				d.fail("node %d endpoints of a label not strictly ascending", v)
 			}
+			e = c.dirStart[i]
 		}
-	}
-	if c.off == nil {
-		// An empty graph round-trips to nil slices; the CSR accessors index
-		// off[v+1], so restore the canonical one-element arrays.
-		c.off = make([]int32, n+1)
-		c.dirOff = make([]int32, n+1)
 	}
 	return c
+}
+
+// strictlyAscends reports whether each entry of xs exceeds the one before.
+func strictlyAscends(xs []NodeID) bool {
+	for j := 1; j < len(xs); j++ {
+		if xs[j] <= xs[j-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot. The header's magic,
@@ -440,22 +467,18 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	f.nodeLabels = d.table("node-label")
 	f.edgeLabels = d.table("edge-label")
 	n := int(d.u32())
-	f.nodeLabelOf = snapIntsOut[LabelID](d)
+	f.nodeLabelOf = snapIntsOut[LabelID](d, int(f.nodeLabels.size()))
 	if d.err == nil && len(f.nodeLabelOf) != n {
 		d.fail("node label array sized %d, want %d", len(f.nodeLabelOf), n)
 	}
 	var attrs *attrBuilder
 	if d.err == nil {
-		attrs = newAttrBuilder(n, newLayer(nil), newLayer(nil))
+		attrs = &attrBuilder{names: newLayer(nil), values: newLayer(nil), rows: make([]span, n)}
 		for v := 0; v < n; v++ {
-			lid := f.nodeLabelOf[v]
-			if lid < 0 || uint32(lid) >= f.nodeLabels.size() {
-				d.fail("node %d references label %d of %d", v, lid, f.nodeLabels.size())
-				break
-			}
 			// Each attribute needs at least two 4-byte length prefixes;
 			// reject corrupt counts before they size anything.
-			if na := int(d.u32()); na > (len(d.b)-d.pos)/8 {
+			na := int(d.u32())
+			if na > (len(d.b)-d.pos)/8 {
 				d.fail("node %d claims %d attributes beyond remaining payload", v, na)
 			} else {
 				var prev []byte
@@ -467,14 +490,14 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 						d.fail("node %d attribute keys not strictly ascending", v)
 					}
 					val := d.bytes()
-					attrs.rows = append(attrs.rows, attrKey(AttrID(attrs.names.internBytes(k)), ValueID(attrs.values.internBytes(val))))
+					attrs.keys = append(attrs.keys, attrKey(AttrID(attrs.names.internBytes(k)), ValueID(attrs.values.internBytes(val))))
 					prev = k
 				}
 			}
 			if d.err != nil {
 				break
 			}
-			attrs.endRow()
+			attrs.endRow(NodeID(v), na)
 		}
 	}
 	f.edges = int(d.u64())
@@ -487,8 +510,8 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 		d.fail("edge count %d disagrees with CSR rows (%d out, %d in)",
 			f.edges, len(f.out.targets), len(f.in.targets))
 	}
-	byLabelOff := snapIntsOut[int32](d)
-	byLabelNodes := snapIntsOut[NodeID](d)
+	byLabelOff := snapIntsOut[int32](d, math.MaxInt32)
+	byLabelNodes := snapIntsOut[NodeID](d, n)
 	switch flag := d.u32(); {
 	case flag > 1:
 		d.fail("tombstone flag %d, want 0 or 1", flag)
@@ -513,9 +536,9 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 		for v, dd := range f.dead {
 			switch {
 			case !dd:
-			case attrs.off[v+1] != attrs.off[v]:
+			case attrs.rows[v].hi != attrs.rows[v].lo:
 				d.fail("tombstoned node %d carries attributes", v)
-			case f.out.off[v+1] != f.out.off[v] || f.in.off[v+1] != f.in.off[v]:
+			case f.out.rows[v].hi != f.out.rows[v].lo || f.in.rows[v].hi != f.in.rows[v].lo:
 				d.fail("tombstoned node %d owns edges", v)
 			}
 			if d.err != nil {

@@ -42,6 +42,9 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		if got, want := buf.Len()-28, f.payloadSize(); got != want {
 			t.Fatalf("seed=%d: payload of %d bytes, payloadSize %d", seed, got, want)
 		}
+		if !bytes.Equal(buf.Bytes(), snapshotImage(t, rebuilt(f))) {
+			t.Fatalf("seed=%d: a refrozen snapshot's image differs from its Builder rebuild's", seed)
+		}
 		loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("seed=%d: ReadSnapshot: %v", seed, err)
@@ -68,6 +71,32 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		checkReaderEquivalence(t, ctx+" refrozen-loaded",
 			f.Refreeze(dOrig), loaded.Refreeze(dLoaded), nodeLabels, edgeLabels)
 	}
+}
+
+// rebuilt returns f's graph frozen afresh through a Builder, its label IDs
+// interned in f's order first, so that the two images may be compared: the
+// rebuild lays every row out in node order.
+func rebuilt(f *Frozen) *Frozen {
+	b := NewBuilder(f.NumEdges())
+	for id := range f.nodeLabels.size() {
+		b.nodeLabels.intern(f.nodeLabels.str(id))
+	}
+	for id := range f.edgeLabels.size() {
+		b.edgeLabels.intern(f.edgeLabels.str(id))
+	}
+	for v := NodeID(0); int(v) < f.NumNodes(); v++ {
+		b.AddNodeWithAttrs(f.Label(v), f.Attrs(v))
+	}
+	for v := NodeID(0); int(v) < f.NumNodes(); v++ {
+		for _, e := range f.Out(v) {
+			b.AddEdge(e.From, e.To, e.Label)
+		}
+	}
+	r := b.Freeze()
+	if f.dead != nil {
+		r.tombstone(f.dead)
+	}
+	return r
 }
 
 // TestSnapshotDeterministic pins the image bytes: the same snapshot always
@@ -196,6 +225,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(seeds[2][:len(seeds[2])/2]) // truncated
 	f.Add(swappedLabelIndexImage(f))
 	for _, img := range repeatedLabelImages(f) {
+		f.Add(img)
+	}
+	for _, img := range disorderedRunImages(f) {
 		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -341,6 +373,54 @@ func TestReadSnapshotRejectsRepeatedLabel(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not say %s", err, want)
+		}
+	}
+}
+
+// disorderedRunImages writes a graph whose node 1 has out-edges to 0 and 2
+// labelled e and one to 0 labelled f, twice: once with node 1's two label
+// runs listed f before e, once with the endpoints of its e run as 2, 0.
+// The checksums and every count hold, but a refreeze merges a row in
+// (label, endpoint) order and a label query binary-searches its run, so
+// either would miss an edge the image holds.
+func disorderedRunImages(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, swapLabels := range []bool{true, false} {
+		b := NewBuilder(3)
+		x, y, z := b.AddNode("a"), b.AddNode("a"), b.AddNode("a")
+		b.AddEdge(y, x, "e")
+		b.AddEdge(y, z, "e")
+		b.AddEdge(y, x, "f")
+		bad := b.Freeze()
+		h, d := bad.out.rows[y], &bad.out
+		if swapLabels {
+			// Runs [0 2] labelled e, [0] labelled f become [0] f, [0 2] e.
+			copy(d.targets[h.lo:h.hi], []NodeID{x, x, z})
+			d.dirLabels[h.dirLo], d.dirLabels[h.dirLo+1] = d.dirLabels[h.dirLo+1], d.dirLabels[h.dirLo]
+			d.dirStart[h.dirLo+1] = h.lo + 1
+		} else {
+			d.targets[h.lo], d.targets[h.lo+1] = d.targets[h.lo+1], d.targets[h.lo]
+		}
+		var buf bytes.Buffer
+		if err := bad.WriteSnapshot(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestReadSnapshotRejectsDisorderedRun: a row's label runs must ascend by
+// label and each run's endpoints by node, or label queries miss edges; the
+// error names the node.
+func TestReadSnapshotRejectsDisorderedRun(t *testing.T) {
+	for i, img := range disorderedRunImages(t) {
+		g, err := ReadSnapshot(bytes.NewReader(img))
+		if err == nil {
+			t.Fatalf("image %d: a disordered label run loaded: HasEdge(1, 0, e) is %v", i, g.HasEdgeID(1, 0, g.EdgeLabelID("e")))
+		}
+		if !strings.Contains(err.Error(), "node 1 ") {
+			t.Fatalf("image %d: error %q does not name node 1", i, err)
 		}
 	}
 }

@@ -115,7 +115,8 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 // stay anyway, each with the reason. A key is "pkg.Func", "pkg.Type",
 // "pkg.(Type).Method", or "pkg/" for a whole package.
 var testOwned = map[string]string{
-	"oracle/": "the brute-force reference for matching, validation and simulation: tests are its only callers by design",
+	"oracle/":        "the brute-force reference for matching, validation and simulation: tests are its only callers by design",
+	"graph/faultio/": "the failing Writer and Reader the WAL and snapshot fault tests wrap their files in: tests are its only callers by design",
 
 	"core.(SatResult).Model":        "Theorem 1's witness model; deciding satisfiability never builds it, the model tests do",
 	"core.IsModel":                  "checks that witness against Σ; SatResult.Model's tests are its callers",
@@ -143,8 +144,12 @@ var testOwned = map[string]string{
 // It is syntactic (go/parser, no type information): a function or type
 // counts as referenced by a bare identifier in its own package or by a
 // pkg.Name selector through an import of that package; a method counts as
-// referenced by any x.Name(...) call, whatever x is. Both err on the side of
-// "referenced", so a hit is never a false alarm, only a miss is possible.
+// referenced by any x.Name(...) call, whatever x is. A type's name does not
+// count inside its own declaration, its methods, or the functions that
+// return it, but a type counts as referenced when a referenced function or
+// method returns it: a type is used where its values are. All of this errs
+// on the side of "referenced", so a hit is never a false alarm, only a miss
+// is possible.
 func TestEveryExportedSymbolIsReferenced(t *testing.T) {
 	dead, used := unreferencedSymbols(t, shippedRoots)
 	if len(dead) > 0 {
@@ -166,8 +171,9 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 	const module = "repro"
 	type decl struct {
 		key, name, dir string
-		method         bool
+		method, typ    bool
 		ident          *ast.Ident
+		results        []string // a function's or method's result type names
 	}
 	var decls []decl
 	// bare[dir][name]: identifiers outside selectors; qualified[importPath][name]:
@@ -206,8 +212,9 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 					if !d.Name.IsExported() {
 						continue
 					}
+					results := identNames(d.Type.Results)
 					if d.Recv == nil {
-						decls = append(decls, decl{key: short + "." + d.Name.Name, name: d.Name.Name, dir: dir, ident: d.Name})
+						decls = append(decls, decl{key: short + "." + d.Name.Name, name: d.Name.Name, dir: dir, ident: d.Name, results: results})
 						continue
 					}
 					recv := d.Recv.List[0].Type
@@ -215,12 +222,12 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 						recv = star.X
 					}
 					if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
-						decls = append(decls, decl{key: short + ".(" + id.Name + ")." + d.Name.Name, name: d.Name.Name, dir: dir, method: true})
+						decls = append(decls, decl{key: short + ".(" + id.Name + ")." + d.Name.Name, name: d.Name.Name, dir: dir, method: true, results: results})
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-							decls = append(decls, decl{key: short + "." + ts.Name.Name, name: ts.Name.Name, dir: dir, ident: ts.Name})
+							decls = append(decls, decl{key: short + "." + ts.Name.Name, name: ts.Name.Name, dir: dir, typ: true, ident: ts.Name})
 						}
 					}
 				}
@@ -230,28 +237,60 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 			bare[dir] = map[string][]*ast.Ident{}
 		}
 		selectors := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					called[sel.Sel.Name] = true
-				}
-			case *ast.SelectorExpr:
-				selectors[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && pkgOf[x.Name] != "" {
-					p := pkgOf[x.Name]
-					if qualified[p] == nil {
-						qualified[p] = map[string]bool{}
+		inspect := func(n ast.Node, owners map[string]bool) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						called[sel.Sel.Name] = true
 					}
-					qualified[p][n.Sel.Name] = true
+				case *ast.SelectorExpr:
+					selectors[n.Sel] = true
+					if x, ok := n.X.(*ast.Ident); ok && pkgOf[x.Name] != "" {
+						p := pkgOf[x.Name]
+						if qualified[p] == nil {
+							qualified[p] = map[string]bool{}
+						}
+						qualified[p][n.Sel.Name] = true
+					}
+				case *ast.Ident:
+					if !selectors[n] && !owners[n.Name] {
+						bare[dir][n.Name] = append(bare[dir][n.Name], n)
+					}
 				}
-			case *ast.Ident:
-				if !selectors[n] {
-					bare[dir][n.Name] = append(bare[dir][n.Name], n)
+				return true
+			})
+		}
+		// A type's own declaration, its methods and the functions that
+		// return it (its constructors) do not make it used: within each,
+		// its name is not a reference.
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				owners := map[string]bool{}
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						owners[id.Name] = true
+					}
+				}
+				for _, name := range identNames(d.Type.Results) {
+					owners[name] = true
+				}
+				inspect(d, owners)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					owners := map[string]bool{}
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						owners[ts.Name.Name] = true
+					}
+					inspect(spec, owners)
 				}
 			}
-			return true
-		})
+		}
 		return nil
 	}
 	for _, root := range roots {
@@ -266,20 +305,34 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 		}
 	}
 
-	used = map[string]bool{}
-	for _, d := range decls {
-		referenced := false
+	referenced := make([]bool, len(decls))
+	types := map[string]int{} // dir + "." + name → index of a type's decl
+	for i, d := range decls {
 		if d.method {
-			referenced = called[d.name]
-		} else {
-			for _, id := range bare[d.dir][d.name] {
-				if id != d.ident {
-					referenced = true
-				}
-			}
-			referenced = referenced || qualified[module+"/"+d.dir][d.name]
+			referenced[i] = called[d.name]
+			continue
 		}
-		if referenced {
+		if d.typ {
+			types[d.dir+"."+d.name] = i
+		}
+		for _, id := range bare[d.dir][d.name] {
+			if id != d.ident {
+				referenced[i] = true
+			}
+		}
+		referenced[i] = referenced[i] || qualified[module+"/"+d.dir][d.name]
+	}
+	// A type is used, too, where a used function or method returns it.
+	for i, d := range decls {
+		for _, name := range d.results {
+			if j, ok := types[d.dir+"."+name]; ok && referenced[i] {
+				referenced[j] = true
+			}
+		}
+	}
+	used = map[string]bool{}
+	for i, d := range decls {
+		if referenced[i] {
 			continue
 		}
 		pkg := strings.TrimPrefix(d.dir, "internal/") + "/"
@@ -294,4 +347,19 @@ func unreferencedSymbols(t *testing.T, roots []string) (dead []string, used map[
 	}
 	sort.Strings(dead)
 	return dead, used
+}
+
+// identNames returns the names of the identifiers in a result list (nil:
+// none), in the order they appear.
+func identNames(results *ast.FieldList) []string {
+	var names []string
+	if results != nil {
+		ast.Inspect(results, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names = append(names, id.Name)
+			}
+			return true
+		})
+	}
+	return names
 }
