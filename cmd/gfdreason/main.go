@@ -45,7 +45,10 @@
 // -threshold NaN.
 //
 // Graph arguments accept either format transparently: the text format or a
-// binary snapshot image (sniffed by magic bytes). snapshot converts to the
+// binary snapshot image (sniffed by magic bytes). check and snapshot read a
+// text graph in at most GOMAXPROCS ranges of its bytes, parsed concurrently
+// (a file under 64 KiB stays whole); the graph, or the error and its line
+// number, does not depend on that count. snapshot converts to the
 // binary store (optionally compacting tombstones first); check -wal
 // recovers a delta log over the store and validates the composed state, so
 // the check pipeline runs against a saved store without rebuilding it;

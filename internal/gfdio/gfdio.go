@@ -19,6 +19,10 @@
 //
 // A file may contain any number of gfd blocks. A term <var>.<attr> is one
 // field, cut at its last '.'; "then false" is a block's whole consequent.
+//
+// Both readers parse in ranges, concurrently: a graph in at most GOMAXPROCS
+// cut at line starts, a rule file at gfd lines. The result, or the error
+// and its line number, is the one-range parse's.
 package gfdio
 
 import (
@@ -28,6 +32,8 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -41,37 +47,104 @@ import (
 	"repro/internal/pattern"
 )
 
-// ReadFrozenGraph parses the graph format through the bulk-load path —
-// O(1) edge appends into a graph.Builder, one sort at Freeze — and returns
-// the immutable CSR snapshot.
+// ReadFrozenGraph parses the graph format into a graph.Builder and returns
+// the snapshot its Freeze makes. A regular file, bytes.Reader or
+// strings.Reader is parsed in at most GOMAXPROCS ranges of at least
+// minRangeLen bytes, anything else in one, as it streams.
 func ReadFrozenGraph(r io.Reader) (*graph.Frozen, error) {
-	b := graph.NewBuilder(0)
-	if err := readGraphInto(r, b); err != nil {
-		return nil, err
+	if ra, at, size, ok := readerAt(r); ok {
+		open := func(off int64) io.Reader { return io.NewSectionReader(ra, at+off, math.MaxInt64) }
+		return readGraphRanges(open, size, min(runtime.GOMAXPROCS(0), int(size/minRangeLen)))
 	}
+	return readGraphRanges(func(int64) io.Reader { return r }, 0, 1)
+}
+
+// readerAt returns r as an io.ReaderAt, the offset r reads next and the
+// bytes left from there, if r can tell.
+func readerAt(r io.Reader) (io.ReaderAt, int64, int64, bool) {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
+	case *strings.Reader:
+		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			at, err := r.Seek(0, io.SeekCurrent)
+			return r, at, fi.Size() - at, err == nil
+		}
+	}
+	return nil, 0, 0, false
+}
+
+// readGraphRanges parses what open reads from an offset on in n ranges, at
+// most one a byte: range k holds the lines that start in its k-th share of
+// the size bytes, each parsed into a graph.Part on a goroutine of its own,
+// and Builder.Join merges them. Only range 0 knows the nodes before it, so
+// the merge checks each other's first node ID, and its edges before that.
+// An error past range 0, or a failed check, re-parses in one range, which
+// names the first error in file order and its line number.
+func readGraphRanges(open func(off int64) io.Reader, size int64, n int) (*graph.Frozen, error) {
+	const rowBytes = 16 // per row of a window; a range of shorter rows outgrows it
+	n = max(1, min(n, int(size)))
+	b, rows, ranges := graph.NewBuilder(0), make([]int, n), make([]graphRange, n)
+	for k := range rows {
+		rows[k] = int(((int64(k)+1)*size/int64(n) - int64(k)*size/int64(n)) / rowBytes)
+	}
+	parts := b.Split(rows)
+	var wg sync.WaitGroup
+	for k := range ranges {
+		// Past range 0, the first line is the first past a '\n' at from.
+		from, end := max(0, int64(k)*size/int64(n)-1), (int64(k)+1)*size/int64(n)
+		if k == n-1 {
+			end = math.MaxInt64
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// On this goroutine's stack, not in ranges, whose cache lines
+			// the other goroutines write.
+			rg := graphRange{part: parts[k], first: -min(k, 1), maxPre: -1}
+			rg.err = rg.parse(open(from), k > 0, end-from)
+			ranges[k] = rg
+		}()
+	}
+	wg.Wait()
+	if ranges[0].err != nil {
+		return nil, ranges[0].err
+	}
+	nodes := 0
+	for _, rg := range ranges {
+		if rg.err != nil || rg.part.NumNodes() > 0 && rg.first != nodes || rg.maxPre >= nodes {
+			return readGraphRanges(open, size, 1)
+		}
+		nodes += rg.part.NumNodes()
+	}
+	b.Join(parts)
 	return b.Freeze(), nil
 }
 
-// readGraphInto parses the graph format into any build target. Each line is
-// split in place in the scanner's buffer, and strings are made only for
-// what the graph keeps, labels and attribute names and values, once per
-// distinct string.
-func readGraphInto(r io.Reader, g graph.Sink) error {
+// graphRange is one range of a text graph as it parses.
+type graphRange struct {
+	part   *graph.Part
+	first  int // the range's first node ID: 0 in range 0, elsewhere -1 until read
+	maxPre int // the largest endpoint of an edge before first was known
+	err    error
+}
+
+// parse reads lines from r up to the first that starts end bytes or more
+// into r, past r's first line with skip, each split in place.
+func (rg *graphRange) parse(r io.Reader, skip bool, end int64) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	strs := make(map[string]string)
-	str := func(s []byte) string {
-		if v, ok := strs[string(s)]; ok {
-			return v
-		}
-		v := string(s)
-		strs[v] = v
-		return v
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineLen)
+	sc.Split(scanLine)
+	var at int64 // where the next line starts in r
+	if skip && sc.Scan() {
+		at = int64(len(sc.Bytes())) + 1
 	}
 	var fields [][]byte
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
+	p := rg.part
+	for lineNo := 1; at < end && sc.Scan(); lineNo++ {
+		at += int64(len(sc.Bytes())) + 1
 		fields = splitFields(fields[:0], sc.Bytes(), math.MaxInt)
 		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
@@ -85,16 +158,19 @@ func readGraphInto(r io.Reader, g graph.Sink) error {
 			if err != nil {
 				return fmt.Errorf("line %d: bad node id %q", lineNo, fields[1])
 			}
-			if id != g.NumNodes() {
-				return fmt.Errorf("line %d: node ids must be dense and ordered; got %d, want %d", lineNo, id, g.NumNodes())
+			if rg.first < 0 {
+				rg.first = id
 			}
-			nid := g.AddNode(str(fields[2]))
+			if want := rg.first + p.NumNodes(); id != want {
+				return fmt.Errorf("line %d: node ids must be dense and ordered; got %d, want %d", lineNo, id, want)
+			}
+			p.AddNode(fields[2])
 			for _, kv := range fields[3:] {
 				eq := bytes.IndexByte(kv, '=')
 				if eq <= 0 {
 					return fmt.Errorf("line %d: bad attribute %q", lineNo, kv)
 				}
-				g.SetAttr(nid, str(kv[:eq]), str(kv[eq+1:]))
+				p.SetAttr(graph.NodeID(id), kv[:eq], kv[eq+1:])
 			}
 		case "edge":
 			if len(fields) != 4 {
@@ -105,15 +181,29 @@ func readGraphInto(r io.Reader, g graph.Sink) error {
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("line %d: bad edge endpoints", lineNo)
 			}
-			if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() {
+			if from < 0 || to < 0 || rg.first >= 0 && max(from, to) >= rg.first+p.NumNodes() {
 				return fmt.Errorf("line %d: edge endpoint out of range", lineNo)
 			}
-			g.AddEdge(graph.NodeID(from), graph.NodeID(to), str(fields[3]))
+			if rg.first < 0 {
+				rg.maxPre = max(rg.maxPre, from, to)
+			}
+			p.AddEdge(graph.NodeID(from), graph.NodeID(to), fields[3])
 		default:
 			return fmt.Errorf("line %d: unknown statement %q", lineNo, fields[0])
 		}
 	}
 	return sc.Err()
+}
+
+// scanLine is bufio.ScanLines keeping the '\r', which splitFields drops.
+func scanLine(data []byte, atEOF bool) (int, []byte, error) {
+	if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+		return nl + 1, data[:nl], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // WriteGraph emits the graph format from any representation. It writes only

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -42,18 +43,23 @@ func TestReadGraph(t *testing.T) {
 	}
 }
 
-// TestGraphRoundTrip writes the parsed sample from both build targets — the
-// snapshot ReadFrozenGraph returns and an editable graph filled through the
-// same parser — and re-parses the text: every spelling writes the same text.
+// TestGraphRoundTrip writes the parsed sample, and an editable graph built
+// with the sample's statements, and re-parses the text: every spelling
+// writes the same text.
 func TestGraphRoundTrip(t *testing.T) {
 	f, err := ReadFrozenGraph(strings.NewReader(sampleGraph))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.New()
-	if err := readGraphInto(strings.NewReader(sampleGraph), g); err != nil {
-		t.Fatal(err)
-	}
+	alice, bob, paris := g.AddNode("person"), g.AddNode("person"), g.AddNode("city")
+	g.SetAttr(alice, "name", "alice")
+	g.SetAttr(alice, "age", "30")
+	g.SetAttr(bob, "name", "bob")
+	g.SetAttr(paris, "name", "paris")
+	g.AddEdge(alice, bob, "knows")
+	g.AddEdge(alice, paris, "lives")
+	g.AddEdge(bob, paris, "lives")
 	var fromFrozen, fromGraph, reparsed strings.Builder
 	if err := WriteGraph(&fromFrozen, f); err != nil {
 		t.Fatal(err)
@@ -61,11 +67,11 @@ func TestGraphRoundTrip(t *testing.T) {
 	if err := WriteGraph(&fromGraph, g); err != nil {
 		t.Fatal(err)
 	}
-	g2 := graph.New()
-	if err := readGraphInto(strings.NewReader(fromFrozen.String()), g2); err != nil {
+	f2, err := ReadFrozenGraph(strings.NewReader(fromFrozen.String()))
+	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, fromFrozen.String())
 	}
-	if err := WriteGraph(&reparsed, g2); err != nil {
+	if err := WriteGraph(&reparsed, f2); err != nil {
 		t.Fatal(err)
 	}
 	if fromGraph.String() != fromFrozen.String() || reparsed.String() != fromFrozen.String() {
@@ -203,25 +209,86 @@ func TestReadGraphMatchesReference(t *testing.T) {
 	}
 }
 
+// forcedGraphRanges are the range counts checkReadGraphAgainstReference
+// forces on the graph reader, past ReadFrozenGraph's minimum range size.
+var forcedGraphRanges = []int{1, 2, 3, 8}
+
+// checkReadGraphAgainstReference holds ReadFrozenGraph, and the text cut
+// into each of forcedGraphRanges and parsed concurrently, to refReadGraph:
+// the same error text, or a graph with the same snapshot image.
 func checkReadGraphAgainstReference(t *testing.T, in string) {
 	t.Helper()
-	got, err := ReadFrozenGraph(strings.NewReader(in))
 	want, refErr := refReadGraph(strings.NewReader(in))
-	if fmt.Sprint(err) != fmt.Sprint(refErr) {
-		t.Fatalf("%q: error %v, the reference's %v", in, err, refErr)
+	var image strings.Builder
+	if refErr == nil {
+		if err := want.WriteSnapshot(&image); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err != nil {
-		return
+	runs := map[string]func() (*graph.Frozen, error){
+		"ReadFrozenGraph": func() (*graph.Frozen, error) { return ReadFrozenGraph(strings.NewReader(in)) },
 	}
-	var a, b strings.Builder
-	if err := got.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
+	for _, n := range forcedGraphRanges {
+		runs[fmt.Sprintf("%d ranges", n)] = func() (*graph.Frozen, error) {
+			open := func(off int64) io.Reader { return io.NewSectionReader(strings.NewReader(in), off, math.MaxInt64) }
+			return readGraphRanges(open, int64(len(in)), n)
+		}
 	}
-	if err := want.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
+	for run, read := range runs {
+		got, err := read()
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%q, %s: error %v, the reference's %v", in, run, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		var a strings.Builder
+		if err := got.WriteSnapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != image.String() {
+			t.Fatalf("%q, %s: the graph read differs from the reference's", in, run)
+		}
 	}
-	if a.String() != b.String() {
-		t.Fatalf("%q: the graph read differs from the reference's", in)
+}
+
+// TestReadGraphRangesMatchReference cuts, for each input, at every byte:
+// the input is shifted by a comment line of each length before it and
+// after it, so that the cut of two ranges sweeps all of it. The inputs
+// have errors on their lines and CRLF endings, an edge that names a node
+// of a later line, node IDs not dense across a line, a comment whose tail
+// reads as an edge, node lines then edge lines, and runs of edge lines
+// shorter than rowBytes, which outgrow their
+// range's windows: in a file of longer ones before them, where the earlier
+// windows' slack takes them, and on their own, where it cannot.
+func TestReadGraphRangesMatchReference(t *testing.T) {
+	long, short := "", ""
+	for i := 0; i < 40; i++ {
+		long += fmt.Sprintf("edge %d %d a_rather_long_edge_label_%d\n", i%3, (i+1)%3, i%2)
+		short += fmt.Sprintf("edge %d %d %c\n", i%3, i%2, 'a'+i%3)
+	}
+	nodes := "node 0 a k=1\nnode 1 b\nnode 2 a k=2 l=3\n"
+	inputs := []string{
+		nodes + "edge 0 1 e\nedge 2 0 f\n",
+		"node 0 a\r\nnode 1 b k=v\r\nedge 0 1 e\r\nedge 1 0 e\r\n",
+		"node 0 a\nnode 1 b\nedge 0 1 e\nbogus line\nedge 1 0 e\n",
+		"node 0 a\nnode 1 b\nedge 0 1 e\nnode 2 c broken\n",
+		"node 0 a\nedge 0 1 e\nnode 1 b\nedge 1 0 e\n",
+		"node 0 a\nnode 1 b\nnode 3 c\nedge 0 1 e\n",
+		"node 0 a\nnode 1 b\nedge 0 1 e\nedge 1 1 e\nedge 0 -1 e\n",
+		"node 0 a\nnode 1 b\n#edge 0 1 x\nedge 1 0 e\n",
+		nodes + long + short,
+		nodes + short + short,
+	}
+	for _, in := range graphCorpus() {
+		checkReadGraphAgainstReference(t, in)
+	}
+	for _, in := range inputs {
+		for pad := 0; pad <= len(in); pad++ {
+			comment := "#" + strings.Repeat("x", pad) + "\n"
+			checkReadGraphAgainstReference(t, comment+in)
+			checkReadGraphAgainstReference(t, in+comment)
+		}
 	}
 }
 
@@ -283,7 +350,7 @@ func refReadGraph(r io.Reader) (*graph.Frozen, error) {
 }
 
 // FuzzReadGraph: no input panics the graph-text parser, it reads what
-// refReadGraph reads, and a graph it accepts is one WriteGraph writes and
+// refReadGraph reads in one range and in each forced count of ranges, and a graph it accepts is one WriteGraph writes and
 // reads back equal: the same text again from the graph read back, and the
 // same node and edge counts.
 func FuzzReadGraph(f *testing.F) {

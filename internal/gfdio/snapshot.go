@@ -28,6 +28,12 @@ func ReadSnapshot(r io.Reader) (*graph.Frozen, error) {
 // format through the bulk-load path (ReadFrozenGraph). Either way the
 // result is the immutable CSR snapshot the read-only pipelines consume.
 func ReadAnyGraph(r io.Reader) (*graph.Frozen, error) {
+	if ra, at, _, ok := readerAt(r); ok { // peek at offsets: text parses in ranges
+		prefix := make([]byte, 8)
+		if n, _ := ra.ReadAt(prefix, at); !graph.LooksLikeSnapshot(prefix[:n]) {
+			return ReadFrozenGraph(r)
+		}
+	}
 	br := bufio.NewReaderSize(r, 64*1024)
 	prefix, err := br.Peek(8)
 	if err != nil && err != io.EOF {

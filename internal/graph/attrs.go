@@ -98,6 +98,21 @@ func (t *strTable) internBytes(b []byte) uint32 {
 	return t.add(string(b))
 }
 
+// join interns local's entries in ID order and returns the ID each got;
+// an empty t takes them as they are.
+func (t *strTable) join(local *strTable) []uint32 {
+	m, adopt := make([]uint32, len(local.strs)), t.size() == 0
+	for i, s := range local.strs {
+		if m[i] = uint32(i); !adopt {
+			m[i] = t.intern(s)
+		}
+	}
+	if adopt {
+		*t = *local
+	}
+	return m
+}
+
 func (t *strTable) add(s string) uint32 {
 	id := t.size()
 	t.ids[s] = id

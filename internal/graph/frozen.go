@@ -96,6 +96,100 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 	b.lab = append(b.lab, LabelID(b.edgeLabels.intern(label)))
 }
 
+// Part is one range of a bulk load, filled on a goroutine of its own: rows
+// go to its windows of the Builder's columns (Split) under IDs of string
+// tables of its own, which Join maps. Node IDs are the loader's to check.
+type Part struct {
+	cols Builder
+	rows int // each window's length
+}
+
+// AddNode, SetAttr, AddEdge and NumNodes are the Builder's, from bytes.
+func (p *Part) AddNode(label []byte) {
+	p.cols.nodeLabelOf = append(p.cols.nodeLabelOf, LabelID(p.cols.nodeLabels.internBytes(label)))
+}
+
+func (p *Part) SetAttr(v NodeID, attr, value []byte) {
+	p.cols.attrNode = append(p.cols.attrNode, v)
+	p.cols.attrPairs = append(p.cols.attrPairs, attrKey(AttrID(p.cols.names.internBytes(attr)), ValueID(p.cols.values.internBytes(value))))
+}
+
+func (p *Part) AddEdge(from, to NodeID, label []byte) {
+	p.cols.from, p.cols.to = append(p.cols.from, from), append(p.cols.to, to)
+	p.cols.lab = append(p.cols.lab, LabelID(p.cols.edgeLabels.internBytes(label)))
+}
+
+func (p *Part) NumNodes() int { return p.cols.NumNodes() }
+
+// Split returns a Part per entry of rows, part k with a window of rows[k]
+// edges and as many attributes, back to back past the ends of b's columns.
+// A part that outgrows a window goes on in an array of its own.
+func (b *Builder) Split(rows []int) []*Part {
+	parts := make([]*Part, len(rows))
+	for k, n := range rows {
+		parts[k] = &Part{rows: n, cols: Builder{nodeLabels: newLayer(nil), edgeLabels: newLayer(nil), names: newLayer(nil), values: newLayer(nil)}}
+	}
+	b.columns(parts, true)
+	return parts
+}
+
+// Join appends the parts' rows to b in order, as adding them to b would:
+// each part's IDs map into b's tables in the order the part assigned them.
+func (b *Builder) Join(parts []*Part) {
+	for _, p := range parts {
+		relabel(p.cols.nodeLabelOf, b.nodeLabels.join(p.cols.nodeLabels))
+		b.nodeLabelOf = append(b.nodeLabelOf, p.cols.nodeLabelOf...)
+		relabel(p.cols.lab, b.edgeLabels.join(p.cols.edgeLabels))
+		names, values := b.names.join(p.cols.names), b.values.join(p.cols.values)
+		for i, k := range p.cols.attrPairs {
+			p.cols.attrPairs[i] = attrKey(AttrID(names[k>>32]), ValueID(values[uint32(k)]))
+		}
+	}
+	b.columns(parts, false)
+}
+
+// columns cuts the parts' windows (Split) or gathers their rows (Join).
+func (b *Builder) columns(parts []*Part, split bool) {
+	b.from = column(b.from, parts, split, func(p *Part) *[]NodeID { return &p.cols.from })
+	b.to = column(b.to, parts, split, func(p *Part) *[]NodeID { return &p.cols.to })
+	b.lab = column(b.lab, parts, split, func(p *Part) *[]LabelID { return &p.cols.lab })
+	b.attrNode = column(b.attrNode, parts, split, func(p *Part) *[]NodeID { return &p.cols.attrNode })
+	b.attrPairs = column(b.attrPairs, parts, split, func(p *Part) *[]uint64 { return &p.cols.attrPairs })
+}
+
+// column cuts col's windows in a new array, as grown makes it: a window
+// stays untouched, and so not resident, until its part fills it. Or it
+// moves each window down with one copy, unless a part outgrew its window
+// onto one not yet moved: then the column goes to a new array.
+func column[T any](col []T, parts []*Part, split bool, rows func(*Part) *[]T) []T {
+	total, end, fits := len(col), len(col), true
+	for _, p := range parts {
+		total, end = total+len(*rows(p)), end+p.rows
+		fits = fits && total <= end
+	}
+	if split {
+		col = grown(nil, col, end)
+		at := len(col)
+		for _, p := range parts {
+			*rows(p), at = col[at:at:at+p.rows], at+p.rows
+		}
+		return col
+	}
+	if !fits {
+		col = append(make([]T, 0, total), col...)
+	}
+	for _, p := range parts {
+		col = append(col, *rows(p)...)
+	}
+	return col
+}
+
+func relabel(col []LabelID, m []uint32) {
+	for i, id := range col {
+		col[i] = LabelID(m[id])
+	}
+}
+
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.nodeLabelOf) }
 

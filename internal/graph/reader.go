@@ -87,9 +87,8 @@ type Reader interface {
 }
 
 // Sink is the build API shared by *Graph (stays editable, idempotent
-// AddEdge), *Builder (consumed by Freeze) and *Delta. Generators and parsers
-// written against Sink can fill any of them; the caller picks by what it
-// passes in.
+// AddEdge), *Builder (consumed by Freeze) and *Delta. Generators written
+// against Sink can fill any of them; the caller picks by what it passes in.
 type Sink interface {
 	AddNode(label string) NodeID
 	AddNodeWithAttrs(label string, attrs map[string]string) NodeID
