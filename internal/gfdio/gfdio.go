@@ -32,7 +32,6 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -52,28 +51,11 @@ import (
 // strings.Reader is parsed in at most GOMAXPROCS ranges of at least
 // minRangeLen bytes, anything else in one, as it streams.
 func ReadFrozenGraph(r io.Reader) (*graph.Frozen, error) {
-	if ra, at, size, ok := readerAt(r); ok {
+	if ra, at, size, ok := graph.ReaderAt(r); ok {
 		open := func(off int64) io.Reader { return io.NewSectionReader(ra, at+off, math.MaxInt64) }
 		return readGraphRanges(open, size, min(runtime.GOMAXPROCS(0), int(size/minRangeLen)))
 	}
 	return readGraphRanges(func(int64) io.Reader { return r }, 0, 1)
-}
-
-// readerAt returns r as an io.ReaderAt, the offset r reads next and the
-// bytes left from there, if r can tell.
-func readerAt(r io.Reader) (io.ReaderAt, int64, int64, bool) {
-	switch r := r.(type) {
-	case *bytes.Reader:
-		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
-	case *strings.Reader:
-		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
-	case *os.File:
-		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
-			at, err := r.Seek(0, io.SeekCurrent)
-			return r, at, fi.Size() - at, err == nil
-		}
-	}
-	return nil, 0, 0, false
 }
 
 // readGraphRanges parses what open reads from an offset on in n ranges, at

@@ -27,12 +27,14 @@ func ReadSnapshot(r io.Reader) (*graph.Frozen, error) {
 // magic: a binary image loads directly, anything else parses as the text
 // format through the bulk-load path (ReadFrozenGraph). Either way the
 // result is the immutable CSR snapshot the read-only pipelines consume.
+// A file is peeked without moving it, so an image streams from r itself.
 func ReadAnyGraph(r io.Reader) (*graph.Frozen, error) {
-	if ra, at, _, ok := readerAt(r); ok { // peek at offsets: text parses in ranges
+	if ra, at, _, ok := graph.ReaderAt(r); ok {
 		prefix := make([]byte, 8)
-		if n, _ := ra.ReadAt(prefix, at); !graph.LooksLikeSnapshot(prefix[:n]) {
-			return ReadFrozenGraph(r)
+		if n, _ := ra.ReadAt(prefix, at); graph.LooksLikeSnapshot(prefix[:n]) {
+			return graph.ReadSnapshot(r)
 		}
+		return ReadFrozenGraph(r)
 	}
 	br := bufio.NewReaderSize(r, 64*1024)
 	prefix, err := br.Peek(8)

@@ -2,6 +2,11 @@ package gfdio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,6 +55,10 @@ func TestReadAnyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("image via ReadAnyGraph: %v", err)
 	}
+	// A source that cannot read at offsets is sniffed through a buffer.
+	if piped, err := ReadAnyGraph(io.MultiReader(bytes.NewReader(img.Bytes()))); err != nil || piped.NumEdges() != fromImage.NumEdges() {
+		t.Fatalf("image via ReadAnyGraph from a pipe: %v", err)
+	}
 	var a, b bytes.Buffer
 	if err := WriteGraph(&a, fromText); err != nil {
 		t.Fatal(err)
@@ -66,5 +75,28 @@ func TestReadAnyGraph(t *testing.T) {
 	}
 	if empty.NumNodes() != 0 {
 		t.Error("empty input produced nodes")
+	}
+}
+
+// TestReadAnyGraphForgedPayloadLength feeds ReadAnyGraph a 28-byte image
+// file whose header, checksum and all, claims a 2^36-byte payload: the file
+// knows its size, so the load fails with a read error instead of sizing
+// anything by the claim.
+func TestReadAnyGraphForgedPayloadLength(t *testing.T) {
+	img := []byte("GFDSNAP1\x01\x00\x00\x00")
+	img = binary.LittleEndian.AppendUint64(img, 1<<36)
+	img = binary.LittleEndian.AppendUint32(img, 0)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+	path := filepath.Join(t.TempDir(), "big.snap")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := ReadAnyGraph(f); err == nil || !strings.Contains(err.Error(), "read payload") {
+		t.Fatalf("ReadAnyGraph of a forged 28-byte image: %v, want a read-payload error", err)
 	}
 }

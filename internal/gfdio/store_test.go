@@ -102,7 +102,9 @@ func TestWriteSnapshotAtomicFailedWriteThenSync(t *testing.T) {
 // with a write or fsync failure injected at every op of the image stream
 // (plus the torn half-write variant), the rewrite must fail with the
 // injected error, the previous image at the path must survive byte-for-byte
-// and still load, and no temp file may be left behind.
+// and still load, and no temp file may be left behind. The image streams
+// into the temp file, so the ops are its placeholder header, its payload,
+// the header patched in with WriteAt, and the fsync.
 func TestWriteSnapshotAtomicFaultEveryOp(t *testing.T) {
 	oldG, err := ReadFrozenGraph(strings.NewReader("node 0 only\n"))
 	if err != nil {
@@ -126,16 +128,16 @@ func TestWriteSnapshotAtomicFaultEveryOp(t *testing.T) {
 	defer func() { storeDest = orig }()
 
 	// Count the destination ops of a clean rewrite.
-	var counting *faultio.Writer
+	var counting *faultio.WriterAt
 	storeDest = func(f *os.File) syncWriter {
-		counting = &faultio.Writer{W: f, FailAt: -1}
+		counting = &faultio.WriterAt{Writer: faultio.Writer{W: f, FailAt: -1}}
 		return counting
 	}
 	if err := WriteSnapshotAtomic(path, newG); err != nil {
 		t.Fatalf("counting rewrite: %v", err)
 	}
-	if counting == nil || counting.Ops == 0 {
-		t.Fatal("counting rewrite saw no destination ops; sweep is vacuous")
+	if counting == nil || counting.Ops != 4 {
+		t.Fatalf("counting rewrite saw %v destination ops, want 4 (header, payload, header patch, sync)", counting)
 	}
 	// Reseed the old image so every sweep iteration overwrites the same state.
 	if err := WriteSnapshotAtomic(path, oldG); err != nil {
@@ -145,7 +147,7 @@ func TestWriteSnapshotAtomicFaultEveryOp(t *testing.T) {
 	for failAt := 0; failAt < counting.Ops; failAt++ {
 		for _, short := range []bool{false, true} {
 			storeDest = func(f *os.File) syncWriter {
-				return &faultio.Writer{W: f, FailAt: failAt, Short: short}
+				return &faultio.WriterAt{Writer: faultio.Writer{W: f, FailAt: failAt, Short: short}}
 			}
 			err := WriteSnapshotAtomic(path, newG)
 			if !errors.Is(err, faultio.ErrInjected) {

@@ -23,24 +23,25 @@ import (
 var ErrInjected = errors.New("faultio: injected fault")
 
 // Writer wraps an io.Writer and injects a persistent fault into its op
-// stream. Ops are counted across Write and Sync calls in program order; the
-// op at index FailAt and every op after it fail — a dead disk does not
-// heal, so a caller that keeps writing past the first error is leaking
-// unacknowledged data, which the sticky-error tests catch as bytes that
-// should not exist.
+// stream. Ops are counted across Write and Sync calls (and WriteAt, for a
+// WriterAt) in program order; the op at index FailAt and every op after it
+// fail — a dead disk does not heal, so a caller that keeps writing past the
+// first error is leaking unacknowledged data, which the sticky-error tests
+// catch as bytes that should not exist.
 type Writer struct {
 	W io.Writer
 	// FailAt is the 0-based index of the first failing op; negative never
 	// fails (pass -1 to count a workload's ops via Ops).
 	FailAt int
-	// Short makes the first failing op, when it is a Write, deliver half
-	// its payload before reporting the error — the torn-write case. Later
-	// failing ops deliver nothing.
+	// Short makes the first failing op, when it is a Write or a WriteAt,
+	// deliver half its payload before reporting the error — the torn-write
+	// case. Later failing ops deliver nothing.
 	Short bool
 	// Err overrides ErrInjected as the injected error.
 	Err error
 
-	// Ops counts the Write/Sync calls seen so far (including failed ones).
+	// Ops counts the Write/WriteAt/Sync calls seen so far (including
+	// failed ones).
 	Ops int
 	// Failed reports whether the fault has fired at least once.
 	Failed bool
@@ -61,20 +62,36 @@ func (w *Writer) failing() bool {
 // of p with Short on the first failing op) once the op stream reaches
 // FailAt.
 func (w *Writer) Write(p []byte) (int, error) {
+	return w.op(p, w.W.Write)
+}
+
+// op counts one write of p through deliver and applies the fault rules.
+func (w *Writer) op(p []byte, deliver func([]byte) (int, error)) (int, error) {
 	w.Ops++
 	if !w.failing() {
-		return w.W.Write(p)
+		return deliver(p)
 	}
 	first := !w.Failed
 	w.Failed = true
 	if first && w.Short && len(p) > 1 {
-		n, err := w.W.Write(p[:len(p)/2])
+		n, err := deliver(p[:len(p)/2])
 		if err != nil {
 			return n, err
 		}
 		return n, w.fail()
 	}
 	return 0, w.fail()
+}
+
+// WriterAt is a Writer over a W that is also an io.WriterAt (a file), so
+// what writes through it may patch bytes it wrote before, as a streamed
+// snapshot image patches its header. WriteAt counts as one op of the same
+// stream and fails by the same FailAt and Short rules as Write.
+type WriterAt struct{ Writer }
+
+// WriteAt delivers p at off to the wrapped writer, or fails as Write does.
+func (w *WriterAt) WriteAt(p []byte, off int64) (int, error) {
+	return w.op(p, func(q []byte) (int, error) { return w.W.(io.WriterAt).WriteAt(q, off) })
 }
 
 // Sync counts as one op like Write does, fails at and after FailAt, and

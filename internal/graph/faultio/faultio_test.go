@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,37 @@ func TestWriterShort(t *testing.T) {
 	}
 	if got := buf.String(); got != "ab" {
 		t.Fatalf("second failing op must deliver nothing, disk holds %q", got)
+	}
+}
+
+// TestWriterAtSharesTheOpStream pins WriteAt as one op of the Writer's
+// stream: it lands at its offset before FailAt, and the first failing one
+// delivers half under Short.
+func TestWriterAtSharesTheOpStream(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := &WriterAt{Writer{W: f, FailAt: 2, Short: true}}
+	if _, err := w.Write([]byte("abcd")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt([]byte("X"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt([]byte("YZ"), 2); !errors.Is(err, ErrInjected) {
+		t.Fatalf("op 2 should fail injected, got %v", err)
+	}
+	if _, err := w.WriteAt([]byte("Q"), 0); !errors.Is(err, ErrInjected) {
+		t.Fatalf("ops after the fault must keep failing, got %v", err)
+	}
+	got, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "aXYd" || w.Ops != 4 || !w.Failed {
+		t.Fatalf("file holds %q after Ops=%d Failed=%v, want \"aXYd\"", got, w.Ops, w.Failed)
 	}
 }
 

@@ -4,10 +4,11 @@
 // back such that the result is query-identical to the source across the
 // whole Reader API (pinned by the snapshot round-trip property tests). The
 // format exists so a bulk-ingested graph is paid for once: loading an image
-// is a checksum pass plus flat array decodes, an order of magnitude cheaper
-// than re-sorting the edges from text (gated by the snapshot_load_speedup CI
-// metric). Pair with the WAL (wal.go) for crash-consistent ingest: snapshot
-// the base, log the deltas, Recover on restart.
+// is one streamed pass that sums the checksum and decodes flat arrays
+// through a fixed window, an order of magnitude cheaper than re-sorting the
+// edges from text (gated by the snapshot_load_speedup CI metric). Pair with
+// the WAL (wal.go) for crash-consistent ingest: snapshot the base, log the
+// deltas, Recover on restart.
 //
 // Layout (all integers little-endian):
 //
@@ -18,12 +19,12 @@
 //	u32     CRC-32 (IEEE) of the 24 header bytes above
 //	payload
 //
-// The header checksum rejects a torn or corrupted header before any
-// payload-sized allocation; the payload checksum guards the body. The
-// payload is the Frozen's sections in fixed order: node-label and edge-label
-// tables, per-node label IDs and attribute tuples, the out and in CSR
-// directions (offsets, targets, wildcard view, label directory), the
-// nodes-by-label index, and the optional tombstone bitmap.
+// The header checksum rejects a torn or corrupted header before anything
+// is sized by it; the payload checksum guards the body. The payload is the
+// Frozen's sections in fixed order: node-label and edge-label tables,
+// per-node label IDs and attribute tuples, the out and in CSR directions
+// (offsets, targets, wildcard view, label directory), the nodes-by-label
+// index, and the optional tombstone bitmap.
 package graph
 
 import (
@@ -33,7 +34,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"slices"
+	"strings"
 )
 
 var snapshotMagic = [8]byte{'G', 'F', 'D', 'S', 'N', 'A', 'P', '1'}
@@ -42,9 +45,10 @@ var snapshotMagic = [8]byte{'G', 'F', 'D', 'S', 'N', 'A', 'P', '1'}
 // images from other versions rather than guessing.
 const snapshotVersion = 1
 
-// maxSnapshotPayload bounds the payload allocation a header can demand, so a
-// corrupted length field that slips past the header checksum cannot OOM the
-// loader.
+// maxSnapshotPayload bounds the payload length a header may claim. A source
+// that knows its size bounds it tighter (ReadSnapshot); for one that does
+// not, a pipe, this is what bounds the arrays a corrupt count may size
+// before the read runs out.
 const maxSnapshotPayload = 1 << 36
 
 // LooksLikeSnapshot reports whether the byte prefix begins a binary snapshot
@@ -54,16 +58,51 @@ func LooksLikeSnapshot(prefix []byte) bool {
 	return len(prefix) >= len(snapshotMagic) && bytes.Equal(prefix[:len(snapshotMagic)], snapshotMagic[:])
 }
 
-// snapEnc accumulates the payload in one slice, which WriteSnapshot sizes
-// to the payload's length up front (payloadSize).
+// snapWindow is how much of a payload ReadSnapshot and a streamed
+// WriteSnapshot hold at once, unless one string or the tombstone bitmap is
+// longer.
+const snapWindow = 64 << 10
+
+// snapEnc encodes a payload into buf. A streamed encoder (w set) writes buf
+// to w before the next bytes would overflow its window; a buffered one is
+// sized to the whole payload (payloadSize). crc and n sum what flush saw.
 type snapEnc struct {
+	w   io.Writer
 	buf []byte
+	n   int
+	crc uint32
 	err error
 }
 
-func (e *snapEnc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+// flush sums buf and, when streaming, writes it out and empties it; after a
+// failed write it writes nothing more.
+func (e *snapEnc) flush() {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+	e.n += len(e.buf)
+	if e.w == nil {
+		return
+	}
+	if _, err := e.w.Write(e.buf); err != nil {
+		e.fail("write payload: %w", err)
+		e.w = io.Discard
+	}
+	e.buf = e.buf[:0]
+}
 
-func (e *snapEnc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+// extend appends n bytes for the caller to fill to the payload and
+// returns them.
+func (e *snapEnc) extend(n int) []byte {
+	if e.w != nil && len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:at+n]
+	return e.buf[at:]
+}
+
+func (e *snapEnc) u32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) }
+
+func (e *snapEnc) u64(v uint64) { binary.LittleEndian.PutUint64(e.extend(8), v) }
 
 func (e *snapEnc) str(s string) {
 	if len(s) > math.MaxUint32 {
@@ -71,7 +110,7 @@ func (e *snapEnc) str(s string) {
 		return
 	}
 	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	copy(e.extend(len(s)), s)
 }
 
 // table writes a string table's strings in ID order.
@@ -80,14 +119,6 @@ func (e *snapEnc) table(t *strTable) {
 	for id := range t.size() {
 		e.str(t.str(id))
 	}
-}
-
-// extend appends n bytes for the caller to fill to the payload and
-// returns them.
-func (e *snapEnc) extend(n int) []byte {
-	at := len(e.buf)
-	e.buf = slices.Grow(e.buf, n)[:at+n]
-	return e.buf[at:]
 }
 
 func (e *snapEnc) fail(format string, args ...any) {
@@ -108,13 +139,17 @@ func snapInts[T ~int | ~int32](e *snapEnc, xs []T) {
 // snapVals writes the elements of xs, each plus shift, as snapInts does,
 // without the length.
 func snapVals[T ~int | ~int32](e *snapEnc, xs []T, shift T) {
-	s := e.extend(4 * len(xs))
-	for i, x := range xs {
-		if x += shift; int64(x) < 0 || int64(x) > math.MaxUint32 {
-			e.fail("value %d outside the format's u32 range", int64(x))
-			return
+	for len(xs) > 0 {
+		k := min(len(xs), snapWindow/4)
+		s := e.extend(4 * k)
+		for i, x := range xs[:k] {
+			if x += shift; int64(x) < 0 || int64(x) > math.MaxUint32 {
+				e.fail("value %d outside the format's u32 range", int64(x))
+				return
+			}
+			binary.LittleEndian.PutUint32(s[4*i:], uint32(x))
 		}
-		binary.LittleEndian.PutUint32(s[4*i:], uint32(x))
+		xs = xs[k:]
 	}
 }
 
@@ -122,12 +157,11 @@ func snapVals[T ~int | ~int32](e *snapEnc, xs []T, shift T) {
 // width(h) entries long, and returns the entries they cover.
 func (e *snapEnc) offsets(rows []rowHdr, width func(rowHdr) int32) int {
 	e.u64(uint64(len(rows) + 1))
-	s := e.extend(4 * (len(rows) + 1))
 	at := int32(0)
-	binary.LittleEndian.PutUint32(s, 0)
-	for v, h := range rows {
+	e.u32(0)
+	for _, h := range rows {
 		at += width(h)
-		binary.LittleEndian.PutUint32(s[4*v+4:], uint32(at))
+		e.u32(uint32(at))
 	}
 	return int(at)
 }
@@ -187,11 +221,23 @@ func (f *Frozen) payloadSize() int {
 }
 
 // WriteSnapshot serializes the snapshot into the versioned binary image
-// described in the package comment for snapshot.go. The write is buffered in
-// memory (the header carries the payload checksum), so w receives either the
-// complete image or, on error, nothing beyond what it already consumed.
+// described in the package comment for snapshot.go. To an io.WriterAt (a
+// file) it streams a zero header, the payload through a window of
+// snapWindow bytes, then the real header where the image starts, so a
+// failed write leaves a header that never loads. Any other w gets the
+// header and then the payload from one buffer sized to it, or on error
+// nothing beyond what w already consumed. Both get the same bytes.
 func (f *Frozen) WriteSnapshot(w io.Writer) error {
-	e := &snapEnc{buf: make([]byte, 0, f.payloadSize())}
+	var header [28]byte
+	wa, start, streamed := streamStart(w)
+	e := &snapEnc{}
+	if !streamed {
+		e.buf = make([]byte, 0, f.payloadSize())
+	} else if _, err := w.Write(header[:]); err != nil {
+		return fmt.Errorf("graph: snapshot: write header: %w", err)
+	} else {
+		e.w, e.buf = w, make([]byte, 0, snapWindow)
+	}
 	e.table(f.nodeLabels)
 	e.table(f.edgeLabels)
 	e.u32(uint32(f.NumNodes()))
@@ -229,50 +275,99 @@ func (f *Frozen) WriteSnapshot(w io.Writer) error {
 			}
 		}
 	}
-	if e.err != nil {
+	if e.flush(); e.err != nil {
 		return e.err
 	}
 
-	payload := e.buf
-	var header [28]byte
 	copy(header[:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint32(header[8:], snapshotVersion)
-	binary.LittleEndian.PutUint64(header[12:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[20:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(header[12:], uint64(e.n))
+	binary.LittleEndian.PutUint32(header[20:], e.crc)
 	binary.LittleEndian.PutUint32(header[24:], crc32.ChecksumIEEE(header[:24]))
+	if streamed {
+		if _, err := wa.WriteAt(header[:], start); err != nil {
+			return fmt.Errorf("graph: snapshot: write header: %w", err)
+		}
+		return nil
+	}
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("graph: snapshot: write header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(e.buf); err != nil {
 		return fmt.Errorf("graph: snapshot: write payload: %w", err)
 	}
 	return nil
 }
 
-// snapDec walks the payload; every accessor bounds-checks before slicing so
-// a malformed image fails with an error instead of a panic.
-type snapDec struct {
-	b   []byte
-	pos int
-	err error
+// streamStart reports whether WriteSnapshot can stream to w, and at which
+// offset of w the image starts: w must take WriteAt, and if it seeks, tell
+// its position, which a pipe cannot.
+func streamStart(w io.Writer) (io.WriterAt, int64, bool) {
+	wa, ok := w.(io.WriterAt)
+	if s, seeks := w.(io.Seeker); ok && seeks {
+		at, err := s.Seek(0, io.SeekCurrent)
+		return wa, at, err == nil
+	}
+	return wa, 0, ok
 }
 
+// snapDec decodes a payload as it reads it from r through the window win
+// (buf: read but not yet decoded), summing its checksum. Every accessor
+// checks the bytes left before it reads, so a malformed image fails with an
+// error, never a panic; a read error ends the decode too, and rerr keeps it.
+type snapDec struct {
+	r          io.Reader
+	win, buf   []byte
+	read, plen int
+	crc        uint32
+	rerr, err  error
+}
+
+// fail records the first error and empties buf, so every later take finds
+// it.
 func (d *snapDec) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("graph: snapshot: "+format, args...)
 	}
+	d.buf = nil
 }
 
+// rest returns how many payload bytes are not decoded yet.
+func (d *snapDec) rest() int { return d.plen - d.read + len(d.buf) }
+
+// fill moves buf to the front of the window, grown to need bytes if it is
+// shorter, and reads as much of the payload after it as fits.
+func (d *snapDec) fill(need int) {
+	if need > len(d.win) {
+		d.win = make([]byte, need)
+	}
+	at := copy(d.win, d.buf)
+	n, err := io.ReadFull(d.r, d.win[at:at+min(len(d.win)-at, d.plen-d.read)])
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.win[at:at+n])
+	d.buf = d.win[:at+n]
+	if d.read += n; err != nil {
+		if err == io.EOF && d.read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		d.rerr, d.err, d.buf = err, err, nil
+	}
+}
+
+// take returns the next n bytes of the payload, valid until the next read.
 func (d *snapDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if uint(n) > uint(len(d.buf)) {
+		if d.err == nil && (n < 0 || n > d.rest()) {
+			d.fail("truncated payload (need %d bytes at offset %d of %d)", n, d.plen-d.rest(), d.plen)
+		}
+		if d.err == nil {
+			d.fill(n)
+		}
+		if d.err != nil {
+			return nil
+		}
 	}
-	if n < 0 || d.pos+n > len(d.b) {
-		d.fail("truncated payload (need %d bytes at offset %d of %d)", n, d.pos, len(d.b))
-		return nil
-	}
-	s := d.b[d.pos : d.pos+n]
-	d.pos += n
+	s := d.buf[:n]
+	d.buf = d.buf[n:]
 	return s
 }
 
@@ -292,12 +387,16 @@ func (d *snapDec) u64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
-func (d *snapDec) str() string { return string(d.bytes()) }
-
-// bytes returns a length-prefixed string's bytes, aliasing the payload.
+// bytes returns a length-prefixed string's bytes, valid until the next read.
 func (d *snapDec) bytes() []byte {
-	n := d.u32()
-	return d.take(int(n))
+	if len(d.buf) >= 4 { // the common case: the window holds it all
+		if n := int(binary.LittleEndian.Uint32(d.buf)); n <= len(d.buf)-4 {
+			s := d.buf[4 : 4+n]
+			d.buf = d.buf[4+n:]
+			return s
+		}
+	}
+	return d.take(int(d.u32()))
 }
 
 // table reads a label table snapEnc.table wrote; what names it in errors.
@@ -309,7 +408,7 @@ func (d *snapDec) table(what string) *strTable {
 	// Each string needs at least its 4-byte length prefix: a count that
 	// cannot fit in the remaining payload is corrupt, and must fail before
 	// it sizes anything.
-	if d.err == nil && n > (len(d.b)-d.pos)/4 {
+	if d.err == nil && n > d.rest()/4 {
 		d.fail("%s table of %d entries exceeds remaining payload", what, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
@@ -329,43 +428,37 @@ func (d *snapDec) count(elem int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(d.b)-d.pos)/uint64(elem) {
+	if n > uint64(d.rest())/uint64(elem) {
 		d.fail("slice length %d exceeds remaining payload", n)
 		return 0
 	}
 	return int(n)
 }
 
-// snapIntsOut reads a slice snapInts wrote, each value below limit.
+// snapIntsOut reads a slice snapInts wrote, each value below limit, a
+// window at a time.
 func snapIntsOut[T ~int | ~int32](d *snapDec, limit int) []T {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
+	xs, most := make([]T, d.count(4)), uint32(0)
+	for i := 0; i < len(xs) && d.err == nil; {
+		k := len(d.buf) / 4 // what the window holds, else a window's worth
+		if k == 0 {
+			k = len(d.win) / 4
+		}
+		s := d.take(4 * min(k, len(xs)-i))
+		for j := range xs[i : i+len(s)/4] {
+			x := binary.LittleEndian.Uint32(s[4*j:])
+			most = max(most, x)
+			xs[i+j] = T(x)
+		}
+		i += len(s) / 4
 	}
-	s := d.take(4 * n)
-	if s == nil {
-		return nil
-	}
-	xs := make([]T, n)
-	over := false
-	for i := range xs {
-		x := binary.LittleEndian.Uint32(s[4*i:])
-		over = over || uint64(x) >= uint64(limit)
-		xs[i] = T(x)
-	}
-	if over {
+	if d.err == nil && len(xs) > 0 && uint64(most) >= uint64(limit) {
 		d.fail("value outside [0, %d)", limit)
+	}
+	if d.err != nil || len(xs) == 0 {
 		return nil
 	}
 	return xs
-}
-
-// offsets takes the n+1 u32 offsets snapEnc.offsets wrote, as bytes.
-func (d *snapDec) offsets(n int) []byte {
-	if m := d.count(4); d.err == nil && m != n+1 {
-		d.fail("CSR offset array sized %d, want %d", m, n+1)
-	}
-	return d.take(4 * (n + 1))
 }
 
 // dir decodes one CSR direction with full structural validation: the CRCs
@@ -373,21 +466,22 @@ func (d *snapDec) offsets(n int) []byte {
 // image (crafted, or from a buggy writer) must fail here with an error —
 // never load and then panic inside a query, nor answer one wrongly.
 func (d *snapDec) dir(n, nLabels int) csrDir {
-	off := d.offsets(n)
+	off := snapIntsOut[int32](d, math.MaxInt32)
 	targets, all := snapIntsOut[NodeID](d, n), snapIntsOut[NodeID](d, n)
-	dirOff := d.offsets(n)
+	dirOff := snapIntsOut[int32](d, math.MaxInt32)
 	dirLabels, dirStart := snapIntsOut[LabelID](d, nLabels), snapIntsOut[int32](d, math.MaxInt32)
 	c := csrDir{targets: targets, all: all, dirLabels: dirLabels, dirStart: dirStart}
 	if d.err != nil {
 		return c
 	}
-	u32 := func(b []byte, i int) int32 { return int32(binary.LittleEndian.Uint32(b[4*i:])) }
 	switch {
+	case len(off) != n+1 || len(dirOff) != n+1:
+		d.fail("CSR offset arrays sized %d/%d, want %d", len(off), len(dirOff), n+1)
 	case len(c.all) != len(c.targets):
 		d.fail("wildcard view sized %d, want %d", len(c.all), len(c.targets))
 	case len(c.dirStart) != len(c.dirLabels):
 		d.fail("label directory arrays sized %d/%d", len(c.dirStart), len(c.dirLabels))
-	case u32(off, 0) != 0 || u32(dirOff, 0) != 0 || int(u32(off, n)) != len(c.targets) || int(u32(dirOff, n)) != len(c.dirLabels):
+	case off[0] != 0 || dirOff[0] != 0 || int(off[n]) != len(c.targets) || int(dirOff[n]) != len(c.dirLabels):
 		d.fail("CSR offsets do not cover the arrays")
 	}
 	// One pass builds the headers and holds each row's directory to what
@@ -398,7 +492,7 @@ func (d *snapDec) dir(n, nLabels int) csrDir {
 	c.rows = make([]rowHdr, n)
 	var h rowHdr
 	for v := 0; v < n && d.err == nil; v++ {
-		h = rowHdr{h.hi, u32(off, v+1), h.dirHi, u32(dirOff, v+1)}
+		h = rowHdr{h.hi, off[v+1], h.dirHi, dirOff[v+1]}
 		c.rows[v] = h
 		if h.hi < h.lo || h.dirHi < h.dirLo || int(h.hi) > len(c.targets) || int(h.dirHi) > len(c.dirLabels) {
 			d.fail("CSR offsets are not monotone")
@@ -434,8 +528,12 @@ func strictlyAscends(xs []NodeID) bool {
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot. The header's magic,
-// version and checksums are verified before the payload is decoded; the
-// returned Frozen is query-identical to the one serialized.
+// version and checksum are verified first; the payload is decoded as it
+// streams through a window of snapWindow bytes, and a read error, then a
+// checksum mismatch, then a structural error, then trailing bytes fail the
+// load. A source that knows its size (ReaderAt) fails a payload length past
+// it before anything is sized. The returned Frozen is query-identical to
+// the one serialized.
 func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	var header [28]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -454,15 +552,11 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 	if plen > maxSnapshotPayload {
 		return nil, fmt.Errorf("graph: snapshot: payload length %d exceeds limit", plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("graph: snapshot: read payload: %w", err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(header[20:]) {
-		return nil, fmt.Errorf("graph: snapshot: payload checksum mismatch")
+	if _, _, size, ok := ReaderAt(r); ok && plen > uint64(size) {
+		return nil, fmt.Errorf("graph: snapshot: read payload: %w", io.ErrUnexpectedEOF)
 	}
 
-	d := &snapDec{b: payload}
+	d := &snapDec{r: r, win: make([]byte, min(snapWindow, plen)), plen: int(plen)}
 	f := &Frozen{}
 	f.nodeLabels = d.table("node-label")
 	f.edgeLabels = d.table("edge-label")
@@ -478,20 +572,21 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 			// Each attribute needs at least two 4-byte length prefixes;
 			// reject corrupt counts before they size anything.
 			na := int(d.u32())
-			if na > (len(d.b)-d.pos)/8 {
+			if na > d.rest()/8 {
 				d.fail("node %d claims %d attributes beyond remaining payload", v, na)
 			} else {
-				var prev []byte
+				prev := ""
 				for i := 0; i < na && d.err == nil; i++ {
+					// The key's bytes are valid until the value is read.
 					k := d.bytes()
-					if i > 0 && bytes.Compare(k, prev) <= 0 {
+					if i > 0 && string(k) <= prev {
 						// WriteSnapshot writes a tuple in name order, so
 						// anything else would not write back as it was read.
 						d.fail("node %d attribute keys not strictly ascending", v)
 					}
-					val := d.bytes()
-					attrs.keys = append(attrs.keys, attrKey(AttrID(attrs.names.internBytes(k)), ValueID(attrs.values.internBytes(val))))
-					prev = k
+					name := attrs.names.internBytes(k)
+					prev = attrs.names.strs[name]
+					attrs.keys = append(attrs.keys, attrKey(AttrID(name), ValueID(attrs.values.internBytes(d.bytes()))))
 				}
 			}
 			if d.err != nil {
@@ -555,12 +650,39 @@ func ReadSnapshot(r io.Reader) (*Frozen, error) {
 			d.fail("nodes-by-label index disagrees with the node labels")
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	trailing := d.rest()
+	for d.rerr == nil && d.read < d.plen { // sum the rest; find a read error
+		d.buf = nil
+		d.fill(0)
 	}
-	if d.pos != len(d.b) {
-		return nil, fmt.Errorf("graph: snapshot: %d trailing bytes after payload", len(d.b)-d.pos)
+	switch {
+	case d.rerr != nil:
+		return nil, fmt.Errorf("graph: snapshot: read payload: %w", d.rerr)
+	case d.crc != binary.LittleEndian.Uint32(header[20:]):
+		return nil, fmt.Errorf("graph: snapshot: payload checksum mismatch")
+	case d.err != nil:
+		return nil, d.err
+	case trailing != 0:
+		return nil, fmt.Errorf("graph: snapshot: %d trailing bytes after payload", trailing)
 	}
 	attrs.into(f)
 	return f, nil
+}
+
+// ReaderAt returns r as an io.ReaderAt, the offset r reads next and the
+// bytes left from there, if r can tell: a regular file, a bytes.Reader or a
+// strings.Reader.
+func ReaderAt(r io.Reader) (io.ReaderAt, int64, int64, bool) {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
+	case *strings.Reader:
+		return r, r.Size() - int64(r.Len()), int64(r.Len()), true
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			at, err := r.Seek(0, io.SeekCurrent)
+			return r, at, fi.Size() - at, err == nil
+		}
+	}
+	return nil, 0, 0, false
 }
