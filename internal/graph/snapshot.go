@@ -92,12 +92,20 @@ func (e *snapEnc) flush() {
 // extend appends n bytes for the caller to fill to the payload and
 // returns them.
 func (e *snapEnc) extend(n int) []byte {
-	if e.w != nil && len(e.buf)+n > cap(e.buf) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.spill(n)
+	}
+	e.buf = e.buf[:len(e.buf)+n]
+	return e.buf[len(e.buf)-n:]
+}
+
+// spill makes room for n more bytes: a streamed encoder writes its window
+// out first, and buf grows if they still do not fit.
+func (e *snapEnc) spill(n int) {
+	if e.w != nil {
 		e.flush()
 	}
-	at := len(e.buf)
-	e.buf = slices.Grow(e.buf, n)[:at+n]
-	return e.buf[at:]
+	e.buf = slices.Grow(e.buf, n)
 }
 
 func (e *snapEnc) u32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) }
