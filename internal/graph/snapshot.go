@@ -230,11 +230,11 @@ func (f *Frozen) payloadSize() int {
 
 // WriteSnapshot serializes the snapshot into the versioned binary image
 // described in the package comment for snapshot.go. To an io.WriterAt (a
-// file) it streams a zero header, the payload through a window of
-// snapWindow bytes, then the real header where the image starts, so a
-// failed write leaves a header that never loads. Any other w gets the
-// header and then the payload from one buffer sized to it, or on error
-// nothing beyond what w already consumed. Both get the same bytes.
+// file not opened to append) it streams a zero header, the payload through
+// a window of snapWindow bytes, then the real header where the image
+// starts, so a failed write leaves a header that never loads. Any other w
+// gets the header and then the payload from one buffer sized to it, or on
+// error nothing beyond what w already consumed. Both get the same bytes.
 func (f *Frozen) WriteSnapshot(w io.Writer) error {
 	var header [28]byte
 	wa, start, streamed := streamStart(w)
@@ -308,10 +308,15 @@ func (f *Frozen) WriteSnapshot(w io.Writer) error {
 }
 
 // streamStart reports whether WriteSnapshot can stream to w, and at which
-// offset of w the image starts: w must take WriteAt, and if it seeks, tell
-// its position, which a pipe cannot.
+// offset of w the image starts: w must take WriteAt, which a file opened to
+// append refuses (an empty WriteAt asks), and if it seeks, tell its
+// position, which a pipe cannot.
 func streamStart(w io.Writer) (io.WriterAt, int64, bool) {
 	wa, ok := w.(io.WriterAt)
+	if f, isFile := w.(*os.File); isFile {
+		_, err := f.WriteAt(nil, 0)
+		ok = err == nil
+	}
 	if s, seeks := w.(io.Seeker); ok && seeks {
 		at, err := s.Seek(0, io.SeekCurrent)
 		return wa, at, err == nil

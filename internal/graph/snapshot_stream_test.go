@@ -121,7 +121,8 @@ func writeFile(t *testing.T, dir string, f *Frozen) []byte {
 // TestSnapshotStreamedWriteMatchesBuffered holds the two sinks to one
 // image: a file (streamed, its header patched in last) and a bytes.Buffer
 // (buffered) receive the same bytes, also from a file written past its
-// start, whose earlier bytes stay as they were.
+// start, whose earlier bytes stay as they were, and from a file opened to
+// append, which refuses WriteAt and so takes the buffered image.
 func TestSnapshotStreamedWriteMatchesBuffered(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(0); seed < 8; seed++ {
@@ -149,6 +150,18 @@ func TestSnapshotStreamedWriteMatchesBuffered(t *testing.T) {
 	}
 	if got, err := os.ReadFile(file.Name()); err != nil || string(got) != "prefix"+string(want) {
 		t.Fatalf("an image written after a prefix: err %v, %d bytes, want the prefix and the image", err, len(got))
+	}
+
+	appended, err := os.OpenFile(file.Name(), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer appended.Close()
+	if err := f.WriteSnapshot(appended); err != nil {
+		t.Fatalf("WriteSnapshot to a file opened to append: %v", err)
+	}
+	if got, err := os.ReadFile(file.Name()); err != nil || string(got) != "prefix"+string(want)+string(want) {
+		t.Fatalf("an image appended to a file: err %v, %d bytes, want the prefix and the image twice", err, len(got))
 	}
 }
 
